@@ -11,6 +11,7 @@ use spot_core::patching::PatchMode;
 use spot_core::spot::{self as spot_exec, blocking, spot_group_specs, spot_in_maps};
 use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
+use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::{Kernel, Tensor};
 
 fn bench_level(c: &mut Criterion, level: ParamLevel) {
@@ -43,6 +44,36 @@ fn bench_level(c: &mut Criterion, level: ParamLevel) {
         group.bench_function("rotate", |b| b.iter(|| evaluator.rotate_rows(&ct, 1, &gk)));
     }
     group.bench_function("encode", |b| b.iter(|| encoder.encode(&values)));
+    group.finish();
+}
+
+/// The wire codec around one ciphertext and one Galois key — what the
+/// tiny client pays per upload on top of `he/*/encrypt`, and the server
+/// per ingest. `he/*/decrypt` is the matching download-side line.
+fn bench_codec(c: &mut Criterion, level: ParamLevel) {
+    let ctx = Context::new(EncryptionParams::new(level));
+    let mut rng = StdRng::seed_from_u64(13);
+    let keygen = KeyGenerator::new(&ctx, &mut rng);
+    let encoder = BatchEncoder::new(&ctx);
+    let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
+    let evaluator = Evaluator::new(&ctx);
+    let ct = encryptor.encrypt(&encoder.encode(&[1, 2, 3]), &mut rng);
+    let ct_blob = ct.to_bytes();
+    let gk = keygen.galois_keys(&evaluator.galois_elements(&[1], false), &mut rng);
+    let gk_blob = galois_keys_to_bytes(&gk);
+
+    let mut group = c.benchmark_group(format!("codec/{level}"));
+    group.sample_size(20);
+    group.bench_function("ct_to_bytes", |b| b.iter(|| ct.to_bytes()));
+    group.bench_function("ct_from_bytes", |b| {
+        b.iter(|| Ciphertext::try_from_bytes(&ctx, &ct_blob).expect("own ciphertext"))
+    });
+    group.bench_function("galois_serialize_one_key", |b| {
+        b.iter(|| galois_keys_to_bytes(&gk))
+    });
+    group.bench_function("galois_deserialize_one_key", |b| {
+        b.iter(|| galois_keys_from_bytes(&ctx, &gk_blob).expect("own keys"))
+    });
     group.finish();
 }
 
@@ -208,6 +239,8 @@ fn bench_executor_threads(c: &mut Criterion) {
 fn he_ops(c: &mut Criterion) {
     bench_level(c, ParamLevel::N4096);
     bench_level(c, ParamLevel::N8192);
+    bench_codec(c, ParamLevel::N4096);
+    bench_codec(c, ParamLevel::N8192);
     bench_ntt(c, ParamLevel::N4096);
     bench_ntt(c, ParamLevel::N8192);
     bench_kernel_loops(c, ParamLevel::N4096);

@@ -21,7 +21,11 @@
 //! `speedups`. New fields may be added; existing ones won't change
 //! meaning. The `conv_batched_b{B}` entries report one full in-process
 //! SPOT conv session carrying `B` images *per image* (total / B), so
-//! they read directly as throughput-per-image.
+//! they read directly as throughput-per-image. The client-side rows
+//! (`ct_to_bytes`, `ct_from_bytes`, `galois_serialize`,
+//! `galois_deserialize`, `decrypt`) are what a tiny client pays per
+//! ciphertext and per Galois key outside the HE math; the Galois rows
+//! are **per key** (blob time / keys in the blob).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,6 +38,7 @@ use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_he::arch;
 use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
+use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::Tensor;
 use std::time::Instant;
 
@@ -284,6 +289,89 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
     }
 }
 
+/// The tiny client's per-ciphertext and per-key costs around the HE
+/// math: the wire codec both ways (the validated readers, as the
+/// session layer calls them) and decryption. Only `decrypt` touches a
+/// dispatched kernel (its NTTs), so one pass under the production
+/// dispatch is the whole story.
+fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) {
+    for (level, level_name, reps) in [
+        (ParamLevel::N4096, "N4096", 100usize),
+        (ParamLevel::N8192, "N8192", 50),
+    ] {
+        let ctx = Context::new(EncryptionParams::new(level));
+        let mut rng = StdRng::seed_from_u64(13);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let encoder = BatchEncoder::new(&ctx);
+        let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
+        let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
+        let evaluator = Evaluator::new(&ctx);
+        let values: Vec<u64> = (0..ctx.degree() as u64)
+            .map(|i| i % ctx.params().plain_modulus())
+            .collect();
+        let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
+        let ct_blob = ct.to_bytes();
+        let keys = 4usize;
+        let gk = keygen.galois_keys(&evaluator.galois_elements(&[1, 2, 3, 4], false), &mut rng);
+        assert_eq!(gk.len(), keys);
+        let gk_blob = galois_keys_to_bytes(&gk);
+
+        let mut push = |op, reps, per: usize, (mean_us, median_us, min_us): (f64, f64, f64)| {
+            entries.push(Entry {
+                op,
+                level: level_name,
+                kernel,
+                reps,
+                mean_us: mean_us / per as f64,
+                median_us: median_us / per as f64,
+                min_us: min_us / per as f64,
+            })
+        };
+        push(
+            "ct_to_bytes",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(ct.to_bytes());
+            }),
+        );
+        push(
+            "ct_from_bytes",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(
+                    Ciphertext::try_from_bytes(&ctx, &ct_blob).expect("own ciphertext"),
+                );
+            }),
+        );
+        push(
+            "galois_serialize",
+            reps / 2,
+            keys,
+            time_us(reps / 2, || {
+                std::hint::black_box(galois_keys_to_bytes(&gk));
+            }),
+        );
+        push(
+            "galois_deserialize",
+            reps / 2,
+            keys,
+            time_us(reps / 2, || {
+                std::hint::black_box(galois_keys_from_bytes(&ctx, &gk_blob).expect("own keys"));
+            }),
+        );
+        push(
+            "decrypt",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(decryptor.decrypt(&ct));
+            }),
+        );
+    }
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -382,6 +470,7 @@ fn main() {
     // Batching amortization is a protocol property, not a kernel one:
     // measure it once under the production dispatch.
     measure_batched(dispatched, &mut entries);
+    measure_client_side(dispatched, &mut entries);
 
     if json {
         emit_json(dispatched, &entries);

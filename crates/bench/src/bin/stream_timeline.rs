@@ -132,7 +132,11 @@ fn main() {
     println!(
         "SPOT's per-input streaming keeps the server busy during the upload;\n\
          the all-input schemes park every worker until the last ciphertext\n\
-         lands (\"server idle\" = the paper's linear computation stall).\n"
+         lands (\"server idle\" = the paper's linear computation stall).\n\
+         Both parties here run at the same speed on one host, so an upload\n\
+         is about a millisecond per ciphertext and the barrier stall is\n\
+         small; the stall the paper targets needs a client slower than the\n\
+         server, which crates/core/tests/streaming_determinism.rs models.\n"
     );
 
     for (scheme, stats, events) in &timelines {

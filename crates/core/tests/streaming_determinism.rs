@@ -11,15 +11,18 @@
 //!    channel-wise barrier parks the worker for the whole upload.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use spot_core::channelwise::SecureConvResult;
 use spot_core::executor::Executor;
 use spot_core::inference::{run_conv_backend, run_conv_backend_batched, ExecBackend, Scheme};
 use spot_core::patching::PatchMode;
-use spot_core::stream::StreamConfig;
-use spot_core::{channelwise, spot};
+use spot_core::session::{serve_conv, ClientConv, LayerSpec, SchemeKind, UploadPacing};
+use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
+use spot_proto::transport::{MemTransport, Transport};
+use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Arc;
 
@@ -199,48 +202,132 @@ fn streamed_results_reconstruct_correctly() {
     }
 }
 
-/// The measured stall comparison of the paper, scaled down to a
-/// test-sized Table-I-class layer (16×16 map, C_i = 32 → two
-/// channel-wise input ciphertexts at N4096): on a single-thread server
-/// with the same tiny-client channel budget, SPOT's per-input streaming
-/// keeps the worker busy during the upload while the channel-wise
-/// barrier parks it until the last ciphertext lands.
+/// The client's randomness at a tiny client's speed: the same `StdRng`
+/// stream, with a fixed burn of dependent multiplies before every draw.
+/// One encryption makes ≈ 12 k draws, so this stretches each upload by
+/// an amount that scales with the machine like the server's own work.
+struct TinyClientRng {
+    inner: StdRng,
+    burn: u32,
+}
+
+impl RngCore for TinyClientRng {
+    fn next_u64(&mut self) -> u64 {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..self.burn {
+            x = std::hint::black_box(x.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1);
+        }
+        std::hint::black_box(x);
+        self.inner.next_u64()
+    }
+}
+
+/// One streamed convolution through the public session API — what
+/// `execute_streaming` runs, except that the client thread draws from
+/// a [`TinyClientRng`] — returning the server's stall accounting.
+fn stream_with_tiny_client(
+    ctx: &Arc<Context>,
+    keygen: &KeyGenerator,
+    input: &Tensor,
+    kernel: &Kernel,
+    scheme: SchemeKind,
+    seed: u64,
+) -> StreamStats {
+    let spec = LayerSpec {
+        scheme,
+        shape: ConvShape {
+            width: input.width(),
+            height: input.height(),
+            c_in: input.channels(),
+            c_out: kernel.out_channels(),
+            k_h: kernel.k_h(),
+            k_w: kernel.k_w(),
+            stride: 1,
+        },
+        patch: (4, 4),
+        mode: PatchMode::Tweaked,
+    };
+    let capacity = 2;
+    let backend = ExecBackend::Streaming(StreamConfig::new(Executor::serial(), capacity));
+    let client = ClientConv::new(ctx, keygen, spec).expect("client plan");
+    let (client_end, server_end) = MemTransport::pair_with_capacity(Some(capacity), None);
+    let served = std::thread::scope(|s| {
+        let uploader = s.spawn(|| {
+            // ≈ 27 ms per encryption on the reference box against
+            // ≈ 1 ms unburnt: a client some 25× slower than the server
+            // at the same work, yet still under SPOT's ≈ 55 ms
+            // convolution per ciphertext (C_o = 8), so the only upload
+            // SPOT's worker waits out is the first.
+            let mut rng = TinyClientRng {
+                inner: StdRng::seed_from_u64(seed),
+                burn: 1500,
+            };
+            let sent = client.send_all(&client_end, input, UploadPacing::AwaitAck, &mut rng);
+            client_end.close_tx();
+            sent
+        });
+        let mut mask_rng = StdRng::seed_from_u64(seed + 1);
+        let served = serve_conv(ctx, &server_end, kernel, &backend, &mut mask_rng);
+        uploader
+            .join()
+            .expect("client thread panicked")
+            .expect("upload");
+        served.expect("serve_conv")
+    });
+    let share = client.absorb_all(&client_end).expect("absorb");
+    let shares = SecureConvResult {
+        client_share: share.share,
+        server_share: served.server_share,
+        counts: served.counts,
+        input_cts: served.input_cts,
+        output_cts: served.output_cts,
+        modulus: ctx.params().plain_modulus(),
+    };
+    assert_eq!(
+        shares.reconstruct(),
+        spot_tensor::conv::conv2d(input, kernel, 1),
+        "{scheme:?}"
+    );
+    assert!(
+        served.input_cts >= 2,
+        "layer must need several uploads to expose the stall, got {}",
+        served.input_cts
+    );
+    served.stream.expect("streaming backend reports stats")
+}
+
+/// The measured stall comparison of the paper on its own premise — a
+/// client slower than the server — scaled down to a test-sized
+/// Table-I-class layer (16×16 map, C_i = 32 → two channel-wise input
+/// ciphertexts at N4096). On a single-thread server with the same
+/// tiny-client channel budget, the channel-wise barrier parks the
+/// worker for every slow upload, while SPOT waits for the first and
+/// then convolves each ciphertext while the client produces the next.
+/// At equal party speed both idles are scheduler noise; the runtime
+/// property itself is covered synthetically by
+/// `stream.rs::per_input_idle_less_than_barrier_idle`.
 #[test]
 fn spot_server_idle_below_channelwise_on_table1_layer() {
     let ctx = ctx4096();
     let mut keyrng = StdRng::seed_from_u64(5150);
     let keygen = KeyGenerator::new(&ctx, &mut keyrng);
     let input = Tensor::random(32, 16, 16, 4, 81);
-    let kernel = Kernel::random(4, 32, 3, 3, 3, 82);
-    let cfg = StreamConfig::new(Executor::serial(), 2);
+    let kernel = Kernel::random(8, 32, 3, 3, 3, 82);
 
-    let mut rng = StdRng::seed_from_u64(6100);
-    let (cw_res, cw_stats) =
-        channelwise::execute_streaming(&ctx, &keygen, &input, &kernel, 1, &cfg, &mut rng);
-    assert!(
-        cw_res.input_cts >= 2,
-        "layer must need several uploads to expose the stall, got {}",
-        cw_res.input_cts
-    );
-
-    let mut rng = StdRng::seed_from_u64(6200);
-    let (spot_res, spot_stats) = spot::execute_streaming(
+    let cw = stream_with_tiny_client(
         &ctx,
         &keygen,
         &input,
         &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-        &cfg,
-        &mut rng,
+        SchemeKind::Channelwise,
+        6100,
     );
-    assert!(spot_res.input_cts >= 2);
+    let spot = stream_with_tiny_client(&ctx, &keygen, &input, &kernel, SchemeKind::Spot, 6200);
 
     assert!(
-        spot_stats.server_idle_s < cw_stats.server_idle_s,
-        "SPOT measured server idle {:.4}s must be below channel-wise {:.4}s",
-        spot_stats.server_idle_s,
-        cw_stats.server_idle_s
+        1.5 * spot.server_idle_s < cw.server_idle_s,
+        "SPOT measured server idle {:.4}s must be well below channel-wise {:.4}s",
+        spot.server_idle_s,
+        cw.server_idle_s
     );
 }

@@ -3,8 +3,10 @@
 //!
 //! The coefficient modulus `q` is a product of at most nine 62-bit primes
 //! (≤ 558 bits), so a tiny little-endian `u64`-limb integer with schoolbook
-//! operations is ample. Division uses binary long division — decryption is
-//! a client-side, non-hot path where exactness matters more than speed.
+//! operations is ample. Division uses binary long division: exactness
+//! matters more than speed here, because decryption only comes this way
+//! for the rare coefficient its RNS fixed-point rounding cannot decide
+//! (see `encryptor.rs`), and noise budgets are a diagnostic.
 
 /// An arbitrary-precision unsigned integer (little-endian 64-bit limbs).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -1,6 +1,7 @@
 //! BFV ciphertexts.
 
 use crate::context::Context;
+use crate::modulus::Modulus;
 use crate::poly::Poly;
 use crate::pool;
 use std::sync::Arc;
@@ -57,12 +58,8 @@ impl Ciphertext {
         let mut out = Vec::with_capacity(self.byte_size());
         out.extend_from_slice(&(ctx.degree() as u64).to_le_bytes());
         out.extend_from_slice(&(ctx.moduli_count() as u64).to_le_bytes());
-        for poly in [&self.c0, &self.c1] {
-            for (i, m) in ctx.moduli().iter().enumerate() {
-                let bits = 64 - m.value().leading_zeros() as usize;
-                out.extend_from_slice(&pack_bits(poly.residues(i), bits));
-            }
-        }
+        write_poly(&mut out, &self.c0);
+        write_poly(&mut out, &self.c1);
         out
     }
 
@@ -92,7 +89,7 @@ impl Ciphertext {
             // fine.
             let mut data = pool::take(k * n);
             for (i, m) in ctx.moduli().iter().enumerate() {
-                let bits = 64 - m.value().leading_zeros() as usize;
+                let bits = residue_bits(m);
                 let section = (n * bits).div_ceil(8);
                 unpack_bits_into(
                     &bytes[off..off + section],
@@ -109,20 +106,73 @@ impl Ciphertext {
     }
 }
 
+/// Wire width of one residue modulo `m`: the bit length of `m`.
+pub(crate) fn residue_bits(m: &Modulus) -> usize {
+    64 - m.value().leading_zeros() as usize
+}
+
+/// Appends one packed polynomial: per modulus, its residues at
+/// [`residue_bits`] bits each, the section padded to a whole byte.
+pub(crate) fn write_poly(out: &mut Vec<u8>, poly: &Poly) {
+    for (i, m) in poly.context().moduli().iter().enumerate() {
+        let bits = residue_bits(m);
+        let residues = poly.residues(i);
+        let start = out.len();
+        out.resize(start + (residues.len() * bits).div_ceil(8), 0);
+        pack_bits_into(residues, bits, &mut out[start..]);
+    }
+}
+
+fn low_mask(bits: usize) -> u64 {
+    assert!(bits <= 64, "at most 64 bits per value");
+    if bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
 /// Packs `values` into a byte stream at `bits` bits per value
-/// (little-endian bit order).
+/// (little-endian bit order). Bits of a value above `bits` are dropped.
 pub fn pack_bits(values: &[u64], bits: usize) -> Vec<u8> {
     let mut out = vec![0u8; (values.len() * bits).div_ceil(8)];
-    let mut bitpos = 0usize;
-    for &v in values {
-        for b in 0..bits {
-            if (v >> b) & 1 == 1 {
-                out[(bitpos + b) / 8] |= 1 << ((bitpos + b) % 8);
-            }
-        }
-        bitpos += bits;
-    }
+    pack_bits_into(values, bits, &mut out);
     out
+}
+
+/// [`pack_bits`] into an existing buffer of exactly
+/// `⌈values.len()·bits / 8⌉` bytes (overwrites every byte).
+///
+/// # Panics
+///
+/// Panics if `bits > 64` or `out` has the wrong length.
+pub fn pack_bits_into(values: &[u64], bits: usize, out: &mut [u8]) {
+    let mask = low_mask(bits);
+    assert_eq!(
+        out.len(),
+        (values.len() * bits).div_ceil(8),
+        "packed buffer size"
+    );
+    // `fill < 64` bits are pending in `acc` between values; one more
+    // value brings at most 127, so a u128 never overflows.
+    let mut acc = 0u128;
+    let mut fill = 0usize;
+    let mut pos = 0usize;
+    for &v in values {
+        acc |= ((v & mask) as u128) << fill;
+        fill += bits;
+        if fill >= 64 {
+            out[pos..pos + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+            pos += 8;
+            acc >>= 64;
+            fill -= 64;
+        }
+    }
+    // The last, partial word: up to 8 bytes when 57..=63 bits pend.
+    let tail = &mut out[pos..];
+    let tail_len = tail.len();
+    debug_assert_eq!(tail_len, fill.div_ceil(8));
+    tail.copy_from_slice(&(acc as u64).to_le_bytes()[..tail_len]);
 }
 
 /// Unpacks `count` values of `bits` bits each from a byte stream.
@@ -134,19 +184,48 @@ pub fn unpack_bits(bytes: &[u8], bits: usize, count: usize) -> Vec<u64> {
 
 /// Unpacks `out.len()` values of `bits` bits each into an existing
 /// buffer (overwrites every element).
+///
+/// # Panics
+///
+/// Panics if `bits > 64` or `bytes` is shorter than the packed values.
 pub fn unpack_bits_into(bytes: &[u8], bits: usize, out: &mut [u64]) {
-    let mut bitpos = 0usize;
+    unpack_bits_max(bytes, bits, out);
+}
+
+/// [`unpack_bits_into`] that also returns the largest value unpacked
+/// (0 for none), so a validating reader gets its range check from the
+/// same pass.
+pub(crate) fn unpack_bits_max(bytes: &[u8], bits: usize, out: &mut [u64]) -> u64 {
+    let mask = low_mask(bits);
+    assert!(
+        bytes.len() >= (out.len() * bits).div_ceil(8),
+        "packed input too short"
+    );
+    // Refill 64 bits whenever fewer than `bits` are pending, so `acc`
+    // holds under 128. The last word may be partial; its missing bytes
+    // read as zero and lie past every bit the loop consumes.
+    let mut acc = 0u128;
+    let mut fill = 0usize;
+    let mut words = bytes.chunks(8);
+    let mut max = 0u64;
     for slot in out.iter_mut() {
-        let mut v = 0u64;
-        for b in 0..bits {
-            let p = bitpos + b;
-            if (bytes[p / 8] >> (p % 8)) & 1 == 1 {
-                v |= 1 << b;
-            }
+        if fill < bits {
+            let chunk = words.next().expect("length checked above");
+            let word = <[u8; 8]>::try_from(chunk).unwrap_or_else(|_| {
+                let mut padded = [0u8; 8];
+                padded[..chunk.len()].copy_from_slice(chunk);
+                padded
+            });
+            acc |= (u64::from_le_bytes(word) as u128) << fill;
+            fill += 64;
         }
+        let v = acc as u64 & mask;
+        acc >>= bits;
+        fill -= bits;
+        max = max.max(v);
         *slot = v;
-        bitpos += bits;
     }
+    max
 }
 
 #[cfg(test)]

@@ -30,6 +30,10 @@ pub struct Context {
     punctured: Vec<BigUint>,
     /// [(q/q_i)^{-1}]_{q_i}.
     punctured_inv: Vec<u64>,
+    /// `⌊t·2^128/q_i⌋` as `(high, low)` limbs: `t/q_i` with 128
+    /// fractional bits, for RNS decryption. `None` when `t` is not small
+    /// against the `q_i` (see [`Context::rns_scale`]).
+    rns_scale: Option<Vec<(u64, u64)>>,
     /// Key-switch gadget g_i = (q/q_i) * [(q/q_i)^{-1}]_{q_i} mod q_j, for
     /// each digit i and modulus j: `gadget[i][j]`.
     gadget: Vec<Vec<u64>>,
@@ -92,6 +96,26 @@ impl Context {
             punctured_inv.push(inv);
         }
 
+        // Two-limb long division of t·2^128 by q_i (t, q_i < 2^62, so
+        // t·2^64 and rem·2^64 fit a u128).
+        let scale_limbs: Vec<(u128, u128)> = params
+            .coeff_moduli()
+            .iter()
+            .map(|&q| {
+                let (num, q) = ((params.plain_modulus() as u128) << 64, q as u128);
+                (num / q, ((num % q) << 64) / q)
+            })
+            .collect();
+        // A term is below (high + 1)·2^64 for any 64-bit multiplier, so
+        // this is when the sum of all k terms fits a u128.
+        let sum_fits = scale_limbs.iter().map(|&(hi, _)| hi + 1).sum::<u128>() <= 1 << 64;
+        let rns_scale = sum_fits.then(|| {
+            scale_limbs
+                .iter()
+                .map(|&(hi, lo)| (hi as u64, lo as u64))
+                .collect()
+        });
+
         // gadget[i][j] = (q/q_i) * inv_i mod q_j
         let mut gadget = Vec::with_capacity(k);
         for i in 0..k {
@@ -130,6 +154,7 @@ impl Context {
             delta_mod_qi,
             punctured,
             punctured_inv,
+            rns_scale,
             gadget,
             slot_index_map,
         })
@@ -193,6 +218,14 @@ impl Context {
     /// `[(q/q_i)^{-1}]_{q_i}`.
     pub fn punctured_inv(&self) -> &[u64] {
         &self.punctured_inv
+    }
+
+    /// `⌊t·2^128/q_i⌋` per modulus as `(high, low)` 64-bit limbs, or
+    /// `None` if the parameters are outside what RNS decryption
+    /// supports: the sum over `i` of `y_i·t/q_i` in 64.64 fixed point
+    /// must fit a `u128` for any 64-bit `y_i`.
+    pub(crate) fn rns_scale(&self) -> Option<&[(u64, u64)]> {
+        self.rns_scale.as_deref()
     }
 
     /// Key-switch gadget residues `gadget[i][j] = g_i mod q_j`.

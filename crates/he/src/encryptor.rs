@@ -1,9 +1,13 @@
 //! Encryption and decryption.
 //!
-//! Decryption reconstructs each coefficient of `c0 + c1·s` exactly via CRT
-//! big-integer lift and computes `m = ⌈t·c/q⌋ mod t` — slower than RNS
-//! floating-point tricks but bit-exact, which the correctness tests of the
-//! convolution schemes rely on.
+//! Decryption computes `m = ⌈t·x/q⌋ mod t` for each coefficient `x` of
+//! `c0 + c1·s` without leaving RNS: with `y_i = [x_i·(q/q_i)^{-1}]_{q_i}`,
+//! `x ≡ Σ y_i·(q/q_i) (mod q)`, so `t·x/q ≡ Σ y_i·t/q_i (mod t)` as real
+//! numbers, and the sum is taken in 64.64 fixed point. `q` is odd, so the
+//! exact value is never a half-integer; a coefficient whose fixed-point
+//! sum is too close to one to tell falls back to an exact big-integer CRT
+//! lift, which makes the result bit-exact on every input — the
+//! correctness tests of the convolution schemes rely on that.
 
 use crate::bigint::BigUint;
 use crate::ciphertext::Ciphertext;
@@ -114,8 +118,9 @@ impl Decryptor {
         }
     }
 
-    /// Computes `c0 + c1·s` in coefficient form.
-    fn phase(&self, ct: &Ciphertext) -> Poly {
+    /// Computes the phase `c0 + c1·s` in coefficient form: `Δ·m + e`
+    /// for a well-formed ciphertext.
+    pub fn phase(&self, ct: &Ciphertext) -> Poly {
         let mut acc = ct.c1.clone();
         acc.mul_assign_ntt(&self.sk.s);
         acc.add_assign(&ct.c0);
@@ -124,29 +129,25 @@ impl Decryptor {
     }
 
     /// Decrypts a ciphertext.
-    #[allow(clippy::needless_range_loop)]
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
         spot_trace::count(spot_trace::Counter::Decrypt, 1);
+        self.round_phase(&self.phase(ct))
+    }
+
+    /// Maps every phase coefficient `x` to `⌈t·x/q⌋ mod t`.
+    fn round_phase(&self, phase: &Poly) -> Plaintext {
         let ctx = &self.ctx;
-        let n = ctx.degree();
-        let k = ctx.moduli_count();
-        let t = ctx.params().plain_modulus();
-        let phase = self.phase(ct);
-        let q = ctx.q_big();
+        let rows: Vec<&[u64]> = (0..ctx.moduli_count()).map(|i| phase.residues(i)).collect();
         // Every coefficient is written below, so a dirty pooled buffer is
         // fine; the buffer recycles when the Plaintext drops.
-        let mut coeffs = pool::take(n);
-        let mut residues = vec![0u64; k];
-        for j in 0..n {
-            for i in 0..k {
-                residues[i] = phase.residues(i)[j];
+        let mut coeffs = pool::take(ctx.degree());
+        let mut residues = vec![0u64; rows.len()];
+        for (j, coeff) in coeffs.iter_mut().enumerate() {
+            for (r, row) in residues.iter_mut().zip(&rows) {
+                *r = row[j];
             }
-            let (mag, neg) = ctx.crt_lift_centered(&residues);
-            // m = round(t * mag / q) with sign
-            let num = mag.mul_u64(t).add(ctx.q_half());
-            let (m, _) = num.div_rem(q);
-            let m = m.rem_u64(t);
-            coeffs[j] = if neg && m != 0 { t - m } else { m };
+            *coeff = round_scaled_rns(ctx, &residues)
+                .unwrap_or_else(|| round_scaled_exact(ctx, &residues));
         }
         Plaintext::from_coeffs(coeffs)
     }
@@ -185,6 +186,52 @@ impl Decryptor {
         }
         let noise_bits = max_noise.bits();
         q.bits().saturating_sub(noise_bits + 1)
+    }
+}
+
+/// `⌈t·x/q⌋ mod t` from the residues `x_i` of `x`, or `None` where fixed
+/// point cannot decide the rounding — or the parameters have no
+/// [`Context::rns_scale`].
+///
+/// With `y_i = [x_i·(q/q_i)^{-1}]_{q_i}`, term `i` is
+/// `y_i·⌊t·2^128/q_i⌋ / 2^64`, truncated twice, so it underestimates
+/// `y_i·t/q_i · 2^64` by less than 2 and the sum `s` by less than `2k`:
+/// the exact value rounds like `s` unless the fraction of `s` lies in
+/// `[1/2 − 2k·2^-64, 1/2)`.
+fn round_scaled_rns(ctx: &Context, residues: &[u64]) -> Option<u64> {
+    let scale = ctx.rns_scale()?;
+    let crt = ctx.moduli().iter().zip(ctx.punctured_inv());
+    let s: u128 = residues
+        .iter()
+        .zip(crt)
+        .zip(scale)
+        .map(|((&x, (m, &inv)), &(hi, lo))| {
+            let y = m.mul(x, inv) as u128;
+            y * hi as u128 + ((y * lo as u128) >> 64)
+        })
+        .sum();
+    let frac = s as u64;
+    let half = 1u64 << 63;
+    if (half - 2 * residues.len() as u64..half).contains(&frac) {
+        return None;
+    }
+    let t = ctx.plain_modulus();
+    let m = t.reduce((s >> 64) as u64) + (frac >> 63);
+    Some(if m == t.value() { 0 } else { m })
+}
+
+/// `⌈t·x/q⌋ mod t` by exact big-integer CRT lift of the residues `x_i`.
+fn round_scaled_exact(ctx: &Context, residues: &[u64]) -> u64 {
+    let t = ctx.params().plain_modulus();
+    let (mag, neg) = ctx.crt_lift_centered(residues);
+    // m = round(t * mag / q) with sign
+    let num = mag.mul_u64(t).add(ctx.q_half());
+    let (m, _) = num.div_rem(ctx.q_big());
+    let m = m.rem_u64(t);
+    if neg && m != 0 {
+        t - m
+    } else {
+        m
     }
 }
 
@@ -260,5 +307,104 @@ mod tests {
         let decoded = encoder.decode(&decryptor.decrypt(&ct));
         assert_ne!(&decoded[..10], &values[..]);
         assert_eq!(decryptor.noise_budget(&ct), 0);
+    }
+
+    /// Residues of `t^{-1}·c mod q`, the `x` with `t·x ≡ c (mod q)`.
+    fn scaled_to(ctx: &Context, c: &BigUint) -> Vec<u64> {
+        let t = ctx.params().plain_modulus();
+        ctx.moduli()
+            .iter()
+            .map(|m| {
+                let t_inv = m.inv(t).expect("t is prime to every q_i");
+                m.mul(t_inv, c.rem_u64(m.value()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ambiguity_band_falls_back_to_the_exact_path_and_agrees() {
+        // N2048's 54-bit q puts 1/(2q) at 2^9 fixed-point ulps: too far
+        // from the boundary to be ambiguous, rightly.
+        for level in [ParamLevel::N4096, ParamLevel::N8192, ParamLevel::N16384] {
+            let (ctx, kg, mut rng) = setup(level);
+            let t = ctx.params().plain_modulus();
+            // t·x/q = integer + 1/2 ∓ 1/(2q): the two values nearest a
+            // tie that an odd q allows, far inside 2k·2^-64 of it.
+            let below = scaled_to(&ctx, ctx.q_half());
+            let above = scaled_to(&ctx, &ctx.q_half().add(&BigUint::from_u64(1)));
+            assert_eq!(round_scaled_rns(&ctx, &below), None, "{level}");
+            // ⌊t·x/q⌋ mod t by big integers: the tie-breaker's reference.
+            let floor = |residues: &[u64]| {
+                let (mag, neg) = ctx.crt_lift_centered(residues);
+                let x = if neg { ctx.q_big().sub(&mag) } else { mag };
+                x.mul_u64(t).div_rem(ctx.q_big()).0.rem_u64(t)
+            };
+            let (down, up) = (floor(&below), (floor(&above) + 1) % t);
+            assert_eq!(round_scaled_exact(&ctx, &below), down, "{level}");
+            assert_eq!(round_scaled_exact(&ctx, &above), up, "{level}");
+            if let Some(m) = round_scaled_rns(&ctx, &above) {
+                assert_eq!(m, up, "{level}");
+            }
+
+            // The same two coefficients inside a phase polynomial, among
+            // ordinary ones: the fallback is per coefficient.
+            let n = ctx.degree();
+            let mut phase = sample_uniform(&ctx, &mut rng);
+            phase.reinterpret_form(crate::poly::PolyForm::Coeff);
+            for (i, (&lo, &hi)) in below.iter().zip(&above).enumerate() {
+                phase.residues_mut(i)[0] = lo;
+                phase.residues_mut(i)[n - 1] = hi;
+            }
+            let decryptor = Decryptor::new(&ctx, kg.secret_key().clone());
+            let got = decryptor.round_phase(&phase);
+            for j in 0..n {
+                let residues: Vec<u64> = (0..ctx.moduli_count())
+                    .map(|i| phase.residues(i)[j])
+                    .collect();
+                assert_eq!(
+                    got.coeffs()[j],
+                    round_scaled_exact(&ctx, &residues),
+                    "{level} coefficient {j}"
+                );
+            }
+            assert_eq!((got.coeffs()[0], got.coeffs()[n - 1]), (down, up));
+        }
+    }
+
+    #[test]
+    fn unreduced_residues_round_like_the_exact_path() {
+        // `Ciphertext::from_bytes` admits residues ≥ q_i, and lazy NTT
+        // arithmetic may leave them so in the phase.
+        for level in ParamLevel::ALL {
+            let (ctx, _, mut rng) = setup(level);
+            for _ in 0..2000 {
+                let residues: Vec<u64> = ctx.moduli().iter().map(|_| rng.gen()).collect();
+                if let Some(m) = round_scaled_rns(&ctx, &residues) {
+                    assert_eq!(
+                        m,
+                        round_scaled_exact(&ctx, &residues),
+                        "{level} {residues:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn large_plain_modulus_decrypts_by_the_exact_path() {
+        // t above the q_i: the fixed-point sum could overflow, so the
+        // context offers no scale table and every coefficient is exact.
+        let t = crate::primes::prime_at_least(1 << 40, 4096);
+        let params = EncryptionParams::with_plain_modulus(ParamLevel::N4096, t);
+        let ctx = Context::new(params);
+        assert!(ctx.rns_scale().is_none());
+        let mut rng = StdRng::seed_from_u64(8);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
+        let dec = Decryptor::new(&ctx, kg.secret_key().clone());
+        let encoder = BatchEncoder::new(&ctx);
+        let values: Vec<u64> = (0..64u64).map(|i| t - 1 - i).collect();
+        let ct = enc.encrypt(&encoder.encode(&values), &mut rng);
+        assert_eq!(&encoder.decode(&dec.decrypt(&ct))[..64], &values[..]);
     }
 }

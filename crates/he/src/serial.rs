@@ -12,7 +12,7 @@
 //! encoding is deterministic (the in-memory store is a `HashMap` with
 //! nondeterministic iteration order).
 
-use crate::ciphertext::{pack_bits, unpack_bits_into, Ciphertext};
+use crate::ciphertext::{residue_bits, unpack_bits_max, write_poly, Ciphertext};
 use crate::context::Context;
 use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey};
 use crate::poly::{Poly, PolyForm};
@@ -50,39 +50,18 @@ impl fmt::Display for SerialError {
 
 impl std::error::Error for SerialError {}
 
-/// Bytes one packed polynomial occupies under `ctx`.
-fn poly_packed_bytes(ctx: &Context) -> usize {
-    let n = ctx.degree();
-    ctx.moduli()
-        .iter()
-        .map(|m| {
-            let bits = 64 - m.value().leading_zeros() as usize;
-            (n * bits).div_ceil(8)
-        })
-        .sum()
-}
-
-fn write_poly(out: &mut Vec<u8>, poly: &Poly) {
-    let ctx = poly.context();
-    for (i, m) in ctx.moduli().iter().enumerate() {
-        let bits = 64 - m.value().leading_zeros() as usize;
-        out.extend_from_slice(&pack_bits(poly.residues(i), bits));
-    }
-}
-
 /// Reads one packed NTT-form polynomial, validating residue ranges.
 fn read_poly(ctx: &Arc<Context>, bytes: &[u8], off: &mut usize) -> Result<Poly, SerialError> {
     let n = ctx.degree();
     let k = ctx.moduli_count();
     let mut data = pool::take(k * n);
     for (i, m) in ctx.moduli().iter().enumerate() {
-        let bits = 64 - m.value().leading_zeros() as usize;
+        let bits = residue_bits(m);
         let section = (n * bits).div_ceil(8);
         let src = bytes
             .get(*off..*off + section)
             .ok_or(SerialError::Truncated)?;
-        unpack_bits_into(src, bits, &mut data[i * n..(i + 1) * n]);
-        if data[i * n..(i + 1) * n].iter().any(|&v| v >= m.value()) {
+        if unpack_bits_max(src, bits, &mut data[i * n..(i + 1) * n]) >= m.value() {
             return Err(SerialError::ResidueOutOfRange);
         }
         *off += section;
@@ -116,7 +95,7 @@ impl Ciphertext {
 
 /// Serializes a public key: packed `b` then `a`.
 pub fn public_key_to_bytes(pk: &PublicKey) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(2 * pk.b.context().params().poly_bytes());
     write_poly(&mut out, &pk.b);
     write_poly(&mut out, &pk.a);
     out
@@ -124,7 +103,7 @@ pub fn public_key_to_bytes(pk: &PublicKey) -> Vec<u8> {
 
 /// Deserializes a public key produced by [`public_key_to_bytes`].
 pub fn public_key_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<PublicKey, SerialError> {
-    if bytes.len() != 2 * poly_packed_bytes(ctx) {
+    if bytes.len() != 2 * ctx.params().poly_bytes() {
         return Err(SerialError::LengthMismatch);
     }
     let mut off = 0usize;
@@ -139,7 +118,18 @@ pub fn public_key_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<PublicK
 pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
     let mut elements: Vec<usize> = gk.elements().collect();
     elements.sort_unstable();
-    let mut out = Vec::new();
+    // Exact size up front: the blob is megabytes and must not regrow.
+    let size = 4 + gk
+        .keys
+        .values()
+        .map(|ksk| {
+            let polys = ksk.pairs.iter().flat_map(|(b, a)| [b, a]);
+            12 + polys
+                .map(|p| p.context().params().poly_bytes())
+                .sum::<usize>()
+        })
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(size);
     out.extend_from_slice(&(elements.len() as u32).to_le_bytes());
     for elt in elements {
         let ksk = &gk.keys[&elt];
@@ -198,6 +188,12 @@ fn read_u32(bytes: &[u8], off: usize) -> Result<u32, SerialError> {
     Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
 }
 
+/// The bit-at-a-time codec this module's layout was defined by, shared
+/// with the integration tests.
+#[cfg(test)]
+#[path = "../tests/common/bit_oracle.rs"]
+mod bit_oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +250,47 @@ mod tests {
         let out = encoder.decode(&dec.decrypt(&rot));
         let expected = crate::encoding::rotate_slots_reference(&values, 1);
         assert_eq!(out, expected);
+    }
+
+    /// Key blobs are exactly what the bit loop wrote: `polys` in order,
+    /// per modulus one byte-padded section at that modulus's width.
+    fn oracle_polys(polys: &[&Poly]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for poly in polys {
+            for (i, m) in poly.context().moduli().iter().enumerate() {
+                let bits = residue_bits(m);
+                let section = bit_oracle::pack_bits(poly.residues(i), bits);
+                let n = poly.residues(i).len();
+                assert_eq!(bit_oracle::unpack_bits(&section, bits, n), poly.residues(i));
+                out.extend_from_slice(&section);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn key_blobs_equal_oracle_packing() {
+        for level in [ParamLevel::N4096, ParamLevel::N8192] {
+            let ctx = Context::new(EncryptionParams::new(level));
+            let mut rng = StdRng::seed_from_u64(6);
+            let kg = KeyGenerator::new(&ctx, &mut rng);
+            let pk = kg.public_key(&mut rng);
+            assert_eq!(public_key_to_bytes(&pk), oracle_polys(&[&pk.b, &pk.a]));
+
+            // Inserted out of order: entries are written sorted.
+            let elts = [2 * ctx.degree() - 1, 3, 9];
+            let gk = kg.galois_keys(&elts, &mut rng);
+            let mut want = 3u32.to_le_bytes().to_vec();
+            for elt in [3, 9, 2 * ctx.degree() - 1] {
+                let pairs = &gk.keys[&elt].pairs;
+                want.extend_from_slice(&(elt as u64).to_le_bytes());
+                want.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+                for (b, a) in pairs {
+                    want.extend_from_slice(&oracle_polys(&[b, a]));
+                }
+            }
+            assert_eq!(galois_keys_to_bytes(&gk), want, "{level}");
+        }
     }
 
     #[test]

@@ -1,0 +1,322 @@
+//! The word-wise wire codec against the bit-at-a-time loop it replaced
+//! (`common::bit_oracle`): identical bytes for every width, length and
+//! input — including garbage above the value width, which both mask —
+//! identical blobs for ciphertexts, and the same [`SerialError`] from
+//! the validated readers for the same malformed input: truncation at
+//! every section boundary, trailing bytes, and an unreduced residue in
+//! the first or last slot of each modulus section.
+//!
+//! Public-key and Galois-key blobs are compared against the oracle in
+//! `serial.rs`'s unit tests, which can see the key polynomials.
+
+mod common;
+
+use common::bit_oracle;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use spot_he::ciphertext::{pack_bits, pack_bits_into, unpack_bits, unpack_bits_into, Ciphertext};
+use spot_he::context::Context;
+use spot_he::encoding::BatchEncoder;
+use spot_he::encryptor::Encryptor;
+use spot_he::keys::KeyGenerator;
+use spot_he::params::{EncryptionParams, ParamLevel};
+use spot_he::serial::{
+    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
+    SerialError,
+};
+use std::sync::Arc;
+
+const LEVELS: [ParamLevel; 2] = [ParamLevel::N4096, ParamLevel::N8192];
+
+/// Full-width random words: everything above `bits` is garbage the
+/// packer must drop.
+fn garbage(len: usize, seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len).map(|_| rng.gen::<u64>()).collect()
+}
+
+fn assert_codec_matches_oracle(bits: usize, len: usize, seed: u64) {
+    let tag = format!("bits={bits} len={len} seed={seed}");
+    let values = garbage(len, seed);
+    let want = bit_oracle::pack_bits(&values, bits);
+    assert_eq!(pack_bits(&values, bits), want, "pack {tag}");
+    // Every byte of a dirty buffer is overwritten, padding included.
+    let mut dirty = vec![0xA5u8; want.len()];
+    pack_bits_into(&values, bits, &mut dirty);
+    assert_eq!(dirty, want, "pack_into {tag}");
+
+    let mask = if bits == 64 {
+        u64::MAX
+    } else {
+        (1 << bits) - 1
+    };
+    let masked: Vec<u64> = values.iter().map(|v| v & mask).collect();
+    assert_eq!(
+        bit_oracle::unpack_bits(&want, bits, len),
+        masked,
+        "oracle {tag}"
+    );
+    assert_eq!(unpack_bits(&want, bits, len), masked, "unpack {tag}");
+    let mut dirty = vec![u64::MAX; len];
+    unpack_bits_into(&want, bits, &mut dirty);
+    assert_eq!(dirty, masked, "unpack_into {tag}");
+}
+
+/// Every width against every short length (all phases of value against
+/// word and byte boundaries) and the lengths around a 4096-slot row.
+#[test]
+fn every_width_matches_the_bit_loop() {
+    for bits in 1..=64 {
+        for len in (0..=130).chain(4093..=4099) {
+            assert_codec_matches_oracle(bits, len, (bits * 10_000 + len) as u64);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn any_width_and_length_matches_the_bit_loop(
+        bits in 1usize..=64,
+        len in 0usize..=4099,
+        seed in 0u64..u64::MAX,
+    ) {
+        assert_codec_matches_oracle(bits, len, seed);
+    }
+}
+
+fn ctx(level: ParamLevel) -> Arc<Context> {
+    Context::new(EncryptionParams::new(level))
+}
+
+/// `(offset, length, bits, q_i)` of every modulus section of `polys`
+/// packed polynomials starting at `start`.
+fn sections(ctx: &Context, start: usize, polys: usize) -> Vec<(usize, usize, usize, u64)> {
+    let mut off = start;
+    let mut out = Vec::new();
+    for _ in 0..polys {
+        for m in ctx.moduli() {
+            let bits = 64 - m.value().leading_zeros() as usize;
+            let len = (ctx.degree() * bits).div_ceil(8);
+            out.push((off, len, bits, m.value()));
+            off += len;
+        }
+    }
+    out
+}
+
+/// The validated polynomial reader as it was: section by section,
+/// truncation before range.
+fn oracle_read_polys(
+    ctx: &Context,
+    bytes: &[u8],
+    start: usize,
+    polys: usize,
+) -> Result<usize, SerialError> {
+    let mut end = start;
+    for (off, len, bits, q) in sections(ctx, start, polys) {
+        let src = bytes.get(off..off + len).ok_or(SerialError::Truncated)?;
+        let residues = bit_oracle::unpack_bits(src, bits, ctx.degree());
+        if residues.iter().any(|&v| v >= q) {
+            return Err(SerialError::ResidueOutOfRange);
+        }
+        end = off + len;
+    }
+    Ok(end)
+}
+
+fn oracle_ciphertext(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
+    let hdr = bytes.get(0..16).ok_or(SerialError::Truncated)?;
+    let field = |i: usize| u64::from_le_bytes(hdr[8 * i..8 * i + 8].try_into().unwrap()) as usize;
+    if (field(0), field(1)) != (ctx.degree(), ctx.moduli_count()) {
+        return Err(SerialError::HeaderMismatch);
+    }
+    if bytes.len() != ctx.params().ciphertext_bytes() {
+        return Err(SerialError::LengthMismatch);
+    }
+    oracle_read_polys(ctx, bytes, 16, 2).map(|_| ())
+}
+
+fn oracle_public_key(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
+    if bytes.len() != 2 * ctx.params().poly_bytes() {
+        return Err(SerialError::LengthMismatch);
+    }
+    oracle_read_polys(ctx, bytes, 0, 2).map(|_| ())
+}
+
+/// Blobs of these tests hold well-formed counts, so the `Malformed`
+/// arms of the real reader are out of reach and not mirrored.
+fn oracle_galois_keys(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
+    let u32_at = |off: usize| {
+        let s = bytes.get(off..off + 4).ok_or(SerialError::Truncated)?;
+        Ok(u32::from_le_bytes(s.try_into().unwrap()) as usize)
+    };
+    let count = u32_at(0)?;
+    let mut off = 4;
+    for _ in 0..count {
+        bytes.get(off..off + 8).ok_or(SerialError::Truncated)?;
+        let pairs = u32_at(off + 8)?;
+        off = oracle_read_polys(ctx, bytes, off + 12, 2 * pairs)?;
+    }
+    if off != bytes.len() {
+        return Err(SerialError::LengthMismatch);
+    }
+    Ok(())
+}
+
+/// One blob kind: its real validated reader, the oracle reader, and
+/// where its packed polynomials sit.
+struct Blob {
+    name: &'static str,
+    good: Vec<u8>,
+    real: fn(&Arc<Context>, &[u8]) -> Result<(), SerialError>,
+    oracle: fn(&Context, &[u8]) -> Result<(), SerialError>,
+    sections: Vec<(usize, usize, usize, u64)>,
+}
+
+impl Blob {
+    fn check(&self, ctx: &Arc<Context>, bytes: &[u8], what: &str) -> Result<(), SerialError> {
+        let got = (self.real)(ctx, bytes);
+        assert_eq!(got, (self.oracle)(ctx, bytes), "{} {what}", self.name);
+        got
+    }
+}
+
+fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
+    let mut rng = StdRng::seed_from_u64(77);
+    let kg = KeyGenerator::new(ctx, &mut rng);
+    let pk = kg.public_key(&mut rng);
+    let ct = Encryptor::new(ctx, pk.clone())
+        .encrypt(&BatchEncoder::new(ctx).encode(&[1, 2, 3, 4, 5]), &mut rng);
+    // Two entries where the bit-loop oracle can afford it, so an entry
+    // boundary lies inside the blob.
+    let elements = [3, 2 * ctx.degree() - 1];
+    let entries = if ctx.degree() <= 4096 { 2 } else { 1 };
+    let gk = kg.galois_keys(&elements[..entries], &mut rng);
+    let k = ctx.moduli_count();
+    let entry = 12 + 2 * k * ctx.params().poly_bytes();
+    let gk_sections = (0..entries)
+        .flat_map(|e| sections(ctx, 4 + e * entry + 12, 2 * k))
+        .collect();
+    vec![
+        Blob {
+            name: "ciphertext",
+            good: ct.to_bytes(),
+            real: |ctx, b| Ciphertext::try_from_bytes(ctx, b).map(|_| ()),
+            oracle: oracle_ciphertext,
+            sections: sections(ctx, 16, 2),
+        },
+        Blob {
+            name: "public key",
+            good: public_key_to_bytes(&pk),
+            real: |ctx, b| public_key_from_bytes(ctx, b).map(|_| ()),
+            oracle: oracle_public_key,
+            sections: sections(ctx, 0, 2),
+        },
+        Blob {
+            name: "galois keys",
+            good: galois_keys_to_bytes(&gk),
+            real: |ctx, b| galois_keys_from_bytes(ctx, b).map(|_| ()),
+            oracle: oracle_galois_keys,
+            sections: gk_sections,
+        },
+    ]
+}
+
+#[test]
+fn ciphertext_bytes_equal_oracle_packing() {
+    for level in LEVELS {
+        let ctx = ctx(level);
+        let blob = &blobs(&ctx)[0];
+        let ct = Ciphertext::try_from_bytes(&ctx, &blob.good).expect("own ciphertext");
+        let mut want = Vec::new();
+        want.extend_from_slice(&(ctx.degree() as u64).to_le_bytes());
+        want.extend_from_slice(&(ctx.moduli_count() as u64).to_le_bytes());
+        for poly in [ct.c0(), ct.c1()] {
+            for (i, m) in ctx.moduli().iter().enumerate() {
+                let bits = 64 - m.value().leading_zeros() as usize;
+                want.extend_from_slice(&bit_oracle::pack_bits(poly.residues(i), bits));
+            }
+        }
+        assert_eq!(blob.good, want, "{level}");
+        assert_eq!(ct.to_bytes(), want, "{level} after a round trip");
+        // The panicking reader unpacks the same residues.
+        let unchecked = Ciphertext::from_bytes(&ctx, &want);
+        assert_eq!(unchecked.c0().raw(), ct.c0().raw(), "{level}");
+        assert_eq!(unchecked.c1().raw(), ct.c1().raw(), "{level}");
+    }
+}
+
+#[test]
+fn truncation_and_trailing_bytes_give_the_same_error() {
+    for level in LEVELS {
+        let ctx = ctx(level);
+        for blob in blobs(&ctx) {
+            assert_eq!(blob.check(&ctx, &blob.good, "intact"), Ok(()));
+            let mut cuts = vec![0, 1, 3, 4, 5, 15, 16, 17];
+            for &(off, len, ..) in &blob.sections {
+                // The 12-byte entry header of a Galois key ends where
+                // its first section starts.
+                cuts.extend([
+                    off.saturating_sub(12),
+                    off.saturating_sub(1),
+                    off,
+                    off + 1,
+                    off + len - 1,
+                ]);
+            }
+            for cut in cuts {
+                let what = format!("cut to {cut} of {}", blob.good.len());
+                assert!(
+                    blob.check(&ctx, &blob.good[..cut], &what).is_err(),
+                    "{what}"
+                );
+            }
+            let mut long = blob.good.clone();
+            long.push(0);
+            assert_eq!(
+                blob.check(&ctx, &long, "one trailing byte"),
+                Err(SerialError::LengthMismatch)
+            );
+        }
+    }
+}
+
+#[test]
+fn unreduced_residue_in_first_or_last_slot_gives_the_same_error() {
+    for level in LEVELS {
+        let ctx = ctx(level);
+        let n = ctx.degree();
+        for blob in blobs(&ctx) {
+            for (s, &(off, len, bits, q)) in blob.sections.iter().enumerate() {
+                for slot in [0, n - 1] {
+                    // `q - 1` is the largest residue the reader admits,
+                    // `q` the smallest it must refuse.
+                    for (planted, want) in
+                        [(q - 1, Ok(())), (q, Err(SerialError::ResidueOutOfRange))]
+                    {
+                        let mut bad = blob.good.clone();
+                        let mut residues = bit_oracle::unpack_bits(&bad[off..off + len], bits, n);
+                        residues[slot] = planted;
+                        bad[off..off + len]
+                            .copy_from_slice(&bit_oracle::pack_bits(&residues, bits));
+                        let what = format!("section {s} slot {slot} = {planted}");
+                        assert_eq!(blob.check(&ctx, &bad, &what), want, "{} {what}", blob.name);
+                        // Galois keys carry no total length, and their
+                        // sections are read in order: a truncation
+                        // behind the bad residue is never reached.
+                        if want.is_err() && s + 1 < blob.sections.len() {
+                            let what = format!("{what}, cut");
+                            let got = blob.check(&ctx, &bad[..bad.len() - 1], &what);
+                            if blob.name == "galois keys" {
+                                assert_eq!(got, want, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

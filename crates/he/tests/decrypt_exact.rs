@@ -1,0 +1,129 @@
+//! RNS decryption against the big-integer decryption it replaced, kept
+//! here as the oracle: coefficient-for-coefficient equality at all four
+//! parameter levels on ciphertexts that decrypt to their plaintext
+//! (fresh, rotated and multiplied, modulus-switched) and on ones that
+//! do not (byte-tampered, wrong key, uniformly random), where the only
+//! specification is "whatever `⌈t·x/q⌋ mod t` is".
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use spot_he::ciphertext::Ciphertext;
+use spot_he::context::Context;
+use spot_he::encoding::BatchEncoder;
+use spot_he::encryptor::{Decryptor, Encryptor};
+use spot_he::evaluator::Evaluator;
+use spot_he::keys::KeyGenerator;
+use spot_he::modswitch::ModSwitch;
+use spot_he::params::{EncryptionParams, ParamLevel};
+use spot_he::poly::{Poly, PolyForm};
+use std::sync::Arc;
+
+/// `Decryptor::decrypt` as it was: per coefficient, a big-integer CRT
+/// lift, `(t·|x| + ⌊q/2⌋) / q`, and the sign put back.
+fn decrypt_oracle(ctx: &Context, dec: &Decryptor, ct: &Ciphertext) -> Vec<u64> {
+    let t = ctx.params().plain_modulus();
+    let phase = dec.phase(ct);
+    let mut residues = vec![0u64; ctx.moduli_count()];
+    (0..ctx.degree())
+        .map(|j| {
+            for (i, r) in residues.iter_mut().enumerate() {
+                *r = phase.residues(i)[j];
+            }
+            let (mag, neg) = ctx.crt_lift_centered(&residues);
+            let num = mag.mul_u64(t).add(ctx.q_half());
+            let (m, _) = num.div_rem(ctx.q_big());
+            let m = m.rem_u64(t);
+            if neg && m != 0 {
+                t - m
+            } else {
+                m
+            }
+        })
+        .collect()
+}
+
+fn assert_exact(ctx: &Context, dec: &Decryptor, ct: &Ciphertext, what: &str) {
+    assert_eq!(
+        dec.decrypt(ct).coeffs(),
+        &decrypt_oracle(ctx, dec, ct)[..],
+        "{what} at N={}",
+        ctx.degree()
+    );
+}
+
+fn uniform_poly(ctx: &Arc<Context>, rng: &mut StdRng) -> Poly {
+    let n = ctx.degree();
+    let mut data = vec![0u64; n * ctx.moduli_count()];
+    for (row, m) in data.chunks_mut(n).zip(ctx.moduli()) {
+        for v in row {
+            *v = rng.gen_range(0..m.value());
+        }
+    }
+    Poly::from_residues(ctx, data, PolyForm::Ntt)
+}
+
+#[test]
+fn rns_decrypt_equals_big_integer_decrypt_at_every_level() {
+    for level in ParamLevel::ALL {
+        let ctx = Context::new(EncryptionParams::new(level));
+        let mut rng = StdRng::seed_from_u64(2024 + ctx.degree() as u64);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
+        let dec = Decryptor::new(&ctx, kg.secret_key().clone());
+        let encoder = BatchEncoder::new(&ctx);
+        let ev = Evaluator::new(&ctx);
+        let t = ctx.params().plain_modulus();
+        let slots: Vec<u64> = (0..ctx.degree()).map(|_| rng.gen_range(0..t)).collect();
+
+        let fresh = enc.encrypt(&encoder.encode(&slots), &mut rng);
+        assert_exact(&ctx, &dec, &fresh, "fresh");
+        assert_eq!(encoder.decode(&dec.decrypt(&fresh)), slots, "{level}");
+
+        // Noise near the top of the budget: rounding decides more bits.
+        let weights: Vec<u64> = (0..ctx.degree()).map(|_| rng.gen_range(0..t)).collect();
+        let mut worked = ev.multiply_plain(&fresh, &encoder.encode(&weights));
+        if level.supports_rotation() {
+            let gk = kg.galois_keys(&ev.galois_elements(&[3], false), &mut rng);
+            worked = ev.rotate_rows(&worked, 3, &gk);
+        }
+        assert_exact(&ctx, &dec, &worked, "multiplied and rotated");
+        // Noise past the budget: decrypts to garbage, the same garbage.
+        let spent = ev.multiply_plain(&worked, &encoder.encode(&weights));
+        let spent = ev.multiply_plain(&spent, &encoder.encode(&weights));
+        assert_exact(&ctx, &dec, &spent, "noise-exhausted");
+
+        if ctx.moduli_count() >= 2 {
+            let sw = ModSwitch::new(&ctx);
+            let small = sw.switch(&fresh);
+            let tgt = sw.target_context();
+            let small_dec = Decryptor::new(tgt, kg.secret_key_for(tgt));
+            assert_exact(tgt, &small_dec, &small, "modulus-switched");
+            let decoded = BatchEncoder::new(tgt).decode(&small_dec.decrypt(&small));
+            assert_eq!(decoded, slots, "{level} switched");
+        }
+
+        // `from_bytes` does not range-check: flipped bytes reach the
+        // decryptor as unreduced residues.
+        let mut bytes = fresh.to_bytes();
+        let mid = bytes.len() / 2;
+        for b in bytes.iter_mut().skip(mid).take(4096) {
+            *b ^= 0xFF;
+        }
+        bytes[16..48].fill(0xFF);
+        let tail = bytes.len() - 32;
+        bytes[tail..].fill(0xFF);
+        let tampered = Ciphertext::from_bytes(&ctx, &bytes);
+        assert_exact(&ctx, &dec, &tampered, "byte-tampered");
+
+        let other = KeyGenerator::new(&ctx, &mut rng);
+        let wrong = Decryptor::new(&ctx, other.secret_key().clone());
+        assert_exact(&ctx, &wrong, &fresh, "wrong key");
+
+        let rounds = if ctx.degree() <= 4096 { 4 } else { 1 };
+        for _ in 0..rounds {
+            let random =
+                Ciphertext::from_parts(uniform_poly(&ctx, &mut rng), uniform_poly(&ctx, &mut rng));
+            assert_exact(&ctx, &dec, &random, "uniformly random");
+        }
+    }
+}
