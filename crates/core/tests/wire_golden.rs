@@ -1,0 +1,388 @@
+//! Committed golden digests of the conv session's wire bytes and
+//! shares.
+//!
+//! Every other determinism suite compares two *live* paths (Mem vs
+//! TCP, phased vs streamed, batched vs unbatched), so a refactor that
+//! shifts all of them identically passes everything. This suite pins
+//! each path to constants recorded from the code as it stood before the
+//! session layer was collapsed to one driver: FNV-1a-64 digests of the
+//! uplink frames in send order, the downlink frames in receive order,
+//! each image's client and server share, and the merged operation
+//! counts.
+//!
+//! The constants must not be edited by a change that claims to leave
+//! the wire format, rng draw order or share values alone.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use spot_core::executor::Executor;
+use spot_core::patching::PatchMode;
+use spot_core::session::{
+    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+};
+use spot_core::stream::StreamConfig;
+use spot_he::context::Context;
+use spot_he::keys::KeyGenerator;
+use spot_he::params::{EncryptionParams, ParamLevel};
+use spot_proto::transport::{MemTransport, Transport, TransportStats};
+use spot_proto::{ProtoError, WireMessage};
+use spot_tensor::models::ConvShape;
+use spot_tensor::tensor::{Kernel, Tensor};
+use std::sync::Mutex;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+fn tensor_digest(t: &Tensor) -> u64 {
+    let mut h = FNV_OFFSET;
+    for d in [t.channels(), t.height(), t.width()] {
+        h = fnv1a(h, &(d as u64).to_le_bytes());
+    }
+    t.data().iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+}
+
+/// The client's endpoint with every frame it sends or receives folded
+/// into a running digest, in the order the session code moved it.
+struct Recorder {
+    inner: MemTransport,
+    up: Mutex<u64>,
+    down: Mutex<u64>,
+}
+
+impl Recorder {
+    fn new(inner: MemTransport) -> Self {
+        Self {
+            inner,
+            up: Mutex::new(FNV_OFFSET),
+            down: Mutex::new(FNV_OFFSET),
+        }
+    }
+}
+
+impl Transport for Recorder {
+    fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
+        {
+            let mut up = self.up.lock().unwrap();
+            *up = fnv1a(*up, &msg.encode_frame());
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv(&self) -> Result<WireMessage, ProtoError> {
+        let msg = self.inner.recv()?;
+        let mut down = self.down.lock().unwrap();
+        *down = fnv1a(*down, &msg.encode_frame());
+        Ok(msg)
+    }
+
+    fn close_tx(&self) {
+        self.inner.close_tx();
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    uplink: u64,
+    downlink: u64,
+    /// `(client share, server share)` per image, in submission order.
+    shares: Vec<(u64, u64)>,
+    /// Server counts merged with the client's encrypt/decrypt counts.
+    counts: u64,
+}
+
+#[derive(Clone, Copy)]
+enum Backend {
+    /// `ExecBackend::Phased` on one thread, eager upload.
+    Phased,
+    /// `ExecBackend::Streaming`, one worker, uplink capacity 2, paced
+    /// upload from a second thread.
+    Streaming,
+}
+
+fn small_layer(scheme: SchemeKind) -> (LayerSpec, Kernel, Vec<Tensor>) {
+    let spec = LayerSpec {
+        scheme,
+        shape: ConvShape {
+            width: 8,
+            height: 8,
+            c_in: 2,
+            c_out: 4,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+        },
+        patch: (4, 4),
+        mode: PatchMode::Tweaked,
+    };
+    let inputs = (0..2u64)
+        .map(|b| Tensor::random(2, 8, 8, 5, 40 + b))
+        .collect();
+    (spec, Kernel::random(4, 2, 3, 3, 3, 41), inputs)
+}
+
+/// 25 main patches of 4×4 over 16 channels: 16 fit one ciphertext, so
+/// the class spills over two and the layer's batch capacity is 1.
+fn spill_layer() -> (LayerSpec, Kernel, Vec<Tensor>) {
+    let spec = LayerSpec {
+        scheme: SchemeKind::Spot,
+        shape: ConvShape {
+            width: 16,
+            height: 16,
+            c_in: 16,
+            c_out: 4,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+        },
+        patch: (4, 4),
+        mode: PatchMode::Tweaked,
+    };
+    (
+        spec,
+        Kernel::random(4, 16, 3, 3, 3, 43),
+        vec![Tensor::random(16, 16, 16, 4, 42)],
+    )
+}
+
+fn run_case(
+    level: ParamLevel,
+    (spec, kernel, inputs): &(LayerSpec, Kernel, Vec<Tensor>),
+    batch: usize,
+    backend: Backend,
+) -> Golden {
+    let ctx = Context::new(EncryptionParams::new(level));
+    let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(9000));
+    let inputs = &inputs[..batch];
+    let conv = ClientConv::new(&ctx, &keygen, *spec).expect("client plan");
+    let mut crng = StdRng::seed_from_u64(777);
+    let mut srng = StdRng::seed_from_u64(3100);
+
+    let (client, sent, served) = match backend {
+        Backend::Phased => {
+            let (ct, st) = MemTransport::pair();
+            let client = Recorder::new(ct);
+            let sent = conv
+                .send_all_batched(&client, inputs, UploadPacing::Eager, &mut crng)
+                .expect("upload");
+            let exec = ExecBackend::Phased(Executor::serial());
+            let served = serve_conv(&ctx, &st, kernel, &exec, &mut srng).expect("serve");
+            (client, sent, served)
+        }
+        Backend::Streaming => {
+            let (ct, st) = MemTransport::pair_with_capacity(Some(2), None);
+            let client = Recorder::new(ct);
+            let exec = ExecBackend::Streaming(StreamConfig::new(Executor::new(1), 2));
+            let (sent, served) = std::thread::scope(|s| {
+                let uploader = s.spawn(|| {
+                    let sent =
+                        conv.send_all_batched(&client, inputs, UploadPacing::AwaitAck, &mut crng);
+                    client.close_tx();
+                    sent
+                });
+                let served = serve_conv(&ctx, &st, kernel, &exec, &mut srng);
+                (uploader.join().expect("upload thread"), served)
+            });
+            (client, sent.expect("upload"), served.expect("serve"))
+        }
+    };
+    let absorbed = conv.absorb_all_batched(&client, batch).expect("absorb");
+
+    let mut server_shares = vec![served.server_share];
+    server_shares.extend(served.extra_shares);
+    assert_eq!(absorbed.shares.len(), batch);
+    assert_eq!(server_shares.len(), batch);
+    let mut counts = served.counts;
+    counts.encrypt += sent.encrypt;
+    counts.decrypt += absorbed.decrypt;
+    let counts = [
+        counts.rotate,
+        counts.mult_plain,
+        counts.add,
+        counts.encrypt,
+        counts.decrypt,
+    ]
+    .iter()
+    .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
+    let uplink = *client.up.lock().unwrap();
+    let downlink = *client.down.lock().unwrap();
+    Golden {
+        uplink,
+        downlink,
+        shares: absorbed
+            .shares
+            .iter()
+            .zip(&server_shares)
+            .map(|(c, s)| (tensor_digest(c), tensor_digest(s)))
+            .collect(),
+        counts,
+    }
+}
+
+fn golden(uplink: u64, downlink: u64, shares: &[(u64, u64)], counts: u64) -> Golden {
+    Golden {
+        uplink,
+        downlink,
+        shares: shares.to_vec(),
+        counts,
+    }
+}
+
+/// Both backends of one `(scheme, batch)` cell must hit the same
+/// constants: the backend changes neither bytes nor shares.
+fn assert_small(scheme: SchemeKind, level: ParamLevel, batch: usize, want: Golden) {
+    let layer = small_layer(scheme);
+    for (name, backend) in [
+        ("phased", Backend::Phased),
+        ("streaming", Backend::Streaming),
+    ] {
+        let got = run_case(level, &layer, batch, backend);
+        assert_eq!(got, want, "{scheme:?} {level:?} batch={batch} {name}");
+    }
+}
+
+#[test]
+fn channelwise_b1() {
+    assert_small(
+        SchemeKind::Channelwise,
+        ParamLevel::N4096,
+        1,
+        golden(
+            0x1b86_ac99_2d38_70e0,
+            0x4209_adb6_1315_e9d6,
+            &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
+            0xc809_69bb_8c84_fbb7,
+        ),
+    );
+}
+
+#[test]
+fn channelwise_b2() {
+    assert_small(
+        SchemeKind::Channelwise,
+        ParamLevel::N4096,
+        2,
+        golden(
+            0xd06b_b837_2f49_a834,
+            0x5d98_91ab_e4d6_fc8e,
+            &[
+                (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
+                (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
+            ],
+            0xc809_69bb_8c84_fbb7,
+        ),
+    );
+}
+
+#[test]
+fn cheetah_b1() {
+    assert_small(
+        SchemeKind::Cheetah,
+        ParamLevel::N4096,
+        1,
+        golden(
+            0x2245_5cbd_68f2_92cc,
+            0xad02_4fbc_e60a_936f,
+            &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
+            0xfb29_4575_1bf2_c300,
+        ),
+    );
+}
+
+#[test]
+fn cheetah_b2() {
+    assert_small(
+        SchemeKind::Cheetah,
+        ParamLevel::N4096,
+        2,
+        golden(
+            0x7488_f4e9_0d15_3e12,
+            0x6fda_8fe7_4c40_266c,
+            &[
+                (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
+                (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
+            ],
+            0xcc31_4f3c_9afd_8ecf,
+        ),
+    );
+}
+
+#[test]
+fn spot_b1() {
+    assert_small(
+        SchemeKind::Spot,
+        ParamLevel::N4096,
+        1,
+        golden(
+            0x247e_a3cb_fb01_7547,
+            0x4614_9b38_3c27_f79d,
+            &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
+            0x15bf_5bff_9bfb_e535,
+        ),
+    );
+}
+
+#[test]
+fn spot_b2() {
+    assert_small(
+        SchemeKind::Spot,
+        ParamLevel::N4096,
+        2,
+        golden(
+            0x72e0_35f4_7ce5_3728,
+            0xc8b3_2a7d_8ce3_7dc9,
+            &[
+                (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
+                (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
+            ],
+            0x15bf_5bff_9bfb_e535,
+        ),
+    );
+}
+
+#[test]
+fn spot_b2_n8192() {
+    assert_small(
+        SchemeKind::Spot,
+        ParamLevel::N8192,
+        2,
+        golden(
+            0x8ab1_c030_023a_c16b,
+            0xf3e3_3d93_fd44_b9d5,
+            &[
+                (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
+                (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
+            ],
+            0x15bf_5bff_9bfb_e535,
+        ),
+    );
+}
+
+/// A class spilling over several ciphertexts: the B=1 layout with no
+/// spare positions, five input ciphertexts across four classes.
+#[test]
+fn spot_spilling_class() {
+    let layer = spill_layer();
+    let want = golden(
+        0xe38d_ff1c_02c4_832c,
+        0x7d57_4f9f_02be_26d3,
+        &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
+        0xdae6_7088_51e2_7901,
+    );
+    for (name, backend) in [
+        ("phased", Backend::Phased),
+        ("streaming", Backend::Streaming),
+    ] {
+        let got = run_case(ParamLevel::N4096, &layer, 1, backend);
+        assert_eq!(got, want, "spill {name}");
+    }
+}
