@@ -6,8 +6,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
-use spot_core::{channelwise, cheetah, spot};
+use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_he::prelude::*;
 use spot_tensor::tensor::{Kernel, Tensor};
 
@@ -20,26 +21,18 @@ fn conv_schemes(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("secure-conv/8x8x8->8");
     group.sample_size(10);
-    group.bench_function("channelwise", |b| {
-        b.iter(|| channelwise::execute(&ctx, &keygen, &input, &kernel, 1, &mut rng))
-    });
-    group.bench_function("cheetah", |b| {
-        b.iter(|| cheetah::execute(&ctx, &keygen, &input, &kernel, 1, &mut rng))
-    });
-    group.bench_function("spot-tweaked", |b| {
-        b.iter(|| {
-            spot::execute(
-                &ctx,
-                &keygen,
-                &input,
-                &kernel,
-                1,
-                (4, 4),
-                PatchMode::Tweaked,
-                &mut rng,
-            )
-        })
-    });
+    let backend = ExecBackend::Phased(Executor::serial());
+    let inputs = std::slice::from_ref(&input);
+    for (name, scheme) in [
+        ("channelwise", SchemeKind::Channelwise),
+        ("cheetah", SchemeKind::Cheetah),
+        ("spot-tweaked", SchemeKind::Spot),
+    ] {
+        let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), PatchMode::Tweaked);
+        group.bench_function(name, |b| {
+            b.iter(|| run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng))
+        });
+    }
     group.finish();
 }
 

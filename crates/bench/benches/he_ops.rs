@@ -8,7 +8,8 @@ use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
-use spot_core::spot::{self as spot_exec, blocking, spot_group_specs, spot_in_maps};
+use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
+use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
@@ -204,7 +205,7 @@ fn bench_conv_cache(c: &mut Criterion) {
 
 /// End-to-end SPOT secure convolution at 1 vs 4 server threads — the
 /// executor's parallel phase covers the per-ciphertext conv work, so
-/// this shows the real (not simulated) scaling of `execute_with`.
+/// this shows the real (not simulated) scaling of the phased backend.
 fn bench_executor_threads(c: &mut Criterion) {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let input = Tensor::random(8, 12, 12, 6, 21);
@@ -212,24 +213,24 @@ fn bench_executor_threads(c: &mut Criterion) {
     let mut kg_rng = StdRng::seed_from_u64(9);
     let keygen = KeyGenerator::new(&ctx, &mut kg_rng);
 
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
+        &input,
+        &kernel,
+        1,
+        (6, 6),
+        PatchMode::Tweaked,
+    );
+    let inputs = std::slice::from_ref(&input);
+
     let mut group = c.benchmark_group("conv/spot_e2e_8ch_12x12");
     group.sample_size(10);
     for threads in [1usize, 4] {
-        let executor = Executor::new(threads);
+        let backend = ExecBackend::Phased(Executor::new(threads));
         group.bench_function(format!("threads_{threads}"), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(10);
-                spot_exec::execute_with(
-                    &ctx,
-                    &keygen,
-                    &input,
-                    &kernel,
-                    1,
-                    (6, 6),
-                    PatchMode::Tweaked,
-                    &executor,
-                    &mut rng,
-                )
+                run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng)
             })
         });
     }

@@ -33,7 +33,7 @@ use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
-use spot_core::session::{run_in_process_batched, ExecBackend, SchemeKind};
+use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_he::arch;
 use spot_he::evaluator::OpCounts;
@@ -258,23 +258,20 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
         let inputs: Vec<Tensor> = (0..b as u64)
             .map(|i| Tensor::random(2, 8, 8, 5, 9 + i))
             .collect();
+        let spec = LayerSpec::for_layer(
+            SchemeKind::Spot,
+            &inputs[0],
+            &kernel_t,
+            1,
+            (4, 4),
+            PatchMode::Tweaked,
+        );
         let reps = 5;
         let (mean_us, median_us, min_us) = time_us(reps, || {
             let mut r = StdRng::seed_from_u64(11);
             std::hint::black_box(
-                run_in_process_batched(
-                    &ctx,
-                    &keygen,
-                    &inputs,
-                    &kernel_t,
-                    1,
-                    (4, 4),
-                    PatchMode::Tweaked,
-                    SchemeKind::Spot,
-                    &backend,
-                    &mut r,
-                )
-                .expect("batched conv session"),
+                run_in_process(&ctx, &keygen, spec, &inputs, &kernel_t, &backend, &mut r)
+                    .expect("batched conv session"),
             );
         });
         entries.push(Entry {

@@ -15,8 +15,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::inference::{run_conv_backend, ExecBackend, Scheme};
+use spot_core::inference::{ExecBackend, Scheme};
 use spot_core::patching::PatchMode;
+use spot_core::session::{run_in_process, LayerSpec, SchemeKind};
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::pool;
 use spot_he::prelude::*;
@@ -106,19 +107,26 @@ fn main() {
     for scheme in Scheme::ALL {
         let _ = spot_trace::take_events(); // clear any setup noise
         let mut rng = StdRng::seed_from_u64(7000);
-        let (_, stats) = run_conv_backend(
-            &ctx,
-            &keygen,
+        let spec = LayerSpec::for_layer(
+            scheme.kind(),
             &input,
             &kernel,
             1,
             (4, 4),
             PatchMode::Tweaked,
-            scheme,
+        );
+        let stats = run_in_process(
+            &ctx,
+            &keygen,
+            spec,
+            std::slice::from_ref(&input),
+            &kernel,
             &ExecBackend::Streaming(cfg),
             &mut rng,
-        );
-        let stats = stats.expect("streaming backend reports stats");
+        )
+        .expect("in-process session")
+        .stream
+        .expect("streaming backend reports stats");
         rows.push(stats.stall_row(scheme.name()));
         let events = spot_trace::take_events();
         all_events.extend(events.iter().cloned());
@@ -157,28 +165,24 @@ fn main() {
     pool::clear();
     pool::reset_stats();
     let mut rng = StdRng::seed_from_u64(9900);
-    let _ = spot_core::spot::execute(
-        &ctx,
-        &keygen,
+    let small_spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
         &small_in,
         &small_k,
         1,
         (4, 4),
         PatchMode::Tweaked,
-        &mut rng,
     );
+    let run_small = |rng: &mut StdRng| {
+        let backend = ExecBackend::Phased(Executor::serial());
+        let inputs = std::slice::from_ref(&small_in);
+        run_in_process(&ctx, &keygen, small_spec, inputs, &small_k, &backend, rng)
+            .expect("in-process session");
+    };
+    run_small(&mut rng);
     let cold = pool::stats();
     pool::reset_stats();
-    let _ = spot_core::spot::execute(
-        &ctx,
-        &keygen,
-        &small_in,
-        &small_k,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-        &mut rng,
-    );
+    run_small(&mut rng);
     let warm = pool::stats();
     for (tag, s) in [("cold", &cold), ("warm", &warm)] {
         println!(

@@ -5,9 +5,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot_core::channelwise;
 use spot_core::complexity::{cryptflow2_formula, spot_formula};
+use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
-use spot_core::{channelwise, spot};
+use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -23,17 +25,16 @@ fn main() {
     let input = Tensor::random(16, 16, 16, 6, 1);
     let kernel = Kernel::random(32, 16, 3, 3, 3, 2);
 
-    let cw = channelwise::execute(&ctx, &keygen, &input, &kernel, 1, &mut rng);
-    let sp = spot::execute(
-        &ctx,
-        &keygen,
-        &input,
-        &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-        &mut rng,
-    );
+    let backend = ExecBackend::Phased(Executor::serial());
+    let mut run = |scheme: SchemeKind| {
+        let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), PatchMode::Tweaked);
+        let inputs = std::slice::from_ref(&input);
+        run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng)
+            .expect("in-process session")
+            .into_result()
+    };
+    let cw = run(SchemeKind::Channelwise);
+    let sp = run(SchemeKind::Spot);
 
     let geo = channelwise::geometry(
         &spot_tensor::models::ConvShape::new(16, 16, 16, 32, 3, 1),

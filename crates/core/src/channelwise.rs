@@ -8,25 +8,21 @@
 //! across input ciphertexts — the cross-ciphertext dependency that
 //! causes the linear computation stall on tiny clients.
 //!
-//! The drivers here are thin wrappers over the session layer
-//! ([`crate::session`]): client and server run as separate state
-//! machines over an in-process transport exchanging real wire frames.
+//! [`Packing`] is this scheme's side of the session driver's interface
+//! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
-use crate::executor::Executor;
-use crate::heconv::{ChannelMap, GroupSpec};
-use crate::layout::next_pow2;
-use crate::patching::PatchMode;
-use crate::session::{run_in_process, ExecBackend, SchemeKind};
-use crate::stream::{StreamConfig, StreamStats};
-use rand::Rng;
-use spot_he::context::Context;
+use crate::error::SpotError;
+use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
+use crate::layout::{next_pow2, LaneLayout};
+use crate::session::{ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use spot_he::ciphertext::Ciphertext;
+use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
-use spot_he::keys::KeyGenerator;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
+use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::models::ConvShape;
-use spot_tensor::tensor::{Kernel, Tensor};
-use std::sync::Arc;
+use spot_tensor::tensor::Tensor;
 
 /// Geometry of a channel-wise packing for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,21 +97,17 @@ impl SecureConvResult {
     /// Reconstructs the plain output: adds the shares modulo `t` and
     /// recenters (testing convenience).
     pub fn reconstruct(&self) -> Tensor {
-        let t = self.modulus as i64;
-        self.client_share.add(&self.server_share).map(|v| {
-            let m = v.rem_euclid(t);
-            if m > t / 2 {
-                m - t
-            } else {
-                m
-            }
-        })
+        let t = self.modulus;
+        self.client_share
+            .add(&self.server_share)
+            .map(|v| from_field(to_field(v, t), t))
     }
 }
 
-/// Input-channel placement for ciphertext `ct`: `map[lane][block]` is
-/// the channel packed there, if any.
-pub(crate) fn channel_map(geo: &ChannelwiseGeometry, ct: usize, c_in: usize) -> ChannelMap {
+/// Channel placement for ciphertext `ct` of a tensor with `channels`
+/// channels: `map[lane][block]` is the channel packed there, if any.
+/// Input and output ciphertexts follow the same rule.
+fn channel_map(geo: &ChannelwiseGeometry, ct: usize, channels: usize) -> ChannelMap {
     let mut map = vec![vec![None; geo.blocks_per_lane]; 2];
     for (lane, row) in map.iter_mut().enumerate() {
         if lane == 1 && !geo.both_lanes {
@@ -123,7 +115,7 @@ pub(crate) fn channel_map(geo: &ChannelwiseGeometry, ct: usize, c_in: usize) -> 
         }
         for (b, slot) in row.iter_mut().enumerate() {
             let ch = ct * geo.channels_per_ct + lane * geo.blocks_per_lane + b;
-            if ch < c_in {
+            if ch < channels {
                 *slot = Some(ch);
             }
         }
@@ -131,121 +123,192 @@ pub(crate) fn channel_map(geo: &ChannelwiseGeometry, ct: usize, c_in: usize) -> 
     map
 }
 
-/// Output-channel placement for output ciphertext `out_ct` (same layout
-/// rule as [`channel_map`] against `c_out`).
-pub(crate) fn group_spec(geo: &ChannelwiseGeometry, out_ct: usize, c_out: usize) -> GroupSpec {
-    let mut out_ch = vec![vec![None; geo.blocks_per_lane]; 2];
-    for (lane, row) in out_ch.iter_mut().enumerate() {
-        if lane == 1 && !geo.both_lanes {
-            break;
+/// One image occupies group position 0 across both lanes and every
+/// channel block, so every further group position can carry another
+/// queued image: the masked kernel plaintexts already confine each
+/// position's convolution to its own region.
+fn images_layout(l: &LaneLayout) -> BatchLayout {
+    BatchLayout::new(l.lane_size, l.blocks, l.groups, l.piece_slots, 1, false)
+}
+
+/// One layer planned under channel-wise packing.
+pub(crate) struct Packing {
+    shape: ConvShape,
+    geo: ChannelwiseGeometry,
+    layout: LaneLayout,
+    groups: Vec<GroupSpec>,
+    facts: PlanFacts,
+}
+
+impl Packing {
+    /// Plans `shape` at `level`; a channel must fit one lane.
+    pub(crate) fn new(shape: &ConvShape, level: ParamLevel) -> Result<Self, SpotError> {
+        let lane = level.degree() / 2;
+        if next_pow2(shape.width * shape.height) > lane {
+            return Err(SpotError::Protocol(format!(
+                "channel of {}x{} does not fit a lane of {lane} slots",
+                shape.height, shape.width
+            )));
         }
-        for (b, slot) in row.iter_mut().enumerate() {
-            let ch = out_ct * geo.channels_per_ct + lane * geo.blocks_per_lane + b;
-            if ch < c_out {
-                *slot = Some(ch);
+        let geo = geometry(shape, level);
+        let layout = LaneLayout::new(lane, geo.blocks_per_lane, shape.height, shape.width);
+        Ok(Self {
+            shape: *shape,
+            geo,
+            layout,
+            groups: (0..geo.output_cts)
+                .map(|k| GroupSpec {
+                    out_ch: channel_map(&geo, k, shape.c_out),
+                })
+                .collect(),
+            facts: PlanFacts {
+                dependency: OutputDependency::AllInputs,
+                input_cts: geo.input_cts,
+                output_cts: geo.output_cts,
+                jobs: geo.input_cts,
+                galois_elements: required_elements(
+                    &layout,
+                    shape.k_h,
+                    shape.k_w,
+                    geo.blocks_per_lane,
+                    geo.output_cts,
+                    &[],
+                    geo.both_lanes,
+                    false,
+                ),
+                use_bsgs: false,
+                cache_classes: 1,
+                batch_capacity: images_layout(&layout).capacity().min(MAX_BATCH),
+                coeff_packed: false,
+            },
+        })
+    }
+
+    /// Calls `f(channel, y, x, slot)` for every pixel (at the given
+    /// stride) of every channel `map` places in a ciphertext.
+    fn for_each_slot(
+        &self,
+        map: &ChannelMap,
+        (h, w, stride): (usize, usize, usize),
+        mut f: impl FnMut(usize, usize, usize, usize),
+    ) {
+        for (lane, row) in map.iter().enumerate() {
+            for (b, ch) in row.iter().enumerate() {
+                let Some(c) = *ch else { continue };
+                for y in 0..h {
+                    for x in 0..w {
+                        let slot = self.layout.slot(b, 0, y * stride, x * stride);
+                        f(c, y, x, lane * self.layout.lane_size + slot);
+                    }
+                }
             }
         }
     }
-    GroupSpec { out_ch }
 }
 
-/// Executes the channel-wise secure convolution end to end on a single
-/// thread (functional path used by tests and small workloads).
-///
-/// # Panics
-///
-/// Panics if the shape does not fit the level (see [`geometry`]) or the
-/// session fails (in-process transports cannot fail in normal use).
-pub fn execute<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    rng: &mut R,
-) -> SecureConvResult {
-    execute_with(ctx, keygen, input, kernel, stride, &Executor::serial(), rng)
-}
+impl ConvScheme for Packing {
+    fn facts(&self) -> &PlanFacts {
+        &self.facts
+    }
 
-/// Executes the channel-wise secure convolution with the per-input-
-/// ciphertext MIMO convolutions fanned across `executor`'s worker pool.
-///
-/// The cross-ciphertext partial sums are accumulated in input order on
-/// the calling thread, and all randomness stays sequential, so results
-/// are bit-identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if the shape does not fit the level (see [`geometry`]) or the
-/// session fails (in-process transports cannot fail in normal use).
-pub fn execute_with<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    executor: &Executor,
-    rng: &mut R,
-) -> SecureConvResult {
-    run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        (0, 0),
-        PatchMode::Vanilla,
-        SchemeKind::Channelwise,
-        &ExecBackend::Phased(*executor),
-        rng,
-    )
-    .expect("in-process channelwise session")
-    .result
-}
+    fn batch_layout(&self, _result: usize) -> Option<BatchLayout> {
+        Some(images_layout(&self.layout))
+    }
 
-/// Executes the channel-wise secure convolution as a streamed upload:
-/// the client pushes every packed ciphertext through a bounded
-/// in-process transport, but because every output ciphertext needs
-/// **all** input ciphertexts ([`OutputDependency::AllInputs`]), no
-/// server job can start until the last upload lands — the measured
-/// server idle is the linear computation stall this baseline pays on
-/// tiny clients.
-///
-/// Client and server randomness are split from `rng` exactly as in the
-/// phased driver, so shares and op counts are bit-identical to
-/// [`execute_with`] for any worker count and channel capacity, given
-/// the same rng seed.
-///
-/// # Panics
-///
-/// Panics if the shape does not fit the level (see [`geometry`]) or the
-/// session fails (in-process transports cannot fail in normal use).
-pub fn execute_streaming<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (SecureConvResult, StreamStats) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        (0, 0),
-        PatchMode::Vanilla,
-        SchemeKind::Channelwise,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process channelwise session");
-    let stats = outcome
-        .stream
-        .expect("streaming backend reports stall stats");
-    (outcome.result, stats)
+    fn pack(
+        &self,
+        images: &[Tensor],
+        t: u64,
+        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
+    ) -> Result<(), SpotError> {
+        let shape = &self.shape;
+        let n = 2 * self.layout.lane_size;
+        for j in 0..self.geo.input_cts {
+            let map = channel_map(&self.geo, j, shape.c_in);
+            let rows: Vec<Vec<u64>> = images
+                .iter()
+                .map(|img| {
+                    let mut slots = vec![0u64; n];
+                    self.for_each_slot(&map, (shape.height, shape.width, 1), |c, y, x, slot| {
+                        slots[slot] = to_field(img.at(c, y, x), t);
+                    });
+                    slots
+                })
+                .collect();
+            emit(images_layout(&self.layout).pack_images(&rows))?;
+        }
+        Ok(())
+    }
+
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> (Vec<Ciphertext>, OpCounts) {
+        let map = channel_map(&self.geo, job, self.shape.c_in);
+        let mut in_maps = vec![map.clone()];
+        if self.geo.both_lanes {
+            in_maps.push(vec![map[1].clone(), map[0].clone()]);
+        }
+        let mut counts = OpCounts::default();
+        let partials = kit.engines[0].conv_one_ct(
+            &inputs[job],
+            &ConvRequest {
+                layout: &self.layout,
+                in_maps: &in_maps,
+                groups: &self.groups,
+                diagonals: self.geo.blocks_per_lane,
+                fold_steps: &[],
+                kernel: kit.kernel,
+                cache_tag: job,
+            },
+            &mut counts,
+        );
+        (partials, counts)
+    }
+
+    /// Every output ciphertext needs every input's partial product:
+    /// accumulate in input order, as a serial run would, and release
+    /// the sums after the last input.
+    fn collect(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        outs: Vec<Ciphertext>,
+        acc: &mut Vec<Ciphertext>,
+        counts: &mut OpCounts,
+    ) -> Vec<Ciphertext> {
+        if acc.is_empty() {
+            *acc = outs;
+        } else {
+            for (sum, partial) in acc.iter_mut().zip(&outs) {
+                kit.evaluator.add_inplace(sum, partial);
+                counts.add += 1;
+            }
+        }
+        if job + 1 == self.facts.jobs {
+            std::mem::take(acc)
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
+        let shape = &self.shape;
+        let out = (shape.out_height(), shape.out_width(), shape.stride);
+        let mut share = Tensor::zeros(shape.c_out, out.0, out.1);
+        for (group, values) in self.groups.iter().zip(&rows) {
+            self.for_each_slot(&group.out_ch, out, |o, y, x, slot| {
+                *share.at_mut(o, y, x) = if center {
+                    from_field(values[slot], t)
+                } else {
+                    values[slot] as i64
+                };
+            });
+        }
+        share
+    }
 }
 
 /// Analytic operation counts for one input ciphertext (matches the
@@ -336,13 +399,50 @@ pub fn minimum_level(shape: &ConvShape) -> ParamLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
+    use crate::patching::PatchMode;
+    use crate::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spot_he::context::Context;
+    use spot_he::keys::KeyGenerator;
     use spot_he::params::EncryptionParams;
     use spot_tensor::conv::conv2d;
+    use spot_tensor::tensor::Kernel;
+    use std::sync::Arc;
 
     fn ctx4096() -> Arc<Context> {
         Context::new(EncryptionParams::new(ParamLevel::N4096))
+    }
+
+    fn run(
+        ctx: &Arc<Context>,
+        kg: &KeyGenerator,
+        input: &Tensor,
+        kernel: &Kernel,
+        stride: usize,
+        rng: &mut StdRng,
+    ) -> SecureConvResult {
+        let spec = LayerSpec::for_layer(
+            SchemeKind::Channelwise,
+            input,
+            kernel,
+            stride,
+            (0, 0),
+            PatchMode::Vanilla,
+        );
+        let backend = ExecBackend::Phased(Executor::serial());
+        run_in_process(
+            ctx,
+            kg,
+            spec,
+            std::slice::from_ref(input),
+            kernel,
+            &backend,
+            rng,
+        )
+        .expect("in-process session")
+        .into_result()
     }
 
     #[test]
@@ -373,7 +473,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(4, 8, 8, 8, 1);
         let kernel = Kernel::random(4, 4, 3, 3, 4, 2);
-        let res = execute(&ctx, &kg, &input, &kernel, 1, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 1, &mut rng);
         let expected = conv2d(&input, &kernel, 1);
         assert_eq!(res.reconstruct(), expected);
     }
@@ -385,7 +485,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(8, 4, 4, 8, 3);
         let kernel = Kernel::random(16, 8, 1, 1, 4, 4);
-        let res = execute(&ctx, &kg, &input, &kernel, 1, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 1, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
@@ -396,7 +496,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(2, 8, 8, 8, 5);
         let kernel = Kernel::random(2, 2, 3, 3, 4, 6);
-        let res = execute(&ctx, &kg, &input, &kernel, 2, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 2, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 2));
     }
 
@@ -410,7 +510,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(32, 16, 16, 4, 9);
         let kernel = Kernel::random(8, 32, 3, 3, 3, 10);
-        let res = execute(&ctx, &kg, &input, &kernel, 1, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 1, &mut rng);
         assert!(
             res.input_cts > 1,
             "want multi-ct input, got {}",
@@ -426,7 +526,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(8, 8, 8, 8, 7);
         let kernel = Kernel::random(8, 8, 3, 3, 4, 8);
-        let res = execute(&ctx, &kg, &input, &kernel, 1, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 1, &mut rng);
         let shape = ConvShape::new(8, 8, 8, 8, 3, 1);
         let p = plan(&shape, ParamLevel::N4096, false);
         assert_eq!(p.input_cts, res.input_cts);

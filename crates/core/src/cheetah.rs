@@ -22,24 +22,19 @@
 //! cost (per DESIGN.md §3 the masked RLWE ciphertext stands in for the
 //! extracted LWE batch in the functional path).
 //!
-//! The drivers here are thin wrappers over the session layer
-//! ([`crate::session`]): client and server run as separate state
-//! machines over an in-process transport exchanging real wire frames.
+//! [`Packing`] is this scheme's side of the session driver's interface
+//! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
-use crate::channelwise::SecureConvResult;
-use crate::executor::Executor;
-use crate::patching::PatchMode;
-use crate::session::{run_in_process, ExecBackend, SchemeKind};
-use crate::stream::{StreamConfig, StreamStats};
-use rand::Rng;
-use spot_he::context::Context;
+use crate::error::SpotError;
+use crate::session::{ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use spot_he::ciphertext::Ciphertext;
+use spot_he::encoding::{BatchLayout, Plaintext};
 use spot_he::evaluator::OpCounts;
-use spot_he::keys::KeyGenerator;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
+use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::models::ConvShape;
-use spot_tensor::tensor::{Kernel, Tensor};
-use std::sync::Arc;
+use spot_tensor::tensor::Tensor;
 
 /// Bytes per extracted output element (an LWE ciphertext after modulus
 /// switching and seed compression, amortized) — drives the downstream
@@ -87,102 +82,147 @@ pub fn geometry(shape: &ConvShape, level: ParamLevel) -> CheetahGeometry {
     }
 }
 
-/// Executes the Cheetah-style secure convolution (functional path) on a
-/// single thread.
-///
-/// # Panics
-///
-/// Panics if the feature map does not fit the ring
-/// (`(H+k-1)(W+k-1) > N`); large maps are handled by the planner only.
-pub fn execute<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    rng: &mut R,
-) -> SecureConvResult {
-    execute_with(ctx, keygen, input, kernel, stride, &Executor::serial(), rng)
+/// One layer planned under coefficient packing.
+pub(crate) struct Packing {
+    shape: ConvShape,
+    geo: CheetahGeometry,
+    degree: usize,
+    facts: PlanFacts,
 }
 
-/// Executes the Cheetah-style secure convolution with the per-output-
-/// channel ring products fanned across `executor`'s worker pool.
-///
-/// Masking randomness is drawn sequentially in output-channel order on
-/// the server side, so results are bit-identical for every thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if the feature map does not fit the ring
-/// (`(H+k-1)(W+k-1) > N`); large maps are handled by the planner only.
-pub fn execute_with<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    executor: &Executor,
-    rng: &mut R,
-) -> SecureConvResult {
-    run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        (0, 0),
-        PatchMode::Vanilla,
-        SchemeKind::Cheetah,
-        &ExecBackend::Phased(*executor),
-        rng,
-    )
-    .expect("in-process cheetah session")
-    .result
+impl Packing {
+    /// Plans `shape` at `level`; the feature map plus kernel halo must
+    /// fit the ring.
+    pub(crate) fn new(shape: &ConvShape, level: ParamLevel) -> Result<Self, SpotError> {
+        let geo = geometry(shape, level);
+        if geo.channel_coeffs > level.degree() {
+            return Err(SpotError::Protocol(format!(
+                "feature map does not fit the ring at {level}"
+            )));
+        }
+        Ok(Self {
+            shape: *shape,
+            geo,
+            degree: level.degree(),
+            facts: PlanFacts {
+                dependency: OutputDependency::AllInputs,
+                input_cts: geo.input_cts,
+                output_cts: shape.c_out,
+                // One output channel's ring product summed over every
+                // chunk.
+                jobs: shape.c_out,
+                galois_elements: Vec::new(),
+                use_bsgs: false,
+                cache_classes: 0,
+                // Coefficient packing shares no slots: a batch is its
+                // images in sequence over one session (keys and setup
+                // amortize), bounded only by the wire field.
+                batch_capacity: MAX_BATCH,
+                coeff_packed: true,
+            },
+        })
+    }
+
+    /// Row width of the halo-padded feature map.
+    fn padded_width(&self) -> usize {
+        self.shape.width + self.shape.k_w - 1
+    }
+
+    /// The input channels chunk `chunk` carries.
+    fn chunk_channels(&self, chunk: usize) -> std::ops::Range<usize> {
+        let per_ct = self.geo.channels_per_ct;
+        chunk * per_ct..((chunk + 1) * per_ct).min(self.shape.c_in)
+    }
 }
 
-/// Executes the Cheetah-style secure convolution as a streamed upload:
-/// chunk ciphertexts flow through a bounded in-process transport, but
-/// every output channel's ring products sum over **all** chunks
-/// ([`OutputDependency::AllInputs`]), so the server's workers idle for
-/// the whole upload span — Cheetah keeps the linear computation stall
-/// despite its rotation-free convolution.
-///
-/// Client and server randomness are split from `rng` exactly as in the
-/// phased driver, so shares and op counts are bit-identical to
-/// [`execute_with`] for any worker count and channel capacity, given
-/// the same rng seed.
-///
-/// # Panics
-///
-/// Panics if the feature map does not fit the ring
-/// (`(H+k-1)(W+k-1) > N`); large maps are handled by the planner only.
-pub fn execute_streaming<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (SecureConvResult, StreamStats) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        (0, 0),
-        PatchMode::Vanilla,
-        SchemeKind::Cheetah,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process cheetah session");
-    let stats = outcome
-        .stream
-        .expect("streaming backend reports stall stats");
-    (outcome.result, stats)
+impl ConvScheme for Packing {
+    fn facts(&self) -> &PlanFacts {
+        &self.facts
+    }
+
+    fn batch_layout(&self, _result: usize) -> Option<BatchLayout> {
+        None
+    }
+
+    fn pack(
+        &self,
+        images: &[Tensor],
+        t: u64,
+        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
+    ) -> Result<(), SpotError> {
+        let (shape, wp) = (&self.shape, self.padded_width());
+        for img in images {
+            for chunk in 0..self.geo.input_cts {
+                let mut coeffs = vec![0u64; self.degree];
+                for (local, c) in self.chunk_channels(chunk).enumerate() {
+                    for y in 0..shape.height {
+                        for x in 0..shape.width {
+                            coeffs[local * self.geo.channel_coeffs + y * wp + x] =
+                                to_field(img.at(c, y, x), t);
+                        }
+                    }
+                }
+                emit(coeffs)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> (Vec<Ciphertext>, OpCounts) {
+        let (shape, wp, s_ch) = (&self.shape, self.padded_width(), self.geo.channel_coeffs);
+        let t = kit.ctx.params().plain_modulus();
+        let mut counts = OpCounts::default();
+        let mut acc: Option<Ciphertext> = None;
+        for (chunk, input) in inputs.iter().enumerate() {
+            let mut wcoeffs = vec![0u64; self.degree];
+            for (local, c) in self.chunk_channels(chunk).enumerate() {
+                for u in 0..shape.k_h {
+                    for v in 0..shape.k_w {
+                        let idx = (self.geo.channels_per_ct - 1 - local) * s_ch
+                            + (shape.k_h - 1 - u) * wp
+                            + (shape.k_w - 1 - v);
+                        wcoeffs[idx] = to_field(kit.kernel.at(job, c, u, v), t);
+                    }
+                }
+            }
+            let prod = kit
+                .evaluator
+                .multiply_plain(input, &Plaintext::from_coeffs(wcoeffs));
+            counts.mult_plain += 1;
+            match &mut acc {
+                None => acc = Some(prod),
+                Some(a) => {
+                    kit.evaluator.add_inplace(a, &prod);
+                    counts.add += 1;
+                }
+            }
+        }
+        (vec![acc.expect("at least one chunk")], counts)
+    }
+
+    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
+        let (shape, wp) = (&self.shape, self.padded_width());
+        let base = (self.geo.channels_per_ct - 1) * self.geo.channel_coeffs;
+        let (ph, pw) = ((shape.k_h - 1) / 2, (shape.k_w - 1) / 2);
+        Tensor::from_fn(
+            shape.c_out,
+            shape.out_height(),
+            shape.out_width(),
+            |o, y, x| {
+                let v = rows[o][base + (y * shape.stride + ph) * wp + (x * shape.stride + pw)];
+                if center {
+                    from_field(v, t)
+                } else {
+                    v as i64
+                }
+            },
+        )
+    }
 }
 
 /// The smallest level Cheetah can use for a shape (the feature map plus
@@ -248,13 +288,51 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channelwise::SecureConvResult;
+    use crate::executor::Executor;
+    use crate::patching::PatchMode;
+    use crate::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spot_he::context::Context;
+    use spot_he::keys::KeyGenerator;
     use spot_he::params::EncryptionParams;
     use spot_tensor::conv::conv2d;
+    use spot_tensor::tensor::Kernel;
+    use std::sync::Arc;
 
     fn ctx4096() -> Arc<Context> {
         Context::new(EncryptionParams::new(ParamLevel::N4096))
+    }
+
+    fn run(
+        ctx: &Arc<Context>,
+        kg: &KeyGenerator,
+        input: &Tensor,
+        kernel: &Kernel,
+        stride: usize,
+        rng: &mut StdRng,
+    ) -> SecureConvResult {
+        let spec = LayerSpec::for_layer(
+            SchemeKind::Cheetah,
+            input,
+            kernel,
+            stride,
+            (0, 0),
+            PatchMode::Vanilla,
+        );
+        let backend = ExecBackend::Phased(Executor::serial());
+        run_in_process(
+            ctx,
+            kg,
+            spec,
+            std::slice::from_ref(input),
+            kernel,
+            &backend,
+            rng,
+        )
+        .expect("in-process session")
+        .into_result()
     }
 
     #[test]
@@ -274,7 +352,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(4, 8, 8, 8, 71);
         let kernel = Kernel::random(4, 4, 3, 3, 4, 72);
-        let res = execute(&ctx, &kg, &input, &kernel, 1, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 1, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
         // zero rotations — Cheetah's defining property
         assert_eq!(res.counts.rotate, 0);
@@ -289,7 +367,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(16, 16, 16, 4, 81);
         let kernel = Kernel::random(2, 16, 3, 3, 3, 82);
-        let res = execute(&ctx, &kg, &input, &kernel, 1, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 1, &mut rng);
         assert!(res.input_cts > 1);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
@@ -301,7 +379,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(4, 8, 8, 8, 91);
         let kernel = Kernel::random(4, 4, 1, 1, 4, 92);
-        let res = execute(&ctx, &kg, &input, &kernel, 2, &mut rng);
+        let res = run(&ctx, &kg, &input, &kernel, 2, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 2));
     }
 

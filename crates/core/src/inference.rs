@@ -5,7 +5,7 @@
 
 use crate::executor::Executor;
 use crate::patching::PatchMode;
-use crate::session::{run_in_process, run_in_process_batched, SchemeKind};
+use crate::session::{run_in_process, LayerSpec, SchemeKind};
 use crate::stream::StreamStats;
 use crate::{channelwise, cheetah, select, spot};
 
@@ -55,78 +55,6 @@ impl Scheme {
             Scheme::Spot => SchemeKind::Spot,
         }
     }
-}
-
-/// Runs one secure convolution under `scheme` with the chosen backend
-/// (a thin wrapper over [`crate::session::run_in_process`]).
-///
-/// Returns the measured [`StreamStats`] when the streaming backend ran
-/// (`None` for the phased backend). Both backends draw randomness in
-/// the same order, so for a given rng seed the returned shares and op
-/// counts are bit-identical across backends, thread counts, and channel
-/// capacities.
-#[allow(clippy::too_many_arguments)]
-pub fn run_conv_backend<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    scheme: Scheme,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> (channelwise::SecureConvResult, Option<StreamStats>) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        scheme.kind(),
-        backend,
-        rng,
-    )
-    .expect("in-process secure convolution session");
-    (outcome.result, outcome.stream)
-}
-
-/// [`run_conv_backend`] over a batch of same-shape images coalesced
-/// into one session (shared ciphertexts for the slot-packed schemes,
-/// sequential images for Cheetah). Returns each image's functional
-/// result in submission order; op and ciphertext counts on the results
-/// are per batch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_conv_backend_batched<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    inputs: &[Tensor],
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    scheme: Scheme,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> (Vec<channelwise::SecureConvResult>, Option<StreamStats>) {
-    let outcome = run_in_process_batched(
-        ctx,
-        keygen,
-        inputs,
-        kernel,
-        stride,
-        patch,
-        mode,
-        scheme.kind(),
-        backend,
-        rng,
-    )
-    .expect("in-process batched secure convolution session");
-    let stream = outcome.stream.clone();
-    (outcome.into_results(), stream)
 }
 
 /// Builds the execution plan for one convolution layer under a scheme,
@@ -344,15 +272,14 @@ impl TinyCnn {
                    chan: &mut Channel,
                    stats: &mut StreamStats,
                    rng: &mut R| {
+            let spec =
+                LayerSpec::for_layer(scheme.kind(), input, kernel, 1, (4, 4), PatchMode::Tweaked);
             let outcome = run_in_process(
                 ctx,
                 keygen,
-                input,
+                spec,
+                std::slice::from_ref(input),
                 kernel,
-                1,
-                (4, 4),
-                PatchMode::Tweaked,
-                scheme.kind(),
                 backend,
                 rng,
             )
@@ -360,10 +287,10 @@ impl TinyCnn {
             // Charge the convolution's real framed wire traffic to the
             // protocol channel alongside the OT rounds.
             chan.charge_traffic(&outcome.uplink, &outcome.downlink);
-            if let Some(s) = outcome.stream {
-                stats.accumulate(&s);
+            if let Some(s) = &outcome.stream {
+                stats.accumulate(s);
             }
-            outcome.result
+            outcome.into_result()
         };
 
         // conv1 under HE

@@ -77,14 +77,21 @@ impl Decomposition {
     }
 }
 
+/// How many pieces of size `piece`, adjacent ones sharing `overlap`,
+/// cover `extent`.
+///
+/// # Panics
+///
+/// Panics if the piece is not larger than the overlap.
+pub fn grid_len(extent: usize, piece: usize, overlap: usize) -> usize {
+    assert!(piece > overlap, "patch must be larger than the overlap");
+    1 + extent.saturating_sub(piece).div_ceil(piece - overlap)
+}
+
 fn grid_starts(extent: usize, piece: usize, overlap: usize) -> Vec<usize> {
-    let stride = piece - overlap;
-    assert!(stride > 0, "patch must be larger than the overlap");
-    let mut starts = vec![0usize];
-    while starts.last().unwrap() + piece < extent {
-        starts.push(starts.last().unwrap() + stride);
-    }
-    starts
+    (0..grid_len(extent, piece, overlap))
+        .map(|i| i * (piece - overlap))
+        .collect()
 }
 
 fn crop_piece(input: &Tensor, y0: usize, x0: usize, h: usize, w: usize, sign: i64) -> Piece {

@@ -544,11 +544,7 @@ impl SpotServer {
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let seed = session_seed(self.config.base_seed, id);
-        self.metrics.active.add(1);
-        self.in_flight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, t0);
+        let admitted = Admitted::new(self, id, t0);
 
         // Attribute every counter this thread (and its pool workers)
         // touches to this session.
@@ -598,12 +594,7 @@ impl SpotServer {
             }
         }
         spot_trace::set_session_counters(prev_sink);
-        self.in_flight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&id);
-        self.metrics.active.sub(1);
-        self.active.fetch_sub(1, Ordering::AcqRel);
+        drop(admitted);
         let counters = sink.snapshot();
         self.metrics.absorb_session(&counters);
         let wall = t0.elapsed();
@@ -634,6 +625,46 @@ impl SpotServer {
             traffic: transport.stats(),
             wall,
         }
+    }
+}
+
+/// An admitted session's claim on the server: its admission slot, its
+/// `/sessions` entry and the `spot_sessions_active` gauge, released
+/// together on drop. A session thread that unwinds therefore frees its
+/// slot (and is counted as failed) instead of eating it forever.
+struct Admitted<'a> {
+    server: &'a SpotServer,
+    id: u64,
+}
+
+impl<'a> Admitted<'a> {
+    /// Registers session `id`; the caller has already reserved the
+    /// admission slot in `server.active`.
+    fn new(server: &'a SpotServer, id: u64, since: Instant) -> Self {
+        server.metrics.active.add(1);
+        server
+            .in_flight
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(id, since);
+        Self { server, id }
+    }
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        let server = self.server;
+        if std::thread::panicking() {
+            server.stats.failed.fetch_add(1, Ordering::Relaxed);
+            server.metrics.failed.inc(1);
+        }
+        server
+            .in_flight
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .remove(&self.id);
+        server.metrics.active.sub(1);
+        server.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

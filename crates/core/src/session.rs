@@ -1,19 +1,26 @@
 //! Client/server session state machines over the typed wire protocol.
 //!
-//! This module splits every secure-convolution scheme into two halves
-//! that talk *only* through a [`Transport`]:
+//! One secure convolution is two halves that talk *only* through a
+//! [`Transport`]:
 //!
 //! * [`ClientConv`] — the tiny client: packs and encrypts the input,
-//!   streams ciphertexts up, then decrypts the masked results into its
-//!   additive share ([`ClientConv::send_all`] /
-//!   [`ClientConv::absorb_all`]).
+//!   streams ciphertexts up ([`ClientConv::send_batch`]), then decrypts
+//!   the masked results into its additive shares
+//!   ([`ClientConv::absorb_batch`]).
 //! * [`serve_conv`] — the server: reads the [`ConvSetup`] hello,
-//!   validates the client's rotation keys, convolves under HE (phased
-//!   or streamed per [`ExecBackend`]), and returns masked results while
-//!   keeping its own additive share.
+//!   validates the client's rotation keys, convolves under HE, and
+//!   returns masked results while keeping its own additive shares.
 //!
-//! The same session code runs over [`MemTransport`] (in-process, used
-//! by every scheme's `execute*` entry point through
+//! There is one upload body, one absorb body and one server driver. The
+//! batch width is a parameter of each (one image is the identity
+//! layout, so the single-image methods are adapters), and everything
+//! that knows a scheme's packing format lives in that scheme's file
+//! behind [`ConvScheme`]. The driver reads as the paper does: ingest,
+//! pick [`Executor::run`], [`run_stream`] or [`run_stream_barrier`]
+//! from the backend and the scheme's [`OutputDependency`], then mask
+//! and send in result order.
+//!
+//! The same session code runs over [`MemTransport`] (in-process, via
 //! [`run_in_process`]) and `TcpTransport` (two real OS processes) —
 //! messages, byte counts, and shares are identical by construction.
 //!
@@ -31,12 +38,9 @@ use crate::channelwise::{self, SecureConvResult};
 use crate::cheetah;
 use crate::error::SpotError;
 use crate::executor::Executor;
-use crate::heconv::{
-    required_elements, ChannelMap, ConvRequest, GroupSpec, HeConvEngine, KernelCache,
-};
-use crate::layout::{pack_pieces, pack_pieces_split, LaneLayout};
-use crate::patching::{decompose, Decomposition, PatchMode};
-use crate::spot::{self, Blocking};
+use crate::heconv::{HeConvEngine, KernelCache};
+use crate::patching::PatchMode;
+use crate::spot;
 use crate::stream::{run_stream, run_stream_barrier, StreamConfig, StreamStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,6 +52,7 @@ use spot_he::evaluator::{Evaluator, OpCounts};
 use spot_he::keys::{GaloisKeys, KeyGenerator};
 use spot_he::params::ParamLevel;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
+use spot_pipeline::plan::OutputDependency;
 use spot_proto::channel::TrafficStats;
 use spot_proto::{ConvSetup, MemTransport, Transport, WireMessage};
 use spot_tensor::models::ConvShape;
@@ -100,6 +105,26 @@ impl SchemeKind {
             SchemeKind::Cheetah => "cheetah",
             SchemeKind::Spot => "spot",
         }
+    }
+
+    /// Whether the hello carries a patch size and mode.
+    fn patched(self) -> bool {
+        self == SchemeKind::Spot
+    }
+
+    /// Plans and validates `spec` under this scheme's packing — the one
+    /// place the session layer dispatches on the scheme.
+    fn plan(self, spec: &LayerSpec, level: ParamLevel) -> Result<Box<dyn ConvScheme>, SpotError> {
+        Ok(match self {
+            SchemeKind::Channelwise => Box::new(channelwise::Packing::new(&spec.shape, level)?),
+            SchemeKind::Cheetah => Box::new(cheetah::Packing::new(&spec.shape, level)?),
+            SchemeKind::Spot => Box::new(spot::Packing::new(
+                &spec.shape,
+                level,
+                spec.patch,
+                spec.mode,
+            )?),
+        })
     }
 }
 
@@ -155,16 +180,41 @@ pub struct LayerSpec {
 const MAX_DIM: u32 = 1 << 14;
 
 impl LayerSpec {
+    /// The spec of the layer that convolves `input` with `kernel`.
+    pub fn for_layer(
+        scheme: SchemeKind,
+        input: &Tensor,
+        kernel: &Kernel,
+        stride: usize,
+        patch: (usize, usize),
+        mode: PatchMode,
+    ) -> Self {
+        LayerSpec {
+            scheme,
+            shape: ConvShape {
+                width: input.width(),
+                height: input.height(),
+                c_in: input.channels(),
+                c_out: kernel.out_channels(),
+                k_h: kernel.k_h(),
+                k_w: kernel.k_w(),
+                stride,
+            },
+            patch,
+            mode,
+        }
+    }
+
     /// Encodes the spec as the wire hello for `level`.
     pub fn to_setup(&self, level: ParamLevel) -> ConvSetup {
-        let spot = self.scheme == SchemeKind::Spot;
+        let patched = self.scheme.patched();
         ConvSetup {
             scheme: self.scheme.code(),
-            mode: if spot { mode_code(self.mode) } else { 0 },
+            mode: if patched { mode_code(self.mode) } else { 0 },
             level: level_code(level),
-            // 0 keeps unbatched hellos byte-identical to the
+            // 0 keeps one-image hellos byte-identical to the
             // pre-batching wire format (the byte was reserved-zero);
-            // batched uploads overwrite it with the batch width.
+            // wider uploads overwrite it with the batch width.
             batch: 0,
             h: self.shape.height as u32,
             w: self.shape.width as u32,
@@ -173,8 +223,8 @@ impl LayerSpec {
             k_h: self.shape.k_h as u32,
             k_w: self.shape.k_w as u32,
             stride: self.shape.stride as u32,
-            patch_h: if spot { self.patch.0 as u32 } else { 0 },
-            patch_w: if spot { self.patch.1 as u32 } else { 0 },
+            patch_h: if patched { self.patch.0 as u32 } else { 0 },
+            patch_w: if patched { self.patch.1 as u32 } else { 0 },
             // 0 keeps the hello byte-identical to the pre-trace layout;
             // senders overwrite it with a wire trace id when wire trace
             // context is enabled.
@@ -186,7 +236,7 @@ impl LayerSpec {
     pub fn from_setup(setup: &ConvSetup) -> Result<(Self, ParamLevel), SpotError> {
         let scheme = SchemeKind::from_code(setup.scheme)?;
         let level = level_from_code(setup.level)?;
-        for (name, v) in [
+        let mut fields = vec![
             ("h", setup.h),
             ("w", setup.w),
             ("c_in", setup.c_in),
@@ -194,21 +244,18 @@ impl LayerSpec {
             ("k_h", setup.k_h),
             ("k_w", setup.k_w),
             ("stride", setup.stride),
-        ] {
+        ];
+        if scheme.patched() {
+            fields.extend([("patch_h", setup.patch_h), ("patch_w", setup.patch_w)]);
+        }
+        for (name, v) in fields {
             if v == 0 || v > MAX_DIM {
                 return Err(SpotError::Protocol(format!(
                     "setup field {name} = {v} out of range 1..={MAX_DIM}"
                 )));
             }
         }
-        let (patch, mode) = if scheme == SchemeKind::Spot {
-            for (name, v) in [("patch_h", setup.patch_h), ("patch_w", setup.patch_w)] {
-                if v == 0 || v > MAX_DIM {
-                    return Err(SpotError::Protocol(format!(
-                        "setup field {name} = {v} out of range 1..={MAX_DIM}"
-                    )));
-                }
-            }
+        let (patch, mode) = if scheme.patched() {
             (
                 (setup.patch_h as usize, setup.patch_w as usize),
                 mode_from_code(setup.mode)?,
@@ -238,228 +285,166 @@ impl LayerSpec {
 }
 
 // ---------------------------------------------------------------------
-// Shared layer plan (both parties derive the same structure)
-// ---------------------------------------------------------------------
-
-/// Scheme-specific packing structure derived identically by both
-/// parties from the [`LayerSpec`] alone (SPOT's piece structure depends
-/// only on spatial dims, so a one-channel probe decomposition serves).
-enum PlanDetail {
-    Channelwise {
-        geo: channelwise::ChannelwiseGeometry,
-        layout: LaneLayout,
-        groups: Vec<GroupSpec>,
-    },
-    Cheetah {
-        geo: cheetah::CheetahGeometry,
-    },
-    Spot {
-        blk: Blocking,
-        probe: Decomposition,
-        layouts: Vec<LaneLayout>,
-        /// Ciphertexts per class, classes in decomposition order.
-        class_cts: Vec<usize>,
-        groups: Vec<GroupSpec>,
-        in_maps: Vec<ChannelMap>,
-        input_cts: usize,
-    },
-}
-
-fn plan_layer(spec: &LayerSpec, level: ParamLevel) -> Result<PlanDetail, SpotError> {
-    let shape = &spec.shape;
-    let lane = level.degree() / 2;
-    match spec.scheme {
-        SchemeKind::Channelwise => {
-            if crate::layout::next_pow2(shape.width * shape.height) > lane {
-                return Err(SpotError::Protocol(format!(
-                    "channel of {}x{} does not fit a lane of {lane} slots",
-                    shape.height, shape.width
-                )));
-            }
-            let geo = channelwise::geometry(shape, level);
-            let layout = LaneLayout::new(lane, geo.blocks_per_lane, shape.height, shape.width);
-            let groups = (0..geo.output_cts)
-                .map(|k| channelwise::group_spec(&geo, k, shape.c_out))
-                .collect();
-            Ok(PlanDetail::Channelwise {
-                geo,
-                layout,
-                groups,
-            })
-        }
-        SchemeKind::Cheetah => {
-            let geo = cheetah::geometry(shape, level);
-            if geo.channel_coeffs > level.degree() {
-                return Err(SpotError::Protocol(format!(
-                    "feature map does not fit the ring at {level}"
-                )));
-            }
-            Ok(PlanDetail::Cheetah { geo })
-        }
-        SchemeKind::Spot => {
-            let blk = spot::blocking(shape.c_in, shape.c_out);
-            // Piece structure depends only on spatial dims: probe with a
-            // single zero channel (both parties derive it identically).
-            let probe = decompose(
-                &Tensor::zeros(1, shape.height, shape.width),
-                spec.patch.0,
-                spec.patch.1,
-                shape.k_h,
-                spec.mode,
-            );
-            let mut layouts = Vec::with_capacity(probe.classes.len());
-            let mut class_cts = Vec::with_capacity(probe.classes.len());
-            let mut input_cts = 0usize;
-            for (class, pieces) in &probe.classes {
-                if blk.ci_pad * crate::layout::next_pow2(class.h * class.w) > lane {
-                    return Err(SpotError::Protocol(format!(
-                        "piece of {}x{} with {} padded channels does not fit a lane of {lane} slots",
-                        class.h, class.w, blk.ci_pad
-                    )));
-                }
-                let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
-                let per_ct = if blk.split {
-                    layout.groups
-                } else {
-                    2 * layout.groups
-                };
-                let cts = pieces.len().div_ceil(per_ct);
-                class_cts.push(cts);
-                input_cts += cts;
-                layouts.push(layout);
-            }
-            let groups = spot::spot_group_specs(&blk, shape.c_out);
-            let in_maps = spot::spot_in_maps(&blk, shape.c_in);
-            Ok(PlanDetail::Spot {
-                blk,
-                probe,
-                layouts,
-                class_cts,
-                groups,
-                in_maps,
-                input_cts,
-            })
-        }
-    }
-}
-
-/// Galois elements the server will need for this layer (empty for
-/// Cheetah's rotation-free products).
-fn galois_elements(spec: &LayerSpec, detail: &PlanDetail) -> Vec<usize> {
-    let shape = &spec.shape;
-    match detail {
-        PlanDetail::Channelwise { geo, layout, .. } => required_elements(
-            layout,
-            shape.k_h,
-            shape.k_w,
-            geo.blocks_per_lane,
-            geo.output_cts,
-            &[],
-            geo.both_lanes,
-            false,
-        ),
-        PlanDetail::Cheetah { .. } => Vec::new(),
-        PlanDetail::Spot { blk, layouts, .. } => {
-            let mut union = Vec::new();
-            for layout in layouts {
-                union.extend(required_elements(
-                    layout,
-                    shape.k_h,
-                    shape.k_w,
-                    blk.diagonals,
-                    blk.out_groups,
-                    &blk.fold_steps,
-                    blk.split,
-                    true,
-                ));
-            }
-            union.sort_unstable();
-            union.dedup();
-            union
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cross-image batching structure
+// What a scheme provides to the driver
 // ---------------------------------------------------------------------
 
 /// Largest batch width the wire hello can carry.
-const MAX_BATCH: usize = u8::MAX as usize;
+pub(crate) const MAX_BATCH: usize = u8::MAX as usize;
 
-/// Batch layout for channel-wise packing: one image occupies group
-/// position 0 across both lanes and every channel block, so every
-/// further group position can carry another queued image.
-fn channelwise_batch_layout(layout: &LaneLayout) -> BatchLayout {
-    BatchLayout::new(
-        layout.lane_size,
-        layout.blocks,
-        layout.groups,
-        layout.piece_slots,
-        1,
-        false,
-    )
+/// The facts both parties derive identically from the [`LayerSpec`]
+/// alone. Counts are per *round*: the ciphertexts one set of
+/// slot-sharing images uploads and gets back (see
+/// [`ConvScheme::round_width`]).
+pub(crate) struct PlanFacts {
+    /// Whether a result needs one input ciphertext or all of them —
+    /// the paper's whole distinction, and what picks the stream driver.
+    pub dependency: OutputDependency,
+    /// Input ciphertexts per round.
+    pub input_cts: usize,
+    /// Masked result ciphertexts per round.
+    pub output_cts: usize,
+    /// Server work items per round (one per input ciphertext under
+    /// [`OutputDependency::PerInput`]).
+    pub jobs: usize,
+    /// Galois elements the server will rotate by (empty = the client
+    /// sends no rotation keys).
+    pub galois_elements: Vec<usize>,
+    /// Whether the conv engines use the baby-step/giant-step alignment
+    /// `galois_elements` was computed for.
+    pub use_bsgs: bool,
+    /// Kernel-cache classes: one [`HeConvEngine`] each, numbered as
+    /// [`ConvScheme::convolve`] indexes [`ServerKit::engines`].
+    pub cache_classes: usize,
+    /// Most images one session can carry.
+    pub batch_capacity: usize,
+    /// Plaintexts are raw coefficient vectors, not SIMD slot rows.
+    pub coeff_packed: bool,
 }
 
-/// Batch layout for one SPOT piece class: an image's pieces occupy the
-/// first `pieces` positions of the class ciphertext (lane-major whole
-/// pieces, or one group per piece when channels split across lanes).
-/// When the class spills over several ciphertexts (`pieces` exceeds the
-/// position count), each ciphertext is fully occupied by the single
-/// image, so the stride clamps to the whole position space: capacity 1,
-/// pack/unpack the identity. [`plan_batch_capacity`] independently
-/// forces batch 1 for such layers.
-fn spot_batch_layout(blk: &Blocking, layout: &LaneLayout, pieces: usize) -> BatchLayout {
-    let positions = if blk.split {
-        layout.groups
-    } else {
-        2 * layout.groups
-    };
-    BatchLayout::new(
-        layout.lane_size,
-        layout.blocks,
-        layout.groups,
-        layout.piece_slots,
-        pieces.clamp(1, positions),
-        !blk.split,
-    )
+/// What the server hands a scheme's [`ConvScheme::convolve`]: the
+/// model's kernel and the HE machinery built from this session's keys.
+pub(crate) struct ServerKit<'a> {
+    /// The server's HE context.
+    pub ctx: &'a Arc<Context>,
+    /// The layer's kernel weights.
+    pub kernel: &'a Kernel,
+    /// Key-free ciphertext arithmetic.
+    pub evaluator: Evaluator,
+    /// One conv engine per kernel-cache class.
+    pub engines: Vec<HeConvEngine>,
 }
 
-/// How many queued images one session can coalesce into shared
-/// ciphertexts. The masked kernel plaintexts already confine every
-/// group position's convolution to its own piece region, so spare
-/// positions carry further images with the per-batch rotation and
-/// key-switch counts unchanged. Cheetah's coefficient packing shares
-/// no slots; its batches run as sequential images inside one session,
-/// bounded only by the wire field.
-fn plan_batch_capacity(detail: &PlanDetail) -> usize {
-    match detail {
-        PlanDetail::Channelwise { layout, .. } => {
-            channelwise_batch_layout(layout).capacity().min(MAX_BATCH)
-        }
-        PlanDetail::Cheetah { .. } => MAX_BATCH,
-        PlanDetail::Spot {
-            blk,
-            probe,
-            layouts,
-            class_cts,
-            ..
-        } => {
-            let mut cap = MAX_BATCH;
-            for (ci, (_class, pieces)) in probe.classes.iter().enumerate() {
-                if pieces.is_empty() {
-                    continue;
-                }
-                if class_cts[ci] != 1 {
-                    // A class spilling over one ciphertext has no spare
-                    // positions to scatter another image into.
-                    return 1;
-                }
-                cap = cap.min(spot_batch_layout(blk, &layouts[ci], pieces.len()).capacity());
-            }
-            cap.max(1)
+/// One packing scheme as the session driver sees it. Three impls:
+/// [`channelwise::Packing`], [`cheetah::Packing`], [`spot::Packing`];
+/// each constructor is the scheme's *plan + validate* step.
+pub(crate) trait ConvScheme: Send + Sync {
+    /// Counts, keys, capacity and dependency class of the planned layer.
+    fn facts(&self) -> &PlanFacts;
+
+    /// Wire class of a round's `j`-th input ciphertext: class 0 rides
+    /// in `PackedCt`, SPOT's seam classes in `AuxCt`.
+    fn input_class(&self, _j: usize) -> usize {
+        0
+    }
+
+    /// The slot layout that interleaves a batch's images inside result
+    /// ciphertext `result` of a round, or `None` when images share no
+    /// slots and a batch is one round per image.
+    fn batch_layout(&self, result: usize) -> Option<BatchLayout>;
+
+    /// *Pack*: one round's images into plaintext rows, handed to `emit`
+    /// in upload order (lazily, so the tiny client holds one at a time).
+    fn pack(
+        &self,
+        images: &[Tensor],
+        t: u64,
+        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
+    ) -> Result<(), SpotError>;
+
+    /// *Convolve*: work item `job` over the ciphertexts it depends on —
+    /// `[ct_job]` under [`OutputDependency::PerInput`], the round's
+    /// whole upload under [`OutputDependency::AllInputs`]. Pure: runs
+    /// on pool workers in any order.
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> (Vec<Ciphertext>, OpCounts);
+
+    /// Folds job `job`'s outputs into the round's result stream: called
+    /// in job order on one thread, returns the result ciphertexts that
+    /// are now final. Channel-wise packing accumulates across jobs in
+    /// `acc` and releases everything after the last one.
+    fn collect(
+        &self,
+        _kit: &ServerKit<'_>,
+        _job: usize,
+        outs: Vec<Ciphertext>,
+        _acc: &mut Vec<Ciphertext>,
+        _counts: &mut OpCounts,
+    ) -> Vec<Ciphertext> {
+        outs
+    }
+
+    /// *Rows → share*: one image's share tensor from its rows in result
+    /// order — the same gather for both parties. The client feeds its
+    /// decrypted rows with `center` set (values lifted to
+    /// `(-t/2, t/2]`); the server feeds its masks as drawn.
+    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor;
+
+    /// How many of a batch's images share one round's ciphertexts.
+    fn round_width(&self, batch: usize) -> usize {
+        match self.batch_layout(0) {
+            Some(_) => batch,
+            None => 1,
         }
     }
+}
+
+/// Rows ↔ plaintexts under the planned scheme's encoding.
+struct RowCodec {
+    encoder: BatchEncoder,
+    coeff_packed: bool,
+}
+
+impl RowCodec {
+    fn new(ctx: &Arc<Context>, facts: &PlanFacts) -> Self {
+        Self {
+            encoder: BatchEncoder::new(ctx),
+            coeff_packed: facts.coeff_packed,
+        }
+    }
+
+    fn encode(&self, row: Vec<u64>) -> Plaintext {
+        if self.coeff_packed {
+            Plaintext::from_coeffs(row)
+        } else {
+            self.encoder.encode(&row)
+        }
+    }
+
+    fn decode(&self, plain: &Plaintext) -> Vec<u64> {
+        if self.coeff_packed {
+            plain.coeffs().to_vec()
+        } else {
+            self.encoder.decode(plain)
+        }
+    }
+}
+
+/// Validates a batch width against the plan; returns the round width.
+fn check_batch(plan: &dyn ConvScheme, batch: usize) -> Result<usize, SpotError> {
+    let cap = plan.facts().batch_capacity;
+    if batch == 0 {
+        return Err(SpotError::Protocol("empty input batch".into()));
+    }
+    if batch > cap {
+        return Err(SpotError::Protocol(format!(
+            "batch of {batch} images exceeds layer capacity {cap}"
+        )));
+    }
+    Ok(plan.round_width(batch))
 }
 
 // ---------------------------------------------------------------------
@@ -470,7 +455,8 @@ fn plan_batch_capacity(detail: &PlanDetail) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
     /// Two sequential phases: receive every ciphertext, then fan the
-    /// convolutions across the executor pool.
+    /// convolutions across the executor pool. The sequential reference
+    /// the determinism suites compare streaming against.
     Phased(Executor),
     /// Real pipelining via [`crate::stream`]: uploads stream through a
     /// bounded channel overlapped with server convolution.
@@ -511,123 +497,32 @@ fn unexpected(got: &WireMessage, want: &str) -> SpotError {
     SpotError::Protocol(format!("expected {want}, got {}", msg_name(got)))
 }
 
-fn centered(v: u64, t: u64) -> i64 {
-    if v > t / 2 {
-        v as i64 - t as i64
-    } else {
-        v as i64
-    }
-}
-
-/// Receives the serialized input ciphertext with global index `j`
-/// (class 0 rides in `PackedCt`, SPOT seam classes in `AuxCt`),
-/// validating class and sequence number but deferring deserialization
-/// to the caller — SPOT's streaming worker decodes on the pool so the
-/// ingest thread goes straight back to the socket.
+/// Receives the serialized input ciphertext with session-wide sequence
+/// number `seq`, validating class and sequence number but deferring
+/// deserialization to the caller — the per-input streaming worker
+/// decodes on the pool so the ingest thread goes straight back to the
+/// socket.
 fn recv_input_blob(
     transport: &dyn Transport,
-    j: usize,
+    seq: usize,
     want_class: usize,
 ) -> Result<Vec<u8>, SpotError> {
     let msg = transport.recv()?;
-    let (class, seq, blob) = match msg {
+    let (class, got, blob) = match msg {
         WireMessage::PackedCt { seq, blob } => (0usize, seq, blob),
         WireMessage::AuxCt { class, seq, blob } => (class as usize, seq, blob),
         other => return Err(unexpected(&other, "PackedCt/AuxCt")),
     };
-    if class != want_class || seq as usize != j {
+    if class != want_class || got as usize != seq {
         return Err(SpotError::Protocol(format!(
-            "input ciphertext out of order: got class {class} seq {seq}, want class {want_class} seq {j}"
+            "input ciphertext out of order: got class {class} seq {got}, want class {want_class} seq {seq}"
         )));
     }
     Ok(blob)
 }
 
-/// [`recv_input_blob`] plus immediate deserialization, for the phased
-/// and all-input (barrier) paths where decode time is part of the
-/// upload span anyway.
-fn recv_input_ct(
-    transport: &dyn Transport,
-    ctx: &Arc<Context>,
-    j: usize,
-    want_class: usize,
-) -> Result<Ciphertext, SpotError> {
-    let blob = recv_input_blob(transport, j, want_class)?;
-    Ok(Ciphertext::try_from_bytes(ctx, &blob)?)
-}
-
 fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
     (0..degree).map(|_| rng.gen_range(0..t)).collect()
-}
-
-/// Result-mask source for one served image: the session rng for
-/// unbatched layers (preserving the canonical draw order), or one
-/// per-image rng split off the session rng so every image's masks match
-/// an unbatched run seeded with that image's seed.
-enum MaskRng<'a, R: Rng> {
-    Session(&'a mut R),
-    Image(&'a mut StdRng),
-}
-
-impl<R: Rng> MaskRng<'_, R> {
-    fn draw(&mut self, degree: usize, t: u64) -> Vec<u64> {
-        match self {
-            MaskRng::Session(r) => draw_mask(&mut **r, degree, t),
-            MaskRng::Image(r) => draw_mask(&mut **r, degree, t),
-        }
-    }
-}
-
-/// One image's channel-wise packing for input ciphertext `j`: both
-/// lanes, channel blocks at group position 0 (the single-image layout
-/// [`channelwise_batch_layout`] interleaves into).
-fn channelwise_image_slots(
-    geo: &channelwise::ChannelwiseGeometry,
-    layout: &LaneLayout,
-    shape: &ConvShape,
-    input: &Tensor,
-    j: usize,
-    t: u64,
-    n: usize,
-) -> Vec<u64> {
-    let lane = n / 2;
-    let mut slots = vec![0u64; n];
-    let map = channelwise::channel_map(geo, j, shape.c_in);
-    for (lane_idx, row) in map.iter().enumerate() {
-        for (b, ch) in row.iter().enumerate() {
-            let Some(c) = *ch else { continue };
-            for y in 0..shape.height {
-                for x in 0..shape.width {
-                    slots[lane_idx * lane + layout.slot(b, 0, y, x)] =
-                        input.at(c, y, x).rem_euclid(t as i64) as u64;
-                }
-            }
-        }
-    }
-    slots
-}
-
-/// One image's Cheetah coefficient packing for the channel subset
-/// `chunk`.
-fn cheetah_chunk_coeffs(
-    shape: &ConvShape,
-    input: &Tensor,
-    chunk: &[usize],
-    t: u64,
-    n: usize,
-) -> Vec<u64> {
-    let hp = shape.height + shape.k_h - 1;
-    let wp = shape.width + shape.k_w - 1;
-    let s_ch = hp * wp;
-    let mut coeffs = vec![0u64; n];
-    for (local, &c) in chunk.iter().enumerate() {
-        for y in 0..shape.height {
-            for x in 0..shape.width {
-                coeffs[local * s_ch + y * wp + x] = input.at(c, y, x).rem_euclid(t as i64) as u64;
-            }
-        }
-    }
-    coeffs
 }
 
 // ---------------------------------------------------------------------
@@ -660,7 +555,8 @@ pub struct ClientSendSummary {
     pub input_cts: usize,
 }
 
-/// The client's completed download phase: its additive output share.
+/// The client's completed download phase for one image: its additive
+/// output share.
 #[derive(Debug, Clone)]
 pub struct ClientShare {
     /// The client's additive share of the (strided) output tensor.
@@ -671,8 +567,8 @@ pub struct ClientShare {
     pub output_cts: usize,
 }
 
-/// The client's completed download phase for a batched upload: one
-/// additive output share per image, in submission order.
+/// The client's completed download phase: one additive output share
+/// per image, in submission order.
 #[derive(Debug, Clone)]
 pub struct ClientBatchShare {
     /// Per-image additive shares of the (strided) output tensors.
@@ -686,16 +582,15 @@ pub struct ClientBatchShare {
 /// Client half of one secure-convolution layer.
 ///
 /// Construct once per layer, then drive the two phases:
-/// [`ClientConv::send_all`] (hello, keys, encrypted upload) and
-/// [`ClientConv::absorb_all`] (masked results → additive share). The
+/// [`ClientConv::send_batch`] (hello, keys, encrypted upload) and
+/// [`ClientConv::absorb_batch`] (masked results → additive shares). The
 /// halves are independent, so over a socket transport they can run on
 /// two threads to overlap upload with download.
 pub struct ClientConv<'a> {
     ctx: Arc<Context>,
     keygen: &'a KeyGenerator,
     spec: LayerSpec,
-    detail: PlanDetail,
-    elements: Vec<usize>,
+    plan: Box<dyn ConvScheme>,
 }
 
 impl<'a> ClientConv<'a> {
@@ -705,33 +600,36 @@ impl<'a> ClientConv<'a> {
         keygen: &'a KeyGenerator,
         spec: LayerSpec,
     ) -> Result<Self, SpotError> {
-        let detail = plan_layer(&spec, ctx.params().level())?;
-        let elements = galois_elements(&spec, &detail);
+        let plan = spec.scheme.plan(&spec, ctx.params().level())?;
         Ok(Self {
             ctx: Arc::clone(ctx),
             keygen,
             spec,
-            detail,
-            elements,
+            plan,
         })
     }
 
-    /// Number of input ciphertexts the upload phase will send.
+    /// Number of input ciphertexts one image's upload sends.
     pub fn input_cts(&self) -> usize {
-        match &self.detail {
-            PlanDetail::Channelwise { geo, .. } => geo.input_cts,
-            PlanDetail::Cheetah { geo } => geo.input_cts,
-            PlanDetail::Spot { input_cts, .. } => *input_cts,
-        }
+        self.plan.facts().input_cts
     }
 
-    /// Number of masked result ciphertexts the download phase expects.
-    pub fn output_cts(&self) -> usize {
-        match &self.detail {
-            PlanDetail::Channelwise { geo, .. } => geo.output_cts,
-            PlanDetail::Cheetah { .. } => self.spec.shape.c_out,
-            PlanDetail::Spot { blk, input_cts, .. } => input_cts * blk.out_groups,
-        }
+    /// How many queued images this layer can coalesce into one upload:
+    /// the spare SIMD-slot positions of the layer's packing (Cheetah
+    /// batches as sequential images bounded only by the wire field).
+    pub fn batch_capacity(&self) -> usize {
+        self.plan.facts().batch_capacity
+    }
+
+    /// [`ClientConv::send_batch`] for one image.
+    pub fn send_all<R: Rng>(
+        &self,
+        transport: &dyn Transport,
+        input: &Tensor,
+        pacing: UploadPacing,
+        rng: &mut R,
+    ) -> Result<ClientSendSummary, SpotError> {
+        self.send_batch(transport, std::slice::from_ref(input), pacing, rng)
     }
 
     /// Upload phase: sends the layer hello, public-key-independent
@@ -740,140 +638,12 @@ impl<'a> ClientConv<'a> {
     /// order — the canonical client rng sequence. With
     /// [`UploadPacing::AwaitAck`] the input ciphertexts are held until
     /// the server's setup acknowledgement arrives on the downlink.
-    pub fn send_all<R: Rng>(
-        &self,
-        transport: &dyn Transport,
-        input: &Tensor,
-        pacing: UploadPacing,
-        rng: &mut R,
-    ) -> Result<ClientSendSummary, SpotError> {
-        // When wire trace context is on, the hello carries a trace id
-        // that the server echoes into its serve span — the merge tool
-        // pairs the two layer spans by this value.
-        let trace_id = spot_trace::next_wire_trace_id();
-        let mut span = spot_trace::span_owned(Cat::Session, || {
-            format!("send_all {}", self.spec.scheme.name())
-        })
-        .arg("input_cts", self.input_cts() as u64);
-        if trace_id != 0 {
-            span = span.arg("trace", trace_id);
-        }
-        let _span = span;
-        let shape = &self.spec.shape;
-        if input.channels() != shape.c_in
-            || input.height() != shape.height
-            || input.width() != shape.width
-        {
-            return Err(SpotError::Protocol(format!(
-                "input tensor {}x{}x{} does not match layer spec {}x{}x{}",
-                input.channels(),
-                input.height(),
-                input.width(),
-                shape.c_in,
-                shape.height,
-                shape.width
-            )));
-        }
-        let mut setup = self.spec.to_setup(self.ctx.params().level());
-        setup.trace = trace_id;
-        transport.send(&WireMessage::Setup(setup))?;
-        let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
-        if !self.elements.is_empty() {
-            let gk = self.keygen.galois_keys(&self.elements, rng);
-            transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
-        }
-        if pacing == UploadPacing::AwaitAck {
-            let msg = transport.recv()?;
-            let WireMessage::LayerBarrier { .. } = msg else {
-                return Err(unexpected(&msg, "LayerBarrier"));
-            };
-        }
-        let t = self.ctx.params().plain_modulus();
-        let n = self.ctx.degree();
-        let mut encrypt = 0u64;
-        let mut seq = 0u32;
-        match &self.detail {
-            PlanDetail::Channelwise { geo, layout, .. } => {
-                let encoder = BatchEncoder::new(&self.ctx);
-                for j in 0..geo.input_cts {
-                    let slots = channelwise_image_slots(geo, layout, shape, input, j, t, n);
-                    let ct = encryptor.encrypt(&encoder.encode(&slots), rng);
-                    encrypt += 1;
-                    transport.send(&WireMessage::PackedCt {
-                        seq,
-                        blob: ct.to_bytes(),
-                    })?;
-                    seq += 1;
-                }
-            }
-            PlanDetail::Cheetah { geo } => {
-                let all_channels: Vec<usize> = (0..shape.c_in).collect();
-                for chunk in all_channels.chunks(geo.channels_per_ct) {
-                    let coeffs = cheetah_chunk_coeffs(shape, input, chunk, t, n);
-                    let ct = encryptor.encrypt(&Plaintext::from_coeffs(coeffs), rng);
-                    encrypt += 1;
-                    transport.send(&WireMessage::PackedCt {
-                        seq,
-                        blob: ct.to_bytes(),
-                    })?;
-                    seq += 1;
-                }
-            }
-            PlanDetail::Spot { blk, layouts, .. } => {
-                let encoder = BatchEncoder::new(&self.ctx);
-                let decomp = decompose(
-                    input,
-                    self.spec.patch.0,
-                    self.spec.patch.1,
-                    shape.k_h,
-                    self.spec.mode,
-                );
-                for (ci, (_class, pieces)) in decomp.classes.iter().enumerate() {
-                    let layout = &layouts[ci];
-                    let packed = if blk.split {
-                        pack_pieces_split(layout, pieces, t)
-                    } else {
-                        pack_pieces(layout, pieces, t)
-                    };
-                    for slots in &packed {
-                        let ct = encryptor.encrypt(&encoder.encode(slots), rng);
-                        encrypt += 1;
-                        let blob = ct.to_bytes();
-                        let msg = if ci == 0 {
-                            WireMessage::PackedCt { seq, blob }
-                        } else {
-                            WireMessage::AuxCt {
-                                class: ci as u16,
-                                seq,
-                                blob,
-                            }
-                        };
-                        transport.send(&msg)?;
-                        seq += 1;
-                    }
-                }
-            }
-        }
-        Ok(ClientSendSummary {
-            encrypt,
-            input_cts: seq as usize,
-        })
-    }
-
-    /// How many queued images this layer can coalesce into one upload:
-    /// the spare SIMD-slot positions of the layer's packing (Cheetah
-    /// batches as sequential images bounded only by the wire field).
-    pub fn batch_capacity(&self) -> usize {
-        plan_batch_capacity(&self.detail)
-    }
-
-    /// Upload phase for a batch of images sharing one session: the
-    /// slot-packed schemes interleave every image's packing into the
-    /// same ciphertexts ([`BatchLayout::pack_images`]), so the upload —
-    /// and the server's rotations and key-switches — stay those of a
-    /// single image. A one-image batch delegates to
-    /// [`ClientConv::send_all`] and is wire-identical to it.
-    pub fn send_all_batched<R: Rng>(
+    ///
+    /// The slot-packed schemes interleave every image's packing into
+    /// the same ciphertexts, so the upload — and the server's rotations
+    /// and key-switches — stay those of a single image; one image is
+    /// the identity layout.
+    pub fn send_batch<R: Rng>(
         &self,
         transport: &dyn Transport,
         inputs: &[Tensor],
@@ -881,21 +651,13 @@ impl<'a> ClientConv<'a> {
         rng: &mut R,
     ) -> Result<ClientSendSummary, SpotError> {
         let batch = inputs.len();
-        if batch <= 1 {
-            let input = inputs
-                .first()
-                .ok_or_else(|| SpotError::Protocol("empty input batch".into()))?;
-            return self.send_all(transport, input, pacing, rng);
-        }
-        let cap = self.batch_capacity().min(MAX_BATCH);
-        if batch > cap {
-            return Err(SpotError::Protocol(format!(
-                "batch of {batch} images exceeds layer capacity {cap}"
-            )));
-        }
+        let width = check_batch(&*self.plan, batch)?;
+        // When wire trace context is on, the hello carries a trace id
+        // that the server echoes into its serve span — the merge tool
+        // pairs the two layer spans by this value.
         let trace_id = spot_trace::next_wire_trace_id();
         let mut span = spot_trace::span_owned(Cat::Session, || {
-            format!("send_all_batched {}", self.spec.scheme.name())
+            format!("send_all {}", self.spec.scheme.name())
         })
         .arg("batch", batch as u64);
         if trace_id != 0 {
@@ -919,13 +681,16 @@ impl<'a> ClientConv<'a> {
                 )));
             }
         }
+        let facts = self.plan.facts();
         let mut setup = self.spec.to_setup(self.ctx.params().level());
-        setup.batch = batch as u8;
+        if batch > 1 {
+            setup.batch = batch as u8;
+        }
         setup.trace = trace_id;
         transport.send(&WireMessage::Setup(setup))?;
         let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
-        if !self.elements.is_empty() {
-            let gk = self.keygen.galois_keys(&self.elements, rng);
+        if !facts.galois_elements.is_empty() {
+            let gk = self.keygen.galois_keys(&facts.galois_elements, rng);
             transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
         }
         if pacing == UploadPacing::AwaitAck {
@@ -935,149 +700,99 @@ impl<'a> ClientConv<'a> {
             };
         }
         let t = self.ctx.params().plain_modulus();
-        let n = self.ctx.degree();
-        let mut encrypt = 0u64;
+        let codec = RowCodec::new(&self.ctx, facts);
         let mut seq = 0u32;
-        match &self.detail {
-            PlanDetail::Channelwise { geo, layout, .. } => {
-                let encoder = BatchEncoder::new(&self.ctx);
-                let blayout = channelwise_batch_layout(layout);
-                for j in 0..geo.input_cts {
-                    let rows: Vec<Vec<u64>> = inputs
-                        .iter()
-                        .map(|img| channelwise_image_slots(geo, layout, shape, img, j, t, n))
-                        .collect();
-                    let slots = blayout.pack_images(&rows);
-                    let ct = encryptor.encrypt(&encoder.encode(&slots), rng);
-                    encrypt += 1;
-                    transport.send(&WireMessage::PackedCt {
+        for round in inputs.chunks(width) {
+            self.plan.pack(round, t, &mut |row| {
+                let blob = encryptor.encrypt(&codec.encode(row), rng).to_bytes();
+                let msg = match self.plan.input_class(seq as usize % facts.input_cts) {
+                    0 => WireMessage::PackedCt { seq, blob },
+                    class => WireMessage::AuxCt {
+                        class: class as u16,
                         seq,
-                        blob: ct.to_bytes(),
-                    })?;
-                    seq += 1;
-                }
-            }
-            PlanDetail::Cheetah { geo } => {
-                // Coefficient packing shares no slots: a batch is the
-                // images in sequence over one session (keys and setup
-                // amortize; rotations are already zero here).
-                let all_channels: Vec<usize> = (0..shape.c_in).collect();
-                for img in inputs {
-                    for chunk in all_channels.chunks(geo.channels_per_ct) {
-                        let coeffs = cheetah_chunk_coeffs(shape, img, chunk, t, n);
-                        let ct = encryptor.encrypt(&Plaintext::from_coeffs(coeffs), rng);
-                        encrypt += 1;
-                        transport.send(&WireMessage::PackedCt {
-                            seq,
-                            blob: ct.to_bytes(),
-                        })?;
-                        seq += 1;
-                    }
-                }
-            }
-            PlanDetail::Spot {
-                blk,
-                probe,
-                layouts,
-                class_cts,
-                ..
-            } => {
-                let encoder = BatchEncoder::new(&self.ctx);
-                // The capacity check above guarantees every non-empty
-                // class packs into exactly one ciphertext per image.
-                let mut per_image: Vec<Vec<Vec<Vec<u64>>>> = inputs
-                    .iter()
-                    .map(|img| {
-                        let decomp = decompose(
-                            img,
-                            self.spec.patch.0,
-                            self.spec.patch.1,
-                            shape.k_h,
-                            self.spec.mode,
-                        );
-                        decomp
-                            .classes
-                            .iter()
-                            .enumerate()
-                            .map(|(ci, (_class, pieces))| {
-                                let layout = &layouts[ci];
-                                if blk.split {
-                                    pack_pieces_split(layout, pieces, t)
-                                } else {
-                                    pack_pieces(layout, pieces, t)
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                for (ci, (_class, pieces)) in probe.classes.iter().enumerate() {
-                    if class_cts[ci] == 0 {
-                        continue;
-                    }
-                    let blayout = spot_batch_layout(blk, &layouts[ci], pieces.len());
-                    let rows: Vec<Vec<u64>> = per_image
-                        .iter_mut()
-                        .map(|classes| classes[ci].pop().expect("one ciphertext per class"))
-                        .collect();
-                    let slots = blayout.pack_images(&rows);
-                    let ct = encryptor.encrypt(&encoder.encode(&slots), rng);
-                    encrypt += 1;
-                    let blob = ct.to_bytes();
-                    let msg = if ci == 0 {
-                        WireMessage::PackedCt { seq, blob }
-                    } else {
-                        WireMessage::AuxCt {
-                            class: ci as u16,
-                            seq,
-                            blob,
-                        }
-                    };
-                    transport.send(&msg)?;
-                    seq += 1;
-                }
-            }
+                        blob,
+                    },
+                };
+                transport.send(&msg)?;
+                seq += 1;
+                Ok(())
+            })?;
         }
         Ok(ClientSendSummary {
-            encrypt,
+            encrypt: u64::from(seq),
             input_cts: seq as usize,
         })
     }
 
-    /// Download phase: receives every masked result, decrypts, and
-    /// assembles the client's additive share. Needs no randomness, so
-    /// it can run concurrently with [`ClientConv::send_all`] over a
-    /// socket transport.
+    /// [`ClientConv::absorb_batch`] for one image.
     pub fn absorb_all(&self, transport: &dyn Transport) -> Result<ClientShare, SpotError> {
-        let expected = self.output_cts();
+        let mut all = self.absorb_batch(transport, 1)?;
+        Ok(ClientShare {
+            share: all.shares.remove(0),
+            decrypt: all.decrypt,
+            output_cts: all.output_cts,
+        })
+    }
+
+    /// Download phase: receives every masked result, decrypts, and
+    /// assembles one additive share per image. Needs no randomness, so
+    /// it can run concurrently with [`ClientConv::send_batch`] over a
+    /// socket transport. Image `b`'s share is bit-identical to a
+    /// one-image run whose server mask rng was seeded with image `b`'s
+    /// per-image seed.
+    pub fn absorb_batch(
+        &self,
+        transport: &dyn Transport,
+        batch: usize,
+    ) -> Result<ClientBatchShare, SpotError> {
+        let width = check_batch(&*self.plan, batch)?;
+        let per_round = self.plan.facts().output_cts;
+        let expected = batch / width * per_round;
         let _span = spot_trace::span_owned(Cat::Session, || {
             format!("absorb_all {}", self.spec.scheme.name())
         })
-        .arg("output_cts", expected as u64);
-        let (mut decoded, decrypt) = self.receive_decoded(transport, expected)?;
-        let share = self.share_from_decoded(&mut decoded);
-        Ok(ClientShare {
-            share,
-            decrypt,
+        .arg("output_cts", expected as u64)
+        .arg("batch", batch as u64);
+        let mut decoded = self.receive_decoded(transport, expected)?;
+        let t = self.ctx.params().plain_modulus();
+        let mut shares = Vec::with_capacity(batch);
+        for round in decoded.chunks_mut(per_round) {
+            for b in 0..width {
+                // A lone image's rows are already in single-image form;
+                // otherwise demultiplex its slot positions.
+                let rows = if width == 1 {
+                    round.iter_mut().map(std::mem::take).collect()
+                } else {
+                    (round.iter().enumerate())
+                        .map(|(r, row)| {
+                            let layout = self.plan.batch_layout(r).expect("images share slots");
+                            layout.unpack_image(row, b)
+                        })
+                        .collect()
+                };
+                shares.push(self.plan.share(rows, t, true));
+            }
+        }
+        Ok(ClientBatchShare {
+            shares,
+            decrypt: expected as u64,
             output_cts: expected,
         })
     }
 
     /// Receives `expected` masked results (any order, validated by
     /// sequence number), decrypts and decodes each into its slot/coeff
-    /// values. Returns the rows in sequence order plus the decryption
-    /// count.
+    /// values. Returns the rows in sequence order.
     fn receive_decoded(
         &self,
         transport: &dyn Transport,
         expected: usize,
-    ) -> Result<(Vec<Vec<u64>>, u64), SpotError> {
+    ) -> Result<Vec<Vec<u64>>, SpotError> {
         let decryptor = Decryptor::new(&self.ctx, self.keygen.secret_key().clone());
-        let coeff_encoded = matches!(self.detail, PlanDetail::Cheetah { .. });
-        let encoder = BatchEncoder::new(&self.ctx);
+        let codec = RowCodec::new(&self.ctx, self.plan.facts());
         let mut decoded: Vec<Option<Vec<u64>>> = vec![None; expected];
-        let mut decrypt = 0u64;
         // An eagerly-pacing client never consumed the server's setup
-        // acknowledgement during `send_all`; it is the first downlink
+        // acknowledgement during the upload; it is the first downlink
         // message, ahead of the masked results.
         let mut first = Some(transport.recv()?);
         if matches!(first, Some(WireMessage::LayerBarrier { .. })) {
@@ -1091,210 +806,21 @@ impl<'a> ClientConv<'a> {
             let WireMessage::MaskedResult { seq, blob } = msg else {
                 return Err(unexpected(&msg, "MaskedResult"));
             };
-            let slot = decoded
-                .get_mut(seq as usize)
-                .ok_or_else(|| {
-                    SpotError::Protocol(format!(
-                        "result seq {seq} out of range (expected {expected} results)"
-                    ))
-                })?
-                .as_mut();
+            let slot = decoded.get_mut(seq as usize).ok_or_else(|| {
+                SpotError::Protocol(format!(
+                    "result seq {seq} out of range (expected {expected} results)"
+                ))
+            })?;
             if slot.is_some() {
                 return Err(SpotError::Protocol(format!("duplicate result seq {seq}")));
             }
             let ct = Ciphertext::try_from_bytes(&self.ctx, &blob)?;
-            let plain = decryptor.decrypt(&ct);
-            decrypt += 1;
-            let values = if coeff_encoded {
-                plain.coeffs().to_vec()
-            } else {
-                encoder.decode(&plain)
-            };
-            decoded[seq as usize] = Some(values);
+            *slot = Some(codec.decode(&decryptor.decrypt(&ct)));
         }
-        let decoded: Vec<Vec<u64>> = decoded
+        Ok(decoded
             .into_iter()
             .map(|d| d.expect("all sequence numbers seen"))
-            .collect();
-        Ok((decoded, decrypt))
-    }
-
-    /// Assembles one image's additive share from its decoded result
-    /// rows (in sequence order; SPOT rows are consumed in place).
-    fn share_from_decoded(&self, decoded: &mut [Vec<u64>]) -> Tensor {
-        let t = self.ctx.params().plain_modulus();
-        let shape = &self.spec.shape;
-        let oh = shape.out_height();
-        let ow = shape.out_width();
-        match &self.detail {
-            PlanDetail::Channelwise { layout, groups, .. } => {
-                let lane = self.ctx.degree() / 2;
-                let mut share = Tensor::zeros(shape.c_out, oh, ow);
-                for (k, values) in decoded.iter().enumerate() {
-                    for (lane_idx, row) in groups[k].out_ch.iter().enumerate() {
-                        for (b, ch) in row.iter().enumerate() {
-                            let Some(o) = *ch else { continue };
-                            for y in 0..oh {
-                                for x in 0..ow {
-                                    let idx = lane_idx * lane
-                                        + layout.slot(b, 0, y * shape.stride, x * shape.stride);
-                                    *share.at_mut(o, y, x) = centered(values[idx], t);
-                                }
-                            }
-                        }
-                    }
-                }
-                share
-            }
-            PlanDetail::Cheetah { geo } => {
-                let wp = shape.width + shape.k_w - 1;
-                let s_ch = geo.channel_coeffs;
-                let base = (geo.channels_per_ct - 1) * s_ch;
-                let ph = (shape.k_h - 1) / 2;
-                let pw = (shape.k_w - 1) / 2;
-                let mut share = Tensor::zeros(shape.c_out, oh, ow);
-                for (o, values) in decoded.iter().enumerate() {
-                    for y in 0..oh {
-                        for x in 0..ow {
-                            let idx = base + (y * shape.stride + ph) * wp + (x * shape.stride + pw);
-                            *share.at_mut(o, y, x) = centered(values[idx], t);
-                        }
-                    }
-                }
-                share
-            }
-            PlanDetail::Spot {
-                blk,
-                probe,
-                layouts,
-                class_cts,
-                groups,
-                ..
-            } => {
-                let out_groups = groups.len();
-                let mut client_pieces: Vec<Tensor> = Vec::new();
-                let mut j = 0usize;
-                for (ci, (class, pieces)) in probe.classes.iter().enumerate() {
-                    let mut group_slots: Vec<Vec<Vec<u64>>> = vec![Vec::new(); out_groups];
-                    for _ in 0..class_cts[ci] {
-                        for (g, gs) in group_slots.iter_mut().enumerate() {
-                            gs.push(std::mem::take(&mut decoded[j * out_groups + g]));
-                        }
-                        j += 1;
-                    }
-                    client_pieces.extend(spot::unpack_class_share(
-                        blk,
-                        &layouts[ci],
-                        pieces.len(),
-                        class.h,
-                        class.w,
-                        shape.c_out,
-                        t,
-                        &group_slots,
-                    ));
-                }
-                let full =
-                    crate::patching::assemble(probe, &client_pieces, shape.height, shape.width);
-                Tensor::from_fn(shape.c_out, oh, ow, |c, y, x| {
-                    full.at(c, y * shape.stride, x * shape.stride)
-                })
-            }
-        }
-    }
-
-    /// Download phase for a batched upload: receives the shared masked
-    /// results, then demultiplexes each image's slot positions
-    /// ([`BatchLayout::unpack_image`]) before running the ordinary
-    /// single-image share assembly. Image `b`'s share is bit-identical
-    /// to an unbatched run whose server mask rng was seeded with image
-    /// `b`'s per-image seed. A one-image batch delegates to
-    /// [`ClientConv::absorb_all`].
-    pub fn absorb_all_batched(
-        &self,
-        transport: &dyn Transport,
-        batch: usize,
-    ) -> Result<ClientBatchShare, SpotError> {
-        if batch <= 1 {
-            let one = self.absorb_all(transport)?;
-            return Ok(ClientBatchShare {
-                shares: vec![one.share],
-                decrypt: one.decrypt,
-                output_cts: one.output_cts,
-            });
-        }
-        let expected = match &self.detail {
-            // Sequential images: every image has its own result cts.
-            PlanDetail::Cheetah { .. } => batch * self.spec.shape.c_out,
-            // Shared ciphertexts: the result count is that of one image.
-            _ => self.output_cts(),
-        };
-        let _span = spot_trace::span_owned(Cat::Session, || {
-            format!("absorb_all_batched {}", self.spec.scheme.name())
-        })
-        .arg("output_cts", expected as u64)
-        .arg("batch", batch as u64);
-        let (decoded, decrypt) = self.receive_decoded(transport, expected)?;
-        let shares = match &self.detail {
-            PlanDetail::Channelwise { layout, .. } => {
-                let blayout = channelwise_batch_layout(layout);
-                (0..batch)
-                    .map(|b| {
-                        let mut img: Vec<Vec<u64>> = decoded
-                            .iter()
-                            .map(|row| blayout.unpack_image(row, b))
-                            .collect();
-                        self.share_from_decoded(&mut img)
-                    })
-                    .collect()
-            }
-            PlanDetail::Cheetah { .. } => {
-                let c_out = self.spec.shape.c_out;
-                let mut shares = Vec::with_capacity(batch);
-                let mut rows = decoded.into_iter();
-                for _ in 0..batch {
-                    let mut img: Vec<Vec<u64>> = rows.by_ref().take(c_out).collect();
-                    shares.push(self.share_from_decoded(&mut img));
-                }
-                shares
-            }
-            PlanDetail::Spot {
-                blk,
-                probe,
-                layouts,
-                class_cts,
-                groups,
-                ..
-            } => {
-                let blayouts: Vec<BatchLayout> = layouts
-                    .iter()
-                    .zip(&probe.classes)
-                    .map(|(lay, (_class, pieces))| spot_batch_layout(blk, lay, pieces.len()))
-                    .collect();
-                let out_groups = groups.len();
-                // Result row index → class, mirroring the send order:
-                // each class ct contributes `out_groups` result rows.
-                let row_class: Vec<usize> = class_cts
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(ci, &cnt)| std::iter::repeat_n(ci, cnt * out_groups))
-                    .collect();
-                (0..batch)
-                    .map(|b| {
-                        let mut img: Vec<Vec<u64>> = decoded
-                            .iter()
-                            .enumerate()
-                            .map(|(row, values)| blayouts[row_class[row]].unpack_image(values, b))
-                            .collect();
-                        self.share_from_decoded(&mut img)
-                    })
-                    .collect()
-            }
-        };
-        Ok(ClientBatchShare {
-            shares,
-            decrypt,
-            output_cts: expected,
-        })
+            .collect())
     }
 }
 
@@ -1365,7 +891,7 @@ pub struct ServerConvSummary {
     /// The server's additive share of the (strided) output tensor
     /// (image 0 of a batched layer).
     pub server_share: Tensor,
-    /// Server shares of batched images 1.. (empty for an unbatched
+    /// Server shares of batched images 1.. (empty for a one-image
     /// layer).
     pub extra_shares: Vec<Tensor>,
     /// HE operations performed on the server (per batch, not per
@@ -1449,14 +975,10 @@ pub fn serve_conv_with<R: Rng>(
             shape.k_w
         )));
     }
-    let detail = plan_layer(&spec, level)?;
+    let plan = spec.scheme.plan(&spec, level)?;
+    let facts = plan.facts();
     let batch = (setup.batch as usize).max(1);
-    let cap = plan_batch_capacity(&detail);
-    if batch > cap {
-        return Err(SpotError::Protocol(format!(
-            "batch of {batch} images exceeds layer capacity {cap}"
-        )));
-    }
+    check_batch(&*plan, batch)?;
     if let Some(max) = opts.max_batch {
         if batch > max {
             return Err(SpotError::Rejected {
@@ -1467,8 +989,7 @@ pub fn serve_conv_with<R: Rng>(
             });
         }
     }
-    let elements = galois_elements(&spec, &detail);
-    let galois = if elements.is_empty() {
+    let galois = if facts.galois_elements.is_empty() {
         Arc::new(GaloisKeys::default())
     } else {
         let msg = transport.recv()?;
@@ -1476,7 +997,7 @@ pub fn serve_conv_with<R: Rng>(
             return Err(unexpected(&msg, "GaloisKeys"));
         };
         let gk = galois_keys_from_bytes(ctx, &blob)?;
-        for &e in &elements {
+        for &e in &facts.galois_elements {
             if !gk.contains(e) {
                 return Err(SpotError::Protocol(format!(
                     "client rotation keys miss required galois element {e}"
@@ -1492,94 +1013,32 @@ pub fn serve_conv_with<R: Rng>(
     // stall window instead of pre-buffering in the transport while the
     // server is still deserializing rotation keys.
     transport.send(&WireMessage::LayerBarrier { layer: 0 })?;
-    // A batched layer splits one rng per image off the session rng (a
-    // fixed `batch` draws, before any mask), so image `b`'s masks — and
-    // therefore both parties' shares — are bit-identical to an
-    // unbatched run whose server rng was seeded with seed `b`. An
-    // unbatched layer draws nothing here, keeping the canonical
-    // mask-only rng order.
-    let mut batch_rngs: Vec<StdRng> = if batch > 1 {
-        (0..batch)
-            .map(|_| StdRng::seed_from_u64(rng.gen()))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // One kernel cache per patch class (channel-wise: a single class).
-    // With `opts.shared` these come from the per-model pool, so every
-    // session multiplies against the same lifted plaintexts.
-    let classes = match &detail {
-        PlanDetail::Channelwise { .. } => 1,
-        PlanDetail::Cheetah { .. } => 0,
-        PlanDetail::Spot { layouts, .. } => layouts.len(),
-    };
+    // One kernel cache per class. With `opts.shared` these come from
+    // the per-model pool, so every session multiplies against the same
+    // lifted plaintexts. The layouts differ between classes, so sharing
+    // one cache (keyed by `cache_tag` within a class) would collide.
     let caches: Vec<KernelCache> = match opts.shared {
-        Some(shared) => shared.class_caches(&spec, classes),
-        None => (0..classes).map(|_| KernelCache::new()).collect(),
+        Some(shared) => shared.class_caches(&spec, facts.cache_classes),
+        None => (0..facts.cache_classes)
+            .map(|_| KernelCache::new())
+            .collect(),
+    };
+    let kit = ServerKit {
+        ctx,
+        kernel,
+        evaluator: Evaluator::new(ctx),
+        engines: caches
+            .into_iter()
+            .map(|cache| {
+                HeConvEngine::with_shared_cache(ctx, Arc::clone(&galois), facts.use_bsgs, cache)
+            })
+            .collect(),
     };
     // Live-registry serve latency, labeled by scheme. The Instant is
     // only taken when metrics are on, and only successful serves are
     // recorded — error paths would pollute the latency series.
     let serve_start = spot_trace::metrics::enabled().then(Instant::now);
-    let result = match detail {
-        PlanDetail::Channelwise {
-            geo,
-            layout,
-            groups,
-        } => serve_channelwise(
-            ctx,
-            transport,
-            kernel,
-            &spec,
-            &geo,
-            &layout,
-            &groups,
-            galois,
-            caches.into_iter().next().expect("one channelwise cache"),
-            backend,
-            batch,
-            &mut batch_rngs,
-            rng,
-        ),
-        PlanDetail::Cheetah { geo } => serve_cheetah(
-            ctx,
-            transport,
-            kernel,
-            &spec,
-            &geo,
-            backend,
-            batch,
-            &mut batch_rngs,
-            rng,
-        ),
-        PlanDetail::Spot {
-            blk,
-            probe,
-            layouts,
-            class_cts,
-            groups,
-            in_maps,
-            input_cts,
-        } => serve_spot(
-            ctx,
-            transport,
-            kernel,
-            &spec,
-            &blk,
-            &probe,
-            &layouts,
-            &class_cts,
-            &groups,
-            &in_maps,
-            input_cts,
-            galois,
-            caches,
-            backend,
-            batch,
-            &mut batch_rngs,
-            rng,
-        ),
-    };
+    let result = serve_rounds(transport, &*plan, &kit, backend, batch, rng);
     if let (Some(t0), Ok(_)) = (serve_start, &result) {
         spot_trace::metrics::global()
             .histogram("spot_conv_serve_ns", &[("scheme", spec.scheme.name())])
@@ -1588,543 +1047,134 @@ pub fn serve_conv_with<R: Rng>(
     result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_channelwise<R: Rng>(
-    ctx: &Arc<Context>,
+/// The server driver proper, after the handshake: per round, ingest the
+/// upload, convolve under the backend and the scheme's dependency
+/// class, and mask-and-send every result in result order.
+fn serve_rounds<R: Rng>(
     transport: &dyn Transport,
-    kernel: &Kernel,
-    spec: &LayerSpec,
-    geo: &channelwise::ChannelwiseGeometry,
-    layout: &LaneLayout,
-    groups: &[GroupSpec],
-    galois: Arc<GaloisKeys>,
-    cache: KernelCache,
+    plan: &dyn ConvScheme,
+    kit: &ServerKit<'_>,
     backend: &ExecBackend,
     batch: usize,
-    batch_rngs: &mut [StdRng],
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
-    let shape = &spec.shape;
-    let engine = HeConvEngine::with_shared_cache(ctx, galois, false, cache);
+    let (facts, ctx) = (plan.facts(), kit.ctx);
+    let (n, t) = (ctx.degree(), ctx.params().plain_modulus());
+    let codec = RowCodec::new(ctx, facts);
+    let width = plan.round_width(batch);
+    let rounds = batch / width;
+    // B=1 bit-identity, case 1: a lone image's masks come straight
+    // from the session rng, the canonical mask-only draw order. A wider
+    // batch first splits one rng per image off it (a fixed `batch`
+    // draws, before any mask), so image `b`'s masks — and both parties'
+    // shares — equal a one-image run whose server rng had seed `b`.
+    let mut image_rngs: Vec<StdRng> = if batch > 1 {
+        (0..batch)
+            .map(|_| StdRng::seed_from_u64(rng.gen()))
+            .collect()
+    } else {
+        Vec::new()
+    };
     let mut counts = OpCounts::default();
-
-    let conv_one = |j: usize, ct: &Ciphertext| {
-        let map = channelwise::channel_map(geo, j, shape.c_in);
-        let mut in_maps = vec![map.clone()];
-        if geo.both_lanes {
-            in_maps.push(vec![map[1].clone(), map[0].clone()]);
-        }
-        let mut c = OpCounts::default();
-        let partials = engine.conv_one_ct(
-            ct,
-            &ConvRequest {
-                layout,
-                in_maps: &in_maps,
-                groups,
-                diagonals: geo.blocks_per_lane,
-                fold_steps: &[],
-                kernel,
-                cache_tag: j,
-            },
-            &mut c,
-        );
-        (partials, c)
-    };
-
-    let (per_ct, stream) = match backend {
-        ExecBackend::Phased(ex) => {
-            let mut cts = Vec::with_capacity(geo.input_cts);
-            for j in 0..geo.input_cts {
-                cts.push(recv_input_ct(transport, ctx, j, 0)?);
-            }
-            (ex.run(&cts, |j, ct| conv_one(j, ct)), None)
-        }
-        ExecBackend::Streaming(cfg) => {
-            let mut per_ct = Vec::with_capacity(geo.input_cts);
-            let stats = run_stream_barrier(
-                cfg,
-                geo.input_cts,
-                |feeder| {
-                    for j in 0..geo.input_cts {
-                        feeder.push(recv_input_ct(transport, ctx, j, 0)?)?;
-                    }
-                    Ok(())
-                },
-                |j, inputs: &[Ciphertext]| conv_one(j, &inputs[j]),
-                |_, r| {
-                    per_ct.push(r);
-                    Ok(())
-                },
-            )?;
-            (per_ct, Some(stats))
-        }
-    };
-
-    // Cross-ciphertext accumulation in input order, as a serial run.
-    let mut out_cts: Vec<Option<Ciphertext>> = vec![None; geo.output_cts];
-    for (partials, c) in per_ct {
-        counts.merge(&c);
-        for (k, p) in partials.into_iter().enumerate() {
-            match &mut out_cts[k] {
-                None => out_cts[k] = Some(p),
-                Some(acc) => {
-                    engine.evaluator().add_inplace(acc, &p);
-                    counts.add += 1;
-                }
-            }
-        }
-    }
-
-    // Mask, send, and keep the server shares (masks in output order;
-    // for a batched layer each image's masks come from its own rng, in
-    // the same per-image order as an unbatched run, and the shared
-    // ciphertext is masked by their slot-scattered union).
-    let t = ctx.params().plain_modulus();
-    let lane = ctx.degree() / 2;
-    let oh = shape.out_height();
-    let ow = shape.out_width();
-    let blayout = channelwise_batch_layout(layout);
-    let mut shares: Vec<Tensor> = (0..batch)
-        .map(|_| Tensor::zeros(shape.c_out, oh, ow))
-        .collect();
-    for (k, maybe_ct) in out_cts.into_iter().enumerate() {
-        let ct = maybe_ct
-            .ok_or_else(|| SpotError::Protocol(format!("output group {k} produced no result")))?;
-        let rs: Vec<Vec<u64>> = if batch > 1 {
-            batch_rngs
-                .iter_mut()
-                .map(|r| draw_mask(r, ctx.degree(), t))
-                .collect()
-        } else {
-            vec![draw_mask(rng, ctx.degree(), t)]
-        };
-        let masked = if batch > 1 {
-            let shared = blayout.scatter_masks(&rs);
-            engine
-                .evaluator()
-                .sub_plain(&ct, &engine.encoder().encode(&shared))
-        } else {
-            engine
-                .evaluator()
-                .sub_plain(&ct, &engine.encoder().encode(&rs[0]))
-        };
-        counts.add += 1;
-        transport.send(&WireMessage::MaskedResult {
-            seq: k as u32,
-            blob: masked.to_bytes(),
-        })?;
-        for (img, r) in rs.iter().enumerate() {
-            for (lane_idx, row) in groups[k].out_ch.iter().enumerate() {
-                for (b, ch) in row.iter().enumerate() {
-                    let Some(o) = *ch else { continue };
-                    for y in 0..oh {
-                        for x in 0..ow {
-                            let idx = lane_idx * lane
-                                + layout.slot(b, 0, y * shape.stride, x * shape.stride);
-                            *shares[img].at_mut(o, y, x) = r[idx] as i64;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let mut shares = shares.into_iter();
-    Ok(ServerConvSummary {
-        server_share: shares.next().expect("batch >= 1"),
-        extra_shares: shares.collect(),
-        counts,
-        input_cts: geo.input_cts,
-        output_cts: geo.output_cts,
-        stream,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_cheetah<R: Rng>(
-    ctx: &Arc<Context>,
-    transport: &dyn Transport,
-    kernel: &Kernel,
-    spec: &LayerSpec,
-    geo: &cheetah::CheetahGeometry,
-    backend: &ExecBackend,
-    batch: usize,
-    batch_rngs: &mut [StdRng],
-    rng: &mut R,
-) -> Result<ServerConvSummary, SpotError> {
-    let shape = &spec.shape;
-    let evaluator = Evaluator::new(ctx);
-    let n = ctx.degree();
-    let t = ctx.params().plain_modulus();
-    let wp = shape.width + shape.k_w - 1;
-    let s_ch = geo.channel_coeffs;
-    let chunk_cap = geo.channels_per_ct;
-    let all_channels: Vec<usize> = (0..shape.c_in).collect();
-    let chunks: Vec<&[usize]> = all_channels.chunks(chunk_cap).collect();
-    let input_cts = chunks.len();
-    let mut counts = OpCounts::default();
-
-    // One output channel's ring product summed over every chunk.
-    let product_for = |o: usize, inputs: &[Ciphertext]| {
-        let mut c_local = OpCounts::default();
-        let mut acc: Option<Ciphertext> = None;
-        for (ci_idx, chunk) in chunks.iter().enumerate() {
-            let mut wcoeffs = vec![0u64; n];
-            for (local, &c) in chunk.iter().enumerate() {
-                for u in 0..shape.k_h {
-                    for v in 0..shape.k_w {
-                        let w = kernel.at(o, c, u, v).rem_euclid(t as i64) as u64;
-                        let idx = (chunk_cap - 1 - local) * s_ch
-                            + (shape.k_h - 1 - u) * wp
-                            + (shape.k_w - 1 - v);
-                        wcoeffs[idx] = w;
-                    }
-                }
-            }
-            let prod = evaluator.multiply_plain(&inputs[ci_idx], &Plaintext::from_coeffs(wcoeffs));
-            c_local.mult_plain += 1;
-            match &mut acc {
-                None => acc = Some(prod),
-                Some(a) => {
-                    evaluator.add_inplace(a, &prod);
-                    c_local.add += 1;
-                }
-            }
-        }
-        (acc.expect("at least one chunk"), c_local)
-    };
-
-    let oh = shape.out_height();
-    let ow = shape.out_width();
-    let ph = (shape.k_h - 1) / 2;
-    let pw = (shape.k_w - 1) / 2;
-    let base = (chunk_cap - 1) * s_ch;
-    // Masks the accumulated product for output channel `o`, sends it,
-    // and records the server's share — masks strictly in `seq` order.
-    let absorb = |seq: u32,
-                  o: usize,
-                  (out_ct, c_local): (Ciphertext, OpCounts),
-                  counts: &mut OpCounts,
-                  server_share: &mut Tensor,
-                  mask: &mut MaskRng<R>|
-     -> Result<(), SpotError> {
-        counts.merge(&c_local);
-        let r = mask.draw(n, t);
-        let masked = evaluator.sub_plain(&out_ct, &Plaintext::from_coeffs(r.clone()));
-        counts.add += 1;
-        transport.send(&WireMessage::MaskedResult {
-            seq,
-            blob: masked.to_bytes(),
-        })?;
-        for y in 0..oh {
-            for x in 0..ow {
-                let idx = base + (y * shape.stride + ph) * wp + (x * shape.stride + pw);
-                *server_share.at_mut(o, y, x) = r[idx] as i64;
-            }
-        }
-        Ok(())
-    };
-
-    // Coefficient packing shares no slots, so a batch is its images in
-    // sequence over one session (sequence numbers keep counting); each
-    // image's masks come from its own per-image rng.
-    let mut shares: Vec<Tensor> = Vec::with_capacity(batch);
-    let mut stream_acc: Option<StreamStats> = None;
-    for b in 0..batch {
-        let mut share_b = Tensor::zeros(shape.c_out, oh, ow);
-        let mut mask = match batch_rngs.get_mut(b) {
-            Some(r) => MaskRng::Image(r),
-            None => MaskRng::Session(&mut *rng),
-        };
-        let seq_in = b * input_cts;
-        let seq_out = (b * shape.c_out) as u32;
-        match backend {
-            ExecBackend::Phased(ex) => {
-                let mut cts = Vec::with_capacity(input_cts);
-                for j in 0..input_cts {
-                    cts.push(recv_input_ct(transport, ctx, seq_in + j, 0)?);
-                }
-                let out_channels: Vec<usize> = (0..shape.c_out).collect();
-                let accumulated = ex.run(&out_channels, |_, &o| product_for(o, &cts));
-                for (o, acc) in accumulated.into_iter().enumerate() {
-                    absorb(
-                        seq_out + o as u32,
-                        o,
-                        acc,
-                        &mut counts,
-                        &mut share_b,
-                        &mut mask,
-                    )?;
-                }
-            }
-            ExecBackend::Streaming(cfg) => {
-                let counts_ref = &mut counts;
-                let share_ref = &mut share_b;
-                let mask_ref = &mut mask;
-                let stats = run_stream_barrier(
-                    cfg,
-                    shape.c_out,
-                    |feeder| {
-                        for j in 0..input_cts {
-                            feeder.push(recv_input_ct(transport, ctx, seq_in + j, 0)?)?;
-                        }
-                        Ok(())
-                    },
-                    |o, inputs: &[Ciphertext]| product_for(o, inputs),
-                    |o, acc| absorb(seq_out + o as u32, o, acc, counts_ref, share_ref, mask_ref),
-                )?;
-                match &mut stream_acc {
-                    None => stream_acc = Some(stats),
-                    Some(acc) => acc.accumulate(&stats),
-                }
-            }
-        }
-        shares.push(share_b);
-    }
-
-    let mut shares = shares.into_iter();
-    Ok(ServerConvSummary {
-        server_share: shares.next().expect("batch >= 1"),
-        extra_shares: shares.collect(),
-        counts,
-        input_cts: batch * input_cts,
-        output_cts: batch * shape.c_out,
-        stream: stream_acc,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_spot<R: Rng>(
-    ctx: &Arc<Context>,
-    transport: &dyn Transport,
-    kernel: &Kernel,
-    spec: &LayerSpec,
-    blk: &Blocking,
-    probe: &Decomposition,
-    layouts: &[LaneLayout],
-    class_cts: &[usize],
-    groups: &[GroupSpec],
-    in_maps: &[ChannelMap],
-    input_cts: usize,
-    galois: Arc<GaloisKeys>,
-    caches: Vec<KernelCache>,
-    backend: &ExecBackend,
-    batch: usize,
-    batch_rngs: &mut [StdRng],
-    rng: &mut R,
-) -> Result<ServerConvSummary, SpotError> {
-    let shape = &spec.shape;
-    let t = ctx.params().plain_modulus();
-    let n = ctx.degree();
-    let out_groups = groups.len();
-    // Per-class batch layouts for scattering per-image masks into the
-    // shared result ciphertexts (unused when the batch is one image).
-    let blayouts: Vec<BatchLayout> = layouts
-        .iter()
-        .zip(&probe.classes)
-        .map(|(lay, (_class, pieces))| spot_batch_layout(blk, lay, pieces.len()))
-        .collect();
-    // One engine per class: the layouts differ, so sharing the
-    // NTT-domain kernel cache (keyed by `cache_tag` = 0 within a class)
-    // across classes would collide. Each class's cache may itself be
-    // shared with other sessions of the same model.
-    debug_assert_eq!(caches.len(), layouts.len());
-    let engines: Vec<HeConvEngine> = caches
-        .into_iter()
-        .map(|cache| HeConvEngine::with_shared_cache(ctx, Arc::clone(&galois), true, cache))
-        .collect();
-    // Global ciphertext index → class index.
-    let ct_class: Vec<usize> = class_cts
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, &cnt)| std::iter::repeat_n(ci, cnt))
-        .collect();
-    debug_assert_eq!(ct_class.len(), input_cts);
-
-    let conv_one = |ci: usize, ct: &Ciphertext| {
-        let req = ConvRequest {
-            layout: &layouts[ci],
-            in_maps,
-            groups,
-            diagonals: blk.diagonals,
-            fold_steps: &blk.fold_steps,
-            kernel,
-            cache_tag: 0,
-        };
-        let mut c = OpCounts::default();
-        let outs = engines[ci].conv_one_ct(ct, &req, &mut c);
-        (outs, c)
-    };
-
-    let mut counts = OpCounts::default();
-    let mut server_pieces: Vec<Vec<Tensor>> = vec![Vec::new(); batch];
+    let mut masks: Vec<Vec<Vec<u64>>> = vec![Vec::new(); batch];
+    let mut stream: Option<StreamStats> = None;
     let mut seq_out = 0u32;
 
-    // Per-class consumer state: masks drawn per (ciphertext, group) in
-    // global order — one draw per image at each event, so every image's
-    // rng sees the unbatched order — and a completed class unpacks into
-    // per-image piece shares.
-    let mut group_server: Vec<Vec<Vec<Vec<u64>>>> = vec![vec![Vec::new(); out_groups]; batch];
-    let mut seen_cts = 0usize;
-    let absorb_ct = |ci: usize,
-                     outs: Vec<Ciphertext>,
-                     c: OpCounts,
-                     counts: &mut OpCounts,
-                     group_server: &mut Vec<Vec<Vec<Vec<u64>>>>,
-                     seen_cts: &mut usize,
-                     server_pieces: &mut Vec<Vec<Tensor>>,
-                     seq_out: &mut u32,
-                     batch_rngs: &mut [StdRng],
-                     rng: &mut R|
-     -> Result<(), SpotError> {
-        counts.merge(&c);
-        for (g, out_ct) in outs.into_iter().enumerate() {
-            if batch > 1 {
-                let rs: Vec<Vec<u64>> = batch_rngs.iter_mut().map(|r| draw_mask(r, n, t)).collect();
-                let shared = blayouts[ci].scatter_masks(&rs);
-                let masked = engines[ci]
-                    .evaluator()
-                    .sub_plain(&out_ct, &engines[ci].encoder().encode(&shared));
+    for round in 0..rounds {
+        let images = round * width..(round + 1) * width;
+        let mut acc = Vec::new();
+        let mut result = 0usize;
+        // Consumer, on this thread in job order: every result that is
+        // final gets one fresh mask per image, goes back masked, and
+        // leaves the masks behind as the server's rows.
+        let mut emit = |job: usize, (outs, c): (Vec<Ciphertext>, OpCounts)| {
+            counts.merge(&c);
+            for ct in plan.collect(kit, job, outs, &mut acc, &mut counts) {
+                let rows: Vec<Vec<u64>> = (images.clone())
+                    .map(|img| match image_rngs.get_mut(img) {
+                        Some(r) => draw_mask(r, n, t),
+                        None => draw_mask(&mut *rng, n, t),
+                    })
+                    .collect();
+                // B=1 bit-identity, case 2: a lone image is masked by
+                // its full-width vector. `scatter_masks(&[r])` would
+                // zero every position past the image's stride, changing
+                // the downlink bytes and leaving those slots unmasked.
+                let mask = match plan.batch_layout(result) {
+                    Some(layout) if width > 1 => layout.scatter_masks(&rows),
+                    _ => rows[0].clone(),
+                };
+                let masked = kit.evaluator.sub_plain(&ct, &codec.encode(mask));
                 counts.add += 1;
                 transport.send(&WireMessage::MaskedResult {
-                    seq: *seq_out,
+                    seq: seq_out,
                     blob: masked.to_bytes(),
                 })?;
-                *seq_out += 1;
-                for (img, r) in rs.into_iter().enumerate() {
-                    group_server[img][g].push(r);
-                }
-            } else {
-                let r = draw_mask(rng, n, t);
-                let masked = engines[ci]
-                    .evaluator()
-                    .sub_plain(&out_ct, &engines[ci].encoder().encode(&r));
-                counts.add += 1;
-                transport.send(&WireMessage::MaskedResult {
-                    seq: *seq_out,
-                    blob: masked.to_bytes(),
-                })?;
-                *seq_out += 1;
-                group_server[0][g].push(r);
-            }
-        }
-        *seen_cts += 1;
-        if *seen_cts == class_cts[ci] {
-            let (class, pieces) = &probe.classes[ci];
-            for (img, gs) in group_server.iter_mut().enumerate() {
-                server_pieces[img].extend(spot::unpack_class_share(
-                    blk,
-                    &layouts[ci],
-                    pieces.len(),
-                    class.h,
-                    class.w,
-                    shape.c_out,
-                    t,
-                    gs,
-                ));
-                for slots in gs.iter_mut() {
-                    slots.clear();
+                seq_out += 1;
+                result += 1;
+                for (img, row) in images.clone().zip(rows) {
+                    masks[img].push(row);
                 }
             }
-            *seen_cts = 0;
-        }
-        Ok(())
-    };
-
-    let stream = match backend {
-        ExecBackend::Phased(ex) => {
-            // Receive the full upload, then convolve class by class.
-            let mut class_data: Vec<Vec<Ciphertext>> = vec![Vec::new(); layouts.len()];
-            for (j, &ci) in ct_class.iter().enumerate() {
-                class_data[ci].push(recv_input_ct(transport, ctx, j, ci)?);
-            }
-            for (ci, cts) in class_data.iter().enumerate() {
-                let convolved = ex.run(cts, |_, ct| conv_one(ci, ct));
-                for (outs, c) in convolved {
-                    absorb_ct(
-                        ci,
-                        outs,
-                        c,
-                        &mut counts,
-                        &mut group_server,
-                        &mut seen_cts,
-                        &mut server_pieces,
-                        &mut seq_out,
-                        &mut *batch_rngs,
-                        rng,
-                    )?;
+            Ok::<(), SpotError>(())
+        };
+        let recv_blob =
+            |j: usize| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j));
+        let recv_ct =
+            |j: usize| Ok::<_, SpotError>(Ciphertext::try_from_bytes(ctx, &recv_blob(j)?)?);
+        let stats = match (backend, facts.dependency) {
+            (ExecBackend::Phased(ex), dependency) => {
+                let cts = (0..facts.input_cts)
+                    .map(recv_ct)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let jobs: Vec<usize> = (0..facts.jobs).collect();
+                let outs = ex.run(&jobs, |_, &j| match dependency {
+                    OutputDependency::PerInput => plan.convolve(kit, j, &cts[j..=j]),
+                    OutputDependency::AllInputs => plan.convolve(kit, j, &cts),
+                });
+                for (j, out) in outs.into_iter().enumerate() {
+                    emit(j, out)?;
                 }
+                None
             }
-            None
-        }
-        ExecBackend::Streaming(cfg) => {
-            let counts_ref = &mut counts;
-            let group_server_ref = &mut group_server;
-            let seen_ref = &mut seen_cts;
-            let pieces_ref = &mut server_pieces;
-            let seq_ref = &mut seq_out;
-            let batch_rngs_ref = &mut *batch_rngs;
-            let rng_ref = &mut *rng;
-            let ct_class_ref = &ct_class;
-            let conv_one_ref = &conv_one;
-            let stats = run_stream(
+            // Per-input dependency: convolution starts the moment an
+            // upload arrives. Deserialization happens on the worker
+            // pool so the ingest thread goes straight back to the
+            // transport; results return overlapped with ongoing uploads.
+            (ExecBackend::Streaming(cfg), OutputDependency::PerInput) => Some(run_stream(
                 cfg,
-                // Ingest: validate and forward each upload the moment
-                // it arrives — SPOT's per-input dependency means
-                // convolution starts immediately. Deserialization
-                // happens on the worker pool so the ingest thread goes
-                // straight back to the transport.
-                |feeder| {
-                    for (j, &ci) in ct_class_ref.iter().enumerate() {
-                        feeder.push((ci, recv_input_blob(transport, j, ci)?))?;
-                    }
-                    Ok(())
-                },
-                |_, (ci, blob): (usize, Vec<u8>)| {
+                |feeder| (0..facts.input_cts).try_for_each(|j| feeder.push(recv_blob(j)?)),
+                |j, blob: Vec<u8>| {
                     let ct = Ciphertext::try_from_bytes(ctx, &blob)?;
-                    let (outs, c) = conv_one_ref(ci, &ct);
-                    Ok::<_, SpotError>((ci, outs, c))
+                    Ok::<_, SpotError>(plan.convolve(kit, j, &[ct]))
                 },
-                // Caller thread, in upload order: mask and return each
-                // result, overlapped with ongoing uploads.
-                |_, convolved| {
-                    let (ci, outs, c) = convolved?;
-                    absorb_ct(
-                        ci,
-                        outs,
-                        c,
-                        counts_ref,
-                        group_server_ref,
-                        seen_ref,
-                        pieces_ref,
-                        seq_ref,
-                        batch_rngs_ref,
-                        rng_ref,
-                    )
-                },
-            )?;
-            Some(stats)
+                |j, out| emit(j, out?),
+            )?),
+            // All-input dependency: no job can start before the last
+            // upload lands — the linear computation stall.
+            (ExecBackend::Streaming(cfg), OutputDependency::AllInputs) => Some(run_stream_barrier(
+                cfg,
+                facts.jobs,
+                |feeder| (0..facts.input_cts).try_for_each(|j| feeder.push(recv_ct(j)?)),
+                |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
+                &mut emit,
+            )?),
+        };
+        if let Some(s) = stats {
+            match &mut stream {
+                Some(total) => total.accumulate(&s),
+                None => stream = Some(s),
+            }
         }
-    };
+    }
 
-    // Classes with zero pieces never trigger the unpack above; they
-    // also contribute no pieces to the assembly, so nothing is lost.
-    let mut shares = server_pieces.into_iter().map(|pieces| {
-        let full = crate::patching::assemble(probe, &pieces, shape.height, shape.width);
-        Tensor::from_fn(
-            shape.c_out,
-            shape.out_height(),
-            shape.out_width(),
-            |c, y, x| full.at(c, y * shape.stride, x * shape.stride),
-        )
-    });
-
+    let mut shares = masks.into_iter().map(|rows| plan.share(rows, t, false));
     Ok(ServerConvSummary {
         server_share: shares.next().expect("batch >= 1"),
         extra_shares: shares.collect(),
         counts,
-        input_cts,
-        output_cts: input_cts * out_groups,
+        input_cts: rounds * facts.input_cts,
+        output_cts: rounds * facts.output_cts,
         stream,
     })
 }
@@ -2133,13 +1183,16 @@ fn serve_spot<R: Rng>(
 // In-process combinator
 // ---------------------------------------------------------------------
 
-/// Result of an in-process client/server run: the merged functional
-/// result plus per-direction traffic measured from the real serialized
+/// Result of an in-process client/server run: per-image functional
+/// results plus per-direction traffic measured from the real serialized
 /// frames.
 #[derive(Debug)]
 pub struct InProcessOutcome {
-    /// Shares, merged op counts, and ciphertext counts.
-    pub result: SecureConvResult,
+    /// One result per image, in submission order. Operation and
+    /// ciphertext counts are per batch and repeat on every image's
+    /// result (slot batching leaves the rotation and key-switch counts
+    /// at their single-image values).
+    pub results: Vec<SecureConvResult>,
     /// Streaming stall accounting (None for the phased backend).
     pub stream: Option<StreamStats>,
     /// Client → server traffic (framed wire bytes).
@@ -2148,54 +1201,16 @@ pub struct InProcessOutcome {
     pub downlink: TrafficStats,
 }
 
-/// Result of an in-process batched client/server run: per-image shares
-/// plus the per-batch operation counts and traffic.
-#[derive(Debug)]
-pub struct BatchConvOutcome {
-    /// Each image's client share, in submission order.
-    pub client_shares: Vec<Tensor>,
-    /// Each image's server share, in submission order.
-    pub server_shares: Vec<Tensor>,
-    /// HE operations for the whole batch (slot batching leaves the
-    /// rotation and key-switch counts at their single-image values).
-    pub counts: OpCounts,
-    /// Input ciphertexts uploaded for the whole batch.
-    pub input_cts: usize,
-    /// Masked result ciphertexts returned for the whole batch.
-    pub output_cts: usize,
-    /// Plaintext modulus the shares live in.
-    pub modulus: u64,
-    /// Streaming stall accounting (None for the phased backend).
-    pub stream: Option<StreamStats>,
-    /// Client → server traffic (framed wire bytes).
-    pub uplink: TrafficStats,
-    /// Server → client traffic (framed wire bytes).
-    pub downlink: TrafficStats,
-}
-
-impl BatchConvOutcome {
-    /// Per-image functional results. Operation and ciphertext counts
-    /// are per batch and repeat on every image's result.
-    pub fn into_results(self) -> Vec<SecureConvResult> {
-        let counts = self.counts;
-        let (input_cts, output_cts, modulus) = (self.input_cts, self.output_cts, self.modulus);
-        self.client_shares
-            .into_iter()
-            .zip(self.server_shares)
-            .map(|(client_share, server_share)| SecureConvResult {
-                client_share,
-                server_share,
-                counts,
-                input_cts,
-                output_cts,
-                modulus,
-            })
-            .collect()
+impl InProcessOutcome {
+    /// The first image's result — the whole outcome of a one-image run.
+    pub fn into_result(mut self) -> SecureConvResult {
+        self.results.swap_remove(0)
     }
 }
 
-/// Runs one secure convolution with both parties in this process over a
-/// [`MemTransport`], exchanging real serialized frames.
+/// Runs one secure convolution over `inputs` (one image, or a batch
+/// coalesced into shared ciphertexts) with both parties in this process
+/// over a [`MemTransport`], exchanging real serialized frames.
 ///
 /// Client and server randomness is split deterministically from `rng`
 /// (one seed draw each, in that order) so phased and streaming runs of
@@ -2203,119 +1218,47 @@ impl BatchConvOutcome {
 /// the parties run sequentially on the calling thread; with the
 /// streaming backend the client uploads from a second thread through a
 /// bounded uplink sized to the stream config's channel capacity.
-#[allow(clippy::too_many_arguments)]
 pub fn run_in_process<R: Rng>(
     ctx: &Arc<Context>,
     keygen: &KeyGenerator,
-    input: &Tensor,
+    spec: LayerSpec,
+    inputs: &[Tensor],
     kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    scheme: SchemeKind,
     backend: &ExecBackend,
     rng: &mut R,
 ) -> Result<InProcessOutcome, SpotError> {
-    let mut out = run_in_process_batched(
-        ctx,
-        keygen,
-        std::slice::from_ref(input),
-        kernel,
-        stride,
-        patch,
-        mode,
-        scheme,
-        backend,
-        rng,
-    )?;
-    Ok(InProcessOutcome {
-        result: SecureConvResult {
-            client_share: out.client_shares.remove(0),
-            server_share: out.server_shares.remove(0),
-            counts: out.counts,
-            input_cts: out.input_cts,
-            output_cts: out.output_cts,
-            modulus: out.modulus,
-        },
-        stream: out.stream,
-        uplink: out.uplink,
-        downlink: out.downlink,
-    })
-}
-
-/// [`run_in_process`] over a batch of images coalesced into shared
-/// ciphertexts (see [`ClientConv::send_all_batched`]). A one-image
-/// batch is bit- and byte-identical to [`run_in_process`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_in_process_batched<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    inputs: &[Tensor],
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    scheme: SchemeKind,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> Result<BatchConvOutcome, SpotError> {
-    let first = inputs
-        .first()
-        .ok_or_else(|| SpotError::Protocol("empty input batch".into()))?;
     let batch = inputs.len();
-    let spec = LayerSpec {
-        scheme,
-        shape: ConvShape {
-            width: first.width(),
-            height: first.height(),
-            c_in: first.channels(),
-            c_out: kernel.out_channels(),
-            k_h: kernel.k_h(),
-            k_w: kernel.k_w(),
-            stride,
-        },
-        patch,
-        mode,
-    };
     let client_seed = rng.gen::<u64>();
     let server_seed = rng.gen::<u64>();
     let client = ClientConv::new(ctx, keygen, spec)?;
+    let mut crng = StdRng::seed_from_u64(client_seed);
+    let mut srng = StdRng::seed_from_u64(server_seed);
 
-    let (sent, mut server, share, client_transport) = match backend {
+    let (sent, server, ct) = match backend {
         ExecBackend::Phased(_) => {
             let (ct, st) = MemTransport::pair();
-            let mut crng = StdRng::seed_from_u64(client_seed);
-            let sent = client.send_all_batched(&ct, inputs, UploadPacing::Eager, &mut crng)?;
-            let mut srng = StdRng::seed_from_u64(server_seed);
+            let sent = client.send_batch(&ct, inputs, UploadPacing::Eager, &mut crng)?;
             let server = serve_conv(ctx, &st, kernel, backend, &mut srng)?;
-            let share = client.absorb_all_batched(&ct, batch)?;
-            (sent, server, share, ct)
+            (sent, server, ct)
         }
         ExecBackend::Streaming(cfg) => {
             let (ct, st) = MemTransport::pair_with_capacity(Some(cfg.channel_capacity), None);
-            let ct_ref = &ct;
-            let st_ref = &st;
-            let client_ref = &client;
+            let (ct_ref, client_ref) = (&ct, &client);
             let scope_result = crossbeam::thread::scope(|s| {
                 let uploader = s.spawn(move |_| {
                     let t0 = Instant::now();
-                    let r = client_ref.send_all_batched(
-                        ct_ref,
-                        inputs,
-                        UploadPacing::AwaitAck,
-                        &mut StdRng::seed_from_u64(client_seed),
-                    );
+                    let r =
+                        client_ref.send_batch(ct_ref, inputs, UploadPacing::AwaitAck, &mut crng);
                     // Always close: a server stuck in recv after a client
                     // failure sees Closed instead of blocking forever.
                     ct_ref.close_tx();
                     (r, t0.elapsed())
                 });
-                let mut srng = StdRng::seed_from_u64(server_seed);
-                let server_res = serve_conv(ctx, st_ref, kernel, backend, &mut srng);
+                let server_res = serve_conv(ctx, &st, kernel, backend, &mut srng);
                 if server_res.is_err() {
                     // Unblock a client stuck on the bounded uplink.
                     ct_ref.close_tx();
-                    st_ref.close_tx();
+                    st.close_tx();
                 }
                 let (client_res, client_wall) = uploader.join().expect("client thread panicked");
                 (server_res, client_res, client_wall)
@@ -2334,26 +1277,28 @@ pub fn run_in_process_batched<R: Rng>(
                 stats.client_blocked_s = blocked;
                 stats.client_s = (client_wall.as_secs_f64() - blocked).max(0.0);
             }
-            let share = client.absorb_all_batched(&ct, batch)?;
-            (sent, server, share, ct)
+            (sent, server, ct)
         }
     };
+    let share = client.absorb_batch(&ct, batch)?;
 
     let mut counts = server.counts;
     counts.encrypt += sent.encrypt;
     counts.decrypt += share.decrypt;
-    let mut server_shares = Vec::with_capacity(batch);
-    server_shares.push(server.server_share);
-    server_shares.append(&mut server.extra_shares);
-    let tstats = client_transport.stats();
-    Ok(BatchConvOutcome {
-        client_shares: share.shares,
-        server_shares,
-        counts,
-        input_cts: server.input_cts,
-        output_cts: server.output_cts,
-        modulus: ctx.params().plain_modulus(),
-        stream: server.stream.take(),
+    let server_shares = std::iter::once(server.server_share).chain(server.extra_shares);
+    let tstats = ct.stats();
+    Ok(InProcessOutcome {
+        results: (share.shares.into_iter().zip(server_shares))
+            .map(|(client_share, server_share)| SecureConvResult {
+                client_share,
+                server_share,
+                counts,
+                input_cts: server.input_cts,
+                output_cts: server.output_cts,
+                modulus: ctx.params().plain_modulus(),
+            })
+            .collect(),
+        stream: server.stream,
         uplink: tstats.sent,
         downlink: tstats.received,
     })

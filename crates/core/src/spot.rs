@@ -16,26 +16,23 @@
 //! when `C_o < C_i` the diagonals are concatenated across `C_i` and the
 //! partial sums folded with `log2(C_i/C_o)` rotate-and-add steps.
 //!
-//! The drivers here are thin wrappers over the session layer
-//! ([`crate::session`]): client and server run as separate state
-//! machines over an in-process transport exchanging real wire frames.
+//! [`Packing`] is this scheme's side of the session driver's interface
+//! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
-use crate::channelwise::SecureConvResult;
-use crate::executor::Executor;
-use crate::heconv::{ChannelMap, GroupSpec};
-use crate::layout::{next_pow2, unpack_pieces, unpack_pieces_split, LaneLayout};
-use crate::patching::{decompose, PatchMode};
-use crate::session::{run_in_process, run_in_process_batched, ExecBackend, SchemeKind};
-use crate::stream::{StreamConfig, StreamStats};
-use rand::Rng;
-use spot_he::context::Context;
+use crate::error::SpotError;
+use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
+use crate::layout::{
+    next_pow2, pack_pieces, pack_pieces_split, unpack_pieces, unpack_pieces_split, LaneLayout,
+};
+use crate::patching::{assemble, decompose, grid_len, overlap_for, Decomposition, PatchMode};
+use crate::session::{ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use spot_he::ciphertext::Ciphertext;
+use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
-use spot_he::keys::KeyGenerator;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
 use spot_tensor::models::ConvShape;
-use spot_tensor::tensor::{Kernel, Tensor};
-use std::sync::Arc;
+use spot_tensor::tensor::Tensor;
 
 /// Kernel blocking configuration derived from channel counts (Fig. 7).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,209 +146,299 @@ pub fn spot_in_maps(blk: &Blocking, c_in: usize) -> Vec<ChannelMap> {
     }
 }
 
-/// Unpacks one class's per-group slot vectors (one party's decoded
-/// results or masks) into per-piece share tensors. Used symmetrically
-/// by the client and server halves of the session.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack_class_share(
-    blk: &Blocking,
-    layout: &LaneLayout,
-    pieces_len: usize,
-    class_h: usize,
-    class_w: usize,
-    c_out: usize,
-    t: u64,
-    group_slots: &[Vec<Vec<u64>>],
-) -> Vec<Tensor> {
-    let ch_in_group = if blk.co_pad >= blk.ci_pad {
-        blk.ci_pad
-    } else {
-        blk.co_pad
-    };
-    let mut class_out = vec![Tensor::zeros(c_out, class_h, class_w); pieces_len];
-    for (g, slots) in group_slots.iter().enumerate() {
-        let cp = if blk.split {
-            unpack_pieces_split(layout, slots, pieces_len, ch_in_group, t)
+/// Most ciphertexts the main patch class of a served layer may need.
+/// The paper's largest layers stay near a thousand; a hello asking for
+/// more is refused from its dimensions alone, before anything sized by
+/// them is allocated. Seam classes never outnumber the main class.
+const MAX_INPUT_CTS: usize = 4096;
+
+/// The piece structure of a shape: it depends only on spatial dims, so
+/// a channel-less probe decomposition serves (and holds no pixel data).
+fn probe(shape: &ConvShape, patch: (usize, usize), mode: PatchMode) -> Decomposition {
+    let empty = Tensor::zeros(0, shape.height, shape.width);
+    decompose(&empty, patch.0, patch.1, shape.k_h, mode)
+}
+
+/// One piece class of a planned layer.
+struct ClassPlan {
+    layout: LaneLayout,
+    /// Ciphertexts the class's pieces fill.
+    cts: usize,
+    /// How a batch's images interleave in one class ciphertext: an
+    /// image's pieces occupy the first `pieces` positions, so spare
+    /// positions carry further images with the rotation and key-switch
+    /// counts unchanged (the masked kernel plaintexts already confine
+    /// every position's convolution to its own piece). When the class
+    /// spills over several ciphertexts each is fully occupied by the
+    /// single image, so the stride clamps to the whole position space:
+    /// capacity 1, pack/unpack the identity.
+    images: BatchLayout,
+}
+
+/// The per-class plans of a decomposition, in its class order.
+fn class_plans(blk: &Blocking, lane: usize, probe: &Decomposition) -> Vec<ClassPlan> {
+    (probe.classes.iter())
+        .map(|(class, pieces)| {
+            let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
+            let positions = blk.positions(&layout);
+            ClassPlan {
+                layout,
+                cts: pieces.len().div_ceil(positions),
+                images: BatchLayout::new(
+                    layout.lane_size,
+                    layout.blocks,
+                    layout.groups,
+                    layout.piece_slots,
+                    pieces.len().clamp(1, positions),
+                    !blk.split,
+                ),
+            }
+        })
+        .collect()
+}
+
+impl Blocking {
+    /// Piece positions per ciphertext: lane-major whole pieces, or one
+    /// group per piece when channels split across lanes.
+    fn positions(&self, layout: &LaneLayout) -> usize {
+        if self.split {
+            layout.groups
         } else {
-            unpack_pieces(layout, slots, pieces_len, ch_in_group, t)
+            2 * layout.groups
+        }
+    }
+
+    /// Output channels one result ciphertext carries.
+    fn channels_per_group(&self) -> usize {
+        self.ci_pad.min(self.co_pad)
+    }
+}
+
+/// One layer planned under SPOT structure patching.
+pub(crate) struct Packing {
+    shape: ConvShape,
+    patch: (usize, usize),
+    mode: PatchMode,
+    blk: Blocking,
+    probe: Decomposition,
+    classes: Vec<ClassPlan>,
+    /// Class of each input ciphertext, in upload order.
+    ct_class: Vec<usize>,
+    groups: Vec<GroupSpec>,
+    in_maps: Vec<ChannelMap>,
+    facts: PlanFacts,
+}
+
+impl Packing {
+    /// Plans `shape` at `level` for the given patch configuration. The
+    /// spec may come straight off the wire: everything is validated
+    /// from the dimensions before the decomposition is built.
+    pub(crate) fn new(
+        shape: &ConvShape,
+        level: ParamLevel,
+        patch: (usize, usize),
+        mode: PatchMode,
+    ) -> Result<Self, SpotError> {
+        let lane = level.degree() / 2;
+        let blk = blocking(shape.c_in, shape.c_out);
+        let overlap = overlap_for(mode, shape.k_h);
+        if patch.0 <= overlap || patch.1 <= overlap {
+            return Err(SpotError::Protocol(format!(
+                "patch {}x{} is not larger than the overlap {overlap}",
+                patch.0, patch.1
+            )));
+        }
+        // Every seam piece is no larger than a main patch.
+        if blk.ci_pad * next_pow2(patch.0 * patch.1) > lane {
+            return Err(SpotError::Protocol(format!(
+                "piece of {}x{} with {} padded channels does not fit a lane of {lane} slots",
+                patch.0, patch.1, blk.ci_pad
+            )));
+        }
+        let patches =
+            grid_len(shape.height, patch.0, overlap) * grid_len(shape.width, patch.1, overlap);
+        let main = LaneLayout::new(lane, blk.lane_blocks, patch.0, patch.1);
+        let main_cts = patches.div_ceil(blk.positions(&main));
+        if main_cts > MAX_INPUT_CTS {
+            return Err(SpotError::Protocol(format!(
+                "layer needs {main_cts} patch ciphertexts, over the limit of {MAX_INPUT_CTS}"
+            )));
+        }
+        let probe = probe(shape, patch, mode);
+        let classes = class_plans(&blk, lane, &probe);
+        let ct_class: Vec<usize> = (classes.iter().enumerate())
+            .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
+            .collect();
+        let mut elements: Vec<usize> = (classes.iter())
+            .flat_map(|class| {
+                required_elements(
+                    &class.layout,
+                    shape.k_h,
+                    shape.k_w,
+                    blk.diagonals,
+                    blk.out_groups,
+                    &blk.fold_steps,
+                    blk.split,
+                    true,
+                )
+            })
+            .collect();
+        elements.sort_unstable();
+        elements.dedup();
+        // A class spilling over one ciphertext has no spare positions to
+        // scatter another image into; otherwise the tightest class
+        // bounds the batch.
+        let batch_capacity = if classes.iter().all(|class| class.cts == 1) {
+            (classes.iter())
+                .map(|class| class.images.capacity())
+                .fold(MAX_BATCH, usize::min)
+        } else {
+            1
         };
-        for pi in 0..pieces_len {
-            for local_c in 0..ch_in_group {
-                let global_c = if blk.co_pad >= blk.ci_pad {
-                    g * blk.ci_pad + local_c
-                } else {
-                    local_c
-                };
-                if global_c >= c_out {
-                    continue;
-                }
-                for y in 0..class_h {
-                    for x in 0..class_w {
-                        *class_out[pi].at_mut(global_c, y, x) = cp[pi].at(local_c, y, x);
+        Ok(Self {
+            shape: *shape,
+            patch,
+            mode,
+            groups: spot_group_specs(&blk, shape.c_out),
+            in_maps: spot_in_maps(&blk, shape.c_in),
+            facts: PlanFacts {
+                dependency: OutputDependency::PerInput,
+                input_cts: ct_class.len(),
+                output_cts: ct_class.len() * blk.out_groups,
+                jobs: ct_class.len(),
+                galois_elements: elements,
+                use_bsgs: true,
+                cache_classes: classes.len(),
+                batch_capacity,
+                coeff_packed: false,
+            },
+            blk,
+            probe,
+            classes,
+            ct_class,
+        })
+    }
+
+    /// Unpacks class `ci`'s rows (ciphertext-major, group-minor; one
+    /// party's decoded results or masks, consumed in place) into
+    /// per-piece share tensors.
+    fn class_share(&self, ci: usize, rows: &mut [Vec<u64>], t: u64) -> Vec<Tensor> {
+        let (blk, layout) = (&self.blk, &self.classes[ci].layout);
+        let (class, pieces) = &self.probe.classes[ci];
+        let per_group = blk.channels_per_group();
+        let c_out = self.shape.c_out;
+        let unpack = if blk.split {
+            unpack_pieces_split
+        } else {
+            unpack_pieces
+        };
+        let mut class_out = vec![Tensor::zeros(c_out, class.h, class.w); pieces.len()];
+        for g in 0..blk.out_groups {
+            let slots: Vec<Vec<u64>> = (rows.iter_mut().skip(g).step_by(blk.out_groups))
+                .map(std::mem::take)
+                .collect();
+            let unpacked = unpack(layout, &slots, pieces.len(), per_group, t);
+            // With C_o ≥ C_i group g holds channels g·C_i..; with folding
+            // the one group holds all of them.
+            let first = g * per_group;
+            for (out, piece) in class_out.iter_mut().zip(&unpacked) {
+                for local in 0..per_group.min(c_out.saturating_sub(first)) {
+                    for y in 0..class.h {
+                        for x in 0..class.w {
+                            *out.at_mut(first + local, y, x) = piece.at(local, y, x);
+                        }
                     }
                 }
             }
         }
+        class_out
     }
-    class_out
 }
 
-/// Executes the SPOT secure convolution end to end on a single thread.
-///
-/// `patch` is the main patch size `(ph, pw)` (see [`crate::select`] for
-/// the Table VI selection); `mode` picks vanilla patching or overlap
-/// tweaking.
-///
-/// # Panics
-///
-/// Panics if a piece does not fit a lane
-/// (`C_i_pad · next_pow2(ph·pw) > N/2`) or the level has no rotations.
-#[allow(clippy::too_many_arguments)]
-pub fn execute<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    rng: &mut R,
-) -> SecureConvResult {
-    execute_with(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        &Executor::serial(),
-        rng,
-    )
-}
+impl ConvScheme for Packing {
+    fn facts(&self) -> &PlanFacts {
+        &self.facts
+    }
 
-/// Executes the SPOT secure convolution with the server-side
-/// per-ciphertext convolutions fanned across `executor`'s worker pool.
-///
-/// All randomness (encryption and masking) is drawn sequentially in a
-/// fixed order per party, and the parallel phase is pure, so the
-/// result — shares, counts and all — is bit-identical for every thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if a piece does not fit a lane
-/// (`C_i_pad · next_pow2(ph·pw) > N/2`) or the level has no rotations.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with<R: Rng>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    executor: &Executor,
-    rng: &mut R,
-) -> SecureConvResult {
-    run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        SchemeKind::Spot,
-        &ExecBackend::Phased(*executor),
-        rng,
-    )
-    .expect("in-process SPOT session")
-    .result
-}
+    fn input_class(&self, j: usize) -> usize {
+        self.ct_class[j]
+    }
 
-/// Executes the SPOT secure convolution as a real client/server
-/// pipeline: the client thread packs and encrypts each ciphertext and
-/// streams it through a bounded in-process transport; server workers
-/// convolve every ciphertext the moment it arrives (SPOT's per-input
-/// dependency — no barrier); masked results return to the client
-/// overlapped with ongoing uploads.
-///
-/// Client and server randomness are split from `rng` exactly as in the
-/// phased driver, so the returned shares and operation counts are
-/// bit-identical to [`execute_with`] for any worker count and channel
-/// capacity, given the same rng seed.
-///
-/// # Panics
-///
-/// Panics as [`execute_with`] does on layouts that do not fit a lane.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_streaming<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    input: &Tensor,
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (SecureConvResult, StreamStats) {
-    let outcome = run_in_process(
-        ctx,
-        keygen,
-        input,
-        kernel,
-        stride,
-        patch,
-        mode,
-        SchemeKind::Spot,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process SPOT session");
-    let stats = outcome
-        .stream
-        .expect("streaming backend reports stall stats");
-    (outcome.result, stats)
-}
+    fn batch_layout(&self, result: usize) -> Option<BatchLayout> {
+        Some(self.classes[self.ct_class[result / self.blk.out_groups]].images)
+    }
 
-/// [`execute_streaming`] over a batch of same-shape images coalesced
-/// into shared ciphertexts (see
-/// [`crate::session::ClientConv::send_all_batched`]): one streamed
-/// session serves every image, with the per-batch rotation and
-/// key-switch counts of a single image. Returns each image's
-/// functional result in submission order plus the run's stall stats.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_streaming_batched<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    inputs: &[Tensor],
-    kernel: &Kernel,
-    stride: usize,
-    patch: (usize, usize),
-    mode: PatchMode,
-    config: &StreamConfig,
-    rng: &mut R,
-) -> (Vec<SecureConvResult>, StreamStats) {
-    let outcome = run_in_process_batched(
-        ctx,
-        keygen,
-        inputs,
-        kernel,
-        stride,
-        patch,
-        mode,
-        SchemeKind::Spot,
-        &ExecBackend::Streaming(*config),
-        rng,
-    )
-    .expect("in-process batched SPOT session");
-    let stats = outcome
-        .stream
-        .clone()
-        .expect("streaming backend reports stall stats");
-    (outcome.into_results(), stats)
+    fn pack(
+        &self,
+        images: &[Tensor],
+        t: u64,
+        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
+    ) -> Result<(), SpotError> {
+        let decomps: Vec<Decomposition> = (images.iter())
+            .map(|img| decompose(img, self.patch.0, self.patch.1, self.shape.k_h, self.mode))
+            .collect();
+        let pack = if self.blk.split {
+            pack_pieces_split
+        } else {
+            pack_pieces
+        };
+        for (ci, class) in self.classes.iter().enumerate() {
+            // Per image, the class's ciphertext rows; the batch capacity
+            // guarantees a single one each when images share slots.
+            let mut packed: Vec<Vec<Vec<u64>>> = (decomps.iter())
+                .map(|d| pack(&class.layout, &d.classes[ci].1, t))
+                .collect();
+            for ct in 0..class.cts {
+                let rows: Vec<Vec<u64>> = (packed.iter_mut())
+                    .map(|image| std::mem::take(&mut image[ct]))
+                    .collect();
+                emit(class.images.pack_images(&rows))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> (Vec<Ciphertext>, OpCounts) {
+        let ci = self.ct_class[job];
+        let req = ConvRequest {
+            layout: &self.classes[ci].layout,
+            in_maps: &self.in_maps,
+            groups: &self.groups,
+            diagonals: self.blk.diagonals,
+            fold_steps: &self.blk.fold_steps,
+            kernel: kit.kernel,
+            cache_tag: 0,
+        };
+        let mut counts = OpCounts::default();
+        let outs = kit.engines[ci].conv_one_ct(&inputs[0], &req, &mut counts);
+        (outs, counts)
+    }
+
+    /// Both parties center: the signed piece assembly (add patch and
+    /// corner shares, subtract strip shares) works on centered values,
+    /// so `center` changes nothing here.
+    fn share(&self, mut rows: Vec<Vec<u64>>, t: u64, _center: bool) -> Tensor {
+        let shape = &self.shape;
+        let mut pieces = Vec::new();
+        let mut rest = rows.as_mut_slice();
+        for (ci, class) in self.classes.iter().enumerate() {
+            let (class_rows, tail) = rest.split_at_mut(class.cts * self.blk.out_groups);
+            pieces.extend(self.class_share(ci, class_rows, t));
+            rest = tail;
+        }
+        let full = assemble(&self.probe, &pieces, shape.height, shape.width);
+        Tensor::from_fn(
+            shape.c_out,
+            shape.out_height(),
+            shape.out_width(),
+            |c, y, x| full.at(c, y * shape.stride, x * shape.stride),
+        )
+    }
 }
 
 /// Piece-class geometry used by the planner.
@@ -384,34 +471,23 @@ pub fn geometry(
     patch: (usize, usize),
     mode: PatchMode,
 ) -> SpotGeometry {
-    let lane = level.degree() / 2;
     let blk = blocking(shape.c_in, shape.c_out);
-    // Piece counts depend only on spatial dims; probe with one channel.
-    let probe = Tensor::zeros(1, shape.height, shape.width);
-    let decomp = decompose(&probe, patch.0, patch.1, shape.k_h, mode);
-    let mut class_cts = Vec::new();
-    let mut input_cts = 0usize;
-    let mut useful = 0usize;
-    for (class, pieces) in &decomp.classes {
-        let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
-        let per_ct = if blk.split {
-            layout.groups
-        } else {
-            2 * layout.groups
-        };
-        let cts = pieces.len().div_ceil(per_ct);
-        class_cts.push((pieces.len(), cts));
-        input_cts += cts;
-        useful += pieces.len() * shape.c_in * class.h * class.w;
-    }
-    let output_cts = input_cts * blk.out_groups;
+    let probe = probe(shape, patch, mode);
+    let class_cts: Vec<(usize, usize)> = (probe.classes.iter())
+        .zip(class_plans(&blk, level.degree() / 2, &probe))
+        .map(|((_, pieces), class)| (pieces.len(), class.cts))
+        .collect();
+    let input_cts: usize = class_cts.iter().map(|&(_, cts)| cts).sum();
+    let useful: usize = (probe.classes.iter())
+        .map(|(class, pieces)| pieces.len() * shape.c_in * class.h * class.w)
+        .sum();
     SpotGeometry {
         patch,
         mode,
+        output_cts: input_cts * blk.out_groups,
         blocking: blk,
         class_cts,
         input_cts,
-        output_cts,
         useful_input_slots: useful / input_cts.max(1),
     }
 }
@@ -479,13 +555,44 @@ pub fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channelwise::SecureConvResult;
+    use crate::executor::Executor;
+    use crate::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spot_he::context::Context;
+    use spot_he::keys::KeyGenerator;
     use spot_he::params::EncryptionParams;
     use spot_tensor::conv::conv2d;
+    use spot_tensor::tensor::Kernel;
+    use std::sync::Arc;
 
     fn ctx4096() -> Arc<Context> {
         Context::new(EncryptionParams::new(ParamLevel::N4096))
+    }
+
+    fn run(
+        ctx: &Arc<Context>,
+        kg: &KeyGenerator,
+        input: &Tensor,
+        kernel: &Kernel,
+        stride: usize,
+        mode: PatchMode,
+        rng: &mut StdRng,
+    ) -> SecureConvResult {
+        let spec = LayerSpec::for_layer(SchemeKind::Spot, input, kernel, stride, (4, 4), mode);
+        let backend = ExecBackend::Phased(Executor::serial());
+        run_in_process(
+            ctx,
+            kg,
+            spec,
+            std::slice::from_ref(input),
+            kernel,
+            &backend,
+            rng,
+        )
+        .expect("in-process session")
+        .into_result()
     }
 
     #[test]
@@ -521,16 +628,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(4, 8, 8, 8, 11);
         let kernel = Kernel::random(4, 4, 3, 3, 4, 12);
-        let res = execute(
-            &ctx,
-            &kg,
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-            &mut rng,
-        );
+        let res = run(&ctx, &kg, &input, &kernel, 1, PatchMode::Tweaked, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
@@ -541,16 +639,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(2, 8, 8, 8, 21);
         let kernel = Kernel::random(8, 2, 3, 3, 4, 22);
-        let res = execute(
-            &ctx,
-            &kg,
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-            &mut rng,
-        );
+        let res = run(&ctx, &kg, &input, &kernel, 1, PatchMode::Tweaked, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
@@ -561,16 +650,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(8, 8, 8, 8, 31);
         let kernel = Kernel::random(2, 8, 3, 3, 4, 32);
-        let res = execute(
-            &ctx,
-            &kg,
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-            &mut rng,
-        );
+        let res = run(&ctx, &kg, &input, &kernel, 1, PatchMode::Tweaked, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
@@ -581,16 +661,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(4, 8, 8, 8, 41);
         let kernel = Kernel::random(8, 4, 1, 1, 4, 42);
-        let res = execute(
-            &ctx,
-            &kg,
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-            &mut rng,
-        );
+        let res = run(&ctx, &kg, &input, &kernel, 1, PatchMode::Tweaked, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
@@ -601,16 +672,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(2, 8, 8, 8, 51);
         let kernel = Kernel::random(2, 2, 3, 3, 4, 52);
-        let res = execute(
-            &ctx,
-            &kg,
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Vanilla,
-            &mut rng,
-        );
+        let res = run(&ctx, &kg, &input, &kernel, 1, PatchMode::Vanilla, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
@@ -621,16 +683,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let input = Tensor::random(2, 8, 8, 8, 61);
         let kernel = Kernel::random(2, 2, 3, 3, 4, 62);
-        let res = execute(
-            &ctx,
-            &kg,
-            &input,
-            &kernel,
-            2,
-            (4, 4),
-            PatchMode::Tweaked,
-            &mut rng,
-        );
+        let res = run(&ctx, &kg, &input, &kernel, 2, PatchMode::Tweaked, &mut rng);
         assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 2));
     }
 

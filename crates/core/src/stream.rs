@@ -1,9 +1,9 @@
 //! Streaming execution runtime: overlap client encryption with server
 //! convolution.
 //!
-//! The phased drivers (`execute_with` in [`crate::spot`],
-//! [`crate::channelwise`], [`crate::cheetah`]) run *encrypt everything →
-//! convolve everything* as two sequential phases, so the pipelining that
+//! The phased backend ([`crate::session::ExecBackend::Phased`]) runs
+//! *encrypt everything → convolve everything* as two sequential phases,
+//! so the pipelining that
 //! SPOT's structure patching enables existed only in the analytic
 //! simulator. This module makes it real: a **producer thread** (the
 //! client) packs and encrypts ciphertexts and pushes them through a
@@ -683,7 +683,7 @@ struct AssemblerState<T> {
 }
 
 /// Coalesces queued inference requests into batches for the cross-image
-/// SIMD-slot batching path ([`crate::session::run_in_process_batched`]).
+/// SIMD-slot batching path ([`crate::session::ClientConv::send_batch`]).
 ///
 /// Submitters enqueue items as they arrive; the dispatch loop calls
 /// [`BatchAssembler::next_batch`], which returns as soon as `capacity`

@@ -34,6 +34,7 @@ use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
 use spot_proto::transport::Transport;
 use spot_proto::wire::WireMessage;
+use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 use spot_trace::{clocksync, metrics, Cat};
@@ -72,14 +73,6 @@ fn decode_share(blob: &[u8]) -> Result<Vec<u64>, SpotError> {
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8 bytes")))
         .collect())
-}
-
-fn centered(v: u64, t: u64) -> i64 {
-    if v > t / 2 {
-        v as i64 - t as i64
-    } else {
-        v as i64
-    }
 }
 
 fn tensor_to_mod(tensor: &Tensor, t: u64) -> Vec<u64> {
@@ -144,7 +137,7 @@ fn client_reveal(
     Ok(client_share
         .iter()
         .zip(&server_share)
-        .map(|(&c, &s)| centered((c + s) % t, t))
+        .map(|(&c, &s)| from_field((c + s) % t, t))
         .collect())
 }
 
@@ -168,11 +161,11 @@ fn client_conv_batch<R: Rng + Send>(
             // Eager pacing: TCP's own flow control paces a real link,
             // and the concurrent absorber below must own every recv.
             spot_trace::set_thread_label("uploader");
-            let sent = conv_ref.send_all_batched(transport, inputs, UploadPacing::Eager, rng);
+            let sent = conv_ref.send_batch(transport, inputs, UploadPacing::Eager, rng);
             spot_trace::flush_thread();
             sent
         });
-        let share = conv_ref.absorb_all_batched(transport, inputs.len());
+        let share = conv_ref.absorb_batch(transport, inputs.len());
         let sent = uploader.join().expect("upload thread panicked");
         (sent, share)
     });
@@ -471,7 +464,7 @@ fn server_relu_round<R: Rng>(
     let relu: Vec<i64> = client_share
         .iter()
         .zip(server_share)
-        .map(|(&c, &s)| centered((c + s) % t, t).max(0))
+        .map(|(&c, &s)| from_field((c + s) % t, t).max(0))
         .collect();
     let (srv, cli) = reshare(&relu, t, rng);
     transport.send(&WireMessage::OtRound {
@@ -516,7 +509,7 @@ fn server_maxpool_round<R: Rng>(
     let vals: Vec<i64> = client_share
         .iter()
         .zip(server_share)
-        .map(|(&c, &s)| centered((c + s) % t, t))
+        .map(|(&c, &s)| from_field((c + s) % t, t))
         .collect();
     let pooled = spot_tensor::conv::maxpool2(&Tensor::from_vec(pc, ph, pw, vals));
     let (srv, cli) = reshare(pooled.data(), t, rng);

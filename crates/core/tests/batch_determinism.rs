@@ -19,8 +19,7 @@ use rand::{Rng, SeedableRng};
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process_batched, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind,
-    UploadPacing,
+    run_in_process, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
 use spot_core::stream::BatchAssembler;
 use spot_he::context::Context;
@@ -76,12 +75,12 @@ fn run_batched(
     let (ct, st) = MemTransport::pair();
     let conv = ClientConv::new(ctx, kg, spec).expect("client conv");
     let mut crng = StdRng::seed_from_u64(777);
-    conv.send_all_batched(&ct, inputs, UploadPacing::Eager, &mut crng)
+    conv.send_batch(&ct, inputs, UploadPacing::Eager, &mut crng)
         .expect("upload");
     let mut srng = StdRng::seed_from_u64(server_seed);
     let backend = ExecBackend::Phased(Executor::serial());
     let summary = serve_conv(ctx, &st, kernel, &backend, &mut srng).expect("serve");
-    let shares = conv.absorb_all_batched(&ct, inputs.len()).expect("absorb");
+    let shares = conv.absorb_batch(&ct, inputs.len()).expect("absorb");
     let mut server_shares = vec![summary.server_share];
     server_shares.extend(summary.extra_shares);
     (shares.shares, server_shares, summary.counts)
@@ -214,9 +213,9 @@ fn batched_shares_identical_over_tcp() {
         let inputs_ref = &inputs;
         let uploader = s.spawn(move || {
             let mut crng = StdRng::seed_from_u64(777);
-            conv_ref.send_all_batched(tr, inputs_ref, UploadPacing::Eager, &mut crng)
+            conv_ref.send_batch(tr, inputs_ref, UploadPacing::Eager, &mut crng)
         });
-        let shares = conv_ref.absorb_all_batched(tr, inputs_ref.len());
+        let shares = conv_ref.absorb_batch(tr, inputs_ref.len());
         uploader.join().expect("upload thread").expect("upload");
         shares.expect("absorb")
     });
@@ -245,20 +244,17 @@ fn assembler_coalesced_batch_reconstructs_per_image() {
     let mut rng = StdRng::seed_from_u64(12);
     let kg = KeyGenerator::new(&ctx, &mut rng);
     let kernel = test_kernel();
-    let outcome = run_in_process_batched(
+    let results = run_in_process(
         &ctx,
         &kg,
+        test_spec(SchemeKind::Spot),
         &batch,
         &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-        SchemeKind::Spot,
         &ExecBackend::Phased(Executor::serial()),
         &mut rng,
     )
-    .expect("batched session");
-    let results = outcome.into_results();
+    .expect("batched session")
+    .results;
     assert_eq!(results.len(), 3);
     for (i, res) in results.iter().enumerate() {
         let want = spot_tensor::conv::conv2d(&batch[i], &kernel, 1);

@@ -90,9 +90,9 @@ fn run_session(
             let backend = ExecBackend::Phased(Executor::serial());
             serve_conv_with(ctx, st, kernel, &backend, opts, &mut srng).expect("serve")
         });
-        conv.send_all_batched(ct, &inputs, UploadPacing::Eager, &mut crng)
+        conv.send_batch(ct, &inputs, UploadPacing::Eager, &mut crng)
             .expect("upload");
-        let shares = conv.absorb_all_batched(ct, inputs.len()).expect("absorb");
+        let shares = conv.absorb_batch(ct, inputs.len()).expect("absorb");
         (shares, server.join().expect("server thread"))
     });
     let mut server_shares = vec![summary.server_share];
@@ -221,9 +221,9 @@ fn concurrent_tcp_sessions_match_solo_shares() {
                     let kg = KeyGenerator::new(&ctx, &mut keyrng);
                     let conv = ClientConv::new(&ctx, &kg, spec).expect("client conv");
                     let mut crng = StdRng::seed_from_u64(777 + client as u64);
-                    conv.send_all_batched(&ct, &inputs, UploadPacing::Eager, &mut crng)
+                    conv.send_batch(&ct, &inputs, UploadPacing::Eager, &mut crng)
                         .expect("upload");
-                    let shares = conv.absorb_all_batched(&ct, inputs.len()).expect("absorb");
+                    let shares = conv.absorb_batch(&ct, inputs.len()).expect("absorb");
                     (client, shares.shares)
                 })
             })

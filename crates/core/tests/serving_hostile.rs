@@ -8,14 +8,15 @@ use rand::SeedableRng;
 use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::serving::{ModelContext, ServingConfig, SpotServer};
-use spot_core::session::SchemeKind;
+use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
+use spot_core::session::{LayerSpec, SchemeKind};
 use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, TcpTransport, TransportStats};
-use spot_proto::{error_code, Transport, WireMessage};
+use spot_proto::{error_code, ConvSetup, ProtoError, Transport, WireMessage};
+use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -495,4 +496,135 @@ fn healthz_reflects_admission_saturation() {
     });
     assert!(health().starts_with("HTTP/1.0 200"), "drained server is ok");
     admin.shutdown();
+}
+
+/// Sends one raw hello to a fresh session and returns the session's
+/// report plus the first frame the server answered with.
+fn hostile_hello(server: &SpotServer, setup: ConvSetup) -> (SessionReport, WireMessage) {
+    let (ct, st) = MemTransport::pair();
+    std::thread::scope(|s| {
+        let session = s.spawn(|| server.serve_connection(&st));
+        ct.send(&WireMessage::Setup(setup)).expect("send hello");
+        let report = session
+            .join()
+            .expect("a hostile hello must not panic the session thread");
+        (report, ct.recv().expect("typed error frame"))
+    })
+}
+
+/// A 48-byte SPOT hello whose patch is not larger than the overlap, or
+/// whose plan would need an absurd number of ciphertexts, is refused
+/// with a typed error frame from its dimensions alone — no panic on the
+/// session thread, nothing allocated from the claimed size, and the
+/// admission slot is free again afterwards.
+#[test]
+fn hostile_spot_hello_gets_a_typed_error_and_frees_its_slot() {
+    let (ctx, cnn) = test_stack();
+    let server = SpotServer::new(
+        ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig {
+            max_sessions: 1,
+            ..ServingConfig::default()
+        },
+    );
+    let spec = |side: usize, patch: (usize, usize)| LayerSpec {
+        scheme: SchemeKind::Spot,
+        shape: ConvShape::new(side, side, 2, 4, 3, 1),
+        patch,
+        mode: PatchMode::Tweaked,
+    };
+    let hellos = [
+        // patch ≤ overlap_for(Tweaked, 3) = 1
+        spec(8, (1, 1)),
+        // passes every per-field bound, needs ~233k ciphertexts
+        spec(1 << 14, (4, 4)),
+    ];
+    for (i, hello) in hellos.iter().enumerate() {
+        let (report, reply) = hostile_hello(&server, hello.to_setup(ParamLevel::N4096));
+        assert!(
+            matches!(report.result, Err(SpotError::Protocol(_))),
+            "hello {i}: expected a protocol error, got {:?}",
+            report.result
+        );
+        assert!(
+            matches!(reply, WireMessage::Error { code, .. } if code == error_code::PROTOCOL),
+            "hello {i}: expected a PROTOCOL wire error, got {reply:?}"
+        );
+        assert_eq!(server.stats().failed, i + 1);
+        assert_eq!(server.active_sessions(), 0);
+    }
+
+    // With one admission slot, a leaked one would refuse this client.
+    let (ct, st) = MemTransport::pair();
+    let (out, _) = std::thread::scope(|s| {
+        let session = s.spawn(|| server.serve_connection(&st));
+        let out = well_behaved_client(&ctx, &cnn, &ct, 1);
+        session
+            .join()
+            .expect("session thread")
+            .result
+            .expect("neighbor session");
+        out
+    });
+    let input = Tensor::random(2, 8, 8, 5, 301);
+    assert_eq!(out, vec![cnn.forward_plain(&input)]);
+}
+
+/// A transport whose first `recv` panics, standing in for any future
+/// bug that unwinds a session thread.
+struct PanickingTransport;
+
+impl Transport for PanickingTransport {
+    fn send(&self, _msg: &WireMessage) -> Result<(), ProtoError> {
+        Ok(())
+    }
+
+    fn recv(&self) -> Result<WireMessage, ProtoError> {
+        panic!("transport double: recv panics");
+    }
+
+    fn close_tx(&self) {}
+
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
+    }
+}
+
+/// A session that unwinds releases its admission slot, its `/sessions`
+/// entry and the active gauge, and is counted as failed; the next
+/// client on the same (single-slot) server is served normally.
+#[test]
+fn panicking_session_releases_its_admission_slot() {
+    let (ctx, cnn) = test_stack();
+    let server = SpotServer::new(
+        ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig {
+            max_sessions: 1,
+            ..ServingConfig::default()
+        },
+    );
+    let unwound = std::thread::scope(|s| {
+        s.spawn(|| server.serve_connection(&PanickingTransport))
+            .join()
+    });
+    assert!(unwound.is_err(), "the transport double must panic");
+    assert_eq!(server.active_sessions(), 0);
+    assert!(server.session_info().is_empty());
+    let totals = server.stats();
+    assert_eq!((totals.served, totals.failed, totals.rejected), (0, 1, 0));
+
+    let (ct, st) = MemTransport::pair();
+    let (out, _) = std::thread::scope(|s| {
+        let session = s.spawn(|| server.serve_connection(&st));
+        let out = well_behaved_client(&ctx, &cnn, &ct, 1);
+        session
+            .join()
+            .expect("session thread")
+            .result
+            .expect("neighbor session");
+        out
+    });
+    let input = Tensor::random(2, 8, 8, 5, 301);
+    assert_eq!(out, vec![cnn.forward_plain(&input)]);
+    assert_eq!(server.stats().served, 1);
 }

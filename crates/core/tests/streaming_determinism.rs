@@ -14,9 +14,11 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use spot_core::channelwise::SecureConvResult;
 use spot_core::executor::Executor;
-use spot_core::inference::{run_conv_backend, run_conv_backend_batched, ExecBackend, Scheme};
+use spot_core::inference::{ExecBackend, Scheme};
 use spot_core::patching::PatchMode;
-use spot_core::session::{serve_conv, ClientConv, LayerSpec, SchemeKind, UploadPacing};
+use spot_core::session::{
+    run_in_process, serve_conv, ClientConv, LayerSpec, SchemeKind, UploadPacing,
+};
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
@@ -30,6 +32,31 @@ fn ctx4096() -> Arc<Context> {
     Context::new(EncryptionParams::new(ParamLevel::N4096))
 }
 
+/// One in-process session over `inputs` on the 4×4-patch tweaked
+/// layer every test here uses; returns the per-image results and the
+/// stall stats the backend reported.
+fn run_conv(
+    ctx: &Arc<Context>,
+    keygen: &KeyGenerator,
+    inputs: &[Tensor],
+    kernel: &Kernel,
+    scheme: Scheme,
+    backend: &ExecBackend,
+    rng: &mut StdRng,
+) -> (Vec<SecureConvResult>, Option<StreamStats>) {
+    let spec = LayerSpec::for_layer(
+        scheme.kind(),
+        &inputs[0],
+        kernel,
+        1,
+        (4, 4),
+        PatchMode::Tweaked,
+    );
+    let outcome = run_in_process(ctx, keygen, spec, inputs, kernel, backend, rng)
+        .expect("in-process secure convolution session");
+    (outcome.results, outcome.stream)
+}
+
 /// Runs one scheme phased and streamed from the same seed and asserts
 /// bit-identical results.
 fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capacity: usize) {
@@ -40,14 +67,11 @@ fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capac
     let kernel = Kernel::random(4, 4, 3, 3, 4, 18);
 
     let mut rng_a = StdRng::seed_from_u64(4242);
-    let (phased, none) = run_conv_backend(
+    let (phased, none) = run_conv(
         &ctx,
         &keygen,
-        &input,
+        std::slice::from_ref(&input),
         &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
         scheme,
         &ExecBackend::Phased(Executor::new(threads)),
         &mut rng_a,
@@ -56,19 +80,17 @@ fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capac
 
     let mut rng_b = StdRng::seed_from_u64(4242);
     let cfg = StreamConfig::new(Executor::new(threads), channel_capacity);
-    let (streamed, stats) = run_conv_backend(
+    let (streamed, stats) = run_conv(
         &ctx,
         &keygen,
-        &input,
+        std::slice::from_ref(&input),
         &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
         scheme,
         &ExecBackend::Streaming(cfg),
         &mut rng_b,
     );
     let stats = stats.expect("streaming backend reports stats");
+    let (phased, streamed) = (&phased[0], &streamed[0]);
 
     let tag = format!("{} threads={threads} cap={channel_capacity}", scheme.name());
     assert_eq!(phased.client_share, streamed.client_share, "{tag}");
@@ -114,14 +136,11 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
     let kernel = Kernel::random(4, 2, 3, 3, 4, 18);
 
     let mut rng_a = StdRng::seed_from_u64(4242);
-    let (phased, none) = run_conv_backend_batched(
+    let (phased, none) = run_conv(
         &ctx,
         &keygen,
         &inputs,
         &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
         Scheme::Spot,
         &ExecBackend::Phased(Executor::new(threads)),
         &mut rng_a,
@@ -130,14 +149,11 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
 
     let mut rng_b = StdRng::seed_from_u64(4242);
     let cfg = StreamConfig::new(Executor::new(threads), channel_capacity);
-    let (streamed, stats) = run_conv_backend_batched(
+    let (streamed, stats) = run_conv(
         &ctx,
         &keygen,
         &inputs,
         &kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
         Scheme::Spot,
         &ExecBackend::Streaming(cfg),
         &mut rng_b,
@@ -186,19 +202,16 @@ fn streamed_results_reconstruct_correctly() {
     let want = spot_tensor::conv::conv2d(&input, &kernel, 1);
     for scheme in Scheme::ALL {
         let cfg = StreamConfig::new(Executor::new(4), 2);
-        let (res, _) = run_conv_backend(
+        let (res, _) = run_conv(
             &ctx,
             &keygen,
-            &input,
+            std::slice::from_ref(&input),
             &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
             scheme,
             &ExecBackend::Streaming(cfg),
             &mut rng,
         );
-        assert_eq!(res.reconstruct(), want, "scheme {}", scheme.name());
+        assert_eq!(res[0].reconstruct(), want, "scheme {}", scheme.name());
     }
 }
 
@@ -223,7 +236,7 @@ impl RngCore for TinyClientRng {
 }
 
 /// One streamed convolution through the public session API — what
-/// `execute_streaming` runs, except that the client thread draws from
+/// `run_in_process` streams, except that the client thread draws from
 /// a [`TinyClientRng`] — returning the server's stall accounting.
 fn stream_with_tiny_client(
     ctx: &Arc<Context>,

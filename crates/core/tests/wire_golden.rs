@@ -172,7 +172,7 @@ fn run_case(
             let (ct, st) = MemTransport::pair();
             let client = Recorder::new(ct);
             let sent = conv
-                .send_all_batched(&client, inputs, UploadPacing::Eager, &mut crng)
+                .send_batch(&client, inputs, UploadPacing::Eager, &mut crng)
                 .expect("upload");
             let exec = ExecBackend::Phased(Executor::serial());
             let served = serve_conv(&ctx, &st, kernel, &exec, &mut srng).expect("serve");
@@ -184,8 +184,7 @@ fn run_case(
             let exec = ExecBackend::Streaming(StreamConfig::new(Executor::new(1), 2));
             let (sent, served) = std::thread::scope(|s| {
                 let uploader = s.spawn(|| {
-                    let sent =
-                        conv.send_all_batched(&client, inputs, UploadPacing::AwaitAck, &mut crng);
+                    let sent = conv.send_batch(&client, inputs, UploadPacing::AwaitAck, &mut crng);
                     client.close_tx();
                     sent
                 });
@@ -195,7 +194,7 @@ fn run_case(
             (client, sent.expect("upload"), served.expect("serve"))
         }
     };
-    let absorbed = conv.absorb_all_batched(&client, batch).expect("absorb");
+    let absorbed = conv.absorb_batch(&client, batch).expect("absorb");
 
     let mut server_shares = vec![served.server_share];
     server_shares.extend(served.extra_shares);
@@ -372,6 +371,10 @@ fn spot_b2_n8192() {
 #[test]
 fn spot_spilling_class() {
     let layer = spill_layer();
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(9000));
+    let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
+    assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
         0xe38d_ff1c_02c4_832c,
         0x7d57_4f9f_02be_26d3,

@@ -15,8 +15,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot::core::executor::Executor;
 use spot::core::patching::PatchMode;
-use spot::core::spot as spot_conv;
+use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot::he::prelude::*;
 use spot::proto::channel::Channel;
 use spot::proto::relu::{
@@ -63,7 +64,19 @@ fn secure_conv<R: rand::Rng>(
     rng: &mut R,
 ) -> (ShareVec, ShareVec) {
     let t = ctx.params().plain_modulus();
-    let r = spot_conv::execute(ctx, kg, input, kernel, 1, patch, PatchMode::Tweaked, rng);
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
+        input,
+        kernel,
+        1,
+        patch,
+        PatchMode::Tweaked,
+    );
+    let backend = ExecBackend::Phased(Executor::serial());
+    let inputs = std::slice::from_ref(input);
+    let r = run_in_process(ctx, kg, spec, inputs, kernel, &backend, rng)
+        .expect("in-process session")
+        .into_result();
     let wrap = |v: &Tensor, party| {
         ShareVec::new(
             party,

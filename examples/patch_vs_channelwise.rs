@@ -10,8 +10,9 @@
 //! Run with: `cargo run --release --example patch_vs_channelwise`
 
 use rand::SeedableRng;
+use spot::core::executor::Executor;
 use spot::core::patching::PatchMode;
-use spot::core::{channelwise, cheetah, spot as spot_conv};
+use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 use std::time::Instant;
@@ -31,53 +32,46 @@ fn main() {
         "scheme", "time", "Mult", "Rot", "Add", "in-ct", "out-ct"
     );
 
-    let t0 = Instant::now();
-    let cw = channelwise::execute(&ctx, &keygen, &input, &kernel, 1, &mut rng);
-    let t_cw = t0.elapsed();
-    assert_eq!(cw.reconstruct(), expected);
-    println!(
-        "{:<28} {:>7.2}s {:>7} {:>7} {:>7} {:>6} {:>6}",
-        "channel-wise (CrypTFlow2)",
-        t_cw.as_secs_f64(),
-        cw.counts.mult_plain,
-        cw.counts.rotate,
-        cw.counts.add,
-        cw.input_cts,
-        cw.output_cts
-    );
-
-    let t0 = Instant::now();
-    let ch = cheetah::execute(&ctx, &keygen, &input, &kernel, 1, &mut rng);
-    let t_ch = t0.elapsed();
-    assert_eq!(ch.reconstruct(), expected);
-    println!(
-        "{:<28} {:>7.2}s {:>7} {:>7} {:>7} {:>6} {:>6}",
-        "coefficient (Cheetah)",
-        t_ch.as_secs_f64(),
-        ch.counts.mult_plain,
-        ch.counts.rotate,
-        ch.counts.add,
-        ch.input_cts,
-        ch.output_cts
-    );
-
-    for (label, mode) in [
-        ("SPOT (vanilla patching)", PatchMode::Vanilla),
-        ("SPOT (overlap tweaking)", PatchMode::Tweaked),
+    let backend = ExecBackend::Phased(Executor::serial());
+    for (label, scheme, mode) in [
+        (
+            "channel-wise (CrypTFlow2)",
+            SchemeKind::Channelwise,
+            PatchMode::Vanilla,
+        ),
+        (
+            "coefficient (Cheetah)",
+            SchemeKind::Cheetah,
+            PatchMode::Vanilla,
+        ),
+        (
+            "SPOT (vanilla patching)",
+            SchemeKind::Spot,
+            PatchMode::Vanilla,
+        ),
+        (
+            "SPOT (overlap tweaking)",
+            SchemeKind::Spot,
+            PatchMode::Tweaked,
+        ),
     ] {
+        let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), mode);
+        let inputs = std::slice::from_ref(&input);
         let t0 = Instant::now();
-        let sp = spot_conv::execute(&ctx, &keygen, &input, &kernel, 1, (4, 4), mode, &mut rng);
-        let t_sp = t0.elapsed();
-        assert_eq!(sp.reconstruct(), expected);
+        let res = run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng)
+            .expect("in-process session")
+            .into_result();
+        let elapsed = t0.elapsed();
+        assert_eq!(res.reconstruct(), expected);
         println!(
             "{:<28} {:>7.2}s {:>7} {:>7} {:>7} {:>6} {:>6}",
             label,
-            t_sp.as_secs_f64(),
-            sp.counts.mult_plain,
-            sp.counts.rotate,
-            sp.counts.add,
-            sp.input_cts,
-            sp.output_cts
+            elapsed.as_secs_f64(),
+            res.counts.mult_plain,
+            res.counts.rotate,
+            res.counts.add,
+            res.input_cts,
+            res.output_cts
         );
     }
 

@@ -9,8 +9,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use rand::SeedableRng;
+use spot::core::executor::Executor;
 use spot::core::patching::PatchMode;
-use spot::core::spot as spot_conv;
+use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 
@@ -39,16 +40,21 @@ fn main() {
     );
 
     // 3. SPOT secure convolution: 4x4 patches, overlap tweaking.
-    let result = spot_conv::execute(
-        &ctx,
-        &keygen,
+    //    Client and server run as two session halves over an in-process
+    //    transport, exchanging the real serialized frames.
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
         &input,
         &kernel,
         1,
         (4, 4),
         PatchMode::Tweaked,
-        &mut rng,
     );
+    let backend = ExecBackend::Phased(Executor::serial());
+    let inputs = std::slice::from_ref(&input);
+    let result = run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng)
+        .expect("in-process session")
+        .into_result();
     println!(
         "SPOT: {} input ciphertexts -> {} output ciphertexts",
         result.input_cts, result.output_cts

@@ -19,7 +19,9 @@
 //! ```
 //! use rand::SeedableRng;
 //! use spot::he::prelude::*;
-//! use spot::core::{patching::PatchMode, spot as spot_conv};
+//! use spot::core::executor::Executor;
+//! use spot::core::patching::PatchMode;
+//! use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 //! use spot::tensor::{conv2d, Kernel, Tensor};
 //!
 //! // Secure 3x3 convolution of a 4-channel 8x8 input via SPOT patches.
@@ -28,9 +30,14 @@
 //! let keygen = KeyGenerator::new(&ctx, &mut rng);
 //! let input = Tensor::random(4, 8, 8, 8, 1);
 //! let kernel = Kernel::random(4, 4, 3, 3, 4, 2);
-//! let result = spot_conv::execute(
-//!     &ctx, &keygen, &input, &kernel, 1, (4, 4), PatchMode::Tweaked, &mut rng,
+//! let spec = LayerSpec::for_layer(
+//!     SchemeKind::Spot, &input, &kernel, 1, (4, 4), PatchMode::Tweaked,
 //! );
+//! let backend = ExecBackend::Phased(Executor::serial());
+//! let inputs = std::slice::from_ref(&input);
+//! let result = run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng)
+//!     .expect("in-process session")
+//!     .into_result();
 //! assert_eq!(result.reconstruct(), conv2d(&input, &kernel, 1));
 //! ```
 

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use spot::core::channelwise::SecureConvResult;
 use spot::core::executor::Executor;
 use spot::core::patching::PatchMode;
-use spot::core::{channelwise, cheetah, spot as spot_conv};
+use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 use std::sync::Arc;
@@ -20,22 +20,26 @@ fn ctx() -> Arc<spot::he::context::Context> {
     spot::he::context::Context::new(EncryptionParams::new(ParamLevel::N4096))
 }
 
-/// Runs `f` under a fresh deterministic rng/keygen per thread count and
-/// asserts the two results are bit-identical in every field.
-fn assert_identical<F>(seed: u64, f: F) -> SecureConvResult
-where
-    F: Fn(
-        &Arc<spot::he::context::Context>,
-        &KeyGenerator,
-        &Executor,
-        &mut StdRng,
-    ) -> SecureConvResult,
-{
+/// Runs the layer under a fresh deterministic rng/keygen per thread
+/// count and asserts the two results are bit-identical in every field.
+fn assert_identical(
+    seed: u64,
+    scheme: SchemeKind,
+    input: &Tensor,
+    kernel: &Kernel,
+    patch: (usize, usize),
+    mode: PatchMode,
+) -> SecureConvResult {
     let ctx = ctx();
     let run = |threads: usize| {
         let mut rng = StdRng::seed_from_u64(seed);
         let keygen = KeyGenerator::new(&ctx, &mut rng);
-        f(&ctx, &keygen, &Executor::new(threads), &mut rng)
+        let spec = LayerSpec::for_layer(scheme, input, kernel, 1, patch, mode);
+        let backend = ExecBackend::Phased(Executor::new(threads));
+        let inputs = std::slice::from_ref(input);
+        run_in_process(&ctx, &keygen, spec, inputs, kernel, &backend, &mut rng)
+            .expect("in-process session")
+            .into_result()
     };
     let serial = run(1);
     let parallel = run(8);
@@ -52,19 +56,14 @@ where
 fn spot_vanilla_is_thread_count_invariant() {
     let input = Tensor::random(4, 12, 12, 6, 11);
     let kernel = Kernel::random(4, 4, 3, 3, 4, 12);
-    let res = assert_identical(41, |ctx, kg, ex, rng| {
-        spot_conv::execute_with(
-            ctx,
-            kg,
-            &input,
-            &kernel,
-            1,
-            (5, 5),
-            PatchMode::Vanilla,
-            ex,
-            rng,
-        )
-    });
+    let res = assert_identical(
+        41,
+        SchemeKind::Spot,
+        &input,
+        &kernel,
+        (5, 5),
+        PatchMode::Vanilla,
+    );
     assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
 }
 
@@ -72,19 +71,14 @@ fn spot_vanilla_is_thread_count_invariant() {
 fn spot_tweaked_is_thread_count_invariant() {
     let input = Tensor::random(4, 12, 12, 6, 21);
     let kernel = Kernel::random(8, 4, 3, 3, 4, 22);
-    let res = assert_identical(42, |ctx, kg, ex, rng| {
-        spot_conv::execute_with(
-            ctx,
-            kg,
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-            ex,
-            rng,
-        )
-    });
+    let res = assert_identical(
+        42,
+        SchemeKind::Spot,
+        &input,
+        &kernel,
+        (4, 4),
+        PatchMode::Tweaked,
+    );
     assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
 }
 
@@ -92,9 +86,14 @@ fn spot_tweaked_is_thread_count_invariant() {
 fn channelwise_is_thread_count_invariant() {
     let input = Tensor::random(8, 8, 8, 6, 31);
     let kernel = Kernel::random(4, 8, 3, 3, 4, 32);
-    let res = assert_identical(43, |ctx, kg, ex, rng| {
-        channelwise::execute_with(ctx, kg, &input, &kernel, 1, ex, rng)
-    });
+    let res = assert_identical(
+        43,
+        SchemeKind::Channelwise,
+        &input,
+        &kernel,
+        (0, 0),
+        PatchMode::Vanilla,
+    );
     assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
 }
 
@@ -102,8 +101,13 @@ fn channelwise_is_thread_count_invariant() {
 fn cheetah_is_thread_count_invariant() {
     let input = Tensor::random(16, 16, 16, 4, 51);
     let kernel = Kernel::random(4, 16, 3, 3, 3, 52);
-    let res = assert_identical(44, |ctx, kg, ex, rng| {
-        cheetah::execute_with(ctx, kg, &input, &kernel, 1, ex, rng)
-    });
+    let res = assert_identical(
+        44,
+        SchemeKind::Cheetah,
+        &input,
+        &kernel,
+        (0, 0),
+        PatchMode::Vanilla,
+    );
     assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
 }

@@ -7,14 +7,61 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot::core::channelwise::SecureConvResult;
+use spot::core::executor::Executor;
 use spot::core::patching::PatchMode;
-use spot::core::{channelwise, cheetah, spot as spot_conv};
+use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 use std::sync::Arc;
 
-fn ctx() -> Arc<spot::he::context::Context> {
+fn ctx() -> Ctx {
     spot::he::context::Context::new(EncryptionParams::new(ParamLevel::N4096))
+}
+
+type Ctx = Arc<spot::he::context::Context>;
+
+fn run(
+    ctx: &Ctx,
+    keygen: &KeyGenerator,
+    spec: LayerSpec,
+    input: &Tensor,
+    kernel: &Kernel,
+    rng: &mut StdRng,
+) -> SecureConvResult {
+    let backend = ExecBackend::Phased(Executor::serial());
+    let inputs = std::slice::from_ref(input);
+    run_in_process(ctx, keygen, spec, inputs, kernel, &backend, rng)
+        .expect("in-process session")
+        .into_result()
+}
+
+/// One of the two baselines, single-threaded.
+fn baseline(
+    ctx: &Ctx,
+    keygen: &KeyGenerator,
+    scheme: SchemeKind,
+    input: &Tensor,
+    kernel: &Kernel,
+    stride: usize,
+    rng: &mut StdRng,
+) -> SecureConvResult {
+    let spec = LayerSpec::for_layer(scheme, input, kernel, stride, (0, 0), PatchMode::Vanilla);
+    run(ctx, keygen, spec, input, kernel, rng)
+}
+
+/// SPOT with the given patch configuration, single-threaded.
+fn spot_conv(
+    ctx: &Ctx,
+    keygen: &KeyGenerator,
+    input: &Tensor,
+    kernel: &Kernel,
+    stride: usize,
+    (patch, mode): ((usize, usize), PatchMode),
+    rng: &mut StdRng,
+) -> SecureConvResult {
+    let spec = LayerSpec::for_layer(SchemeKind::Spot, input, kernel, stride, patch, mode);
+    run(ctx, keygen, spec, input, kernel, rng)
 }
 
 proptest! {
@@ -38,16 +85,14 @@ proptest! {
         let kernel = Kernel::random(co, ci, k, k, 4, seed + 1);
         let expected = conv2d(&input, &kernel, stride);
 
-        let cw = channelwise::execute(&ctx, &keygen, &input, &kernel, stride, &mut rng);
+        let cw = baseline(&ctx, &keygen, SchemeKind::Channelwise, &input, &kernel, stride, &mut rng);
         prop_assert_eq!(cw.reconstruct(), expected.clone());
 
-        let ch = cheetah::execute(&ctx, &keygen, &input, &kernel, stride, &mut rng);
+        let ch = baseline(&ctx, &keygen, SchemeKind::Cheetah, &input, &kernel, stride, &mut rng);
         prop_assert_eq!(ch.reconstruct(), expected.clone());
         prop_assert_eq!(ch.counts.rotate, 0);
 
-        let sp = spot_conv::execute(
-            &ctx, &keygen, &input, &kernel, stride, (4, 4), PatchMode::Tweaked, &mut rng,
-        );
+        let sp = spot_conv(&ctx, &keygen, &input, &kernel, stride, ((4, 4), PatchMode::Tweaked), &mut rng);
         prop_assert_eq!(sp.reconstruct(), expected);
     }
 }
@@ -64,24 +109,22 @@ fn spot_shares_leak_nothing_obvious() {
     let kg2 = KeyGenerator::new(&ctx, &mut rng2);
     let input = Tensor::random(4, 8, 8, 6, 5);
     let kernel = Kernel::random(4, 4, 3, 3, 4, 6);
-    let a = spot_conv::execute(
+    let a = spot_conv(
         &ctx,
         &kg1,
         &input,
         &kernel,
         1,
-        (4, 4),
-        PatchMode::Tweaked,
+        ((4, 4), PatchMode::Tweaked),
         &mut rng1,
     );
-    let b = spot_conv::execute(
+    let b = spot_conv(
         &ctx,
         &kg2,
         &input,
         &kernel,
         1,
-        (4, 4),
-        PatchMode::Tweaked,
+        ((4, 4), PatchMode::Tweaked),
         &mut rng2,
     );
     assert_ne!(a.client_share, b.client_share, "shares must be randomized");
@@ -95,24 +138,22 @@ fn spot_vanilla_and_tweaked_agree() {
     let keygen = KeyGenerator::new(&ctx, &mut rng);
     let input = Tensor::random(2, 10, 10, 6, 7);
     let kernel = Kernel::random(4, 2, 3, 3, 4, 8);
-    let v = spot_conv::execute(
+    let v = spot_conv(
         &ctx,
         &keygen,
         &input,
         &kernel,
         1,
-        (5, 5),
-        PatchMode::Vanilla,
+        ((5, 5), PatchMode::Vanilla),
         &mut rng,
     );
-    let t = spot_conv::execute(
+    let t = spot_conv(
         &ctx,
         &keygen,
         &input,
         &kernel,
         1,
-        (5, 5),
-        PatchMode::Tweaked,
+        ((5, 5), PatchMode::Tweaked),
         &mut rng,
     );
     assert_eq!(v.reconstruct(), t.reconstruct());
@@ -134,16 +175,23 @@ fn non_square_and_padded_shapes() {
     let input = Tensor::random(3, 7, 9, 6, 9);
     let kernel = Kernel::random(5, 3, 3, 3, 4, 10);
     let expected = conv2d(&input, &kernel, 1);
-    let cw = channelwise::execute(&ctx, &keygen, &input, &kernel, 1, &mut rng);
+    let cw = baseline(
+        &ctx,
+        &keygen,
+        SchemeKind::Channelwise,
+        &input,
+        &kernel,
+        1,
+        &mut rng,
+    );
     assert_eq!(cw.reconstruct(), expected);
-    let sp = spot_conv::execute(
+    let sp = spot_conv(
         &ctx,
         &keygen,
         &input,
         &kernel,
         1,
-        (4, 4),
-        PatchMode::Tweaked,
+        ((4, 4), PatchMode::Tweaked),
         &mut rng,
     );
     assert_eq!(sp.reconstruct(), expected);
@@ -158,14 +206,13 @@ fn deep_channel_folding_co_much_less_than_ci() {
     let input = Tensor::random(16, 4, 4, 5, 11);
     let kernel = Kernel::random(2, 16, 3, 3, 3, 12);
     let expected = conv2d(&input, &kernel, 1);
-    let sp = spot_conv::execute(
+    let sp = spot_conv(
         &ctx,
         &keygen,
         &input,
         &kernel,
         1,
-        (4, 4),
-        PatchMode::Tweaked,
+        ((4, 4), PatchMode::Tweaked),
         &mut rng,
     );
     assert_eq!(sp.reconstruct(), expected);
@@ -181,14 +228,13 @@ fn spot_works_at_n8192() {
     let keygen = KeyGenerator::new(&ctx8, &mut rng);
     let input = Tensor::random(4, 8, 8, 6, 13);
     let kernel = Kernel::random(8, 4, 3, 3, 4, 14);
-    let sp = spot_conv::execute(
+    let sp = spot_conv(
         &ctx8,
         &keygen,
         &input,
         &kernel,
         1,
-        (8, 4),
-        PatchMode::Tweaked,
+        ((8, 4), PatchMode::Tweaked),
         &mut rng,
     );
     assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
@@ -202,14 +248,13 @@ fn single_channel_input_lane_contained_path() {
     let keygen = KeyGenerator::new(&ctx, &mut rng);
     let input = Tensor::random(1, 8, 8, 6, 15);
     let kernel = Kernel::random(4, 1, 3, 3, 4, 16);
-    let sp = spot_conv::execute(
+    let sp = spot_conv(
         &ctx,
         &keygen,
         &input,
         &kernel,
         1,
-        (4, 4),
-        PatchMode::Tweaked,
+        ((4, 4), PatchMode::Tweaked),
         &mut rng,
     );
     assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
