@@ -14,7 +14,7 @@
 use crate::error::SpotError;
 use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
 use crate::layout::{next_pow2, LaneLayout};
-use crate::session::{ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use crate::session::{lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
@@ -300,11 +300,7 @@ impl ConvScheme for Packing {
         let mut share = Tensor::zeros(shape.c_out, out.0, out.1);
         for (group, values) in self.groups.iter().zip(&rows) {
             self.for_each_slot(&group.out_ch, out, |o, y, x, slot| {
-                *share.at_mut(o, y, x) = if center {
-                    from_field(values[slot], t)
-                } else {
-                    values[slot] as i64
-                };
+                *share.at_mut(o, y, x) = lift(values[slot], t, center);
             });
         }
         share
@@ -399,9 +395,8 @@ pub fn minimum_level(shape: &ConvShape) -> ParamLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Executor;
     use crate::patching::PatchMode;
-    use crate::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
+    use crate::session::{run_phased, LayerSpec, SchemeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spot_he::context::Context;
@@ -431,18 +426,7 @@ mod tests {
             (0, 0),
             PatchMode::Vanilla,
         );
-        let backend = ExecBackend::Phased(Executor::serial());
-        run_in_process(
-            ctx,
-            kg,
-            spec,
-            std::slice::from_ref(input),
-            kernel,
-            &backend,
-            rng,
-        )
-        .expect("in-process session")
-        .into_result()
+        run_phased(ctx, kg, spec, input, kernel, rng)
     }
 
     #[test]

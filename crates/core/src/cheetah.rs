@@ -26,13 +26,13 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::session::{ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use crate::session::{lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::encoding::{BatchLayout, Plaintext};
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
-use spot_tensor::fixed::{from_field, to_field};
+use spot_tensor::fixed::to_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 
@@ -215,11 +215,7 @@ impl ConvScheme for Packing {
             shape.out_width(),
             |o, y, x| {
                 let v = rows[o][base + (y * shape.stride + ph) * wp + (x * shape.stride + pw)];
-                if center {
-                    from_field(v, t)
-                } else {
-                    v as i64
-                }
+                lift(v, t, center)
             },
         )
     }
@@ -289,9 +285,8 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
 mod tests {
     use super::*;
     use crate::channelwise::SecureConvResult;
-    use crate::executor::Executor;
     use crate::patching::PatchMode;
-    use crate::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
+    use crate::session::{run_phased, LayerSpec, SchemeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spot_he::context::Context;
@@ -321,18 +316,7 @@ mod tests {
             (0, 0),
             PatchMode::Vanilla,
         );
-        let backend = ExecBackend::Phased(Executor::serial());
-        run_in_process(
-            ctx,
-            kg,
-            spec,
-            std::slice::from_ref(input),
-            kernel,
-            &backend,
-            rng,
-        )
-        .expect("in-process session")
-        .into_result()
+        run_phased(ctx, kg, spec, input, kernel, rng)
     }
 
     #[test]

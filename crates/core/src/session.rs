@@ -55,6 +55,7 @@ use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_pipeline::plan::OutputDependency;
 use spot_proto::channel::TrafficStats;
 use spot_proto::{ConvSetup, MemTransport, Transport, WireMessage};
+use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
@@ -402,6 +403,16 @@ pub(crate) trait ConvScheme: Send + Sync {
     }
 }
 
+/// Reads a `Z_t` value as a signed share: centered into `(-t/2, t/2]`
+/// for the client's decrypted rows, as drawn for the server's masks.
+pub(crate) fn lift(v: u64, t: u64, center: bool) -> i64 {
+    if center {
+        from_field(v, t)
+    } else {
+        v as i64
+    }
+}
+
 /// Rows ↔ plaintexts under the planned scheme's encoding.
 struct RowCodec {
     encoder: BatchEncoder,
@@ -416,11 +427,11 @@ impl RowCodec {
         }
     }
 
-    fn encode(&self, row: Vec<u64>) -> Plaintext {
+    fn encode(&self, row: &[u64]) -> Plaintext {
         if self.coeff_packed {
-            Plaintext::from_coeffs(row)
+            Plaintext::from_coeffs(row.to_vec())
         } else {
-            self.encoder.encode(&row)
+            self.encoder.encode(row)
         }
     }
 
@@ -704,7 +715,7 @@ impl<'a> ClientConv<'a> {
         let mut seq = 0u32;
         for round in inputs.chunks(width) {
             self.plan.pack(round, t, &mut |row| {
-                let blob = encryptor.encrypt(&codec.encode(row), rng).to_bytes();
+                let blob = encryptor.encrypt(&codec.encode(&row), rng).to_bytes();
                 let msg = match self.plan.input_class(seq as usize % facts.input_cts) {
                     0 => WireMessage::PackedCt { seq, blob },
                     class => WireMessage::AuxCt {
@@ -1101,8 +1112,8 @@ fn serve_rounds<R: Rng>(
                 // zero every position past the image's stride, changing
                 // the downlink bytes and leaving those slots unmasked.
                 let mask = match plan.batch_layout(result) {
-                    Some(layout) if width > 1 => layout.scatter_masks(&rows),
-                    _ => rows[0].clone(),
+                    Some(layout) if width > 1 => &layout.scatter_masks(&rows),
+                    _ => &rows[0],
                 };
                 let masked = kit.evaluator.sub_plain(&ct, &codec.encode(mask));
                 counts.add += 1;
@@ -1302,4 +1313,22 @@ pub fn run_in_process<R: Rng>(
         uplink: tstats.sent,
         downlink: tstats.received,
     })
+}
+
+/// One image through a single-threaded phased in-process session — the
+/// scheme modules' unit tests all run their layers this way.
+#[cfg(test)]
+pub(crate) fn run_phased<R: Rng>(
+    ctx: &Arc<Context>,
+    keygen: &KeyGenerator,
+    spec: LayerSpec,
+    input: &Tensor,
+    kernel: &Kernel,
+    rng: &mut R,
+) -> SecureConvResult {
+    let backend = ExecBackend::Phased(Executor::serial());
+    let inputs = std::slice::from_ref(input);
+    run_in_process(ctx, keygen, spec, inputs, kernel, &backend, rng)
+        .expect("in-process session")
+        .into_result()
 }

@@ -556,8 +556,7 @@ pub fn plan(
 mod tests {
     use super::*;
     use crate::channelwise::SecureConvResult;
-    use crate::executor::Executor;
-    use crate::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
+    use crate::session::{run_phased, LayerSpec, SchemeKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spot_he::context::Context;
@@ -581,18 +580,7 @@ mod tests {
         rng: &mut StdRng,
     ) -> SecureConvResult {
         let spec = LayerSpec::for_layer(SchemeKind::Spot, input, kernel, stride, (4, 4), mode);
-        let backend = ExecBackend::Phased(Executor::serial());
-        run_in_process(
-            ctx,
-            kg,
-            spec,
-            std::slice::from_ref(input),
-            kernel,
-            &backend,
-            rng,
-        )
-        .expect("in-process session")
-        .into_result()
+        run_phased(ctx, kg, spec, input, kernel, rng)
     }
 
     #[test]
