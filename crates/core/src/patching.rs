@@ -83,7 +83,7 @@ impl Decomposition {
 /// # Panics
 ///
 /// Panics if the piece is not larger than the overlap.
-pub fn grid_len(extent: usize, piece: usize, overlap: usize) -> usize {
+pub(crate) fn grid_len(extent: usize, piece: usize, overlap: usize) -> usize {
     assert!(piece > overlap, "patch must be larger than the overlap");
     1 + extent.saturating_sub(piece).div_ceil(piece - overlap)
 }
