@@ -7,8 +7,14 @@
 //! each path to constants recorded from the code as it stood before the
 //! session layer was collapsed to one driver: FNV-1a-64 digests of the
 //! uplink frames in send order, the downlink frames in receive order,
+//! the downlink's *shape* (each frame's header: kind and byte length),
 //! each image's client and server share, and the merged operation
 //! counts.
+//!
+//! A change to how the server computes a result ciphertext (a different
+//! but equally valid encryption of the same plaintext) may move
+//! `downlink` and nothing else: the shape digest pins that the frames
+//! are still the same kinds and sizes in the same order.
 //!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
@@ -25,6 +31,7 @@ use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, Transport, TransportStats};
+use spot_proto::wire::FRAME_HEADER_BYTES;
 use spot_proto::{ProtoError, WireMessage};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
@@ -52,7 +59,8 @@ fn tensor_digest(t: &Tensor) -> u64 {
 struct Recorder {
     inner: MemTransport,
     up: Mutex<u64>,
-    down: Mutex<u64>,
+    /// `(frame bytes, frame headers)` digests of the received frames.
+    down: Mutex<(u64, u64)>,
 }
 
 impl Recorder {
@@ -60,7 +68,7 @@ impl Recorder {
         Self {
             inner,
             up: Mutex::new(FNV_OFFSET),
-            down: Mutex::new(FNV_OFFSET),
+            down: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
         }
     }
 }
@@ -76,8 +84,12 @@ impl Transport for Recorder {
 
     fn recv(&self) -> Result<WireMessage, ProtoError> {
         let msg = self.inner.recv()?;
+        let frame = msg.encode_frame();
         let mut down = self.down.lock().unwrap();
-        *down = fnv1a(*down, &msg.encode_frame());
+        *down = (
+            fnv1a(down.0, &frame),
+            fnv1a(down.1, &frame[..FRAME_HEADER_BYTES]),
+        );
         Ok(msg)
     }
 
@@ -94,6 +106,8 @@ impl Transport for Recorder {
 struct Golden {
     uplink: u64,
     downlink: u64,
+    /// Version, kind and payload length of every downlink frame.
+    downlink_shape: u64,
     /// `(client share, server share)` per image, in submission order.
     shares: Vec<(u64, u64)>,
     /// Server counts merged with the client's encrypt/decrypt counts.
@@ -213,10 +227,11 @@ fn run_case(
     .iter()
     .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
     let uplink = *client.up.lock().unwrap();
-    let downlink = *client.down.lock().unwrap();
+    let (downlink, downlink_shape) = *client.down.lock().unwrap();
     Golden {
         uplink,
         downlink,
+        downlink_shape,
         shares: absorbed
             .shares
             .iter()
@@ -227,10 +242,17 @@ fn run_case(
     }
 }
 
-fn golden(uplink: u64, downlink: u64, shares: &[(u64, u64)], counts: u64) -> Golden {
+fn golden(
+    uplink: u64,
+    downlink: u64,
+    downlink_shape: u64,
+    shares: &[(u64, u64)],
+    counts: u64,
+) -> Golden {
     Golden {
         uplink,
         downlink,
+        downlink_shape,
         shares: shares.to_vec(),
         counts,
     }
@@ -258,6 +280,7 @@ fn channelwise_b1() {
         golden(
             0x1b86_ac99_2d38_70e0,
             0x4209_adb6_1315_e9d6,
+            0x52cf_2b86_6cca_1df8,
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -273,6 +296,7 @@ fn channelwise_b2() {
         golden(
             0xd06b_b837_2f49_a834,
             0x5d98_91ab_e4d6_fc8e,
+            0x52cf_2b86_6cca_1df8,
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -291,6 +315,7 @@ fn cheetah_b1() {
         golden(
             0x2245_5cbd_68f2_92cc,
             0xad02_4fbc_e60a_936f,
+            0x3c8d_2fab_33bf_be88,
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -306,6 +331,7 @@ fn cheetah_b2() {
         golden(
             0x7488_f4e9_0d15_3e12,
             0x6fda_8fe7_4c40_266c,
+            0x2d28_08cc_ba69_3368,
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -324,6 +350,7 @@ fn spot_b1() {
         golden(
             0x247e_a3cb_fb01_7547,
             0x4614_9b38_3c27_f79d,
+            0x2d28_08cc_ba69_3368,
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -339,6 +366,7 @@ fn spot_b2() {
         golden(
             0x72e0_35f4_7ce5_3728,
             0xc8b3_2a7d_8ce3_7dc9,
+            0x2d28_08cc_ba69_3368,
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -357,6 +385,7 @@ fn spot_b2_n8192() {
         golden(
             0x8ab1_c030_023a_c16b,
             0xf3e3_3d93_fd44_b9d5,
+            0x35d7_7a2f_15eb_7428,
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -378,6 +407,7 @@ fn spot_spilling_class() {
     let want = golden(
         0xe38d_ff1c_02c4_832c,
         0x7d57_4f9f_02be_26d3,
+        0x434f_d8f0_ef4d_2543,
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
