@@ -22,7 +22,7 @@ use parking_lot::RwLock;
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{galois_elt_column_swap, galois_elt_from_step, BatchEncoder};
-use spot_he::evaluator::{Evaluator, OpCounts};
+use spot_he::evaluator::{Evaluator, HoistedCiphertext, OpCounts};
 use spot_he::keys::{GaloisKeys, KeyGenerator};
 use spot_he::poly::Poly;
 use spot_tensor::tensor::Kernel;
@@ -476,43 +476,56 @@ impl HeConvEngine {
             (1, diagonals)
         };
 
-        // Ciphertext versions: original and (for cross-lane) column swap.
-        let mut versions = vec![ct.clone()];
-        if in_maps.len() == 2 {
-            versions.push(ev.rotate_columns(ct, &self.galois));
+        // Pre-rotate the input to every (version, baby step, tap)
+        // position, shared across output groups and giant steps — the
+        // BSGS trade. All rotations of one ciphertext share its
+        // key-switch decomposition: the column swap, the baby steps and
+        // the first taps come from the input's hoist, and taking the
+        // baby steps before the taps leaves one hoist per position.
+        let n = self.ctx.degree();
+        let rotate = |at: &HoistedCiphertext, g: usize, counts: &mut OpCounts| {
             counts.rotate += 1;
-        }
-
-        // Pre-rotate every version by every tap and baby step (shared
-        // across output groups and giant steps — the BSGS trade).
-        let mut rotated: Vec<Vec<Vec<Ciphertext>>> = Vec::with_capacity(versions.len());
-        for v in &versions {
-            let mut per_tap = Vec::with_capacity(taps.len());
-            for &(dy, dx, _, _) in &taps {
+            ev.rotate_hoisted(at, g, &self.galois)
+        };
+        // `None` is the centre tap: the position's own ciphertext.
+        let taps_of = |at: &HoistedCiphertext, counts: &mut OpCounts| {
+            let rotated = taps.iter().map(|&(dy, dx, _, _)| {
                 let step = dy * layout.piece_w as i64 + dx;
-                let base = if step == 0 {
-                    v.clone()
-                } else {
-                    counts.rotate += 1;
-                    ev.rotate_rows(v, step, &self.galois)
-                };
-                let mut per_baby = Vec::with_capacity(baby);
-                for b in 0..baby {
-                    if b == 0 {
-                        per_baby.push(base.clone());
-                    } else {
-                        counts.rotate += 1;
-                        per_baby.push(ev.rotate_rows(
-                            &base,
-                            layout.block_rotation_step(b),
-                            &self.galois,
-                        ));
-                    }
-                }
-                per_tap.push(per_baby);
+                (step != 0).then(|| rotate(at, galois_elt_from_step(step, n), counts))
+            });
+            rotated.collect::<Vec<Option<Ciphertext>>>()
+        };
+        let input = ev.hoist(ct);
+        let swapped =
+            (in_maps.len() == 2).then(|| rotate(&input, galois_elt_column_swap(n), counts));
+        let versions: Vec<&Ciphertext> = std::iter::once(ct).chain(swapped.as_ref()).collect();
+        // `stepped[vi][b - 1]`: version `vi` moved by `b ≥ 1` baby
+        // steps; `tapped[vi * baby + b][ti]`: that position's tap `ti`.
+        let mut stepped: Vec<Vec<Ciphertext>> = Vec::with_capacity(versions.len());
+        let mut tapped = Vec::with_capacity(versions.len() * baby);
+        let mut hoisted_input = Some(input);
+        for &version in &versions {
+            let at = hoisted_input.take().unwrap_or_else(|| ev.hoist(version));
+            let steps: Vec<Ciphertext> = (1..baby)
+                .map(|b| {
+                    let g = galois_elt_from_step(layout.block_rotation_step(b), n);
+                    rotate(&at, g, counts)
+                })
+                .collect();
+            tapped.push(taps_of(&at, counts));
+            for step in &steps {
+                tapped.push(taps_of(&ev.hoist(step), counts));
             }
-            rotated.push(per_tap);
+            stepped.push(steps);
         }
+        let operand = |vi: usize, ti: usize, b: usize| {
+            let position = if b == 0 {
+                versions[vi]
+            } else {
+                &stepped[vi][b - 1]
+            };
+            tapped[vi * baby + b][ti].as_ref().unwrap_or(position)
+        };
 
         let mut outputs = Vec::with_capacity(groups.len());
         for (gi, _group) in groups.iter().enumerate() {
@@ -535,7 +548,7 @@ impl HeConvEngine {
                             else {
                                 continue;
                             };
-                            let prod = ev.multiply_lifted(&rotated[vi][ti][b], &lifted);
+                            let prod = ev.multiply_lifted(operand(vi, ti, b), &lifted);
                             counts.mult_plain += 1;
                             match &mut acc_j {
                                 None => acc_j = Some(prod),
@@ -621,6 +634,73 @@ mod tests {
     #[test]
     fn bsgs_degenerates_for_single_diagonal() {
         assert_eq!(bsgs_split(1, 8, 2, 9), (1, 1));
+    }
+
+    /// `(rotations, key-switch decompositions)` of one SPOT
+    /// `conv_one_ct` at `c_in → c_out` over 4×4 pieces, as the trace
+    /// counters saw them on this thread.
+    fn rotations_and_decompositions(c_in: usize, c_out: usize) -> (u64, u64) {
+        use crate::spot::{blocking, spot_group_specs, spot_in_maps};
+        use rand::SeedableRng;
+        use spot_he::prelude::*;
+        use spot_trace::{Counter, SessionCounters};
+
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let blk = blocking(c_in, c_out);
+        let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, 4, 4);
+        let kernel = Kernel::random(c_out, c_in, 3, 3, 3, 6);
+        let (groups, in_maps) = (spot_group_specs(&blk, c_out), spot_in_maps(&blk, c_in));
+        let engine = HeConvEngine::new(
+            &ctx,
+            &keygen,
+            &layout,
+            3,
+            3,
+            blk.diagonals,
+            blk.out_groups,
+            &blk.fold_steps,
+            blk.split,
+            true,
+            &mut rng,
+        );
+        let req = ConvRequest {
+            layout: &layout,
+            in_maps: &in_maps,
+            groups: &groups,
+            diagonals: blk.diagonals,
+            fold_steps: &blk.fold_steps,
+            kernel: &kernel,
+            cache_tag: 0,
+        };
+        let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
+        let ct = encryptor.encrypt(&engine.encoder().encode(&[1, 2, 3]), &mut rng);
+
+        let sink = SessionCounters::new(0);
+        let outer = spot_trace::set_session_counters(Some(sink.clone()));
+        let mut counts = OpCounts::default();
+        engine.conv_one_ct(&ct, &req, &mut counts);
+        spot_trace::set_session_counters(outer);
+        let seen = sink.snapshot();
+        assert_eq!(seen.get(Counter::Rotate), counts.rotate);
+        (counts.rotate, seen.get(Counter::KsDecompose))
+    }
+
+    #[test]
+    fn input_side_rotations_share_one_decomposition_per_position() {
+        // 8 → 8: swap + 2 versions × 8 taps + 3 giant steps; the 17
+        // input-side rotations come from the two versions' hoists.
+        assert_eq!(rotations_and_decompositions(8, 8), (1 + 16 + 3, 2 + 3));
+        // 8 → 128 splits (baby, giants) = (2, 2): swap + 2 × (1 baby +
+        // 2 × 8 taps) + 16 giant steps, over 2 × 2 hoisted positions.
+        assert_eq!(rotations_and_decompositions(8, 128), (1 + 34 + 16, 4 + 16));
+        // 16 → 2 folds: every fold step is a rotation of its own.
+        let folds = crate::spot::blocking(16, 2).fold_steps.len() as u64;
+        assert_eq!(
+            rotations_and_decompositions(16, 2),
+            (1 + 16 + 1 + folds, 2 + 1 + folds)
+        );
     }
 
     #[test]

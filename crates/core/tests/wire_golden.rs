@@ -279,7 +279,7 @@ fn channelwise_b1() {
         1,
         golden(
             0x1b86_ac99_2d38_70e0,
-            0x4209_adb6_1315_e9d6,
+            0xc130_c192_0957_1c1c,
             0x52cf_2b86_6cca_1df8,
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
@@ -295,7 +295,7 @@ fn channelwise_b2() {
         2,
         golden(
             0xd06b_b837_2f49_a834,
-            0x5d98_91ab_e4d6_fc8e,
+            0x5364_5454_3a10_44ab,
             0x52cf_2b86_6cca_1df8,
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
@@ -349,7 +349,7 @@ fn spot_b1() {
         1,
         golden(
             0x247e_a3cb_fb01_7547,
-            0x4614_9b38_3c27_f79d,
+            0xadb4_cd21_aa36_d72b,
             0x2d28_08cc_ba69_3368,
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
@@ -365,7 +365,7 @@ fn spot_b2() {
         2,
         golden(
             0x72e0_35f4_7ce5_3728,
-            0xc8b3_2a7d_8ce3_7dc9,
+            0xb368_fce6_9494_e6cd,
             0x2d28_08cc_ba69_3368,
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
@@ -384,7 +384,7 @@ fn spot_b2_n8192() {
         2,
         golden(
             0x8ab1_c030_023a_c16b,
-            0xf3e3_3d93_fd44_b9d5,
+            0xde7e_1c9b_f935_9a1a,
             0x35d7_7a2f_15eb_7428,
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
@@ -406,7 +406,7 @@ fn spot_spilling_class() {
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
         0xe38d_ff1c_02c4_832c,
-        0x7d57_4f9f_02be_26d3,
+        0x6976_7c61_7f5f_0073,
         0x434f_d8f0_ef4d_2543,
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,

@@ -8,8 +8,9 @@
 use crate::ciphertext::Ciphertext;
 use crate::context::Context;
 use crate::encoding::{galois_elt_column_swap, galois_elt_from_step, Plaintext};
-use crate::keys::{GaloisKeys, KeySwitchKey};
-use crate::poly::{Poly, PolyForm};
+use crate::keys::GaloisKeys;
+use crate::poly::{permute_row, Poly, PolyForm};
+use crate::pool;
 use spot_trace::{count, Counter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -158,6 +159,15 @@ impl OpSink for () {
     fn record(&mut self, _op: HeOp) {}
 }
 
+/// A ciphertext decomposed for rotation by [`Evaluator::hoist`]: `c0`
+/// and the `k` RNS digits of `c1`, all in NTT form. Roughly `(k+1)/2`
+/// ciphertexts of memory; it decrypts to nothing by itself.
+#[derive(Debug, Clone)]
+pub struct HoistedCiphertext {
+    c0: Poly,
+    digits: Vec<Poly>,
+}
+
 /// Evaluates homomorphic operations on ciphertexts.
 #[derive(Debug)]
 pub struct Evaluator {
@@ -237,65 +247,97 @@ impl Evaluator {
         out
     }
 
-    /// Key-switches `(c0, c1_auto)` where `c1_auto` decrypts under `s'`
-    /// back to the canonical secret key, using RNS digit decomposition.
-    ///
-    /// Hot path: one scratch digit polynomial is reused across all `k`
-    /// digits, residue rows are copied verbatim when the source modulus
-    /// already bounds them (only larger digits pay a Barrett reduction),
-    /// and the `digit * ksk` products accumulate through the fused
-    /// [`Poly::add_mul_assign_ntt`] — no per-digit allocation or clone.
-    fn key_switch(&self, c0: Poly, mut c1: Poly, ksk: &KeySwitchKey) -> Ciphertext {
-        count(Counter::KeySwitch, 1);
+    /// Decomposes `a` for rotation: `c0` as it is and `c1` as its `k`
+    /// RNS digits (digit `i` is `c1 mod q_i`, lifted to every modulus),
+    /// each in NTT form. This is all the transform work of a key switch
+    /// — one inverse and `k` forward polynomial NTTs — and none of it
+    /// depends on the Galois element, so any number of
+    /// [`Evaluator::rotate_hoisted`] calls can share one decomposition.
+    pub fn hoist(&self, a: &Ciphertext) -> HoistedCiphertext {
+        count(Counter::KsDecompose, 1);
         let ctx = &self.ctx;
         let k = ctx.moduli_count();
+        let reduce = crate::arch::kernels().reduce;
+        let mut c1 = a.c1.clone();
         c1.to_coeff();
-        let mut acc0 = c0;
-        acc0.to_ntt();
-        let mut acc1 = Poly::zero(ctx, PolyForm::Ntt);
-        let mut digit = Poly::zero(ctx, PolyForm::Coeff);
-        for i in 0..k {
-            // Digit i: residues of c1 mod q_i, lifted to every modulus.
-            let q_i = ctx.moduli()[i].value();
-            for (j, m) in ctx.moduli().iter().enumerate() {
+        let digits = (0..k)
+            .map(|i| {
+                let q_i = ctx.moduli()[i].value();
                 let src = c1.residues(i);
-                let dst = digit.residues_mut(j);
-                if q_i <= m.value() {
-                    // Residues mod q_i are already reduced mod the
-                    // (equal or larger) target modulus.
-                    dst.copy_from_slice(src);
-                } else {
-                    (crate::arch::kernels().reduce)(m, dst, src);
+                // Every row is written below, so a dirty buffer is fine.
+                let data = pool::take(k * ctx.degree());
+                let mut digit = Poly::from_residues(ctx, data, PolyForm::Coeff);
+                for (j, m) in ctx.moduli().iter().enumerate() {
+                    let dst = digit.residues_mut(j);
+                    if q_i <= m.value() {
+                        // Residues mod q_i are already reduced mod the
+                        // (equal or larger) target modulus.
+                        dst.copy_from_slice(src);
+                    } else {
+                        reduce(m, dst, src);
+                    }
                 }
-            }
-            digit.reinterpret_form(PolyForm::Coeff);
-            digit.to_ntt();
-            let (b_i, a_i) = &ksk.pairs[i];
-            acc0.add_mul_assign_ntt(&digit, b_i);
-            acc1.add_mul_assign_ntt(&digit, a_i);
+                digit.to_ntt();
+                digit
+            })
+            .collect();
+        HoistedCiphertext {
+            c0: a.c0.clone(),
+            digits,
         }
+    }
+
+    /// Applies the Galois automorphism `X → X^g` to a hoisted ciphertext
+    /// and key-switches back to the canonical key — the one key-switch
+    /// body every rotation goes through.
+    ///
+    /// In NTT form the automorphism only reorders evaluation points
+    /// (the key's table, see [`crate::ntt::galois_ntt_table`]), and it
+    /// commutes with the digit decomposition, so the rotation is
+    /// `(σ(c0) + Σ σ(d_i)·b_i, Σ σ(d_i)·a_i)` with no transform at all.
+    /// Each digit row is gathered into one row of scratch and
+    /// accumulated against both key halves from there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no Galois key for `g` is present.
+    pub fn rotate_hoisted(
+        &self,
+        hoisted: &HoistedCiphertext,
+        g: usize,
+        keys: &GaloisKeys,
+    ) -> Ciphertext {
+        count(Counter::Rotate, 1);
+        count(Counter::KeySwitch, 1);
+        let ksk = keys
+            .keys
+            .get(&g)
+            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
+        let ctx = &self.ctx;
+        let add_mul = crate::arch::kernels().pointwise_add_mul;
+        let mut acc0 = hoisted.c0.apply_galois_ntt(&ksk.ntt_table);
+        let mut acc1 = Poly::zero(ctx, PolyForm::Ntt);
+        let mut row = pool::take(ctx.degree());
+        for (digit, (b_i, a_i)) in hoisted.digits.iter().zip(&ksk.pairs) {
+            for (j, m) in ctx.moduli().iter().enumerate() {
+                permute_row(&mut row, digit.residues(j), &ksk.ntt_table);
+                add_mul(m, acc0.residues_mut(j), &row, b_i.residues(j));
+                add_mul(m, acc1.residues_mut(j), &row, a_i.residues(j));
+            }
+        }
+        pool::recycle(row);
         Ciphertext { c0: acc0, c1: acc1 }
     }
 
     /// Applies the Galois automorphism `X → X^g` to a ciphertext and
-    /// key-switches back to the canonical key.
+    /// key-switches back to the canonical key. To rotate one ciphertext
+    /// several ways, [`Evaluator::hoist`] it once instead.
     ///
     /// # Panics
     ///
     /// Panics if no Galois key for `g` is present.
     pub fn apply_galois(&self, a: &Ciphertext, g: usize, keys: &GaloisKeys) -> Ciphertext {
-        count(Counter::Rotate, 1);
-        let ksk = keys
-            .keys
-            .get(&g)
-            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
-        let mut c0 = a.c0.clone();
-        c0.to_coeff();
-        let c0g = c0.apply_galois(g);
-        let mut c1 = a.c1.clone();
-        c1.to_coeff();
-        let c1g = c1.apply_galois(g);
-        self.key_switch(c0g, c1g, ksk)
+        self.rotate_hoisted(&self.hoist(a), g, keys)
     }
 
     /// Rotates both slot rows left by `steps` (negative = right).

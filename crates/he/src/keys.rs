@@ -6,6 +6,7 @@
 //! `g_i = (q/q_i)·[(q/q_i)^{-1}]_{q_i}` is the CRT gadget.
 
 use crate::context::Context;
+use crate::ntt::galois_ntt_table;
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use rand::Rng;
@@ -64,11 +65,26 @@ pub struct PublicKey {
     pub(crate) a: Poly,
 }
 
-/// One key-switching key: for each RNS digit `i`, a pair `(b_i, a_i)` with
-/// `b_i = -(a_i·s + e_i) + g_i·s'`, all in NTT form.
+/// The key-switching key of one Galois element `g`: for each RNS digit
+/// `i`, a pair `(b_i, a_i)` with `b_i = -(a_i·s + e_i) + g_i·s(X^g)`,
+/// all in NTT form.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     pub(crate) pairs: Vec<(Poly, Poly)>,
+    /// `X → X^g` as an index table over NTT-form residues. Derived from
+    /// `g` alone wherever a key is generated or deserialized; never
+    /// part of the serialized key.
+    pub(crate) ntt_table: Vec<u32>,
+}
+
+impl KeySwitchKey {
+    /// The key for Galois element `g` at ring degree `degree`.
+    pub(crate) fn new(pairs: Vec<(Poly, Poly)>, g: usize, degree: usize) -> Self {
+        Self {
+            pairs,
+            ntt_table: galois_ntt_table(g, degree),
+        }
+    }
 }
 
 /// Galois keys: a key-switching key per Galois element.
@@ -86,6 +102,12 @@ impl GaloisKeys {
     /// Whether a key exists for `galois_elt`.
     pub fn contains(&self, galois_elt: usize) -> bool {
         self.keys.contains_key(&galois_elt)
+    }
+
+    /// The key-switch pairs `(b_i, a_i)` held for `galois_elt`, one per
+    /// RNS digit, in NTT form.
+    pub fn pairs(&self, galois_elt: usize) -> Option<&[(Poly, Poly)]> {
+        self.keys.get(&galois_elt).map(|ksk| ksk.pairs.as_slice())
     }
 
     /// Number of keys held.
@@ -169,9 +191,9 @@ impl KeyGenerator {
         PublicKey { b, a }
     }
 
-    /// Generates a key-switching key from `s_prime` (NTT form) to the
-    /// generator's secret key.
-    fn key_switch_key<R: Rng>(&self, s_prime: &Poly, rng: &mut R) -> KeySwitchKey {
+    /// Generates the key-switching pairs from `s_prime` (NTT form) to
+    /// the generator's secret key.
+    fn key_switch_pairs<R: Rng>(&self, s_prime: &Poly, rng: &mut R) -> Vec<(Poly, Poly)> {
         let k = self.ctx.moduli_count();
         let mut pairs = Vec::with_capacity(k);
         for i in 0..k {
@@ -188,7 +210,7 @@ impl KeyGenerator {
             b_i.add_assign(&gs);
             pairs.push((b_i, a_i));
         }
-        KeySwitchKey { pairs }
+        pairs
     }
 
     /// Generates Galois keys for the given Galois elements.
@@ -208,7 +230,8 @@ impl KeyGenerator {
             // s' = s(X^g)
             let mut s_auto = self.sk.s_coeff.apply_galois(g);
             s_auto.to_ntt();
-            keys.insert(g, self.key_switch_key(&s_auto, rng));
+            let pairs = self.key_switch_pairs(&s_auto, rng);
+            keys.insert(g, KeySwitchKey::new(pairs, g, self.ctx.degree()));
         }
         GaloisKeys { keys }
     }

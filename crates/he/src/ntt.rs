@@ -30,6 +30,39 @@ fn bit_reverse(x: usize, bits: u32) -> usize {
     x.reverse_bits() >> (usize::BITS - bits)
 }
 
+/// The Galois automorphism `X → X^g` as an index table over NTT-form
+/// residues: `out[i] = in[table[i]]`.
+///
+/// [`NttTables::forward`] leaves `a(ψ^{2·bitrev(i)+1})` at position
+/// `i`, and `(σ_g a)(ψ^e) = a(ψ^{e·g})`, so position `i` of the image
+/// reads the position `j` with `2·bitrev(j)+1 ≡ (2·bitrev(i)+1)·g
+/// (mod 2N)`. The exponents are the same for every prime, so one table
+/// serves all residue rows. No sign rule and no arithmetic: the
+/// evaluation points are only visited in a different order.
+///
+/// # Panics
+///
+/// Panics if `degree` is not a power of two or `g` is not an odd
+/// element of `[1, 2·degree)`.
+pub fn galois_ntt_table(g: usize, degree: usize) -> Vec<u32> {
+    assert!(degree.is_power_of_two(), "degree must be a power of two");
+    assert!(g % 2 == 1 && g < 2 * degree, "bad galois element {g}");
+    // With r = bitrev(i) the congruence reads bitrev(j) = r·g + (g−1)/2
+    // (mod N): walk r upward, adding g, and scatter through one
+    // bit-reversal table built by rev[r] = rev[r/2]/2 + (r mod 2)·N/2.
+    let mut rev = vec![0u32; degree];
+    for r in 1..degree {
+        rev[r] = (rev[r >> 1] >> 1) | if r & 1 == 1 { (degree >> 1) as u32 } else { 0 };
+    }
+    let mut table = vec![0u32; degree];
+    let mut source = (g - 1) / 2;
+    for &i in &rev {
+        table[i as usize] = rev[source & (degree - 1)];
+        source += g;
+    }
+    table
+}
+
 impl NttTables {
     /// Builds NTT tables for `degree` (a power of two) modulo prime `p`
     /// with `p ≡ 1 (mod 2*degree)`.

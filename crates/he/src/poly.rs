@@ -211,30 +211,6 @@ impl Poly {
         }
     }
 
-    /// `self += a * b`, pointwise; all three must be in NTT form.
-    ///
-    /// Fused form of `mul_assign_ntt` + `add_assign` that avoids the
-    /// intermediate product polynomial — the key-switch inner loop uses
-    /// this to accumulate `digit * ksk` terms without cloning the digit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any polynomial is in coefficient form.
-    pub fn add_mul_assign_ntt(&mut self, a: &Poly, b: &Poly) {
-        assert_eq!(self.form, PolyForm::Ntt, "accumulator must be in NTT form");
-        self.assert_compatible(a);
-        self.assert_compatible(b);
-        let ctx = Arc::clone(&self.ctx);
-        let n = ctx.degree();
-        let kernels = crate::arch::kernels();
-        for (i, m) in ctx.moduli().iter().enumerate() {
-            let dst = &mut self.data[i * n..(i + 1) * n];
-            let sa = &a.data[i * n..(i + 1) * n];
-            let sb = &b.data[i * n..(i + 1) * n];
-            (kernels.pointwise_add_mul)(m, dst, sa, sb);
-        }
-    }
-
     /// Relabels the representation without transforming the residues.
     ///
     /// Escape hatch for buffer-reuse patterns: a caller that overwrites
@@ -259,7 +235,29 @@ impl Poly {
         }
     }
 
-    /// Applies the Galois automorphism `X -> X^g` (odd `g`, `1 <= g < 2N`).
+    /// Applies a Galois automorphism to an NTT-form polynomial as the
+    /// index permutation `table` (see [`crate::ntt::galois_ntt_table`]):
+    /// every residue row becomes `out[i] = in[table[i]]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the polynomial is in coefficient form, `table` is not
+    /// `degree` long, or an entry is out of range.
+    pub fn apply_galois_ntt(&self, table: &[u32]) -> Poly {
+        assert_eq!(self.form, PolyForm::Ntt, "index form needs NTT form");
+        let n = self.ctx.degree();
+        // Every element is written below, so a dirty pooled buffer is fine.
+        let mut data = pool::take(self.data.len());
+        for (dst, src) in data.chunks_exact_mut(n).zip(self.data.chunks_exact(n)) {
+            permute_row(dst, src, table);
+        }
+        Poly::from_residues(&self.ctx, data, PolyForm::Ntt)
+    }
+
+    /// Applies the Galois automorphism `X -> X^g` (odd `g`, `1 <= g < 2N`)
+    /// in the coefficient domain. Secret-key derivation uses it; for
+    /// ciphertexts it is the reference [`Poly::apply_galois_ntt`] is
+    /// tested against.
     ///
     /// Must be in coefficient form: coefficient `j` of the result comes
     /// from coefficient `j' ` where `j' * g ≡ j (mod 2N)` with the
@@ -291,6 +289,18 @@ impl Poly {
             }
         }
         out
+    }
+}
+
+/// `dst[i] = src[table[i]]` over one residue row.
+///
+/// # Panics
+///
+/// Panics if the three lengths differ or an entry is out of range.
+pub(crate) fn permute_row(dst: &mut [u64], src: &[u64], table: &[u32]) {
+    assert!(dst.len() == src.len() && table.len() == src.len());
+    for (d, &j) in dst.iter_mut().zip(table) {
+        *d = src[j as usize];
     }
 }
 

@@ -158,9 +158,16 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
         let elt_bytes = bytes.get(off..off + 8).ok_or(SerialError::Truncated)?;
         let elt = u64::from_le_bytes(elt_bytes.try_into().expect("8-byte slice")) as usize;
         off += 8;
+        // The element indexes the automorphism table built below.
+        if elt % 2 != 1 || elt >= 2 * ctx.degree() {
+            return Err(SerialError::Malformed(format!(
+                "galois element {elt} is not an odd residue mod 2N"
+            )));
+        }
         let pair_count = read_u32(bytes, off)? as usize;
         off += 4;
-        if pair_count == 0 || pair_count > ctx.moduli_count() {
+        // One pair per RNS digit: the key switch pairs them one to one.
+        if pair_count != ctx.moduli_count() {
             return Err(SerialError::Malformed(format!(
                 "bad key-switch digit count {pair_count}"
             )));
@@ -171,7 +178,10 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
             let a = read_poly(ctx, bytes, &mut off)?;
             pairs.push((b, a));
         }
-        if keys.insert(elt, KeySwitchKey { pairs }).is_some() {
+        if keys
+            .insert(elt, KeySwitchKey::new(pairs, elt, ctx.degree()))
+            .is_some()
+        {
             return Err(SerialError::Malformed(format!(
                 "duplicate galois element {elt}"
             )));
@@ -327,5 +337,32 @@ mod tests {
         assert!(public_key_from_bytes(&ctx, &[1, 2, 3]).is_err());
         assert!(galois_keys_from_bytes(&ctx, &[0xFF; 64]).is_err());
         assert!(galois_keys_from_bytes(&ctx, &[]).is_err());
+    }
+
+    #[test]
+    fn galois_entry_that_no_rotation_could_use_is_malformed() {
+        // The element indexes an N-entry automorphism table and the
+        // pairs are matched one to one with the k digits: a peer must
+        // not get an entry past the reader that breaks either.
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let mut rng = StdRng::seed_from_u64(5);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let good = galois_keys_to_bytes(&kg.galois_keys(&[3], &mut rng));
+        let malformed = |bytes: &[u8]| {
+            matches!(
+                galois_keys_from_bytes(&ctx, bytes),
+                Err(SerialError::Malformed(_))
+            )
+        };
+        let two_n = 2 * ctx.degree() as u64;
+        for elt in [0, 4, two_n, two_n + 1, u64::MAX] {
+            let mut bad = good.clone();
+            bad[4..12].copy_from_slice(&elt.to_le_bytes());
+            assert!(malformed(&bad), "element {elt}");
+        }
+        let mut bad = good.clone();
+        bad[12..16].copy_from_slice(&(ctx.moduli_count() as u32 - 1).to_le_bytes());
+        assert!(malformed(&bad), "short digit count");
+        assert!(galois_keys_from_bytes(&ctx, &good).is_ok());
     }
 }

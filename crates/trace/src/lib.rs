@@ -561,6 +561,9 @@ pub enum Counter {
     Rotate,
     /// RNS key-switch invocations.
     KeySwitch,
+    /// Key-switch digit decompositions (one per hoisted ciphertext;
+    /// every rotation taken from the same hoist shares it).
+    KsDecompose,
     /// Ciphertext modulus switches.
     ModSwitch,
     /// Encryptions.
@@ -602,7 +605,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 23;
+pub const COUNTER_COUNT: usize = 24;
 
 impl Counter {
     /// Every counter, in declaration order.
@@ -611,6 +614,7 @@ impl Counter {
         Counter::NttInv,
         Counter::Rotate,
         Counter::KeySwitch,
+        Counter::KsDecompose,
         Counter::ModSwitch,
         Counter::Encrypt,
         Counter::Decrypt,
@@ -639,6 +643,7 @@ impl Counter {
             Counter::NttInv => "ntt_inv",
             Counter::Rotate => "rotate",
             Counter::KeySwitch => "key_switch",
+            Counter::KsDecompose => "ks_decompose",
             Counter::ModSwitch => "mod_switch",
             Counter::Encrypt => "encrypt",
             Counter::Decrypt => "decrypt",

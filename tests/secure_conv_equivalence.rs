@@ -219,6 +219,38 @@ fn deep_channel_folding_co_much_less_than_ci() {
 }
 
 #[test]
+fn wide_output_layer_takes_baby_steps_before_the_taps() {
+    // C_o >> C_i: sixteen output groups make giant steps the dominant
+    // rotation cost, so the BSGS split pre-rotates the input by a baby
+    // step — the only regime where a convolution hoists more than its
+    // column-swap versions.
+    use spot::core::heconv::bsgs_split;
+    use spot::core::spot::blocking;
+    let blk = blocking(8, 128);
+    let split = bsgs_split(blk.diagonals, blk.out_groups, 2, 9);
+    assert_eq!(split, (2, 2), "baby and giant steps both in play");
+
+    let ctx = ctx();
+    let mut rng = StdRng::seed_from_u64(56);
+    let keygen = KeyGenerator::new(&ctx, &mut rng);
+    let input = Tensor::random(8, 4, 4, 5, 15);
+    let kernel = Kernel::random(128, 8, 3, 3, 3, 16);
+    let sp = spot_conv(
+        &ctx,
+        &keygen,
+        &input,
+        &kernel,
+        1,
+        ((4, 4), PatchMode::Tweaked),
+        &mut rng,
+    );
+    assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
+    // One column swap, a baby step and eight taps on each of the two
+    // versions' two positions, one giant step per output group.
+    assert_eq!(sp.counts.rotate, 1 + 2 * (1 + 2 * 8) + 16);
+}
+
+#[test]
 fn spot_works_at_n8192() {
     // Exercise a bigger parameter level end to end (5 RNS primes,
     // deeper key-switching) — SPOT's cost-aware planner sometimes picks
