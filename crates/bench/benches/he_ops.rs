@@ -41,8 +41,19 @@ fn bench_level(c: &mut Criterion, level: ParamLevel) {
     });
     group.bench_function("add", |b| b.iter(|| evaluator.add(&ct, &ct2)));
     if level.supports_rotation() {
-        let gk = keygen.galois_keys(&evaluator.galois_elements(&[1], false), &mut rng);
+        // Eight steps with a key each: a 3×3 kernel's non-centre taps.
+        let elements = evaluator.galois_elements(&[1, 2, 3, 4, 5, 6, 7, 8], false);
+        let gk = keygen.galois_keys(&elements, &mut rng);
         group.bench_function("rotate", |b| b.iter(|| evaluator.rotate_rows(&ct, 1, &gk)));
+        group.bench_function("ks_decompose", |b| b.iter(|| evaluator.hoist(&ct)));
+        group.bench_function("rotate_hoisted8", |b| {
+            b.iter(|| {
+                let hoisted = evaluator.hoist(&ct);
+                for &g in &elements {
+                    criterion::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
+                }
+            })
+        });
     }
     group.bench_function("encode", |b| b.iter(|| encoder.encode(&values)));
     group.finish();
@@ -128,7 +139,7 @@ fn bench_kernel_loops(c: &mut Criterion, level: ParamLevel) {
     });
     group.bench_function("keyswitch_digit_lift", |b| {
         // The digit lift reduces a residue row into a *different* (here
-        // smaller) modulus, exactly like Evaluator::key_switch.
+        // smaller) modulus, exactly like Evaluator::hoist.
         let small = spot_he::modulus::Modulus::new((1u64 << 30) - 35);
         let mut d = vec![0u64; n];
         b.iter(|| (kernels.reduce)(&small, &mut d, &a))

@@ -12,12 +12,16 @@
 //! is a fraction (default `0.25` = 25%); direction is inferred per
 //! metric (time-like regress up, throughput-like regress down — see
 //! [`spot_bench::check`]). `--warn-only` reports but exits 0, for
-//! noisy 1-core CI runners where absolute timings swing.
+//! noisy 1-core CI runners where absolute timings swing. The one thing
+//! it does not soften is a same-run ratio above its fixed ceiling
+//! ([`spot_bench::check::CEILINGS`]): that is the same on any runner.
 //!
-//! Exit codes: `0` clean (or `--warn-only`), `1` regression(s) found,
-//! `2` usage or I/O error.
+//! Exit codes: `0` clean (or `--warn-only`), `1` regression(s) found
+//! or a ceiling exceeded, `2` usage or I/O error.
 
-use spot_bench::check::{compare, http_get, parse_baseline, parse_prometheus, MetricMap};
+use spot_bench::check::{
+    compare, http_get, over_ceiling, parse_baseline, parse_prometheus, MetricMap,
+};
 use std::process::ExitCode;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -71,6 +75,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+
+    // Fixed ceilings on same-run ratios hold even under --warn-only:
+    // they do not depend on this runner's speed.
+    let over = over_ceiling(&current);
+    for r in &over {
+        println!(
+            "bench_check: OVER CEILING {}: {:.3} > {:.3}",
+            r.metric, r.current, r.baseline
+        );
+    }
+    if !over.is_empty() {
+        return ExitCode::FAILURE;
+    }
 
     let report = compare(&baseline, &current, tolerance);
     println!(

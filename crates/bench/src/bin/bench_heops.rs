@@ -17,15 +17,19 @@
 //!
 //! The JSON schema is stable (`spot-bench-heops/v1`): consumers may rely
 //! on `schema`, `host`,
-//! `entries[].{op,level,kernel,reps,mean_us,median_us,min_us}` and
-//! `speedups`. New fields may be added; existing ones won't change
+//! `entries[].{op,level,kernel,reps,mean_us,median_us,min_us}`,
+//! `speedups` and `ratios`. New fields may be added; existing ones won't change
 //! meaning. The `conv_batched_b{B}` entries report one full in-process
 //! SPOT conv session carrying `B` images *per image* (total / B), so
 //! they read directly as throughput-per-image. The client-side rows
 //! (`ct_to_bytes`, `ct_from_bytes`, `galois_serialize`,
 //! `galois_deserialize`, `decrypt`) are what a tiny client pays per
 //! ciphertext and per Galois key outside the HE math; the Galois rows
-//! are **per key** (blob time / keys in the blob).
+//! are **per key** (blob time / keys in the blob). `ks_decompose` is
+//! the step-independent part of a rotation (`Evaluator::hoist`) and
+//! `rotate_hoisted8` eight rotations sharing one; `ratios` relates the
+//! latter to eight stand-alone `rotate`s, and `bench_check` fails when
+//! it exceeds 0.6.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -174,12 +178,34 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
         let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
         if level.supports_rotation() {
             let rot_reps = reps / 10;
-            let gk = keygen.galois_keys(&evaluator.galois_elements(&[1], false), &mut rng);
+            // Eight steps: the non-centre taps of a 3×3 kernel, each
+            // with a key of its own as in a convolution.
+            let elements = evaluator.galois_elements(&[1, 2, 3, 4, 5, 6, 7, 8], false);
+            let gk = keygen.galois_keys(&elements, &mut rng);
             push(
                 "rotate",
                 rot_reps,
                 time_us(rot_reps, || {
                     std::hint::black_box(evaluator.rotate_rows(&ct, 1, &gk));
+                }),
+            );
+            // The part of a rotation that does not depend on the step …
+            push(
+                "ks_decompose",
+                rot_reps,
+                time_us(rot_reps, || {
+                    std::hint::black_box(evaluator.hoist(&ct));
+                }),
+            );
+            // … and eight rotations sharing one of it.
+            push(
+                "rotate_hoisted8",
+                rot_reps,
+                time_us(rot_reps, || {
+                    let hoisted = evaluator.hoist(&ct);
+                    for &g in &elements {
+                        std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
+                    }
                 }),
             );
         }
@@ -431,6 +457,28 @@ fn emit_json(dispatched: &str, entries: &[Entry]) {
     }
     println!("  \"speedup_scalar_over\": \"min_us ratios: scalar / dispatched\",");
     println!("  \"speedups\": {{");
+    println!("{}", lines.join(",\n"));
+    println!("  }},");
+    // Eight rotations from one hoist against eight rotations that each
+    // decompose for themselves, same run, dispatched kernels. The one
+    // number here `bench_check` holds to a fixed ceiling (0.6).
+    let min_us = |op: &str, level: &str| {
+        entries
+            .iter()
+            .find(|e| e.kernel == dispatched && e.op == op && e.level == level)
+            .map(|e| e.min_us)
+    };
+    let lines: Vec<String> = ["N4096", "N8192"]
+        .iter()
+        .filter_map(|level| {
+            let ratio = min_us("rotate_hoisted8", level)? / (8.0 * min_us("rotate", level)?);
+            Some(format!(
+                "    \"rotate_hoisted8_per_8_rotate/{level}\": {ratio:.3}"
+            ))
+        })
+        .collect();
+    println!("  \"ratios_of\": \"min_us ratios within this run, dispatched kernels\",");
+    println!("  \"ratios\": {{");
     println!("{}", lines.join(",\n"));
     println!("  }}");
     println!("}}");

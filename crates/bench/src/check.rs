@@ -520,6 +520,32 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
     report
 }
 
+/// Same-run ratios held to a fixed ceiling: `(path prefix, ceiling)`.
+/// Both sides of such a ratio come from one process on one machine, so
+/// it holds still where absolute times do not, and it is gated against
+/// the ceiling itself, not against a baseline that could drift upward
+/// a tolerance at a time. `rotate_hoisted8_per_8_rotate` is eight
+/// rotations from one key-switch decomposition over eight that each
+/// redo it: about 0.5 at `N = 4096`, and 1.0 if the sharing is lost.
+pub const CEILINGS: &[(&str, f64)] = &[("ratios/rotate_hoisted8_per_8_rotate/", 0.6)];
+
+/// Every metric of `current` above its [`CEILINGS`] entry, reported
+/// with the ceiling in the baseline position.
+pub fn over_ceiling(current: &MetricMap) -> Vec<Regression> {
+    let over = current.iter().filter_map(|(path, &value)| {
+        let &(_, ceiling) = CEILINGS
+            .iter()
+            .find(|(prefix, _)| path.starts_with(prefix))?;
+        (value > ceiling).then(|| Regression {
+            metric: path.clone(),
+            baseline: ceiling,
+            current: value,
+            ratio: value / ceiling,
+        })
+    });
+    over.collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,6 +723,30 @@ mod tests {
             report.regressions[0].metric,
             "spot_conv_serve_ns_mean{scheme=\"spot\"}"
         );
+    }
+
+    #[test]
+    fn ceilings_gate_the_current_side_alone() {
+        let run = |ratio: f64| {
+            parse_baseline(&format!(
+                r#"{{"ratios": {{"rotate_hoisted8_per_8_rotate/N4096": {ratio},
+                     "rotate_hoisted8_per_8_rotate/N8192": 0.41}},
+                   "speedups": {{"rotate/N4096": 1.8}}}}"#
+            ))
+            .unwrap()
+        };
+        assert!(over_ceiling(&run(0.49)).is_empty());
+        let over = over_ceiling(&run(0.97));
+        assert_eq!(over.len(), 1);
+        assert_eq!(over[0].metric, "ratios/rotate_hoisted8_per_8_rotate/N4096");
+        assert_eq!((over[0].baseline, over[0].current), (0.6, 0.97));
+        // Not a relative metric: a baseline that already sat high does
+        // not make a high current value acceptable, and the diff skips it.
+        assert_eq!(
+            classify("ratios/rotate_hoisted8_per_8_rotate/N4096"),
+            Direction::Neutral
+        );
+        assert!(compare(&run(0.97), &run(0.97), 0.25).regressions.is_empty());
     }
 
     #[test]
