@@ -7,14 +7,18 @@
 //! each path to constants recorded from the code as it stood before the
 //! session layer was collapsed to one driver: FNV-1a-64 digests of the
 //! uplink frames in send order, the downlink frames in receive order,
-//! the downlink's *shape* (each frame's header: kind and byte length),
-//! each image's client and server share, and the merged operation
-//! counts.
+//! each direction's *shape* (each frame's header: kind and byte
+//! length), each image's client and server share, and the merged
+//! operation counts. One case drives the whole two-layer TinyCnn
+//! connection through `run_client_batch`/`run_server`.
 //!
 //! A change to how the server computes a result ciphertext (a different
 //! but equally valid encryption of the same plaintext) may move
 //! `downlink` and nothing else: the shape digest pins that the frames
-//! are still the same kinds and sizes in the same order.
+//! are still the same kinds and sizes in the same order. Likewise a
+//! change to what a key frame carries moves `uplink` and
+//! `uplink_shape` (and, through the client's rng order, `downlink`),
+//! while shares, counts and `downlink_shape` stay.
 //!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
@@ -22,11 +26,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
+use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
     serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
+use spot_core::twoparty::{run_client_batch, run_server};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -58,8 +64,9 @@ fn tensor_digest(t: &Tensor) -> u64 {
 /// into a running digest, in the order the session code moved it.
 struct Recorder {
     inner: MemTransport,
-    up: Mutex<u64>,
-    /// `(frame bytes, frame headers)` digests of the received frames.
+    /// `(frame bytes, frame headers)` digests of the sent frames.
+    up: Mutex<(u64, u64)>,
+    /// The same pair over the received frames.
     down: Mutex<(u64, u64)>,
 }
 
@@ -67,29 +74,28 @@ impl Recorder {
     fn new(inner: MemTransport) -> Self {
         Self {
             inner,
-            up: Mutex::new(FNV_OFFSET),
+            up: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
             down: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
         }
     }
 }
 
+/// Folds one frame into a direction's `(bytes, headers)` digests.
+fn record(digests: &Mutex<(u64, u64)>, msg: &WireMessage) {
+    let frame = msg.encode_frame();
+    let mut d = digests.lock().unwrap();
+    *d = (fnv1a(d.0, &frame), fnv1a(d.1, &frame[..FRAME_HEADER_BYTES]));
+}
+
 impl Transport for Recorder {
     fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
-        {
-            let mut up = self.up.lock().unwrap();
-            *up = fnv1a(*up, &msg.encode_frame());
-        }
+        record(&self.up, msg);
         self.inner.send(msg)
     }
 
     fn recv(&self) -> Result<WireMessage, ProtoError> {
         let msg = self.inner.recv()?;
-        let frame = msg.encode_frame();
-        let mut down = self.down.lock().unwrap();
-        *down = (
-            fnv1a(down.0, &frame),
-            fnv1a(down.1, &frame[..FRAME_HEADER_BYTES]),
-        );
+        record(&self.down, &msg);
         Ok(msg)
     }
 
@@ -105,6 +111,8 @@ impl Transport for Recorder {
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     uplink: u64,
+    /// Version, kind and payload length of every uplink frame.
+    uplink_shape: u64,
     downlink: u64,
     /// Version, kind and payload length of every downlink frame.
     downlink_shape: u64,
@@ -226,10 +234,11 @@ fn run_case(
     ]
     .iter()
     .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
-    let uplink = *client.up.lock().unwrap();
+    let (uplink, uplink_shape) = *client.up.lock().unwrap();
     let (downlink, downlink_shape) = *client.down.lock().unwrap();
     Golden {
         uplink,
+        uplink_shape,
         downlink,
         downlink_shape,
         shares: absorbed
@@ -243,14 +252,14 @@ fn run_case(
 }
 
 fn golden(
-    uplink: u64,
-    downlink: u64,
-    downlink_shape: u64,
+    (uplink, uplink_shape): (u64, u64),
+    (downlink, downlink_shape): (u64, u64),
     shares: &[(u64, u64)],
     counts: u64,
 ) -> Golden {
     Golden {
         uplink,
+        uplink_shape,
         downlink,
         downlink_shape,
         shares: shares.to_vec(),
@@ -278,9 +287,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            0x1b86_ac99_2d38_70e0,
-            0xc130_c192_0957_1c1c,
-            0x52cf_2b86_6cca_1df8,
+            (0x1b86_ac99_2d38_70e0, 0xf2c8_4a2f_e0e0_1e63),
+            (0xc130_c192_0957_1c1c, 0x52cf_2b86_6cca_1df8),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -294,9 +302,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            0xd06b_b837_2f49_a834,
-            0x5364_5454_3a10_44ab,
-            0x52cf_2b86_6cca_1df8,
+            (0xd06b_b837_2f49_a834, 0xf2c8_4a2f_e0e0_1e63),
+            (0x5364_5454_3a10_44ab, 0x52cf_2b86_6cca_1df8),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -313,9 +320,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            0x2245_5cbd_68f2_92cc,
-            0xad02_4fbc_e60a_936f,
-            0x3c8d_2fab_33bf_be88,
+            (0x2245_5cbd_68f2_92cc, 0x71e4_21d5_d6ba_710d),
+            (0xad02_4fbc_e60a_936f, 0x3c8d_2fab_33bf_be88),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -329,9 +335,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            0x7488_f4e9_0d15_3e12,
-            0x6fda_8fe7_4c40_266c,
-            0x2d28_08cc_ba69_3368,
+            (0x7488_f4e9_0d15_3e12, 0xdac5_8116_5ecf_60f4),
+            (0x6fda_8fe7_4c40_266c, 0x2d28_08cc_ba69_3368),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -348,9 +353,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            0x247e_a3cb_fb01_7547,
-            0xadb4_cd21_aa36_d72b,
-            0x2d28_08cc_ba69_3368,
+            (0x247e_a3cb_fb01_7547, 0x806a_f83b_ede4_4b58),
+            (0xadb4_cd21_aa36_d72b, 0x2d28_08cc_ba69_3368),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -364,9 +368,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            0x72e0_35f4_7ce5_3728,
-            0xb368_fce6_9494_e6cd,
-            0x2d28_08cc_ba69_3368,
+            (0x72e0_35f4_7ce5_3728, 0x806a_f83b_ede4_4b58),
+            (0xb368_fce6_9494_e6cd, 0x2d28_08cc_ba69_3368),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -383,9 +386,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            0x8ab1_c030_023a_c16b,
-            0xde7e_1c9b_f935_9a1a,
-            0x35d7_7a2f_15eb_7428,
+            (0x8ab1_c030_023a_c16b, 0x208e_bd4a_04f1_f615),
+            (0xde7e_1c9b_f935_9a1a, 0x35d7_7a2f_15eb_7428),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -405,9 +407,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        0xe38d_ff1c_02c4_832c,
-        0x6976_7c61_7f5f_0073,
-        0x434f_d8f0_ef4d_2543,
+        (0xe38d_ff1c_02c4_832c, 0xdd49_af36_c071_fa81),
+        (0x6976_7c61_7f5f_0073, 0x434f_d8f0_ef4d_2543),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
@@ -417,5 +418,79 @@ fn spot_spilling_class() {
     ] {
         let got = run_case(ParamLevel::N4096, &layer, 1, backend);
         assert_eq!(got, want, "spill {name}");
+    }
+}
+
+/// What the two-layer TinyCnn connection pins: both directions' bytes
+/// and shapes, the revealed output, and the server's counts merged over
+/// both convolutions.
+#[derive(Debug, PartialEq, Eq)]
+struct TinyCnnGolden {
+    uplink: (u64, u64),
+    downlink: (u64, u64),
+    output: u64,
+    counts: u64,
+}
+
+/// The whole TinyCnn connection under SPOT, as `tinycnn_spot` in
+/// `benchmark/` drives it: conv1 and conv2 on one transport with the
+/// non-linear rounds and reveals between them.
+#[test]
+fn tinycnn_spot_two_layers() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(9000));
+    let cnn = TinyCnn::new(7);
+    let input = Tensor::random(2, 8, 8, 5, 40);
+    let want = TinyCnnGolden {
+        uplink: (0x73e1_2927_474e_95d5, 0xe158_429e_0407_2d24),
+        downlink: (0xf50f_3b5d_9456_d918, 0x85ec_14c6_c1f3_5292),
+        output: 0xe2d8_2316_5c69_bbf5,
+        counts: 0xaaf8_f89a_f734_9b87,
+    };
+    for (name, backend) in [
+        ("phased", ExecBackend::Phased(Executor::serial())),
+        (
+            "streaming",
+            ExecBackend::Streaming(StreamConfig::new(Executor::new(1), 2)),
+        ),
+    ] {
+        let (ct, st) = MemTransport::pair();
+        let client = Recorder::new(ct);
+        let (outputs, report) = std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                let mut srng = StdRng::seed_from_u64(3100);
+                run_server(&ctx, &st, &cnn, &backend, &mut srng)
+            });
+            let outputs = run_client_batch(
+                &ctx,
+                &keygen,
+                &client,
+                std::slice::from_ref(&input),
+                &cnn,
+                SchemeKind::Spot,
+                (4, 4),
+                PatchMode::Tweaked,
+                &mut StdRng::seed_from_u64(777),
+            );
+            (outputs, server.join().expect("server thread"))
+        });
+        let (outputs, report) = (outputs.expect("client"), report.expect("server"));
+        assert_eq!(outputs[0], cnn.forward_plain(&input), "{name}");
+        let counts = [
+            report.counts.rotate,
+            report.counts.mult_plain,
+            report.counts.add,
+            report.input_cts as u64,
+            report.output_cts as u64,
+        ]
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
+        let got = TinyCnnGolden {
+            uplink: *client.up.lock().unwrap(),
+            downlink: *client.down.lock().unwrap(),
+            output: tensor_digest(&outputs[0]),
+            counts,
+        };
+        assert_eq!(got, want, "tinycnn_spot {name}");
     }
 }
