@@ -319,4 +319,19 @@ mod tests {
             assert_eq!(acc, mj.reduce(x));
         }
     }
+
+    #[test]
+    fn gadget_is_the_crt_indicator() {
+        // Key generation adds row i of s' instead of multiplying by
+        // g_i: that is only g_i·s' while g_i is 1 mod q_i and 0 mod
+        // every other prime.
+        for level in [ParamLevel::N4096, ParamLevel::N8192] {
+            let ctx = Context::new(EncryptionParams::new(level));
+            for (i, row) in ctx.gadget().iter().enumerate() {
+                for (j, &g) in row.iter().enumerate() {
+                    assert_eq!(g, u64::from(i == j), "{level} g_{i} mod q_{j}");
+                }
+            }
+        }
+    }
 }

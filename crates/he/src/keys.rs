@@ -54,7 +54,8 @@ pub(crate) fn sample_uniform<R: Rng>(ctx: &Arc<Context>, rng: &mut R) -> Poly {
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     pub(crate) s: Poly,
-    /// Coefficient-form copy, needed to derive automorphed keys.
+    /// Coefficient-form copy, needed to re-embed the key in another
+    /// context.
     pub(crate) s_coeff: Poly,
 }
 
@@ -200,14 +201,15 @@ impl KeyGenerator {
             let a_i = sample_uniform(&self.ctx, rng);
             let mut e_i = sample_error(&self.ctx, rng);
             e_i.to_ntt();
-            // b_i = -(a_i*s + e_i) + g_i * s'
+            // b_i = -(a_i*s + e_i) + g_i * s'. The CRT gadget g_i is 1
+            // mod q_i and 0 mod every other prime, so the last term is
+            // row i of s' added to row i.
             let mut b_i = a_i.clone();
             b_i.mul_assign_ntt(&self.sk.s);
             b_i.add_assign(&e_i);
             b_i.neg_assign();
-            let mut gs = s_prime.clone();
-            gs.mul_scalar_per_modulus(&self.ctx.gadget()[i]);
-            b_i.add_assign(&gs);
+            let m = &self.ctx.moduli()[i];
+            (crate::arch::kernels().pointwise_add)(m, b_i.residues_mut(i), s_prime.residues(i));
             pairs.push((b_i, a_i));
         }
         pairs
@@ -227,11 +229,12 @@ impl KeyGenerator {
         );
         let mut keys = HashMap::new();
         for &g in elements {
-            // s' = s(X^g)
-            let mut s_auto = self.sk.s_coeff.apply_galois(g);
-            s_auto.to_ntt();
+            // s' = s(X^g), read off the NTT form of s through the same
+            // index table the key carries for its rotations.
+            let ntt_table = galois_ntt_table(g, self.ctx.degree());
+            let s_auto = self.sk.s.apply_galois_ntt(&ntt_table);
             let pairs = self.key_switch_pairs(&s_auto, rng);
-            keys.insert(g, KeySwitchKey::new(pairs, g, self.ctx.degree()));
+            keys.insert(g, KeySwitchKey { pairs, ntt_table });
         }
         GaloisKeys { keys }
     }

@@ -78,16 +78,23 @@ impl Poly {
         let k = ctx.moduli_count();
         // Every element is written below, so a dirty pooled buffer is fine.
         let mut data = pool::take(k * n);
-        for (i, m) in ctx.moduli().iter().enumerate() {
-            for (j, &c) in coeffs.iter().enumerate() {
-                data[i * n + j] = if c >= 0 {
-                    m.reduce(c as u64)
-                } else {
-                    m.sub(0, m.reduce((-c) as u64))
-                };
+        let max_abs = coeffs.iter().map(|c| c.unsigned_abs()).max().unwrap_or(0);
+        for (row, m) in data.chunks_exact_mut(n).zip(ctx.moduli()) {
+            let q = m.value();
+            if max_abs < q {
+                // Key, error and plaintext coefficients: already inside
+                // (-q, q), so a negative one only needs q added. No
+                // branch on the (random) sign.
+                for (r, &c) in row.iter_mut().zip(coeffs) {
+                    *r = (c as u64).wrapping_add(q & ((c >> 63) as u64));
+                }
+            } else {
+                for (r, &c) in row.iter_mut().zip(coeffs) {
+                    let mag = m.reduce(c.unsigned_abs());
+                    *r = if c >= 0 { mag } else { m.sub(0, mag) };
+                }
             }
         }
-        let _ = k;
         Self {
             ctx: Arc::clone(ctx),
             data,
@@ -255,9 +262,8 @@ impl Poly {
     }
 
     /// Applies the Galois automorphism `X -> X^g` (odd `g`, `1 <= g < 2N`)
-    /// in the coefficient domain. Secret-key derivation uses it; for
-    /// ciphertexts it is the reference [`Poly::apply_galois_ntt`] is
-    /// tested against.
+    /// in the coefficient domain: the reference
+    /// [`Poly::apply_galois_ntt`] is tested against.
     ///
     /// Must be in coefficient form: coefficient `j` of the result comes
     /// from coefficient `j' ` where `j' * g ≡ j (mod 2N)` with the
@@ -325,6 +331,28 @@ mod tests {
         p.to_ntt();
         p.to_coeff();
         assert_eq!(p.raw(), orig.raw());
+    }
+
+    #[test]
+    fn signed_coeffs_reduce_the_same_at_any_magnitude() {
+        // Small inputs take the branch-free path, one large coefficient
+        // sends the whole polynomial down the reducing one.
+        let ctx = ctx();
+        let n = ctx.degree();
+        let small: Vec<i64> = (0..n as i64).map(|i| (i * 31) % 17 - 8).collect();
+        let mut large = small.clone();
+        large[0] = i64::MIN;
+        large[1] = i64::MAX;
+        for coeffs in [&small, &large] {
+            let p = Poly::from_signed_coeffs(&ctx, coeffs);
+            for (i, m) in ctx.moduli().iter().enumerate() {
+                let want: Vec<u64> = coeffs
+                    .iter()
+                    .map(|&c| (c as i128).rem_euclid(m.value() as i128) as u64)
+                    .collect();
+                assert_eq!(p.residues(i), want);
+            }
+        }
     }
 
     #[test]
