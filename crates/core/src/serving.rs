@@ -10,8 +10,9 @@
 //!   [`SharedKernelCaches`] holding the NTT-domain kernel plaintexts,
 //!   so lifted kernels are built **once per model**, not once per
 //!   connection. Galois keys are deliberately *not* here: they are
-//!   client key material and stay per-session by cryptographic
-//!   necessity.
+//!   client key material and live in their connection's
+//!   [`crate::session::ConnectionKeys`], never past it and never
+//!   beside another client's.
 //! * [`WorkerPool`] — a slot semaphore bounding the *extra* executor
 //!   threads live across all sessions. Every session always owns its
 //!   connection thread (worker 0), so a claim never blocks and

@@ -11,6 +11,16 @@
 //!   validates the client's rotation keys, convolves under HE, and
 //!   returns masked results while keeping its own additive shares.
 //!
+//! Rotation keys belong to the *connection*, not the layer. The server
+//! keeps what it has ingested in a [`ConnectionKeys`] for as long as
+//! the transport lives; the client records what it has uploaded next to
+//! the secret key that made them ([`ClientConv::next_layer`] carries
+//! the record forward). Both derive the same rule from the plan alone:
+//! a layer's `GaloisKeys` frame carries exactly the planned elements
+//! the connection does not hold yet, and is absent when there are none
+//! (`missing_elements`). A one-layer call ([`ClientConv::new`],
+//! [`serve_conv_with`]) is a connection of one layer.
+//!
 //! There is one upload body, one absorb body and one server driver. The
 //! batch width is a parameter of each (one image is the identity
 //! layout, so the single-image methods are adapters), and everything
@@ -27,8 +37,10 @@
 //! # Determinism contract
 //!
 //! Each party draws randomness from its own seeded rng in a fixed
-//! order: the client draws its public key, then rotation keys, then
-//! every encryption in upload order; the server draws only result
+//! order: per layer the client draws its public key, then for each
+//! rotation key the connection still lacks its seed and its error
+//! polynomials, then every encryption in upload order; the server
+//! draws only result
 //! masks, in result order (the streaming consumer runs on one thread
 //! in index order). Parallel phases are pure. Shares are therefore
 //! bit-identical across backends, thread counts, channel capacities,
@@ -59,8 +71,8 @@ use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -532,6 +544,14 @@ fn recv_input_blob(
     Ok(blob)
 }
 
+/// The key-frame rule both parties apply: of the Galois elements a
+/// layer's plan needs, in plan order, those the connection does not
+/// hold yet. The layer's `GaloisKeys` frame carries exactly these, and
+/// there is no frame when there are none.
+fn missing_elements(needed: &[usize], held: impl Fn(usize) -> bool) -> Vec<usize> {
+    needed.iter().copied().filter(|&e| !held(e)).collect()
+}
+
 fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
     (0..degree).map(|_| rng.gen_range(0..t)).collect()
 }
@@ -590,22 +610,28 @@ pub struct ClientBatchShare {
     pub output_cts: usize,
 }
 
-/// Client half of one secure-convolution layer.
+/// Client half of one secure-convolution layer on one connection.
 ///
-/// Construct once per layer, then drive the two phases:
+/// Construct once per connection, then drive the two phases:
 /// [`ClientConv::send_batch`] (hello, keys, encrypted upload) and
 /// [`ClientConv::absorb_batch`] (masked results → additive shares). The
 /// halves are independent, so over a socket transport they can run on
-/// two threads to overlap upload with download.
+/// two threads to overlap upload with download. A further layer on the
+/// same transport comes from [`ClientConv::next_layer`].
 pub struct ClientConv<'a> {
     ctx: Arc<Context>,
     keygen: &'a KeyGenerator,
+    /// Galois elements whose keys, made by `keygen`, this connection's
+    /// server already holds. Kept beside the generator borrow so the
+    /// record can never be consulted for another secret key.
+    uploaded: Mutex<HashSet<usize>>,
     spec: LayerSpec,
     plan: Box<dyn ConvScheme>,
 }
 
 impl<'a> ClientConv<'a> {
-    /// Plans the layer client-side.
+    /// Plans the first layer of a fresh connection client-side: the
+    /// server holds none of `keygen`'s rotation keys yet.
     pub fn new(
         ctx: &Arc<Context>,
         keygen: &'a KeyGenerator,
@@ -615,9 +641,17 @@ impl<'a> ClientConv<'a> {
         Ok(Self {
             ctx: Arc::clone(ctx),
             keygen,
+            uploaded: Mutex::default(),
             spec,
             plan,
         })
+    }
+
+    /// Plans the connection's next layer: same transport, same secret
+    /// key, and the rotation keys uploaded so far stay uploaded.
+    pub fn next_layer(self, spec: LayerSpec) -> Result<Self, SpotError> {
+        let plan = spec.scheme.plan(&spec, self.ctx.params().level())?;
+        Ok(Self { spec, plan, ..self })
     }
 
     /// Number of input ciphertexts one image's upload sends.
@@ -643,10 +677,11 @@ impl<'a> ClientConv<'a> {
         self.send_batch(transport, std::slice::from_ref(input), pacing, rng)
     }
 
-    /// Upload phase: sends the layer hello, public-key-independent
-    /// rotation keys, and every packed input ciphertext. Draws the
-    /// public key first, then rotation keys, then encryptions in upload
-    /// order — the canonical client rng sequence. With
+    /// Upload phase: sends the layer hello, the rotation keys the
+    /// connection's server does not hold yet, and every packed input
+    /// ciphertext. Draws the public key first, then those rotation
+    /// keys, then encryptions in upload order — the canonical client
+    /// rng sequence. With
     /// [`UploadPacing::AwaitAck`] the input ciphertexts are held until
     /// the server's setup acknowledgement arrives on the downlink.
     ///
@@ -700,10 +735,14 @@ impl<'a> ClientConv<'a> {
         setup.trace = trace_id;
         transport.send(&WireMessage::Setup(setup))?;
         let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
-        if !facts.galois_elements.is_empty() {
-            let gk = self.keygen.galois_keys(&facts.galois_elements, rng);
+        let mut uploaded = self.uploaded.lock().expect("no upload panicked mid-record");
+        let missing = missing_elements(&facts.galois_elements, |e| uploaded.contains(&e));
+        if !missing.is_empty() {
+            let gk = self.keygen.galois_keys(&missing, rng);
             transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
+            uploaded.extend(missing);
         }
+        drop(uploaded);
         if pacing == UploadPacing::AwaitAck {
             let msg = transport.recv()?;
             let WireMessage::LayerBarrier { .. } = msg else {
@@ -881,6 +920,71 @@ impl SharedKernelCaches {
     }
 }
 
+/// The rotation keys one connection's client has uploaded so far: the
+/// server-side half of the key-frame rule. Lives as long as the
+/// transport (a [`crate::twoparty::run_server_with`] call, a
+/// [`serve_conv_with`] call for a one-layer connection) and is never
+/// shared between connections, so it only ever holds keys of one secret
+/// key. Its size is bounded by the union of the served layers' planned
+/// element sets: its ingest step admits nothing else.
+#[derive(Debug, Default)]
+pub struct ConnectionKeys {
+    held: Arc<GaloisKeys>,
+}
+
+impl ConnectionKeys {
+    /// Number of rotation keys held.
+    pub fn len(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Whether no rotation keys are held.
+    pub fn is_empty(&self) -> bool {
+        self.held.is_empty()
+    }
+
+    /// Brings the store up to a layer that rotates by `needed`: reads
+    /// the layer's `GaloisKeys` frame if (and only if) some of `needed`
+    /// is missing, insists that it carries exactly the missing
+    /// elements, and returns the keys to rotate with.
+    fn ingest(
+        &mut self,
+        ctx: &Arc<Context>,
+        transport: &dyn Transport,
+        needed: &[usize],
+    ) -> Result<Arc<GaloisKeys>, SpotError> {
+        let missing = missing_elements(needed, |e| self.held.contains(e));
+        // Nothing missing, no frame: a client that sends one anyway
+        // fails the input read that follows.
+        if !missing.is_empty() {
+            let msg = transport.recv()?;
+            let WireMessage::GaloisKeys(blob) = msg else {
+                return Err(unexpected(&msg, "GaloisKeys"));
+            };
+            let gk = galois_keys_from_bytes(ctx, &blob)?;
+            if let Some(e) = missing.iter().find(|&&e| !gk.contains(e)) {
+                return Err(SpotError::Protocol(format!(
+                    "client rotation keys miss required galois element {e}"
+                )));
+            }
+            if let Some(e) = gk.elements().find(|e| !missing.contains(e)) {
+                let why = if self.held.contains(e) {
+                    "this connection already holds"
+                } else {
+                    "the layer does not rotate by"
+                };
+                return Err(SpotError::Protocol(format!(
+                    "client rotation keys carry galois element {e}, which {why}"
+                )));
+            }
+            // The engines of earlier layers are gone, so this does not
+            // copy; it would only if one had leaked a reference.
+            Arc::make_mut(&mut self.held).extend(gk);
+        }
+        Ok(Arc::clone(&self.held))
+    }
+}
+
 /// Server-side knobs for one [`serve_conv_with`] call. The default is
 /// exactly the single-tenant [`serve_conv`] behaviour: private caches,
 /// no batch cap beyond the layer's SIMD capacity.
@@ -939,13 +1043,30 @@ pub fn serve_conv<R: Rng>(
 }
 
 /// [`serve_conv`] with serving-layer options: shared per-model kernel
-/// caches and a per-session batch budget (see [`ServeOptions`]).
+/// caches and a per-session batch budget (see [`ServeOptions`]). The
+/// whole connection is this one layer.
 pub fn serve_conv_with<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     kernel: &Kernel,
     backend: &ExecBackend,
     opts: ServeOptions<'_>,
+    rng: &mut R,
+) -> Result<ServerConvSummary, SpotError> {
+    let mut keys = ConnectionKeys::default();
+    serve_conv_on(ctx, transport, kernel, backend, opts, &mut keys, rng)
+}
+
+/// Serves one layer of a connection whose rotation keys so far are
+/// `keys`: the layer's key frame tops them up (see [`ConnectionKeys`]),
+/// and they stay for the connection's later layers.
+pub fn serve_conv_on<R: Rng>(
+    ctx: &Arc<Context>,
+    transport: &dyn Transport,
+    kernel: &Kernel,
+    backend: &ExecBackend,
+    opts: ServeOptions<'_>,
+    keys: &mut ConnectionKeys,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
     let msg = transport.recv()?;
@@ -1000,23 +1121,7 @@ pub fn serve_conv_with<R: Rng>(
             });
         }
     }
-    let galois = if facts.galois_elements.is_empty() {
-        Arc::new(GaloisKeys::default())
-    } else {
-        let msg = transport.recv()?;
-        let WireMessage::GaloisKeys(blob) = msg else {
-            return Err(unexpected(&msg, "GaloisKeys"));
-        };
-        let gk = galois_keys_from_bytes(ctx, &blob)?;
-        for &e in &facts.galois_elements {
-            if !gk.contains(e) {
-                return Err(SpotError::Protocol(format!(
-                    "client rotation keys miss required galois element {e}"
-                )));
-            }
-        }
-        Arc::new(gk)
-    };
+    let galois = keys.ingest(ctx, transport, &facts.galois_elements)?;
     // Flow control: acknowledge the setup + key material before the
     // client commits bandwidth to the upload. A paced client
     // ([`UploadPacing::AwaitAck`]) holds its input ciphertexts until

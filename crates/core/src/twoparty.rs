@@ -5,9 +5,10 @@
 //! pair or two OS processes over framed TCP.
 //!
 //! Layer flow: each convolution runs as a client/server session
-//! ([`ClientConv`] against [`serve_conv`]); each non-linearity is one
-//! `OtRound` request/reply on additive shares; layer boundaries use
-//! `ShareReveal`.
+//! ([`ClientConv`] against [`serve_conv_on`]); each non-linearity is
+//! one `OtRound` request/reply on additive shares; layer boundaries use
+//! `ShareReveal`. Both convolutions share the connection's rotation
+//! keys: conv2 uploads only the Galois elements conv1 did not.
 //!
 //! **Demo simplification.** The non-linear rounds here stand in for the
 //! OT-based DReLU/comparison protocols (simulated in-process by
@@ -25,7 +26,8 @@ use crate::error::SpotError;
 use crate::inference::TinyCnn;
 use crate::patching::PatchMode;
 use crate::session::{
-    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
+    serve_conv_on, ClientConv, ConnectionKeys, ExecBackend, LayerSpec, SchemeKind, ServeOptions,
+    UploadPacing,
 };
 use crate::stream::StreamStats;
 use rand::Rng;
@@ -147,25 +149,21 @@ fn client_reveal(
 /// directions. A one-image batch produces byte-identical traffic to
 /// the original single-image session.
 fn client_conv_batch<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
+    conv: &ClientConv<'_>,
     transport: &dyn Transport,
     inputs: &[Tensor],
-    spec: LayerSpec,
     rng: &mut R,
 ) -> Result<Vec<Tensor>, SpotError> {
-    let conv = ClientConv::new(ctx, keygen, spec)?;
-    let conv_ref = &conv;
     let scope_result = crossbeam::thread::scope(|s| {
         let uploader = s.spawn(move |_| {
             // Eager pacing: TCP's own flow control paces a real link,
             // and the concurrent absorber below must own every recv.
             spot_trace::set_thread_label("uploader");
-            let sent = conv_ref.send_batch(transport, inputs, UploadPacing::Eager, rng);
+            let sent = conv.send_batch(transport, inputs, UploadPacing::Eager, rng);
             spot_trace::flush_thread();
             sent
         });
-        let share = conv_ref.absorb_batch(transport, inputs.len());
+        let share = conv.absorb_batch(transport, inputs.len());
         let sent = uploader.join().expect("upload thread panicked");
         (sent, share)
     });
@@ -294,7 +292,8 @@ fn run_client_batch_inner<R: Rng + Send>(
 
     // conv1 under HE, one batched session for all images.
     let spec1 = spec_for(&inputs[0], arch.conv1.out_channels(), arch.conv1.k_h());
-    let shares1 = client_conv_batch(ctx, keygen, transport, inputs, spec1, rng)?;
+    let conv = ClientConv::new(ctx, keygen, spec1)?;
+    let shares1 = client_conv_batch(&conv, transport, inputs, rng)?;
     let (c1, h1, w1) = (
         shares1[0].channels(),
         shares1[0].height(),
@@ -323,7 +322,8 @@ fn run_client_batch_inner<R: Rng + Send>(
 
     // conv2 under HE (batched), ReLU, final reveal per image.
     let spec2 = spec_for(&mids[0], arch.conv2.out_channels(), arch.conv2.k_h());
-    let shares2 = client_conv_batch(ctx, keygen, transport, &mids, spec2, rng)?;
+    let conv = conv.next_layer(spec2)?;
+    let shares2 = client_conv_batch(&conv, transport, &mids, rng)?;
     let (c2, h2, w2) = (
         shares2[0].channels(),
         shares2[0].height(),
@@ -571,9 +571,12 @@ pub fn run_server_with<R: Rng>(
         shares
     };
 
+    // The client's rotation keys, for both convolutions.
+    let mut keys = ConnectionKeys::default();
+
     // conv1 — the batch width arrives with the client's Setup.
     let shares1 = absorb(
-        serve_conv_with(ctx, transport, &cnn.conv1, backend, opts, rng)?,
+        serve_conv_on(ctx, transport, &cnn.conv1, backend, opts, &mut keys, rng)?,
         &mut report,
     );
     let batch = shares1.len();
@@ -605,7 +608,7 @@ pub fn run_server_with<R: Rng>(
 
     // conv2 — same batch width.
     let shares2 = absorb(
-        serve_conv_with(ctx, transport, &cnn.conv2, backend, opts, rng)?,
+        serve_conv_on(ctx, transport, &cnn.conv2, backend, opts, &mut keys, rng)?,
         &mut report,
     );
     if shares2.len() != batch {

@@ -287,8 +287,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x1b86_ac99_2d38_70e0, 0xf2c8_4a2f_e0e0_1e63),
-            (0xc130_c192_0957_1c1c, 0x52cf_2b86_6cca_1df8),
+            (0x09b1_9ad1_452e_4a67, 0xb377_cefb_6b6a_b2d1),
+            (0x150e_d935_ade5_36d4, 0x52cf_2b86_6cca_1df8),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -302,8 +302,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xd06b_b837_2f49_a834, 0xf2c8_4a2f_e0e0_1e63),
-            (0x5364_5454_3a10_44ab, 0x52cf_2b86_6cca_1df8),
+            (0xab9d_de17_85a9_7483, 0xb377_cefb_6b6a_b2d1),
+            (0xe111_fa69_655d_e6ad, 0x52cf_2b86_6cca_1df8),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -353,8 +353,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x247e_a3cb_fb01_7547, 0x806a_f83b_ede4_4b58),
-            (0xadb4_cd21_aa36_d72b, 0x2d28_08cc_ba69_3368),
+            (0xb5e6_5679_b235_8d34, 0xe3e2_dc0e_c653_ff0d),
+            (0xf7a4_fade_ca29_7711, 0x2d28_08cc_ba69_3368),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -368,8 +368,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x72e0_35f4_7ce5_3728, 0x806a_f83b_ede4_4b58),
-            (0xb368_fce6_9494_e6cd, 0x2d28_08cc_ba69_3368),
+            (0x72b9_4c37_9ba2_64bb, 0xe3e2_dc0e_c653_ff0d),
+            (0x15a9_64d3_f506_ac55, 0x2d28_08cc_ba69_3368),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -386,8 +386,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0x8ab1_c030_023a_c16b, 0x208e_bd4a_04f1_f615),
-            (0xde7e_1c9b_f935_9a1a, 0x35d7_7a2f_15eb_7428),
+            (0xf848_d184_8d1f_b351, 0x1646_7009_5222_3674),
+            (0x0da7_4a50_b598_fb59, 0x35d7_7a2f_15eb_7428),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -407,8 +407,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0xe38d_ff1c_02c4_832c, 0xdd49_af36_c071_fa81),
-        (0x6976_7c61_7f5f_0073, 0x434f_d8f0_ef4d_2543),
+        (0x1b86_e090_c412_b9b5, 0xe30f_f9d2_dabe_48b3),
+        (0x40d2_afa0_4544_b3a8, 0x434f_d8f0_ef4d_2543),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
@@ -442,8 +442,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0x73e1_2927_474e_95d5, 0xe158_429e_0407_2d24),
-        downlink: (0xf50f_3b5d_9456_d918, 0x85ec_14c6_c1f3_5292),
+        uplink: (0x78b4_c96e_8f89_c688, 0xbc9e_ba8b_29a6_a356),
+        downlink: (0x44e3_51a5_7176_b451, 0x85ec_14c6_c1f3_5292),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xaaf8_f89a_f734_9b87,
     };

@@ -4,12 +4,18 @@
 //! RNS-decomposition key-switching keys (one digit per coefficient prime,
 //! GHS style): digit `i` encrypts `g_i · s(X^g)` under `s`, where
 //! `g_i = (q/q_i)·[(q/q_i)^{-1}]_{q_i}` is the CRT gadget.
+//!
+//! The uniform half `a_i` of every key-switch pair is the output of a
+//! PRG on a 32-byte [`KeySeed`] (`expand_seed`): a key is generated
+//! from its seed, keeps it, and is serialized as the seed plus the
+//! `b_i` only ([`crate::serial`]).
 
 use crate::context::Context;
 use crate::ntt::galois_ntt_table;
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -50,6 +56,20 @@ pub(crate) fn sample_uniform<R: Rng>(ctx: &Arc<Context>, rng: &mut R) -> Poly {
     Poly::from_residues(ctx, data, PolyForm::Ntt)
 }
 
+/// What the uniform polynomials of one key-switching key expand from.
+pub type KeySeed = [u8; 32];
+
+/// The `k` uniform polynomials `a_0..a_{k-1}` of one key-switching key,
+/// NTT form: [`sample_uniform`] over `StdRng::from_seed(seed)`, digit
+/// by digit. Generator and deserializer both call this, so its output
+/// for a given seed is part of the wire format.
+pub(crate) fn expand_seed(ctx: &Arc<Context>, seed: &KeySeed) -> Vec<Poly> {
+    let mut prg = StdRng::from_seed(*seed);
+    (0..ctx.moduli_count())
+        .map(|_| sample_uniform(ctx, &mut prg))
+        .collect()
+}
+
 /// The secret key (ternary polynomial, stored in NTT form).
 #[derive(Debug, Clone)]
 pub struct SecretKey {
@@ -72,6 +92,9 @@ pub struct PublicKey {
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     pub(crate) pairs: Vec<(Poly, Poly)>,
+    /// The seed every `a_i` above is [`expand_seed`]'s output for: all
+    /// of them that is serialized.
+    pub(crate) seed: KeySeed,
     /// `X → X^g` as an index table over NTT-form residues. Derived from
     /// `g` alone wherever a key is generated or deserialized; never
     /// part of the serialized key.
@@ -79,11 +102,19 @@ pub struct KeySwitchKey {
 }
 
 impl KeySwitchKey {
-    /// The key for Galois element `g` at ring degree `degree`.
-    pub(crate) fn new(pairs: Vec<(Poly, Poly)>, g: usize, degree: usize) -> Self {
+    /// The key for Galois element `g` whose serialized form is `seed`
+    /// and `b`: re-expands the `a_i` and rebuilds the index table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` does not hold one polynomial per RNS digit, or `g`
+    /// is not an odd element of `[1, 2N)`.
+    pub(crate) fn from_seeded(ctx: &Arc<Context>, g: usize, seed: KeySeed, b: Vec<Poly>) -> Self {
+        assert_eq!(b.len(), ctx.moduli_count(), "one b_i per RNS digit");
         Self {
-            pairs,
-            ntt_table: galois_ntt_table(g, degree),
+            pairs: b.into_iter().zip(expand_seed(ctx, &seed)).collect(),
+            seed,
+            ntt_table: galois_ntt_table(g, ctx.degree()),
         }
     }
 }
@@ -109,6 +140,12 @@ impl GaloisKeys {
     /// RNS digit, in NTT form.
     pub fn pairs(&self, galois_elt: usize) -> Option<&[(Poly, Poly)]> {
         self.keys.get(&galois_elt).map(|ksk| ksk.pairs.as_slice())
+    }
+
+    /// Moves every key of `more` into this set, replacing a key already
+    /// held for the same element.
+    pub fn extend(&mut self, more: GaloisKeys) {
+        self.keys.extend(more.keys);
     }
 
     /// Number of keys held.
@@ -192,30 +229,9 @@ impl KeyGenerator {
         PublicKey { b, a }
     }
 
-    /// Generates the key-switching pairs from `s_prime` (NTT form) to
-    /// the generator's secret key.
-    fn key_switch_pairs<R: Rng>(&self, s_prime: &Poly, rng: &mut R) -> Vec<(Poly, Poly)> {
-        let k = self.ctx.moduli_count();
-        let mut pairs = Vec::with_capacity(k);
-        for i in 0..k {
-            let a_i = sample_uniform(&self.ctx, rng);
-            let mut e_i = sample_error(&self.ctx, rng);
-            e_i.to_ntt();
-            // b_i = -(a_i*s + e_i) + g_i * s'. The CRT gadget g_i is 1
-            // mod q_i and 0 mod every other prime, so the last term is
-            // row i of s' added to row i.
-            let mut b_i = a_i.clone();
-            b_i.mul_assign_ntt(&self.sk.s);
-            b_i.add_assign(&e_i);
-            b_i.neg_assign();
-            let m = &self.ctx.moduli()[i];
-            (crate::arch::kernels().pointwise_add)(m, b_i.residues_mut(i), s_prime.residues(i));
-            pairs.push((b_i, a_i));
-        }
-        pairs
-    }
-
-    /// Generates Galois keys for the given Galois elements.
+    /// Generates Galois keys for the given Galois elements. Per element,
+    /// in the order given, `rng` yields the key's 32-byte seed and then
+    /// its `k` error polynomials; the `a_i` come from the seed.
     ///
     /// # Panics
     ///
@@ -227,14 +243,44 @@ impl KeyGenerator {
             "parameter level {} does not support rotations",
             self.ctx.params().level()
         );
+        let add = crate::arch::kernels().pointwise_add;
         let mut keys = HashMap::new();
         for &g in elements {
+            let mut seed = KeySeed::default();
+            rng.fill_bytes(&mut seed);
             // s' = s(X^g), read off the NTT form of s through the same
             // index table the key carries for its rotations.
             let ntt_table = galois_ntt_table(g, self.ctx.degree());
             let s_auto = self.sk.s.apply_galois_ntt(&ntt_table);
-            let pairs = self.key_switch_pairs(&s_auto, rng);
-            keys.insert(g, KeySwitchKey { pairs, ntt_table });
+            let pairs = expand_seed(&self.ctx, &seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, a_i)| {
+                    let mut e_i = sample_error(&self.ctx, rng);
+                    e_i.to_ntt();
+                    // b_i = -(a_i*s + e_i) + g_i * s'. The CRT gadget
+                    // g_i is 1 mod q_i and 0 mod every other prime, so
+                    // the last term is row i of s' added to row i.
+                    let mut b_i = a_i.clone();
+                    b_i.mul_assign_ntt(&self.sk.s);
+                    b_i.add_assign(&e_i);
+                    b_i.neg_assign();
+                    add(
+                        &self.ctx.moduli()[i],
+                        b_i.residues_mut(i),
+                        s_auto.residues(i),
+                    );
+                    (b_i, a_i)
+                })
+                .collect();
+            keys.insert(
+                g,
+                KeySwitchKey {
+                    pairs,
+                    seed,
+                    ntt_table,
+                },
+            );
         }
         GaloisKeys { keys }
     }
@@ -297,6 +343,23 @@ mod tests {
         assert_eq!(gk.len(), 3);
         assert!(gk.contains(3) && gk.contains(9) && gk.contains(8191));
         assert!(!gk.contains(27));
+    }
+
+    #[test]
+    fn uniform_half_is_the_seed_expansion_and_seeds_differ() {
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let mut rng = StdRng::seed_from_u64(3);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let gk = kg.galois_keys(&[3, 9], &mut rng);
+        for g in [3, 9] {
+            let ksk = &gk.keys[&g];
+            let expanded = expand_seed(&ctx, &ksk.seed);
+            assert_eq!(ksk.pairs.len(), ctx.moduli_count());
+            for ((_, a_i), want) in ksk.pairs.iter().zip(&expanded) {
+                assert_eq!(a_i.raw(), want.raw(), "element {g}");
+            }
+        }
+        assert_ne!(gk.keys[&3].seed, gk.keys[&9].seed);
     }
 
     #[test]

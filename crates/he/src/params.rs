@@ -212,10 +212,12 @@ impl EncryptionParams {
         self.poly_bytes() + 16
     }
 
-    /// Serialized size of one Galois key (a key-switching key with one
-    /// digit per RNS prime).
+    /// Serialized size of one Galois key inside a key blob: element
+    /// (8 B), digit count (4 B), the 32-byte seed of its uniform
+    /// polynomials, and one packed `b_i` per RNS prime. A blob of `n`
+    /// keys is `4 + n · galois_key_bytes()` long.
     pub fn galois_key_bytes(&self) -> usize {
-        2 * self.coeff_moduli.len() * self.poly_bytes() + 16
+        8 + 4 + 32 + self.coeff_moduli.len() * self.poly_bytes()
     }
 }
 

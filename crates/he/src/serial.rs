@@ -14,11 +14,12 @@
 
 use crate::ciphertext::{residue_bits, unpack_bits_max, write_poly, Ciphertext};
 use crate::context::Context;
-use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey};
+use crate::keys::{GaloisKeys, KeySeed, KeySwitchKey, PublicKey};
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// Errors from validated HE deserialization.
@@ -113,31 +114,25 @@ pub fn public_key_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<PublicK
 }
 
 /// Serializes Galois keys deterministically: `[count u32]` then, per
-/// entry **sorted by Galois element**, `[elt u64][pair_count u32]`
-/// followed by each key-switch pair's `(b, a)` packed polynomials.
+/// entry **sorted by Galois element**, `[elt u64][digit_count u32]
+/// [seed 32 B]` followed by the packed `b_i` of each key-switch digit.
+/// The `a_i` are not written: the reader re-expands them from the seed
+/// (`keys::expand_seed`), which halves the blob.
 pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
     let mut elements: Vec<usize> = gk.elements().collect();
     elements.sort_unstable();
     // Exact size up front: the blob is megabytes and must not regrow.
-    let size = 4 + gk
-        .keys
-        .values()
-        .map(|ksk| {
-            let polys = ksk.pairs.iter().flat_map(|(b, a)| [b, a]);
-            12 + polys
-                .map(|p| p.context().params().poly_bytes())
-                .sum::<usize>()
-        })
-        .sum::<usize>();
+    let key_bytes = |ksk: &KeySwitchKey| ksk.pairs[0].0.context().params().galois_key_bytes();
+    let size = 4 + gk.keys.values().map(key_bytes).sum::<usize>();
     let mut out = Vec::with_capacity(size);
     out.extend_from_slice(&(elements.len() as u32).to_le_bytes());
     for elt in elements {
         let ksk = &gk.keys[&elt];
         out.extend_from_slice(&(elt as u64).to_le_bytes());
         out.extend_from_slice(&(ksk.pairs.len() as u32).to_le_bytes());
-        for (b, a) in &ksk.pairs {
+        out.extend_from_slice(&ksk.seed);
+        for (b, _) in &ksk.pairs {
             write_poly(&mut out, b);
-            write_poly(&mut out, a);
         }
     }
     out
@@ -164,24 +159,25 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
                 "galois element {elt} is not an odd residue mod 2N"
             )));
         }
-        let pair_count = read_u32(bytes, off)? as usize;
+        let digits = read_u32(bytes, off)? as usize;
         off += 4;
         // One pair per RNS digit: the key switch pairs them one to one.
-        if pair_count != ctx.moduli_count() {
+        if digits != ctx.moduli_count() {
             return Err(SerialError::Malformed(format!(
-                "bad key-switch digit count {pair_count}"
+                "bad key-switch digit count {digits}"
             )));
         }
-        let mut pairs = Vec::with_capacity(pair_count);
-        for _ in 0..pair_count {
-            let b = read_poly(ctx, bytes, &mut off)?;
-            let a = read_poly(ctx, bytes, &mut off)?;
-            pairs.push((b, a));
-        }
-        if keys
-            .insert(elt, KeySwitchKey::new(pairs, elt, ctx.degree()))
-            .is_some()
-        {
+        let seed: KeySeed = (bytes.get(off..off + size_of::<KeySeed>()))
+            .ok_or(SerialError::Truncated)?
+            .try_into()
+            .expect("seed-sized slice");
+        off += seed.len();
+        let b = (0..digits)
+            .map(|_| read_poly(ctx, bytes, &mut off))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Any seed is valid: its expansion is in range by construction.
+        let ksk = KeySwitchKey::from_seeded(ctx, elt, seed, b);
+        if keys.insert(elt, ksk).is_some() {
             return Err(SerialError::Malformed(format!(
                 "duplicate galois element {elt}"
             )));
@@ -295,8 +291,9 @@ mod tests {
                 let pairs = &gk.keys[&elt].pairs;
                 want.extend_from_slice(&(elt as u64).to_le_bytes());
                 want.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-                for (b, a) in pairs {
-                    want.extend_from_slice(&oracle_polys(&[b, a]));
+                want.extend_from_slice(&gk.keys[&elt].seed);
+                for (b, _) in pairs {
+                    want.extend_from_slice(&oracle_polys(&[b]));
                 }
             }
             assert_eq!(galois_keys_to_bytes(&gk), want, "{level}");

@@ -146,6 +146,9 @@ fn oracle_public_key(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
     oracle_read_polys(ctx, bytes, 0, 2).map(|_| ())
 }
 
+/// Element, digit count and seed in front of a Galois key's `b_i`.
+const GALOIS_ENTRY_HEADER: usize = 8 + 4 + 32;
+
 /// Blobs of these tests hold well-formed counts, so the `Malformed`
 /// arms of the real reader are out of reach and not mirrored.
 fn oracle_galois_keys(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
@@ -157,8 +160,11 @@ fn oracle_galois_keys(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
     let mut off = 4;
     for _ in 0..count {
         bytes.get(off..off + 8).ok_or(SerialError::Truncated)?;
-        let pairs = u32_at(off + 8)?;
-        off = oracle_read_polys(ctx, bytes, off + 12, 2 * pairs)?;
+        let digits = u32_at(off + 8)?;
+        bytes
+            .get(off + 12..off + GALOIS_ENTRY_HEADER)
+            .ok_or(SerialError::Truncated)?;
+        off = oracle_read_polys(ctx, bytes, off + GALOIS_ENTRY_HEADER, digits)?;
     }
     if off != bytes.len() {
         return Err(SerialError::LengthMismatch);
@@ -195,10 +201,9 @@ fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
     let elements = [3, 2 * ctx.degree() - 1];
     let entries = if ctx.degree() <= 4096 { 2 } else { 1 };
     let gk = kg.galois_keys(&elements[..entries], &mut rng);
-    let k = ctx.moduli_count();
-    let entry = 12 + 2 * k * ctx.params().poly_bytes();
+    let entry = ctx.params().galois_key_bytes();
     let gk_sections = (0..entries)
-        .flat_map(|e| sections(ctx, 4 + e * entry + 12, 2 * k))
+        .flat_map(|e| sections(ctx, 4 + e * entry + GALOIS_ENTRY_HEADER, ctx.moduli_count()))
         .collect();
     vec![
         Blob {
@@ -257,10 +262,15 @@ fn truncation_and_trailing_bytes_give_the_same_error() {
             assert_eq!(blob.check(&ctx, &blob.good, "intact"), Ok(()));
             let mut cuts = vec![0, 1, 3, 4, 5, 15, 16, 17];
             for &(off, len, ..) in &blob.sections {
-                // The 12-byte entry header of a Galois key ends where
-                // its first section starts.
+                // A Galois key's entry header (element, digit count,
+                // seed) ends where its first section starts: cut at its
+                // start, after each field, and inside the seed.
                 cuts.extend([
-                    off.saturating_sub(12),
+                    off.saturating_sub(GALOIS_ENTRY_HEADER),
+                    off.saturating_sub(GALOIS_ENTRY_HEADER - 8),
+                    off.saturating_sub(GALOIS_ENTRY_HEADER - 12),
+                    off.saturating_sub(GALOIS_ENTRY_HEADER - 13),
+                    off.saturating_sub(16),
                     off.saturating_sub(1),
                     off,
                     off + 1,
@@ -269,10 +279,17 @@ fn truncation_and_trailing_bytes_give_the_same_error() {
             }
             for cut in cuts {
                 let what = format!("cut to {cut} of {}", blob.good.len());
-                assert!(
-                    blob.check(&ctx, &blob.good[..cut], &what).is_err(),
-                    "{what}"
-                );
+                let got = blob.check(&ctx, &blob.good[..cut], &what);
+                assert!(got.is_err(), "{what}");
+                if blob.name == "galois keys" {
+                    assert_eq!(got, Err(SerialError::Truncated), "{what}");
+                }
+            }
+            // Between those, the real reader alone (the bit loop is too
+            // slow for it): no prefix of the blob parses or panics.
+            for cut in (0..blob.good.len()).step_by(1021) {
+                let got = (blob.real)(&ctx, &blob.good[..cut]);
+                assert!(got.is_err(), "{} cut to {cut}", blob.name);
             }
             let mut long = blob.good.clone();
             long.push(0);

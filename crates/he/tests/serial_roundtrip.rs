@@ -2,14 +2,20 @@
 //! identity for ciphertexts (fresh and mod-switched) and key material
 //! at N = 4096 and N = 8192, plus rejection (never a panic) of
 //! truncated and corrupted inputs.
+//!
+//! Galois keys travel as a seed plus their `b_i`: the reader must
+//! rebuild the generator's exact `(b_i, a_i)` pairs, rotate with them,
+//! and expand a given seed to the same polynomials on every build
+//! ([`SEED_EXPANSION_FNV`]).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
-use spot_he::encoding::BatchEncoder;
+use spot_he::encoding::{rotate_slots_reference, BatchEncoder};
 use spot_he::encryptor::{Decryptor, Encryptor};
+use spot_he::evaluator::Evaluator;
 use spot_he::keys::KeyGenerator;
 use spot_he::modswitch::ModSwitch;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -76,7 +82,11 @@ proptest! {
     }
 
     #[test]
-    fn key_material_roundtrips(level in 0u8..2, seed in 0u64..1_000_000) {
+    fn key_material_roundtrips(
+        level in 0u8..2,
+        seed in 0u64..1_000_000,
+        odd_halves in collection::vec(0usize..4096, 1..5),
+    ) {
         let ctx = ctx(level_of(level));
         let mut rng = StdRng::seed_from_u64(seed);
         let kg = KeyGenerator::new(ctx, &mut rng);
@@ -86,11 +96,31 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("pk decode: {e}")))?;
         prop_assert_eq!(public_key_to_bytes(&pk2), pk_bytes);
 
-        let gk = kg.galois_keys(&[3, 9, ctx.degree() * 2 - 1], &mut rng);
+        // Any set of odd residues below 2N, in any order.
+        let mut elements: Vec<usize> = odd_halves.iter().map(|h| 2 * h + 1).collect();
+        elements.sort_unstable();
+        elements.dedup();
+        elements.reverse();
+        let gk = kg.galois_keys(&elements, &mut rng);
         let gk_bytes = galois_keys_to_bytes(&gk);
+        prop_assert_eq!(
+            gk_bytes.len(),
+            4 + elements.len() * ctx.params().galois_key_bytes()
+        );
         let gk2 = galois_keys_from_bytes(ctx, &gk_bytes)
             .map_err(|e| TestCaseError::fail(format!("gk decode: {e}")))?;
         prop_assert_eq!(galois_keys_to_bytes(&gk2), gk_bytes);
+        // The ingested set is the generator's, pair for pair: the b_i
+        // as sent, the a_i re-expanded from the seed.
+        prop_assert_eq!(gk2.len(), elements.len());
+        for &g in &elements {
+            let (sent, got) = (gk.pairs(g).expect("generated"), gk2.pairs(g).expect("ingested"));
+            prop_assert_eq!(got.len(), ctx.moduli_count());
+            for ((b, a), (b2, a2)) in sent.iter().zip(got) {
+                prop_assert_eq!(b.raw(), b2.raw());
+                prop_assert_eq!(a.raw(), a2.raw());
+            }
+        }
     }
 
     #[test]
@@ -150,4 +180,76 @@ fn roundtripped_ciphertext_still_decrypts() {
         let back = Ciphertext::try_from_bytes(ctx, &ct.to_bytes()).expect("roundtrip");
         assert_eq!(encoder.decode(&dec.decrypt(&back)), slots);
     }
+}
+
+/// Rotations under keys that crossed the wire are the rotations the
+/// generator's own keys give: every step and the column swap decode to
+/// the slot-rotation reference.
+#[test]
+fn ingested_keys_rotate_like_the_reference() {
+    const STEPS: [i64; 4] = [1, -2, 7, 100];
+    for level in [ParamLevel::N4096, ParamLevel::N8192] {
+        let ctx = ctx(level);
+        let mut rng = StdRng::seed_from_u64(515);
+        let kg = KeyGenerator::new(ctx, &mut rng);
+        let evaluator = Evaluator::new(ctx);
+        let generated = kg.galois_keys(&evaluator.galois_elements(&STEPS, true), &mut rng);
+        let ingested = galois_keys_from_bytes(ctx, &galois_keys_to_bytes(&generated))
+            .expect("own keys deserialize");
+
+        let enc = Encryptor::new(ctx, kg.public_key(&mut rng));
+        let dec = Decryptor::new(ctx, kg.secret_key().clone());
+        let encoder = BatchEncoder::new(ctx);
+        let t = ctx.params().plain_modulus();
+        let slots: Vec<u64> = (0..ctx.degree()).map(|i| (i as u64 * 13 + 5) % t).collect();
+        let ct = enc.encrypt(&encoder.encode(&slots), &mut rng);
+        for step in STEPS {
+            let rotated = evaluator.rotate_rows(&ct, step, &ingested);
+            assert_eq!(
+                encoder.decode(&dec.decrypt(&rotated)),
+                rotate_slots_reference(&slots, step),
+                "{level} step {step}"
+            );
+        }
+        let swapped = evaluator.rotate_columns(&ct, &ingested);
+        let (top, bottom) = slots.split_at(ctx.degree() / 2);
+        assert_eq!(
+            encoder.decode(&dec.decrypt(&swapped)),
+            [bottom, top].concat(),
+            "{level} column swap"
+        );
+    }
+}
+
+/// FNV-1a-64 over the three uniform polynomials the seed `0, 1, …, 31`
+/// expands to at N4096 (residues in digit, modulus, slot order, little
+/// endian). Both parties must expand a seed identically, so the PRG
+/// stream (`vendor/rand`'s `StdRng::from_seed` and `gen_range`) and the
+/// order `sample_uniform` consumes it in are wire contract: a change
+/// that moves this constant breaks interop with every deployed peer
+/// and needs a `WIRE_VERSION` bump, not a re-record.
+const SEED_EXPANSION_FNV: u64 = 0x72b3_9fc2_2474_73be;
+
+#[test]
+fn seed_expansion_is_pinned() {
+    let ctx = ctx(ParamLevel::N4096);
+    // The smallest valid blob around the fixed seed: one key, all-zero
+    // b_i (zero bytes unpack to zero residues).
+    let k = ctx.moduli_count();
+    let mut blob = 1u32.to_le_bytes().to_vec();
+    blob.extend_from_slice(&3u64.to_le_bytes());
+    blob.extend_from_slice(&(k as u32).to_le_bytes());
+    blob.extend((0..32).map(|i| i as u8));
+    blob.resize(4 + ctx.params().galois_key_bytes(), 0);
+    let keys = galois_keys_from_bytes(ctx, &blob).expect("hand-built blob");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (b, a) in keys.pairs(3).expect("element 3") {
+        assert!(b.raw().iter().all(|&r| r == 0));
+        for r in a.raw() {
+            for byte in r.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(h, SEED_EXPANSION_FNV, "got {h:#018x}");
 }
