@@ -30,11 +30,13 @@ use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Mutex;
 
 /// Bits every result ciphertext must have left. Measured: 19 and 16
-/// for the TinyCnn convolutions, 13 for the 32→32 layer under either
-/// scheme at `N = 4096` (14 under SPOT with the coefficient-domain key
-/// switch this replaced), 113 at `N = 8192`. An equally valid digit
-/// representative moves the tightest case by a bit; three bits gone is
-/// a change worth a look.
+/// for the TinyCnn convolutions, 13 (SPOT) and 14 (channel-wise) for
+/// the 32→32 layer at `N = 4096`, 114 at `N = 8192`. Seeded rotation
+/// keys left them where they were (the `a_i` are uniform either way;
+/// the channel-wise pair read 13 and 113 under the keys the previous
+/// rng order drew). An equally valid digit representative or another
+/// draw of the key errors moves the tightest case by a bit; three bits
+/// gone is a change worth a look.
 const MARGIN_BITS: u32 = 10;
 
 /// The client's endpoint, keeping every result ciphertext it is sent.

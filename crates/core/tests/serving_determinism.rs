@@ -14,6 +14,10 @@
 //!    clients of one tenant ride shared SIMD-slot batches: 6 queued
 //!    requests at batch cap 3 cost exactly 2 upstream sessions and
 //!    still reconstruct to the plaintext forward pass.
+//! 4. **Batch width is invisible in a connection's keys** — a two-layer
+//!    connection uploads bit-identical rotation-key frames (11 keys,
+//!    then the 1 the second layer adds) at B=1 and B=2, and every image
+//!    gets the output it gets alone.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,12 +32,13 @@ use spot_core::session::{
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_proto::transport::{MemTransport, TcpTransport};
+use spot_proto::transport::{MemTransport, TcpTransport, TransportStats};
+use spot_proto::{ProtoError, Transport, WireMessage};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Counter;
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const SESSIONS: usize = 8;
@@ -441,4 +446,93 @@ fn mem_client_matches(
     )
     .expect("client run");
     out[0] == want
+}
+
+/// A client endpoint that keeps the rotation-key blobs it sends.
+struct KeyFrames<'a> {
+    inner: &'a MemTransport,
+    blobs: Mutex<Vec<Vec<u8>>>,
+}
+
+impl Transport for KeyFrames<'_> {
+    fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
+        if let WireMessage::GaloisKeys(blob) = msg {
+            self.blobs.lock().unwrap().push(blob.clone());
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv(&self) -> Result<WireMessage, ProtoError> {
+        self.inner.recv()
+    }
+
+    fn close_tx(&self) {
+        self.inner.close_tx();
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// One connection of a whole batch through the [`SpotServer`]; returns
+/// the per-image outputs and the key frames the client uploaded.
+fn batched_connection(
+    server: &SpotServer,
+    kg: &KeyGenerator,
+    inputs: &[Tensor],
+) -> (Vec<Tensor>, Vec<Vec<u8>>) {
+    let (ct, st) = MemTransport::pair();
+    let client_t = KeyFrames {
+        inner: &ct,
+        blobs: Mutex::default(),
+    };
+    let outputs = std::thread::scope(|s| {
+        let session = s.spawn(|| server.serve_connection(&st));
+        let outputs = spot_core::twoparty::run_client_batch(
+            server.model().context(),
+            kg,
+            &client_t,
+            inputs,
+            server.model().cnn(),
+            SchemeKind::Spot,
+            (4, 4),
+            PatchMode::Tweaked,
+            &mut StdRng::seed_from_u64(611),
+        )
+        .expect("client run");
+        let report = session.join().expect("session thread");
+        report.result.expect("session result");
+        outputs
+    });
+    (outputs, client_t.blobs.into_inner().unwrap())
+}
+
+/// Slot batching shares the ciphertexts, so a B=2 connection draws the
+/// client rng exactly as a B=1 connection does: both key frames are
+/// bit-identical, the second one holds only the key conv2 adds, and
+/// every image's output is the one it gets alone.
+#[test]
+fn two_layer_keys_and_outputs_are_batch_width_invariant() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let cnn = TinyCnn::new(7);
+    let server = SpotServer::new(
+        ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    );
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(610));
+    let inputs: Vec<Tensor> = (0..2u64)
+        .map(|b| Tensor::random(2, 8, 8, 5, 620 + b))
+        .collect();
+
+    let (both, keys_b2) = batched_connection(&server, &kg, &inputs);
+    let key_bytes = ctx.params().galois_key_bytes();
+    let frame_lens: Vec<usize> = keys_b2.iter().map(Vec::len).collect();
+    assert_eq!(frame_lens, [4 + 11 * key_bytes, 4 + key_bytes]);
+    for (b, input) in inputs.iter().enumerate() {
+        let (alone, keys_b1) = batched_connection(&server, &kg, std::slice::from_ref(input));
+        assert_eq!(alone[0], both[b], "image {b}: B=2 output differs from B=1");
+        assert_eq!(alone[0], cnn.forward_plain(input), "image {b}");
+        assert_eq!(keys_b1, keys_b2, "image {b}: key frames differ B=1 vs B=2");
+    }
 }

@@ -14,12 +14,15 @@ use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
+use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_proto::transport::{MemTransport, TcpTransport, TransportStats};
 use spot_proto::{error_code, ConvSetup, ProtoError, Transport, WireMessage};
 use spot_tensor::models::ConvShape;
-use spot_tensor::tensor::Tensor;
+use spot_tensor::tensor::{Kernel, Tensor};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -627,4 +630,331 @@ fn panicking_session_releases_its_admission_slot() {
     let input = Tensor::random(2, 8, 8, 5, 301);
     assert_eq!(out, vec![cnn.forward_plain(&input)]);
     assert_eq!(server.stats().served, 1);
+}
+
+// ---------------------------------------------------------------------
+// Connection-scoped rotation keys: clients that break the key-frame rule
+// ---------------------------------------------------------------------
+
+/// An honest client's transport with its uplink rewritten on the way
+/// out: `rewrite(layer, msg)` sees every frame together with the number
+/// of `Setup` frames sent so far (`msg` included) and returns the
+/// frames to send in its place, or `None` to pass it through.
+struct Tamper<'a, F> {
+    inner: &'a dyn Transport,
+    layer: AtomicUsize,
+    rewrite: F,
+}
+
+impl<'a, F> Tamper<'a, F>
+where
+    F: Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync,
+{
+    fn new(inner: &'a dyn Transport, rewrite: F) -> Self {
+        Self {
+            inner,
+            layer: AtomicUsize::new(0),
+            rewrite,
+        }
+    }
+}
+
+impl<F> Transport for Tamper<'_, F>
+where
+    F: Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync,
+{
+    fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
+        if matches!(msg, WireMessage::Setup(_)) {
+            self.layer.fetch_add(1, Ordering::SeqCst);
+        }
+        match (self.rewrite)(self.layer.load(Ordering::SeqCst), msg) {
+            Some(frames) => frames.iter().try_for_each(|m| self.inner.send(m)),
+            None => self.inner.send(msg),
+        }
+    }
+
+    fn recv(&self) -> Result<WireMessage, ProtoError> {
+        self.inner.recv()
+    }
+
+    fn close_tx(&self) {
+        self.inner.close_tx();
+    }
+
+    fn stats(&self) -> TransportStats {
+        self.inner.stats()
+    }
+}
+
+/// A misbehaving peer must end in a typed error frame, never a hang:
+/// kills the test binary if `scenario` is still running at the deadline.
+fn within_deadline<T>(what: &str, scenario: impl FnOnce() -> T) -> T {
+    const DEADLINE: Duration = Duration::from_secs(120);
+    let (done, watch) = mpsc::channel::<()>();
+    let what = what.to_string();
+    let watchdog = std::thread::spawn(move || {
+        if watch.recv_timeout(DEADLINE) == Err(RecvTimeoutError::Timeout) {
+            eprintln!("{what}: still running after {DEADLINE:?}");
+            std::process::abort();
+        }
+    });
+    let out = scenario();
+    drop(done);
+    watchdog.join().expect("watchdog");
+    out
+}
+
+/// What a connection through `server` ended as, on both ends.
+struct Ending {
+    client: Result<Vec<Tensor>, SpotError>,
+    session: SessionReport,
+    uplink_frames: u64,
+}
+
+/// One honest full-pipeline client (keys from `kg`, input `input`) whose
+/// uplink passes through `rewrite`, served by `server`.
+fn tampered_connection<F>(
+    server: &SpotServer,
+    kg: &KeyGenerator,
+    input: &Tensor,
+    seed: u64,
+    rewrite: F,
+) -> Ending
+where
+    F: Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync,
+{
+    let (ct, st) = MemTransport::pair();
+    let tamper = Tamper::new(&ct, rewrite);
+    std::thread::scope(|s| {
+        let session = s.spawn(|| server.serve_connection(&st));
+        let client = run_client_batch(
+            server.model().context(),
+            kg,
+            &tamper,
+            std::slice::from_ref(input),
+            server.model().cnn(),
+            SchemeKind::Spot,
+            (4, 4),
+            PatchMode::Tweaked,
+            &mut StdRng::seed_from_u64(seed),
+        );
+        Ending {
+            client,
+            session: session.join().expect("session thread"),
+            uplink_frames: ct.stats().sent.messages,
+        }
+    })
+}
+
+/// Asserts a connection ended in the typed protocol refusal, on the
+/// server (`Protocol` error naming `why`) and at the client (the
+/// `PROTOCOL` error frame with the same detail).
+fn assert_refused(ending: &Ending, why: &str) {
+    match &ending.session.result {
+        Err(SpotError::Protocol(detail)) => {
+            assert!(detail.contains(why), "server said {detail:?}, want {why:?}")
+        }
+        other => panic!("expected a protocol error naming {why:?}, got {other:?}"),
+    }
+    match &ending.client {
+        Err(SpotError::Rejected { code, detail }) => {
+            assert_eq!(*code, error_code::PROTOCOL);
+            assert!(detail.contains(why), "client saw {detail:?}, want {why:?}");
+        }
+        other => panic!("expected the typed refusal at the client, got {other:?}"),
+    }
+}
+
+/// The key blob of `elements` under `kg` added to the keys of `blob`.
+fn blob_with_extra(
+    ctx: &Arc<Context>,
+    kg: &KeyGenerator,
+    blob: &[u8],
+    elements: &[usize],
+) -> WireMessage {
+    let mut keys = galois_keys_from_bytes(ctx, blob).expect("honest key frame");
+    keys.extend(kg.galois_keys(elements, &mut StdRng::seed_from_u64(31)));
+    WireMessage::GaloisKeys(galois_keys_to_bytes(&keys))
+}
+
+/// TinyCnn under SPOT needs Galois element 4097 for conv2 only, and 3
+/// for both convolutions.
+const CONV2_ONLY: usize = 4097;
+const BOTH_CONVS: usize = 3;
+
+/// Three clients that break the key-frame rule on a TinyCnn connection
+/// — a key the layer does not rotate by, a key the connection already
+/// holds, a missing key left out — each get the typed refusal within
+/// the deadline, while a neighbour served beside each of them produces
+/// the outputs and the wire traffic of a solo run.
+#[test]
+fn key_frame_rule_violations_are_refused_and_contained() {
+    let (ctx, cnn) = test_stack();
+    let new_server = || {
+        SpotServer::new(
+            ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+            ServingConfig::default(),
+        )
+    };
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(400));
+    let input = Tensor::random(2, 8, 8, 5, 401);
+    let neighbour = |server: &SpotServer| {
+        let (ct, st) = MemTransport::pair();
+        std::thread::scope(|s| {
+            let session = s.spawn(|| server.serve_connection(&st));
+            let out = well_behaved_client(&ctx, &cnn, &ct, 1);
+            let report = session.join().expect("session thread");
+            report.result.expect("neighbour session");
+            out
+        })
+    };
+    let (solo_out, solo_stats) = neighbour(&new_server());
+
+    type Rewrite<'a> =
+        Box<dyn Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync + 'a>;
+    let hostile: [(&str, &str, Rewrite<'_>); 3] = [
+        (
+            "conv1's frame also carries conv2's key",
+            "galois element 4097, which the layer does not rotate by",
+            Box::new(|layer, msg| match msg {
+                WireMessage::GaloisKeys(blob) if layer == 1 => {
+                    Some(vec![blob_with_extra(&ctx, &kg, blob, &[CONV2_ONLY])])
+                }
+                _ => None,
+            }),
+        ),
+        (
+            "conv2's frame repeats a key conv1 uploaded",
+            "galois element 3, which this connection already holds",
+            Box::new(|layer, msg| match msg {
+                WireMessage::GaloisKeys(blob) if layer == 2 => {
+                    Some(vec![blob_with_extra(&ctx, &kg, blob, &[BOTH_CONVS])])
+                }
+                _ => None,
+            }),
+        ),
+        (
+            "conv2 leaves its missing key out",
+            "expected GaloisKeys, got PackedCt",
+            Box::new(|layer, msg| match msg {
+                WireMessage::GaloisKeys(_) if layer == 2 => Some(Vec::new()),
+                _ => None,
+            }),
+        ),
+    ];
+    for (what, why, rewrite) in &hostile {
+        let server = new_server();
+        let (ending, (out, stats)) = within_deadline(what, || {
+            std::thread::scope(|s| {
+                let attacker = s.spawn(|| tampered_connection(&server, &kg, &input, 402, rewrite));
+                let beside = neighbour(&server);
+                (attacker.join().expect("attacker"), beside)
+            })
+        });
+        assert_refused(&ending, why);
+        assert_eq!(out, solo_out, "{what}: neighbour outputs diverge");
+        assert_eq!(
+            (stats.sent, stats.received.bytes, stats.received.messages),
+            (
+                solo_stats.sent,
+                solo_stats.received.bytes,
+                solo_stats.received.messages
+            ),
+            "{what}: neighbour wire traffic diverges"
+        );
+        let totals = server.stats();
+        assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
+        assert_eq!(server.active_sessions(), 0, "{what}");
+    }
+}
+
+/// A model whose second convolution rotates only by elements the first
+/// one already needed (4→4 channels on 8×8, then 4→4 on 4×4): the
+/// honest client sends one key frame for the whole connection, and a
+/// client that sends one on conv2 anyway is refused.
+#[test]
+fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let cnn = TinyCnn {
+        conv1: Kernel::random(4, 4, 3, 3, 3, 7),
+        conv2: Kernel::random(4, 4, 3, 3, 3, 8),
+    };
+    let server = SpotServer::new(
+        ModelContext::new("all-held", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    );
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(410));
+    let input = Tensor::random(4, 8, 8, 5, 411);
+
+    let key_frames = AtomicUsize::new(0);
+    let honest = within_deadline("honest all-held connection", || {
+        tampered_connection(&server, &kg, &input, 412, |_, msg| {
+            if matches!(msg, WireMessage::GaloisKeys(_)) {
+                key_frames.fetch_add(1, Ordering::SeqCst);
+            }
+            None
+        })
+    });
+    honest.session.result.expect("honest session");
+    assert_eq!(
+        honest.client.expect("honest client")[0],
+        cnn.forward_plain(&input)
+    );
+    assert_eq!(
+        key_frames.load(Ordering::SeqCst),
+        1,
+        "conv2 must upload nothing"
+    );
+
+    let ending = within_deadline("key frame on an all-held layer", || {
+        tampered_connection(&server, &kg, &input, 412, |layer, msg| match msg {
+            WireMessage::Setup(_) if layer == 2 => {
+                let again = kg.galois_keys(&[CONV2_ONLY], &mut StdRng::seed_from_u64(32));
+                let frame = WireMessage::GaloisKeys(galois_keys_to_bytes(&again));
+                Some(vec![msg.clone(), frame])
+            }
+            _ => None,
+        })
+    });
+    assert_refused(&ending, "expected PackedCt/AuxCt, got GaloisKeys");
+    let totals = server.stats();
+    assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
+}
+
+/// Keys are held per connection, never per client or per server: after
+/// a full connection under `kg`, a second connection under the same
+/// `kg` that leaves its keys out is refused, and an honest third one is
+/// served.
+#[test]
+fn a_second_connection_never_sees_the_first_ones_keys() {
+    let (ctx, cnn) = test_stack();
+    let server = SpotServer::new(
+        ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    );
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(420));
+    let input = Tensor::random(2, 8, 8, 5, 421);
+    let want = cnn.forward_plain(&input);
+
+    let first = within_deadline("first connection", || {
+        tampered_connection(&server, &kg, &input, 422, |_, _| None)
+    });
+    first.session.result.expect("first session");
+    assert_eq!(first.client.expect("first client")[0], want);
+
+    let second = within_deadline("keyless second connection", || {
+        tampered_connection(&server, &kg, &input, 422, |_, msg| {
+            matches!(msg, WireMessage::GaloisKeys(_)).then(Vec::new)
+        })
+    });
+    assert_refused(&second, "expected GaloisKeys, got PackedCt");
+
+    let third = within_deadline("third connection", || {
+        tampered_connection(&server, &kg, &input, 422, |_, _| None)
+    });
+    third.session.result.expect("third session");
+    assert_eq!(third.client.expect("third client")[0], want);
+    assert_eq!(third.uplink_frames, first.uplink_frames);
+    let totals = server.stats();
+    assert_eq!((totals.served, totals.failed, totals.rejected), (2, 1, 0));
 }
