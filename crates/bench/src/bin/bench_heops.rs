@@ -317,7 +317,11 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
 /// session layer calls them) and decryption. Only `decrypt` touches a
 /// dispatched kernel (its NTTs), so one pass under the production
 /// dispatch is the whole story.
-fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) {
+/// Returns, per level, the bytes of a serialised one-key blob over the
+/// bytes of its `k` packed digit polynomials: what a rotation key costs
+/// on the wire against the half of it no seed can replace.
+fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(&'static str, f64)> {
+    let mut key_bytes_per_digit_poly = Vec::new();
     for (level, level_name, reps) in [
         (ParamLevel::N4096, "N4096", 100usize),
         (ParamLevel::N8192, "N8192", 50),
@@ -335,9 +339,13 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) {
         let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
         let ct_blob = ct.to_bytes();
         let keys = 4usize;
-        let gk = keygen.galois_keys(&evaluator.galois_elements(&[1, 2, 3, 4], false), &mut rng);
+        let elements = evaluator.galois_elements(&[1, 2, 3, 4], false);
+        let gk = keygen.galois_keys(&elements, &mut rng);
         assert_eq!(gk.len(), keys);
         let gk_blob = galois_keys_to_bytes(&gk);
+        let one_key = galois_keys_to_bytes(&keygen.galois_keys(&elements[..1], &mut rng));
+        let digit_polys = ctx.moduli_count() * ctx.params().poly_bytes();
+        key_bytes_per_digit_poly.push((level_name, one_key.len() as f64 / digit_polys as f64));
 
         let mut push = |op, reps, per: usize, (mean_us, median_us, min_us): (f64, f64, f64)| {
             entries.push(Entry {
@@ -369,6 +377,14 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) {
             }),
         );
         push(
+            "galois_keygen",
+            reps / 2,
+            keys,
+            time_us(reps / 2, || {
+                std::hint::black_box(keygen.galois_keys(&elements, &mut rng));
+            }),
+        );
+        push(
             "galois_serialize",
             reps / 2,
             keys,
@@ -393,13 +409,14 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) {
             }),
         );
     }
+    key_bytes_per_digit_poly
 }
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn emit_json(dispatched: &str, entries: &[Entry]) {
+fn emit_json(dispatched: &str, entries: &[Entry], key_bytes_per_digit_poly: &[(&str, f64)]) {
     let avail: Vec<&str> = arch::available().iter().map(|k| k.name).collect();
     println!("{{");
     println!("  \"schema\": \"spot-bench-heops/v1\",");
@@ -459,16 +476,19 @@ fn emit_json(dispatched: &str, entries: &[Entry]) {
     println!("  \"speedups\": {{");
     println!("{}", lines.join(",\n"));
     println!("  }},");
-    // Eight rotations from one hoist against eight rotations that each
-    // decompose for themselves, same run, dispatched kernels. The one
-    // number here `bench_check` holds to a fixed ceiling (0.6).
+    // The numbers `bench_check` holds to fixed ceilings. Eight rotations
+    // from one hoist against eight rotations that each decompose for
+    // themselves, same run, dispatched kernels (ceiling 0.6); and a
+    // rotation key's wire bytes against its k digit polynomials alone
+    // (1.0003 while the a_i travel as a seed, 2.0 if they travel
+    // themselves; ceiling 1.1).
     let min_us = |op: &str, level: &str| {
         entries
             .iter()
             .find(|e| e.kernel == dispatched && e.op == op && e.level == level)
             .map(|e| e.min_us)
     };
-    let lines: Vec<String> = ["N4096", "N8192"]
+    let mut lines: Vec<String> = ["N4096", "N8192"]
         .iter()
         .filter_map(|level| {
             let ratio = min_us("rotate_hoisted8", level)? / (8.0 * min_us("rotate", level)?);
@@ -477,7 +497,13 @@ fn emit_json(dispatched: &str, entries: &[Entry]) {
             ))
         })
         .collect();
-    println!("  \"ratios_of\": \"min_us ratios within this run, dispatched kernels\",");
+    lines.extend(key_bytes_per_digit_poly.iter().map(|(level, ratio)| {
+        format!("    \"galois_key_bytes_per_digit_poly/{level}\": {ratio:.4}")
+    }));
+    println!(
+        "  \"ratios_of\": \"min_us ratios within this run, dispatched kernels; \
+         serialised byte counts for galois_key_bytes_per_digit_poly\","
+    );
     println!("  \"ratios\": {{");
     println!("{}", lines.join(",\n"));
     println!("  }}");
@@ -515,10 +541,10 @@ fn main() {
     // Batching amortization is a protocol property, not a kernel one:
     // measure it once under the production dispatch.
     measure_batched(dispatched, &mut entries);
-    measure_client_side(dispatched, &mut entries);
+    let key_bytes_per_digit_poly = measure_client_side(dispatched, &mut entries);
 
     if json {
-        emit_json(dispatched, &entries);
+        emit_json(dispatched, &entries, &key_bytes_per_digit_poly);
     } else {
         emit_table(&entries);
     }

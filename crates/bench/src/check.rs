@@ -527,7 +527,13 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 /// a tolerance at a time. `rotate_hoisted8_per_8_rotate` is eight
 /// rotations from one key-switch decomposition over eight that each
 /// redo it: about 0.5 at `N = 4096`, and 1.0 if the sharing is lost.
-pub const CEILINGS: &[(&str, f64)] = &[("ratios/rotate_hoisted8_per_8_rotate/", 0.6)];
+/// `galois_key_bytes_per_digit_poly` is a serialised rotation key over
+/// its `k` packed `b_i` alone: 1.0003 while the `a_i` travel as a
+/// 32-byte seed, 2.0 if they ever travel themselves again.
+pub const CEILINGS: &[(&str, f64)] = &[
+    ("ratios/rotate_hoisted8_per_8_rotate/", 0.6),
+    ("ratios/galois_key_bytes_per_digit_poly/", 1.1),
+];
 
 /// Every metric of `current` above its [`CEILINGS`] entry, reported
 /// with the ceiling in the baseline position.
@@ -727,15 +733,24 @@ mod tests {
 
     #[test]
     fn ceilings_gate_the_current_side_alone() {
-        let run = |ratio: f64| {
+        let run_with_key = |ratio: f64, key_bytes: f64| {
             parse_baseline(&format!(
                 r#"{{"ratios": {{"rotate_hoisted8_per_8_rotate/N4096": {ratio},
-                     "rotate_hoisted8_per_8_rotate/N8192": 0.41}},
+                     "rotate_hoisted8_per_8_rotate/N8192": 0.41,
+                     "galois_key_bytes_per_digit_poly/N4096": {key_bytes}}},
                    "speedups": {{"rotate/N4096": 1.8}}}}"#
             ))
             .unwrap()
         };
+        let run = |ratio: f64| run_with_key(ratio, 1.0003);
         assert!(over_ceiling(&run(0.49)).is_empty());
+        // Rotation keys that carry their a_i again are twice the size.
+        let unseeded = over_ceiling(&run_with_key(0.49, 2.0));
+        assert_eq!(unseeded.len(), 1);
+        assert_eq!(
+            (unseeded[0].metric.as_str(), unseeded[0].baseline),
+            ("ratios/galois_key_bytes_per_digit_poly/N4096", 1.1)
+        );
         let over = over_ceiling(&run(0.97));
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].metric, "ratios/rotate_hoisted8_per_8_rotate/N4096");
