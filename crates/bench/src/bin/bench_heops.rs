@@ -317,6 +317,7 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
 /// session layer calls them) and decryption. Only `decrypt` touches a
 /// dispatched kernel (its NTTs), so one pass under the production
 /// dispatch is the whole story.
+///
 /// Returns, per level, the bytes of a serialised one-key blob over the
 /// bytes of its `k` packed digit polynomials: what a rotation key costs
 /// on the wire against the half of it no seed can replace.

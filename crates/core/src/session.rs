@@ -40,11 +40,10 @@
 //! order: per layer the client draws its public key, then for each
 //! rotation key the connection still lacks its seed and its error
 //! polynomials, then every encryption in upload order; the server
-//! draws only result
-//! masks, in result order (the streaming consumer runs on one thread
-//! in index order). Parallel phases are pure. Shares are therefore
-//! bit-identical across backends, thread counts, channel capacities,
-//! and transports.
+//! draws only result masks, in result order (the streaming consumer
+//! runs on one thread in index order). Parallel phases are pure. Shares
+//! are therefore bit-identical across backends, thread counts, channel
+//! capacities, and transports.
 
 use crate::channelwise::{self, SecureConvResult};
 use crate::cheetah;
@@ -735,14 +734,15 @@ impl<'a> ClientConv<'a> {
         setup.trace = trace_id;
         transport.send(&WireMessage::Setup(setup))?;
         let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
-        let mut uploaded = self.uploaded.lock().expect("no upload panicked mid-record");
-        let missing = missing_elements(&facts.galois_elements, |e| uploaded.contains(&e));
-        if !missing.is_empty() {
-            let gk = self.keygen.galois_keys(&missing, rng);
-            transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
-            uploaded.extend(missing);
+        {
+            let mut uploaded = self.uploaded.lock().expect("no upload panicked mid-record");
+            let missing = missing_elements(&facts.galois_elements, |e| uploaded.contains(&e));
+            if !missing.is_empty() {
+                let gk = self.keygen.galois_keys(&missing, rng);
+                transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
+                uploaded.extend(missing);
+            }
         }
-        drop(uploaded);
         if pacing == UploadPacing::AwaitAck {
             let msg = transport.recv()?;
             let WireMessage::LayerBarrier { .. } = msg else {
@@ -933,16 +933,6 @@ pub struct ConnectionKeys {
 }
 
 impl ConnectionKeys {
-    /// Number of rotation keys held.
-    pub fn len(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Whether no rotation keys are held.
-    pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
-    }
-
     /// Brings the store up to a layer that rotates by `needed`: reads
     /// the layer's `GaloisKeys` frame if (and only if) some of `needed`
     /// is missing, insists that it carries exactly the missing
@@ -967,7 +957,9 @@ impl ConnectionKeys {
                     "client rotation keys miss required galois element {e}"
                 )));
             }
-            if let Some(e) = gk.elements().find(|e| !missing.contains(e)) {
+            // The smallest offender, so the refusal does not depend on
+            // hash order.
+            if let Some(e) = gk.elements().filter(|e| !missing.contains(e)).min() {
                 let why = if self.held.contains(e) {
                     "this connection already holds"
                 } else {

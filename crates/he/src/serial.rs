@@ -19,7 +19,6 @@ use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use std::collections::HashMap;
 use std::fmt;
-use std::mem::size_of;
 use std::sync::Arc;
 
 /// Errors from validated HE deserialization.
@@ -167,10 +166,10 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
                 "bad key-switch digit count {digits}"
             )));
         }
-        let seed: KeySeed = (bytes.get(off..off + size_of::<KeySeed>()))
-            .ok_or(SerialError::Truncated)?
-            .try_into()
-            .expect("seed-sized slice");
+        let seed: KeySeed = *bytes
+            .get(off..)
+            .and_then(<[u8]>::first_chunk)
+            .ok_or(SerialError::Truncated)?;
         off += seed.len();
         let b = (0..digits)
             .map(|_| read_poly(ctx, bytes, &mut off))
