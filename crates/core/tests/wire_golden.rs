@@ -18,7 +18,9 @@
 //! are still the same kinds and sizes in the same order. Likewise a
 //! change to what a key frame carries moves `uplink` and
 //! `uplink_shape` (and, through the client's rng order, `downlink`),
-//! while shares, counts and `downlink_shape` stay.
+//! while shares, counts and `downlink_shape` stay. A `WIRE_VERSION`
+//! bump moves all four frame digests of every case (each hashes the
+//! header's version byte) and no share, count or output digest.
 //!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
@@ -287,8 +289,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x09b1_9ad1_452e_4a67, 0xb377_cefb_6b6a_b2d1),
-            (0x150e_d935_ade5_36d4, 0x52cf_2b86_6cca_1df8),
+            (0x0bfe_711a_4f71_b160, 0xa406_fc33_7f37_7996),
+            (0x8e70_49a1_ea1f_3833, 0x6c55_a019_83ea_8a13),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -302,8 +304,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xab9d_de17_85a9_7483, 0xb377_cefb_6b6a_b2d1),
-            (0xe111_fa69_655d_e6ad, 0x52cf_2b86_6cca_1df8),
+            (0xc676_f3ab_1432_7060, 0xa406_fc33_7f37_7996),
+            (0xbd07_bacf_4047_ccb2, 0x6c55_a019_83ea_8a13),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -320,8 +322,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x2245_5cbd_68f2_92cc, 0x71e4_21d5_d6ba_710d),
-            (0xad02_4fbc_e60a_936f, 0x3c8d_2fab_33bf_be88),
+            (0xfdae_8330_af7f_1f54, 0x49a6_ceff_8f46_9145),
+            (0x9225_0caa_106d_f344, 0x7b18_169e_e6f1_41e3),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -335,8 +337,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x7488_f4e9_0d15_3e12, 0xdac5_8116_5ecf_60f4),
-            (0x6fda_8fe7_4c40_266c, 0x2d28_08cc_ba69_3368),
+            (0x24b6_bcae_0e04_0591, 0xf528_a64b_08d7_49ab),
+            (0xf342_d99c_356c_7adb, 0x9ba9_8df0_9823_aa43),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -353,8 +355,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xb5e6_5679_b235_8d34, 0xe3e2_dc0e_c653_ff0d),
-            (0xf7a4_fade_ca29_7711, 0x2d28_08cc_ba69_3368),
+            (0x0974_4699_9fde_0f28, 0xf4d8_37bf_f754_b5d1),
+            (0x42f9_e1c8_dc3a_591e, 0x9ba9_8df0_9823_aa43),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -368,8 +370,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x72b9_4c37_9ba2_64bb, 0xe3e2_dc0e_c653_ff0d),
-            (0x15a9_64d3_f506_ac55, 0x2d28_08cc_ba69_3368),
+            (0xab1a_cb02_2712_a30b, 0xf4d8_37bf_f754_b5d1),
+            (0x643f_ef6f_bcc4_750a, 0x9ba9_8df0_9823_aa43),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -386,8 +388,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0xf848_d184_8d1f_b351, 0x1646_7009_5222_3674),
-            (0x0da7_4a50_b598_fb59, 0x35d7_7a2f_15eb_7428),
+            (0x0836_2786_fd19_63b5, 0xb285_19fc_3e18_8d08),
+            (0x4154_5b76_7981_c27e, 0x2be2_2c33_b72c_d023),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -407,8 +409,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0x1b86_e090_c412_b9b5, 0xe30f_f9d2_dabe_48b3),
-        (0x40d2_afa0_4544_b3a8, 0x434f_d8f0_ef4d_2543),
+        (0x18f7_ccc2_5cfe_8c02, 0xd54f_1850_0019_ae7c),
+        (0xed2a_f436_9279_1058, 0xd346_7133_15c0_f3fb),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
@@ -442,8 +444,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0x78b4_c96e_8f89_c688, 0xbc9e_ba8b_29a6_a356),
-        downlink: (0x44e3_51a5_7176_b451, 0x85ec_14c6_c1f3_5292),
+        uplink: (0x1e50_15b4_9d0e_b6f1, 0xdd30_6dab_541a_8681),
+        downlink: (0x222c_6d4b_4563_3281, 0x2604_6904_fa76_af5a),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xaaf8_f89a_f734_9b87,
     };

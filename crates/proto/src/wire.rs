@@ -15,8 +15,11 @@
 use crate::error::ProtoError;
 use std::io::Read;
 
-/// Wire protocol version carried in every frame header.
-pub const WIRE_VERSION: u8 = 1;
+/// Wire protocol version carried in every frame header. Version 2:
+/// the `GaloisKeys` payload carries each key as a seed plus its `b_i`,
+/// and a connection sends each Galois element's key once (DESIGN.md
+/// §9).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
