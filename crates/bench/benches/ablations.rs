@@ -7,8 +7,9 @@
 //! * server thread-count sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spot_core::inference::{plan_conv_at_level, Scheme};
+use spot_core::inference::plan_conv_at_level;
 use spot_core::patching::PatchMode;
+use spot_core::session::SchemeKind;
 use spot_core::{select, spot};
 use spot_he::params::ParamLevel;
 use spot_pipeline::device::DeviceProfile;
@@ -51,7 +52,7 @@ fn ablations(c: &mut Criterion) {
     for level in [ParamLevel::N4096, ParamLevel::N8192, ParamLevel::N16384] {
         group.bench_function(format!("level/{level}"), |b| {
             b.iter(|| {
-                plan_conv_at_level(&shape, Scheme::Spot, level, true)
+                plan_conv_at_level(&shape, SchemeKind::Spot, level, true)
                     .map(|p| simulate_conv(&p, &cfg).timing.total_s)
             })
         });
@@ -63,7 +64,8 @@ fn ablations(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = SimConfig::with_client(DeviceProfile::iot_k27());
                 cfg.server.threads = threads;
-                let p = plan_conv_at_level(&shape, Scheme::Spot, ParamLevel::N4096, true).unwrap();
+                let p =
+                    plan_conv_at_level(&shape, SchemeKind::Spot, ParamLevel::N4096, true).unwrap();
                 simulate_conv(&p, &cfg).timing.total_s
             })
         });

@@ -216,7 +216,7 @@ fn bench_conv_cache(c: &mut Criterion) {
 
 /// End-to-end SPOT secure convolution at 1 vs 4 server threads — the
 /// executor's parallel phase covers the per-ciphertext conv work, so
-/// this shows the real (not simulated) scaling of the phased backend.
+/// this shows the real (not simulated) scaling of the worker pool.
 fn bench_executor_threads(c: &mut Criterion) {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let input = Tensor::random(8, 12, 12, 6, 21);

@@ -8,9 +8,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::inference::{ExecBackend, Scheme};
+use spot_core::inference::ExecBackend;
 use spot_core::patching::PatchMode;
-use spot_core::session::{run_in_process, LayerSpec};
+use spot_core::session::{run_in_process, LayerSpec, SchemeKind};
 use spot_core::stream::StreamConfig;
 use spot_he::prelude::*;
 use spot_tensor::tensor::{Kernel, Tensor};
@@ -27,16 +27,9 @@ fn streaming_vs_phased(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_vs_phased/16x16x8->8");
     group.sample_size(10);
     let inputs = std::slice::from_ref(&input);
-    for scheme in Scheme::ALL {
-        let spec = LayerSpec::for_layer(
-            scheme.kind(),
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-        );
-        group.bench_function(format!("{}/phased", scheme.name()), |b| {
+    for scheme in SchemeKind::ALL {
+        let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), PatchMode::Tweaked);
+        group.bench_function(format!("{}/phased", scheme.label()), |b| {
             b.iter(|| {
                 run_in_process(
                     &ctx,
@@ -49,7 +42,7 @@ fn streaming_vs_phased(c: &mut Criterion) {
                 )
             })
         });
-        group.bench_function(format!("{}/streamed", scheme.name()), |b| {
+        group.bench_function(format!("{}/streamed", scheme.label()), |b| {
             b.iter(|| {
                 run_in_process(
                     &ctx,

@@ -4,7 +4,7 @@
 //! tiny client is SPOT's regime.
 
 use spot_core::batch::{amortized_latency, plan_batched};
-use spot_core::inference::Scheme;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::{secs, Table};
 use spot_tensor::models::ConvShape;
@@ -23,7 +23,7 @@ fn main() {
     );
     for batch in [1usize, 2, 4, 8, 16] {
         let mut row = vec![format!("{batch}")];
-        for scheme in [Scheme::Spot, Scheme::CrypTFlow2] {
+        for scheme in [SchemeKind::Spot, SchemeKind::Channelwise] {
             for dev in [DeviceProfile::desktop_client(), DeviceProfile::iot_k27()] {
                 let bp = plan_batched(&shape, scheme, batch);
                 row.push(secs(amortized_latency(&bp, dev)));

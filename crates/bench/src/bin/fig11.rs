@@ -2,8 +2,9 @@
 //! entries per MB of client ciphertext memory) across the blocks of
 //! ResNet-50, ResNet-18 and VGG-16 for the three schemes.
 
-use spot_core::inference::{plan_conv, Scheme};
+use spot_core::inference::plan_conv;
 use spot_core::memory_util::in_memory_values_per_mb;
+use spot_core::session::SchemeKind;
 use spot_pipeline::report::Table;
 use spot_tensor::models::{
     table7_bottleneck_shapes, table8_basic_shapes, table9_vgg_shapes, ConvShape,
@@ -11,7 +12,7 @@ use spot_tensor::models::{
 
 fn block_row(table: &mut Table, label: String, shape: &ConvShape) {
     let mut cells = vec![label];
-    for scheme in Scheme::ALL {
+    for scheme in SchemeKind::ALL {
         let plan = plan_conv(shape, scheme, false);
         cells.push(format!("{:.0}", in_memory_values_per_mb(&plan)));
     }

@@ -2,17 +2,18 @@
 //! computation stall versus SPOT's per-ciphertext streaming, as a
 //! Gantt-style event dump for one convolution layer on the IoT client.
 
-use spot_core::inference::{plan_conv, Scheme};
+use spot_core::inference::plan_conv;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::sim::{simulate_conv, SimConfig};
 use spot_tensor::models::ConvShape;
 
-fn dump(scheme: Scheme) {
+fn dump(scheme: SchemeKind) {
     let shape = ConvShape::new(28, 28, 128, 128, 3, 1);
     let plan = plan_conv(&shape, scheme, true);
     let cfg = SimConfig::with_client(DeviceProfile::iot_k27());
     let res = simulate_conv(&plan, &cfg);
-    println!("--- {} on 28x28x128 conv, IoT client ---", scheme.name());
+    println!("--- {} on 28x28x128 conv, IoT client ---", scheme.label());
     println!(
         "total {:.3}s, server stall {:.3}s, {} input cts, {} output cts",
         res.timing.total_s, res.timing.stall_s, plan.input_cts, plan.output_cts
@@ -43,8 +44,8 @@ fn dump(scheme: Scheme) {
 }
 
 fn main() {
-    dump(Scheme::CrypTFlow2);
-    dump(Scheme::Spot);
+    dump(SchemeKind::Channelwise);
+    dump(SchemeKind::Spot);
     println!(
         "Observe: under channel-wise packing every conv[i] waits for the\n\
          LAST upload (the stall); under SPOT each conv[i] starts the moment\n\

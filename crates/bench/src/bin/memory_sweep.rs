@@ -3,7 +3,8 @@
 //! three schemes) — the crossover at which more client memory stops
 //! mattering is where SPOT's pipelining advantage comes from.
 
-use spot_core::inference::{plan_conv, Scheme};
+use spot_core::inference::plan_conv;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::{secs, Table};
 use spot_pipeline::sim::{simulate_conv, SimConfig};
@@ -18,7 +19,7 @@ fn main() {
     );
     for cap in caps {
         let mut row = vec![format!("{cap}")];
-        for scheme in Scheme::ALL {
+        for scheme in SchemeKind::ALL {
             let plan = plan_conv(&shape, scheme, true);
             let client = DeviceProfile::nexus6().with_capacity(cap, plan.ciphertext_bytes);
             let t = simulate_conv(&plan, &SimConfig::with_client(client))

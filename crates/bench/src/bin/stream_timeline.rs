@@ -1,9 +1,9 @@
-//! Measured streaming-pipeline timeline: runs each scheme through the
-//! real streaming runtime (`spot-core::stream`) on a scaled-down
-//! Table-I-class layer with a single-thread server and a 2-ciphertext
-//! client budget, then dumps the measured stall table, a Gantt-style
-//! span trace per scheme (from the `spot-trace` layer), and the
-//! spot-he buffer pool's steady-state allocation counters.
+//! Measured pipeline timeline: runs each scheme through the server's
+//! conv driver (`spot-core::stream`) on a scaled-down Table-I-class
+//! layer with a single-thread server and a 2-ciphertext client budget,
+//! then dumps the measured stall table, a Gantt-style span trace per
+//! scheme (from the `spot-trace` layer), and the spot-he buffer pool's
+//! steady-state allocation counters.
 //!
 //! ```text
 //! stream-timeline [--trace out.json]
@@ -15,10 +15,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::inference::{ExecBackend, Scheme};
+use spot_core::heconv::{ConvRequest, HeConvEngine};
+use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
-use spot_core::session::{run_in_process, LayerSpec, SchemeKind};
+use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
+use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_core::stream::{StreamConfig, StreamStats};
+use spot_he::evaluator::OpCounts;
 use spot_he::pool;
 use spot_he::prelude::*;
 use spot_pipeline::report::stall_table;
@@ -28,8 +31,8 @@ use spot_trace::{Cat, Event, Phase};
 const MAX_EVENTS: usize = 48;
 
 /// Lane label for a recorded thread id: the thread's trace label when
-/// it set one (`client`, `server-0`, ...), else the session thread
-/// that runs result assembly.
+/// it set one (`client`, `server-ingest`, `server-0`, ...), else the
+/// session thread that masks and returns results.
 fn lane_of(threads: &[(u32, String)], tid: u32) -> &str {
     threads
         .iter()
@@ -38,20 +41,32 @@ fn lane_of(threads: &[(u32, String)], tid: u32) -> &str {
         .unwrap_or("assemble")
 }
 
-fn dump_gantt(scheme: Scheme, stats: &StreamStats, events: &[Event], threads: &[(u32, String)]) {
+fn dump_gantt(
+    scheme: SchemeKind,
+    stats: &StreamStats,
+    events: &[Event],
+    threads: &[(u32, String)],
+) {
     println!(
         "--- {} timeline ({} in cts, {} out cts, wall {:.3}s) ---",
-        scheme.name(),
+        scheme.label(),
         stats.input_items,
         stats.output_items,
         stats.wall_s
     );
-    // Pipeline-level spans only: the per-frame Net spans and HE counters
-    // would drown the Gantt view (they stay in the JSON export).
+    // The driver's spans on the server, and on the client thread the
+    // upload itself: one `send` per frame (the hello, the rotation keys,
+    // then each ciphertext as it is encrypted). The server's per-frame
+    // Net spans and the HE counters would drown the Gantt view (they
+    // stay in the JSON export).
     let spans: Vec<&Event> = events
         .iter()
         .filter(|e| matches!(e.phase, Phase::Span { .. }))
-        .filter(|e| matches!(e.cat, Cat::Client | Cat::Stream))
+        .filter(|e| match e.cat {
+            Cat::Stream => true,
+            Cat::Net => lane_of(threads, e.tid) == "client" && e.name.as_str() == "send",
+            _ => false,
+        })
         .collect();
     let t0 = spans.iter().map(|e| e.ts_ns).min().unwrap_or(0);
     for ev in spans.iter().take(MAX_EVENTS) {
@@ -92,8 +107,8 @@ fn main() {
     let mut keyrng = StdRng::seed_from_u64(5150);
     let keygen = KeyGenerator::new(&ctx, &mut keyrng);
     // Scaled-down Table-I-class layer: 16x16 map, C_i = 32 → two
-    // channel-wise input ciphertexts at N4096, so the all-input barrier
-    // schemes really serialize their upload.
+    // channel-wise input ciphertexts at N4096, so the all-input schemes
+    // really wait out more than one upload.
     let input = Tensor::random(32, 16, 16, 4, 81);
     let kernel = Kernel::random(4, 32, 3, 3, 3, 82);
     let cfg = StreamConfig::new(Executor::serial(), 2);
@@ -104,17 +119,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut timelines = Vec::new();
     let mut all_events: Vec<Event> = Vec::new();
-    for scheme in Scheme::ALL {
+    for scheme in SchemeKind::ALL {
         let _ = spot_trace::take_events(); // clear any setup noise
         let mut rng = StdRng::seed_from_u64(7000);
-        let spec = LayerSpec::for_layer(
-            scheme.kind(),
-            &input,
-            &kernel,
-            1,
-            (4, 4),
-            PatchMode::Tweaked,
-        );
+        let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), PatchMode::Tweaked);
         let stats = run_in_process(
             &ctx,
             &keygen,
@@ -126,8 +134,8 @@ fn main() {
         )
         .expect("in-process session")
         .stream
-        .expect("streaming backend reports stats");
-        rows.push(stats.stall_row(scheme.name()));
+        .expect("every backend reports stats");
+        rows.push(stats.stall_row(scheme.label()));
         let events = spot_trace::take_events();
         all_events.extend(events.iter().cloned());
         timelines.push((scheme, stats, events));
@@ -138,11 +146,14 @@ fn main() {
         stall_table("Measured stall accounting (single-thread server)", &rows)
     );
     println!(
-        "SPOT's per-input streaming keeps the server busy during the upload;\n\
-         the all-input schemes park every worker until the last ciphertext\n\
-         lands (\"server idle\" = the paper's linear computation stall).\n\
+        "A job waits for the inputs it reads: SPOT's read one ciphertext\n\
+         each, so the server is busy during the upload; the all-input\n\
+         schemes' read every one, so each worker waits until the last\n\
+         lands (\"server idle\" = worker time blocked waiting for a\n\
+         runnable job while the upload is open, the paper's linear\n\
+         computation stall). \"client\" columns are the uploader thread's.\n\
          Both parties here run at the same speed on one host, so an upload\n\
-         is about a millisecond per ciphertext and the barrier stall is\n\
+         is about a millisecond per ciphertext and the all-input stall is\n\
          small; the stall the paper targets needs a client slower than the\n\
          server, which crates/core/tests/streaming_determinism.rs models.\n"
     );
@@ -151,38 +162,53 @@ fn main() {
         dump_gantt(*scheme, stats, events, &threads);
     }
 
-    // Buffer-pool steady state: the same serial phased layer twice on
-    // this thread — the second (warm) run draws its polynomial buffers
-    // from the pool instead of the allocator.
-    println!("== spot-he buffer pool: cold vs warm serial SPOT layer ==");
-    let small_in = Tensor::random(4, 8, 8, 8, 11);
+    // Buffer-pool steady state: the same SPOT ciphertext convolution
+    // twice on this thread, below the session layer (whose driver runs
+    // each round's workers on fresh threads, each with a pool of its
+    // own) — the second (warm) run draws its polynomial buffers from
+    // the pool instead of the allocator.
+    println!("== spot-he buffer pool: cold vs warm SPOT ciphertext convolution ==");
     let small_k = Kernel::random(4, 4, 3, 3, 4, 12);
-    // Give the pool room for a whole layer's buffers so the warm run
-    // measures pure steady-state reuse (streamed runs instead bound the
-    // producer pool by the client's ciphertext budget).
+    let blk = blocking(4, 4);
+    let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, 8, 8);
+    let (groups, in_maps) = (spot_group_specs(&blk, 4), spot_in_maps(&blk, 4));
+    let req = ConvRequest {
+        layout: &layout,
+        in_maps: &in_maps,
+        groups: &groups,
+        diagonals: blk.diagonals,
+        fold_steps: &blk.fold_steps,
+        kernel: &small_k,
+        cache_tag: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(9900);
+    let engine = HeConvEngine::new(
+        &ctx,
+        &keygen,
+        &layout,
+        3,
+        3,
+        blk.diagonals,
+        blk.out_groups,
+        &blk.fold_steps,
+        blk.split,
+        true,
+        &mut rng,
+    );
+    let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
+    let ct = Encryptor::new(&ctx, keygen.public_key(&mut rng))
+        .encrypt(&BatchEncoder::new(&ctx).encode(&values), &mut rng);
+    // Give the pool room for a whole convolution's buffers so the warm
+    // run measures pure steady-state reuse.
     let prev_cap = pool::capacity();
     pool::set_capacity(512);
     pool::clear();
     pool::reset_stats();
-    let mut rng = StdRng::seed_from_u64(9900);
-    let small_spec = LayerSpec::for_layer(
-        SchemeKind::Spot,
-        &small_in,
-        &small_k,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-    );
-    let run_small = |rng: &mut StdRng| {
-        let backend = ExecBackend::Phased(Executor::serial());
-        let inputs = std::slice::from_ref(&small_in);
-        run_in_process(&ctx, &keygen, small_spec, inputs, &small_k, &backend, rng)
-            .expect("in-process session");
-    };
-    run_small(&mut rng);
+    let mut counts = OpCounts::default();
+    engine.conv_one_ct(&ct, &req, &mut counts);
     let cold = pool::stats();
     pool::reset_stats();
-    run_small(&mut rng);
+    engine.conv_one_ct(&ct, &req, &mut counts);
     let warm = pool::stats();
     for (tag, s) in [("cold", &cold), ("warm", &warm)] {
         println!(
@@ -196,7 +222,7 @@ fn main() {
     }
     pool::set_capacity(prev_cap);
     println!(
-        "\nSteady state: the warm layer's fresh allocations drop {:.0}x\n\
+        "\nSteady state: the warm run's fresh allocations drop {:.0}x\n\
          while its buffer reuse covers {:.1}% of takes.",
         cold.fresh as f64 / (warm.fresh.max(1)) as f64,
         100.0 * warm.reused as f64 / warm.takes().max(1) as f64

@@ -2,7 +2,8 @@
 //! mobile client restricted to 3/2/1 in-memory ciphertexts, under the
 //! channel-wise (CrypTFlow2-style) packing both use.
 
-use spot_core::inference::{plan_conv, Scheme};
+use spot_core::inference::plan_conv;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::{secs, Table};
 use spot_pipeline::sim::{simulate_conv, SimConfig};
@@ -26,7 +27,7 @@ fn main() {
         ],
     );
     for shape in &shapes {
-        let plan = plan_conv(shape, Scheme::CrypTFlow2, true);
+        let plan = plan_conv(shape, SchemeKind::Channelwise, true);
         let desktop = simulate_conv(
             &plan,
             &SimConfig::with_client(DeviceProfile::desktop_client()),

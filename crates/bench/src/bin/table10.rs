@@ -2,7 +2,8 @@
 //! 101/50/34/18 and VGG 11/16 — for CrypTFlow2, Cheetah, and SPOT on
 //! both tiny clients, with SPOT's speedup over the best baseline.
 
-use spot_core::inference::{plan_network, Scheme};
+use spot_core::inference::plan_network;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::{secs, speedup, Table};
 use spot_pipeline::sim::SimConfig;
@@ -32,7 +33,7 @@ fn main() {
     for net in &nets {
         let mut cells = vec![net.name().to_string()];
         let mut best = [f64::INFINITY; 2];
-        for scheme in [Scheme::CrypTFlow2, Scheme::Cheetah] {
+        for scheme in [SchemeKind::Channelwise, SchemeKind::Cheetah] {
             let plan = plan_network(net, scheme);
             for (di, dev) in [DeviceProfile::nexus6(), DeviceProfile::iot_k27()]
                 .into_iter()
@@ -43,7 +44,7 @@ fn main() {
                 cells.push(secs(t));
             }
         }
-        let plan = plan_network(net, Scheme::Spot);
+        let plan = plan_network(net, SchemeKind::Spot);
         for (di, dev) in [DeviceProfile::nexus6(), DeviceProfile::iot_k27()]
             .into_iter()
             .enumerate()

@@ -2,7 +2,8 @@
 //! a desktop client versus an IoT client. The headline observation:
 //! Cheetah's large speedup over CrypTFlow2 collapses on the tiny client.
 
-use spot_core::inference::{plan_network, Scheme};
+use spot_core::inference::plan_network;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::{secs, Table};
 use spot_pipeline::sim::SimConfig;
@@ -16,8 +17,8 @@ fn main() {
     );
     for client in [DeviceProfile::desktop_client(), DeviceProfile::iot_k27()] {
         let cfg = SimConfig::with_client(client.clone());
-        let cf = plan_network(&net, Scheme::CrypTFlow2).simulate(&cfg);
-        let ch = plan_network(&net, Scheme::Cheetah).simulate(&cfg);
+        let cf = plan_network(&net, SchemeKind::Channelwise).simulate(&cfg);
+        let ch = plan_network(&net, SchemeKind::Cheetah).simulate(&cfg);
         table.row(&[
             client.name.to_string(),
             secs(cf.total_s),

@@ -2,7 +2,8 @@
 //! server-HE, and ReLU components for a mobile client holding one
 //! ciphertext.
 
-use spot_core::inference::{plan_conv, Scheme};
+use spot_core::inference::plan_conv;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::Table;
 use spot_pipeline::sim::{simulate_conv, SimConfig};
@@ -20,7 +21,7 @@ fn main() {
         &["Conv size (w h Ci Co)", "client-HE", "server-HE", "ReLU"],
     );
     for shape in &shapes {
-        let plan = plan_conv(shape, Scheme::CrypTFlow2, true);
+        let plan = plan_conv(shape, SchemeKind::Channelwise, true);
         let client = DeviceProfile::nexus6().with_capacity(1, plan.ciphertext_bytes);
         let t = simulate_conv(&plan, &SimConfig::with_client(client)).timing;
         let total = t.client_he_s + t.server_he_s + t.relu_s;

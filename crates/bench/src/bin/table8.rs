@@ -2,7 +2,7 @@
 //! ResNet-18 — CrypTFlow2 vs Cheetah vs SPOT on both tiny clients.
 
 use spot_bench::{basic_block_shapes, simulate_block};
-use spot_core::inference::Scheme;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::report::{secs, speedup, Table};
 
@@ -29,7 +29,7 @@ fn main() {
         let shapes = basic_block_shapes(w, h, ci, co);
         let mut cells = vec![format!("{w} {h} {ci} {co}")];
         let mut best = [f64::INFINITY; 2];
-        for scheme in [Scheme::CrypTFlow2, Scheme::Cheetah] {
+        for scheme in [SchemeKind::Channelwise, SchemeKind::Cheetah] {
             for (di, dev) in [DeviceProfile::nexus6(), DeviceProfile::iot_k27()]
                 .into_iter()
                 .enumerate()
@@ -43,7 +43,9 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let t = simulate_block(&shapes, Scheme::Spot, dev).timing.total_s;
+            let t = simulate_block(&shapes, SchemeKind::Spot, dev)
+                .timing
+                .total_s;
             cells.push(format!("{} ({})", secs(t), speedup(best[di], t)));
         }
         table.row(&cells);

@@ -1,6 +1,7 @@
 //! Perf-regression gate machinery behind the `bench_check` binary and
 //! `spot-loadgen --scrape`: parse the numbers we already emit
-//! (`BENCH_*.json` baselines, Prometheus `/metrics` scrapes), flatten
+//! (`BENCH_*.json` baselines via [`spot_trace::json`], Prometheus
+//! `/metrics` scrapes), flatten
 //! them into `metric path -> value` maps, and diff two maps under a
 //! tolerance.
 //!
@@ -21,240 +22,18 @@
 //! A diff only flags what a human would call a regression, so each
 //! metric's *direction* is inferred from its name: time-like names
 //! (`*_us`, `*_ns`, `p50`/`p99`/`mean`/`wall_s`, ...) regress when they
-//! grow, rate-like names (`*speedup*`, `*throughput*`, `*hits*`)
+//! grow, rate-like names (`*speedup*`, `*throughput*`, `*hits*`,
+//! `*efficiency*`, `*busy_share*`)
 //! regress when they shrink, and identity-like names (`reps`,
 //! `clients`, `matched`) are ignored. [`classify`] is the single
 //! source of that rule.
 
+use spot_trace::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (the workspace is zero-dependency; this is
-// the read-side twin of the hand-rolled writers in the bench binaries)
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, as f64.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered by key.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid utf-8 in string")?,
-                    );
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("bad array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("bad object at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Parses a JSON document.
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after JSON at byte {}", p.pos));
-    }
-    Ok(v)
-}
 
 // ---------------------------------------------------------------------
 // Flattening to metric maps
@@ -266,12 +45,12 @@ pub type MetricMap = BTreeMap<String, f64>;
 /// The identity key for an object array element: its string-valued
 /// fields (plus `clients`, the one numeric identity our schemas use),
 /// joined with `/` — or `None` when it has no such fields.
-fn element_identity(members: &[(String, Json)]) -> Option<String> {
+fn element_identity(members: &[(String, Value)]) -> Option<String> {
     let mut parts = Vec::new();
     for (k, v) in members {
         match v {
-            Json::Str(s) => parts.push(s.clone()),
-            Json::Num(n) if k == "clients" => parts.push(format!("clients={n}")),
+            Value::String(s) => parts.push(s.clone()),
+            Value::Number(n) if k == "clients" => parts.push(format!("clients={n}")),
             _ => {}
         }
     }
@@ -282,12 +61,12 @@ fn element_identity(members: &[(String, Json)]) -> Option<String> {
     }
 }
 
-fn flatten_into(prefix: &str, value: &Json, out: &mut MetricMap) {
+fn flatten_into(prefix: &str, value: &Value, out: &mut MetricMap) {
     match value {
-        Json::Num(n) => {
+        Value::Number(n) => {
             out.insert(prefix.to_string(), *n);
         }
-        Json::Obj(members) => {
+        Value::Object(members) => {
             for (k, v) in members {
                 let path = if prefix.is_empty() {
                     k.clone()
@@ -297,10 +76,10 @@ fn flatten_into(prefix: &str, value: &Json, out: &mut MetricMap) {
                 flatten_into(&path, v, out);
             }
         }
-        Json::Arr(items) => {
+        Value::Array(items) => {
             for (i, item) in items.iter().enumerate() {
                 let segment = match item {
-                    Json::Obj(members) => {
+                    Value::Object(members) => {
                         element_identity(members).unwrap_or_else(|| i.to_string())
                     }
                     _ => i.to_string(),
@@ -310,13 +89,13 @@ fn flatten_into(prefix: &str, value: &Json, out: &mut MetricMap) {
         }
         // Strings are identity, not measurements; bools/nulls carry no
         // magnitude to diff.
-        Json::Str(_) | Json::Bool(_) | Json::Null => {}
+        Value::String(_) | Value::Bool(_) | Value::Null => {}
     }
 }
 
 /// Flattens a parsed JSON document into a metric map (see module docs
 /// for the path scheme).
-pub fn flatten_json(doc: &Json) -> MetricMap {
+pub fn flatten_json(doc: &Value) -> MetricMap {
     let mut out = MetricMap::new();
     flatten_into("", doc, &mut out);
     out
@@ -374,7 +153,7 @@ pub fn parse_prometheus(text: &str) -> MetricMap {
 /// `BENCH_*.json` document or saved Prometheus text.
 pub fn parse_baseline(content: &str) -> Result<MetricMap, String> {
     if content.trim_start().starts_with('{') {
-        Ok(flatten_json(&parse_json(content)?))
+        Ok(flatten_json(&json::parse(content)?))
     } else {
         let map = parse_prometheus(content);
         if map.is_empty() {
@@ -436,7 +215,14 @@ pub fn classify(path: &str) -> Direction {
     {
         return Direction::Neutral;
     }
-    if has(&["speedup", "throughput", "rps", "hits", "efficiency"]) {
+    if has(&[
+        "speedup",
+        "throughput",
+        "rps",
+        "hits",
+        "efficiency",
+        "busy_share",
+    ]) {
         Direction::HigherIsBetter
     } else if has(&[
         "_us", "_ns", "_ms", "_s/", "wall_s", "latency", "p50", "p90", "p99", "mean", "median",
@@ -567,14 +353,14 @@ mod tests {
 
     #[test]
     fn json_roundtrip_and_flatten() {
-        let doc = parse_json(BENCH_FIXTURE).expect("parse fixture");
+        let doc = json::parse(BENCH_FIXTURE).expect("parse fixture");
         let map = flatten_json(&doc);
         assert_eq!(map["entries/ntt_forward/N4096/scalar/mean_us"], 60.0);
         assert_eq!(map["entries/rotate/N4096/scalar/min_us"], 1650.0);
         assert_eq!(map["speedups/ntt_forward_N4096"], 1.9);
         // Identity-by-fields, not by index: a reordered file flattens
         // to the same map.
-        let reordered = parse_json(
+        let reordered = json::parse(
             &BENCH_FIXTURE.replace(
                 r#"{"op": "ntt_forward", "level": "N4096", "kernel": "scalar", "reps": 200, "mean_us": 60.0, "min_us": 55.0},"#,
                 "",
@@ -591,10 +377,10 @@ mod tests {
 
     #[test]
     fn injected_regression_is_flagged_and_tolerance_holds() {
-        let base = flatten_json(&parse_json(BENCH_FIXTURE).expect("parse"));
+        let base = flatten_json(&json::parse(BENCH_FIXTURE).expect("parse"));
         // 10% slower ntt mean: inside a 25% tolerance, outside 5%.
         let slower = BENCH_FIXTURE.replace("\"mean_us\": 60.0", "\"mean_us\": 66.0");
-        let cur = flatten_json(&parse_json(&slower).expect("parse"));
+        let cur = flatten_json(&json::parse(&slower).expect("parse"));
         assert!(compare(&base, &cur, 0.25).regressions.is_empty());
         let report = compare(&base, &cur, 0.05);
         assert_eq!(report.regressions.len(), 1);
@@ -604,7 +390,7 @@ mod tests {
         );
         // A speedup *drop* is also a regression (higher-is-better).
         let slower_speedup = BENCH_FIXTURE.replace("1.9", "1.0");
-        let cur = flatten_json(&parse_json(&slower_speedup).expect("parse"));
+        let cur = flatten_json(&json::parse(&slower_speedup).expect("parse"));
         let report = compare(&base, &cur, 0.25);
         assert_eq!(report.regressions.len(), 1);
         assert_eq!(report.regressions[0].metric, "speedups/ntt_forward_N4096");
@@ -612,11 +398,11 @@ mod tests {
 
     #[test]
     fn faster_is_never_a_regression() {
-        let base = flatten_json(&parse_json(BENCH_FIXTURE).expect("parse"));
+        let base = flatten_json(&json::parse(BENCH_FIXTURE).expect("parse"));
         let faster = BENCH_FIXTURE
             .replace("\"mean_us\": 60.0", "\"mean_us\": 20.0")
             .replace("1.9", "5.0");
-        let cur = flatten_json(&parse_json(&faster).expect("parse"));
+        let cur = flatten_json(&json::parse(&faster).expect("parse"));
         let report = compare(&base, &cur, 0.0);
         assert!(
             report.regressions.is_empty(),
@@ -674,6 +460,14 @@ mod tests {
         );
         assert_eq!(
             classify("overall/spot_overlap_efficiency"),
+            Direction::HigherIsBetter
+        );
+        assert_eq!(
+            classify("pipeline/0/server_busy_share"),
+            Direction::HigherIsBetter
+        );
+        assert_eq!(
+            classify("spot_server_busy_share_ppm_mean"),
             Direction::HigherIsBetter
         );
         assert_eq!(

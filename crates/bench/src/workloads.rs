@@ -1,7 +1,8 @@
 //! Block workloads matching the paper's Tables VII–IX rows, and helpers
 //! to simulate them per scheme/device.
 
-use spot_core::inference::{plan_conv, Scheme};
+use spot_core::inference::plan_conv;
+use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::plan::ConvPlan;
 use spot_pipeline::sim::{simulate_layers, LayerTiming, SimConfig};
@@ -35,7 +36,7 @@ pub fn vgg_block_shapes(w: usize, h: usize, c_i: usize, c_o: usize) -> Vec<ConvS
 #[derive(Debug, Clone)]
 pub struct BlockResult {
     /// Scheme.
-    pub scheme: Scheme,
+    pub scheme: SchemeKind,
     /// Device name.
     pub device: &'static str,
     /// Timing breakdown.
@@ -46,7 +47,11 @@ pub struct BlockResult {
 
 /// Simulates a block (list of conv shapes, each followed by ReLU) under
 /// a scheme on a client device.
-pub fn simulate_block(shapes: &[ConvShape], scheme: Scheme, client: DeviceProfile) -> BlockResult {
+pub fn simulate_block(
+    shapes: &[ConvShape],
+    scheme: SchemeKind,
+    client: DeviceProfile,
+) -> BlockResult {
     let plans: Vec<ConvPlan> = shapes.iter().map(|s| plan_conv(s, scheme, true)).collect();
     let device = client.name;
     let cfg = SimConfig::with_client(client);
@@ -73,8 +78,8 @@ mod tests {
     #[test]
     fn spot_wins_on_tiny_client_blocks() {
         let shapes = basic_block_shapes(14, 14, 256, 256);
-        let cw = simulate_block(&shapes, Scheme::CrypTFlow2, DeviceProfile::iot_k27());
-        let sp = simulate_block(&shapes, Scheme::Spot, DeviceProfile::iot_k27());
+        let cw = simulate_block(&shapes, SchemeKind::Channelwise, DeviceProfile::iot_k27());
+        let sp = simulate_block(&shapes, SchemeKind::Spot, DeviceProfile::iot_k27());
         assert!(
             sp.timing.total_s < cw.timing.total_s,
             "SPOT {} vs CrypTFlow2 {}",

@@ -11,10 +11,10 @@
 //!   ([`SpotServer::overloaded`]); a load balancer's readiness probe.
 //! * `GET /sessions` — JSON: in-flight session ids with elapsed time,
 //!   plus the monotonic served/rejected/failed totals.
-//! * `GET /pipeline` — JSON: per-session pipeline-overlap summaries for
-//!   the most recent streamed sessions ([`SpotServer::pipeline_recent`]):
-//!   worker busy/idle thread-seconds, producer backpressure, and the
-//!   server-side overlap efficiency.
+//! * `GET /pipeline` — JSON: per-session stall summaries for the most
+//!   recent sessions ([`SpotServer::pipeline_recent`]): worker
+//!   busy/idle thread-seconds, ingest backpressure, and their ratio
+//!   `server_busy_share`.
 //!
 //! ## Robustness model
 //!
@@ -245,7 +245,7 @@ fn pipeline_json(server: &SpotServer) -> String {
             format!(
                 "{{\"id\": {}, \"wall_ms\": {:.3}, \"input_items\": {}, \"output_items\": {}, \
                  \"server_threads\": {}, \"server_busy_s\": {:.6}, \"server_idle_s\": {:.6}, \
-                 \"client_blocked_s\": {:.6}, \"spot_overlap_efficiency\": {:.4}}}",
+                 \"client_blocked_s\": {:.6}, \"server_busy_share\": {:.4}}}",
                 p.id,
                 p.wall_ms,
                 p.input_items,
@@ -254,7 +254,7 @@ fn pipeline_json(server: &SpotServer) -> String {
                 p.server_busy_s,
                 p.server_idle_s,
                 p.client_blocked_s,
-                p.efficiency,
+                p.server_busy_share,
             )
         })
         .collect::<Vec<_>>()

@@ -10,7 +10,8 @@
 //! images at once; kernel plaintexts are image-independent, so the
 //! server-side operation count per ciphertext is unchanged.
 
-use crate::inference::{plan_conv, Scheme};
+use crate::inference::plan_conv;
+use crate::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::plan::ConvPlan;
 use spot_pipeline::sim::{simulate_conv, SimConfig};
@@ -28,7 +29,7 @@ pub struct BatchPlan {
 /// Builds a batched plan: input/output ciphertext counts and client work
 /// scale with the batch, while per-ciphertext server work is unchanged
 /// (the kernel plaintexts are shared across images).
-pub fn plan_batched(shape: &ConvShape, scheme: Scheme, batch: usize) -> BatchPlan {
+pub fn plan_batched(shape: &ConvShape, scheme: SchemeKind, batch: usize) -> BatchPlan {
     assert!(batch >= 1, "batch must be at least 1");
     let mut plan = plan_conv(shape, scheme, true);
     plan.input_cts *= batch;
@@ -46,7 +47,7 @@ pub fn amortized_latency(bp: &BatchPlan, client: DeviceProfile) -> f64 {
 }
 
 /// Single-query latency (batch = 1) for comparison.
-pub fn single_latency(shape: &ConvShape, scheme: Scheme, client: DeviceProfile) -> f64 {
+pub fn single_latency(shape: &ConvShape, scheme: SchemeKind, client: DeviceProfile) -> f64 {
     amortized_latency(&plan_batched(shape, scheme, 1), client)
 }
 
@@ -60,9 +61,9 @@ mod tests {
 
     #[test]
     fn batching_amortizes_per_image_cost() {
-        let single = single_latency(&shape(), Scheme::Spot, DeviceProfile::desktop_client());
+        let single = single_latency(&shape(), SchemeKind::Spot, DeviceProfile::desktop_client());
         let batched = amortized_latency(
-            &plan_batched(&shape(), Scheme::Spot, 8),
+            &plan_batched(&shape(), SchemeKind::Spot, 8),
             DeviceProfile::desktop_client(),
         );
         assert!(
@@ -73,8 +74,8 @@ mod tests {
 
     #[test]
     fn batching_multiplies_traffic() {
-        let b1 = plan_batched(&shape(), Scheme::CrypTFlow2, 1);
-        let b4 = plan_batched(&shape(), Scheme::CrypTFlow2, 4);
+        let b1 = plan_batched(&shape(), SchemeKind::Channelwise, 1);
+        let b4 = plan_batched(&shape(), SchemeKind::Channelwise, 4);
         assert_eq!(b4.plan.upstream_bytes(), 4 * b1.plan.upstream_bytes());
         assert_eq!(b4.plan.relu_elements, 4 * b1.plan.relu_elements);
     }
@@ -84,14 +85,14 @@ mod tests {
         // the memory-constrained client serializes the extra ciphertexts,
         // so its amortization factor is worse than the desktop's
         let shape = shape();
-        let desk_gain = single_latency(&shape, Scheme::Spot, DeviceProfile::desktop_client())
+        let desk_gain = single_latency(&shape, SchemeKind::Spot, DeviceProfile::desktop_client())
             / amortized_latency(
-                &plan_batched(&shape, Scheme::Spot, 8),
+                &plan_batched(&shape, SchemeKind::Spot, 8),
                 DeviceProfile::desktop_client(),
             );
-        let iot_gain = single_latency(&shape, Scheme::Spot, DeviceProfile::iot_k27())
+        let iot_gain = single_latency(&shape, SchemeKind::Spot, DeviceProfile::iot_k27())
             / amortized_latency(
-                &plan_batched(&shape, Scheme::Spot, 8),
+                &plan_batched(&shape, SchemeKind::Spot, 8),
                 DeviceProfile::iot_k27(),
             );
         assert!(
@@ -103,6 +104,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_batch_rejected() {
-        let _ = plan_batched(&shape(), Scheme::Spot, 0);
+        let _ = plan_batched(&shape(), SchemeKind::Spot, 0);
     }
 }

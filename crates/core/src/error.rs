@@ -1,4 +1,4 @@
-//! Typed errors for the session layer and streaming runtime.
+//! Typed errors for the session layer and the conv driver.
 
 use spot_he::serial::SerialError;
 use spot_proto::ProtoError;

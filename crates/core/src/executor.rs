@@ -1,20 +1,18 @@
-//! Deterministic parallel executor for server-side convolution work.
+//! The worker pool for server-side convolution work.
 //!
 //! The per-ciphertext convolutions of every scheme ([`crate::spot`],
 //! [`crate::channelwise`], [`crate::cheetah`]) are independent: no job
 //! reads another's output and none touches the protocol randomness
-//! (masking happens on the sequential path). The executor fans those
-//! jobs across a pool of scoped worker threads pulling from a shared
-//! atomic work queue, and returns results **in job order** regardless
-//! of which worker finished when — so the produced ciphertexts, shares
-//! and operation counts are bit-identical for any thread count.
+//! (masking happens on the sequential path). [`crate::stream::run_stream`]
+//! fans them across this pool and hands results back **in job order**
+//! regardless of which worker finished when — so the produced
+//! ciphertexts, shares and operation counts are bit-identical for any
+//! thread count.
 
 use crossbeam::thread;
 use spot_pipeline::device::DeviceProfile;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A fixed-width worker pool executing independent jobs with
-/// deterministic output ordering.
+/// A fixed-width pool of scoped worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -39,8 +37,7 @@ impl Executor {
         }
     }
 
-    /// The single-threaded executor: jobs run inline on the caller's
-    /// thread in order, with no pool at all.
+    /// The single-worker executor: jobs run one at a time, in order.
     pub fn serial() -> Self {
         Self { threads: 1 }
     }
@@ -58,10 +55,10 @@ impl Executor {
     /// Spawns `workers` scoped threads, runs `f(worker_index)` on each,
     /// and returns the per-worker results in worker order.
     ///
-    /// This is the raw pool primitive shared by [`Executor::run`] and
-    /// the streaming runtime ([`crate::stream`]): `f` typically loops
-    /// over a shared work source (an atomic cursor or a channel) until
-    /// it is exhausted. A panic on any worker is propagated to the
+    /// This is the pool primitive under the conv driver
+    /// ([`crate::stream::run_stream`]): `f` loops over a shared work
+    /// source (a queue, then an atomic cursor) until it is exhausted.
+    /// A panic on any worker is propagated to the
     /// caller after all threads have joined. With `workers == 1` the
     /// closure runs inline on the caller's thread.
     pub fn run_workers<R, F>(&self, workers: usize, f: F) -> Vec<R>
@@ -108,86 +105,11 @@ impl Executor {
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-
-    /// Runs `f(index, &item)` for every item and returns the results in
-    /// item order.
-    ///
-    /// With one worker (or ≤ 1 item) everything runs inline. Otherwise
-    /// workers race on an atomic cursor over the item list — dynamic
-    /// load balancing for jobs of uneven cost — and the collected
-    /// results are reassembled by index before returning. A panic in
-    /// any job is propagated to the caller after the scope joins.
-    pub fn run<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        if self.threads == 1 || items.len() <= 1 {
-            return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-        }
-        let workers = self.threads.min(items.len());
-        let cursor = AtomicUsize::new(0);
-        let per_worker = self.run_workers(workers, |_| {
-            let mut done: Vec<(usize, R)> = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                done.push((i, f(i, &items[i])));
-            }
-            done
-        });
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (i, r) in per_worker.into_iter().flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every job produced a result"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-
-    #[test]
-    fn results_are_in_job_order() {
-        for threads in [1usize, 2, 4, 8] {
-            let ex = Executor::new(threads);
-            let items: Vec<usize> = (0..100).collect();
-            let out = ex.run(&items, |i, &v| {
-                // uneven job cost to shuffle completion order
-                let spin = (v * 7919) % 97;
-                let mut acc = 0u64;
-                for k in 0..spin * 100 {
-                    acc = acc.wrapping_add(k as u64);
-                }
-                std::hint::black_box(acc);
-                i * 2 + v
-            });
-            assert_eq!(
-                out,
-                (0..100).map(|v| v * 3).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_job_runs_exactly_once() {
-        let seen = Mutex::new(HashSet::new());
-        let items: Vec<usize> = (0..64).collect();
-        Executor::new(4).run(&items, |i, _| {
-            assert!(seen.lock().unwrap().insert(i), "job {i} ran twice");
-        });
-        assert_eq!(seen.into_inner().unwrap().len(), 64);
-    }
 
     #[test]
     fn thread_count_clamps_to_one() {
@@ -199,24 +121,5 @@ mod tests {
     fn for_device_uses_profile_threads() {
         let profile = DeviceProfile::server_epyc();
         assert_eq!(Executor::for_device(&profile).threads(), profile.threads);
-    }
-
-    #[test]
-    fn empty_and_single_item() {
-        let ex = Executor::new(8);
-        let empty: Vec<u32> = Vec::new();
-        assert!(ex.run(&empty, |_, &v| v).is_empty());
-        assert_eq!(ex.run(&[41u32], |_, &v| v + 1), vec![42]);
-    }
-
-    #[test]
-    #[should_panic(expected = "job 3 failed")]
-    fn worker_panic_propagates() {
-        let items: Vec<usize> = (0..8).collect();
-        Executor::new(4).run(&items, |i, _| {
-            if i == 3 {
-                panic!("job 3 failed");
-            }
-        });
     }
 }

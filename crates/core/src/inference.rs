@@ -23,49 +23,15 @@ use spot_tensor::models::{ConvShape, Layer, Network};
 use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Arc;
 
-/// The secure-convolution scheme used for the linear layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// CrypTFlow2-style channel-wise packing.
-    CrypTFlow2,
-    /// Cheetah-style coefficient encoding.
-    Cheetah,
-    /// SPOT structure patching with overlap tweaking.
-    Spot,
-}
-
-impl Scheme {
-    /// All schemes, baselines first.
-    pub const ALL: [Scheme; 3] = [Scheme::CrypTFlow2, Scheme::Cheetah, Scheme::Spot];
-
-    /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scheme::CrypTFlow2 => "CrypTFlow2",
-            Scheme::Cheetah => "Cheetah",
-            Scheme::Spot => "SPOT",
-        }
-    }
-
-    /// The session-layer scheme kind this scheme runs as.
-    pub fn kind(self) -> SchemeKind {
-        match self {
-            Scheme::CrypTFlow2 => SchemeKind::Channelwise,
-            Scheme::Cheetah => SchemeKind::Cheetah,
-            Scheme::Spot => SchemeKind::Spot,
-        }
-    }
-}
-
 /// Builds the execution plan for one convolution layer under a scheme,
 /// choosing each scheme's preferred parameter level.
-pub fn plan_conv(shape: &ConvShape, scheme: Scheme, with_relu: bool) -> ConvPlan {
+pub fn plan_conv(shape: &ConvShape, scheme: SchemeKind, with_relu: bool) -> ConvPlan {
     match scheme {
-        Scheme::CrypTFlow2 => {
+        SchemeKind::Channelwise => {
             channelwise::plan(shape, channelwise::minimum_level(shape), with_relu)
         }
-        Scheme::Cheetah => cheetah::plan(shape, cheetah::minimum_level(shape), with_relu),
-        Scheme::Spot => {
+        SchemeKind::Cheetah => cheetah::plan(shape, cheetah::minimum_level(shape), with_relu),
+        SchemeKind::Spot => {
             // Cost-aware level choice: smaller parameters are cheaper per
             // op, but tiny patches at a small level can inflate overlap
             // duplication and alignment rotations; pick the cheapest.
@@ -108,14 +74,14 @@ pub fn plan_conv(shape: &ConvShape, scheme: Scheme, with_relu: bool) -> ConvPlan
 /// Builds a conv plan pinned to a specific level (for parameter sweeps).
 pub fn plan_conv_at_level(
     shape: &ConvShape,
-    scheme: Scheme,
+    scheme: SchemeKind,
     level: ParamLevel,
     with_relu: bool,
 ) -> Option<ConvPlan> {
     match scheme {
-        Scheme::CrypTFlow2 => Some(channelwise::plan(shape, level, with_relu)),
-        Scheme::Cheetah => Some(cheetah::plan(shape, level, with_relu)),
-        Scheme::Spot => {
+        SchemeKind::Channelwise => Some(channelwise::plan(shape, level, with_relu)),
+        SchemeKind::Cheetah => Some(cheetah::plan(shape, level, with_relu)),
+        SchemeKind::Spot => {
             let choice = select::select_patch(shape, level, PatchMode::Tweaked)?;
             Some(spot::plan(
                 shape,
@@ -135,7 +101,7 @@ pub struct NetworkPlan {
     /// Network name.
     pub name: &'static str,
     /// Scheme used.
-    pub scheme: Scheme,
+    pub scheme: SchemeKind,
     /// One plan per linear layer.
     pub conv_plans: Vec<ConvPlan>,
     /// Total max-pool input elements (OT comparisons at 3 per window).
@@ -143,7 +109,7 @@ pub struct NetworkPlan {
 }
 
 /// Plans a whole network under a scheme.
-pub fn plan_network(net: &Network, scheme: Scheme) -> NetworkPlan {
+pub fn plan_network(net: &Network, scheme: SchemeKind) -> NetworkPlan {
     let mut conv_plans = Vec::new();
     let mut maxpool_elements = 0usize;
     let layers = net.layers();
@@ -235,7 +201,7 @@ impl TinyCnn {
         ctx: &Arc<Context>,
         keygen: &KeyGenerator,
         input: &Tensor,
-        scheme: Scheme,
+        scheme: SchemeKind,
         rng: &mut R,
     ) -> (Tensor, Channel) {
         let (out, channel, _) = self.forward_secure_with(
@@ -254,13 +220,13 @@ impl TinyCnn {
     /// With [`ExecBackend::Streaming`], each convolution layer runs as a
     /// real client/server pipeline and the returned [`StreamStats`]
     /// accumulate the per-layer stall accounting end to end; the output
-    /// is bit-identical to the phased backend for the same rng seed.
+    /// is bit-identical to the phased backend's for the same rng seed.
     pub fn forward_secure_with<R: Rng + Send>(
         &self,
         ctx: &Arc<Context>,
         keygen: &KeyGenerator,
         input: &Tensor,
-        scheme: Scheme,
+        scheme: SchemeKind,
         backend: &ExecBackend,
         rng: &mut R,
     ) -> (Tensor, Channel, StreamStats) {
@@ -272,8 +238,7 @@ impl TinyCnn {
                    chan: &mut Channel,
                    stats: &mut StreamStats,
                    rng: &mut R| {
-            let spec =
-                LayerSpec::for_layer(scheme.kind(), input, kernel, 1, (4, 4), PatchMode::Tweaked);
+            let spec = LayerSpec::for_layer(scheme, input, kernel, 1, (4, 4), PatchMode::Tweaked);
             let outcome = run_in_process(
                 ctx,
                 keygen,
@@ -371,10 +336,10 @@ mod tests {
     #[test]
     fn network_plans_have_all_linear_layers() {
         let net = resnet18();
-        for scheme in Scheme::ALL {
+        for scheme in SchemeKind::ALL {
             let plan = plan_network(&net, scheme);
             // 17 convs + 1 FC
-            assert_eq!(plan.conv_plans.len(), 18, "{}", scheme.name());
+            assert_eq!(plan.conv_plans.len(), 18, "{}", scheme.label());
             assert!(plan.maxpool_elements > 0);
         }
     }
@@ -382,8 +347,8 @@ mod tests {
     #[test]
     fn spot_uses_smaller_levels_than_channelwise() {
         let net = vgg16();
-        let cw = plan_network(&net, Scheme::CrypTFlow2);
-        let sp = plan_network(&net, Scheme::Spot);
+        let cw = plan_network(&net, SchemeKind::Channelwise);
+        let sp = plan_network(&net, SchemeKind::Spot);
         let avg_level = |p: &NetworkPlan| {
             p.conv_plans.iter().map(|c| c.level.degree()).sum::<usize>() as f64
                 / p.conv_plans.len() as f64
@@ -399,9 +364,9 @@ mod tests {
         let cnn = TinyCnn::new(7);
         let input = Tensor::random(2, 8, 8, 5, 9);
         let want = cnn.forward_plain(&input);
-        for scheme in Scheme::ALL {
+        for scheme in SchemeKind::ALL {
             let (got, channel) = cnn.forward_secure(&ctx, &kg, &input, scheme, &mut rng);
-            assert_eq!(got, want, "scheme {}", scheme.name());
+            assert_eq!(got, want, "scheme {}", scheme.label());
             assert!(channel.total_bytes() > 0);
         }
     }
@@ -413,7 +378,7 @@ mod tests {
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let cnn = TinyCnn::new(7);
         let input = Tensor::random(2, 8, 8, 5, 9);
-        for scheme in Scheme::ALL {
+        for scheme in SchemeKind::ALL {
             let mut rng_a = StdRng::seed_from_u64(77);
             let (phased, chan_a, _) = cnn.forward_secure_with(
                 &ctx,
@@ -433,9 +398,9 @@ mod tests {
                 &ExecBackend::Streaming(cfg),
                 &mut rng_b,
             );
-            assert_eq!(phased, streamed, "scheme {}", scheme.name());
+            assert_eq!(phased, streamed, "scheme {}", scheme.label());
             assert_eq!(chan_a.total_bytes(), chan_b.total_bytes());
-            assert!(stats.input_items > 0, "scheme {}", scheme.name());
+            assert!(stats.input_items > 0, "scheme {}", scheme.label());
             assert!(stats.wall_s > 0.0);
         }
     }
@@ -445,8 +410,8 @@ mod tests {
         use spot_pipeline::device::DeviceProfile;
         let net = resnet18();
         let cfg = SimConfig::with_client(DeviceProfile::iot_k27());
-        let sp = plan_network(&net, Scheme::Spot).simulate(&cfg);
-        let cw = plan_network(&net, Scheme::CrypTFlow2).simulate(&cfg);
+        let sp = plan_network(&net, SchemeKind::Spot).simulate(&cfg);
+        let cw = plan_network(&net, SchemeKind::Channelwise).simulate(&cfg);
         assert!(sp.total_s > 1.0, "SPOT total {}", sp.total_s);
         assert!(
             sp.total_s < cw.total_s,

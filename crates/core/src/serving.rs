@@ -202,10 +202,11 @@ pub struct ServingConfig {
     pub threads_per_session: usize,
     /// Extra worker slots shared by all sessions ([`WorkerPool::new`]).
     pub pool_workers: usize,
-    /// Serve with the streaming backend (convolve on arrival) instead
-    /// of the phased one.
+    /// Bound the server's read-ahead at `channel_capacity` frames
+    /// instead of leaving it unbounded. Both settings run the same
+    /// driver ([`crate::stream::run_stream`]).
     pub streaming: bool,
-    /// Streaming-queue depth per session (ignored when phased).
+    /// Read-ahead bound per session (ignored unless `streaming`).
     pub channel_capacity: usize,
     /// Base seed; session `i` masks with [`session_seed`]`(base, i)`.
     pub base_seed: u64,
@@ -272,11 +273,11 @@ struct ServerMetrics {
     session_wall_ns: Arc<metrics::Histogram>,
     kernel_cache_builds: Arc<metrics::Counter>,
     kernel_cache_hits: Arc<metrics::Counter>,
-    // Pipeline-overlap view of each streamed session, from the server's
-    // own StreamStats: efficiency is worker busy / (busy + idle) in
-    // parts-per-million (registry values are integers), idle/blocked in
+    // The server's own view of each session's stall, from its
+    // StreamStats: worker busy / (busy + idle) in parts-per-million
+    // (registry values are integers), idle/blocked in
     // thread-nanoseconds.
-    overlap_efficiency_ppm: Arc<metrics::Histogram>,
+    server_busy_share_ppm: Arc<metrics::Histogram>,
     overlap_server_idle_ns: Arc<metrics::Histogram>,
     overlap_client_blocked_ns: Arc<metrics::Histogram>,
 }
@@ -292,7 +293,7 @@ impl ServerMetrics {
             session_wall_ns: reg.histogram("spot_session_wall_ns", &[]),
             kernel_cache_builds: reg.counter("spot_kernel_cache_builds", &[]),
             kernel_cache_hits: reg.counter("spot_kernel_cache_hits", &[]),
-            overlap_efficiency_ppm: reg.histogram("spot_overlap_efficiency_ppm", &[]),
+            server_busy_share_ppm: reg.histogram("spot_server_busy_share_ppm", &[]),
             overlap_server_idle_ns: reg.histogram("spot_overlap_server_idle_ns", &[]),
             overlap_client_blocked_ns: reg.histogram("spot_overlap_client_blocked_ns", &[]),
         }
@@ -344,7 +345,7 @@ pub struct SessionReport {
     pub wall: Duration,
 }
 
-/// One streamed session's pipeline-overlap summary, kept in a bounded
+/// One session's stall summary, kept in a bounded
 /// ring on the server for the admin `/pipeline` view. Derived entirely
 /// from the server's own [`crate::stream::StreamStats`] — no client
 /// trace required — so it is available live, per session, the moment
@@ -355,32 +356,34 @@ pub struct PipelineSummary {
     pub id: u64,
     /// End-to-end session wall time, milliseconds.
     pub wall_ms: f64,
-    /// Ciphertexts streamed client → server.
+    /// Input ciphertexts ingested.
     pub input_items: usize,
-    /// Results streamed server → client.
+    /// Job results masked and returned.
     pub output_items: usize,
     /// Worker threads the session ran with.
     pub server_threads: usize,
     /// Worker thread-seconds computing.
     pub server_busy_s: f64,
-    /// Worker thread-seconds stalled waiting for ciphertexts — the
-    /// paper's "linear computation stall".
+    /// Worker thread-seconds blocked waiting for a runnable job while
+    /// an upload was open — the paper's "linear computation stall".
     pub server_idle_s: f64,
-    /// Producer time blocked on channel backpressure.
+    /// Ingest back-pressure: the server was the bottleneck.
     pub client_blocked_s: f64,
-    /// Server-side overlap efficiency: busy / (busy + idle), in [0, 1].
-    pub efficiency: f64,
+    /// Share of worker time spent computing: busy / (busy + idle), in
+    /// [0, 1]. Not the cross-party overlap efficiency, which needs the
+    /// client's trace (`spot_trace::correlate`).
+    pub server_busy_share: f64,
 }
 
 impl PipelineSummary {
     fn from_report(id: u64, wall: Duration, report: &ServerReport) -> Option<Self> {
         let s = &report.stream;
         if s.input_items == 0 {
-            return None; // phased session: no streaming pipeline to attribute
+            return None; // no conv layer ran: nothing to attribute
         }
         let busy = s.server_busy_s;
         let idle = s.server_idle_s;
-        let efficiency = if busy + idle > 0.0 {
+        let server_busy_share = if busy + idle > 0.0 {
             (busy / (busy + idle)).clamp(0.0, 1.0)
         } else {
             0.0
@@ -394,7 +397,7 @@ impl PipelineSummary {
             server_busy_s: busy,
             server_idle_s: idle,
             client_blocked_s: s.client_blocked_s,
-            efficiency,
+            server_busy_share,
         })
     }
 }
@@ -603,8 +606,8 @@ impl SpotServer {
         if let Ok(report) = &result {
             if let Some(summary) = PipelineSummary::from_report(id, wall, report) {
                 self.metrics
-                    .overlap_efficiency_ppm
-                    .observe((summary.efficiency * 1e6) as u64);
+                    .server_busy_share_ppm
+                    .observe((summary.server_busy_share * 1e6) as u64);
                 self.metrics
                     .overlap_server_idle_ns
                     .observe((summary.server_idle_s * 1e9) as u64);
@@ -868,7 +871,7 @@ mod tests {
             output_cts: 4,
             batch: 1,
         };
-        // Phased run: nothing streamed, nothing to attribute.
+        // No conv layer ran: nothing to attribute.
         assert!(PipelineSummary::from_report(0, Duration::from_millis(5), &report).is_none());
         report.stream.input_items = 4;
         report.stream.output_items = 4;
@@ -879,7 +882,7 @@ mod tests {
         let s = PipelineSummary::from_report(7, Duration::from_millis(5), &report).unwrap();
         assert_eq!(s.id, 7);
         assert_eq!(s.input_items, 4);
-        assert!((s.efficiency - 0.75).abs() < 1e-12);
+        assert!((s.server_busy_share - 0.75).abs() < 1e-12);
         assert!((s.client_blocked_s - 0.25).abs() < 1e-12);
         assert!((s.wall_ms - 5.0).abs() < 0.5);
     }

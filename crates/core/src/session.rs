@@ -25,10 +25,11 @@
 //! batch width is a parameter of each (one image is the identity
 //! layout, so the single-image methods are adapters), and everything
 //! that knows a scheme's packing format lives in that scheme's file
-//! behind [`ConvScheme`]. The driver reads as the paper does: ingest,
-//! pick [`Executor::run`], [`run_stream`] or [`run_stream_barrier`]
-//! from the backend and the scheme's [`OutputDependency`], then mask
-//! and send in result order.
+//! behind [`ConvScheme`]. The driver reads as the paper does: per round,
+//! [`run_stream`] ingests the upload and runs each job as soon as the
+//! inputs it reads have arrived — which inputs those are is the scheme's
+//! [`OutputDependency`], passed as data — and the results are masked
+//! and sent in result order.
 //!
 //! The same session code runs over [`MemTransport`] (in-process, via
 //! [`run_in_process`]) and `TcpTransport` (two real OS processes) —
@@ -40,8 +41,8 @@
 //! order: per layer the client draws its public key, then for each
 //! rotation key the connection still lacks its seed and its error
 //! polynomials, then every encryption in upload order; the server
-//! draws only result masks, in result order (the streaming consumer
-//! runs on one thread in index order). Parallel phases are pure. Shares
+//! draws only result masks, in result order (the driver's consumer
+//! runs on one thread in job order). Parallel phases are pure. Shares
 //! are therefore bit-identical across backends, thread counts, channel
 //! capacities, and transports.
 
@@ -52,7 +53,7 @@ use crate::executor::Executor;
 use crate::heconv::{HeConvEngine, KernelCache};
 use crate::patching::PatchMode;
 use crate::spot;
-use crate::stream::{run_stream, run_stream_barrier, StreamConfig, StreamStats};
+use crate::stream::{run_stream, Round, StreamConfig, StreamStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
@@ -91,6 +92,13 @@ pub enum SchemeKind {
 }
 
 impl SchemeKind {
+    /// All schemes, baselines first.
+    pub const ALL: [SchemeKind; 3] = [
+        SchemeKind::Channelwise,
+        SchemeKind::Cheetah,
+        SchemeKind::Spot,
+    ];
+
     /// Wire discriminant.
     pub fn code(self) -> u8 {
         match self {
@@ -116,6 +124,15 @@ impl SchemeKind {
             SchemeKind::Channelwise => "channelwise",
             SchemeKind::Cheetah => "cheetah",
             SchemeKind::Spot => "spot",
+        }
+    }
+
+    /// Display name matching the paper's tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            SchemeKind::Channelwise => "CrypTFlow2",
+            SchemeKind::Cheetah => "Cheetah",
+            SchemeKind::Spot => "SPOT",
         }
     }
 
@@ -473,16 +490,32 @@ fn check_batch(plan: &dyn ConvScheme, batch: usize) -> Result<usize, SpotError> 
 // Execution backend
 // ---------------------------------------------------------------------
 
-/// How a secure convolution's server work is driven.
+/// Which in-process harness a secure convolution runs under. The
+/// server work is driven the same way for both — [`run_stream`], a job
+/// waiting for the inputs it reads — so the variants differ only in
+/// the worker pool and read-ahead they carry and in how
+/// [`run_in_process`] schedules the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecBackend {
-    /// Two sequential phases: receive every ciphertext, then fan the
-    /// convolutions across the executor pool. The sequential reference
-    /// the determinism suites compare streaming against.
+    /// The client finishes its upload before the server starts, over an
+    /// unbounded link; the server's read-ahead is unbounded too. The
+    /// sequential reference the determinism suites compare against.
     Phased(Executor),
-    /// Real pipelining via [`crate::stream`]: uploads stream through a
-    /// bounded channel overlapped with server convolution.
+    /// The client uploads from its own thread through a link bounded
+    /// by the config's capacity, overlapped with server convolution;
+    /// the same capacity bounds the server's read-ahead.
     Streaming(StreamConfig),
+}
+
+impl ExecBackend {
+    /// What the variant selects: the driver configuration, and the
+    /// in-process uplink bound (`None` = the client runs first).
+    fn split(&self) -> (StreamConfig, Option<usize>) {
+        match *self {
+            ExecBackend::Phased(executor) => (StreamConfig::new(executor, usize::MAX), None),
+            ExecBackend::Streaming(config) => (config, Some(config.channel_capacity)),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -521,9 +554,8 @@ fn unexpected(got: &WireMessage, want: &str) -> SpotError {
 
 /// Receives the serialized input ciphertext with session-wide sequence
 /// number `seq`, validating class and sequence number but deferring
-/// deserialization to the caller — the per-input streaming worker
-/// decodes on the pool so the ingest thread goes straight back to the
-/// socket.
+/// deserialization to the caller — the driver's workers decode on the
+/// pool so the ingest thread goes straight back to the socket.
 fn recv_input_blob(
     transport: &dyn Transport,
     seq: usize,
@@ -565,7 +597,7 @@ fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UploadPacing {
     /// Push everything immediately. Correct for the phased in-process
-    /// driver, where the server only starts consuming after the whole
+    /// harness, where the server only starts consuming after the whole
     /// upload is queued (waiting for an ack would deadlock).
     Eager,
     /// Hold input ciphertexts until the server acknowledges the setup
@@ -1009,12 +1041,13 @@ pub struct ServerConvSummary {
     pub input_cts: usize,
     /// Masked result ciphertexts sent.
     pub output_cts: usize,
-    /// Streaming stall accounting (None for the phased backend).
+    /// Stall accounting summed over the layer's rounds (always
+    /// present; optional for source compatibility).
     pub stream: Option<StreamStats>,
 }
 
 /// Server half of one secure-convolution layer: reads the hello,
-/// validates keys, convolves (phased or streamed), masks results back,
+/// validates keys, convolves, masks results back,
 /// and keeps the server's additive share. Draws only result masks from
 /// `rng`, in result order.
 pub fn serve_conv<R: Rng>(
@@ -1146,7 +1179,7 @@ pub fn serve_conv_on<R: Rng>(
     // only taken when metrics are on, and only successful serves are
     // recorded — error paths would pollute the latency series.
     let serve_start = spot_trace::metrics::enabled().then(Instant::now);
-    let result = serve_rounds(transport, &*plan, &kit, backend, batch, rng);
+    let result = serve_rounds(transport, &*plan, &kit, &backend.split().0, batch, rng);
     if let (Some(t0), Ok(_)) = (serve_start, &result) {
         spot_trace::metrics::global()
             .histogram("spot_conv_serve_ns", &[("scheme", spec.scheme.name())])
@@ -1156,13 +1189,13 @@ pub fn serve_conv_on<R: Rng>(
 }
 
 /// The server driver proper, after the handshake: per round, ingest the
-/// upload, convolve under the backend and the scheme's dependency
-/// class, and mask-and-send every result in result order.
+/// upload, run each job once the inputs it reads have arrived, and
+/// mask-and-send every result in result order.
 fn serve_rounds<R: Rng>(
     transport: &dyn Transport,
     plan: &dyn ConvScheme,
     kit: &ServerKit<'_>,
-    backend: &ExecBackend,
+    config: &StreamConfig,
     batch: usize,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
@@ -1185,8 +1218,13 @@ fn serve_rounds<R: Rng>(
     };
     let mut counts = OpCounts::default();
     let mut masks: Vec<Vec<Vec<u64>>> = vec![Vec::new(); batch];
-    let mut stream: Option<StreamStats> = None;
+    let mut stream = StreamStats::default();
     let mut seq_out = 0u32;
+    let per_round = Round {
+        dependency: facts.dependency,
+        inputs: facts.input_cts,
+        jobs: facts.jobs,
+    };
 
     for round in 0..rounds {
         let images = round * width..(round + 1) * width;
@@ -1195,7 +1233,7 @@ fn serve_rounds<R: Rng>(
         // Consumer, on this thread in job order: every result that is
         // final gets one fresh mask per image, goes back masked, and
         // leaves the masks behind as the server's rows.
-        let mut emit = |job: usize, (outs, c): (Vec<Ciphertext>, OpCounts)| {
+        let emit = |job: usize, (outs, c): (Vec<Ciphertext>, OpCounts)| {
             counts.merge(&c);
             for ct in plan.collect(kit, job, outs, &mut acc, &mut counts) {
                 let rows: Vec<Vec<u64>> = (images.clone())
@@ -1226,54 +1264,17 @@ fn serve_rounds<R: Rng>(
             }
             Ok::<(), SpotError>(())
         };
-        let recv_blob =
-            |j: usize| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j));
-        let recv_ct =
-            |j: usize| Ok::<_, SpotError>(Ciphertext::try_from_bytes(ctx, &recv_blob(j)?)?);
-        let stats = match (backend, facts.dependency) {
-            (ExecBackend::Phased(ex), dependency) => {
-                let cts = (0..facts.input_cts)
-                    .map(recv_ct)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let jobs: Vec<usize> = (0..facts.jobs).collect();
-                let outs = ex.run(&jobs, |_, &j| match dependency {
-                    OutputDependency::PerInput => plan.convolve(kit, j, &cts[j..=j]),
-                    OutputDependency::AllInputs => plan.convolve(kit, j, &cts),
-                });
-                for (j, out) in outs.into_iter().enumerate() {
-                    emit(j, out)?;
-                }
-                None
-            }
-            // Per-input dependency: convolution starts the moment an
-            // upload arrives. Deserialization happens on the worker
-            // pool so the ingest thread goes straight back to the
-            // transport; results return overlapped with ongoing uploads.
-            (ExecBackend::Streaming(cfg), OutputDependency::PerInput) => Some(run_stream(
-                cfg,
-                |feeder| (0..facts.input_cts).try_for_each(|j| feeder.push(recv_blob(j)?)),
-                |j, blob: Vec<u8>| {
-                    let ct = Ciphertext::try_from_bytes(ctx, &blob)?;
-                    Ok::<_, SpotError>(plan.convolve(kit, j, &[ct]))
-                },
-                |j, out| emit(j, out?),
-            )?),
-            // All-input dependency: no job can start before the last
-            // upload lands — the linear computation stall.
-            (ExecBackend::Streaming(cfg), OutputDependency::AllInputs) => Some(run_stream_barrier(
-                cfg,
-                facts.jobs,
-                |feeder| (0..facts.input_cts).try_for_each(|j| feeder.push(recv_ct(j)?)),
-                |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
-                &mut emit,
-            )?),
-        };
-        if let Some(s) = stats {
-            match &mut stream {
-                Some(total) => total.accumulate(&s),
-                None => stream = Some(s),
-            }
-        }
+        // Deserialization happens on the worker pool so the ingest
+        // thread goes straight back to the transport.
+        let stats = run_stream(
+            config,
+            per_round,
+            |j| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j)),
+            |_, blob: Vec<u8>| Ok(Ciphertext::try_from_bytes(ctx, &blob)?),
+            |j, inputs: &[Ciphertext]| Ok(plan.convolve(kit, j, inputs)),
+            emit,
+        )?;
+        stream.accumulate(&stats);
     }
 
     let mut shares = masks.into_iter().map(|rows| plan.share(rows, t, false));
@@ -1283,7 +1284,7 @@ fn serve_rounds<R: Rng>(
         counts,
         input_cts: rounds * facts.input_cts,
         output_cts: rounds * facts.output_cts,
-        stream,
+        stream: Some(stream),
     })
 }
 
@@ -1301,7 +1302,7 @@ pub struct InProcessOutcome {
     /// result (slot batching leaves the rotation and key-switch counts
     /// at their single-image values).
     pub results: Vec<SecureConvResult>,
-    /// Streaming stall accounting (None for the phased backend).
+    /// The server's stall accounting (see [`ServerConvSummary::stream`]).
     pub stream: Option<StreamStats>,
     /// Client → server traffic (framed wire bytes).
     pub uplink: TrafficStats,
@@ -1323,9 +1324,10 @@ impl InProcessOutcome {
 /// Client and server randomness is split deterministically from `rng`
 /// (one seed draw each, in that order) so phased and streaming runs of
 /// the same seed produce bit-identical shares. With the phased backend
-/// the parties run sequentially on the calling thread; with the
-/// streaming backend the client uploads from a second thread through a
-/// bounded uplink sized to the stream config's channel capacity.
+/// the client finishes its upload on the calling thread before the
+/// server starts; with the streaming backend it uploads from a second
+/// thread through a bounded uplink sized to the stream config's channel
+/// capacity — the bound that models the tiny client's memory.
 pub fn run_in_process<R: Rng>(
     ctx: &Arc<Context>,
     keygen: &KeyGenerator,
@@ -1342,24 +1344,25 @@ pub fn run_in_process<R: Rng>(
     let mut crng = StdRng::seed_from_u64(client_seed);
     let mut srng = StdRng::seed_from_u64(server_seed);
 
-    let (sent, server, ct) = match backend {
-        ExecBackend::Phased(_) => {
-            let (ct, st) = MemTransport::pair();
+    let uplink = backend.split().1;
+    let (ct, st) = MemTransport::pair_with_capacity(uplink, None);
+    let (sent, server) = match uplink {
+        None => {
             let sent = client.send_batch(&ct, inputs, UploadPacing::Eager, &mut crng)?;
-            let server = serve_conv(ctx, &st, kernel, backend, &mut srng)?;
-            (sent, server, ct)
+            (sent, serve_conv(ctx, &st, kernel, backend, &mut srng)?)
         }
-        ExecBackend::Streaming(cfg) => {
-            let (ct, st) = MemTransport::pair_with_capacity(Some(cfg.channel_capacity), None);
+        Some(_) => {
             let (ct_ref, client_ref) = (&ct, &client);
             let scope_result = crossbeam::thread::scope(|s| {
                 let uploader = s.spawn(move |_| {
+                    spot_trace::set_thread_label("client");
                     let t0 = Instant::now();
                     let r =
                         client_ref.send_batch(ct_ref, inputs, UploadPacing::AwaitAck, &mut crng);
                     // Always close: a server stuck in recv after a client
                     // failure sees Closed instead of blocking forever.
                     ct_ref.close_tx();
+                    spot_trace::flush_thread();
                     (r, t0.elapsed())
                 });
                 let server_res = serve_conv(ctx, &st, kernel, backend, &mut srng);
@@ -1377,15 +1380,15 @@ pub fn run_in_process<R: Rng>(
             };
             let mut server = server_res?;
             let sent = client_res?;
-            // The barrier/stream stats measured the server's ingest loop
-            // as "client"; substitute the real client thread's wall time
-            // and the transport's measured send backpressure.
+            // The driver timed the server's ingest thread; report the
+            // real client thread's wall time and the transport's
+            // measured send backpressure in its place.
             if let Some(stats) = server.stream.as_mut() {
                 let blocked = ct.stats().send_blocked.as_secs_f64();
                 stats.client_blocked_s = blocked;
                 stats.client_s = (client_wall.as_secs_f64() - blocked).max(0.0);
             }
-            (sent, server, ct)
+            (sent, server)
         }
     };
     let share = client.absorb_batch(&ct, batch)?;

@@ -1,57 +1,52 @@
-//! Streaming execution runtime: overlap client encryption with server
-//! convolution.
+//! The server's conv driver: one round of server work, for every scheme
+//! and backend.
 //!
-//! The phased backend ([`crate::session::ExecBackend::Phased`]) runs
-//! *encrypt everything → convolve everything* as two sequential phases,
-//! so the pipelining that
-//! SPOT's structure patching enables existed only in the analytic
-//! simulator. This module makes it real: a **producer thread** (the
-//! client) packs and encrypts ciphertexts and pushes them through a
-//! [`BoundedQueue`] whose capacity is the tiny client's ciphertext
-//! budget ([`DeviceProfile::ciphertext_capacity`]); **server workers**
-//! (the PR 1 [`Executor`] pool, via [`Executor::run_workers`]) pull each
-//! ciphertext the moment it arrives and convolve it; result shares flow
-//! back on an unbounded return queue for overlapped assembly on the
-//! caller's thread.
+//! The paper is one distinction. A SPOT result needs *one* input
+//! ciphertext; a channel-wise or Cheetah result needs *all* of them; the
+//! difference is the "linear computation stall".
+//! [`spot_pipeline::plan::OutputDependency`] says it in one enum and
+//! [`run_stream`] executes it in one body: **a job waits for the inputs
+//! it reads**. An ingest thread pushes the round's upload frames through
+//! a [`BoundedQueue`]; the [`Executor::run_workers`] pool stages
+//! (deserialises) each input as it arrives and runs a job as soon as its
+//! inputs are staged; results are consumed in job order on the calling
+//! thread, where the mask rng lives.
 //!
-//! Two drivers map the two output-dependency classes
-//! ([`crate::inference::plan_conv`]):
-//!
-//! * [`run_stream`] — per-input dependencies (SPOT): every ciphertext is
-//!   independently convolvable, so the server starts on ciphertext 0
-//!   while the client is still encrypting ciphertext 1.
-//! * [`run_stream_barrier`] — all-input dependencies (channel-wise,
-//!   Cheetah): every server job reads the full input set, so workers sit
-//!   idle until the last ciphertext lands — the "linear computation
-//!   stall" the paper eliminates. Upload is still overlappable with
-//!   nothing, and that idle time is what the stall accounting surfaces.
+//! The queue bound ([`StreamConfig::channel_capacity`]) is only the
+//! server's read-ahead. The bound that models the tiny client's
+//! ciphertext memory lives where the client is — on the link
+//! (`MemTransport::pair_with_capacity`, the socket buffer) — because the
+//! client is on the far side of the transport.
 //!
 //! ## Determinism
 //!
-//! All protocol randomness is drawn on the producer thread in exactly
-//! the phased driver's order; the parallel phase is pure; results are
-//! consumed in item order. Given the same rng seed, a streamed layer's
-//! shares are bit-identical to the phased layer's — enforced by
-//! `tests/streaming_determinism.rs` at 1 and 8 server threads.
+//! Staging and jobs are pure; results are consumed in job order on one
+//! thread. Given the same rng seed a layer's shares are bit-identical
+//! for any worker count, queue bound and backend — enforced by
+//! `tests/streaming_determinism.rs` at 1 and 8 server threads and by
+//! `tests/wire_golden.rs` against committed digests.
 //!
 //! ## Stall accounting
 //!
-//! Every stage is timed against a common origin: client active/blocked
-//! time, per-worker busy and idle (blocked on [`BoundedQueue::recv`]
-//! while the stream is open) in thread-seconds.
+//! One definition for both dependency classes:
+//! [`StreamStats::server_idle_s`] is the worker thread-seconds spent
+//! blocked waiting for a runnable job while the upload is open (time
+//! inside [`BoundedQueue::recv`]). Under `PerInput` that is the gap
+//! between one ciphertext and the next; under `AllInputs` it is the
+//! whole upload, on every worker — measured, not assigned.
 //! [`StreamStats::stall_row`] converts a run into the
 //! [`spot_pipeline::report::StallRow`] rendered by
-//! [`spot_pipeline::report::stall_table`]. When `spot_trace` is
-//! enabled, every stage additionally records spans (`enc #i`,
-//! `conv #i`, `idle`, `out #i`) and queue counters/gauges into the
-//! unified trace, which is what the `stream_timeline` binary and the
-//! `--trace` flags export.
+//! [`spot_pipeline::report::stall_table`]. When `spot_trace` is enabled
+//! the same intervals appear as spans (`stage #i`, `conv #j`, `idle`,
+//! `out #j` on the workers and the caller, `blocked (channel full)` on
+//! the `server-ingest` thread), which is what the `stream_timeline`
+//! binary and the `--trace` flags export.
 
 use crate::error::SpotError;
 use crate::executor::Executor;
 use crossbeam::thread;
-use spot_he::pool;
 use spot_pipeline::device::DeviceProfile;
+use spot_pipeline::plan::OutputDependency;
 use spot_pipeline::report::StallRow;
 use spot_trace::{count, gauge, metrics, Cat, Counter};
 use std::collections::{BTreeMap, VecDeque};
@@ -59,10 +54,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-// Live-registry histograms for the streaming runtime, registered once
-// per process: producer time blocked on channel backpressure (SPOT's
-// headline stall number, readable off a running server) and per-item
-// conv wall time across all worker threads.
+// Live-registry histograms for the driver, registered once per
+// process: ingest time blocked on queue backpressure (the server was
+// the bottleneck) and per-job conv wall time across all workers.
 fn stream_queue_blocked_hist() -> &'static metrics::Histogram {
     static H: OnceLock<std::sync::Arc<metrics::Histogram>> = OnceLock::new();
     H.get_or_init(|| metrics::global().histogram("spot_stream_queue_blocked_ns", &[]))
@@ -86,9 +80,9 @@ struct QueueState<T> {
 /// measurement (the vendored `crossbeam` stand-in provides only scoped
 /// threads, so the channel layer is built here).
 ///
-/// [`BoundedQueue::send`] blocks while the queue is full — this is the
-/// backpressure that keeps at most `capacity` ciphertexts in flight,
-/// i.e. the tiny client's memory model. [`BoundedQueue::recv`] blocks
+/// [`BoundedQueue::send`] blocks while the queue is full — the
+/// backpressure that keeps the ingest thread at most `capacity` frames
+/// ahead of the workers. [`BoundedQueue::recv`] blocks
 /// while the queue is empty and open, and returns `None` once it is
 /// closed and drained. Both return the time they spent blocked so the
 /// runtime can attribute stall to the right side.
@@ -114,7 +108,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// A queue with no capacity bound (used for the return channel:
-    /// server workers must never block on the client).
+    /// workers must never block on the consumer).
     pub fn unbounded() -> Self {
         Self::bounded(usize::MAX)
     }
@@ -203,13 +197,13 @@ impl<T> BoundedQueue<T> {
 // Configuration and stats
 // ---------------------------------------------------------------------
 
-/// Streaming runtime configuration: the server worker pool and the
-/// bounded-channel capacity (the client's ciphertext budget).
+/// Driver configuration: the server worker pool and how many received
+/// frames the ingest thread may hold ahead of the workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Server-side worker pool.
     pub executor: Executor,
-    /// Maximum ciphertexts in flight client → server.
+    /// The server's read-ahead: frames received but not yet staged.
     pub channel_capacity: usize,
 }
 
@@ -222,14 +216,16 @@ impl StreamConfig {
         }
     }
 
-    /// A config whose channel capacity is the client device's
-    /// ciphertext budget for the given serialized ciphertext size.
+    /// A config whose read-ahead equals the client device's ciphertext
+    /// budget for the given serialized ciphertext size (the in-process
+    /// harness gives its uplink the same bound).
     pub fn for_client(executor: Executor, client: &DeviceProfile, ciphertext_bytes: usize) -> Self {
         Self::new(executor, client.ciphertext_capacity(ciphertext_bytes))
     }
 }
 
-/// Measured wall-clock accounting for one streamed execution.
+/// Measured wall-clock accounting for one [`run_stream`] round (or,
+/// accumulated, for a session's rounds).
 ///
 /// `server_busy_s`/`server_idle_s` are thread-seconds summed over the
 /// worker pool; the rest are wall-clock seconds.
@@ -237,29 +233,34 @@ impl StreamConfig {
 pub struct StreamStats {
     /// End-to-end wall time.
     pub wall_s: f64,
-    /// Producer (client) active time: packing, encryption, mask
-    /// generation.
+    /// The ingest thread's time outside back-pressure: waiting on the
+    /// transport for the client's next frame. The in-process harness
+    /// ([`crate::session::run_in_process`]) substitutes the real client
+    /// thread's active time.
     pub client_s: f64,
-    /// Producer time blocked on channel backpressure.
+    /// Ingest back-pressure: time the ingest thread held a received
+    /// frame it could not queue, i.e. the server was the bottleneck.
+    /// The in-process harness substitutes the client's measured send
+    /// back-pressure on the bounded uplink.
     pub client_blocked_s: f64,
-    /// Worker thread-seconds spent computing.
+    /// Worker thread-seconds spent staging inputs and running jobs.
     pub server_busy_s: f64,
-    /// Worker thread-seconds blocked waiting for ciphertexts while the
-    /// stream was open — the measured "linear computation stall".
+    /// Worker thread-seconds blocked waiting for a runnable job while
+    /// the upload was open — the measured "linear computation stall".
     pub server_idle_s: f64,
-    /// Items streamed client → server.
+    /// Input frames ingested.
     pub input_items: usize,
-    /// Results returned server → client.
+    /// Job results consumed.
     pub output_items: usize,
-    /// Bounded-channel capacity used.
+    /// Ingest queue bound used.
     pub channel_capacity: usize,
     /// Server worker count.
     pub server_threads: usize,
 }
 
 impl StreamStats {
-    /// Folds another layer's stats into this one (used when a network
-    /// streams layer after layer). Timeline detail lives in the
+    /// Folds another round's stats into this one (a network serves
+    /// layer after layer). Timeline detail lives in the
     /// `spot_trace` event stream, not here.
     pub fn accumulate(&mut self, other: &StreamStats) {
         self.wall_s += other.wall_s;
@@ -292,384 +293,261 @@ impl StreamStats {
 }
 
 // ---------------------------------------------------------------------
-// Producer side
+// The server conv driver
 // ---------------------------------------------------------------------
 
-/// Handle the producer closure pushes ciphertexts through. Items are
-/// indexed in push order; [`Feeder::push`] blocks when the channel is
-/// full (client out of ciphertext memory) and attributes the wait to
-/// `client_blocked_s`.
-pub struct Feeder<'q, T> {
-    queue: &'q BoundedQueue<(usize, T)>,
-    next_index: usize,
-    blocked: Duration,
-    // Open span covering production of item `next_index` (closed when
-    // that item is pushed). Inert while tracing is disabled.
-    enc_span: Option<spot_trace::Span>,
+/// One round of server work as the driver sees it: how many inputs
+/// arrive, how many jobs run, and which inputs a job reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Round {
+    /// Whether job `j` reads input `j` alone or the whole round.
+    pub dependency: OutputDependency,
+    /// Inputs the ingest thread receives, in order.
+    pub inputs: usize,
+    /// Jobs to run (one per input under [`OutputDependency::PerInput`]).
+    pub jobs: usize,
 }
 
-impl<'q, T> Feeder<'q, T> {
-    fn new(queue: &'q BoundedQueue<(usize, T)>) -> Self {
-        Self {
-            queue,
-            next_index: 0,
-            blocked: Duration::ZERO,
-            enc_span: Some(spot_trace::span_owned(Cat::Client, || "enc #0".into())),
-        }
-    }
+/// Closes a queue when dropped, so a thread that fails or unwinds still
+/// releases every thread blocked on that queue.
+struct CloseOnDrop<'q, T>(&'q BoundedQueue<T>);
 
-    /// Pushes the next item (index assigned in push order), blocking on
-    /// backpressure. Fails if the queue was closed or poisoned
-    /// underneath the producer (e.g. the server side died).
-    pub fn push(&mut self, item: T) -> Result<(), SpotError> {
-        let i = self.next_index;
-        // Close the span covering this item's production.
-        self.enc_span.take();
-        let blocked_span = spot_trace::span(Cat::Client, "blocked (channel full)");
-        let waited = self.queue.send((i, item))?;
-        if waited > Duration::ZERO {
-            drop(blocked_span);
-        } else {
-            blocked_span.cancel();
-        }
-        self.blocked += waited;
-        self.next_index += 1;
-        self.enc_span = Some(spot_trace::span_owned(Cat::Client, || {
-            format!("enc #{}", i + 1)
-        }));
-        Ok(())
-    }
-
-    /// Items pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.next_index
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
-struct ProducerOutcome {
-    blocked: Duration,
-    pushed: usize,
-    finished: Instant,
-}
-
-fn run_producer<T, P>(
-    queue: &BoundedQueue<(usize, T)>,
-    channel_capacity: usize,
-    producer: P,
-) -> Result<ProducerOutcome, SpotError>
-where
-    P: FnOnce(&mut Feeder<'_, T>) -> Result<(), SpotError>,
-{
-    spot_trace::set_thread_label("client");
-    // Client memory model: a ciphertext is two residue polynomials, so a
-    // budget of `channel_capacity` in-flight ciphertexts bounds the
-    // producer's buffer pool at twice that — the debug assertion is the
-    // satellite-task guarantee that pooling never retains more scratch
-    // than the device could hold.
-    let prev_cap = pool::capacity();
-    pool::set_capacity(2 * channel_capacity);
-    debug_assert!(pool::capacity() <= 2 * channel_capacity);
-    let mut feeder = Feeder::new(queue);
-    let result = producer(&mut feeder);
-    // The span opened for a next item that will never be produced.
-    if let Some(open) = feeder.enc_span.take() {
-        open.cancel();
+/// Keeps a wait span only if the wait really blocked.
+fn end_wait(span: spot_trace::Span, waited: Duration) {
+    if waited > Duration::ZERO {
+        drop(span);
+    } else {
+        span.cancel();
     }
-    // Close and restore the pool even on failure, so workers drain and
-    // exit instead of blocking forever.
-    queue.close();
-    let outcome = ProducerOutcome {
-        blocked: feeder.blocked,
-        pushed: feeder.next_index,
-        finished: Instant::now(),
-    };
-    pool::set_capacity(prev_cap);
-    spot_trace::flush_thread();
-    result.map(|()| outcome)
 }
 
-// ---------------------------------------------------------------------
-// Per-input streaming driver
-// ---------------------------------------------------------------------
+/// Runs `f` as one traced, timed step of worker compute.
+fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOnce() -> X) -> X {
+    let _span = spot_trace::span_owned(Cat::Stream, name);
+    let t0 = Instant::now();
+    let x = f();
+    *busy += t0.elapsed();
+    x
+}
 
-/// Streams independently-convolvable ciphertexts (SPOT's per-input
-/// dependency class): the producer closure encrypts and pushes items;
-/// each server worker pulls and applies `work` the moment an item
-/// arrives; `consume` receives results **in item order** on the
-/// caller's thread, overlapped with ongoing production and convolution.
+/// Runs one round of server work: **a job waits for the inputs it
+/// reads**, and for nothing else.
 ///
-/// Determinism contract: `producer` performs all rng draws in the
-/// phased order on its single thread; `work` must be pure (no shared
-/// mutable state, no randomness); `consume` runs sequentially in index
-/// order — so the composition is bit-identical to the phased loop for
-/// any thread count and channel capacity.
-pub fn run_stream<T, R, P, W, C>(
+/// Three roles, the same for every scheme and backend:
+///
+/// * an **ingest thread** calls `ingest(i)` for each input in order (a
+///   transport receive) and pushes the raw frame through a queue bounded
+///   by [`StreamConfig::channel_capacity`], the server's read-ahead;
+/// * the [`Executor::run_workers`] **pool** takes frames as they arrive,
+///   *stages* each (`stage(i, frame)`, the deserialisation) and runs job
+///   `j` (`work(j, inputs)`) as soon as the inputs it reads are staged:
+///   `[input j]` the moment that input lands under
+///   [`OutputDependency::PerInput`], the whole round once its last input
+///   lands under [`OutputDependency::AllInputs`];
+/// * the **calling thread** receives results through `consume` in job
+///   order, overlapped with everything above. It is the only place a
+///   caller may draw randomness.
+///
+/// The stall has one definition for both classes:
+/// [`StreamStats::server_idle_s`] is the worker thread-seconds spent
+/// blocked waiting for a runnable job while the upload is open.
+///
+/// `stage` and `work` must be pure, so the composition is bit-identical
+/// for any worker count and queue bound. An error from any of the four
+/// closures ends the round: every thread is released and joined, and
+/// the call returns the error of the step that failed first in the
+/// chain stage/work → consume → ingest. A panic on a worker propagates
+/// to the caller the same way.
+pub fn run_stream<F, T, R>(
     config: &StreamConfig,
-    producer: P,
-    work: W,
-    mut consume: C,
+    round: Round,
+    mut ingest: impl FnMut(usize) -> Result<F, SpotError> + Send,
+    stage: impl Fn(usize, F) -> Result<T, SpotError> + Sync,
+    work: impl Fn(usize, &[T]) -> Result<R, SpotError> + Sync,
+    mut consume: impl FnMut(usize, R) -> Result<(), SpotError>,
 ) -> Result<StreamStats, SpotError>
 where
-    T: Send,
+    F: Send,
+    T: Send + Sync,
     R: Send,
-    P: FnOnce(&mut Feeder<'_, T>) -> Result<(), SpotError> + Send,
-    W: Fn(usize, T) -> R + Sync,
-    C: FnMut(usize, R) -> Result<(), SpotError>,
 {
     let t0 = Instant::now();
-    let in_q: BoundedQueue<(usize, T)> = BoundedQueue::bounded(config.channel_capacity);
+    let in_q: BoundedQueue<(usize, F)> = BoundedQueue::bounded(config.channel_capacity);
     let out_q: BoundedQueue<(usize, R)> = BoundedQueue::unbounded();
-    let workers = config.executor.threads();
+    let workers = config.executor.threads().min(round.jobs.max(1));
+    // `AllInputs` only: the inputs staged so far, then the whole round.
+    let staging: Mutex<Vec<Option<T>>> = Mutex::new((0..round.inputs).map(|_| None).collect());
+    let staged: OnceLock<Vec<T>> = OnceLock::new();
+    let next_job = AtomicUsize::new(0);
 
-    let mut stats = StreamStats {
-        channel_capacity: config.channel_capacity,
-        server_threads: workers,
-        ..StreamStats::default()
+    // One worker. The queue closes when the last input a job could be
+    // waiting for is in hand, which is also what wakes the others.
+    let serve = |idle: &mut Duration, busy: &mut Duration| -> Result<(), SpotError> {
+        let run_job = |busy: &mut Duration, j: usize, inputs: &[T]| {
+            let before = *busy;
+            let r = busy_step(busy, || format!("conv #{j}"), || work(j, inputs))?;
+            if metrics::enabled() {
+                stream_conv_hist().observe((*busy - before).as_nanos() as u64);
+            }
+            out_q.send((j, r)).map(drop)
+        };
+        loop {
+            let idle_span = spot_trace::span(Cat::Stream, "idle");
+            let (msg, waited) = in_q.recv()?;
+            end_wait(idle_span, waited);
+            *idle += waited;
+            let Some((i, frame)) = msg else { break };
+            let input = busy_step(busy, || format!("stage #{i}"), || stage(i, frame))?;
+            match round.dependency {
+                // Job `i` reads this input alone: it is runnable now.
+                OutputDependency::PerInput => {
+                    if i + 1 == round.inputs {
+                        in_q.close();
+                    }
+                    run_job(busy, i, &[input])?;
+                }
+                // Every job reads the whole round: all of them become
+                // runnable when its last input is staged.
+                OutputDependency::AllInputs => {
+                    let mut slots = staging
+                        .lock()
+                        .map_err(|_| SpotError::Poisoned("staged inputs"))?;
+                    slots[i] = Some(input);
+                    if slots.iter().all(Option::is_some) {
+                        let whole = std::mem::take(&mut *slots).into_iter().flatten();
+                        let _ = staged.set(whole.collect());
+                        in_q.close();
+                    }
+                }
+            }
+        }
+        // Unset when the round failed before its last input landed.
+        if let Some(inputs) = staged.get() {
+            loop {
+                let j = next_job.fetch_add(1, Ordering::Relaxed);
+                if j >= round.jobs {
+                    break;
+                }
+                run_job(busy, j, inputs)?;
+            }
+        }
+        Ok(())
     };
 
-    // Producer and server run on fresh scoped threads: hand them the
-    // session counter sink so their wire/HE ops stay attributed.
+    // Ingest and pool run on fresh scoped threads: hand them the session
+    // counter sink so their wire/HE ops stay attributed.
     let session = spot_trace::session_counters();
     let scope_result = thread::scope(|s| {
-        let in_q = &in_q;
-        let out_q = &out_q;
-        let work = &work;
+        let (in_q, out_q, serve) = (&in_q, &out_q, &serve);
 
-        let producer_session = session.clone();
-        let producer_handle = s.spawn(move |_| {
-            if let Some(sink) = producer_session {
+        let ingest_session = session.clone();
+        let ingest_handle = s.spawn(move |_| {
+            if let Some(sink) = ingest_session {
                 spot_trace::set_session_counters(Some(sink));
             }
-            run_producer(in_q, config.channel_capacity, producer)
-        });
-
-        let server_session = session.clone();
-        let server_handle = s.spawn(move |_| {
-            if let Some(sink) = server_session {
-                spot_trace::set_session_counters(Some(sink));
-            }
-            let per_worker = config.executor.run_workers(workers, |w| {
-                spot_trace::set_thread_label(format!("server-{w}"));
-                let mut idle = Duration::ZERO;
-                let mut busy = Duration::ZERO;
-                loop {
-                    let idle_span = spot_trace::span(Cat::Stream, "idle");
-                    let (msg, waited) = in_q.recv()?;
-                    if waited > Duration::ZERO {
-                        drop(idle_span);
-                    } else {
-                        idle_span.cancel();
-                    }
-                    idle += waited;
-                    let Some((i, item)) = msg else { break };
-                    let conv_span = spot_trace::span_owned(Cat::Stream, || format!("conv #{i}"));
-                    let job_start = Instant::now();
-                    let r = work(i, item);
-                    let took = job_start.elapsed();
-                    busy += took;
-                    drop(conv_span);
-                    if metrics::enabled() {
-                        stream_conv_hist().observe(took.as_nanos() as u64);
-                    }
-                    out_q.send((i, r))?;
-                }
-                spot_trace::flush_thread();
-                Ok::<_, SpotError>((idle, busy))
+            spot_trace::set_thread_label("server-ingest");
+            let closer = CloseOnDrop(in_q);
+            let mut blocked = Duration::ZERO;
+            let result = (0..round.inputs).try_for_each(|i| {
+                let frame = ingest(i)?;
+                let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
+                let waited = in_q.send((i, frame))?;
+                end_wait(wait_span, waited);
+                blocked += waited;
+                Ok::<(), SpotError>(())
             });
-            // All workers have exited: no more results will appear.
-            out_q.close();
-            per_worker
+            // After a full upload the worker holding the last input
+            // closes the queue; the ingest thread only does on failure.
+            if result.is_ok() && round.inputs > 0 {
+                std::mem::forget(closer);
+            }
+            spot_trace::flush_thread();
+            result.map(|()| (blocked, Instant::now()))
         });
 
-        // Overlapped assembly on the caller's thread, in item order. On a
-        // consume failure, stop assembling but keep draining so the
-        // producer and workers can exit before the error propagates.
+        let pool_handle = s.spawn(move |_| {
+            if let Some(sink) = session {
+                spot_trace::set_session_counters(Some(sink));
+            }
+            // However the pool ends, no more results will appear.
+            let _done = CloseOnDrop(out_q);
+            config.executor.run_workers(workers, |w| {
+                spot_trace::set_thread_label(format!("server-{w}"));
+                // A worker that fails or panics ends the round.
+                let _release = CloseOnDrop(in_q);
+                let (mut idle, mut busy) = (Duration::ZERO, Duration::ZERO);
+                let result = serve(&mut idle, &mut busy);
+                spot_trace::flush_thread();
+                result.map(|()| (idle, busy))
+            })
+        });
+
+        // Overlapped assembly on the caller's thread, in job order. A
+        // consume failure ends the round but keeps draining, so the
+        // other threads can exit before the error propagates.
         let mut pending: BTreeMap<usize, R> = BTreeMap::new();
         let mut next = 0usize;
-        let mut assemble_err: Option<SpotError> = None;
+        let mut consume_err: Option<SpotError> = None;
         loop {
-            let (msg, _) = match out_q.recv() {
-                Ok(m) => m,
+            let (j, r) = match out_q.recv() {
+                Ok((Some(result), _)) => result,
+                Ok((None, _)) => break,
                 Err(e) => {
-                    assemble_err.get_or_insert(e);
+                    consume_err.get_or_insert(e);
                     break;
                 }
             };
-            let Some((i, r)) = msg else { break };
-            if assemble_err.is_some() {
+            if consume_err.is_some() {
                 continue;
             }
-            pending.insert(i, r);
+            pending.insert(j, r);
             while let Some(r) = pending.remove(&next) {
-                let out_span = spot_trace::span_owned(Cat::Stream, || format!("out #{next}"));
-                let res = consume(next, r);
-                drop(out_span);
-                if let Err(e) = res {
-                    assemble_err.get_or_insert(e);
+                let _span = spot_trace::span_owned(Cat::Stream, || format!("out #{next}"));
+                if let Err(e) = consume(next, r) {
+                    consume_err = Some(e);
+                    in_q.close();
                     break;
                 }
                 next += 1;
             }
         }
-
-        let produced = producer_handle.join().expect("producer thread panicked");
-        let per_worker = server_handle.join().expect("server pool panicked");
-        (produced, per_worker, assemble_err, next)
+        (ingest_handle.join(), pool_handle.join(), consume_err, next)
     });
 
-    let (produced, per_worker, assemble_err, consumed) = match scope_result {
+    let (ingested, per_worker, consume_err, consumed) = match scope_result {
         Ok(v) => v,
         Err(payload) => std::panic::resume_unwind(payload),
     };
-
-    let produced = produced?;
-    if let Some(e) = assemble_err {
+    let (mut idle, mut busy) = (Duration::ZERO, Duration::ZERO);
+    for worker in per_worker.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
+        let (i, b) = worker?;
+        idle += i;
+        busy += b;
+    }
+    if let Some(e) = consume_err {
         return Err(e);
     }
-    stats.wall_s = t0.elapsed().as_secs_f64();
-    stats.client_blocked_s = produced.blocked.as_secs_f64();
-    stats.client_s = produced
-        .finished
-        .duration_since(t0)
-        .saturating_sub(produced.blocked)
-        .as_secs_f64();
-    stats.input_items = produced.pushed;
-    stats.output_items = consumed;
-    for worker_result in per_worker {
-        let (idle, busy) = worker_result?;
-        stats.server_idle_s += idle.as_secs_f64();
-        stats.server_busy_s += busy.as_secs_f64();
-    }
-    Ok(stats)
-}
-
-// ---------------------------------------------------------------------
-// All-input (barrier) streaming driver
-// ---------------------------------------------------------------------
-
-/// Streams ciphertexts for a scheme whose every output depends on the
-/// full input set (`OutputDependency::AllInputs`: channel-wise packing,
-/// Cheetah): the producer uploads through the same bounded channel, but
-/// no server job can start before the last input arrives, so the whole
-/// upload span is measured as server idle — the stall SPOT's per-input
-/// structure eliminates. Once the inputs are staged, `n_jobs` jobs run
-/// on the worker pool (`work(j, &inputs)`), and `consume` receives
-/// results in job order.
-pub fn run_stream_barrier<T, R, P, W, C>(
-    config: &StreamConfig,
-    n_jobs: usize,
-    producer: P,
-    work: W,
-    mut consume: C,
-) -> Result<StreamStats, SpotError>
-where
-    T: Send + Sync,
-    R: Send,
-    P: FnOnce(&mut Feeder<'_, T>) -> Result<(), SpotError> + Send,
-    W: Fn(usize, &[T]) -> R + Sync,
-    C: FnMut(usize, R) -> Result<(), SpotError>,
-{
-    let t0 = Instant::now();
-    let in_q: BoundedQueue<(usize, T)> = BoundedQueue::bounded(config.channel_capacity);
-    let workers = config.executor.threads().min(n_jobs.max(1));
-
-    let mut stats = StreamStats {
+    let (blocked, finished) =
+        ingested.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
+    Ok(StreamStats {
+        wall_s: t0.elapsed().as_secs_f64(),
+        client_s: (finished.duration_since(t0))
+            .saturating_sub(blocked)
+            .as_secs_f64(),
+        client_blocked_s: blocked.as_secs_f64(),
+        server_busy_s: busy.as_secs_f64(),
+        server_idle_s: idle.as_secs_f64(),
+        input_items: round.inputs,
+        output_items: consumed,
         channel_capacity: config.channel_capacity,
         server_threads: workers,
-        ..StreamStats::default()
-    };
-
-    // Stage 1: drain the full upload; the server's workers are parked
-    // until the barrier clears.
-    let barrier_span =
-        spot_trace::span(Cat::Stream, "barrier (await all inputs)").arg("workers", workers as u64);
-    let session = spot_trace::session_counters();
-    let scope_result = thread::scope(|s| {
-        let in_q = &in_q;
-        let producer_handle = s.spawn(move |_| {
-            if let Some(sink) = session {
-                spot_trace::set_session_counters(Some(sink));
-            }
-            run_producer(in_q, config.channel_capacity, producer)
-        });
-        let mut inputs: Vec<T> = Vec::new();
-        let mut drain_err: Option<SpotError> = None;
-        loop {
-            let (msg, _) = match in_q.recv() {
-                Ok(m) => m,
-                Err(e) => {
-                    drain_err.get_or_insert(e);
-                    break;
-                }
-            };
-            let Some((i, item)) = msg else { break };
-            debug_assert_eq!(i, inputs.len(), "single producer delivers in order");
-            inputs.push(item);
-        }
-        let produced = producer_handle.join().expect("producer thread panicked");
-        (inputs, produced, drain_err)
-    });
-    let (inputs, produced, drain_err) = match scope_result {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-    let produced = produced?;
-    if let Some(e) = drain_err {
-        return Err(e);
-    }
-
-    drop(barrier_span);
-    let barrier_cleared = Instant::now();
-    let upload_span = barrier_cleared.duration_since(t0);
-    stats.server_idle_s = upload_span.as_secs_f64() * workers as f64;
-    stats.client_blocked_s = produced.blocked.as_secs_f64();
-    stats.client_s = produced
-        .finished
-        .duration_since(t0)
-        .saturating_sub(produced.blocked)
-        .as_secs_f64();
-    stats.input_items = produced.pushed;
-
-    // Stage 2: all inputs present — run the job fan-out on the pool.
-    let cursor = AtomicUsize::new(0);
-    let inputs_ref = &inputs;
-    let work = &work;
-    let per_worker = config.executor.run_workers(workers, |w| {
-        spot_trace::set_thread_label(format!("server-{w}"));
-        let mut busy = Duration::ZERO;
-        let mut done: Vec<(usize, R)> = Vec::new();
-        loop {
-            let j = cursor.fetch_add(1, Ordering::Relaxed);
-            if j >= n_jobs {
-                break;
-            }
-            let job_span = spot_trace::span_owned(Cat::Stream, || format!("job #{j}"));
-            let job_start = Instant::now();
-            let r = work(j, inputs_ref.as_slice());
-            busy += job_start.elapsed();
-            drop(job_span);
-            done.push((j, r));
-        }
-        spot_trace::flush_thread();
-        (busy, done)
-    });
-
-    let mut slots: Vec<Option<R>> = (0..n_jobs).map(|_| None).collect();
-    for (busy, done) in per_worker {
-        stats.server_busy_s += busy.as_secs_f64();
-        for (j, r) in done {
-            slots[j] = Some(r);
-        }
-    }
-    for (j, slot) in slots.into_iter().enumerate() {
-        let r = slot.ok_or(SpotError::Disconnected("barrier job produced no result"))?;
-        let out_span = spot_trace::span_owned(Cat::Stream, || format!("out #{j}"));
-        consume(j, r)?;
-        drop(out_span);
-    }
-    stats.output_items = n_jobs;
-    stats.wall_s = t0.elapsed().as_secs_f64();
-    Ok(stats)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -817,6 +695,7 @@ impl<T> BatchAssembler<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
 
     fn cfg(threads: usize, cap: usize) -> StreamConfig {
@@ -864,76 +743,153 @@ mod tests {
         .unwrap();
     }
 
+    const CLASSES: [OutputDependency; 2] =
+        [OutputDependency::PerInput, OutputDependency::AllInputs];
+
+    fn round(dependency: OutputDependency, inputs: usize, jobs: usize) -> Round {
+        Round {
+            dependency,
+            inputs,
+            jobs,
+        }
+    }
+
+    /// Uneven job cost, to shuffle completion order.
+    fn spin_unevenly(v: u64) {
+        let mut acc = 0u64;
+        for k in 0..((v * 7919) % 50) * 200 {
+            acc = acc.wrapping_add(k);
+        }
+        std::hint::black_box(acc);
+    }
+
     #[test]
-    fn stream_results_consumed_in_order() {
-        for threads in [1usize, 2, 8] {
-            for cap in [1usize, 3, 64] {
-                let mut out = Vec::new();
-                let stats = run_stream(
-                    &cfg(threads, cap),
-                    |feeder| {
-                        for v in 0..50u64 {
-                            feeder.push(v)?;
-                        }
-                        Ok(())
-                    },
-                    |i, v| {
-                        // uneven cost to shuffle completion order
-                        let spin = (v * 7919) % 50;
-                        let mut acc = 0u64;
-                        for k in 0..spin * 200 {
-                            acc = acc.wrapping_add(k);
-                        }
-                        std::hint::black_box(acc);
-                        (i as u64) * 100 + v
-                    },
-                    |i, r| {
-                        out.push((i, r));
-                        Ok(())
-                    },
-                )
-                .unwrap();
-                let expect: Vec<(usize, u64)> =
-                    (0..50).map(|v| (v as usize, (v as u64) * 101)).collect();
-                assert_eq!(out, expect, "threads={threads} cap={cap}");
-                assert_eq!(stats.input_items, 50);
-                assert_eq!(stats.output_items, 50);
-                assert!(stats.wall_s > 0.0);
+    fn results_consumed_in_job_order_and_every_job_runs_once() {
+        for dependency in CLASSES {
+            for threads in [1usize, 2, 8] {
+                for cap in [1usize, 3, 64] {
+                    let tag = format!("{dependency:?} threads={threads} cap={cap}");
+                    // 50 inputs; one job each, or 20 that read them all.
+                    let jobs = match dependency {
+                        OutputDependency::PerInput => 50,
+                        OutputDependency::AllInputs => 20,
+                    };
+                    let ran = Mutex::new(HashSet::new());
+                    let mut out = Vec::new();
+                    let stats = run_stream(
+                        &cfg(threads, cap),
+                        round(dependency, 50, jobs),
+                        |i| Ok(i as u64),
+                        |i, v: u64| Ok((i as u64) * 100 + v),
+                        |j, inputs: &[u64]| {
+                            assert!(ran.lock().unwrap().insert(j), "{tag}: job {j} ran twice");
+                            spin_unevenly(j as u64);
+                            Ok((j as u64) * 10_000 + inputs.iter().sum::<u64>())
+                        },
+                        |j, r| {
+                            out.push((j, r));
+                            Ok(())
+                        },
+                    )
+                    .unwrap();
+                    let whole: u64 = (0..50).map(|v| v * 101).sum();
+                    let expect: Vec<(usize, u64)> = (0..jobs as u64)
+                        .map(|j| match dependency {
+                            OutputDependency::PerInput => (j as usize, j * 10_000 + j * 101),
+                            OutputDependency::AllInputs => (j as usize, j * 10_000 + whole),
+                        })
+                        .collect();
+                    assert_eq!(out, expect, "{tag}");
+                    assert_eq!(ran.into_inner().unwrap().len(), jobs, "{tag}");
+                    assert_eq!(stats.input_items, 50, "{tag}");
+                    assert_eq!(stats.output_items, jobs, "{tag}");
+                    assert_eq!(stats.server_threads, threads.min(jobs), "{tag}");
+                    assert!(stats.wall_s > 0.0, "{tag}");
+                }
             }
         }
     }
 
     #[test]
-    fn producer_error_propagates_without_deadlock() {
-        let err = run_stream(
-            &cfg(2, 1),
-            |feeder: &mut Feeder<'_, u64>| {
-                feeder.push(1)?;
-                Err(SpotError::Protocol("client gave up".into()))
-            },
-            |_, v: u64| v,
-            |_, _| Ok(()),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SpotError::Protocol(_)));
+    fn zero_and_one_job() {
+        for dependency in CLASSES {
+            for n in [0usize, 1] {
+                let mut out = Vec::new();
+                let stats = run_stream(
+                    &cfg(8, 2),
+                    round(dependency, n, n),
+                    |_| Ok(41u32),
+                    |_, v| Ok(v),
+                    |_, inputs: &[u32]| Ok(inputs[0] + 1),
+                    |j, r| {
+                        out.push((j, r));
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let expect: Vec<(usize, u32)> = (0..n).map(|j| (j, 42)).collect();
+                assert_eq!(out, expect, "{dependency:?} n={n}");
+                assert_eq!(stats.output_items, n);
+            }
+        }
     }
 
     #[test]
-    fn barrier_waits_for_all_inputs() {
-        let seen = Mutex::new(Vec::new());
-        let stats = run_stream_barrier(
-            &cfg(4, 2),
-            3,
-            |feeder| {
-                for v in 0..6u64 {
-                    std::thread::sleep(Duration::from_millis(5));
-                    feeder.push(v)?;
+    fn per_input_job_completes_before_the_next_input_arrives() {
+        // Input 1 is only handed over once job 0 has finished: the run
+        // completes because a per-input job waits for its own input
+        // alone. (Under `AllInputs` the same schedule could never start
+        // a job; the next test pins that side.)
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<usize>();
+        let done_tx = Mutex::new(done_tx);
+        let mut out = Vec::new();
+        run_stream(
+            &cfg(2, 1),
+            round(OutputDependency::PerInput, 4, 4),
+            move |i| {
+                if i > 0 {
+                    assert_eq!(done_rx.recv().unwrap(), i - 1);
                 }
+                Ok(i)
+            },
+            |_, v| Ok(v),
+            |j, inputs: &[usize]| {
+                assert_eq!(inputs, [j]);
+                // Nobody waits for the last job: ingest has gone by then.
+                done_tx.lock().unwrap().send(j).ok();
+                Ok(j)
+            },
+            |j, r| {
+                out.push((j, r));
                 Ok(())
             },
+        )
+        .unwrap();
+        assert_eq!(out, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
+    }
+
+    #[test]
+    fn all_inputs_jobs_wait_for_the_last_input() {
+        let last_handed_over = AtomicBool::new(false);
+        let seen = Mutex::new(Vec::new());
+        let stats = run_stream(
+            &cfg(4, 2),
+            round(OutputDependency::AllInputs, 6, 3),
+            |i| {
+                std::thread::sleep(Duration::from_millis(5));
+                if i == 5 {
+                    last_handed_over.store(true, Ordering::SeqCst);
+                }
+                Ok(i as u64)
+            },
+            |_, v| Ok(v),
             |j, inputs: &[u64]| {
-                assert_eq!(inputs.len(), 6, "all inputs staged before any job");
-                j as u64 + inputs.iter().sum::<u64>()
+                assert!(
+                    last_handed_over.load(Ordering::SeqCst),
+                    "job {j} started before the last input"
+                );
+                assert_eq!(inputs, [0, 1, 2, 3, 4, 5], "inputs staged in upload order");
+                Ok(j as u64 + inputs.iter().sum::<u64>())
             },
             |j, r| {
                 seen.lock().unwrap().push((j, r));
@@ -944,7 +900,8 @@ mod tests {
         assert_eq!(seen.into_inner().unwrap(), vec![(0, 15), (1, 16), (2, 17)]);
         assert_eq!(stats.input_items, 6);
         assert_eq!(stats.output_items, 3);
-        // ~30 ms of upload with 3 parked workers (pool is capped at n_jobs).
+        // ~30 ms of upload with 3 parked workers (pool is capped at the
+        // job count), each measuring its own wait.
         assert_eq!(stats.server_threads, 3);
         assert!(
             stats.server_idle_s >= 0.025 * 3.0,
@@ -954,38 +911,97 @@ mod tests {
     }
 
     #[test]
-    fn per_input_idle_less_than_barrier_idle() {
-        // Same synthetic layer on a 1-thread server: per-input streaming
-        // overlaps upload with compute; the barrier cannot.
-        let produce = |feeder: &mut Feeder<'_, u64>| {
-            for v in 0..8u64 {
-                std::thread::sleep(Duration::from_millis(4));
-                feeder.push(v)?;
-            }
-            Ok(())
-        };
-        let spin = |v: u64| {
+    fn per_input_idle_less_than_all_inputs_idle() {
+        // Same synthetic layer on a 1-thread server: per-input jobs
+        // overlap the upload with compute; all-input jobs cannot.
+        let spin = |v: usize| {
             let t = Instant::now();
             while t.elapsed() < Duration::from_millis(4) {
                 std::hint::black_box(v);
             }
-            v
+            Ok(v)
         };
-        let s1 = run_stream(&cfg(1, 2), produce, |_, v| spin(v), |_, _| Ok(())).unwrap();
-        let s2 = run_stream_barrier(
-            &cfg(1, 2),
-            8,
-            produce,
-            |j, _: &[u64]| spin(j as u64),
-            |_, _| Ok(()),
-        )
-        .unwrap();
+        let [s1, s2] = CLASSES.map(|dependency| {
+            run_stream(
+                &cfg(1, 2),
+                round(dependency, 8, 8),
+                |i| {
+                    std::thread::sleep(Duration::from_millis(4));
+                    Ok(i)
+                },
+                |_, v| Ok(v),
+                |j, _: &[usize]| spin(j),
+                |_, _| Ok(()),
+            )
+            .unwrap()
+        });
         assert!(
             s1.server_idle_s < s2.server_idle_s,
-            "per-input idle {} should beat barrier idle {}",
+            "per-input idle {} should beat all-inputs idle {}",
             s1.server_idle_s,
             s2.server_idle_s
         );
+    }
+
+    #[test]
+    fn an_error_from_any_step_ends_the_round_with_that_error() {
+        // Step 0 = ingest, 1 = stage, 2 = work, 3 = consume; each fails
+        // on its second item, with more inputs still to come and a full
+        // queue behind it.
+        let fail = |step: usize, at: usize, i: usize| match step == at && i == 1 {
+            true => Err(SpotError::Protocol(format!("step {at} gave up"))),
+            false => Ok(()),
+        };
+        for dependency in CLASSES {
+            for threads in [1usize, 4] {
+                for step in 0..4 {
+                    let err = run_stream(
+                        &cfg(threads, 1),
+                        round(dependency, 6, 6),
+                        |i| fail(step, 0, i).map(|()| i),
+                        |i, v| fail(step, 1, i).map(|()| v),
+                        |j, _: &[usize]| fail(step, 2, j).map(|()| j),
+                        |j, _| fail(step, 3, j),
+                    )
+                    .unwrap_err();
+                    let tag = format!("{dependency:?} threads={threads}");
+                    match err {
+                        SpotError::Protocol(why) => {
+                            assert_eq!(why, format!("step {step} gave up"), "{tag}")
+                        }
+                        other => panic!("{tag} step {step}: wrong error {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    fn panic_in_job_three(dependency: OutputDependency) {
+        let _ = run_stream(
+            &cfg(4, 2),
+            round(dependency, 8, 8),
+            Ok,
+            |_, v| Ok(v),
+            |j, _: &[usize]| {
+                if j == 3 {
+                    panic!("job 3 failed");
+                }
+                Ok(j)
+            },
+            |_, _| Ok(()),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn worker_panic_propagates_per_input() {
+        panic_in_job_three(OutputDependency::PerInput);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn worker_panic_propagates_all_inputs() {
+        panic_in_job_three(OutputDependency::AllInputs);
     }
 
     #[test]

@@ -380,7 +380,7 @@ pub struct ServerReport {
     /// whole batch; divide by [`batch`](Self::batch) for per-image
     /// amortized figures).
     pub counts: OpCounts,
-    /// Accumulated stall accounting (zero for the phased backend).
+    /// Stall accounting accumulated over both convolution layers.
     pub stream: StreamStats,
     /// Input ciphertexts received across all conv layers.
     pub input_cts: usize,

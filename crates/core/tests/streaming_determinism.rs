@@ -2,19 +2,20 @@
 //!
 //! 1. **Determinism** — for every scheme, the streamed execution's
 //!    shares and operation counts are bit-identical to the phased
-//!    driver's for the same rng seed, at 1 and 8 server worker threads
+//!    harness's for the same rng seed, at 1 and 8 server worker threads
 //!    and small channel capacities (so backpressure actually engages).
 //! 2. **Stall accounting sanity** — on a single-thread server, SPOT's
 //!    measured server idle (the paper's linear computation stall) is
 //!    strictly less than channel-wise packing's on the same layer,
-//!    because SPOT convolves each ciphertext as it arrives while the
-//!    channel-wise barrier parks the worker for the whole upload.
+//!    because SPOT convolves each ciphertext as it arrives while a
+//!    channel-wise job, reading every input, parks the worker for the
+//!    whole upload.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use spot_core::channelwise::SecureConvResult;
 use spot_core::executor::Executor;
-use spot_core::inference::{ExecBackend, Scheme};
+use spot_core::inference::ExecBackend;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
     run_in_process, serve_conv, ClientConv, LayerSpec, SchemeKind, UploadPacing,
@@ -40,18 +41,11 @@ fn run_conv(
     keygen: &KeyGenerator,
     inputs: &[Tensor],
     kernel: &Kernel,
-    scheme: Scheme,
+    scheme: SchemeKind,
     backend: &ExecBackend,
     rng: &mut StdRng,
 ) -> (Vec<SecureConvResult>, Option<StreamStats>) {
-    let spec = LayerSpec::for_layer(
-        scheme.kind(),
-        &inputs[0],
-        kernel,
-        1,
-        (4, 4),
-        PatchMode::Tweaked,
-    );
+    let spec = LayerSpec::for_layer(scheme, &inputs[0], kernel, 1, (4, 4), PatchMode::Tweaked);
     let outcome = run_in_process(ctx, keygen, spec, inputs, kernel, backend, rng)
         .expect("in-process secure convolution session");
     (outcome.results, outcome.stream)
@@ -59,7 +53,7 @@ fn run_conv(
 
 /// Runs one scheme phased and streamed from the same seed and asserts
 /// bit-identical results.
-fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capacity: usize) {
+fn assert_streaming_matches_phased(scheme: SchemeKind, threads: usize, channel_capacity: usize) {
     let ctx = ctx4096();
     let mut keyrng = StdRng::seed_from_u64(9000);
     let keygen = KeyGenerator::new(&ctx, &mut keyrng);
@@ -67,7 +61,7 @@ fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capac
     let kernel = Kernel::random(4, 4, 3, 3, 4, 18);
 
     let mut rng_a = StdRng::seed_from_u64(4242);
-    let (phased, none) = run_conv(
+    let (phased, phased_stats) = run_conv(
         &ctx,
         &keygen,
         std::slice::from_ref(&input),
@@ -76,7 +70,9 @@ fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capac
         &ExecBackend::Phased(Executor::new(threads)),
         &mut rng_a,
     );
-    assert!(none.is_none());
+    // Same driver, unbounded read-ahead.
+    let phased_stats = phased_stats.expect("every backend reports stats");
+    assert_eq!(phased_stats.channel_capacity, usize::MAX);
 
     let mut rng_b = StdRng::seed_from_u64(4242);
     let cfg = StreamConfig::new(Executor::new(threads), channel_capacity);
@@ -89,10 +85,13 @@ fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capac
         &ExecBackend::Streaming(cfg),
         &mut rng_b,
     );
-    let stats = stats.expect("streaming backend reports stats");
+    let stats = stats.expect("every backend reports stats");
     let (phased, streamed) = (&phased[0], &streamed[0]);
 
-    let tag = format!("{} threads={threads} cap={channel_capacity}", scheme.name());
+    let tag = format!(
+        "{} threads={threads} cap={channel_capacity}",
+        scheme.label()
+    );
     assert_eq!(phased.client_share, streamed.client_share, "{tag}");
     assert_eq!(phased.server_share, streamed.server_share, "{tag}");
     assert_eq!(phased.counts, streamed.counts, "{tag}");
@@ -105,27 +104,27 @@ fn assert_streaming_matches_phased(scheme: Scheme, threads: usize, channel_capac
 
 #[test]
 fn spot_streaming_deterministic_1_thread() {
-    assert_streaming_matches_phased(Scheme::Spot, 1, 1);
+    assert_streaming_matches_phased(SchemeKind::Spot, 1, 1);
 }
 
 #[test]
 fn spot_streaming_deterministic_8_threads() {
-    assert_streaming_matches_phased(Scheme::Spot, 8, 2);
+    assert_streaming_matches_phased(SchemeKind::Spot, 8, 2);
 }
 
 #[test]
 fn channelwise_streaming_deterministic_1_thread() {
-    assert_streaming_matches_phased(Scheme::CrypTFlow2, 1, 1);
+    assert_streaming_matches_phased(SchemeKind::Channelwise, 1, 1);
 }
 
 #[test]
 fn channelwise_streaming_deterministic_8_threads() {
-    assert_streaming_matches_phased(Scheme::CrypTFlow2, 8, 2);
+    assert_streaming_matches_phased(SchemeKind::Channelwise, 8, 2);
 }
 
 /// A batched session is deterministic across backends too: per-image
 /// shares and the whole-batch counts are bit-identical between the
-/// phased driver and the streamed one for the same seed.
+/// phased harness and the streamed one for the same seed.
 fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usize) {
     let ctx = ctx4096();
     let mut keyrng = StdRng::seed_from_u64(9000);
@@ -136,16 +135,16 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
     let kernel = Kernel::random(4, 2, 3, 3, 4, 18);
 
     let mut rng_a = StdRng::seed_from_u64(4242);
-    let (phased, none) = run_conv(
+    let (phased, phased_stats) = run_conv(
         &ctx,
         &keygen,
         &inputs,
         &kernel,
-        Scheme::Spot,
+        SchemeKind::Spot,
         &ExecBackend::Phased(Executor::new(threads)),
         &mut rng_a,
     );
-    assert!(none.is_none());
+    phased_stats.expect("every backend reports stats");
 
     let mut rng_b = StdRng::seed_from_u64(4242);
     let cfg = StreamConfig::new(Executor::new(threads), channel_capacity);
@@ -154,11 +153,11 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
         &keygen,
         &inputs,
         &kernel,
-        Scheme::Spot,
+        SchemeKind::Spot,
         &ExecBackend::Streaming(cfg),
         &mut rng_b,
     );
-    stats.expect("streaming backend reports stats");
+    stats.expect("every backend reports stats");
 
     let tag = format!("batched threads={threads} cap={channel_capacity}");
     assert_eq!(phased.len(), inputs.len(), "{tag}");
@@ -182,12 +181,12 @@ fn spot_batched_streaming_deterministic_8_threads() {
 
 #[test]
 fn cheetah_streaming_deterministic_1_thread() {
-    assert_streaming_matches_phased(Scheme::Cheetah, 1, 1);
+    assert_streaming_matches_phased(SchemeKind::Cheetah, 1, 1);
 }
 
 #[test]
 fn cheetah_streaming_deterministic_8_threads() {
-    assert_streaming_matches_phased(Scheme::Cheetah, 8, 2);
+    assert_streaming_matches_phased(SchemeKind::Cheetah, 8, 2);
 }
 
 /// Streamed results also reconstruct to the true convolution (guards
@@ -200,7 +199,7 @@ fn streamed_results_reconstruct_correctly() {
     let input = Tensor::random(4, 8, 8, 8, 71);
     let kernel = Kernel::random(4, 4, 3, 3, 4, 72);
     let want = spot_tensor::conv::conv2d(&input, &kernel, 1);
-    for scheme in Scheme::ALL {
+    for scheme in SchemeKind::ALL {
         let cfg = StreamConfig::new(Executor::new(4), 2);
         let (res, _) = run_conv(
             &ctx,
@@ -211,7 +210,7 @@ fn streamed_results_reconstruct_correctly() {
             &ExecBackend::Streaming(cfg),
             &mut rng,
         );
-        assert_eq!(res[0].reconstruct(), want, "scheme {}", scheme.name());
+        assert_eq!(res[0].reconstruct(), want, "scheme {}", scheme.label());
     }
 }
 
@@ -306,19 +305,19 @@ fn stream_with_tiny_client(
         "layer must need several uploads to expose the stall, got {}",
         served.input_cts
     );
-    served.stream.expect("streaming backend reports stats")
+    served.stream.expect("every backend reports stats")
 }
 
 /// The measured stall comparison of the paper on its own premise — a
 /// client slower than the server — scaled down to a test-sized
 /// Table-I-class layer (16×16 map, C_i = 32 → two channel-wise input
 /// ciphertexts at N4096). On a single-thread server with the same
-/// tiny-client channel budget, the channel-wise barrier parks the
-/// worker for every slow upload, while SPOT waits for the first and
+/// tiny-client channel budget, channel-wise jobs read every input and so
+/// park the worker for every slow upload, while SPOT waits for the first and
 /// then convolves each ciphertext while the client produces the next.
 /// At equal party speed both idles are scheduler noise; the runtime
 /// property itself is covered synthetically by
-/// `stream.rs::per_input_idle_less_than_barrier_idle`.
+/// `stream.rs::per_input_idle_less_than_all_inputs_idle`.
 #[test]
 fn spot_server_idle_below_channelwise_on_table1_layer() {
     let ctx = ctx4096();

@@ -33,8 +33,8 @@ use std::sync::{Arc, Mutex};
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Span names whose presence depends on scheduling: a worker only
-/// records `idle` when it actually waited, a producer only records a
-/// blocked span when the channel was full.
+/// records `idle` when it actually waited, the ingest thread only
+/// records a blocked span when the queue was full.
 const SCHEDULING_SPANS: &[&str] = &["idle", "blocked (channel full)"];
 
 /// Counters that are exact per run regardless of worker count or

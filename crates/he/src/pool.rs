@@ -10,26 +10,32 @@
 //! recycled: [`Poly`](crate::poly::Poly) returns its buffer here on
 //! drop, and every `Poly` construction site takes from here first.
 //!
-//! The pool is strictly thread-local (no locks, no cross-thread
-//! traffic); a buffer encrypted on a client producer thread and dropped
-//! on a server worker simply migrates to the worker's pool, which is
-//! exactly the steady-state owner in the streaming runtime.
+//! The hot path is strictly thread-local (no locks, no cross-thread
+//! traffic); a buffer filled on one thread and dropped on another
+//! simply migrates to the second thread's pool. The one shared piece is
+//! the reserve: a thread that exits leaves its free lists there, and a
+//! later thread's misses are served from it before the allocator. The
+//! server's conv driver runs each round's workers on fresh threads, so
+//! without the reserve every round would allocate its working set anew
+//! and free it at thread exit — at ~100 KB a buffer, megabytes of
+//! allocator trimming and page faults per layer.
 //!
 //! Capacity is bounded: at most [`capacity`] buffers are retained per
-//! distinct length (excess buffers are freed normally). Tiny-client
-//! code paths shrink this bound to their ciphertext budget — see
-//! `spot_core::stream`, which asserts the pool never retains more
-//! residue buffers than the device's ciphertext memory model allows.
+//! distinct length (excess buffers are freed normally); a thread may
+//! change its own bound with [`set_capacity`]. The reserve keeps at
+//! most the default bound per length.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 
 /// Allocation counters for one thread's pool (observable from benches:
 /// a steady-state hot loop should show `fresh` flat while `reused`
 /// grows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Buffers allocated fresh from the system allocator.
+    /// Buffers the thread's own free list could not serve: allocated,
+    /// or inherited from a thread that has exited.
     pub fresh: u64,
     /// Buffers served from the free list.
     pub reused: u64,
@@ -68,6 +74,24 @@ thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool::new());
 }
 
+/// Free lists of threads that have exited, by buffer length.
+static RESERVE: Mutex<BTreeMap<usize, Vec<Vec<u64>>>> = Mutex::new(BTreeMap::new());
+
+impl Drop for Pool {
+    /// Thread exit: the free lists move to the reserve, up to its bound.
+    fn drop(&mut self) {
+        // Poisoned means a panic is already propagating: just free.
+        let Ok(mut reserve) = RESERVE.lock() else {
+            return;
+        };
+        for (len, list) in self.free.drain() {
+            let kept = reserve.entry(len).or_default();
+            let room = Self::DEFAULT_CAP.saturating_sub(kept.len());
+            kept.extend(list.into_iter().take(room));
+        }
+    }
+}
+
 /// Takes a buffer of exactly `len` elements with **unspecified
 /// contents** — the caller must overwrite every element (or use
 /// [`take_zeroed`]).
@@ -83,7 +107,8 @@ pub fn take(len: usize) -> Vec<u64> {
             None => {
                 p.stats.fresh += 1;
                 spot_trace::count(spot_trace::Counter::PoolMiss, 1);
-                vec![0u64; len]
+                let inherited = RESERVE.lock().ok().and_then(|mut r| r.get_mut(&len)?.pop());
+                inherited.unwrap_or_else(|| vec![0u64; len])
             }
         }
     })
@@ -121,8 +146,7 @@ pub fn recycle(buf: Vec<u64>) {
 }
 
 /// Sets the maximum number of buffers retained per distinct length on
-/// the current thread, freeing any excess immediately. Tiny-client
-/// producers bound this by their ciphertext budget.
+/// the current thread, freeing any excess immediately.
 pub fn set_capacity(buffers_per_len: usize) {
     POOL.with(|p| {
         let mut p = p.borrow_mut();
@@ -202,6 +226,28 @@ mod tests {
         assert_eq!(s.dropped, 2);
         set_capacity(Pool::DEFAULT_CAP);
         clear();
+    }
+
+    #[test]
+    fn an_exited_thread_leaves_its_buffers_to_later_threads() {
+        // A length no other test uses, so the reserve entry is ours.
+        let len = 4099;
+        let left = std::thread::spawn(move || {
+            let buf = vec![7u64; len];
+            let ptr = buf.as_ptr() as usize;
+            recycle(buf);
+            ptr
+        })
+        .join()
+        .unwrap();
+        let inherited = std::thread::spawn(move || {
+            let buf = take(len);
+            assert_eq!(stats().fresh, 1, "not from this thread's own list");
+            (buf.as_ptr() as usize, buf.len())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(inherited, (left, len));
     }
 
     #[test]

@@ -59,9 +59,9 @@ impl Table {
     }
 }
 
-/// One scheme's measured streaming-pipeline timing, as produced by the
-/// real streaming runtime in `spot-core::stream` (this crate only
-/// renders it — core depends on pipeline, not the reverse).
+/// One scheme's measured pipeline timing, as produced by the server's
+/// conv driver in `spot-core::stream` (this crate only renders it —
+/// core depends on pipeline, not the reverse).
 ///
 /// All `*_s` fields are wall-clock seconds except the two server
 /// fields, which are **thread-seconds** summed across workers (on a
@@ -71,23 +71,26 @@ impl Table {
 pub struct StallRow {
     /// Scheme name (`SPOT`, `Channel-wise`, `Cheetah`).
     pub scheme: String,
-    /// End-to-end wall-clock time of the streamed layer.
+    /// End-to-end wall-clock time of the layer's rounds.
     pub wall_s: f64,
-    /// Client active time (packing + encryption + assembly).
+    /// Upload-side active time: the client thread's when the in-process
+    /// harness measured it, else the server ingest thread's wait on the
+    /// transport.
     pub client_s: f64,
-    /// Client time blocked on channel backpressure (out of memory for
-    /// another in-flight ciphertext).
+    /// Upload-side back-pressure: the client blocked on its bounded
+    /// link (in-process), else the ingest thread blocked on the
+    /// server's read-ahead queue.
     pub client_blocked_s: f64,
-    /// Server thread-seconds spent convolving.
+    /// Server thread-seconds spent staging inputs and convolving.
     pub server_busy_s: f64,
-    /// Server thread-seconds idle, waiting for ciphertexts to arrive —
-    /// the paper's "linear computation stall".
+    /// Server thread-seconds blocked waiting for a runnable job while
+    /// the upload was open — the paper's "linear computation stall".
     pub server_idle_s: f64,
     /// Input ciphertexts streamed client → server.
     pub input_cts: usize,
     /// Output ciphertexts returned server → client.
     pub output_cts: usize,
-    /// Bounded-channel capacity (the client's ciphertext budget).
+    /// The server's read-ahead bound (`usize::MAX` = unbounded).
     pub channel_capacity: usize,
     /// Server worker threads.
     pub server_threads: usize,
@@ -122,7 +125,10 @@ pub fn stall_table(title: impl Into<String>, rows: &[StallRow]) -> String {
             secs(r.server_idle_s),
             r.input_cts.to_string(),
             r.output_cts.to_string(),
-            r.channel_capacity.to_string(),
+            match r.channel_capacity {
+                usize::MAX => "-".to_string(),
+                bound => bound.to_string(),
+            },
             r.server_threads.to_string(),
         ]);
     }

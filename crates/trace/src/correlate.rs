@@ -17,13 +17,19 @@
 //!
 //! A party is *busy* at time `t` when any of its spans covers `t`,
 //! minus the explicit wait spans — stream `idle`, `blocked (channel
-//! full)`, `barrier (await all inputs)`, and wire `recv` (a party
-//! parked in `recv` is waiting on its peer, not working). Overlap
-//! efficiency for a window is `both_busy / min(client_busy,
-//! server_busy)`: the fraction of the less-busy party's work that the
-//! other party's work hid. SPOT's per-input streaming keeps this near
-//! 1; a channelwise all-input barrier collapses it — the linear
-//! computation stall, made visible.
+//! full)`, and wire `recv` (a party parked in `recv` is waiting on its
+//! peer, not working). **Overlap efficiency** for a window is
+//! `both_busy / min(client_busy, server_busy)`: the fraction of the
+//! less-busy party's work that the other party's work hid. This module
+//! is its only definition and the only emitter of
+//! `spot_overlap_efficiency`; the server's own view of one session,
+//! worker `busy / (busy + idle)`, is a different ratio under a
+//! different name (`server_busy_share`, `spot_core::serving`). SPOT's
+//! per-input jobs keep the efficiency near 1; channel-wise jobs, which
+//! wait for the whole upload, collapse it — the linear computation
+//! stall, made visible. A whole-session window also spans the key
+//! upload and the non-linear rounds, where one party waits by
+//! construction, so the `overall` figure sits below the per-layer ones.
 
 use crate::chrome::{escape_into, push_us};
 use crate::clocksync::{self, ClockEstimate};
@@ -32,12 +38,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Span names that mean "waiting", not "working".
-const WAIT_SPANS: [&str; 4] = [
-    "idle",
-    "blocked (channel full)",
-    "barrier (await all inputs)",
-    "recv",
-];
+const WAIT_SPANS: [&str; 3] = ["idle", "blocked (channel full)", "recv"];
 
 /// One party's exported trace: its events plus its thread-name table.
 #[derive(Debug, Clone, Default)]

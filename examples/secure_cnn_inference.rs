@@ -8,7 +8,8 @@
 //! Run with: `cargo run --release --example secure_cnn_inference`
 
 use rand::SeedableRng;
-use spot::core::inference::{Scheme, TinyCnn};
+use spot::core::inference::TinyCnn;
+use spot::core::session::SchemeKind;
 use spot::he::prelude::*;
 use spot::tensor::Tensor;
 
@@ -28,12 +29,12 @@ fn main() {
         expected.width()
     );
 
-    for scheme in Scheme::ALL {
+    for scheme in SchemeKind::ALL {
         let (output, channel) = cnn.forward_secure(&ctx, &keygen, &image, scheme, &mut rng);
-        assert_eq!(output, expected, "{} output mismatch", scheme.name());
+        assert_eq!(output, expected, "{} output mismatch", scheme.label());
         println!(
             "{:<11} OK — secure output matches plaintext; {:>8} bytes up, {:>8} bytes down (non-linear protocol traffic)",
-            scheme.name(),
+            scheme.label(),
             channel.upstream().bytes,
             channel.downstream().bytes
         );

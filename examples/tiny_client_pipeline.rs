@@ -8,18 +8,19 @@
 //!
 //! Run with: `cargo run --release --example tiny_client_pipeline`
 
-use spot::core::inference::{plan_conv, Scheme};
+use spot::core::inference::plan_conv;
+use spot::core::session::SchemeKind;
 use spot::pipeline::device::DeviceProfile;
 use spot::pipeline::sim::{simulate_conv, SimConfig};
 use spot::tensor::ConvShape;
 
-fn gantt(scheme: Scheme, shape: &ConvShape) {
+fn gantt(scheme: SchemeKind, shape: &ConvShape) {
     let plan = plan_conv(shape, scheme, true);
     let cfg = SimConfig::with_client(DeviceProfile::iot_k27());
     let res = simulate_conv(&plan, &cfg);
     println!(
         "--- {} at {} ({} input cts, {} output cts) ---",
-        scheme.name(),
+        scheme.label(),
         plan.level,
         plan.input_cts,
         plan.output_cts
@@ -54,8 +55,8 @@ fn main() {
         "one 3x3 convolution, {}x{} input, {} -> {} channels, IoT client\n",
         shape.width, shape.height, shape.c_in, shape.c_out
     );
-    gantt(Scheme::CrypTFlow2, &shape);
-    gantt(Scheme::Spot, &shape);
+    gantt(SchemeKind::Channelwise, &shape);
+    gantt(SchemeKind::Spot, &shape);
     println!(
         "Under channel-wise packing the server lane stays dark until the\n\
          last upload lands (the stall); under SPOT server work and\n\

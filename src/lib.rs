@@ -33,6 +33,8 @@
 //! let spec = LayerSpec::for_layer(
 //!     SchemeKind::Spot, &input, &kernel, 1, (4, 4), PatchMode::Tweaked,
 //! );
+//! // In-process harness mode: the client finishes its upload, then the
+//! // server's conv driver runs each job on one worker.
 //! let backend = ExecBackend::Phased(Executor::serial());
 //! let inputs = std::slice::from_ref(&input);
 //! let result = run_in_process(&ctx, &keygen, spec, inputs, &kernel, &backend, &mut rng)

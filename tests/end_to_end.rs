@@ -4,8 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spot::core::inference::{plan_conv, plan_network, Scheme, TinyCnn};
+use spot::core::inference::{plan_conv, plan_network, TinyCnn};
 use spot::core::memory_util::in_memory_values_per_mb;
+use spot::core::session::SchemeKind;
 use spot::he::prelude::*;
 use spot::pipeline::device::DeviceProfile;
 use spot::pipeline::sim::{simulate_conv, SimConfig};
@@ -20,9 +21,9 @@ fn tiny_cnn_secure_inference_matches_plaintext() {
     let cnn = TinyCnn::new(3);
     let image = Tensor::random(2, 8, 8, 6, 4);
     let expected = cnn.forward_plain(&image);
-    for scheme in Scheme::ALL {
+    for scheme in SchemeKind::ALL {
         let (out, channel) = cnn.forward_secure(&ctx, &keygen, &image, scheme, &mut rng);
-        assert_eq!(out, expected, "{}", scheme.name());
+        assert_eq!(out, expected, "{}", scheme.label());
         // the non-linear protocol must actually exchange traffic
         assert!(channel.total_bytes() > 10_000);
     }
@@ -32,8 +33,8 @@ fn tiny_cnn_secure_inference_matches_plaintext() {
 fn paper_claim_stall_disappears_under_spot() {
     let shape = ConvShape::new(28, 28, 128, 128, 3, 1);
     let cfg = SimConfig::with_client(DeviceProfile::iot_k27());
-    let cw = simulate_conv(&plan_conv(&shape, Scheme::CrypTFlow2, false), &cfg).timing;
-    let sp = simulate_conv(&plan_conv(&shape, Scheme::Spot, false), &cfg).timing;
+    let cw = simulate_conv(&plan_conv(&shape, SchemeKind::Channelwise, false), &cfg).timing;
+    let sp = simulate_conv(&plan_conv(&shape, SchemeKind::Spot, false), &cfg).timing;
     assert!(
         cw.stall_s > 5.0 * sp.stall_s.max(0.01),
         "channel-wise stall {} vs SPOT {}",
@@ -47,9 +48,9 @@ fn paper_claim_spot_wins_end_to_end_on_tiny_clients() {
     for net in [resnet50(), vgg16()] {
         for client in [DeviceProfile::nexus6(), DeviceProfile::iot_k27()] {
             let cfg = SimConfig::with_client(client);
-            let cw = plan_network(&net, Scheme::CrypTFlow2).simulate(&cfg);
-            let ch = plan_network(&net, Scheme::Cheetah).simulate(&cfg);
-            let sp = plan_network(&net, Scheme::Spot).simulate(&cfg);
+            let cw = plan_network(&net, SchemeKind::Channelwise).simulate(&cfg);
+            let ch = plan_network(&net, SchemeKind::Cheetah).simulate(&cfg);
+            let sp = plan_network(&net, SchemeKind::Spot).simulate(&cfg);
             let best = cw.total_s.min(ch.total_s);
             assert!(
                 sp.total_s < best,
@@ -70,14 +71,18 @@ fn paper_claim_cheetah_advantage_collapses_on_iot() {
     let net = resnet50();
     let desk = SimConfig::with_client(DeviceProfile::desktop_client());
     let iot = SimConfig::with_client(DeviceProfile::iot_k27());
-    let ratio_desktop = plan_network(&net, Scheme::CrypTFlow2)
+    let ratio_desktop = plan_network(&net, SchemeKind::Channelwise)
         .simulate(&desk)
         .total_s
-        / plan_network(&net, Scheme::Cheetah).simulate(&desk).total_s;
-    let ratio_iot = plan_network(&net, Scheme::CrypTFlow2)
+        / plan_network(&net, SchemeKind::Cheetah)
+            .simulate(&desk)
+            .total_s;
+    let ratio_iot = plan_network(&net, SchemeKind::Channelwise)
         .simulate(&iot)
         .total_s
-        / plan_network(&net, Scheme::Cheetah).simulate(&iot).total_s;
+        / plan_network(&net, SchemeKind::Cheetah)
+            .simulate(&iot)
+            .total_s;
     // Table II: desktop speedup (260%) collapses to ~20% on IoT.
     assert!(
         ratio_desktop > 1.5 * ratio_iot,
@@ -97,9 +102,9 @@ fn paper_claim_spot_memory_utilization_wins() {
         (7, 7, 512),
     ] {
         let shape = ConvShape::new(w, h, c, c, 3, 1);
-        let sp = in_memory_values_per_mb(&plan_conv(&shape, Scheme::Spot, false));
-        let cw = in_memory_values_per_mb(&plan_conv(&shape, Scheme::CrypTFlow2, false));
-        let ch = in_memory_values_per_mb(&plan_conv(&shape, Scheme::Cheetah, false));
+        let sp = in_memory_values_per_mb(&plan_conv(&shape, SchemeKind::Spot, false));
+        let cw = in_memory_values_per_mb(&plan_conv(&shape, SchemeKind::Channelwise, false));
+        let ch = in_memory_values_per_mb(&plan_conv(&shape, SchemeKind::Cheetah, false));
         total += 1;
         if sp > cw && sp > ch {
             wins += 1;
@@ -114,14 +119,14 @@ fn paper_claim_spot_memory_utilization_wins() {
 #[test]
 fn network_plans_cover_every_linear_layer() {
     for (net, expect_linear) in [(resnet18(), 18), (resnet50(), 50), (vgg16(), 16)] {
-        for scheme in Scheme::ALL {
+        for scheme in SchemeKind::ALL {
             let plan = plan_network(&net, scheme);
             assert_eq!(
                 plan.conv_plans.len(),
                 expect_linear,
                 "{} {}",
                 net.name(),
-                scheme.name()
+                scheme.label()
             );
             assert!(plan.total_comm_bytes() > 1_000_000);
         }
@@ -132,8 +137,8 @@ fn network_plans_cover_every_linear_layer() {
 fn spot_chooses_smaller_parameters_than_channelwise() {
     // Observation 2: CrypTFlow2 is stuck at N >= 8192; SPOT drops to 4096.
     let shape = ConvShape::new(56, 56, 64, 64, 3, 1);
-    let cw = plan_conv(&shape, Scheme::CrypTFlow2, false);
-    let sp = plan_conv(&shape, Scheme::Spot, false);
+    let cw = plan_conv(&shape, SchemeKind::Channelwise, false);
+    let sp = plan_conv(&shape, SchemeKind::Spot, false);
     assert!(cw.level.degree() >= 8192);
     assert!(sp.level.degree() <= cw.level.degree());
 }
