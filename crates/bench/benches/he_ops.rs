@@ -40,6 +40,30 @@ fn bench_level(c: &mut Criterion, level: ParamLevel) {
         b.iter(|| evaluator.multiply_lifted(&ct, &lifted))
     });
     group.bench_function("add", |b| b.iter(|| evaluator.add(&ct, &ct2)));
+    // A 3×3 kernel's tap sum: term by term, then as one inner product.
+    let operands: Vec<(Ciphertext, spot_he::poly::Poly)> = (0..9u64)
+        .map(|tap| {
+            let weights: Vec<u64> = values.iter().map(|v| (v + tap) % 97).collect();
+            (
+                encryptor.encrypt(&pt, &mut rng),
+                encoder.encode(&weights).lift(&ctx),
+            )
+        })
+        .collect();
+    group.bench_function("mult_add9", |b| {
+        b.iter(|| {
+            let mut terms = operands.iter();
+            let (first, lifted) = terms.next().expect("nine operands");
+            let mut acc = evaluator.multiply_lifted(first, lifted);
+            for (ct, lifted) in terms {
+                evaluator.add_inplace(&mut acc, &evaluator.multiply_lifted(ct, lifted));
+            }
+            acc
+        })
+    });
+    let terms: Vec<(&Ciphertext, &spot_he::poly::Poly)> =
+        operands.iter().map(|(ct, lifted)| (ct, lifted)).collect();
+    group.bench_function("dot_lifted9", |b| b.iter(|| evaluator.dot_lifted(&terms)));
     if level.supports_rotation() {
         // Eight steps with a key each: a 3×3 kernel's non-centre taps.
         let elements = evaluator.galois_elements(&[1, 2, 3, 4, 5, 6, 7, 8], false);
@@ -117,9 +141,8 @@ fn bench_ntt(c: &mut Criterion, level: ParamLevel) {
 }
 
 /// The kernel-dispatch hot loops below the NTT: pointwise residue-row
-/// multiply (the mult-plain core) and the two key-switch digit inner
-/// loops (Barrett lift into a foreign modulus, fused digit×ksk
-/// multiply-accumulate). Benchmarked per dispatched kernel table so
+/// multiply and the key-switch digit lift (Barrett reduction into a
+/// foreign modulus). Benchmarked per dispatched kernel table so
 /// `SPOT_SIMD=off cargo bench` vs `cargo bench` isolates the SIMD win.
 fn bench_kernel_loops(c: &mut Criterion, level: ParamLevel) {
     let ctx = Context::new(EncryptionParams::new(level));
@@ -143,10 +166,6 @@ fn bench_kernel_loops(c: &mut Criterion, level: ParamLevel) {
         let small = spot_he::modulus::Modulus::new((1u64 << 30) - 35);
         let mut d = vec![0u64; n];
         b.iter(|| (kernels.reduce)(&small, &mut d, &a))
-    });
-    group.bench_function("keyswitch_digit_madd", |b| {
-        let mut acc = vec![0u64; n];
-        b.iter(|| (kernels.pointwise_add_mul)(m, &mut acc, &a, &b_row))
     });
     group.finish();
 }

@@ -2,8 +2,8 @@
 //!
 //! Measures every operation the `crates/he/src/arch` kernel dispatch
 //! accelerates — forward/inverse NTT, pointwise multiply, the
-//! key-switch digit loops (Barrett lift + fused multiply-accumulate),
-//! ciphertext rotation and one full lane-MIMO convolution — under both
+//! key-switch digit lift, ciphertext rotation, a nine-term tap sum and
+//! one full lane-MIMO convolution — under both
 //! the scalar reference kernels and the best runtime-detected SIMD
 //! backend, **in the same process and run** (via `spot_he::arch::force`)
 //! so the two columns are directly comparable.
@@ -29,7 +29,10 @@
 //! the step-independent part of a rotation (`Evaluator::hoist`) and
 //! `rotate_hoisted8` eight rotations sharing one; `ratios` relates the
 //! latter to eight stand-alone `rotate`s, and `bench_check` fails when
-//! it exceeds 0.6.
+//! it exceeds 0.45. `dot_lifted9` is a 3×3 kernel's tap sum as one
+//! inner product (`Evaluator::dot_lifted`) and `mult_add9` the same sum
+//! as nine `multiply_lifted` and eight `add_inplace`; their ratio is
+//! held under 0.7.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,9 +148,8 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
             time_us(reps, || (arch::kernels().mul_scalar)(m, &mut d3, s, ss)),
         );
 
-        // Key-switch digit inner loops: the Barrett lift of a residue
-        // row into a smaller modulus, and the fused digit*ksk
-        // multiply-accumulate.
+        // The key-switch digit lift: Barrett reduction of a residue
+        // row into a smaller modulus.
         let small = spot_he::modulus::Modulus::new((1u64 << 30) - 35); // 2^30-35 is prime
         let mut lifted = vec![0u64; n];
         push(
@@ -155,14 +157,6 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
             reps,
             time_us(reps, || {
                 (arch::kernels().reduce)(&small, &mut lifted, &coeffs)
-            }),
-        );
-        let mut acc = vec![0u64; n];
-        push(
-            "keyswitch_digit_madd",
-            reps,
-            time_us(reps, || {
-                (arch::kernels().pointwise_add_mul)(m, &mut acc, &coeffs, &b)
             }),
         );
 
@@ -176,6 +170,41 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
             .map(|i| i % ctx.params().plain_modulus())
             .collect();
         let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
+
+        // A 3×3 kernel's tap sum over nine operands, term by term
+        // through the single-op API and as one inner product.
+        let operands: Vec<(Ciphertext, spot_he::poly::Poly)> = (0..9u64)
+            .map(|tap| {
+                let weights: Vec<u64> = values.iter().map(|v| (v + tap) % 97).collect();
+                (
+                    encryptor.encrypt(&encoder.encode(&values), &mut rng),
+                    encoder.encode(&weights).lift(&ctx),
+                )
+            })
+            .collect();
+        push(
+            "mult_add9",
+            reps,
+            time_us(reps, || {
+                let mut terms = operands.iter();
+                let (first, lifted) = terms.next().expect("nine operands");
+                let mut acc = evaluator.multiply_lifted(first, lifted);
+                for (ct, lifted) in terms {
+                    evaluator.add_inplace(&mut acc, &evaluator.multiply_lifted(ct, lifted));
+                }
+                std::hint::black_box(acc);
+            }),
+        );
+        let terms: Vec<(&Ciphertext, &spot_he::poly::Poly)> =
+            operands.iter().map(|(ct, lifted)| (ct, lifted)).collect();
+        push(
+            "dot_lifted9",
+            reps,
+            time_us(reps, || {
+                std::hint::black_box(evaluator.dot_lifted(&terms));
+            }),
+        );
+
         if level.supports_rotation() {
             let rot_reps = reps / 10;
             // Eight steps: the non-centre taps of a 3×3 kernel, each
@@ -479,17 +508,19 @@ fn emit_json(dispatched: &str, entries: &[Entry], key_bytes_per_digit_poly: &[(&
     println!("  }},");
     // The numbers `bench_check` holds to fixed ceilings. Eight rotations
     // from one hoist against eight rotations that each decompose for
-    // themselves, same run, dispatched kernels (ceiling 0.6); and a
-    // rotation key's wire bytes against its k digit polynomials alone
-    // (1.0003 while the a_i travel as a seed, 2.0 if they travel
-    // themselves; ceiling 1.1).
+    // themselves, same run, dispatched kernels (ceiling 0.45); a
+    // nine-term tap sum as one inner product against term by term
+    // (ceiling 0.7); and a rotation key's wire bytes against its k
+    // digit polynomials alone (1.0003 while the a_i travel as a seed,
+    // 2.0 if they travel themselves; ceiling 1.1).
     let min_us = |op: &str, level: &str| {
         entries
             .iter()
             .find(|e| e.kernel == dispatched && e.op == op && e.level == level)
             .map(|e| e.min_us)
     };
-    let mut lines: Vec<String> = ["N4096", "N8192"]
+    let levels = ["N4096", "N8192"];
+    let mut lines: Vec<String> = levels
         .iter()
         .filter_map(|level| {
             let ratio = min_us("rotate_hoisted8", level)? / (8.0 * min_us("rotate", level)?);
@@ -498,6 +529,12 @@ fn emit_json(dispatched: &str, entries: &[Entry], key_bytes_per_digit_poly: &[(&
             ))
         })
         .collect();
+    lines.extend(levels.iter().filter_map(|level| {
+        let ratio = min_us("dot_lifted9", level)? / min_us("mult_add9", level)?;
+        Some(format!(
+            "    \"dot_lifted9_per_mult_add9/{level}\": {ratio:.3}"
+        ))
+    }));
     lines.extend(key_bytes_per_digit_poly.iter().map(|(level, ratio)| {
         format!("    \"galois_key_bytes_per_digit_poly/{level}\": {ratio:.4}")
     }));

@@ -531,36 +531,34 @@ impl HeConvEngine {
         for (gi, _group) in groups.iter().enumerate() {
             let mut acc_total: Option<Ciphertext> = None;
             for j in 0..giants {
-                let mut acc_j: Option<Ciphertext> = None;
+                // Every (baby step, version, tap) of this giant step is
+                // one term of a single inner product.
+                let mut terms: Vec<(&Ciphertext, Arc<Poly>)> = Vec::new();
                 for b in 0..baby {
                     let d = j * baby + b;
                     if d >= diagonals {
                         break;
                     }
+                    // plaintext for diagonal d, pre-rotated left by b
+                    // blocks so the single giant rotation completes the
+                    // alignment
+                    let pre = b * layout.groups * layout.piece_slots;
                     for vi in 0..in_maps.len() {
                         for (ti, &(dy, dx, kh, kw)) in taps.iter().enumerate() {
-                            // plaintext for diagonal d, pre-rotated left
-                            // by b blocks so the single giant rotation
-                            // completes the alignment
-                            let pre = b * layout.groups * layout.piece_slots;
-                            let Some(lifted) =
+                            if let Some(lifted) =
                                 self.lifted_kernel(req, vi, gi, d, pre, ti, dy, dx, kh, kw)
-                            else {
-                                continue;
-                            };
-                            let prod = ev.multiply_lifted(operand(vi, ti, b), &lifted);
-                            counts.mult_plain += 1;
-                            match &mut acc_j {
-                                None => acc_j = Some(prod),
-                                Some(a) => {
-                                    ev.add_inplace(a, &prod);
-                                    counts.add += 1;
-                                }
+                            {
+                                terms.push((operand(vi, ti, b), lifted));
                             }
                         }
                     }
                 }
-                let Some(mut acc_j) = acc_j else { continue };
+                if terms.is_empty() {
+                    continue;
+                }
+                let mut acc_j = ev.dot_lifted(&terms);
+                counts.mult_plain += terms.len() as u64;
+                counts.add += terms.len() as u64 - 1;
                 if j > 0 {
                     acc_j =
                         ev.rotate_rows(&acc_j, layout.block_rotation_step(j * baby), &self.galois);
@@ -636,10 +634,11 @@ mod tests {
         assert_eq!(bsgs_split(1, 8, 2, 9), (1, 1));
     }
 
-    /// `(rotations, key-switch decompositions)` of one SPOT
-    /// `conv_one_ct` at `c_in → c_out` over 4×4 pieces, as the trace
-    /// counters saw them on this thread.
-    fn rotations_and_decompositions(c_in: usize, c_out: usize) -> (u64, u64) {
+    /// What one SPOT `conv_one_ct` at `c_in → c_out` over 4×4 pieces did
+    /// and produced: `(rotations, key-switch decompositions, mult_plain,
+    /// add)` as the trace counters saw them on this thread, and an
+    /// FNV-1a digest of the slots its outputs decrypt to.
+    fn ops_and_output_digest(c_in: usize, c_out: usize) -> ((u64, u64, u64, u64), u64) {
         use crate::spot::{blocking, spot_group_specs, spot_in_maps};
         use rand::SeedableRng;
         use spot_he::prelude::*;
@@ -675,31 +674,65 @@ mod tests {
             cache_tag: 0,
         };
         let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
-        let ct = encryptor.encrypt(&engine.encoder().encode(&[1, 2, 3]), &mut rng);
+        let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
+        let slots: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 251).collect();
+        let ct = encryptor.encrypt(&engine.encoder().encode(&slots), &mut rng);
 
         let sink = SessionCounters::new(0);
         let outer = spot_trace::set_session_counters(Some(sink.clone()));
         let mut counts = OpCounts::default();
-        engine.conv_one_ct(&ct, &req, &mut counts);
+        let outputs = engine.conv_one_ct(&ct, &req, &mut counts);
         spot_trace::set_session_counters(outer);
         let seen = sink.snapshot();
         assert_eq!(seen.get(Counter::Rotate), counts.rotate);
-        (counts.rotate, seen.get(Counter::KsDecompose))
+        assert_eq!(seen.get(Counter::MultPlain), counts.mult_plain);
+        assert_eq!(seen.get(Counter::AddOps), counts.add);
+
+        assert_eq!(outputs.len(), groups.len());
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for out in &outputs {
+            assert!(decryptor.noise_budget(out) > 0, "{c_in} → {c_out}");
+            for slot in engine.encoder().decode(&decryptor.decrypt(out)) {
+                for byte in slot.to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        let ops = (
+            counts.rotate,
+            seen.get(Counter::KsDecompose),
+            counts.mult_plain,
+            counts.add,
+        );
+        (ops, digest)
     }
 
+    /// Pinned on the term-by-term engine (one `multiply_lifted` and one
+    /// `add_inplace` per tap): summing the taps as one inner product
+    /// moves no count and no decrypted slot.
     #[test]
-    fn input_side_rotations_share_one_decomposition_per_position() {
+    fn pinned_shapes_keep_their_op_counts_and_decrypted_slots() {
         // 8 → 8: swap + 2 versions × 8 taps + 3 giant steps; the 17
-        // input-side rotations come from the two versions' hoists.
-        assert_eq!(rotations_and_decompositions(8, 8), (1 + 16 + 3, 2 + 3));
+        // input-side rotations come from the two versions' hoists. Two
+        // versions × nine taps multiply on each of four diagonals.
+        assert_eq!(
+            ops_and_output_digest(8, 8),
+            ((1 + 16 + 3, 2 + 3, 72, 71), 0x19f29b4925389b98)
+        );
         // 8 → 128 splits (baby, giants) = (2, 2): swap + 2 × (1 baby +
         // 2 × 8 taps) + 16 giant steps, over 2 × 2 hoisted positions.
-        assert_eq!(rotations_and_decompositions(8, 128), (1 + 34 + 16, 4 + 16));
+        assert_eq!(
+            ops_and_output_digest(8, 128),
+            ((1 + 34 + 16, 4 + 16, 1152, 1136), 0x21bd61add2516639)
+        );
         // 16 → 2 folds: every fold step is a rotation of its own.
         let folds = crate::spot::blocking(16, 2).fold_steps.len() as u64;
         assert_eq!(
-            rotations_and_decompositions(16, 2),
-            (1 + 16 + 1 + folds, 2 + 1 + folds)
+            ops_and_output_digest(16, 2),
+            (
+                (1 + 16 + 1 + folds, 2 + 1 + folds, 36, 37),
+                0xe89bf7767f05b425
+            )
         );
     }
 

@@ -291,12 +291,6 @@ avx2_kernel!(
     (m: &Modulus, dst: &mut [u64], src: &[u64])
 );
 avx2_kernel!(
-    pointwise_add_mul,
-    pointwise_add_mul_impl,
-    pointwise_add_mul_v,
-    (m: &Modulus, dst: &mut [u64], a: &[u64], b: &[u64])
-);
-avx2_kernel!(
     pointwise_add,
     pointwise_add_impl,
     pointwise_add_v,
@@ -327,7 +321,6 @@ pub static KERNELS: Kernels = Kernels {
     ntt_forward,
     ntt_inverse,
     pointwise_mul,
-    pointwise_add_mul,
     pointwise_add,
     pointwise_sub,
     mul_scalar,
@@ -346,7 +339,6 @@ pub static TUNED: Kernels = Kernels {
     ntt_forward,
     ntt_inverse,
     pointwise_mul: super::scalar::pointwise_mul,
-    pointwise_add_mul,
     pointwise_add,
     pointwise_sub,
     mul_scalar,

@@ -1,9 +1,12 @@
 //! Runtime-dispatched SIMD kernels for the HE hot loops.
 //!
-//! The three hottest inner loops of the crate — the forward/inverse NTT
-//! butterflies, the pointwise polynomial ops, and the key-switch digit
-//! loops — are routed through a single [`Kernels`] table of function
-//! pointers selected **once** at startup:
+//! The inner loops of the crate that a vector unit can run — the
+//! forward/inverse NTT butterflies, the pointwise polynomial ops and the
+//! key-switch digit lift — are routed through a single [`Kernels`] table
+//! of function pointers selected **once** at startup. (The two widest
+//! loops, the key-switch digit sum and the convolution tap sum, are
+//! 64×64→128-bit inner products with one reduction per coefficient:
+//! scalar code in [`crate::lazy`], the same under every table.)
 //!
 //! * CPU features are detected at runtime (`AVX2` on x86_64, `NEON` on
 //!   aarch64); dispatch granularity is **per op**: `auto` installs the
@@ -11,7 +14,7 @@
 //!   AVX2 hosts that is the mixed `avx2+scalar` table — the measured
 //!   baseline shows scalar Barrett ahead on `pointwise_mul` and the
 //!   key-switch digit lift (~0.7× under AVX2), so those entries keep
-//!   the scalar kernels while the NTTs and fused digit loops vectorize.
+//!   the scalar kernels while the NTTs and the add/sub loops vectorize.
 //! * The `SPOT_SIMD` environment variable overrides detection:
 //!   `off`/`scalar` force the scalar kernels, `auto` (or unset) picks
 //!   the tuned per-op table, and a backend name (`avx2`, `neon`,
@@ -53,8 +56,6 @@ pub type NttFn = fn(&Modulus, &[u64], &[u64], &mut [u64]);
 pub type NttInvFn = fn(&Modulus, &[u64], &[u64], u64, u64, &mut [u64]);
 /// Element-wise `dst[i] = dst[i] op src[i] mod p`.
 pub type BinFn = fn(&Modulus, &mut [u64], &[u64]);
-/// Fused element-wise `dst[i] = (dst[i] + a[i]*b[i]) mod p`.
-pub type AddMulFn = fn(&Modulus, &mut [u64], &[u64], &[u64]);
 /// Element-wise `dst[i] = dst[i] * scalar mod p` with the scalar's
 /// Shoup constant precomputed by the caller.
 pub type MulScalarFn = fn(&Modulus, &mut [u64], u64, u64);
@@ -79,8 +80,6 @@ pub struct Kernels {
     pub ntt_inverse: NttInvFn,
     /// Pointwise modular multiplication.
     pub pointwise_mul: BinFn,
-    /// Pointwise fused multiply-accumulate (the key-switch digit loop).
-    pub pointwise_add_mul: AddMulFn,
     /// Pointwise modular addition.
     pub pointwise_add: BinFn,
     /// Pointwise modular subtraction.

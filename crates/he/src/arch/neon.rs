@@ -220,12 +220,6 @@ neon_kernel!(
     (m: &Modulus, dst: &mut [u64], src: &[u64])
 );
 neon_kernel!(
-    pointwise_add_mul,
-    pointwise_add_mul_impl,
-    pointwise_add_mul_v,
-    (m: &Modulus, dst: &mut [u64], a: &[u64], b: &[u64])
-);
-neon_kernel!(
     pointwise_add,
     pointwise_add_impl,
     pointwise_add_v,
@@ -256,7 +250,6 @@ pub static KERNELS: Kernels = Kernels {
     ntt_forward,
     ntt_inverse,
     pointwise_mul,
-    pointwise_add_mul,
     pointwise_add,
     pointwise_sub,
     mul_scalar,

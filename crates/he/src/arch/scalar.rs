@@ -115,12 +115,6 @@ pub(crate) fn pointwise_mul(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     }
 }
 
-pub(crate) fn pointwise_add_mul(m: &Modulus, dst: &mut [u64], a: &[u64], b: &[u64]) {
-    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-        *d = m.add(*d, m.mul(x, y));
-    }
-}
-
 pub(crate) fn pointwise_add(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = m.add(*d, s);
@@ -151,7 +145,6 @@ pub static KERNELS: Kernels = Kernels {
     ntt_forward,
     ntt_inverse,
     pointwise_mul,
-    pointwise_add_mul,
     pointwise_add,
     pointwise_sub,
     mul_scalar,

@@ -449,35 +449,6 @@ pub(crate) fn pointwise_mul_v<T: V64>(m: &Modulus, dst: &mut [u64], src: &[u64])
 }
 
 #[inline(always)]
-pub(crate) fn pointwise_add_mul_v<T: V64>(m: &Modulus, dst: &mut [u64], a: &[u64], b: &[u64]) {
-    let (neg_inv, rp, rps) = m.montgomery();
-    if m.value() & 1 == 0 {
-        return scalar::pointwise_add_mul(m, dst, a, b);
-    }
-    let p_v = T::splat(m.value());
-    let rp_v = T::splat(rp);
-    let rps_v = T::splat(rps);
-    let neg_inv_v = T::splat(neg_inv);
-    let split = dst.len() - dst.len() % T::LANES;
-    let (main, rest) = dst.split_at_mut(split);
-    for ((dc, ac), bc) in main
-        .chunks_exact_mut(T::LANES)
-        .zip(a.chunks_exact(T::LANES))
-        .zip(b.chunks_exact(T::LANES))
-    {
-        // SAFETY: chunks_exact guarantees all chunks hold LANES u64s.
-        unsafe {
-            let d = T::load(dc.as_ptr());
-            let x = T::load(ac.as_ptr());
-            let y = T::load(bc.as_ptr());
-            let prod = mont_mul_v(x, y, p_v, rp_v, rps_v, neg_inv_v); // [0, p)
-            d.add(prod).cond_sub(p_v).store(dc.as_mut_ptr());
-        }
-    }
-    scalar::pointwise_add_mul(m, rest, &a[split..], &b[split..]);
-}
-
-#[inline(always)]
 pub(crate) fn pointwise_add_v<T: V64>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     let p_v = T::splat(m.value());
     let split = dst.len() - dst.len() % T::LANES;

@@ -9,9 +9,11 @@ use crate::ciphertext::Ciphertext;
 use crate::context::Context;
 use crate::encoding::{galois_elt_column_swap, galois_elt_from_step, Plaintext};
 use crate::keys::GaloisKeys;
-use crate::poly::{permute_row, Poly, PolyForm};
+use crate::lazy;
+use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use spot_trace::{count, Counter};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -168,6 +170,37 @@ pub struct HoistedCiphertext {
     digits: Vec<Poly>,
 }
 
+impl HoistedCiphertext {
+    /// Builds a decomposition from its parts, as [`Evaluator::hoist`]
+    /// would return them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a polynomial is not in NTT form or there is not one
+    /// digit per RNS prime.
+    pub fn from_parts(c0: Poly, digits: Vec<Poly>) -> Self {
+        assert_eq!(
+            digits.len(),
+            c0.context().moduli_count(),
+            "one digit per prime"
+        );
+        for poly in digits.iter().chain([&c0]) {
+            assert_eq!(poly.form(), PolyForm::Ntt, "hoisted parts are in NTT form");
+        }
+        Self { c0, digits }
+    }
+
+    /// The undecomposed first component.
+    pub fn c0(&self) -> &Poly {
+        &self.c0
+    }
+
+    /// The RNS digits of the second component, one per prime.
+    pub fn digits(&self) -> &[Poly] {
+        &self.digits
+    }
+}
+
 /// Evaluates homomorphic operations on ciphertexts.
 #[derive(Debug)]
 pub struct Evaluator {
@@ -233,31 +266,77 @@ impl Evaluator {
         self.multiply_lifted(a, &lifted)
     }
 
-    /// Multiplies by a pre-lifted (NTT-form) plaintext.
+    /// Multiplies by a pre-lifted (NTT-form) plaintext: the one-term
+    /// [`Evaluator::dot_lifted`].
     ///
     /// # Panics
     ///
     /// Panics if the lifted plaintext is not in NTT form.
     pub fn multiply_lifted(&self, a: &Ciphertext, lifted: &Poly) -> Ciphertext {
-        assert_eq!(lifted.form(), PolyForm::Ntt, "plaintext must be lifted");
-        count(Counter::MultPlain, 1);
-        let mut out = a.clone();
-        out.c0.mul_assign_ntt(lifted);
-        out.c1.mul_assign_ntt(lifted);
+        self.dot_lifted(&[(a, lifted)])
+    }
+
+    /// The inner product `Σ ct_i ⊙ lifted_i` of ciphertexts with
+    /// pre-lifted (NTT-form) plaintexts, held by reference or behind an
+    /// `Arc` — what a convolution sums over its taps. Bit-identical to multiplying every term and adding the
+    /// products, and counted like it (`n` plaintext multiplications,
+    /// `n − 1` additions), but every output coefficient is accumulated
+    /// unreduced and reduced once ([`lazy::dot_rows`]) and no product
+    /// ciphertext is ever materialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `terms` is empty, a plaintext is not in NTT form, or a
+    /// term belongs to another context.
+    pub fn dot_lifted<P: Borrow<Poly>>(&self, terms: &[(&Ciphertext, P)]) -> Ciphertext {
+        assert!(!terms.is_empty(), "an inner product needs a term");
+        let mut out = self.empty_ciphertext();
+        for (ct, lifted) in terms {
+            let lifted = lifted.borrow();
+            assert_eq!(lifted.form(), PolyForm::Ntt, "plaintext must be lifted");
+            for poly in [&ct.c0, &ct.c1, &out.c0] {
+                poly.assert_compatible(lifted);
+            }
+        }
+        count(Counter::MultPlain, terms.len() as u64);
+        count(Counter::AddOps, terms.len() as u64 - 1);
+        let mut rows = Vec::with_capacity(terms.len());
+        for (j, m) in self.ctx.moduli().iter().enumerate() {
+            rows.clear();
+            rows.extend(
+                terms
+                    .iter()
+                    .map(|(ct, w)| (ct.c0.residues(j), ct.c1.residues(j), w.borrow().residues(j))),
+            );
+            lazy::dot_rows(m, &rows, out.c0.residues_mut(j), out.c1.residues_mut(j));
+        }
         out
+    }
+
+    /// An NTT-form ciphertext of unspecified residues, for a caller
+    /// that writes every row.
+    fn empty_ciphertext(&self) -> Ciphertext {
+        let len = self.ctx.moduli_count() * self.ctx.degree();
+        let poly = || Poly::from_residues(&self.ctx, pool::take(len), PolyForm::Ntt);
+        Ciphertext {
+            c0: poly(),
+            c1: poly(),
+        }
     }
 
     /// Decomposes `a` for rotation: `c0` as it is and `c1` as its `k`
     /// RNS digits (digit `i` is `c1 mod q_i`, lifted to every modulus),
     /// each in NTT form. This is all the transform work of a key switch
-    /// — one inverse and `k` forward polynomial NTTs — and none of it
-    /// depends on the Galois element, so any number of
-    /// [`Evaluator::rotate_hoisted`] calls can share one decomposition.
+    /// — one inverse polynomial NTT and `k − 1` forward row NTTs per
+    /// digit — and none of it depends on the Galois element, so any
+    /// number of [`Evaluator::rotate_hoisted`] calls can share one
+    /// decomposition.
     pub fn hoist(&self, a: &Ciphertext) -> HoistedCiphertext {
         count(Counter::KsDecompose, 1);
         let ctx = &self.ctx;
-        let k = ctx.moduli_count();
+        let (k, n) = (ctx.moduli_count(), ctx.degree());
         let reduce = crate::arch::kernels().reduce;
+        assert_eq!(a.c1.form(), PolyForm::Ntt, "ciphertexts are in NTT form");
         let mut c1 = a.c1.clone();
         c1.to_coeff();
         let digits = (0..k)
@@ -265,10 +344,14 @@ impl Evaluator {
                 let q_i = ctx.moduli()[i].value();
                 let src = c1.residues(i);
                 // Every row is written below, so a dirty buffer is fine.
-                let data = pool::take(k * ctx.degree());
-                let mut digit = Poly::from_residues(ctx, data, PolyForm::Coeff);
-                for (j, m) in ctx.moduli().iter().enumerate() {
-                    let dst = digit.residues_mut(j);
+                let mut data = pool::take(k * n);
+                for (j, (dst, m)) in data.chunks_exact_mut(n).zip(ctx.moduli()).enumerate() {
+                    if j == i {
+                        // The digit *is* c1 mod q_i: under its own prime
+                        // its NTT row is the one c1 came in with.
+                        dst.copy_from_slice(a.c1.residues(i));
+                        continue;
+                    }
                     if q_i <= m.value() {
                         // Residues mod q_i are already reduced mod the
                         // (equal or larger) target modulus.
@@ -276,9 +359,11 @@ impl Evaluator {
                     } else {
                         reduce(m, dst, src);
                     }
+                    ctx.ntt_tables()[j].forward(dst);
                 }
-                digit.to_ntt();
-                digit
+                // One polynomial transform, whichever rows it skipped.
+                count(Counter::NttFwd, 1);
+                Poly::from_residues(ctx, data, PolyForm::Ntt)
             })
             .collect();
         HoistedCiphertext {
@@ -294,9 +379,9 @@ impl Evaluator {
     /// In NTT form the automorphism only reorders evaluation points
     /// (the key's table, see [`crate::ntt::galois_ntt_table`]), and it
     /// commutes with the digit decomposition, so the rotation is
-    /// `(σ(c0) + Σ σ(d_i)·b_i, Σ σ(d_i)·a_i)` with no transform at all.
-    /// Each digit row is gathered into one row of scratch and
-    /// accumulated against both key halves from there.
+    /// `(σ(c0) + Σ σ(d_i)·b_i, Σ σ(d_i)·a_i)` with no transform at all:
+    /// per prime row, [`lazy::key_switch_row`] reads `c0` and the digits
+    /// through the table and reduces each output coefficient once.
     ///
     /// # Panics
     ///
@@ -313,20 +398,32 @@ impl Evaluator {
             .keys
             .get(&g)
             .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
-        let ctx = &self.ctx;
-        let add_mul = crate::arch::kernels().pointwise_add_mul;
-        let mut acc0 = hoisted.c0.apply_galois_ntt(&ksk.ntt_table);
-        let mut acc1 = Poly::zero(ctx, PolyForm::Ntt);
-        let mut row = pool::take(ctx.degree());
-        for (digit, (b_i, a_i)) in hoisted.digits.iter().zip(&ksk.pairs) {
-            for (j, m) in ctx.moduli().iter().enumerate() {
-                permute_row(&mut row, digit.residues(j), &ksk.ntt_table);
-                add_mul(m, acc0.residues_mut(j), &row, b_i.residues(j));
-                add_mul(m, acc1.residues_mut(j), &row, a_i.residues(j));
-            }
+        assert_eq!(
+            hoisted.digits.len(),
+            ksk.pairs.len(),
+            "one key pair per digit"
+        );
+        let mut out = self.empty_ciphertext();
+        let mut rows = Vec::with_capacity(ksk.pairs.len());
+        for (j, m) in self.ctx.moduli().iter().enumerate() {
+            rows.clear();
+            rows.extend(
+                hoisted
+                    .digits
+                    .iter()
+                    .zip(&ksk.pairs)
+                    .map(|(digit, (b, a))| (digit.residues(j), b.residues(j), a.residues(j))),
+            );
+            lazy::key_switch_row(
+                m,
+                &ksk.ntt_table,
+                hoisted.c0.residues(j),
+                &rows,
+                out.c0.residues_mut(j),
+                out.c1.residues_mut(j),
+            );
         }
-        pool::recycle(row);
-        Ciphertext { c0: acc0, c1: acc1 }
+        out
     }
 
     /// Applies the Galois automorphism `X → X^g` to a ciphertext and

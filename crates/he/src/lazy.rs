@@ -1,0 +1,189 @@
+//! Lazy wide accumulation: inner products of residue rows summed in
+//! `u128` and reduced once per output coefficient.
+//!
+//! The two server hot loops — the key-switch digit sum of a rotation
+//! and the tap sum of a convolution — are both `Σ_t x_t[i]·y_t[i] mod q`
+//! over canonical residues. A product of two residues is below
+//! `(q−1)² < 2^124`, so [`max_terms`] of them fit a `u128` on top of a
+//! reduced value, and [`Modulus::reduce_u128`] is exact for any `u128`:
+//! the one reduction at the end yields the same canonical residue as a
+//! reduction after every term. Plain scalar code on purpose — AVX2 has
+//! no 64×64→128 multiply — so there is nothing for the [`crate::arch`]
+//! table to choose between and every `SPOT_SIMD` setting runs this.
+
+use crate::modulus::Modulus;
+
+/// The number of residue products modulo `m` that can be added to one
+/// reduced residue in a `u128` without overflow:
+/// `⌊(2^128 − q) / (q−1)²⌋`. At least 16 for any [`Modulus`] (`q < 2^62`),
+/// `2^30` at 49-bit primes.
+pub fn max_terms(m: &Modulus) -> usize {
+    let q = m.value() as u128;
+    let room = u128::MAX - (q - 1); // 2^128 − q
+    usize::try_from(room / ((q - 1) * (q - 1))).unwrap_or(usize::MAX)
+}
+
+/// One digit of a key switch on one prime row: the digit's residues
+/// and the two key rows `(b, a)` it multiplies.
+pub type DigitRows<'a> = (&'a [u64], &'a [u64], &'a [u64]);
+
+/// One prime row of a key switch under the Galois automorphism `table`
+/// (`σ(x)[i] = x[table[i]]` on NTT-form rows):
+///
+/// ```text
+/// out0[i] = c0[t] + Σ_d digit_d[t]·b_d[i]      t = table[i]
+/// out1[i] =         Σ_d digit_d[t]·a_d[i]
+/// ```
+///
+/// The automorphism is the gather index, so no permuted copy of any
+/// row is ever made, and both sums of a coefficient stay in registers
+/// across the digit loop: the body is monomorphised over the digit
+/// counts of the shipped levels (3 / 5 / 9) and runs on the slice for
+/// any other.
+///
+/// # Panics
+///
+/// Panics if the rows are not all `table.len()` long, a table entry is
+/// out of range, or `digits.len() + 1` exceeds [`max_terms`].
+pub fn key_switch_row(
+    m: &Modulus,
+    table: &[u32],
+    c0: &[u64],
+    digits: &[DigitRows<'_>],
+    out0: &mut [u64],
+    out1: &mut [u64],
+) {
+    let n = table.len();
+    assert!(c0.len() == n && out0.len() == n && out1.len() == n);
+    assert!(digits
+        .iter()
+        .all(|(x, b, a)| x.len() == n && b.len() == n && a.len() == n));
+    assert!(
+        digits.len() < max_terms(m),
+        "{} digits overflow a u128 modulo {}",
+        digits.len(),
+        m.value()
+    );
+    match digits.len() {
+        3 => key_switch_body(m, table, c0, rows::<3>(digits), out0, out1),
+        5 => key_switch_body(m, table, c0, rows::<5>(digits), out0, out1),
+        9 => key_switch_body(m, table, c0, rows::<9>(digits), out0, out1),
+        _ => key_switch_body(m, table, c0, digits, out0, out1),
+    }
+}
+
+/// The digit rows as an array by value (`digits.len()` is `K`).
+fn rows<'a, const K: usize>(digits: &[DigitRows<'a>]) -> [DigitRows<'a>; K] {
+    digits.try_into().expect("matched on the length")
+}
+
+/// The key-switch row loop, generic over how the digit rows are held:
+/// an array by value (digit loop unrolled, row pointers in registers)
+/// or a slice.
+#[inline(always)]
+fn key_switch_body<'a, D: AsRef<[DigitRows<'a>]>>(
+    m: &Modulus,
+    table: &[u32],
+    c0: &[u64],
+    digits: D,
+    out0: &mut [u64],
+    out1: &mut [u64],
+) {
+    let digits = digits.as_ref();
+    let outs = out0.iter_mut().zip(out1.iter_mut());
+    for (i, ((o0, o1), &t)) in outs.zip(table).enumerate() {
+        let t = t as usize;
+        let mut s0 = c0[t] as u128;
+        let mut s1 = 0u128;
+        for &(x, b, a) in digits {
+            let x = x[t] as u128;
+            s0 += x * b[i] as u128;
+            s1 += x * a[i] as u128;
+        }
+        *o0 = m.reduce_u128(s0);
+        *o1 = m.reduce_u128(s1);
+    }
+}
+
+/// One term of a ciphertext–plaintext inner product on one prime row:
+/// the ciphertext's `c0` and `c1` rows and the plaintext row both are
+/// multiplied by.
+pub type TermRows<'a> = (&'a [u64], &'a [u64], &'a [u64]);
+
+/// Coefficients per block of [`dot_rows`]: the `u128` accumulator
+/// block (8 KiB) stays in L1 while every term streams by, and the
+/// plaintext blocks read for `c0` are still in cache when `c1` wants
+/// them.
+const CHUNK: usize = 512;
+
+/// One prime row of `Σ_t ct_t ⊙ w_t`:
+/// `out0[i] = Σ_t c0_t[i]·w_t[i]`, `out1[i] = Σ_t c1_t[i]·w_t[i]`,
+/// block by block of 512 coefficients, each sum accumulated
+/// unreduced and folded through [`Modulus::reduce_u128`] every
+/// [`max_terms`] terms, so any number of terms is exact.
+///
+/// # Panics
+///
+/// Panics if `terms` is empty or a row is not `out0.len()` long.
+pub fn dot_rows(m: &Modulus, terms: &[TermRows<'_>], out0: &mut [u64], out1: &mut [u64]) {
+    let n = out0.len();
+    assert!(!terms.is_empty() && out1.len() == n);
+    assert!(terms
+        .iter()
+        .all(|(x0, x1, w)| x0.len() == n && x1.len() == n && w.len() == n));
+    let fold_every = max_terms(m);
+    let mut acc = [0u128; CHUNK];
+    for (block, (o0, o1)) in out0
+        .chunks_mut(CHUNK)
+        .zip(out1.chunks_mut(CHUNK))
+        .enumerate()
+    {
+        let at = block * CHUNK..block * CHUNK + o0.len();
+        let halves = terms
+            .iter()
+            .map(|&(x0, _, w)| (&x0[at.clone()], &w[at.clone()]));
+        dot_block(m, fold_every, halves, &mut acc, o0);
+        let halves = terms
+            .iter()
+            .map(|&(_, x1, w)| (&x1[at.clone()], &w[at.clone()]));
+        dot_block(m, fold_every, halves, &mut acc, o1);
+    }
+}
+
+/// `out[i] = Σ_t x_t[i]·w_t[i] mod q` over one block. The first term
+/// starts the sums (no zeroing pass) and the last one's products join
+/// them on their way through the reduction, so a single term is a
+/// plain pointwise multiply that never touches `acc`.
+#[inline(always)]
+fn dot_block<'a>(
+    m: &Modulus,
+    fold_every: usize,
+    terms: impl ExactSizeIterator<Item = (&'a [u64], &'a [u64])>,
+    acc: &mut [u128; CHUNK],
+    out: &mut [u64],
+) {
+    let acc = &mut acc[..out.len()];
+    let last = terms.len() - 1;
+    for (t, (x, w)) in terms.enumerate() {
+        if t > 0 && t % fold_every == 0 {
+            for s in acc.iter_mut() {
+                *s = m.reduce_u128(*s) as u128;
+            }
+        }
+        let products = x.iter().zip(w).map(|(&x, &w)| x as u128 * w as u128);
+        match (t == 0, t == last) {
+            (true, false) => acc.iter_mut().zip(products).for_each(|(s, p)| *s = p),
+            (false, false) => acc.iter_mut().zip(products).for_each(|(s, p)| *s += p),
+            (true, true) => {
+                for (o, p) in out.iter_mut().zip(products) {
+                    *o = m.reduce_u128(p);
+                }
+            }
+            (false, true) => {
+                for ((o, &s), p) in out.iter_mut().zip(acc.iter()).zip(products) {
+                    *o = m.reduce_u128(s + p);
+                }
+            }
+        }
+    }
+}

@@ -39,6 +39,7 @@ pub mod encoding;
 pub mod encryptor;
 pub mod evaluator;
 pub mod keys;
+pub mod lazy;
 pub mod modswitch;
 pub mod modulus;
 pub mod ntt;

@@ -155,7 +155,7 @@ impl Poly {
         self.form = PolyForm::Coeff;
     }
 
-    fn assert_compatible(&self, other: &Poly) {
+    pub(crate) fn assert_compatible(&self, other: &Poly) {
         assert!(
             Arc::ptr_eq(&self.ctx, &other.ctx) || self.ctx.params() == other.ctx.params(),
             "polynomials from different contexts"
@@ -303,7 +303,7 @@ impl Poly {
 /// # Panics
 ///
 /// Panics if the three lengths differ or an entry is out of range.
-pub(crate) fn permute_row(dst: &mut [u64], src: &[u64], table: &[u32]) {
+fn permute_row(dst: &mut [u64], src: &[u64], table: &[u32]) {
     assert!(dst.len() == src.len() && table.len() == src.len());
     for (d, &j) in dst.iter_mut().zip(table) {
         *d = src[j as usize];

@@ -14,6 +14,9 @@
 //! * every kernel backend produces the same bits;
 //! * the noise budget stays within one bit of the oracle's.
 
+mod common;
+
+use common::conv_steps;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,27 +46,6 @@ fn random_poly(ctx: &Arc<Context>, seed: u64) -> Poly {
         }
     }
     Poly::from_residues(ctx, data, PolyForm::Coeff)
-}
-
-/// The rotation steps a 3×3 convolution issues over any lane layout:
-/// tap steps `dy·w + dx` for every piece width, and block steps at
-/// every power-of-two stride.
-fn conv_steps(n: usize) -> Vec<i64> {
-    let row = (n / 2) as i64;
-    let mut steps = Vec::new();
-    for w in 2..=16i64 {
-        for dy in -1..=1 {
-            for dx in -1..=1 {
-                steps.push(dy * w + dx);
-            }
-        }
-    }
-    let mut stride = 4;
-    while stride < row {
-        steps.push(stride);
-        stride *= 2;
-    }
-    steps
 }
 
 fn assert_table_matches_coefficient_form(ctx: &Arc<Context>, poly: &Poly, g: usize) {
