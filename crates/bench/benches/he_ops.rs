@@ -5,15 +5,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::heconv::{ConvRequest, HeConvEngine};
+use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
-use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::{Kernel, Tensor};
+use std::sync::Arc;
 
 fn bench_level(c: &mut Criterion, level: ParamLevel) {
     let ctx = Context::new(EncryptionParams::new(level));
@@ -170,10 +170,8 @@ fn bench_kernel_loops(c: &mut Criterion, level: ParamLevel) {
     group.finish();
 }
 
-/// Steady-state cost of one lane-MIMO convolution with and without the
-/// NTT-domain kernel plaintext cache: the cached engine encodes and
-/// lifts each kernel combination once, the uncached engine re-encodes
-/// per ciphertext (the seed behaviour).
+/// Steady-state cost of one lane-MIMO convolution: every kernel
+/// combination is already encoded and lifted in the engine's cache.
 fn bench_conv_cache(c: &mut Criterion) {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let mut rng = StdRng::seed_from_u64(3);
@@ -195,24 +193,9 @@ fn bench_conv_cache(c: &mut Criterion) {
         kernel: &kernel,
         cache_tag: 0,
     };
-    let mk_engine = |rng: &mut StdRng| {
-        HeConvEngine::new(
-            &ctx,
-            &keygen,
-            &layout,
-            3,
-            3,
-            blk.diagonals,
-            blk.out_groups,
-            &blk.fold_steps,
-            blk.split,
-            true,
-            rng,
-        )
-    };
-    let cached = mk_engine(&mut rng);
-    let mut uncached = mk_engine(&mut rng);
-    uncached.set_cache_enabled(false);
+    let elements = blk.galois_elements(&layout, 3, 3);
+    let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
+    let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
 
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let encoder = BatchEncoder::new(&ctx);
@@ -220,15 +203,11 @@ fn bench_conv_cache(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("conv/spot_8ch_8x8");
     group.sample_size(10);
-    let mut counts = OpCounts::default();
     // Warm the cache outside the timed region: steady-state layers see
     // only hits.
-    cached.conv_one_ct(&ct, &req, &mut counts);
+    engine.conv_one_ct(&ct, &req);
     group.bench_function("one_ct_cached", |b| {
-        b.iter(|| cached.conv_one_ct(&ct, &req, &mut counts))
-    });
-    group.bench_function("one_ct_uncached", |b| {
-        b.iter(|| uncached.conv_one_ct(&ct, &req, &mut counts))
+        b.iter(|| engine.conv_one_ct(&ct, &req))
     });
     group.finish();
 }

@@ -37,16 +37,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::heconv::{ConvRequest, HeConvEngine};
+use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_he::arch;
-use spot_he::evaluator::OpCounts;
 use spot_he::prelude::*;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::Tensor;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// `(mean_us, median_us, min_us)` over `reps` timed calls after a
@@ -260,27 +260,16 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
         kernel: &kernel_t,
         cache_tag: 0,
     };
-    let engine = HeConvEngine::new(
-        &ctx,
-        &keygen,
-        &layout,
-        3,
-        3,
-        blk.diagonals,
-        blk.out_groups,
-        &blk.fold_steps,
-        blk.split,
-        true,
-        &mut rng,
-    );
+    let elements = blk.galois_elements(&layout, 3, 3);
+    let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
+    let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
     let encoder = BatchEncoder::new(&ctx);
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
-    let mut counts = OpCounts::default();
-    engine.conv_one_ct(&ct, &req, &mut counts); // warm the kernel cache
+    engine.conv_one_ct(&ct, &req); // warm the kernel cache
     let reps = 10;
     let (mean_us, median_us, min_us) = time_us(reps, || {
-        std::hint::black_box(engine.conv_one_ct(&ct, &req, &mut counts));
+        std::hint::black_box(engine.conv_one_ct(&ct, &req));
     });
     entries.push(Entry {
         op: "conv_one_ct",

@@ -15,18 +15,18 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::heconv::{ConvRequest, HeConvEngine};
+use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
 use spot_core::stream::{StreamConfig, StreamStats};
-use spot_he::evaluator::OpCounts;
 use spot_he::pool;
 use spot_he::prelude::*;
 use spot_pipeline::report::stall_table;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::{Cat, Event, Phase};
+use std::sync::Arc;
 
 const MAX_EVENTS: usize = 48;
 
@@ -182,19 +182,9 @@ fn main() {
         cache_tag: 0,
     };
     let mut rng = StdRng::seed_from_u64(9900);
-    let engine = HeConvEngine::new(
-        &ctx,
-        &keygen,
-        &layout,
-        3,
-        3,
-        blk.diagonals,
-        blk.out_groups,
-        &blk.fold_steps,
-        blk.split,
-        true,
-        &mut rng,
-    );
+    let elements = blk.galois_elements(&layout, 3, 3);
+    let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
+    let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let ct = Encryptor::new(&ctx, keygen.public_key(&mut rng))
         .encrypt(&BatchEncoder::new(&ctx).encode(&values), &mut rng);
@@ -204,11 +194,10 @@ fn main() {
     pool::set_capacity(512);
     pool::clear();
     pool::reset_stats();
-    let mut counts = OpCounts::default();
-    engine.conv_one_ct(&ct, &req, &mut counts);
+    engine.conv_one_ct(&ct, &req);
     let cold = pool::stats();
     pool::reset_stats();
-    engine.conv_one_ct(&ct, &req, &mut counts);
+    engine.conv_one_ct(&ct, &req);
     let warm = pool::stats();
     for (tag, s) in [("cold", &cold), ("warm", &warm)] {
         println!(

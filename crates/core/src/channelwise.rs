@@ -177,7 +177,6 @@ impl Packing {
                     false,
                 ),
                 use_bsgs: false,
-                cache_classes: 1,
                 batch_capacity: images_layout(&layout).capacity().min(MAX_BATCH),
                 coeff_packed: false,
             },
@@ -240,19 +239,13 @@ impl ConvScheme for Packing {
         Ok(())
     }
 
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> (Vec<Ciphertext>, OpCounts) {
+    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
         let map = channel_map(&self.geo, job, self.shape.c_in);
         let mut in_maps = vec![map.clone()];
         if self.geo.both_lanes {
             in_maps.push(vec![map[1].clone(), map[0].clone()]);
         }
-        let mut counts = OpCounts::default();
-        let partials = kit.engines[0].conv_one_ct(
+        kit.engine.conv_one_ct(
             &inputs[job],
             &ConvRequest {
                 layout: &self.layout,
@@ -263,9 +256,7 @@ impl ConvScheme for Packing {
                 kernel: kit.kernel,
                 cache_tag: job,
             },
-            &mut counts,
-        );
-        (partials, counts)
+        )
     }
 
     /// Every output ciphertext needs every input's partial product:
@@ -277,14 +268,12 @@ impl ConvScheme for Packing {
         job: usize,
         outs: Vec<Ciphertext>,
         acc: &mut Vec<Ciphertext>,
-        counts: &mut OpCounts,
     ) -> Vec<Ciphertext> {
         if acc.is_empty() {
             *acc = outs;
         } else {
             for (sum, partial) in acc.iter_mut().zip(&outs) {
-                kit.evaluator.add_inplace(sum, partial);
-                counts.add += 1;
+                kit.engine.evaluator().add_inplace(sum, partial);
             }
         }
         if job + 1 == self.facts.jobs {

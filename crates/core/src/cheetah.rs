@@ -113,7 +113,6 @@ impl Packing {
                 jobs: shape.c_out,
                 galois_elements: Vec::new(),
                 use_bsgs: false,
-                cache_classes: 0,
                 // Coefficient packing shares no slots: a batch is its
                 // images in sequence over one session (keys and setup
                 // amortize), bounded only by the wire field.
@@ -168,15 +167,10 @@ impl ConvScheme for Packing {
         Ok(())
     }
 
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> (Vec<Ciphertext>, OpCounts) {
+    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
         let (shape, wp, s_ch) = (&self.shape, self.padded_width(), self.geo.channel_coeffs);
         let t = kit.ctx.params().plain_modulus();
-        let mut counts = OpCounts::default();
+        let evaluator = kit.engine.evaluator();
         let mut acc: Option<Ciphertext> = None;
         for (chunk, input) in inputs.iter().enumerate() {
             let mut wcoeffs = vec![0u64; self.degree];
@@ -190,19 +184,13 @@ impl ConvScheme for Packing {
                     }
                 }
             }
-            let prod = kit
-                .evaluator
-                .multiply_plain(input, &Plaintext::from_coeffs(wcoeffs));
-            counts.mult_plain += 1;
+            let prod = evaluator.multiply_plain(input, &Plaintext::from_coeffs(wcoeffs));
             match &mut acc {
                 None => acc = Some(prod),
-                Some(a) => {
-                    kit.evaluator.add_inplace(a, &prod);
-                    counts.add += 1;
-                }
+                Some(a) => evaluator.add_inplace(a, &prod),
             }
         }
-        (vec![acc.expect("at least one chunk")], counts)
+        vec![acc.expect("at least one chunk")]
     }
 
     fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {

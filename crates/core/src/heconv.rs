@@ -22,8 +22,8 @@ use parking_lot::RwLock;
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{galois_elt_column_swap, galois_elt_from_step, BatchEncoder};
-use spot_he::evaluator::{Evaluator, HoistedCiphertext, OpCounts};
-use spot_he::keys::{GaloisKeys, KeyGenerator};
+use spot_he::evaluator::{Evaluator, HoistedCiphertext};
+use spot_he::keys::GaloisKeys;
 use spot_he::poly::Poly;
 use spot_tensor::tensor::Kernel;
 use std::collections::HashMap;
@@ -64,9 +64,10 @@ pub struct ConvRequest<'a> {
     /// The convolution kernel.
     pub kernel: &'a Kernel,
     /// Discriminates kernel-plaintext cache entries when one engine
-    /// serves several distinct `(in_maps, groups, kernel)` configurations
-    /// — channel-wise packing uses the input-ciphertext index here.
-    /// Requests with equal tags must be otherwise identical.
+    /// serves several distinct `(layout, in_maps, groups, kernel)`
+    /// configurations — channel-wise packing uses the input-ciphertext
+    /// index here, SPOT the piece-class index. Requests with equal tags
+    /// must be otherwise identical.
     pub cache_tag: usize,
 }
 
@@ -105,11 +106,6 @@ impl KernelCache {
         self.entries.read().is_empty()
     }
 
-    /// Drops every cached entry.
-    pub fn clear(&self) {
-        self.entries.write().clear();
-    }
-
     /// Looks up `key`, building and inserting it on a miss. The build
     /// runs under the write lock (double-checked after acquiring it),
     /// so concurrent sessions racing on a cold entry build it exactly
@@ -136,7 +132,9 @@ impl KernelCache {
     }
 }
 
-/// The engine: HE context plus the Galois keys a convolution needs.
+/// The engine of one served layer: the HE context, the client's Galois
+/// keys, and the one [`Evaluator`] every HE operation of the layer goes
+/// through — so its [`Evaluator::counts`] is the layer's op tally.
 #[derive(Debug)]
 pub struct HeConvEngine {
     ctx: Arc<Context>,
@@ -154,7 +152,6 @@ pub struct HeConvEngine {
     /// `None` records "this combination is all-zero, skip the multiply".
     /// May be shared across engines (and sessions) of the same model.
     kernel_cache: KernelCache,
-    cache_enabled: bool,
 }
 
 /// The kernel taps of a `k_h × k_w` window with "same" padding
@@ -244,51 +241,13 @@ pub fn required_elements(
 }
 
 impl HeConvEngine {
-    /// Builds an engine with Galois keys covering the rotations needed
-    /// for the given layout, kernel window, diagonal count, fold steps,
-    /// and optionally the column swap.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new<R: rand::Rng>(
-        ctx: &Arc<Context>,
-        keygen: &KeyGenerator,
-        layout: &LaneLayout,
-        k_h: usize,
-        k_w: usize,
-        diagonals: usize,
-        groups: usize,
-        fold_steps: &[usize],
-        column_swap: bool,
-        use_bsgs: bool,
-        rng: &mut R,
-    ) -> Self {
-        let elements = required_elements(
-            layout,
-            k_h,
-            k_w,
-            diagonals,
-            groups,
-            fold_steps,
-            column_swap,
-            use_bsgs,
-        );
-        let galois = Arc::new(keygen.galois_keys(&elements, rng));
-        Self::with_keys(ctx, galois, use_bsgs)
-    }
-
-    /// Builds an engine around externally supplied Galois keys — the
-    /// server session path, where the keys arrive over the wire and must
-    /// cover at least the elements [`required_elements`] reports for the
-    /// layer the engine will run.
-    pub fn with_keys(ctx: &Arc<Context>, galois: Arc<GaloisKeys>, use_bsgs: bool) -> Self {
-        Self::with_shared_cache(ctx, galois, use_bsgs, KernelCache::new())
-    }
-
-    /// Like [`HeConvEngine::with_keys`], but backed by an externally
-    /// owned [`KernelCache`]. The serving layer passes one cache per
-    /// model so every session's engine shares the already-lifted kernel
-    /// plaintexts; the Galois keys stay per-engine because they are
-    /// client key material.
-    pub fn with_shared_cache(
+    /// Builds the engine of one layer around the client's Galois keys,
+    /// which must cover the elements [`required_elements`] reports for
+    /// every request the layer will run, and a [`KernelCache`]: the
+    /// serving layer passes the model's, so every session multiplies
+    /// against the same lifted kernel plaintexts, while the keys stay
+    /// per engine because they are client key material.
+    pub fn new(
         ctx: &Arc<Context>,
         galois: Arc<GaloisKeys>,
         use_bsgs: bool,
@@ -301,31 +260,7 @@ impl HeConvEngine {
             galois,
             use_bsgs,
             kernel_cache: cache,
-            cache_enabled: true,
         }
-    }
-
-    /// Enables or disables the NTT-domain kernel plaintext cache
-    /// (enabled by default; benchmarks use the disabled path to measure
-    /// the per-ciphertext encoding cost it removes). Disabling clears
-    /// any cached entries — including those of other engines sharing
-    /// the same [`KernelCache`].
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.kernel_cache.clear();
-        }
-    }
-
-    /// Number of kernel plaintext combinations cached so far (including
-    /// recorded all-zero combinations).
-    pub fn kernel_cache_len(&self) -> usize {
-        self.kernel_cache.len()
-    }
-
-    /// The HE context.
-    pub fn context(&self) -> &Arc<Context> {
-        &self.ctx
     }
 
     /// The batch encoder.
@@ -333,14 +268,10 @@ impl HeConvEngine {
         &self.encoder
     }
 
-    /// The evaluator.
+    /// The evaluator, and with it the tally of every HE operation the
+    /// engine has run.
     pub fn evaluator(&self) -> &Evaluator {
         &self.evaluator
-    }
-
-    /// The Galois keys held by the engine.
-    pub fn galois_keys(&self) -> &GaloisKeys {
-        &self.galois
     }
 
     /// Builds the kernel plaintext for `(group, diagonal, tap)` under the
@@ -413,9 +344,9 @@ impl HeConvEngine {
     }
 
     /// Returns the lifted (NTT-domain) kernel plaintext for one
-    /// `(version, group, diagonal, tap)` combination, consulting the
-    /// cache when enabled. `None` means the combination is all-zero and
-    /// the multiply can be skipped entirely.
+    /// `(version, group, diagonal, tap)` combination, from the cache
+    /// once it has been built. `None` means the combination is all-zero
+    /// and the multiply can be skipped entirely.
     #[allow(clippy::too_many_arguments)]
     fn lifted_kernel(
         &self,
@@ -445,9 +376,6 @@ impl HeConvEngine {
             )
             .map(|pt| Arc::new(pt.lift(&self.ctx)))
         };
-        if !self.cache_enabled {
-            return build();
-        }
         let key: KernelKey = (req.cache_tag, vi, gi, d, ti);
         self.kernel_cache.get_or_build(key, build)
     }
@@ -455,15 +383,9 @@ impl HeConvEngine {
     /// Runs the lane-MIMO convolution of one input ciphertext (see
     /// [`ConvRequest`] for the per-layer structure description).
     ///
-    /// Returns one ciphertext per group. HE operations are recorded in
-    /// `counts`.
+    /// Returns one ciphertext per group.
     #[allow(clippy::needless_range_loop)]
-    pub fn conv_one_ct(
-        &self,
-        ct: &Ciphertext,
-        req: &ConvRequest<'_>,
-        counts: &mut OpCounts,
-    ) -> Vec<Ciphertext> {
+    pub fn conv_one_ct(&self, ct: &Ciphertext, req: &ConvRequest<'_>) -> Vec<Ciphertext> {
         let (layout, in_maps, groups) = (req.layout, req.in_maps, req.groups);
         let (diagonals, fold_steps) = (req.diagonals, req.fold_steps);
         assert!(!in_maps.is_empty() && in_maps.len() <= 2);
@@ -483,21 +405,17 @@ impl HeConvEngine {
         // the first taps come from the input's hoist, and taking the
         // baby steps before the taps leaves one hoist per position.
         let n = self.ctx.degree();
-        let rotate = |at: &HoistedCiphertext, g: usize, counts: &mut OpCounts| {
-            counts.rotate += 1;
-            ev.rotate_hoisted(at, g, &self.galois)
-        };
+        let rotate = |at: &HoistedCiphertext, g: usize| ev.rotate_hoisted(at, g, &self.galois);
         // `None` is the centre tap: the position's own ciphertext.
-        let taps_of = |at: &HoistedCiphertext, counts: &mut OpCounts| {
+        let taps_of = |at: &HoistedCiphertext| {
             let rotated = taps.iter().map(|&(dy, dx, _, _)| {
                 let step = dy * layout.piece_w as i64 + dx;
-                (step != 0).then(|| rotate(at, galois_elt_from_step(step, n), counts))
+                (step != 0).then(|| rotate(at, galois_elt_from_step(step, n)))
             });
             rotated.collect::<Vec<Option<Ciphertext>>>()
         };
         let input = ev.hoist(ct);
-        let swapped =
-            (in_maps.len() == 2).then(|| rotate(&input, galois_elt_column_swap(n), counts));
+        let swapped = (in_maps.len() == 2).then(|| rotate(&input, galois_elt_column_swap(n)));
         let versions: Vec<&Ciphertext> = std::iter::once(ct).chain(swapped.as_ref()).collect();
         // `stepped[vi][b - 1]`: version `vi` moved by `b ≥ 1` baby
         // steps; `tapped[vi * baby + b][ti]`: that position's tap `ti`.
@@ -509,12 +427,12 @@ impl HeConvEngine {
             let steps: Vec<Ciphertext> = (1..baby)
                 .map(|b| {
                     let g = galois_elt_from_step(layout.block_rotation_step(b), n);
-                    rotate(&at, g, counts)
+                    rotate(&at, g)
                 })
                 .collect();
-            tapped.push(taps_of(&at, counts));
+            tapped.push(taps_of(&at));
             for step in &steps {
-                tapped.push(taps_of(&ev.hoist(step), counts));
+                tapped.push(taps_of(&ev.hoist(step)));
             }
             stepped.push(steps);
         }
@@ -557,34 +475,25 @@ impl HeConvEngine {
                     continue;
                 }
                 let mut acc_j = ev.dot_lifted(&terms);
-                counts.mult_plain += terms.len() as u64;
-                counts.add += terms.len() as u64 - 1;
                 if j > 0 {
                     acc_j =
                         ev.rotate_rows(&acc_j, layout.block_rotation_step(j * baby), &self.galois);
-                    counts.rotate += 1;
                 }
                 match &mut acc_total {
                     None => acc_total = Some(acc_j),
-                    Some(a) => {
-                        ev.add_inplace(a, &acc_j);
-                        counts.add += 1;
-                    }
+                    Some(a) => ev.add_inplace(a, &acc_j),
                 }
             }
             let mut out = acc_total.unwrap_or_else(|| {
                 // All-zero kernel for this group: a zero ciphertext is a
                 // multiply of the input by an all-zero plaintext.
                 let zero = self.encoder.encode(&vec![0u64; self.ctx.degree()]);
-                counts.mult_plain += 1;
                 ev.multiply_plain(ct, &zero)
             });
             // Fold partial sums across block strides (C_o < C_i case).
             for &f in fold_steps {
                 let rot = ev.rotate_rows(&out, layout.block_rotation_step(f), &self.galois);
-                counts.rotate += 1;
                 ev.add_inplace(&mut out, &rot);
-                counts.add += 1;
             }
             outputs.push(out);
         }
@@ -636,8 +545,9 @@ mod tests {
 
     /// What one SPOT `conv_one_ct` at `c_in → c_out` over 4×4 pieces did
     /// and produced: `(rotations, key-switch decompositions, mult_plain,
-    /// add)` as the trace counters saw them on this thread, and an
-    /// FNV-1a digest of the slots its outputs decrypt to.
+    /// add)` — the engine's evaluator's tally, which the trace counters
+    /// on this thread must have seen too — and an FNV-1a digest of the
+    /// slots its outputs decrypt to.
     fn ops_and_output_digest(c_in: usize, c_out: usize) -> ((u64, u64, u64, u64), u64) {
         use crate::spot::{blocking, spot_group_specs, spot_in_maps};
         use rand::SeedableRng;
@@ -651,19 +561,9 @@ mod tests {
         let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, 4, 4);
         let kernel = Kernel::random(c_out, c_in, 3, 3, 3, 6);
         let (groups, in_maps) = (spot_group_specs(&blk, c_out), spot_in_maps(&blk, c_in));
-        let engine = HeConvEngine::new(
-            &ctx,
-            &keygen,
-            &layout,
-            3,
-            3,
-            blk.diagonals,
-            blk.out_groups,
-            &blk.fold_steps,
-            blk.split,
-            true,
-            &mut rng,
-        );
+        let elements = blk.galois_elements(&layout, 3, 3);
+        let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
+        let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
         let req = ConvRequest {
             layout: &layout,
             in_maps: &in_maps,
@@ -680,10 +580,9 @@ mod tests {
 
         let sink = SessionCounters::new(0);
         let outer = spot_trace::set_session_counters(Some(sink.clone()));
-        let mut counts = OpCounts::default();
-        let outputs = engine.conv_one_ct(&ct, &req, &mut counts);
+        let outputs = engine.conv_one_ct(&ct, &req);
         spot_trace::set_session_counters(outer);
-        let seen = sink.snapshot();
+        let (seen, counts) = (sink.snapshot(), engine.evaluator().counts());
         assert_eq!(seen.get(Counter::Rotate), counts.rotate);
         assert_eq!(seen.get(Counter::MultPlain), counts.mult_plain);
         assert_eq!(seen.get(Counter::AddOps), counts.add);

@@ -1,24 +1,23 @@
 //! End-to-end secure inference: planning full networks for the
-//! simulator, and a functional driver that runs a real network
-//! (convolutions under HE, non-linearities via the simulated OT
-//! protocols) on additive shares.
+//! simulator, and [`TinyCnn`], the small network the two-party protocol
+//! ([`crate::twoparty`]) and the serving layer run.
 
 use crate::executor::Executor;
 use crate::patching::PatchMode;
-use crate::session::{run_in_process, LayerSpec, SchemeKind};
+use crate::session::SchemeKind;
 use crate::stream::StreamStats;
+use crate::twoparty::{run_client_batch, run_server};
 use crate::{channelwise, cheetah, select, spot};
 
 pub use crate::session::ExecBackend;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::ConvPlan;
 use spot_pipeline::sim::{simulate_layers, LayerTiming, SimConfig};
-use spot_proto::channel::Channel;
-use spot_proto::relu::{maxpool2_on_shares, relu_on_shares};
-use spot_proto::share::ShareVec;
+use spot_proto::transport::{MemTransport, Transport, TransportStats};
 use spot_tensor::models::{ConvShape, Layer, Network};
 use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Arc;
@@ -191,11 +190,15 @@ impl TinyCnn {
         relu(&conv2d(&x, &self.conv2, 1))
     }
 
-    /// Secure forward pass: convolutions under HE with the chosen
-    /// scheme, ReLU/pooling via the simulated OT protocols on shares.
+    /// Secure forward pass: both halves of the two-party protocol
+    /// ([`crate::twoparty`]) in this process over a [`MemTransport`]
+    /// pair, with 4×4 tweaked patches under SPOT. The server runs on a
+    /// scoped thread, its rng seeded by the first draw from `rng`; the
+    /// client runs on the calling thread and draws the rest.
     ///
-    /// Returns the reconstructed output (testing convenience) and the
-    /// protocol channel with its traffic statistics.
+    /// Returns the output as revealed to the client and the client
+    /// end's traffic over the whole connection: keys, ciphertexts and
+    /// non-linear rounds.
     pub fn forward_secure<R: Rng + Send>(
         &self,
         ctx: &Arc<Context>,
@@ -203,24 +206,20 @@ impl TinyCnn {
         input: &Tensor,
         scheme: SchemeKind,
         rng: &mut R,
-    ) -> (Tensor, Channel) {
-        let (out, channel, _) = self.forward_secure_with(
-            ctx,
-            keygen,
-            input,
-            scheme,
-            &ExecBackend::Phased(Executor::serial()),
-            rng,
-        );
-        (out, channel)
+    ) -> (Tensor, TransportStats) {
+        let backend = ExecBackend::Phased(Executor::serial());
+        let (out, traffic, _) = self.forward_secure_with(ctx, keygen, input, scheme, &backend, rng);
+        (out, traffic)
     }
 
-    /// [`TinyCnn::forward_secure`] with an explicit execution backend.
+    /// [`TinyCnn::forward_secure`] with an explicit server backend; also
+    /// returns the server's stall accounting over both convolutions.
+    /// Output and traffic are bit-identical across backends for the
+    /// same rng seed.
     ///
-    /// With [`ExecBackend::Streaming`], each convolution layer runs as a
-    /// real client/server pipeline and the returned [`StreamStats`]
-    /// accumulate the per-layer stall accounting end to end; the output
-    /// is bit-identical to the phased backend's for the same rng seed.
+    /// # Panics
+    ///
+    /// Panics if either party's run fails.
     pub fn forward_secure_with<R: Rng + Send>(
         &self,
         ctx: &Arc<Context>,
@@ -229,99 +228,35 @@ impl TinyCnn {
         scheme: SchemeKind,
         backend: &ExecBackend,
         rng: &mut R,
-    ) -> (Tensor, Channel, StreamStats) {
-        let t = ctx.params().plain_modulus();
-        let mut channel = Channel::new();
-        let mut stream_stats = StreamStats::default();
-        let run = |input: &Tensor,
-                   kernel: &Kernel,
-                   chan: &mut Channel,
-                   stats: &mut StreamStats,
-                   rng: &mut R| {
-            let spec = LayerSpec::for_layer(scheme, input, kernel, 1, (4, 4), PatchMode::Tweaked);
-            let outcome = run_in_process(
+    ) -> (Tensor, TransportStats, StreamStats) {
+        let (client_end, server_end) = MemTransport::pair();
+        let mut server_rng = StdRng::seed_from_u64(rng.gen());
+        let (outputs, report) = std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                let report = run_server(ctx, &server_end, self, backend, &mut server_rng);
+                // Each party hangs up however its run ended, so a
+                // failure on one side ends the other's wait.
+                server_end.close_tx();
+                report
+            });
+            let outputs = run_client_batch(
                 ctx,
                 keygen,
-                spec,
+                &client_end,
                 std::slice::from_ref(input),
-                kernel,
-                backend,
+                self,
+                scheme,
+                (4, 4),
+                PatchMode::Tweaked,
                 rng,
-            )
-            .expect("in-process secure convolution session");
-            // Charge the convolution's real framed wire traffic to the
-            // protocol channel alongside the OT rounds.
-            chan.charge_traffic(&outcome.uplink, &outcome.downlink);
-            if let Some(s) = &outcome.stream {
-                stats.accumulate(s);
-            }
-            outcome.into_result()
-        };
-
-        // conv1 under HE
-        let r1 = run(input, &self.conv1, &mut channel, &mut stream_stats, rng);
-        // ReLU on shares
-        let (c, s) = to_shares(&r1, t);
-        let (c, s) = relu_on_shares(&c, &s, &mut channel, rng);
-        // maxpool on shares
-        let (c, s) = maxpool2_on_shares(
-            &c,
-            &s,
-            self.conv1.out_channels(),
-            input.height(),
-            input.width(),
-            &mut channel,
-            rng,
-        );
-        let mid = from_shares(
-            &c,
-            &s,
-            self.conv1.out_channels(),
-            input.height() / 2,
-            input.width() / 2,
-            t,
-        );
-        // conv2 under HE (on the reconstructed-for-simulation tensor; in
-        // the real protocol the client re-encrypts its share and the
-        // server adds its own — the arithmetic is identical)
-        let r2 = run(&mid, &self.conv2, &mut channel, &mut stream_stats, rng);
-        let (c, s) = to_shares(&r2, t);
-        let (c, s) = relu_on_shares(&c, &s, &mut channel, rng);
-        let out = from_shares(
-            &c,
-            &s,
-            self.conv2.out_channels(),
-            input.height() / 2,
-            input.width() / 2,
-            t,
-        );
-        (out, channel, stream_stats)
+            );
+            client_end.close_tx();
+            (outputs, server.join().expect("server thread panicked"))
+        });
+        let report = report.expect("in-process two-party server");
+        let mut outputs = outputs.expect("in-process two-party client");
+        (outputs.remove(0), client_end.stats(), report.stream)
     }
-}
-
-fn to_shares(res: &crate::channelwise::SecureConvResult, t: u64) -> (ShareVec, ShareVec) {
-    let client: Vec<u64> = res
-        .client_share
-        .data()
-        .iter()
-        .map(|&v| v.rem_euclid(t as i64) as u64)
-        .collect();
-    let server: Vec<u64> = res
-        .server_share
-        .data()
-        .iter()
-        .map(|&v| v.rem_euclid(t as i64) as u64)
-        .collect();
-    (
-        ShareVec::new(spot_proto::share::Party::Client, t, client),
-        ShareVec::new(spot_proto::share::Party::Server, t, server),
-    )
-}
-
-fn from_shares(c: &ShareVec, s: &ShareVec, channels: usize, h: usize, w: usize, t: u64) -> Tensor {
-    let vals = spot_proto::relu::reconstruct_signed(c, s);
-    let _ = t;
-    Tensor::from_vec(channels, h, w, vals)
 }
 
 #[cfg(test)]
@@ -365,9 +300,9 @@ mod tests {
         let input = Tensor::random(2, 8, 8, 5, 9);
         let want = cnn.forward_plain(&input);
         for scheme in SchemeKind::ALL {
-            let (got, channel) = cnn.forward_secure(&ctx, &kg, &input, scheme, &mut rng);
+            let (got, traffic) = cnn.forward_secure(&ctx, &kg, &input, scheme, &mut rng);
             assert_eq!(got, want, "scheme {}", scheme.label());
-            assert!(channel.total_bytes() > 0);
+            assert!(traffic.sent.bytes > 0 && traffic.received.bytes > 0);
         }
     }
 
@@ -380,7 +315,7 @@ mod tests {
         let input = Tensor::random(2, 8, 8, 5, 9);
         for scheme in SchemeKind::ALL {
             let mut rng_a = StdRng::seed_from_u64(77);
-            let (phased, chan_a, _) = cnn.forward_secure_with(
+            let (phased, traffic_a, _) = cnn.forward_secure_with(
                 &ctx,
                 &kg,
                 &input,
@@ -390,7 +325,7 @@ mod tests {
             );
             let mut rng_b = StdRng::seed_from_u64(77);
             let cfg = StreamConfig::new(Executor::new(2), 2);
-            let (streamed, chan_b, stats) = cnn.forward_secure_with(
+            let (streamed, traffic_b, stats) = cnn.forward_secure_with(
                 &ctx,
                 &kg,
                 &input,
@@ -399,7 +334,10 @@ mod tests {
                 &mut rng_b,
             );
             assert_eq!(phased, streamed, "scheme {}", scheme.label());
-            assert_eq!(chan_a.total_bytes(), chan_b.total_bytes());
+            assert_eq!(
+                (traffic_a.sent, traffic_a.received),
+                (traffic_b.sent, traffic_b.received)
+            );
             assert!(stats.input_items > 0, "scheme {}", scheme.label());
             assert!(stats.wall_s > 0.0);
         }

@@ -11,17 +11,13 @@
 use spot_pipeline::plan::ConvPlan;
 
 /// In-memory values for a plan: useful entries per MB of ciphertext
-/// material the client holds over the layer (inputs and outputs).
+/// material the client holds over the layer (inputs and outputs). The
+/// input side alone is [`ConvPlan::input_values_per_mb`].
 pub fn in_memory_values_per_mb(plan: &ConvPlan) -> f64 {
     let useful = (plan.input_cts * plan.useful_input_slots
         + plan.output_cts * plan.useful_output_slots) as f64;
     let bytes = (plan.upstream_bytes() + plan.downstream_bytes()) as f64;
     useful / (bytes / (1024.0 * 1024.0))
-}
-
-/// Input-side only variant (what the client holds while encrypting).
-pub fn input_values_per_mb(plan: &ConvPlan) -> f64 {
-    plan.useful_input_slots as f64 / (plan.ciphertext_bytes as f64 / (1024.0 * 1024.0))
 }
 
 #[cfg(test)]
@@ -57,9 +53,9 @@ mod tests {
         let shape = ConvShape::new(28, 28, 128, 128, 3, 1);
         let ch = cheetah::plan(&shape, cheetah::minimum_level(&shape), false);
         // Cheetah's input-side utilization is high...
-        assert!(input_values_per_mb(&ch) > 5_000.0);
+        assert!(ch.input_values_per_mb() > 5_000.0);
         // ...but the combined metric drops due to extraction downstream.
-        assert!(in_memory_values_per_mb(&ch) < 2.0 * input_values_per_mb(&ch));
+        assert!(in_memory_values_per_mb(&ch) < 2.0 * ch.input_values_per_mb());
     }
 
     #[test]

@@ -60,7 +60,7 @@ use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{BatchEncoder, BatchLayout, Plaintext};
 use spot_he::encryptor::{Decryptor, Encryptor};
-use spot_he::evaluator::{Evaluator, OpCounts};
+use spot_he::evaluator::OpCounts;
 use spot_he::keys::{GaloisKeys, KeyGenerator};
 use spot_he::params::ParamLevel;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
@@ -71,7 +71,7 @@ use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -338,12 +338,9 @@ pub(crate) struct PlanFacts {
     /// Galois elements the server will rotate by (empty = the client
     /// sends no rotation keys).
     pub galois_elements: Vec<usize>,
-    /// Whether the conv engines use the baby-step/giant-step alignment
+    /// Whether the conv engine uses the baby-step/giant-step alignment
     /// `galois_elements` was computed for.
     pub use_bsgs: bool,
-    /// Kernel-cache classes: one [`HeConvEngine`] each, numbered as
-    /// [`ConvScheme::convolve`] indexes [`ServerKit::engines`].
-    pub cache_classes: usize,
     /// Most images one session can carry.
     pub batch_capacity: usize,
     /// Plaintexts are raw coefficient vectors, not SIMD slot rows.
@@ -351,16 +348,17 @@ pub(crate) struct PlanFacts {
 }
 
 /// What the server hands a scheme's [`ConvScheme::convolve`]: the
-/// model's kernel and the HE machinery built from this session's keys.
+/// model's kernel and the layer's one conv engine, built from this
+/// connection's keys. Every HE operation of the layer — the scheme's,
+/// the cross-job sums, the masking — goes through the engine's
+/// evaluator, whose tally is what the layer reports.
 pub(crate) struct ServerKit<'a> {
     /// The server's HE context.
     pub ctx: &'a Arc<Context>,
     /// The layer's kernel weights.
     pub kernel: &'a Kernel,
-    /// Key-free ciphertext arithmetic.
-    pub evaluator: Evaluator,
-    /// One conv engine per kernel-cache class.
-    pub engines: Vec<HeConvEngine>,
+    /// The layer's conv engine.
+    pub engine: HeConvEngine,
 }
 
 /// One packing scheme as the session driver sees it. Three impls:
@@ -394,12 +392,7 @@ pub(crate) trait ConvScheme: Send + Sync {
     /// `[ct_job]` under [`OutputDependency::PerInput`], the round's
     /// whole upload under [`OutputDependency::AllInputs`]. Pure: runs
     /// on pool workers in any order.
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> (Vec<Ciphertext>, OpCounts);
+    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext>;
 
     /// Folds job `job`'s outputs into the round's result stream: called
     /// in job order on one thread, returns the result ciphertexts that
@@ -411,7 +404,6 @@ pub(crate) trait ConvScheme: Send + Sync {
         _job: usize,
         outs: Vec<Ciphertext>,
         _acc: &mut Vec<Ciphertext>,
-        _counts: &mut OpCounts,
     ) -> Vec<Ciphertext> {
         outs
     }
@@ -910,17 +902,25 @@ impl<'a> ClientConv<'a> {
 // Server session
 // ---------------------------------------------------------------------
 
+/// Most layer specs a [`SharedKernelCaches`] keeps lifted kernels for.
+/// The spec arrives in the client's hello, so without a bound a client
+/// cycling through valid heights, widths and patch sizes grows the
+/// server for as long as it runs (about 10 MB of lifted plaintexts per
+/// spec for TinyCnn's conv1 at N4096). Eight holds a two-layer model
+/// under all three schemes with room to spare.
+pub const MAX_CACHED_SPECS: usize = 8;
+
 /// Per-model NTT-domain kernel caches, shared across every serving
-/// session of that model and keyed by [`LayerSpec`]. Channel-wise
-/// layers use a single [`KernelCache`] (the per-input `cache_tag`
-/// already separates entries); SPOT layers use one per patch class
-/// (each class runs `cache_tag = 0` against its own layout); Cheetah
-/// caches nothing. Cache contents depend only on the layer geometry
-/// and the model's kernel weights — no client key material — which is
-/// what makes cross-session sharing safe.
+/// session of that model: one [`KernelCache`] per [`LayerSpec`] — the
+/// request's `cache_tag` keeps a layer's input ciphertexts (channel-wise)
+/// or piece classes (SPOT) apart inside it; Cheetah's stays empty — for
+/// the [`MAX_CACHED_SPECS`] most recently served specs. Cache contents
+/// depend only on the layer geometry and the model's kernel weights — no
+/// client key material — which is what makes cross-session sharing safe.
 #[derive(Debug, Default)]
 pub struct SharedKernelCaches {
-    by_layer: parking_lot::Mutex<HashMap<LayerSpec, Vec<KernelCache>>>,
+    /// Least recently served first.
+    by_layer: parking_lot::Mutex<Vec<(LayerSpec, KernelCache)>>,
 }
 
 impl SharedKernelCaches {
@@ -929,26 +929,31 @@ impl SharedKernelCaches {
         Self::default()
     }
 
-    /// The per-class caches for `spec`, creating them on first use.
-    /// Clones share storage, so every session of the model converges
-    /// on the same lifted plaintexts.
-    fn class_caches(&self, spec: &LayerSpec, classes: usize) -> Vec<KernelCache> {
-        let mut map = self.by_layer.lock();
-        let caches = map.entry(*spec).or_default();
-        while caches.len() < classes {
-            caches.push(KernelCache::new());
-        }
-        caches[..classes].to_vec()
+    /// The cache for `spec`, created on first use; clones share
+    /// storage, so every session of the model converges on the same
+    /// lifted plaintexts. A new spec beyond the bound drops the least
+    /// recently served one: sessions still running on it keep their
+    /// clone, and its next session starts cold.
+    fn cache_for(&self, spec: &LayerSpec) -> KernelCache {
+        let mut specs = self.by_layer.lock();
+        let entry = match specs.iter().position(|(held, _)| held == spec) {
+            Some(at) => specs.remove(at),
+            None => {
+                if specs.len() == MAX_CACHED_SPECS {
+                    specs.remove(0);
+                }
+                (*spec, KernelCache::new())
+            }
+        };
+        let cache = entry.1.clone();
+        specs.push(entry);
+        cache
     }
 
     /// Total cached kernel plaintext combinations across all layers.
     pub fn total_entries(&self) -> usize {
-        self.by_layer
-            .lock()
-            .values()
-            .flat_map(|caches| caches.iter())
-            .map(KernelCache::len)
-            .sum()
+        let specs = self.by_layer.lock();
+        specs.iter().map(|(_, cache)| cache.len()).sum()
     }
 }
 
@@ -1001,7 +1006,7 @@ impl ConnectionKeys {
                     "client rotation keys carry galois element {e}, which {why}"
                 )));
             }
-            // The engines of earlier layers are gone, so this does not
+            // The engine of the earlier layer is gone, so this does not
             // copy; it would only if one had leaked a reference.
             Arc::make_mut(&mut self.held).extend(gk);
         }
@@ -1154,26 +1159,16 @@ pub fn serve_conv_on<R: Rng>(
     // stall window instead of pre-buffering in the transport while the
     // server is still deserializing rotation keys.
     transport.send(&WireMessage::LayerBarrier { layer: 0 })?;
-    // One kernel cache per class. With `opts.shared` these come from
-    // the per-model pool, so every session multiplies against the same
-    // lifted plaintexts. The layouts differ between classes, so sharing
-    // one cache (keyed by `cache_tag` within a class) would collide.
-    let caches: Vec<KernelCache> = match opts.shared {
-        Some(shared) => shared.class_caches(&spec, facts.cache_classes),
-        None => (0..facts.cache_classes)
-            .map(|_| KernelCache::new())
-            .collect(),
+    // With `opts.shared` the cache is the model's for this spec, so
+    // every session multiplies against the same lifted plaintexts.
+    let cache = match opts.shared {
+        Some(shared) => shared.cache_for(&spec),
+        None => KernelCache::new(),
     };
     let kit = ServerKit {
         ctx,
         kernel,
-        evaluator: Evaluator::new(ctx),
-        engines: caches
-            .into_iter()
-            .map(|cache| {
-                HeConvEngine::with_shared_cache(ctx, Arc::clone(&galois), facts.use_bsgs, cache)
-            })
-            .collect(),
+        engine: HeConvEngine::new(ctx, galois, facts.use_bsgs, cache),
     };
     // Live-registry serve latency, labeled by scheme. The Instant is
     // only taken when metrics are on, and only successful serves are
@@ -1216,7 +1211,7 @@ fn serve_rounds<R: Rng>(
     } else {
         Vec::new()
     };
-    let mut counts = OpCounts::default();
+    let evaluator = kit.engine.evaluator();
     let mut masks: Vec<Vec<Vec<u64>>> = vec![Vec::new(); batch];
     let mut stream = StreamStats::default();
     let mut seq_out = 0u32;
@@ -1233,9 +1228,8 @@ fn serve_rounds<R: Rng>(
         // Consumer, on this thread in job order: every result that is
         // final gets one fresh mask per image, goes back masked, and
         // leaves the masks behind as the server's rows.
-        let emit = |job: usize, (outs, c): (Vec<Ciphertext>, OpCounts)| {
-            counts.merge(&c);
-            for ct in plan.collect(kit, job, outs, &mut acc, &mut counts) {
+        let emit = |job: usize, outs: Vec<Ciphertext>| {
+            for ct in plan.collect(kit, job, outs, &mut acc) {
                 let rows: Vec<Vec<u64>> = (images.clone())
                     .map(|img| match image_rngs.get_mut(img) {
                         Some(r) => draw_mask(r, n, t),
@@ -1250,8 +1244,7 @@ fn serve_rounds<R: Rng>(
                     Some(layout) if width > 1 => &layout.scatter_masks(&rows),
                     _ => &rows[0],
                 };
-                let masked = kit.evaluator.sub_plain(&ct, &codec.encode(mask));
-                counts.add += 1;
+                let masked = evaluator.sub_plain(&ct, &codec.encode(mask));
                 transport.send(&WireMessage::MaskedResult {
                     seq: seq_out,
                     blob: masked.to_bytes(),
@@ -1281,7 +1274,9 @@ fn serve_rounds<R: Rng>(
     Ok(ServerConvSummary {
         server_share: shares.next().expect("batch >= 1"),
         extra_shares: shares.collect(),
-        counts,
+        // The engine was built for this layer and the driver has joined
+        // its workers: the tally is the layer's, and it is final.
+        counts: evaluator.counts(),
         input_cts: rounds * facts.input_cts,
         output_cts: rounds * facts.output_cts,
         stream: Some(stream),

@@ -198,6 +198,21 @@ fn class_plans(blk: &Blocking, lane: usize, probe: &Decomposition) -> Vec<ClassP
 }
 
 impl Blocking {
+    /// The Galois elements a BSGS conv engine rotates by when it runs
+    /// this blocking over pieces packed in `layout` (one piece class).
+    pub fn galois_elements(&self, layout: &LaneLayout, k_h: usize, k_w: usize) -> Vec<usize> {
+        required_elements(
+            layout,
+            k_h,
+            k_w,
+            self.diagonals,
+            self.out_groups,
+            &self.fold_steps,
+            self.split,
+            true,
+        )
+    }
+
     /// Piece positions per ciphertext: lane-major whole pieces, or one
     /// group per piece when channels split across lanes.
     fn positions(&self, layout: &LaneLayout) -> usize {
@@ -270,18 +285,7 @@ impl Packing {
             .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
             .collect();
         let mut elements: Vec<usize> = (classes.iter())
-            .flat_map(|class| {
-                required_elements(
-                    &class.layout,
-                    shape.k_h,
-                    shape.k_w,
-                    blk.diagonals,
-                    blk.out_groups,
-                    &blk.fold_steps,
-                    blk.split,
-                    true,
-                )
-            })
+            .flat_map(|class| blk.galois_elements(&class.layout, shape.k_h, shape.k_w))
             .collect();
         elements.sort_unstable();
         elements.dedup();
@@ -308,7 +312,6 @@ impl Packing {
                 jobs: ct_class.len(),
                 galois_elements: elements,
                 use_bsgs: true,
-                cache_classes: classes.len(),
                 batch_capacity,
                 coeff_packed: false,
             },
@@ -398,12 +401,7 @@ impl ConvScheme for Packing {
         Ok(())
     }
 
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> (Vec<Ciphertext>, OpCounts) {
+    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
         let ci = self.ct_class[job];
         let req = ConvRequest {
             layout: &self.classes[ci].layout,
@@ -412,11 +410,11 @@ impl ConvScheme for Packing {
             diagonals: self.blk.diagonals,
             fold_steps: &self.blk.fold_steps,
             kernel: kit.kernel,
-            cache_tag: 0,
+            // The layouts differ between classes, so each class keeps
+            // its own kernel plaintexts.
+            cache_tag: ci,
         };
-        let mut counts = OpCounts::default();
-        let outs = kit.engines[ci].conv_one_ct(&inputs[0], &req, &mut counts);
-        (outs, counts)
+        kit.engine.conv_one_ct(&inputs[0], &req)
     }
 
     /// Both parties center: the signed piece assembly (add patch and

@@ -18,9 +18,10 @@
 //! server and is **not private** — it exercises the wire protocol,
 //! session state machines, and traffic accounting end to end while
 //! keeping the demo dependency-free. The mid-network `ShareReveal`
-//! mirrors the in-process driver, which also reconstructs between
-//! layers ("the client re-encrypts its share and the server adds its
-//! own — the arithmetic is identical").
+//! reconstructs the activation at the client, which re-encrypts it as
+//! the next layer's input; in the real protocol the client re-encrypts
+//! its share and the server adds its own — the arithmetic is identical.
+//! [`TinyCnn::forward_secure`] is these two halves in one process.
 
 use crate::error::SpotError;
 use crate::inference::TinyCnn;

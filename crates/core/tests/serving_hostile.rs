@@ -9,7 +9,7 @@ use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
-use spot_core::session::{LayerSpec, SchemeKind};
+use spot_core::session::{LayerSpec, SchemeKind, MAX_CACHED_SPECS};
 use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
@@ -19,6 +19,7 @@ use spot_proto::transport::{MemTransport, TcpTransport, TransportStats};
 use spot_proto::{error_code, ConvSetup, ProtoError, Transport, WireMessage};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
+use spot_trace::Counter;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,8 +34,8 @@ fn test_stack() -> (Arc<Context>, TinyCnn) {
     )
 }
 
-/// Full-pipeline client over `transport`; returns the outputs and the
-/// client-side transport accounting.
+/// Full-pipeline client over `transport` on the model's own 8×8 input;
+/// returns the outputs and the client-side transport accounting.
 fn well_behaved_client(
     ctx: &Arc<Context>,
     cnn: &TinyCnn,
@@ -42,21 +43,32 @@ fn well_behaved_client(
     client: usize,
 ) -> (Vec<Tensor>, TransportStats) {
     let input = Tensor::random(2, 8, 8, 5, 300 + client as u64);
+    let out = honest_run(ctx, cnn, transport, client, &input);
+    (out, transport.stats())
+}
+
+/// `client`'s protocol-abiding run on `input` (any valid size).
+fn honest_run(
+    ctx: &Arc<Context>,
+    cnn: &TinyCnn,
+    transport: &dyn Transport,
+    client: usize,
+    input: &Tensor,
+) -> Vec<Tensor> {
     let mut rng = StdRng::seed_from_u64(99 + client as u64);
     let kg = KeyGenerator::new(ctx, &mut rng);
-    let out = run_client_batch(
+    run_client_batch(
         ctx,
         &kg,
         transport,
-        std::slice::from_ref(&input),
+        std::slice::from_ref(input),
         cnn,
         SchemeKind::Spot,
         (4, 4),
         PatchMode::Tweaked,
         &mut rng,
     )
-    .expect("well-behaved client");
-    (out, transport.stats())
+    .expect("well-behaved client")
 }
 
 /// A protocol-violating first message fails only that session: the
@@ -957,4 +969,84 @@ fn a_second_connection_never_sees_the_first_ones_keys() {
     assert_eq!(third.uplink_frames, first.uplink_frames);
     let totals = server.stats();
     assert_eq!((totals.served, totals.failed, totals.rejected), (2, 1, 0));
+}
+
+/// The kernel caches are keyed by a spec the client's hello supplies,
+/// so a client cycling through valid image sizes must not grow the
+/// server for as long as it runs: the caches keep
+/// [`MAX_CACHED_SPECS`] specs, every session of the flood is still
+/// served correctly, and a neighbour on the model's own spec sees
+/// nothing but one cache rebuild.
+#[test]
+fn cycling_through_valid_specs_does_not_grow_the_kernel_caches() {
+    let (ctx, cnn) = test_stack();
+    let new_server = |name| {
+        SpotServer::new(
+            ModelContext::new(name, Arc::clone(&ctx), cnn.clone()),
+            ServingConfig::default(),
+        )
+    };
+    // One whole connection: the session's kernel-cache builds, and the
+    // client's outputs and wire accounting.
+    let connect = |server: &SpotServer, client: usize, input: &Tensor| {
+        let (ct, st) = MemTransport::pair();
+        std::thread::scope(|s| {
+            let session = s.spawn(|| server.serve_connection(&st));
+            let out = honest_run(&ctx, &cnn, &ct, client, input);
+            let report = session.join().expect("session thread");
+            report.result.expect("session");
+            let builds = report.counters.get(Counter::KernelCacheBuild);
+            (builds, out, ct.stats())
+        })
+    };
+    let own = Tensor::random(2, 8, 8, 5, 301);
+    let (cold_builds, solo_out, solo_stats) = connect(&new_server("tinycnn-solo"), 1, &own);
+    assert!(cold_builds > 0);
+
+    let server = new_server("tinycnn-7");
+    let entries = || server.model().caches().total_entries();
+    let (builds, ..) = connect(&server, 1, &own);
+    assert_eq!(builds, cold_builds, "first session builds the cache");
+
+    // Pairwise distinct sizes, two specs (conv1, conv2) a session. All
+    // of them cut into every piece class at both layers, so each spec
+    // caches the same number of plaintexts and the totals compare.
+    let sizes = [12usize, 14, 16, 18];
+    let flood = sizes
+        .iter()
+        .flat_map(|&h| sizes.map(|w| (h, w)))
+        .take(MAX_CACHED_SPECS + 3);
+    let mut entries_after_k = 0;
+    for (i, (h, w)) in flood.enumerate() {
+        let input = Tensor::random(2, h, w, 5, 500 + i as u64);
+        let (_, out, _) = connect(&server, 10 + i, &input);
+        assert_eq!(out[0], cnn.forward_plain(&input), "{h}x{w} session");
+        if i + 1 == MAX_CACHED_SPECS {
+            entries_after_k = entries();
+        }
+    }
+    assert!(entries_after_k > 0);
+    assert!(
+        entries() <= entries_after_k,
+        "{} cached plaintexts after {} specs, {entries_after_k} after {}",
+        entries(),
+        2 * (MAX_CACHED_SPECS + 3),
+        2 * MAX_CACHED_SPECS
+    );
+
+    let (builds, out, stats) = connect(&server, 1, &own);
+    assert!(
+        builds <= cold_builds,
+        "evicted spec rebuilt {builds} > {cold_builds} plaintexts"
+    );
+    assert_eq!(out, solo_out, "neighbour outputs diverge from solo run");
+    assert_eq!(
+        (stats.sent, stats.received.bytes, stats.received.messages),
+        (
+            solo_stats.sent,
+            solo_stats.received.bytes,
+            solo_stats.received.messages
+        ),
+        "neighbour wire traffic diverges from solo run"
+    );
 }

@@ -100,7 +100,7 @@ fn run_session(
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(ctx, &mut crng);
     let conv = ClientConv::new(ctx, &keygen, spec).expect("plan");
-    let share = std::thread::scope(|s| {
+    let (share, served) = std::thread::scope(|s| {
         let client = s.spawn(|| {
             conv.send_all(client_t, input, UploadPacing::Eager, &mut crng)
                 .expect("send_all");
@@ -109,10 +109,26 @@ fn run_session(
             share
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
-        client.join().expect("client thread")
+        let served = serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
+        (client.join().expect("client thread"), served)
     });
     let counters = spot_trace::counters().delta(&baseline);
+    // The layer's reported tally and the trace counters are bumped by
+    // one method of the layer's evaluator, and only the server evaluates.
+    assert_eq!(
+        (
+            served.counts.rotate,
+            served.counts.mult_plain,
+            served.counts.add
+        ),
+        (
+            counters.get(Counter::Rotate),
+            counters.get(Counter::MultPlain),
+            counters.get(Counter::AddOps)
+        ),
+        "{:?}: serve_conv's counts differ from the run's trace counters",
+        spec.scheme
+    );
     let events = spot_trace::take_events();
     spot_trace::disable();
     TraceRun {

@@ -1,9 +1,9 @@
 //! Homomorphic evaluation: Add, plaintext Mult, and Rot — the three
 //! operations the paper's convolution schemes are built from (Sec. II-B).
 //!
-//! Every operation optionally reports itself to an [`OpSink`] so the
-//! pipeline simulator can replay exact operation traces (see the
-//! `spot-pipeline` crate).
+//! Every evaluator keeps its own tally of the three ([`OpCounts`],
+//! [`Evaluator::counts`]): the count a report prints is the count that
+//! instance executed.
 
 use crate::ciphertext::Ciphertext;
 use crate::context::Context;
@@ -17,28 +17,7 @@ use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The HE operation kinds a scheme performs, for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HeOp {
-    /// Client-side encryption of one ciphertext.
-    Encrypt,
-    /// Client-side decryption of one ciphertext.
-    Decrypt,
-    /// Ciphertext–ciphertext or ciphertext–plaintext addition.
-    Add,
-    /// Ciphertext–plaintext SIMD multiplication.
-    MultPlain,
-    /// Slot rotation (Galois automorphism + key switch).
-    Rotate,
-}
-
-/// A sink receiving a callback per executed HE operation.
-pub trait OpSink {
-    /// Called once per HE operation.
-    fn record(&mut self, op: HeOp);
-}
-
-/// An [`OpSink`] that simply counts operations by kind.
+/// A tally of HE operations by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Number of additions.
@@ -55,8 +34,7 @@ pub struct OpCounts {
 
 impl OpCounts {
     /// Adds another tally into this one (all fields are commutative
-    /// sums, so merge order never affects the result — parallel workers
-    /// can tally privately and merge afterwards).
+    /// sums, so merge order never affects the result).
     pub fn merge(&mut self, other: &OpCounts) {
         self.add += other.add;
         self.mult_plain += other.mult_plain;
@@ -64,101 +42,6 @@ impl OpCounts {
         self.encrypt += other.encrypt;
         self.decrypt += other.decrypt;
     }
-
-    /// Field-wise `self - earlier`, saturating at zero. With `earlier` a
-    /// snapshot taken before a layer and `self` one taken after, the
-    /// delta is that layer's exact operation tally (sums of commutative
-    /// additions, so this holds even when workers recorded in parallel
-    /// via [`AtomicOpCounts`]).
-    pub fn delta(&self, earlier: &OpCounts) -> OpCounts {
-        OpCounts {
-            add: self.add.saturating_sub(earlier.add),
-            mult_plain: self.mult_plain.saturating_sub(earlier.mult_plain),
-            rotate: self.rotate.saturating_sub(earlier.rotate),
-            encrypt: self.encrypt.saturating_sub(earlier.encrypt),
-            decrypt: self.decrypt.saturating_sub(earlier.decrypt),
-        }
-    }
-
-    /// Sum of all fields (quick "did anything run" check).
-    pub fn total(&self) -> u64 {
-        self.add + self.mult_plain + self.rotate + self.encrypt + self.decrypt
-    }
-}
-
-/// A thread-safe [`OpSink`]: relaxed atomic tallies that parallel
-/// workers record into concurrently. Relaxed `fetch_add`s commute, so
-/// [`AtomicOpCounts::snapshot`] deltas attribute ops to a layer exactly
-/// regardless of worker interleaving.
-#[derive(Debug, Default)]
-pub struct AtomicOpCounts {
-    add: AtomicU64,
-    mult_plain: AtomicU64,
-    rotate: AtomicU64,
-    encrypt: AtomicU64,
-    decrypt: AtomicU64,
-}
-
-impl AtomicOpCounts {
-    /// Creates a zeroed tally.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one operation (relaxed; callable from any thread).
-    pub fn record(&self, op: HeOp) {
-        let field = match op {
-            HeOp::Add => &self.add,
-            HeOp::MultPlain => &self.mult_plain,
-            HeOp::Rotate => &self.rotate,
-            HeOp::Encrypt => &self.encrypt,
-            HeOp::Decrypt => &self.decrypt,
-        };
-        field.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Folds a finished private tally in (e.g. a worker's `OpCounts`).
-    pub fn merge(&self, other: &OpCounts) {
-        self.add.fetch_add(other.add, Ordering::Relaxed);
-        self.mult_plain
-            .fetch_add(other.mult_plain, Ordering::Relaxed);
-        self.rotate.fetch_add(other.rotate, Ordering::Relaxed);
-        self.encrypt.fetch_add(other.encrypt, Ordering::Relaxed);
-        self.decrypt.fetch_add(other.decrypt, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the tally as a plain [`OpCounts`].
-    pub fn snapshot(&self) -> OpCounts {
-        OpCounts {
-            add: self.add.load(Ordering::Relaxed),
-            mult_plain: self.mult_plain.load(Ordering::Relaxed),
-            rotate: self.rotate.load(Ordering::Relaxed),
-            encrypt: self.encrypt.load(Ordering::Relaxed),
-            decrypt: self.decrypt.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl OpSink for &AtomicOpCounts {
-    fn record(&mut self, op: HeOp) {
-        AtomicOpCounts::record(self, op);
-    }
-}
-
-impl OpSink for OpCounts {
-    fn record(&mut self, op: HeOp) {
-        match op {
-            HeOp::Add => self.add += 1,
-            HeOp::MultPlain => self.mult_plain += 1,
-            HeOp::Rotate => self.rotate += 1,
-            HeOp::Encrypt => self.encrypt += 1,
-            HeOp::Decrypt => self.decrypt += 1,
-        }
-    }
-}
-
-impl OpSink for () {
-    fn record(&mut self, _op: HeOp) {}
 }
 
 /// A ciphertext decomposed for rotation by [`Evaluator::hoist`]: `c0`
@@ -201,17 +84,51 @@ impl HoistedCiphertext {
     }
 }
 
-/// Evaluates homomorphic operations on ciphertexts.
+/// Evaluates homomorphic operations on ciphertexts, and counts the ones
+/// it evaluated.
 #[derive(Debug)]
 pub struct Evaluator {
     ctx: Arc<Context>,
+    add: AtomicU64,
+    mult_plain: AtomicU64,
+    rotate: AtomicU64,
 }
 
 impl Evaluator {
-    /// Creates an evaluator for a context.
+    /// Creates an evaluator for a context, its tally at zero.
     pub fn new(ctx: &Arc<Context>) -> Self {
         Self {
             ctx: Arc::clone(ctx),
+            add: AtomicU64::new(0),
+            mult_plain: AtomicU64::new(0),
+            rotate: AtomicU64::new(0),
+        }
+    }
+
+    /// The one place an HE operation is counted: the trace counter and
+    /// this evaluator's tally move together. Relaxed, because a tally
+    /// publishes nothing else; additions commute, so threads sharing the
+    /// evaluator sum exactly.
+    fn tally(&self, op: Counter, n: u64) {
+        count(op, n);
+        let field = match op {
+            Counter::AddOps => &self.add,
+            Counter::MultPlain => &self.mult_plain,
+            Counter::Rotate => &self.rotate,
+            other => unreachable!("{other:?} is not an OpCounts field"),
+        };
+        field.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The additions, plaintext multiplications and rotations this
+    /// evaluator has run since it was built (an evaluator never encrypts
+    /// or decrypts). Exact once the threads that used it are joined.
+    pub fn counts(&self) -> OpCounts {
+        OpCounts {
+            add: self.add.load(Ordering::Relaxed),
+            mult_plain: self.mult_plain.load(Ordering::Relaxed),
+            rotate: self.rotate.load(Ordering::Relaxed),
+            ..OpCounts::default()
         }
     }
 
@@ -224,14 +141,14 @@ impl Evaluator {
 
     /// `a += b`.
     pub fn add_inplace(&self, a: &mut Ciphertext, b: &Ciphertext) {
-        count(Counter::AddOps, 1);
+        self.tally(Counter::AddOps, 1);
         a.c0.add_assign(&b.c0);
         a.c1.add_assign(&b.c1);
     }
 
     /// `a - b`.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        count(Counter::AddOps, 1);
+        self.tally(Counter::AddOps, 1);
         let mut out = a.clone();
         out.c0.sub_assign(&b.c0);
         out.c1.sub_assign(&b.c1);
@@ -240,7 +157,7 @@ impl Evaluator {
 
     /// Adds an encoded plaintext to a ciphertext (`ct + Δ·m`).
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        count(Counter::AddOps, 1);
+        self.tally(Counter::AddOps, 1);
         let dm = pt.lift_scaled(&self.ctx);
         let mut out = a.clone();
         out.c0.add_assign(&dm);
@@ -249,7 +166,7 @@ impl Evaluator {
 
     /// Subtracts an encoded plaintext from a ciphertext.
     pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        count(Counter::AddOps, 1);
+        self.tally(Counter::AddOps, 1);
         let mut dm = pt.lift_scaled(&self.ctx);
         dm.neg_assign();
         let mut out = a.clone();
@@ -298,8 +215,8 @@ impl Evaluator {
                 poly.assert_compatible(lifted);
             }
         }
-        count(Counter::MultPlain, terms.len() as u64);
-        count(Counter::AddOps, terms.len() as u64 - 1);
+        self.tally(Counter::MultPlain, terms.len() as u64);
+        self.tally(Counter::AddOps, terms.len() as u64 - 1);
         let mut rows = Vec::with_capacity(terms.len());
         for (j, m) in self.ctx.moduli().iter().enumerate() {
             rows.clear();
@@ -392,7 +309,7 @@ impl Evaluator {
         g: usize,
         keys: &GaloisKeys,
     ) -> Ciphertext {
-        count(Counter::Rotate, 1);
+        self.tally(Counter::Rotate, 1);
         count(Counter::KeySwitch, 1);
         let ksk = keys
             .keys
@@ -596,69 +513,44 @@ mod tests {
     }
 
     #[test]
-    fn op_counts_sink() {
-        let mut counts = OpCounts::default();
-        counts.record(HeOp::Add);
-        counts.record(HeOp::Rotate);
-        counts.record(HeOp::Rotate);
-        assert_eq!(counts.add, 1);
-        assert_eq!(counts.rotate, 2);
-        assert_eq!(counts.mult_plain, 0);
-    }
-
-    #[test]
-    fn op_counts_delta_is_exact_per_layer() {
-        let mut running = OpCounts::default();
-        running.record(HeOp::Rotate);
-        running.record(HeOp::MultPlain);
-        let before_layer = running;
-        running.record(HeOp::Rotate);
-        running.record(HeOp::Add);
-        running.record(HeOp::Add);
-        let layer = running.delta(&before_layer);
-        assert_eq!(layer.rotate, 1);
-        assert_eq!(layer.add, 2);
-        assert_eq!(layer.mult_plain, 0);
-        assert_eq!(layer.total(), 3);
-        // Saturation: a backwards delta is zero, not a wrap.
-        assert_eq!(before_layer.delta(&running).total(), 0);
-    }
-
-    #[test]
-    fn atomic_op_counts_record_and_merge() {
-        let shared = AtomicOpCounts::new();
+    fn threads_sharing_an_evaluator_tally_exactly() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 5;
+        let mut s = setup();
+        let values: Vec<u64> = (0..64u64).collect();
+        let plain = s.encoder.encode(&values);
+        let ct = s.encryptor.encrypt(&plain, &mut s.rng);
+        let lifted = plain.lift(&s.ctx);
+        let gk =
+            s.kg.galois_keys(&s.evaluator.galois_elements(&[1], false), &mut s.rng);
+        let idle = Evaluator::new(&s.ctx);
+        assert_eq!(s.evaluator.counts(), OpCounts::default());
+        // All eight start together, so the tallies really interleave.
+        let start = std::sync::Barrier::new(THREADS as usize);
         std::thread::scope(|scope| {
-            for _ in 0..4 {
+            for _ in 0..THREADS {
                 scope.spawn(|| {
-                    let sink: &AtomicOpCounts = &shared;
-                    for _ in 0..100 {
-                        sink.record(HeOp::Rotate);
-                        sink.record(HeOp::MultPlain);
+                    let ev = &s.evaluator;
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        // 3 mult_plain + 2 add, 1 rotate, then 1 add each.
+                        let dot = ev.dot_lifted(&[(&ct, &lifted); 3]);
+                        let rot = ev.rotate_rows(&dot, 1, &gk);
+                        let sum = ev.add(&dot, &rot);
+                        ev.sub_plain(&sum, &plain);
                     }
                 });
             }
         });
-        let mut private = OpCounts::default();
-        private.record(HeOp::Encrypt);
-        shared.merge(&private);
-        let snap = shared.snapshot();
-        assert_eq!(snap.rotate, 400);
-        assert_eq!(snap.mult_plain, 400);
-        assert_eq!(snap.encrypt, 1);
-        assert_eq!(snap.add, 0);
-    }
-
-    #[test]
-    fn atomic_snapshot_delta_attributes_layers() {
-        let shared = AtomicOpCounts::new();
-        shared.record(HeOp::Rotate);
-        let before = shared.snapshot();
-        shared.record(HeOp::Rotate);
-        shared.record(HeOp::Decrypt);
-        let after = shared.snapshot();
-        let layer = after.delta(&before);
-        assert_eq!(layer.rotate, 1);
-        assert_eq!(layer.decrypt, 1);
-        assert_eq!(layer.total(), 2);
+        let runs = THREADS * ROUNDS;
+        let want = OpCounts {
+            add: 4 * runs,
+            mult_plain: 3 * runs,
+            rotate: runs,
+            ..OpCounts::default()
+        };
+        assert_eq!(s.evaluator.counts(), want);
+        // The tally is per instance, not per context or per process.
+        assert_eq!(idle.counts(), OpCounts::default());
     }
 }

@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::context::Context;
     pub use crate::encoding::{BatchEncoder, Plaintext};
     pub use crate::encryptor::{Decryptor, Encryptor, SymmetricEncryptor};
-    pub use crate::evaluator::{Evaluator, HeOp, OpCounts, OpSink};
+    pub use crate::evaluator::{Evaluator, OpCounts};
     pub use crate::keys::{GaloisKeys, KeyGenerator, PublicKey, SecretKey};
     pub use crate::params::{EncryptionParams, ParamLevel};
 }

@@ -84,9 +84,11 @@ impl ConvPlan {
         (self.output_cts * self.ciphertext_bytes) as u64 + self.extra_downstream_bytes
     }
 
-    /// *In-memory value* (Fig. 11 metric): useful feature-map entries per
-    /// megabyte of client memory holding input ciphertexts.
-    pub fn in_memory_values_per_mb(&self) -> f64 {
+    /// Useful feature-map entries per megabyte of one input ciphertext:
+    /// what the client holds while encrypting. Fig. 11's *in-memory
+    /// values* also counts the results it holds (`spot-core`'s
+    /// `memory_util::in_memory_values_per_mb`).
+    pub fn input_values_per_mb(&self) -> f64 {
         self.useful_input_slots as f64 / (self.ciphertext_bytes as f64 / (1024.0 * 1024.0))
     }
 
@@ -174,9 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_metric() {
+    fn input_values_metric() {
         let p = plan();
-        let v = p.in_memory_values_per_mb();
+        let v = p.input_values_per_mb();
         // 4096 values in ~0.1256 MB ≈ 32.6k values/MB
         assert!((30_000.0..36_000.0).contains(&v), "v = {v}");
     }

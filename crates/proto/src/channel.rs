@@ -1,9 +1,11 @@
-//! In-memory two-party channel with byte and round accounting.
+//! Byte and round accounting for protocols that are cost-modelled, not
+//! run, plus the link model that turns the tally into time.
 //!
-//! The paper's client and server talk over a LAN/WLAN link; here both run
-//! in-process and every message passes through a [`Channel`] that counts
-//! bytes and communication rounds so the pipeline simulator can charge
-//! transfer time under a configurable link model.
+//! The paper's client and server talk over a LAN/WLAN link. Frames that
+//! really move are counted by the transports
+//! ([`crate::transport::TransportStats`]); a [`Channel`] counts the
+//! bytes and communication rounds of the simulated non-linear protocols
+//! so transfer time can be charged under a configurable link model.
 
 /// A simple link model: fixed per-message latency plus bandwidth-limited
 /// transfer.
@@ -48,51 +50,19 @@ pub struct TrafficStats {
     pub messages: u64,
 }
 
-/// A bidirectional in-memory channel with per-direction accounting.
-///
-/// Queued payloads are framed messages: each send is charged the wire
-/// frame size ([`FRAME_HEADER_BYTES`] + payload), matching what the
-/// real transports put on a socket. Consumed messages are dropped from
-/// the inbox (`VecDeque` pop), so a long inference does not accumulate
-/// every payload ever sent.
-///
-/// [`FRAME_HEADER_BYTES`]: crate::wire::FRAME_HEADER_BYTES
+/// Per-direction byte and message accounting for the simulated
+/// non-linear protocols ([`crate::relu`]), which charge what the OT
+/// cost model says a round moves without building its messages.
 #[derive(Debug, Default)]
 pub struct Channel {
     client_to_server: TrafficStats,
     server_to_client: TrafficStats,
-    inbox_client: std::collections::VecDeque<Vec<u8>>,
-    inbox_server: std::collections::VecDeque<Vec<u8>>,
 }
 
 impl Channel {
-    /// Creates an empty channel.
+    /// Creates a channel with nothing charged.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Client sends `payload` to the server (charged at framed size).
-    pub fn send_to_server(&mut self, payload: Vec<u8>) {
-        self.client_to_server.bytes += (crate::wire::FRAME_HEADER_BYTES + payload.len()) as u64;
-        self.client_to_server.messages += 1;
-        self.inbox_server.push_back(payload);
-    }
-
-    /// Server sends `payload` to the client (charged at framed size).
-    pub fn send_to_client(&mut self, payload: Vec<u8>) {
-        self.server_to_client.bytes += (crate::wire::FRAME_HEADER_BYTES + payload.len()) as u64;
-        self.server_to_client.messages += 1;
-        self.inbox_client.push_back(payload);
-    }
-
-    /// Server receives the oldest pending message, if any.
-    pub fn recv_at_server(&mut self) -> Option<Vec<u8>> {
-        self.inbox_server.pop_front()
-    }
-
-    /// Client receives the oldest pending message, if any.
-    pub fn recv_at_client(&mut self) -> Option<Vec<u8>> {
-        self.inbox_client.pop_front()
     }
 
     /// Records abstract traffic without materialising a payload (used by
@@ -106,21 +76,6 @@ impl Channel {
             self.server_to_client.bytes += server_to_client_bytes;
             self.server_to_client.messages += 1;
         }
-    }
-
-    /// Folds measured transport traffic (already framed byte counts,
-    /// e.g. from [`TransportStats`]) into this channel's accounting.
-    ///
-    /// [`TransportStats`]: crate::transport::TransportStats
-    pub fn charge_traffic(
-        &mut self,
-        client_to_server: &TrafficStats,
-        server_to_client: &TrafficStats,
-    ) {
-        self.client_to_server.bytes += client_to_server.bytes;
-        self.client_to_server.messages += client_to_server.messages;
-        self.server_to_client.bytes += server_to_client.bytes;
-        self.server_to_client.messages += server_to_client.messages;
     }
 
     /// Upstream (client→server) statistics.
@@ -151,56 +106,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_delivery() {
-        let mut ch = Channel::new();
-        ch.send_to_server(vec![1]);
-        ch.send_to_server(vec![2, 3]);
-        assert_eq!(ch.recv_at_server(), Some(vec![1]));
-        assert_eq!(ch.recv_at_server(), Some(vec![2, 3]));
-        assert_eq!(ch.recv_at_server(), None);
-    }
-
-    #[test]
     fn accounting_tracks_both_directions() {
-        let hdr = crate::wire::FRAME_HEADER_BYTES as u64;
         let mut ch = Channel::new();
-        ch.send_to_server(vec![0u8; 100]);
-        ch.send_to_client(vec![0u8; 50]);
-        ch.charge(10, 20);
-        assert_eq!(ch.upstream().bytes, 110 + hdr);
-        assert_eq!(ch.downstream().bytes, 70 + hdr);
+        ch.charge(100, 50);
+        ch.charge(10, 0);
+        assert_eq!(ch.upstream().bytes, 110);
+        assert_eq!(ch.downstream().bytes, 50);
         assert_eq!(ch.upstream().messages, 2);
-        assert_eq!(ch.total_bytes(), 180 + 2 * hdr);
-    }
-
-    #[test]
-    fn charge_traffic_folds_measured_stats() {
-        let mut ch = Channel::new();
-        ch.charge_traffic(
-            &TrafficStats {
-                bytes: 1000,
-                messages: 3,
-            },
-            &TrafficStats {
-                bytes: 500,
-                messages: 2,
-            },
-        );
-        assert_eq!(ch.upstream().bytes, 1000);
-        assert_eq!(ch.downstream().messages, 2);
-        assert_eq!(ch.total_bytes(), 1500);
-    }
-
-    #[test]
-    fn inbox_drains_consumed_messages() {
-        let mut ch = Channel::new();
-        for i in 0..10u8 {
-            ch.send_to_server(vec![i]);
-        }
-        for i in 0..10u8 {
-            assert_eq!(ch.recv_at_server(), Some(vec![i]));
-        }
-        assert_eq!(ch.recv_at_server(), None);
+        assert_eq!(ch.downstream().messages, 1);
+        assert_eq!(ch.total_bytes(), 160);
     }
 
     #[test]
@@ -216,11 +130,10 @@ mod tests {
     fn comm_time_counts_messages() {
         let mut ch = Channel::new();
         for _ in 0..10 {
-            ch.send_to_server(vec![0u8; 1000]);
+            ch.charge(1000, 0);
         }
         let lan = LinkModel::lan();
         let t = ch.comm_time(&lan);
-        let framed = 10.0 * (1000 + crate::wire::FRAME_HEADER_BYTES) as f64;
-        assert!((t - (10.0 * lan.latency_s + framed / lan.bandwidth_bps)).abs() < 1e-12);
+        assert!((t - (10.0 * lan.latency_s + 10_000.0 / lan.bandwidth_bps)).abs() < 1e-12);
     }
 }

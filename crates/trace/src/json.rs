@@ -1,195 +1,11 @@
-//! Minimal JSON validator and reader.
+//! Minimal JSON reader and validator.
 //!
-//! A recursive-descent checker for RFC 8259 JSON, used to assert that
-//! the Chrome-trace exporter emits well-formed output without pulling a
-//! serde stack into the workspace. [`validate`] checks structure only —
-//! no DOM is built, so validating a multi-megabyte trace costs one pass
-//! and no allocation beyond the recursion stack. [`parse`] builds a
-//! [`Value`] DOM for the readers that must consume exported traces
-//! back (the cross-party trace merge).
-
-/// Validates that `input` is a single well-formed JSON value.
-///
-/// Returns `Err` with a byte offset and a short description of the
-/// first problem found.
-pub fn validate(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-const MAX_DEPTH: usize = 128;
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b' ' | b'\t' | b'\n' | b'\r' => *pos += 1,
-            _ => break,
-        }
-    }
-}
-
-fn fail(pos: usize, what: &str) -> Result<(), String> {
-    Err(format!("{what} at byte {pos}"))
-}
-
-fn value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    if depth > MAX_DEPTH {
-        return fail(*pos, "nesting too deep");
-    }
-    match bytes.get(*pos) {
-        Some(b'{') => object(bytes, pos, depth),
-        Some(b'[') => array(bytes, pos, depth),
-        Some(b'"') => string(bytes, pos),
-        Some(b't') => literal(bytes, pos, b"true"),
-        Some(b'f') => literal(bytes, pos, b"false"),
-        Some(b'n') => literal(bytes, pos, b"null"),
-        Some(b'-') | Some(b'0'..=b'9') => number(bytes, pos),
-        Some(_) => fail(*pos, "unexpected character"),
-        None => fail(*pos, "unexpected end of input"),
-    }
-}
-
-fn literal(bytes: &[u8], pos: &mut usize, expect: &[u8]) -> Result<(), String> {
-    if bytes[*pos..].starts_with(expect) {
-        *pos += expect.len();
-        Ok(())
-    } else {
-        fail(*pos, "invalid literal")
-    }
-}
-
-fn object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return fail(*pos, "expected object key string");
-        }
-        string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return fail(*pos, "expected ':' after object key");
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return fail(*pos, "expected ',' or '}' in object"),
-        }
-    }
-}
-
-fn array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return fail(*pos, "expected ',' or ']' in array"),
-        }
-    }
-}
-
-fn string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume opening quote
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match bytes.get(*pos) {
-                                Some(c) if c.is_ascii_hexdigit() => *pos += 1,
-                                _ => return fail(*pos, "invalid \\u escape"),
-                            }
-                        }
-                    }
-                    _ => return fail(*pos, "invalid escape"),
-                }
-            }
-            0x00..=0x1f => return fail(*pos, "unescaped control character in string"),
-            _ => *pos += 1,
-        }
-    }
-    fail(*pos, "unterminated string")
-}
-
-fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    match bytes.get(*pos) {
-        Some(b'0') => *pos += 1,
-        Some(b'1'..=b'9') => {
-            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-                *pos += 1;
-            }
-        }
-        _ => return fail(*pos, "invalid number"),
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            return fail(*pos, "digit required after decimal point");
-        }
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            return fail(*pos, "digit required in exponent");
-        }
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// DOM parser
-// ---------------------------------------------------------------------
+//! One recursive-descent walk of RFC 8259 JSON, so the exporters can
+//! assert they emit well-formed output, and the readers that consume
+//! exported traces back (the cross-party trace merge, `bench_check`) can
+//! parse them, without pulling a serde stack into the workspace.
+//! [`parse`] builds a [`Value`] DOM; [`validate`] is `parse` with the
+//! DOM dropped — it runs once per export, not on any hot path.
 
 /// A parsed JSON value. Objects keep insertion order (a `Vec` of
 /// pairs): trace files are small-keyed and read once, so a map would
@@ -244,157 +60,223 @@ impl Value {
     }
 }
 
+/// Validates that `input` is a single well-formed JSON value.
+///
+/// Returns `Err` with a byte offset and a short description of the
+/// first problem found.
+pub fn validate(input: &str) -> Result<(), String> {
+    parse(input).map(drop)
+}
+
 /// Parses `input` as a single JSON value.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let v = p_value(bytes, &mut pos, 0)?;
+    let v = value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+        return fail(pos, "trailing data");
     }
     Ok(v)
 }
 
-fn p_fail<T>(pos: usize, what: &str) -> Result<T, String> {
+const MAX_DEPTH: usize = 128;
+
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
+        *pos += 1;
+    }
+}
+
+fn fail<T>(pos: usize, what: &str) -> Result<T, String> {
     Err(format!("{what} at byte {pos}"))
 }
 
-fn p_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
+fn value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     if depth > MAX_DEPTH {
-        return p_fail(*pos, "nesting too deep");
+        return fail(*pos, "nesting too deep");
     }
     match bytes.get(*pos) {
-        Some(b'{') => p_object(bytes, pos, depth),
-        Some(b'[') => p_array(bytes, pos, depth),
-        Some(b'"') => p_string(bytes, pos).map(Value::String),
-        Some(b't') => literal(bytes, pos, b"true").map(|()| Value::Bool(true)),
-        Some(b'f') => literal(bytes, pos, b"false").map(|()| Value::Bool(false)),
-        Some(b'n') => literal(bytes, pos, b"null").map(|()| Value::Null),
-        Some(b'-') | Some(b'0'..=b'9') => p_number(bytes, pos),
-        Some(_) => p_fail(*pos, "unexpected character"),
-        None => p_fail(*pos, "unexpected end of input"),
+        Some(b'{') => {
+            let members = |pos: &mut usize| member(bytes, pos, depth);
+            sequence(bytes, pos, b'}', "expected ',' or '}' in object", members).map(Value::Object)
+        }
+        Some(b'[') => {
+            let items = |pos: &mut usize| value(bytes, pos, depth + 1);
+            sequence(bytes, pos, b']', "expected ',' or ']' in array", items).map(Value::Array)
+        }
+        Some(b'"') => string(bytes, pos).map(Value::String),
+        Some(b't') => literal(bytes, pos, b"true", Value::Bool(true)),
+        Some(b'f') => literal(bytes, pos, b"false", Value::Bool(false)),
+        Some(b'n') => literal(bytes, pos, b"null", Value::Null),
+        Some(b'-') | Some(b'0'..=b'9') => number(bytes, pos),
+        Some(_) => fail(*pos, "unexpected character"),
+        None => fail(*pos, "unexpected end of input"),
     }
 }
 
-fn p_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    *pos += 1;
-    skip_ws(bytes, pos);
-    let mut members = Vec::new();
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Object(members));
+fn literal(bytes: &[u8], pos: &mut usize, expect: &[u8], v: Value) -> Result<Value, String> {
+    if !bytes[*pos..].starts_with(expect) {
+        return fail(*pos, "invalid literal");
     }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return p_fail(*pos, "expected object key string");
-        }
-        let key = p_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return p_fail(*pos, "expected ':' after object key");
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        let v = p_value(bytes, pos, depth + 1)?;
-        members.push((key, v));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Object(members));
-            }
-            _ => return p_fail(*pos, "expected ',' or '}' in object"),
-        }
-    }
+    *pos += expect.len();
+    Ok(v)
 }
 
-fn p_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-    *pos += 1;
+/// The `,`-separated items between the opening bracket at `*pos` and
+/// `close`; `expected` is the complaint when neither follows an item.
+fn sequence<T>(
+    bytes: &[u8],
+    pos: &mut usize,
+    close: u8,
+    expected: &str,
+    mut item: impl FnMut(&mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    *pos += 1; // consume the opening bracket
     skip_ws(bytes, pos);
     let mut items = Vec::new();
-    if bytes.get(*pos) == Some(&b']') {
+    if bytes.get(*pos) == Some(&close) {
         *pos += 1;
-        return Ok(Value::Array(items));
+        return Ok(items);
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(p_value(bytes, pos, depth + 1)?);
+        items.push(item(pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b']') => {
+            Some(&b) if b == close => {
                 *pos += 1;
-                return Ok(Value::Array(items));
+                return Ok(items);
             }
-            _ => return p_fail(*pos, "expected ',' or ']' in array"),
+            _ => return fail(*pos, expected),
         }
     }
 }
 
-fn p_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    let start = *pos;
-    string(bytes, pos)?; // syntax (and bounds) already proven here
-    let raw = &bytes[start + 1..*pos - 1];
-    let mut out = String::with_capacity(raw.len());
-    let mut i = 0usize;
-    while i < raw.len() {
-        if raw[i] != b'\\' {
-            // Copy a maximal escape-free run as UTF-8 (input is &str).
-            let run = i + raw[i..].iter().take_while(|&&b| b != b'\\').count();
-            out.push_str(std::str::from_utf8(&raw[i..run]).map_err(|e| e.to_string())?);
-            i = run;
-            continue;
+/// One `"key": value` of an object.
+fn member(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(String, Value), String> {
+    if bytes.get(*pos) != Some(&b'"') {
+        return fail(*pos, "expected object key string");
+    }
+    let key = string(bytes, pos)?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b':') {
+        return fail(*pos, "expected ':' after object key");
+    }
+    *pos += 1;
+    skip_ws(bytes, pos);
+    Ok((key, value(bytes, pos, depth + 1)?))
+}
+
+/// The four hex digits of a `\u` escape whose `u` is at `*pos`; leaves
+/// `*pos` on the last digit.
+fn hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let mut cp = 0u32;
+    for _ in 0..4 {
+        *pos += 1;
+        match bytes.get(*pos).and_then(|&c| char::from(c).to_digit(16)) {
+            Some(digit) => cp = cp * 16 + digit,
+            None => return fail(*pos, "invalid \\u escape"),
         }
-        i += 1;
-        match raw[i] {
-            b'"' => out.push('"'),
-            b'\\' => out.push('\\'),
-            b'/' => out.push('/'),
-            b'b' => out.push('\u{8}'),
-            b'f' => out.push('\u{c}'),
-            b'n' => out.push('\n'),
-            b'r' => out.push('\r'),
-            b't' => out.push('\t'),
-            b'u' => {
-                let hex = std::str::from_utf8(&raw[i + 1..i + 5]).map_err(|e| e.to_string())?;
-                let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                i += 4;
-                let ch = if (0xD800..0xDC00).contains(&cp) {
+    }
+    Ok(cp)
+}
+
+fn string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    let start = *pos;
+    *pos += 1; // consume opening quote
+    let mut out = String::new();
+    loop {
+        // Copy a maximal run of plain characters as UTF-8: the input is
+        // a `&str` and every delimiter is ASCII, so the run ends on a
+        // character boundary.
+        let plain = |b: &&u8| !matches!(**b, b'"' | b'\\' | 0x00..=0x1f);
+        let run = *pos + bytes[*pos..].iter().take_while(plain).count();
+        out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|e| e.to_string())?);
+        *pos = run;
+        match bytes.get(*pos) {
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
+            }
+            Some(b'\\') => *pos += 1,
+            Some(_) => return fail(*pos, "unescaped control character in string"),
+            None => return fail(*pos, "unterminated string"),
+        }
+        out.push(match bytes.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let mut cp = hex4(bytes, pos)?;
+                if (0xD800..0xDC00).contains(&cp) {
                     // High surrogate: require the paired \uXXXX low half.
-                    if raw.get(i + 1..i + 3) != Some(b"\\u") {
-                        return p_fail(start, "unpaired surrogate");
+                    if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
+                        return fail(start, "unpaired surrogate");
                     }
-                    let hex2 =
-                        std::str::from_utf8(&raw[i + 3..i + 7]).map_err(|e| e.to_string())?;
-                    let lo = u32::from_str_radix(hex2, 16).map_err(|e| e.to_string())?;
+                    *pos += 2;
+                    let lo = hex4(bytes, pos)?;
                     if !(0xDC00..0xE000).contains(&lo) {
-                        return p_fail(start, "unpaired surrogate");
+                        return fail(start, "unpaired surrogate");
                     }
-                    i += 6;
-                    0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
-                } else {
-                    cp
-                };
-                out.push(char::from_u32(ch).ok_or_else(|| "invalid codepoint".to_string())?);
+                    cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                }
+                match char::from_u32(cp) {
+                    Some(ch) => ch,
+                    None => return fail(start, "invalid codepoint"),
+                }
             }
-            _ => unreachable!("escape validated by string()"),
-        }
-        i += 1;
+            _ => return fail(*pos, "invalid escape"),
+        });
+        *pos += 1;
     }
-    Ok(out)
 }
 
-fn p_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    number(bytes, pos)?;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    // No leading zeros: a `0` is the whole integer part.
+    if bytes.get(*pos) == Some(&b'0') {
+        *pos += 1;
+    } else if !digits(pos) {
+        return fail(*pos, "invalid number");
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return fail(*pos, "digit required after decimal point");
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return fail(*pos, "digit required in exponent");
+        }
+    }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Number)
-        .map_err(|e| format!("{e} at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(n) => Ok(Value::Number(n)),
+        Err(e) => fail(start, &e.to_string()),
+    }
 }
 
 #[cfg(test)]
@@ -430,8 +312,24 @@ mod tests {
             "nul",
             "{a: 1}",
             "\"bad \u{1}\"",
+            "\"\\x\"",
+            "\"\\u12g4\"",
+            "\"\\udc00\"",
         ] {
             assert!(validate(doc).is_err(), "{doc:?} accepted");
+        }
+        // Every complaint names what and where.
+        for (doc, complaint) in [
+            ("[1,]", "unexpected character at byte 3"),
+            ("[1 2]", "expected ',' or ']' in array at byte 3"),
+            (
+                "{\"a\": 1 \"b\"}",
+                "expected ',' or '}' in object at byte 8",
+            ),
+            ("[1] x", "trailing data at byte 4"),
+            ("\"abc", "unterminated string at byte 4"),
+        ] {
+            assert_eq!(validate(doc).unwrap_err(), complaint, "{doc:?}");
         }
     }
 

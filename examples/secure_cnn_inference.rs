@@ -1,9 +1,13 @@
-//! Functional end-to-end secure inference of a small CNN: convolutions
-//! under real BFV homomorphic encryption (all three schemes), ReLU and
-//! max pooling via the simulated OT protocols on additive shares.
+//! Functional end-to-end secure inference of a small CNN: client and
+//! server of the two-party protocol in one process, joined by an
+//! in-memory transport. Convolutions run under real BFV homomorphic
+//! encryption (all three schemes); ReLU and max pooling are the
+//! protocol's share-exchange rounds, which are not private (see
+//! `spot::core::twoparty`).
 //!
-//! The reconstructed secure output is bit-identical to the plaintext
-//! forward pass for every scheme, and the protocol traffic is reported.
+//! The output revealed to the client is bit-identical to the plaintext
+//! forward pass for every scheme, and the connection's framed traffic
+//! (rotation keys, ciphertexts, non-linear rounds) is reported.
 //!
 //! Run with: `cargo run --release --example secure_cnn_inference`
 
@@ -30,13 +34,15 @@ fn main() {
     );
 
     for scheme in SchemeKind::ALL {
-        let (output, channel) = cnn.forward_secure(&ctx, &keygen, &image, scheme, &mut rng);
+        let (output, traffic) = cnn.forward_secure(&ctx, &keygen, &image, scheme, &mut rng);
         assert_eq!(output, expected, "{} output mismatch", scheme.label());
         println!(
-            "{:<11} OK — secure output matches plaintext; {:>8} bytes up, {:>8} bytes down (non-linear protocol traffic)",
+            "{:<11} OK — secure output matches plaintext; {:>8} bytes up in {:>2} frames, {:>8} bytes down in {:>2}",
             scheme.label(),
-            channel.upstream().bytes,
-            channel.downstream().bytes
+            traffic.sent.bytes,
+            traffic.sent.messages,
+            traffic.received.bytes,
+            traffic.received.messages
         );
     }
     println!("\nfirst output channel (plaintext == reconstructed secure):");
