@@ -19,17 +19,11 @@
 //! Exit codes: `0` clean (or `--warn-only`), `1` regression(s) found
 //! or a ceiling exceeded, `2` usage or I/O error.
 
+use spot_bench::arg_value;
 use spot_bench::check::{
     compare, http_get, over_ceiling, parse_baseline, parse_prometheus, MetricMap,
 };
 use std::process::ExitCode;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn load_file(path: &str) -> Result<MetricMap, String> {
     let content = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;

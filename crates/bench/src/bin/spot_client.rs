@@ -16,6 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot_bench::{arg_value, scheme_arg};
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
@@ -30,13 +31,6 @@ use spot_proto::transport::{MemTransport, TcpTransport, Transport, TransportStat
 use spot_tensor::tensor::Tensor;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn connect_with_retry(addr: &str) -> TcpTransport {
     for _ in 0..100 {
@@ -95,12 +89,7 @@ fn mem_reference(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let addr = arg_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:7341".into());
-    let scheme = match arg_value(&args, "--scheme").as_deref().unwrap_or("spot") {
-        "spot" => SchemeKind::Spot,
-        "channelwise" => SchemeKind::Channelwise,
-        "cheetah" => SchemeKind::Cheetah,
-        other => panic!("unknown scheme {other:?} (use spot|channelwise|cheetah)"),
-    };
+    let scheme = scheme_arg(&args);
     let seed: u64 = arg_value(&args, "--seed")
         .map(|v| v.parse().expect("--seed takes a number"))
         .unwrap_or(99);

@@ -42,6 +42,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_bench::check::{http_get, parse_prometheus};
+use spot_bench::{arg_value, scheme_arg};
 use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
@@ -57,13 +58,6 @@ use spot_tensor::tensor::Tensor;
 use spot_trace::{log_warn, metrics, Counter};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 /// Counting semaphore bounding in-flight connections client-side.
 struct Gate {
@@ -562,12 +556,7 @@ fn main() {
     let concurrency: usize = arg_value(&args, "--concurrency")
         .map(|v| v.parse().expect("--concurrency takes a number"))
         .unwrap_or(0);
-    let scheme = match arg_value(&args, "--scheme").as_deref().unwrap_or("spot") {
-        "spot" => SchemeKind::Spot,
-        "channelwise" => SchemeKind::Channelwise,
-        "cheetah" => SchemeKind::Cheetah,
-        other => panic!("unknown scheme {other:?} (use spot|channelwise|cheetah)"),
-    };
+    let scheme = scheme_arg(&args);
     let seed: u64 = arg_value(&args, "--seed")
         .map(|v| v.parse().expect("--seed takes a number"))
         .unwrap_or(42);

@@ -30,6 +30,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot_bench::arg_value;
 use spot_core::admin::AdminServer;
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
@@ -46,13 +47,6 @@ use spot_trace::{log_error, log_info, log_warn, Counter};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -15,15 +15,9 @@
 //! CI smoke job greps; `--json` writes the `spot-bench-pipeline/v1`
 //! report consumed by `bench_check` against `BENCH_pipeline.json`.
 
+use spot_bench::arg_value;
 use spot_bench::traceio::{read_trace, write_trace_json};
 use std::path::Path;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -15,7 +15,31 @@ pub mod check;
 pub mod traceio;
 pub mod workloads;
 
+use spot_core::session::SchemeKind;
+
 pub use calibrate::calibrate_he_costs;
 pub use workloads::{
-    basic_block_shapes, bottleneck_block_shapes, simulate_block, vgg_block_shapes, BlockResult,
+    basic_block_shapes, block_table, bottleneck_block_shapes, simulate_block, vgg_block_shapes,
+    BlockResult,
 };
+
+/// The value following `flag` on a binary's command line, if any.
+pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// `--scheme spot|channelwise|cheetah` (default `spot`).
+///
+/// # Panics
+///
+/// Panics on any other value.
+pub fn scheme_arg(args: &[String]) -> SchemeKind {
+    let name = arg_value(args, "--scheme").unwrap_or_else(|| "spot".into());
+    SchemeKind::ALL
+        .into_iter()
+        .find(|s| s.name() == name)
+        .unwrap_or_else(|| panic!("unknown scheme {name:?} (use spot|channelwise|cheetah)"))
+}

@@ -5,6 +5,7 @@ use spot_core::inference::plan_conv;
 use spot_core::session::SchemeKind;
 use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::plan::ConvPlan;
+use spot_pipeline::report::{secs, speedup, Table};
 use spot_pipeline::sim::{simulate_layers, LayerTiming, SimConfig};
 use spot_tensor::models::ConvShape;
 
@@ -62,6 +63,48 @@ pub fn simulate_block(
         timing,
         plans,
     }
+}
+
+/// Renders one of Tables VII–IX: per block row, each baseline's
+/// simulated time on each device, then SPOT's with its speed-up over
+/// the faster baseline on that device. `devices` are `(column label,
+/// profile)` in column order; `shapes_of` turns a row's four label
+/// numbers into the block's conv shapes.
+pub fn block_table(
+    title: &str,
+    block_label: &str,
+    devices: [(&str, DeviceProfile); 2],
+    shapes_of: fn(usize, usize, usize, usize) -> Vec<ConvShape>,
+    blocks: &[(usize, usize, usize, usize)],
+) -> String {
+    let mut header = vec![format!("Block ({block_label})")];
+    for scheme in ["CF2", "Cheetah"] {
+        header.extend(devices.iter().map(|(d, _)| format!("{scheme} {d}")));
+    }
+    header.extend(devices.iter().map(|(d, _)| format!("SPOT {d} (speedup)")));
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let mut table = Table::new(title, &header);
+    for &(w, h, a, b) in blocks {
+        let shapes = shapes_of(w, h, a, b);
+        let total = |scheme, dev: &DeviceProfile| {
+            simulate_block(&shapes, scheme, dev.clone()).timing.total_s
+        };
+        let mut cells = vec![format!("{w} {h} {a} {b}")];
+        let mut best = [f64::INFINITY; 2];
+        for scheme in [SchemeKind::Channelwise, SchemeKind::Cheetah] {
+            for (di, (_, dev)) in devices.iter().enumerate() {
+                let t = total(scheme, dev);
+                best[di] = best[di].min(t);
+                cells.push(secs(t));
+            }
+        }
+        for (di, (_, dev)) in devices.iter().enumerate() {
+            let t = total(SchemeKind::Spot, dev);
+            cells.push(format!("{} ({})", secs(t), speedup(best[di], t)));
+        }
+        table.row(&cells);
+    }
+    table.render()
 }
 
 #[cfg(test)]

@@ -531,7 +531,7 @@ fn msg_name(msg: &WireMessage) -> &'static str {
     }
 }
 
-fn unexpected(got: &WireMessage, want: &str) -> SpotError {
+pub(crate) fn unexpected(got: &WireMessage, want: &str) -> SpotError {
     // A typed server rejection surfaces as itself rather than as a
     // generic wrong-message error, wherever the client was in its
     // receive loop when the rejection frame arrived.

@@ -27,8 +27,8 @@ use crate::error::SpotError;
 use crate::inference::TinyCnn;
 use crate::patching::PatchMode;
 use crate::session::{
-    serve_conv_on, ClientConv, ConnectionKeys, ExecBackend, LayerSpec, SchemeKind, ServeOptions,
-    UploadPacing,
+    serve_conv_on, unexpected, ClientConv, ConnectionKeys, ExecBackend, LayerSpec, SchemeKind,
+    ServeOptions, UploadPacing,
 };
 use crate::stream::StreamStats;
 use rand::Rng;
@@ -65,17 +65,28 @@ fn encode_share(vals: &[u64]) -> Vec<u8> {
     out
 }
 
-fn decode_share(blob: &[u8]) -> Result<Vec<u64>, SpotError> {
+/// The one reader of a peer's share vector: every value is checked to
+/// be a residue mod `t`, so the `(c + s) % t` reconstructions below
+/// cannot overflow on anything a peer sends.
+fn decode_share(blob: &[u8], t: u64) -> Result<Vec<u64>, SpotError> {
     if !blob.len().is_multiple_of(8) {
         return Err(SpotError::Protocol(format!(
             "share payload length {} not a multiple of 8",
             blob.len()
         )));
     }
-    Ok(blob
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8 bytes")))
-        .collect())
+    blob.chunks_exact(8)
+        .map(|c| {
+            let v = u64::from_le_bytes(c.try_into().expect("chunk of 8 bytes"));
+            if v < t {
+                Ok(v)
+            } else {
+                Err(SpotError::Protocol(format!(
+                    "share value {v} is not reduced mod {t}"
+                )))
+            }
+        })
+        .collect()
 }
 
 fn tensor_to_mod(tensor: &Tensor, t: u64) -> Vec<u64> {
@@ -93,6 +104,7 @@ fn client_round(
     op: u8,
     round: u16,
     payload: Vec<u8>,
+    t: u64,
 ) -> Result<Vec<u64>, SpotError> {
     let _span = spot_trace::span_owned(Cat::Session, || format!("{} round", op_name(op)))
         .arg("round", round as u64);
@@ -108,14 +120,14 @@ fn client_round(
         blob,
     } = msg
     else {
-        return Err(SpotError::Protocol("expected OtRound reply".into()));
+        return Err(unexpected(&msg, "OtRound reply"));
     };
     if rop != op || rround != round {
         return Err(SpotError::Protocol(format!(
             "OtRound reply mismatch: got op {rop} round {rround}, want op {op} round {round}"
         )));
     }
-    decode_share(&blob)
+    decode_share(&blob, t)
 }
 
 /// Receives the server's `ShareReveal` and reconstructs the centered
@@ -127,9 +139,9 @@ fn client_reveal(
 ) -> Result<Vec<i64>, SpotError> {
     let msg = transport.recv()?;
     let WireMessage::ShareReveal { blob } = msg else {
-        return Err(SpotError::Protocol("expected ShareReveal".into()));
+        return Err(unexpected(&msg, "ShareReveal"));
     };
-    let server_share = decode_share(&blob)?;
+    let server_share = decode_share(&blob, t)?;
     if server_share.len() != client_share.len() {
         return Err(SpotError::Protocol(format!(
             "ShareReveal length {} does not match client share {}",
@@ -176,46 +188,16 @@ fn client_conv_batch<R: Rng + Send>(
     Ok(share?.shares)
 }
 
-/// Client half of the two-party TinyCnn demo. `arch` provides the
-/// layer *shapes* only — the kernel weights it carries are never read,
-/// they live with the server.
-///
-/// Returns the reconstructed network output.
-#[allow(clippy::too_many_arguments)]
-pub fn run_client<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    transport: &dyn Transport,
-    input: &Tensor,
-    arch: &TinyCnn,
-    scheme: SchemeKind,
-    patch: (usize, usize),
-    mode: PatchMode,
-    rng: &mut R,
-) -> Result<Tensor, SpotError> {
-    let mut outputs = run_client_batch(
-        ctx,
-        keygen,
-        transport,
-        std::slice::from_ref(input),
-        arch,
-        scheme,
-        patch,
-        mode,
-        rng,
-    )?;
-    Ok(outputs.remove(0))
-}
-
 /// Client half of the two-party TinyCnn demo over a *batch* of queued
 /// inputs: both convolutions run as single batched HE sessions (shared
 /// ciphertexts, so rotations and key-switches amortize across the
-/// batch), while the non-linear rounds stay per image.
+/// batch), while the non-linear rounds stay per image. `arch` provides
+/// the layer *shapes* only — the kernel weights it carries are never
+/// read, they live with the server.
 ///
 /// Per-image OT round numbering is `b` (ReLU 1), `batch + b`
 /// (max-pool), `2·batch + b` (ReLU 2), which degenerates to the
-/// classic `0, 1, 2` sequence at `batch = 1` — a one-image batch is
-/// byte-identical on the wire to [`run_client`]'s historic traffic.
+/// classic `0, 1, 2` sequence at `batch = 1`.
 ///
 /// Returns the reconstructed network output per image, in submission
 /// order.
@@ -310,13 +292,14 @@ fn run_client_batch_inner<R: Rng + Send>(
             OP_RELU,
             b as u16,
             encode_share(&tensor_to_mod(share1, t)),
+            t,
         )?;
         let mut pooled = Vec::with_capacity(12 + c.len() * 8);
         for d in [c1 as u32, h1 as u32, w1 as u32] {
             pooled.extend_from_slice(&d.to_le_bytes());
         }
         pooled.extend_from_slice(&encode_share(&c));
-        let c = client_round(transport, OP_MAXPOOL, (batch + b) as u16, pooled)?;
+        let c = client_round(transport, OP_MAXPOOL, (batch + b) as u16, pooled, t)?;
         let mid_vals = client_reveal(transport, &c, t)?;
         mids.push(Tensor::from_vec(c1, h1 / 2, w1 / 2, mid_vals));
     }
@@ -337,6 +320,7 @@ fn run_client_batch_inner<R: Rng + Send>(
             OP_RELU,
             (2 * batch + b) as u16,
             encode_share(&tensor_to_mod(share2, t)),
+            t,
         )?;
         let out_vals = client_reveal(transport, &c, t)?;
         outputs.push(Tensor::from_vec(c2, h2, w2, out_vals));
@@ -454,7 +438,7 @@ fn server_relu_round<R: Rng>(
     let _span = spot_trace::span(Cat::Session, "relu round").arg("round", round as u64);
     let _timer = relu_round_hist().start_timer();
     let blob = server_expect_round(transport, OP_RELU, round)?;
-    let client_share = decode_share(&blob)?;
+    let client_share = decode_share(&blob, t)?;
     if client_share.len() != server_share.len() {
         return Err(SpotError::Protocol(format!(
             "relu share length {} does not match server share {}",
@@ -497,7 +481,7 @@ fn server_maxpool_round<R: Rng>(
         u32::from_le_bytes(blob[i * 4..i * 4 + 4].try_into().expect("4-byte dim")) as usize
     };
     let (pc, ph, pw) = (dim(0), dim(1), dim(2));
-    let client_share = decode_share(&blob[12..])?;
+    let client_share = decode_share(&blob[12..], t)?;
     if (pc, ph, pw) != dims || client_share.len() != pc * ph * pw {
         return Err(SpotError::Protocol(format!(
             "maxpool dims {pc}x{ph}x{pw} (len {}) do not match layer {}x{}x{}",
@@ -676,18 +660,19 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(99);
         let kg = KeyGenerator::new(&ctx, &mut rng);
-        let got = run_client(
+        let got = run_client_batch(
             &ctx,
             &kg,
             &ct,
-            &input,
+            std::slice::from_ref(&input),
             &cnn,
             scheme,
             (4, 4),
             PatchMode::Tweaked,
             &mut rng,
         )
-        .expect("client run");
+        .expect("client run")
+        .remove(0);
         let report = server.join().expect("server thread").expect("server run");
         assert!(report.input_cts > 0);
         assert!(report.counts.mult_plain > 0);

@@ -103,7 +103,10 @@ fn min_budget(level: ParamLevel, scheme: SchemeKind, input: &Tensor, kernel: &Ke
     assert_eq!(results.len() as u64, absorbed.decrypt);
     results
         .iter()
-        .map(|blob| decryptor.noise_budget(&Ciphertext::from_bytes(&ctx, blob)))
+        .map(|blob| {
+            let ct = Ciphertext::try_from_bytes(&ctx, blob).expect("server's result ciphertext");
+            decryptor.noise_budget(&ct)
+        })
         .min()
         .expect("at least one result ciphertext")
 }

@@ -10,7 +10,7 @@ use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
 use spot_core::session::{LayerSpec, SchemeKind, MAX_CACHED_SPECS};
-use spot_core::twoparty::run_client_batch;
+use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -794,27 +794,30 @@ fn blob_with_extra(
 const CONV2_ONLY: usize = 4097;
 const BOTH_CONVS: usize = 3;
 
-/// Three clients that break the key-frame rule on a TinyCnn connection
-/// — a key the layer does not rotate by, a key the connection already
-/// holds, a missing key left out — each get the typed refusal within
-/// the deadline, while a neighbour served beside each of them produces
-/// the outputs and the wire traffic of a solo run.
-#[test]
-fn key_frame_rule_violations_are_refused_and_contained() {
-    let (ctx, cnn) = test_stack();
+type Rewrite<'a> = Box<dyn Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync + 'a>;
+
+/// Each hostile client (what it does, the refusal it must get, its
+/// uplink rewrite) gets the typed refusal within the deadline and its
+/// slot back, while a neighbour served beside it produces the outputs
+/// and the wire traffic of a solo run.
+fn assert_each_refused_and_contained(
+    ctx: &Arc<Context>,
+    cnn: &TinyCnn,
+    kg: &KeyGenerator,
+    input: &Tensor,
+    hostile: &[(&str, &str, Rewrite<'_>)],
+) {
     let new_server = || {
         SpotServer::new(
-            ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+            ModelContext::new("tinycnn-7", Arc::clone(ctx), cnn.clone()),
             ServingConfig::default(),
         )
     };
-    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(400));
-    let input = Tensor::random(2, 8, 8, 5, 401);
     let neighbour = |server: &SpotServer| {
         let (ct, st) = MemTransport::pair();
         std::thread::scope(|s| {
             let session = s.spawn(|| server.serve_connection(&st));
-            let out = well_behaved_client(&ctx, &cnn, &ct, 1);
+            let out = well_behaved_client(ctx, cnn, &ct, 1);
             let report = session.join().expect("session thread");
             report.result.expect("neighbour session");
             out
@@ -822,8 +825,40 @@ fn key_frame_rule_violations_are_refused_and_contained() {
     };
     let (solo_out, solo_stats) = neighbour(&new_server());
 
-    type Rewrite<'a> =
-        Box<dyn Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync + 'a>;
+    for (what, why, rewrite) in hostile {
+        let server = new_server();
+        let (ending, (out, stats)) = within_deadline(what, || {
+            std::thread::scope(|s| {
+                let attacker = s.spawn(|| tampered_connection(&server, kg, input, 402, rewrite));
+                let beside = neighbour(&server);
+                (attacker.join().expect("attacker"), beside)
+            })
+        });
+        assert_refused(&ending, why);
+        assert_eq!(out, solo_out, "{what}: neighbour outputs diverge");
+        assert_eq!(
+            (stats.sent, stats.received.bytes, stats.received.messages),
+            (
+                solo_stats.sent,
+                solo_stats.received.bytes,
+                solo_stats.received.messages
+            ),
+            "{what}: neighbour wire traffic diverges"
+        );
+        let totals = server.stats();
+        assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
+        assert_eq!(server.active_sessions(), 0, "{what}");
+    }
+}
+
+/// Three clients that break the key-frame rule on a TinyCnn connection
+/// — a key the layer does not rotate by, a key the connection already
+/// holds, a missing key left out — are each refused and contained.
+#[test]
+fn key_frame_rule_violations_are_refused_and_contained() {
+    let (ctx, cnn) = test_stack();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(400));
+    let input = Tensor::random(2, 8, 8, 5, 401);
     let hostile: [(&str, &str, Rewrite<'_>); 3] = [
         (
             "conv1's frame also carries conv2's key",
@@ -854,30 +889,7 @@ fn key_frame_rule_violations_are_refused_and_contained() {
             }),
         ),
     ];
-    for (what, why, rewrite) in &hostile {
-        let server = new_server();
-        let (ending, (out, stats)) = within_deadline(what, || {
-            std::thread::scope(|s| {
-                let attacker = s.spawn(|| tampered_connection(&server, &kg, &input, 402, rewrite));
-                let beside = neighbour(&server);
-                (attacker.join().expect("attacker"), beside)
-            })
-        });
-        assert_refused(&ending, why);
-        assert_eq!(out, solo_out, "{what}: neighbour outputs diverge");
-        assert_eq!(
-            (stats.sent, stats.received.bytes, stats.received.messages),
-            (
-                solo_stats.sent,
-                solo_stats.received.bytes,
-                solo_stats.received.messages
-            ),
-            "{what}: neighbour wire traffic diverges"
-        );
-        let totals = server.stats();
-        assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
-        assert_eq!(server.active_sessions(), 0, "{what}");
-    }
+    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, &hostile);
 }
 
 /// A model whose second convolution rotates only by elements the first
@@ -1049,4 +1061,104 @@ fn cycling_through_valid_specs_does_not_grow_the_kernel_caches() {
         ),
         "neighbour wire traffic diverges from solo run"
     );
+}
+
+// ---------------------------------------------------------------------
+// Share values: a peer's `u64`s are residues mod t or the frame is refused
+// ---------------------------------------------------------------------
+
+/// `frame` with every share value set to `u64::MAX`, which overflows
+/// `(c + s) % t` against any nonzero `s`. A max-pool round's 12-byte
+/// dims prefix is kept, so the values are what gets refused.
+fn with_unreduced_shares(frame: &WireMessage) -> WireMessage {
+    let mut hostile = frame.clone();
+    match &mut hostile {
+        WireMessage::OtRound { op, blob, .. } => {
+            let values_at = if *op == OP_MAXPOOL { 12 } else { 0 };
+            blob[values_at..].fill(0xFF);
+        }
+        WireMessage::ShareReveal { blob } => blob.fill(0xFF),
+        other => panic!("{other:?} carries no shares"),
+    }
+    hostile
+}
+
+/// After an honest conv1, a client whose ReLU round — or whose max-pool
+/// round — carries `u64::MAX` shares is refused and contained.
+#[test]
+fn unreduced_client_shares_are_refused_and_contained() {
+    let (ctx, cnn) = test_stack();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(420));
+    let input = Tensor::random(2, 8, 8, 5, 421);
+    let hostile_round = |hostile_op: u8| -> Rewrite<'_> {
+        Box::new(move |_, msg| match msg {
+            WireMessage::OtRound { op, .. } if *op == hostile_op => {
+                Some(vec![with_unreduced_shares(msg)])
+            }
+            _ => None,
+        })
+    };
+    let hostile = [
+        (
+            "ReLU round of u64::MAX shares",
+            "is not reduced mod",
+            hostile_round(OP_RELU),
+        ),
+        (
+            "max-pool round of u64::MAX shares",
+            "is not reduced mod",
+            hostile_round(OP_MAXPOOL),
+        ),
+    ];
+    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, &hostile);
+}
+
+/// The mirror image: a server whose round reply, or whose reveal,
+/// carries `u64::MAX` shares. The client ends in the typed error.
+#[test]
+fn unreduced_server_shares_are_a_typed_error_at_the_client() {
+    let (ctx, cnn) = test_stack();
+    let server = SpotServer::new(
+        ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    );
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(430));
+    let input = Tensor::random(2, 8, 8, 5, 431);
+    let hostile_frames: [fn(&WireMessage) -> bool; 2] = [
+        |msg| matches!(msg, WireMessage::OtRound { .. }),
+        |msg| matches!(msg, WireMessage::ShareReveal { .. }),
+    ];
+    for is_hostile in hostile_frames {
+        let (ct, st) = MemTransport::pair();
+        let downlink = Tamper::new(&st, |_, msg| {
+            is_hostile(msg).then(|| vec![with_unreduced_shares(msg)])
+        });
+        let client = within_deadline("unreduced server shares", || {
+            std::thread::scope(|s| {
+                let session = s.spawn(|| server.serve_connection(&downlink));
+                let client = run_client_batch(
+                    &ctx,
+                    &kg,
+                    &ct,
+                    std::slice::from_ref(&input),
+                    &cnn,
+                    SchemeKind::Spot,
+                    (4, 4),
+                    PatchMode::Tweaked,
+                    &mut StdRng::seed_from_u64(432),
+                );
+                // The client has walked away; hang up so the session ends.
+                ct.close_tx();
+                session.join().expect("session thread");
+                client
+            })
+        });
+        match client {
+            Err(SpotError::Protocol(detail)) => assert!(
+                detail.contains("is not reduced mod"),
+                "client said {detail:?}"
+            ),
+            other => panic!("expected the typed share refusal, got {other:?}"),
+        }
+    }
 }

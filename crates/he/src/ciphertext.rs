@@ -3,7 +3,6 @@
 use crate::context::Context;
 use crate::modulus::Modulus;
 use crate::poly::Poly;
-use crate::pool;
 use std::sync::Arc;
 
 /// A size-2 BFV ciphertext `(c0, c1)` satisfying
@@ -61,48 +60,6 @@ impl Ciphertext {
         write_poly(&mut out, &self.c0);
         write_poly(&mut out, &self.c1);
         out
-    }
-
-    /// Deserializes a ciphertext produced by [`Ciphertext::to_bytes`]
-    /// under the same context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the header does not match the context or the payload is
-    /// truncated.
-    pub fn from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Self {
-        use crate::poly::PolyForm;
-        let n = ctx.degree();
-        let k = ctx.moduli_count();
-        assert!(bytes.len() >= 16, "ciphertext header missing");
-        let hdr_n = u64::from_le_bytes(bytes[0..8].try_into().unwrap()) as usize;
-        let hdr_k = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        assert_eq!((hdr_n, hdr_k), (n, k), "ciphertext header mismatch");
-        assert_eq!(
-            bytes.len(),
-            ctx.params().ciphertext_bytes(),
-            "ciphertext payload size"
-        );
-        let mut off = 16usize;
-        let mut read_poly = || {
-            // Every element is written below, so a dirty pooled buffer is
-            // fine.
-            let mut data = pool::take(k * n);
-            for (i, m) in ctx.moduli().iter().enumerate() {
-                let bits = residue_bits(m);
-                let section = (n * bits).div_ceil(8);
-                unpack_bits_into(
-                    &bytes[off..off + section],
-                    bits,
-                    &mut data[i * n..(i + 1) * n],
-                );
-                off += section;
-            }
-            Poly::from_residues(ctx, data, PolyForm::Ntt)
-        };
-        let c0 = read_poly();
-        let c1 = read_poly();
-        Self { c0, c1 }
     }
 }
 
@@ -252,7 +209,7 @@ mod tests {
         let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
         let bytes = ct.to_bytes();
         assert_eq!(bytes.len(), ctx.params().ciphertext_bytes());
-        let ct2 = Ciphertext::from_bytes(&ctx, &bytes);
+        let ct2 = Ciphertext::try_from_bytes(&ctx, &bytes).expect("own ciphertext");
         let decoded = encoder.decode(&decryptor.decrypt(&ct2));
         assert_eq!(&decoded[..100], &values[..]);
     }

@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn unreduced_residues_round_like_the_exact_path() {
-        // `Ciphertext::from_bytes` admits residues ≥ q_i, and lazy NTT
+        // `Ciphertext::from_parts` admits residues ≥ q_i, and lazy NTT
         // arithmetic may leave them so in the phase.
         for level in ParamLevel::ALL {
             let (ctx, _, mut rng) = setup(level);

@@ -70,9 +70,9 @@ fn read_poly(ctx: &Arc<Context>, bytes: &[u8], off: &mut usize) -> Result<Poly, 
 }
 
 impl Ciphertext {
-    /// Non-panicking counterpart of [`Ciphertext::from_bytes`]: rejects
-    /// header mismatches, truncation, trailing bytes, and unreduced
-    /// residues with an error instead of panicking.
+    /// Deserializes a ciphertext produced by [`Ciphertext::to_bytes`]
+    /// under the same context: header mismatches, truncation, trailing
+    /// bytes, and unreduced residues are errors, never panics.
     pub fn try_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Self, SerialError> {
         let hdr = bytes.get(0..16).ok_or(SerialError::Truncated)?;
         let hdr_n = u64::from_le_bytes(hdr[0..8].try_into().expect("8-byte slice")) as usize;

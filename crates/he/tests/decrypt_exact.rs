@@ -2,7 +2,7 @@
 //! here as the oracle: coefficient-for-coefficient equality at all four
 //! parameter levels on ciphertexts that decrypt to their plaintext
 //! (fresh, rotated and multiplied, modulus-switched) and on ones that
-//! do not (byte-tampered, wrong key, uniformly random), where the only
+//! do not (residue-tampered, wrong key, uniformly random), where the only
 //! specification is "whatever `⌈t·x/q⌋ mod t` is".
 
 use rand::rngs::StdRng;
@@ -102,18 +102,20 @@ fn rns_decrypt_equals_big_integer_decrypt_at_every_level() {
             assert_eq!(decoded, slots, "{level} switched");
         }
 
-        // `from_bytes` does not range-check: flipped bytes reach the
-        // decryptor as unreduced residues.
-        let mut bytes = fresh.to_bytes();
-        let mid = bytes.len() / 2;
-        for b in bytes.iter_mut().skip(mid).take(4096) {
-            *b ^= 0xFF;
-        }
-        bytes[16..48].fill(0xFF);
-        let tail = bytes.len() - 32;
-        bytes[tail..].fill(0xFF);
-        let tampered = Ciphertext::from_bytes(&ctx, &bytes);
-        assert_exact(&ctx, &dec, &tampered, "byte-tampered");
+        // `from_parts` does not range-check: residues with every bit of
+        // their wire width flipped, or set, reach the decryptor unreduced.
+        let n = ctx.degree();
+        let tamper = |poly: &Poly| {
+            let mut data = poly.raw().to_vec();
+            for (row, m) in data.chunks_mut(n).zip(ctx.moduli()) {
+                let ones = u64::MAX >> m.value().leading_zeros();
+                row[n / 2..n / 2 + 64].iter_mut().for_each(|v| *v ^= ones);
+                row[..8].fill(ones);
+            }
+            Poly::from_residues(&ctx, data, PolyForm::Ntt)
+        };
+        let tampered = Ciphertext::from_parts(tamper(fresh.c0()), tamper(fresh.c1()));
+        assert_exact(&ctx, &dec, &tampered, "residue-tampered");
 
         let other = KeyGenerator::new(&ctx, &mut rng);
         let wrong = Decryptor::new(&ctx, other.secret_key().clone());

@@ -1,13 +1,16 @@
 //! Pluggable message transports: in-process queues and framed TCP.
 //!
-//! Both implementations move **serialized frames**, so traffic
-//! accounting reflects real wire bytes (header + payload) and is
-//! bit-identical between [`MemTransport`] and [`TcpTransport`].
+//! Both implementations move **serialized frames** through one `send`
+//! body and one `recv` body (`send_over`, `recv_over`); they differ
+//! only in their `Link`, the two methods that move a finished frame's
+//! bytes. Traffic accounting therefore reflects real wire bytes (header
+//! and payload) and is bit-identical between [`MemTransport`] and
+//! [`TcpTransport`].
 
 use crate::channel::TrafficStats;
 use crate::error::ProtoError;
-use crate::wire::WireMessage;
-use spot_trace::{count, metrics, Counter};
+use crate::wire::{read_frame, WireMessage};
+use spot_trace::{count, metrics, Cat, Counter, Span};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -50,28 +53,49 @@ fn wire_metrics() -> &'static WireMetrics {
     })
 }
 
-// Per-frame trace accounting shared by both transports: typed counters
-// (bytes/frames/blocked time per direction) for the process totals,
-// mirrored into the live registry when it is enabled.
-fn trace_sent(bytes: u64, blocked: Duration) {
-    count(Counter::TxBytes, bytes);
-    count(Counter::TxFrames, 1);
-    count(Counter::TxBlockedNs, blocked.as_nanos() as u64);
-    if metrics::enabled() {
-        let wire = wire_metrics();
-        wire.tx_bytes.inc(bytes);
-        wire.tx_frames.inc(1);
-        wire.send_blocked_ns.inc(blocked.as_nanos() as u64);
-    }
-}
+/// One endpoint's frame tally, and the only place a frame is recorded:
+/// [`Tally::sent`] and [`Tally::received`] each feed the typed trace
+/// counters (process totals and the session sink), the live registry's
+/// `spot_wire_*` series when it is enabled, and this endpoint's
+/// [`TransportStats`] from the one byte count they are given.
+#[derive(Debug, Default)]
+struct Tally(Mutex<TransportStats>);
 
-fn trace_received(bytes: u64) {
-    count(Counter::RxBytes, bytes);
-    count(Counter::RxFrames, 1);
-    if metrics::enabled() {
-        let wire = wire_metrics();
-        wire.rx_bytes.inc(bytes);
-        wire.rx_frames.inc(1);
+impl Tally {
+    fn sent(&self, bytes: u64, blocked: Duration) -> Result<(), ProtoError> {
+        let blocked_ns = blocked.as_nanos() as u64;
+        count(Counter::TxBytes, bytes);
+        count(Counter::TxFrames, 1);
+        count(Counter::TxBlockedNs, blocked_ns);
+        if metrics::enabled() {
+            let wire = wire_metrics();
+            wire.tx_bytes.inc(bytes);
+            wire.tx_frames.inc(1);
+            wire.send_blocked_ns.inc(blocked_ns);
+        }
+        let mut st = self.0.lock().map_err(|_| ProtoError::Poisoned)?;
+        st.sent.bytes += bytes;
+        st.sent.messages += 1;
+        st.send_blocked += blocked;
+        Ok(())
+    }
+
+    fn received(&self, bytes: u64) -> Result<(), ProtoError> {
+        count(Counter::RxBytes, bytes);
+        count(Counter::RxFrames, 1);
+        if metrics::enabled() {
+            let wire = wire_metrics();
+            wire.rx_bytes.inc(bytes);
+            wire.rx_frames.inc(1);
+        }
+        let mut st = self.0.lock().map_err(|_| ProtoError::Poisoned)?;
+        st.received.bytes += bytes;
+        st.received.messages += 1;
+        Ok(())
+    }
+
+    fn snapshot(&self) -> TransportStats {
+        self.0.lock().map(|s| *s).unwrap_or_default()
     }
 }
 
@@ -91,6 +115,51 @@ pub trait Transport: Send + Sync {
     fn close_tx(&self);
     /// Accounting snapshot for this endpoint.
     fn stats(&self) -> TransportStats;
+}
+
+// ---------------------------------------------------------------------
+// The one send body and the one recv body
+// ---------------------------------------------------------------------
+
+/// How an endpoint moves the bytes of a finished frame: everything the
+/// two transports do not share.
+trait Link {
+    /// Hands one whole frame to the peer, blocking on backpressure;
+    /// returns the time spent blocked.
+    fn put(&self, frame: Vec<u8>) -> Result<Duration, ProtoError>;
+    /// Takes the bytes of the next whole frame, blocking until one
+    /// arrives.
+    fn take(&self) -> Result<Vec<u8>, ProtoError>;
+}
+
+/// Attaches the frame's causal tag to a live span as its `flow` arg.
+fn with_flow(span: Span, msg: &WireMessage) -> Span {
+    match msg.causal_tag() {
+        Some(tag) if span.id() != 0 => span.arg("flow", tag),
+        _ => span,
+    }
+}
+
+fn send_over(link: &impl Link, tally: &Tally, msg: &WireMessage) -> Result<(), ProtoError> {
+    let frame = msg.encode_frame();
+    let bytes = frame.len() as u64;
+    let span = with_flow(spot_trace::span(Cat::Net, "send").arg("bytes", bytes), msg);
+    let blocked = link.put(frame)?;
+    drop(span);
+    tally.sent(bytes, blocked)
+}
+
+fn recv_over(link: &impl Link, tally: &Tally) -> Result<WireMessage, ProtoError> {
+    let span = spot_trace::span(Cat::Net, "recv");
+    let frame = link.take()?;
+    let (msg, used) = WireMessage::decode_frame(&frame)?;
+    if used != frame.len() {
+        return Err(ProtoError::Malformed("trailing bytes in frame".into()));
+    }
+    let bytes = frame.len() as u64;
+    drop(with_flow(span.arg("bytes", bytes), &msg));
+    tally.received(bytes)?;
+    Ok(msg)
 }
 
 // ---------------------------------------------------------------------
@@ -176,7 +245,7 @@ impl Pipe {
 pub struct MemTransport {
     tx: Arc<Pipe>,
     rx: Arc<Pipe>,
-    stats: Mutex<TransportStats>,
+    tally: Tally,
 }
 
 impl MemTransport {
@@ -199,56 +268,36 @@ impl MemTransport {
         let client = MemTransport {
             tx: Arc::clone(&up),
             rx: Arc::clone(&down),
-            stats: Mutex::new(TransportStats::default()),
+            tally: Tally::default(),
         };
         let server = MemTransport {
             tx: down,
             rx: up,
-            stats: Mutex::new(TransportStats::default()),
+            tally: Tally::default(),
         };
         (client, server)
     }
 }
 
+/// The bounded pipes: a frame is moved, never copied, and only a full
+/// queue counts as blocked.
+impl Link for MemTransport {
+    fn put(&self, frame: Vec<u8>) -> Result<Duration, ProtoError> {
+        self.tx.push(frame)
+    }
+
+    fn take(&self) -> Result<Vec<u8>, ProtoError> {
+        self.rx.pop()
+    }
+}
+
 impl Transport for MemTransport {
     fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
-        let frame = msg.encode_frame();
-        let bytes = frame.len() as u64;
-        let mut span = spot_trace::span(spot_trace::Cat::Net, "send").arg("bytes", bytes);
-        if span.id() != 0 {
-            if let Some(tag) = msg.causal_tag() {
-                span = span.arg("flow", tag);
-            }
-        }
-        let blocked = self.tx.push(frame)?;
-        drop(span);
-        trace_sent(bytes, blocked);
-        let mut st = self.stats.lock().map_err(|_| ProtoError::Poisoned)?;
-        st.sent.bytes += bytes;
-        st.sent.messages += 1;
-        st.send_blocked += blocked;
-        Ok(())
+        send_over(self, &self.tally, msg)
     }
 
     fn recv(&self) -> Result<WireMessage, ProtoError> {
-        let mut span = spot_trace::span(spot_trace::Cat::Net, "recv");
-        let frame = self.rx.pop()?;
-        let (msg, used) = WireMessage::decode_frame(&frame)?;
-        if used != frame.len() {
-            return Err(ProtoError::Malformed("trailing bytes in frame".into()));
-        }
-        if span.id() != 0 {
-            span = span.arg("bytes", frame.len() as u64);
-            if let Some(tag) = msg.causal_tag() {
-                span = span.arg("flow", tag);
-            }
-        }
-        drop(span);
-        trace_received(frame.len() as u64);
-        let mut st = self.stats.lock().map_err(|_| ProtoError::Poisoned)?;
-        st.received.bytes += frame.len() as u64;
-        st.received.messages += 1;
-        Ok(msg)
+        recv_over(self, &self.tally)
     }
 
     fn close_tx(&self) {
@@ -256,7 +305,7 @@ impl Transport for MemTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats.lock().map(|s| *s).unwrap_or_default()
+        self.tally.snapshot()
     }
 }
 
@@ -272,10 +321,12 @@ impl Transport for MemTransport {
 /// buffer: a blocked `write_all` counts toward `send_blocked`.
 #[derive(Debug)]
 pub struct TcpTransport {
+    // Separate locks, so an uploader thread and an absorber thread
+    // share one socket without a blocked read holding up the writes.
     reader: Mutex<BufReader<TcpStream>>,
     writer: Mutex<BufWriter<TcpStream>>,
     stream: TcpStream,
-    stats: Mutex<TransportStats>,
+    tally: Tally,
 }
 
 impl TcpTransport {
@@ -288,7 +339,7 @@ impl TcpTransport {
             reader: Mutex::new(reader),
             writer: Mutex::new(writer),
             stream,
-            stats: Mutex::new(TransportStats::default()),
+            tally: Tally::default(),
         })
     }
 
@@ -308,50 +359,31 @@ impl TcpTransport {
     }
 }
 
+/// The socket: the whole write (waiting for the writer lock included)
+/// counts as blocked, since a full socket buffer cannot be told apart
+/// from a slow one.
+impl Link for TcpTransport {
+    fn put(&self, frame: Vec<u8>) -> Result<Duration, ProtoError> {
+        let t0 = Instant::now();
+        let mut w = self.writer.lock().map_err(|_| ProtoError::Poisoned)?;
+        w.write_all(&frame)?;
+        w.flush()?;
+        Ok(t0.elapsed())
+    }
+
+    fn take(&self) -> Result<Vec<u8>, ProtoError> {
+        let mut r = self.reader.lock().map_err(|_| ProtoError::Poisoned)?;
+        read_frame(&mut *r)
+    }
+}
+
 impl Transport for TcpTransport {
     fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
-        let frame = msg.encode_frame();
-        let mut span =
-            spot_trace::span(spot_trace::Cat::Net, "send").arg("bytes", frame.len() as u64);
-        if span.id() != 0 {
-            if let Some(tag) = msg.causal_tag() {
-                span = span.arg("flow", tag);
-            }
-        }
-        let t0 = Instant::now();
-        {
-            let mut w = self.writer.lock().map_err(|_| ProtoError::Poisoned)?;
-            w.write_all(&frame)?;
-            w.flush()?;
-        }
-        let elapsed = t0.elapsed();
-        drop(span);
-        trace_sent(frame.len() as u64, elapsed);
-        let mut st = self.stats.lock().map_err(|_| ProtoError::Poisoned)?;
-        st.sent.bytes += frame.len() as u64;
-        st.sent.messages += 1;
-        st.send_blocked += elapsed;
-        Ok(())
+        send_over(self, &self.tally, msg)
     }
 
     fn recv(&self) -> Result<WireMessage, ProtoError> {
-        let mut span = spot_trace::span(spot_trace::Cat::Net, "recv");
-        let msg = {
-            let mut r = self.reader.lock().map_err(|_| ProtoError::Poisoned)?;
-            WireMessage::read_from(&mut *r)?
-        };
-        if span.id() != 0 {
-            span = span.arg("bytes", msg.frame_len() as u64);
-            if let Some(tag) = msg.causal_tag() {
-                span = span.arg("flow", tag);
-            }
-        }
-        drop(span);
-        trace_received(msg.frame_len() as u64);
-        let mut st = self.stats.lock().map_err(|_| ProtoError::Poisoned)?;
-        st.received.bytes += msg.frame_len() as u64;
-        st.received.messages += 1;
-        Ok(msg)
+        recv_over(self, &self.tally)
     }
 
     fn close_tx(&self) {
@@ -362,15 +394,24 @@ impl Transport for TcpTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        self.stats.lock().map(|s| *s).unwrap_or_default()
+        self.tally.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ConvSetup;
+    use crate::wire::tests::samples;
+    use spot_trace::SessionCounters;
     use std::net::TcpListener;
+
+    // The `spot_wire_*` series are process-wide, so the tests of this
+    // module that move frames take turns.
+    static FRAMES: Mutex<()> = Mutex::new(());
+
+    fn frames_lock() -> MutexGuard<'static, ()> {
+        FRAMES.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn sample(seq: u32) -> WireMessage {
         WireMessage::PackedCt {
@@ -379,8 +420,85 @@ mod tests {
         }
     }
 
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (client, TcpTransport::from_stream(stream).unwrap())
+    }
+
+    /// The four frame counts of each of the three views a frame is
+    /// recorded into, as (tx bytes, tx frames, rx bytes, rx frames).
+    fn three_views(
+        sender: &dyn Transport,
+        receiver: &dyn Transport,
+        sink: &SessionCounters,
+    ) -> [[u64; 4]; 3] {
+        let (sent, received) = (sender.stats().sent, receiver.stats().received);
+        let typed = sink.snapshot();
+        let wire = wire_metrics();
+        [
+            [sent.bytes, sent.messages, received.bytes, received.messages],
+            [
+                typed.get(Counter::TxBytes),
+                typed.get(Counter::TxFrames),
+                typed.get(Counter::RxBytes),
+                typed.get(Counter::RxFrames),
+            ],
+            [
+                wire.tx_bytes.get(),
+                wire.tx_frames.get(),
+                wire.rx_bytes.get(),
+                wire.rx_frames.get(),
+            ],
+        ]
+    }
+
+    fn every_view_counts_the_moved_bytes(client: &dyn Transport, server: &dyn Transport) {
+        let sink = SessionCounters::new(1);
+        let outer = spot_trace::set_session_counters(Some(Arc::clone(&sink)));
+        metrics::enable();
+        for (i, msg) in samples().into_iter().enumerate() {
+            // Alternate directions, so each endpoint both sends and
+            // receives.
+            let (from, to) = if i % 2 == 0 {
+                (client, server)
+            } else {
+                (server, client)
+            };
+            let before = three_views(from, to, &sink);
+            from.send(&msg).unwrap();
+            assert_eq!(to.recv().unwrap(), msg);
+            let bytes = msg.encode_frame().len() as u64;
+            for (view, (after, before)) in
+                three_views(from, to, &sink).iter().zip(before).enumerate()
+            {
+                let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+                assert_eq!(delta, [bytes, 1, bytes, 1], "view {view} of {msg:?}");
+            }
+        }
+        metrics::disable();
+        spot_trace::set_session_counters(outer);
+        // Nothing but those frames was ever counted on either end.
+        let (c, s) = (client.stats(), server.stats());
+        assert_eq!((c.sent, c.received), (s.received, s.sent));
+        assert_eq!(c.sent.messages + s.sent.messages, samples().len() as u64);
+        client.close_tx();
+        assert_eq!(server.recv(), Err(ProtoError::Closed));
+    }
+
+    #[test]
+    fn a_frame_is_counted_once_in_every_view_on_both_transports() {
+        let _turn = frames_lock();
+        let (client, server) = MemTransport::pair();
+        every_view_counts_the_moved_bytes(&client, &server);
+        let (client, server) = tcp_pair();
+        every_view_counts_the_moved_bytes(&client, &server);
+    }
+
     #[test]
     fn mem_pair_roundtrip_and_accounting() {
+        let _turn = frames_lock();
         let (client, server) = MemTransport::pair();
         let msg = sample(1);
         client.send(&msg).unwrap();
@@ -395,6 +513,7 @@ mod tests {
 
     #[test]
     fn mem_bounded_uplink_blocks_sender() {
+        let _turn = frames_lock();
         let (client, server) = MemTransport::pair_with_capacity(Some(1), None);
         client.send(&sample(0)).unwrap();
         let t = std::thread::spawn(move || {
@@ -410,6 +529,7 @@ mod tests {
 
     #[test]
     fn mem_recv_drains_before_closed() {
+        let _turn = frames_lock();
         let (client, server) = MemTransport::pair();
         client.send(&sample(0)).unwrap();
         client.send(&sample(1)).unwrap();
@@ -422,68 +542,15 @@ mod tests {
     }
 
     #[test]
-    fn tcp_loopback_matches_mem_accounting() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_thread = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let t = TcpTransport::from_stream(stream).unwrap();
-            let mut seen = Vec::new();
-            loop {
-                match t.recv() {
-                    Ok(WireMessage::Teardown) => break,
-                    Ok(m) => seen.push(m),
-                    Err(e) => panic!("server recv: {e}"),
-                }
-            }
-            t.send(&WireMessage::LayerBarrier { layer: 7 }).unwrap();
-            t.close_tx();
-            (seen, t.stats())
-        });
-
-        let client = TcpTransport::connect(addr).unwrap();
-        let msgs = vec![
-            WireMessage::Setup(ConvSetup {
-                scheme: 0,
-                mode: 0,
-                level: 1,
-                batch: 1,
-                h: 4,
-                w: 4,
-                c_in: 1,
-                c_out: 1,
-                k_h: 3,
-                k_w: 3,
-                stride: 1,
-                patch_h: 0,
-                patch_w: 0,
-                trace: 0,
-            }),
-            sample(0),
-            sample(1),
-        ];
-        for m in &msgs {
-            client.send(m).unwrap();
-        }
-        client.send(&WireMessage::Teardown).unwrap();
+    fn mem_recv_refuses_trailing_bytes_and_counts_nothing() {
+        let (client, server) = MemTransport::pair();
+        let mut frame = sample(2).encode_frame();
+        frame.push(0);
+        client.tx.push(frame).unwrap();
         assert_eq!(
-            client.recv().unwrap(),
-            WireMessage::LayerBarrier { layer: 7 }
+            server.recv(),
+            Err(ProtoError::Malformed("trailing bytes in frame".into()))
         );
-        assert_eq!(client.recv(), Err(ProtoError::Closed));
-        let (seen, server_stats) = server_thread.join().unwrap();
-        assert_eq!(seen, msgs);
-
-        // Byte accounting identical to what MemTransport would report.
-        let (mc, ms) = MemTransport::pair();
-        for m in &msgs {
-            mc.send(m).unwrap();
-        }
-        mc.send(&WireMessage::Teardown).unwrap();
-        for _ in 0..4 {
-            ms.recv().unwrap();
-        }
-        assert_eq!(client.stats().sent, mc.stats().sent);
-        assert_eq!(server_stats.received, ms.stats().received);
+        assert_eq!(server.stats(), TransportStats::default());
     }
 }

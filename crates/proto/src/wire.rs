@@ -75,17 +75,16 @@ impl ConvSetup {
     const BASE_BYTES: usize = 4 + 9 * 4;
     const TRACED_BYTES: usize = Self::BASE_BYTES + 8;
 
-    fn encode(&self) -> Vec<u8> {
-        let cap = if self.trace == 0 {
+    fn encoded_len(&self) -> usize {
+        if self.trace == 0 {
             Self::BASE_BYTES
         } else {
             Self::TRACED_BYTES
-        };
-        let mut out = Vec::with_capacity(cap);
-        out.push(self.scheme);
-        out.push(self.mode);
-        out.push(self.level);
-        out.push(self.batch);
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&[self.scheme, self.mode, self.level, self.batch]);
         for v in [
             self.h,
             self.w,
@@ -102,7 +101,6 @@ impl ConvSetup {
         if self.trace != 0 {
             out.extend_from_slice(&self.trace.to_le_bytes());
         }
-        out
     }
 
     fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
@@ -179,13 +177,13 @@ pub enum WireMessage {
         op: u8,
         /// Round number within the operation.
         round: u16,
-        /// Round payload (share values, u32 LE each).
+        /// Round payload (share values, u64 LE each).
         blob: Vec<u8>,
     },
     /// Reveal a share vector to the peer (layer-boundary
-    /// reconstruction; payload is u32 LE share values).
+    /// reconstruction; payload is u64 LE share values).
     ShareReveal {
-        /// Share values, u32 LE each.
+        /// Share values, u64 LE each.
         blob: Vec<u8>,
     },
     /// Marks the end of one network layer's traffic.
@@ -268,55 +266,60 @@ impl WireMessage {
         Some((kind << 56) | (mid << 40) | seq)
     }
 
-    fn payload(&self) -> Vec<u8> {
+    /// Payload size from field lengths alone; `encode_frame` writes
+    /// exactly this many bytes behind the header.
+    fn payload_len(&self) -> usize {
         match self {
-            WireMessage::Setup(s) => s.encode(),
-            WireMessage::PublicKey(blob) | WireMessage::GaloisKeys(blob) => blob.clone(),
-            WireMessage::PackedCt { seq, blob } => {
-                let mut p = Vec::with_capacity(4 + blob.len());
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(blob);
-                p
+            WireMessage::Setup(s) => s.encoded_len(),
+            WireMessage::PublicKey(blob)
+            | WireMessage::GaloisKeys(blob)
+            | WireMessage::ShareReveal { blob } => blob.len(),
+            WireMessage::PackedCt { blob, .. } | WireMessage::MaskedResult { blob, .. } => {
+                4 + blob.len()
+            }
+            WireMessage::AuxCt { blob, .. } => 6 + blob.len(),
+            WireMessage::OtRound { blob, .. } => 3 + blob.len(),
+            WireMessage::LayerBarrier { .. } => 4,
+            WireMessage::Teardown => 0,
+            WireMessage::Error { detail, .. } => 2 + detail.len(),
+            WireMessage::ClockProbe { .. } => 20,
+        }
+    }
+
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        match self {
+            WireMessage::Setup(s) => s.write(out),
+            WireMessage::PublicKey(blob)
+            | WireMessage::GaloisKeys(blob)
+            | WireMessage::ShareReveal { blob } => out.extend_from_slice(blob),
+            WireMessage::PackedCt { seq, blob } | WireMessage::MaskedResult { seq, blob } => {
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(blob);
             }
             WireMessage::AuxCt { class, seq, blob } => {
-                let mut p = Vec::with_capacity(6 + blob.len());
-                p.extend_from_slice(&class.to_le_bytes());
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(blob);
-                p
-            }
-            WireMessage::MaskedResult { seq, blob } => {
-                let mut p = Vec::with_capacity(4 + blob.len());
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(blob);
-                p
+                out.extend_from_slice(&class.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(blob);
             }
             WireMessage::OtRound { op, round, blob } => {
-                let mut p = Vec::with_capacity(3 + blob.len());
-                p.push(*op);
-                p.extend_from_slice(&round.to_le_bytes());
-                p.extend_from_slice(blob);
-                p
+                out.push(*op);
+                out.extend_from_slice(&round.to_le_bytes());
+                out.extend_from_slice(blob);
             }
-            WireMessage::ShareReveal { blob } => blob.clone(),
-            WireMessage::LayerBarrier { layer } => layer.to_le_bytes().to_vec(),
-            WireMessage::Teardown => Vec::new(),
+            WireMessage::LayerBarrier { layer } => out.extend_from_slice(&layer.to_le_bytes()),
+            WireMessage::Teardown => {}
             WireMessage::Error { code, detail } => {
-                let mut p = Vec::with_capacity(2 + detail.len());
-                p.extend_from_slice(&code.to_le_bytes());
-                p.extend_from_slice(detail.as_bytes());
-                p
+                out.extend_from_slice(&code.to_le_bytes());
+                out.extend_from_slice(detail.as_bytes());
             }
             WireMessage::ClockProbe {
                 seq,
                 t_rx_ns,
                 t_tx_ns,
             } => {
-                let mut p = Vec::with_capacity(20);
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(&t_rx_ns.to_le_bytes());
-                p.extend_from_slice(&t_tx_ns.to_le_bytes());
-                p
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&t_rx_ns.to_le_bytes());
+                out.extend_from_slice(&t_tx_ns.to_le_bytes());
             }
         }
     }
@@ -374,106 +377,86 @@ impl WireMessage {
         })
     }
 
-    /// Serializes the message as one framed byte vector.
+    /// Serializes the message as one framed byte vector: header and
+    /// fields go straight into the one output buffer.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+        let len = self.payload_len();
+        let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + len);
         out.push(WIRE_VERSION);
         out.push(self.tag());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        self.write_payload(&mut out);
+        debug_assert_eq!(out.len(), FRAME_HEADER_BYTES + len);
         out
     }
 
-    /// Serialized frame size (header + payload) without materialising
-    /// the frame.
+    /// Serialized frame size (header + payload), computed from field
+    /// lengths: nothing is encoded or allocated.
     pub fn frame_len(&self) -> usize {
-        FRAME_HEADER_BYTES + self.payload().len()
+        FRAME_HEADER_BYTES + self.payload_len()
     }
 
     /// Decodes one frame from the front of `bytes`, returning the
     /// message and the number of bytes consumed.
     pub fn decode_frame(bytes: &[u8]) -> Result<(Self, usize), ProtoError> {
-        if bytes.len() < FRAME_HEADER_BYTES {
-            return Err(ProtoError::Truncated);
-        }
-        if bytes[0] != WIRE_VERSION {
-            return Err(ProtoError::BadVersion(bytes[0]));
-        }
-        let tag = bytes[1];
-        let len = read_u32(bytes, 2)? as usize;
-        if len > MAX_FRAME {
-            return Err(ProtoError::TooLarge(len));
-        }
+        let (tag, len) = check_header(bytes.first_chunk().ok_or(ProtoError::Truncated)?)?;
         let end = FRAME_HEADER_BYTES + len;
-        if bytes.len() < end {
-            return Err(ProtoError::Truncated);
-        }
-        let msg = Self::from_tag_payload(tag, &bytes[FRAME_HEADER_BYTES..end])?;
-        Ok((msg, end))
+        let payload = bytes
+            .get(FRAME_HEADER_BYTES..end)
+            .ok_or(ProtoError::Truncated)?;
+        Ok((Self::from_tag_payload(tag, payload)?, end))
     }
 
-    /// Reads exactly one frame from a byte stream.
+    /// Reads exactly one frame from a byte stream and decodes it with
+    /// [`WireMessage::decode_frame`].
     ///
     /// A clean EOF before the first header byte yields
     /// [`ProtoError::Closed`]; EOF mid-frame yields
     /// [`ProtoError::Truncated`].
     pub fn read_from<R: Read>(reader: &mut R) -> Result<Self, ProtoError> {
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        let mut got = 0usize;
-        while got < header.len() {
-            match reader.read(&mut header[got..]) {
-                Ok(0) => {
-                    return Err(if got == 0 {
-                        ProtoError::Closed
-                    } else {
-                        ProtoError::Truncated
-                    })
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
+        Ok(Self::decode_frame(&read_frame(reader)?)?.0)
+    }
+}
+
+/// The one frame-header validator: version and length cap. Returns the
+/// tag and the payload length.
+fn check_header(header: &[u8; FRAME_HEADER_BYTES]) -> Result<(u8, usize), ProtoError> {
+    let [version, tag, len @ ..] = *header;
+    if version != WIRE_VERSION {
+        return Err(ProtoError::BadVersion(version));
+    }
+    let len = u32::from_le_bytes(len) as usize;
+    if len > MAX_FRAME {
+        return Err(ProtoError::TooLarge(len));
+    }
+    Ok((tag, len))
+}
+
+/// Reads the bytes of exactly one frame off a byte stream: the header
+/// checked (so the length is safe to allocate), the payload not yet
+/// decoded. EOF handling as documented on [`WireMessage::read_from`].
+pub(crate) fn read_frame<R: Read>(reader: &mut R) -> Result<Vec<u8>, ProtoError> {
+    let mut header = [0u8; FRAME_HEADER_BYTES];
+    let mut got = 0usize;
+    while got < header.len() {
+        match reader.read(&mut header[got..]) {
+            Ok(0) => {
+                return Err(if got == 0 {
+                    ProtoError::Closed
+                } else {
+                    ProtoError::Truncated
+                })
             }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
-        if header[0] != WIRE_VERSION {
-            return Err(ProtoError::BadVersion(header[0]));
-        }
-        let tag = header[1];
-        let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-        if len > MAX_FRAME {
-            return Err(ProtoError::TooLarge(len));
-        }
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload)?;
-        Self::from_tag_payload(tag, &payload)
     }
-}
-
-/// Packs field elements (each `< 2^32`) as u32 LE for OT-round and
-/// share-reveal payloads.
-///
-/// # Panics
-///
-/// Panics if a value does not fit in 32 bits (the plaintext modulus is
-/// far below that in every parameter level).
-pub fn pack_share_values(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for &v in values {
-        assert!(v < (1u64 << 32), "share value exceeds u32 range");
-        out.extend_from_slice(&(v as u32).to_le_bytes());
-    }
-    out
-}
-
-/// Inverse of [`pack_share_values`].
-pub fn unpack_share_values(bytes: &[u8]) -> Result<Vec<u64>, ProtoError> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(ProtoError::Truncated);
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u64)
-        .collect())
+    let (_, len) = check_header(&header)?;
+    let mut frame = vec![0u8; FRAME_HEADER_BYTES + len];
+    frame[..FRAME_HEADER_BYTES].copy_from_slice(&header);
+    reader.read_exact(&mut frame[FRAME_HEADER_BYTES..])?;
+    Ok(frame)
 }
 
 fn read_u32(bytes: &[u8], off: usize) -> Result<u32, ProtoError> {
@@ -498,10 +481,11 @@ fn tail(bytes: &[u8], off: usize) -> Result<Vec<u8>, ProtoError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn samples() -> Vec<WireMessage> {
+    /// One message of every variant.
+    pub(crate) fn samples() -> Vec<WireMessage> {
         vec![
             WireMessage::Setup(ConvSetup {
                 scheme: 2,
@@ -537,10 +521,10 @@ mod tests {
             WireMessage::OtRound {
                 op: 1,
                 round: 4,
-                blob: pack_share_values(&[0, 1, 1_032_192]),
+                blob: vec![0x5A; 24],
             },
             WireMessage::ShareReveal {
-                blob: pack_share_values(&[42, 43]),
+                blob: vec![0x3C; 16],
             },
             WireMessage::LayerBarrier { layer: 2 },
             WireMessage::Teardown,
@@ -690,15 +674,5 @@ mod tests {
         };
         assert_ne!(a.causal_tag(), b.causal_tag());
         assert_eq!(a.causal_tag(), a.causal_tag());
-    }
-
-    #[test]
-    fn share_value_packing_roundtrip() {
-        let vals = vec![0u64, 1, 500_000, u32::MAX as u64];
-        assert_eq!(
-            unpack_share_values(&pack_share_values(&vals)).unwrap(),
-            vals
-        );
-        assert!(unpack_share_values(&[1, 2, 3]).is_err());
     }
 }

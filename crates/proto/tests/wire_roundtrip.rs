@@ -1,6 +1,7 @@
 //! Property tests for the framed wire protocol: every `WireMessage`
 //! variant survives encode→decode bit-exactly, truncated frames are
-//! rejected (never a panic), and the version byte is enforced.
+//! rejected (never a panic), the version byte is enforced, and the
+//! slice decoder and the stream reader agree on every input.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -74,6 +75,22 @@ fn message_strategy() -> impl Strategy<Value = WireMessage> {
     ]
 }
 
+/// What each of the two readers makes of the same bytes. They share
+/// one header validator and one payload decoder, so the only input they
+/// may differ on is the empty one: a stream that ends between frames is
+/// `Closed`, an empty slice is `Truncated`.
+fn both_readers(bytes: &[u8]) -> Result<WireMessage, ProtoError> {
+    let sliced = WireMessage::decode_frame(bytes).map(|(msg, _)| msg);
+    let streamed = WireMessage::read_from(&mut std::io::Cursor::new(bytes));
+    if bytes.is_empty() {
+        assert_eq!(sliced, Err(ProtoError::Truncated));
+        assert_eq!(streamed, Err(ProtoError::Closed));
+    } else {
+        assert_eq!(sliced, streamed, "on {} bytes", bytes.len());
+    }
+    sliced
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -134,5 +151,42 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("read_from failed: {e}")))?;
         prop_assert_eq!(back, msg.clone());
         prop_assert_eq!(cursor.position() as usize, msg.frame_len());
+    }
+
+    #[test]
+    fn readers_agree_on_every_prefix(msg in message_strategy()) {
+        let frame = msg.encode_frame();
+        for cut in 0..frame.len() {
+            prop_assert_eq!(both_readers(&frame[..cut]), Err(ProtoError::Truncated));
+        }
+        prop_assert_eq!(both_readers(&frame), Ok(msg));
+    }
+
+    #[test]
+    fn readers_agree_on_a_corrupted_header(
+        msg in message_strategy(),
+        version in 0u8..=255,
+        tag in 0u8..=255,
+        len in prop_oneof![0u32..4096, 0u32..=u32::MAX],
+    ) {
+        let frame = msg.encode_frame();
+        let corrupt = |at: std::ops::Range<usize>, with: &[u8]| {
+            let mut bad = frame.clone();
+            bad[at].copy_from_slice(with);
+            both_readers(&bad)
+        };
+        let got = corrupt(0..1, &[version]);
+        if version != frame[0] {
+            prop_assert_eq!(got, Err(ProtoError::BadVersion(version)));
+        }
+        // A foreign tag re-reads the payload as another variant or
+        // fails; either way both readers say the same (asserted inside).
+        let _ = corrupt(1..2, &[tag]);
+        let got = corrupt(2..6, &len.to_le_bytes());
+        if len as usize > spot_proto::wire::MAX_FRAME {
+            prop_assert_eq!(got, Err(ProtoError::TooLarge(len as usize)));
+        } else if len as usize > frame.len() - spot_proto::wire::FRAME_HEADER_BYTES {
+            prop_assert_eq!(got, Err(ProtoError::Truncated));
+        }
     }
 }

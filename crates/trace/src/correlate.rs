@@ -31,7 +31,7 @@
 //! upload and the non-linear rounds, where one party waits by
 //! construction, so the `overall` figure sits below the per-layer ones.
 
-use crate::chrome::{escape_into, push_us};
+use crate::chrome::{escape_into, push_event, push_us};
 use crate::clocksync::{self, ClockEstimate};
 use crate::{Cat, Event, Name, Phase};
 use std::collections::HashMap;
@@ -583,57 +583,6 @@ fn render_merged_json(
 
     out.push_str("\n]\n");
     out
-}
-
-fn push_event(out: &mut String, ev: &Event, pid: u32) {
-    out.push_str("{\"name\":\"");
-    escape_into(out, ev.name.as_str());
-    out.push_str("\",\"cat\":\"");
-    out.push_str(ev.cat.name());
-    out.push_str("\",\"ph\":\"");
-    match ev.phase {
-        Phase::Span { .. } => out.push('X'),
-        Phase::Instant => out.push('i'),
-        Phase::Gauge { .. } => out.push('C'),
-    }
-    out.push_str("\",\"ts\":");
-    push_us(out, ev.ts_ns);
-    if let Phase::Span { dur_ns } = ev.phase {
-        out.push_str(",\"dur\":");
-        push_us(out, dur_ns);
-    }
-    let _ = write!(out, ",\"pid\":{pid},\"tid\":{}", ev.tid);
-    if matches!(ev.phase, Phase::Instant) {
-        out.push_str(",\"s\":\"t\"");
-    }
-    out.push_str(",\"args\":{");
-    let mut first_arg = true;
-    let mut arg_u64 = |out: &mut String, key: &str, v: u64| {
-        if first_arg {
-            first_arg = false;
-        } else {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{key}\":{v}");
-    };
-    match ev.phase {
-        Phase::Gauge { value } => arg_u64(out, "value", value),
-        _ => {
-            if ev.id != 0 {
-                arg_u64(out, "span", ev.id as u64);
-            }
-            if ev.parent != 0 {
-                arg_u64(out, "parent", ev.parent as u64);
-            }
-        }
-    }
-    if let Some((key, v)) = ev.arg {
-        arg_u64(out, key, v);
-    }
-    if let Some((key, v)) = ev.arg2 {
-        arg_u64(out, key, v);
-    }
-    out.push_str("}}");
 }
 
 // ---------------------------------------------------------------------

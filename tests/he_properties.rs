@@ -111,7 +111,8 @@ fn serialization_is_bit_packed_and_lossless() {
     // bit-packed: well below 2 * k * N * 8 raw bytes
     assert!(bytes.len() < 2 * 3 * 4096 * 8);
     assert_eq!(bytes.len(), he.ctx.params().ciphertext_bytes());
-    let restored = spot::he::ciphertext::Ciphertext::from_bytes(&he.ctx, &bytes);
+    let restored =
+        spot::he::ciphertext::Ciphertext::try_from_bytes(&he.ctx, &bytes).expect("own ciphertext");
     let out = he.encoder.decode(&he.decryptor.decrypt(&restored));
     assert_eq!(&out[..256], &vals[..]);
 }
