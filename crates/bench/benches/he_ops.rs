@@ -195,7 +195,7 @@ fn bench_conv_cache(c: &mut Criterion) {
     };
     let elements = blk.galois_elements(&layout, 3, 3);
     let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
-    let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
+    let engine = HeConvEngine::new(&ctx, &galois, true, KernelCache::new());
 
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let encoder = BatchEncoder::new(&ctx);
@@ -205,10 +205,13 @@ fn bench_conv_cache(c: &mut Criterion) {
     group.sample_size(10);
     // Warm the cache outside the timed region: steady-state layers see
     // only hits.
-    engine.conv_one_ct(&ct, &req);
-    group.bench_function("one_ct_cached", |b| {
-        b.iter(|| engine.conv_one_ct(&ct, &req))
-    });
+    let conv = || {
+        engine
+            .conv_one_ct(&ct, &req)
+            .expect("the key set is complete")
+    };
+    conv();
+    group.bench_function("one_ct_cached", |b| b.iter(conv));
     group.finish();
 }
 

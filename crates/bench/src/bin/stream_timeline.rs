@@ -150,8 +150,11 @@ fn main() {
          each, so the server is busy during the upload; the all-input\n\
          schemes' read every one, so each worker waits until the last\n\
          lands (\"server idle\" = worker time blocked waiting for a\n\
-         runnable job while the upload is open, the paper's linear\n\
-         computation stall). \"client\" columns are the uploader thread's.\n\
+         runnable job or for a rotation key while the upload is open,\n\
+         the paper's linear computation stall; the rotating schemes'\n\
+         first job runs while the client is still making keys, and\n\
+         each `wait key` below is one key it got to before the client\n\
+         did). \"client\" columns are the uploader thread's.\n\
          Both parties here run at the same speed on one host, so an upload\n\
          is about a millisecond per ciphertext and the all-input stall is\n\
          small; the stall the paper targets needs a client slower than the\n\
@@ -184,7 +187,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(9900);
     let elements = blk.galois_elements(&layout, 3, 3);
     let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
-    let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
+    let engine = HeConvEngine::new(&ctx, &galois, true, KernelCache::new());
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let ct = Encryptor::new(&ctx, keygen.public_key(&mut rng))
         .encrypt(&BatchEncoder::new(&ctx).encode(&values), &mut rng);
@@ -194,10 +197,15 @@ fn main() {
     pool::set_capacity(512);
     pool::clear();
     pool::reset_stats();
-    engine.conv_one_ct(&ct, &req);
+    let conv = || {
+        engine
+            .conv_one_ct(&ct, &req)
+            .expect("the key set is complete")
+    };
+    conv();
     let cold = pool::stats();
     pool::reset_stats();
-    engine.conv_one_ct(&ct, &req);
+    conv();
     let warm = pool::stats();
     for (tag, s) in [("cold", &cold), ("warm", &warm)] {
         println!(

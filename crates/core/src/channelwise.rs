@@ -239,7 +239,12 @@ impl ConvScheme for Packing {
         Ok(())
     }
 
-    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> Result<Vec<Ciphertext>, SpotError> {
         let map = channel_map(&self.geo, job, self.shape.c_in);
         let mut in_maps = vec![map.clone()];
         if self.geo.both_lanes {

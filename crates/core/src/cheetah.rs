@@ -167,7 +167,12 @@ impl ConvScheme for Packing {
         Ok(())
     }
 
-    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> Result<Vec<Ciphertext>, SpotError> {
         let (shape, wp, s_ch) = (&self.shape, self.padded_width(), self.geo.channel_coeffs);
         let t = kit.ctx.params().plain_modulus();
         let evaluator = kit.engine.evaluator();
@@ -190,7 +195,7 @@ impl ConvScheme for Packing {
                 Some(a) => evaluator.add_inplace(a, &prod),
             }
         }
-        vec![acc.expect("at least one chunk")]
+        Ok(vec![acc.expect("at least one chunk")])
     }
 
     fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {

@@ -16,7 +16,15 @@
 //! handles the cross-lane products channel-wise packing needs (one
 //! column-swap per input ciphertext) and the block-folding used when
 //! `C_o < C_i` (Fig. 7 (b)).
+//!
+//! The engine does not own its rotation keys: it asks a [`RotationKeys`]
+//! for each one when it is about to use it, after the key-switch
+//! decomposition that needs no key. Over a served connection that is a
+//! store the client is still uploading into, so a rotation waits only
+//! for its own key; the order of first requests is
+//! [`required_elements`], which is therefore the upload schedule.
 
+use crate::error::SpotError;
 use crate::layout::LaneLayout;
 use parking_lot::RwLock;
 use spot_he::ciphertext::Ciphertext;
@@ -27,7 +35,9 @@ use spot_he::keys::GaloisKeys;
 use spot_he::poly::Poly;
 use spot_tensor::tensor::Kernel;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Channel assignment for one ciphertext: `map[lane][block]` is the
 /// input-channel index held by that block (`None` = padding).
@@ -132,15 +142,39 @@ impl KernelCache {
     }
 }
 
+/// Where a conv engine gets a rotation key from, at the moment it is
+/// about to rotate by it.
+pub trait RotationKeys: std::fmt::Debug + Sync {
+    /// A key set holding Galois element `g`'s key, as soon as there is
+    /// one, and how long the caller was blocked until then. An error
+    /// means the key can no longer arrive.
+    fn wait(&self, g: usize) -> Result<(Arc<GaloisKeys>, Duration), SpotError>;
+}
+
+/// A complete key set: nothing to wait for.
+impl RotationKeys for Arc<GaloisKeys> {
+    fn wait(&self, g: usize) -> Result<(Arc<GaloisKeys>, Duration), SpotError> {
+        if !self.contains(g) {
+            return Err(SpotError::Protocol(format!(
+                "no rotation key for galois element {g}"
+            )));
+        }
+        Ok((Arc::clone(self), Duration::ZERO))
+    }
+}
+
 /// The engine of one served layer: the HE context, the client's Galois
-/// keys, and the one [`Evaluator`] every HE operation of the layer goes
-/// through — so its [`Evaluator::counts`] is the layer's op tally.
+/// keys as they arrive, and the one [`Evaluator`] every HE operation of
+/// the layer goes through — so its [`Evaluator::counts`] is the layer's
+/// op tally.
 #[derive(Debug)]
-pub struct HeConvEngine {
+pub struct HeConvEngine<'k> {
     ctx: Arc<Context>,
     encoder: BatchEncoder,
     evaluator: Evaluator,
-    galois: Arc<GaloisKeys>,
+    keys: &'k dyn RotationKeys,
+    /// Nanoseconds its callers spent blocked in [`RotationKeys::wait`].
+    key_wait_ns: AtomicU64,
     /// Whether the baby-step/giant-step alignment optimization is used
     /// (SPOT yes; the CrypTFlow2 baseline follows its published
     /// output-rotation algorithm without it).
@@ -188,13 +222,25 @@ pub fn bsgs_split(diagonals: usize, groups: usize, versions: usize, kk: usize) -
     (best.0, diagonals / best.0)
 }
 
-/// The sorted, deduplicated Galois elements a convolution over the
-/// given layout needs: one per non-zero kernel-tap row rotation, the
-/// baby and giant block-alignment steps (under the same BSGS split
-/// [`HeConvEngine::conv_one_ct`] will choose), the fold steps, and
-/// optionally the column swap. Letting both parties compute this from
-/// the layer geometry is what allows the client to generate exactly the
-/// keys the server will use.
+/// `elements` without repeats, each where it first occurs.
+pub(crate) fn first_occurrences(elements: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut seen = Vec::new();
+    for g in elements {
+        if !seen.contains(&g) {
+            seen.push(g);
+        }
+    }
+    seen
+}
+
+/// The Galois elements a convolution over the given layout rotates by,
+/// each once, in the order [`HeConvEngine::conv_one_ct`] first uses
+/// them: the column swap (optional), the baby block-alignment steps,
+/// one per non-zero kernel-tap row rotation, the giant steps (under the
+/// BSGS split the engine will choose), the fold steps. Both parties
+/// compute this from the layer geometry alone, which is what lets the
+/// client generate exactly the keys the server will use, and upload
+/// them in the order it will ask for them.
 #[allow(clippy::too_many_arguments)]
 pub fn required_elements(
     layout: &LaneLayout,
@@ -213,43 +259,33 @@ pub fn required_elements(
     } else {
         (1, diagonals)
     };
-    let mut elements = Vec::new();
-    for (dy, dx, _, _) in kernel_taps(k_h, k_w) {
-        let step = dy * layout.piece_w as i64 + dx;
-        if step != 0 {
-            elements.push(galois_elt_from_step(step, n));
-        }
-    }
-    for b in 1..baby {
-        elements.push(galois_elt_from_step(layout.block_rotation_step(b), n));
-    }
-    for j in 1..giants {
-        elements.push(galois_elt_from_step(
-            layout.block_rotation_step(j * baby),
-            n,
-        ));
-    }
-    for &f in fold_steps {
-        elements.push(galois_elt_from_step(layout.block_rotation_step(f), n));
-    }
-    if column_swap {
-        elements.push(galois_elt_column_swap(n));
-    }
-    elements.sort_unstable();
-    elements.dedup();
-    elements
+    let block = |b: usize| galois_elt_from_step(layout.block_rotation_step(b), n);
+    let taps = kernel_taps(k_h, k_w)
+        .into_iter()
+        .filter_map(|(dy, dx, _, _)| {
+            let step = dy * layout.piece_w as i64 + dx;
+            (step != 0).then(|| galois_elt_from_step(step, n))
+        });
+    first_occurrences(
+        (column_swap.then(|| galois_elt_column_swap(n)).into_iter())
+            .chain((1..baby).map(block))
+            .chain(taps)
+            .chain((1..giants).map(|j| block(j * baby)))
+            .chain(fold_steps.iter().map(|&f| block(f))),
+    )
 }
 
-impl HeConvEngine {
+impl<'k> HeConvEngine<'k> {
     /// Builds the engine of one layer around the client's Galois keys,
-    /// which must cover the elements [`required_elements`] reports for
-    /// every request the layer will run, and a [`KernelCache`]: the
-    /// serving layer passes the model's, so every session multiplies
-    /// against the same lifted kernel plaintexts, while the keys stay
-    /// per engine because they are client key material.
+    /// which must come to cover the elements [`required_elements`]
+    /// reports for every request the layer will run, and a
+    /// [`KernelCache`]: the serving layer passes the model's, so every
+    /// session multiplies against the same lifted kernel plaintexts,
+    /// while the keys stay per engine because they are client key
+    /// material.
     pub fn new(
         ctx: &Arc<Context>,
-        galois: Arc<GaloisKeys>,
+        keys: &'k dyn RotationKeys,
         use_bsgs: bool,
         cache: KernelCache,
     ) -> Self {
@@ -257,10 +293,28 @@ impl HeConvEngine {
             ctx: Arc::clone(ctx),
             encoder: BatchEncoder::new(ctx),
             evaluator: Evaluator::new(ctx),
-            galois,
+            keys,
+            key_wait_ns: AtomicU64::new(0),
             use_bsgs,
             kernel_cache: cache,
         }
+    }
+
+    /// Thread-time the engine's callers have spent blocked waiting for
+    /// a rotation key. Exact once the threads that used it are joined.
+    pub fn key_wait(&self) -> Duration {
+        // Relaxed: a statistic that publishes nothing else.
+        Duration::from_nanos(self.key_wait_ns.load(Ordering::Relaxed))
+    }
+
+    /// Rotates a decomposed ciphertext by `g`, waiting for the key if
+    /// it has not arrived yet. The decomposition is the caller's
+    /// argument so that it is done before the wait, not after it.
+    fn rotate(&self, at: &HoistedCiphertext, g: usize) -> Result<Ciphertext, SpotError> {
+        let (keys, waited) = self.keys.wait(g)?;
+        self.key_wait_ns
+            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
+        Ok(self.evaluator.rotate_hoisted(at, g, &keys))
     }
 
     /// The batch encoder.
@@ -383,9 +437,14 @@ impl HeConvEngine {
     /// Runs the lane-MIMO convolution of one input ciphertext (see
     /// [`ConvRequest`] for the per-layer structure description).
     ///
-    /// Returns one ciphertext per group.
+    /// Returns one ciphertext per group, or the error of a rotation key
+    /// that can no longer arrive.
     #[allow(clippy::needless_range_loop)]
-    pub fn conv_one_ct(&self, ct: &Ciphertext, req: &ConvRequest<'_>) -> Vec<Ciphertext> {
+    pub fn conv_one_ct(
+        &self,
+        ct: &Ciphertext,
+        req: &ConvRequest<'_>,
+    ) -> Result<Vec<Ciphertext>, SpotError> {
         let (layout, in_maps, groups) = (req.layout, req.in_maps, req.groups);
         let (diagonals, fold_steps) = (req.diagonals, req.fold_steps);
         assert!(!in_maps.is_empty() && in_maps.len() <= 2);
@@ -404,18 +463,24 @@ impl HeConvEngine {
         // key-switch decomposition: the column swap, the baby steps and
         // the first taps come from the input's hoist, and taking the
         // baby steps before the taps leaves one hoist per position.
+        // Every rotation below is hoist first, then `self.rotate`: the
+        // decomposition needs no key, so it overlaps the key's upload.
         let n = self.ctx.degree();
-        let rotate = |at: &HoistedCiphertext, g: usize| ev.rotate_hoisted(at, g, &self.galois);
+        let block = |b: usize| galois_elt_from_step(layout.block_rotation_step(b), n);
         // `None` is the centre tap: the position's own ciphertext.
         let taps_of = |at: &HoistedCiphertext| {
             let rotated = taps.iter().map(|&(dy, dx, _, _)| {
                 let step = dy * layout.piece_w as i64 + dx;
-                (step != 0).then(|| rotate(at, galois_elt_from_step(step, n)))
+                (step != 0)
+                    .then(|| self.rotate(at, galois_elt_from_step(step, n)))
+                    .transpose()
             });
-            rotated.collect::<Vec<Option<Ciphertext>>>()
+            rotated.collect::<Result<Vec<Option<Ciphertext>>, SpotError>>()
         };
         let input = ev.hoist(ct);
-        let swapped = (in_maps.len() == 2).then(|| rotate(&input, galois_elt_column_swap(n)));
+        let swapped = (in_maps.len() == 2)
+            .then(|| self.rotate(&input, galois_elt_column_swap(n)))
+            .transpose()?;
         let versions: Vec<&Ciphertext> = std::iter::once(ct).chain(swapped.as_ref()).collect();
         // `stepped[vi][b - 1]`: version `vi` moved by `b ≥ 1` baby
         // steps; `tapped[vi * baby + b][ti]`: that position's tap `ti`.
@@ -424,15 +489,12 @@ impl HeConvEngine {
         let mut hoisted_input = Some(input);
         for &version in &versions {
             let at = hoisted_input.take().unwrap_or_else(|| ev.hoist(version));
-            let steps: Vec<Ciphertext> = (1..baby)
-                .map(|b| {
-                    let g = galois_elt_from_step(layout.block_rotation_step(b), n);
-                    rotate(&at, g)
-                })
-                .collect();
-            tapped.push(taps_of(&at));
+            let steps = (1..baby)
+                .map(|b| self.rotate(&at, block(b)))
+                .collect::<Result<Vec<Ciphertext>, SpotError>>()?;
+            tapped.push(taps_of(&at)?);
             for step in &steps {
-                tapped.push(taps_of(&ev.hoist(step)));
+                tapped.push(taps_of(&ev.hoist(step))?);
             }
             stepped.push(steps);
         }
@@ -476,8 +538,7 @@ impl HeConvEngine {
                 }
                 let mut acc_j = ev.dot_lifted(&terms);
                 if j > 0 {
-                    acc_j =
-                        ev.rotate_rows(&acc_j, layout.block_rotation_step(j * baby), &self.galois);
+                    acc_j = self.rotate(&ev.hoist(&acc_j), block(j * baby))?;
                 }
                 match &mut acc_total {
                     None => acc_total = Some(acc_j),
@@ -492,12 +553,12 @@ impl HeConvEngine {
             });
             // Fold partial sums across block strides (C_o < C_i case).
             for &f in fold_steps {
-                let rot = ev.rotate_rows(&out, layout.block_rotation_step(f), &self.galois);
+                let rot = self.rotate(&ev.hoist(&out), block(f))?;
                 ev.add_inplace(&mut out, &rot);
             }
             outputs.push(out);
         }
-        outputs
+        Ok(outputs)
     }
 }
 
@@ -543,11 +604,31 @@ mod tests {
         assert_eq!(bsgs_split(1, 8, 2, 9), (1, 1));
     }
 
+    /// A complete key set that notes which element was asked for, in
+    /// the order of first requests.
+    #[derive(Debug)]
+    struct Recording {
+        keys: Arc<GaloisKeys>,
+        asked: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl RotationKeys for Recording {
+        fn wait(&self, g: usize) -> Result<(Arc<GaloisKeys>, Duration), SpotError> {
+            let mut asked = self.asked.lock().unwrap();
+            if !asked.contains(&g) {
+                asked.push(g);
+            }
+            self.keys.wait(g)
+        }
+    }
+
     /// What one SPOT `conv_one_ct` at `c_in → c_out` over 4×4 pieces did
     /// and produced: `(rotations, key-switch decompositions, mult_plain,
     /// add)` — the engine's evaluator's tally, which the trace counters
     /// on this thread must have seen too — and an FNV-1a digest of the
-    /// slots its outputs decrypt to.
+    /// slots its outputs decrypt to. On the way it holds the engine to
+    /// the key schedule: the order it first asks for each rotation key
+    /// is the order [`required_elements`] lists them in.
     fn ops_and_output_digest(c_in: usize, c_out: usize) -> ((u64, u64, u64, u64), u64) {
         use crate::spot::{blocking, spot_group_specs, spot_in_maps};
         use rand::SeedableRng;
@@ -562,8 +643,11 @@ mod tests {
         let kernel = Kernel::random(c_out, c_in, 3, 3, 3, 6);
         let (groups, in_maps) = (spot_group_specs(&blk, c_out), spot_in_maps(&blk, c_in));
         let elements = blk.galois_elements(&layout, 3, 3);
-        let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
-        let engine = HeConvEngine::new(&ctx, galois, true, KernelCache::new());
+        let store = Recording {
+            keys: Arc::new(keygen.galois_keys(&elements, &mut rng)),
+            asked: Default::default(),
+        };
+        let engine = HeConvEngine::new(&ctx, &store, true, KernelCache::new());
         let req = ConvRequest {
             layout: &layout,
             in_maps: &in_maps,
@@ -580,8 +664,14 @@ mod tests {
 
         let sink = SessionCounters::new(0);
         let outer = spot_trace::set_session_counters(Some(sink.clone()));
-        let outputs = engine.conv_one_ct(&ct, &req);
+        let outputs = engine.conv_one_ct(&ct, &req).expect("complete key set");
         spot_trace::set_session_counters(outer);
+        assert_eq!(
+            *store.asked.lock().unwrap(),
+            elements,
+            "{c_in} → {c_out}: first-use order is the schedule"
+        );
+        assert_eq!(engine.key_wait(), Duration::ZERO);
         let (seen, counts) = (sink.snapshot(), engine.evaluator().counts());
         assert_eq!(seen.get(Counter::Rotate), counts.rotate);
         assert_eq!(seen.get(Counter::MultPlain), counts.mult_plain);

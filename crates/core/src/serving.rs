@@ -364,8 +364,9 @@ pub struct PipelineSummary {
     pub server_threads: usize,
     /// Worker thread-seconds computing.
     pub server_busy_s: f64,
-    /// Worker thread-seconds blocked waiting for a runnable job while
-    /// an upload was open — the paper's "linear computation stall".
+    /// Worker thread-seconds blocked waiting for a runnable job or for
+    /// a rotation key while an upload was open — the paper's "linear
+    /// computation stall".
     pub server_idle_s: f64,
     /// Ingest back-pressure: the server was the bottleneck.
     pub client_blocked_s: f64,

@@ -8,17 +8,28 @@
 //!   the masked results into its additive shares
 //!   ([`ClientConv::absorb_batch`]).
 //! * [`serve_conv`] — the server: reads the [`ConvSetup`] hello,
-//!   validates the client's rotation keys, convolves under HE, and
-//!   returns masked results while keeping its own additive shares.
+//!   acknowledges it, convolves under HE as inputs and rotation keys
+//!   arrive, and returns masked results while keeping its own additive
+//!   shares.
 //!
 //! Rotation keys belong to the *connection*, not the layer. The server
-//! keeps what it has ingested in a [`ConnectionKeys`] for as long as
+//! keeps what it has been sent in a [`ConnectionKeys`] for as long as
 //! the transport lives; the client records what it has uploaded next to
 //! the secret key that made them ([`ClientConv::next_layer`] carries
-//! the record forward). Both derive the same rule from the plan alone:
-//! a layer's `GaloisKeys` frame carries exactly the planned elements
-//! the connection does not hold yet, and is absent when there are none
-//! (`missing_elements`). A one-layer call ([`ClientConv::new`],
+//! the record forward). And they are part of the upload *stream*, not a
+//! phase in front of it. Both parties derive the same **key-stream
+//! rule** from the plan alone: the layer's schedule is the planned
+//! elements the connection does not hold yet (`missing_elements`), in
+//! the order the conv engine first uses them
+//! ([`PlanFacts::galois_elements`]); each travels in a `GaloisKeys`
+//! frame of its own, made immediately before it is sent; and the frames
+//! sit right behind the inputs the first job reads
+//! ([`Round::first_job_inputs`]: input 0 of a per-input scheme, the
+//! whole round of an all-inputs one), ahead of the remaining inputs. So
+//! the server's first job starts on the first ciphertext, each of its
+//! rotations waits only for its own key ([`ConnectionKeys`]'s blocking
+//! `wait`), and the client generates key `k + 1` while the server
+//! rotates by key `k`. A one-layer call ([`ClientConv::new`],
 //! [`serve_conv_with`]) is a connection of one layer.
 //!
 //! There is one upload body, one absorb body and one server driver. The
@@ -38,22 +49,24 @@
 //! # Determinism contract
 //!
 //! Each party draws randomness from its own seeded rng in a fixed
-//! order: per layer the client draws its public key, then for each
-//! rotation key the connection still lacks its seed and its error
-//! polynomials, then every encryption in upload order; the server
-//! draws only result masks, in result order (the driver's consumer
-//! runs on one thread in job order). Parallel phases are pure. Shares
-//! are therefore bit-identical across backends, thread counts, channel
-//! capacities, and transports.
+//! order: per layer the client draws its public key and then follows
+//! its upload — the encryptions of the inputs the first job reads, for
+//! each rotation key the connection still lacks its seed and its error
+//! polynomials (in schedule order), the remaining encryptions; the
+//! server draws only result masks, in result order (the driver's
+//! consumer runs on one thread in job order). Parallel phases are pure,
+//! and when a key arrives changes only how long a rotation waits.
+//! Shares are therefore bit-identical across backends, thread counts,
+//! channel capacities, and transports.
 
 use crate::channelwise::{self, SecureConvResult};
 use crate::cheetah;
 use crate::error::SpotError;
 use crate::executor::Executor;
-use crate::heconv::{HeConvEngine, KernelCache};
+use crate::heconv::{HeConvEngine, KernelCache, RotationKeys};
 use crate::patching::PatchMode;
 use crate::spot;
-use crate::stream::{run_stream, Round, StreamConfig, StreamStats};
+use crate::stream::{end_wait, run_stream, Round, StreamConfig, StreamStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
@@ -71,9 +84,9 @@ use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Typed layer specification ↔ wire setup
@@ -335,8 +348,9 @@ pub(crate) struct PlanFacts {
     /// Server work items per round (one per input ciphertext under
     /// [`OutputDependency::PerInput`]).
     pub jobs: usize,
-    /// Galois elements the server will rotate by (empty = the client
-    /// sends no rotation keys).
+    /// Galois elements the server will rotate by, each once, in the
+    /// order its engine first uses them — the key-stream schedule
+    /// (empty = the client sends no rotation keys).
     pub galois_elements: Vec<usize>,
     /// Whether the conv engine uses the baby-step/giant-step alignment
     /// `galois_elements` was computed for.
@@ -345,6 +359,17 @@ pub(crate) struct PlanFacts {
     pub batch_capacity: usize,
     /// Plaintexts are raw coefficient vectors, not SIMD slot rows.
     pub coeff_packed: bool,
+}
+
+impl PlanFacts {
+    /// One round of the layer as the stream driver sees it.
+    fn round(&self) -> Round {
+        Round {
+            dependency: self.dependency,
+            inputs: self.input_cts,
+            jobs: self.jobs,
+        }
+    }
 }
 
 /// What the server hands a scheme's [`ConvScheme::convolve`]: the
@@ -358,7 +383,7 @@ pub(crate) struct ServerKit<'a> {
     /// The layer's kernel weights.
     pub kernel: &'a Kernel,
     /// The layer's conv engine.
-    pub engine: HeConvEngine,
+    pub engine: HeConvEngine<'a>,
 }
 
 /// One packing scheme as the session driver sees it. Three impls:
@@ -391,8 +416,14 @@ pub(crate) trait ConvScheme: Send + Sync {
     /// *Convolve*: work item `job` over the ciphertexts it depends on —
     /// `[ct_job]` under [`OutputDependency::PerInput`], the round's
     /// whole upload under [`OutputDependency::AllInputs`]. Pure: runs
-    /// on pool workers in any order.
-    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext>;
+    /// on pool workers in any order. Fails only on a rotation key that
+    /// can no longer arrive.
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> Result<Vec<Ciphertext>, SpotError>;
 
     /// Folds job `job`'s outputs into the round's result stream: called
     /// in job order on one thread, returns the result ciphertexts that
@@ -567,10 +598,10 @@ fn recv_input_blob(
     Ok(blob)
 }
 
-/// The key-frame rule both parties apply: of the Galois elements a
-/// layer's plan needs, in plan order, those the connection does not
-/// hold yet. The layer's `GaloisKeys` frame carries exactly these, and
-/// there is no frame when there are none.
+/// The key-stream schedule both parties derive: of the Galois elements
+/// a layer's plan needs, in first-use order, those the connection does
+/// not hold yet. The layer's upload carries exactly one `GaloisKeys`
+/// frame for each, in this order, and none when there are none.
 fn missing_elements(needed: &[usize], held: impl Fn(usize) -> bool) -> Vec<usize> {
     needed.iter().copied().filter(|&e| !held(e)).collect()
 }
@@ -583,20 +614,21 @@ fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
 // Client session
 // ---------------------------------------------------------------------
 
-/// How the client paces its input upload relative to the server's
-/// setup acknowledgement (the `LayerBarrier` the server sends once the
-/// rotation keys are validated).
+/// How the client paces its upload relative to the server's setup
+/// acknowledgement (the `LayerBarrier` the server sends once the hello
+/// is planned and admitted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UploadPacing {
     /// Push everything immediately. Correct for the phased in-process
     /// harness, where the server only starts consuming after the whole
     /// upload is queued (waiting for an ack would deadlock).
     Eager,
-    /// Hold input ciphertexts until the server acknowledges the setup
-    /// and keys. This keeps the upload inside the server's measured
-    /// stall window — a tiny client cannot usefully transmit before
-    /// the server is ready to consume, and pre-buffering would let the
-    /// transport hide the upload span the stall accounting reports.
+    /// Hold input ciphertexts and rotation keys until the server
+    /// acknowledges the setup. This keeps the upload inside the
+    /// server's measured stall window — a tiny client cannot usefully
+    /// transmit before the server is ready to consume, and
+    /// pre-buffering would let the transport hide the upload span the
+    /// stall accounting reports.
     AwaitAck,
 }
 
@@ -700,13 +732,15 @@ impl<'a> ClientConv<'a> {
         self.send_batch(transport, std::slice::from_ref(input), pacing, rng)
     }
 
-    /// Upload phase: sends the layer hello, the rotation keys the
-    /// connection's server does not hold yet, and every packed input
-    /// ciphertext. Draws the public key first, then those rotation
-    /// keys, then encryptions in upload order — the canonical client
-    /// rng sequence. With
-    /// [`UploadPacing::AwaitAck`] the input ciphertexts are held until
-    /// the server's setup acknowledgement arrives on the downlink.
+    /// Upload phase, in stream order: the layer hello, the input
+    /// ciphertexts the server's first job reads, one `GaloisKeys` frame
+    /// per rotation key the connection's server does not hold yet —
+    /// each made immediately before it is sent, in the order the server
+    /// will first use them — and the remaining input ciphertexts. The
+    /// rng is drawn in the same order, after the public key: the
+    /// canonical client rng sequence. With [`UploadPacing::AwaitAck`]
+    /// everything after the hello is held until the server's setup
+    /// acknowledgement arrives on the downlink.
     ///
     /// The slot-packed schemes interleave every image's packing into
     /// the same ciphertexts, so the upload — and the server's rotations
@@ -758,15 +792,6 @@ impl<'a> ClientConv<'a> {
         setup.trace = trace_id;
         transport.send(&WireMessage::Setup(setup))?;
         let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
-        {
-            let mut uploaded = self.uploaded.lock().expect("no upload panicked mid-record");
-            let missing = missing_elements(&facts.galois_elements, |e| uploaded.contains(&e));
-            if !missing.is_empty() {
-                let gk = self.keygen.galois_keys(&missing, rng);
-                transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&gk)))?;
-                uploaded.extend(missing);
-            }
-        }
         if pacing == UploadPacing::AwaitAck {
             let msg = transport.recv()?;
             let WireMessage::LayerBarrier { .. } = msg else {
@@ -775,6 +800,8 @@ impl<'a> ClientConv<'a> {
         }
         let t = self.ctx.params().plain_modulus();
         let codec = RowCodec::new(&self.ctx, facts);
+        // The key frames' slot in the upload: behind this many inputs.
+        let key_slot = facts.round().first_job_inputs() as u32;
         let mut seq = 0u32;
         for round in inputs.chunks(width) {
             self.plan.pack(round, t, &mut |row| {
@@ -789,6 +816,9 @@ impl<'a> ClientConv<'a> {
                 };
                 transport.send(&msg)?;
                 seq += 1;
+                if seq == key_slot {
+                    self.send_missing_keys(transport, rng)?;
+                }
                 Ok(())
             })?;
         }
@@ -796,6 +826,26 @@ impl<'a> ClientConv<'a> {
             encrypt: u64::from(seq),
             input_cts: seq as usize,
         })
+    }
+
+    /// The layer's key stream: for each planned Galois element the
+    /// connection's server does not hold yet, in schedule order, makes
+    /// the key and sends it in a frame of its own, so the server can
+    /// rotate by one key while the next is being made.
+    fn send_missing_keys<R: Rng>(
+        &self,
+        transport: &dyn Transport,
+        rng: &mut R,
+    ) -> Result<(), SpotError> {
+        let mut uploaded =
+            (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded-key record"))?;
+        let schedule = &self.plan.facts().galois_elements;
+        for g in missing_elements(schedule, |e| uploaded.contains(&e)) {
+            let key = self.keygen.galois_keys(&[g], rng);
+            transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&key)))?;
+            uploaded.insert(g);
+        }
+        Ok(())
     }
 
     /// [`ClientConv::absorb_batch`] for one image.
@@ -839,6 +889,9 @@ impl<'a> ClientConv<'a> {
                 } else {
                     (round.iter().enumerate())
                         .map(|(r, row)| {
+                            // `width > 1` is `round_width` saying the
+                            // scheme lays images out in shared slots,
+                            // which it then does in every result.
                             let layout = self.plan.batch_layout(r).expect("images share slots");
                             layout.unpack_image(row, b)
                         })
@@ -891,6 +944,8 @@ impl<'a> ClientConv<'a> {
             let ct = Ciphertext::try_from_bytes(&self.ctx, &blob)?;
             *slot = Some(codec.decode(&decryptor.decrypt(&ct)));
         }
+        // `expected` receives each filled a slot that was empty, of
+        // `expected` slots: none is left empty.
         Ok(decoded
             .into_iter()
             .map(|d| d.expect("all sequence numbers seen"))
@@ -958,59 +1013,142 @@ impl SharedKernelCaches {
 }
 
 /// The rotation keys one connection's client has uploaded so far: the
-/// server-side half of the key-frame rule. Lives as long as the
-/// transport (a [`crate::twoparty::run_server_with`] call, a
-/// [`serve_conv_with`] call for a one-layer connection) and is never
-/// shared between connections, so it only ever holds keys of one secret
-/// key. Its size is bounded by the union of the served layers' planned
-/// element sets: its ingest step admits nothing else.
-#[derive(Debug, Default)]
+/// server-side half of the key-stream rule, and where a rotation waits
+/// for its key. Lives as long as the transport (a
+/// [`crate::twoparty::run_server_with`] call, a [`serve_conv_with`] call
+/// for a one-layer connection) and is never shared between connections,
+/// so it only ever holds keys of one secret key. Its size is bounded by
+/// the union of the served layers' planned element sets: the one writer,
+/// a layer's [`KeyUpload`], admits a key only as the next element of
+/// that layer's schedule.
+#[derive(Debug)]
 pub struct ConnectionKeys {
-    held: Arc<GaloisKeys>,
+    state: Mutex<KeyState>,
+    changed: Condvar,
+}
+
+#[derive(Debug)]
+struct KeyState {
+    /// Each element's key, in the one-key set its frame carried.
+    held: HashMap<usize, Arc<GaloisKeys>>,
+    /// `None` while the layer being served may still be sent keys;
+    /// otherwise why no more can arrive.
+    ended: Option<String>,
+}
+
+impl Default for ConnectionKeys {
+    fn default() -> Self {
+        Self {
+            state: Mutex::new(KeyState {
+                held: HashMap::new(),
+                ended: Some("no key upload is open".into()),
+            }),
+            changed: Condvar::new(),
+        }
+    }
 }
 
 impl ConnectionKeys {
-    /// Brings the store up to a layer that rotates by `needed`: reads
-    /// the layer's `GaloisKeys` frame if (and only if) some of `needed`
-    /// is missing, insists that it carries exactly the missing
-    /// elements, and returns the keys to rotate with.
-    fn ingest(
-        &mut self,
-        ctx: &Arc<Context>,
-        transport: &dyn Transport,
-        needed: &[usize],
-    ) -> Result<Arc<GaloisKeys>, SpotError> {
-        let missing = missing_elements(needed, |e| self.held.contains(e));
-        // Nothing missing, no frame: a client that sends one anyway
-        // fails the input read that follows.
-        if !missing.is_empty() {
+    fn lock(&self) -> Result<std::sync::MutexGuard<'_, KeyState>, SpotError> {
+        (self.state.lock()).map_err(|_| SpotError::Poisoned("connection keys"))
+    }
+
+    /// Ends the open upload, if one is: every waiter for a key that is
+    /// not here learns `why` it will not come. The first reason stays.
+    fn end(&self, why: impl Into<String>) {
+        // A poisoned lock is ignored: the panic that poisoned it is
+        // already propagating, and this runs from a `Drop`.
+        if let Ok(mut state) = self.state.lock() {
+            state.ended.get_or_insert_with(|| why.into());
+        }
+        self.changed.notify_all();
+    }
+}
+
+impl RotationKeys for ConnectionKeys {
+    /// Blocks until `g`'s key has been uploaded or the upload has
+    /// ended without it. The time blocked is stall, not work: it shows
+    /// as a `wait key` span and the caller moves it from busy to idle.
+    fn wait(&self, g: usize) -> Result<(Arc<GaloisKeys>, Duration), SpotError> {
+        let span = spot_trace::span(Cat::Stream, "wait key");
+        let mut waited = Duration::ZERO;
+        let mut state = self.lock()?;
+        let found = loop {
+            if let Some(key) = state.held.get(&g) {
+                break Ok(Arc::clone(key));
+            }
+            if let Some(why) = &state.ended {
+                break Err(SpotError::Protocol(format!(
+                    "the rotation key for galois element {g} will not arrive: {why}"
+                )));
+            }
+            let t0 = Instant::now();
+            state =
+                (self.changed.wait(state)).map_err(|_| SpotError::Poisoned("connection keys"))?;
+            waited += t0.elapsed();
+        };
+        drop(state);
+        end_wait(span, waited);
+        found.map(|key| (key, waited))
+    }
+}
+
+/// One layer's key stream on the server: the schedule of elements still
+/// to arrive, and the right to put them on the connection's store. The
+/// store is open from [`KeyUpload::open`] until this is dropped, on
+/// whatever path — read to the end, refused, or never reached — so a
+/// worker waiting for a key always gets it or an error.
+struct KeyUpload<'a> {
+    keys: &'a ConnectionKeys,
+    schedule: Vec<usize>,
+}
+
+impl<'a> KeyUpload<'a> {
+    /// Opens `keys` for the planned elements of `needed` it lacks.
+    fn open(keys: &'a ConnectionKeys, needed: &[usize]) -> Result<Self, SpotError> {
+        let mut state = keys.lock()?;
+        let schedule = missing_elements(needed, |e| state.held.contains_key(&e));
+        // Nothing missing, no frames, nothing to wait for: a client
+        // that sends one anyway fails the input read in its place.
+        if !schedule.is_empty() {
+            state.ended = None;
+        }
+        drop(state);
+        Ok(Self { keys, schedule })
+    }
+
+    /// Reads the layer's key frames off the uplink, each into the store
+    /// as it arrives: exactly one frame per scheduled element, carrying
+    /// exactly that element's key, in schedule order.
+    fn read(self, ctx: &Arc<Context>, transport: &dyn Transport) -> Result<(), SpotError> {
+        let result = self.schedule.iter().try_for_each(|&want| {
             let msg = transport.recv()?;
             let WireMessage::GaloisKeys(blob) = msg else {
                 return Err(unexpected(&msg, "GaloisKeys"));
             };
-            let gk = galois_keys_from_bytes(ctx, &blob)?;
-            if let Some(e) = missing.iter().find(|&&e| !gk.contains(e)) {
+            let key = galois_keys_from_bytes(ctx, &blob)?;
+            if key.len() != 1 || !key.contains(want) {
+                let mut got: Vec<usize> = key.elements().collect();
+                got.sort_unstable();
                 return Err(SpotError::Protocol(format!(
-                    "client rotation keys miss required galois element {e}"
+                    "key frame carries galois elements {got:?}, \
+                     want exactly the next scheduled one, {want}"
                 )));
             }
-            // The smallest offender, so the refusal does not depend on
-            // hash order.
-            if let Some(e) = gk.elements().filter(|e| !missing.contains(e)).min() {
-                let why = if self.held.contains(e) {
-                    "this connection already holds"
-                } else {
-                    "the layer does not rotate by"
-                };
-                return Err(SpotError::Protocol(format!(
-                    "client rotation keys carry galois element {e}, which {why}"
-                )));
-            }
-            // The engine of the earlier layer is gone, so this does not
-            // copy; it would only if one had leaked a reference.
-            Arc::make_mut(&mut self.held).extend(gk);
+            self.keys.lock()?.held.insert(want, Arc::new(key));
+            self.keys.changed.notify_all();
+            Ok(())
+        });
+        if let Err(e) = &result {
+            self.keys.end(e.to_string());
         }
-        Ok(Arc::clone(&self.held))
+        result
+    }
+}
+
+impl Drop for KeyUpload<'_> {
+    fn drop(&mut self) {
+        self.keys.end("the layer's key upload is over");
     }
 }
 
@@ -1052,9 +1190,9 @@ pub struct ServerConvSummary {
 }
 
 /// Server half of one secure-convolution layer: reads the hello,
-/// validates keys, convolves, masks results back,
-/// and keeps the server's additive share. Draws only result masks from
-/// `rng`, in result order.
+/// acknowledges it, convolves as inputs and keys arrive, masks results
+/// back, and keeps the server's additive share. Draws only result masks
+/// from `rng`, in result order.
 pub fn serve_conv<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
@@ -1083,20 +1221,20 @@ pub fn serve_conv_with<R: Rng>(
     opts: ServeOptions<'_>,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
-    let mut keys = ConnectionKeys::default();
-    serve_conv_on(ctx, transport, kernel, backend, opts, &mut keys, rng)
+    let keys = ConnectionKeys::default();
+    serve_conv_on(ctx, transport, kernel, backend, opts, &keys, rng)
 }
 
 /// Serves one layer of a connection whose rotation keys so far are
-/// `keys`: the layer's key frame tops them up (see [`ConnectionKeys`]),
-/// and they stay for the connection's later layers.
+/// `keys`: the layer's key frames top them up as the layer runs (see
+/// [`ConnectionKeys`]), and they stay for the connection's later layers.
 pub fn serve_conv_on<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
     kernel: &Kernel,
     backend: &ExecBackend,
     opts: ServeOptions<'_>,
-    keys: &mut ConnectionKeys,
+    keys: &ConnectionKeys,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
     let msg = transport.recv()?;
@@ -1151,14 +1289,14 @@ pub fn serve_conv_on<R: Rng>(
             });
         }
     }
-    let galois = keys.ingest(ctx, transport, &facts.galois_elements)?;
-    // Flow control: acknowledge the setup + key material before the
-    // client commits bandwidth to the upload. A paced client
-    // ([`UploadPacing::AwaitAck`]) holds its input ciphertexts until
-    // this arrives, so the upload lands inside the server's measured
-    // stall window instead of pre-buffering in the transport while the
-    // server is still deserializing rotation keys.
+    // Flow control: acknowledge the hello, now that it is planned and
+    // admitted, before the client commits bandwidth to the upload. A
+    // paced client ([`UploadPacing::AwaitAck`]) holds its ciphertexts
+    // and rotation keys until this arrives, so the whole upload lands
+    // inside the server's measured stall window. It says nothing about
+    // keys: those are checked one by one as the stream delivers them.
     transport.send(&WireMessage::LayerBarrier { layer: 0 })?;
+    let upload = KeyUpload::open(keys, &facts.galois_elements)?;
     // With `opts.shared` the cache is the model's for this spec, so
     // every session multiplies against the same lifted plaintexts.
     let cache = match opts.shared {
@@ -1168,13 +1306,14 @@ pub fn serve_conv_on<R: Rng>(
     let kit = ServerKit {
         ctx,
         kernel,
-        engine: HeConvEngine::new(ctx, galois, facts.use_bsgs, cache),
+        engine: HeConvEngine::new(ctx, keys, facts.use_bsgs, cache),
     };
     // Live-registry serve latency, labeled by scheme. The Instant is
     // only taken when metrics are on, and only successful serves are
     // recorded — error paths would pollute the latency series.
     let serve_start = spot_trace::metrics::enabled().then(Instant::now);
-    let result = serve_rounds(transport, &*plan, &kit, &backend.split().0, batch, rng);
+    let config = backend.split().0;
+    let result = serve_rounds(transport, &*plan, &kit, &config, upload, batch, rng);
     if let (Some(t0), Ok(_)) = (serve_start, &result) {
         spot_trace::metrics::global()
             .histogram("spot_conv_serve_ns", &[("scheme", spec.scheme.name())])
@@ -1184,13 +1323,16 @@ pub fn serve_conv_on<R: Rng>(
 }
 
 /// The server driver proper, after the handshake: per round, ingest the
-/// upload, run each job once the inputs it reads have arrived, and
-/// mask-and-send every result in result order.
+/// upload — the first round's carries the layer's key frames, `upload`,
+/// behind the inputs its first job reads — run each job once the inputs
+/// it reads have arrived, and mask-and-send every result in result
+/// order.
 fn serve_rounds<R: Rng>(
     transport: &dyn Transport,
     plan: &dyn ConvScheme,
     kit: &ServerKit<'_>,
     config: &StreamConfig,
+    upload: KeyUpload<'_>,
     batch: usize,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
@@ -1215,11 +1357,7 @@ fn serve_rounds<R: Rng>(
     let mut masks: Vec<Vec<Vec<u64>>> = vec![Vec::new(); batch];
     let mut stream = StreamStats::default();
     let mut seq_out = 0u32;
-    let per_round = Round {
-        dependency: facts.dependency,
-        inputs: facts.input_cts,
-        jobs: facts.jobs,
-    };
+    let mut key_frames = Some(upload);
 
     for round in 0..rounds {
         let images = round * width..(round + 1) * width;
@@ -1261,17 +1399,24 @@ fn serve_rounds<R: Rng>(
         // thread goes straight back to the transport.
         let stats = run_stream(
             config,
-            per_round,
+            facts.round(),
             |j| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j)),
+            || (key_frames.take()).map_or(Ok(()), |frames| frames.read(ctx, transport)),
             |_, blob: Vec<u8>| Ok(Ciphertext::try_from_bytes(ctx, &blob)?),
-            |j, inputs: &[Ciphertext]| Ok(plan.convolve(kit, j, inputs)),
+            |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
             emit,
         )?;
         stream.accumulate(&stats);
     }
+    // The one place a key wait is booked: the workers spent it inside
+    // `convolve`, so the driver counted it busy, and it is stall.
+    let key_wait = kit.engine.key_wait().as_secs_f64();
+    stream.server_busy_s -= key_wait;
+    stream.server_idle_s += key_wait;
 
     let mut shares = masks.into_iter().map(|rows| plan.share(rows, t, false));
     Ok(ServerConvSummary {
+        // `masks` has one entry per image and `check_batch` refused 0.
         server_share: shares.next().expect("batch >= 1"),
         extra_shares: shares.collect(),
         // The engine was built for this layer and the driver has joined
@@ -1366,7 +1511,9 @@ pub fn run_in_process<R: Rng>(
                     ct_ref.close_tx();
                     st.close_tx();
                 }
-                let (client_res, client_wall) = uploader.join().expect("client thread panicked");
+                let (client_res, client_wall) = uploader
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 (server_res, client_res, client_wall)
             });
             let (server_res, client_res, client_wall) = match scope_result {
@@ -1426,4 +1573,80 @@ pub(crate) fn run_phased<R: Rng>(
     run_in_process(ctx, keygen, spec, inputs, kernel, &backend, rng)
         .expect("in-process session")
         .into_result()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spot_he::params::EncryptionParams;
+    use std::sync::mpsc;
+
+    /// The store through its one writer: `wait` returns a key that was
+    /// put there before the call, one that arrives during it, and — as
+    /// the typed error, with the reason — one that never does; ending
+    /// the upload wakes every waiter.
+    #[test]
+    fn a_rotation_waits_for_its_own_key_and_for_nothing_once_the_upload_has_ended() {
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let mut rng = StdRng::seed_from_u64(1);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let mut frame = |g: usize| {
+            WireMessage::GaloisKeys(galois_keys_to_bytes(&keygen.galois_keys(&[g], &mut rng)))
+        };
+        let (client_end, server_end) = MemTransport::pair();
+        let store = ConnectionKeys::default();
+        let never = |g: usize, why: &str| match store.wait(g) {
+            Err(SpotError::Protocol(detail)) => assert!(detail.contains(why), "{detail}"),
+            other => panic!("element {g}: expected the typed error, got {other:?}"),
+        };
+        never(3, "no key upload is open");
+
+        let upload = KeyUpload::open(&store, &[3, 9, 27]).expect("open");
+        assert_eq!(upload.schedule, [3, 9, 27]);
+        client_end.send(&frame(3)).expect("send");
+        let (about_to_wait, waiting) = mpsc::channel();
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = [3usize, 9, 27, 27]
+                .into_iter()
+                .map(|g| {
+                    let about_to_wait = about_to_wait.clone();
+                    let store = &store;
+                    s.spawn(move || {
+                        about_to_wait.send(()).expect("signal");
+                        store.wait(g).map(|(keys, _)| keys.contains(g))
+                    })
+                })
+                .collect();
+            for _ in &waiters {
+                waiting.recv().expect("waiter started");
+            }
+            // Key 9 arrives with its waiter started; the uplink closes
+            // where key 27 should be, with two threads waiting for it.
+            client_end.send(&frame(9)).expect("send");
+            client_end.close_tx();
+            let read = upload.read(&ctx, &server_end);
+            assert!(matches!(read, Err(SpotError::Proto(_))), "{read:?}");
+            let ended: Vec<_> = waiters
+                .into_iter()
+                .map(|w| w.join().expect("waiter"))
+                .collect();
+            assert_eq!(ended[0], Ok(true));
+            assert_eq!(ended[1], Ok(true));
+            for late in &ended[2..] {
+                assert!(
+                    matches!(late, Err(SpotError::Protocol(why)) if why.contains("will not arrive")),
+                    "{late:?}"
+                );
+            }
+        });
+
+        let (keys, waited) = store.wait(9).expect("held");
+        assert!(keys.contains(9) && keys.len() == 1);
+        assert_eq!(waited, Duration::ZERO);
+        never(27, "connection closed by peer");
+        let next_layer = KeyUpload::open(&store, &[9, 27, 3]).expect("open");
+        assert_eq!(next_layer.schedule, [27], "what the connection holds stays");
+        drop(next_layer);
+        never(27, "the layer's key upload is over");
+    }
 }

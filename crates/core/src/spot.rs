@@ -20,7 +20,7 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
+use crate::heconv::{first_occurrences, required_elements, ChannelMap, ConvRequest, GroupSpec};
 use crate::layout::{
     next_pow2, pack_pieces, pack_pieces_split, unpack_pieces, unpack_pieces_split, LaneLayout,
 };
@@ -199,7 +199,8 @@ fn class_plans(blk: &Blocking, lane: usize, probe: &Decomposition) -> Vec<ClassP
 
 impl Blocking {
     /// The Galois elements a BSGS conv engine rotates by when it runs
-    /// this blocking over pieces packed in `layout` (one piece class).
+    /// this blocking over pieces packed in `layout` (one piece class),
+    /// in the order it first uses them.
     pub fn galois_elements(&self, layout: &LaneLayout, k_h: usize, k_w: usize) -> Vec<usize> {
         required_elements(
             layout,
@@ -284,11 +285,12 @@ impl Packing {
         let ct_class: Vec<usize> = (classes.iter().enumerate())
             .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
             .collect();
-        let mut elements: Vec<usize> = (classes.iter())
-            .flat_map(|class| blk.galois_elements(&class.layout, shape.k_h, shape.k_w))
-            .collect();
-        elements.sort_unstable();
-        elements.dedup();
+        // Jobs run class by class in upload order, so that is also the
+        // order the classes' keys are first asked for.
+        let elements = first_occurrences(
+            (classes.iter())
+                .flat_map(|class| blk.galois_elements(&class.layout, shape.k_h, shape.k_w)),
+        );
         // A class spilling over one ciphertext has no spare positions to
         // scatter another image into; otherwise the tightest class
         // bounds the batch.
@@ -401,7 +403,12 @@ impl ConvScheme for Packing {
         Ok(())
     }
 
-    fn convolve(&self, kit: &ServerKit<'_>, job: usize, inputs: &[Ciphertext]) -> Vec<Ciphertext> {
+    fn convolve(
+        &self,
+        kit: &ServerKit<'_>,
+        job: usize,
+        inputs: &[Ciphertext],
+    ) -> Result<Vec<Ciphertext>, SpotError> {
         let ci = self.ct_class[job];
         let req = ConvRequest {
             layout: &self.classes[ci].layout,

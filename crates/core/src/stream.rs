@@ -6,11 +6,14 @@
 //! difference is the "linear computation stall".
 //! [`spot_pipeline::plan::OutputDependency`] says it in one enum and
 //! [`run_stream`] executes it in one body: **a job waits for the inputs
-//! it reads**. An ingest thread pushes the round's upload frames through
-//! a [`BoundedQueue`]; the [`Executor::run_workers`] pool stages
-//! (deserialises) each input as it arrives and runs a job as soon as its
-//! inputs are staged; results are consumed in job order on the calling
-//! thread, where the mask rng lives.
+//! it reads**. An ingest thread — the uplink's only reader — pushes the
+//! round's upload frames through a [`BoundedQueue`], and between the
+//! inputs the first job reads and the rest it runs the round's *side
+//! step* (the session's rotation-key frames, which travel there); the
+//! [`Executor::run_workers`] pool stages (deserialises) each input as it
+//! arrives and runs a job as soon as its inputs are staged; results are
+//! consumed in job order on the calling thread, where the mask rng
+//! lives.
 //!
 //! The queue bound ([`StreamConfig::channel_capacity`]) is only the
 //! server's read-ahead. The bound that models the tiny client's
@@ -30,17 +33,22 @@
 //!
 //! One definition for both dependency classes:
 //! [`StreamStats::server_idle_s`] is the worker thread-seconds spent
-//! blocked waiting for a runnable job while the upload is open (time
-//! inside [`BoundedQueue::recv`]). Under `PerInput` that is the gap
-//! between one ciphertext and the next; under `AllInputs` it is the
-//! whole upload, on every worker — measured, not assigned.
+//! blocked waiting for a runnable job *or for a rotation key* while the
+//! upload is open: time inside [`BoundedQueue::recv`], which this
+//! driver measures, plus time inside the connection's key store's
+//! `wait`, which a job's `work` spends and the session layer moves from
+//! busy to idle (`session.rs::serve_rounds`, the one place). Under
+//! `PerInput` that is the gap between one ciphertext and the next;
+//! under `AllInputs` it is the whole upload, on every worker; under
+//! either, the keys the client is still generating when a rotation
+//! wants them — measured, not assigned.
 //! [`StreamStats::stall_row`] converts a run into the
 //! [`spot_pipeline::report::StallRow`] rendered by
 //! [`spot_pipeline::report::stall_table`]. When `spot_trace` is enabled
 //! the same intervals appear as spans (`stage #i`, `conv #j`, `idle`,
-//! `out #j` on the workers and the caller, `blocked (channel full)` on
-//! the `server-ingest` thread), which is what the `stream_timeline`
-//! binary and the `--trace` flags export.
+//! `wait key`, `out #j` on the workers and the caller, `blocked
+//! (channel full)` on the `server-ingest` thread), which is what the
+//! `stream_timeline` binary and the `--trace` flags export.
 
 use crate::error::SpotError;
 use crate::executor::Executor;
@@ -245,8 +253,9 @@ pub struct StreamStats {
     pub client_blocked_s: f64,
     /// Worker thread-seconds spent staging inputs and running jobs.
     pub server_busy_s: f64,
-    /// Worker thread-seconds blocked waiting for a runnable job while
-    /// the upload was open — the measured "linear computation stall".
+    /// Worker thread-seconds blocked waiting for a runnable job or for
+    /// a rotation key while the upload was open — the measured "linear
+    /// computation stall".
     pub server_idle_s: f64,
     /// Input frames ingested.
     pub input_items: usize,
@@ -308,6 +317,18 @@ pub struct Round {
     pub jobs: usize,
 }
 
+impl Round {
+    /// How many inputs, from the front of the upload, the first job
+    /// reads: where the round's side step sits, on both ends of the
+    /// link.
+    pub fn first_job_inputs(&self) -> usize {
+        match self.dependency {
+            OutputDependency::PerInput => self.inputs.min(1),
+            OutputDependency::AllInputs => self.inputs,
+        }
+    }
+}
+
 /// Closes a queue when dropped, so a thread that fails or unwinds still
 /// releases every thread blocked on that queue.
 struct CloseOnDrop<'q, T>(&'q BoundedQueue<T>);
@@ -319,7 +340,7 @@ impl<T> Drop for CloseOnDrop<'_, T> {
 }
 
 /// Keeps a wait span only if the wait really blocked.
-fn end_wait(span: spot_trace::Span, waited: Duration) {
+pub(crate) fn end_wait(span: spot_trace::Span, waited: Duration) {
     if waited > Duration::ZERO {
         drop(span);
     } else {
@@ -343,7 +364,12 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 ///
 /// * an **ingest thread** calls `ingest(i)` for each input in order (a
 ///   transport receive) and pushes the raw frame through a queue bounded
-///   by [`StreamConfig::channel_capacity`], the server's read-ahead;
+///   by [`StreamConfig::channel_capacity`], the server's read-ahead.
+///   Once the inputs the first job reads are queued
+///   ([`Round::first_job_inputs`]) it runs `side` — whatever else the
+///   round's jobs wait for that arrives on the same link, behind those
+///   inputs — and then goes on with the rest, so the link has one reader
+///   and the first job is runnable before `side` starts;
 /// * the [`Executor::run_workers`] **pool** takes frames as they arrive,
 ///   *stages* each (`stage(i, frame)`, the deserialisation) and runs job
 ///   `j` (`work(j, inputs)`) as soon as the inputs it reads are staged:
@@ -356,18 +382,23 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 ///
 /// The stall has one definition for both classes:
 /// [`StreamStats::server_idle_s`] is the worker thread-seconds spent
-/// blocked waiting for a runnable job while the upload is open.
+/// blocked waiting for a runnable job while the upload is open. (What a
+/// job's `work` spends blocked on something `side` delivers is stall
+/// too; the caller knows how much and moves it, see the module doc.)
 ///
 /// `stage` and `work` must be pure, so the composition is bit-identical
-/// for any worker count and queue bound. An error from any of the four
+/// for any worker count and queue bound. An error from any of the five
 /// closures ends the round: every thread is released and joined, and
 /// the call returns the error of the step that failed first in the
-/// chain stage/work → consume → ingest. A panic on a worker propagates
-/// to the caller the same way.
+/// chain stage/work → consume → ingest/side. A `work` that blocks on
+/// `side` must be released by it on every path; `side` is dropped
+/// uncalled only when an earlier `ingest` failed. A panic on a worker
+/// propagates to the caller the same way.
 pub fn run_stream<F, T, R>(
     config: &StreamConfig,
     round: Round,
     mut ingest: impl FnMut(usize) -> Result<F, SpotError> + Send,
+    side: impl FnOnce() -> Result<(), SpotError> + Send,
     stage: impl Fn(usize, F) -> Result<T, SpotError> + Sync,
     work: impl Fn(usize, &[T]) -> Result<R, SpotError> + Sync,
     mut consume: impl FnMut(usize, R) -> Result<(), SpotError>,
@@ -454,14 +485,20 @@ where
             spot_trace::set_thread_label("server-ingest");
             let closer = CloseOnDrop(in_q);
             let mut blocked = Duration::ZERO;
-            let result = (0..round.inputs).try_for_each(|i| {
-                let frame = ingest(i)?;
-                let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
-                let waited = in_q.send((i, frame))?;
-                end_wait(wait_span, waited);
-                blocked += waited;
-                Ok::<(), SpotError>(())
-            });
+            let mut feed = |mut inputs: std::ops::Range<usize>| {
+                inputs.try_for_each(|i| {
+                    let frame = ingest(i)?;
+                    let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
+                    let waited = in_q.send((i, frame))?;
+                    end_wait(wait_span, waited);
+                    blocked += waited;
+                    Ok::<(), SpotError>(())
+                })
+            };
+            let first = round.first_job_inputs();
+            let result = feed(0..first)
+                .and_then(|()| side())
+                .and_then(|()| feed(first..round.inputs));
             // After a full upload the worker holding the last input
             // closes the queue; the ingest thread only does on failure.
             if result.is_ok() && round.inputs > 0 {
@@ -780,6 +817,7 @@ mod tests {
                         &cfg(threads, cap),
                         round(dependency, 50, jobs),
                         |i| Ok(i as u64),
+                        || Ok(()),
                         |i, v: u64| Ok((i as u64) * 100 + v),
                         |j, inputs: &[u64]| {
                             assert!(ran.lock().unwrap().insert(j), "{tag}: job {j} ran twice");
@@ -819,6 +857,7 @@ mod tests {
                     &cfg(8, 2),
                     round(dependency, n, n),
                     |_| Ok(41u32),
+                    || Ok(()),
                     |_, v| Ok(v),
                     |_, inputs: &[u32]| Ok(inputs[0] + 1),
                     |j, r| {
@@ -852,6 +891,7 @@ mod tests {
                 }
                 Ok(i)
             },
+            || Ok(()),
             |_, v| Ok(v),
             |j, inputs: &[usize]| {
                 assert_eq!(inputs, [j]);
@@ -869,6 +909,49 @@ mod tests {
     }
 
     #[test]
+    fn side_step_runs_once_behind_the_first_jobs_inputs_and_jobs_may_wait_for_it() {
+        // One worker, one queue slot: job 0 blocks until `side` has
+        // run, with input 1 still to come — it completes because `side`
+        // comes before input 1 is even read.
+        for (dependency, inputs, want) in [
+            (OutputDependency::PerInput, 4, "0 side 1 2 3"),
+            (OutputDependency::AllInputs, 4, "0 1 2 3 side"),
+            (OutputDependency::PerInput, 0, "side"),
+        ] {
+            let order = Mutex::new(Vec::new());
+            let (delivered_tx, delivered_rx) = std::sync::mpsc::channel::<()>();
+            let delivered_rx = Mutex::new(delivered_rx);
+            let stats = run_stream(
+                &cfg(1, 1),
+                round(dependency, inputs, inputs),
+                |i| {
+                    order.lock().unwrap().push(i.to_string());
+                    Ok(i)
+                },
+                || {
+                    order.lock().unwrap().push("side".into());
+                    drop(delivered_tx);
+                    Ok(())
+                },
+                |_, v| Ok(v),
+                |j, _: &[usize]| {
+                    // Returns once `side` has dropped the sender.
+                    let _ = delivered_rx.lock().unwrap().recv();
+                    Ok(j)
+                },
+                |_, _| Ok(()),
+            )
+            .unwrap();
+            assert_eq!(
+                order.into_inner().unwrap().join(" "),
+                want,
+                "{dependency:?}"
+            );
+            assert_eq!(stats.output_items, inputs);
+        }
+    }
+
+    #[test]
     fn all_inputs_jobs_wait_for_the_last_input() {
         let last_handed_over = AtomicBool::new(false);
         let seen = Mutex::new(Vec::new());
@@ -882,6 +965,7 @@ mod tests {
                 }
                 Ok(i as u64)
             },
+            || Ok(()),
             |_, v| Ok(v),
             |j, inputs: &[u64]| {
                 assert!(
@@ -929,6 +1013,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(4));
                     Ok(i)
                 },
+                || Ok(()),
                 |_, v| Ok(v),
                 |j, _: &[usize]| spin(j),
                 |_, _| Ok(()),
@@ -947,18 +1032,19 @@ mod tests {
     fn an_error_from_any_step_ends_the_round_with_that_error() {
         // Step 0 = ingest, 1 = stage, 2 = work, 3 = consume; each fails
         // on its second item, with more inputs still to come and a full
-        // queue behind it.
+        // queue behind it. Step 4 = the side step, which runs once.
         let fail = |step: usize, at: usize, i: usize| match step == at && i == 1 {
             true => Err(SpotError::Protocol(format!("step {at} gave up"))),
             false => Ok(()),
         };
         for dependency in CLASSES {
             for threads in [1usize, 4] {
-                for step in 0..4 {
+                for step in 0..5 {
                     let err = run_stream(
                         &cfg(threads, 1),
                         round(dependency, 6, 6),
                         |i| fail(step, 0, i).map(|()| i),
+                        || fail(step, 4, 1),
                         |i, v| fail(step, 1, i).map(|()| v),
                         |j, _: &[usize]| fail(step, 2, j).map(|()| j),
                         |j, _| fail(step, 3, j),
@@ -981,6 +1067,7 @@ mod tests {
             &cfg(4, 2),
             round(dependency, 8, 8),
             Ok,
+            || Ok(()),
             |_, v| Ok(v),
             |j, _: &[usize]| {
                 if j == 3 {

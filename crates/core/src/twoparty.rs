@@ -557,11 +557,11 @@ pub fn run_server_with<R: Rng>(
     };
 
     // The client's rotation keys, for both convolutions.
-    let mut keys = ConnectionKeys::default();
+    let keys = ConnectionKeys::default();
 
     // conv1 — the batch width arrives with the client's Setup.
     let shares1 = absorb(
-        serve_conv_on(ctx, transport, &cnn.conv1, backend, opts, &mut keys, rng)?,
+        serve_conv_on(ctx, transport, &cnn.conv1, backend, opts, &keys, rng)?,
         &mut report,
     );
     let batch = shares1.len();
@@ -593,7 +593,7 @@ pub fn run_server_with<R: Rng>(
 
     // conv2 — same batch width.
     let shares2 = absorb(
-        serve_conv_on(ctx, transport, &cnn.conv2, backend, opts, &mut keys, rng)?,
+        serve_conv_on(ctx, transport, &cnn.conv2, backend, opts, &keys, rng)?,
         &mut report,
     );
     if shares2.len() != batch {

@@ -34,8 +34,8 @@ use std::sync::{Arc, Mutex};
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Span names whose presence depends on scheduling (a worker only
-/// records `idle` when it actually waited).
-const SCHEDULING_SPANS: &[&str] = &["idle", "blocked (channel full)"];
+/// records `idle` or `wait key` when it actually waited).
+const SCHEDULING_SPANS: &[&str] = &["idle", "wait key", "blocked (channel full)"];
 
 struct MergedRun {
     merged: Merged,

@@ -509,9 +509,10 @@ fn batched_connection(
 }
 
 /// Slot batching shares the ciphertexts, so a B=2 connection draws the
-/// client rng exactly as a B=1 connection does: both key frames are
-/// bit-identical, the second one holds only the key conv2 adds, and
-/// every image's output is the one it gets alone.
+/// client rng exactly as a B=1 connection does: every key frame is
+/// bit-identical, each holds one key — eleven travel with conv1 and the
+/// one key conv2 adds with conv2 — and every image's output is the one
+/// it gets alone.
 #[test]
 fn two_layer_keys_and_outputs_are_batch_width_invariant() {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -528,7 +529,7 @@ fn two_layer_keys_and_outputs_are_batch_width_invariant() {
     let (both, keys_b2) = batched_connection(&server, &kg, &inputs);
     let key_bytes = ctx.params().galois_key_bytes();
     let frame_lens: Vec<usize> = keys_b2.iter().map(Vec::len).collect();
-    assert_eq!(frame_lens, [4 + 11 * key_bytes, 4 + key_bytes]);
+    assert_eq!(frame_lens, [4 + key_bytes; 11 + 1]);
     for (b, input) in inputs.iter().enumerate() {
         let (alone, keys_b1) = batched_connection(&server, &kg, std::slice::from_ref(input));
         assert_eq!(alone[0], both[b], "image {b}: B=2 output differs from B=1");

@@ -3,6 +3,9 @@
 //! rejection on the wire, clean accounting, and byte-identical service
 //! for every well-behaved neighbor.
 
+mod common;
+
+use common::within_deadline;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::error::SpotError;
@@ -22,9 +25,8 @@ use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Counter;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn test_stack() -> (Arc<Context>, TinyCnn) {
@@ -645,13 +647,25 @@ fn panicking_session_releases_its_admission_slot() {
 }
 
 // ---------------------------------------------------------------------
-// Connection-scoped rotation keys: clients that break the key-frame rule
+// Connection-scoped rotation keys: clients that break the key-stream rule
 // ---------------------------------------------------------------------
+
+/// What a hostile uplink does with one frame of an honest client.
+enum Uplink {
+    /// Sends it as it is.
+    Pass,
+    /// Sends these in its place (none: drops it).
+    Replace(Vec<WireMessage>),
+    /// Drops it and closes the uplink. The client code is not told, so
+    /// it goes on to read the server's answer; the rewrite drops
+    /// whatever it sends afterwards.
+    HangUp,
+}
 
 /// An honest client's transport with its uplink rewritten on the way
 /// out: `rewrite(layer, msg)` sees every frame together with the number
-/// of `Setup` frames sent so far (`msg` included) and returns the
-/// frames to send in its place, or `None` to pass it through.
+/// of `Setup` frames sent so far (`msg` included) and says what becomes
+/// of it.
 struct Tamper<'a, F> {
     inner: &'a dyn Transport,
     layer: AtomicUsize,
@@ -660,7 +674,7 @@ struct Tamper<'a, F> {
 
 impl<'a, F> Tamper<'a, F>
 where
-    F: Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync,
+    F: Fn(usize, &WireMessage) -> Uplink + Send + Sync,
 {
     fn new(inner: &'a dyn Transport, rewrite: F) -> Self {
         Self {
@@ -673,15 +687,19 @@ where
 
 impl<F> Transport for Tamper<'_, F>
 where
-    F: Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync,
+    F: Fn(usize, &WireMessage) -> Uplink + Send + Sync,
 {
     fn send(&self, msg: &WireMessage) -> Result<(), ProtoError> {
         if matches!(msg, WireMessage::Setup(_)) {
             self.layer.fetch_add(1, Ordering::SeqCst);
         }
         match (self.rewrite)(self.layer.load(Ordering::SeqCst), msg) {
-            Some(frames) => frames.iter().try_for_each(|m| self.inner.send(m)),
-            None => self.inner.send(msg),
+            Uplink::Pass => self.inner.send(msg),
+            Uplink::Replace(frames) => frames.iter().try_for_each(|m| self.inner.send(m)),
+            Uplink::HangUp => {
+                self.inner.close_tx();
+                Ok(())
+            }
         }
     }
 
@@ -696,24 +714,6 @@ where
     fn stats(&self) -> TransportStats {
         self.inner.stats()
     }
-}
-
-/// A misbehaving peer must end in a typed error frame, never a hang:
-/// kills the test binary if `scenario` is still running at the deadline.
-fn within_deadline<T>(what: &str, scenario: impl FnOnce() -> T) -> T {
-    const DEADLINE: Duration = Duration::from_secs(120);
-    let (done, watch) = mpsc::channel::<()>();
-    let what = what.to_string();
-    let watchdog = std::thread::spawn(move || {
-        if watch.recv_timeout(DEADLINE) == Err(RecvTimeoutError::Timeout) {
-            eprintln!("{what}: still running after {DEADLINE:?}");
-            std::process::abort();
-        }
-    });
-    let out = scenario();
-    drop(done);
-    watchdog.join().expect("watchdog");
-    out
 }
 
 /// What a connection through `server` ended as, on both ends.
@@ -733,7 +733,7 @@ fn tampered_connection<F>(
     rewrite: F,
 ) -> Ending
 where
-    F: Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync,
+    F: Fn(usize, &WireMessage) -> Uplink + Send + Sync,
 {
     let (ct, st) = MemTransport::pair();
     let tamper = Tamper::new(&ct, rewrite);
@@ -777,7 +777,13 @@ fn assert_refused(ending: &Ending, why: &str) {
     }
 }
 
-/// The key blob of `elements` under `kg` added to the keys of `blob`.
+/// The key frame of `elements` under `kg`, and the one holding the key
+/// of `blob` as well.
+fn key_frame(kg: &KeyGenerator, elements: &[usize]) -> WireMessage {
+    let keys = kg.galois_keys(elements, &mut StdRng::seed_from_u64(31));
+    WireMessage::GaloisKeys(galois_keys_to_bytes(&keys))
+}
+
 fn blob_with_extra(
     ctx: &Arc<Context>,
     kg: &KeyGenerator,
@@ -790,11 +796,17 @@ fn blob_with_extra(
 }
 
 /// TinyCnn under SPOT needs Galois element 4097 for conv2 only, and 3
-/// for both convolutions.
+/// for both convolutions; conv1 streams eleven keys, conv2 that one.
 const CONV2_ONLY: usize = 4097;
 const BOTH_CONVS: usize = 3;
 
-type Rewrite<'a> = Box<dyn Fn(usize, &WireMessage) -> Option<Vec<WireMessage>> + Send + Sync + 'a>;
+/// Which key frame of its layer `msg` is (0-based), counted in
+/// `seen[layer]`; `None` for any other frame.
+fn nth_key_frame(seen: &[AtomicUsize; 3], layer: usize, msg: &WireMessage) -> Option<usize> {
+    matches!(msg, WireMessage::GaloisKeys(_)).then(|| seen[layer].fetch_add(1, Ordering::SeqCst))
+}
+
+type Rewrite<'a> = Box<dyn Fn(usize, &WireMessage) -> Uplink + Send + Sync + 'a>;
 
 /// Each hostile client (what it does, the refusal it must get, its
 /// uplink rewrite) gets the typed refusal within the deadline and its
@@ -851,51 +863,128 @@ fn assert_each_refused_and_contained(
     }
 }
 
-/// Three clients that break the key-frame rule on a TinyCnn connection
-/// — a key the layer does not rotate by, a key the connection already
-/// holds, a missing key left out — are each refused and contained.
+/// Clients that break the key-stream rule on a TinyCnn connection. A
+/// key frame that is not exactly the schedule's next element: one the
+/// layer does not rotate by, one the connection already holds, two
+/// scheduled ones swapped, one with a second key riding along. A key
+/// stream cut short after two of conv1's eleven keys, with the server's
+/// worker already blocked on the third: the client goes on to its next
+/// ciphertext, or hangs up. No key frames at all on conv1; a hang-up
+/// where conv2's one key frame belongs. Each is refused and contained.
 #[test]
-fn key_frame_rule_violations_are_refused_and_contained() {
+fn key_stream_rule_violations_are_refused_and_contained() {
     let (ctx, cnn) = test_stack();
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(400));
     let input = Tensor::random(2, 8, 8, 5, 401);
-    let hostile: [(&str, &str, Rewrite<'_>); 3] = [
-        (
-            "conv1's frame also carries conv2's key",
-            "galois element 4097, which the layer does not rotate by",
-            Box::new(|layer, msg| match msg {
-                WireMessage::GaloisKeys(blob) if layer == 1 => {
-                    Some(vec![blob_with_extra(&ctx, &kg, blob, &[CONV2_ONLY])])
+    const NOT_NEXT: &str = "want exactly the next scheduled one";
+    // Per case: key frames seen per layer, a frame held back, and
+    // whether the uplink has been hung up.
+    let seen: [[AtomicUsize; 3]; 8] = Default::default();
+    let held_back = Mutex::new(None::<WireMessage>);
+    let hung_up = AtomicBool::new(false);
+    let (ctx, kg) = (&ctx, &kg);
+    let replace_key_frame = |case: usize,
+                             at: (usize, usize),
+                             with: fn(&Arc<Context>, &KeyGenerator, &[u8]) -> WireMessage|
+     -> Rewrite<'_> {
+        let seen = &seen[case];
+        Box::new(
+            move |layer, msg| match (nth_key_frame(seen, layer, msg), msg) {
+                (Some(nth), WireMessage::GaloisKeys(blob)) if (layer, nth) == at => {
+                    Uplink::Replace(vec![with(ctx, kg, blob)])
                 }
-                _ => None,
+                _ => Uplink::Pass,
+            },
+        )
+    };
+    let hostile: [(&str, &str, Rewrite<'_>); 8] = [
+        (
+            "conv1's third key frame carries conv2's key instead",
+            "key frame carries galois elements [4097]",
+            replace_key_frame(0, (1, 2), |_, kg, _| key_frame(kg, &[CONV2_ONLY])),
+        ),
+        (
+            "conv2's key frame carries a key conv1 uploaded",
+            "key frame carries galois elements [3], want exactly the next scheduled one, 4097",
+            replace_key_frame(1, (2, 0), |_, kg, _| key_frame(kg, &[BOTH_CONVS])),
+        ),
+        (
+            "conv1's first two key frames arrive swapped",
+            NOT_NEXT,
+            Box::new(|layer, msg| match nth_key_frame(&seen[2], layer, msg) {
+                Some(0) if layer == 1 => {
+                    *held_back.lock().unwrap() = Some(msg.clone());
+                    Uplink::Replace(Vec::new())
+                }
+                Some(1) if layer == 1 => {
+                    let first = held_back.lock().unwrap().take().expect("held back");
+                    Uplink::Replace(vec![msg.clone(), first])
+                }
+                _ => Uplink::Pass,
             }),
         ),
         (
-            "conv2's frame repeats a key conv1 uploaded",
-            "galois element 3, which this connection already holds",
-            Box::new(|layer, msg| match msg {
-                WireMessage::GaloisKeys(blob) if layer == 2 => {
-                    Some(vec![blob_with_extra(&ctx, &kg, blob, &[BOTH_CONVS])])
-                }
-                _ => None,
+            "conv1's first key frame carries conv2's key as well",
+            NOT_NEXT,
+            replace_key_frame(3, (1, 0), |ctx, kg, blob| {
+                blob_with_extra(ctx, kg, blob, &[CONV2_ONLY])
             }),
         ),
         (
-            "conv2 leaves its missing key out",
-            "expected GaloisKeys, got PackedCt",
-            Box::new(|layer, msg| match msg {
-                WireMessage::GaloisKeys(_) if layer == 2 => Some(Vec::new()),
-                _ => None,
+            "conv1's key stream stops after two keys: the next ciphertext follows",
+            "expected GaloisKeys, got",
+            Box::new(|layer, msg| match nth_key_frame(&seen[4], layer, msg) {
+                Some(nth) if layer == 1 && nth >= 2 => Uplink::Replace(Vec::new()),
+                _ => Uplink::Pass,
+            }),
+        ),
+        (
+            "conv1's key stream stops after two keys: the client hangs up",
+            "will not arrive: protocol transport error",
+            Box::new(|layer, msg| match nth_key_frame(&seen[5], layer, msg) {
+                Some(2) if layer == 1 => {
+                    hung_up.store(true, Ordering::SeqCst);
+                    Uplink::HangUp
+                }
+                _ if hung_up.load(Ordering::SeqCst) => Uplink::Replace(Vec::new()),
+                _ => Uplink::Pass,
+            }),
+        ),
+        (
+            "conv1 sends no key frames at all",
+            "expected GaloisKeys, got",
+            Box::new(|layer, msg| match nth_key_frame(&seen[6], layer, msg) {
+                Some(_) if layer == 1 => Uplink::Replace(Vec::new()),
+                _ => Uplink::Pass,
+            }),
+        ),
+        // conv2 has one input ciphertext, so its key frame is the last
+        // frame of its upload: a client that merely leaves it out has
+        // gone silent, which is not a frame to refuse. This one says so.
+        (
+            "conv2's key never comes: the client hangs up in its place",
+            "galois element 4097 will not arrive: protocol transport error",
+            Box::new(|layer, msg| match nth_key_frame(&seen[7], layer, msg) {
+                Some(_) if layer == 2 => Uplink::HangUp,
+                _ => Uplink::Pass,
             }),
         ),
     ];
-    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, &hostile);
+    assert_each_refused_and_contained(ctx, &cnn, kg, &input, &hostile);
+    // Every hostile stream got as far as the frame it broke the rule on.
+    let key_frames_sent: Vec<usize> = (seen.iter())
+        .map(|layers| layers.iter().map(|n| n.load(Ordering::SeqCst)).sum())
+        .collect();
+    assert!(
+        key_frames_sent.iter().all(|&n| n >= 1),
+        "{key_frames_sent:?}"
+    );
 }
 
 /// A model whose second convolution rotates only by elements the first
 /// one already needed (4→4 channels on 8×8, then 4→4 on 4×4): the
-/// honest client sends one key frame for the whole connection, and a
-/// client that sends one on conv2 anyway is refused.
+/// honest client streams keys with conv1 only, and a client that sends
+/// one on conv2 anyway is refused.
 #[test]
 fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -910,13 +999,11 @@ fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(410));
     let input = Tensor::random(4, 8, 8, 5, 411);
 
-    let key_frames = AtomicUsize::new(0);
+    let key_frames: [AtomicUsize; 3] = Default::default();
     let honest = within_deadline("honest all-held connection", || {
-        tampered_connection(&server, &kg, &input, 412, |_, msg| {
-            if matches!(msg, WireMessage::GaloisKeys(_)) {
-                key_frames.fetch_add(1, Ordering::SeqCst);
-            }
-            None
+        tampered_connection(&server, &kg, &input, 412, |layer, msg| {
+            nth_key_frame(&key_frames, layer, msg);
+            Uplink::Pass
         })
     });
     honest.session.result.expect("honest session");
@@ -924,20 +1011,16 @@ fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
         honest.client.expect("honest client")[0],
         cnn.forward_plain(&input)
     );
-    assert_eq!(
-        key_frames.load(Ordering::SeqCst),
-        1,
-        "conv2 must upload nothing"
-    );
+    let [_, conv1, conv2] = key_frames.map(AtomicUsize::into_inner);
+    assert!(conv1 > 0, "conv1 streams the connection's keys");
+    assert_eq!(conv2, 0, "conv2 must upload nothing");
 
     let ending = within_deadline("key frame on an all-held layer", || {
         tampered_connection(&server, &kg, &input, 412, |layer, msg| match msg {
             WireMessage::Setup(_) if layer == 2 => {
-                let again = kg.galois_keys(&[CONV2_ONLY], &mut StdRng::seed_from_u64(32));
-                let frame = WireMessage::GaloisKeys(galois_keys_to_bytes(&again));
-                Some(vec![msg.clone(), frame])
+                Uplink::Replace(vec![msg.clone(), key_frame(&kg, &[CONV2_ONLY])])
             }
-            _ => None,
+            _ => Uplink::Pass,
         })
     });
     assert_refused(&ending, "expected PackedCt/AuxCt, got GaloisKeys");
@@ -961,20 +1044,21 @@ fn a_second_connection_never_sees_the_first_ones_keys() {
     let want = cnn.forward_plain(&input);
 
     let first = within_deadline("first connection", || {
-        tampered_connection(&server, &kg, &input, 422, |_, _| None)
+        tampered_connection(&server, &kg, &input, 422, |_, _| Uplink::Pass)
     });
     first.session.result.expect("first session");
     assert_eq!(first.client.expect("first client")[0], want);
 
     let second = within_deadline("keyless second connection", || {
-        tampered_connection(&server, &kg, &input, 422, |_, msg| {
-            matches!(msg, WireMessage::GaloisKeys(_)).then(Vec::new)
+        tampered_connection(&server, &kg, &input, 422, |_, msg| match msg {
+            WireMessage::GaloisKeys(_) => Uplink::Replace(Vec::new()),
+            _ => Uplink::Pass,
         })
     });
-    assert_refused(&second, "expected GaloisKeys, got PackedCt");
+    assert_refused(&second, "expected GaloisKeys, got");
 
     let third = within_deadline("third connection", || {
-        tampered_connection(&server, &kg, &input, 422, |_, _| None)
+        tampered_connection(&server, &kg, &input, 422, |_, _| Uplink::Pass)
     });
     third.session.result.expect("third session");
     assert_eq!(third.client.expect("third client")[0], want);
@@ -1093,9 +1177,9 @@ fn unreduced_client_shares_are_refused_and_contained() {
     let hostile_round = |hostile_op: u8| -> Rewrite<'_> {
         Box::new(move |_, msg| match msg {
             WireMessage::OtRound { op, .. } if *op == hostile_op => {
-                Some(vec![with_unreduced_shares(msg)])
+                Uplink::Replace(vec![with_unreduced_shares(msg)])
             }
-            _ => None,
+            _ => Uplink::Pass,
         })
     };
     let hostile = [
@@ -1130,8 +1214,9 @@ fn unreduced_server_shares_are_a_typed_error_at_the_client() {
     ];
     for is_hostile in hostile_frames {
         let (ct, st) = MemTransport::pair();
-        let downlink = Tamper::new(&st, |_, msg| {
-            is_hostile(msg).then(|| vec![with_unreduced_shares(msg)])
+        let downlink = Tamper::new(&st, |_, msg| match is_hostile(msg) {
+            true => Uplink::Replace(vec![with_unreduced_shares(msg)]),
+            false => Uplink::Pass,
         });
         let client = within_deadline("unreduced server shares", || {
             std::thread::scope(|s| {

@@ -4,6 +4,8 @@
 //!    shares and operation counts are bit-identical to the phased
 //!    harness's for the same rng seed, at 1 and 8 server worker threads
 //!    and small channel capacities (so backpressure actually engages).
+//!    The rotation keys travel inside the upload, so the same holds at
+//!    every read-ahead, pacing and link the key stream can meet.
 //! 2. **Stall accounting sanity** — on a single-thread server, SPOT's
 //!    measured server idle (the paper's linear computation stall) is
 //!    strictly less than channel-wise packing's on the same layer,
@@ -11,6 +13,9 @@
 //!    channel-wise job, reading every input, parks the worker for the
 //!    whole upload.
 
+mod common;
+
+use common::{tcp_pair, within_deadline};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use spot_core::channelwise::SecureConvResult;
@@ -18,7 +23,8 @@ use spot_core::executor::Executor;
 use spot_core::inference::ExecBackend;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process, serve_conv, ClientConv, LayerSpec, SchemeKind, UploadPacing,
+    run_in_process, serve_conv_on, ClientConv, ConnectionKeys, LayerSpec, SchemeKind, ServeOptions,
+    UploadPacing,
 };
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::context::Context;
@@ -198,6 +204,99 @@ fn cheetah_streaming_deterministic_8_threads() {
     assert_streaming_matches_phased(SchemeKind::Cheetah, 8, 2);
 }
 
+/// The key stream changes when a rotation key arrives, never what is
+/// computed: with the keys travelling inside the upload, both rotating
+/// schemes produce the phased run's shares and op counts bit for bit at
+/// read-ahead 1 with one worker (the tightest case of the no-deadlock
+/// argument: the ingest thread must get past every key frame with a
+/// single queue slot and the one worker blocked on a key), at
+/// read-ahead 2 with one worker (the benchmark's), at 8 workers, under
+/// both pacings, over the bounded in-memory link and over TCP.
+#[test]
+fn key_stream_matches_phased_at_every_read_ahead_pacing_and_link() {
+    let ctx = ctx4096();
+    let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(9000));
+    let input = Tensor::random(4, 8, 8, 8, 17);
+    let kernel = Kernel::random(4, 4, 3, 3, 4, 18);
+    for scheme in [SchemeKind::Spot, SchemeKind::Channelwise] {
+        let mut rng = StdRng::seed_from_u64(4242);
+        let (phased, _) = run_conv(
+            &ctx,
+            &keygen,
+            std::slice::from_ref(&input),
+            &kernel,
+            scheme,
+            &ExecBackend::Phased(Executor::serial()),
+            &mut rng,
+        );
+        let phased = &phased[0];
+        // The seeds `run_in_process` split off for its two parties.
+        let mut seeds = StdRng::seed_from_u64(4242);
+        let (client_seed, server_seed) = (seeds.next_u64(), seeds.next_u64());
+
+        let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), PatchMode::Tweaked);
+        let streamed = |threads, read_ahead, pacing, tcp: bool| {
+            let _shared = MACHINE.read().unwrap_or_else(PoisonError::into_inner);
+            // Per connection: it remembers which keys it has uploaded.
+            let client = ClientConv::new(&ctx, &keygen, spec).expect("client plan");
+            let (client_end, server_end): (Box<dyn Transport>, Box<dyn Transport>) = if tcp {
+                let (c, s) = tcp_pair();
+                (Box::new(c), Box::new(s))
+            } else {
+                let (c, s) = MemTransport::pair_with_capacity(Some(read_ahead), None);
+                (Box::new(c), Box::new(s))
+            };
+            let backend =
+                ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), read_ahead));
+            std::thread::scope(|s| {
+                let client_side = s.spawn(|| {
+                    let mut rng = StdRng::seed_from_u64(client_seed);
+                    let sent = client.send_all(&*client_end, &input, pacing, &mut rng);
+                    client_end.close_tx();
+                    let share = client.absorb_all(&*client_end);
+                    (sent, share)
+                });
+                let mut mask_rng = StdRng::seed_from_u64(server_seed);
+                let served = serve_conv_on(
+                    &ctx,
+                    &*server_end,
+                    &kernel,
+                    &backend,
+                    ServeOptions::default(),
+                    &ConnectionKeys::default(),
+                    &mut mask_rng,
+                );
+                if served.is_err() {
+                    // Nothing more is coming: let the absorber see it.
+                    server_end.close_tx();
+                }
+                let (sent, share) = client_side.join().expect("client thread panicked");
+                let served = served.expect("serve_conv_on");
+                let (sent, share) = (sent.expect("upload"), share.expect("absorb"));
+                let mut counts = served.counts;
+                counts.encrypt += sent.encrypt;
+                counts.decrypt += share.decrypt;
+                (share.share, served.server_share, counts)
+            })
+        };
+        for (threads, read_ahead) in [(1, 1), (1, 2), (8, 2)] {
+            for pacing in [UploadPacing::AwaitAck, UploadPacing::Eager] {
+                for tcp in [false, true] {
+                    let tag = format!(
+                        "{} threads={threads} read-ahead={read_ahead} {pacing:?} tcp={tcp}",
+                        scheme.label()
+                    );
+                    let (client_share, server_share, counts) =
+                        within_deadline(&tag, || streamed(threads, read_ahead, pacing, tcp));
+                    assert_eq!(client_share, phased.client_share, "{tag}");
+                    assert_eq!(server_share, phased.server_share, "{tag}");
+                    assert_eq!(counts, phased.counts, "{tag}");
+                }
+            }
+        }
+    }
+}
+
 /// Streamed results also reconstruct to the true convolution (guards
 /// against phased and streamed agreeing on a wrong answer).
 #[test]
@@ -263,7 +362,13 @@ fn tiny_client_encryption_s(ctx: &Arc<Context>, keygen: &KeyGenerator, burn: u32
 /// One streamed convolution through the public session API — what
 /// `run_in_process` streams, except that the client thread draws from
 /// a [`TinyClientRng`] burning `burn` per draw — returning the server's
-/// stall accounting.
+/// stall accounting. It is the second layer of its connection: the same
+/// layer runs once before it, unburnt, so the connection holds every
+/// rotation key and the measured upload is ciphertexts only. (A key
+/// wait is stall like any other, and a burnt key generation costs about
+/// what a burnt encryption does; with SPOT's four piece classes needing
+/// more keys than channel-wise packing's one layout, a first layer
+/// would compare key counts, not patching.)
 fn stream_with_tiny_client(
     ctx: &Arc<Context>,
     keygen: &KeyGenerator,
@@ -289,27 +394,45 @@ fn stream_with_tiny_client(
     };
     let capacity = 2;
     let backend = ExecBackend::Streaming(StreamConfig::new(Executor::serial(), capacity));
-    let client = ClientConv::new(ctx, keygen, spec).expect("client plan");
     let (client_end, server_end) = MemTransport::pair_with_capacity(Some(capacity), None);
-    let served = std::thread::scope(|s| {
-        let uploader = s.spawn(|| {
+    let (share, served) = std::thread::scope(|s| {
+        let client = s.spawn(|| {
             let mut rng = TinyClientRng {
                 inner: StdRng::seed_from_u64(seed),
-                burn,
+                burn: 0,
             };
-            let sent = client.send_all(&client_end, input, UploadPacing::AwaitAck, &mut rng);
+            let mut run = || {
+                let warm_up = ClientConv::new(ctx, keygen, spec)?;
+                warm_up.send_all(&client_end, input, UploadPacing::AwaitAck, &mut rng)?;
+                warm_up.absorb_all(&client_end)?;
+                let measured = warm_up.next_layer(spec)?;
+                rng.burn = burn;
+                measured.send_all(&client_end, input, UploadPacing::AwaitAck, &mut rng)?;
+                measured.absorb_all(&client_end)
+            };
+            let share = run();
+            // Whatever happened, the server must not wait for more.
             client_end.close_tx();
-            sent
+            share
         });
         let mut mask_rng = StdRng::seed_from_u64(seed + 1);
-        let served = serve_conv(ctx, &server_end, kernel, &backend, &mut mask_rng);
-        uploader
-            .join()
-            .expect("client thread panicked")
-            .expect("upload");
-        served.expect("serve_conv")
+        let keys = ConnectionKeys::default();
+        let mut serve = || {
+            let opts = ServeOptions::default();
+            serve_conv_on(
+                ctx,
+                &server_end,
+                kernel,
+                &backend,
+                opts,
+                &keys,
+                &mut mask_rng,
+            )
+        };
+        let served = serve().and_then(|_warm_up| serve());
+        let share = client.join().expect("client thread panicked");
+        (share.expect("client"), served.expect("serve_conv_on"))
     });
-    let share = client.absorb_all(&client_end).expect("absorb");
     let shares = SecureConvResult {
         client_share: share.share,
         server_share: served.server_share,

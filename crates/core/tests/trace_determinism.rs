@@ -33,9 +33,9 @@ use std::sync::{Arc, Mutex};
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Span names whose presence depends on scheduling: a worker only
-/// records `idle` when it actually waited, the ingest thread only
-/// records a blocked span when the queue was full.
-const SCHEDULING_SPANS: &[&str] = &["idle", "blocked (channel full)"];
+/// records `idle` or `wait key` when it actually waited, the ingest
+/// thread only records a blocked span when the queue was full.
+const SCHEDULING_SPANS: &[&str] = &["idle", "wait key", "blocked (channel full)"];
 
 /// Counters that are exact per run regardless of worker count or
 /// transport. Excluded: pool hit/miss/recycle (cache state), the

@@ -8,6 +8,9 @@
 //! both directions whatever carries it and however many threads serve
 //! it.
 
+mod common;
+
+use common::tcp_pair;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
@@ -22,11 +25,10 @@ use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::channel::TrafficStats;
-use spot_proto::transport::{MemTransport, TcpTransport, Transport, TransportStats};
+use spot_proto::transport::{MemTransport, Transport, TransportStats};
 use spot_proto::{ProtoError, WireMessage};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
-use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 
 const CLIENT_SEED: u64 = 71;
@@ -99,19 +101,6 @@ fn run_tcp(
 ) -> Outcome {
     let (client_t, server_t) = tcp_pair();
     run_session(ctx, spec, kernel, input, backend, &client_t, &server_t)
-}
-
-/// A connected `(client, server)` pair of framed TCP endpoints on
-/// loopback.
-fn tcp_pair() -> (TcpTransport, TcpTransport) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let accept = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("accept");
-        TcpTransport::from_stream(stream).expect("server transport")
-    });
-    let client_t = TcpTransport::connect(addr.to_string()).expect("connect loopback");
-    (client_t, accept.join().expect("accept thread"))
 }
 
 fn assert_transport_invariant(scheme: SchemeKind, backend: &ExecBackend, tag: &str) {

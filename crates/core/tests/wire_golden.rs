@@ -22,6 +22,15 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
+//! Last re-record, `WIRE_VERSION` 3 (rotation keys streamed one per
+//! frame, in first-use order, behind the first job's inputs): `uplink`
+//! and `uplink_shape` by the schedule, `downlink` through the client's
+//! rng draw order (now public key, then upload order: first inputs, per
+//! key its seed and errors, remaining inputs), `downlink_shape` only by
+//! the version byte — with the constant put back to 2 it equals the
+//! previous value in every case. Client randomness never reaches a
+//! share, so no share or count constant moved.
+//!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
 
@@ -289,8 +298,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x0bfe_711a_4f71_b160, 0xa406_fc33_7f37_7996),
-            (0x8e70_49a1_ea1f_3833, 0x6c55_a019_83ea_8a13),
+            (0x9c7c_c7f3_4a1e_ff83, 0xc829_3dd9_bfe0_a010),
+            (0x4fe9_9180_b14e_13cb, 0x0ce5_b954_c8e6_714e),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -304,8 +313,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xc676_f3ab_1432_7060, 0xa406_fc33_7f37_7996),
-            (0xbd07_bacf_4047_ccb2, 0x6c55_a019_83ea_8a13),
+            (0x023f_4979_7355_3984, 0xc829_3dd9_bfe0_a010),
+            (0xc15b_de7e_d11a_41e5, 0x0ce5_b954_c8e6_714e),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -322,8 +331,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xfdae_8330_af7f_1f54, 0x49a6_ceff_8f46_9145),
-            (0x9225_0caa_106d_f344, 0x7b18_169e_e6f1_41e3),
+            (0xc7e0_b142_7d92_7c7c, 0xb7c3_41bc_142a_bd7d),
+            (0x58fa_4d54_268c_776d, 0xe22e_da47_deeb_6192),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -337,8 +346,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x24b6_bcae_0e04_0591, 0xf528_a64b_08d7_49ab),
-            (0xf342_d99c_356c_7adb, 0x9ba9_8df0_9823_aa43),
+            (0x34d4_25c8_99e6_a2f4, 0x68ff_cd2e_d4bb_1b3a),
+            (0x6676_8fcc_bd25_c14a, 0x0b08_db60_f2b5_2a7a),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -355,8 +364,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x0974_4699_9fde_0f28, 0xf4d8_37bf_f754_b5d1),
-            (0x42f9_e1c8_dc3a_591e, 0x9ba9_8df0_9823_aa43),
+            (0xe0cb_3104_05d8_831c, 0xacf2_eb16_4bb6_3634),
+            (0xbb1b_88cb_ece1_ea1e, 0x0b08_db60_f2b5_2a7a),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -370,8 +379,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xab1a_cb02_2712_a30b, 0xf4d8_37bf_f754_b5d1),
-            (0x643f_ef6f_bcc4_750a, 0x9ba9_8df0_9823_aa43),
+            (0x4d82_ce90_4fb2_45ab, 0xacf2_eb16_4bb6_3634),
+            (0x07e3_a61d_fa4e_cb5c, 0x0b08_db60_f2b5_2a7a),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -388,8 +397,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0x0836_2786_fd19_63b5, 0xb285_19fc_3e18_8d08),
-            (0x4154_5b76_7981_c27e, 0x2be2_2c33_b72c_d023),
+            (0xc1b8_0070_9e1e_4d6b, 0xe46f_dc6e_d590_78f9),
+            (0xad2b_59eb_0f35_bccf, 0xecd7_a3ba_6689_b01a),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -409,8 +418,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0x18f7_ccc2_5cfe_8c02, 0xd54f_1850_0019_ae7c),
-        (0xed2a_f436_9279_1058, 0xd346_7133_15c0_f3fb),
+        (0x64ee_ea87_18e2_beb8, 0x7127_00fc_3d60_d403),
+        (0xc62c_778c_6052_d1e0, 0xb7c8_02be_e7ed_0feb),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
@@ -444,8 +453,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0x1e50_15b4_9d0e_b6f1, 0xdd30_6dab_541a_8681),
-        downlink: (0x222c_6d4b_4563_3281, 0x2604_6904_fa76_af5a),
+        uplink: (0xa477_e9a9_d735_a1d8, 0xa9e3_1809_11af_d9e9),
+        downlink: (0x915e_2795_a390_cab1, 0x99e2_b942_6c10_2cb2),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xaaf8_f89a_f734_9b87,
     };

@@ -302,7 +302,9 @@ impl Evaluator {
     ///
     /// # Panics
     ///
-    /// Panics if no Galois key for `g` is present.
+    /// Panics if `keys` holds no key for `g`: the caller's bug, never a
+    /// peer's doing — a caller whose keys arrive from a peer looks the
+    /// set up (or waits for it) first and passes the set it found.
     pub fn rotate_hoisted(
         &self,
         hoisted: &HoistedCiphertext,
@@ -311,10 +313,9 @@ impl Evaluator {
     ) -> Ciphertext {
         self.tally(Counter::Rotate, 1);
         count(Counter::KeySwitch, 1);
-        let ksk = keys
-            .keys
-            .get(&g)
-            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
+        let Some(ksk) = keys.keys.get(&g) else {
+            panic!("rotation by Galois element {g}: missing Galois key");
+        };
         assert_eq!(
             hoisted.digits.len(),
             ksk.pairs.len(),

@@ -260,42 +260,6 @@ impl Poly {
         }
         Poly::from_residues(&self.ctx, data, PolyForm::Ntt)
     }
-
-    /// Applies the Galois automorphism `X -> X^g` (odd `g`, `1 <= g < 2N`)
-    /// in the coefficient domain: the reference
-    /// [`Poly::apply_galois_ntt`] is tested against.
-    ///
-    /// Must be in coefficient form: coefficient `j` of the result comes
-    /// from coefficient `j' ` where `j' * g ≡ j (mod 2N)` with the
-    /// negacyclic sign rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomial is in NTT form or `g` is even.
-    #[allow(clippy::needless_range_loop)]
-    pub fn apply_galois(&self, g: usize) -> Poly {
-        assert_eq!(self.form, PolyForm::Coeff, "galois requires coeff form");
-        assert_eq!(g % 2, 1, "galois element must be odd");
-        let ctx = &self.ctx;
-        let n = ctx.degree();
-        let two_n = 2 * n;
-        let mut out = Poly::zero(ctx, PolyForm::Coeff);
-        for (i, m) in ctx.moduli().iter().enumerate() {
-            let src = self.residues(i);
-            let dst = out.residues_mut(i);
-            for j in 0..n {
-                // x^j -> x^{j*g mod 2n}, with x^n = -1.
-                let idx = (j * g) % two_n;
-                let v = src[j];
-                if idx < n {
-                    dst[idx] = m.add(dst[idx], v);
-                } else {
-                    dst[idx - n] = m.sub(dst[idx - n], v);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// `dst[i] = src[table[i]]` over one residue row.
@@ -364,29 +328,6 @@ mod tests {
         c.add_assign(&b);
         c.sub_assign(&b);
         assert_eq!(c.raw(), a.raw());
-    }
-
-    #[test]
-    fn galois_identity_element() {
-        let ctx = ctx();
-        let coeffs: Vec<i64> = (0..ctx.degree() as i64).map(|i| i % 17).collect();
-        let p = Poly::from_signed_coeffs(&ctx, &coeffs);
-        let q = p.apply_galois(1);
-        assert_eq!(p.raw(), q.raw());
-    }
-
-    #[test]
-    fn galois_composition() {
-        // applying g then h equals applying g*h mod 2n
-        let ctx = ctx();
-        let n = ctx.degree();
-        let coeffs: Vec<i64> = (0..n as i64).map(|i| (i * i) % 23 - 11).collect();
-        let p = Poly::from_signed_coeffs(&ctx, &coeffs);
-        let g = 3usize;
-        let h = 5usize;
-        let a = p.apply_galois(g).apply_galois(h);
-        let b = p.apply_galois((g * h) % (2 * n));
-        assert_eq!(a.raw(), b.raw());
     }
 
     #[test]

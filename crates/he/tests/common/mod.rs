@@ -3,6 +3,7 @@
 #![allow(dead_code)]
 
 pub mod bit_oracle;
+pub mod coeff_galois;
 pub mod eager_oracle;
 
 /// The rotation steps a 3×3 convolution issues over any lane layout:

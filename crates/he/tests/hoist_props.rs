@@ -3,10 +3,13 @@
 //! `Evaluator::hoist` + `rotate_hoisted` apply the Galois automorphism
 //! as an index permutation of NTT-form residues and share one digit
 //! decomposition across rotations. The oracle here is the old order of
-//! operations built from public pieces: `Poly::apply_galois` on
-//! coefficients, then decompose, then transform.
+//! operations built from public pieces: the automorphism on
+//! coefficients (`common::coeff_galois`, the library's old body), then
+//! decompose, then transform.
 //!
-//! * the index table equals `apply_galois` + `to_ntt` for every Galois
+//! * the coefficient-domain oracle is an automorphism group action
+//!   (identity, composition);
+//! * the index table equals the oracle + `to_ntt` for every Galois
 //!   element a convolution asks for and for random odd elements;
 //! * hoisted rotations decode to the slot-rotation reference;
 //! * `n` rotations from one hoist are bit-identical to `n` independent
@@ -16,6 +19,7 @@
 
 mod common;
 
+use common::coeff_galois::apply_galois;
 use common::conv_steps;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,8 +52,20 @@ fn random_poly(ctx: &Arc<Context>, seed: u64) -> Poly {
     Poly::from_residues(ctx, data, PolyForm::Coeff)
 }
 
+#[test]
+fn coefficient_oracle_is_a_group_action() {
+    let ctx = ctx(ParamLevel::N4096);
+    let n = ctx.degree();
+    let p = random_poly(&ctx, 11);
+    assert_eq!(apply_galois(&p, 1).raw(), p.raw(), "identity element");
+    // Applying g then h equals applying g·h mod 2N.
+    let (g, h) = (3usize, 5usize);
+    let stepwise = apply_galois(&apply_galois(&p, g), h);
+    assert_eq!(stepwise.raw(), apply_galois(&p, (g * h) % (2 * n)).raw());
+}
+
 fn assert_table_matches_coefficient_form(ctx: &Arc<Context>, poly: &Poly, g: usize) {
-    let mut want = poly.apply_galois(g);
+    let mut want = apply_galois(poly, g);
     want.to_ntt();
     let mut ntt = poly.clone();
     ntt.to_ntt();
@@ -202,7 +218,7 @@ fn rotate_in_coefficient_form(s: &Setup, g: usize) -> Ciphertext {
     let rotated = |p: &Poly| {
         let mut p = p.clone();
         p.to_coeff();
-        p.apply_galois(g)
+        apply_galois(&p, g)
     };
     let mut acc0 = rotated(s.ct.c0());
     acc0.to_ntt();

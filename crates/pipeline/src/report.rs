@@ -83,8 +83,9 @@ pub struct StallRow {
     pub client_blocked_s: f64,
     /// Server thread-seconds spent staging inputs and convolving.
     pub server_busy_s: f64,
-    /// Server thread-seconds blocked waiting for a runnable job while
-    /// the upload was open — the paper's "linear computation stall".
+    /// Server thread-seconds blocked waiting for a runnable job or for
+    /// a rotation key while the upload was open — the paper's "linear
+    /// computation stall".
     pub server_idle_s: f64,
     /// Input ciphertexts streamed client → server.
     pub input_cts: usize,

@@ -17,9 +17,11 @@ use std::io::Read;
 
 /// Wire protocol version carried in every frame header. Version 2:
 /// the `GaloisKeys` payload carries each key as a seed plus its `b_i`,
-/// and a connection sends each Galois element's key once (DESIGN.md
-/// §9).
-pub const WIRE_VERSION: u8 = 2;
+/// and a connection sends each Galois element's key once. Version 3:
+/// no frame format changes, the frame *sequence* does — a `GaloisKeys`
+/// frame carries one key, and a layer's key frames travel inside its
+/// input upload, in first-use order (DESIGN.md §9).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;

@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Span names that mean "waiting", not "working".
-const WAIT_SPANS: [&str; 3] = ["idle", "blocked (channel full)", "recv"];
+const WAIT_SPANS: [&str; 4] = ["idle", "wait key", "blocked (channel full)", "recv"];
 
 /// One party's exported trace: its events plus its thread-name table.
 #[derive(Debug, Clone, Default)]
