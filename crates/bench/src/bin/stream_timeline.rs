@@ -151,10 +151,11 @@ fn main() {
          schemes' read every one, so each worker waits until the last\n\
          lands (\"server idle\" = worker time blocked waiting for a\n\
          runnable job or for a rotation key while the upload is open,\n\
-         the paper's linear computation stall; the rotating schemes'\n\
-         first job runs while the client is still making keys, and\n\
-         each `wait key` below is one key it got to before the client\n\
-         did). \"client\" columns are the uploader thread's.\n\
+         the paper's linear computation stall, and \"of it: keys\" the\n\
+         rotation-key part of it; the rotating schemes' first job runs\n\
+         while the client is still making keys, and each `wait key`\n\
+         below is one key it got to before the client did). \"client\"\n\
+         columns are the uploader thread's.\n\
          Both parties here run at the same speed on one host, so an upload\n\
          is about a millisecond per ciphertext and the all-input stall is\n\
          small; the stall the paper targets needs a client slower than the\n\

@@ -166,6 +166,7 @@ impl Packing {
                 input_cts: geo.input_cts,
                 output_cts: geo.output_cts,
                 jobs: geo.input_cts,
+                // Every job runs the same rotations: job 0 is the first.
                 galois_elements: required_elements(
                     &layout,
                     shape.k_h,
@@ -175,7 +176,10 @@ impl Packing {
                     &[],
                     geo.both_lanes,
                     false,
-                ),
+                )
+                .into_iter()
+                .map(|g| (0, g))
+                .collect(),
                 use_bsgs: false,
                 batch_capacity: images_layout(&layout).capacity().min(MAX_BATCH),
                 coeff_packed: false,

@@ -223,7 +223,7 @@ pub fn bsgs_split(diagonals: usize, groups: usize, versions: usize, kk: usize) -
 }
 
 /// `elements` without repeats, each where it first occurs.
-pub(crate) fn first_occurrences(elements: impl IntoIterator<Item = usize>) -> Vec<usize> {
+fn first_occurrences(elements: impl IntoIterator<Item = usize>) -> Vec<usize> {
     let mut seen = Vec::new();
     for g in elements {
         if !seen.contains(&g) {

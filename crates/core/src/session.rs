@@ -18,18 +18,19 @@
 //! the secret key that made them ([`ClientConv::next_layer`] carries
 //! the record forward). And they are part of the upload *stream*, not a
 //! phase in front of it. Both parties derive the same **key-stream
-//! rule** from the plan alone: the layer's schedule is the planned
-//! elements the connection does not hold yet (`missing_elements`), in
-//! the order the conv engine first uses them
-//! ([`PlanFacts::galois_elements`]); each travels in a `GaloisKeys`
-//! frame of its own, made immediately before it is sent; and the frames
-//! sit right behind the inputs the first job reads
-//! ([`Round::first_job_inputs`]: input 0 of a per-input scheme, the
-//! whole round of an all-inputs one), ahead of the remaining inputs. So
-//! the server's first job starts on the first ciphertext, each of its
-//! rotations waits only for its own key ([`ConnectionKeys`]'s blocking
-//! `wait`), and the client generates key `k + 1` while the server
-//! rotates by key `k`. A one-layer call ([`ClientConv::new`],
+//! rule** from the plan alone (`key_schedule`): the layer's schedule is
+//! the planned elements the connection does not hold yet, in the order
+//! the conv engine first uses them ([`PlanFacts::galois_elements`]);
+//! each travels in a `GaloisKeys` frame of its own, made immediately
+//! before it is sent; and a frame sits right behind the input that makes
+//! the first job using its key runnable ([`Round::runnable_with`]: the
+//! first input ciphertext of the first piece class that rotates by it
+//! under a per-input scheme, the round's last input under an all-inputs
+//! one), ahead of the inputs after that one. So a job starts on its
+//! ciphertext, each of its rotations waits only for its own key
+//! ([`ConnectionKeys`]'s blocking `wait`), the client generates key
+//! `k + 1` while the server rotates by key `k`, and nobody waits for a
+//! key before a job needs it. A one-layer call ([`ClientConv::new`],
 //! [`serve_conv_with`]) is a connection of one layer.
 //!
 //! There is one upload body, one absorb body and one server driver. The
@@ -50,9 +51,9 @@
 //!
 //! Each party draws randomness from its own seeded rng in a fixed
 //! order: per layer the client draws its public key and then follows
-//! its upload — the encryptions of the inputs the first job reads, for
-//! each rotation key the connection still lacks its seed and its error
-//! polynomials (in schedule order), the remaining encryptions; the
+//! its upload — per input ciphertext its encryption, then, for each
+//! rotation key scheduled behind it that the connection still lacks,
+//! the key's seed and its error polynomials (in schedule order); the
 //! server draws only result masks, in result order (the driver's
 //! consumer runs on one thread in job order). Parallel phases are pure,
 //! and when a key arrives changes only how long a rotation waits.
@@ -84,7 +85,7 @@ use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -348,10 +349,11 @@ pub(crate) struct PlanFacts {
     /// Server work items per round (one per input ciphertext under
     /// [`OutputDependency::PerInput`]).
     pub jobs: usize,
-    /// Galois elements the server will rotate by, each once, in the
-    /// order its engine first uses them — the key-stream schedule
+    /// Galois elements the server will rotate by, each once as
+    /// `(first job that uses it, element)`, in the order its engine
+    /// first uses them — what the key-stream schedule is made from
     /// (empty = the client sends no rotation keys).
-    pub galois_elements: Vec<usize>,
+    pub galois_elements: Vec<(usize, usize)>,
     /// Whether the conv engine uses the baby-step/giant-step alignment
     /// `galois_elements` was computed for.
     pub use_bsgs: bool,
@@ -598,12 +600,19 @@ fn recv_input_blob(
     Ok(blob)
 }
 
-/// The key-stream schedule both parties derive: of the Galois elements
-/// a layer's plan needs, in first-use order, those the connection does
-/// not hold yet. The layer's upload carries exactly one `GaloisKeys`
-/// frame for each, in this order, and none when there are none.
-fn missing_elements(needed: &[usize], held: impl Fn(usize) -> bool) -> Vec<usize> {
-    needed.iter().copied().filter(|&e| !held(e)).collect()
+/// The key-stream schedule both parties derive, as `(input, element)`:
+/// of the Galois elements a layer's plan needs, in first-use order,
+/// those the connection does not hold yet, each with the input of the
+/// layer's first round it travels behind — the one that makes the first
+/// job using it runnable. The layer's upload carries exactly one
+/// `GaloisKeys` frame for each, in this order (which is also input
+/// order), and none when there are none.
+fn key_schedule(facts: &PlanFacts, held: impl Fn(usize) -> bool) -> VecDeque<(usize, usize)> {
+    let round = facts.round();
+    (facts.galois_elements.iter())
+        .filter(|&&(_, g)| !held(g))
+        .map(|&(job, g)| (round.runnable_with(job), g))
+        .collect()
 }
 
 fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
@@ -732,15 +741,15 @@ impl<'a> ClientConv<'a> {
         self.send_batch(transport, std::slice::from_ref(input), pacing, rng)
     }
 
-    /// Upload phase, in stream order: the layer hello, the input
-    /// ciphertexts the server's first job reads, one `GaloisKeys` frame
-    /// per rotation key the connection's server does not hold yet —
-    /// each made immediately before it is sent, in the order the server
-    /// will first use them — and the remaining input ciphertexts. The
-    /// rng is drawn in the same order, after the public key: the
-    /// canonical client rng sequence. With [`UploadPacing::AwaitAck`]
-    /// everything after the hello is held until the server's setup
-    /// acknowledgement arrives on the downlink.
+    /// Upload phase, in stream order: the layer hello, then the input
+    /// ciphertexts, each followed by one `GaloisKeys` frame per rotation
+    /// key scheduled behind it that the connection's server does not
+    /// hold yet (`key_schedule`) — each made immediately before it is
+    /// sent, in the order the server will first use them. The rng is
+    /// drawn in the same order, after the public key: the canonical
+    /// client rng sequence. With [`UploadPacing::AwaitAck`] everything
+    /// after the hello is held until the server's setup acknowledgement
+    /// arrives on the downlink.
     ///
     /// The slot-packed schemes interleave every image's packing into
     /// the same ciphertexts, so the upload — and the server's rotations
@@ -800,8 +809,9 @@ impl<'a> ClientConv<'a> {
         }
         let t = self.ctx.params().plain_modulus();
         let codec = RowCodec::new(&self.ctx, facts);
-        // The key frames' slot in the upload: behind this many inputs.
-        let key_slot = facts.round().first_job_inputs() as u32;
+        let mut uploaded =
+            (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded-key record"))?;
+        let mut keys = key_schedule(facts, |g| uploaded.contains(&g));
         let mut seq = 0u32;
         for round in inputs.chunks(width) {
             self.plan.pack(round, t, &mut |row| {
@@ -815,10 +825,15 @@ impl<'a> ClientConv<'a> {
                     },
                 };
                 transport.send(&msg)?;
-                seq += 1;
-                if seq == key_slot {
-                    self.send_missing_keys(transport, rng)?;
+                // The keys behind this input, each made as it is sent,
+                // so the server rotates by one while the next is made.
+                while let Some(&(_, g)) = keys.front().filter(|&&(at, _)| at == seq as usize) {
+                    let key = self.keygen.galois_keys(&[g], rng);
+                    transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&key)))?;
+                    uploaded.insert(g);
+                    keys.pop_front();
                 }
+                seq += 1;
                 Ok(())
             })?;
         }
@@ -826,26 +841,6 @@ impl<'a> ClientConv<'a> {
             encrypt: u64::from(seq),
             input_cts: seq as usize,
         })
-    }
-
-    /// The layer's key stream: for each planned Galois element the
-    /// connection's server does not hold yet, in schedule order, makes
-    /// the key and sends it in a frame of its own, so the server can
-    /// rotate by one key while the next is being made.
-    fn send_missing_keys<R: Rng>(
-        &self,
-        transport: &dyn Transport,
-        rng: &mut R,
-    ) -> Result<(), SpotError> {
-        let mut uploaded =
-            (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded-key record"))?;
-        let schedule = &self.plan.facts().galois_elements;
-        for g in missing_elements(schedule, |e| uploaded.contains(&e)) {
-            let key = self.keygen.galois_keys(&[g], rng);
-            transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&key)))?;
-            uploaded.insert(g);
-        }
-        Ok(())
     }
 
     /// [`ClientConv::absorb_batch`] for one image.
@@ -1095,19 +1090,20 @@ impl RotationKeys for ConnectionKeys {
 
 /// One layer's key stream on the server: the schedule of elements still
 /// to arrive, and the right to put them on the connection's store. The
-/// store is open from [`KeyUpload::open`] until this is dropped, on
-/// whatever path — read to the end, refused, or never reached — so a
-/// worker waiting for a key always gets it or an error.
+/// store is open from [`KeyUpload::open`] until the last scheduled key
+/// is in or this is dropped, on whatever path — read to the end,
+/// refused, or never reached — so a worker waiting for a key always
+/// gets it or an error.
 struct KeyUpload<'a> {
     keys: &'a ConnectionKeys,
-    schedule: Vec<usize>,
+    schedule: VecDeque<(usize, usize)>,
 }
 
 impl<'a> KeyUpload<'a> {
-    /// Opens `keys` for the planned elements of `needed` it lacks.
-    fn open(keys: &'a ConnectionKeys, needed: &[usize]) -> Result<Self, SpotError> {
+    /// Opens `keys` for the planned elements of `facts` it lacks.
+    fn open(keys: &'a ConnectionKeys, facts: &PlanFacts) -> Result<Self, SpotError> {
         let mut state = keys.lock()?;
-        let schedule = missing_elements(needed, |e| state.held.contains_key(&e));
+        let schedule = key_schedule(facts, |g| state.held.contains_key(&g));
         // Nothing missing, no frames, nothing to wait for: a client
         // that sends one anyway fails the input read in its place.
         if !schedule.is_empty() {
@@ -1117,38 +1113,53 @@ impl<'a> KeyUpload<'a> {
         Ok(Self { keys, schedule })
     }
 
-    /// Reads the layer's key frames off the uplink, each into the store
-    /// as it arrives: exactly one frame per scheduled element, carrying
-    /// exactly that element's key, in schedule order.
-    fn read(self, ctx: &Arc<Context>, transport: &dyn Transport) -> Result<(), SpotError> {
-        let result = self.schedule.iter().try_for_each(|&want| {
-            let msg = transport.recv()?;
-            let WireMessage::GaloisKeys(blob) = msg else {
-                return Err(unexpected(&msg, "GaloisKeys"));
-            };
-            let key = galois_keys_from_bytes(ctx, &blob)?;
-            if key.len() != 1 || !key.contains(want) {
-                let mut got: Vec<usize> = key.elements().collect();
-                got.sort_unstable();
-                return Err(SpotError::Protocol(format!(
-                    "key frame carries galois elements {got:?}, \
-                     want exactly the next scheduled one, {want}"
-                )));
+    /// Reads the key frames scheduled behind `input` off the uplink,
+    /// each into the store as it arrives: exactly one frame per
+    /// scheduled element, carrying exactly that element's key, in
+    /// schedule order.
+    fn read_behind(
+        &mut self,
+        input: usize,
+        ctx: &Arc<Context>,
+        transport: &dyn Transport,
+    ) -> Result<(), SpotError> {
+        let mut read_next = || {
+            while let Some(&(_, want)) = self.schedule.front().filter(|&&(at, _)| at == input) {
+                let msg = transport.recv()?;
+                let WireMessage::GaloisKeys(blob) = msg else {
+                    return Err(unexpected(&msg, "GaloisKeys"));
+                };
+                let key = galois_keys_from_bytes(ctx, &blob)?;
+                if key.len() != 1 || !key.contains(want) {
+                    let mut got: Vec<usize> = key.elements().collect();
+                    got.sort_unstable();
+                    return Err(SpotError::Protocol(format!(
+                        "key frame carries galois elements {got:?}, \
+                         want exactly the next scheduled one, {want}"
+                    )));
+                }
+                self.keys.lock()?.held.insert(want, Arc::new(key));
+                self.keys.changed.notify_all();
+                self.schedule.pop_front();
             }
-            self.keys.lock()?.held.insert(want, Arc::new(key));
-            self.keys.changed.notify_all();
             Ok(())
-        });
-        if let Err(e) = &result {
-            self.keys.end(e.to_string());
+        };
+        let result = read_next();
+        match &result {
+            Err(e) => self.keys.end(e.to_string()),
+            Ok(()) if self.schedule.is_empty() => self.keys.end(UPLOAD_OVER),
+            Ok(()) => {}
         }
         result
     }
 }
 
+/// Why a key cannot arrive once its layer's schedule has been served.
+const UPLOAD_OVER: &str = "the layer's key upload is over";
+
 impl Drop for KeyUpload<'_> {
     fn drop(&mut self) {
-        self.keys.end("the layer's key upload is over");
+        self.keys.end(UPLOAD_OVER);
     }
 }
 
@@ -1296,7 +1307,7 @@ pub fn serve_conv_on<R: Rng>(
     // inside the server's measured stall window. It says nothing about
     // keys: those are checked one by one as the stream delivers them.
     transport.send(&WireMessage::LayerBarrier { layer: 0 })?;
-    let upload = KeyUpload::open(keys, &facts.galois_elements)?;
+    let upload = KeyUpload::open(keys, facts)?;
     // With `opts.shared` the cache is the model's for this spec, so
     // every session multiplies against the same lifted plaintexts.
     let cache = match opts.shared {
@@ -1324,15 +1335,15 @@ pub fn serve_conv_on<R: Rng>(
 
 /// The server driver proper, after the handshake: per round, ingest the
 /// upload — the first round's carries the layer's key frames, `upload`,
-/// behind the inputs its first job reads — run each job once the inputs
-/// it reads have arrived, and mask-and-send every result in result
-/// order.
+/// each behind the input that makes the first job using it runnable —
+/// run each job once the inputs it reads have arrived, and mask-and-send
+/// every result in result order.
 fn serve_rounds<R: Rng>(
     transport: &dyn Transport,
     plan: &dyn ConvScheme,
     kit: &ServerKit<'_>,
     config: &StreamConfig,
-    upload: KeyUpload<'_>,
+    mut upload: KeyUpload<'_>,
     batch: usize,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
@@ -1357,7 +1368,6 @@ fn serve_rounds<R: Rng>(
     let mut masks: Vec<Vec<Vec<u64>>> = vec![Vec::new(); batch];
     let mut stream = StreamStats::default();
     let mut seq_out = 0u32;
-    let mut key_frames = Some(upload);
 
     for round in 0..rounds {
         let images = round * width..(round + 1) * width;
@@ -1401,7 +1411,7 @@ fn serve_rounds<R: Rng>(
             config,
             facts.round(),
             |j| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j)),
-            || (key_frames.take()).map_or(Ok(()), |frames| frames.read(ctx, transport)),
+            |j| upload.read_behind(round * facts.input_cts + j, ctx, transport),
             |_, blob: Vec<u8>| Ok(Ciphertext::try_from_bytes(ctx, &blob)?),
             |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
             emit,
@@ -1410,9 +1420,9 @@ fn serve_rounds<R: Rng>(
     }
     // The one place a key wait is booked: the workers spent it inside
     // `convolve`, so the driver counted it busy, and it is stall.
-    let key_wait = kit.engine.key_wait().as_secs_f64();
-    stream.server_busy_s -= key_wait;
-    stream.server_idle_s += key_wait;
+    stream.key_wait_s = kit.engine.key_wait().as_secs_f64();
+    stream.server_busy_s -= stream.key_wait_s;
+    stream.server_idle_s += stream.key_wait_s;
 
     let mut shares = masks.into_iter().map(|rows| plan.share(rows, t, false));
     Ok(ServerConvSummary {
@@ -1601,8 +1611,19 @@ mod tests {
         };
         never(3, "no key upload is open");
 
-        let upload = KeyUpload::open(&store, &[3, 9, 27]).expect("open");
-        assert_eq!(upload.schedule, [3, 9, 27]);
+        // A one-input layer that rotates by `elements`, in that order.
+        let layer = |elements: &[usize]| PlanFacts {
+            dependency: OutputDependency::PerInput,
+            input_cts: 1,
+            output_cts: 1,
+            jobs: 1,
+            galois_elements: elements.iter().map(|&g| (0, g)).collect(),
+            use_bsgs: true,
+            batch_capacity: 1,
+            coeff_packed: false,
+        };
+        let mut upload = KeyUpload::open(&store, &layer(&[3, 9, 27])).expect("open");
+        assert_eq!(upload.schedule, [(0, 3), (0, 9), (0, 27)]);
         client_end.send(&frame(3)).expect("send");
         let (about_to_wait, waiting) = mpsc::channel();
         std::thread::scope(|s| {
@@ -1624,7 +1645,7 @@ mod tests {
             // where key 27 should be, with two threads waiting for it.
             client_end.send(&frame(9)).expect("send");
             client_end.close_tx();
-            let read = upload.read(&ctx, &server_end);
+            let read = upload.read_behind(0, &ctx, &server_end);
             assert!(matches!(read, Err(SpotError::Proto(_))), "{read:?}");
             let ended: Vec<_> = waiters
                 .into_iter()
@@ -1644,9 +1665,81 @@ mod tests {
         assert!(keys.contains(9) && keys.len() == 1);
         assert_eq!(waited, Duration::ZERO);
         never(27, "connection closed by peer");
-        let next_layer = KeyUpload::open(&store, &[9, 27, 3]).expect("open");
-        assert_eq!(next_layer.schedule, [27], "what the connection holds stays");
+        let next_layer = KeyUpload::open(&store, &layer(&[9, 27, 3])).expect("open");
+        assert_eq!(
+            next_layer.schedule,
+            [(0, 27)],
+            "what the connection holds stays"
+        );
         drop(next_layer);
-        never(27, "the layer's key upload is over");
+        never(27, UPLOAD_OVER);
+
+        // With its last scheduled key in, the upload is over though its
+        // guard still lives: a key nobody scheduled is an error at
+        // once, not a wait for the layer to end.
+        let (client_end, server_end) = MemTransport::pair();
+        let mut next_layer = KeyUpload::open(&store, &layer(&[27])).expect("open");
+        client_end.send(&frame(27)).expect("send");
+        next_layer.read_behind(0, &ctx, &server_end).expect("read");
+        assert!(store.wait(27).is_ok());
+        never(5, UPLOAD_OVER);
+        drop(next_layer);
+    }
+
+    /// A key travels behind the input that makes the first job using it
+    /// runnable: under SPOT the first ciphertext of the first piece
+    /// class that rotates by it, under channel-wise packing the round's
+    /// last input — so the schedule is in input order, and a key the
+    /// connection holds is not in it.
+    #[test]
+    fn a_key_is_scheduled_behind_the_input_of_the_first_job_that_uses_it() {
+        let shape = ConvShape::new(16, 16, 64, 8, 3, 1);
+        let spec = |scheme| LayerSpec {
+            scheme,
+            shape,
+            patch: (4, 4),
+            mode: PatchMode::Tweaked,
+        };
+        let plan =
+            |scheme: SchemeKind| scheme.plan(&spec(scheme), ParamLevel::N4096).expect("plan");
+
+        // Four piece classes of 7, 2, 2 and 1 ciphertexts: the 4x4
+        // patches need 18 keys, the first seam class two more of its
+        // own, the other two nothing new.
+        let spot = plan(SchemeKind::Spot);
+        let slots = |schedule: &VecDeque<(usize, usize)>| -> Vec<usize> {
+            schedule.iter().map(|&(input, _)| input).collect()
+        };
+        let fresh = key_schedule(spot.facts(), |_| false);
+        assert_eq!(slots(&fresh), [vec![0; 18], vec![7; 2]].concat());
+        let elements: Vec<usize> = fresh.iter().map(|&(_, g)| g).collect();
+        let planned: Vec<usize> = (spot.facts().galois_elements.iter())
+            .map(|&(_, g)| g)
+            .collect();
+        assert_eq!(elements, planned, "first-use order");
+        let held = elements[1];
+        let later = key_schedule(spot.facts(), |g| g == held);
+        assert_eq!(later.len(), 19);
+        assert!(later.iter().all(|&(_, g)| g != held));
+
+        let channelwise = plan(SchemeKind::Channelwise);
+        assert_eq!(channelwise.facts().input_cts, 4);
+        let fresh = key_schedule(channelwise.facts(), |_| false);
+        assert_eq!(slots(&fresh), vec![3; 16]);
+
+        let cheetah = plan(SchemeKind::Cheetah);
+        assert!(key_schedule(cheetah.facts(), |_| false).is_empty());
+
+        // TinyCnn's conv1 (2 -> 4 channels on 8x8): one ciphertext per
+        // class, nine keys behind the first and two behind the second.
+        let conv1 = LayerSpec {
+            shape: ConvShape::new(8, 8, 2, 4, 3, 1),
+            ..spec(SchemeKind::Spot)
+        };
+        let conv1 = SchemeKind::Spot
+            .plan(&conv1, ParamLevel::N4096)
+            .expect("plan");
+        let fresh = key_schedule(conv1.facts(), |_| false);
+        assert_eq!(slots(&fresh), [vec![0; 9], vec![1; 2]].concat());
     }
 }

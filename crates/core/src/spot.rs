@@ -20,7 +20,7 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::heconv::{first_occurrences, required_elements, ChannelMap, ConvRequest, GroupSpec};
+use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
 use crate::layout::{
     next_pow2, pack_pieces, pack_pieces_split, unpack_pieces, unpack_pieces_split, LaneLayout,
 };
@@ -286,11 +286,18 @@ impl Packing {
             .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
             .collect();
         // Jobs run class by class in upload order, so that is also the
-        // order the classes' keys are first asked for.
-        let elements = first_occurrences(
-            (classes.iter())
-                .flat_map(|class| blk.galois_elements(&class.layout, shape.k_h, shape.k_w)),
-        );
+        // order the classes' keys are first asked for, and a class's
+        // first ciphertext is the first job to use what the class adds.
+        let mut elements: Vec<(usize, usize)> = Vec::new();
+        let mut first_ct = 0;
+        for class in &classes {
+            for g in blk.galois_elements(&class.layout, shape.k_h, shape.k_w) {
+                if !elements.iter().any(|&(_, held)| held == g) {
+                    elements.push((first_ct, g));
+                }
+            }
+            first_ct += class.cts;
+        }
         // A class spilling over one ciphertext has no spare positions to
         // scatter another image into; otherwise the tightest class
         // bounds the batch.

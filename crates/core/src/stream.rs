@@ -7,9 +7,10 @@
 //! [`spot_pipeline::plan::OutputDependency`] says it in one enum and
 //! [`run_stream`] executes it in one body: **a job waits for the inputs
 //! it reads**. An ingest thread — the uplink's only reader — pushes the
-//! round's upload frames through a [`BoundedQueue`], and between the
-//! inputs the first job reads and the rest it runs the round's *side
-//! step* (the session's rotation-key frames, which travel there); the
+//! round's upload frames through a [`BoundedQueue`], and behind each
+//! input it runs the round's *side step* for that input (the session's
+//! rotation-key frames: a key travels behind the input that makes the
+//! first job using it runnable, [`Round::runnable_with`]); the
 //! [`Executor::run_workers`] pool stages (deserialises) each input as it
 //! arrives and runs a job as soon as its inputs are staged; results are
 //! consumed in job order on the calling thread, where the mask rng
@@ -37,7 +38,8 @@
 //! upload is open: time inside [`BoundedQueue::recv`], which this
 //! driver measures, plus time inside the connection's key store's
 //! `wait`, which a job's `work` spends and the session layer moves from
-//! busy to idle (`session.rs::serve_rounds`, the one place). Under
+//! busy to idle (`session.rs::serve_rounds`, the one place) and reports
+//! beside it as [`StreamStats::key_wait_s`]. Under
 //! `PerInput` that is the gap between one ciphertext and the next;
 //! under `AllInputs` it is the whole upload, on every worker; under
 //! either, the keys the client is still generating when a rotation
@@ -257,6 +259,11 @@ pub struct StreamStats {
     /// a rotation key while the upload was open — the measured "linear
     /// computation stall".
     pub server_idle_s: f64,
+    /// Of `server_idle_s`, the thread-seconds spent waiting for a
+    /// rotation key (booked by the session layer, which owns the key
+    /// store); the rest is the wait for ciphertexts — the paper's
+    /// quantity, which no key upload touches.
+    pub key_wait_s: f64,
     /// Input frames ingested.
     pub input_items: usize,
     /// Job results consumed.
@@ -277,6 +284,7 @@ impl StreamStats {
         self.client_blocked_s += other.client_blocked_s;
         self.server_busy_s += other.server_busy_s;
         self.server_idle_s += other.server_idle_s;
+        self.key_wait_s += other.key_wait_s;
         self.input_items += other.input_items;
         self.output_items += other.output_items;
         self.channel_capacity = self.channel_capacity.max(other.channel_capacity);
@@ -293,6 +301,7 @@ impl StreamStats {
             client_blocked_s: self.client_blocked_s,
             server_busy_s: self.server_busy_s,
             server_idle_s: self.server_idle_s,
+            key_wait_s: self.key_wait_s,
             input_cts: self.input_items,
             output_cts: self.output_items,
             channel_capacity: self.channel_capacity,
@@ -318,13 +327,14 @@ pub struct Round {
 }
 
 impl Round {
-    /// How many inputs, from the front of the upload, the first job
-    /// reads: where the round's side step sits, on both ends of the
-    /// link.
-    pub fn first_job_inputs(&self) -> usize {
+    /// The input whose arrival makes `job` runnable — its own under
+    /// [`OutputDependency::PerInput`], the round's last under
+    /// [`OutputDependency::AllInputs`]: behind it travels whatever else
+    /// the job waits for, on both ends of the link.
+    pub fn runnable_with(&self, job: usize) -> usize {
         match self.dependency {
-            OutputDependency::PerInput => self.inputs.min(1),
-            OutputDependency::AllInputs => self.inputs,
+            OutputDependency::PerInput => job,
+            OutputDependency::AllInputs => self.inputs.saturating_sub(1),
         }
     }
 }
@@ -365,11 +375,11 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 /// * an **ingest thread** calls `ingest(i)` for each input in order (a
 ///   transport receive) and pushes the raw frame through a queue bounded
 ///   by [`StreamConfig::channel_capacity`], the server's read-ahead.
-///   Once the inputs the first job reads are queued
-///   ([`Round::first_job_inputs`]) it runs `side` — whatever else the
-///   round's jobs wait for that arrives on the same link, behind those
-///   inputs — and then goes on with the rest, so the link has one reader
-///   and the first job is runnable before `side` starts;
+///   With input `i` queued it runs `side(i)` — whatever else arrives on
+///   the same link behind that input, for the jobs it made runnable
+///   ([`Round::runnable_with`]) — before it reads input `i + 1`, so the
+///   link has one reader, a job is runnable before its `side` starts,
+///   and what a running job waits for is never behind a full queue;
 /// * the [`Executor::run_workers`] **pool** takes frames as they arrive,
 ///   *stages* each (`stage(i, frame)`, the deserialisation) and runs job
 ///   `j` (`work(j, inputs)`) as soon as the inputs it reads are staged:
@@ -391,14 +401,15 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 /// closures ends the round: every thread is released and joined, and
 /// the call returns the error of the step that failed first in the
 /// chain stage/work → consume → ingest/side. A `work` that blocks on
-/// `side` must be released by it on every path; `side` is dropped
-/// uncalled only when an earlier `ingest` failed. A panic on a worker
-/// propagates to the caller the same way.
+/// what `side(i)` delivers must be released by that call on every path;
+/// it goes uncalled only when `ingest(i)` or an earlier step failed, and
+/// then no job it serves is runnable. A panic on a worker propagates to
+/// the caller the same way.
 pub fn run_stream<F, T, R>(
     config: &StreamConfig,
     round: Round,
     mut ingest: impl FnMut(usize) -> Result<F, SpotError> + Send,
-    side: impl FnOnce() -> Result<(), SpotError> + Send,
+    mut side: impl FnMut(usize) -> Result<(), SpotError> + Send,
     stage: impl Fn(usize, F) -> Result<T, SpotError> + Sync,
     work: impl Fn(usize, &[T]) -> Result<R, SpotError> + Sync,
     mut consume: impl FnMut(usize, R) -> Result<(), SpotError>,
@@ -485,20 +496,14 @@ where
             spot_trace::set_thread_label("server-ingest");
             let closer = CloseOnDrop(in_q);
             let mut blocked = Duration::ZERO;
-            let mut feed = |mut inputs: std::ops::Range<usize>| {
-                inputs.try_for_each(|i| {
-                    let frame = ingest(i)?;
-                    let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
-                    let waited = in_q.send((i, frame))?;
-                    end_wait(wait_span, waited);
-                    blocked += waited;
-                    Ok::<(), SpotError>(())
-                })
-            };
-            let first = round.first_job_inputs();
-            let result = feed(0..first)
-                .and_then(|()| side())
-                .and_then(|()| feed(first..round.inputs));
+            let result = (0..round.inputs).try_for_each(|i| {
+                let frame = ingest(i)?;
+                let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
+                let waited = in_q.send((i, frame))?;
+                end_wait(wait_span, waited);
+                blocked += waited;
+                side(i)
+            });
             // After a full upload the worker holding the last input
             // closes the queue; the ingest thread only does on failure.
             if result.is_ok() && round.inputs > 0 {
@@ -580,6 +585,7 @@ where
         client_blocked_s: blocked.as_secs_f64(),
         server_busy_s: busy.as_secs_f64(),
         server_idle_s: idle.as_secs_f64(),
+        key_wait_s: 0.0,
         input_items: round.inputs,
         output_items: consumed,
         channel_capacity: config.channel_capacity,
@@ -817,7 +823,7 @@ mod tests {
                         &cfg(threads, cap),
                         round(dependency, 50, jobs),
                         |i| Ok(i as u64),
-                        || Ok(()),
+                        |_| Ok(()),
                         |i, v: u64| Ok((i as u64) * 100 + v),
                         |j, inputs: &[u64]| {
                             assert!(ran.lock().unwrap().insert(j), "{tag}: job {j} ran twice");
@@ -857,7 +863,7 @@ mod tests {
                     &cfg(8, 2),
                     round(dependency, n, n),
                     |_| Ok(41u32),
-                    || Ok(()),
+                    |_| Ok(()),
                     |_, v| Ok(v),
                     |_, inputs: &[u32]| Ok(inputs[0] + 1),
                     |j, r| {
@@ -891,7 +897,7 @@ mod tests {
                 }
                 Ok(i)
             },
-            || Ok(()),
+            |_| Ok(()),
             |_, v| Ok(v),
             |j, inputs: &[usize]| {
                 assert_eq!(inputs, [j]);
@@ -909,34 +915,34 @@ mod tests {
     }
 
     #[test]
-    fn side_step_runs_once_behind_the_first_jobs_inputs_and_jobs_may_wait_for_it() {
-        // One worker, one queue slot: job 0 blocks until `side` has
-        // run, with input 1 still to come — it completes because `side`
-        // comes before input 1 is even read.
-        for (dependency, inputs, want) in [
-            (OutputDependency::PerInput, 4, "0 side 1 2 3"),
-            (OutputDependency::AllInputs, 4, "0 1 2 3 side"),
-            (OutputDependency::PerInput, 0, "side"),
-        ] {
+    fn side_step_runs_behind_each_input_and_the_jobs_it_made_runnable_may_wait_for_it() {
+        // One worker, one queue slot: every job blocks until the side
+        // step of the input that made it runnable has run — `side(j)`
+        // per input, `side(3)` for the whole all-inputs round — with
+        // later inputs still to come. It completes because that step
+        // comes before the next input is even read.
+        for dependency in CLASSES {
+            let round = round(dependency, 4, 4);
             let order = Mutex::new(Vec::new());
-            let (delivered_tx, delivered_rx) = std::sync::mpsc::channel::<()>();
-            let delivered_rx = Mutex::new(delivered_rx);
+            let delivered = (Mutex::new(0usize), Condvar::new());
             let stats = run_stream(
                 &cfg(1, 1),
-                round(dependency, inputs, inputs),
+                round,
                 |i| {
-                    order.lock().unwrap().push(i.to_string());
+                    order.lock().unwrap().push(format!("in{i}"));
                     Ok(i)
                 },
-                || {
-                    order.lock().unwrap().push("side".into());
-                    drop(delivered_tx);
+                |i| {
+                    order.lock().unwrap().push(format!("side{i}"));
+                    *delivered.0.lock().unwrap() = i + 1;
+                    delivered.1.notify_all();
                     Ok(())
                 },
                 |_, v| Ok(v),
                 |j, _: &[usize]| {
-                    // Returns once `side` has dropped the sender.
-                    let _ = delivered_rx.lock().unwrap().recv();
+                    let sides = delivered.0.lock().unwrap();
+                    let needed = round.runnable_with(j) + 1;
+                    drop(delivered.1.wait_while(sides, |ran| *ran < needed).unwrap());
                     Ok(j)
                 },
                 |_, _| Ok(()),
@@ -944,10 +950,10 @@ mod tests {
             .unwrap();
             assert_eq!(
                 order.into_inner().unwrap().join(" "),
-                want,
+                "in0 side0 in1 side1 in2 side2 in3 side3",
                 "{dependency:?}"
             );
-            assert_eq!(stats.output_items, inputs);
+            assert_eq!(stats.output_items, 4);
         }
     }
 
@@ -965,7 +971,7 @@ mod tests {
                 }
                 Ok(i as u64)
             },
-            || Ok(()),
+            |_| Ok(()),
             |_, v| Ok(v),
             |j, inputs: &[u64]| {
                 assert!(
@@ -1013,7 +1019,7 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(4));
                     Ok(i)
                 },
-                || Ok(()),
+                |_| Ok(()),
                 |_, v| Ok(v),
                 |j, _: &[usize]| spin(j),
                 |_, _| Ok(()),
@@ -1032,7 +1038,7 @@ mod tests {
     fn an_error_from_any_step_ends_the_round_with_that_error() {
         // Step 0 = ingest, 1 = stage, 2 = work, 3 = consume; each fails
         // on its second item, with more inputs still to come and a full
-        // queue behind it. Step 4 = the side step, which runs once.
+        // queue behind it. Step 4 = the side step.
         let fail = |step: usize, at: usize, i: usize| match step == at && i == 1 {
             true => Err(SpotError::Protocol(format!("step {at} gave up"))),
             false => Ok(()),
@@ -1044,7 +1050,7 @@ mod tests {
                         &cfg(threads, 1),
                         round(dependency, 6, 6),
                         |i| fail(step, 0, i).map(|()| i),
-                        || fail(step, 4, 1),
+                        |i| fail(step, 4, i),
                         |i, v| fail(step, 1, i).map(|()| v),
                         |j, _: &[usize]| fail(step, 2, j).map(|()| j),
                         |j, _| fail(step, 3, j),
@@ -1067,7 +1073,7 @@ mod tests {
             &cfg(4, 2),
             round(dependency, 8, 8),
             Ok,
-            || Ok(()),
+            |_| Ok(()),
             |_, v| Ok(v),
             |j, _: &[usize]| {
                 if j == 3 {

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::within_deadline;
+use common::{tcp_pair, within_deadline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::error::SpotError;
@@ -27,7 +27,7 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_stack() -> (Arc<Context>, TinyCnn) {
     (
@@ -723,10 +723,33 @@ struct Ending {
     uplink_frames: u64,
 }
 
+/// A connection's `(client end, server end)`.
+type Link = (Box<dyn Transport>, Box<dyn Transport>);
+
+fn mem_link() -> Link {
+    let (ct, st) = MemTransport::pair();
+    (Box::new(ct), Box::new(st))
+}
+
+/// How long the server end of [`tcp_link_with_read_deadline`] waits for
+/// a frame: long enough for an honest client's slowest step, short
+/// enough to sit out in a test.
+const READ_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Loopback TCP whose server end gives up on a silent peer, as
+/// `spot-server --read-timeout-ms` sets it up.
+fn tcp_link_with_read_deadline() -> Link {
+    let (ct, st) = tcp_pair();
+    st.set_read_timeout(Some(READ_DEADLINE))
+        .expect("read deadline");
+    (Box::new(ct), Box::new(st))
+}
+
 /// One honest full-pipeline client (keys from `kg`, input `input`) whose
-/// uplink passes through `rewrite`, served by `server`.
+/// uplink passes through `rewrite`, served by `server` over `link`.
 fn tampered_connection<F>(
     server: &SpotServer,
+    (ct, st): Link,
     kg: &KeyGenerator,
     input: &Tensor,
     seed: u64,
@@ -735,10 +758,9 @@ fn tampered_connection<F>(
 where
     F: Fn(usize, &WireMessage) -> Uplink + Send + Sync,
 {
-    let (ct, st) = MemTransport::pair();
-    let tamper = Tamper::new(&ct, rewrite);
+    let tamper = Tamper::new(&*ct, rewrite);
     std::thread::scope(|s| {
-        let session = s.spawn(|| server.serve_connection(&st));
+        let session = s.spawn(|| server.serve_connection(&*st));
         let client = run_client_batch(
             server.model().context(),
             kg,
@@ -809,14 +831,16 @@ fn nth_key_frame(seen: &[AtomicUsize; 3], layer: usize, msg: &WireMessage) -> Op
 type Rewrite<'a> = Box<dyn Fn(usize, &WireMessage) -> Uplink + Send + Sync + 'a>;
 
 /// Each hostile client (what it does, the refusal it must get, its
-/// uplink rewrite) gets the typed refusal within the deadline and its
-/// slot back, while a neighbour served beside it produces the outputs
-/// and the wire traffic of a solo run.
+/// uplink rewrite), connected over a fresh `link()`, gets the typed
+/// refusal within the deadline and its slot back, while a neighbour
+/// served beside it produces the outputs and the wire traffic of a solo
+/// run.
 fn assert_each_refused_and_contained(
     ctx: &Arc<Context>,
     cnn: &TinyCnn,
     kg: &KeyGenerator,
     input: &Tensor,
+    link: fn() -> Link,
     hostile: &[(&str, &str, Rewrite<'_>)],
 ) {
     let new_server = || {
@@ -841,7 +865,8 @@ fn assert_each_refused_and_contained(
         let server = new_server();
         let (ending, (out, stats)) = within_deadline(what, || {
             std::thread::scope(|s| {
-                let attacker = s.spawn(|| tampered_connection(&server, kg, input, 402, rewrite));
+                let attacker =
+                    s.spawn(|| tampered_connection(&server, link(), kg, input, 402, rewrite));
                 let beside = neighbour(&server);
                 (attacker.join().expect("attacker"), beside)
             })
@@ -869,8 +894,10 @@ fn assert_each_refused_and_contained(
 /// scheduled ones swapped, one with a second key riding along. A key
 /// stream cut short after two of conv1's eleven keys, with the server's
 /// worker already blocked on the third: the client goes on to its next
-/// ciphertext, or hangs up. No key frames at all on conv1; a hang-up
-/// where conv2's one key frame belongs. Each is refused and contained.
+/// ciphertext, or hangs up. No key frames at all on conv1; the keys of
+/// conv1's second piece class ahead of the ciphertext they belong
+/// behind; a hang-up where conv2's one key frame belongs. Each is
+/// refused and contained.
 #[test]
 fn key_stream_rule_violations_are_refused_and_contained() {
     let (ctx, cnn) = test_stack();
@@ -879,7 +906,7 @@ fn key_stream_rule_violations_are_refused_and_contained() {
     const NOT_NEXT: &str = "want exactly the next scheduled one";
     // Per case: key frames seen per layer, a frame held back, and
     // whether the uplink has been hung up.
-    let seen: [[AtomicUsize; 3]; 8] = Default::default();
+    let seen: [[AtomicUsize; 3]; 9] = Default::default();
     let held_back = Mutex::new(None::<WireMessage>);
     let hung_up = AtomicBool::new(false);
     let (ctx, kg) = (&ctx, &kg);
@@ -897,7 +924,7 @@ fn key_stream_rule_violations_are_refused_and_contained() {
             },
         )
     };
-    let hostile: [(&str, &str, Rewrite<'_>); 8] = [
+    let hostile: [(&str, &str, Rewrite<'_>); 9] = [
         (
             "conv1's third key frame carries conv2's key instead",
             "key frame carries galois elements [4097]",
@@ -958,9 +985,25 @@ fn key_stream_rule_violations_are_refused_and_contained() {
                 _ => Uplink::Pass,
             }),
         ),
+        // conv1's four piece classes fill one ciphertext each; nine of
+        // its keys travel behind the first, the two only the second
+        // class rotates by behind the second. With that ciphertext
+        // gone, its keys stand where it should.
+        (
+            "conv1's second piece class sends its keys without its ciphertext before them",
+            "expected PackedCt/AuxCt, got GaloisKeys",
+            Box::new(|layer, msg| {
+                nth_key_frame(&seen[8], layer, msg);
+                match msg {
+                    WireMessage::AuxCt { seq: 1, .. } if layer == 1 => Uplink::Replace(Vec::new()),
+                    _ => Uplink::Pass,
+                }
+            }),
+        ),
         // conv2 has one input ciphertext, so its key frame is the last
         // frame of its upload: a client that merely leaves it out has
-        // gone silent, which is not a frame to refuse. This one says so.
+        // gone silent, which is not a frame to refuse (the next test).
+        // This one says so.
         (
             "conv2's key never comes: the client hangs up in its place",
             "galois element 4097 will not arrive: protocol transport error",
@@ -970,7 +1013,7 @@ fn key_stream_rule_violations_are_refused_and_contained() {
             }),
         ),
     ];
-    assert_each_refused_and_contained(ctx, &cnn, kg, &input, &hostile);
+    assert_each_refused_and_contained(ctx, &cnn, kg, &input, mem_link, &hostile);
     // Every hostile stream got as far as the frame it broke the rule on.
     let key_frames_sent: Vec<usize> = (seen.iter())
         .map(|layers| layers.iter().map(|n| n.load(Ordering::SeqCst)).sum())
@@ -978,6 +1021,42 @@ fn key_stream_rule_violations_are_refused_and_contained() {
     assert!(
         key_frames_sent.iter().all(|&n| n >= 1),
         "{key_frames_sent:?}"
+    );
+}
+
+/// The one way to break the key-stream rule that no frame announces:
+/// conv2's key frame is the last frame of its upload, and this client
+/// leaves it out and stays connected, waiting for its results. The
+/// worker is blocked in the key store and the ingest thread on the
+/// link; the transport's read deadline is what ends the wait, as it ends
+/// any silent client's. The key upload ends with the transport's error,
+/// the worker gets the typed refusal, the slot comes back, and the
+/// neighbour is served as if alone.
+#[test]
+fn a_withheld_last_key_on_an_open_connection_ends_at_the_read_deadline() {
+    let (ctx, cnn) = test_stack();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(430));
+    let input = Tensor::random(2, 8, 8, 5, 431);
+    let silent: [(&str, &str, Rewrite<'_>); 1] = [(
+        "conv2's key never comes: the client waits for its results without sending it",
+        "galois element 4097 will not arrive: protocol transport error",
+        Box::new(|layer, msg| match msg {
+            WireMessage::GaloisKeys(_) if layer == 2 => Uplink::Replace(Vec::new()),
+            _ => Uplink::Pass,
+        }),
+    )];
+    let started = Instant::now();
+    assert_each_refused_and_contained(
+        &ctx,
+        &cnn,
+        &kg,
+        &input,
+        tcp_link_with_read_deadline,
+        &silent,
+    );
+    assert!(
+        started.elapsed() >= READ_DEADLINE,
+        "nothing but the deadline can have ended it"
     );
 }
 
@@ -1001,7 +1080,7 @@ fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
 
     let key_frames: [AtomicUsize; 3] = Default::default();
     let honest = within_deadline("honest all-held connection", || {
-        tampered_connection(&server, &kg, &input, 412, |layer, msg| {
+        tampered_connection(&server, mem_link(), &kg, &input, 412, |layer, msg| {
             nth_key_frame(&key_frames, layer, msg);
             Uplink::Pass
         })
@@ -1016,12 +1095,19 @@ fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
     assert_eq!(conv2, 0, "conv2 must upload nothing");
 
     let ending = within_deadline("key frame on an all-held layer", || {
-        tampered_connection(&server, &kg, &input, 412, |layer, msg| match msg {
-            WireMessage::Setup(_) if layer == 2 => {
-                Uplink::Replace(vec![msg.clone(), key_frame(&kg, &[CONV2_ONLY])])
-            }
-            _ => Uplink::Pass,
-        })
+        tampered_connection(
+            &server,
+            mem_link(),
+            &kg,
+            &input,
+            412,
+            |layer, msg| match msg {
+                WireMessage::Setup(_) if layer == 2 => {
+                    Uplink::Replace(vec![msg.clone(), key_frame(&kg, &[CONV2_ONLY])])
+                }
+                _ => Uplink::Pass,
+            },
+        )
     });
     assert_refused(&ending, "expected PackedCt/AuxCt, got GaloisKeys");
     let totals = server.stats();
@@ -1044,13 +1130,13 @@ fn a_second_connection_never_sees_the_first_ones_keys() {
     let want = cnn.forward_plain(&input);
 
     let first = within_deadline("first connection", || {
-        tampered_connection(&server, &kg, &input, 422, |_, _| Uplink::Pass)
+        tampered_connection(&server, mem_link(), &kg, &input, 422, |_, _| Uplink::Pass)
     });
     first.session.result.expect("first session");
     assert_eq!(first.client.expect("first client")[0], want);
 
     let second = within_deadline("keyless second connection", || {
-        tampered_connection(&server, &kg, &input, 422, |_, msg| match msg {
+        tampered_connection(&server, mem_link(), &kg, &input, 422, |_, msg| match msg {
             WireMessage::GaloisKeys(_) => Uplink::Replace(Vec::new()),
             _ => Uplink::Pass,
         })
@@ -1058,7 +1144,7 @@ fn a_second_connection_never_sees_the_first_ones_keys() {
     assert_refused(&second, "expected GaloisKeys, got");
 
     let third = within_deadline("third connection", || {
-        tampered_connection(&server, &kg, &input, 422, |_, _| Uplink::Pass)
+        tampered_connection(&server, mem_link(), &kg, &input, 422, |_, _| Uplink::Pass)
     });
     third.session.result.expect("third session");
     assert_eq!(third.client.expect("third client")[0], want);
@@ -1194,7 +1280,7 @@ fn unreduced_client_shares_are_refused_and_contained() {
             hostile_round(OP_MAXPOOL),
         ),
     ];
-    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, &hostile);
+    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, mem_link, &hostile);
 }
 
 /// The mirror image: a server whose round reply, or whose reveal,

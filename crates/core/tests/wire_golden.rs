@@ -23,11 +23,12 @@
 //! header's version byte) and no share, count or output digest.
 //!
 //! Last re-record, `WIRE_VERSION` 3 (rotation keys streamed one per
-//! frame, in first-use order, behind the first job's inputs): `uplink`
-//! and `uplink_shape` by the schedule, `downlink` through the client's
-//! rng draw order (now public key, then upload order: first inputs, per
-//! key its seed and errors, remaining inputs), `downlink_shape` only by
-//! the version byte — with the constant put back to 2 it equals the
+//! frame, in first-use order, each behind the input that makes the
+//! first job using it runnable): `uplink` and `uplink_shape` by the
+//! schedule, `downlink` through the client's rng draw order (now public
+//! key, then upload order: per input its encryption, then per key
+//! behind it the key's seed and errors), `downlink_shape` only by the
+//! version byte — with the constant put back to 2 it equals the
 //! previous value in every case. Client randomness never reaches a
 //! share, so no share or count constant moved.
 //!
@@ -364,8 +365,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xe0cb_3104_05d8_831c, 0xacf2_eb16_4bb6_3634),
-            (0xbb1b_88cb_ece1_ea1e, 0x0b08_db60_f2b5_2a7a),
+            (0x399f_68ad_9e85_96db, 0x598b_5d08_4b01_89d4),
+            (0xa768_ecfa_5d80_dd82, 0x0b08_db60_f2b5_2a7a),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -379,8 +380,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x4d82_ce90_4fb2_45ab, 0xacf2_eb16_4bb6_3634),
-            (0x07e3_a61d_fa4e_cb5c, 0x0b08_db60_f2b5_2a7a),
+            (0xfcbc_79c8_cd46_dab1, 0x598b_5d08_4b01_89d4),
+            (0xc2f8_f76a_2b31_352d, 0x0b08_db60_f2b5_2a7a),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -397,8 +398,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0xc1b8_0070_9e1e_4d6b, 0xe46f_dc6e_d590_78f9),
-            (0xad2b_59eb_0f35_bccf, 0xecd7_a3ba_6689_b01a),
+            (0x8d75_e9fa_db10_755e, 0x6544_ba90_ca59_43c1),
+            (0x1ceb_7900_69b5_9648, 0xecd7_a3ba_6689_b01a),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -418,8 +419,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0x64ee_ea87_18e2_beb8, 0x7127_00fc_3d60_d403),
-        (0xc62c_778c_6052_d1e0, 0xb7c8_02be_e7ed_0feb),
+        (0x1daf_129a_045d_0e68, 0x1193_e9f5_003e_e99b),
+        (0x50f2_ec8f_b73a_a858, 0xb7c8_02be_e7ed_0feb),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
@@ -453,8 +454,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0xa477_e9a9_d735_a1d8, 0xa9e3_1809_11af_d9e9),
-        downlink: (0x915e_2795_a390_cab1, 0x99e2_b942_6c10_2cb2),
+        uplink: (0x6d37_a287_779b_c1d1, 0x058b_f7ea_046e_4dc9),
+        downlink: (0xdef4_ca6f_294b_8e04, 0x99e2_b942_6c10_2cb2),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xaaf8_f89a_f734_9b87,
     };

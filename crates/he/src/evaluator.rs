@@ -313,9 +313,10 @@ impl Evaluator {
     ) -> Ciphertext {
         self.tally(Counter::Rotate, 1);
         count(Counter::KeySwitch, 1);
-        let Some(ksk) = keys.keys.get(&g) else {
-            panic!("rotation by Galois element {g}: missing Galois key");
-        };
+        let ksk = keys
+            .keys
+            .get(&g)
+            .unwrap_or_else(|| panic!("missing Galois key for element {g}"));
         assert_eq!(
             hoisted.digits.len(),
             ksk.pairs.len(),

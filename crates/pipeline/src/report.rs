@@ -87,6 +87,9 @@ pub struct StallRow {
     /// a rotation key while the upload was open — the paper's "linear
     /// computation stall".
     pub server_idle_s: f64,
+    /// The part of `server_idle_s` spent waiting for a rotation key;
+    /// the rest is the wait for ciphertexts.
+    pub key_wait_s: f64,
     /// Input ciphertexts streamed client → server.
     pub input_cts: usize,
     /// Output ciphertexts returned server → client.
@@ -110,6 +113,7 @@ pub fn stall_table(title: impl Into<String>, rows: &[StallRow]) -> String {
             "client blocked",
             "server busy",
             "server idle",
+            "of it: keys",
             "in cts",
             "out cts",
             "chan cap",
@@ -124,6 +128,7 @@ pub fn stall_table(title: impl Into<String>, rows: &[StallRow]) -> String {
             secs(r.client_blocked_s),
             secs(r.server_busy_s),
             secs(r.server_idle_s),
+            secs(r.key_wait_s),
             r.input_cts.to_string(),
             r.output_cts.to_string(),
             match r.channel_capacity {
