@@ -25,7 +25,12 @@
 //! (`ct_to_bytes`, `ct_from_bytes`, `galois_serialize`,
 //! `galois_deserialize`, `decrypt`) are what a tiny client pays per
 //! ciphertext and per Galois key outside the HE math; the Galois rows
-//! are **per key** (blob time / keys in the blob). `ks_decompose` is
+//! are **per key** (blob time / keys in the blob). `encrypt_seeded`,
+//! `ct_seeded_bytes` and `ct_from_seeded_bytes` are the upload's own
+//! form — a symmetric encryption, written as `c0` and the seed of `c1`,
+//! read back by expanding the seed — beside the full-form rows, and
+//! `ratios` holds its length over the full form's (0.5004; `bench_check`
+//! fails above 0.51). `ks_decompose` is
 //! the step-independent part of a rotation (`Evaluator::hoist`) and
 //! `rotate_hoisted8` eight rotations sharing one; `ratios` relates the
 //! latter to eight stand-alone `rotate`s, and `bench_check` fails when
@@ -341,11 +346,12 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
 /// dispatched kernel (its NTTs), so one pass under the production
 /// dispatch is the whole story.
 ///
-/// Returns, per level, the bytes of a serialised one-key blob over the
-/// bytes of its `k` packed digit polynomials: what a rotation key costs
-/// on the wire against the half of it no seed can replace.
-fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(&'static str, f64)> {
-    let mut key_bytes_per_digit_poly = Vec::new();
+/// Returns the byte-count ratios, per level: a serialised one-key blob
+/// over its `k` packed digit polynomials (what a rotation key costs on
+/// the wire against the half of it no seed can replace), and an
+/// uploaded ciphertext over the full form of the same encryption.
+fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(String, f64)> {
+    let mut byte_ratios = Vec::new();
     for (level, level_name, reps) in [
         (ParamLevel::N4096, "N4096", 100usize),
         (ParamLevel::N8192, "N8192", 50),
@@ -360,8 +366,16 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(&
         let values: Vec<u64> = (0..ctx.degree() as u64)
             .map(|i| i % ctx.params().plain_modulus())
             .collect();
-        let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
+        let plain = encoder.encode(&values);
+        let ct = encryptor.encrypt(&plain, &mut rng);
         let ct_blob = ct.to_bytes();
+        let uploader = SymmetricEncryptor::new(&ctx, keygen.secret_key().clone());
+        let seeded = uploader.encrypt(&plain, &mut rng);
+        let seeded_blob = seeded.to_bytes();
+        byte_ratios.push((
+            format!("seeded_ct_bytes_per_ct_bytes/{level_name}"),
+            seeded_blob.len() as f64 / ct_blob.len() as f64,
+        ));
         let keys = 4usize;
         let elements = evaluator.galois_elements(&[1, 2, 3, 4], false);
         let gk = keygen.galois_keys(&elements, &mut rng);
@@ -369,7 +383,10 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(&
         let gk_blob = galois_keys_to_bytes(&gk);
         let one_key = galois_keys_to_bytes(&keygen.galois_keys(&elements[..1], &mut rng));
         let digit_polys = ctx.moduli_count() * ctx.params().poly_bytes();
-        key_bytes_per_digit_poly.push((level_name, one_key.len() as f64 / digit_polys as f64));
+        byte_ratios.push((
+            format!("galois_key_bytes_per_digit_poly/{level_name}"),
+            one_key.len() as f64 / digit_polys as f64,
+        ));
 
         let mut push = |op, reps, per: usize, (mean_us, median_us, min_us): (f64, f64, f64)| {
             entries.push(Entry {
@@ -397,6 +414,32 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(&
             time_us(reps, || {
                 std::hint::black_box(
                     Ciphertext::try_from_bytes(&ctx, &ct_blob).expect("own ciphertext"),
+                );
+            }),
+        );
+        push(
+            "encrypt_seeded",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(uploader.encrypt(&plain, &mut rng));
+            }),
+        );
+        push(
+            "ct_seeded_bytes",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(seeded.to_bytes());
+            }),
+        );
+        push(
+            "ct_from_seeded_bytes",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(
+                    Ciphertext::try_from_seeded_bytes(&ctx, &seeded_blob).expect("own upload"),
                 );
             }),
         );
@@ -433,14 +476,14 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(&
             }),
         );
     }
-    key_bytes_per_digit_poly
+    byte_ratios
 }
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn emit_json(dispatched: &str, entries: &[Entry], key_bytes_per_digit_poly: &[(&str, f64)]) {
+fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)]) {
     let avail: Vec<&str> = arch::available().iter().map(|k| k.name).collect();
     println!("{{");
     println!("  \"schema\": \"spot-bench-heops/v1\",");
@@ -504,9 +547,11 @@ fn emit_json(dispatched: &str, entries: &[Entry], key_bytes_per_digit_poly: &[(&
     // from one hoist against eight rotations that each decompose for
     // themselves, same run, dispatched kernels (ceiling 0.45); a
     // nine-term tap sum as one inner product against term by term
-    // (ceiling 0.7); and a rotation key's wire bytes against its k
-    // digit polynomials alone (1.0003 while the a_i travel as a seed,
-    // 2.0 if they travel themselves; ceiling 1.1).
+    // (ceiling 0.7); a rotation key's wire bytes against its k digit
+    // polynomials alone (1.0003 while the a_i travel as a seed, 2.0 if
+    // they travel themselves; ceiling 1.1); and an uploaded
+    // ciphertext's bytes against the full form's (0.5004 while c1
+    // travels as a seed, 1.0 if it travels itself; ceiling 0.51).
     let min_us = |op: &str, level: &str| {
         entries
             .iter()
@@ -529,12 +574,11 @@ fn emit_json(dispatched: &str, entries: &[Entry], key_bytes_per_digit_poly: &[(&
             "    \"dot_lifted9_per_mult_add9/{level}\": {ratio:.3}"
         ))
     }));
-    lines.extend(key_bytes_per_digit_poly.iter().map(|(level, ratio)| {
-        format!("    \"galois_key_bytes_per_digit_poly/{level}\": {ratio:.4}")
-    }));
+    lines.extend((byte_ratios.iter()).map(|(name, ratio)| format!("    \"{name}\": {ratio:.4}")));
     println!(
         "  \"ratios_of\": \"min_us ratios within this run, dispatched kernels; \
-         serialised byte counts for galois_key_bytes_per_digit_poly\","
+         serialised byte counts for galois_key_bytes_per_digit_poly and \
+         seeded_ct_bytes_per_ct_bytes\","
     );
     println!("  \"ratios\": {{");
     println!("{}", lines.join(",\n"));
@@ -573,10 +617,10 @@ fn main() {
     // Batching amortization is a protocol property, not a kernel one:
     // measure it once under the production dispatch.
     measure_batched(dispatched, &mut entries);
-    let key_bytes_per_digit_poly = measure_client_side(dispatched, &mut entries);
+    let byte_ratios = measure_client_side(dispatched, &mut entries);
 
     if json {
-        emit_json(dispatched, &entries, &key_bytes_per_digit_poly);
+        emit_json(dispatched, &entries, &byte_ratios);
     } else {
         emit_table(&entries);
     }

@@ -321,10 +321,14 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 /// `galois_key_bytes_per_digit_poly` is a serialised rotation key over
 /// its `k` packed `b_i` alone: 1.0003 while the `a_i` travel as a
 /// 32-byte seed, 2.0 if they ever travel themselves again.
+/// `seeded_ct_bytes_per_ct_bytes` is an uploaded ciphertext over the
+/// full form of the same encryption: 0.5004 while `c1` travels as a
+/// 32-byte seed, 1.0 if the upload ever carries it again.
 pub const CEILINGS: &[(&str, f64)] = &[
     ("ratios/rotate_hoisted8_per_8_rotate/", 0.45),
     ("ratios/dot_lifted9_per_mult_add9/", 0.7),
     ("ratios/galois_key_bytes_per_digit_poly/", 1.1),
+    ("ratios/seeded_ct_bytes_per_ct_bytes/", 0.51),
 ];
 
 /// Every metric of `current` above its [`CEILINGS`] entry, reported
@@ -533,16 +537,19 @@ mod tests {
 
     #[test]
     fn ceilings_gate_the_current_side_alone() {
-        let run_with = |hoisting: f64, tap_sum: f64, key_bytes: f64| {
+        let run_uploading = |hoisting: f64, tap_sum: f64, key_bytes: f64, ct_bytes: f64| {
             parse_baseline(&format!(
                 r#"{{"ratios": {{"rotate_hoisted8_per_8_rotate/N4096": {hoisting},
                      "rotate_hoisted8_per_8_rotate/N8192": 0.31,
                      "dot_lifted9_per_mult_add9/N4096": {tap_sum},
-                     "galois_key_bytes_per_digit_poly/N4096": {key_bytes}}},
+                     "galois_key_bytes_per_digit_poly/N4096": {key_bytes},
+                     "seeded_ct_bytes_per_ct_bytes/N4096": {ct_bytes}}},
                    "speedups": {{"rotate/N4096": 1.8}}}}"#
             ))
             .unwrap()
         };
+        let run_with =
+            |hoisting, tap_sum, key_bytes| run_uploading(hoisting, tap_sum, key_bytes, 0.5004);
         let run = |hoisting: f64| run_with(hoisting, 0.41, 1.0003);
         assert!(over_ceiling(&run(0.35)).is_empty());
         // Rotation keys that carry their a_i again are twice the size.
@@ -551,6 +558,13 @@ mod tests {
         assert_eq!(
             (unseeded[0].metric.as_str(), unseeded[0].baseline),
             ("ratios/galois_key_bytes_per_digit_poly/N4096", 1.1)
+        );
+        // An upload that carries its c1 again is the full form's size.
+        let whole = over_ceiling(&run_uploading(0.35, 0.41, 1.0003, 1.0));
+        assert_eq!(whole.len(), 1);
+        assert_eq!(
+            (whole[0].metric.as_str(), whole[0].baseline),
+            ("ratios/seeded_ct_bytes_per_ct_bytes/N4096", 0.51)
         );
         // A tap sum that multiplies and adds term by term again.
         let eager = over_ceiling(&run_with(0.35, 0.97, 1.0003));

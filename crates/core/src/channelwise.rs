@@ -167,6 +167,10 @@ impl Packing {
                 output_cts: geo.output_cts,
                 jobs: geo.input_cts,
                 // Every job runs the same rotations: job 0 is the first.
+                // Without BSGS every diagonal is a giant step, and the
+                // engine's Horner walk takes them all by one block, so
+                // the baseline too uploads one alignment key, not
+                // `blocks − 1`.
                 galois_elements: required_elements(
                     &layout,
                     shape.k_h,
@@ -315,7 +319,9 @@ pub fn per_ct_counts(geo: &ChannelwiseGeometry, k_h: usize, k_w: usize) -> OpCou
     OpCounts {
         // column swap + tap pre-rotations per version + per-group
         // diagonal alignment rotations (CrypTFlow2's published
-        // output-rotation algorithm, no BSGS)
+        // output-rotation algorithm, no BSGS). The shared engine walks
+        // those `b − 1` alignments one block at a time, so they are the
+        // published count of rotations under a single key.
         rotate: (v - 1) + v * (kk - 1) + groups * (b - 1),
         mult_plain: groups * v * b * kk,
         add: groups * (v * b * kk - 1),

@@ -12,7 +12,18 @@
 //!
 //! with the kernel plaintexts `P` carrying the tap weights *and* the
 //! boundary masks (zeros wherever a rotation would pull a value from a
-//! neighbouring piece, channel block, or padding slot). The engine also
+//! neighbouring piece, channel block, or padding slot). The diagonals
+//! split as `d = j·B + b`: the `B` baby steps are taken on the input
+//! (and undone inside the pre-rotated `P`), and the giant steps are
+//! evaluated in Horner form,
+//!
+//! ```text
+//! out_g = S_0 + rot_B( S_1 + rot_B( S_2 + … ) )
+//! S_j   = Σ_b Σ_tap rotate(rot_b(ct), tap) ⊙ P_{g, j·B+b, tap}
+//! ```
+//!
+//! so every giant step is a rotation by the same `B` blocks and the
+//! client makes one key for all of them. The engine also
 //! handles the cross-lane products channel-wise packing needs (one
 //! column-swap per input ciphertext) and the block-folding used when
 //! `C_o < C_i` (Fig. 7 (b)).
@@ -205,6 +216,10 @@ pub fn kernel_taps(k_h: usize, k_w: usize) -> Vec<(i64, i64, usize, usize)> {
 /// Chooses the baby-step/giant-step split for the diagonal alignment:
 /// minimizes total rotations
 /// `versions·(kk·b − 1) + groups·(D/b − 1)` over power-of-two `b | D`.
+/// In rotation keys the split costs `b − 1` baby steps, the `kk − 1`
+/// taps and one giant step however many giant steps there are (they
+/// are a Horner walk by `b` blocks), so a smaller `b` is never dearer
+/// in keys; the rule does not weigh them.
 ///
 /// Returns `(baby, giants)` with `baby · giants = D`.
 pub fn bsgs_split(diagonals: usize, groups: usize, versions: usize, kk: usize) -> (usize, usize) {
@@ -235,9 +250,10 @@ fn first_occurrences(elements: impl IntoIterator<Item = usize>) -> Vec<usize> {
 
 /// The Galois elements a convolution over the given layout rotates by,
 /// each once, in the order [`HeConvEngine::conv_one_ct`] first uses
-/// them: the column swap (optional), the baby block-alignment steps,
-/// one per non-zero kernel-tap row rotation, the giant steps (under the
-/// BSGS split the engine will choose), the fold steps. Both parties
+/// them: the column swap (optional), the baby block-alignment steps
+/// `1..B`, one per non-zero kernel-tap row rotation, the giant step
+/// (`B` blocks under the BSGS split the engine will choose, whenever
+/// there is more than one), the fold steps. Both parties
 /// compute this from the layer geometry alone, which is what lets the
 /// client generate exactly the keys the server will use, and upload
 /// them in the order it will ask for them.
@@ -270,7 +286,7 @@ pub fn required_elements(
         (column_swap.then(|| galois_elt_column_swap(n)).into_iter())
             .chain((1..baby).map(block))
             .chain(taps)
-            .chain((1..giants).map(|j| block(j * baby)))
+            .chain((giants > 1).then(|| block(baby)))
             .chain(fold_steps.iter().map(|&f| block(f))),
     )
 }
@@ -507,10 +523,16 @@ impl<'k> HeConvEngine<'k> {
             tapped[vi * baby + b][ti].as_ref().unwrap_or(position)
         };
 
+        // The giant steps are a Horner walk, last step first:
+        // `acc ← dot_j + rot(acc, B)` with `B` = `baby` blocks. A block
+        // rotation is linear in its step and cyclic over the lane, so
+        // step `j`'s inner product ends up moved by `j·B`, as if rotated
+        // there at once; the rotations, their hoists and their noise
+        // terms number the same, and one key serves them all.
         let mut outputs = Vec::with_capacity(groups.len());
         for (gi, _group) in groups.iter().enumerate() {
             let mut acc_total: Option<Ciphertext> = None;
-            for j in 0..giants {
+            for j in (0..giants).rev() {
                 // Every (baby step, version, tap) of this giant step is
                 // one term of a single inner product.
                 let mut terms: Vec<(&Ciphertext, Arc<Poly>)> = Vec::new();
@@ -520,7 +542,7 @@ impl<'k> HeConvEngine<'k> {
                         break;
                     }
                     // plaintext for diagonal d, pre-rotated left by b
-                    // blocks so the single giant rotation completes the
+                    // blocks so the giant rotations complete the
                     // alignment
                     let pre = b * layout.groups * layout.piece_slots;
                     for vi in 0..in_maps.len() {
@@ -533,17 +555,19 @@ impl<'k> HeConvEngine<'k> {
                         }
                     }
                 }
-                if terms.is_empty() {
-                    continue;
-                }
-                let mut acc_j = ev.dot_lifted(&terms);
-                if j > 0 {
-                    acc_j = self.rotate(&ev.hoist(&acc_j), block(j * baby))?;
-                }
-                match &mut acc_total {
-                    None => acc_total = Some(acc_j),
-                    Some(a) => ev.add_inplace(a, &acc_j),
-                }
+                // What the later steps have summed moves one step on,
+                // whether or not this step has anything to add to it.
+                let moved = (acc_total.take())
+                    .map(|acc| self.rotate(&ev.hoist(&acc), block(baby)))
+                    .transpose()?;
+                let acc_j = (!terms.is_empty()).then(|| ev.dot_lifted(&terms));
+                acc_total = match (moved, acc_j) {
+                    (Some(mut acc), Some(acc_j)) => {
+                        ev.add_inplace(&mut acc, &acc_j);
+                        Some(acc)
+                    }
+                    (moved, acc_j) => moved.or(acc_j),
+                };
             }
             let mut out = acc_total.unwrap_or_else(|| {
                 // All-zero kernel for this group: a zero ciphertext is a
@@ -723,6 +747,92 @@ mod tests {
                 0xe89bf7767f05b425
             )
         );
+    }
+
+    /// Pinned on the engine that rotated giant step `j` by an element
+    /// of its own (`block(j·B)`, fifteen keys here): the Horner walk
+    /// asks for one, and moves no count and no decrypted slot.
+    #[test]
+    fn sixteen_giant_steps_rotate_by_one_key() {
+        use crate::spot::{blocking, spot_group_specs, spot_in_maps};
+        let blk = blocking(32, 32);
+        let layout = LaneLayout::new(2048, blk.lane_blocks, 4, 4);
+        let versions = spot_in_maps(&blk, 32).len();
+        let split = bsgs_split(blk.diagonals, spot_group_specs(&blk, 32).len(), versions, 9);
+        assert_eq!(split, (1, 16));
+        let schedule = blk.galois_elements(&layout, 3, 3);
+        let giant_steps = (1..16)
+            .map(|j| galois_elt_from_step(layout.block_rotation_step(j), 4096))
+            .filter(|g| schedule.contains(g));
+        assert_eq!(giant_steps.count(), 1, "{schedule:?}");
+        assert_eq!(schedule.len(), 1 + 8 + 1, "swap, taps, the giant step");
+        assert_eq!(
+            ops_and_output_digest(32, 32),
+            ((1 + 16 + 15, 2 + 15, 288, 287), 0xb0dfb2b2e1b3c991)
+        );
+    }
+
+    /// A kernel that is zero on the whole of an interior diagonal block
+    /// leaves one giant step nothing to multiply. The walk must still
+    /// rotate there, or the later steps' sum ends one step short.
+    #[test]
+    fn an_empty_giant_step_still_moves_the_sum_of_the_later_ones() {
+        use crate::patching::PatchMode;
+        use crate::session::{run_phased, LayerSpec, SchemeKind};
+        use crate::spot::{blocking, spot_group_specs, spot_in_maps};
+        use rand::SeedableRng;
+        use spot_he::prelude::*;
+        use spot_tensor::conv::conv2d;
+        use spot_tensor::tensor::Tensor;
+
+        let blk = blocking(8, 8);
+        let (in_maps, groups) = (spot_in_maps(&blk, 8), spot_group_specs(&blk, 8));
+        assert_eq!(
+            bsgs_split(blk.diagonals, groups.len(), in_maps.len(), 9),
+            (1, 4)
+        );
+        let dense = Kernel::random(8, 8, 3, 3, 3, 6);
+        // Diagonal 2 = giant step 2 of 0..4: every (output, input)
+        // channel pair whose blocks lie two apart.
+        let mut sparse = dense.clone();
+        let mut zeroed = 0;
+        for in_map in &in_maps {
+            for (lane, blocks) in in_map.iter().enumerate() {
+                for (b, in_c) in blocks.iter().enumerate() {
+                    let out_block = (b + blk.lane_blocks - 2) % blk.lane_blocks;
+                    let (Some(in_c), Some(out_c)) = (*in_c, groups[0].out_ch[lane][out_block])
+                    else {
+                        continue;
+                    };
+                    for (kh, kw) in (0..3).flat_map(|kh| (0..3).map(move |kw| (kh, kw))) {
+                        *sparse.at_mut(out_c, in_c, kh, kw) = 0;
+                    }
+                    zeroed += 1;
+                }
+            }
+        }
+        assert_eq!(zeroed, 16, "a quarter of the 8 × 8 channel pairs");
+
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let input = Tensor::random(8, 8, 8, 5, 11);
+        let mut run = |kernel: &Kernel| {
+            let spec = LayerSpec::for_layer(
+                SchemeKind::Spot,
+                &input,
+                kernel,
+                1,
+                (4, 4),
+                PatchMode::Tweaked,
+            );
+            let result = run_phased(&ctx, &keygen, spec, &input, kernel, &mut rng);
+            assert_eq!(result.reconstruct(), conv2d(&input, kernel, 1));
+            result.counts
+        };
+        let (full, holed) = (run(&dense), run(&sparse));
+        assert_eq!(holed.rotate, full.rotate, "the empty step rotates too");
+        assert!(holed.mult_plain < full.mult_plain, "{holed:?} vs {full:?}");
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //! # Determinism contract
 //!
 //! Each party draws randomness from its own seeded rng in a fixed
-//! order: per layer the client draws its public key and then follows
-//! its upload — per input ciphertext its encryption, then, for each
+//! order: the client follows its upload — per input ciphertext its
+//! seed and then its error polynomial (it encrypts under its secret key
+//! and sends `c0` with the seed `c1` expands from), then, for each
 //! rotation key scheduled behind it that the connection still lacks,
 //! the key's seed and its error polynomials (in schedule order); the
 //! server draws only result masks, in result order (the driver's
@@ -73,7 +74,7 @@ use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{BatchEncoder, BatchLayout, Plaintext};
-use spot_he::encryptor::{Decryptor, Encryptor};
+use spot_he::encryptor::{Decryptor, SymmetricEncryptor};
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::{GaloisKeys, KeyGenerator};
 use spot_he::params::ParamLevel;
@@ -746,8 +747,10 @@ impl<'a> ClientConv<'a> {
     /// key scheduled behind it that the connection's server does not
     /// hold yet (`key_schedule`) — each made immediately before it is
     /// sent, in the order the server will first use them. The rng is
-    /// drawn in the same order, after the public key: the canonical
-    /// client rng sequence. With [`UploadPacing::AwaitAck`] everything
+    /// drawn in the same order: the canonical client rng sequence.
+    /// Inputs are encrypted under the secret key and travel in the
+    /// seeded form ([`SymmetricEncryptor`]); the client makes no public
+    /// key. With [`UploadPacing::AwaitAck`] everything
     /// after the hello is held until the server's setup acknowledgement
     /// arrives on the downlink.
     ///
@@ -800,7 +803,7 @@ impl<'a> ClientConv<'a> {
         }
         setup.trace = trace_id;
         transport.send(&WireMessage::Setup(setup))?;
-        let encryptor = Encryptor::new(&self.ctx, self.keygen.public_key(rng));
+        let encryptor = SymmetricEncryptor::new(&self.ctx, self.keygen.secret_key().clone());
         if pacing == UploadPacing::AwaitAck {
             let msg = transport.recv()?;
             let WireMessage::LayerBarrier { .. } = msg else {
@@ -1405,14 +1408,16 @@ fn serve_rounds<R: Rng>(
             }
             Ok::<(), SpotError>(())
         };
-        // Deserialization happens on the worker pool so the ingest
-        // thread goes straight back to the transport.
+        // Deserialization — of the seeded form, the only one an input
+        // travels in, so with it the expansion of `c1` — happens on the
+        // worker pool so the ingest thread goes straight back to the
+        // transport.
         let stats = run_stream(
             config,
             facts.round(),
             |j| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j)),
             |j| upload.read_behind(round * facts.input_cts + j, ctx, transport),
-            |_, blob: Vec<u8>| Ok(Ciphertext::try_from_bytes(ctx, &blob)?),
+            |_, blob: Vec<u8>| Ok(Ciphertext::try_from_seeded_bytes(ctx, &blob)?),
             |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
             emit,
         )?;
@@ -1704,14 +1709,16 @@ mod tests {
             |scheme: SchemeKind| scheme.plan(&spec(scheme), ParamLevel::N4096).expect("plan");
 
         // Four piece classes of 7, 2, 2 and 1 ciphertexts: the 4x4
-        // patches need 18 keys, the first seam class two more of its
-        // own, the other two nothing new.
+        // patches need 12 keys (the column swap, eight taps, the one
+        // giant step its eight diagonals walk by, two folds), the first
+        // seam class two more of its own (the taps that cross its
+        // narrower rows), the other two nothing new.
         let spot = plan(SchemeKind::Spot);
         let slots = |schedule: &VecDeque<(usize, usize)>| -> Vec<usize> {
             schedule.iter().map(|&(input, _)| input).collect()
         };
         let fresh = key_schedule(spot.facts(), |_| false);
-        assert_eq!(slots(&fresh), [vec![0; 18], vec![7; 2]].concat());
+        assert_eq!(slots(&fresh), [vec![0; 12], vec![7; 2]].concat());
         let elements: Vec<usize> = fresh.iter().map(|&(_, g)| g).collect();
         let planned: Vec<usize> = (spot.facts().galois_elements.iter())
             .map(|&(_, g)| g)
@@ -1719,19 +1726,22 @@ mod tests {
         assert_eq!(elements, planned, "first-use order");
         let held = elements[1];
         let later = key_schedule(spot.facts(), |g| g == held);
-        assert_eq!(later.len(), 19);
+        assert_eq!(later.len(), 13);
         assert!(later.iter().all(|&(_, g)| g != held));
 
         let channelwise = plan(SchemeKind::Channelwise);
         assert_eq!(channelwise.facts().input_cts, 4);
         let fresh = key_schedule(channelwise.facts(), |_| false);
-        assert_eq!(slots(&fresh), vec![3; 16]);
+        // Eight blocks a lane: the column swap, eight taps and one
+        // giant step for the seven diagonal alignments.
+        assert_eq!(slots(&fresh), vec![3; 10]);
 
         let cheetah = plan(SchemeKind::Cheetah);
         assert!(key_schedule(cheetah.facts(), |_| false).is_empty());
 
         // TinyCnn's conv1 (2 -> 4 channels on 8x8): one ciphertext per
-        // class, nine keys behind the first and two behind the second.
+        // class, nine keys behind the first and two behind the second
+        // (one block a lane, so one diagonal and no giant step).
         let conv1 = LayerSpec {
             shape: ConvShape::new(8, 8, 2, 4, 3, 1),
             ..spec(SchemeKind::Spot)

@@ -12,8 +12,9 @@ use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
-use spot_core::session::{LayerSpec, SchemeKind, MAX_CACHED_SPECS};
+use spot_core::session::{ClientConv, LayerSpec, SchemeKind, UploadPacing, MAX_CACHED_SPECS};
 use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
+use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -781,11 +782,13 @@ where
 }
 
 /// Asserts a connection ended in the typed protocol refusal, on the
-/// server (`Protocol` error naming `why`) and at the client (the
-/// `PROTOCOL` error frame with the same detail).
+/// server (a `Protocol` error, or the `Serial` error of a blob no
+/// decoder accepts, naming `why`) and at the client (the `PROTOCOL`
+/// error frame with the same detail).
 fn assert_refused(ending: &Ending, why: &str) {
     match &ending.session.result {
-        Err(SpotError::Protocol(detail)) => {
+        Err(refusal @ (SpotError::Protocol(_) | SpotError::Serial(_))) => {
+            let detail = refusal.to_string();
             assert!(detail.contains(why), "server said {detail:?}, want {why:?}")
         }
         other => panic!("expected a protocol error naming {why:?}, got {other:?}"),
@@ -1058,6 +1061,111 @@ fn a_withheld_last_key_on_an_open_connection_ends_at_the_read_deadline() {
         started.elapsed() >= READ_DEADLINE,
         "nothing but the deadline can have ended it"
     );
+}
+
+/// An input ciphertext travels in one form, `c0` and the seed of `c1`,
+/// at one length. A client that still speaks the version-3 form (the
+/// same encryption written out whole, 111,632 B at N4096) or whose blob
+/// is a byte long or short is refused by the decoder's length check
+/// before a polynomial is read — not served on a `c1` made of whatever
+/// follows `c0` — and contained like any other: typed refusal at both
+/// ends within the deadline, the slot freed, no session thread unwound
+/// (the harness joins it), the neighbour's outputs and wire bytes those
+/// of a solo run.
+#[test]
+fn input_ciphertexts_of_another_form_or_length_are_refused_and_contained() {
+    let (ctx, cnn) = test_stack();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(440));
+    let input = Tensor::random(2, 8, 8, 5, 441);
+    const WRONG_LENGTH: &str = "HE deserialization error: payload length mismatch";
+    let seeded = ctx.params().seeded_ciphertext_bytes();
+    let ctx = &ctx;
+    // Rewrites the blob of layer `at`'s first input ciphertext.
+    let reshape = |at: usize, with: fn(&Arc<Context>, &[u8]) -> Vec<u8>| -> Rewrite<'_> {
+        Box::new(move |layer, msg| match msg {
+            WireMessage::PackedCt { seq: 0, blob } if layer == at => {
+                assert_eq!(blob.len(), seeded, "the honest form");
+                Uplink::Replace(vec![WireMessage::PackedCt {
+                    seq: 0,
+                    blob: with(ctx, blob),
+                }])
+            }
+            _ => Uplink::Pass,
+        })
+    };
+    let hostile: [(&str, &str, Rewrite<'_>); 3] = [
+        (
+            "conv1's first input ciphertext travels in the full form",
+            WRONG_LENGTH,
+            reshape(1, |ctx, blob| {
+                let whole = Ciphertext::try_from_seeded_bytes(ctx, blob).expect("honest upload");
+                let full = whole.to_bytes();
+                assert_eq!(full.len(), ctx.params().ciphertext_bytes());
+                full
+            }),
+        ),
+        (
+            "conv2's input ciphertext is one byte longer than the seeded form",
+            WRONG_LENGTH,
+            reshape(2, |_, blob| [blob, &[0]].concat()),
+        ),
+        (
+            "conv1's first input ciphertext is one byte short of its seed",
+            WRONG_LENGTH,
+            reshape(1, |_, blob| blob[..blob.len() - 1].to_vec()),
+        ),
+    ];
+    assert_each_refused_and_contained(ctx, &cnn, &kg, &input, mem_link, &hostile);
+}
+
+/// Every encryption draws its own seed: the same image uploaded twice by
+/// one client differs in every ciphertext's seed and in its `c0`, and no
+/// seed occurs twice anywhere in the two uploads. (Two ciphertexts over
+/// one `a` would give away the difference of their plaintexts.)
+#[test]
+fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
+    let (ctx, cnn) = test_stack();
+    let mut rng = StdRng::seed_from_u64(450);
+    let kg = KeyGenerator::new(&ctx, &mut rng);
+    let input = Tensor::random(2, 8, 8, 5, 451);
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
+        &input,
+        &cnn.conv1,
+        1,
+        (4, 4),
+        PatchMode::Tweaked,
+    );
+    let mut upload = || -> Vec<Vec<u8>> {
+        let (ct, st) = MemTransport::pair();
+        let conv = ClientConv::new(&ctx, &kg, spec).expect("client plan");
+        let sent = conv
+            .send_all(&ct, &input, UploadPacing::Eager, &mut rng)
+            .expect("upload");
+        ct.close_tx();
+        let blobs: Vec<Vec<u8>> = std::iter::from_fn(|| st.recv().ok())
+            .filter_map(|msg| match msg {
+                WireMessage::PackedCt { blob, .. } | WireMessage::AuxCt { blob, .. } => Some(blob),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(blobs.len(), sent.input_cts);
+        blobs
+    };
+    let (first, second) = (upload(), upload());
+    assert_eq!(first.len(), 4, "conv1's four piece classes");
+    let body = ctx.params().seeded_ciphertext_bytes() - 32;
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!((a.len(), b.len()), (body + 32, body + 32));
+        assert_eq!(a[..16], b[..16], "same header");
+        assert_ne!(a[16..body], b[16..body], "same plaintext, another c0");
+    }
+    let mut seeds: Vec<&[u8]> = (first.iter().chain(&second))
+        .map(|blob| &blob[body..])
+        .collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    assert_eq!(seeds.len(), 8, "a seed was drawn twice");
 }
 
 /// A model whose second convolution rotates only by elements the first

@@ -29,7 +29,7 @@ use spot_core::session::{
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::context::Context;
 use spot_he::encoding::BatchEncoder;
-use spot_he::encryptor::Encryptor;
+use spot_he::encryptor::SymmetricEncryptor;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, Transport};
@@ -323,23 +323,17 @@ fn streamed_results_reconstruct_correctly() {
 }
 
 /// The client's randomness at a tiny client's speed: the same `StdRng`
-/// stream, with a fixed burn of dependent multiplies before every draw
-/// after the first `unburnt`. One encryption makes ≈ 12 k draws, so its
-/// time is linear in the burn and scales with the machine like the
-/// server's own work.
+/// stream, with a fixed burn of dependent multiplies before every draw.
+/// One upload encryption (a seed and one error polynomial) makes ≈ 4 k
+/// draws and one rotation key ≈ 12 k, so their times are linear in the
+/// burn and scale with the machine like the server's own work.
 struct TinyClientRng {
     inner: StdRng,
     burn: u32,
-    /// Draws still to be made at full speed.
-    unburnt: usize,
 }
 
 impl RngCore for TinyClientRng {
     fn next_u64(&mut self) -> u64 {
-        if self.unburnt > 0 {
-            self.unburnt -= 1;
-            return self.inner.next_u64();
-        }
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for _ in 0..self.burn {
             x = std::hint::black_box(x.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1);
@@ -349,26 +343,15 @@ impl RngCore for TinyClientRng {
     }
 }
 
-/// How many draws the public key a layer's upload starts with takes.
-fn public_key_draws(keygen: &KeyGenerator) -> usize {
-    let mut rng = TinyClientRng {
-        inner: StdRng::seed_from_u64(78),
-        burn: 0,
-        unburnt: usize::MAX,
-    };
-    keygen.public_key(&mut rng);
-    usize::MAX - rng.unburnt
-}
-
-/// Seconds one encryption takes a client whose randomness burns
-/// `burn` per draw: the fastest of three on this machine, now.
+/// Seconds one encryption — the seeded symmetric one the session
+/// uploads — takes a client whose randomness burns `burn` per draw: the
+/// fastest of three on this machine, now.
 fn tiny_client_encryption_s(ctx: &Arc<Context>, keygen: &KeyGenerator, burn: u32) -> f64 {
     let mut rng = TinyClientRng {
         inner: StdRng::seed_from_u64(77),
         burn,
-        unburnt: 0,
     };
-    let encryptor = Encryptor::new(ctx, keygen.public_key(&mut rng));
+    let encryptor = SymmetricEncryptor::new(ctx, keygen.secret_key().clone());
     let plain = BatchEncoder::new(ctx).encode(&[1, 2, 3]);
     let timed = (0..3).map(|_| {
         let start = Instant::now();
@@ -385,12 +368,9 @@ fn tiny_client_encryption_s(ctx: &Arc<Context>, keygen: &KeyGenerator, burn: u32
 /// connection: the same layer runs once before it, unburnt, so the
 /// connection holds every rotation key and the measured upload is
 /// ciphertexts only. Without, it is the first: the burnt client also
-/// makes every rotation key, inside the measured upload. The public
-/// key the layer's upload starts with is made at full speed either
-/// way: it is not upload, both schemes make the same one before their
-/// first ciphertext, and since the server's ack no longer waits for a
-/// key ingest it falls inside the measured window, where at a burnt
-/// ≈ 1.3 uploads it would only thin every ratio asserted below.
+/// makes every rotation key, inside the measured upload. Every draw of
+/// the measured upload is burnt: a client that encrypts under its
+/// secret key makes nothing but ciphertexts and rotation keys.
 #[allow(clippy::too_many_arguments)]
 fn stream_with_tiny_client(
     ctx: &Arc<Context>,
@@ -424,7 +404,6 @@ fn stream_with_tiny_client(
             let mut rng = TinyClientRng {
                 inner: StdRng::seed_from_u64(seed),
                 burn: 0,
-                unburnt: 0,
             };
             let mut run = || {
                 let mut layer = ClientConv::new(ctx, keygen, spec)?;
@@ -433,7 +412,7 @@ fn stream_with_tiny_client(
                     layer.absorb_all(&client_end)?;
                     layer = layer.next_layer(spec)?;
                 }
-                (rng.burn, rng.unburnt) = (burn, public_key_draws(keygen));
+                rng.burn = burn;
                 layer.send_all(&client_end, input, UploadPacing::AwaitAck, &mut rng)?;
                 layer.absorb_all(&client_end)
             };
@@ -498,22 +477,24 @@ fn stream_with_tiny_client(
 /// `stream.rs::per_input_idle_less_than_all_inputs_idle`.
 ///
 /// The premise is measured, not assumed: the client is slowed until one
-/// of its encryptions takes about a third of what this machine's server
-/// needs to convolve one SPOT ciphertext — ten times slower than the
-/// server at the same work (an unburnt encryption is well under half a
-/// millisecond), yet an upload still fits under a convolution with room
-/// for a noisy neighbour, so the only upload SPOT's worker waits out is
-/// the first.
+/// of its encryptions — the seeded symmetric encryption the session
+/// performs, which is what the calibration times — takes about a third
+/// of what this machine's server needs to convolve one SPOT ciphertext:
+/// over twenty times slower than the server at the same work (an unburnt
+/// encryption is 0.29 ms, an upload at the burn 6–8 ms), yet it still fits
+/// under a convolution with room for a noisy neighbour, so the only
+/// upload SPOT's worker waits out is the first.
 ///
 /// Both places a layer can have on its connection are measured. On a
 /// later one the connection holds every rotation key, the upload is
 /// ciphertexts alone, and the ordering is asserted on the stall as
 /// reported. On the first one the tiny client also makes the keys
-/// (20 under SPOT, 16 under channel-wise packing, each costing it about
-/// what an encryption does), the worker waits for about the first nine
-/// of either and that wait is the larger part of both stalls — so the
-/// *total* orders by key count and noise, not by packing, and is not
-/// asserted. What the key stream must not touch is the paper's
+/// (14 under SPOT, 10 under channel-wise packing, each costing it about
+/// three of its encryptions: `k` = 3 error polynomials against one), the
+/// worker waits for about the first ten of either — the nine input-side
+/// ones, then the one giant step — and that wait is by far the larger
+/// part of both stalls, so the *total* orders by noise, not by packing,
+/// and is not asserted. What the key stream must not touch is the paper's
 /// quantity, the wait for ciphertexts (`server_idle_s - key_wait_s`):
 /// SPOT's stays the first upload, or two when its first job was waiting
 /// for keys to the end; channel-wise packing's stays all four.
@@ -548,6 +529,19 @@ fn spot_server_idle_below_channelwise_on_table1_layer() {
     let spot_first = stream(SchemeKind::Spot, 6400, burn, false);
 
     let upload_per_ct = tiny_client_encryption_s(&ctx, &keygen, burn);
+    // EXPERIMENTS.md's "measured stall" ranges are these lines over
+    // sixteen runs (`--nocapture`).
+    for (name, stats) in [
+        ("held channel-wise", &cw),
+        ("held SPOT", &spot),
+        ("first channel-wise", &cw_first),
+        ("first SPOT", &spot_first),
+    ] {
+        eprintln!(
+            "stall {name}: idle {:.4}s, of it keys {:.4}s; burn {burn}, upload {upload_per_ct:.4}s",
+            stats.server_idle_s, stats.key_wait_s
+        );
+    }
     assert!(
         upload_per_ct < conv_per_ct(&spot),
         "premise: an upload ({upload_per_ct:.4}s at burn {burn}) must fit under \

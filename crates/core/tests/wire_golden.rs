@@ -22,15 +22,22 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
-//! Last re-record, `WIRE_VERSION` 3 (rotation keys streamed one per
-//! frame, in first-use order, each behind the input that makes the
-//! first job using it runnable): `uplink` and `uplink_shape` by the
-//! schedule, `downlink` through the client's rng draw order (now public
-//! key, then upload order: per input its encryption, then per key
-//! behind it the key's seed and errors), `downlink_shape` only by the
-//! version byte — with the constant put back to 2 it equals the
-//! previous value in every case. Client randomness never reaches a
-//! share, so no share or count constant moved.
+//! Last re-record, `WIRE_VERSION` 4 (every giant step rotates by one
+//! key; input ciphertexts travel as `c0` and a 32-byte seed), field by
+//! field: `uplink` and `uplink_shape` by the shorter key schedule (one
+//! giant-step key where there was one per step) and the seeded blob
+//! length (55,856 B at N4096 where the full form is 111,632);
+//! `downlink` through the client's rng draw order (no public key any
+//! more; per input its seed and then its error polynomial, then per key
+//! behind it the key's seed and errors) and, in the cases with more
+//! than one giant step, through the Horner walk, which yields another
+//! valid encryption of the same sum; `downlink_shape` only by the
+//! version byte — with the constant put back to 3 it equals the
+//! previous value in all nine cases. Client randomness never reaches a
+//! share and the walk moves no count, so no share, count or output
+//! constant moved. (The re-record before it, `WIRE_VERSION` 3, streamed
+//! the rotation keys one per frame, in first-use order, each behind the
+//! input that makes the first job using it runnable.)
 //!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
@@ -299,8 +306,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x9c7c_c7f3_4a1e_ff83, 0xc829_3dd9_bfe0_a010),
-            (0x4fe9_9180_b14e_13cb, 0x0ce5_b954_c8e6_714e),
+            (0x74e1_ae90_2c03_cd59, 0x4fde_80fd_ca3b_f5a4),
+            (0xec4e_cc3c_2135_72dc, 0x1d4c_4c10_e893_b569),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -314,8 +321,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x023f_4979_7355_3984, 0xc829_3dd9_bfe0_a010),
-            (0xc15b_de7e_d11a_41e5, 0x0ce5_b954_c8e6_714e),
+            (0xecf9_9acc_aa66_63ae, 0x4fde_80fd_ca3b_f5a4),
+            (0x5bda_453e_fcca_cf97, 0x1d4c_4c10_e893_b569),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -332,8 +339,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xc7e0_b142_7d92_7c7c, 0xb7c3_41bc_142a_bd7d),
-            (0x58fa_4d54_268c_776d, 0xe22e_da47_deeb_6192),
+            (0x154f_774b_37cd_77c2, 0xe6af_8f56_158f_df4e),
+            (0x184b_97fe_92fd_c79b, 0xaefa_582a_5a94_cd4d),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -347,8 +354,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x34d4_25c8_99e6_a2f4, 0x68ff_cd2e_d4bb_1b3a),
-            (0x6676_8fcc_bd25_c14a, 0x0b08_db60_f2b5_2a7a),
+            (0x7b3f_e912_8288_21a3, 0x935b_bba4_fbf3_6b31),
+            (0xfe2a_f931_473e_acf6, 0xc9d1_a167_bebe_6bc5),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -365,8 +372,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x399f_68ad_9e85_96db, 0x598b_5d08_4b01_89d4),
-            (0xa768_ecfa_5d80_dd82, 0x0b08_db60_f2b5_2a7a),
+            (0xf7ab_fb51_062f_d2fc, 0xcbe9_885d_88c0_81f4),
+            (0xbab2_729a_4df5_edc8, 0xc9d1_a167_bebe_6bc5),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x15bf_5bff_9bfb_e535,
         ),
@@ -380,8 +387,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xfcbc_79c8_cd46_dab1, 0x598b_5d08_4b01_89d4),
-            (0xc2f8_f76a_2b31_352d, 0x0b08_db60_f2b5_2a7a),
+            (0x4358_834b_37d8_8d2d, 0xcbe9_885d_88c0_81f4),
+            (0xcf7c_701f_f883_390f, 0xc9d1_a167_bebe_6bc5),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -398,8 +405,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0x8d75_e9fa_db10_755e, 0x6544_ba90_ca59_43c1),
-            (0x1ceb_7900_69b5_9648, 0xecd7_a3ba_6689_b01a),
+            (0xbe8d_1b38_2568_3e63, 0x5a1f_365f_4ffa_70cd),
+            (0x7f7a_2d6d_0f3f_039b, 0x9e80_3d84_1cdc_e925),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -419,8 +426,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0x1daf_129a_045d_0e68, 0x1193_e9f5_003e_e99b),
-        (0x50f2_ec8f_b73a_a858, 0xb7c8_02be_e7ed_0feb),
+        (0x6f62_9927_cb06_fd89, 0x39fe_b5ca_38fb_30a3),
+        (0x82eb_27d9_ddcd_af3f, 0x1ef1_e408_e8e4_9903),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xdae6_7088_51e2_7901,
     );
@@ -454,8 +461,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0x6d37_a287_779b_c1d1, 0x058b_f7ea_046e_4dc9),
-        downlink: (0xdef4_ca6f_294b_8e04, 0x99e2_b942_6c10_2cb2),
+        uplink: (0x7f47_d8cf_1cd7_4b99, 0x4f10_0e66_d426_335d),
+        downlink: (0x0b9f_f988_b8fd_3438, 0x6b38_c2d2_be59_192a),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xaaf8_f89a_f734_9b87,
     };

@@ -1,6 +1,7 @@
 //! BFV ciphertexts.
 
 use crate::context::Context;
+use crate::keys::KeySeed;
 use crate::modulus::Modulus;
 use crate::poly::Poly;
 use std::sync::Arc;
@@ -53,14 +54,45 @@ impl Ciphertext {
     /// `c0` then `c1`, each modulus's residues bit-packed at that
     /// modulus's width (the size the paper's Table IV reports).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let ctx = self.context();
         let mut out = Vec::with_capacity(self.byte_size());
-        out.extend_from_slice(&(ctx.degree() as u64).to_le_bytes());
-        out.extend_from_slice(&(ctx.moduli_count() as u64).to_le_bytes());
+        write_header(&mut out, self.context());
         write_poly(&mut out, &self.c0);
         write_poly(&mut out, &self.c1);
         out
     }
+}
+
+/// A fresh symmetric encryption in the form the client uploads it in:
+/// `c0`, and the seed its uniform `c1` is the expansion of — half a
+/// [`Ciphertext`]. Made by
+/// [`SymmetricEncryptor::encrypt`](crate::encryptor::SymmetricEncryptor::encrypt),
+/// read back by [`Ciphertext::try_from_seeded_bytes`].
+#[derive(Debug, Clone)]
+pub struct SeededCiphertext {
+    pub(crate) c0: Poly,
+    pub(crate) seed: KeySeed,
+}
+
+impl SeededCiphertext {
+    /// Serializes to [`EncryptionParams::seeded_ciphertext_bytes`]
+    /// bytes: [`Ciphertext::to_bytes`]'s header and packed `c0`, then
+    /// the 32-byte seed where `c1` would be.
+    ///
+    /// [`EncryptionParams::seeded_ciphertext_bytes`]: crate::params::EncryptionParams::seeded_ciphertext_bytes
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let ctx = self.c0.context();
+        let mut out = Vec::with_capacity(ctx.params().seeded_ciphertext_bytes());
+        write_header(&mut out, ctx);
+        write_poly(&mut out, &self.c0);
+        out.extend_from_slice(&self.seed);
+        out
+    }
+}
+
+/// Appends the 16-byte ciphertext header: degree, then modulus count.
+fn write_header(out: &mut Vec<u8>, ctx: &Context) {
+    out.extend_from_slice(&(ctx.degree() as u64).to_le_bytes());
+    out.extend_from_slice(&(ctx.moduli_count() as u64).to_le_bytes());
 }
 
 /// Wire width of one residue modulo `m`: the bit length of `m`.

@@ -10,10 +10,10 @@
 //! correctness tests of the convolution schemes rely on that.
 
 use crate::bigint::BigUint;
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, SeededCiphertext};
 use crate::context::Context;
 use crate::encoding::Plaintext;
-use crate::keys::{sample_error, sample_ternary, sample_uniform, PublicKey, SecretKey};
+use crate::keys::{expand_seed, sample_error, sample_ternary, KeySeed, PublicKey, SecretKey};
 use crate::poly::Poly;
 use crate::pool;
 use rand::Rng;
@@ -68,8 +68,9 @@ impl Encryptor {
     }
 }
 
-/// Encrypts plaintexts under the secret key (smaller client-side state;
-/// the ciphertext is the same shape).
+/// Encrypts plaintexts under the secret key, in the seeded form: what
+/// the party that holds `s` uploads (no public key to make or keep, one
+/// error polynomial an encryption, half the bytes).
 #[derive(Debug)]
 pub struct SymmetricEncryptor {
     ctx: Arc<Context>,
@@ -85,20 +86,25 @@ impl SymmetricEncryptor {
         }
     }
 
-    /// Encrypts: sample uniform `a`, output `(-(a·s) + e + Δ·m, a)`.
-    pub fn encrypt<R: Rng>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
+    /// Encrypts to `(-(a·s) + e + Δ·m, a)` with `a` the expansion of a
+    /// fresh 32-byte seed, and keeps the seed in `a`'s place. `rng`
+    /// yields the seed and then the error polynomial: every encryption
+    /// draws its own seed, since two ciphertexts over one `a` would
+    /// give away the difference of their plaintexts.
+    pub fn encrypt<R: Rng>(&self, pt: &Plaintext, rng: &mut R) -> SeededCiphertext {
         spot_trace::count(spot_trace::Counter::Encrypt, 1);
         let ctx = &self.ctx;
-        let a = sample_uniform(ctx, rng);
+        let mut seed = KeySeed::default();
+        rng.fill_bytes(&mut seed);
         let mut e = sample_error(ctx, rng);
         e.to_ntt();
-        let dm = pt.lift_scaled(ctx);
-        let mut c0 = a.clone();
+        // One polynomial asked for, one returned.
+        let mut c0 = expand_seed(ctx, &seed, 1).swap_remove(0);
         c0.mul_assign_ntt(&self.sk.s);
         c0.neg_assign();
         c0.add_assign(&e);
-        c0.add_assign(&dm);
-        Ciphertext { c0, c1: a }
+        c0.add_assign(&pt.lift_scaled(ctx));
+        SeededCiphertext { c0, seed }
     }
 }
 
@@ -239,7 +245,7 @@ fn round_scaled_exact(ctx: &Context, residues: &[u64]) -> u64 {
 mod tests {
     use super::*;
     use crate::encoding::BatchEncoder;
-    use crate::keys::KeyGenerator;
+    use crate::keys::{sample_uniform, KeyGenerator};
     use crate::params::{EncryptionParams, ParamLevel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -274,7 +280,9 @@ mod tests {
         let enc = SymmetricEncryptor::new(&ctx, kg.secret_key().clone());
         let dec = Decryptor::new(&ctx, kg.secret_key().clone());
         let values: Vec<u64> = (0..50u64).map(|i| i * i).collect();
-        let ct = enc.encrypt(&encoder.encode(&values), &mut rng);
+        let sent = enc.encrypt(&encoder.encode(&values), &mut rng).to_bytes();
+        assert_eq!(sent.len(), ctx.params().seeded_ciphertext_bytes());
+        let ct = Ciphertext::try_from_seeded_bytes(&ctx, &sent).expect("own ciphertext");
         let decoded = encoder.decode(&dec.decrypt(&ct));
         assert_eq!(&decoded[..50], &values[..]);
     }

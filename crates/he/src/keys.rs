@@ -56,18 +56,19 @@ pub(crate) fn sample_uniform<R: Rng>(ctx: &Arc<Context>, rng: &mut R) -> Poly {
     Poly::from_residues(ctx, data, PolyForm::Ntt)
 }
 
-/// What the uniform polynomials of one key-switching key expand from.
+/// What the uniform polynomials of one key-switching key, or the `c1`
+/// of one uploaded ciphertext, expand from.
 pub type KeySeed = [u8; 32];
 
-/// The `k` uniform polynomials `a_0..a_{k-1}` of one key-switching key,
-/// NTT form: [`sample_uniform`] over `StdRng::from_seed(seed)`, digit
-/// by digit. Generator and deserializer both call this, so its output
-/// for a given seed is part of the wire format.
-pub(crate) fn expand_seed(ctx: &Arc<Context>, seed: &KeySeed) -> Vec<Poly> {
+/// The first `polys` uniform polynomials of `seed`'s stream, NTT form:
+/// [`sample_uniform`] over `StdRng::from_seed(seed)`, one after the
+/// other — the `k` digits `a_0..a_{k-1}` of a key-switching key, the one
+/// `c1` of a seeded ciphertext. Whoever makes a seeded object and
+/// whoever reads it both call this, so its output for a given seed is
+/// part of the wire format.
+pub(crate) fn expand_seed(ctx: &Arc<Context>, seed: &KeySeed, polys: usize) -> Vec<Poly> {
     let mut prg = StdRng::from_seed(*seed);
-    (0..ctx.moduli_count())
-        .map(|_| sample_uniform(ctx, &mut prg))
-        .collect()
+    (0..polys).map(|_| sample_uniform(ctx, &mut prg)).collect()
 }
 
 /// The secret key (ternary polynomial, stored in NTT form).
@@ -112,7 +113,9 @@ impl KeySwitchKey {
     pub(crate) fn from_seeded(ctx: &Arc<Context>, g: usize, seed: KeySeed, b: Vec<Poly>) -> Self {
         assert_eq!(b.len(), ctx.moduli_count(), "one b_i per RNS digit");
         Self {
-            pairs: b.into_iter().zip(expand_seed(ctx, &seed)).collect(),
+            pairs: (b.into_iter())
+                .zip(expand_seed(ctx, &seed, ctx.moduli_count()))
+                .collect(),
             seed,
             ntt_table: galois_ntt_table(g, ctx.degree()),
         }
@@ -252,7 +255,7 @@ impl KeyGenerator {
             // index table the key carries for its rotations.
             let ntt_table = galois_ntt_table(g, self.ctx.degree());
             let s_auto = self.sk.s.apply_galois_ntt(&ntt_table);
-            let pairs = expand_seed(&self.ctx, &seed)
+            let pairs = expand_seed(&self.ctx, &seed, self.ctx.moduli_count())
                 .into_iter()
                 .enumerate()
                 .map(|(i, a_i)| {
@@ -353,7 +356,7 @@ mod tests {
         let gk = kg.galois_keys(&[3, 9], &mut rng);
         for g in [3, 9] {
             let ksk = &gk.keys[&g];
-            let expanded = expand_seed(&ctx, &ksk.seed);
+            let expanded = expand_seed(&ctx, &ksk.seed, ctx.moduli_count());
             assert_eq!(ksk.pairs.len(), ctx.moduli_count());
             for ((_, a_i), want) in ksk.pairs.iter().zip(&expanded) {
                 assert_eq!(a_i.raw(), want.raw(), "element {g}");

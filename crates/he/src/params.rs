@@ -201,6 +201,13 @@ impl EncryptionParams {
         2 * self.poly_bytes() + 16
     }
 
+    /// Serialized size of one fresh symmetric ciphertext as the client
+    /// uploads it: the 16-byte header, `c0`, and the 32-byte seed `c1`
+    /// expands from.
+    pub fn seeded_ciphertext_bytes(&self) -> usize {
+        16 + self.poly_bytes() + 32
+    }
+
     /// Serialized size of the public key in bytes (same shape as a
     /// ciphertext).
     pub fn public_key_bytes(&self) -> usize {

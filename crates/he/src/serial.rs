@@ -1,5 +1,6 @@
 //! Validated (non-panicking) serialization for HE objects that travel
-//! on the wire: ciphertexts, public keys, and Galois rotation keys.
+//! on the wire: ciphertexts (a result's full form, an upload's seeded
+//! form), public keys, and Galois rotation keys.
 //!
 //! The byte layouts reuse [`Ciphertext::to_bytes`]'s bit-packing (each
 //! RNS modulus's residues packed at that modulus's width), and every
@@ -14,7 +15,7 @@
 
 use crate::ciphertext::{residue_bits, unpack_bits_max, write_poly, Ciphertext};
 use crate::context::Context;
-use crate::keys::{GaloisKeys, KeySeed, KeySwitchKey, PublicKey};
+use crate::keys::{expand_seed, GaloisKeys, KeySeed, KeySwitchKey, PublicKey};
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use std::collections::HashMap;
@@ -69,17 +70,23 @@ fn read_poly(ctx: &Arc<Context>, bytes: &[u8], off: &mut usize) -> Result<Poly, 
     Ok(Poly::from_residues(ctx, data, PolyForm::Ntt))
 }
 
+/// Checks a ciphertext blob's 16-byte header against the context.
+fn check_header(ctx: &Arc<Context>, bytes: &[u8]) -> Result<(), SerialError> {
+    let (hdr_n, rest) = bytes.split_first_chunk().ok_or(SerialError::Truncated)?;
+    let hdr_k = rest.first_chunk().ok_or(SerialError::Truncated)?;
+    let header = (u64::from_le_bytes(*hdr_n), u64::from_le_bytes(*hdr_k));
+    if header != (ctx.degree() as u64, ctx.moduli_count() as u64) {
+        return Err(SerialError::HeaderMismatch);
+    }
+    Ok(())
+}
+
 impl Ciphertext {
     /// Deserializes a ciphertext produced by [`Ciphertext::to_bytes`]
     /// under the same context: header mismatches, truncation, trailing
     /// bytes, and unreduced residues are errors, never panics.
     pub fn try_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Self, SerialError> {
-        let hdr = bytes.get(0..16).ok_or(SerialError::Truncated)?;
-        let hdr_n = u64::from_le_bytes(hdr[0..8].try_into().expect("8-byte slice")) as usize;
-        let hdr_k = u64::from_le_bytes(hdr[8..16].try_into().expect("8-byte slice")) as usize;
-        if (hdr_n, hdr_k) != (ctx.degree(), ctx.moduli_count()) {
-            return Err(SerialError::HeaderMismatch);
-        }
+        check_header(ctx, bytes)?;
         if bytes.len() != ctx.params().ciphertext_bytes() {
             return Err(SerialError::LengthMismatch);
         }
@@ -89,6 +96,28 @@ impl Ciphertext {
         if off != bytes.len() {
             return Err(SerialError::LengthMismatch);
         }
+        Ok(Self::from_parts(c0, c1))
+    }
+
+    /// Deserializes an uploaded ciphertext, the bytes of a
+    /// [`SeededCiphertext`](crate::ciphertext::SeededCiphertext): the
+    /// same header, `c0` read as [`Ciphertext::try_from_bytes`] reads
+    /// it, and `c1` re-expanded from the 32-byte seed behind it
+    /// (`keys::expand_seed`, the rotation keys' PRG). The length must
+    /// be exact, so a full-form ciphertext is refused, not read as a
+    /// `c0` and whatever follows it.
+    pub fn try_from_seeded_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Self, SerialError> {
+        check_header(ctx, bytes)?;
+        if bytes.len() != ctx.params().seeded_ciphertext_bytes() {
+            return Err(SerialError::LengthMismatch);
+        }
+        let mut off = 16usize;
+        let c0 = read_poly(ctx, bytes, &mut off)?;
+        let seed: &KeySeed = (bytes.get(off..))
+            .and_then(<[u8]>::first_chunk)
+            .ok_or(SerialError::Truncated)?;
+        // Any seed is valid: its expansion is in range by construction.
+        let c1 = expand_seed(ctx, seed, 1).swap_remove(0);
         Ok(Self::from_parts(c0, c1))
     }
 }

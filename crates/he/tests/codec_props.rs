@@ -3,8 +3,9 @@
 //! input — including garbage above the value width, which both mask —
 //! identical blobs for ciphertexts, and the same [`SerialError`] from
 //! the validated readers for the same malformed input: truncation at
-//! every section boundary, trailing bytes, and an unreduced residue in
-//! the first or last slot of each modulus section.
+//! every section boundary, trailing bytes, a wrong header, and an
+//! unreduced residue in the first or last slot of each modulus section.
+//! The uploaded (seeded) ciphertext form is one of the blob kinds.
 //!
 //! Public-key and Galois-key blobs are compared against the oracle in
 //! `serial.rs`'s unit tests, which can see the key polynomials.
@@ -18,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::{pack_bits, pack_bits_into, unpack_bits, unpack_bits_into, Ciphertext};
 use spot_he::context::Context;
 use spot_he::encoding::BatchEncoder;
-use spot_he::encryptor::Encryptor;
+use spot_he::encryptor::{Encryptor, SymmetricEncryptor};
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_he::serial::{
@@ -139,6 +140,23 @@ fn oracle_ciphertext(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
     oracle_read_polys(ctx, bytes, 16, 2).map(|_| ())
 }
 
+/// The uploaded form: the same header, an exact length, one polynomial
+/// and 32 seed bytes, any value of which is valid.
+fn oracle_seeded_ciphertext(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
+    let hdr = bytes.get(0..16).ok_or(SerialError::Truncated)?;
+    let field = |i: usize| u64::from_le_bytes(hdr[8 * i..8 * i + 8].try_into().unwrap()) as usize;
+    if (field(0), field(1)) != (ctx.degree(), ctx.moduli_count()) {
+        return Err(SerialError::HeaderMismatch);
+    }
+    if bytes.len() != 16 + ctx.params().poly_bytes() + SEED_BYTES {
+        return Err(SerialError::LengthMismatch);
+    }
+    oracle_read_polys(ctx, bytes, 16, 1).map(|_| ())
+}
+
+/// What a seeded object keeps of its uniform polynomials.
+const SEED_BYTES: usize = 32;
+
 fn oracle_public_key(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
     if bytes.len() != 2 * ctx.params().poly_bytes() {
         return Err(SerialError::LengthMismatch);
@@ -147,7 +165,7 @@ fn oracle_public_key(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
 }
 
 /// Element, digit count and seed in front of a Galois key's `b_i`.
-const GALOIS_ENTRY_HEADER: usize = 8 + 4 + 32;
+const GALOIS_ENTRY_HEADER: usize = 8 + 4 + SEED_BYTES;
 
 /// Blobs of these tests hold well-formed counts, so the `Malformed`
 /// arms of the real reader are out of reach and not mirrored.
@@ -194,8 +212,9 @@ fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
     let mut rng = StdRng::seed_from_u64(77);
     let kg = KeyGenerator::new(ctx, &mut rng);
     let pk = kg.public_key(&mut rng);
-    let ct = Encryptor::new(ctx, pk.clone())
-        .encrypt(&BatchEncoder::new(ctx).encode(&[1, 2, 3, 4, 5]), &mut rng);
+    let plain = BatchEncoder::new(ctx).encode(&[1, 2, 3, 4, 5]);
+    let ct = Encryptor::new(ctx, pk.clone()).encrypt(&plain, &mut rng);
+    let uploaded = SymmetricEncryptor::new(ctx, kg.secret_key().clone()).encrypt(&plain, &mut rng);
     // Two entries where the bit-loop oracle can afford it, so an entry
     // boundary lies inside the blob.
     let elements = [3, 2 * ctx.degree() - 1];
@@ -212,6 +231,13 @@ fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
             real: |ctx, b| Ciphertext::try_from_bytes(ctx, b).map(|_| ()),
             oracle: oracle_ciphertext,
             sections: sections(ctx, 16, 2),
+        },
+        Blob {
+            name: "seeded ciphertext",
+            good: uploaded.to_bytes(),
+            real: |ctx, b| Ciphertext::try_from_seeded_bytes(ctx, b).map(|_| ()),
+            oracle: oracle_seeded_ciphertext,
+            sections: sections(ctx, 16, 1),
         },
         Blob {
             name: "public key",
@@ -256,7 +282,11 @@ fn truncation_and_trailing_bytes_give_the_same_error() {
         let ctx = ctx(level);
         for blob in blobs(&ctx) {
             assert_eq!(blob.check(&ctx, &blob.good, "intact"), Ok(()));
-            let mut cuts = vec![0, 1, 3, 4, 5, 15, 16, 17];
+            // The last 32 bytes of a seeded ciphertext are its seed:
+            // cut at its start, inside it and one byte short of its end.
+            let end = blob.good.len();
+            let mut cuts = vec![0, 1, 3, 4, 5, 8, 15, 16, 17];
+            cuts.extend([end - SEED_BYTES, end - SEED_BYTES + 1, end - 1]);
             for &(off, len, ..) in &blob.sections {
                 // A Galois key's entry header (element, digit count,
                 // seed) ends where its first section starts: cut at its
@@ -292,6 +322,41 @@ fn truncation_and_trailing_bytes_give_the_same_error() {
             assert_eq!(
                 blob.check(&ctx, &long, "one trailing byte"),
                 Err(SerialError::LengthMismatch)
+            );
+        }
+    }
+}
+
+/// A ciphertext of another degree or modulus count is refused from its
+/// header, in either form, whatever its length.
+#[test]
+fn a_wrong_header_is_a_header_mismatch() {
+    for level in LEVELS {
+        let ctx = ctx(level);
+        for blob in blobs(&ctx)
+            .iter()
+            .filter(|b| b.name.ends_with("ciphertext"))
+        {
+            for field in [0, 8] {
+                let mut bad = blob.good.clone();
+                bad[field] ^= 1;
+                let what = format!("header byte {field} flipped");
+                assert_eq!(
+                    blob.check(&ctx, &bad, &what),
+                    Err(SerialError::HeaderMismatch),
+                    "{} {what}",
+                    blob.name
+                );
+            }
+            // The other level's blob, whole: its header speaks first.
+            let other = self::ctx(LEVELS[(level == LEVELS[0]) as usize]);
+            let foreign = blobs(&other);
+            let foreign = foreign.iter().find(|b| b.name == blob.name).unwrap();
+            assert_eq!(
+                blob.check(&ctx, &foreign.good, "the other level's blob"),
+                Err(SerialError::HeaderMismatch),
+                "{}",
+                blob.name
             );
         }
     }

@@ -3,14 +3,16 @@
 //! parameter levels on ciphertexts that decrypt to their plaintext
 //! (fresh, rotated and multiplied, modulus-switched) and on ones that
 //! do not (residue-tampered, wrong key, uniformly random), where the only
-//! specification is "whatever `⌈t·x/q⌋ mod t` is".
+//! specification is "whatever `⌈t·x/q⌋ mod t` is". The uploaded form, a
+//! symmetric encryption whose `c1` the reader expands from a seed, is
+//! held to both: the oracle and its plaintext.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::BatchEncoder;
-use spot_he::encryptor::{Decryptor, Encryptor};
+use spot_he::encryptor::{Decryptor, Encryptor, SymmetricEncryptor};
 use spot_he::evaluator::Evaluator;
 use spot_he::keys::KeyGenerator;
 use spot_he::modswitch::ModSwitch;
@@ -127,5 +129,35 @@ fn rns_decrypt_equals_big_integer_decrypt_at_every_level() {
                 Ciphertext::from_parts(uniform_poly(&ctx, &mut rng), uniform_poly(&ctx, &mut rng));
             assert_exact(&ctx, &dec, &random, "uniformly random");
         }
+    }
+}
+
+/// What the server reads off an upload — `c0` as sent, `c1` expanded
+/// from the seed — decrypts exactly, to every slot the client encrypted.
+#[test]
+fn seeded_symmetric_ciphertext_decrypts_to_its_plaintext_across_the_wire() {
+    for level in [ParamLevel::N4096, ParamLevel::N8192] {
+        let ctx = Context::new(EncryptionParams::new(level));
+        let mut rng = StdRng::seed_from_u64(4096 + ctx.degree() as u64);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = SymmetricEncryptor::new(&ctx, kg.secret_key().clone());
+        let dec = Decryptor::new(&ctx, kg.secret_key().clone());
+        let encoder = BatchEncoder::new(&ctx);
+        let t = ctx.params().plain_modulus();
+        let slots: Vec<u64> = (0..ctx.degree()).map(|_| rng.gen_range(0..t)).collect();
+
+        let sent = enc.encrypt(&encoder.encode(&slots), &mut rng).to_bytes();
+        assert_eq!(sent.len(), ctx.params().seeded_ciphertext_bytes());
+        let read = Ciphertext::try_from_seeded_bytes(&ctx, &sent).expect("own upload");
+        assert_exact(&ctx, &dec, &read, "seeded symmetric");
+        assert_eq!(encoder.decode(&dec.decrypt(&read)), slots, "{level}");
+        // One error polynomial, no `u`: fresher than a public-key
+        // encryption of the same slots.
+        let public = Encryptor::new(&ctx, kg.public_key(&mut rng));
+        let full = public.encrypt(&encoder.encode(&slots), &mut rng);
+        assert!(
+            dec.noise_budget(&read) >= dec.noise_budget(&full),
+            "{level}"
+        );
     }
 }

@@ -12,6 +12,9 @@
 //! * the index table equals the oracle + `to_ntt` for every Galois
 //!   element a convolution asks for and for random odd elements;
 //! * hoisted rotations decode to the slot-rotation reference;
+//! * rotating by a block step `B` over and over walks the lane: `j`
+//!   rotations decode to one rotation by `j·B`, round to the identity
+//!   (what the conv engine's Horner giant steps rest on);
 //! * `n` rotations from one hoist are bit-identical to `n` independent
 //!   `rotate_rows` calls;
 //! * every kernel backend produces the same bits;
@@ -168,6 +171,52 @@ fn hoisted_rotations_decode_to_the_slot_reference() {
             swap_rows_reference(&s.values),
             "{level} column swap"
         );
+    }
+}
+
+/// A lane of `blocks` channel blocks rotated by one block at a time,
+/// each rotation on the result of the last and all by the same key:
+/// after `j` of them the slots are where a single rotation by `j`
+/// blocks puts them, and after `blocks` of them back where they began.
+#[test]
+fn repeated_block_steps_compose_and_wrap_round_the_lane() {
+    for level in LEVELS {
+        let ctx = ctx(level);
+        let (n, lane) = (ctx.degree(), (ctx.degree() / 2) as i64);
+        let mut rng = StdRng::seed_from_u64(22);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
+        let (encoder, evaluator) = (BatchEncoder::new(&ctx), Evaluator::new(&ctx));
+        let t = ctx.params().plain_modulus();
+        let values: Vec<u64> = (0..n as u64).map(|i| (i * i + 3) % t).collect();
+        let x = Encryptor::new(&ctx, keygen.public_key(&mut rng))
+            .encrypt(&encoder.encode(&values), &mut rng);
+        let decode = |ct: &Ciphertext| encoder.decode(&decryptor.decrypt(ct));
+        for blocks in [4i64, 16] {
+            let step = lane / blocks;
+            let (one, two) = (
+                galois_elt_from_step(step, n),
+                galois_elt_from_step(2 * step, n),
+            );
+            let keys = keygen.galois_keys(&[one, two], &mut rng);
+            let twice_at_once = evaluator.rotate_hoisted(&evaluator.hoist(&x), two, &keys);
+            let mut walked = x.clone();
+            for j in 1..=blocks {
+                walked = evaluator.rotate_hoisted(&evaluator.hoist(&walked), one, &keys);
+                let want = match (j * step) % lane {
+                    0 => values.clone(),
+                    by => rotate_slots_reference(&values, by),
+                };
+                assert_eq!(decode(&walked), want, "{level} {blocks} blocks, step {j}");
+                if j == 2 {
+                    assert_eq!(decode(&walked), decode(&twice_at_once), "{level}");
+                }
+            }
+            assert!(
+                decryptor.noise_budget(&walked) > 0,
+                "{level} {blocks} blocks"
+            );
+        }
     }
 }
 

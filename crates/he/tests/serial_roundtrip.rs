@@ -1,7 +1,9 @@
 //! Property tests for the validated wire serialization: encode→decode
 //! identity for ciphertexts (fresh and mod-switched) and key material
 //! at N = 4096 and N = 8192, plus rejection (never a panic) of
-//! truncated and corrupted inputs.
+//! truncated and corrupted inputs. An uploaded ciphertext travels as
+//! `c0` plus the seed of `c1`: what the reader rebuilds must decrypt to
+//! the client's plaintext, and no two uploads may share a seed.
 //!
 //! Galois keys travel as a seed plus their `b_i`: the reader must
 //! rebuild the generator's exact `(b_i, a_i)` pairs, rotate with them,
@@ -14,7 +16,7 @@ use rand::SeedableRng;
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{rotate_slots_reference, BatchEncoder};
-use spot_he::encryptor::{Decryptor, Encryptor};
+use spot_he::encryptor::{Decryptor, Encryptor, SymmetricEncryptor};
 use spot_he::evaluator::Evaluator;
 use spot_he::keys::KeyGenerator;
 use spot_he::modswitch::ModSwitch;
@@ -63,6 +65,35 @@ proptest! {
         let back = Ciphertext::try_from_bytes(ctx, &bytes)
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
         prop_assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn seeded_ciphertext_roundtrips_to_its_plaintext(level in 0u8..2, seed in 0u64..1_000_000) {
+        let ctx = ctx(level_of(level));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kg = KeyGenerator::new(ctx, &mut rng);
+        let enc = SymmetricEncryptor::new(ctx, kg.secret_key().clone());
+        let dec = Decryptor::new(ctx, kg.secret_key().clone());
+        let encoder = BatchEncoder::new(ctx);
+        let t = ctx.params().plain_modulus();
+        let slots: Vec<u64> = (0..ctx.degree()).map(|i| (seed + i as u64) % t).collect();
+        let plain = encoder.encode(&slots);
+        let bytes = enc.encrypt(&plain, &mut rng).to_bytes();
+        prop_assert_eq!(bytes.len(), ctx.params().seeded_ciphertext_bytes());
+        let back = Ciphertext::try_from_seeded_bytes(ctx, &bytes)
+            .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+        prop_assert_eq!(encoder.decode(&dec.decrypt(&back)), slots);
+        // The header and `c0` are the full form's, byte for byte; the
+        // seed sits where `c1` would start.
+        let (head, tail) = bytes.split_at(bytes.len() - 32);
+        prop_assert_eq!(&back.to_bytes()[..head.len()], head);
+        // The same plaintext again: its own seed, so its own `c0`. The
+        // full form is not a seeded blob, nor the other way round.
+        let again = enc.encrypt(&plain, &mut rng).to_bytes();
+        prop_assert_ne!(&again[head.len()..], tail);
+        prop_assert_ne!(&again[16..head.len()], &head[16..]);
+        prop_assert!(Ciphertext::try_from_seeded_bytes(ctx, &back.to_bytes()).is_err());
+        prop_assert!(Ciphertext::try_from_bytes(ctx, &bytes).is_err());
     }
 
     #[test]

@@ -20,8 +20,12 @@ use std::io::Read;
 /// and a connection sends each Galois element's key once. Version 3:
 /// no frame format changes, the frame *sequence* does — a `GaloisKeys`
 /// frame carries one key, and a layer's key frames travel inside its
-/// input upload, in first-use order (DESIGN.md §9).
-pub const WIRE_VERSION: u8 = 3;
+/// input upload, in first-use order (DESIGN.md §9). Version 4: the
+/// blob of a `PackedCt` / `AuxCt` is the seeded form of a ciphertext
+/// (`c0` and the 32-byte seed of `c1`; a `MaskedResult` blob stays the
+/// full form), and a layer's schedule holds one giant-step key where it
+/// held one per giant step.
+pub const WIRE_VERSION: u8 = 4;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
