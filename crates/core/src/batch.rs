@@ -46,17 +46,17 @@ pub fn amortized_latency(bp: &BatchPlan, client: DeviceProfile) -> f64 {
     simulate_conv(&bp.plan, &cfg).timing.total_s / bp.batch as f64
 }
 
-/// Single-query latency (batch = 1) for comparison.
-pub fn single_latency(shape: &ConvShape, scheme: SchemeKind, client: DeviceProfile) -> f64 {
-    amortized_latency(&plan_batched(shape, scheme, 1), client)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn shape() -> ConvShape {
         ConvShape::new(28, 28, 128, 128, 3, 1)
+    }
+
+    /// Single-query latency (batch = 1) for comparison.
+    fn single_latency(shape: &ConvShape, scheme: SchemeKind, client: DeviceProfile) -> f64 {
+        amortized_latency(&plan_batched(shape, scheme, 1), client)
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! counts equal the formulas with `Cn` (resp. `Ci`) interpreted as the
 //! *per-lane* block count — see `tests` and the Table V generator.
 
-use spot_he::evaluator::OpCounts;
-
 /// Operation counts predicted by a Table V formula row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormulaCounts {
@@ -26,23 +24,6 @@ pub struct FormulaCounts {
     pub simd_mult: u64,
     /// Ciphertext additions.
     pub add: u64,
-}
-
-impl FormulaCounts {
-    /// Compares against recorded counts, returning the largest relative
-    /// deviation across the three operation kinds (0.0 = exact).
-    pub fn relative_deviation(&self, recorded: &OpCounts) -> f64 {
-        let rel = |formula: u64, got: u64| -> f64 {
-            if formula == 0 && got == 0 {
-                0.0
-            } else {
-                (formula as f64 - got as f64).abs() / formula.max(got).max(1) as f64
-            }
-        };
-        rel(self.perm, recorded.rotate)
-            .max(rel(self.simd_mult, recorded.mult_plain))
-            .max(rel(self.add, recorded.add))
-    }
 }
 
 /// Table V, CrypTFlow2 row: `c_m` input ciphertexts, `c_n` channels per
@@ -110,8 +91,12 @@ mod tests {
         assert_eq!(per_ct.add, f.add);
         assert!(per_ct.rotate <= f.perm, "{} > {}", per_ct.rotate, f.perm);
         // within 30% of the formula
-        let dev = f.relative_deviation(&per_ct);
-        assert!(dev < 0.3, "deviation {dev}");
+        assert!(
+            10 * per_ct.rotate > 7 * f.perm,
+            "{} vs {}",
+            per_ct.rotate,
+            f.perm
+        );
     }
 
     #[test]
@@ -124,26 +109,5 @@ mod tests {
         assert_eq!(per_ct.mult_plain, f.simd_mult);
         // adds differ only by the per-output mask additions
         assert_eq!(per_ct.add, f.add + blk.out_groups as u64);
-    }
-
-    #[test]
-    fn deviation_metric() {
-        let f = FormulaCounts {
-            perm: 10,
-            simd_mult: 100,
-            add: 50,
-        };
-        let exact = OpCounts {
-            rotate: 10,
-            mult_plain: 100,
-            add: 50,
-            ..OpCounts::default()
-        };
-        assert_eq!(f.relative_deviation(&exact), 0.0);
-        let off = OpCounts {
-            rotate: 20,
-            ..exact
-        };
-        assert!(f.relative_deviation(&off) > 0.4);
     }
 }

@@ -163,31 +163,110 @@ impl NetworkPlan {
     }
 }
 
-/// A small CNN for the functional end-to-end demo: conv → ReLU →
-/// maxpool → conv → ReLU, with explicit kernels.
+/// One step of the layer program both parties of the two-party
+/// protocol ([`crate::twoparty`]) walk.
+#[derive(Debug, Clone)]
+pub enum Op {
+    /// A convolution under HE; the parties leave it holding additive
+    /// shares of its output.
+    Conv {
+        /// The server's weights.
+        kernel: Kernel,
+        /// Stride, both ways.
+        stride: usize,
+    },
+    /// ReLU on shares: one interactive round.
+    Relu,
+    /// 2×2 max-pooling on shares: one interactive round.
+    MaxPool2,
+    /// The server sends its share; the client holds the activation.
+    Reveal,
+}
+
+impl Op {
+    /// The op in the clear.
+    pub fn apply(&self, x: Tensor) -> Tensor {
+        use spot_tensor::conv::{conv2d, maxpool2, relu};
+        match self {
+            Op::Conv { kernel, stride } => conv2d(&x, kernel, *stride),
+            Op::Relu => relu(&x),
+            Op::MaxPool2 => maxpool2(&x),
+            Op::Reveal => x,
+        }
+    }
+}
+
+/// A small CNN as a layer program. [`TinyCnn::new`] is conv → ReLU →
+/// max-pool → reveal → conv → ReLU → reveal.
 #[derive(Debug, Clone)]
 pub struct TinyCnn {
-    /// First convolution kernels.
-    pub conv1: Kernel,
-    /// Second convolution kernels.
-    pub conv2: Kernel,
+    ops: Vec<Op>,
 }
 
 impl TinyCnn {
     /// Deterministic small network for tests/examples.
     pub fn new(seed: u64) -> Self {
-        Self {
-            conv1: Kernel::random(4, 2, 3, 3, 3, seed),
-            conv2: Kernel::random(4, 4, 3, 3, 3, seed + 1),
-        }
+        let conv = |c_out, c_in, seed| Op::Conv {
+            kernel: Kernel::random(c_out, c_in, 3, 3, 3, seed),
+            stride: 1,
+        };
+        Self::from_ops(vec![
+            conv(4, 2, seed),
+            Op::Relu,
+            Op::MaxPool2,
+            Op::Reveal,
+            conv(4, 4, seed + 1),
+            Op::Relu,
+            Op::Reveal,
+        ])
+    }
+
+    /// The network that runs `ops` in order. The client encrypts what
+    /// it holds in the clear, so the program starts with a convolution
+    /// and a `Reveal` stands before every later one, at the end, and
+    /// nowhere else.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a program of any other form.
+    pub fn from_ops(ops: Vec<Op>) -> Self {
+        let is_conv = |op: Option<&Op>| matches!(op, None | Some(Op::Conv { .. }));
+        let reveals_in_place = (ops.iter().enumerate())
+            .all(|(i, op)| matches!(op, Op::Reveal) == is_conv(ops.get(i + 1)));
+        assert!(
+            !ops.is_empty() && is_conv(ops.first()) && reveals_in_place,
+            "not a conv-first program with a Reveal before each later conv and at the end"
+        );
+        Self { ops }
+    }
+
+    /// The program.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
+    /// The program cut behind each `Reveal`, into one convolution and
+    /// the ops that run on its shares: `(program index of the first of
+    /// those ops, kernel, stride, those ops)`.
+    pub(crate) fn stages(&self) -> impl Iterator<Item = (usize, &Kernel, usize, &[Op])> {
+        let mut at = 0;
+        (self.ops.split_inclusive(|op| matches!(op, Op::Reveal))).map(move |stage| {
+            let [Op::Conv { kernel, stride }, tail @ ..] = stage else {
+                unreachable!("from_ops admits no other form")
+            };
+            at += stage.len();
+            (at - tail.len(), kernel, *stride, tail)
+        })
+    }
+
+    /// The convolution kernels, in program order.
+    pub fn kernels(&self) -> impl Iterator<Item = &Kernel> {
+        self.stages().map(|(_, kernel, ..)| kernel)
     }
 
     /// Plaintext reference forward pass.
     pub fn forward_plain(&self, input: &Tensor) -> Tensor {
-        use spot_tensor::conv::{conv2d, maxpool2, relu};
-        let x = relu(&conv2d(input, &self.conv1, 1));
-        let x = maxpool2(&x);
-        relu(&conv2d(&x, &self.conv2, 1))
+        self.ops.iter().fold(input.clone(), |x, op| op.apply(x))
     }
 
     /// Secure forward pass: both halves of the two-party protocol

@@ -87,17 +87,6 @@ impl LaneLayout {
     pub fn block_rotation_step(&self, d: usize) -> i64 {
         (d * self.groups * self.piece_slots) as i64
     }
-
-    /// Pieces a lane can carry in total (`groups`), i.e. how many spatial
-    /// pieces of the full input are packed per lane.
-    pub fn pieces_per_lane(&self) -> usize {
-        self.groups
-    }
-
-    /// Useful (non-padding) slots per piece block.
-    pub fn useful_piece_slots(&self) -> usize {
-        self.piece_h * self.piece_w
-    }
 }
 
 /// A spatial piece of the input: its global placement plus its data
@@ -286,7 +275,7 @@ mod tests {
     fn non_pow2_piece_dims_pad() {
         let l = LaneLayout::new(2048, 2, 3, 3);
         assert_eq!(l.piece_slots, 16); // 9 -> 16
-        assert_eq!(l.useful_piece_slots(), 9);
+        assert_eq!(l.piece_h * l.piece_w, 9);
     }
 
     #[test]

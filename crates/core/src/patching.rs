@@ -70,11 +70,6 @@ impl Decomposition {
     pub fn piece_count(&self) -> usize {
         self.classes.iter().map(|(_, p)| p.len()).sum()
     }
-
-    /// Number of auxiliary (non-patch) pieces.
-    pub fn aux_count(&self) -> usize {
-        self.piece_count() - self.classes[0].1.len()
-    }
 }
 
 /// How many pieces of size `piece`, adjacent ones sharing `overlap`,
@@ -319,7 +314,7 @@ mod tests {
         assert_eq!(got, want);
         // no aux pieces needed for 1x1 kernels
         let decomp = decompose(&input, 2, 2, 1, PatchMode::Tweaked);
-        assert_eq!(decomp.aux_count(), 0);
+        assert_eq!(decomp.piece_count(), decomp.classes[0].1.len());
     }
 
     #[test]
@@ -357,7 +352,7 @@ mod tests {
         // grid 3x3 patches, 3*2=6 vsegs, 2*3=6 hsegs, 2*2=4 corners
         assert_eq!(d.grid, (3, 3));
         assert_eq!(d.classes[0].1.len(), 9);
-        assert_eq!(d.aux_count(), 6 + 6 + 4);
+        assert_eq!(d.piece_count(), 9 + 6 + 6 + 4);
         // signs
         assert!(d.classes[1].1.iter().all(|p| p.sign == -1));
         assert!(d.classes[3].1.iter().all(|p| p.sign == 1));
@@ -367,7 +362,7 @@ mod tests {
     fn vanilla_has_no_aux() {
         let input = Tensor::zeros(1, 8, 8);
         let d = decompose(&input, 4, 4, 3, PatchMode::Vanilla);
-        assert_eq!(d.aux_count(), 0);
+        assert_eq!(d.piece_count(), d.classes[0].1.len());
         assert_eq!(d.grid, (3, 3)); // starts 0,2,4,6? overlap 2 stride 2: 0,2,4 — covers 8? 4+4=8 ✓ starts 0,2,4
     }
 }

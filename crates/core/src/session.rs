@@ -1226,7 +1226,8 @@ pub fn serve_conv<R: Rng>(
 
 /// [`serve_conv`] with serving-layer options: shared per-model kernel
 /// caches and a per-session batch budget (see [`ServeOptions`]). The
-/// whole connection is this one layer.
+/// whole connection is this one layer, at the stride and input size the
+/// client's hello names.
 pub fn serve_conv_with<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
@@ -1236,7 +1237,25 @@ pub fn serve_conv_with<R: Rng>(
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
     let keys = ConnectionKeys::default();
-    serve_conv_on(ctx, transport, kernel, backend, opts, &keys, rng)
+    let layer = ModelLayer {
+        kernel,
+        stride: None,
+        input: None,
+    };
+    serve_conv_on(ctx, transport, layer, backend, opts, &keys, rng)
+}
+
+/// What the server's model says about the convolution a hello asks for;
+/// a hello that says otherwise is refused.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelLayer<'a> {
+    /// The weights: `c_out × c_in × k_h × k_w`.
+    pub kernel: &'a Kernel,
+    /// The stride, where the model fixes one.
+    pub stride: Option<usize>,
+    /// The input's `(h, w)`, where the server's own shares of the
+    /// activation before this layer fix it.
+    pub input: Option<(usize, usize)>,
 }
 
 /// Serves one layer of a connection whose rotation keys so far are
@@ -1245,7 +1264,7 @@ pub fn serve_conv_with<R: Rng>(
 pub fn serve_conv_on<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
-    kernel: &Kernel,
+    layer: ModelLayer<'_>,
     backend: &ExecBackend,
     opts: ServeOptions<'_>,
     keys: &ConnectionKeys,
@@ -1271,7 +1290,7 @@ pub fn serve_conv_on<R: Rng>(
             ctx.params().level()
         )));
     }
-    let shape = &spec.shape;
+    let (shape, kernel) = (&spec.shape, layer.kernel);
     if kernel.out_channels() != shape.c_out
         || kernel.in_channels() != shape.c_in
         || kernel.k_h() != shape.k_h
@@ -1287,6 +1306,18 @@ pub fn serve_conv_on<R: Rng>(
             shape.c_in,
             shape.k_h,
             shape.k_w
+        )));
+    }
+    if let Some(stride) = layer.stride.filter(|&stride| stride != shape.stride) {
+        return Err(SpotError::Protocol(format!(
+            "layer spec stride {} does not match the model's stride {stride}",
+            shape.stride
+        )));
+    }
+    if let Some((h, w)) = (layer.input).filter(|&hw| hw != (shape.height, shape.width)) {
+        return Err(SpotError::Protocol(format!(
+            "layer spec input {}x{} does not match the {h}x{w} activation the server's shares have reached",
+            shape.height, shape.width
         )));
     }
     let plan = spec.scheme.plan(&spec, level)?;

@@ -55,7 +55,6 @@
 use crate::error::SpotError;
 use crate::executor::Executor;
 use crossbeam::thread;
-use spot_pipeline::device::DeviceProfile;
 use spot_pipeline::plan::OutputDependency;
 use spot_pipeline::report::StallRow;
 use spot_trace::{count, gauge, metrics, Cat, Counter};
@@ -224,13 +223,6 @@ impl StreamConfig {
             executor,
             channel_capacity: channel_capacity.max(1),
         }
-    }
-
-    /// A config whose read-ahead equals the client device's ciphertext
-    /// budget for the given serialized ciphertext size (the in-process
-    /// harness gives its uplink the same bound).
-    pub fn for_client(executor: Executor, client: &DeviceProfile, ciphertext_bytes: usize) -> Self {
-        Self::new(executor, client.ciphertext_capacity(ciphertext_bytes))
     }
 }
 
@@ -1121,11 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn config_uses_device_budget() {
-        let ct_bytes = 200_000;
-        let client = DeviceProfile::nexus6().with_capacity(3, ct_bytes);
-        let cfg = StreamConfig::for_client(Executor::new(4), &client, ct_bytes);
-        assert_eq!(cfg.channel_capacity, 3);
+    fn config_clamps_capacity_to_one() {
         assert_eq!(StreamConfig::new(Executor::serial(), 0).channel_capacity, 1);
     }
 

@@ -1,14 +1,23 @@
-//! Two-party TinyCnn inference over a wire [`Transport`]: the client
-//! holds the input, the server holds the model, and every byte between
-//! them crosses the typed protocol — so the same code drives an
-//! in-process [`MemTransport`](spot_proto::transport::MemTransport)
-//! pair or two OS processes over framed TCP.
+//! Two-party inference over a wire [`Transport`]: the client holds the
+//! input, the server holds the model, and every byte between them
+//! crosses the typed protocol — so the same code drives an in-process
+//! [`MemTransport`](spot_proto::transport::MemTransport) pair or two OS
+//! processes over framed TCP.
 //!
-//! Layer flow: each convolution runs as a client/server session
-//! ([`ClientConv`] against [`serve_conv_on`]); each non-linearity is
-//! one `OtRound` request/reply on additive shares; layer boundaries use
-//! `ShareReveal`. Both convolutions share the connection's rotation
-//! keys: conv2 uploads only the Galois elements conv1 did not.
+//! **One program, two walkers.** The network is a [`TinyCnn`]'s list of
+//! [`Op`]s, and each party is one loop over it
+//! ([`run_client_batch`], [`run_server_with`]). A `Conv` runs under HE
+//! for the whole batch at once ([`ClientConv`] against
+//! [`serve_conv_on`]) and leaves the parties holding additive shares;
+//! every convolution of a connection shares its rotation keys, so a
+//! later one uploads only the Galois elements no earlier one did. The
+//! ops behind a convolution, up to and including the `Reveal` that ends
+//! its stage, run *image-major*: all of image `b`'s rounds and its
+//! reveal before image `b + 1`. `Relu` and `MaxPool2` are one `OtRound`
+//! request/reply each, numbered by [`round_of`]; `Reveal` is one
+//! `ShareReveal` from the server. The server checks every hello against
+//! where its own walk stands: the op's kernel and stride, and behind
+//! the first convolution the `h × w` its shares have reached.
 //!
 //! **Demo simplification.** The non-linear rounds here stand in for the
 //! OT-based DReLU/comparison protocols (simulated in-process by
@@ -24,11 +33,11 @@
 //! [`TinyCnn::forward_secure`] is these two halves in one process.
 
 use crate::error::SpotError;
-use crate::inference::TinyCnn;
+use crate::inference::{Op, TinyCnn};
 use crate::patching::PatchMode;
 use crate::session::{
-    serve_conv_on, unexpected, ClientConv, ConnectionKeys, ExecBackend, LayerSpec, SchemeKind,
-    ServeOptions, UploadPacing,
+    serve_conv_on, unexpected, ClientConv, ConnectionKeys, ExecBackend, LayerSpec, ModelLayer,
+    SchemeKind, ServeOptions, UploadPacing,
 };
 use crate::stream::StreamStats;
 use rand::Rng;
@@ -37,10 +46,10 @@ use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
 use spot_proto::transport::Transport;
 use spot_proto::wire::WireMessage;
-use spot_tensor::fixed::from_field;
-use spot_tensor::models::ConvShape;
+use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::tensor::Tensor;
 use spot_trace::{clocksync, metrics, Cat};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// `OtRound` op code for ReLU on shares.
@@ -48,13 +57,27 @@ pub const OP_RELU: u8 = 1;
 /// `OtRound` op code for 2×2 max-pooling on shares.
 pub const OP_MAXPOOL: u8 = 2;
 
-/// Trace label for an `OtRound` op code.
-fn op_name(op: u8) -> &'static str {
+/// An activation's `(channels, height, width)`.
+type Dims = (usize, usize, usize);
+
+/// The `OtRound` op code and span name of a `Relu` or `MaxPool2`.
+fn round_kind(op: &Op) -> (u8, &'static str) {
     match op {
-        OP_RELU => "relu",
-        OP_MAXPOOL => "maxpool",
-        _ => "ot",
+        Op::Relu => (OP_RELU, "relu round"),
+        Op::MaxPool2 => (OP_MAXPOOL, "maxpool round"),
+        Op::Conv { .. } | Op::Reveal => unreachable!("{op:?} is not an interactive round"),
     }
+}
+
+/// The `OtRound` number of image `b` of `batch` at the `Relu` or
+/// `MaxPool2` `ops[at]`: that op's index among the program's `Relu`s
+/// and `MaxPool2`s, times `batch`, plus `b` — `b`, `batch + b`,
+/// `2·batch + b` for [`TinyCnn::new`], and `0, 1, 2` for one image.
+fn round_of(ops: &[Op], at: usize, batch: usize, b: usize) -> u16 {
+    let rounds_before = (ops[..at].iter())
+        .filter(|op| matches!(op, Op::Relu | Op::MaxPool2))
+        .count();
+    (rounds_before * batch + b) as u16
 }
 
 fn encode_share(vals: &[u64]) -> Vec<u8> {
@@ -89,30 +112,15 @@ fn decode_share(blob: &[u8], t: u64) -> Result<Vec<u64>, SpotError> {
         .collect()
 }
 
-fn tensor_to_mod(tensor: &Tensor, t: u64) -> Vec<u64> {
-    tensor
-        .data()
-        .iter()
-        .map(|&v| v.rem_euclid(t as i64) as u64)
-        .collect()
+/// The `(c, h, w)` a max-pool payload leads with.
+fn dims_prefix((c, h, w): Dims) -> Vec<u8> {
+    let dims = [c as u32, h as u32, w as u32];
+    dims.iter().flat_map(|d| d.to_le_bytes()).collect()
 }
 
-/// One interactive non-linear round from the client's side: send this
-/// party's share, receive the re-shared result.
-fn client_round(
-    transport: &dyn Transport,
-    op: u8,
-    round: u16,
-    payload: Vec<u8>,
-    t: u64,
-) -> Result<Vec<u64>, SpotError> {
-    let _span = spot_trace::span_owned(Cat::Session, || format!("{} round", op_name(op)))
-        .arg("round", round as u64);
-    transport.send(&WireMessage::OtRound {
-        op,
-        round,
-        blob: payload,
-    })?;
+/// Expects the next message to be the peer's `OtRound` of this op code
+/// and round number; returns its payload.
+fn recv_round(transport: &dyn Transport, code: u8, round: u16) -> Result<Vec<u8>, SpotError> {
     let msg = transport.recv()?;
     let WireMessage::OtRound {
         op: rop,
@@ -120,14 +128,58 @@ fn client_round(
         blob,
     } = msg
     else {
-        return Err(unexpected(&msg, "OtRound reply"));
+        return Err(unexpected(&msg, "OtRound"));
     };
-    if rop != op || rround != round {
+    if rop != code || rround != round {
         return Err(SpotError::Protocol(format!(
-            "OtRound reply mismatch: got op {rop} round {rround}, want op {op} round {round}"
+            "OtRound out of order: got op {rop} round {rround}, want op {code} round {round}"
         )));
     }
-    decode_share(&blob, t)
+    Ok(blob)
+}
+
+/// A convolution share as both walkers carry it through the ops behind
+/// it: its dims and its values in `Z_t`.
+fn conv_share(share: &Tensor, t: u64) -> (Dims, Vec<u64>) {
+    let dims = (share.channels(), share.height(), share.width());
+    (dims, share.data().iter().map(|&v| to_field(v, t)).collect())
+}
+
+/// The centered values two additive shares of equal length stand for.
+fn reconstruct(a: &[u64], b: &[u64], t: u64) -> Vec<i64> {
+    (a.iter().zip(b))
+        .map(|(&a, &b)| from_field((a + b) % t, t))
+        .collect()
+}
+
+/// One `Relu` or `MaxPool2` from the client's side: send this party's
+/// share of a `dims` activation (a max-pool payload leads with the
+/// dims), receive its share of the result and the dims that has.
+fn client_round(
+    transport: &dyn Transport,
+    op: &Op,
+    round: u16,
+    (c, h, w): Dims,
+    share: &[u64],
+    t: u64,
+) -> Result<(Dims, Vec<u64>), SpotError> {
+    let (code, name) = round_kind(op);
+    let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
+    let pooled = code == OP_MAXPOOL;
+    let mut payload = if pooled {
+        dims_prefix((c, h, w))
+    } else {
+        Vec::new()
+    };
+    payload.extend_from_slice(&encode_share(share));
+    transport.send(&WireMessage::OtRound {
+        op: code,
+        round,
+        blob: payload,
+    })?;
+    let blob = recv_round(transport, code, round)?;
+    let dims = if pooled { (c, h / 2, w / 2) } else { (c, h, w) };
+    Ok((dims, decode_share(&blob, t)?))
 }
 
 /// Receives the server's `ShareReveal` and reconstructs the centered
@@ -149,11 +201,7 @@ fn client_reveal(
             client_share.len()
         )));
     }
-    Ok(client_share
-        .iter()
-        .zip(&server_share)
-        .map(|(&c, &s)| from_field((c + s) % t, t))
-        .collect())
+    Ok(reconstruct(client_share, &server_share, t))
 }
 
 /// One secure convolution session from the client's side carrying a
@@ -188,16 +236,13 @@ fn client_conv_batch<R: Rng + Send>(
     Ok(share?.shares)
 }
 
-/// Client half of the two-party TinyCnn demo over a *batch* of queued
-/// inputs: both convolutions run as single batched HE sessions (shared
-/// ciphertexts, so rotations and key-switches amortize across the
-/// batch), while the non-linear rounds stay per image. `arch` provides
-/// the layer *shapes* only — the kernel weights it carries are never
-/// read, they live with the server.
-///
-/// Per-image OT round numbering is `b` (ReLU 1), `batch + b`
-/// (max-pool), `2·batch + b` (ReLU 2), which degenerates to the
-/// classic `0, 1, 2` sequence at `batch = 1`.
+/// Client half of the two-party protocol over a *batch* of queued
+/// inputs: the client walker of the module doc. Every convolution is
+/// one batched HE session (shared ciphertexts, so rotations and
+/// key-switches amortize across the batch), while the ops behind it
+/// run per image. `arch` provides the program and its layer *shapes*
+/// only — the kernel weights it carries are never read, they live with
+/// the server.
 ///
 /// Returns the reconstructed network output per image, in submission
 /// order.
@@ -258,72 +303,37 @@ fn run_client_batch_inner<R: Rng + Send>(
     }
     let batch = inputs.len();
     let t = ctx.params().plain_modulus();
-    let spec_for = |input: &Tensor, c_out: usize, k: usize| LayerSpec {
-        scheme,
-        shape: ConvShape {
-            width: input.width(),
-            height: input.height(),
-            c_in: input.channels(),
-            c_out,
-            k_h: k,
-            k_w: k,
-            stride: 1,
-        },
-        patch,
-        mode,
-    };
 
-    // conv1 under HE, one batched session for all images.
-    let spec1 = spec_for(&inputs[0], arch.conv1.out_channels(), arch.conv1.k_h());
-    let conv = ClientConv::new(ctx, keygen, spec1)?;
-    let shares1 = client_conv_batch(&conv, transport, inputs, rng)?;
-    let (c1, h1, w1) = (
-        shares1[0].channels(),
-        shares1[0].height(),
-        shares1[0].width(),
-    );
-
-    // ReLU, then 2×2 max-pool, on shares — per image, then the layer
-    // boundary reveal reconstructs each mid tensor in turn.
-    let mut mids = Vec::with_capacity(batch);
-    for (b, share1) in shares1.iter().enumerate() {
-        let c = client_round(
-            transport,
-            OP_RELU,
-            b as u16,
-            encode_share(&tensor_to_mod(share1, t)),
-            t,
-        )?;
-        let mut pooled = Vec::with_capacity(12 + c.len() * 8);
-        for d in [c1 as u32, h1 as u32, w1 as u32] {
-            pooled.extend_from_slice(&d.to_le_bytes());
+    // What the client holds in the clear: its inputs, then what each
+    // stage's reveals reconstruct.
+    let mut held = Cow::Borrowed(inputs);
+    let mut conv: Option<ClientConv<'_>> = None;
+    for (at, kernel, stride, tail) in arch.stages() {
+        let spec = LayerSpec::for_layer(scheme, &held[0], kernel, stride, patch, mode);
+        let layer = match conv.take() {
+            None => ClientConv::new(ctx, keygen, spec)?,
+            Some(earlier) => earlier.next_layer(spec)?,
+        };
+        let shares = client_conv_batch(&layer, transport, &held, rng)?;
+        conv = Some(layer);
+        let mut revealed = Vec::with_capacity(batch);
+        for (b, share) in shares.iter().enumerate() {
+            let (mut dims, mut mine) = conv_share(share, t);
+            for (i, op) in (at..).zip(tail) {
+                match op {
+                    Op::Relu | Op::MaxPool2 => {
+                        let round = round_of(arch.ops(), i, batch, b);
+                        (dims, mine) = client_round(transport, op, round, dims, &mine, t)?;
+                    }
+                    Op::Reveal => {
+                        let values = client_reveal(transport, &mine, t)?;
+                        revealed.push(Tensor::from_vec(dims.0, dims.1, dims.2, values));
+                    }
+                    Op::Conv { .. } => unreachable!("a stage has one convolution"),
+                }
+            }
         }
-        pooled.extend_from_slice(&encode_share(&c));
-        let c = client_round(transport, OP_MAXPOOL, (batch + b) as u16, pooled, t)?;
-        let mid_vals = client_reveal(transport, &c, t)?;
-        mids.push(Tensor::from_vec(c1, h1 / 2, w1 / 2, mid_vals));
-    }
-
-    // conv2 under HE (batched), ReLU, final reveal per image.
-    let spec2 = spec_for(&mids[0], arch.conv2.out_channels(), arch.conv2.k_h());
-    let conv = conv.next_layer(spec2)?;
-    let shares2 = client_conv_batch(&conv, transport, &mids, rng)?;
-    let (c2, h2, w2) = (
-        shares2[0].channels(),
-        shares2[0].height(),
-        shares2[0].width(),
-    );
-    let mut outputs = Vec::with_capacity(batch);
-    for (b, share2) in shares2.iter().enumerate() {
-        let c = client_round(
-            transport,
-            OP_RELU,
-            (2 * batch + b) as u16,
-            encode_share(&tensor_to_mod(share2, t)),
-            t,
-        )?;
-        let out_vals = client_reveal(transport, &c, t)?;
-        outputs.push(Tensor::from_vec(c2, h2, w2, out_vals));
+        held = Cow::Owned(revealed);
     }
 
     // Clock-alignment handshake, only when wire trace context is on
@@ -355,17 +365,17 @@ fn run_client_batch_inner<R: Rng + Send>(
 
     transport.send(&WireMessage::Teardown)?;
     transport.close_tx();
-    Ok(outputs)
+    Ok(held.into_owned())
 }
 
-/// Server-side outcome of a two-party TinyCnn run.
+/// Server-side outcome of a two-party run.
 #[derive(Debug, Clone)]
 pub struct ServerReport {
-    /// HE operation counts over both convolution layers (totals for the
+    /// HE operation counts over every convolution layer (totals for the
     /// whole batch; divide by [`batch`](Self::batch) for per-image
     /// amortized figures).
     pub counts: OpCounts,
-    /// Stall accounting accumulated over both convolution layers.
+    /// Stall accounting accumulated over every convolution layer.
     pub stream: StreamStats,
     /// Input ciphertexts received across all conv layers.
     pub input_cts: usize,
@@ -376,145 +386,83 @@ pub struct ServerReport {
     pub batch: usize,
 }
 
-/// Expects the next message to be the given non-linear round; returns
-/// the client's share payload.
-fn server_expect_round(
-    transport: &dyn Transport,
-    op: u8,
-    round: u16,
-) -> Result<Vec<u8>, SpotError> {
-    let msg = transport.recv()?;
-    let WireMessage::OtRound {
-        op: rop,
-        round: rround,
-        blob,
-    } = msg
-    else {
-        return Err(SpotError::Protocol("expected OtRound".into()));
-    };
-    if rop != op || rround != round {
-        return Err(SpotError::Protocol(format!(
-            "OtRound out of order: got op {rop} round {rround}, want op {op} round {round}"
-        )));
-    }
-    Ok(blob)
-}
-
 /// Re-shares `values` (signed, centered) with fresh randomness: the
 /// server keeps the drawn share and returns the client's half.
 fn reshare<R: Rng>(values: &[i64], t: u64, rng: &mut R) -> (Vec<u64>, Vec<u64>) {
     let mut server = Vec::with_capacity(values.len());
     let mut client = Vec::with_capacity(values.len());
     for &y in values {
-        let ym = y.rem_euclid(t as i64) as u64;
         let s = rng.gen_range(0..t);
         server.push(s);
-        client.push((ym + t - s) % t);
+        client.push((to_field(y, t) + t - s) % t);
     }
     (server, client)
 }
 
-/// One ReLU round from the server's side: reconstruct, clamp, reshare.
-/// Returns the server's fresh share of the result.
-// Live-registry latency of one full nonlinear round (recv share →
-// compute → reshare → send), per protocol.
-fn relu_round_hist() -> &'static metrics::Histogram {
-    static H: OnceLock<Arc<metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| metrics::global().histogram("spot_relu_round_ns", &[]))
+/// Live-registry latency of one full nonlinear round (recv share →
+/// compute → reshare → send), a series per op.
+fn round_hist(code: u8) -> &'static metrics::Histogram {
+    static H: [OnceLock<Arc<metrics::Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
+    let (cell, name) = match code {
+        OP_RELU => (&H[0], "spot_relu_round_ns"),
+        _ => (&H[1], "spot_maxpool_round_ns"),
+    };
+    cell.get_or_init(|| metrics::global().histogram(name, &[]))
 }
 
-fn maxpool_round_hist() -> &'static metrics::Histogram {
-    static H: OnceLock<Arc<metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| metrics::global().histogram("spot_maxpool_round_ns", &[]))
-}
-
-fn server_relu_round<R: Rng>(
+/// One `Relu` or `MaxPool2` from the server's side: reconstruct the
+/// `dims` activation from the client's share and `server_share`, apply
+/// the op, reshare. A max-pool payload leads with the dims, which must
+/// be the server's. Returns the result's dims and the server's fresh
+/// share of it.
+fn server_round<R: Rng>(
     transport: &dyn Transport,
+    op: &Op,
     round: u16,
+    dims: Dims,
     server_share: &[u64],
     t: u64,
     rng: &mut R,
-) -> Result<Vec<u64>, SpotError> {
-    let _span = spot_trace::span(Cat::Session, "relu round").arg("round", round as u64);
-    let _timer = relu_round_hist().start_timer();
-    let blob = server_expect_round(transport, OP_RELU, round)?;
-    let client_share = decode_share(&blob, t)?;
+) -> Result<(Dims, Vec<u64>), SpotError> {
+    let (code, name) = round_kind(op);
+    let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
+    let _timer = round_hist(code).start_timer();
+    let blob = recv_round(transport, code, round)?;
+    let body = match code {
+        OP_MAXPOOL => blob.strip_prefix(&dims_prefix(dims)[..]).ok_or_else(|| {
+            SpotError::Protocol(format!(
+                "maxpool payload does not lead with the layer's dims {dims:?}"
+            ))
+        })?,
+        _ => &blob[..],
+    };
+    let client_share = decode_share(body, t)?;
     if client_share.len() != server_share.len() {
         return Err(SpotError::Protocol(format!(
-            "relu share length {} does not match server share {}",
+            "{name} share length {} does not match server share {}",
             client_share.len(),
             server_share.len()
         )));
     }
-    let relu: Vec<i64> = client_share
-        .iter()
-        .zip(server_share)
-        .map(|(&c, &s)| from_field((c + s) % t, t).max(0))
-        .collect();
-    let (srv, cli) = reshare(&relu, t, rng);
+    let values = reconstruct(&client_share, server_share, t);
+    let out = op.apply(Tensor::from_vec(dims.0, dims.1, dims.2, values));
+    let (srv, cli) = reshare(out.data(), t, rng);
     transport.send(&WireMessage::OtRound {
-        op: OP_RELU,
+        op: code,
         round,
         blob: encode_share(&cli),
     })?;
-    Ok(srv)
+    Ok(((out.channels(), out.height(), out.width()), srv))
 }
 
-/// One 2×2 max-pool round from the server's side (client payload is
-/// prefixed with the tensor dims, validated against `dims`). Returns
-/// the server's fresh share of the pooled result.
-fn server_maxpool_round<R: Rng>(
-    transport: &dyn Transport,
-    round: u16,
-    dims: (usize, usize, usize),
-    server_share: &[u64],
-    t: u64,
-    rng: &mut R,
-) -> Result<Vec<u64>, SpotError> {
-    let _span = spot_trace::span(Cat::Session, "maxpool round").arg("round", round as u64);
-    let _timer = maxpool_round_hist().start_timer();
-    let blob = server_expect_round(transport, OP_MAXPOOL, round)?;
-    if blob.len() < 12 {
-        return Err(SpotError::Protocol("maxpool payload too short".into()));
-    }
-    let dim = |i: usize| {
-        u32::from_le_bytes(blob[i * 4..i * 4 + 4].try_into().expect("4-byte dim")) as usize
-    };
-    let (pc, ph, pw) = (dim(0), dim(1), dim(2));
-    let client_share = decode_share(&blob[12..], t)?;
-    if (pc, ph, pw) != dims || client_share.len() != pc * ph * pw {
-        return Err(SpotError::Protocol(format!(
-            "maxpool dims {pc}x{ph}x{pw} (len {}) do not match layer {}x{}x{}",
-            client_share.len(),
-            dims.0,
-            dims.1,
-            dims.2
-        )));
-    }
-    let vals: Vec<i64> = client_share
-        .iter()
-        .zip(server_share)
-        .map(|(&c, &s)| from_field((c + s) % t, t))
-        .collect();
-    let pooled = spot_tensor::conv::maxpool2(&Tensor::from_vec(pc, ph, pw, vals));
-    let (srv, cli) = reshare(pooled.data(), t, rng);
-    transport.send(&WireMessage::OtRound {
-        op: OP_MAXPOOL,
-        round,
-        blob: encode_share(&cli),
-    })?;
-    Ok(srv)
-}
-
-/// Server half of the two-party TinyCnn demo: serves both convolution
-/// sessions, evaluates the non-linear rounds on reconstructed values
-/// (see the module-level demo-simplification note), and reveals its
-/// share at layer boundaries.
+/// Server half of the two-party protocol: the server walker of the
+/// module doc. Serves every convolution session, evaluates the
+/// non-linear rounds on reconstructed values (see the module-level
+/// demo-simplification note), and reveals its share where the program
+/// says so.
 ///
-/// The batch width is learned from the client's conv1 `Setup` (the
-/// session layer returns one server share per batched image); the
-/// non-linear rounds then run per image with the round numbering
-/// described on [`run_client_batch`].
+/// The batch width is learned from the client's first `Setup` (the
+/// session layer returns one server share per batched image).
 pub fn run_server<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
@@ -527,7 +475,7 @@ pub fn run_server<R: Rng>(
 
 /// [`run_server`] with serving-layer options ([`ServeOptions`]): shared
 /// per-model kernel caches and the per-session batch budget, applied to
-/// both convolution layers.
+/// every convolution layer.
 pub fn run_server_with<R: Rng>(
     ctx: &Arc<Context>,
     transport: &dyn Transport,
@@ -544,7 +492,21 @@ pub fn run_server_with<R: Rng>(
         output_cts: 0,
         batch: 1,
     };
-    let absorb = |summary: crate::session::ServerConvSummary, report: &mut ServerReport| {
+    // The client's rotation keys, for every convolution.
+    let keys = ConnectionKeys::default();
+    // The `h × w` the server's shares have reached: the next
+    // convolution's input, whatever its hello says.
+    let mut reached = None;
+    // The batch width arrives with the client's first Setup and holds
+    // for the connection.
+    let mut batch = None;
+    for (at, kernel, stride, tail) in cnn.stages() {
+        let layer = ModelLayer {
+            kernel,
+            stride: Some(stride),
+            input: reached,
+        };
+        let summary = serve_conv_on(ctx, transport, layer, backend, opts, &keys, rng)?;
         report.counts.merge(&summary.counts);
         if let Some(s) = &summary.stream {
             report.stream.accumulate(s);
@@ -553,65 +515,33 @@ pub fn run_server_with<R: Rng>(
         report.output_cts += summary.output_cts;
         let mut shares = vec![summary.server_share];
         shares.extend(summary.extra_shares);
-        shares
-    };
-
-    // The client's rotation keys, for both convolutions.
-    let keys = ConnectionKeys::default();
-
-    // conv1 — the batch width arrives with the client's Setup.
-    let shares1 = absorb(
-        serve_conv_on(ctx, transport, &cnn.conv1, backend, opts, &keys, rng)?,
-        &mut report,
-    );
-    let batch = shares1.len();
-    report.batch = batch;
-    let (c1, h1, w1) = (
-        shares1[0].channels(),
-        shares1[0].height(),
-        shares1[0].width(),
-    );
-
-    // Per image: ReLU, 2×2 max-pool, then the layer-boundary reveal so
-    // the client can re-encrypt its mid tensor for conv2.
-    for (b, s1) in shares1.iter().enumerate() {
-        let server_share = tensor_to_mod(s1, t);
-        let server_share = server_relu_round(transport, b as u16, &server_share, t, rng)?;
-        let server_share = server_maxpool_round(
-            transport,
-            (batch + b) as u16,
-            (c1, h1, w1),
-            &server_share,
-            t,
-            rng,
-        )?;
-        transport.send(&WireMessage::ShareReveal {
-            blob: encode_share(&server_share),
-        })?;
-        spot_trace::instant(Cat::Session, "share reveal");
-    }
-
-    // conv2 — same batch width.
-    let shares2 = absorb(
-        serve_conv_on(ctx, transport, &cnn.conv2, backend, opts, &keys, rng)?,
-        &mut report,
-    );
-    if shares2.len() != batch {
-        return Err(SpotError::Protocol(format!(
-            "conv2 batch {} does not match conv1 batch {batch}",
-            shares2.len()
-        )));
-    }
-
-    // Per image: ReLU round, then the final reveal.
-    for (b, s2) in shares2.iter().enumerate() {
-        let server_share = tensor_to_mod(s2, t);
-        let server_share =
-            server_relu_round(transport, (2 * batch + b) as u16, &server_share, t, rng)?;
-        transport.send(&WireMessage::ShareReveal {
-            blob: encode_share(&server_share),
-        })?;
-        spot_trace::instant(Cat::Session, "share reveal");
+        let batch = *batch.get_or_insert(shares.len());
+        if shares.len() != batch {
+            return Err(SpotError::Protocol(format!(
+                "layer batch {} does not match the connection's batch {batch}",
+                shares.len()
+            )));
+        }
+        report.batch = batch;
+        for (b, share) in shares.iter().enumerate() {
+            let (mut dims, mut mine) = conv_share(share, t);
+            for (i, op) in (at..).zip(tail) {
+                match op {
+                    Op::Relu | Op::MaxPool2 => {
+                        let round = round_of(cnn.ops(), i, batch, b);
+                        (dims, mine) = server_round(transport, op, round, dims, &mine, t, rng)?;
+                    }
+                    Op::Reveal => {
+                        transport.send(&WireMessage::ShareReveal {
+                            blob: encode_share(&mine),
+                        })?;
+                        spot_trace::instant(Cat::Session, "share reveal");
+                        reached = Some((dims.1, dims.2));
+                    }
+                    Op::Conv { .. } => unreachable!("a stage has one convolution"),
+                }
+            }
+        }
     }
 
     // Orderly teardown; a tracing client interleaves clock-alignment
@@ -645,69 +575,25 @@ mod tests {
     use rand::SeedableRng;
     use spot_he::params::{EncryptionParams, ParamLevel};
     use spot_proto::transport::MemTransport;
+    use spot_tensor::tensor::Kernel;
 
-    fn run_pair(backend: ExecBackend, scheme: SchemeKind) -> (Tensor, Tensor) {
+    /// `cnn` on a batch of `batch` 2×8×8 images, both walkers over a
+    /// `MemTransport` pair: what the client reconstructs, and what the
+    /// plaintext pass says.
+    fn run_pair(
+        cnn: &TinyCnn,
+        batch: u64,
+        backend: ExecBackend,
+        scheme: SchemeKind,
+    ) -> (Vec<Tensor>, Vec<Tensor>) {
         let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-        let cnn = TinyCnn::new(7);
-        let input = Tensor::random(2, 8, 8, 5, 9);
-        let want = cnn.forward_plain(&input);
+        let inputs: Vec<Tensor> = (0..batch)
+            .map(|b| Tensor::random(2, 8, 8, 5, 9 + b))
+            .collect();
+        let want = inputs.iter().map(|i| cnn.forward_plain(i)).collect();
         let (ct, st) = MemTransport::pair();
         let ctx_s = Arc::clone(&ctx);
         let cnn_s = cnn.clone();
-        let server = std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(1312);
-            run_server(&ctx_s, &st, &cnn_s, &backend, &mut rng)
-        });
-        let mut rng = StdRng::seed_from_u64(99);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let got = run_client_batch(
-            &ctx,
-            &kg,
-            &ct,
-            std::slice::from_ref(&input),
-            &cnn,
-            scheme,
-            (4, 4),
-            PatchMode::Tweaked,
-            &mut rng,
-        )
-        .expect("client run")
-        .remove(0);
-        let report = server.join().expect("server thread").expect("server run");
-        assert!(report.input_cts > 0);
-        assert!(report.counts.mult_plain > 0);
-        (got, want)
-    }
-
-    #[test]
-    fn twoparty_tiny_cnn_matches_plain_all_schemes() {
-        for scheme in [
-            SchemeKind::Channelwise,
-            SchemeKind::Cheetah,
-            SchemeKind::Spot,
-        ] {
-            let (got, want) = run_pair(ExecBackend::Phased(Executor::serial()), scheme);
-            assert_eq!(got, want, "scheme {scheme:?}");
-        }
-    }
-
-    #[test]
-    fn twoparty_streaming_backend_matches_plain() {
-        let cfg = StreamConfig::new(Executor::new(2), 2);
-        let (got, want) = run_pair(ExecBackend::Streaming(cfg), SchemeKind::Spot);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn twoparty_batched_matches_plain_per_image() {
-        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-        let cnn = TinyCnn::new(7);
-        let inputs: Vec<Tensor> = (0..3).map(|b| Tensor::random(2, 8, 8, 5, 9 + b)).collect();
-        let want: Vec<Tensor> = inputs.iter().map(|i| cnn.forward_plain(i)).collect();
-        let (ct, st) = MemTransport::pair();
-        let ctx_s = Arc::clone(&ctx);
-        let cnn_s = cnn.clone();
-        let backend = ExecBackend::Phased(Executor::serial());
         let server = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(1312);
             run_server(&ctx_s, &st, &cnn_s, &backend, &mut rng)
@@ -719,15 +605,86 @@ mod tests {
             &kg,
             &ct,
             &inputs,
-            &cnn,
-            SchemeKind::Spot,
+            cnn,
+            scheme,
             (4, 4),
             PatchMode::Tweaked,
             &mut rng,
         )
-        .expect("client batch run");
+        .expect("client run");
         let report = server.join().expect("server thread").expect("server run");
-        assert_eq!(report.batch, 3);
+        assert_eq!(report.batch, batch as usize);
+        assert!(report.input_cts > 0);
+        assert!(report.counts.mult_plain > 0);
+        (got, want)
+    }
+
+    /// TinyCnn, and two programs of other shapes through the same
+    /// constructor: one convolution; three, the last at stride 2, with a
+    /// stage of no rounds and one that pools before its ReLU. (Weights
+    /// in `[-1, 1]` keep the third convolution's sums inside `t / 2`.)
+    fn programs() -> [(&'static str, TinyCnn); 3] {
+        let conv = |c_out, c_in, stride, seed| Op::Conv {
+            kernel: Kernel::random(c_out, c_in, 3, 3, 1, seed),
+            stride,
+        };
+        let one = vec![conv(3, 2, 1, 21), Op::Relu, Op::Reveal];
+        let three = vec![
+            conv(4, 2, 1, 22),
+            Op::Relu,
+            Op::MaxPool2,
+            Op::Reveal,
+            conv(4, 4, 1, 23),
+            Op::Reveal,
+            conv(2, 4, 2, 24),
+            Op::MaxPool2,
+            Op::Relu,
+            Op::Reveal,
+        ];
+        [
+            ("TinyCnn", TinyCnn::new(7)),
+            ("one conv", TinyCnn::from_ops(one)),
+            ("three convs", TinyCnn::from_ops(three)),
+        ]
+    }
+
+    #[test]
+    fn twoparty_programs_match_plain_all_schemes() {
+        for (name, cnn) in programs() {
+            for scheme in SchemeKind::ALL {
+                let backend = ExecBackend::Phased(Executor::serial());
+                let (got, want) = run_pair(&cnn, 1, backend, scheme);
+                assert_eq!(got, want, "{name}, scheme {scheme:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn twoparty_streaming_backend_matches_plain() {
+        let cfg = StreamConfig::new(Executor::new(2), 2);
+        let backend = ExecBackend::Streaming(cfg);
+        let (got, want) = run_pair(&TinyCnn::new(7), 1, backend, SchemeKind::Spot);
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn twoparty_batched_programs_match_plain_per_image() {
+        for (name, cnn) in programs() {
+            for scheme in SchemeKind::ALL {
+                let backend = ExecBackend::Phased(Executor::serial());
+                let (got, want) = run_pair(&cnn, 3, backend, scheme);
+                assert_eq!(got, want, "{name}, scheme {scheme:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Reveal before each later conv")]
+    fn a_program_whose_second_conv_has_nothing_revealed_to_encrypt_is_not_built() {
+        let conv = || Op::Conv {
+            kernel: Kernel::random(2, 2, 3, 3, 1, 25),
+            stride: 1,
+        };
+        TinyCnn::from_ops(vec![conv(), Op::Relu, conv(), Op::Reveal]);
     }
 }

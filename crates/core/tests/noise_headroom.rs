@@ -143,22 +143,25 @@ fn assert_headroom(
 #[test]
 fn tinycnn_convs_under_spot() {
     let cnn = TinyCnn::new(7);
+    let [conv1, conv2] = cnn.kernels().collect::<Vec<_>>()[..] else {
+        panic!("TinyCnn has two convolutions");
+    };
     let input = Tensor::random(2, 8, 8, 5, 11);
     assert_headroom(
         "conv1",
         ParamLevel::N4096,
         SchemeKind::Spot,
         &input,
-        &cnn.conv1,
+        conv1,
         CONV1_BITS,
     );
-    let mid = maxpool2(&relu(&conv2d(&input, &cnn.conv1, 1)));
+    let mid = maxpool2(&relu(&conv2d(&input, conv1, 1)));
     assert_headroom(
         "conv2",
         ParamLevel::N4096,
         SchemeKind::Spot,
         &mid,
-        &cnn.conv2,
+        conv2,
         CONV2_BITS,
     );
 }

@@ -9,7 +9,7 @@ use common::{tcp_pair, within_deadline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::error::SpotError;
-use spot_core::inference::TinyCnn;
+use spot_core::inference::{Op, TinyCnn};
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
 use spot_core::session::{ClientConv, LayerSpec, SchemeKind, UploadPacing, MAX_CACHED_SPECS};
@@ -1118,6 +1118,51 @@ fn input_ciphertexts_of_another_form_or_length_are_refused_and_contained() {
     assert_each_refused_and_contained(ctx, &cnn, &kg, &input, mem_link, &hostile);
 }
 
+/// A client whose layer `at` hello is an honest one changed by `with`
+/// — well-formed, the kernel's dims untouched — is refused before its
+/// upload is acknowledged, naming `why`, and contained.
+fn assert_hello_refused(what: &str, why: &str, at: usize, with: fn(&mut ConvSetup)) {
+    let (ctx, cnn) = test_stack();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(460));
+    let input = Tensor::random(2, 8, 8, 5, 461);
+    let rewrite: Rewrite<'_> = Box::new(move |layer, msg| match msg {
+        WireMessage::Setup(setup) if layer == at => {
+            let mut setup = *setup;
+            with(&mut setup);
+            Uplink::Replace(vec![WireMessage::Setup(setup)])
+        }
+        _ => Uplink::Pass,
+    });
+    let hostile = [(what, why, rewrite)];
+    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, mem_link, &hostile);
+}
+
+/// A hello is checked against where the server's own walk of the model
+/// stands, not only against the kernel's dims, or the server would
+/// evaluate another network than the one it holds. conv1 is a stride-1
+/// convolution, whatever the hello says.
+#[test]
+fn a_hello_at_another_stride_than_the_models_is_refused_and_contained() {
+    assert_hello_refused(
+        "conv1's hello asks for stride 2",
+        "layer spec stride 2 does not match the model's stride 1",
+        1,
+        |setup| setup.stride = 2,
+    );
+}
+
+/// ... and conv2 runs on the 4×4 activation the server's own shares have
+/// reached.
+#[test]
+fn a_hello_for_another_input_than_the_shares_have_reached_is_refused_and_contained() {
+    assert_hello_refused(
+        "conv2's hello asks for a 6x6 input",
+        "layer spec input 6x6 does not match the 4x4 activation",
+        2,
+        |setup| (setup.h, setup.w) = (6, 6),
+    );
+}
+
 /// Every encryption draws its own seed: the same image uploaded twice by
 /// one client differs in every ciphertext's seed and in its `c0`, and no
 /// seed occurs twice anywhere in the two uploads. (Two ciphertexts over
@@ -1131,7 +1176,7 @@ fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
     let spec = LayerSpec::for_layer(
         SchemeKind::Spot,
         &input,
-        &cnn.conv1,
+        cnn.kernels().next().expect("conv1"),
         1,
         (4, 4),
         PatchMode::Tweaked,
@@ -1175,10 +1220,19 @@ fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
 #[test]
 fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-    let cnn = TinyCnn {
-        conv1: Kernel::random(4, 4, 3, 3, 3, 7),
-        conv2: Kernel::random(4, 4, 3, 3, 3, 8),
+    let conv = |seed| Op::Conv {
+        kernel: Kernel::random(4, 4, 3, 3, 3, seed),
+        stride: 1,
     };
+    let cnn = TinyCnn::from_ops(vec![
+        conv(7),
+        Op::Relu,
+        Op::MaxPool2,
+        Op::Reveal,
+        conv(8),
+        Op::Relu,
+        Op::Reveal,
+    ]);
     let server = SpotServer::new(
         ModelContext::new("all-held", Arc::clone(&ctx), cnn.clone()),
         ServingConfig::default(),

@@ -23,8 +23,8 @@ use spot_core::executor::Executor;
 use spot_core::inference::ExecBackend;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process, serve_conv_on, ClientConv, ConnectionKeys, LayerSpec, SchemeKind, ServeOptions,
-    UploadPacing,
+    run_in_process, serve_conv_on, serve_conv_with, ClientConv, ConnectionKeys, LayerSpec,
+    ModelLayer, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::context::Context;
@@ -257,13 +257,12 @@ fn key_stream_matches_phased_at_every_read_ahead_pacing_and_link() {
                     (sent, share)
                 });
                 let mut mask_rng = StdRng::seed_from_u64(server_seed);
-                let served = serve_conv_on(
+                let served = serve_conv_with(
                     &ctx,
                     &*server_end,
                     &kernel,
                     &backend,
                     ServeOptions::default(),
-                    &ConnectionKeys::default(),
                     &mut mask_rng,
                 );
                 if served.is_err() {
@@ -271,7 +270,7 @@ fn key_stream_matches_phased_at_every_read_ahead_pacing_and_link() {
                     server_end.close_tx();
                 }
                 let (sent, share) = client_side.join().expect("client thread panicked");
-                let served = served.expect("serve_conv_on");
+                let served = served.expect("serve_conv_with");
                 let (sent, share) = (sent.expect("upload"), share.expect("absorb"));
                 let mut counts = served.counts;
                 counts.encrypt += sent.encrypt;
@@ -425,10 +424,15 @@ fn stream_with_tiny_client(
         let keys = ConnectionKeys::default();
         let mut serve = || {
             let opts = ServeOptions::default();
+            let layer = ModelLayer {
+                kernel,
+                stride: None,
+                input: None,
+            };
             serve_conv_on(
                 ctx,
                 &server_end,
-                kernel,
+                layer,
                 &backend,
                 opts,
                 &keys,

@@ -100,12 +100,6 @@ impl BatchEncoder {
         self.ctx.degree()
     }
 
-    /// Number of slots per row (`N/2`) — row-cyclic rotations act within
-    /// this bound.
-    pub fn row_size(&self) -> usize {
-        self.ctx.degree() / 2
-    }
-
     /// Encodes up to `N` slot values (`mod t`) into a plaintext; missing
     /// slots are zero.
     ///
@@ -131,27 +125,6 @@ impl BatchEncoder {
         Plaintext::from_coeffs(m)
     }
 
-    /// Encodes signed values, mapping negatives to `t - |v|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `|v| >= t/2` for any value.
-    pub fn encode_signed(&self, values: &[i64]) -> Plaintext {
-        let t = self.ctx.params().plain_modulus();
-        let mapped: Vec<u64> = values
-            .iter()
-            .map(|&v| {
-                assert!((v.unsigned_abs()) < t / 2, "signed value {v} out of range");
-                if v >= 0 {
-                    v as u64
-                } else {
-                    t - v.unsigned_abs()
-                }
-            })
-            .collect();
-        self.encode(&mapped)
-    }
-
     /// Decodes a plaintext back into its `N` slot values.
     pub fn decode(&self, pt: &Plaintext) -> Vec<u64> {
         let n = self.ctx.degree();
@@ -160,21 +133,6 @@ impl BatchEncoder {
         self.ctx.plain_ntt().forward(&mut m);
         let map = self.ctx.slot_index_map();
         (0..n).map(|i| m[map[i]]).collect()
-    }
-
-    /// Decodes into centered signed values in `(-t/2, t/2]`.
-    pub fn decode_signed(&self, pt: &Plaintext) -> Vec<i64> {
-        let t = self.ctx.params().plain_modulus();
-        self.decode(pt)
-            .into_iter()
-            .map(|v| {
-                if v > t / 2 {
-                    v as i64 - t as i64
-                } else {
-                    v as i64
-                }
-            })
-            .collect()
     }
 }
 
@@ -416,27 +374,6 @@ pub fn swap_rows_reference(slots: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Applies a Galois automorphism to a `Plaintext` (over `Z_t`) — used by
-/// tests to verify slot-rotation semantics without encryption.
-#[allow(clippy::needless_range_loop)]
-pub fn apply_galois_plain(ctx: &Arc<Context>, pt: &Plaintext, g: usize) -> Plaintext {
-    let n = ctx.degree();
-    let two_n = 2 * n;
-    let t = ctx.plain_modulus();
-    let src = pt.coeffs();
-    let mut dst = vec![0u64; n];
-    for j in 0..n {
-        let idx = (j * g) % two_n;
-        let v = src[j];
-        if idx < n {
-            dst[idx] = t.add(dst[idx], v);
-        } else {
-            dst[idx - n] = t.sub(dst[idx - n], v);
-        }
-    }
-    Plaintext::from_coeffs(dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,16 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn signed_roundtrip() {
-        let (_, enc) = setup();
-        let values: Vec<i64> = (0..100).map(|i| i - 50).collect();
-        let pt = enc.encode_signed(&values);
-        let decoded = enc.decode_signed(&pt);
-        assert_eq!(&decoded[..100], &values[..]);
-        assert!(decoded[100..].iter().all(|&v| v == 0));
-    }
-
-    #[test]
     fn plaintext_mul_is_slotwise() {
         // Multiplying plaintext polynomials multiplies slots element-wise.
         let (ctx, enc) = setup();
@@ -490,6 +417,27 @@ mod tests {
         let decoded = enc.decode(&Plaintext::from_coeffs(prod));
         let expected: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| tm.mul(x, y)).collect();
         assert_eq!(decoded, expected);
+    }
+
+    /// Applies a Galois automorphism to a `Plaintext` (over `Z_t`) — used by
+    /// the tests below to verify slot-rotation semantics without encryption.
+    #[allow(clippy::needless_range_loop)]
+    fn apply_galois_plain(ctx: &Arc<Context>, pt: &Plaintext, g: usize) -> Plaintext {
+        let n = ctx.degree();
+        let two_n = 2 * n;
+        let t = ctx.plain_modulus();
+        let src = pt.coeffs();
+        let mut dst = vec![0u64; n];
+        for j in 0..n {
+            let idx = (j * g) % two_n;
+            let v = src[j];
+            if idx < n {
+                dst[idx] = t.add(dst[idx], v);
+            } else {
+                dst[idx - n] = t.sub(dst[idx - n], v);
+            }
+        }
+        Plaintext::from_coeffs(dst)
     }
 
     #[test]

@@ -59,13 +59,6 @@ impl Encryptor {
 
         Ciphertext { c0, c1 }
     }
-
-    /// Encrypts the all-zero plaintext (used by the server to produce
-    /// masking ciphertexts).
-    pub fn encrypt_zero<R: Rng>(&self, rng: &mut R) -> Ciphertext {
-        let zero = Plaintext::from_coeffs(pool::take_zeroed(self.ctx.degree()));
-        self.encrypt(&zero, rng)
-    }
 }
 
 /// Encrypts plaintexts under the secret key, in the seeded form: what

@@ -155,15 +155,6 @@ impl Evaluator {
         out
     }
 
-    /// Adds an encoded plaintext to a ciphertext (`ct + Δ·m`).
-    pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        self.tally(Counter::AddOps, 1);
-        let dm = pt.lift_scaled(&self.ctx);
-        let mut out = a.clone();
-        out.c0.add_assign(&dm);
-        out
-    }
-
     /// Subtracts an encoded plaintext from a ciphertext.
     pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         self.tally(Counter::AddOps, 1);

@@ -67,14 +67,6 @@ impl ParamLevel {
     pub fn supports_rotation(self) -> bool {
         !matches!(self, ParamLevel::N2048)
     }
-
-    /// The smallest rotation-capable level whose slot count is at least
-    /// `min_slots`, if any.
-    pub fn smallest_with_slots(min_slots: usize) -> Option<ParamLevel> {
-        ParamLevel::ALL
-            .into_iter()
-            .find(|l| l.supports_rotation() && l.degree() >= min_slots)
-    }
 }
 
 impl std::fmt::Display for ParamLevel {
@@ -208,17 +200,6 @@ impl EncryptionParams {
         16 + self.poly_bytes() + 32
     }
 
-    /// Serialized size of the public key in bytes (same shape as a
-    /// ciphertext).
-    pub fn public_key_bytes(&self) -> usize {
-        self.ciphertext_bytes()
-    }
-
-    /// Serialized size of the secret key in bytes.
-    pub fn secret_key_bytes(&self) -> usize {
-        self.poly_bytes() + 16
-    }
-
     /// Serialized size of one Galois key inside a key blob: element
     /// (8 B), digit count (4 B), the 32-byte seed of its uniform
     /// polynomials, and one packed `b_i` per RNS prime. A blob of `n`
@@ -264,15 +245,6 @@ mod tests {
     fn rotation_support() {
         assert!(!ParamLevel::N2048.supports_rotation());
         assert!(ParamLevel::N4096.supports_rotation());
-        assert_eq!(
-            ParamLevel::smallest_with_slots(3000),
-            Some(ParamLevel::N4096)
-        );
-        assert_eq!(
-            ParamLevel::smallest_with_slots(5000),
-            Some(ParamLevel::N8192)
-        );
-        assert_eq!(ParamLevel::smallest_with_slots(100_000), None);
     }
 
     #[test]

@@ -92,27 +92,6 @@ impl ConvPlan {
         self.useful_input_slots as f64 / (self.ciphertext_bytes as f64 / (1024.0 * 1024.0))
     }
 
-    /// Fraction of each input ciphertext's SIMD slots one image's
-    /// packing occupies (`N = 4096` vs `8192` enters through `level`).
-    pub fn slot_occupancy(&self) -> f64 {
-        self.useful_input_slots as f64 / self.level.degree() as f64
-    }
-
-    /// Batch width the slot occupancy supports: how many images'
-    /// packings fit each of this layer's input ciphertexts (≥ 1).
-    /// Per-batch rotations and key-switches are unchanged by batching,
-    /// so each image pays `1/batch` of them; the session layer clamps
-    /// this estimate to the exact position granularity of the layer's
-    /// lane layout.
-    pub fn recommended_batch(&self) -> usize {
-        spot_proto::cost::slot_batch_capacity(self.level.degree(), self.useful_input_slots)
-    }
-
-    /// Amortized per-image rotation count at batch width `batch`.
-    pub fn amortized_rotations_per_image(&self, batch: usize) -> f64 {
-        spot_proto::cost::amortized_per_image(self.total_server_ops().rotate, batch)
-    }
-
     /// Rough single-number cost estimate (reference-core seconds plus
     /// WLAN transfer time) used to choose between parameter levels.
     pub fn estimated_seconds(&self, costs: &crate::device::HeCostTable) -> f64 {
@@ -181,22 +160,5 @@ mod tests {
         let v = p.input_values_per_mb();
         // 4096 values in ~0.1256 MB ≈ 32.6k values/MB
         assert!((30_000.0..36_000.0).contains(&v), "v = {v}");
-    }
-
-    #[test]
-    fn batch_width_follows_slot_occupancy() {
-        let mut p = plan();
-        // Fully occupied: no batching headroom.
-        assert_eq!(p.slot_occupancy(), 1.0);
-        assert_eq!(p.recommended_batch(), 1);
-        // A half-occupied layer batches 2 images; rotations amortize.
-        p.useful_input_slots = 2048;
-        assert_eq!(p.slot_occupancy(), 0.5);
-        assert_eq!(p.recommended_batch(), 2);
-        let per_image = p.amortized_rotations_per_image(p.recommended_batch());
-        assert_eq!(per_image, p.total_server_ops().rotate as f64 / 2.0);
-        // The larger ring doubles capacity at equal useful slots.
-        p.level = ParamLevel::N8192;
-        assert_eq!(p.recommended_batch(), 4);
     }
 }

@@ -92,13 +92,6 @@ impl Channel {
     pub fn total_bytes(&self) -> u64 {
         self.client_to_server.bytes + self.server_to_client.bytes
     }
-
-    /// Estimated wall-clock communication time under a link model
-    /// (messages serialized, no pipelining).
-    pub fn comm_time(&self, link: &LinkModel) -> f64 {
-        let msgs = self.client_to_server.messages + self.server_to_client.messages;
-        msgs as f64 * link.latency_s + self.total_bytes() as f64 / link.bandwidth_bps
-    }
 }
 
 #[cfg(test)]
@@ -124,16 +117,5 @@ mod tests {
         let t = lan.transfer_time(125_000_000);
         assert!((t - 1.0002).abs() < 1e-9);
         assert!(LinkModel::wlan().transfer_time(1000) > lan.transfer_time(1000));
-    }
-
-    #[test]
-    fn comm_time_counts_messages() {
-        let mut ch = Channel::new();
-        for _ in 0..10 {
-            ch.charge(1000, 0);
-        }
-        let lan = LinkModel::lan();
-        let t = ch.comm_time(&lan);
-        assert!((t - (10.0 * lan.latency_s + 10_000.0 / lan.bandwidth_bps)).abs() < 1e-12);
     }
 }

@@ -83,18 +83,6 @@ pub fn field_bits(modulus: u64) -> u32 {
     64 - modulus.leading_zeros()
 }
 
-/// Cross-image SIMD batching capacity from slot occupancy: how many
-/// images' packings fit one ciphertext when a single image occupies
-/// `useful_slots` of the `total_slots` SIMD slots (≥ 1; the session
-/// layer clamps this estimate to the exact position granularity of the
-/// layer's lane layout).
-pub fn slot_batch_capacity(total_slots: usize, useful_slots: usize) -> usize {
-    if useful_slots == 0 {
-        return 1;
-    }
-    (total_slots / useful_slots).max(1)
-}
-
 /// Amortized per-image count of a per-batch HE operation: batching `B`
 /// images into shared ciphertexts leaves the per-batch rotation and
 /// key-switch counts unchanged, so each image pays `count / B`.
@@ -128,17 +116,6 @@ mod tests {
     #[test]
     fn max_costs_more_than_relu() {
         assert!(OtCostModel::max(21).cpu_s_per_element > OtCostModel::relu(21).cpu_s_per_element);
-    }
-
-    #[test]
-    fn batch_capacity_from_occupancy() {
-        // 25% occupancy -> 4 images per ciphertext.
-        assert_eq!(slot_batch_capacity(4096, 1024), 4);
-        // Over-full or empty packings never batch below 1.
-        assert_eq!(slot_batch_capacity(4096, 4096), 1);
-        assert_eq!(slot_batch_capacity(4096, 5000), 1);
-        assert_eq!(slot_batch_capacity(4096, 0), 1);
-        assert_eq!(slot_batch_capacity(8192, 1024), 8);
     }
 
     #[test]

@@ -14,18 +14,9 @@ use crate::channel::Channel;
 use crate::cost::{field_bits, OtCostModel};
 use crate::share::{reconstruct, share, ShareVec};
 use rand::Rng;
-
-fn centered(v: u64, t: u64) -> i64 {
-    if v > t / 2 {
-        v as i64 - t as i64
-    } else {
-        v as i64
-    }
-}
-
-fn to_field(v: i64, t: u64) -> u64 {
-    v.rem_euclid(t as i64) as u64
-}
+use spot_tensor::conv::maxpool2;
+use spot_tensor::fixed::{from_field, to_field};
+use spot_tensor::tensor::Tensor;
 
 /// Executes the (simulated) OT-based ReLU protocol on a shared vector.
 ///
@@ -45,10 +36,7 @@ pub fn relu_on_shares<R: Rng>(
     let x = reconstruct(client, server);
     let y: Vec<u64> = x
         .iter()
-        .map(|&v| {
-            let c = centered(v, t);
-            to_field(c.max(0), t)
-        })
+        .map(|&v| to_field(from_field(v, t).max(0), t))
         .collect();
     let model = OtCostModel::relu(field_bits(t));
     let bytes = model.comm_bytes(x.len());
@@ -66,7 +54,7 @@ pub fn drelu_on_shares<R: Rng>(
 ) -> (ShareVec, ShareVec) {
     let t = client.modulus();
     let x = reconstruct(client, server);
-    let b: Vec<u64> = x.iter().map(|&v| u64::from(centered(v, t) > 0)).collect();
+    let b: Vec<u64> = x.iter().map(|&v| u64::from(from_field(v, t) > 0)).collect();
     let model = OtCostModel::relu(field_bits(t));
     // DReLU alone skips the final multiplex OTs; charge 85% of full ReLU.
     let bytes = model.comm_bytes(x.len()) * 85 / 100;
@@ -97,29 +85,13 @@ pub fn maxpool2_on_shares<R: Rng>(
         height.is_multiple_of(2) && width.is_multiple_of(2),
         "odd pooling dims"
     );
-    let x = reconstruct(client, server);
-    let oh = height / 2;
-    let ow = width / 2;
-    let mut y = Vec::with_capacity(channels * oh * ow);
-    for c in 0..channels {
-        for h in 0..oh {
-            for w in 0..ow {
-                let mut m = i64::MIN;
-                for dh in 0..2 {
-                    for dw in 0..2 {
-                        let idx = (c * height + 2 * h + dh) * width + 2 * w + dw;
-                        m = m.max(centered(x[idx], t));
-                    }
-                }
-                y.push(to_field(m, t));
-            }
-        }
-    }
+    let x = reconstruct_signed(client, server);
+    let pooled = maxpool2(&Tensor::from_vec(channels, height, width, x));
     // 3 comparisons per output window.
     let model = OtCostModel::max(field_bits(t));
-    let bytes = model.comm_bytes(3 * y.len());
+    let bytes = model.comm_bytes(3 * pooled.data().len());
     channel.charge(bytes / 2, bytes - bytes / 2);
-    share(&y, t, rng)
+    share_tensor(pooled.data(), t, rng)
 }
 
 /// Executes the (simulated) faithful truncation protocol: shares of
@@ -135,7 +107,7 @@ pub fn truncate_on_shares<R: Rng>(
     let x = reconstruct(client, server);
     let y: Vec<u64> = x
         .iter()
-        .map(|&v| to_field(centered(v, t) >> shift, t))
+        .map(|&v| to_field(from_field(v, t) >> shift, t))
         .collect();
     let model = OtCostModel::truncation(field_bits(t));
     let bytes = model.comm_bytes(x.len());
@@ -180,7 +152,7 @@ pub fn global_avgpool_on_shares<R: Rng>(
     );
     let y: Vec<u64> = x
         .iter()
-        .map(|&v| to_field(centered(v, t) / area as i64, t))
+        .map(|&v| to_field(from_field(v, t) / area as i64, t))
         .collect();
     let model = OtCostModel::truncation(field_bits(t));
     let bytes = model.comm_bytes(channels);
@@ -199,7 +171,7 @@ pub fn reconstruct_signed(a: &ShareVec, b: &ShareVec) -> Vec<i64> {
     let t = a.modulus();
     reconstruct(a, b)
         .into_iter()
-        .map(|v| centered(v, t))
+        .map(|v| from_field(v, t))
         .collect()
 }
 

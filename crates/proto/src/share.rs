@@ -118,23 +118,6 @@ impl ShareVec {
         }
     }
 
-    /// Adds a public constant vector (only one party applies it, by
-    /// convention the server).
-    pub fn add_public(&self, constants: &[u64]) -> ShareVec {
-        assert_eq!(constants.len(), self.len());
-        let t = self.modulus;
-        ShareVec {
-            party: self.party,
-            modulus: t,
-            values: self
-                .values
-                .iter()
-                .zip(constants)
-                .map(|(&a, &c)| (a + c % t) % t)
-                .collect(),
-        }
-    }
-
     fn check_peer(&self, other: &ShareVec) {
         assert_eq!(self.party, other.party, "shares held by different parties");
         assert_eq!(self.modulus, other.modulus, "share modulus mismatch");
@@ -213,16 +196,6 @@ mod tests {
         for i in 0..32 {
             assert_eq!(diff[i], (a[i] + T - b[i]) % T);
         }
-    }
-
-    #[test]
-    fn public_constant_added_once() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = vec![10u64; 8];
-        let k = vec![7u64; 8];
-        let (ca, sa) = share(&a, T, &mut rng);
-        let out = reconstruct(&ca, &sa.add_public(&k));
-        assert!(out.iter().all(|&v| v == 17));
     }
 
     #[test]

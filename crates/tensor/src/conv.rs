@@ -88,22 +88,6 @@ pub fn global_avgpool(input: &Tensor) -> Tensor {
     })
 }
 
-/// Fully connected layer: `weights` is `out × in`, input is flattened.
-///
-/// # Panics
-///
-/// Panics if the weight matrix width differs from the input length.
-pub fn fully_connected(input: &Tensor, weights: &[Vec<i64>]) -> Vec<i64> {
-    let flat = input.data();
-    weights
-        .iter()
-        .map(|row| {
-            assert_eq!(row.len(), flat.len(), "FC weight width mismatch");
-            row.iter().zip(flat).map(|(&a, &b)| a * b).sum()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +157,5 @@ mod tests {
     fn global_avgpool_averages() {
         let t = Tensor::from_vec(1, 2, 2, vec![1, 2, 3, 6]);
         assert_eq!(global_avgpool(&t).at(0, 0, 0), 3);
-    }
-
-    #[test]
-    fn fully_connected_dot_products() {
-        let t = Tensor::from_vec(1, 1, 3, vec![1, 2, 3]);
-        let w = vec![vec![1, 0, 0], vec![1, 1, 1]];
-        assert_eq!(fully_connected(&t, &w), vec![1, 6]);
     }
 }

@@ -45,11 +45,6 @@ impl FixedScale {
         v as f64 / self.factor() as f64
     }
 
-    /// Decodes a value carrying a doubled scale (after one multiply).
-    pub fn decode_product(&self, v: i64) -> f64 {
-        v as f64 / (self.factor() as f64 * self.factor() as f64)
-    }
-
     /// Truncates a product back to single scale (arithmetic shift, the
     /// plaintext analogue of the two-party truncation protocol).
     pub fn truncate(&self, v: i64) -> i64 {
@@ -97,7 +92,6 @@ mod tests {
         let s = FixedScale::new(8);
         let a = s.encode(1.5);
         let b = s.encode(2.0);
-        assert!((s.decode_product(a * b) - 3.0).abs() < 0.01);
         assert!((s.decode(s.truncate(a * b)) - 3.0).abs() < 0.02);
     }
 

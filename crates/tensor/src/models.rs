@@ -46,11 +46,6 @@ impl ConvShape {
         }
     }
 
-    /// Number of input feature-map elements.
-    pub fn input_elements(&self) -> usize {
-        self.width * self.height * self.c_in
-    }
-
     /// Output spatial width.
     pub fn out_width(&self) -> usize {
         self.width.div_ceil(self.stride)
@@ -64,11 +59,6 @@ impl ConvShape {
     /// Number of output feature-map elements.
     pub fn output_elements(&self) -> usize {
         self.out_width() * self.out_height() * self.c_out
-    }
-
-    /// Number of multiply-accumulates of the plaintext convolution.
-    pub fn macs(&self) -> u64 {
-        (self.output_elements() * self.c_in * self.k_h * self.k_w) as u64
     }
 }
 
@@ -326,11 +316,6 @@ pub fn vgg11() -> Network {
     vgg("VGG-11", [1, 1, 2, 2, 2])
 }
 
-/// VGG-13 (configuration B: 2-2-2-2-2).
-pub fn vgg13() -> Network {
-    vgg("VGG-13", [2, 2, 2, 2, 2])
-}
-
 /// VGG-16 (configuration D: 2-2-3-3-3).
 pub fn vgg16() -> Network {
     vgg("VGG-16", [2, 2, 3, 3, 3])
@@ -375,7 +360,6 @@ mod tests {
     fn vgg16_has_13_convs() {
         assert_eq!(vgg16().conv_shapes().len(), 13);
         assert_eq!(vgg11().conv_shapes().len(), 8);
-        assert_eq!(vgg13().conv_shapes().len(), 10);
     }
 
     #[test]
@@ -413,9 +397,7 @@ mod tests {
     #[test]
     fn conv_shape_math() {
         let s = ConvShape::new(56, 56, 64, 256, 3, 1);
-        assert_eq!(s.input_elements(), 56 * 56 * 64);
         assert_eq!(s.output_elements(), 56 * 56 * 256);
-        assert_eq!(s.macs(), (56 * 56 * 256 * 64 * 9) as u64);
         let strided = ConvShape::new(224, 224, 3, 64, 7, 2);
         assert_eq!(strided.out_width(), 112);
     }

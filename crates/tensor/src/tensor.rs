@@ -119,11 +119,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable flat data view.
-    pub fn data_mut(&mut self) -> &mut [i64] {
-        &mut self.data
-    }
-
     /// Extracts a spatial window `[h0, h0+height) × [w0, w0+width)` across
     /// all channels, zero-padding outside the tensor.
     pub fn crop(&self, h0: i64, w0: i64, height: usize, width: usize) -> Tensor {
