@@ -34,7 +34,13 @@
 //! the step-independent part of a rotation (`Evaluator::hoist`) and
 //! `rotate_hoisted8` eight rotations sharing one; `ratios` relates the
 //! latter to eight stand-alone `rotate`s, and `bench_check` fails when
-//! it exceeds 0.45. `dot_lifted9` is a 3×3 kernel's tap sum as one
+//! it exceeds 0.45. `taps3x3_composed` is the same eight tap positions
+//! the way the conv engine reaches them with four keys — two row moves
+//! and two column moves from the input's hoist, then each moved row
+//! hoisted and moved twice more: three hoists and eight hoisted
+//! rotations — and its ratio to `rotate_hoisted8` (≈ 1.5; ceiling 1.7)
+//! is what four fewer keys cost the server per position.
+//! `dot_lifted9` is a 3×3 kernel's tap sum as one
 //! inner product (`Evaluator::dot_lifted`) and `mult_add9` the same sum
 //! as nine `multiply_lifted` and eight `add_inplace`; their ratio is
 //! held under 0.7.
@@ -239,6 +245,26 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
                     let hoisted = evaluator.hoist(&ct);
                     for &g in &elements {
                         std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
+                    }
+                }),
+            );
+            // The same eight positions from four of the keys: rows and
+            // the centre row's columns from the input's hoist, the other
+            // columns from one hoist per moved row.
+            let (rows, cols) = (&elements[..2], &elements[2..4]);
+            push(
+                "taps3x3_composed",
+                rot_reps,
+                time_us(rot_reps, || {
+                    let hoisted = evaluator.hoist(&ct);
+                    for &g in cols {
+                        std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
+                    }
+                    for &row in rows {
+                        let moved = evaluator.hoist(&evaluator.rotate_hoisted(&hoisted, row, &gk));
+                        for &g in cols {
+                            std::hint::black_box(evaluator.rotate_hoisted(&moved, g, &gk));
+                        }
                     }
                 }),
             );
@@ -547,7 +573,9 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     // from one hoist against eight rotations that each decompose for
     // themselves, same run, dispatched kernels (ceiling 0.45); a
     // nine-term tap sum as one inner product against term by term
-    // (ceiling 0.7); a rotation key's wire bytes against its k digit
+    // (ceiling 0.7); a 3×3 kernel's eight taps composed from four keys
+    // against rotated to from one hoist with eight (three hoists for
+    // one; ceiling 1.7); a rotation key's wire bytes against its k digit
     // polynomials alone (1.0003 while the a_i travel as a seed, 2.0 if
     // they travel themselves; ceiling 1.1); and an uploaded
     // ciphertext's bytes against the full form's (0.5004 while c1
@@ -572,6 +600,12 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
         let ratio = min_us("dot_lifted9", level)? / min_us("mult_add9", level)?;
         Some(format!(
             "    \"dot_lifted9_per_mult_add9/{level}\": {ratio:.3}"
+        ))
+    }));
+    lines.extend(levels.iter().filter_map(|level| {
+        let ratio = min_us("taps3x3_composed", level)? / min_us("rotate_hoisted8", level)?;
+        Some(format!(
+            "    \"taps3x3_composed_per_rotate_hoisted8/{level}\": {ratio:.3}"
         ))
     }));
     lines.extend((byte_ratios.iter()).map(|(name, ratio)| format!("    \"{name}\": {ratio:.4}")));

@@ -318,6 +318,11 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 /// nine-term tap sum as one inner product over nine plaintext
 /// multiplies and eight additions: about 0.4, and 1.0 if the sum goes
 /// back to reducing (and materialising) every term.
+/// `taps3x3_composed_per_rotate_hoisted8` is a 3×3 kernel's eight tap
+/// positions composed from four keys (three hoists, eight hoisted
+/// rotations) over the same eight from one hoist and eight keys: about
+/// 1.5, the server-side price of the four keys the client no longer
+/// makes, and 2.6 if every tap paid a hoist of its own.
 /// `galois_key_bytes_per_digit_poly` is a serialised rotation key over
 /// its `k` packed `b_i` alone: 1.0003 while the `a_i` travel as a
 /// 32-byte seed, 2.0 if they ever travel themselves again.
@@ -327,6 +332,7 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 pub const CEILINGS: &[(&str, f64)] = &[
     ("ratios/rotate_hoisted8_per_8_rotate/", 0.45),
     ("ratios/dot_lifted9_per_mult_add9/", 0.7),
+    ("ratios/taps3x3_composed_per_rotate_hoisted8/", 1.7),
     ("ratios/galois_key_bytes_per_digit_poly/", 1.1),
     ("ratios/seeded_ct_bytes_per_ct_bytes/", 0.51),
 ];
@@ -537,16 +543,20 @@ mod tests {
 
     #[test]
     fn ceilings_gate_the_current_side_alone() {
-        let run_uploading = |hoisting: f64, tap_sum: f64, key_bytes: f64, ct_bytes: f64| {
+        let run_composing = |[hoisting, tap_sum, key_bytes, ct_bytes, composed]: [f64; 5]| {
             parse_baseline(&format!(
                 r#"{{"ratios": {{"rotate_hoisted8_per_8_rotate/N4096": {hoisting},
                      "rotate_hoisted8_per_8_rotate/N8192": 0.31,
                      "dot_lifted9_per_mult_add9/N4096": {tap_sum},
+                     "taps3x3_composed_per_rotate_hoisted8/N4096": {composed},
                      "galois_key_bytes_per_digit_poly/N4096": {key_bytes},
                      "seeded_ct_bytes_per_ct_bytes/N4096": {ct_bytes}}},
                    "speedups": {{"rotate/N4096": 1.8}}}}"#
             ))
             .unwrap()
+        };
+        let run_uploading = |hoisting, tap_sum, key_bytes, ct_bytes| {
+            run_composing([hoisting, tap_sum, key_bytes, ct_bytes, 1.5])
         };
         let run_with =
             |hoisting, tap_sum, key_bytes| run_uploading(hoisting, tap_sum, key_bytes, 0.5004);
@@ -572,6 +582,13 @@ mod tests {
         assert_eq!(
             (eager[0].metric.as_str(), eager[0].baseline),
             ("ratios/dot_lifted9_per_mult_add9/N4096", 0.7)
+        );
+        // Composed taps that pay one hoist each, not one a moved row.
+        let hoist_per_tap = over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, 2.6]));
+        assert_eq!(hoist_per_tap.len(), 1);
+        assert_eq!(
+            (hoist_per_tap[0].metric.as_str(), hoist_per_tap[0].baseline),
+            ("ratios/taps3x3_composed_per_rotate_hoisted8/N4096", 1.7)
         );
         // The ratio the hoisting gate was introduced at is over it now.
         assert_eq!(over_ceiling(&run(0.49)).len(), 1);

@@ -23,7 +23,11 @@
 //! ```
 //!
 //! so every giant step is a rotation by the same `B` blocks and the
-//! client makes one key for all of them. The engine also
+//! client makes one key for all of them. A tap `(dy, dx)` of pieces
+//! `W` wide is likewise not a rotation of its own: it is the row move
+//! `dy·W` followed by the column move `dx`, so a `k_h × k_w` kernel
+//! asks for `(k_h − 1) + (k_w − 1)` tap keys, and a tap that cannot pair
+//! two pixels of the layout's pieces is not taken at all. The engine also
 //! handles the cross-lane products channel-wise packing needs (one
 //! column-swap per input ciphertext) and the block-folding used when
 //! `C_o < C_i` (Fig. 7 (b)).
@@ -93,9 +97,10 @@ pub struct ConvRequest<'a> {
 }
 
 /// Cache key for one lifted kernel plaintext:
-/// `(cache_tag, version, group, diagonal, tap)`. The baby-step
-/// pre-rotation is a function of the diagonal under a fixed BSGS split,
-/// so it needs no key component of its own.
+/// `(cache_tag, version, group, diagonal, tap)`, the tap counted among
+/// the request's live ones. The baby-step pre-rotation is a function of
+/// the diagonal under a fixed BSGS split, so it needs no key component
+/// of its own.
 type KernelKey = (usize, usize, usize, usize, usize);
 
 /// A shareable NTT-domain kernel plaintext cache. Cache entries are a
@@ -199,27 +204,54 @@ pub struct HeConvEngine<'k> {
     kernel_cache: KernelCache,
 }
 
-/// The kernel taps of a `k_h × k_w` window with "same" padding
-/// convention: offsets `(dy, dx)` and their kernel indices.
-pub fn kernel_taps(k_h: usize, k_w: usize) -> Vec<(i64, i64, usize, usize)> {
-    let ph = (k_h - 1) / 2;
-    let pw = (k_w - 1) / 2;
-    let mut taps = Vec::with_capacity(k_h * k_w);
-    for kh in 0..k_h {
-        for kw in 0..k_w {
-            taps.push((kh as i64 - ph as i64, kw as i64 - pw as i64, kh, kw));
-        }
-    }
-    taps
+/// The offsets of a `k`-tap kernel axis ("same" padding convention),
+/// each with its kernel index, that are *live* over pieces `extent`
+/// pixels long. An offset of `extent` or more pairs no two pixels of
+/// one piece: every kernel plaintext of such a tap is all-zero by
+/// geometry, so the engine neither rotates to it nor asks for its key.
+/// Offset 0 is always live.
+fn live_offsets(k: usize, extent: usize) -> Vec<(i64, usize)> {
+    let pad = (k - 1) / 2;
+    (0..k)
+        .map(|i| (i as i64 - pad as i64, i))
+        .filter(|&(d, _)| d.unsigned_abs() < extent as u64)
+        .collect()
+}
+
+/// The live taps of a `k_h × k_w` window over `layout`'s pieces, row by
+/// row: offsets `(dy, dx)` and their kernel indices.
+fn live_taps(layout: &LaneLayout, k_h: usize, k_w: usize) -> Vec<(i64, i64, usize, usize)> {
+    let cols = live_offsets(k_w, layout.piece_w);
+    (live_offsets(k_h, layout.piece_h).iter())
+        .flat_map(|&(dy, kh)| cols.iter().map(move |&(dx, kw)| (dy, dx, kh, kw)))
+        .collect()
+}
+
+/// The slot steps [`live_taps`] compose from: tap `(dy, dx)` is the row
+/// move `dy·piece_w` followed by the column move `dx`, with step 0 for
+/// staying put, so a `k_h × k_w` kernel rotates by `(k_h − 1) +
+/// (k_w − 1)` distinct steps where direct taps take `k_h·k_w − 1`.
+/// Returns `(rows, cols)`; tap `i·cols.len() + j` of `live_taps` is
+/// `rows[i]` then `cols[j]`.
+fn tap_moves(layout: &LaneLayout, k_h: usize, k_w: usize) -> (Vec<i64>, Vec<i64>) {
+    let rows = live_offsets(k_h, layout.piece_h).into_iter();
+    let cols = live_offsets(k_w, layout.piece_w).into_iter();
+    (
+        rows.map(|(dy, _)| dy * layout.piece_w as i64).collect(),
+        cols.map(|(dx, _)| dx).collect(),
+    )
 }
 
 /// Chooses the baby-step/giant-step split for the diagonal alignment:
 /// minimizes total rotations
-/// `versions·(kk·b − 1) + groups·(D/b − 1)` over power-of-two `b | D`.
-/// In rotation keys the split costs `b − 1` baby steps, the `kk − 1`
-/// taps and one giant step however many giant steps there are (they
-/// are a Horner walk by `b` blocks), so a smaller `b` is never dearer
-/// in keys; the rule does not weigh them.
+/// `versions·(kk·b − 1) + groups·(D/b − 1)` over power-of-two `b | D`,
+/// with `kk = k_h·k_w` whichever taps are live.
+/// In rotation keys the split costs `b − 1` baby steps, the
+/// `(k_h − 1) + (k_w − 1)` row and column moves the taps compose from
+/// and one giant step however many giant steps there are (they are a
+/// Horner walk by `b` blocks), so a smaller `b` is never dearer in
+/// keys; the rule does not weigh them, nor the hoist each moved row of
+/// each baby step pays.
 ///
 /// Returns `(baby, giants)` with `baby · giants = D`.
 pub fn bsgs_split(diagonals: usize, groups: usize, versions: usize, kk: usize) -> (usize, usize) {
@@ -251,7 +283,8 @@ fn first_occurrences(elements: impl IntoIterator<Item = usize>) -> Vec<usize> {
 /// The Galois elements a convolution over the given layout rotates by,
 /// each once, in the order [`HeConvEngine::conv_one_ct`] first uses
 /// them: the column swap (optional), the baby block-alignment steps
-/// `1..B`, one per non-zero kernel-tap row rotation, the giant step
+/// `1..B`, the row moves `dy·piece_w` and then the column moves `dx`
+/// its live kernel taps compose from, the giant step
 /// (`B` blocks under the BSGS split the engine will choose, whenever
 /// there is more than one), the fold steps. Both parties
 /// compute this from the layer geometry alone, which is what lets the
@@ -276,16 +309,14 @@ pub fn required_elements(
         (1, diagonals)
     };
     let block = |b: usize| galois_elt_from_step(layout.block_rotation_step(b), n);
-    let taps = kernel_taps(k_h, k_w)
-        .into_iter()
-        .filter_map(|(dy, dx, _, _)| {
-            let step = dy * layout.piece_w as i64 + dx;
-            (step != 0).then(|| galois_elt_from_step(step, n))
-        });
+    let (rows, cols) = tap_moves(layout, k_h, k_w);
+    let moves = (rows.into_iter().chain(cols))
+        .filter(|&step| step != 0)
+        .map(|step| galois_elt_from_step(step, n));
     first_occurrences(
         (column_swap.then(|| galois_elt_column_swap(n)).into_iter())
             .chain((1..baby).map(block))
-            .chain(taps)
+            .chain(moves)
             .chain((giants > 1).then(|| block(baby)))
             .chain(fold_steps.iter().map(|&f| block(f))),
     )
@@ -450,6 +481,47 @@ impl<'k> HeConvEngine<'k> {
         self.kernel_cache.get_or_build(key, build)
     }
 
+    /// The live tap positions of one hoisted position, in
+    /// [`live_taps`]' order; `None` is the centre tap, the position's
+    /// own ciphertext. The row moves come from the position's hoist,
+    /// the column moves from that same hoist for the centre row and
+    /// from one hoist per moved row for the others: the same number of
+    /// key switches as rotating to each tap directly, by far fewer
+    /// distinct elements ([`tap_moves`]), for one more decomposition a
+    /// moved row.
+    fn tap_positions(
+        &self,
+        at: &HoistedCiphertext,
+        layout: &LaneLayout,
+        k_h: usize,
+        k_w: usize,
+    ) -> Result<Vec<Option<Ciphertext>>, SpotError> {
+        let n = self.ctx.degree();
+        let (rows, cols) = tap_moves(layout, k_h, k_w);
+        let moved = |at: &HoistedCiphertext, step: i64| {
+            (step != 0)
+                .then(|| self.rotate(at, galois_elt_from_step(step, n)))
+                .transpose()
+        };
+        let rows = (rows.iter().map(|&step| moved(at, step)))
+            .collect::<Result<Vec<Option<Ciphertext>>, SpotError>>()?;
+        let mut tapped = Vec::with_capacity(rows.len() * cols.len());
+        for mut row in rows {
+            // A row that moves no further needs no decomposition.
+            let hoisted = (row.as_ref())
+                .filter(|_| cols.len() > 1)
+                .map(|row| self.evaluator.hoist(row));
+            let from = hoisted.as_ref().unwrap_or(at);
+            for &step in &cols {
+                tapped.push(match step {
+                    0 => row.take(),
+                    step => moved(from, step)?,
+                });
+            }
+        }
+        Ok(tapped)
+    }
+
     /// Runs the lane-MIMO convolution of one input ciphertext (see
     /// [`ConvRequest`] for the per-layer structure description).
     ///
@@ -466,33 +538,25 @@ impl<'k> HeConvEngine<'k> {
         assert!(!in_maps.is_empty() && in_maps.len() <= 2);
         assert!(diagonals >= 1 && layout.blocks % diagonals == 0);
         let ev = &self.evaluator;
-        let taps = kernel_taps(req.kernel.k_h(), req.kernel.k_w());
+        let (k_h, k_w) = (req.kernel.k_h(), req.kernel.k_w());
+        let taps = live_taps(layout, k_h, k_w);
         let (baby, giants) = if self.use_bsgs {
-            bsgs_split(diagonals, groups.len(), in_maps.len(), taps.len())
+            bsgs_split(diagonals, groups.len(), in_maps.len(), k_h * k_w)
         } else {
             (1, diagonals)
         };
 
-        // Pre-rotate the input to every (version, baby step, tap)
+        // Pre-rotate the input to every (version, baby step, live tap)
         // position, shared across output groups and giant steps — the
         // BSGS trade. All rotations of one ciphertext share its
         // key-switch decomposition: the column swap, the baby steps and
-        // the first taps come from the input's hoist, and taking the
-        // baby steps before the taps leaves one hoist per position.
+        // the first position's row and centre-row column moves come
+        // from the input's hoist, and taking the baby steps before the
+        // taps leaves one hoist per position besides its moved rows'.
         // Every rotation below is hoist first, then `self.rotate`: the
         // decomposition needs no key, so it overlaps the key's upload.
         let n = self.ctx.degree();
         let block = |b: usize| galois_elt_from_step(layout.block_rotation_step(b), n);
-        // `None` is the centre tap: the position's own ciphertext.
-        let taps_of = |at: &HoistedCiphertext| {
-            let rotated = taps.iter().map(|&(dy, dx, _, _)| {
-                let step = dy * layout.piece_w as i64 + dx;
-                (step != 0)
-                    .then(|| self.rotate(at, galois_elt_from_step(step, n)))
-                    .transpose()
-            });
-            rotated.collect::<Result<Vec<Option<Ciphertext>>, SpotError>>()
-        };
         let input = ev.hoist(ct);
         let swapped = (in_maps.len() == 2)
             .then(|| self.rotate(&input, galois_elt_column_swap(n)))
@@ -508,9 +572,9 @@ impl<'k> HeConvEngine<'k> {
             let steps = (1..baby)
                 .map(|b| self.rotate(&at, block(b)))
                 .collect::<Result<Vec<Ciphertext>, SpotError>>()?;
-            tapped.push(taps_of(&at)?);
+            tapped.push(self.tap_positions(&at, layout, k_h, k_w)?);
             for step in &steps {
-                tapped.push(taps_of(&ev.hoist(step))?);
+                tapped.push(self.tap_positions(&ev.hoist(step), layout, k_h, k_w)?);
             }
             stepped.push(steps);
         }
@@ -592,13 +656,31 @@ mod tests {
 
     #[test]
     fn taps_centered() {
-        let taps = kernel_taps(3, 3);
+        let wide = LaneLayout::new(2048, 1, 4, 4);
+        let taps = live_taps(&wide, 3, 3);
         assert_eq!(taps.len(), 9);
-        assert!(taps.contains(&(0, 0, 1, 1)));
+        assert_eq!(taps[4], (0, 0, 1, 1));
         assert!(taps.contains(&(-1, -1, 0, 0)));
         assert!(taps.contains(&(1, 1, 2, 2)));
-        let taps1 = kernel_taps(1, 1);
-        assert_eq!(taps1, vec![(0, 0, 0, 0)]);
+        assert_eq!(live_taps(&wide, 1, 1), vec![(0, 0, 0, 0)]);
+    }
+
+    /// A tap is live where its offset pairs two pixels of one piece.
+    #[test]
+    fn taps_that_leave_their_piece_class_are_dropped() {
+        let strip = LaneLayout::new(2048, 1, 4, 1);
+        assert_eq!(
+            live_taps(&strip, 3, 3),
+            vec![(-1, 0, 0, 1), (0, 0, 1, 1), (1, 0, 2, 1)]
+        );
+        assert_eq!(tap_moves(&strip, 3, 3), (vec![-1, 0, 1], vec![0]));
+        let corner = LaneLayout::new(2048, 1, 1, 1);
+        assert_eq!(live_taps(&corner, 5, 5), vec![(0, 0, 2, 2)]);
+        let narrow = LaneLayout::new(2048, 1, 2, 3);
+        assert_eq!(
+            tap_moves(&narrow, 5, 5),
+            (vec![-3, 0, 3], vec![-2, -1, 0, 1, 2])
+        );
     }
 
     #[test]
@@ -646,14 +728,20 @@ mod tests {
         }
     }
 
-    /// What one SPOT `conv_one_ct` at `c_in → c_out` over 4×4 pieces did
-    /// and produced: `(rotations, key-switch decompositions, mult_plain,
-    /// add)` — the engine's evaluator's tally, which the trace counters
-    /// on this thread must have seen too — and an FNV-1a digest of the
-    /// slots its outputs decrypt to. On the way it holds the engine to
-    /// the key schedule: the order it first asks for each rotation key
-    /// is the order [`required_elements`] lists them in.
-    fn ops_and_output_digest(c_in: usize, c_out: usize) -> ((u64, u64, u64, u64), u64) {
+    /// What one SPOT `conv_one_ct` at `c_in → c_out` did and produced,
+    /// for a `kernel.0 × kernel.1` kernel over `piece.0 × piece.1`
+    /// pieces: `(rotations, key-switch decompositions, mult_plain, add)`
+    /// — the engine's evaluator's tally, which the trace counters on
+    /// this thread must have seen too — an FNV-1a digest of the slots
+    /// its outputs decrypt to, and the rotation keys it asked for. On
+    /// the way it holds the engine to the key schedule: the order it
+    /// first asks for each rotation key is the order
+    /// [`required_elements`] lists them in.
+    fn engine_run(
+        (c_in, c_out): (usize, usize),
+        piece: (usize, usize),
+        (k_h, k_w): (usize, usize),
+    ) -> ((u64, u64, u64, u64), u64, Vec<usize>) {
         use crate::spot::{blocking, spot_group_specs, spot_in_maps};
         use rand::SeedableRng;
         use spot_he::prelude::*;
@@ -663,10 +751,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let keygen = KeyGenerator::new(&ctx, &mut rng);
         let blk = blocking(c_in, c_out);
-        let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, 4, 4);
-        let kernel = Kernel::random(c_out, c_in, 3, 3, 3, 6);
+        let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, piece.0, piece.1);
+        let kernel = Kernel::random(c_out, c_in, k_h, k_w, 3, 6);
         let (groups, in_maps) = (spot_group_specs(&blk, c_out), spot_in_maps(&blk, c_in));
-        let elements = blk.galois_elements(&layout, 3, 3);
+        let elements = blk.galois_elements(&layout, k_h, k_w);
         let store = Recording {
             keys: Arc::new(keygen.galois_keys(&elements, &mut rng)),
             asked: Default::default(),
@@ -690,9 +778,9 @@ mod tests {
         let outer = spot_trace::set_session_counters(Some(sink.clone()));
         let outputs = engine.conv_one_ct(&ct, &req).expect("complete key set");
         spot_trace::set_session_counters(outer);
+        let asked = store.asked.lock().unwrap().clone();
         assert_eq!(
-            *store.asked.lock().unwrap(),
-            elements,
+            asked, elements,
             "{c_in} → {c_out}: first-use order is the schedule"
         );
         assert_eq!(engine.key_wait(), Duration::ZERO);
@@ -717,33 +805,42 @@ mod tests {
             counts.mult_plain,
             counts.add,
         );
+        (ops, digest, asked)
+    }
+
+    /// [`engine_run`] with a 3×3 kernel over 4×4 pieces.
+    fn ops_and_output_digest(c_in: usize, c_out: usize) -> ((u64, u64, u64, u64), u64) {
+        let (ops, digest, _) = engine_run((c_in, c_out), (4, 4), (3, 3));
         (ops, digest)
     }
 
-    /// Pinned on the term-by-term engine (one `multiply_lifted` and one
-    /// `add_inplace` per tap): summing the taps as one inner product
-    /// moves no count and no decrypted slot.
+    /// Digests pinned on the term-by-term engine that rotated straight
+    /// to each tap (one `multiply_lifted` and one `add_inplace` per
+    /// tap, eight tap keys): summing the taps as one inner product and
+    /// composing them from row and column moves move no decrypted slot,
+    /// and over 4×4 pieces no rotation either. The second count is the
+    /// hoists per ciphertext: one per (version, baby step) position,
+    /// two more for its moved rows, one per giant step and fold.
     #[test]
     fn pinned_shapes_keep_their_op_counts_and_decrypted_slots() {
-        // 8 → 8: swap + 2 versions × 8 taps + 3 giant steps; the 17
-        // input-side rotations come from the two versions' hoists. Two
+        // 8 → 8: swap + 2 versions × 8 taps + 3 giant steps. Two
         // versions × nine taps multiply on each of four diagonals.
         assert_eq!(
             ops_and_output_digest(8, 8),
-            ((1 + 16 + 3, 2 + 3, 72, 71), 0x19f29b4925389b98)
+            ((1 + 16 + 3, 2 * 3 + 3, 72, 71), 0x19f29b4925389b98)
         );
         // 8 → 128 splits (baby, giants) = (2, 2): swap + 2 × (1 baby +
-        // 2 × 8 taps) + 16 giant steps, over 2 × 2 hoisted positions.
+        // 2 × 8 taps) + 16 giant steps, over 2 × 2 positions.
         assert_eq!(
             ops_and_output_digest(8, 128),
-            ((1 + 34 + 16, 4 + 16, 1152, 1136), 0x21bd61add2516639)
+            ((1 + 34 + 16, 4 * 3 + 16, 1152, 1136), 0x21bd61add2516639)
         );
         // 16 → 2 folds: every fold step is a rotation of its own.
         let folds = crate::spot::blocking(16, 2).fold_steps.len() as u64;
         assert_eq!(
             ops_and_output_digest(16, 2),
             (
-                (1 + 16 + 1 + folds, 2 + 1 + folds, 36, 37),
+                (1 + 16 + 1 + folds, 2 * 3 + 1 + folds, 36, 37),
                 0xe89bf7767f05b425
             )
         );
@@ -765,11 +862,94 @@ mod tests {
             .map(|j| galois_elt_from_step(layout.block_rotation_step(j), 4096))
             .filter(|g| schedule.contains(g));
         assert_eq!(giant_steps.count(), 1, "{schedule:?}");
-        assert_eq!(schedule.len(), 1 + 8 + 1, "swap, taps, the giant step");
+        assert_eq!(schedule.len(), 1 + 4 + 1, "swap, moves, the giant step");
         assert_eq!(
             ops_and_output_digest(32, 32),
-            ((1 + 16 + 15, 2 + 15, 288, 287), 0xb0dfb2b2e1b3c991)
+            ((1 + 16 + 15, 2 * 3 + 15, 288, 287), 0xb0dfb2b2e1b3c991)
         );
+    }
+
+    /// The taps' share of the key schedule: the row moves, then the
+    /// column moves, of the live taps and of no other — so a kernel of
+    /// `k_h × k_w` asks for `(k_h − 1) + (k_w − 1)` tap keys at most, a
+    /// 1-wide piece class for its row moves only and a 1×1 class for
+    /// none. `engine_run` holds every case to [`required_elements`].
+    #[test]
+    fn taps_ask_for_their_row_moves_then_their_column_moves_and_only_where_live() {
+        let elt = |step: i64| galois_elt_from_step(step, 4096);
+        // 8 → 8: the swap, two versions, three giant steps; every
+        // rotation by less than a piece is a tap move.
+        let run = |piece: (usize, usize), kernel: (usize, usize)| {
+            let ((rotations, hoists, _, _), _, asked) = engine_run((8, 8), piece, kernel);
+            let within = crate::layout::next_pow2(piece.0 * piece.1) as i64;
+            let moves: Vec<usize> = (1..within).flat_map(|s| [elt(s), elt(-s)]).collect();
+            let asked = asked.into_iter().filter(|g| moves.contains(g));
+            (asked.collect::<Vec<usize>>(), rotations - 4, hoists - 3)
+        };
+        let elts = |steps: &[i64]| steps.iter().map(|&s| elt(s)).collect::<Vec<usize>>();
+
+        // Eight key switches a position either way; a moved row that
+        // moves on is hoisted, the position itself always.
+        assert_eq!(run((4, 4), (3, 3)), (elts(&[-4, 4, -1, 1]), 2 * 8, 2 * 3));
+        assert_eq!(
+            run((4, 4), (5, 5)),
+            (elts(&[-8, -4, 4, 8, -2, -1, 1, 2]), 2 * 24, 2 * 5)
+        );
+        assert_eq!(run((4, 4), (3, 1)), (elts(&[-4, 4]), 2 * 2, 2));
+        // Direct taps rotated a 4×1 strip by ±2 for nothing and by ±1
+        // twice, and a lone pixel by ±1 and ±2.
+        assert_eq!(run((4, 1), (3, 3)), (elts(&[-1, 1]), 2 * 2, 2));
+        assert_eq!(run((1, 4), (3, 3)), (elts(&[-1, 1]), 2 * 2, 2));
+        assert_eq!(run((1, 1), (3, 3)), (vec![], 0, 2));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// A row move followed by a column move is the rotation that
+        /// went straight to the tap: every live tap position decrypts
+        /// to the input rotated by `dy·piece_w + dx`, slot for slot.
+        #[test]
+        fn composed_taps_land_every_slot_where_one_rotation_would(
+            k_h in 1usize..6,
+            k_w in 1usize..6,
+            piece_h in 1usize..7,
+            piece_w in 1usize..7,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            use spot_he::encoding::rotate_slots_reference;
+            use spot_he::prelude::*;
+
+            let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let keygen = KeyGenerator::new(&ctx, &mut rng);
+            let layout = LaneLayout::new(ctx.degree() / 2, 1, piece_h, piece_w);
+            let elements = required_elements(&layout, k_h, k_w, 1, 1, &[], false, true);
+            let keys = Arc::new(keygen.galois_keys(&elements, &mut rng));
+            let engine = HeConvEngine::new(&ctx, &keys, true, KernelCache::new());
+            let t = ctx.params().plain_modulus();
+            let slots: Vec<u64> = (0..ctx.degree()).map(|_| rng.gen_range(0..t)).collect();
+            let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
+            let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
+            let ct = encryptor.encrypt(&engine.encoder().encode(&slots), &mut rng);
+
+            let taps = live_taps(&layout, k_h, k_w);
+            let at = engine.evaluator().hoist(&ct);
+            let tapped = engine.tap_positions(&at, &layout, k_h, k_w).expect("complete key set");
+            proptest::prop_assert_eq!(tapped.len(), taps.len());
+            for (position, &(dy, dx, _, _)) in tapped.iter().zip(&taps) {
+                let step = dy * piece_w as i64 + dx;
+                proptest::prop_assert_eq!(position.is_none(), step == 0);
+                let position = position.as_ref().unwrap_or(&ct);
+                proptest::prop_assert!(decryptor.noise_budget(position) > 0);
+                proptest::prop_assert_eq!(
+                    engine.encoder().decode(&decryptor.decrypt(position)),
+                    rotate_slots_reference(&slots, step),
+                    "tap ({}, {})", dy, dx
+                );
+            }
+        }
     }
 
     /// A kernel that is zero on the whole of an interior diagonal block
@@ -838,7 +1018,7 @@ mod tests {
     #[test]
     fn taps_even_kernel() {
         // 2x2 kernel: padding (k-1)/2 = 0, offsets 0..2
-        let taps = kernel_taps(2, 2);
+        let taps = live_taps(&LaneLayout::new(2048, 1, 4, 4), 2, 2);
         assert_eq!(taps.len(), 4);
         assert!(taps.contains(&(0, 0, 0, 0)));
         assert!(taps.contains(&(1, 1, 1, 1)));

@@ -731,6 +731,16 @@ impl<'a> ClientConv<'a> {
         self.plan.facts().batch_capacity
     }
 
+    /// The `GaloisKeys` frames this layer's next upload carries, as
+    /// `(input, element)` in send order: each rotation key the
+    /// connection's server does not hold yet, with the input ciphertext
+    /// it travels behind.
+    pub fn key_schedule(&self) -> Result<Vec<(usize, usize)>, SpotError> {
+        let uploaded =
+            (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded-key record"))?;
+        Ok(key_schedule(self.plan.facts(), |g| uploaded.contains(&g)).into())
+    }
+
     /// [`ClientConv::send_batch`] for one image.
     pub fn send_all<R: Rng>(
         &self,
@@ -1729,58 +1739,75 @@ mod tests {
     /// connection holds is not in it.
     #[test]
     fn a_key_is_scheduled_behind_the_input_of_the_first_job_that_uses_it() {
-        let shape = ConvShape::new(16, 16, 64, 8, 3, 1);
-        let spec = |scheme| LayerSpec {
+        use spot_he::encoding::galois_elt_from_step;
+
+        let spec = |scheme, k_w| LayerSpec {
             scheme,
-            shape,
+            shape: ConvShape {
+                k_w,
+                ..ConvShape::new(16, 16, 64, 8, 3, 1)
+            },
             patch: (4, 4),
             mode: PatchMode::Tweaked,
         };
-        let plan =
-            |scheme: SchemeKind| scheme.plan(&spec(scheme), ParamLevel::N4096).expect("plan");
-
-        // Four piece classes of 7, 2, 2 and 1 ciphertexts: the 4x4
-        // patches need 12 keys (the column swap, eight taps, the one
-        // giant step its eight diagonals walk by, two folds), the first
-        // seam class two more of its own (the taps that cross its
-        // narrower rows), the other two nothing new.
-        let spot = plan(SchemeKind::Spot);
-        let slots = |schedule: &VecDeque<(usize, usize)>| -> Vec<usize> {
-            schedule.iter().map(|&(input, _)| input).collect()
+        let plan = |scheme: SchemeKind, k_w| {
+            (scheme.plan(&spec(scheme, k_w), ParamLevel::N4096)).expect("plan")
         };
+        let planned = |facts: &PlanFacts| -> Vec<usize> {
+            facts.galois_elements.iter().map(|&(_, g)| g).collect()
+        };
+
+        // Four piece classes of 7, 2, 2 and 1 ciphertexts. A seam piece
+        // is a 4x4 patch with rows or columns missing, so under a square
+        // kernel its live taps move by steps the patches move by too:
+        // every key travels behind the first ciphertext.
+        let spot = plan(SchemeKind::Spot, 3);
+        assert_eq!(spot.facts().input_cts, 7 + 2 + 2 + 1);
         let fresh = key_schedule(spot.facts(), |_| false);
-        assert_eq!(slots(&fresh), [vec![0; 12], vec![7; 2]].concat());
-        let elements: Vec<usize> = fresh.iter().map(|&(_, g)| g).collect();
-        let planned: Vec<usize> = (spot.facts().galois_elements.iter())
-            .map(|&(_, g)| g)
-            .collect();
-        assert_eq!(elements, planned, "first-use order");
+        let elements = planned(spot.facts());
+        let behind_first: Vec<_> = elements.iter().map(|&g| (0, g)).collect();
+        assert_eq!(fresh, behind_first, "first-use order");
         let held = elements[1];
         let later = key_schedule(spot.facts(), |g| g == held);
-        assert_eq!(later.len(), 13);
+        assert_eq!(later.len(), elements.len() - 1);
         assert!(later.iter().all(|&(_, g)| g != held));
 
-        let channelwise = plan(SchemeKind::Channelwise);
+        // A 3x1 kernel moves the patches by whole rows of four. The
+        // first seam class's 4x1 strips move by rows of one, which no
+        // patch does: those two keys travel behind that class's first
+        // ciphertext, the eighth of the upload, and behind every key of
+        // the patches'.
+        let tall = plan(SchemeKind::Spot, 1);
+        let fresh = Vec::from(key_schedule(tall.facts(), |_| false));
+        let elt = |step: i64| galois_elt_from_step(step, 4096);
+        let (first, strips) = fresh.split_at(fresh.len() - 2);
+        assert!(first.iter().all(|&(input, _)| input == 0), "{fresh:?}");
+        assert!(first.contains(&(0, elt(-4))) && first.contains(&(0, elt(4))));
+        assert_eq!(strips, [(7, elt(-1)), (7, elt(1))]);
+
+        let channelwise = plan(SchemeKind::Channelwise, 3);
         assert_eq!(channelwise.facts().input_cts, 4);
         let fresh = key_schedule(channelwise.facts(), |_| false);
-        // Eight blocks a lane: the column swap, eight taps and one
-        // giant step for the seven diagonal alignments.
-        assert_eq!(slots(&fresh), vec![3; 10]);
+        let behind_last: Vec<_> = (planned(channelwise.facts()).iter())
+            .map(|&g| (3, g))
+            .collect();
+        assert_eq!(fresh, behind_last);
 
-        let cheetah = plan(SchemeKind::Cheetah);
+        let cheetah = plan(SchemeKind::Cheetah, 3);
         assert!(key_schedule(cheetah.facts(), |_| false).is_empty());
 
         // TinyCnn's conv1 (2 -> 4 channels on 8x8): one ciphertext per
-        // class, nine keys behind the first and two behind the second
-        // (one block a lane, so one diagonal and no giant step).
+        // class, and one block a lane, so one diagonal and no giant
+        // step: the column swap and the four moves.
         let conv1 = LayerSpec {
             shape: ConvShape::new(8, 8, 2, 4, 3, 1),
-            ..spec(SchemeKind::Spot)
+            ..spec(SchemeKind::Spot, 3)
         };
         let conv1 = SchemeKind::Spot
             .plan(&conv1, ParamLevel::N4096)
             .expect("plan");
         let fresh = key_schedule(conv1.facts(), |_| false);
-        assert_eq!(slots(&fresh), [vec![0; 9], vec![1; 2]].concat());
+        assert_eq!(fresh.len(), 1 + 4);
+        assert!(fresh.iter().all(|&(input, _)| input == 0), "{fresh:?}");
     }
 }

@@ -2,9 +2,17 @@
 //! binary uses the ones it needs.
 #![allow(dead_code)]
 
+use spot_core::inference::{Op, TinyCnn};
+use spot_core::patching::PatchMode;
+use spot_core::session::{ClientConv, LayerSpec, SchemeKind};
+use spot_he::context::Context;
+use spot_he::keys::KeyGenerator;
 use spot_proto::transport::TcpTransport;
+use spot_tensor::tensor::Tensor;
+use std::collections::HashSet;
 use std::net::TcpListener;
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A connected `(client, server)` pair of framed TCP endpoints on
@@ -37,4 +45,38 @@ pub fn within_deadline<T>(what: &str, scenario: impl FnOnce() -> T) -> T {
     drop(done);
     watchdog.join().expect("watchdog");
     out
+}
+
+/// The key frames each convolution of `cnn` uploads on a fresh SPOT
+/// connection (4×4 tweaked patches, as every suite here drives it) fed
+/// an input of `input`'s size: per convolution, `(input ciphertext the
+/// frame travels behind, Galois element)` in send order. Taken from the
+/// client's own schedule, so a test that addresses a key frame by what
+/// it carries or where it stands follows a schedule change by itself.
+pub fn key_streams(
+    ctx: &Arc<Context>,
+    kg: &KeyGenerator,
+    cnn: &TinyCnn,
+    input: &Tensor,
+) -> Vec<Vec<(usize, usize)>> {
+    let mut held = HashSet::new();
+    let mut streams = Vec::new();
+    let mut x = input.clone();
+    for op in cnn.ops() {
+        if let Op::Conv { kernel, stride } = op {
+            let spec = LayerSpec::for_layer(
+                SchemeKind::Spot,
+                &x,
+                kernel,
+                *stride,
+                (4, 4),
+                PatchMode::Tweaked,
+            );
+            let layer = ClientConv::new(ctx, kg, spec).expect("client plan");
+            let fresh = layer.key_schedule().expect("key schedule");
+            streams.push(fresh.into_iter().filter(|&(_, g)| held.insert(g)).collect());
+        }
+        x = op.apply(x);
+    }
+    streams
 }

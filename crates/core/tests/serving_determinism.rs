@@ -15,9 +15,11 @@
 //!    requests at batch cap 3 cost exactly 2 upstream sessions and
 //!    still reconstruct to the plaintext forward pass.
 //! 4. **Batch width is invisible in a connection's keys** — a two-layer
-//!    connection uploads bit-identical rotation-key frames (11 keys,
-//!    then the 1 the second layer adds) at B=1 and B=2, and every image
-//!    gets the output it gets alone.
+//!    connection uploads bit-identical rotation-key frames (the first
+//!    layer's keys, then the one the second layer adds) at B=1 and B=2,
+//!    and every image gets the output it gets alone.
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -510,9 +512,9 @@ fn batched_connection(
 
 /// Slot batching shares the ciphertexts, so a B=2 connection draws the
 /// client rng exactly as a B=1 connection does: every key frame is
-/// bit-identical, each holds one key — eleven travel with conv1 and the
-/// one key conv2 adds with conv2 — and every image's output is the one
-/// it gets alone.
+/// bit-identical, each holds one key — as many as the client's schedule
+/// lists for conv1 and for what conv2 adds — and every image's output is
+/// the one it gets alone.
 #[test]
 fn two_layer_keys_and_outputs_are_batch_width_invariant() {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -529,7 +531,11 @@ fn two_layer_keys_and_outputs_are_batch_width_invariant() {
     let (both, keys_b2) = batched_connection(&server, &kg, &inputs);
     let key_bytes = ctx.params().galois_key_bytes();
     let frame_lens: Vec<usize> = keys_b2.iter().map(Vec::len).collect();
-    assert_eq!(frame_lens, [4 + key_bytes; 11 + 1]);
+    let scheduled: usize = (common::key_streams(&ctx, &kg, &cnn, &inputs[0]).iter())
+        .map(Vec::len)
+        .sum();
+    assert!(scheduled > 1, "both convolutions upload keys");
+    assert_eq!(frame_lens, vec![4 + key_bytes; scheduled]);
     for (b, input) in inputs.iter().enumerate() {
         let (alone, keys_b1) = batched_connection(&server, &kg, std::slice::from_ref(input));
         assert_eq!(alone[0], both[b], "image {b}: B=2 output differs from B=1");

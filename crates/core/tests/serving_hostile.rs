@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{tcp_pair, within_deadline};
+use common::{key_streams, tcp_pair, within_deadline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::error::SpotError;
@@ -820,10 +820,9 @@ fn blob_with_extra(
     WireMessage::GaloisKeys(galois_keys_to_bytes(&keys))
 }
 
-/// TinyCnn under SPOT needs Galois element 4097 for conv2 only, and 3
-/// for both convolutions; conv1 streams eleven keys, conv2 that one.
-const CONV2_ONLY: usize = 4097;
-const BOTH_CONVS: usize = 3;
+/// Some Galois element, for a key frame that is refused for being one
+/// whatever it carries.
+const ANY_ELEMENT: usize = 3;
 
 /// Which key frame of its layer `msg` is (0-based), counted in
 /// `seen[layer]`; `None` for any other frame.
@@ -895,48 +894,69 @@ fn assert_each_refused_and_contained(
 /// key frame that is not exactly the schedule's next element: one the
 /// layer does not rotate by, one the connection already holds, two
 /// scheduled ones swapped, one with a second key riding along. A key
-/// stream cut short after two of conv1's eleven keys, with the server's
-/// worker already blocked on the third: the client goes on to its next
-/// ciphertext, or hangs up. No key frames at all on conv1; the keys of
-/// conv1's second piece class ahead of the ciphertext they belong
-/// behind; a hang-up where conv2's one key frame belongs. Each is
-/// refused and contained.
+/// stream cut short after two of conv1's keys, with the server's worker
+/// already blocked on the third: the client goes on to its next
+/// ciphertext, or hangs up. No key frames at all on conv1; a hang-up
+/// where conv2's one key frame belongs. Each is refused and contained.
+/// Which element a frame carries and which the server wants are read
+/// off the client's own schedule (`key_streams`), not written here.
 #[test]
 fn key_stream_rule_violations_are_refused_and_contained() {
     let (ctx, cnn) = test_stack();
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(400));
     let input = Tensor::random(2, 8, 8, 5, 401);
+    // conv1 streams several keys behind its first ciphertext; conv2
+    // adds one, which conv1 does not rotate by.
+    let [conv1_keys, conv2_keys] = &key_streams(&ctx, &kg, &cnn, &input)[..] else {
+        panic!("TinyCnn has two convolutions");
+    };
+    assert!(conv1_keys.len() > 3 && conv1_keys[..3].iter().all(|&(at, _)| at == 0));
+    let &[(0, conv2_only)] = &conv2_keys[..] else {
+        panic!("conv2 adds one key: {conv2_keys:?}");
+    };
+    let conv1_first = conv1_keys[0].1;
+    let carries_conv2s = format!("key frame carries galois elements [{conv2_only}]");
+    let carries_conv1s = format!(
+        "key frame carries galois elements [{conv1_first}], \
+         want exactly the next scheduled one, {conv2_only}"
+    );
+    let conv2s_never_comes =
+        format!("galois element {conv2_only} will not arrive: protocol transport error");
     const NOT_NEXT: &str = "want exactly the next scheduled one";
     // Per case: key frames seen per layer, a frame held back, and
     // whether the uplink has been hung up.
-    let seen: [[AtomicUsize; 3]; 9] = Default::default();
+    let seen: [[AtomicUsize; 3]; 8] = Default::default();
     let held_back = Mutex::new(None::<WireMessage>);
     let hung_up = AtomicBool::new(false);
     let (ctx, kg) = (&ctx, &kg);
-    let replace_key_frame = |case: usize,
-                             at: (usize, usize),
-                             with: fn(&Arc<Context>, &KeyGenerator, &[u8]) -> WireMessage|
-     -> Rewrite<'_> {
-        let seen = &seen[case];
-        Box::new(
-            move |layer, msg| match (nth_key_frame(seen, layer, msg), msg) {
-                (Some(nth), WireMessage::GaloisKeys(blob)) if (layer, nth) == at => {
-                    Uplink::Replace(vec![with(ctx, kg, blob)])
-                }
-                _ => Uplink::Pass,
-            },
-        )
-    };
-    let hostile: [(&str, &str, Rewrite<'_>); 9] = [
+    // Replaces key frame `at = (layer, nth)` by `with(.., its blob,
+    // element)`.
+    let replace_key_frame =
+        |case: usize,
+         at: (usize, usize),
+         element: usize,
+         with: fn(&Arc<Context>, &KeyGenerator, &[u8], usize) -> WireMessage|
+         -> Rewrite<'_> {
+            let seen = &seen[case];
+            Box::new(
+                move |layer, msg| match (nth_key_frame(seen, layer, msg), msg) {
+                    (Some(nth), WireMessage::GaloisKeys(blob)) if (layer, nth) == at => {
+                        Uplink::Replace(vec![with(ctx, kg, blob, element)])
+                    }
+                    _ => Uplink::Pass,
+                },
+            )
+        };
+    let hostile: [(&str, &str, Rewrite<'_>); 8] = [
         (
             "conv1's third key frame carries conv2's key instead",
-            "key frame carries galois elements [4097]",
-            replace_key_frame(0, (1, 2), |_, kg, _| key_frame(kg, &[CONV2_ONLY])),
+            &carries_conv2s,
+            replace_key_frame(0, (1, 2), conv2_only, |_, kg, _, g| key_frame(kg, &[g])),
         ),
         (
             "conv2's key frame carries a key conv1 uploaded",
-            "key frame carries galois elements [3], want exactly the next scheduled one, 4097",
-            replace_key_frame(1, (2, 0), |_, kg, _| key_frame(kg, &[BOTH_CONVS])),
+            &carries_conv1s,
+            replace_key_frame(1, (2, 0), conv1_first, |_, kg, _, g| key_frame(kg, &[g])),
         ),
         (
             "conv1's first two key frames arrive swapped",
@@ -956,8 +976,8 @@ fn key_stream_rule_violations_are_refused_and_contained() {
         (
             "conv1's first key frame carries conv2's key as well",
             NOT_NEXT,
-            replace_key_frame(3, (1, 0), |ctx, kg, blob| {
-                blob_with_extra(ctx, kg, blob, &[CONV2_ONLY])
+            replace_key_frame(3, (1, 0), conv2_only, |ctx, kg, blob, g| {
+                blob_with_extra(ctx, kg, blob, &[g])
             }),
         ),
         (
@@ -988,28 +1008,13 @@ fn key_stream_rule_violations_are_refused_and_contained() {
                 _ => Uplink::Pass,
             }),
         ),
-        // conv1's four piece classes fill one ciphertext each; nine of
-        // its keys travel behind the first, the two only the second
-        // class rotates by behind the second. With that ciphertext
-        // gone, its keys stand where it should.
-        (
-            "conv1's second piece class sends its keys without its ciphertext before them",
-            "expected PackedCt/AuxCt, got GaloisKeys",
-            Box::new(|layer, msg| {
-                nth_key_frame(&seen[8], layer, msg);
-                match msg {
-                    WireMessage::AuxCt { seq: 1, .. } if layer == 1 => Uplink::Replace(Vec::new()),
-                    _ => Uplink::Pass,
-                }
-            }),
-        ),
         // conv2 has one input ciphertext, so its key frame is the last
         // frame of its upload: a client that merely leaves it out has
         // gone silent, which is not a frame to refuse (the next test).
         // This one says so.
         (
             "conv2's key never comes: the client hangs up in its place",
-            "galois element 4097 will not arrive: protocol transport error",
+            &conv2s_never_comes,
             Box::new(|layer, msg| match nth_key_frame(&seen[7], layer, msg) {
                 Some(_) if layer == 2 => Uplink::HangUp,
                 _ => Uplink::Pass,
@@ -1027,6 +1032,76 @@ fn key_stream_rule_violations_are_refused_and_contained() {
     );
 }
 
+/// A key travels behind the first ciphertext of the first piece class
+/// that rotates by it. Under a square kernel that is the layer's first
+/// ciphertext for every key (a seam piece is a patch with rows or
+/// columns missing, and moves by the patches' steps); a 3×1 kernel
+/// moves the 4×4 patches by whole rows of four and the 4×1 strips of a
+/// later class by rows of one, so that class's ciphertext has two keys
+/// of its own behind it. The honest connection sends them there and
+/// reconstructs the convolution; with the ciphertext left out its keys
+/// stand where it should, and the client is refused and contained.
+#[test]
+fn keys_behind_a_later_piece_class_travel_behind_its_ciphertext_or_are_refused() {
+    let (ctx, _) = test_stack();
+    let cnn = TinyCnn::from_ops(vec![
+        Op::Conv {
+            kernel: Kernel::random(4, 2, 3, 1, 3, 440),
+            stride: 1,
+        },
+        Op::Reveal,
+    ]);
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(441));
+    let input = Tensor::random(2, 8, 8, 5, 442);
+    let stream = key_streams(&ctx, &kg, &cnn, &input).remove(0);
+    let &(strips, _) = stream.last().expect("a rotating layer");
+    let behind_strips = stream.iter().filter(|&&(at, _)| at == strips).count();
+    assert!(strips > 0 && behind_strips == 2, "{stream:?}");
+    assert!(stream.iter().all(|&(at, _)| at == 0 || at == strips));
+
+    // The honest upload: per key frame, the input ciphertext it came
+    // right behind.
+    let server = SpotServer::new(
+        ModelContext::new("tall-kernel", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    );
+    let inputs_sent = AtomicUsize::new(0);
+    let key_frames_behind = Mutex::new(Vec::new());
+    let honest = within_deadline("honest 3x1 connection", || {
+        tampered_connection(&server, mem_link(), &kg, &input, 443, |_, msg| {
+            match msg {
+                WireMessage::PackedCt { .. } | WireMessage::AuxCt { .. } => {
+                    inputs_sent.fetch_add(1, Ordering::SeqCst);
+                }
+                WireMessage::GaloisKeys(_) => {
+                    (key_frames_behind.lock().unwrap()).push(inputs_sent.load(Ordering::SeqCst) - 1)
+                }
+                _ => {}
+            }
+            Uplink::Pass
+        })
+    });
+    honest.session.result.expect("honest session");
+    assert_eq!(
+        honest.client.expect("honest client")[0],
+        cnn.forward_plain(&input)
+    );
+    let scheduled: Vec<usize> = stream.iter().map(|&(at, _)| at).collect();
+    assert_eq!(*key_frames_behind.lock().unwrap(), scheduled);
+
+    let hostile: [(&str, &str, Rewrite<'_>); 1] = [(
+        "a later piece class sends its keys without its ciphertext before them",
+        "expected PackedCt/AuxCt, got GaloisKeys",
+        Box::new(|_, msg| match msg {
+            WireMessage::AuxCt { seq, .. } if *seq as usize == strips => {
+                Uplink::Replace(Vec::new())
+            }
+            _ => Uplink::Pass,
+        }),
+    )];
+    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, mem_link, &hostile);
+}
+
 /// The one way to break the key-stream rule that no frame announces:
 /// conv2's key frame is the last frame of its upload, and this client
 /// leaves it out and stays connected, waiting for its results. The
@@ -1040,9 +1115,12 @@ fn a_withheld_last_key_on_an_open_connection_ends_at_the_read_deadline() {
     let (ctx, cnn) = test_stack();
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(430));
     let input = Tensor::random(2, 8, 8, 5, 431);
+    let conv2_only = key_streams(&ctx, &kg, &cnn, &input)[1][0].1;
+    let never_comes =
+        format!("galois element {conv2_only} will not arrive: protocol transport error");
     let silent: [(&str, &str, Rewrite<'_>); 1] = [(
         "conv2's key never comes: the client waits for its results without sending it",
-        "galois element 4097 will not arrive: protocol transport error",
+        &never_comes,
         Box::new(|layer, msg| match msg {
             WireMessage::GaloisKeys(_) if layer == 2 => Uplink::Replace(Vec::new()),
             _ => Uplink::Pass,
@@ -1265,7 +1343,7 @@ fn key_frame_on_a_layer_whose_keys_are_all_held_is_refused() {
             412,
             |layer, msg| match msg {
                 WireMessage::Setup(_) if layer == 2 => {
-                    Uplink::Replace(vec![msg.clone(), key_frame(&kg, &[CONV2_ONLY])])
+                    Uplink::Replace(vec![msg.clone(), key_frame(&kg, &[ANY_ELEMENT])])
                 }
                 _ => Uplink::Pass,
             },

@@ -493,11 +493,12 @@ fn stream_with_tiny_client(
 /// later one the connection holds every rotation key, the upload is
 /// ciphertexts alone, and the ordering is asserted on the stall as
 /// reported. On the first one the tiny client also makes the keys
-/// (14 under SPOT, 10 under channel-wise packing, each costing it about
+/// (8 under SPOT, 6 under channel-wise packing, each costing it about
 /// three of its encryptions: `k` = 3 error polynomials against one), the
-/// worker waits for about the first ten of either — the nine input-side
-/// ones, then the one giant step — and that wait is by far the larger
-/// part of both stalls, so the *total* orders by noise, not by packing,
+/// worker waits for the first six of either — the five input-side ones
+/// (the column swap and the four moves the taps compose from), then the
+/// one giant step — and that wait is by far the larger part of both
+/// stalls, so the *total* orders by noise, not by packing,
 /// and is not asserted. What the key stream must not touch is the paper's
 /// quantity, the wait for ciphertexts (`server_idle_s - key_wait_s`):
 /// SPOT's stays the first upload, or two when its first job was waiting

@@ -22,22 +22,25 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
-//! Last re-record, `WIRE_VERSION` 4 (every giant step rotates by one
-//! key; input ciphertexts travel as `c0` and a 32-byte seed), field by
-//! field: `uplink` and `uplink_shape` by the shorter key schedule (one
-//! giant-step key where there was one per step) and the seeded blob
-//! length (55,856 B at N4096 where the full form is 111,632);
-//! `downlink` through the client's rng draw order (no public key any
-//! more; per input its seed and then its error polynomial, then per key
-//! behind it the key's seed and errors) and, in the cases with more
-//! than one giant step, through the Horner walk, which yields another
-//! valid encryption of the same sum; `downlink_shape` only by the
-//! version byte — with the constant put back to 3 it equals the
-//! previous value in all nine cases. Client randomness never reaches a
-//! share and the walk moves no count, so no share, count or output
-//! constant moved. (The re-record before it, `WIRE_VERSION` 3, streamed
-//! the rotation keys one per frame, in first-use order, each behind the
-//! input that makes the first job using it runnable.)
+//! Last re-record, `WIRE_VERSION` 5 (kernel taps compose from row and
+//! column moves; a tap outside its piece class is not rotated to),
+//! field by field, in the seven rotating cases: `uplink` and
+//! `uplink_shape` by the shorter key schedule (3×3 over 4×4 pieces:
+//! four tap keys where there were eight, and a seam class adds none);
+//! `downlink` through the client's rng draw order (fewer keys drawn
+//! between the input ciphertexts) and through the composed taps, which
+//! are other valid encryptions of the same rotated slots;
+//! `downlink_shape` only by the version byte — with the constant put
+//! back to 4 it equals the previous value in all nine cases; `counts`
+//! in the five SPOT cases by `rotate` alone (60 → 28 on the small
+//! layer, 97 → 65 on the spilling one, 78 → 46 on TinyCnn: the seam
+//! classes' dead taps), with `mult_plain`, `add`, `encrypt` and
+//! `decrypt` where they were, and not at all under channel-wise
+//! packing, whose one piece class has no dead tap. The two Cheetah
+//! cases moved by the version byte only. No share and no output
+//! constant moved. (The re-record before it, `WIRE_VERSION` 4, made
+//! every giant step rotate by one key and sent input ciphertexts as
+//! `c0` and a 32-byte seed.)
 //!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
@@ -306,8 +309,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x74e1_ae90_2c03_cd59, 0x4fde_80fd_ca3b_f5a4),
-            (0xec4e_cc3c_2135_72dc, 0x1d4c_4c10_e893_b569),
+            (0x63ce_6f15_9516_acb3, 0xf38d_c6f9_fe11_797d),
+            (0x3764_3dc4_2dbf_ad47, 0xe8b2_1b79_7d5e_1494),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -321,8 +324,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xecf9_9acc_aa66_63ae, 0x4fde_80fd_ca3b_f5a4),
-            (0x5bda_453e_fcca_cf97, 0x1d4c_4c10_e893_b569),
+            (0x23e1_c952_7f4f_f5dc, 0xf38d_c6f9_fe11_797d),
+            (0xedf8_0722_3ebb_3c54, 0xe8b2_1b79_7d5e_1494),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -339,8 +342,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x154f_774b_37cd_77c2, 0xe6af_8f56_158f_df4e),
-            (0x184b_97fe_92fd_c79b, 0xaefa_582a_5a94_cd4d),
+            (0x3990_1005_0ac6_8daa, 0x5061_8e32_8076_2cd6),
+            (0x4a07_8836_6715_255e, 0x927f_dca8_4316_3dac),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -354,8 +357,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x7b3f_e912_8288_21a3, 0x935b_bba4_fbf3_6b31),
-            (0xfe2a_f931_473e_acf6, 0xc9d1_a167_bebe_6bc5),
+            (0x119f_e62a_6081_83b6, 0x5293_f006_cb73_c1cc),
+            (0x8afe_d09a_ff7b_9e2b, 0xd5ae_79ba_1699_b99c),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -372,10 +375,10 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xf7ab_fb51_062f_d2fc, 0xcbe9_885d_88c0_81f4),
-            (0xbab2_729a_4df5_edc8, 0xc9d1_a167_bebe_6bc5),
+            (0x170a_6e38_8eb6_2b7d, 0x63d1_07bb_0412_0670),
+            (0xbf1d_9f71_1fee_1766, 0xd5ae_79ba_1699_b99c),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
-            0x15bf_5bff_9bfb_e535,
+            0x3ce7_01fc_7b2e_f8d5,
         ),
     );
 }
@@ -387,13 +390,13 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x4358_834b_37d8_8d2d, 0xcbe9_885d_88c0_81f4),
-            (0xcf7c_701f_f883_390f, 0xc9d1_a167_bebe_6bc5),
+            (0xba82_5d7f_02e4_364b, 0x63d1_07bb_0412_0670),
+            (0xe6ea_3d9c_1267_ae97, 0xd5ae_79ba_1699_b99c),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
             ],
-            0x15bf_5bff_9bfb_e535,
+            0x3ce7_01fc_7b2e_f8d5,
         ),
     );
 }
@@ -405,13 +408,13 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0xbe8d_1b38_2568_3e63, 0x5a1f_365f_4ffa_70cd),
-            (0x7f7a_2d6d_0f3f_039b, 0x9e80_3d84_1cdc_e925),
+            (0x398b_07a0_66ba_83d3, 0x68eb_b8d4_351f_33e5),
+            (0x3ba3_f680_53ea_abba, 0xc775_600d_6295_a99c),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
             ],
-            0x15bf_5bff_9bfb_e535,
+            0x3ce7_01fc_7b2e_f8d5,
         ),
     );
 }
@@ -426,10 +429,10 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0x6f62_9927_cb06_fd89, 0x39fe_b5ca_38fb_30a3),
-        (0x82eb_27d9_ddcd_af3f, 0x1ef1_e408_e8e4_9903),
+        (0x0ce5_637a_dfae_b6bb, 0x6ab7_81c4_deb3_ab92),
+        (0x6ca8_fd38_94c9_01ae, 0xd2b9_af8a_af00_8923),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
-        0xdae6_7088_51e2_7901,
+        0xae67_89d6_ac35_cd21,
     );
     for (name, backend) in [
         ("phased", Backend::Phased),
@@ -461,10 +464,10 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0x7f47_d8cf_1cd7_4b99, 0x4f10_0e66_d426_335d),
-        downlink: (0x0b9f_f988_b8fd_3438, 0x6b38_c2d2_be59_192a),
+        uplink: (0xc652_bb0e_71f8_a906, 0xb64c_12b0_b409_a090),
+        downlink: (0x8b06_0ecd_5fbf_c7c4, 0x7569_cff9_a41f_3e82),
         output: 0xe2d8_2316_5c69_bbf5,
-        counts: 0xaaf8_f89a_f734_9b87,
+        counts: 0x8433_41f6_8525_1727,
     };
     for (name, backend) in [
         ("phased", ExecBackend::Phased(Executor::serial())),

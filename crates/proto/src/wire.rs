@@ -24,8 +24,10 @@ use std::io::Read;
 /// blob of a `PackedCt` / `AuxCt` is the seeded form of a ciphertext
 /// (`c0` and the 32-byte seed of `c1`; a `MaskedResult` blob stays the
 /// full form), and a layer's schedule holds one giant-step key where it
-/// held one per giant step.
-pub const WIRE_VERSION: u8 = 4;
+/// held one per giant step. Version 5: a layer's schedule holds the row
+/// and column moves its live kernel taps compose from (3×3: four keys)
+/// where it held one key per tap (eight).
+pub const WIRE_VERSION: u8 = 5;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
