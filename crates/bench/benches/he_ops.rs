@@ -9,7 +9,7 @@ use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
-use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
+use spot_core::spot::blocking;
 use spot_he::prelude::*;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::{Kernel, Tensor};
@@ -182,20 +182,14 @@ fn bench_conv_cache(c: &mut Criterion) {
     let blk = blocking(c_in, c_out);
     let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, h, w);
     let kernel = Kernel::random(c_out, c_in, 3, 3, 4, 11);
-    let groups = spot_group_specs(&blk, c_out);
-    let in_maps = spot_in_maps(&blk, c_in);
+    let walk = blk.walk(layout, (c_in, c_out), (3, 3));
     let req = ConvRequest {
-        layout: &layout,
-        in_maps: &in_maps,
-        groups: &groups,
-        diagonals: blk.diagonals,
-        fold_steps: &blk.fold_steps,
+        walk: &walk,
         kernel: &kernel,
         cache_tag: 0,
     };
-    let elements = blk.galois_elements(&layout, 3, 3);
-    let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
-    let engine = HeConvEngine::new(&ctx, &galois, true, KernelCache::new());
+    let galois = Arc::new(keygen.galois_keys(&walk.elements(), &mut rng));
+    let engine = HeConvEngine::new(&ctx, &galois, KernelCache::new());
 
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let encoder = BatchEncoder::new(&ctx);

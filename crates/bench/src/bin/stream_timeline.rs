@@ -19,7 +19,7 @@ use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
-use spot_core::spot::{blocking, spot_group_specs, spot_in_maps};
+use spot_core::spot::blocking;
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::pool;
 use spot_he::prelude::*;
@@ -175,20 +175,15 @@ fn main() {
     let small_k = Kernel::random(4, 4, 3, 3, 4, 12);
     let blk = blocking(4, 4);
     let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, 8, 8);
-    let (groups, in_maps) = (spot_group_specs(&blk, 4), spot_in_maps(&blk, 4));
+    let walk = blk.walk(layout, (4, 4), (3, 3));
     let req = ConvRequest {
-        layout: &layout,
-        in_maps: &in_maps,
-        groups: &groups,
-        diagonals: blk.diagonals,
-        fold_steps: &blk.fold_steps,
+        walk: &walk,
         kernel: &small_k,
         cache_tag: 0,
     };
     let mut rng = StdRng::seed_from_u64(9900);
-    let elements = blk.galois_elements(&layout, 3, 3);
-    let galois = Arc::new(keygen.galois_keys(&elements, &mut rng));
-    let engine = HeConvEngine::new(&ctx, &galois, true, KernelCache::new());
+    let galois = Arc::new(keygen.galois_keys(&walk.elements(), &mut rng));
+    let engine = HeConvEngine::new(&ctx, &galois, KernelCache::new());
     let values: Vec<u64> = (0..ctx.degree() as u64).map(|i| i % 97).collect();
     let ct = Encryptor::new(&ctx, keygen.public_key(&mut rng))
         .encrypt(&BatchEncoder::new(&ctx).encode(&values), &mut rng);

@@ -33,6 +33,7 @@ pub fn plan_batched(shape: &ConvShape, scheme: SchemeKind, batch: usize) -> Batc
     assert!(batch >= 1, "batch must be at least 1");
     let mut plan = plan_conv(shape, scheme, true);
     plan.input_cts *= batch;
+    plan.input_ops = plan.input_ops.times(batch as u64);
     plan.output_cts *= batch;
     plan.relu_elements *= batch;
     plan.assembly_elements *= batch as u64;

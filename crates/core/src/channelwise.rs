@@ -12,9 +12,9 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
+use crate::heconv::{ChannelMap, ConvRequest, ConvWalk, GroupSpec};
 use crate::layout::{next_pow2, LaneLayout};
-use crate::session::{lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use crate::session::{first_uses, lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
@@ -23,6 +23,7 @@ use spot_pipeline::plan::{ConvPlan, OutputDependency};
 use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
+use std::sync::Arc;
 
 /// Geometry of a channel-wise packing for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +137,8 @@ pub(crate) struct Packing {
     shape: ConvShape,
     geo: ChannelwiseGeometry,
     layout: LaneLayout,
-    groups: Vec<GroupSpec>,
+    /// What the engine does to each input ciphertext, in upload order.
+    pub(crate) walks: Vec<ConvWalk>,
     facts: PlanFacts,
 }
 
@@ -144,50 +146,43 @@ impl Packing {
     /// Plans `shape` at `level`; a channel must fit one lane.
     pub(crate) fn new(shape: &ConvShape, level: ParamLevel) -> Result<Self, SpotError> {
         let lane = level.degree() / 2;
-        if next_pow2(shape.width * shape.height) > lane {
-            return Err(SpotError::Protocol(format!(
-                "channel of {}x{} does not fit a lane of {lane} slots",
-                shape.height, shape.width
-            )));
-        }
+        LaneLayout::try_new(lane, 1, shape.height, shape.width)?;
         let geo = geometry(shape, level);
         let layout = LaneLayout::new(lane, geo.blocks_per_lane, shape.height, shape.width);
+        let groups: Arc<[GroupSpec]> = (0..geo.output_cts)
+            .map(|k| GroupSpec {
+                out_ch: channel_map(&geo, k, shape.c_out),
+            })
+            .collect();
+        // Input ciphertext `j` and, with channels in both lanes, its
+        // column-swapped twin; CrypTFlow2's published output-rotation
+        // algorithm takes the diagonals one block at a time (no BSGS),
+        // which the engine's Horner walk takes by one key.
+        let walks: Vec<ConvWalk> = (0..geo.input_cts)
+            .map(|j| {
+                let map = channel_map(&geo, j, shape.c_in);
+                let swapped = geo.both_lanes.then(|| vec![map[1].clone(), map[0].clone()]);
+                let in_maps = std::iter::once(map).chain(swapped).collect();
+                let diagonals = geo.blocks_per_lane;
+                let k = (shape.k_h, shape.k_w);
+                let groups = Arc::clone(&groups);
+                ConvWalk::new(layout, in_maps, groups, diagonals, Vec::new(), k, false)
+            })
+            .collect();
         Ok(Self {
             shape: *shape,
             geo,
             layout,
-            groups: (0..geo.output_cts)
-                .map(|k| GroupSpec {
-                    out_ch: channel_map(&geo, k, shape.c_out),
-                })
-                .collect(),
             facts: PlanFacts {
                 dependency: OutputDependency::AllInputs,
                 input_cts: geo.input_cts,
                 output_cts: geo.output_cts,
                 jobs: geo.input_cts,
-                // Every job runs the same rotations: job 0 is the first.
-                // Without BSGS every diagonal is a giant step, and the
-                // engine's Horner walk takes them all by one block, so
-                // the baseline too uploads one alignment key, not
-                // `blocks − 1`.
-                galois_elements: required_elements(
-                    &layout,
-                    shape.k_h,
-                    shape.k_w,
-                    geo.blocks_per_lane,
-                    geo.output_cts,
-                    &[],
-                    geo.both_lanes,
-                    false,
-                )
-                .into_iter()
-                .map(|g| (0, g))
-                .collect(),
-                use_bsgs: false,
+                galois_elements: first_uses(walks.iter().enumerate()),
                 batch_capacity: images_layout(&layout).capacity().min(MAX_BATCH),
                 coeff_packed: false,
             },
+            walks,
         })
     }
 
@@ -253,19 +248,10 @@ impl ConvScheme for Packing {
         job: usize,
         inputs: &[Ciphertext],
     ) -> Result<Vec<Ciphertext>, SpotError> {
-        let map = channel_map(&self.geo, job, self.shape.c_in);
-        let mut in_maps = vec![map.clone()];
-        if self.geo.both_lanes {
-            in_maps.push(vec![map[1].clone(), map[0].clone()]);
-        }
         kit.engine.conv_one_ct(
             &inputs[job],
             &ConvRequest {
-                layout: &self.layout,
-                in_maps: &in_maps,
-                groups: &self.groups,
-                diagonals: self.geo.blocks_per_lane,
-                fold_steps: &[],
+                walk: &self.walks[job],
                 kernel: kit.kernel,
                 cache_tag: job,
             },
@@ -300,8 +286,9 @@ impl ConvScheme for Packing {
         let shape = &self.shape;
         let out = (shape.out_height(), shape.out_width(), shape.stride);
         let mut share = Tensor::zeros(shape.c_out, out.0, out.1);
-        for (group, values) in self.groups.iter().zip(&rows) {
-            self.for_each_slot(&group.out_ch, out, |o, y, x, slot| {
+        for (k, values) in rows.iter().enumerate() {
+            let out_ch = channel_map(&self.geo, k, shape.c_out);
+            self.for_each_slot(&out_ch, out, |o, y, x, slot| {
                 *share.at_mut(o, y, x) = lift(values[slot], t, center);
             });
         }
@@ -309,59 +296,43 @@ impl ConvScheme for Packing {
     }
 }
 
-/// Analytic operation counts for one input ciphertext (matches the
-/// executor exactly when channel counts are powers of two).
-pub fn per_ct_counts(geo: &ChannelwiseGeometry, k_h: usize, k_w: usize) -> OpCounts {
-    let kk = (k_h * k_w) as u64;
-    let b = geo.blocks_per_lane as u64;
-    let v = if geo.both_lanes { 2u64 } else { 1 };
-    let groups = geo.output_cts as u64;
-    OpCounts {
-        // column swap + tap pre-rotations per version + per-group
-        // diagonal alignment rotations (CrypTFlow2's published
-        // output-rotation algorithm, no BSGS). The shared engine walks
-        // those `b − 1` alignments one block at a time, so they are the
-        // published count of rotations under a single key.
-        rotate: (v - 1) + v * (kk - 1) + groups * (b - 1),
-        mult_plain: groups * v * b * kk,
-        add: groups * (v * b * kk - 1),
-        encrypt: 0,
-        decrypt: 0,
-    }
-}
-
-/// Builds the execution plan for the simulator. Handles feature maps
-/// larger than a lane by splitting channels into lane-sized fragments
-/// (counts only; the functional path requires `HW_pad ≤ N/2`).
+/// Builds the execution plan for the simulator from the layer's
+/// [`Packing`]: the server's work is one walk per input ciphertext,
+/// then the cross-ciphertext sums and one masking subtraction per
+/// result once every input is in. A feature map larger than a lane is
+/// planned as fragments — bands of whole rows, each one channel of its
+/// own (counts only; the functional path requires `HW_pad ≤ N/2`).
+///
+/// # Panics
+///
+/// Panics if a band of `⌈H / fragments⌉` rows does not fit a lane.
 pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
     let lane = level.degree() / 2;
-    let s_full = next_pow2(shape.width * shape.height);
-    let (eff_shape, fragments) = if s_full <= lane {
-        (*shape, 1usize)
-    } else {
-        // Fragment the feature map: each fragment behaves like a channel
-        // holding a full lane of slots.
-        let frag = s_full / lane;
-        let mut s = *shape;
-        s.c_in = shape.c_in * frag;
-        s.c_out = shape.c_out * frag;
-        s.height = 1;
-        s.width = lane;
-        (s, frag)
+    let fragments = (next_pow2(shape.width * shape.height) / lane).max(1);
+    let band = ConvShape {
+        c_in: shape.c_in * fragments,
+        c_out: shape.c_out * fragments,
+        height: shape.height.div_ceil(fragments),
+        ..*shape
     };
-    let geo = geometry(&eff_shape, level);
-    let per_ct = per_ct_counts(&geo, shape.k_h, shape.k_w);
+    let packing = Packing::new(&band, level)
+        .unwrap_or_else(|e| panic!("channel-wise packing cannot plan {shape} at {level}: {e}"));
+    let (geo, facts) = (&packing.geo, &packing.facts);
+    let mut input_ops = OpCounts::default();
+    for walk in &packing.walks {
+        input_ops.merge(&walk.ops());
+    }
     let finalize = OpCounts {
-        add: ((geo.input_cts as u64 - 1) * geo.output_cts as u64) + geo.output_cts as u64,
+        add: ((facts.input_cts as u64 - 1) * facts.output_cts as u64) + facts.output_cts as u64,
         ..OpCounts::default()
     };
     let params = spot_he::params::EncryptionParams::new(level);
     ConvPlan {
         scheme: "CrypTFlow2 (channel-wise)",
         level,
-        input_cts: geo.input_cts,
-        output_cts: geo.output_cts,
-        per_ct_ops: per_ct,
+        input_cts: facts.input_cts,
+        output_cts: facts.output_cts,
+        input_ops,
         finalize_ops: finalize,
         dependency: OutputDependency::AllInputs,
         extra_downstream_bytes: 0,

@@ -112,7 +112,6 @@ impl Packing {
                 // chunk.
                 jobs: shape.c_out,
                 galois_elements: Vec::new(),
-                use_bsgs: false,
                 // Coefficient packing shares no slots: a batch is its
                 // images in sequence over one session (keys and setup
                 // amortize), bounded only by the wire field.
@@ -233,9 +232,9 @@ pub fn minimum_level(shape: &ConvShape) -> ParamLevel {
 pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
     let geo = geometry(shape, level);
     let out_elements = shape.output_elements() as u64;
-    let per_ct = OpCounts {
+    let input_ops = OpCounts {
         // one ring product per output channel per input ciphertext
-        mult_plain: shape.c_out as u64,
+        mult_plain: (shape.c_out * geo.input_cts) as u64,
         ..OpCounts::default()
     };
     let finalize = OpCounts {
@@ -254,7 +253,7 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
         // extracted LWE batches repacked: downstream dominated by
         // extra_downstream_bytes; keep RLWE count modest
         output_cts: geo.output_cts.min(geo.input_cts.max(1) * 4).max(1),
-        per_ct_ops: per_ct,
+        input_ops,
         finalize_ops: finalize,
         dependency: OutputDependency::AllInputs,
         extra_downstream_bytes: out_elements * LWE_BYTES_PER_ELEMENT,
@@ -378,6 +377,6 @@ mod tests {
         let p = plan(&shape, ParamLevel::N4096, true);
         assert_eq!(p.dependency, OutputDependency::AllInputs);
         assert!(p.extra_downstream_bytes > 1_000_000);
-        assert_eq!(p.per_ct_ops.rotate, 0);
+        assert_eq!(p.input_ops.rotate, 0);
     }
 }

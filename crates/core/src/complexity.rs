@@ -54,6 +54,7 @@ pub fn spot_formula(c_m: u64, c_i: u64, c_o: u64, k_w: u64, k_h: u64) -> Formula
 mod tests {
     use super::*;
     use crate::channelwise;
+    use crate::layout::LaneLayout;
     use crate::spot;
     use spot_he::params::ParamLevel;
     use spot_tensor::models::ConvShape;
@@ -79,13 +80,14 @@ mod tests {
 
     #[test]
     fn channelwise_planner_matches_formula() {
-        // The planner's per-ct multiplication and addition counts equal
+        // One input ciphertext's walk multiplies and adds as often as
         // the published formula with c_n = channels per ciphertext; our
         // rotation count is slightly *below* the formula because the
         // two-lane layout shares each alignment rotation across lanes.
         let shape = ConvShape::new(16, 16, 32, 32, 3, 1);
         let geo = channelwise::geometry(&shape, ParamLevel::N4096);
-        let per_ct = channelwise::per_ct_counts(&geo, 3, 3);
+        let packing = channelwise::Packing::new(&shape, ParamLevel::N4096).expect("plans");
+        let per_ct = packing.walks[0].ops();
         let f = cryptflow2_formula(1, geo.channels_per_ct as u64, 32, 3, 3);
         assert_eq!(per_ct.mult_plain, f.simd_mult);
         assert_eq!(per_ct.add, f.add);
@@ -102,7 +104,12 @@ mod tests {
     #[test]
     fn spot_planner_matches_formula_with_lane_ci() {
         let blk = spot::blocking(8, 32);
-        let per_ct = spot::per_ct_counts(&blk, 3, 3);
+        let layout = LaneLayout::new(2048, blk.lane_blocks, 4, 4);
+        let walk = blk.walk(layout, (8, 32), (3, 3));
+        // One patch ciphertext's work: its walk, then one masking
+        // subtraction per result.
+        let mut per_ct = walk.ops();
+        per_ct.add += blk.out_groups as u64;
         let f = spot_formula(1, 8, 32, 3, 3);
         // The BSGS alignment never exceeds the published rotation count.
         assert!(per_ct.rotate <= f.perm, "{} > {}", per_ct.rotate, f.perm);

@@ -32,12 +32,19 @@
 //! column-swap per input ciphertext) and the block-folding used when
 //! `C_o < C_i` (Fig. 7 (b)).
 //!
+//! What the engine does to one input ciphertext is computed once, as a
+//! value: the [`ConvWalk`] of a SPOT piece class or of a channel-wise
+//! input ciphertext. It has three readers and no copies. The engine
+//! runs it ([`HeConvEngine::conv_one_ct`]); the key schedule reads the
+//! Galois elements it rotates by ([`ConvWalk::elements`]), in the
+//! order it first uses them; the cost model reads the operations it
+//! executes (`ConvWalk::ops`).
+//!
 //! The engine does not own its rotation keys: it asks a [`RotationKeys`]
 //! for each one when it is about to use it, after the key-switch
 //! decomposition that needs no key. Over a served connection that is a
 //! store the client is still uploading into, so a rotation waits only
-//! for its own key; the order of first requests is
-//! [`required_elements`], which is therefore the upload schedule.
+//! for its own key.
 
 use crate::error::SpotError;
 use crate::layout::LaneLayout;
@@ -45,7 +52,7 @@ use parking_lot::RwLock;
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::encoding::{galois_elt_column_swap, galois_elt_from_step, BatchEncoder};
-use spot_he::evaluator::{Evaluator, HoistedCiphertext};
+use spot_he::evaluator::{Evaluator, HoistedCiphertext, OpCounts};
 use spot_he::keys::GaloisKeys;
 use spot_he::poly::Poly;
 use spot_tensor::tensor::Kernel;
@@ -66,41 +73,28 @@ pub struct GroupSpec {
     pub out_ch: Vec<Vec<Option<usize>>>,
 }
 
-/// Everything [`HeConvEngine::conv_one_ct`] needs to describe one
-/// layer's convolution besides the ciphertext itself. Borrowing the
-/// per-layer structures keeps the per-ciphertext call cheap and lets
-/// the same request be shared across executor worker threads.
+/// Everything [`HeConvEngine::conv_one_ct`] needs besides the
+/// ciphertext itself: what to do to it, and the weights to do it with.
+/// Borrowing keeps the per-ciphertext call cheap and lets the same
+/// request be shared across executor worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct ConvRequest<'a> {
-    /// The lane layout the ciphertext was packed with.
-    pub layout: &'a LaneLayout,
-    /// Channel maps per ciphertext version. One entry means both lanes
-    /// hold the same channels (patch packing); two entries trigger the
-    /// column-swapped cross-lane products (channel-wise).
-    pub in_maps: &'a [ChannelMap],
-    /// The output groups, one result ciphertext each.
-    pub groups: &'a [GroupSpec],
-    /// Number of block diagonals (`= blocks` when `C_o ≥ C_i`;
-    /// `= C_o_pad` with folding when `C_o < C_i`).
-    pub diagonals: usize,
-    /// Block-shift amounts folded into the result by rotate-and-add
-    /// after diagonal alignment (empty when `C_o ≥ C_i`).
-    pub fold_steps: &'a [usize],
+    /// The walk the ciphertext goes through.
+    pub walk: &'a ConvWalk,
     /// The convolution kernel.
     pub kernel: &'a Kernel,
     /// Discriminates kernel-plaintext cache entries when one engine
-    /// serves several distinct `(layout, in_maps, groups, kernel)`
-    /// configurations — channel-wise packing uses the input-ciphertext
-    /// index here, SPOT the piece-class index. Requests with equal tags
-    /// must be otherwise identical.
+    /// serves several distinct walks — channel-wise packing uses the
+    /// input-ciphertext index here, SPOT the piece-class index.
+    /// Requests with equal tags must be otherwise identical.
     pub cache_tag: usize,
 }
 
 /// Cache key for one lifted kernel plaintext:
 /// `(cache_tag, version, group, diagonal, tap)`, the tap counted among
-/// the request's live ones. The baby-step pre-rotation is a function of
-/// the diagonal under a fixed BSGS split, so it needs no key component
-/// of its own.
+/// the walk's live ones. The baby-step pre-rotation is a function of
+/// the diagonal under the walk's BSGS split, so it needs no key
+/// component of its own.
 type KernelKey = (usize, usize, usize, usize, usize);
 
 /// A shareable NTT-domain kernel plaintext cache. Cache entries are a
@@ -191,10 +185,6 @@ pub struct HeConvEngine<'k> {
     keys: &'k dyn RotationKeys,
     /// Nanoseconds its callers spent blocked in [`RotationKeys::wait`].
     key_wait_ns: AtomicU64,
-    /// Whether the baby-step/giant-step alignment optimization is used
-    /// (SPOT yes; the CrypTFlow2 baseline follows its published
-    /// output-rotation algorithm without it).
-    use_bsgs: bool,
     /// Lazily populated NTT-domain kernel plaintexts: once a
     /// `(tag, version, group, diagonal, tap)` combination has been
     /// encoded and lifted, every later ciphertext through the same layer
@@ -280,69 +270,219 @@ fn first_occurrences(elements: impl IntoIterator<Item = usize>) -> Vec<usize> {
     seen
 }
 
-/// The Galois elements a convolution over the given layout rotates by,
-/// each once, in the order [`HeConvEngine::conv_one_ct`] first uses
-/// them: the column swap (optional), the baby block-alignment steps
-/// `1..B`, the row moves `dy·piece_w` and then the column moves `dx`
-/// its live kernel taps compose from, the giant step
-/// (`B` blocks under the BSGS split the engine will choose, whenever
-/// there is more than one), the fold steps. Both parties
-/// compute this from the layer geometry alone, which is what lets the
-/// client generate exactly the keys the server will use, and upload
-/// them in the order it will ask for them.
-#[allow(clippy::too_many_arguments)]
-pub fn required_elements(
-    layout: &LaneLayout,
-    k_h: usize,
-    k_w: usize,
-    diagonals: usize,
-    groups: usize,
-    fold_steps: &[usize],
-    column_swap: bool,
-    use_bsgs: bool,
-) -> Vec<usize> {
-    let n = 2 * layout.lane_size;
-    let versions = if column_swap { 2 } else { 1 };
-    let (baby, giants) = if use_bsgs {
-        bsgs_split(diagonals, groups.max(1), versions, k_h * k_w)
-    } else {
-        (1, diagonals)
-    };
-    let block = |b: usize| galois_elt_from_step(layout.block_rotation_step(b), n);
-    let (rows, cols) = tap_moves(layout, k_h, k_w);
-    let moves = (rows.into_iter().chain(cols))
-        .filter(|&step| step != 0)
-        .map(|step| galois_elt_from_step(step, n));
-    first_occurrences(
-        (column_swap.then(|| galois_elt_column_swap(n)).into_iter())
-            .chain((1..baby).map(block))
-            .chain(moves)
-            .chain((giants > 1).then(|| block(baby)))
-            .chain(fold_steps.iter().map(|&f| block(f))),
-    )
+/// Whether block diagonal `d` pairs something: in some lane, a block
+/// `b` that holds an input channel (`held[lane]`) meets block `b − d`
+/// (mod the lane's blocks) of `group`, which holds an output channel.
+/// At any other diagonal every kernel plaintext is zero whatever the
+/// weights.
+fn meets(held: &[Vec<usize>], group: &GroupSpec, d: usize) -> bool {
+    (held.iter().zip(&group.out_ch)).any(|(held, outs)| {
+        (held.iter()).any(|&b| outs[(b + outs.len() - d) % outs.len()].is_some())
+    })
+}
+
+/// One term of a giant step's inner product: the input's version
+/// `version`, moved by baby step `diagonal mod B` and then to live tap
+/// `tap`, times the kernel plaintext of `(version, group, diagonal,
+/// tap)`.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    version: usize,
+    diagonal: usize,
+    tap: usize,
+}
+
+/// What [`HeConvEngine::conv_one_ct`] does to one input ciphertext,
+/// computed once from the layer's geometry: the engine runs it, and
+/// the key schedule ([`ConvWalk::elements`]) and the cost model
+/// (`ConvWalk::ops`) read it, so none of the three can drift from
+/// the others.
+///
+/// In order: the column swap (when the input has a lane-swapped second
+/// version); the baby steps `1..B` of each version; at each (version,
+/// baby step) position the row moves and then the column moves its
+/// live taps compose from; and per output group the Horner walk over
+/// the giant steps, last first, then the folds. Each giant step is one
+/// inner product over its terms that are non-zero by geometry: every
+/// live tap of each (version, diagonal) that pairs some input channel
+/// with some output channel of the group. A term the *weights* zero
+/// out is the one thing a walk does not know: the engine drops it when
+/// it finds its kernel plaintext empty.
+#[derive(Debug, Clone)]
+pub struct ConvWalk {
+    layout: LaneLayout,
+    /// Channel maps per version: one, or the lane-swapped twin too.
+    in_maps: Vec<ChannelMap>,
+    /// The output groups, one result ciphertext each.
+    groups: Arc<[GroupSpec]>,
+    /// Baby steps `B` and giant steps of the diagonal alignment.
+    baby: usize,
+    giants: usize,
+    /// The live taps `(dy, dx, kh, kw)`, row by row.
+    taps: Vec<(i64, i64, usize, usize)>,
+    /// The row and column moves the taps compose from ([`tap_moves`]).
+    rows: Vec<i64>,
+    cols: Vec<i64>,
+    /// `met[(group · D + diagonal) · versions + version]`: whether that
+    /// (version, diagonal) pairs a channel with the group.
+    met: Vec<bool>,
+    /// Block shifts folded into every result by rotate-and-add.
+    folds: Vec<usize>,
+}
+
+impl ConvWalk {
+    /// The walk over ciphertexts packed in `layout`, whose versions
+    /// hold `in_maps` (one map, or two to take the column-swapped
+    /// cross-lane products too), producing one result per group, over
+    /// `diagonals` block diagonals — aligned baby-step/giant-step when
+    /// `bsgs`, one block at a time otherwise — with `folds` block
+    /// shifts folded into every result, for a `k_h × k_w` kernel.
+    pub(crate) fn new(
+        layout: LaneLayout,
+        in_maps: Vec<ChannelMap>,
+        groups: Arc<[GroupSpec]>,
+        diagonals: usize,
+        folds: Vec<usize>,
+        (k_h, k_w): (usize, usize),
+        bsgs: bool,
+    ) -> Self {
+        let versions = in_maps.len();
+        assert!(versions == 1 || versions == 2);
+        assert!(diagonals >= 1 && layout.blocks.is_multiple_of(diagonals));
+        let (baby, giants) = if bsgs {
+            bsgs_split(diagonals, groups.len(), versions, k_h * k_w)
+        } else {
+            (1, diagonals)
+        };
+        // Per version and lane, the blocks that hold an input channel.
+        let held_blocks = |row: &Vec<Option<usize>>| -> Vec<usize> {
+            (0..row.len()).filter(|&b| row[b].is_some()).collect()
+        };
+        let held: Vec<Vec<Vec<usize>>> = (in_maps.iter())
+            .map(|in_map| in_map.iter().map(held_blocks).collect())
+            .collect();
+        let met = (groups.iter())
+            .flat_map(|group| (0..diagonals).map(move |d| (group, d)))
+            .flat_map(|(group, d)| held.iter().map(move |held| meets(held, group, d)))
+            .collect();
+        let (rows, cols) = tap_moves(&layout, k_h, k_w);
+        Self {
+            taps: live_taps(&layout, k_h, k_w),
+            rows,
+            cols,
+            layout,
+            in_maps,
+            groups,
+            baby,
+            giants,
+            met,
+            folds,
+        }
+    }
+
+    /// The lane layout the walk's input is packed with.
+    pub(crate) fn layout(&self) -> &LaneLayout {
+        &self.layout
+    }
+
+    /// Which (baby step, version) pairs of group `gi`'s giant step `j`
+    /// pair a channel, baby step major.
+    fn step_met(&self, gi: usize, j: usize) -> &[bool] {
+        let width = self.baby * self.in_maps.len();
+        let first = (gi * self.giants + j) * width;
+        &self.met[first..first + width]
+    }
+
+    /// Group `gi`'s giant step `j`, term by term, in the order the
+    /// engine sums them: by baby step, then version, then tap.
+    fn terms(&self, gi: usize, j: usize) -> impl Iterator<Item = Term> + '_ {
+        let (versions, taps) = (self.in_maps.len(), self.taps.len());
+        (self.step_met(gi, j).iter().enumerate())
+            .filter(|&(_, &met)| met)
+            .flat_map(move |(at, _)| {
+                let (diagonal, version) = (j * self.baby + at / versions, at % versions);
+                (0..taps).map(move |tap| Term {
+                    version,
+                    diagonal,
+                    tap,
+                })
+            })
+    }
+
+    /// The Galois elements the walk rotates by, each once, in the order
+    /// it first uses them: the column swap, the baby steps, the row
+    /// and then the column moves, the giant step `B` (one element for
+    /// every giant step of the Horner walk), the folds. Both parties
+    /// compute it from the layer geometry alone, which is what lets the
+    /// client make exactly the keys the server will use, and upload
+    /// them in the order it will ask for them.
+    pub fn elements(&self) -> Vec<usize> {
+        let n = 2 * self.layout.lane_size;
+        let block = |b: usize| galois_elt_from_step(self.layout.block_rotation_step(b), n);
+        let moves = (self.rows.iter().chain(&self.cols))
+            .filter(|&&step| step != 0)
+            .map(|&step| galois_elt_from_step(step, n));
+        // A group's Horner walk rotates once it has summed a later step.
+        let giant = (0..self.groups.len())
+            .any(|gi| (1..self.giants).any(|j| self.step_met(gi, j).contains(&true)));
+        first_occurrences(
+            ((self.in_maps.len() == 2).then(|| galois_elt_column_swap(n)))
+                .into_iter()
+                .chain((1..self.baby).map(block))
+                .chain(moves)
+                .chain(giant.then(|| block(self.baby)))
+                .chain(self.folds.iter().map(|&f| block(f))),
+        )
+    }
+
+    /// The rotations, plaintext multiplications and additions the
+    /// engine runs on one input ciphertext when no weight is zero —
+    /// what [`HeConvEngine::conv_one_ct`]'s evaluator tallies.
+    pub(crate) fn ops(&self) -> OpCounts {
+        let versions = self.in_maps.len() as u64;
+        let moving = |steps: &[i64]| steps.iter().filter(|&&step| step != 0).count() as u64;
+        let to_taps = moving(&self.rows) + self.rows.len() as u64 * moving(&self.cols);
+        let folds = self.folds.len() as u64;
+        let mut ops = OpCounts {
+            rotate: (versions - 1)
+                + versions * (self.baby as u64 - 1)
+                + versions * self.baby as u64 * to_taps,
+            ..OpCounts::default()
+        };
+        for gi in 0..self.groups.len() {
+            let mut summed = false;
+            for j in (0..self.giants).rev() {
+                ops.rotate += u64::from(summed);
+                let met = self.step_met(gi, j).iter().filter(|&&met| met).count();
+                if let Some(rest) = (met * self.taps.len()).checked_sub(1) {
+                    ops.mult_plain += rest as u64 + 1;
+                    ops.add += rest as u64 + u64::from(summed);
+                    summed = true;
+                }
+            }
+            // A group with nothing to sum multiplies by a zero plaintext.
+            ops.mult_plain += u64::from(!summed);
+            ops.rotate += folds;
+            ops.add += folds;
+        }
+        ops
+    }
 }
 
 impl<'k> HeConvEngine<'k> {
     /// Builds the engine of one layer around the client's Galois keys,
-    /// which must come to cover the elements [`required_elements`]
-    /// reports for every request the layer will run, and a
-    /// [`KernelCache`]: the serving layer passes the model's, so every
-    /// session multiplies against the same lifted kernel plaintexts,
-    /// while the keys stay per engine because they are client key
-    /// material.
-    pub fn new(
-        ctx: &Arc<Context>,
-        keys: &'k dyn RotationKeys,
-        use_bsgs: bool,
-        cache: KernelCache,
-    ) -> Self {
+    /// which must come to cover the [`ConvWalk::elements`] of every walk
+    /// the layer will run, and a [`KernelCache`]: the serving layer
+    /// passes the model's, so every session multiplies against the same
+    /// lifted kernel plaintexts, while the keys stay per engine because
+    /// they are client key material.
+    pub fn new(ctx: &Arc<Context>, keys: &'k dyn RotationKeys, cache: KernelCache) -> Self {
         Self {
             ctx: Arc::clone(ctx),
             encoder: BatchEncoder::new(ctx),
             evaluator: Evaluator::new(ctx),
             keys,
             key_wait_ns: AtomicU64::new(0),
-            use_bsgs,
             kernel_cache: cache,
         }
     }
@@ -375,25 +515,22 @@ impl<'k> HeConvEngine<'k> {
         &self.evaluator
     }
 
-    /// Builds the kernel plaintext for `(group, diagonal, tap)` under the
-    /// given channel maps. `in_maps` has one entry per ciphertext version
-    /// (the original and, for channel-wise packing, the column-swapped
-    /// copy); version `v`'s plaintext uses `in_maps[v]`.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the kernel plaintext of `term` for group `gi` of `walk`:
+    /// the tap's weights masked to the pixels it pairs within a piece,
+    /// pre-rotated left by the term's baby step so the giant rotations
+    /// complete the alignment. `None` when the weights leave it empty.
     #[allow(clippy::needless_range_loop)]
     fn kernel_plaintext(
         &self,
-        layout: &LaneLayout,
-        in_map: &ChannelMap,
-        group: &GroupSpec,
-        d: usize,
-        pre_rot: usize,
-        dy: i64,
-        dx: i64,
-        kh: usize,
-        kw: usize,
+        walk: &ConvWalk,
+        gi: usize,
+        term: Term,
         kernel: &Kernel,
     ) -> Option<spot_he::encoding::Plaintext> {
+        let layout = &walk.layout;
+        let (in_map, group, d) = (&walk.in_maps[term.version], &walk.groups[gi], term.diagonal);
+        let (dy, dx, kh, kw) = walk.taps[term.tap];
+        let pre_rot = (d % walk.baby) * layout.groups * layout.piece_slots;
         let t = self.ctx.params().plain_modulus();
         let r = layout.lane_size;
         let mut slots = vec![0u64; 2 * r];
@@ -444,66 +581,38 @@ impl<'k> HeConvEngine<'k> {
         }
     }
 
-    /// Returns the lifted (NTT-domain) kernel plaintext for one
-    /// `(version, group, diagonal, tap)` combination, from the cache
-    /// once it has been built. `None` means the combination is all-zero
-    /// and the multiply can be skipped entirely.
-    #[allow(clippy::too_many_arguments)]
-    fn lifted_kernel(
-        &self,
-        req: &ConvRequest<'_>,
-        vi: usize,
-        gi: usize,
-        d: usize,
-        pre: usize,
-        ti: usize,
-        dy: i64,
-        dx: i64,
-        kh: usize,
-        kw: usize,
-    ) -> Option<Arc<Poly>> {
+    /// Returns the lifted (NTT-domain) kernel plaintext of `term` for
+    /// group `gi`, from the cache once it has been built. `None` means
+    /// the weights zero it out and the multiply can be skipped.
+    fn lifted_kernel(&self, req: &ConvRequest<'_>, gi: usize, term: Term) -> Option<Arc<Poly>> {
         let build = || {
-            self.kernel_plaintext(
-                req.layout,
-                &req.in_maps[vi],
-                &req.groups[gi],
-                d,
-                pre,
-                dy,
-                dx,
-                kh,
-                kw,
-                req.kernel,
-            )
-            .map(|pt| Arc::new(pt.lift(&self.ctx)))
+            self.kernel_plaintext(req.walk, gi, term, req.kernel)
+                .map(|pt| Arc::new(pt.lift(&self.ctx)))
         };
-        let key: KernelKey = (req.cache_tag, vi, gi, d, ti);
+        let key: KernelKey = (req.cache_tag, term.version, gi, term.diagonal, term.tap);
         self.kernel_cache.get_or_build(key, build)
     }
 
-    /// The live tap positions of one hoisted position, in
-    /// [`live_taps`]' order; `None` is the centre tap, the position's
-    /// own ciphertext. The row moves come from the position's hoist,
-    /// the column moves from that same hoist for the centre row and
-    /// from one hoist per moved row for the others: the same number of
-    /// key switches as rotating to each tap directly, by far fewer
-    /// distinct elements ([`tap_moves`]), for one more decomposition a
-    /// moved row.
+    /// The live tap positions of one hoisted position, in the walk's tap
+    /// order; `None` is the centre tap, the position's own ciphertext.
+    /// The row moves come from the position's hoist, the column moves
+    /// from that same hoist for the centre row and from one hoist per
+    /// moved row for the others: the same number of key switches as
+    /// rotating to each tap directly, by far fewer distinct elements
+    /// ([`tap_moves`]), for one more decomposition a moved row.
     fn tap_positions(
         &self,
         at: &HoistedCiphertext,
-        layout: &LaneLayout,
-        k_h: usize,
-        k_w: usize,
+        walk: &ConvWalk,
     ) -> Result<Vec<Option<Ciphertext>>, SpotError> {
         let n = self.ctx.degree();
-        let (rows, cols) = tap_moves(layout, k_h, k_w);
+        let cols = &walk.cols;
         let moved = |at: &HoistedCiphertext, step: i64| {
             (step != 0)
                 .then(|| self.rotate(at, galois_elt_from_step(step, n)))
                 .transpose()
         };
-        let rows = (rows.iter().map(|&step| moved(at, step)))
+        let rows = (walk.rows.iter().map(|&step| moved(at, step)))
             .collect::<Result<Vec<Option<Ciphertext>>, SpotError>>()?;
         let mut tapped = Vec::with_capacity(rows.len() * cols.len());
         for mut row in rows {
@@ -512,7 +621,7 @@ impl<'k> HeConvEngine<'k> {
                 .filter(|_| cols.len() > 1)
                 .map(|row| self.evaluator.hoist(row));
             let from = hoisted.as_ref().unwrap_or(at);
-            for &step in &cols {
+            for &step in cols {
                 tapped.push(match step {
                     0 => row.take(),
                     step => moved(from, step)?,
@@ -522,29 +631,18 @@ impl<'k> HeConvEngine<'k> {
         Ok(tapped)
     }
 
-    /// Runs the lane-MIMO convolution of one input ciphertext (see
-    /// [`ConvRequest`] for the per-layer structure description).
+    /// Runs the request's walk over one input ciphertext.
     ///
-    /// Returns one ciphertext per group, or the error of a rotation key
-    /// that can no longer arrive.
-    #[allow(clippy::needless_range_loop)]
+    /// Returns one ciphertext per output group, or the error of a
+    /// rotation key that can no longer arrive.
     pub fn conv_one_ct(
         &self,
         ct: &Ciphertext,
         req: &ConvRequest<'_>,
     ) -> Result<Vec<Ciphertext>, SpotError> {
-        let (layout, in_maps, groups) = (req.layout, req.in_maps, req.groups);
-        let (diagonals, fold_steps) = (req.diagonals, req.fold_steps);
-        assert!(!in_maps.is_empty() && in_maps.len() <= 2);
-        assert!(diagonals >= 1 && layout.blocks % diagonals == 0);
+        let walk = req.walk;
+        let (layout, baby) = (&walk.layout, walk.baby);
         let ev = &self.evaluator;
-        let (k_h, k_w) = (req.kernel.k_h(), req.kernel.k_w());
-        let taps = live_taps(layout, k_h, k_w);
-        let (baby, giants) = if self.use_bsgs {
-            bsgs_split(diagonals, groups.len(), in_maps.len(), k_h * k_w)
-        } else {
-            (1, diagonals)
-        };
 
         // Pre-rotate the input to every (version, baby step, live tap)
         // position, shared across output groups and giant steps — the
@@ -558,7 +656,7 @@ impl<'k> HeConvEngine<'k> {
         let n = self.ctx.degree();
         let block = |b: usize| galois_elt_from_step(layout.block_rotation_step(b), n);
         let input = ev.hoist(ct);
-        let swapped = (in_maps.len() == 2)
+        let swapped = (walk.in_maps.len() == 2)
             .then(|| self.rotate(&input, galois_elt_column_swap(n)))
             .transpose()?;
         let versions: Vec<&Ciphertext> = std::iter::once(ct).chain(swapped.as_ref()).collect();
@@ -572,19 +670,20 @@ impl<'k> HeConvEngine<'k> {
             let steps = (1..baby)
                 .map(|b| self.rotate(&at, block(b)))
                 .collect::<Result<Vec<Ciphertext>, SpotError>>()?;
-            tapped.push(self.tap_positions(&at, layout, k_h, k_w)?);
+            tapped.push(self.tap_positions(&at, walk)?);
             for step in &steps {
-                tapped.push(self.tap_positions(&ev.hoist(step), layout, k_h, k_w)?);
+                tapped.push(self.tap_positions(&ev.hoist(step), walk)?);
             }
             stepped.push(steps);
         }
-        let operand = |vi: usize, ti: usize, b: usize| {
+        let operand = |term: Term| {
+            let (vi, b) = (term.version, term.diagonal % baby);
             let position = if b == 0 {
                 versions[vi]
             } else {
                 &stepped[vi][b - 1]
             };
-            tapped[vi * baby + b][ti].as_ref().unwrap_or(position)
+            tapped[vi * baby + b][term.tap].as_ref().unwrap_or(position)
         };
 
         // The giant steps are a Horner walk, last step first:
@@ -593,32 +692,15 @@ impl<'k> HeConvEngine<'k> {
         // step `j`'s inner product ends up moved by `j·B`, as if rotated
         // there at once; the rotations, their hoists and their noise
         // terms number the same, and one key serves them all.
-        let mut outputs = Vec::with_capacity(groups.len());
-        for (gi, _group) in groups.iter().enumerate() {
+        let mut outputs = Vec::with_capacity(walk.groups.len());
+        for gi in 0..walk.groups.len() {
             let mut acc_total: Option<Ciphertext> = None;
-            for j in (0..giants).rev() {
-                // Every (baby step, version, tap) of this giant step is
+            for j in (0..walk.giants).rev() {
+                // Every term of this giant step the weights leave is
                 // one term of a single inner product.
-                let mut terms: Vec<(&Ciphertext, Arc<Poly>)> = Vec::new();
-                for b in 0..baby {
-                    let d = j * baby + b;
-                    if d >= diagonals {
-                        break;
-                    }
-                    // plaintext for diagonal d, pre-rotated left by b
-                    // blocks so the giant rotations complete the
-                    // alignment
-                    let pre = b * layout.groups * layout.piece_slots;
-                    for vi in 0..in_maps.len() {
-                        for (ti, &(dy, dx, kh, kw)) in taps.iter().enumerate() {
-                            if let Some(lifted) =
-                                self.lifted_kernel(req, vi, gi, d, pre, ti, dy, dx, kh, kw)
-                            {
-                                terms.push((operand(vi, ti, b), lifted));
-                            }
-                        }
-                    }
-                }
+                let terms: Vec<(&Ciphertext, Arc<Poly>)> = (walk.terms(gi, j))
+                    .filter_map(|term| Some((operand(term), self.lifted_kernel(req, gi, term)?)))
+                    .collect();
                 // What the later steps have summed moves one step on,
                 // whether or not this step has anything to add to it.
                 let moved = (acc_total.take())
@@ -640,7 +722,7 @@ impl<'k> HeConvEngine<'k> {
                 ev.multiply_plain(ct, &zero)
             });
             // Fold partial sums across block strides (C_o < C_i case).
-            for &f in fold_steps {
+            for &f in &walk.folds {
                 let rot = self.rotate(&ev.hoist(&out), block(f))?;
                 ev.add_inplace(&mut out, &rot);
             }
@@ -734,15 +816,15 @@ mod tests {
     /// — the engine's evaluator's tally, which the trace counters on
     /// this thread must have seen too — an FNV-1a digest of the slots
     /// its outputs decrypt to, and the rotation keys it asked for. On
-    /// the way it holds the engine to the key schedule: the order it
-    /// first asks for each rotation key is the order
-    /// [`required_elements`] lists them in.
+    /// the way it holds the engine to its walk: the order it first asks
+    /// for each rotation key is the order [`ConvWalk::elements`] lists
+    /// them in, and its tally is [`ConvWalk::ops`].
     fn engine_run(
         (c_in, c_out): (usize, usize),
         piece: (usize, usize),
         (k_h, k_w): (usize, usize),
     ) -> ((u64, u64, u64, u64), u64, Vec<usize>) {
-        use crate::spot::{blocking, spot_group_specs, spot_in_maps};
+        use crate::spot::blocking;
         use rand::SeedableRng;
         use spot_he::prelude::*;
         use spot_trace::{Counter, SessionCounters};
@@ -753,19 +835,15 @@ mod tests {
         let blk = blocking(c_in, c_out);
         let layout = LaneLayout::new(ctx.degree() / 2, blk.lane_blocks, piece.0, piece.1);
         let kernel = Kernel::random(c_out, c_in, k_h, k_w, 3, 6);
-        let (groups, in_maps) = (spot_group_specs(&blk, c_out), spot_in_maps(&blk, c_in));
-        let elements = blk.galois_elements(&layout, k_h, k_w);
+        let walk = blk.walk(layout, (c_in, c_out), (k_h, k_w));
+        let elements = walk.elements();
         let store = Recording {
             keys: Arc::new(keygen.galois_keys(&elements, &mut rng)),
             asked: Default::default(),
         };
-        let engine = HeConvEngine::new(&ctx, &store, true, KernelCache::new());
+        let engine = HeConvEngine::new(&ctx, &store, KernelCache::new());
         let req = ConvRequest {
-            layout: &layout,
-            in_maps: &in_maps,
-            groups: &groups,
-            diagonals: blk.diagonals,
-            fold_steps: &blk.fold_steps,
+            walk: &walk,
             kernel: &kernel,
             cache_tag: 0,
         };
@@ -788,8 +866,9 @@ mod tests {
         assert_eq!(seen.get(Counter::Rotate), counts.rotate);
         assert_eq!(seen.get(Counter::MultPlain), counts.mult_plain);
         assert_eq!(seen.get(Counter::AddOps), counts.add);
+        assert_eq!(walk.ops(), counts, "{c_in} → {c_out}: the walk is what ran");
 
-        assert_eq!(outputs.len(), groups.len());
+        assert_eq!(outputs.len(), walk.groups.len());
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for out in &outputs {
             assert!(decryptor.noise_budget(out) > 0, "{c_in} → {c_out}");
@@ -820,7 +899,9 @@ mod tests {
     /// composing them from row and column moves move no decrypted slot,
     /// and over 4×4 pieces no rotation either. The second count is the
     /// hoists per ciphertext: one per (version, baby step) position,
-    /// two more for its moved rows, one per giant step and fold.
+    /// two more for its moved rows, one per giant step and fold. The
+    /// other three are the walk's [`ConvWalk::ops`] too: `engine_run`
+    /// holds the tally to it.
     #[test]
     fn pinned_shapes_keep_their_op_counts_and_decrypted_slots() {
         // 8 → 8: swap + 2 versions × 8 taps + 3 giant steps. Two
@@ -851,13 +932,11 @@ mod tests {
     /// asks for one, and moves no count and no decrypted slot.
     #[test]
     fn sixteen_giant_steps_rotate_by_one_key() {
-        use crate::spot::{blocking, spot_group_specs, spot_in_maps};
-        let blk = blocking(32, 32);
+        let blk = crate::spot::blocking(32, 32);
         let layout = LaneLayout::new(2048, blk.lane_blocks, 4, 4);
-        let versions = spot_in_maps(&blk, 32).len();
-        let split = bsgs_split(blk.diagonals, spot_group_specs(&blk, 32).len(), versions, 9);
-        assert_eq!(split, (1, 16));
-        let schedule = blk.galois_elements(&layout, 3, 3);
+        let walk = blk.walk(layout, (32, 32), (3, 3));
+        assert_eq!((walk.baby, walk.giants), (1, 16));
+        let schedule = walk.elements();
         let giant_steps = (1..16)
             .map(|j| galois_elt_from_step(layout.block_rotation_step(j), 4096))
             .filter(|g| schedule.contains(g));
@@ -873,7 +952,7 @@ mod tests {
     /// column moves, of the live taps and of no other — so a kernel of
     /// `k_h × k_w` asks for `(k_h − 1) + (k_w − 1)` tap keys at most, a
     /// 1-wide piece class for its row moves only and a 1×1 class for
-    /// none. `engine_run` holds every case to [`required_elements`].
+    /// none. `engine_run` holds every case to [`ConvWalk::elements`].
     #[test]
     fn taps_ask_for_their_row_moves_then_their_column_moves_and_only_where_live() {
         let elt = |step: i64| galois_elt_from_step(step, 4096);
@@ -925,20 +1004,28 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let keygen = KeyGenerator::new(&ctx, &mut rng);
             let layout = LaneLayout::new(ctx.degree() / 2, 1, piece_h, piece_w);
-            let elements = required_elements(&layout, k_h, k_w, 1, 1, &[], false, true);
-            let keys = Arc::new(keygen.galois_keys(&elements, &mut rng));
-            let engine = HeConvEngine::new(&ctx, &keys, true, KernelCache::new());
+            let one_channel = vec![vec![Some(0)], vec![None]];
+            let walk = ConvWalk::new(
+                layout,
+                vec![one_channel.clone()],
+                vec![GroupSpec { out_ch: one_channel }].into(),
+                1,
+                Vec::new(),
+                (k_h, k_w),
+                true,
+            );
+            let keys = Arc::new(keygen.galois_keys(&walk.elements(), &mut rng));
+            let engine = HeConvEngine::new(&ctx, &keys, KernelCache::new());
             let t = ctx.params().plain_modulus();
             let slots: Vec<u64> = (0..ctx.degree()).map(|_| rng.gen_range(0..t)).collect();
             let encryptor = Encryptor::new(&ctx, keygen.public_key(&mut rng));
             let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
             let ct = encryptor.encrypt(&engine.encoder().encode(&slots), &mut rng);
 
-            let taps = live_taps(&layout, k_h, k_w);
             let at = engine.evaluator().hoist(&ct);
-            let tapped = engine.tap_positions(&at, &layout, k_h, k_w).expect("complete key set");
-            proptest::prop_assert_eq!(tapped.len(), taps.len());
-            for (position, &(dy, dx, _, _)) in tapped.iter().zip(&taps) {
+            let tapped = engine.tap_positions(&at, &walk).expect("complete key set");
+            proptest::prop_assert_eq!(tapped.len(), walk.taps.len());
+            for (position, &(dy, dx, _, _)) in tapped.iter().zip(&walk.taps) {
                 let step = dy * piece_w as i64 + dx;
                 proptest::prop_assert_eq!(position.is_none(), step == 0);
                 let position = position.as_ref().unwrap_or(&ct);

@@ -33,14 +33,15 @@ pub fn plan_conv(shape: &ConvShape, scheme: SchemeKind, with_relu: bool) -> Conv
         SchemeKind::Spot => {
             // Cost-aware level choice: smaller parameters are cheaper per
             // op, but tiny patches at a small level can inflate overlap
-            // duplication and alignment rotations; pick the cheapest.
+            // duplication and alignment rotations; pick the cheapest of
+            // the levels whose packing the wire would accept.
             let costs = spot_pipeline::device::HeCostTable::reference();
             let best = ParamLevel::ALL
                 .into_iter()
                 .filter(|l| l.supports_rotation())
                 .filter_map(|l| {
                     let c = select::select_patch(shape, l, PatchMode::Tweaked)?;
-                    Some(spot::plan(shape, l, c.patch, PatchMode::Tweaked, with_relu))
+                    spot::try_plan(shape, l, c.patch, PatchMode::Tweaked, with_relu).ok()
                 })
                 .min_by(|a, b| {
                     a.estimated_seconds(&costs)
@@ -70,7 +71,9 @@ pub fn plan_conv(shape: &ConvShape, scheme: SchemeKind, with_relu: bool) -> Conv
     }
 }
 
-/// Builds a conv plan pinned to a specific level (for parameter sweeps).
+/// Builds a conv plan pinned to a specific level (for parameter sweeps);
+/// `None` where SPOT has no patch, or no packing the wire would accept,
+/// at that level.
 pub fn plan_conv_at_level(
     shape: &ConvShape,
     scheme: SchemeKind,
@@ -82,13 +85,7 @@ pub fn plan_conv_at_level(
         SchemeKind::Cheetah => Some(cheetah::plan(shape, level, with_relu)),
         SchemeKind::Spot => {
             let choice = select::select_patch(shape, level, PatchMode::Tweaked)?;
-            Some(spot::plan(
-                shape,
-                level,
-                choice.patch,
-                PatchMode::Tweaked,
-                with_relu,
-            ))
+            spot::try_plan(shape, level, choice.patch, PatchMode::Tweaked, with_relu).ok()
         }
     }
 }
@@ -347,14 +344,35 @@ mod tests {
     use spot_he::params::EncryptionParams;
     use spot_tensor::models::{resnet18, vgg16};
 
+    /// Every network of `spot_tensor::models` plans under every scheme,
+    /// one plan per linear layer. A SPOT or channel-wise plan is the
+    /// layer's `Packing`, so each layer also passes what a hello for it
+    /// would be checked against.
     #[test]
     fn network_plans_have_all_linear_layers() {
-        let net = resnet18();
-        for scheme in SchemeKind::ALL {
-            let plan = plan_network(&net, scheme);
-            // 17 convs + 1 FC
-            assert_eq!(plan.conv_plans.len(), 18, "{}", scheme.label());
-            assert!(plan.maxpool_elements > 0);
+        use spot_tensor::models::{resnet101, resnet34, resnet50, vgg11};
+        // 17 convs + 1 FC
+        assert_eq!(
+            plan_network(&resnet18(), SchemeKind::Spot).conv_plans.len(),
+            18
+        );
+        for net in [
+            resnet18(),
+            resnet34(),
+            resnet50(),
+            resnet101(),
+            vgg11(),
+            vgg16(),
+        ] {
+            let linear = (net.layers().iter())
+                .filter(|layer| matches!(layer, Layer::Conv(_) | Layer::Fc { .. }))
+                .count();
+            for scheme in SchemeKind::ALL {
+                let plan = plan_network(&net, scheme);
+                let name = (net.name(), scheme.label());
+                assert_eq!(plan.conv_plans.len(), linear, "{name:?}");
+                assert!(plan.maxpool_elements > 0, "{name:?}");
+            }
         }
     }
 

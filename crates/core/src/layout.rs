@@ -18,6 +18,7 @@
 //! simultaneously (the SISO kernel taps), with cross-piece leakage
 //! removed by zeros in the kernel plaintexts.
 
+use crate::error::SpotError;
 use spot_tensor::tensor::Tensor;
 
 /// A lane layout: `B` channel blocks × `G` pieces × `S` spatial slots,
@@ -51,28 +52,41 @@ impl LaneLayout {
     ///
     /// # Panics
     ///
-    /// Panics if the pieces do not fit (`blocks · S > lane_size`) or the
-    /// lane size is not a multiple of `blocks · S`.
+    /// Panics where `LaneLayout::try_new` refuses, or if the lane size
+    /// is not a multiple of `blocks · S`.
     pub fn new(lane_size: usize, blocks: usize, piece_h: usize, piece_w: usize) -> Self {
+        Self::try_new(lane_size, blocks, piece_h, piece_w).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`LaneLayout::new`], or the typed refusal of pieces that do not
+    /// fit (`blocks · S > lane_size`) — the one statement of that
+    /// precondition, so a plan can check a hello against it before it
+    /// allocates anything the hello sizes.
+    pub(crate) fn try_new(
+        lane_size: usize,
+        blocks: usize,
+        piece_h: usize,
+        piece_w: usize,
+    ) -> Result<Self, SpotError> {
         let piece_slots = next_pow2(piece_h * piece_w);
-        assert!(
-            blocks * piece_slots <= lane_size,
-            "pieces do not fit the lane: {blocks} blocks × {piece_slots} slots > {lane_size}"
-        );
+        if blocks * piece_slots > lane_size {
+            return Err(SpotError::Protocol(format!(
+                "pieces of {piece_h}x{piece_w} do not fit a lane: {blocks} blocks × {piece_slots} slots > {lane_size}"
+            )));
+        }
         assert_eq!(
             lane_size % (blocks * piece_slots),
             0,
             "lane not divisible by block structure"
         );
-        let groups = lane_size / (blocks * piece_slots);
-        Self {
+        Ok(Self {
             lane_size,
             blocks,
-            groups,
+            groups: lane_size / (blocks * piece_slots),
             piece_slots,
             piece_h,
             piece_w,
-        }
+        })
     }
 
     /// Slot index (within the lane) of `(block, group, y, x)`.

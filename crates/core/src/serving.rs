@@ -423,7 +423,7 @@ pub struct SpotServer {
     // Admitted, still-running sessions: id -> admission instant. Feeds
     // the admin endpoint's `/sessions` view.
     in_flight: Mutex<BTreeMap<u64, Instant>>,
-    // Last PIPELINE_RING streamed sessions' overlap summaries, newest
+    // Last PIPELINE_RING sessions' overlap summaries, newest
     // last. Feeds the admin endpoint's `/pipeline` view.
     pipeline: Mutex<std::collections::VecDeque<PipelineSummary>>,
 }
@@ -483,9 +483,10 @@ impl SpotServer {
             .collect()
     }
 
-    /// The overlap summaries of the most recent streamed sessions
-    /// (oldest first, at most 32) — the admin `/pipeline` view. Phased
-    /// sessions stream nothing and are not recorded.
+    /// The overlap summaries of the most recent sessions that ran a
+    /// convolution (oldest first, at most 32) — the admin `/pipeline`
+    /// view. Phased sessions are recorded too: every session runs the
+    /// one stream driver, `streaming` only bounds its read-ahead.
     pub fn pipeline_recent(&self) -> Vec<PipelineSummary> {
         let ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
         ring.iter().copied().collect()

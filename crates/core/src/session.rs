@@ -65,7 +65,7 @@ use crate::channelwise::{self, SecureConvResult};
 use crate::cheetah;
 use crate::error::SpotError;
 use crate::executor::Executor;
-use crate::heconv::{HeConvEngine, KernelCache, RotationKeys};
+use crate::heconv::{ConvWalk, HeConvEngine, KernelCache, RotationKeys};
 use crate::patching::PatchMode;
 use crate::spot;
 use crate::stream::{end_wait, run_stream, Round, StreamConfig, StreamStats};
@@ -352,16 +352,30 @@ pub(crate) struct PlanFacts {
     pub jobs: usize,
     /// Galois elements the server will rotate by, each once as
     /// `(first job that uses it, element)`, in the order its engine
-    /// first uses them — what the key-stream schedule is made from
-    /// (empty = the client sends no rotation keys).
+    /// first uses them ([`first_uses`]) — what the key-stream schedule
+    /// is made from (empty = the client sends no rotation keys).
     pub galois_elements: Vec<(usize, usize)>,
-    /// Whether the conv engine uses the baby-step/giant-step alignment
-    /// `galois_elements` was computed for.
-    pub use_bsgs: bool,
     /// Most images one session can carry.
     pub batch_capacity: usize,
     /// Plaintexts are raw coefficient vectors, not SIMD slot rows.
     pub coeff_packed: bool,
+}
+
+/// `(first job, element)` for every Galois element the jobs' walks
+/// rotate by, each once, in the order the jobs first use them — given
+/// each distinct walk with the first job that runs it, in job order.
+pub(crate) fn first_uses<'w>(
+    walks: impl IntoIterator<Item = (usize, &'w ConvWalk)>,
+) -> Vec<(usize, usize)> {
+    let mut uses: Vec<(usize, usize)> = Vec::new();
+    for (job, walk) in walks {
+        for g in walk.elements() {
+            if !uses.iter().any(|&(_, held)| held == g) {
+                uses.push((job, g));
+            }
+        }
+    }
+    uses
 }
 
 impl PlanFacts {
@@ -1361,7 +1375,7 @@ pub fn serve_conv_on<R: Rng>(
     let kit = ServerKit {
         ctx,
         kernel,
-        engine: HeConvEngine::new(ctx, keys, facts.use_bsgs, cache),
+        engine: HeConvEngine::new(ctx, keys, cache),
     };
     // Live-registry serve latency, labeled by scheme. The Instant is
     // only taken when metrics are on, and only successful serves are
@@ -1664,7 +1678,6 @@ mod tests {
             output_cts: 1,
             jobs: 1,
             galois_elements: elements.iter().map(|&g| (0, g)).collect(),
-            use_bsgs: true,
             batch_capacity: 1,
             coeff_packed: false,
         };

@@ -20,12 +20,12 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::heconv::{required_elements, ChannelMap, ConvRequest, GroupSpec};
+use crate::heconv::{ChannelMap, ConvRequest, ConvWalk, GroupSpec};
 use crate::layout::{
     next_pow2, pack_pieces, pack_pieces_split, unpack_pieces, unpack_pieces_split, LaneLayout,
 };
 use crate::patching::{assemble, decompose, grid_len, overlap_for, Decomposition, PatchMode};
-use crate::session::{ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use crate::session::{first_uses, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
@@ -161,7 +161,8 @@ fn probe(shape: &ConvShape, patch: (usize, usize), mode: PatchMode) -> Decomposi
 
 /// One piece class of a planned layer.
 struct ClassPlan {
-    layout: LaneLayout,
+    /// What the engine does to each of the class's ciphertexts.
+    walk: ConvWalk,
     /// Ciphertexts the class's pieces fill.
     cts: usize,
     /// How a batch's images interleave in one class ciphertext: an
@@ -175,14 +176,20 @@ struct ClassPlan {
     images: BatchLayout,
 }
 
-/// The per-class plans of a decomposition, in its class order.
-fn class_plans(blk: &Blocking, lane: usize, probe: &Decomposition) -> Vec<ClassPlan> {
+/// The per-class plans of `shape`'s decomposition, in its class order.
+fn class_plans(
+    blk: &Blocking,
+    lane: usize,
+    shape: &ConvShape,
+    probe: &Decomposition,
+) -> Vec<ClassPlan> {
+    let channels = (shape.c_in, shape.c_out);
     (probe.classes.iter())
         .map(|(class, pieces)| {
             let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
             let positions = blk.positions(&layout);
             ClassPlan {
-                layout,
+                walk: blk.walk(layout, channels, (shape.k_h, shape.k_w)),
                 cts: pieces.len().div_ceil(positions),
                 images: BatchLayout::new(
                     layout.lane_size,
@@ -198,18 +205,24 @@ fn class_plans(blk: &Blocking, lane: usize, probe: &Decomposition) -> Vec<ClassP
 }
 
 impl Blocking {
-    /// The Galois elements a BSGS conv engine rotates by when it runs
-    /// this blocking over pieces packed in `layout` (one piece class),
-    /// in the order it first uses them.
-    pub fn galois_elements(&self, layout: &LaneLayout, k_h: usize, k_w: usize) -> Vec<usize> {
-        required_elements(
+    /// The walk of a piece class packed in `layout` under this blocking,
+    /// for a `c_in → c_out` kernel of `k_h × k_w`: baby-step/giant-step
+    /// alignment over the blocking's diagonals, then its folds.
+    pub fn walk(
+        &self,
+        layout: LaneLayout,
+        (c_in, c_out): (usize, usize),
+        k: (usize, usize),
+    ) -> ConvWalk {
+        let (in_maps, groups) = (spot_in_maps(self, c_in), spot_group_specs(self, c_out));
+        let folds = self.fold_steps.clone();
+        ConvWalk::new(
             layout,
-            k_h,
-            k_w,
+            in_maps,
+            groups.into(),
             self.diagonals,
-            self.out_groups,
-            &self.fold_steps,
-            self.split,
+            folds,
+            k,
             true,
         )
     }
@@ -240,8 +253,6 @@ pub(crate) struct Packing {
     classes: Vec<ClassPlan>,
     /// Class of each input ciphertext, in upload order.
     ct_class: Vec<usize>,
-    groups: Vec<GroupSpec>,
-    in_maps: Vec<ChannelMap>,
     facts: PlanFacts,
 }
 
@@ -265,15 +276,9 @@ impl Packing {
             )));
         }
         // Every seam piece is no larger than a main patch.
-        if blk.ci_pad * next_pow2(patch.0 * patch.1) > lane {
-            return Err(SpotError::Protocol(format!(
-                "piece of {}x{} with {} padded channels does not fit a lane of {lane} slots",
-                patch.0, patch.1, blk.ci_pad
-            )));
-        }
+        let main = LaneLayout::try_new(lane, blk.lane_blocks, patch.0, patch.1)?;
         let patches =
             grid_len(shape.height, patch.0, overlap) * grid_len(shape.width, patch.1, overlap);
-        let main = LaneLayout::new(lane, blk.lane_blocks, patch.0, patch.1);
         let main_cts = patches.div_ceil(blk.positions(&main));
         if main_cts > MAX_INPUT_CTS {
             return Err(SpotError::Protocol(format!(
@@ -281,23 +286,19 @@ impl Packing {
             )));
         }
         let probe = probe(shape, patch, mode);
-        let classes = class_plans(&blk, lane, &probe);
+        let classes = class_plans(&blk, lane, shape, &probe);
         let ct_class: Vec<usize> = (classes.iter().enumerate())
             .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
             .collect();
         // Jobs run class by class in upload order, so that is also the
         // order the classes' keys are first asked for, and a class's
         // first ciphertext is the first job to use what the class adds.
-        let mut elements: Vec<(usize, usize)> = Vec::new();
-        let mut first_ct = 0;
-        for class in &classes {
-            for g in blk.galois_elements(&class.layout, shape.k_h, shape.k_w) {
-                if !elements.iter().any(|&(_, held)| held == g) {
-                    elements.push((first_ct, g));
-                }
-            }
-            first_ct += class.cts;
-        }
+        let first_cts = classes.iter().scan(0, |next, class| {
+            let first = *next;
+            *next += class.cts;
+            Some(first)
+        });
+        let galois_elements = first_uses(first_cts.zip(classes.iter().map(|class| &class.walk)));
         // A class spilling over one ciphertext has no spare positions to
         // scatter another image into; otherwise the tightest class
         // bounds the batch.
@@ -312,15 +313,12 @@ impl Packing {
             shape: *shape,
             patch,
             mode,
-            groups: spot_group_specs(&blk, shape.c_out),
-            in_maps: spot_in_maps(&blk, shape.c_in),
             facts: PlanFacts {
                 dependency: OutputDependency::PerInput,
                 input_cts: ct_class.len(),
                 output_cts: ct_class.len() * blk.out_groups,
                 jobs: ct_class.len(),
-                galois_elements: elements,
-                use_bsgs: true,
+                galois_elements,
                 batch_capacity,
                 coeff_packed: false,
             },
@@ -335,7 +333,7 @@ impl Packing {
     /// party's decoded results or masks, consumed in place) into
     /// per-piece share tensors.
     fn class_share(&self, ci: usize, rows: &mut [Vec<u64>], t: u64) -> Vec<Tensor> {
-        let (blk, layout) = (&self.blk, &self.classes[ci].layout);
+        let (blk, layout) = (&self.blk, self.classes[ci].walk.layout());
         let (class, pieces) = &self.probe.classes[ci];
         let per_group = blk.channels_per_group();
         let c_out = self.shape.c_out;
@@ -398,7 +396,7 @@ impl ConvScheme for Packing {
             // Per image, the class's ciphertext rows; the batch capacity
             // guarantees a single one each when images share slots.
             let mut packed: Vec<Vec<Vec<u64>>> = (decomps.iter())
-                .map(|d| pack(&class.layout, &d.classes[ci].1, t))
+                .map(|d| pack(class.walk.layout(), &d.classes[ci].1, t))
                 .collect();
             for ct in 0..class.cts {
                 let rows: Vec<Vec<u64>> = (packed.iter_mut())
@@ -418,11 +416,7 @@ impl ConvScheme for Packing {
     ) -> Result<Vec<Ciphertext>, SpotError> {
         let ci = self.ct_class[job];
         let req = ConvRequest {
-            layout: &self.classes[ci].layout,
-            in_maps: &self.in_maps,
-            groups: &self.groups,
-            diagonals: self.blk.diagonals,
-            fold_steps: &self.blk.fold_steps,
+            walk: &self.classes[ci].walk,
             kernel: kit.kernel,
             // The layouts differ between classes, so each class keeps
             // its own kernel plaintexts.
@@ -453,81 +447,15 @@ impl ConvScheme for Packing {
     }
 }
 
-/// Piece-class geometry used by the planner.
-#[derive(Debug, Clone)]
-pub struct SpotGeometry {
-    /// Patch size used.
-    pub patch: (usize, usize),
-    /// Decomposition mode.
-    pub mode: PatchMode,
-    /// Kernel blocking.
-    pub blocking: Blocking,
-    /// Per class: `(piece count, ciphertext count)`.
-    pub class_cts: Vec<(usize, usize)>,
-    /// Total input ciphertexts.
-    pub input_cts: usize,
-    /// Total output ciphertexts.
-    pub output_cts: usize,
-    /// Useful input slots per ciphertext (average).
-    pub useful_input_slots: usize,
-}
-
-/// Computes the SPOT geometry for a shape without touching data.
+/// Builds the SPOT execution plan for the simulator: the plan of the
+/// layer's [`Packing`], the one the wire runs. The server's work is its
+/// piece classes' walks, each taken once per ciphertext of the class,
+/// and one masking subtraction per result.
 ///
 /// # Panics
 ///
-/// Panics if a piece does not fit a lane at this level.
-pub fn geometry(
-    shape: &ConvShape,
-    level: ParamLevel,
-    patch: (usize, usize),
-    mode: PatchMode,
-) -> SpotGeometry {
-    let blk = blocking(shape.c_in, shape.c_out);
-    let probe = probe(shape, patch, mode);
-    let class_cts: Vec<(usize, usize)> = (probe.classes.iter())
-        .zip(class_plans(&blk, level.degree() / 2, &probe))
-        .map(|((_, pieces), class)| (pieces.len(), class.cts))
-        .collect();
-    let input_cts: usize = class_cts.iter().map(|&(_, cts)| cts).sum();
-    let useful: usize = (probe.classes.iter())
-        .map(|(class, pieces)| pieces.len() * shape.c_in * class.h * class.w)
-        .sum();
-    SpotGeometry {
-        patch,
-        mode,
-        output_cts: input_cts * blk.out_groups,
-        blocking: blk,
-        class_cts,
-        input_cts,
-        useful_input_slots: useful / input_cts.max(1),
-    }
-}
-
-/// Analytic per-ciphertext operation counts (exact for power-of-two
-/// channel counts and fully populated ciphertexts).
-pub fn per_ct_counts(blk: &Blocking, k_h: usize, k_w: usize) -> OpCounts {
-    let kk = (k_h * k_w) as u64;
-    let d = blk.diagonals as u64;
-    let g = blk.out_groups as u64;
-    let v = if blk.split { 2u64 } else { 1 };
-    let folds = blk.fold_steps.len() as u64;
-    let (baby, giants) = crate::heconv::bsgs_split(
-        blk.diagonals,
-        blk.out_groups,
-        v as usize,
-        (k_h * k_w).max(1),
-    );
-    OpCounts {
-        rotate: (v - 1) + v * (kk * baby as u64 - 1) + g * (giants as u64 - 1) + g * folds,
-        mult_plain: g * v * d * kk,
-        add: g * (v * d * kk - 1) + g * folds + g, // final term: mask adds
-        encrypt: 0,
-        decrypt: 0,
-    }
-}
-
-/// Builds the SPOT execution plan for the simulator.
+/// Panics where the wire would refuse the layer (a patch no larger than
+/// the overlap, pieces that do not fit a lane, too many ciphertexts).
 pub fn plan(
     shape: &ConvShape,
     level: ParamLevel,
@@ -535,19 +463,42 @@ pub fn plan(
     mode: PatchMode,
     with_relu: bool,
 ) -> ConvPlan {
-    let geo = geometry(shape, level, patch, mode);
-    let per_ct = per_ct_counts(&geo.blocking, shape.k_h, shape.k_w);
+    try_plan(shape, level, patch, mode, with_relu)
+        .unwrap_or_else(|e| panic!("SPOT cannot plan {shape} at {level}: {e}"))
+}
+
+/// [`plan`], or the wire's refusal of the layer.
+pub(crate) fn try_plan(
+    shape: &ConvShape,
+    level: ParamLevel,
+    patch: (usize, usize),
+    mode: PatchMode,
+    with_relu: bool,
+) -> Result<ConvPlan, SpotError> {
+    let packing = Packing::new(shape, level, patch, mode)?;
+    let facts = &packing.facts;
+    let mut input_ops = OpCounts {
+        add: facts.output_cts as u64,
+        ..OpCounts::default()
+    };
+    for class in &packing.classes {
+        input_ops.merge(&class.walk.ops().times(class.cts as u64));
+    }
+    let useful: usize = (packing.probe.classes.iter())
+        .map(|(class, pieces)| pieces.len() * shape.c_in * class.h * class.w)
+        .sum();
+    let useful_slots = useful / facts.input_cts.max(1);
     let params = spot_he::params::EncryptionParams::new(level);
     // Assembly: every piece output element is added/subtracted once into
     // the client share (and once server-side, charged to the server for
     // free — it is negligible there).
     let assembly = (shape.width * shape.height * shape.c_out) as u64 * 2;
-    ConvPlan {
+    Ok(ConvPlan {
         scheme: "SPOT",
         level,
-        input_cts: geo.input_cts,
-        output_cts: geo.output_cts,
-        per_ct_ops: per_ct,
+        input_cts: facts.input_cts,
+        output_cts: facts.output_cts,
+        input_ops,
         finalize_ops: OpCounts::default(),
         dependency: OutputDependency::PerInput,
         extra_downstream_bytes: 0,
@@ -559,9 +510,9 @@ pub fn plan(
             0
         },
         ciphertext_bytes: params.ciphertext_bytes(),
-        useful_input_slots: geo.useful_input_slots,
-        useful_output_slots: geo.useful_input_slots,
-    }
+        useful_input_slots: useful_slots,
+        useful_output_slots: useful_slots,
+    })
 }
 
 #[cfg(test)]
@@ -690,12 +641,60 @@ mod tests {
     #[test]
     fn geometry_counts() {
         let shape = ConvShape::new(8, 8, 4, 4, 3, 1);
-        let geo = geometry(&shape, ParamLevel::N4096, (4, 4), PatchMode::Tweaked);
+        let packing =
+            Packing::new(&shape, ParamLevel::N4096, (4, 4), PatchMode::Tweaked).expect("plans");
         // classes: 9 patches, 6 vsegs, 6 hsegs, 4 corners
-        assert_eq!(geo.class_cts.len(), 4);
-        assert_eq!(geo.class_cts[0].0, 9);
-        assert!(geo.input_cts >= 1);
-        assert_eq!(geo.output_cts, geo.input_cts * geo.blocking.out_groups);
+        assert_eq!(packing.probe.classes.len(), 4);
+        assert_eq!(packing.probe.classes[0].1.len(), 9);
+        let facts = &packing.facts;
+        assert!(facts.input_cts >= 1);
+        assert_eq!(facts.output_cts, facts.input_cts * packing.blk.out_groups);
+    }
+
+    /// Table VI's patch for the paper's 56×56×64 layer at N4096: the
+    /// split layout puts 32 of the 64 channels in each lane, and 32
+    /// blocks of 8×8 fill a lane exactly, so the layer plans — one
+    /// piece a ciphertext. Pieces that need more than a lane are a
+    /// typed refusal, before anything is decomposed.
+    #[test]
+    fn a_split_layout_plans_what_fills_a_lane_and_refuses_what_does_not() {
+        let shape = ConvShape::new(56, 56, 64, 64, 3, 1);
+        let level = ParamLevel::N4096;
+        let choice = crate::select::select_patch(&shape, level, PatchMode::Tweaked);
+        assert_eq!(choice.map(|c| c.patch), Some((8, 8)));
+        let packing = Packing::new(&shape, level, (8, 8), PatchMode::Tweaked).expect("fits");
+        assert_eq!(packing.classes[0].walk.layout().groups, 1);
+        // 8 × 8 patches, one a ciphertext; 56 strips of 8×1 and of 1×8,
+        // eight a ciphertext; 49 single pixels in one.
+        let cts: Vec<usize> = packing.classes.iter().map(|class| class.cts).collect();
+        assert_eq!(cts, [64, 7, 7, 1]);
+        assert_eq!(packing.facts.input_cts, 79);
+        let refused = Packing::new(&shape, level, (16, 16), PatchMode::Tweaked).err();
+        assert!(
+            matches!(&refused, Some(SpotError::Protocol(why)) if why.contains("do not fit a lane")),
+            "{refused:?}"
+        );
+    }
+
+    /// Pieces whose 32 blocks fill a lane exactly — what the check on
+    /// padded channels instead of lane blocks refused — convolve right.
+    #[test]
+    fn spot_lane_filling_pieces() {
+        let ctx = ctx4096();
+        let mut rng = StdRng::seed_from_u64(7000);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let input = Tensor::random(64, 8, 8, 4, 71);
+        let kernel = Kernel::random(64, 64, 3, 3, 3, 72);
+        let spec = LayerSpec::for_layer(
+            SchemeKind::Spot,
+            &input,
+            &kernel,
+            1,
+            (8, 8),
+            PatchMode::Tweaked,
+        );
+        let res = run_phased(&ctx, &kg, spec, &input, &kernel, &mut rng);
+        assert_eq!(res.reconstruct(), conv2d(&input, &kernel, 1));
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!    connection uploads bit-identical rotation-key frames (the first
 //!    layer's keys, then the one the second layer adds) at B=1 and B=2,
 //!    and every image gets the output it gets alone.
+//! 5. **Every session is on the `/pipeline` view** — phased or
+//!    streamed, a session runs the one stream driver and leaves one
+//!    summary of what it ingested.
 
 mod common;
 
@@ -541,5 +544,42 @@ fn two_layer_keys_and_outputs_are_batch_width_invariant() {
         assert_eq!(alone[0], both[b], "image {b}: B=2 output differs from B=1");
         assert_eq!(alone[0], cnn.forward_plain(input), "image {b}");
         assert_eq!(keys_b1, keys_b2, "image {b}: key frames differ B=1 vs B=2");
+    }
+}
+
+/// `streaming` only bounds the read-ahead: a phased TinyCnn session runs
+/// the same stream driver as a streamed one, so each leaves exactly one
+/// [`spot_core::serving::PipelineSummary`] in the server's ring, whose
+/// `input_items` are the input ciphertexts the session's two
+/// convolutions ingested.
+#[test]
+fn phased_and_streamed_sessions_each_leave_one_pipeline_summary() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let cnn = TinyCnn::new(7);
+    for streaming in [false, true] {
+        let server = SpotServer::new(
+            ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone()),
+            ServingConfig {
+                streaming,
+                ..ServingConfig::default()
+            },
+        );
+        let (ct, st) = MemTransport::pair();
+        let report = std::thread::scope(|s| {
+            let session = s.spawn(|| server.serve_connection(&st));
+            assert!(
+                mem_client_matches(&ctx, &cnn, &ct, 0),
+                "streaming: {streaming}"
+            );
+            session.join().expect("session thread")
+        });
+        let served = report.result.expect("session result");
+        let ring = server.pipeline_recent();
+        assert_eq!(ring.len(), 1, "streaming: {streaming}");
+        assert_eq!(ring[0].id, report.id);
+        assert_eq!(
+            ring[0].input_items, served.input_cts,
+            "streaming: {streaming}"
+        );
     }
 }

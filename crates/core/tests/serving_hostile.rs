@@ -531,7 +531,8 @@ fn hostile_hello(server: &SpotServer, setup: ConvSetup) -> (SessionReport, WireM
 }
 
 /// A 48-byte SPOT hello whose patch is not larger than the overlap, or
-/// whose plan would need an absurd number of ciphertexts, is refused
+/// does not fit a lane, or whose plan would need an absurd number of
+/// ciphertexts, is refused
 /// with a typed error frame from its dimensions alone — no panic on the
 /// session thread, nothing allocated from the claimed size, and the
 /// admission slot is free again afterwards.
@@ -556,6 +557,9 @@ fn hostile_spot_hello_gets_a_typed_error_and_frees_its_slot() {
         spec(8, (1, 1)),
         // passes every per-field bound, needs ~233k ciphertexts
         spec(1 << 14, (4, 4)),
+        // a 64x64 piece is 4096 slots, over a 2048-slot lane however
+        // its channels split
+        spec(64, (64, 64)),
     ];
     for (i, hello) in hellos.iter().enumerate() {
         let (report, reply) = hostile_hello(&server, hello.to_setup(ParamLevel::N4096));

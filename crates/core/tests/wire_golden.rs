@@ -10,7 +10,11 @@
 //! each direction's *shape* (each frame's header: kind and byte
 //! length), each image's client and server share, and the merged
 //! operation counts. One case drives the whole two-layer TinyCnn
-//! connection through `run_client_batch`/`run_server`.
+//! connection through `run_client_batch`/`run_server`. Every case also
+//! holds the analytic model the paper's tables come from
+//! (`spot::plan` / `channelwise::plan` / `cheetah::plan`) to the counts
+//! that ran (`assert_model_is_what_ran`), a check on live code, not a
+//! constant.
 //!
 //! A change to how the server computes a result ciphertext (a different
 //! but equally valid encryption of the same plaintext) may move
@@ -55,9 +59,12 @@ use spot_core::session::{
 };
 use spot_core::stream::StreamConfig;
 use spot_core::twoparty::{run_client_batch, run_server};
+use spot_core::{channelwise, cheetah, spot};
 use spot_he::context::Context;
+use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
+use spot_pipeline::plan::ConvPlan;
 use spot_proto::transport::{MemTransport, Transport, TransportStats};
 use spot_proto::wire::FRAME_HEADER_BYTES;
 use spot_proto::{ProtoError, WireMessage};
@@ -198,11 +205,60 @@ fn spill_layer() -> (LayerSpec, Kernel, Vec<Tensor>) {
     )
 }
 
+/// The analytic model's plan of `shape` — what the paper's tables are
+/// made from — for one round of its upload.
+fn model(spec: &LayerSpec, shape: &ConvShape, level: ParamLevel) -> ConvPlan {
+    match spec.scheme {
+        SchemeKind::Spot => spot::plan(shape, level, spec.patch, spec.mode, false),
+        SchemeKind::Channelwise => channelwise::plan(shape, level, false),
+        SchemeKind::Cheetah => cheetah::plan(shape, level, false),
+    }
+}
+
+/// Holds the model of `shapes` to what the server ran over `rounds`
+/// rounds of each: the same rotations, and the same plaintext
+/// multiplications and additions but for two known gaps. First,
+/// `zeroed` kernel plaintexts the weights zero out: the model knows the
+/// geometry only, so it multiplies by each and sums it into its giant
+/// step. Second, Cheetah's modelled LWE extraction, `out_elements / 8`
+/// additions a round that the functional path does not run.
+fn assert_model_is_what_ran(
+    spec: &LayerSpec,
+    shapes: &[ConvShape],
+    level: ParamLevel,
+    rounds: u64,
+    ran: OpCounts,
+    zeroed: u64,
+) {
+    let (mut predicted, mut extraction) = (OpCounts::default(), 0);
+    for shape in shapes {
+        predicted.merge(&model(spec, shape, level).total_server_ops().times(rounds));
+        if spec.scheme == SchemeKind::Cheetah {
+            extraction += rounds * shape.output_elements() as u64 / 8;
+        }
+    }
+    let case = format!("{:?} {level:?} x{rounds}", spec.scheme);
+    assert_eq!(predicted.rotate, ran.rotate, "{case}: rotations");
+    assert_eq!(
+        predicted.mult_plain,
+        ran.mult_plain + zeroed,
+        "{case}: plaintext multiplications"
+    );
+    assert_eq!(
+        predicted.add,
+        ran.add + zeroed + extraction,
+        "{case}: additions"
+    );
+}
+
+/// One run of `layer`'s first `batch` images; `zeroed` is the count of
+/// kernel plaintexts its weights zero out ([`assert_model_is_what_ran`]).
 fn run_case(
     level: ParamLevel,
     (spec, kernel, inputs): &(LayerSpec, Kernel, Vec<Tensor>),
     batch: usize,
     backend: Backend,
+    zeroed: u64,
 ) -> Golden {
     let ctx = Context::new(EncryptionParams::new(level));
     let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(9000));
@@ -239,6 +295,8 @@ fn run_case(
         }
     };
     let absorbed = conv.absorb_batch(&client, batch).expect("absorb");
+    let rounds = (served.input_cts / conv.input_cts()) as u64;
+    assert_model_is_what_ran(spec, &[spec.shape], level, rounds, served.counts, zeroed);
 
     let mut server_shares = vec![served.server_share];
     server_shares.extend(served.extra_shares);
@@ -297,7 +355,7 @@ fn assert_small(scheme: SchemeKind, level: ParamLevel, batch: usize, want: Golde
         ("phased", Backend::Phased),
         ("streaming", Backend::Streaming),
     ] {
-        let got = run_case(level, &layer, batch, backend);
+        let got = run_case(level, &layer, batch, backend, 0);
         assert_eq!(got, want, "{scheme:?} {level:?} batch={batch} {name}");
     }
 }
@@ -438,7 +496,7 @@ fn spot_spilling_class() {
         ("phased", Backend::Phased),
         ("streaming", Backend::Streaming),
     ] {
-        let got = run_case(ParamLevel::N4096, &layer, 1, backend);
+        let got = run_case(ParamLevel::N4096, &layer, 1, backend, 0);
         assert_eq!(got, want, "spill {name}");
     }
 }
@@ -498,6 +556,17 @@ fn tinycnn_spot_two_layers() {
         });
         let (outputs, report) = (outputs.expect("client"), report.expect("server"));
         assert_eq!(outputs[0], cnn.forward_plain(&input), "{name}");
+        // conv1 at 8x8, 2 -> 4 channels; max-pooled, conv2 at 4x4, 4 -> 4.
+        let spec = LayerSpec {
+            scheme: SchemeKind::Spot,
+            shape: ConvShape::new(8, 8, 2, 4, 3, 1),
+            patch: (4, 4),
+            mode: PatchMode::Tweaked,
+        };
+        // TinyCnn(7)'s weights zero out three kernel plaintexts: the
+        // model's 100 plaintext multiplications are 97 that ran.
+        let shapes = [spec.shape, ConvShape::new(4, 4, 4, 4, 3, 1)];
+        assert_model_is_what_ran(&spec, &shapes, ParamLevel::N4096, 1, report.counts, 3);
         let counts = [
             report.counts.rotate,
             report.counts.mult_plain,

@@ -42,6 +42,17 @@ impl OpCounts {
         self.encrypt += other.encrypt;
         self.decrypt += other.decrypt;
     }
+
+    /// This tally taken `n` times.
+    pub fn times(&self, n: u64) -> OpCounts {
+        OpCounts {
+            add: self.add * n,
+            mult_plain: self.mult_plain * n,
+            rotate: self.rotate * n,
+            encrypt: self.encrypt * n,
+            decrypt: self.decrypt * n,
+        }
+    }
 }
 
 /// A ciphertext decomposed for rotation by [`Evaluator::hoist`]: `c0`

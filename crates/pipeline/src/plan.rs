@@ -1,10 +1,14 @@
 //! Execution plans: the scheme-independent summary of one secure
 //! convolution layer that the discrete-event simulator schedules.
 //!
-//! A [`ConvPlan`] is produced by each scheme in `spot-core` from the same
-//! code paths that execute the real HE computation (operation counts are
-//! recorded, not hand-derived), so the simulated timeline reflects what
-//! the implementation actually does.
+//! A [`ConvPlan`] is produced by each scheme in `spot-core` from the
+//! same plan the wire runs. Under SPOT and channel-wise packing the
+//! server's operation counts are read off the conv engine's walks
+//! (`spot_core::heconv::ConvWalk::ops`, the value the engine executes):
+//! exact, except for kernel plaintexts the weights zero out, which the
+//! model still counts. Cheetah's come from its coefficient packing, plus
+//! a modelled extraction cost the functional path does not run. So the
+//! simulated timeline is priced by what the implementation does.
 
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
@@ -32,9 +36,10 @@ pub struct ConvPlan {
     pub input_cts: usize,
     /// Ciphertexts returned to the client.
     pub output_cts: usize,
-    /// Server HE work that can run as soon as one input arrives,
-    /// averaged per input ciphertext.
-    pub per_ct_ops: OpCounts,
+    /// Server HE work that runs per input ciphertext (as soon as it
+    /// arrives, under [`OutputDependency::PerInput`]), summed over all
+    /// of them.
+    pub input_ops: OpCounts,
     /// Server HE work requiring all inputs (cross-ciphertext additions);
     /// zero for SPOT.
     pub finalize_ops: OpCounts,
@@ -61,17 +66,12 @@ pub struct ConvPlan {
 }
 
 impl ConvPlan {
-    /// Total server HE operations (per-ct work across all inputs plus
-    /// finalization).
+    /// Total server HE operations: the per-input work plus
+    /// finalization.
     pub fn total_server_ops(&self) -> OpCounts {
-        let n = self.input_cts as u64;
-        OpCounts {
-            add: self.per_ct_ops.add * n + self.finalize_ops.add,
-            mult_plain: self.per_ct_ops.mult_plain * n + self.finalize_ops.mult_plain,
-            rotate: self.per_ct_ops.rotate * n + self.finalize_ops.rotate,
-            encrypt: 0,
-            decrypt: 0,
-        }
+        let mut total = self.input_ops;
+        total.merge(&self.finalize_ops);
+        total
     }
 
     /// Upstream communication bytes (client → server).
@@ -118,10 +118,10 @@ mod tests {
             level: ParamLevel::N4096,
             input_cts: 4,
             output_cts: 2,
-            per_ct_ops: OpCounts {
-                add: 10,
-                mult_plain: 20,
-                rotate: 5,
+            input_ops: OpCounts {
+                add: 40,
+                mult_plain: 80,
+                rotate: 20,
                 encrypt: 0,
                 decrypt: 0,
             },

@@ -282,7 +282,9 @@ pub fn simulate_conv(plan: &ConvPlan, cfg: &SimConfig) -> SimResult {
     let enc_t = cfg.client.scale(costs.encrypt);
     let dec_t = cfg.client.scale(costs.decrypt);
     let up_t = cfg.link.transfer_time(plan.ciphertext_bytes);
-    let per_ct_t = cfg.server.scale(ops_seconds(&plan.per_ct_ops, &costs));
+    // Each input's job takes an equal share of the per-input work.
+    let per_ct_t =
+        cfg.server.scale(ops_seconds(&plan.input_ops, &costs)) / plan.input_cts.max(1) as f64;
     let fin_total = cfg.server.scale(ops_seconds(&plan.finalize_ops, &costs));
     let asm_total = cfg.client.scale(plan.assembly_elements as f64 * 2e-9);
 
@@ -538,13 +540,14 @@ mod tests {
             level: ParamLevel::N8192,
             input_cts,
             output_cts: input_cts,
-            per_ct_ops: OpCounts {
+            input_ops: OpCounts {
                 add: 50,
                 mult_plain: 100,
                 rotate: 10,
                 encrypt: 0,
                 decrypt: 0,
-            },
+            }
+            .times(input_cts as u64),
             finalize_ops: if dep == OutputDependency::AllInputs {
                 OpCounts {
                     add: 200,
