@@ -4,8 +4,10 @@
 //!
 //! Four routes, all read-only:
 //!
-//! * `GET /metrics` — the global [`spot_trace::metrics`] registry in
-//!   Prometheus text exposition format (scrape target).
+//! * `GET /metrics` — [`spot_trace::metrics::scrape`] (the registry's
+//!   histograms and the typed counters' process totals) plus the
+//!   server's session totals, in Prometheus text exposition format
+//!   (scrape target); `/metrics.json` is the same snapshot as JSON.
 //! * `GET /healthz` — `200 ok` normally, `503 overloaded` when the
 //!   server is at its session cap or the worker pool is fully claimed
 //!   ([`SpotServer::overloaded`]); a load balancer's readiness probe.
@@ -26,7 +28,8 @@
 //! one request, and close (`Connection: close`; HTTP/1.0 semantics).
 
 use crate::serving::SpotServer;
-use spot_trace::{log_debug, log_warn, metrics};
+use spot_trace::metrics::{self, MetricsSnapshot, ValueSnapshot};
+use spot_trace::{log_debug, log_warn};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,8 +58,9 @@ pub struct AdminHandle {
 impl AdminServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
     /// serves admin requests for `server` until the handle is shut
-    /// down. Enables the global metrics registry: an admin endpoint
-    /// without live numbers would be pointless.
+    /// down. Enables the global metrics registry, and with it the typed
+    /// counters' process totals: an admin endpoint without live numbers
+    /// would be pointless.
     pub fn bind(addr: &str, server: Arc<SpotServer>) -> std::io::Result<AdminHandle> {
         metrics::enable();
         let listener = TcpListener::bind(addr)?;
@@ -195,12 +199,12 @@ fn respond(path: &str, server: &SpotServer) -> (&'static str, &'static str, Stri
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            metrics::encode_prometheus(&metrics::global().snapshot()),
+            metrics::encode_prometheus(&scrape(server)),
         ),
         "/metrics.json" => (
             "200 OK",
             "application/json",
-            metrics::encode_json(&metrics::global().snapshot()),
+            metrics::encode_json(&scrape(server)),
         ),
         "/healthz" => {
             if server.overloaded() {
@@ -217,6 +221,23 @@ fn respond(path: &str, server: &SpotServer) -> (&'static str, &'static str, Stri
         "/pipeline" => ("200 OK", "application/json", pipeline_json(server)),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     }
+}
+
+/// [`metrics::scrape`] plus `spot_sessions_{active,served,rejected,failed}`
+/// from the cells `/sessions` reads, so the two routes cannot disagree.
+fn scrape(server: &SpotServer) -> MetricsSnapshot {
+    let mut snap = metrics::scrape();
+    let stats = server.stats();
+    for (name, total) in [
+        ("spot_sessions_served", stats.served),
+        ("spot_sessions_rejected", stats.rejected),
+        ("spot_sessions_failed", stats.failed),
+    ] {
+        snap.insert(name, &[], ValueSnapshot::Counter(total as u64));
+    }
+    let active = server.active_sessions() as u64;
+    snap.insert("spot_sessions_active", &[], ValueSnapshot::Gauge(active));
+    snap
 }
 
 fn sessions_json(server: &SpotServer) -> String {

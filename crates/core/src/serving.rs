@@ -49,7 +49,7 @@ use spot_pipeline::device::DeviceProfile;
 use spot_proto::transport::TransportStats;
 use spot_proto::{error_code, Transport, WireMessage};
 use spot_tensor::tensor::Tensor;
-use spot_trace::{log_info, log_warn, metrics, Cat, Counter, CounterSnapshot, SessionCounters};
+use spot_trace::{log_info, log_warn, metrics, Cat, CounterSnapshot, SessionCounters};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -261,18 +261,14 @@ struct StatsCells {
     failed: AtomicUsize,
 }
 
-/// The server's live-registry handles, registered once at construction
-/// so every series exists (at zero) from the first `/metrics` scrape,
-/// before any session has run.
+/// The server's live-registry histograms, registered once at
+/// construction so every series exists (at zero) from the first
+/// `/metrics` scrape, before any session has run. Session totals are
+/// not here: a scrape reads them from [`SpotServer::stats`] and
+/// [`SpotServer::active_sessions`], the cells `/sessions` reads.
 #[derive(Debug)]
 struct ServerMetrics {
-    active: Arc<metrics::Gauge>,
-    served: Arc<metrics::Counter>,
-    rejected: Arc<metrics::Counter>,
-    failed: Arc<metrics::Counter>,
     session_wall_ns: Arc<metrics::Histogram>,
-    kernel_cache_builds: Arc<metrics::Counter>,
-    kernel_cache_hits: Arc<metrics::Counter>,
     // The server's own view of each session's stall, from its
     // StreamStats: worker busy / (busy + idle) in parts-per-million
     // (registry values are integers), idle/blocked in
@@ -286,38 +282,10 @@ impl ServerMetrics {
     fn new() -> Self {
         let reg = metrics::global();
         Self {
-            active: reg.gauge("spot_sessions_active", &[]),
-            served: reg.counter("spot_sessions_served", &[]),
-            rejected: reg.counter("spot_sessions_rejected", &[]),
-            failed: reg.counter("spot_sessions_failed", &[]),
             session_wall_ns: reg.histogram("spot_session_wall_ns", &[]),
-            kernel_cache_builds: reg.counter("spot_kernel_cache_builds", &[]),
-            kernel_cache_hits: reg.counter("spot_kernel_cache_hits", &[]),
             server_busy_share_ppm: reg.histogram("spot_server_busy_share_ppm", &[]),
             overlap_server_idle_ns: reg.histogram("spot_overlap_server_idle_ns", &[]),
             overlap_client_blocked_ns: reg.histogram("spot_overlap_client_blocked_ns", &[]),
-        }
-    }
-
-    /// Folds one finished session's [`CounterSnapshot`] into the
-    /// registry: the kernel-cache split gets first-class series, and
-    /// every typed trace counter is mirrored as
-    /// `spot_server_ops{op="<name>"}` — the documented bridge between
-    /// the per-session snapshot and the live `/metrics` view.
-    fn absorb_session(&self, counters: &CounterSnapshot) {
-        if !metrics::enabled() {
-            return;
-        }
-        self.kernel_cache_builds
-            .inc(counters.get(Counter::KernelCacheBuild));
-        self.kernel_cache_hits
-            .inc(counters.get(Counter::KernelCacheHit));
-        let reg = metrics::global();
-        for c in Counter::ALL {
-            let n = counters.get(c);
-            if n > 0 {
-                reg.counter("spot_server_ops", &[("op", c.name())]).inc(n);
-            }
         }
     }
 }
@@ -370,9 +338,7 @@ pub struct PipelineSummary {
     pub server_idle_s: f64,
     /// Ingest back-pressure: the server was the bottleneck.
     pub client_blocked_s: f64,
-    /// Share of worker time spent computing: busy / (busy + idle), in
-    /// [0, 1]. Not the cross-party overlap efficiency, which needs the
-    /// client's trace (`spot_trace::correlate`).
+    /// [`crate::stream::StreamStats::server_busy_share`] of the session.
     pub server_busy_share: f64,
 }
 
@@ -382,23 +348,16 @@ impl PipelineSummary {
         if s.input_items == 0 {
             return None; // no conv layer ran: nothing to attribute
         }
-        let busy = s.server_busy_s;
-        let idle = s.server_idle_s;
-        let server_busy_share = if busy + idle > 0.0 {
-            (busy / (busy + idle)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
         Some(Self {
             id,
             wall_ms: wall.as_secs_f64() * 1e3,
             input_items: s.input_items,
             output_items: s.output_items,
             server_threads: s.server_threads,
-            server_busy_s: busy,
-            server_idle_s: idle,
+            server_busy_s: s.server_busy_s,
+            server_idle_s: s.server_idle_s,
             client_blocked_s: s.client_blocked_s,
-            server_busy_share,
+            server_busy_share: s.server_busy_share(),
         })
     }
 }
@@ -518,7 +477,6 @@ impl SpotServer {
         loop {
             if cur >= self.config.max_sessions {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                self.metrics.rejected.inc(1);
                 let detail = format!("at capacity ({} sessions)", self.config.max_sessions);
                 log_warn!("serving", "rejecting connection: {detail}");
                 let _ = transport.send(&WireMessage::Error {
@@ -585,7 +543,6 @@ impl SpotServer {
         match &result {
             Ok(_) => {
                 self.stats.served.fetch_add(1, Ordering::Relaxed);
-                self.metrics.served.inc(1);
                 log_info!("serving", "session {id} done");
             }
             Err(e) => {
@@ -595,21 +552,19 @@ impl SpotServer {
                 let _ = transport.send(&WireMessage::Error { code, detail });
                 transport.close_tx();
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.failed.inc(1);
                 log_warn!("serving", "session {id} failed: {e}");
             }
         }
         spot_trace::set_session_counters(prev_sink);
         drop(admitted);
         let counters = sink.snapshot();
-        self.metrics.absorb_session(&counters);
         let wall = t0.elapsed();
         self.metrics.session_wall_ns.observe(wall.as_nanos() as u64);
         if let Ok(report) = &result {
             if let Some(summary) = PipelineSummary::from_report(id, wall, report) {
                 self.metrics
                     .server_busy_share_ppm
-                    .observe((summary.server_busy_share * 1e6) as u64);
+                    .observe((report.stream.server_busy_share() * 1e6) as u64);
                 self.metrics
                     .overlap_server_idle_ns
                     .observe((summary.server_idle_s * 1e9) as u64);
@@ -634,10 +589,10 @@ impl SpotServer {
     }
 }
 
-/// An admitted session's claim on the server: its admission slot, its
-/// `/sessions` entry and the `spot_sessions_active` gauge, released
-/// together on drop. A session thread that unwinds therefore frees its
-/// slot (and is counted as failed) instead of eating it forever.
+/// An admitted session's claim on the server: its admission slot and
+/// its `/sessions` entry, released together on drop. A session thread
+/// that unwinds therefore frees its slot (and is counted as failed)
+/// instead of eating it forever.
 struct Admitted<'a> {
     server: &'a SpotServer,
     id: u64,
@@ -647,7 +602,6 @@ impl<'a> Admitted<'a> {
     /// Registers session `id`; the caller has already reserved the
     /// admission slot in `server.active`.
     fn new(server: &'a SpotServer, id: u64, since: Instant) -> Self {
-        server.metrics.active.add(1);
         server
             .in_flight
             .lock()
@@ -662,14 +616,12 @@ impl Drop for Admitted<'_> {
         let server = self.server;
         if std::thread::panicking() {
             server.stats.failed.fetch_add(1, Ordering::Relaxed);
-            server.metrics.failed.inc(1);
         }
         server
             .in_flight
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .remove(&self.id);
-        server.metrics.active.sub(1);
         server.active.fetch_sub(1, Ordering::AcqRel);
     }
 }

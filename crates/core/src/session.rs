@@ -659,9 +659,7 @@ pub enum UploadPacing {
 /// Summary of a completed client upload phase.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientSendSummary {
-    /// Encryptions performed.
-    pub encrypt: u64,
-    /// Input ciphertexts sent.
+    /// Input ciphertexts sent, one encryption each.
     pub input_cts: usize,
 }
 
@@ -671,9 +669,7 @@ pub struct ClientSendSummary {
 pub struct ClientShare {
     /// The client's additive share of the (strided) output tensor.
     pub share: Tensor,
-    /// Decryptions performed.
-    pub decrypt: u64,
-    /// Masked result ciphertexts absorbed.
+    /// Masked result ciphertexts absorbed, one decryption each.
     pub output_cts: usize,
 }
 
@@ -683,9 +679,8 @@ pub struct ClientShare {
 pub struct ClientBatchShare {
     /// Per-image additive shares of the (strided) output tensors.
     pub shares: Vec<Tensor>,
-    /// Decryptions performed (per batch, not per image).
-    pub decrypt: u64,
-    /// Masked result ciphertexts absorbed (per batch, not per image).
+    /// Masked result ciphertexts absorbed, one decryption each (per
+    /// batch, not per image).
     pub output_cts: usize,
 }
 
@@ -865,7 +860,6 @@ impl<'a> ClientConv<'a> {
             })?;
         }
         Ok(ClientSendSummary {
-            encrypt: u64::from(seq),
             input_cts: seq as usize,
         })
     }
@@ -875,7 +869,6 @@ impl<'a> ClientConv<'a> {
         let mut all = self.absorb_batch(transport, 1)?;
         Ok(ClientShare {
             share: all.shares.remove(0),
-            decrypt: all.decrypt,
             output_cts: all.output_cts,
         })
     }
@@ -924,7 +917,6 @@ impl<'a> ClientConv<'a> {
         }
         Ok(ClientBatchShare {
             shares,
-            decrypt: expected as u64,
             output_cts: expected,
         })
     }
@@ -1606,8 +1598,8 @@ pub fn run_in_process<R: Rng>(
     let share = client.absorb_batch(&ct, batch)?;
 
     let mut counts = server.counts;
-    counts.encrypt += sent.encrypt;
-    counts.decrypt += share.decrypt;
+    counts.encrypt += sent.input_cts as u64;
+    counts.decrypt += share.output_cts as u64;
     let server_shares = std::iter::once(server.server_share).chain(server.extra_shares);
     let tstats = ct.stats();
     Ok(InProcessOutcome {

@@ -283,6 +283,19 @@ impl StreamStats {
         self.server_threads = self.server_threads.max(other.server_threads);
     }
 
+    /// Share of worker time spent computing, `busy / (busy + idle)` in
+    /// [0, 1] (0 when the workers did nothing). Not the cross-party
+    /// overlap efficiency, which needs the client's trace
+    /// (`spot_trace::correlate`).
+    pub fn server_busy_share(&self) -> f64 {
+        let (busy, idle) = (self.server_busy_s, self.server_idle_s);
+        if busy + idle > 0.0 {
+            (busy / (busy + idle)).clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
+    }
+
     /// Converts to the report row rendered by
     /// [`spot_pipeline::report::stall_table`].
     pub fn stall_row(&self, scheme: &str) -> StallRow {

@@ -1,8 +1,9 @@
 //! The metrics registry must observe without perturbing: with metrics
 //! enabled, a session computes the same shares, and every
-//! scheduling-independent series (wire byte/frame totals, conv/stream
-//! work counts) is bit-identical across worker thread counts (1 vs 8)
-//! and transports (Mem vs TCP loopback), for every scheme.
+//! scheduling-independent series of the scrape (wire byte/frame
+//! totals, conv/stream work counts) is bit-identical across worker
+//! thread counts (1 vs 8) and transports (Mem vs TCP loopback), for
+//! every scheme.
 //! Timing-valued series (`*_ns` sums, bucket contents) and
 //! backpressure counters are scheduling-dependent by design and are
 //! compared by sample count only, or excluded.
@@ -35,18 +36,14 @@ struct MetricsRun {
     client_share: Tensor,
 }
 
-/// The scheduling-independent view of a run's registry: exact counter
-/// totals for the wire rollups (blocked-time excluded) and sample
-/// counts — not sums or buckets — for the latency histograms.
+/// The scheduling-independent view of a run's scrape: exact wire
+/// byte/frame totals (blocked-time excluded) and sample counts — not
+/// sums or buckets — for the latency histograms.
 fn deterministic_series(snap: &metrics::MetricsSnapshot, scheme: &str) -> Vec<(String, u64)> {
     let mut out = Vec::new();
-    for name in [
-        "spot_wire_tx_bytes",
-        "spot_wire_tx_frames",
-        "spot_wire_rx_bytes",
-        "spot_wire_rx_frames",
-    ] {
-        out.push((name.to_string(), snap.counter(name, &[])));
+    for op in ["tx_bytes", "tx_frames", "rx_bytes", "rx_frames"] {
+        let total = snap.counter("spot_server_ops", &[("op", op)]);
+        out.push((format!("spot_server_ops{{op={op}}}"), total));
     }
     for (name, labels) in [
         ("spot_conv_serve_ns", vec![("scheme", scheme)]),
@@ -70,7 +67,7 @@ fn run_session(
 ) -> MetricsRun {
     metrics::global().reset();
     metrics::enable();
-    let baseline = metrics::global().snapshot();
+    let baseline = metrics::scrape();
     let mut crng = StdRng::seed_from_u64(71);
     let keygen = KeyGenerator::new(ctx, &mut crng);
     let conv = ClientConv::new(ctx, &keygen, spec).expect("plan");
@@ -84,7 +81,7 @@ fn run_session(
         serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
         client.join().expect("client thread")
     });
-    let snap = metrics::global().snapshot().delta(&baseline);
+    let snap = metrics::scrape().delta(&baseline);
     metrics::disable();
     MetricsRun {
         snap,

@@ -116,7 +116,7 @@ fn min_budget(level: ParamLevel, scheme: SchemeKind, input: &Tensor, kernel: &Ke
 
     let decryptor = Decryptor::new(&ctx, keygen.secret_key().clone());
     let results = client.results.into_inner().unwrap();
-    assert_eq!(results.len() as u64, absorbed.decrypt);
+    assert_eq!(results.len(), absorbed.output_cts);
     results
         .iter()
         .map(|blob| {

@@ -25,7 +25,7 @@ use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Counter;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -407,6 +407,19 @@ fn slow_loris_times_out_without_harming_neighbors() {
     assert_eq!((totals.served, totals.failed, totals.rejected), (1, 1, 0));
 }
 
+/// Sends one raw request to an admin endpoint and returns the whole
+/// response.
+fn admin_fetch(addr: SocketAddr, request: &[u8]) -> String {
+    use std::io::Read;
+    let mut conn = TcpStream::connect(addr).expect("connect admin");
+    conn.write_all(request).expect("send request");
+    let mut body = String::new();
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    conn.read_to_string(&mut body).expect("read response");
+    body
+}
+
 /// Garbage (and worse: silence) on the admin port cannot wedge its
 /// accept loop: after a binary-junk request, a non-GET request, and a
 /// connect-then-hang client, a normal scrape still answers promptly
@@ -414,7 +427,6 @@ fn slow_loris_times_out_without_harming_neighbors() {
 #[test]
 fn admin_port_survives_garbage_requests() {
     use spot_core::admin::AdminServer;
-    use std::io::Read;
 
     let (ctx, cnn) = test_stack();
     let server = Arc::new(SpotServer::new(
@@ -423,16 +435,7 @@ fn admin_port_survives_garbage_requests() {
     ));
     let admin = AdminServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("bind admin");
     let addr = admin.addr();
-
-    let fetch = |request: &[u8]| -> String {
-        let mut conn = TcpStream::connect(addr).expect("connect admin");
-        conn.write_all(request).expect("send request");
-        let mut body = String::new();
-        conn.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("read timeout");
-        conn.read_to_string(&mut body).expect("read response");
-        body
-    };
+    let fetch = |request: &[u8]| admin_fetch(addr, request);
 
     // Hostile round 1: pure binary garbage.
     let garbage = fetch(&[0x00, 0xff, 0x13, 0x37, b'\n']);
@@ -468,7 +471,6 @@ fn admin_port_survives_garbage_requests() {
 #[test]
 fn healthz_reflects_admission_saturation() {
     use spot_core::admin::AdminServer;
-    use std::io::Read;
 
     let (ctx, cnn) = test_stack();
     let server = Arc::new(SpotServer::new(
@@ -481,16 +483,7 @@ fn healthz_reflects_admission_saturation() {
     let admin = AdminServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("bind admin");
     let addr = admin.addr();
 
-    let health = || -> String {
-        let mut conn = TcpStream::connect(addr).expect("connect admin");
-        conn.write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
-            .expect("send");
-        conn.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("read timeout");
-        let mut body = String::new();
-        conn.read_to_string(&mut body).expect("read");
-        body
-    };
+    let health = || admin_fetch(addr, b"GET /healthz HTTP/1.0\r\n\r\n");
     assert!(health().starts_with("HTTP/1.0 200"), "idle server is ok");
 
     // Fill the single admission slot with a session that waits for us.
@@ -514,6 +507,42 @@ fn healthz_reflects_admission_saturation() {
     });
     assert!(health().starts_with("HTTP/1.0 200"), "drained server is ok");
     admin.shutdown();
+}
+
+/// A scrape's session totals are the cells `/sessions` reads, so a
+/// session served before the admin endpoint (and with it the metrics
+/// registry) came up is counted on both routes, and none is left
+/// active.
+#[test]
+fn a_session_served_before_the_admin_endpoint_binds_is_in_its_scrape() {
+    use spot_core::admin::AdminServer;
+
+    let (ctx, cnn) = test_stack();
+    let server = Arc::new(SpotServer::new(
+        ModelContext::new("tinycnn-late-admin", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    ));
+    let (ct, st) = MemTransport::pair();
+    std::thread::scope(|s| {
+        let session = s.spawn(|| server.serve_connection(&st));
+        well_behaved_client(&ctx, &cnn, &ct, 1);
+        session
+            .join()
+            .expect("session thread")
+            .result
+            .expect("session");
+    });
+
+    let admin = AdminServer::bind("127.0.0.1:0", Arc::clone(&server)).expect("bind admin");
+    let metrics = admin_fetch(admin.addr(), b"GET /metrics HTTP/1.0\r\n\r\n");
+    let sessions = admin_fetch(admin.addr(), b"GET /sessions HTTP/1.0\r\n\r\n");
+    admin.shutdown();
+    for line in ["\nspot_sessions_served 1\n", "\nspot_sessions_active 0\n"] {
+        assert!(metrics.contains(line), "no {line:?} in: {metrics}");
+    }
+    for field in ["\"served\": 1,", "\"active\": 0,"] {
+        assert!(sessions.contains(field), "no {field:?} in: {sessions}");
+    }
 }
 
 /// Sends one raw hello to a fresh session and returns the session's

@@ -303,8 +303,8 @@ fn run_case(
     assert_eq!(absorbed.shares.len(), batch);
     assert_eq!(server_shares.len(), batch);
     let mut counts = served.counts;
-    counts.encrypt += sent.encrypt;
-    counts.decrypt += absorbed.decrypt;
+    counts.encrypt += sent.input_cts as u64;
+    counts.decrypt += absorbed.output_cts as u64;
     let counts = [
         counts.rotate,
         counts.mult_plain,

@@ -10,11 +10,11 @@
 use crate::channel::TrafficStats;
 use crate::error::ProtoError;
 use crate::wire::{read_frame, WireMessage};
-use spot_trace::{count, metrics, Cat, Counter, Span};
+use spot_trace::{count, Cat, Counter, Span};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Traffic and stall accounting for one endpoint of a transport.
@@ -28,51 +28,19 @@ pub struct TransportStats {
     pub send_blocked: Duration,
 }
 
-// Live-registry rollups for wire traffic, one set of handles for the
-// whole process (both transports, all sessions). Registered lazily so
-// processes that never send a frame expose no wire series.
-struct WireMetrics {
-    tx_bytes: Arc<metrics::Counter>,
-    tx_frames: Arc<metrics::Counter>,
-    rx_bytes: Arc<metrics::Counter>,
-    rx_frames: Arc<metrics::Counter>,
-    send_blocked_ns: Arc<metrics::Counter>,
-}
-
-fn wire_metrics() -> &'static WireMetrics {
-    static WIRE: OnceLock<WireMetrics> = OnceLock::new();
-    WIRE.get_or_init(|| {
-        let reg = metrics::global();
-        WireMetrics {
-            tx_bytes: reg.counter("spot_wire_tx_bytes", &[]),
-            tx_frames: reg.counter("spot_wire_tx_frames", &[]),
-            rx_bytes: reg.counter("spot_wire_rx_bytes", &[]),
-            rx_frames: reg.counter("spot_wire_rx_frames", &[]),
-            send_blocked_ns: reg.counter("spot_wire_send_blocked_ns", &[]),
-        }
-    })
-}
-
 /// One endpoint's frame tally, and the only place a frame is recorded:
 /// [`Tally::sent`] and [`Tally::received`] each feed the typed trace
-/// counters (process totals and the session sink), the live registry's
-/// `spot_wire_*` series when it is enabled, and this endpoint's
-/// [`TransportStats`] from the one byte count they are given.
+/// counters (process totals, which a `/metrics` scrape renders, and the
+/// session sink) and this endpoint's [`TransportStats`] from the one
+/// byte count they are given.
 #[derive(Debug, Default)]
 struct Tally(Mutex<TransportStats>);
 
 impl Tally {
     fn sent(&self, bytes: u64, blocked: Duration) -> Result<(), ProtoError> {
-        let blocked_ns = blocked.as_nanos() as u64;
         count(Counter::TxBytes, bytes);
         count(Counter::TxFrames, 1);
-        count(Counter::TxBlockedNs, blocked_ns);
-        if metrics::enabled() {
-            let wire = wire_metrics();
-            wire.tx_bytes.inc(bytes);
-            wire.tx_frames.inc(1);
-            wire.send_blocked_ns.inc(blocked_ns);
-        }
+        count(Counter::TxBlockedNs, blocked.as_nanos() as u64);
         let mut st = self.0.lock().map_err(|_| ProtoError::Poisoned)?;
         st.sent.bytes += bytes;
         st.sent.messages += 1;
@@ -83,11 +51,6 @@ impl Tally {
     fn received(&self, bytes: u64) -> Result<(), ProtoError> {
         count(Counter::RxBytes, bytes);
         count(Counter::RxFrames, 1);
-        if metrics::enabled() {
-            let wire = wire_metrics();
-            wire.rx_bytes.inc(bytes);
-            wire.rx_frames.inc(1);
-        }
         let mut st = self.0.lock().map_err(|_| ProtoError::Poisoned)?;
         st.received.bytes += bytes;
         st.received.messages += 1;
@@ -402,11 +365,11 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::wire::tests::samples;
-    use spot_trace::SessionCounters;
+    use spot_trace::{metrics, SessionCounters};
     use std::net::TcpListener;
 
-    // The `spot_wire_*` series are process-wide, so the tests of this
-    // module that move frames take turns.
+    // The process totals a scrape renders are process-wide, so the
+    // tests of this module that move frames take turns.
     static FRAMES: Mutex<()> = Mutex::new(());
 
     fn frames_lock() -> MutexGuard<'static, ()> {
@@ -428,29 +391,27 @@ mod tests {
     }
 
     /// The four frame counts of each of the three views a frame is
-    /// recorded into, as (tx bytes, tx frames, rx bytes, rx frames).
+    /// seen in — the endpoints' stats, the session sink, and the
+    /// process totals a `/metrics` scrape renders — as (tx bytes, tx
+    /// frames, rx bytes, rx frames).
     fn three_views(
         sender: &dyn Transport,
         receiver: &dyn Transport,
         sink: &SessionCounters,
     ) -> [[u64; 4]; 3] {
         let (sent, received) = (sender.stats().sent, receiver.stats().received);
+        let frame_counters = [
+            Counter::TxBytes,
+            Counter::TxFrames,
+            Counter::RxBytes,
+            Counter::RxFrames,
+        ];
         let typed = sink.snapshot();
-        let wire = wire_metrics();
+        let scrape = metrics::scrape();
         [
             [sent.bytes, sent.messages, received.bytes, received.messages],
-            [
-                typed.get(Counter::TxBytes),
-                typed.get(Counter::TxFrames),
-                typed.get(Counter::RxBytes),
-                typed.get(Counter::RxFrames),
-            ],
-            [
-                wire.tx_bytes.get(),
-                wire.tx_frames.get(),
-                wire.rx_bytes.get(),
-                wire.rx_frames.get(),
-            ],
+            frame_counters.map(|c| typed.get(c)),
+            frame_counters.map(|c| scrape.counter("spot_server_ops", &[("op", c.name())])),
         ]
     }
 

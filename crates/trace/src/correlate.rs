@@ -24,7 +24,7 @@
 //! is its only definition and the only emitter of
 //! `spot_overlap_efficiency`; the server's own view of one session,
 //! worker `busy / (busy + idle)`, is a different ratio under a
-//! different name (`server_busy_share`, `spot_core::serving`). SPOT's
+//! different name (`spot_core::stream::StreamStats::server_busy_share`). SPOT's
 //! per-input jobs keep the efficiency near 1; channel-wise jobs, which
 //! wait for the whole upload, collapse it — the linear computation
 //! stall, made visible. A whole-session window also spans the key

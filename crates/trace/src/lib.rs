@@ -42,7 +42,7 @@ pub mod metrics;
 pub mod summary;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -50,25 +50,42 @@ use std::time::Instant;
 // Global switch and clock
 // ---------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+// Both recording switches in one word, so [`count`] asks "is tracing or
+// the metrics registry on" with one relaxed load.
+static SWITCHES: AtomicU8 = AtomicU8::new(0);
+const TRACING: u8 = 1;
+pub(crate) const REGISTRY: u8 = 2;
+
+#[inline(always)]
+pub(crate) fn switch_on(bit: u8) -> bool {
+    SWITCHES.load(Ordering::Relaxed) & bit != 0
+}
+
+pub(crate) fn set_switch(bit: u8, on: bool) {
+    if on {
+        SWITCHES.fetch_or(bit, Ordering::SeqCst);
+    } else {
+        SWITCHES.fetch_and(!bit, Ordering::SeqCst);
+    }
+}
 
 /// Whether tracing is currently on. This is the disabled-path hot
 /// check: one relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    switch_on(TRACING)
 }
 
 /// Turns tracing on (idempotent). The first call fixes the trace
 /// origin; all timestamps are nanoseconds since that instant.
 pub fn enable() {
     origin();
-    ENABLED.store(true, Ordering::SeqCst);
+    set_switch(TRACING, true);
 }
 
 /// Turns tracing off. Already-buffered events are kept until drained.
 pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
+    set_switch(TRACING, false);
 }
 
 fn origin() -> Instant {
@@ -547,9 +564,11 @@ pub fn gauge(cat: Cat, name: &'static str, value: u64) {
 // Typed counters
 // ---------------------------------------------------------------------
 
-/// The process-wide typed counters. Monotonic relaxed atomics; snapshot
-/// with [`counters`] and attribute per layer/session via
-/// [`CounterSnapshot::delta`].
+/// The process-wide typed counters. Monotonic relaxed atomics, counted
+/// while tracing or the [`metrics`] registry is on; snapshot with
+/// [`counters`] and attribute per layer/session via
+/// [`CounterSnapshot::delta`]. A `/metrics` scrape renders the totals
+/// as `spot_server_ops{op="<name>"}` ([`metrics::scrape`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
@@ -748,11 +767,13 @@ fn count_session(c: Counter, n: u64) {
     });
 }
 
-/// Adds `n` to a counter. Disabled path: two relaxed atomic loads and
-/// branches (the global switch and the sticky session-tracking flag).
+/// Adds `n` to a counter: to the process total while tracing or the
+/// metrics registry is on, and to the calling thread's session sink.
+/// Disabled path: two relaxed atomic loads and branches (the switch
+/// word and the sticky session-tracking flag).
 #[inline(always)]
 pub fn count(c: Counter, n: u64) {
-    if enabled() {
+    if SWITCHES.load(Ordering::Relaxed) != 0 {
         COUNTERS[c as usize].fetch_add(n, Ordering::Relaxed);
     }
     if SESSION_TRACKING.load(Ordering::Relaxed) {
@@ -821,6 +842,7 @@ mod tests {
     fn disabled_records_nothing() {
         let _g = guard();
         disable();
+        metrics::disable();
         reset();
         {
             let _s = span(Cat::He, "noop");

@@ -1,5 +1,6 @@
-//! Live metrics registry: named counters, gauges, and log2-bucketed
-//! latency histograms for a long-running server.
+//! Live metrics registry: log2-bucketed latency histograms for a
+//! long-running server, and the scrape that renders them beside the
+//! typed counters.
 //!
 //! The trace layer ([`crate`]) answers *"what happened in this run?"*
 //! post-mortem: enable, run, drain, export. A serving process needs the
@@ -7,22 +8,27 @@
 //! right now?"* — without stopping the process or buffering events.
 //! This module is that substrate:
 //!
-//! * Every metric is a plain struct of **relaxed atomics** — no locks on
+//! * The registry holds only [`Histogram`]s, the one kind of metric no
+//!   other store keeps. A count has one store, the typed
+//!   [`crate::Counter`]s, which count while tracing *or* this registry
+//!   is on; [`scrape`] renders their process totals at scrape time, and
+//!   a server adds its own cells (sessions served, active, …) the same
+//!   way ([`MetricsSnapshot::insert`]).
+//! * A histogram is a plain struct of **relaxed atomics** — no locks on
 //!   the record path, exact totals under parallel workers (relaxed
-//!   additions commute, the same argument as [`crate::CounterSnapshot`]).
-//! * [`Histogram`] has a **fixed footprint** (64 log2 buckets + count +
-//!   sum, 528 bytes) regardless of how many values it absorbs, so a
-//!   latency series can run for weeks without growing.
-//! * Recording through the registry-facing methods ([`Counter::inc`],
-//!   [`Gauge::set`], [`Histogram::observe`], [`Histogram::start_timer`])
-//!   is gated on a process-wide switch with the same disabled-path
-//!   budget as the trace counters: one relaxed load and a branch
-//!   (measured by the `trace_overhead` bench). The `*_always` variants
-//!   ([`Histogram::record`], …) bypass the switch for callers that own
-//!   their metric outright (e.g. a load generator's latency histogram).
-//! * [`snapshot`]/[`MetricsSnapshot::delta`] have exact semantics:
-//!   counters and histogram buckets subtract element-wise (saturating),
-//!   gauges keep the later sample.
+//!   additions commute, the same argument as [`crate::CounterSnapshot`])
+//!   — with a **fixed footprint** (64 log2 buckets + count + sum, 528
+//!   bytes) regardless of how many values it absorbs, so a latency
+//!   series can run for weeks without growing.
+//! * Recording through [`Histogram::observe`] and
+//!   [`Histogram::start_timer`] is gated on the registry switch with the
+//!   same disabled-path budget as the trace counters: one relaxed load
+//!   and a branch (measured by the `trace_overhead` bench).
+//!   [`Histogram::record`] bypasses the switch for callers that own
+//!   their histogram outright (e.g. a load generator's latency series).
+//! * [`MetricsSnapshot::delta`] has exact semantics: counters and
+//!   histogram buckets subtract element-wise (saturating), gauges keep
+//!   the later sample.
 //!
 //! Two encoders serve the snapshots: [`encode_prometheus`] renders the
 //! standard text exposition format (`name{labels} value`, histograms as
@@ -37,7 +43,8 @@
 //! within a factor of 2 of the true order statistic (the estimate and
 //! the true value share a bucket whose width is < its lower bound).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::{set_switch, switch_on, Counter, REGISTRY};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -45,118 +52,28 @@ use std::time::Instant;
 // Global switch
 // ---------------------------------------------------------------------
 
-static METRICS_ON: AtomicBool = AtomicBool::new(false);
-
-/// Whether registry-facing recording is on. This is the disabled-path
-/// hot check: one relaxed load.
+/// Whether registry recording is on. This is the disabled-path hot
+/// check: one relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    METRICS_ON.load(Ordering::Relaxed)
+    switch_on(REGISTRY)
 }
 
 /// Turns registry recording on (a server does this when it starts its
-/// admin endpoint). Idempotent.
+/// admin endpoint), and with it the typed counters' process totals.
+/// Idempotent.
 pub fn enable() {
-    METRICS_ON.store(true, Ordering::SeqCst);
+    set_switch(REGISTRY, true);
 }
 
 /// Turns registry recording off. Recorded values are kept.
 pub fn disable() {
-    METRICS_ON.store(false, Ordering::SeqCst);
+    set_switch(REGISTRY, false);
 }
 
 // ---------------------------------------------------------------------
-// Metric cells
+// Histograms
 // ---------------------------------------------------------------------
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    val: AtomicU64,
-}
-
-impl Counter {
-    /// A standalone (unregistered) counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` when metrics are [`enabled`]; disabled path is one
-    /// relaxed load and a branch.
-    #[inline(always)]
-    pub fn inc(&self, n: u64) {
-        if enabled() {
-            self.inc_always(n);
-        }
-    }
-
-    /// Adds `n` unconditionally (caller-owned metrics).
-    #[inline]
-    pub fn inc_always(&self, n: u64) {
-        self.val.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.val.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that goes up and down (e.g. active sessions).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    val: AtomicU64,
-}
-
-impl Gauge {
-    /// A standalone (unregistered) gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overwrites the value when metrics are [`enabled`].
-    #[inline(always)]
-    pub fn set(&self, v: u64) {
-        if enabled() {
-            self.val.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds `n` when metrics are [`enabled`].
-    #[inline(always)]
-    pub fn add(&self, n: u64) {
-        if enabled() {
-            self.val.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Subtracts `n` (saturating at 0) when metrics are [`enabled`].
-    /// Saturation keeps a gauge sane if the switch flips mid-flight and
-    /// an `add` was skipped.
-    #[inline(always)]
-    pub fn sub(&self, n: u64) {
-        if enabled() {
-            let mut cur = self.val.load(Ordering::Relaxed);
-            loop {
-                let next = cur.saturating_sub(n);
-                match self.val.compare_exchange_weak(
-                    cur,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(now) => cur = now,
-                }
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.val.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of histogram buckets: one per power of two over the `u64`
 /// range, so bucketing is a single `leading_zeros` and the footprint is
@@ -390,24 +307,16 @@ impl HistogramSnapshot {
 // Registry
 // ---------------------------------------------------------------------
 
-/// The value cell of one registered series.
-#[derive(Debug)]
-enum Cell {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// One registered time series: a metric name, a (possibly empty) sorted
-/// label set, and its cell.
+/// One registered histogram series: a metric name, a (possibly empty)
+/// sorted label set, and its cell.
 #[derive(Debug)]
 struct Series {
     name: String,
     labels: Vec<(String, String)>,
-    cell: Cell,
+    hist: Arc<Histogram>,
 }
 
-/// A set of named metrics. Registration (`counter`/`gauge`/`histogram`)
+/// A set of named histograms. Registration ([`Registry::histogram`])
 /// takes a mutex and is get-or-create on `(name, labels)` — call it
 /// once per site and hold the returned `Arc`; recording through the
 /// handle is lock-free.
@@ -431,71 +340,20 @@ impl Registry {
         Self::default()
     }
 
-    fn get_or_insert<T, F, G>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        pick: F,
-        make: G,
-    ) -> Arc<T>
-    where
-        F: Fn(&Cell) -> Option<Arc<T>>,
-        G: FnOnce() -> Cell,
-    {
+    /// The histogram named `name` with `labels`, created on first use.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let labels = sorted_labels(labels);
         let mut series = self.series.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(s) = series.iter().find(|s| s.name == name && s.labels == labels) {
-            return pick(&s.cell).unwrap_or_else(|| {
-                panic!("metric {name:?} already registered with a different kind")
-            });
+            return Arc::clone(&s.hist);
         }
-        let cell = make();
-        let handle = pick(&cell).expect("freshly made cell matches its kind");
+        let hist = Arc::new(Histogram::new());
         series.push(Series {
             name: name.to_string(),
             labels,
-            cell,
+            hist: Arc::clone(&hist),
         });
-        handle
-    }
-
-    /// The counter named `name` with `labels`, created on first use.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.get_or_insert(
-            name,
-            labels,
-            |c| match c {
-                Cell::Counter(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || Cell::Counter(Arc::new(Counter::new())),
-        )
-    }
-
-    /// The gauge named `name` with `labels`, created on first use.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.get_or_insert(
-            name,
-            labels,
-            |c| match c {
-                Cell::Gauge(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || Cell::Gauge(Arc::new(Gauge::new())),
-        )
-    }
-
-    /// The histogram named `name` with `labels`, created on first use.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.get_or_insert(
-            name,
-            labels,
-            |c| match c {
-                Cell::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-            || Cell::Histogram(Arc::new(Histogram::new())),
-        )
+        hist
     }
 
     /// A point-in-time copy of every registered series, sorted by
@@ -507,11 +365,7 @@ impl Registry {
             .map(|s| SeriesSnapshot {
                 name: s.name.clone(),
                 labels: s.labels.clone(),
-                value: match &s.cell {
-                    Cell::Counter(c) => ValueSnapshot::Counter(c.get()),
-                    Cell::Gauge(g) => ValueSnapshot::Gauge(g.get()),
-                    Cell::Histogram(h) => ValueSnapshot::Histogram(h.snapshot()),
-                },
+                value: ValueSnapshot::Histogram(s.hist.snapshot()),
             })
             .collect();
         out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
@@ -523,27 +377,38 @@ impl Registry {
     /// helper, pairing with [`crate::reset`].
     pub fn reset(&self) {
         let series = self.series.lock().unwrap_or_else(|p| p.into_inner());
-        for s in series.iter() {
-            match &s.cell {
-                Cell::Counter(c) => c.val.store(0, Ordering::Relaxed),
-                Cell::Gauge(g) => g.val.store(0, Ordering::Relaxed),
-                Cell::Histogram(h) => {
-                    h.count.store(0, Ordering::Relaxed);
-                    h.sum.store(0, Ordering::Relaxed);
-                    for b in &h.buckets {
-                        b.store(0, Ordering::Relaxed);
-                    }
-                }
+        for h in series.iter().map(|s| &s.hist) {
+            h.count.store(0, Ordering::Relaxed);
+            h.sum.store(0, Ordering::Relaxed);
+            for b in &h.buckets {
+                b.store(0, Ordering::Relaxed);
             }
         }
     }
 }
 
 /// The process-wide registry every serving-path instrumentation site
-/// registers into; the admin endpoint exposes its snapshots.
+/// registers into; [`scrape`] exposes its snapshots.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
+}
+
+/// The live view a `/metrics` scrape renders: the [`global`] registry's
+/// histograms and every typed [`Counter`]'s process total, once, as
+/// `spot_server_ops{op="<Counter::name>"}`. Built at scrape time from
+/// the stores themselves, so no count is kept twice.
+pub fn scrape() -> MetricsSnapshot {
+    let mut snap = global().snapshot();
+    let totals = crate::counters();
+    for c in Counter::ALL {
+        snap.insert(
+            "spot_server_ops",
+            &[("op", c.name())],
+            ValueSnapshot::Counter(totals.get(c)),
+        );
+    }
+    snap
 }
 
 // ---------------------------------------------------------------------
@@ -557,9 +422,9 @@ pub fn global() -> &'static Registry {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValueSnapshot {
-    /// Counter value.
+    /// A monotone total (a typed counter, a server's session totals).
     Counter(u64),
-    /// Gauge sample.
+    /// A sample that goes up and down (e.g. active sessions).
     Gauge(u64),
     /// Histogram state.
     Histogram(HistogramSnapshot),
@@ -584,6 +449,22 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Adds the series `(name, labels)` at its sorted position, or
+    /// replaces its value if present — how a scrape carries values whose
+    /// store lives outside the registry.
+    pub fn insert(&mut self, name: &str, labels: &[(&str, &str)], value: ValueSnapshot) {
+        let series = SeriesSnapshot {
+            name: name.to_string(),
+            labels: sorted_labels(labels),
+            value,
+        };
+        let key = (&series.name, &series.labels);
+        match (self.series).binary_search_by(|s| (&s.name, &s.labels).cmp(&key)) {
+            Ok(i) => self.series[i] = series,
+            Err(i) => self.series.insert(i, series),
+        }
+    }
+
     /// The series `(name, labels)`, if present.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&ValueSnapshot> {
         let labels = sorted_labels(labels);
@@ -795,14 +676,9 @@ pub fn encode_json(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Registry recording shares the process-global switch; serialize
-    // the tests that toggle it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    // The registry switch also turns the typed counters' process totals
+    // on, so these tests take the crate-wide lock the trace tests hold.
+    use crate::tests::guard;
 
     #[test]
     fn bucket_boundaries_partition_u64() {
@@ -824,22 +700,13 @@ mod tests {
         let _g = guard();
         disable();
         let reg = Registry::new();
-        let c = reg.counter("c", &[]);
-        let g = reg.gauge("g", &[]);
         let h = reg.histogram("h", &[]);
-        c.inc(5);
-        g.set(7);
-        g.add(2);
         h.observe(100);
         let t = h.start_timer();
         drop(t);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
         assert_eq!(h.count(), 0);
-        // The *_always paths bypass the switch.
-        c.inc_always(3);
+        // `record` bypasses the switch.
         h.record(9);
-        assert_eq!(c.get(), 3);
         assert_eq!(h.count(), 1);
     }
 
@@ -848,19 +715,27 @@ mod tests {
         let _g = guard();
         enable();
         let reg = Registry::new();
-        let a = reg.counter("requests", &[("scheme", "spot")]);
-        let b = reg.counter("requests", &[("scheme", "spot")]);
-        let other = reg.counter("requests", &[("scheme", "cheetah")]);
-        a.inc(2);
-        b.inc(3);
-        other.inc(10);
-        assert_eq!(a.get(), 5);
-        assert_eq!(reg.snapshot().counter("requests", &[("scheme", "spot")]), 5);
+        let a = reg.histogram("serve_ns", &[("scheme", "spot")]);
+        let b = reg.histogram("serve_ns", &[("scheme", "spot")]);
+        let other = reg.histogram("serve_ns", &[("scheme", "cheetah")]);
+        a.observe(2);
+        b.observe(3);
+        other.observe(10);
+        disable();
+        assert_eq!(a.count(), 2);
+        let snap = reg.snapshot();
         assert_eq!(
-            reg.snapshot().counter("requests", &[("scheme", "cheetah")]),
+            snap.histogram("serve_ns", &[("scheme", "spot")])
+                .unwrap()
+                .sum,
+            5
+        );
+        assert_eq!(
+            snap.histogram("serve_ns", &[("scheme", "cheetah")])
+                .unwrap()
+                .sum,
             10
         );
-        disable();
     }
 
     #[test]
@@ -868,18 +743,16 @@ mod tests {
         let _g = guard();
         enable();
         let reg = Registry::new();
-        let c = reg.counter("c", &[]);
-        let g = reg.gauge("g", &[]);
         let h = reg.histogram("h", &[]);
-        c.inc(10);
-        g.set(4);
         h.observe(100);
-        let before = reg.snapshot();
-        c.inc(7);
-        g.set(2);
+        let mut before = reg.snapshot();
+        before.insert("c", &[], ValueSnapshot::Counter(10));
+        before.insert("g", &[], ValueSnapshot::Gauge(4));
         h.observe(3000);
         h.observe(5);
-        let after = reg.snapshot();
+        let mut after = reg.snapshot();
+        after.insert("c", &[], ValueSnapshot::Counter(17));
+        after.insert("g", &[], ValueSnapshot::Gauge(2));
         disable();
         let d = after.delta(&before);
         assert_eq!(d.counter("c", &[]), 7);
@@ -891,6 +764,44 @@ mod tests {
         assert_eq!(dh.buckets[bucket_index(3000)], 1);
         assert_eq!(dh.buckets[bucket_index(5)], 1);
         assert_eq!(dh.buckets[bucket_index(100)], 0);
+    }
+
+    #[test]
+    fn insert_keeps_order_and_replaces() {
+        let mut snap = MetricsSnapshot::default();
+        snap.insert("b", &[], ValueSnapshot::Counter(1));
+        snap.insert("a", &[("op", "y")], ValueSnapshot::Counter(2));
+        snap.insert("a", &[("op", "x")], ValueSnapshot::Counter(3));
+        snap.insert("b", &[], ValueSnapshot::Counter(4));
+        let keys: Vec<_> = (snap.series.iter())
+            .map(|s| (s.name.as_str(), s.labels.clone()))
+            .collect();
+        let op = |v: &str| vec![("op".to_string(), v.to_string())];
+        assert_eq!(keys, [("a", op("x")), ("a", op("y")), ("b", vec![])]);
+        assert_eq!(snap.counter("b", &[]), 4);
+    }
+
+    #[test]
+    fn scrape_renders_each_typed_counter_once_while_only_the_registry_is_on() {
+        let _g = guard();
+        crate::disable();
+        crate::reset();
+        crate::count(Counter::Rotate, 3);
+        assert_eq!(scrape().counter("spot_server_ops", &[("op", "rotate")]), 0);
+        enable();
+        crate::count(Counter::Rotate, 4);
+        crate::count(Counter::TxBytes, 100);
+        let snap = scrape();
+        disable();
+        for c in Counter::ALL {
+            let lines = (snap.series.iter())
+                .filter(|s| s.name == "spot_server_ops" && s.labels[0].1 == c.name())
+                .count();
+            assert_eq!(lines, 1, "{}", c.name());
+        }
+        assert_eq!(snap.counter("spot_server_ops", &[("op", "rotate")]), 4);
+        assert_eq!(snap.counter("spot_server_ops", &[("op", "tx_bytes")]), 100);
+        crate::reset();
     }
 
     #[test]
@@ -925,18 +836,17 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_shape() {
-        let _g = guard();
-        enable();
         let reg = Registry::new();
-        reg.counter("spot_sessions_served", &[]).inc(16);
-        reg.gauge("spot_sessions_active", &[]).set(2);
         let h = reg.histogram("spot_conv_serve_ns", &[("scheme", "spot")]);
-        h.observe(900);
-        h.observe(1100);
-        disable();
-        let text = encode_prometheus(&reg.snapshot());
+        h.record(900);
+        h.record(1100);
+        let mut snap = reg.snapshot();
+        snap.insert("spot_sessions_served", &[], ValueSnapshot::Counter(16));
+        snap.insert("spot_sessions_active", &[], ValueSnapshot::Gauge(2));
+        let text = encode_prometheus(&snap);
         assert!(text.contains("# TYPE spot_sessions_served counter\n"));
         assert!(text.contains("spot_sessions_served 16\n"));
+        assert!(text.contains("# TYPE spot_sessions_active gauge\n"));
         assert!(text.contains("spot_sessions_active 2\n"));
         assert!(text.contains("# TYPE spot_conv_serve_ns histogram\n"));
         assert!(text.contains("spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"1023\"} 1\n"));
@@ -948,13 +858,11 @@ mod tests {
 
     #[test]
     fn json_exposition_is_valid() {
-        let _g = guard();
-        enable();
         let reg = Registry::new();
-        reg.counter("c", &[("weird", "a\"b\\c\nd")]).inc(1);
-        reg.histogram("h", &[]).observe(42);
-        disable();
-        let json = encode_json(&reg.snapshot());
+        reg.histogram("h", &[]).record(42);
+        let mut snap = reg.snapshot();
+        snap.insert("c", &[("weird", "a\"b\\c\nd")], ValueSnapshot::Counter(1));
+        let json = encode_json(&snap);
         crate::json::validate(&json).expect("metrics JSON validates");
     }
 
@@ -963,12 +871,12 @@ mod tests {
         let _g = guard();
         enable();
         let reg = Registry::new();
-        let c = reg.counter("c", &[]);
-        c.inc(9);
+        let h = reg.histogram("h", &[]);
+        h.observe(9);
         reg.reset();
-        assert_eq!(c.get(), 0);
-        c.inc(4);
-        assert_eq!(reg.snapshot().counter("c", &[]), 4);
+        assert_eq!(h.count(), 0);
+        h.observe(4);
+        assert_eq!(reg.snapshot().histogram("h", &[]).unwrap().sum, 4);
         disable();
     }
 }

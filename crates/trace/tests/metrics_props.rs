@@ -6,15 +6,14 @@
 //! line-parseable with no duplicate series and cumulative buckets.
 //!
 //! Everything here uses standalone [`Histogram`]s and local
-//! [`Registry`] instances via the unconditional `record`/`inc_always`
-//! paths, so no test depends on (or mutates) the process-global metrics
-//! switch.
+//! [`Registry`] instances via the unconditional `record` path, so no
+//! test depends on (or mutates) the process-global metrics switch.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use spot_trace::metrics::{
     bucket_index, bucket_lower, bucket_upper, encode_json, encode_prometheus, Histogram,
-    HistogramSnapshot, Registry, HIST_BUCKETS,
+    HistogramSnapshot, Registry, ValueSnapshot, HIST_BUCKETS,
 };
 
 fn snapshot_of(samples: &[u64]) -> HistogramSnapshot {
@@ -129,19 +128,19 @@ proptest! {
         hists in vec((0usize..6, vec(sample(), 0..30)), 0..4),
     ) {
         let reg = Registry::new();
-        for (id, n) in &counters {
-            reg.counter(&format!("c_{id}"), &[]).inc_always(*n);
-        }
-        for (id, v) in &gauges {
-            reg.gauge("g_sessions", &[("shard", &format!("s{id}"))]).set(*v);
-        }
         for (id, samples) in &hists {
             let h = reg.histogram(&format!("h_{id}_ns"), &[]);
             for &s in samples {
                 h.record(s >> 8);
             }
         }
-        let snap = reg.snapshot();
+        let mut snap = reg.snapshot();
+        for (id, n) in &counters {
+            snap.insert(&format!("c_{id}"), &[], ValueSnapshot::Counter(*n));
+        }
+        for (id, v) in &gauges {
+            snap.insert("g_sessions", &[("shard", &format!("s{id}"))], ValueSnapshot::Gauge(*v));
+        }
         let text = encode_prometheus(&snap);
         spot_trace::json::validate(&encode_json(&snap)).expect("JSON exposition must be valid");
 
