@@ -20,6 +20,7 @@ use spot_pipeline::sim::{simulate_layers, LayerTiming, SimConfig};
 use spot_proto::transport::{MemTransport, Transport, TransportStats};
 use spot_tensor::models::{ConvShape, Layer, Network};
 use spot_tensor::tensor::{Kernel, Tensor};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Builds the execution plan for one convolution layer under a scheme,
@@ -165,7 +166,8 @@ impl NetworkPlan {
 #[derive(Debug, Clone)]
 pub enum Op {
     /// A convolution under HE; the parties leave it holding additive
-    /// shares of its output.
+    /// shares of its output. A fully connected layer is a 1×1 one on a
+    /// 1×1 input.
     Conv {
         /// The server's weights.
         kernel: Kernel,
@@ -176,18 +178,33 @@ pub enum Op {
     Relu,
     /// 2×2 max-pooling on shares: one interactive round.
     MaxPool2,
+    /// Global average pooling on shares: one interactive round.
+    AvgPool,
+    /// Adds the output of `ops[from]`, an earlier op: local on shares,
+    /// no frame.
+    Add {
+        /// Program index of the op whose output is added.
+        from: usize,
+    },
     /// The server sends its share; the client holds the activation.
     Reveal,
 }
 
 impl Op {
     /// The op in the clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `Add`, which reads the output it names: only
+    /// [`TinyCnn::forward_plain`] keeps those.
     pub fn apply(&self, x: Tensor) -> Tensor {
-        use spot_tensor::conv::{conv2d, maxpool2, relu};
+        use spot_tensor::conv::{conv2d, global_avgpool, maxpool2, relu};
         match self {
             Op::Conv { kernel, stride } => conv2d(&x, kernel, *stride),
             Op::Relu => relu(&x),
             Op::MaxPool2 => maxpool2(&x),
+            Op::AvgPool => global_avgpool(&x),
+            Op::Add { from } => panic!("an Add of ops[{from}] needs the program's kept outputs"),
             Op::Reveal => x,
         }
     }
@@ -221,7 +238,7 @@ impl TinyCnn {
     /// The network that runs `ops` in order. The client encrypts what
     /// it holds in the clear, so the program starts with a convolution
     /// and a `Reveal` stands before every later one, at the end, and
-    /// nowhere else.
+    /// nowhere else. Each `Add` names an earlier op.
     ///
     /// # Panics
     ///
@@ -234,12 +251,23 @@ impl TinyCnn {
             !ops.is_empty() && is_conv(ops.first()) && reveals_in_place,
             "not a conv-first program with a Reveal before each later conv and at the end"
         );
+        let looks_back = |(i, op): (usize, &Op)| !matches!(op, Op::Add { from } if *from >= i);
+        let adds_look_back = ops.iter().enumerate().all(looks_back);
+        assert!(
+            adds_look_back,
+            "an Add names an op that does not run before it"
+        );
         Self { ops }
     }
 
     /// The program.
     pub fn ops(&self) -> &[Op] {
         &self.ops
+    }
+
+    /// Whether an `Add` names `ops[i]`, so every pass keeps its output.
+    pub(crate) fn is_kept(&self, i: usize) -> bool {
+        (self.ops.iter()).any(|op| matches!(op, Op::Add { from } if *from == i))
     }
 
     /// The program cut behind each `Reveal`, into one convolution and
@@ -263,7 +291,18 @@ impl TinyCnn {
 
     /// Plaintext reference forward pass.
     pub fn forward_plain(&self, input: &Tensor) -> Tensor {
-        self.ops.iter().fold(input.clone(), |x, op| op.apply(x))
+        let mut kept = HashMap::new();
+        let mut x = input.clone();
+        for (i, op) in self.ops.iter().enumerate() {
+            x = match op {
+                Op::Add { from } => x.add(&kept[from]),
+                _ => op.apply(x),
+            };
+            if self.is_kept(i) {
+                kept.insert(i, x.clone());
+            }
+        }
+        x
     }
 
     /// Secure forward pass: both halves of the two-party protocol

@@ -13,24 +13,32 @@
 //! later one uploads only the Galois elements no earlier one did. The
 //! ops behind a convolution, up to and including the `Reveal` that ends
 //! its stage, run *image-major*: all of image `b`'s rounds and its
-//! reveal before image `b + 1`. `Relu` and `MaxPool2` are one `OtRound`
-//! request/reply each, numbered by [`round_of`]; `Reveal` is one
-//! `ShareReveal` from the server. The server checks every hello against
-//! where its own walk stands: the op's kernel and stride, and behind
-//! the first convolution the `h × w` its shares have reached.
+//! reveal before image `b + 1`. `Relu`, `MaxPool2` and `AvgPool` are
+//! one `OtRound` request/reply each, numbered by [`round_of`]; `Reveal`
+//! is one `ShareReveal` from the server. `Add { from }` is local: each
+//! party adds its own share of `ops[from]`'s output, which it kept when
+//! that op ran (only outputs an `Add` names are kept). Past a `Reveal`
+//! the client's share is the value and the server's is zero, so an
+//! `Add` reaches across a `Reveal` by the same rule as within a stage.
+//! The server checks every hello against where its own walk stands: the
+//! op's kernel and stride, and behind the first convolution the `h × w`
+//! its shares have reached. Every share a peer sends is read by
+//! `decode_share`, which holds it to the element count of the dims it
+//! stands for and to the field.
 //!
 //! **Demo simplification.** The non-linear rounds here stand in for the
-//! OT-based DReLU/comparison protocols (simulated in-process by
-//! [`spot_proto::relu`]): the client sends its additive share, the
-//! server reconstructs the value, applies the function, and re-shares
-//! with fresh randomness. This reveals post-conv activations to the
-//! server and is **not private** — it exercises the wire protocol,
-//! session state machines, and traffic accounting end to end while
-//! keeping the demo dependency-free. The mid-network `ShareReveal`
-//! reconstructs the activation at the client, which re-encrypts it as
-//! the next layer's input; in the real protocol the client re-encrypts
-//! its share and the server adds its own — the arithmetic is identical.
-//! [`TinyCnn::forward_secure`] is these two halves in one process.
+//! OT-based DReLU/comparison protocols, whose traffic
+//! `spot_proto::cost::OtCostModel` prices: the client sends its
+//! additive share, the server reconstructs the value, applies the
+//! function, and re-shares with fresh randomness. This reveals
+//! post-conv activations to the server and is **not private** — it
+//! exercises the wire protocol, session state machines, and traffic
+//! accounting end to end while keeping the demo dependency-free. The
+//! mid-network `ShareReveal` reconstructs the activation at the client,
+//! which re-encrypts it as the next layer's input; in the real protocol
+//! the client re-encrypts its share and the server adds its own — the
+//! arithmetic is identical. [`TinyCnn::forward_secure`] is these two
+//! halves in one process.
 
 use crate::error::SpotError;
 use crate::inference::{Op, TinyCnn};
@@ -50,32 +58,43 @@ use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::tensor::Tensor;
 use spot_trace::{clocksync, metrics, Cat};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// `OtRound` op code for ReLU on shares.
 pub const OP_RELU: u8 = 1;
 /// `OtRound` op code for 2×2 max-pooling on shares.
 pub const OP_MAXPOOL: u8 = 2;
+/// `OtRound` op code for global average pooling on shares.
+pub const OP_AVGPOOL: u8 = 3;
 
 /// An activation's `(channels, height, width)`.
 type Dims = (usize, usize, usize);
 
-/// The `OtRound` op code and span name of a `Relu` or `MaxPool2`.
-fn round_kind(op: &Op) -> (u8, &'static str) {
+/// This party's shares of the outputs an `Add` names, by program index
+/// and image.
+type Kept = HashMap<(usize, usize), (Dims, Vec<u64>)>;
+
+/// The `OtRound` op code and span name of an interactive op, and the
+/// dims of its result on a `(c, h, w)` input.
+fn round_kind(op: &Op, (c, h, w): Dims) -> (u8, &'static str, Dims) {
     match op {
-        Op::Relu => (OP_RELU, "relu round"),
-        Op::MaxPool2 => (OP_MAXPOOL, "maxpool round"),
-        Op::Conv { .. } | Op::Reveal => unreachable!("{op:?} is not an interactive round"),
+        Op::Relu => (OP_RELU, "relu round", (c, h, w)),
+        Op::MaxPool2 => (OP_MAXPOOL, "maxpool round", (c, h / 2, w / 2)),
+        Op::AvgPool => (OP_AVGPOOL, "avgpool round", (c, 1, 1)),
+        Op::Conv { .. } | Op::Add { .. } | Op::Reveal => {
+            unreachable!("{op:?} is not an interactive round")
+        }
     }
 }
 
-/// The `OtRound` number of image `b` of `batch` at the `Relu` or
-/// `MaxPool2` `ops[at]`: that op's index among the program's `Relu`s
-/// and `MaxPool2`s, times `batch`, plus `b` — `b`, `batch + b`,
+/// The `OtRound` number of image `b` of `batch` at the interactive op
+/// `ops[at]`: that op's index among the program's `Relu`s, `MaxPool2`s
+/// and `AvgPool`s, times `batch`, plus `b` — `b`, `batch + b`,
 /// `2·batch + b` for [`TinyCnn::new`], and `0, 1, 2` for one image.
 fn round_of(ops: &[Op], at: usize, batch: usize, b: usize) -> u16 {
     let rounds_before = (ops[..at].iter())
-        .filter(|op| matches!(op, Op::Relu | Op::MaxPool2))
+        .filter(|op| matches!(op, Op::Relu | Op::MaxPool2 | Op::AvgPool))
         .count();
     (rounds_before * batch + b) as u16
 }
@@ -88,13 +107,15 @@ fn encode_share(vals: &[u64]) -> Vec<u8> {
     out
 }
 
-/// The one reader of a peer's share vector: every value is checked to
-/// be a residue mod `t`, so the `(c + s) % t` reconstructions below
-/// cannot overflow on anything a peer sends.
-fn decode_share(blob: &[u8], t: u64) -> Result<Vec<u64>, SpotError> {
-    if !blob.len().is_multiple_of(8) {
+/// The one reader of a peer's share of a `dims` activation: it must
+/// carry exactly that many values, each a residue mod `t`, so the
+/// `(c + s) % t` reconstructions below cannot overflow and the tensors
+/// they fill cannot be misshapen by anything a peer sends.
+fn decode_share(blob: &[u8], t: u64, (c, h, w): Dims) -> Result<Vec<u64>, SpotError> {
+    let len = c * h * w;
+    if blob.len() != 8 * len {
         return Err(SpotError::Protocol(format!(
-            "share payload length {} not a multiple of 8",
+            "share payload of {} bytes does not carry the {len} values of a {c}x{h}x{w} share",
             blob.len()
         )));
     }
@@ -112,7 +133,7 @@ fn decode_share(blob: &[u8], t: u64) -> Result<Vec<u64>, SpotError> {
         .collect()
 }
 
-/// The `(c, h, w)` a max-pool payload leads with.
+/// The `(c, h, w)` a pooling round's payload leads with.
 fn dims_prefix((c, h, w): Dims) -> Vec<u8> {
     let dims = [c as u32, h as u32, w as u32];
     dims.iter().flat_map(|d| d.to_le_bytes()).collect()
@@ -152,24 +173,66 @@ fn reconstruct(a: &[u64], b: &[u64], t: u64) -> Vec<i64> {
         .collect()
 }
 
-/// One `Relu` or `MaxPool2` from the client's side: send this party's
-/// share of a `dims` activation (a max-pool payload leads with the
-/// dims), receive its share of the result and the dims that has.
+/// One party's walk of image `b` through the ops of a stage behind its
+/// convolution (`tail`, from program index `at`), from `share`, its
+/// share of the convolution's output. `step(i, op, dims, share)` is
+/// this party's side of the interactive op or `Reveal` `ops[i]` and
+/// returns its share of that op's output; an `Add` is local and the
+/// same on both sides. Every output an `Add` names, the convolution's
+/// included, goes into `kept`.
+fn walk_image(
+    cnn: &TinyCnn,
+    (at, tail): (usize, &[Op]),
+    b: usize,
+    share: (Dims, Vec<u64>),
+    t: u64,
+    kept: &mut Kept,
+    mut step: impl FnMut(usize, &Op, Dims, &[u64]) -> Result<(Dims, Vec<u64>), SpotError>,
+) -> Result<(), SpotError> {
+    let keep = |kept: &mut Kept, i, (dims, mine): &(Dims, Vec<u64>)| {
+        if cnn.is_kept(i) {
+            kept.insert((i, b), (*dims, mine.clone()));
+        }
+    };
+    let mut now = share;
+    keep(kept, at - 1, &now);
+    for (i, op) in (at..).zip(tail) {
+        let (dims, mine) = &now;
+        now = match op {
+            Op::Add { from } => {
+                let (their_dims, theirs) = &kept[&(*from, b)];
+                if their_dims != dims {
+                    return Err(SpotError::Protocol(format!(
+                        "ops[{i}] adds a {their_dims:?} output to a {dims:?} one"
+                    )));
+                }
+                let sum = (mine.iter().zip(theirs)).map(|(&x, &y)| (x + y) % t);
+                (*dims, sum.collect())
+            }
+            Op::Conv { .. } => unreachable!("a stage has one convolution"),
+            _ => step(i, op, *dims, mine)?,
+        };
+        keep(kept, i, &now);
+    }
+    Ok(())
+}
+
+/// One interactive op from the client's side: send this party's share
+/// of a `dims` activation (a pooling payload leads with the dims),
+/// receive its share of the result and the dims that has.
 fn client_round(
     transport: &dyn Transport,
     op: &Op,
     round: u16,
-    (c, h, w): Dims,
+    dims: Dims,
     share: &[u64],
     t: u64,
 ) -> Result<(Dims, Vec<u64>), SpotError> {
-    let (code, name) = round_kind(op);
+    let (code, name, out) = round_kind(op, dims);
     let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
-    let pooled = code == OP_MAXPOOL;
-    let mut payload = if pooled {
-        dims_prefix((c, h, w))
-    } else {
-        Vec::new()
+    let mut payload = match op {
+        Op::Relu => Vec::new(),
+        _ => dims_prefix(dims),
     };
     payload.extend_from_slice(&encode_share(share));
     transport.send(&WireMessage::OtRound {
@@ -178,14 +241,14 @@ fn client_round(
         blob: payload,
     })?;
     let blob = recv_round(transport, code, round)?;
-    let dims = if pooled { (c, h / 2, w / 2) } else { (c, h, w) };
-    Ok((dims, decode_share(&blob, t)?))
+    Ok((out, decode_share(&blob, t, out)?))
 }
 
-/// Receives the server's `ShareReveal` and reconstructs the centered
-/// values from the two additive shares.
+/// Receives the server's `ShareReveal` of a `dims` activation and
+/// reconstructs the centered values from the two additive shares.
 fn client_reveal(
     transport: &dyn Transport,
+    dims: Dims,
     client_share: &[u64],
     t: u64,
 ) -> Result<Vec<i64>, SpotError> {
@@ -193,14 +256,7 @@ fn client_reveal(
     let WireMessage::ShareReveal { blob } = msg else {
         return Err(unexpected(&msg, "ShareReveal"));
     };
-    let server_share = decode_share(&blob, t)?;
-    if server_share.len() != client_share.len() {
-        return Err(SpotError::Protocol(format!(
-            "ShareReveal length {} does not match client share {}",
-            server_share.len(),
-            client_share.len()
-        )));
-    }
+    let server_share = decode_share(&blob, t, dims)?;
     Ok(reconstruct(client_share, &server_share, t))
 }
 
@@ -308,6 +364,7 @@ fn run_client_batch_inner<R: Rng + Send>(
     // stage's reveals reconstruct.
     let mut held = Cow::Borrowed(inputs);
     let mut conv: Option<ClientConv<'_>> = None;
+    let mut kept = Kept::new();
     for (at, kernel, stride, tail) in arch.stages() {
         let spec = LayerSpec::for_layer(scheme, &held[0], kernel, stride, patch, mode);
         let layer = match conv.take() {
@@ -318,20 +375,18 @@ fn run_client_batch_inner<R: Rng + Send>(
         conv = Some(layer);
         let mut revealed = Vec::with_capacity(batch);
         for (b, share) in shares.iter().enumerate() {
-            let (mut dims, mut mine) = conv_share(share, t);
-            for (i, op) in (at..).zip(tail) {
-                match op {
-                    Op::Relu | Op::MaxPool2 => {
-                        let round = round_of(arch.ops(), i, batch, b);
-                        (dims, mine) = client_round(transport, op, round, dims, &mine, t)?;
-                    }
-                    Op::Reveal => {
-                        let values = client_reveal(transport, &mine, t)?;
-                        revealed.push(Tensor::from_vec(dims.0, dims.1, dims.2, values));
-                    }
-                    Op::Conv { .. } => unreachable!("a stage has one convolution"),
+            let step = |i, op: &Op, dims: Dims, mine: &[u64]| {
+                if !matches!(op, Op::Reveal) {
+                    let round = round_of(arch.ops(), i, batch, b);
+                    return client_round(transport, op, round, dims, mine, t);
                 }
-            }
+                let values = client_reveal(transport, dims, mine, t)?;
+                let value = values.iter().map(|&v| to_field(v, t)).collect();
+                revealed.push(Tensor::from_vec(dims.0, dims.1, dims.2, values));
+                Ok((dims, value))
+            };
+            let share = conv_share(share, t);
+            walk_image(arch, (at, tail), b, share, t, &mut kept, step)?;
         }
         held = Cow::Owned(revealed);
     }
@@ -400,20 +455,22 @@ fn reshare<R: Rng>(values: &[i64], t: u64, rng: &mut R) -> (Vec<u64>, Vec<u64>) 
 }
 
 /// Live-registry latency of one full nonlinear round (recv share →
-/// compute → reshare → send), a series per op.
+/// compute → reshare → send), a series per op code.
 fn round_hist(code: u8) -> &'static metrics::Histogram {
-    static H: [OnceLock<Arc<metrics::Histogram>>; 2] = [OnceLock::new(), OnceLock::new()];
-    let (cell, name) = match code {
-        OP_RELU => (&H[0], "spot_relu_round_ns"),
-        _ => (&H[1], "spot_maxpool_round_ns"),
-    };
-    cell.get_or_init(|| metrics::global().histogram(name, &[]))
+    static H: [OnceLock<Arc<metrics::Histogram>>; 3] = [const { OnceLock::new() }; 3];
+    const NAMES: [&str; 3] = [
+        "spot_relu_round_ns",
+        "spot_maxpool_round_ns",
+        "spot_avgpool_round_ns",
+    ];
+    let at = usize::from(code - OP_RELU);
+    H[at].get_or_init(|| metrics::global().histogram(NAMES[at], &[]))
 }
 
-/// One `Relu` or `MaxPool2` from the server's side: reconstruct the
-/// `dims` activation from the client's share and `server_share`, apply
-/// the op, reshare. A max-pool payload leads with the dims, which must
-/// be the server's. Returns the result's dims and the server's fresh
+/// One interactive op from the server's side: reconstruct the `dims`
+/// activation from the client's share and `server_share`, apply the
+/// op, reshare. A pooling payload leads with the dims, which must be
+/// the server's. Returns the result's dims and the server's fresh
 /// share of it.
 fn server_round<R: Rng>(
     transport: &dyn Transport,
@@ -424,35 +481,28 @@ fn server_round<R: Rng>(
     t: u64,
     rng: &mut R,
 ) -> Result<(Dims, Vec<u64>), SpotError> {
-    let (code, name) = round_kind(op);
+    let (code, name, out) = round_kind(op, dims);
     let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
     let _timer = round_hist(code).start_timer();
     let blob = recv_round(transport, code, round)?;
-    let body = match code {
-        OP_MAXPOOL => blob.strip_prefix(&dims_prefix(dims)[..]).ok_or_else(|| {
+    let body = match op {
+        Op::Relu => &blob[..],
+        _ => blob.strip_prefix(&dims_prefix(dims)[..]).ok_or_else(|| {
             SpotError::Protocol(format!(
-                "maxpool payload does not lead with the layer's dims {dims:?}"
+                "{name} payload does not lead with the layer's dims {dims:?}"
             ))
         })?,
-        _ => &blob[..],
     };
-    let client_share = decode_share(body, t)?;
-    if client_share.len() != server_share.len() {
-        return Err(SpotError::Protocol(format!(
-            "{name} share length {} does not match server share {}",
-            client_share.len(),
-            server_share.len()
-        )));
-    }
+    let client_share = decode_share(body, t, dims)?;
     let values = reconstruct(&client_share, server_share, t);
-    let out = op.apply(Tensor::from_vec(dims.0, dims.1, dims.2, values));
-    let (srv, cli) = reshare(out.data(), t, rng);
+    let y = op.apply(Tensor::from_vec(dims.0, dims.1, dims.2, values));
+    let (srv, cli) = reshare(y.data(), t, rng);
     transport.send(&WireMessage::OtRound {
         op: code,
         round,
         blob: encode_share(&cli),
     })?;
-    Ok(((out.channels(), out.height(), out.width()), srv))
+    Ok((out, srv))
 }
 
 /// Server half of the two-party protocol: the server walker of the
@@ -500,6 +550,7 @@ pub fn run_server_with<R: Rng>(
     // The batch width arrives with the client's first Setup and holds
     // for the connection.
     let mut batch = None;
+    let mut kept = Kept::new();
     for (at, kernel, stride, tail) in cnn.stages() {
         let layer = ModelLayer {
             kernel,
@@ -524,23 +575,20 @@ pub fn run_server_with<R: Rng>(
         }
         report.batch = batch;
         for (b, share) in shares.iter().enumerate() {
-            let (mut dims, mut mine) = conv_share(share, t);
-            for (i, op) in (at..).zip(tail) {
-                match op {
-                    Op::Relu | Op::MaxPool2 => {
-                        let round = round_of(cnn.ops(), i, batch, b);
-                        (dims, mine) = server_round(transport, op, round, dims, &mine, t, rng)?;
-                    }
-                    Op::Reveal => {
-                        transport.send(&WireMessage::ShareReveal {
-                            blob: encode_share(&mine),
-                        })?;
-                        spot_trace::instant(Cat::Session, "share reveal");
-                        reached = Some((dims.1, dims.2));
-                    }
-                    Op::Conv { .. } => unreachable!("a stage has one convolution"),
+            let step = |i, op: &Op, dims: Dims, mine: &[u64]| {
+                if !matches!(op, Op::Reveal) {
+                    let round = round_of(cnn.ops(), i, batch, b);
+                    return server_round(transport, op, round, dims, mine, t, rng);
                 }
-            }
+                transport.send(&WireMessage::ShareReveal {
+                    blob: encode_share(mine),
+                })?;
+                spot_trace::instant(Cat::Session, "share reveal");
+                reached = Some((dims.1, dims.2));
+                Ok((dims, vec![0; mine.len()]))
+            };
+            let share = conv_share(share, t);
+            walk_image(cnn, (at, tail), b, share, t, &mut kept, step)?;
         }
     }
 
@@ -571,6 +619,7 @@ mod tests {
     use super::*;
     use crate::executor::Executor;
     use crate::stream::StreamConfig;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spot_he::params::{EncryptionParams, ParamLevel};
@@ -619,15 +668,20 @@ mod tests {
         (got, want)
     }
 
-    /// TinyCnn, and two programs of other shapes through the same
+    /// TinyCnn, and programs of other shapes through the same
     /// constructor: one convolution; three, the last at stride 2, with a
-    /// stage of no rounds and one that pools before its ReLU. (Weights
-    /// in `[-1, 1]` keep the third convolution's sums inside `t / 2`.)
-    fn programs() -> [(&'static str, TinyCnn); 3] {
-        let conv = |c_out, c_in, stride, seed| Op::Conv {
-            kernel: Kernel::random(c_out, c_in, 3, 3, 1, seed),
+    /// stage of no rounds and one that pools before its ReLU; the
+    /// residual net of `examples/mini_resnet.rs`, whose skip `Add`
+    /// reaches across two reveals and whose 1×1 head runs on the
+    /// average-pooled 1×1 map; and `Add`s inside a stage, of the
+    /// convolution's output and of a round's. (Weights in `[-1, 1]`
+    /// keep every sum inside `t / 2`.)
+    fn programs() -> [(&'static str, TinyCnn); 5] {
+        let conv_k = |c_out, c_in, k, stride, seed| Op::Conv {
+            kernel: Kernel::random(c_out, c_in, k, k, 1, seed),
             stride,
         };
+        let conv = |c_out, c_in, stride, seed| conv_k(c_out, c_in, 3, stride, seed);
         let one = vec![conv(3, 2, 1, 21), Op::Relu, Op::Reveal];
         let three = vec![
             conv(4, 2, 1, 22),
@@ -641,10 +695,36 @@ mod tests {
             Op::Relu,
             Op::Reveal,
         ];
+        let residual = vec![
+            conv(4, 2, 1, 25),
+            Op::Relu,
+            Op::Reveal,
+            conv(4, 4, 1, 26),
+            Op::Relu,
+            Op::Reveal,
+            conv(4, 4, 1, 27),
+            Op::Add { from: 2 },
+            Op::Relu,
+            Op::AvgPool,
+            Op::Reveal,
+            conv_k(3, 4, 1, 1, 28),
+            Op::Reveal,
+        ];
+        let adds_in_a_stage = vec![
+            conv(4, 2, 1, 29),
+            Op::Relu,
+            Op::Add { from: 0 },
+            Op::MaxPool2,
+            Op::Relu,
+            Op::Add { from: 3 },
+            Op::Reveal,
+        ];
         [
             ("TinyCnn", TinyCnn::new(7)),
             ("one conv", TinyCnn::from_ops(one)),
             ("three convs", TinyCnn::from_ops(three)),
+            ("mini resnet", TinyCnn::from_ops(residual)),
+            ("adds in a stage", TinyCnn::from_ops(adds_in_a_stage)),
         ]
     }
 
@@ -686,5 +766,52 @@ mod tests {
             stride: 1,
         };
         TinyCnn::from_ops(vec![conv(), Op::Relu, conv(), Op::Reveal]);
+    }
+
+    #[test]
+    #[should_panic(expected = "an Add names an op that does not run before it")]
+    fn a_program_whose_add_names_itself_is_not_built() {
+        let conv = Op::Conv {
+            kernel: Kernel::random(2, 2, 3, 3, 1, 25),
+            stride: 1,
+        };
+        TinyCnn::from_ops(vec![conv, Op::Add { from: 1 }, Op::Reveal]);
+    }
+
+    const T: u64 = 1_146_881;
+    /// The largest magnitude a centered value mod `T` takes, less one.
+    const EDGE: i64 = (T / 2 - 1) as i64;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random values, the field's edges among them, split into
+        /// shares and run through `client_round` against `server_round`
+        /// over a `MemTransport` pair: both parties agree on the
+        /// result's dims, and the shares reconstruct to `Op::apply`.
+        #[test]
+        fn interactive_rounds_reconstruct_to_the_op(
+            op in prop_oneof![Just(Op::Relu), Just(Op::MaxPool2), Just(Op::AvgPool)],
+            dims in (1usize..3, 2usize..7, 2usize..7),
+            values in proptest::collection::vec(
+                prop_oneof![Just(0i64), Just(1), Just(-1), Just(EDGE), Just(-EDGE), -EDGE..=EDGE],
+                72,
+            ),
+            seed in 0u64..1000,
+        ) {
+            let x = Tensor::from_vec(dims.0, dims.1, dims.2, values[..dims.0 * dims.1 * dims.2].to_vec());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (server, client) = reshare(x.data(), T, &mut rng);
+            let (ct, st) = MemTransport::pair();
+            let (theirs, mine) = std::thread::scope(|s| {
+                let theirs = s.spawn(|| server_round(&st, &op, 7, dims, &server, T, &mut rng));
+                let mine = client_round(&ct, &op, 7, dims, &client, T).expect("client round");
+                (theirs.join().expect("server thread").expect("server round"), mine)
+            });
+            let want = op.apply(x);
+            let want_dims = (want.channels(), want.height(), want.width());
+            prop_assert_eq!((mine.0, theirs.0), (want_dims, want_dims));
+            prop_assert_eq!(reconstruct(&mine.1, &theirs.1, T), want.data());
+        }
     }
 }

@@ -1606,3 +1606,73 @@ fn unreduced_server_shares_are_a_typed_error_at_the_client() {
         }
     }
 }
+
+/// `frame` with its last share value cut off.
+fn with_one_value_fewer(frame: &WireMessage) -> WireMessage {
+    let mut short = frame.clone();
+    if let WireMessage::OtRound { blob, .. } | WireMessage::ShareReveal { blob } = &mut short {
+        blob.truncate(blob.len() - 8);
+    }
+    short
+}
+
+/// Hangs up a client end however the client's run ends, a panic
+/// included, so the session serving it ends too.
+struct HangUp<'a>(&'a dyn Transport);
+
+impl Drop for HangUp<'_> {
+    fn drop(&mut self) {
+        self.0.close_tx();
+    }
+}
+
+/// A server whose ReLU reply and reveal each carry one value fewer than
+/// the activation has. The two agree in length with each other, so only
+/// holding each to the dims it stands for catches them: the client ends
+/// in the typed error, not in a misshapen tensor.
+#[test]
+fn short_server_shares_are_a_typed_error_at_the_client() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let conv = Op::Conv {
+        kernel: Kernel::random(3, 2, 3, 3, 1, 440),
+        stride: 1,
+    };
+    let cnn = TinyCnn::from_ops(vec![conv, Op::Relu, Op::Reveal]);
+    let server = SpotServer::new(
+        ModelContext::new("one-conv", Arc::clone(&ctx), cnn.clone()),
+        ServingConfig::default(),
+    );
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(441));
+    let input = Tensor::random(2, 8, 8, 5, 442);
+    let (ct, st) = MemTransport::pair();
+    let downlink = Tamper::new(&st, |_, msg| match msg {
+        WireMessage::OtRound { .. } | WireMessage::ShareReveal { .. } => {
+            Uplink::Replace(vec![with_one_value_fewer(msg)])
+        }
+        _ => Uplink::Pass,
+    });
+    let client = within_deadline("short server shares", || {
+        std::thread::scope(|s| {
+            s.spawn(|| server.serve_connection(&downlink));
+            let _hang_up = HangUp(&ct);
+            run_client_batch(
+                &ctx,
+                &kg,
+                &ct,
+                std::slice::from_ref(&input),
+                &cnn,
+                SchemeKind::Spot,
+                (4, 4),
+                PatchMode::Tweaked,
+                &mut StdRng::seed_from_u64(443),
+            )
+        })
+    });
+    match client {
+        Err(SpotError::Protocol(detail)) => assert!(
+            detail.contains("does not carry the 192 values of a 3x8x8 share"),
+            "client said {detail:?}"
+        ),
+        other => panic!("expected the typed share refusal, got {other:?}"),
+    }
+}

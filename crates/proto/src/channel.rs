@@ -1,11 +1,10 @@
-//! Byte and round accounting for protocols that are cost-modelled, not
-//! run, plus the link model that turns the tally into time.
+//! The link model that turns a byte tally into time, and the
+//! per-direction tally itself.
 //!
 //! The paper's client and server talk over a LAN/WLAN link. Frames that
 //! really move are counted by the transports
-//! ([`crate::transport::TransportStats`]); a [`Channel`] counts the
-//! bytes and communication rounds of the simulated non-linear protocols
-//! so transfer time can be charged under a configurable link model.
+//! ([`crate::transport::TransportStats`], one [`TrafficStats`] per
+//! direction); a [`LinkModel`] charges transfer time for them.
 
 /// A simple link model: fixed per-message latency plus bandwidth-limited
 /// transfer.
@@ -41,7 +40,7 @@ impl LinkModel {
     }
 }
 
-/// Accumulated traffic statistics for one direction of a channel.
+/// Accumulated traffic statistics for one direction of a link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Total bytes sent.
@@ -50,65 +49,9 @@ pub struct TrafficStats {
     pub messages: u64,
 }
 
-/// Per-direction byte and message accounting for the simulated
-/// non-linear protocols ([`crate::relu`]), which charge what the OT
-/// cost model says a round moves without building its messages.
-#[derive(Debug, Default)]
-pub struct Channel {
-    client_to_server: TrafficStats,
-    server_to_client: TrafficStats,
-}
-
-impl Channel {
-    /// Creates a channel with nothing charged.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records abstract traffic without materialising a payload (used by
-    /// the OT cost model, which never builds real OT messages).
-    pub fn charge(&mut self, client_to_server_bytes: u64, server_to_client_bytes: u64) {
-        if client_to_server_bytes > 0 {
-            self.client_to_server.bytes += client_to_server_bytes;
-            self.client_to_server.messages += 1;
-        }
-        if server_to_client_bytes > 0 {
-            self.server_to_client.bytes += server_to_client_bytes;
-            self.server_to_client.messages += 1;
-        }
-    }
-
-    /// Upstream (client→server) statistics.
-    pub fn upstream(&self) -> TrafficStats {
-        self.client_to_server
-    }
-
-    /// Downstream (server→client) statistics.
-    pub fn downstream(&self) -> TrafficStats {
-        self.server_to_client
-    }
-
-    /// Total bytes in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.client_to_server.bytes + self.server_to_client.bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accounting_tracks_both_directions() {
-        let mut ch = Channel::new();
-        ch.charge(100, 50);
-        ch.charge(10, 0);
-        assert_eq!(ch.upstream().bytes, 110);
-        assert_eq!(ch.downstream().bytes, 50);
-        assert_eq!(ch.upstream().messages, 2);
-        assert_eq!(ch.downstream().messages, 1);
-        assert_eq!(ch.total_bytes(), 160);
-    }
 
     #[test]
     fn link_model_times() {

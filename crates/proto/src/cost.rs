@@ -1,14 +1,14 @@
 //! Communication/computation cost model of the OT-based non-linear
 //! protocols (the SCI-NonLinear module of CrypTFlow2 the paper reuses).
 //!
-//! We do not re-implement IKNP/Ferret OT extension; the non-linear layers
-//! are evaluated *functionally* on shares while charging the costs
-//! CrypTFlow2 reports: a millionaire-protocol DReLU over an `ℓ`-bit field
-//! costs `< λℓ/4 + 14ℓ` bits of communication in about 4 rounds
-//! (λ = 128), and multiplexing the result back onto the share costs two
-//! more OTs. These constants reproduce the paper's Table III observation
-//! that ReLU is only 1–3% of a convolution layer's runtime for tiny
-//! clients.
+//! IKNP/Ferret OT extension is not implemented; the analytic tables
+//! price the non-linear layers at the costs CrypTFlow2 reports: a
+//! millionaire-protocol DReLU over an `ℓ`-bit field costs
+//! `< λℓ/4 + 14ℓ` bits of communication in about 4 rounds (λ = 128),
+//! and multiplexing the result back onto the share costs two more OTs.
+//! A 2×2 max-pool window is three [`OtCostModel::max`] comparisons.
+//! These constants reproduce the paper's Table III observation that
+//! ReLU is only 1–3% of a convolution layer's runtime for tiny clients.
 
 /// Computational security parameter (bits).
 pub const LAMBDA: u32 = 128;
@@ -45,15 +45,6 @@ impl OtCostModel {
             ell,
             cpu_s_per_element: 4.0e-7,
             rounds: 8,
-        }
-    }
-
-    /// Cost model for faithful truncation by a public shift.
-    pub fn truncation(ell: u32) -> Self {
-        Self {
-            ell,
-            cpu_s_per_element: 2.0e-7,
-            rounds: 4,
         }
     }
 

@@ -1,27 +1,24 @@
-//! # spot-proto — two-party protocol substrate
-//!
-//! Additive secret sharing over `Z_t`, a byte-counting in-memory channel
-//! with link models, and the OT-based non-linear layers (ReLU, DReLU,
-//! max pooling, truncation) of CrypTFlow2's SCI module, evaluated
-//! functionally on shares with a faithful cost model.
+//! # spot-proto — the two-party wire
 //!
 //! The [`wire`] module defines the typed, versioned message set the
 //! client and server exchange; [`transport`] provides in-process
 //! ([`MemTransport`]) and TCP ([`TcpTransport`]) implementations that
 //! both move serialized frames, so accounting reflects real wire bytes.
+//! [`channel`] holds the link model that turns those bytes into
+//! transfer time, and [`cost`] prices the OT-based non-linear protocols
+//! of CrypTFlow2's SCI module (Millionaire / DReLU, max) for the
+//! analytic tables. The non-linear layers themselves run as `OtRound`
+//! frames between `spot-core`'s two-party walkers.
 
 #![warn(missing_docs)]
 
 pub mod channel;
 pub mod cost;
 pub mod error;
-pub mod relu;
-pub mod share;
 pub mod transport;
 pub mod wire;
 
-pub use channel::{Channel, LinkModel};
+pub use channel::LinkModel;
 pub use error::ProtoError;
-pub use share::{reconstruct, share, Party, ShareVec};
 pub use transport::{MemTransport, TcpTransport, Transport, TransportStats};
 pub use wire::{error_code, ConvSetup, WireMessage};

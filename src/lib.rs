@@ -10,7 +10,8 @@
 //!
 //! * [`he`] — SIMD-batched BFV (replaces Microsoft SEAL)
 //! * [`tensor`] — plaintext CNN substrate and model specs
-//! * [`proto`] — secret sharing, channels, OT-based non-linear layers
+//! * [`proto`] — the two-party wire: messages, transports, link and OT
+//!   cost models
 //! * [`pipeline`] — tiny-client device profiles and pipeline simulator
 //! * [`core`] — SPOT itself plus the CrypTFlow2/Cheetah baselines
 //!

@@ -122,13 +122,6 @@ fn modswitch_of_tampered_ciphertext_stays_garbage() {
 }
 
 #[test]
-#[should_panic(expected = "out of field")]
-fn share_vector_validates_field() {
-    use spot::proto::share::{Party, ShareVec};
-    let _ = ShareVec::new(Party::Client, 97, vec![97]);
-}
-
-#[test]
 #[should_panic(expected = "larger than the overlap")]
 fn patch_smaller_than_overlap_rejected() {
     use spot::core::patching::{decompose, PatchMode};

@@ -1,105 +1,13 @@
-//! Property tests for the two-party protocol substrate: secret sharing,
-//! the OT-based non-linear layers, and the fixed-point pipeline.
+//! Property tests for the fixed-point pipeline: the field embedding the
+//! shares live in, and the fixed-point scale.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use spot::proto::channel::Channel;
-use spot::proto::relu::{
-    drelu_on_shares, maxpool2_on_shares, reconstruct_signed, relu_on_shares, share_tensor,
-    truncate_on_shares,
-};
-use spot::proto::share::{reconstruct, share};
 use spot::tensor::fixed::{from_field, to_field, FixedScale};
 
 const T: u64 = 1_146_881; // the default plaintext modulus
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn sharing_roundtrip(values in proptest::collection::vec(0u64..T, 1..64), seed in 0u64..1000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (c, s) = share(&values, T, &mut rng);
-        prop_assert_eq!(reconstruct(&c, &s), values);
-    }
-
-    #[test]
-    fn relu_on_shares_is_relu(
-        values in proptest::collection::vec(-500_000i64..500_000, 1..64),
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ch = Channel::new();
-        let (c, s) = share_tensor(&values, T, &mut rng);
-        let (oc, os) = relu_on_shares(&c, &s, &mut ch, &mut rng);
-        let got = reconstruct_signed(&oc, &os);
-        let want: Vec<i64> = values.iter().map(|&v| v.max(0)).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn drelu_matches_sign(
-        values in proptest::collection::vec(-500_000i64..500_000, 1..32),
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ch = Channel::new();
-        let (c, s) = share_tensor(&values, T, &mut rng);
-        let (oc, os) = drelu_on_shares(&c, &s, &mut ch, &mut rng);
-        let got = reconstruct_signed(&oc, &os);
-        for (g, v) in got.iter().zip(&values) {
-            prop_assert_eq!(*g, i64::from(*v > 0));
-        }
-    }
-
-    #[test]
-    fn maxpool_matches_reference(
-        h2 in 1usize..4,
-        w2 in 1usize..4,
-        ch_count in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        let h = 2 * h2;
-        let w = 2 * w2;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = ch_count * h * w;
-        let values: Vec<i64> = (0..n).map(|i| ((i as i64 * 2654435761i64) % 1001) - 500).collect();
-        let mut chl = Channel::new();
-        let (c, s) = share_tensor(&values, T, &mut rng);
-        let (oc, os) = maxpool2_on_shares(&c, &s, ch_count, h, w, &mut chl, &mut rng);
-        let got = reconstruct_signed(&oc, &os);
-        let mut want = Vec::new();
-        for cc in 0..ch_count {
-            for y in 0..h2 {
-                for x in 0..w2 {
-                    let mut m = i64::MIN;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            m = m.max(values[(cc * h + 2 * y + dy) * w + 2 * x + dx]);
-                        }
-                    }
-                    want.push(m);
-                }
-            }
-        }
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn truncation_is_arithmetic_shift(
-        values in proptest::collection::vec(-400_000i64..400_000, 1..32),
-        shift in 1u32..8,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ch = Channel::new();
-        let (c, s) = share_tensor(&values, T, &mut rng);
-        let (oc, os) = truncate_on_shares(&c, &s, shift, &mut ch, &mut rng);
-        let got = reconstruct_signed(&oc, &os);
-        let want: Vec<i64> = values.iter().map(|&v| v >> shift).collect();
-        prop_assert_eq!(got, want);
-    }
 
     #[test]
     fn field_embedding_roundtrip(v in -500_000i64..500_000) {
@@ -112,21 +20,4 @@ proptest! {
         let err = (s.decode(s.encode(x)) - x).abs();
         prop_assert!(err <= 1.0 / (1 << bits) as f64);
     }
-}
-
-#[test]
-fn protocol_traffic_is_charged_per_layer() {
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut ch = Channel::new();
-    let values = vec![1i64; 1000];
-    let (c, s) = share_tensor(&values, T, &mut rng);
-    let before = ch.total_bytes();
-    relu_on_shares(&c, &s, &mut ch, &mut rng);
-    let after_relu = ch.total_bytes();
-    assert!(
-        after_relu > before + 50_000,
-        "ReLU must charge ~100B/element"
-    );
-    truncate_on_shares(&c, &s, 4, &mut ch, &mut rng);
-    assert!(ch.total_bytes() > after_relu);
 }
