@@ -4,9 +4,11 @@
 //! accelerates — forward/inverse NTT, pointwise multiply, the
 //! key-switch digit lift, ciphertext rotation, a nine-term tap sum and
 //! one full lane-MIMO convolution — under both
-//! the scalar reference kernels and the best runtime-detected SIMD
-//! backend, **in the same process and run** (via `spot_he::arch::force`)
-//! so the two columns are directly comparable.
+//! the scalar reference kernels and the table `auto` dispatches
+//! (`avx512ifma` on CPUs with AVX-512 IFMA, `avx2+scalar` on other
+//! AVX2 CPUs; `SPOT_SIMD` picks another), **in the same process and
+//! run** (via `spot_he::arch::force`) so the two columns are directly
+//! comparable.
 //!
 //! Usage:
 //!
@@ -38,7 +40,7 @@
 //! the way the conv engine reaches them with four keys — two row moves
 //! and two column moves from the input's hoist, then each moved row
 //! hoisted and moved twice more: three hoists and eight hoisted
-//! rotations — and its ratio to `rotate_hoisted8` (≈ 1.5; ceiling 1.7)
+//! rotations — and its ratio to `rotate_hoisted8` (≈ 1.6; ceiling 2.0)
 //! is what four fewer keys cost the server per position.
 //! `dot_lifted9` is a 3×3 kernel's tap sum as one
 //! inner product (`Evaluator::dot_lifted`) and `mult_add9` the same sum
@@ -569,7 +571,7 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     // nine-term tap sum as one inner product against term by term
     // (ceiling 0.7); a 3×3 kernel's eight taps composed from four keys
     // against rotated to from one hoist with eight (three hoists for
-    // one; ceiling 1.7); a rotation key's wire bytes against its k digit
+    // one; ceiling 2.0); a rotation key's wire bytes against its k digit
     // polynomials alone (1.0003 while the a_i travel as a seed, 2.0 if
     // they travel themselves; ceiling 1.1); and an uploaded
     // ciphertext's bytes against the full form's (0.5004 while c1
@@ -616,12 +618,12 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
 
 fn emit_table(entries: &[Entry]) {
     println!(
-        "{:<22} {:<6} {:<8} {:>8} {:>12} {:>12} {:>12}",
+        "{:<22} {:<6} {:<11} {:>8} {:>12} {:>12} {:>12}",
         "op", "level", "kernel", "reps", "mean_us", "median_us", "min_us"
     );
     for e in entries {
         println!(
-            "{:<22} {:<6} {:<8} {:>8} {:>12.3} {:>12.3} {:>12.3}",
+            "{:<22} {:<6} {:<11} {:>8} {:>12.3} {:>12.3} {:>12.3}",
             e.op, e.level, e.kernel, e.reps, e.mean_us, e.median_us, e.min_us
         );
     }

@@ -320,9 +320,14 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 /// back to reducing (and materialising) every term.
 /// `taps3x3_composed_per_rotate_hoisted8` is a 3×3 kernel's eight tap
 /// positions composed from four keys (three hoists, eight hoisted
-/// rotations) over the same eight from one hoist and eight keys: about
-/// 1.5, the server-side price of the four keys the client no longer
-/// makes, and 2.6 if every tap paid a hoist of its own.
+/// rotations) over the same eight from one hoist and eight keys: the
+/// server-side price of the four keys the client no longer makes. If
+/// every tap paid a hoist of its own it would be eight stand-alone
+/// rotations over eight from one hoist, the inverse of
+/// `rotate_hoisted8_per_8_rotate`. Five runs a table at `N` = 4096 and
+/// 8192 on an AVX-512 IFMA Xeon read 1.33–1.73 healthy and 2.39–2.96
+/// failing under `avx512ifma`, 1.52–1.76 and 2.83–3.22 under
+/// `avx2+scalar`; the ceiling sits between the worst of each.
 /// `galois_key_bytes_per_digit_poly` is a serialised rotation key over
 /// its `k` packed `b_i` alone: 1.0003 while the `a_i` travel as a
 /// 32-byte seed, 2.0 if they ever travel themselves again.
@@ -332,7 +337,7 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 pub const CEILINGS: &[(&str, f64)] = &[
     ("ratios/rotate_hoisted8_per_8_rotate/", 0.45),
     ("ratios/dot_lifted9_per_mult_add9/", 0.7),
-    ("ratios/taps3x3_composed_per_rotate_hoisted8/", 1.7),
+    ("ratios/taps3x3_composed_per_rotate_hoisted8/", 2.0),
     ("ratios/galois_key_bytes_per_digit_poly/", 1.1),
     ("ratios/seeded_ct_bytes_per_ct_bytes/", 0.51),
 ];
@@ -583,12 +588,17 @@ mod tests {
             (eager[0].metric.as_str(), eager[0].baseline),
             ("ratios/dot_lifted9_per_mult_add9/N4096", 0.7)
         );
-        // Composed taps that pay one hoist each, not one a moved row.
-        let hoist_per_tap = over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, 2.6]));
+        // Composed taps at their worst measured healthy values on either
+        // kernel table pass; taps that pay one hoist each, not one a
+        // moved row, fail at their best measured value.
+        for healthy in [1.73, 1.76] {
+            assert!(over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, healthy])).is_empty());
+        }
+        let hoist_per_tap = over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, 2.39]));
         assert_eq!(hoist_per_tap.len(), 1);
         assert_eq!(
             (hoist_per_tap[0].metric.as_str(), hoist_per_tap[0].baseline),
-            ("ratios/taps3x3_composed_per_rotate_hoisted8/N4096", 1.7)
+            ("ratios/taps3x3_composed_per_rotate_hoisted8/N4096", 2.0)
         );
         // The ratio the hoisting gate was introduced at is over it now.
         assert_eq!(over_ceiling(&run(0.49)).len(), 1);

@@ -15,7 +15,8 @@
 //! 2. `load`/`store` pointer validity, guaranteed by the
 //!    `chunks_exact` iteration in the generic kernels.
 
-use super::{vec, vec::V64, Kernels};
+use super::vec::{self, V64Wide, V64};
+use super::Kernels;
 use crate::modulus::Modulus;
 use std::arch::x86_64::*;
 
@@ -102,6 +103,84 @@ impl V64 for W {
     }
 
     #[inline(always)]
+    fn cond_sub(self, m: Self) -> Self {
+        // SAFETY: AVX2 checked at dispatch time.
+        unsafe {
+            // t = self - m is negative as i64 exactly when self < m
+            // (using the trait contract m < 2^63, self < m + 2^63), so
+            // one signed compare against zero replaces the sign-flipped
+            // unsigned compare: add m back in the underflowed lanes.
+            let t = _mm256_sub_epi64(self.0, m.0);
+            let under = _mm256_cmpgt_epi64(_mm256_setzero_si256(), t);
+            W(_mm256_add_epi64(t, _mm256_and_si256(under, m.0)))
+        }
+    }
+
+    #[inline(always)]
+    fn mul_shoup_lazy(self, w: Self, ws: Self, p: Self) -> Self {
+        vec::mul_shoup_lazy_wide(self, w, ws, p)
+    }
+
+    #[inline(always)]
+    fn deinterleave_pairs(self, o: Self) -> (Self, Self) {
+        // SAFETY: AVX2 checked at dispatch time.
+        unsafe {
+            // unpck interleaves within 128-bit halves: lo = [a0 b0 a2 b2],
+            // hi = [a1 b1 a3 b3]; the 0xD8 permute ([q0 q2 q1 q3]) then
+            // straightens them into [a0 a2 b0 b2] / [a1 a3 b1 b3].
+            let lo = _mm256_unpacklo_epi64(self.0, o.0);
+            let hi = _mm256_unpackhi_epi64(self.0, o.0);
+            (
+                W(_mm256_permute4x64_epi64::<0xD8>(lo)),
+                W(_mm256_permute4x64_epi64::<0xD8>(hi)),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn interleave_pairs(self, o: Self) -> (Self, Self) {
+        // SAFETY: AVX2 checked at dispatch time.
+        unsafe {
+            // Inverse of deinterleave_pairs: pre-permute each input to
+            // [q0 q2 q1 q3], then unpck recombines adjacent pairs.
+            let e = _mm256_permute4x64_epi64::<0xD8>(self.0);
+            let d = _mm256_permute4x64_epi64::<0xD8>(o.0);
+            (
+                W(_mm256_unpacklo_epi64(e, d)),
+                W(_mm256_unpackhi_epi64(e, d)),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn deinterleave_quads(self, o: Self) -> (Self, Self) {
+        // SAFETY: AVX2 checked at dispatch time.
+        unsafe {
+            // Gather the low 128-bit halves into one register and the
+            // high halves into the other.
+            (
+                W(_mm256_permute2x128_si256::<0x20>(self.0, o.0)),
+                W(_mm256_permute2x128_si256::<0x31>(self.0, o.0)),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn interleave_quads(self, o: Self) -> (Self, Self) {
+        // SAFETY: AVX2 checked at dispatch time.
+        unsafe {
+            // Self-inverse permutation pair: same shuffles as
+            // deinterleave_quads.
+            (
+                W(_mm256_permute2x128_si256::<0x20>(self.0, o.0)),
+                W(_mm256_permute2x128_si256::<0x31>(self.0, o.0)),
+            )
+        }
+    }
+}
+
+impl V64Wide for W {
+    #[inline(always)]
     fn mul_lo(self, o: Self) -> Self {
         // SAFETY: AVX2 checked at dispatch time.
         unsafe {
@@ -161,77 +240,6 @@ impl V64 for W {
             let cross = _mm256_add_epi64(lh, hl);
             let lo = _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32));
             (W(hi), W(lo))
-        }
-    }
-
-    #[inline(always)]
-    fn cond_sub(self, m: Self) -> Self {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            // t = self - m is negative as i64 exactly when self < m
-            // (using the trait contract m < 2^63, self < m + 2^63), so
-            // one signed compare against zero replaces the sign-flipped
-            // unsigned compare: add m back in the underflowed lanes.
-            let t = _mm256_sub_epi64(self.0, m.0);
-            let under = _mm256_cmpgt_epi64(_mm256_setzero_si256(), t);
-            W(_mm256_add_epi64(t, _mm256_and_si256(under, m.0)))
-        }
-    }
-
-    #[inline(always)]
-    fn deinterleave_pairs(self, o: Self) -> (Self, Self) {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            // unpck interleaves within 128-bit halves: lo = [a0 b0 a2 b2],
-            // hi = [a1 b1 a3 b3]; the 0xD8 permute ([q0 q2 q1 q3]) then
-            // straightens them into [a0 a2 b0 b2] / [a1 a3 b1 b3].
-            let lo = _mm256_unpacklo_epi64(self.0, o.0);
-            let hi = _mm256_unpackhi_epi64(self.0, o.0);
-            (
-                W(_mm256_permute4x64_epi64::<0xD8>(lo)),
-                W(_mm256_permute4x64_epi64::<0xD8>(hi)),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn interleave_pairs(self, o: Self) -> (Self, Self) {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            // Inverse of deinterleave_pairs: pre-permute each input to
-            // [q0 q2 q1 q3], then unpck recombines adjacent pairs.
-            let e = _mm256_permute4x64_epi64::<0xD8>(self.0);
-            let d = _mm256_permute4x64_epi64::<0xD8>(o.0);
-            (
-                W(_mm256_unpacklo_epi64(e, d)),
-                W(_mm256_unpackhi_epi64(e, d)),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn deinterleave_quads(self, o: Self) -> (Self, Self) {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            // Gather the low 128-bit halves into one register and the
-            // high halves into the other.
-            (
-                W(_mm256_permute2x128_si256::<0x20>(self.0, o.0)),
-                W(_mm256_permute2x128_si256::<0x31>(self.0, o.0)),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn interleave_quads(self, o: Self) -> (Self, Self) {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            // Self-inverse permutation pair: same shuffles as
-            // deinterleave_quads.
-            (
-                W(_mm256_permute2x128_si256::<0x20>(self.0, o.0)),
-                W(_mm256_permute2x128_si256::<0x31>(self.0, o.0)),
-            )
         }
     }
 
@@ -315,9 +323,12 @@ avx2_kernel!(
     (m: &Modulus, dst: &mut [u64], src: &[u64])
 );
 
-/// The AVX2 kernel table (install only after runtime detection).
+/// The AVX2 kernel table (install only after runtime detection). The
+/// two inner products keep the scalar `u128` bodies: AVX2 has no
+/// 64×64→128 multiply.
 pub static KERNELS: Kernels = Kernels {
     name: "avx2",
+    dispatch_event: "simd_dispatch=avx2",
     ntt_forward,
     ntt_inverse,
     pointwise_mul,
@@ -325,6 +336,8 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    dot_rows: crate::lazy::dot_rows,
+    key_switch_row: crate::lazy::key_switch_row,
 };
 
 /// Per-op tuned table: AVX2 where the vector path wins, scalar where
@@ -332,10 +345,12 @@ pub static KERNELS: Kernels = Kernels {
 /// Barrett with the native 64-bit `mul` beats the vpmuludq schoolbook
 /// on `pointwise_mul` and the key-switch digit lift (~0.7× under
 /// AVX2), so those two entries keep the scalar kernels. Selected by
-/// `auto` dispatch; `SPOT_SIMD=avx2` still forces the uniform vector
-/// table for A/B measurement.
+/// `auto` dispatch on CPUs without AVX-512 IFMA, and the table the IFMA
+/// entries fall through to above their prime bound; `SPOT_SIMD=avx2`
+/// still forces the uniform vector table for A/B measurement.
 pub static TUNED: Kernels = Kernels {
     name: "avx2+scalar",
+    dispatch_event: "simd_dispatch=avx2+scalar",
     ntt_forward,
     ntt_inverse,
     pointwise_mul: super::scalar::pointwise_mul,
@@ -343,4 +358,6 @@ pub static TUNED: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce: super::scalar::reduce,
+    dot_rows: crate::lazy::dot_rows,
+    key_switch_row: crate::lazy::key_switch_row,
 };

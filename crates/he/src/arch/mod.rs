@@ -1,24 +1,28 @@
 //! Runtime-dispatched SIMD kernels for the HE hot loops.
 //!
 //! The inner loops of the crate that a vector unit can run — the
-//! forward/inverse NTT butterflies, the pointwise polynomial ops and the
-//! key-switch digit lift — are routed through a single [`Kernels`] table
-//! of function pointers selected **once** at startup. (The two widest
-//! loops, the key-switch digit sum and the convolution tap sum, are
-//! 64×64→128-bit inner products with one reduction per coefficient:
-//! scalar code in [`crate::lazy`], the same under every table.)
+//! forward/inverse NTT butterflies, the pointwise polynomial ops, the
+//! key-switch digit lift, and the two widest server loops, the
+//! key-switch digit sum and the convolution tap sum — are routed
+//! through a single [`Kernels`] table of function pointers selected
+//! **once** at startup. The two inner products' scalar bodies are
+//! [`crate::lazy`]'s `u128` accumulations; only a backend with a wide
+//! multiplier (`avx512ifma`) replaces them.
 //!
-//! * CPU features are detected at runtime (`AVX2` on x86_64, `NEON` on
-//!   aarch64); dispatch granularity is **per op**: `auto` installs the
-//!   fastest kernel for each table entry, not one uniform backend. On
-//!   AVX2 hosts that is the mixed `avx2+scalar` table — the measured
+//! * CPU features are detected at runtime (`AVX2` and `AVX-512 IFMA` on
+//!   x86_64, `NEON` on aarch64); dispatch granularity is **per op**:
+//!   `auto` installs the fastest kernel for each table entry, not one
+//!   uniform backend. On IFMA hosts that is the `avx512ifma` table,
+//!   whose 52-bit multiply-adds run every entry at primes below 2^50
+//!   and fall through to `avx2+scalar`'s entry above. On AVX2 hosts
+//!   without IFMA it is the mixed `avx2+scalar` table — the measured
 //!   baseline shows scalar Barrett ahead on `pointwise_mul` and the
 //!   key-switch digit lift (~0.7× under AVX2), so those entries keep
 //!   the scalar kernels while the NTTs and the add/sub loops vectorize.
 //! * The `SPOT_SIMD` environment variable overrides detection:
 //!   `off`/`scalar` force the scalar kernels, `auto` (or unset) picks
 //!   the tuned per-op table, and a backend name (`avx2`, `neon`,
-//!   `avx2+scalar`) forces that table uniformly — falling back to
+//!   `avx2+scalar`, `avx512ifma`) forces that table — falling back to
 //!   scalar with a warning if the CPU does not support it.
 //! * Every backend is bit-identical to the scalar path: all kernels
 //!   produce canonical `[0, p)` residues at their boundaries, so the
@@ -32,9 +36,12 @@
 //!
 //! Vector kernels are written once, generically over the minimal
 //! [`vec::V64`] lane trait; per-ISA `unsafe` is confined to the ~12
-//! primitive lane ops in `avx2.rs` / `neon.rs`. See DESIGN.md §11 for
-//! the safety argument and the recipe for adding a new ISA.
+//! primitive lane ops in `avx2.rs` / `neon.rs` / `avx512ifma.rs`, plus
+//! the IFMA table's own kernels (the two inner products, the pointwise
+//! product and the digit lift). See DESIGN.md §11 for the safety
+//! argument and the recipe for adding a new ISA.
 
+use crate::lazy::{DigitRows, TermRows};
 use crate::modulus::Modulus;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -45,6 +52,8 @@ pub(crate) mod vec;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512ifma;
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
 
@@ -61,6 +70,13 @@ pub type BinFn = fn(&Modulus, &mut [u64], &[u64]);
 pub type MulScalarFn = fn(&Modulus, &mut [u64], u64, u64);
 /// Element-wise Barrett reduction `dst[i] = src[i] mod p`.
 pub type ReduceFn = fn(&Modulus, &mut [u64], &[u64]);
+/// One prime row of a convolution's tap sum, `(modulus, terms, out0,
+/// out1)`; the scalar body is [`crate::lazy::dot_rows`].
+pub type DotRowsFn = fn(&Modulus, &[TermRows<'_>], &mut [u64], &mut [u64]);
+/// One prime row of a key switch under a Galois gather, `(modulus,
+/// table, c0, digits, out0, out1)`; the scalar body is
+/// [`crate::lazy::key_switch_row`].
+pub type KeySwitchRowFn = fn(&Modulus, &[u32], &[u64], &[DigitRows<'_>], &mut [u64], &mut [u64]);
 
 /// A complete set of hot-loop kernels for one backend.
 ///
@@ -70,8 +86,12 @@ pub type ReduceFn = fn(&Modulus, &mut [u64], &[u64]);
 /// backends interchangeable bit-for-bit.
 #[derive(Debug)]
 pub struct Kernels {
-    /// Stable backend name (`"scalar"`, `"avx2"`, `"neon"`).
+    /// Stable backend name (`"scalar"`, `"avx2"`, `"avx2+scalar"`,
+    /// `"avx512ifma"`, `"neon"`).
     pub name: &'static str,
+    /// The trace instant event that records this table as the dispatch
+    /// decision: `simd_dispatch=<name>`.
+    pub dispatch_event: &'static str,
     /// Forward negacyclic NTT (lazy `[0, 4p)` butterflies, fully
     /// reduced output).
     pub ntt_forward: NttFn,
@@ -89,6 +109,11 @@ pub struct Kernels {
     /// Barrett reduction of a residue row into a smaller modulus (the
     /// key-switch digit lift).
     pub reduce: ReduceFn,
+    /// The tap sum `Σ_t ct_t ⊙ w_t` of one prime row.
+    pub dot_rows: DotRowsFn,
+    /// The key-switch digit sum of one prime row, read through the
+    /// Galois table.
+    pub key_switch_row: KeySwitchRowFn,
 }
 
 static ACTIVE: AtomicPtr<Kernels> = AtomicPtr::new(ptr::null_mut());
@@ -106,6 +131,10 @@ pub fn available() -> Vec<&'static Kernels> {
     if std::arch::is_x86_feature_detected!("avx2") {
         v.push(&avx2::KERNELS);
     }
+    #[cfg(target_arch = "x86_64")]
+    if avx512ifma::detected() {
+        v.push(&avx512ifma::KERNELS);
+    }
     #[cfg(target_arch = "aarch64")]
     if std::arch::is_aarch64_feature_detected!("neon") {
         v.push(&neon::KERNELS);
@@ -121,10 +150,16 @@ pub fn best_available() -> &'static Kernels {
 /// The table `auto` dispatch installs: the fastest uniform backend with
 /// per-op substitutions wherever the measured baseline
 /// (`BENCH_heops.json`) shows a different kernel ahead. On x86_64 with
-/// AVX2 that is the mixed `avx2+scalar` table (scalar Barrett wins on
-/// `pointwise_mul` and the key-switch digit lift); elsewhere no op-level
-/// loss has been measured and the uniform best table is returned.
+/// AVX-512 IFMA that is the `avx512ifma` table, which is ahead on every
+/// entry; with AVX2 alone it is the mixed `avx2+scalar` table (scalar
+/// Barrett wins on `pointwise_mul` and the key-switch digit lift);
+/// elsewhere no op-level loss has been measured and the uniform best
+/// table is returned.
 pub fn tuned_best() -> &'static Kernels {
+    #[cfg(target_arch = "x86_64")]
+    if avx512ifma::detected() {
+        return &avx512ifma::KERNELS;
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         return &avx2::TUNED;
@@ -165,18 +200,7 @@ fn install(kernels: &'static Kernels, requested: &str, honoured: bool) {
     );
     // Mirror the decision into exported traces so HE spans/counters can
     // be attributed to the kernel that produced them.
-    spot_trace::instant(spot_trace::Cat::He, kernels.dispatch_event_name());
-}
-
-impl Kernels {
-    fn dispatch_event_name(&self) -> &'static str {
-        match self.name {
-            "avx2" => "simd_dispatch=avx2",
-            "avx2+scalar" => "simd_dispatch=avx2+scalar",
-            "neon" => "simd_dispatch=neon",
-            _ => "simd_dispatch=scalar",
-        }
-    }
+    spot_trace::instant(spot_trace::Cat::He, kernels.dispatch_event);
 }
 
 /// The active kernel table, dispatching on first use.
@@ -264,6 +288,15 @@ mod tests {
         assert!(!honoured);
     }
 
+    #[test]
+    fn every_table_traces_its_own_name() {
+        let mut tables = available();
+        tables.push(tuned_best());
+        for k in tables {
+            assert_eq!(k.dispatch_event, format!("simd_dispatch={}", k.name));
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn tuned_table_mixes_backends_per_op() {
@@ -273,7 +306,14 @@ mod tests {
         let (t, honoured) = choose("avx2+scalar");
         assert!(honoured);
         assert_eq!(t.name, "avx2+scalar");
-        assert_eq!(tuned_best().name, "avx2+scalar");
+        // `auto` takes the IFMA table wherever the CPU has it, and
+        // exactly the mixed AVX2 table everywhere else.
+        let auto = if avx512ifma::detected() {
+            "avx512ifma"
+        } else {
+            "avx2+scalar"
+        };
+        assert_eq!(tuned_best().name, auto);
         // The two measured-loss entries fall back to scalar; the NTTs
         // keep the vector kernels.
         assert_eq!(

@@ -15,7 +15,8 @@
 //! "aarch64")`), so keep the intrinsic surface minimal and mirrored on
 //! `avx2.rs` when changing it.
 
-use super::{vec, vec::V64, Kernels};
+use super::vec::{self, V64Wide, V64};
+use super::Kernels;
 use crate::modulus::Modulus;
 use std::arch::aarch64::*;
 
@@ -58,6 +59,50 @@ impl V64 for W {
         W(unsafe { vsubq_u64(self.0, o.0) })
     }
 
+    #[inline(always)]
+    fn cond_sub(self, m: Self) -> Self {
+        // SAFETY: NEON checked at dispatch time.
+        unsafe {
+            // t = self - m underflows exactly when self < m (trait
+            // contract: m < 2^63, self < m + 2^63), so the sign bit of
+            // t selects the lanes that need m added back.
+            let t = vsubq_u64(self.0, m.0);
+            let under = vreinterpretq_u64_s64(vshrq_n_s64::<63>(vreinterpretq_s64_u64(t)));
+            W(vaddq_u64(t, vandq_u64(under, m.0)))
+        }
+    }
+
+    #[inline(always)]
+    fn mul_shoup_lazy(self, w: Self, ws: Self, p: Self) -> Self {
+        vec::mul_shoup_lazy_wide(self, w, ws, p)
+    }
+
+    #[inline(always)]
+    fn deinterleave_pairs(self, o: Self) -> (Self, Self) {
+        // SAFETY: NEON checked at dispatch time.
+        unsafe {
+            // [a0 a1], [b0 b1] -> evens [a0 b0], odds [a1 b1].
+            (
+                W(vcombine_u64(vget_low_u64(self.0), vget_low_u64(o.0))),
+                W(vcombine_u64(vget_high_u64(self.0), vget_high_u64(o.0))),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn interleave_pairs(self, o: Self) -> (Self, Self) {
+        // SAFETY: NEON checked at dispatch time.
+        unsafe {
+            // evens [e0 e1], odds [o0 o1] -> [e0 o0], [e1 o1].
+            (
+                W(vcombine_u64(vget_low_u64(self.0), vget_low_u64(o.0))),
+                W(vcombine_u64(vget_high_u64(self.0), vget_high_u64(o.0))),
+            )
+        }
+    }
+}
+
+impl V64Wide for W {
     #[inline(always)]
     fn mul_lo(self, o: Self) -> Self {
         // SAFETY: NEON checked at dispatch time.
@@ -124,43 +169,6 @@ impl V64 for W {
             let cross = vaddq_u64(lh, hl);
             let lo = vaddq_u64(ll, vshlq_n_u64::<32>(cross));
             (W(hi), W(lo))
-        }
-    }
-
-    #[inline(always)]
-    fn cond_sub(self, m: Self) -> Self {
-        // SAFETY: NEON checked at dispatch time.
-        unsafe {
-            // t = self - m underflows exactly when self < m (trait
-            // contract: m < 2^63, self < m + 2^63), so the sign bit of
-            // t selects the lanes that need m added back.
-            let t = vsubq_u64(self.0, m.0);
-            let under = vreinterpretq_u64_s64(vshrq_n_s64::<63>(vreinterpretq_s64_u64(t)));
-            W(vaddq_u64(t, vandq_u64(under, m.0)))
-        }
-    }
-
-    #[inline(always)]
-    fn deinterleave_pairs(self, o: Self) -> (Self, Self) {
-        // SAFETY: NEON checked at dispatch time.
-        unsafe {
-            // [a0 a1], [b0 b1] -> evens [a0 b0], odds [a1 b1].
-            (
-                W(vcombine_u64(vget_low_u64(self.0), vget_low_u64(o.0))),
-                W(vcombine_u64(vget_high_u64(self.0), vget_high_u64(o.0))),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn interleave_pairs(self, o: Self) -> (Self, Self) {
-        // SAFETY: NEON checked at dispatch time.
-        unsafe {
-            // evens [e0 e1], odds [o0 o1] -> [e0 o0], [e1 o1].
-            (
-                W(vcombine_u64(vget_low_u64(self.0), vget_low_u64(o.0))),
-                W(vcombine_u64(vget_high_u64(self.0), vget_high_u64(o.0))),
-            )
         }
     }
 
@@ -247,6 +255,7 @@ neon_kernel!(
 /// The NEON kernel table (install only after runtime detection).
 pub static KERNELS: Kernels = Kernels {
     name: "neon",
+    dispatch_event: "simd_dispatch=neon",
     ntt_forward,
     ntt_inverse,
     pointwise_mul,
@@ -254,4 +263,6 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    dot_rows: crate::lazy::dot_rows,
+    key_switch_row: crate::lazy::key_switch_row,
 };

@@ -3,9 +3,10 @@
 //! These are the original hand-written hot loops (PR 1's lazy-reduction
 //! NTT and the pointwise loops from `poly.rs`), moved behind the
 //! [`Kernels`](super::Kernels) table so every backend shares one entry
-//! point. The vector backends' tail loops (group sizes below the lane
-//! width, slice remainders) call the same butterfly helpers, so scalar
-//! and vector stages compose without changing any intermediate value.
+//! point; the table's two inner products are [`crate::lazy`]'s bodies.
+//! The vector backends' tail loops (rows shorter than two registers,
+//! slice remainders) call the same butterfly helpers, so scalar and
+//! vector stages compose inside the same lazy windows.
 
 use super::Kernels;
 use crate::modulus::Modulus;
@@ -142,6 +143,7 @@ pub(crate) fn reduce(m: &Modulus, dst: &mut [u64], src: &[u64]) {
 /// The scalar kernel table.
 pub static KERNELS: Kernels = Kernels {
     name: "scalar",
+    dispatch_event: "simd_dispatch=scalar",
     ntt_forward,
     ntt_inverse,
     pointwise_mul,
@@ -149,4 +151,6 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    dot_rows: crate::lazy::dot_rows,
+    key_switch_row: crate::lazy::key_switch_row,
 };

@@ -1,9 +1,11 @@
 //! ISA-generic vector kernels.
 //!
 //! The hot loops are written **once** here, generically over the
-//! minimal [`V64`] lane trait (a handful of 64-bit lane primitives);
-//! `avx2.rs` / `neon.rs` only implement those primitives and wrap the
-//! generic kernels in `#[target_feature]` entry points. Everything is
+//! minimal [`V64`] lane trait (a handful of 64-bit lane primitives, and
+//! [`V64Wide`]'s 64×64 products for the two kernels that need them);
+//! `avx2.rs` / `neon.rs` / `avx512ifma.rs` only implement those
+//! primitives and wrap the generic kernels in `#[target_feature]` entry
+//! points. Everything is
 //! `#[inline(always)]` so that each instantiation is compiled inside
 //! its backend's `#[target_feature]` wrapper and picks up the wider
 //! instruction set.
@@ -12,10 +14,13 @@
 //!
 //! * **NTT butterflies** use the same lazy Shoup form as the scalar
 //!   path (values in `[0, 4p)` forward / `[0, 2p)` inverse); the Shoup
-//!   multiply vectorizes as one 64×64 high product and two low
-//!   products. Stages whose group half-length is below the lane width
-//!   fall back to the scalar butterfly helpers — same math, same
-//!   intermediate values.
+//!   multiply ([`V64::mul_shoup_lazy`]) vectorizes as one 64×64 high
+//!   product and two low products ([`mul_shoup_lazy_wide`]), or as
+//!   three 52-bit multiply-adds on the IFMA backend. Stages whose group
+//!   half-length `t` is below the lane width shuffle `LANES / t` groups
+//!   into one x and one y register; only a row shorter than two
+//!   registers takes the scalar butterfly helpers — same math, same
+//!   lazy windows.
 //! * **Pointwise products** have no precomputed per-element Shoup
 //!   constant, so the scalar path's 128-bit Barrett would need four
 //!   high products per element. Instead the vector path lifts one
@@ -28,7 +33,8 @@
 //!   subtraction), so even the pre-reduction values match.
 //!
 //! Bounds used below (all enforced by `Modulus::new`): `p < 2^62`, so
-//! `4p < 2^64` and every `u + 2p - v` stays inside u64.
+//! `4p < 2^64` and every `u + 2p - v` stays inside u64. The IFMA
+//! backend's entries add `p < 2^50`, so that `4p < 2^52`.
 
 use super::scalar;
 use crate::modulus::Modulus;
@@ -57,6 +63,81 @@ pub(crate) trait V64: Copy {
     fn add(self, o: Self) -> Self;
     /// Lane-wise wrapping subtraction.
     fn sub(self, o: Self) -> Self;
+    /// Lane-wise `if self >= m { self - m } else { self }`.
+    ///
+    /// Contract (narrower than full unsigned compare, which lets
+    /// backends use a signed sign-bit test): requires `m < 2^63` and
+    /// `self < m + 2^63`. Every call site here satisfies this because
+    /// `p < 2^62`, so even the widest intermediate (`[0, 4p)` against
+    /// `2p`) fits.
+    fn cond_sub(self, m: Self) -> Self;
+    /// Lazy Shoup multiply `self · w mod p`, result in `[0, 2p)`, with
+    /// `ws = ⌊w·2^64/p⌋` (mirrors `Modulus::mul_shoup_lazy`; `w < p`).
+    /// Backends with 64×64 lane products run [`mul_shoup_lazy_wide`],
+    /// valid for any 64-bit `self`; a narrower multiplier must fit the
+    /// values the kernels here pass, which are all below `4p`.
+    fn mul_shoup_lazy(self, w: Self, ws: Self, p: Self) -> Self;
+    /// Splits two registers holding `2*LANES` consecutive values
+    /// `(x0, y0, x1, y1, …)` into `(evens, odds)`: `(x0, x1, …)` and
+    /// `(y0, y1, …)`. Used by the `t = 1` NTT tail stage.
+    fn deinterleave_pairs(self, o: Self) -> (Self, Self);
+    /// Inverse of [`V64::deinterleave_pairs`]: merges `(x0, x1, …)` and
+    /// `(y0, y1, …)` back into `(x0, y0, x1, y1)` / `(x2, y2, x3, y3)`.
+    fn interleave_pairs(self, o: Self) -> (Self, Self);
+    /// Splits two registers holding `2*LANES` consecutive values
+    /// `(x0, x1, y0, y1, x2, x3, y2, y3, …)` at 128-bit granularity into
+    /// `(x0, x1, x2, x3, …)` and `(y0, y1, y2, y3, …)`. Used by the
+    /// `t = 2` NTT tail stage, which only runs when `LANES >= 4`; 2-lane
+    /// backends never call it and keep this default.
+    fn deinterleave_quads(self, o: Self) -> (Self, Self) {
+        let _ = o;
+        unreachable!("quad shuffles are only used by backends of 4 or more lanes")
+    }
+    /// Inverse of [`V64::deinterleave_quads`].
+    fn interleave_quads(self, o: Self) -> (Self, Self) {
+        let _ = o;
+        unreachable!("quad shuffles are only used by backends of 4 or more lanes")
+    }
+    /// Splits two registers holding `(x0 … x3, y0 … y3, x4 … x7,
+    /// y4 … y7)` at 256-bit granularity into `(x0 … x7)` and
+    /// `(y0 … y7)`. Used by the `t = 4` NTT tail stage, which only runs
+    /// when `LANES == 8`.
+    fn deinterleave_octs(self, o: Self) -> (Self, Self) {
+        let _ = o;
+        unreachable!("oct shuffles are only used by 8-lane backends")
+    }
+    /// Inverse of [`V64::deinterleave_octs`].
+    fn interleave_octs(self, o: Self) -> (Self, Self) {
+        let _ = o;
+        unreachable!("oct shuffles are only used by 8-lane backends")
+    }
+    /// Loads `LANES / T` consecutive values, each repeated across `T`
+    /// adjacent lanes: the twiddles of a tail stage whose groups are
+    /// `T` lanes wide.
+    ///
+    /// # Safety
+    /// `ptr` must be valid for reading `LANES / T` u64s.
+    #[inline(always)]
+    unsafe fn load_dup<const T: usize>(ptr: *const u64) -> Self {
+        if T == 1 {
+            // SAFETY: LANES / 1 readable u64s, as the caller vouches.
+            return unsafe { Self::load(ptr) };
+        }
+        let mut lanes = [0u64; 8];
+        for (l, lane) in lanes[..Self::LANES].iter_mut().enumerate() {
+            // SAFETY: l / T < LANES / T, which the caller vouches for.
+            *lane = unsafe { *ptr.add(l / T) };
+        }
+        // SAFETY: `lanes` holds 8 >= LANES u64s.
+        unsafe { Self::load(lanes.as_ptr()) }
+    }
+}
+
+/// 64×64-bit lane products, composed from 32×32 partial products on
+/// every backend that has them: what the Montgomery pointwise product
+/// and the Barrett digit lift need beyond [`V64`]. The IFMA backend
+/// multiplies on its 52-bit unit instead and does not implement them.
+pub(crate) trait V64Wide: V64 {
     /// Lane-wise low 64 bits of the 128-bit product.
     fn mul_lo(self, o: Self) -> Self;
     /// Lane-wise high 64 bits of the 128-bit product.
@@ -67,45 +148,16 @@ pub(crate) trait V64: Copy {
     fn mul_wide(self, o: Self) -> (Self, Self) {
         (self.mul_hi(o), self.mul_lo(o))
     }
-    /// Lane-wise `if self >= m { self - m } else { self }`.
-    ///
-    /// Contract (narrower than full unsigned compare, which lets
-    /// backends use a signed sign-bit test): requires `m < 2^63` and
-    /// `self < m + 2^63`. Every call site here satisfies this because
-    /// `p < 2^62`, so even the widest intermediate (`[0, 4p)` against
-    /// `2p`) fits.
-    fn cond_sub(self, m: Self) -> Self;
     /// Lane-wise `self + (o != 0 ? 1 : 0)` (the REDC low-half carry).
     fn add_nonzero_bit(self, o: Self) -> Self;
     /// Lane-wise `(self + o mod 2^64, carry ∈ {0, 1})`.
     fn add_with_carry(self, o: Self) -> (Self, Self);
-    /// Splits two registers holding `2*LANES` consecutive values
-    /// `(x0, y0, x1, y1, …)` into `(evens, odds)`: `(x0, x1, …)` and
-    /// `(y0, y1, …)`. Used by the `t = 1` NTT tail stage.
-    fn deinterleave_pairs(self, o: Self) -> (Self, Self);
-    /// Inverse of [`V64::deinterleave_pairs`]: merges `(x0, x1, …)` and
-    /// `(y0, y1, …)` back into `(x0, y0, x1, y1)` / `(x2, y2, x3, y3)`.
-    fn interleave_pairs(self, o: Self) -> (Self, Self);
-    /// Splits two registers holding `2*LANES` consecutive values
-    /// `(x0, x1, y0, y1, x2, x3, y2, y3)` at 128-bit granularity into
-    /// `(x0, x1, x2, x3)` and `(y0, y1, y2, y3)`. Used by the `t = 2`
-    /// NTT tail stage, which only runs when `LANES == 4`; 2-lane
-    /// backends never call it and keep this default.
-    fn deinterleave_quads(self, o: Self) -> (Self, Self) {
-        let _ = o;
-        unreachable!("quad shuffles are only used by 4-lane backends")
-    }
-    /// Inverse of [`V64::deinterleave_quads`].
-    fn interleave_quads(self, o: Self) -> (Self, Self) {
-        let _ = o;
-        unreachable!("quad shuffles are only used by 4-lane backends")
-    }
 }
 
-/// Lazy Shoup multiply: `x * w mod p`, result in `[0, 2p)`; valid for
-/// any `x` as long as `w < p` (mirrors `Modulus::mul_shoup_lazy`).
+/// [`V64::mul_shoup_lazy`] on 64×64 lane products: one high product
+/// and two low ones, valid for any 64-bit `x` as long as `w < p`.
 #[inline(always)]
-fn mul_shoup_lazy_v<T: V64>(x: T, w: T, ws: T, p: T) -> T {
+pub(crate) fn mul_shoup_lazy_wide<T: V64Wide>(x: T, w: T, ws: T, p: T) -> T {
     let q = x.mul_hi(ws);
     x.mul_lo(w).sub(q.mul_lo(p))
 }
@@ -115,8 +167,8 @@ fn mul_shoup_lazy_v<T: V64>(x: T, w: T, ws: T, p: T) -> T {
 /// and `b < p`. Lifts `a` by `2^64 mod p` (Shoup), REDCs the wide
 /// product back down, and fully reduces.
 #[inline(always)]
-fn mont_mul_v<T: V64>(a: T, b: T, p: T, rp: T, rps: T, neg_inv: T) -> T {
-    let am = mul_shoup_lazy_v(a, rp, rps, p); // [0, 2p), ≡ a·2^64 (mod p)
+fn mont_mul_v<T: V64Wide>(a: T, b: T, p: T, rp: T, rps: T, neg_inv: T) -> T {
+    let am = mul_shoup_lazy_wide(a, rp, rps, p); // [0, 2p), ≡ a·2^64 (mod p)
     let (hi, lo) = am.mul_wide(b); // am·b < 2p² < p·2^64
     let m = lo.mul_lo(neg_inv);
     // t = (am·b + m·p) / 2^64: the low halves cancel exactly, carrying
@@ -125,12 +177,33 @@ fn mont_mul_v<T: V64>(a: T, b: T, p: T, rp: T, rps: T, neg_inv: T) -> T {
     t.cond_sub(p)
 }
 
-/// Vectorized `t = 1` stage: butterflies on adjacent element pairs with
-/// one distinct twiddle per pair (twiddles are contiguous in the stage
-/// slice, so they vector-load directly). `FWD` selects the butterfly
-/// direction. Requires `a.len() >= 2 * LANES`.
+/// A stage whose group half-length `t` is below the lane width (1, 2
+/// or 4): [`tail_stage_t`] with `t` as a constant.
 #[inline(always)]
-fn tail_stage_t1<T: V64, const FWD: bool>(
+fn tail_stage<T: V64, const FWD: bool>(
+    t: usize,
+    stage_roots: &[u64],
+    stage_shoup: &[u64],
+    a: &mut [u64],
+    p_v: T,
+    two_p_v: T,
+) {
+    match t {
+        1 => tail_stage_t::<T, FWD, 1>(stage_roots, stage_shoup, a, p_v, two_p_v),
+        2 => tail_stage_t::<T, FWD, 2>(stage_roots, stage_shoup, a, p_v, two_p_v),
+        _ => tail_stage_t::<T, FWD, 4>(stage_roots, stage_shoup, a, p_v, two_p_v),
+    }
+}
+
+/// Vectorized stage for a group half-length `TT < LANES`: each block of
+/// `2·LANES` elements holds `LANES / TT` groups `(x_0 … x_{TT−1},
+/// y_0 … y_{TT−1})`, which the backend's pair / quad / oct shuffles
+/// split into one x and one y register, and each group's twiddle fills
+/// its `TT` lanes ([`V64::load_dup`]; at `TT = 1` the twiddles are
+/// contiguous in the stage slice and load directly). `FWD` selects the
+/// butterfly direction. Requires `a.len() >= 2 * LANES`.
+#[inline(always)]
+fn tail_stage_t<T: V64, const FWD: bool, const TT: usize>(
     stage_roots: &[u64],
     stage_shoup: &[u64],
     a: &mut [u64],
@@ -138,90 +211,46 @@ fn tail_stage_t1<T: V64, const FWD: bool>(
     two_p_v: T,
 ) {
     let n = a.len();
-    debug_assert_eq!(stage_roots.len(), n / 2);
-    let mut g = 0; // group index; group g owns elements (2g, 2g + 1)
-    while 2 * g < n {
-        // SAFETY: 2g + 2*LANES <= n (n and LANES are powers of two and
-        // n >= 2*LANES), and g + LANES <= n/2 = stage slice length.
+    debug_assert!(TT < T::LANES && n >= 2 * T::LANES);
+    debug_assert_eq!(stage_roots.len(), n / (2 * TT));
+    let mut g = 0; // group index; group g owns elements 2·TT·g .. 2·TT·(g + 1)
+    while 2 * TT * g < n {
+        // SAFETY: g is a multiple of LANES/TT, so the block starts at a
+        // multiple of 2·LANES, and n is one too (both are powers of two
+        // and n >= 2·LANES): the block's 2·LANES elements are in bounds,
+        // and so are the twiddles g .. g + LANES/TT <= n/(2·TT), the
+        // stage slice length.
         unsafe {
-            let base = a.as_mut_ptr().add(2 * g);
+            let base = a.as_mut_ptr().add(2 * TT * g);
             let v0 = T::load(base);
             let v1 = T::load(base.add(T::LANES));
-            let (x, y) = v0.deinterleave_pairs(v1);
-            let w_v = T::load(stage_roots.as_ptr().add(g));
-            let ws_v = T::load(stage_shoup.as_ptr().add(g));
+            let (x, y) = match TT {
+                1 => v0.deinterleave_pairs(v1),
+                2 => v0.deinterleave_quads(v1),
+                _ => v0.deinterleave_octs(v1),
+            };
+            let w_v = T::load_dup::<TT>(stage_roots.as_ptr().add(g));
+            let ws_v = T::load_dup::<TT>(stage_shoup.as_ptr().add(g));
             let (rx, ry) = if FWD {
                 let u = x.cond_sub(two_p_v); // [0, 2p)
-                let v = mul_shoup_lazy_v(y, w_v, ws_v, p_v);
+                let v = y.mul_shoup_lazy(w_v, ws_v, p_v);
                 (u.add(v), u.add(two_p_v).sub(v)) // [0, 4p)
             } else {
                 // x, y in [0, 2p).
                 (
                     x.add(y).cond_sub(two_p_v),
-                    mul_shoup_lazy_v(x.add(two_p_v).sub(y), w_v, ws_v, p_v),
+                    x.add(two_p_v).sub(y).mul_shoup_lazy(w_v, ws_v, p_v),
                 )
             };
-            let (r0, r1) = rx.interleave_pairs(ry);
+            let (r0, r1) = match TT {
+                1 => rx.interleave_pairs(ry),
+                2 => rx.interleave_quads(ry),
+                _ => rx.interleave_octs(ry),
+            };
             r0.store(base);
             r1.store(base.add(T::LANES));
         }
-        g += T::LANES;
-    }
-}
-
-/// Vectorized `t = 2` stage for 4-lane backends: each 8-element block
-/// holds two groups `(x0, x1, y0, y1)`, split with 128-bit shuffles;
-/// each group's twiddle is duplicated across its two lanes. Requires
-/// `LANES == 4` and `a.len() >= 8`.
-#[inline(always)]
-fn tail_stage_t2<T: V64, const FWD: bool>(
-    stage_roots: &[u64],
-    stage_shoup: &[u64],
-    a: &mut [u64],
-    p_v: T,
-    two_p_v: T,
-) {
-    let n = a.len();
-    debug_assert_eq!(T::LANES, 4);
-    debug_assert_eq!(stage_roots.len(), n / 4);
-    let mut g = 0; // group index; group g owns elements (4g .. 4g + 4)
-    while 4 * g < n {
-        let tw = [
-            stage_roots[g],
-            stage_roots[g],
-            stage_roots[g + 1],
-            stage_roots[g + 1],
-        ];
-        let tws = [
-            stage_shoup[g],
-            stage_shoup[g],
-            stage_shoup[g + 1],
-            stage_shoup[g + 1],
-        ];
-        // SAFETY: 4g + 8 <= n (n >= 8 and both are powers of two), and
-        // the tw/tws arrays hold LANES == 4 elements.
-        unsafe {
-            let base = a.as_mut_ptr().add(4 * g);
-            let v0 = T::load(base);
-            let v1 = T::load(base.add(T::LANES));
-            let (x, y) = v0.deinterleave_quads(v1);
-            let w_v = T::load(tw.as_ptr());
-            let ws_v = T::load(tws.as_ptr());
-            let (rx, ry) = if FWD {
-                let u = x.cond_sub(two_p_v);
-                let v = mul_shoup_lazy_v(y, w_v, ws_v, p_v);
-                (u.add(v), u.add(two_p_v).sub(v))
-            } else {
-                (
-                    x.add(y).cond_sub(two_p_v),
-                    mul_shoup_lazy_v(x.add(two_p_v).sub(y), w_v, ws_v, p_v),
-                )
-            };
-            let (r0, r1) = rx.interleave_quads(ry);
-            r0.store(base);
-            r1.store(base.add(T::LANES));
-        }
-        g += 2;
+        g += T::LANES / TT;
     }
 }
 
@@ -258,16 +287,14 @@ pub(crate) fn ntt_forward_v<T: V64>(
                     // exactly LANES u64s.
                     unsafe {
                         let u = T::load(xc.as_ptr()).cond_sub(two_p_v); // [0, 2p)
-                        let v = mul_shoup_lazy_v(T::load(yc.as_ptr()), w_v, ws_v, p_v);
+                        let v = T::load(yc.as_ptr()).mul_shoup_lazy(w_v, ws_v, p_v);
                         u.add(v).store(xc.as_mut_ptr()); // [0, 4p)
                         u.add(two_p_v).sub(v).store(yc.as_mut_ptr()); // (0, 4p)
                     }
                 }
             }
-        } else if t == 1 && n >= 2 * T::LANES {
-            tail_stage_t1::<T, true>(stage_roots, stage_shoup, a, p_v, two_p_v);
-        } else if t == 2 && T::LANES == 4 && n >= 2 * T::LANES {
-            tail_stage_t2::<T, true>(stage_roots, stage_shoup, a, p_v, two_p_v);
+        } else if n >= 2 * T::LANES {
+            tail_stage::<T, true>(t, stage_roots, stage_shoup, a, p_v, two_p_v);
         } else {
             for i in 0..size {
                 let w = stage_roots[i];
@@ -316,7 +343,10 @@ unsafe fn inv_butterfly_chunk<T: V64>(
         let v = T::load(yp);
         // u, v in [0, 2p).
         u.add(v).cond_sub(two_p_v).store(xp); // [0, 2p)
-        mul_shoup_lazy_v(u.add(two_p_v).sub(v), w_v, ws_v, p_v).store(yp); // [0, 2p)
+        u.add(two_p_v)
+            .sub(v)
+            .mul_shoup_lazy(w_v, ws_v, p_v)
+            .store(yp); // [0, 2p)
     }
 }
 
@@ -385,10 +415,8 @@ pub(crate) fn ntt_inverse_v<T: V64>(
                     c += 1;
                 }
             }
-        } else if t == 1 && n >= 2 * T::LANES {
-            tail_stage_t1::<T, false>(stage_roots, stage_shoup, a, p_v, two_p_v);
-        } else if t == 2 && T::LANES == 4 && n >= 2 * T::LANES {
-            tail_stage_t2::<T, false>(stage_roots, stage_shoup, a, p_v, two_p_v);
+        } else if n >= 2 * T::LANES {
+            tail_stage::<T, false>(t, stage_roots, stage_shoup, a, p_v, two_p_v);
         } else {
             for i in 0..size {
                 let w = stage_roots[i];
@@ -410,7 +438,8 @@ pub(crate) fn ntt_inverse_v<T: V64>(
     for chunk in main.chunks_exact_mut(T::LANES) {
         // SAFETY: chunks_exact guarantees LANES u64s.
         unsafe {
-            mul_shoup_lazy_v(T::load(chunk.as_ptr()), w_v, ws_v, p_v)
+            T::load(chunk.as_ptr())
+                .mul_shoup_lazy(w_v, ws_v, p_v)
                 .cond_sub(p_v)
                 .store(chunk.as_mut_ptr());
         }
@@ -421,7 +450,7 @@ pub(crate) fn ntt_inverse_v<T: V64>(
 }
 
 #[inline(always)]
-pub(crate) fn pointwise_mul_v<T: V64>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
+pub(crate) fn pointwise_mul_v<T: V64Wide>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     let (neg_inv, rp, rps) = m.montgomery();
     if m.value() & 1 == 0 {
         // Montgomery needs an odd modulus; every BFV modulus is an odd
@@ -501,7 +530,8 @@ pub(crate) fn mul_scalar_v<T: V64>(m: &Modulus, dst: &mut [u64], scalar_val: u64
     for dc in main.chunks_exact_mut(T::LANES) {
         // SAFETY: chunks_exact guarantees LANES u64s.
         unsafe {
-            mul_shoup_lazy_v(T::load(dc.as_ptr()), w_v, ws_v, p_v)
+            T::load(dc.as_ptr())
+                .mul_shoup_lazy(w_v, ws_v, p_v)
                 .cond_sub(p_v)
                 .store(dc.as_mut_ptr());
         }
@@ -510,7 +540,7 @@ pub(crate) fn mul_scalar_v<T: V64>(m: &Modulus, dst: &mut [u64], scalar_val: u64
 }
 
 #[inline(always)]
-pub(crate) fn reduce_v<T: V64>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
+pub(crate) fn reduce_v<T: V64Wide>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     let (bhi, blo) = m.barrett();
     let p_v = T::splat(m.value());
     let bhi_v = T::splat(bhi);

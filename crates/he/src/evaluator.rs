@@ -9,7 +9,6 @@ use crate::ciphertext::Ciphertext;
 use crate::context::Context;
 use crate::encoding::{galois_elt_column_swap, galois_elt_from_step, Plaintext};
 use crate::keys::GaloisKeys;
-use crate::lazy;
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use spot_trace::{count, Counter};
@@ -200,8 +199,9 @@ impl Evaluator {
     /// `Arc` — what a convolution sums over its taps. Bit-identical to multiplying every term and adding the
     /// products, and counted like it (`n` plaintext multiplications,
     /// `n − 1` additions), but every output coefficient is accumulated
-    /// unreduced and reduced once ([`lazy::dot_rows`]) and no product
-    /// ciphertext is ever materialised.
+    /// unreduced and reduced once (the dispatched `dot_rows` kernel,
+    /// [`crate::lazy::dot_rows`] in scalar) and no product ciphertext is ever
+    /// materialised.
     ///
     /// # Panics
     ///
@@ -219,6 +219,7 @@ impl Evaluator {
         }
         self.tally(Counter::MultPlain, terms.len() as u64);
         self.tally(Counter::AddOps, terms.len() as u64 - 1);
+        let dot_rows = crate::arch::kernels().dot_rows;
         let mut rows = Vec::with_capacity(terms.len());
         for (j, m) in self.ctx.moduli().iter().enumerate() {
             rows.clear();
@@ -227,7 +228,7 @@ impl Evaluator {
                     .iter()
                     .map(|(ct, w)| (ct.c0.residues(j), ct.c1.residues(j), w.borrow().residues(j))),
             );
-            lazy::dot_rows(m, &rows, out.c0.residues_mut(j), out.c1.residues_mut(j));
+            dot_rows(m, &rows, out.c0.residues_mut(j), out.c1.residues_mut(j));
         }
         out
     }
@@ -299,7 +300,8 @@ impl Evaluator {
     /// (the key's table, see [`crate::ntt::galois_ntt_table`]), and it
     /// commutes with the digit decomposition, so the rotation is
     /// `(σ(c0) + Σ σ(d_i)·b_i, Σ σ(d_i)·a_i)` with no transform at all:
-    /// per prime row, [`lazy::key_switch_row`] reads `c0` and the digits
+    /// per prime row, the dispatched `key_switch_row` kernel
+    /// ([`crate::lazy::key_switch_row`] in scalar) reads `c0` and the digits
     /// through the table and reduces each output coefficient once.
     ///
     /// # Panics
@@ -325,6 +327,7 @@ impl Evaluator {
             "one key pair per digit"
         );
         let mut out = self.empty_ciphertext();
+        let key_switch_row = crate::arch::kernels().key_switch_row;
         let mut rows = Vec::with_capacity(ksk.pairs.len());
         for (j, m) in self.ctx.moduli().iter().enumerate() {
             rows.clear();
@@ -335,7 +338,7 @@ impl Evaluator {
                     .zip(&ksk.pairs)
                     .map(|(digit, (b, a))| (digit.residues(j), b.residues(j), a.residues(j))),
             );
-            lazy::key_switch_row(
+            key_switch_row(
                 m,
                 &ksk.ntt_table,
                 hoisted.c0.residues(j),

@@ -7,9 +7,15 @@
 //! `(q−1)² < 2^124`, so [`max_terms`] of them fit a `u128` on top of a
 //! reduced value, and [`Modulus::reduce_u128`] is exact for any `u128`:
 //! the one reduction at the end yields the same canonical residue as a
-//! reduction after every term. Plain scalar code on purpose — AVX2 has
-//! no 64×64→128 multiply — so there is nothing for the [`crate::arch`]
-//! table to choose between and every `SPOT_SIMD` setting runs this.
+//! reduction after every term.
+//!
+//! [`dot_rows`] and [`key_switch_row`] are the scalar bodies of the
+//! [`crate::arch`] table's two inner-product entries, and the
+//! reference every other body is tested against. The `scalar`, `avx2`,
+//! `avx2+scalar` and `neon` tables run them as they are (AVX2 and NEON
+//! have no 64×64→128 multiply); the `avx512ifma` table sums 52-bit
+//! product halves instead and falls back to them above its prime
+//! bound. Callers go through `arch::kernels()`.
 
 use crate::modulus::Modulus;
 
