@@ -36,11 +36,11 @@ use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::serving::{ModelContext, ServingConfig, SpotServer};
 use spot_core::session::ExecBackend;
-use spot_core::stream::StreamConfig;
+use spot_core::stream::{stall_table, StreamConfig};
 use spot_core::twoparty::run_server;
 use spot_he::context::Context;
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_pipeline::report::{stall_table, transfer_table, TransferRow};
+use spot_pipeline::report::{transfer_table, TransferRow};
 use spot_proto::channel::LinkModel;
 use spot_proto::transport::{TcpTransport, Transport};
 use spot_trace::{log_error, log_info, log_warn, Counter};
@@ -262,7 +262,7 @@ fn serve_once(
             "{}",
             stall_table(
                 "Measured stall accounting (both conv layers)",
-                &[report.stream.stall_row("TinyCnn server")]
+                &[("TinyCnn server", &report.stream)]
             )
         );
     }

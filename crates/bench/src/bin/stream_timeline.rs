@@ -20,10 +20,9 @@ use spot_core::layout::LaneLayout;
 use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_core::spot::blocking;
-use spot_core::stream::{StreamConfig, StreamStats};
+use spot_core::stream::{stall_table, StreamConfig, StreamStats};
 use spot_he::pool;
 use spot_he::prelude::*;
-use spot_pipeline::report::stall_table;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::{Cat, Event, Phase};
 use std::sync::Arc;
@@ -116,7 +115,6 @@ fn main() {
     println!("Streamed conv layer: 16x16, C_i=32 -> C_o=4, k=3 at N4096");
     println!("server = 1 thread, client ciphertext budget (channel capacity) = 2\n");
 
-    let mut rows = Vec::new();
     let mut timelines = Vec::new();
     let mut all_events: Vec<Event> = Vec::new();
     for scheme in SchemeKind::ALL {
@@ -135,12 +133,14 @@ fn main() {
         .expect("in-process session")
         .stream
         .expect("every backend reports stats");
-        rows.push(stats.stall_row(scheme.label()));
         let events = spot_trace::take_events();
         all_events.extend(events.iter().cloned());
         timelines.push((scheme, stats, events));
     }
     let threads = spot_trace::thread_names();
+    let rows: Vec<(&str, &StreamStats)> = (timelines.iter())
+        .map(|(scheme, stats, _)| (scheme.label(), stats))
+        .collect();
     println!(
         "{}",
         stall_table("Measured stall accounting (single-thread server)", &rows)

@@ -12,11 +12,10 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::heconv::{ChannelMap, ConvRequest, ConvWalk, GroupSpec};
-use crate::layout::{next_pow2, LaneLayout};
+use crate::heconv::{ConvRequest, ConvWalk, GroupSpec};
+use crate::layout::{next_pow2, BatchLayout, ChannelMap, LaneLayout};
 use crate::session::{first_uses, lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
-use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
@@ -124,19 +123,15 @@ fn channel_map(geo: &ChannelwiseGeometry, ct: usize, channels: usize) -> Channel
     map
 }
 
-/// One image occupies group position 0 across both lanes and every
-/// channel block, so every further group position can carry another
-/// queued image: the masked kernel plaintexts already confine each
-/// position's convolution to its own region.
-fn images_layout(l: &LaneLayout) -> BatchLayout {
-    BatchLayout::new(l.lane_size, l.blocks, l.groups, l.piece_slots, 1, false)
-}
-
 /// One layer planned under channel-wise packing.
 pub(crate) struct Packing {
     shape: ConvShape,
     geo: ChannelwiseGeometry,
-    layout: LaneLayout,
+    /// One image occupies piece position 0 across both lanes and every
+    /// channel block, so every further position can carry another
+    /// queued image: the masked kernel plaintexts already confine each
+    /// position's convolution to its own region.
+    images: BatchLayout,
     /// What the engine does to each input ciphertext, in upload order.
     pub(crate) walks: Vec<ConvWalk>,
     facts: PlanFacts,
@@ -169,42 +164,22 @@ impl Packing {
                 ConvWalk::new(layout, in_maps, groups, diagonals, Vec::new(), k, false)
             })
             .collect();
+        let images = BatchLayout::new(layout, 1);
         Ok(Self {
             shape: *shape,
             geo,
-            layout,
+            images,
             facts: PlanFacts {
                 dependency: OutputDependency::AllInputs,
                 input_cts: geo.input_cts,
                 output_cts: geo.output_cts,
                 jobs: geo.input_cts,
                 galois_elements: first_uses(walks.iter().enumerate()),
-                batch_capacity: images_layout(&layout).capacity().min(MAX_BATCH),
+                batch_capacity: images.capacity().min(MAX_BATCH),
                 coeff_packed: false,
             },
             walks,
         })
-    }
-
-    /// Calls `f(channel, y, x, slot)` for every pixel (at the given
-    /// stride) of every channel `map` places in a ciphertext.
-    fn for_each_slot(
-        &self,
-        map: &ChannelMap,
-        (h, w, stride): (usize, usize, usize),
-        mut f: impl FnMut(usize, usize, usize, usize),
-    ) {
-        for (lane, row) in map.iter().enumerate() {
-            for (b, ch) in row.iter().enumerate() {
-                let Some(c) = *ch else { continue };
-                for y in 0..h {
-                    for x in 0..w {
-                        let slot = self.layout.slot(b, 0, y * stride, x * stride);
-                        f(c, y, x, lane * self.layout.lane_size + slot);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -214,7 +189,7 @@ impl ConvScheme for Packing {
     }
 
     fn batch_layout(&self, _result: usize) -> Option<BatchLayout> {
-        Some(images_layout(&self.layout))
+        Some(self.images)
     }
 
     fn pack(
@@ -223,21 +198,16 @@ impl ConvScheme for Packing {
         t: u64,
         emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
     ) -> Result<(), SpotError> {
-        let shape = &self.shape;
-        let n = 2 * self.layout.lane_size;
-        for j in 0..self.geo.input_cts {
-            let map = channel_map(&self.geo, j, shape.c_in);
-            let rows: Vec<Vec<u64>> = images
-                .iter()
+        let layout = &self.images.layout;
+        for walk in &self.walks {
+            let rows: Vec<Vec<u64>> = (images.iter())
                 .map(|img| {
-                    let mut slots = vec![0u64; n];
-                    self.for_each_slot(&map, (shape.height, shape.width, 1), |c, y, x, slot| {
-                        slots[slot] = to_field(img.at(c, y, x), t);
-                    });
+                    let mut slots = vec![0u64; 2 * layout.lane_size];
+                    layout.scatter(walk.in_map(), 0, img, t, &mut slots);
                     slots
                 })
                 .collect();
-            emit(images_layout(&self.layout).pack_images(&rows))?;
+            emit(self.images.pack_images(&rows))?;
         }
         Ok(())
     }
@@ -283,14 +253,12 @@ impl ConvScheme for Packing {
     }
 
     fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
-        let shape = &self.shape;
-        let out = (shape.out_height(), shape.out_width(), shape.stride);
-        let mut share = Tensor::zeros(shape.c_out, out.0, out.1);
-        for (k, values) in rows.iter().enumerate() {
-            let out_ch = channel_map(&self.geo, k, shape.c_out);
-            self.for_each_slot(&out_ch, out, |o, y, x, slot| {
-                *share.at_mut(o, y, x) = lift(values[slot], t, center);
-            });
+        let (shape, layout) = (&self.shape, &self.images.layout);
+        let mut share = Tensor::zeros(shape.c_out, shape.out_height(), shape.out_width());
+        // Every input's walk produces the same output groups.
+        for (row, group) in rows.iter().zip(self.walks[0].groups()) {
+            let read = |v| lift(v, t, center);
+            layout.gather(&group.out_ch, 0, shape.stride, row, read, &mut share);
         }
         share
     }

@@ -26,9 +26,10 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
+use crate::layout::BatchLayout;
 use crate::session::{lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
-use spot_he::encoding::{BatchLayout, Plaintext};
+use spot_he::encoding::Plaintext;
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};

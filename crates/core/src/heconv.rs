@@ -47,7 +47,7 @@
 //! for its own key.
 
 use crate::error::SpotError;
-use crate::layout::LaneLayout;
+use crate::layout::{ChannelMap, LaneLayout};
 use parking_lot::RwLock;
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
@@ -61,16 +61,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Channel assignment for one ciphertext: `map[lane][block]` is the
-/// input-channel index held by that block (`None` = padding).
-pub type ChannelMap = Vec<Vec<Option<usize>>>;
-
 /// One output group: `out_ch[lane][block]` is the output channel the
 /// block of the result ciphertext should hold (`None` = unused).
 #[derive(Debug, Clone)]
 pub struct GroupSpec {
     /// Output-channel assignment per lane and block.
-    pub out_ch: Vec<Vec<Option<usize>>>,
+    pub out_ch: ChannelMap,
 }
 
 /// Everything [`HeConvEngine::conv_one_ct`] needs besides the
@@ -296,7 +292,12 @@ struct Term {
 /// computed once from the layer's geometry: the engine runs it, and
 /// the key schedule ([`ConvWalk::elements`]) and the cost model
 /// (`ConvWalk::ops`) read it, so none of the three can drift from
-/// the others.
+/// the others. Its channel maps are also what the packings move data
+/// by: the client scatters an input with `ConvWalk::in_map` and both
+/// parties gather a result with its group's output map, through the one
+/// scatter and gather of [`crate::layout`], which owns the slot format.
+/// Every SPOT walk holds the channel-split layout (lane 1 empty for a
+/// single-channel input) and its lane-swapped twin.
 ///
 /// In order: the column swap (when the input has a lane-swapped second
 /// version); the baby steps `1..B` of each version; at each (version,
@@ -383,6 +384,18 @@ impl ConvWalk {
     /// The lane layout the walk's input is packed with.
     pub(crate) fn layout(&self) -> &LaneLayout {
         &self.layout
+    }
+
+    /// Where the walk's input holds its channels: the map a client
+    /// scatters with (the first version; a second is its lane swap).
+    pub(crate) fn in_map(&self) -> &ChannelMap {
+        &self.in_maps[0]
+    }
+
+    /// The output groups, one result ciphertext each, in result order:
+    /// the maps a share is gathered with.
+    pub(crate) fn groups(&self) -> &[GroupSpec] {
+        &self.groups
     }
 
     /// Which (baby step, version) pairs of group `gi`'s giant step `j`

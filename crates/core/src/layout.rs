@@ -1,4 +1,7 @@
-//! Lane-based SIMD slot layouts shared by every packing scheme.
+//! The slot format: which SIMD slot holds channel `c` of piece `p` of
+//! image `b`. This module is the only place that decides it; the
+//! packing schemes and the conv engine name channels with a
+//! [`ChannelMap`] and leave the slot arithmetic here.
 //!
 //! A BFV ciphertext's `N` slots form two rows ("lanes") of `R = N/2`
 //! slots that row-rotations shift cyclically and independently. Every
@@ -8,7 +11,7 @@
 //!
 //! ```text
 //! lane = [ block 0 | block 1 | ... | block B-1 ]       (B channel blocks)
-//! block b = [ piece 0 | piece 1 | ... | piece G-1 ]    (G spatial pieces)
+//! block b = [ piece 0 | piece 1 | ... | piece G-1 ]    (G piece positions)
 //! piece = S slots (row-major h×w, zero-padded to the power of two S)
 //! ```
 //!
@@ -17,9 +20,24 @@
 //! rotating by a small spatial offset shifts every piece's pixels
 //! simultaneously (the SISO kernel taps), with cross-piece leakage
 //! removed by zeros in the kernel plaintexts.
+//!
+//! A piece position spans both lanes and every block: a [`ChannelMap`]
+//! says which channel sits in each `(lane, block)` of it. SPOT splits a
+//! patch's channels across the two lanes (lane 1 empty for a
+//! single-channel input) and fills the positions with pieces;
+//! channel-wise packing puts its channels at position 0. Both write a
+//! tensor into slots with the one `LaneLayout::scatter` and read one
+//! back with the one `LaneLayout::gather`; [`BatchLayout`] then
+//! interleaves a batch's images, or its masks, over the free positions.
 
 use crate::error::SpotError;
+use spot_tensor::fixed::to_field;
 use spot_tensor::tensor::Tensor;
+
+/// Channel assignment for one ciphertext: `map[lane][block]` is the
+/// channel held by that block at every piece position (`None` =
+/// padding).
+pub type ChannelMap = Vec<Vec<Option<usize>>>;
 
 /// A lane layout: `B` channel blocks × `G` pieces × `S` spatial slots,
 /// with `B·G·S = R` exactly.
@@ -29,7 +47,7 @@ pub struct LaneLayout {
     pub lane_size: usize,
     /// Channel blocks per lane.
     pub blocks: usize,
-    /// Spatial pieces per block.
+    /// Piece positions per block.
     pub groups: usize,
     /// Slots per piece (power of two ≥ piece height × width).
     pub piece_slots: usize,
@@ -42,6 +60,13 @@ pub struct LaneLayout {
 /// Rounds up to the next power of two (min 1).
 pub fn next_pow2(x: usize) -> usize {
     x.max(1).next_power_of_two()
+}
+
+/// The `(lane, block, channel)` triples `map` places, lane-major.
+fn placed(map: &ChannelMap) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    (map.iter().enumerate()).flat_map(|(lane, row)| {
+        (row.iter().enumerate()).filter_map(move |(block, ch)| ch.map(|c| (lane, block, c)))
+    })
 }
 
 impl LaneLayout {
@@ -101,6 +126,148 @@ impl LaneLayout {
     pub fn block_rotation_step(&self, d: usize) -> i64 {
         (d * self.groups * self.piece_slots) as i64
     }
+
+    /// Writes `tensor` into piece position `group` of the full
+    /// `2·lane_size` slot row `slots`: channel `map[lane][block]` of it
+    /// into that block of that lane, pixel `(y, x)` at
+    /// `slot(block, group, y, x)`, each value mapped into `Z_t`.
+    pub(crate) fn scatter(
+        &self,
+        map: &ChannelMap,
+        group: usize,
+        tensor: &Tensor,
+        t: u64,
+        slots: &mut [u64],
+    ) {
+        for (lane, block, c) in placed(map) {
+            for y in 0..tensor.height() {
+                for x in 0..tensor.width() {
+                    slots[lane * self.lane_size + self.slot(block, group, y, x)] =
+                        to_field(tensor.at(c, y, x), t);
+                }
+            }
+        }
+    }
+
+    /// Reads piece position `group` of `slots` into `out`: every
+    /// channel `map` names, from the first `(lane, block)` that holds
+    /// it (a folded result repeats its channels), `out`'s pixel
+    /// `(y, x)` from the piece's `(y·stride, x·stride)`, through `lift`.
+    pub(crate) fn gather(
+        &self,
+        map: &ChannelMap,
+        group: usize,
+        stride: usize,
+        slots: &[u64],
+        lift: impl Fn(u64) -> i64,
+        out: &mut Tensor,
+    ) {
+        let mut read = vec![false; out.channels()];
+        for (lane, block, c) in placed(map) {
+            if std::mem::replace(&mut read[c], true) {
+                continue;
+            }
+            for y in 0..out.height() {
+                for x in 0..out.width() {
+                    let slot = self.slot(block, group, y * stride, x * stride);
+                    *out.at_mut(c, y, x) = lift(slots[lane * self.lane_size + slot]);
+                }
+            }
+        }
+    }
+}
+
+/// Cross-image SIMD-slot batching: interleaves several images' slot
+/// rows into the free piece positions of one ciphertext.
+///
+/// A single image occupies positions `0..stride` (its piece count; 1
+/// for channel-wise packing), each across both lanes and every channel
+/// block. The convolution's kernel plaintexts write every position
+/// identically, so each position computes an independent convolution
+/// and spare positions are free capacity: image `b` takes positions
+/// `b·stride ..`, giving [`BatchLayout::capacity`] images per
+/// ciphertext with the server's HE operation count unchanged —
+/// rotations and key switches amortize to `1/B` per image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchLayout {
+    /// The lane structure the images are packed in.
+    pub layout: LaneLayout,
+    /// Positions one image occupies.
+    pub stride: usize,
+}
+
+impl BatchLayout {
+    /// Images of `stride` positions each over `layout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image does not fit (`stride` not in
+    /// `1..=layout.groups`).
+    pub fn new(layout: LaneLayout, stride: usize) -> Self {
+        assert!(
+            stride >= 1 && stride <= layout.groups,
+            "image stride {stride} exceeds {} positions",
+            layout.groups
+        );
+        Self { layout, stride }
+    }
+
+    /// Images one ciphertext can carry (`≥ 1`).
+    pub fn capacity(&self) -> usize {
+        self.layout.groups / self.stride
+    }
+
+    /// Copies position `src_pos` of `src` (every block of both lanes)
+    /// to position `dst_pos` of `dst`; both are full `2·lane_size`
+    /// slot rows.
+    fn copy_position(&self, dst: &mut [u64], src: &[u64], dst_pos: usize, src_pos: usize) {
+        let l = &self.layout;
+        for lane in 0..2 {
+            for b in 0..l.blocks {
+                let at = |pos| lane * l.lane_size + l.slot(b, pos, 0, 0);
+                let (d, s) = (at(dst_pos), at(src_pos));
+                dst[d..d + l.piece_slots].copy_from_slice(&src[s..s + l.piece_slots]);
+            }
+        }
+    }
+
+    /// The one scatter of a batch: row `b` contributes exactly its
+    /// positions `0..stride`, moved to positions `b·stride ..` of one
+    /// shared row; every other slot is zero. The client interleaves its
+    /// images' packings with it; the server scatters its per-image
+    /// masks with it, so each image's slots are masked by that image's
+    /// own randomness even though the ciphertext is shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `capacity()` rows are given.
+    pub fn pack_images(&self, rows: &[Vec<u64>]) -> Vec<u64> {
+        assert!(
+            rows.len() <= self.capacity(),
+            "{} images exceed batch capacity {}",
+            rows.len(),
+            self.capacity()
+        );
+        let mut out = vec![0u64; 2 * self.layout.lane_size];
+        for (b, row) in rows.iter().enumerate() {
+            for p in 0..self.stride {
+                self.copy_position(&mut out, row, b * self.stride + p, p);
+            }
+        }
+        out
+    }
+
+    /// Extracts image `b`'s slots from a shared row back into
+    /// single-image form (positions `0..stride`, all other slots zero),
+    /// the exact inverse of [`BatchLayout::pack_images`] for that image.
+    pub fn unpack_image(&self, shared: &[u64], b: usize) -> Vec<u64> {
+        assert!(b < self.capacity(), "image {b} out of batch range");
+        let mut out = vec![0u64; 2 * self.layout.lane_size];
+        for p in 0..self.stride {
+            self.copy_position(&mut out, shared, p, b * self.stride + p);
+        }
+        out
+    }
 }
 
 /// A spatial piece of the input: its global placement plus its data
@@ -119,157 +286,10 @@ pub struct Piece {
     pub data: Tensor,
 }
 
-/// Packs pieces into lane slot vectors.
-///
-/// Returns one `Vec<u64>` of `2 * lane_size` slots per ciphertext; pieces
-/// are assigned lane-major (fill lane 0's groups, then lane 1's), and
-/// channel `c` of a piece goes to block `c` (channels beyond `blocks`
-/// would not fit and must be split by the caller).
-///
-/// Values are mapped into `Z_t` with negative values wrapped.
-///
-/// # Panics
-///
-/// Panics if a piece's channel count exceeds `layout.blocks` or its
-/// dimensions exceed the layout's piece dimensions.
-pub fn pack_pieces(layout: &LaneLayout, pieces: &[Piece], modulus: u64) -> Vec<Vec<u64>> {
-    let per_ct = 2 * layout.groups;
-    let mut out = Vec::new();
-    for chunk in pieces.chunks(per_ct) {
-        let mut slots = vec![0u64; 2 * layout.lane_size];
-        for (idx, piece) in chunk.iter().enumerate() {
-            let lane = idx / layout.groups;
-            let group = idx % layout.groups;
-            let t = &piece.data;
-            assert!(
-                t.channels() <= layout.blocks,
-                "piece channels {} exceed layout blocks {}",
-                t.channels(),
-                layout.blocks
-            );
-            assert!(t.height() <= layout.piece_h && t.width() <= layout.piece_w);
-            for c in 0..t.channels() {
-                for y in 0..t.height() {
-                    for x in 0..t.width() {
-                        let v = t.at(c, y, x).rem_euclid(modulus as i64) as u64;
-                        slots[lane * layout.lane_size + layout.slot(c, group, y, x)] = v;
-                    }
-                }
-            }
-        }
-        out.push(slots);
-    }
-    out
-}
-
-/// Extracts the per-piece results from decoded output slot vectors.
-///
-/// `pieces_meta` carries the same ordering used by [`pack_pieces`];
-/// `out_channels` is the number of meaningful output channel blocks.
-/// Returns, per piece, a `Tensor` of `out_channels × piece_h × piece_w`
-/// with values centered into `(-t/2, t/2]`.
-pub fn unpack_pieces(
-    layout: &LaneLayout,
-    slot_vectors: &[Vec<u64>],
-    piece_count: usize,
-    out_channels: usize,
-    modulus: u64,
-) -> Vec<Tensor> {
-    let per_ct = 2 * layout.groups;
-    let mut out = Vec::with_capacity(piece_count);
-    for p in 0..piece_count {
-        let ct_idx = p / per_ct;
-        let within = p % per_ct;
-        let lane = within / layout.groups;
-        let group = within % layout.groups;
-        let slots = &slot_vectors[ct_idx];
-        let t = Tensor::from_fn(out_channels, layout.piece_h, layout.piece_w, |c, y, x| {
-            let v = slots[lane * layout.lane_size + layout.slot(c, group, y, x)];
-            if v > modulus / 2 {
-                v as i64 - modulus as i64
-            } else {
-                v as i64
-            }
-        });
-        out.push(t);
-    }
-    out
-}
-
-/// Packs pieces with each piece's channels **split across both lanes**:
-/// channel `c` goes to lane `c / blocks`, block `c % blocks`, so a piece
-/// may span `2·blocks` channels and each ciphertext carries
-/// `layout.groups` pieces. Used by SPOT to double the per-patch slot
-/// budget to the full `N / C_i` the paper's Table VI assumes; the
-/// cross-lane products are handled by the engine's column-swap version.
-///
-/// # Panics
-///
-/// Panics if a piece's channel count exceeds `2·blocks` or its
-/// dimensions exceed the layout's piece dimensions.
-pub fn pack_pieces_split(layout: &LaneLayout, pieces: &[Piece], modulus: u64) -> Vec<Vec<u64>> {
-    let per_ct = layout.groups;
-    let mut out = Vec::new();
-    for chunk in pieces.chunks(per_ct) {
-        let mut slots = vec![0u64; 2 * layout.lane_size];
-        for (group, piece) in chunk.iter().enumerate() {
-            let t = &piece.data;
-            assert!(
-                t.channels() <= 2 * layout.blocks,
-                "piece channels {} exceed 2x layout blocks {}",
-                t.channels(),
-                layout.blocks
-            );
-            assert!(t.height() <= layout.piece_h && t.width() <= layout.piece_w);
-            for c in 0..t.channels() {
-                let lane = c / layout.blocks;
-                let block = c % layout.blocks;
-                for y in 0..t.height() {
-                    for x in 0..t.width() {
-                        let v = t.at(c, y, x).rem_euclid(modulus as i64) as u64;
-                        slots[lane * layout.lane_size + layout.slot(block, group, y, x)] = v;
-                    }
-                }
-            }
-        }
-        out.push(slots);
-    }
-    out
-}
-
-/// Inverse of [`pack_pieces_split`]: extracts per-piece tensors whose
-/// channel `c` lives at lane `c / blocks`, block `c % blocks`.
-pub fn unpack_pieces_split(
-    layout: &LaneLayout,
-    slot_vectors: &[Vec<u64>],
-    piece_count: usize,
-    out_channels: usize,
-    modulus: u64,
-) -> Vec<Tensor> {
-    let per_ct = layout.groups;
-    let mut out = Vec::with_capacity(piece_count);
-    for p in 0..piece_count {
-        let ct_idx = p / per_ct;
-        let group = p % per_ct;
-        let slots = &slot_vectors[ct_idx];
-        let t = Tensor::from_fn(out_channels, layout.piece_h, layout.piece_w, |c, y, x| {
-            let lane = c / layout.blocks;
-            let block = c % layout.blocks;
-            let v = slots[lane * layout.lane_size + layout.slot(block, group, y, x)];
-            if v > modulus / 2 {
-                v as i64 - modulus as i64
-            } else {
-                v as i64
-            }
-        });
-        out.push(t);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spot_tensor::fixed::from_field;
 
     const T: u64 = 1_032_193;
 
@@ -292,39 +312,61 @@ mod tests {
         assert_eq!(l.piece_h * l.piece_w, 9);
     }
 
+    /// Channels split across the lanes, one piece per position: every
+    /// piece gathers back to itself, negative values included.
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn scatter_gather_roundtrip() {
         let l = LaneLayout::new(256, 2, 2, 2);
-        // groups = 256/(2*4) = 32, per_ct = 64 pieces
-        let pieces: Vec<Piece> = (0..70)
-            .map(|i| Piece {
-                y0: 0,
-                x0: 0,
-                sign: 1,
-                data: Tensor::from_fn(2, 2, 2, |c, y, x| {
-                    (i as i64 * 100 + c as i64 * 10 + (y * 2 + x) as i64) - 50
-                }),
+        let map = vec![vec![Some(0), Some(1)], vec![Some(2), None]];
+        let pieces: Vec<Tensor> = (0..l.groups as i64)
+            .map(|i| {
+                Tensor::from_fn(3, 2, 2, |c, y, x| {
+                    i * 100 + c as i64 * 10 + (y * 2 + x) as i64 - 50
+                })
             })
             .collect();
-        let cts = pack_pieces(&l, &pieces, T);
-        assert_eq!(cts.len(), 2); // 64 + 6
-        let outs = unpack_pieces(&l, &cts, 70, 2, T);
-        for (i, got) in outs.iter().enumerate() {
-            assert_eq!(got, &pieces[i].data, "piece {i}");
+        let mut slots = vec![0u64; 2 * l.lane_size];
+        for (group, piece) in pieces.iter().enumerate() {
+            l.scatter(&map, group, piece, T, &mut slots);
         }
+        for (group, piece) in pieces.iter().enumerate() {
+            let mut got = Tensor::zeros(3, 2, 2);
+            l.gather(&map, group, 1, &slots, |v| from_field(v, T), &mut got);
+            assert_eq!(&got, piece, "piece {group}");
+        }
+    }
+
+    /// A channel held by several blocks is read from its first; a
+    /// stride reads every other pixel.
+    #[test]
+    fn gather_reads_a_repeated_channel_once_at_its_first_block() {
+        let l = LaneLayout::new(64, 2, 4, 4);
+        let slots: Vec<u64> = (0..2 * l.lane_size as u64).collect();
+        let map = vec![vec![Some(0), Some(0)], vec![Some(0), None]];
+        let mut got = Tensor::zeros(1, 2, 2);
+        l.gather(&map, 1, 2, &slots, |v| v as i64, &mut got);
+        let want = |y: usize, x: usize| l.slot(0, 1, 2 * y, 2 * x) as i64;
+        assert_eq!(got, Tensor::from_fn(1, 2, 2, |_, y, x| want(y, x)));
+    }
+
+    #[test]
+    fn batch_positions_are_disjoint() {
+        let bl = BatchLayout::new(LaneLayout::new(256, 4, 4, 2), 1);
+        assert_eq!(bl.capacity(), bl.layout.groups);
+        // Packing one image must not touch any other image's positions.
+        let img = bl.unpack_image(&(0..512).collect::<Vec<u64>>(), 0);
+        let shared = bl.pack_images(&[vec![0u64; 512], img.clone()]);
+        assert_eq!(bl.unpack_image(&shared, 0), vec![0u64; 512]);
+        assert_eq!(bl.unpack_image(&shared, 1), img);
     }
 
     #[test]
     #[should_panic]
-    fn oversized_piece_rejected() {
-        let l = LaneLayout::new(64, 8, 2, 2);
-        let p = Piece {
-            y0: 0,
-            x0: 0,
-            sign: 1,
-            data: Tensor::zeros(16, 2, 2),
-        };
-        let _ = pack_pieces(&l, &[p], T);
+    fn batch_overflow_rejected() {
+        let bl = BatchLayout::new(LaneLayout::new(256, 2, 4, 8), 2);
+        assert_eq!(bl.capacity(), 2);
+        let rows: Vec<Vec<u64>> = (0..3).map(|_| vec![0u64; 512]).collect();
+        let _ = bl.pack_images(&rows);
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub fn select_patch(shape: &ConvShape, level: ParamLevel, mode: PatchMode) -> Op
     }
     let ci_pad = next_pow2(shape.c_in);
     // Channels split across the two lanes give each patch the full
-    // N / C_i slot budget of the paper's Table VI (single-channel inputs
-    // stay lane-contained).
+    // N / C_i slot budget of the paper's Table VI; a single-channel
+    // input is padded to two (`spot::blocking`) and leaves lane 1 empty,
+    // so its budget is one lane.
     let budget_slots = if ci_pad >= 2 {
         level.degree()
     } else {

@@ -66,6 +66,7 @@ use crate::cheetah;
 use crate::error::SpotError;
 use crate::executor::Executor;
 use crate::heconv::{ConvWalk, HeConvEngine, KernelCache, RotationKeys};
+use crate::layout::BatchLayout;
 use crate::patching::PatchMode;
 use crate::spot;
 use crate::stream::{end_wait, run_stream, Round, StreamConfig, StreamStats};
@@ -73,7 +74,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
-use spot_he::encoding::{BatchEncoder, BatchLayout, Plaintext};
+use spot_he::encoding::{BatchEncoder, Plaintext};
 use spot_he::encryptor::{Decryptor, SymmetricEncryptor};
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::{GaloisKeys, KeyGenerator};
@@ -656,13 +657,6 @@ pub enum UploadPacing {
     AwaitAck,
 }
 
-/// Summary of a completed client upload phase.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientSendSummary {
-    /// Input ciphertexts sent, one encryption each.
-    pub input_cts: usize,
-}
-
 /// The client's completed download phase for one image: its additive
 /// output share.
 #[derive(Debug, Clone)]
@@ -757,7 +751,7 @@ impl<'a> ClientConv<'a> {
         input: &Tensor,
         pacing: UploadPacing,
         rng: &mut R,
-    ) -> Result<ClientSendSummary, SpotError> {
+    ) -> Result<usize, SpotError> {
         self.send_batch(transport, std::slice::from_ref(input), pacing, rng)
     }
 
@@ -777,13 +771,15 @@ impl<'a> ClientConv<'a> {
     /// the same ciphertexts, so the upload — and the server's rotations
     /// and key-switches — stay those of a single image; one image is
     /// the identity layout.
+    ///
+    /// Returns the input ciphertexts sent, one encryption each.
     pub fn send_batch<R: Rng>(
         &self,
         transport: &dyn Transport,
         inputs: &[Tensor],
         pacing: UploadPacing,
         rng: &mut R,
-    ) -> Result<ClientSendSummary, SpotError> {
+    ) -> Result<usize, SpotError> {
         let batch = inputs.len();
         let width = check_batch(&*self.plan, batch)?;
         // When wire trace context is on, the hello carries a trace id
@@ -859,9 +855,7 @@ impl<'a> ClientConv<'a> {
                 Ok(())
             })?;
         }
-        Ok(ClientSendSummary {
-            input_cts: seq as usize,
-        })
+        Ok(seq as usize)
     }
 
     /// [`ClientConv::absorb_batch`] for one image.
@@ -1435,11 +1429,11 @@ fn serve_rounds<R: Rng>(
                     })
                     .collect();
                 // B=1 bit-identity, case 2: a lone image is masked by
-                // its full-width vector. `scatter_masks(&[r])` would
+                // its full-width vector. `pack_images(&[r])` would
                 // zero every position past the image's stride, changing
                 // the downlink bytes and leaving those slots unmasked.
                 let mask = match plan.batch_layout(result) {
-                    Some(layout) if width > 1 => &layout.scatter_masks(&rows),
+                    Some(layout) if width > 1 => &layout.pack_images(&rows),
                     _ => &rows[0],
                 };
                 let masked = evaluator.sub_plain(&ct, &codec.encode(mask));
@@ -1598,7 +1592,7 @@ pub fn run_in_process<R: Rng>(
     let share = client.absorb_batch(&ct, batch)?;
 
     let mut counts = server.counts;
-    counts.encrypt += sent.input_cts as u64;
+    counts.encrypt += sent as u64;
     counts.decrypt += share.output_cts as u64;
     let server_shares = std::iter::once(server.server_share).chain(server.extra_shares);
     let tstats = ct.stats();

@@ -20,33 +20,30 @@
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
 
 use crate::error::SpotError;
-use crate::heconv::{ChannelMap, ConvRequest, ConvWalk, GroupSpec};
-use crate::layout::{
-    next_pow2, pack_pieces, pack_pieces_split, unpack_pieces, unpack_pieces_split, LaneLayout,
-};
+use crate::heconv::{ConvRequest, ConvWalk, GroupSpec};
+use crate::layout::{next_pow2, BatchLayout, ChannelMap, LaneLayout};
 use crate::patching::{assemble, decompose, grid_len, overlap_for, Decomposition, PatchMode};
 use crate::session::{first_uses, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
-use spot_he::encoding::BatchLayout;
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
+use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 
 /// Kernel blocking configuration derived from channel counts (Fig. 7).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Blocking {
-    /// Padded input channels.
+    /// Padded input channels, at least two: a piece's channels split
+    /// across the two lanes, which gives each patch the full `N / C_i`
+    /// slot budget of the paper's Table VI (lane 1 empty for a
+    /// single-channel input).
     pub ci_pad: usize,
     /// Padded output channels.
     pub co_pad: usize,
-    /// Channel blocks **per lane** (`ci_pad/2` when split across lanes).
+    /// Channel blocks **per lane** (`ci_pad/2`).
     pub lane_blocks: usize,
-    /// Whether piece channels are split across the two lanes (always,
-    /// except for single-channel inputs) — doubles the patch budget to
-    /// the full `N / C_i` of the paper's Table VI.
-    pub split: bool,
     /// Diagonal count per group.
     pub diagonals: usize,
     /// Output groups (result ciphertexts per input ciphertext).
@@ -57,16 +54,14 @@ pub struct Blocking {
 
 /// Computes the kernel blocking for the given channel counts.
 pub fn blocking(c_in: usize, c_out: usize) -> Blocking {
-    let ci_pad = next_pow2(c_in);
+    let ci_pad = next_pow2(c_in).max(2);
     let co_pad = next_pow2(c_out);
-    let split = ci_pad >= 2;
-    let lane_blocks = if split { ci_pad / 2 } else { 1 };
+    let lane_blocks = ci_pad / 2;
     if co_pad >= ci_pad {
         Blocking {
             ci_pad,
             co_pad,
             lane_blocks,
-            split,
             diagonals: lane_blocks,
             out_groups: (co_pad / ci_pad).max(1),
             fold_steps: Vec::new(),
@@ -84,7 +79,6 @@ pub fn blocking(c_in: usize, c_out: usize) -> Blocking {
             ci_pad,
             co_pad,
             lane_blocks,
-            split,
             diagonals: co_pad.min(lane_blocks),
             out_groups: 1,
             fold_steps,
@@ -100,9 +94,6 @@ pub fn spot_group_specs(blk: &Blocking, c_out: usize) -> Vec<GroupSpec> {
     for g in 0..blk.out_groups {
         let mut out_ch = vec![vec![None; b_lane]; 2];
         for (lane, row) in out_ch.iter_mut().enumerate() {
-            if lane == 1 && !blk.split {
-                break;
-            }
             for (b, slot) in row.iter_mut().enumerate() {
                 let ch = if blk.co_pad >= blk.ci_pad {
                     // C_o ≥ C_i: out channels split across lanes per group
@@ -121,29 +112,20 @@ pub fn spot_group_specs(blk: &Blocking, c_out: usize) -> Vec<GroupSpec> {
     groups
 }
 
-/// Builds the input channel maps for a blocking: the channel-major lane
-/// assignment, plus its lane-swapped twin when channels split across
-/// lanes.
+/// Builds the input channel maps for a blocking: channel `c` in lane
+/// `c / lane_blocks`, block `c % lane_blocks`, and the lane-swapped
+/// twin that takes the cross-lane products.
 pub fn spot_in_maps(blk: &Blocking, c_in: usize) -> Vec<ChannelMap> {
     let b_lane = blk.lane_blocks;
-    let mut map = vec![vec![None; b_lane]; 2];
-    for (lane, row) in map.iter_mut().enumerate() {
-        if lane == 1 && !blk.split {
-            break;
-        }
-        for (b, slot) in row.iter_mut().enumerate() {
-            let ch = lane * b_lane + b;
-            if ch < c_in {
-                *slot = Some(ch);
-            }
-        }
-    }
-    if blk.split {
-        let swapped = vec![map[1].clone(), map[0].clone()];
-        vec![map, swapped]
-    } else {
-        vec![map]
-    }
+    let map: ChannelMap = (0..2)
+        .map(|lane| {
+            (0..b_lane)
+                .map(|b| Some(lane * b_lane + b).filter(|&ch| ch < c_in))
+                .collect()
+        })
+        .collect();
+    let swapped = vec![map[1].clone(), map[0].clone()];
+    vec![map, swapped]
 }
 
 /// Most ciphertexts the main patch class of a served layer may need.
@@ -171,8 +153,8 @@ struct ClassPlan {
     /// counts unchanged (the masked kernel plaintexts already confine
     /// every position's convolution to its own piece). When the class
     /// spills over several ciphertexts each is fully occupied by the
-    /// single image, so the stride clamps to the whole position space:
-    /// capacity 1, pack/unpack the identity.
+    /// single image, so the stride clamps to every position: capacity
+    /// 1, pack/unpack the identity.
     images: BatchLayout,
 }
 
@@ -187,18 +169,10 @@ fn class_plans(
     (probe.classes.iter())
         .map(|(class, pieces)| {
             let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
-            let positions = blk.positions(&layout);
             ClassPlan {
                 walk: blk.walk(layout, channels, (shape.k_h, shape.k_w)),
-                cts: pieces.len().div_ceil(positions),
-                images: BatchLayout::new(
-                    layout.lane_size,
-                    layout.blocks,
-                    layout.groups,
-                    layout.piece_slots,
-                    pieces.len().clamp(1, positions),
-                    !blk.split,
-                ),
+                cts: pieces.len().div_ceil(layout.groups),
+                images: BatchLayout::new(layout, pieces.len().clamp(1, layout.groups)),
             }
         })
         .collect()
@@ -225,21 +199,6 @@ impl Blocking {
             k,
             true,
         )
-    }
-
-    /// Piece positions per ciphertext: lane-major whole pieces, or one
-    /// group per piece when channels split across lanes.
-    fn positions(&self, layout: &LaneLayout) -> usize {
-        if self.split {
-            layout.groups
-        } else {
-            2 * layout.groups
-        }
-    }
-
-    /// Output channels one result ciphertext carries.
-    fn channels_per_group(&self) -> usize {
-        self.ci_pad.min(self.co_pad)
     }
 }
 
@@ -279,7 +238,7 @@ impl Packing {
         let main = LaneLayout::try_new(lane, blk.lane_blocks, patch.0, patch.1)?;
         let patches =
             grid_len(shape.height, patch.0, overlap) * grid_len(shape.width, patch.1, overlap);
-        let main_cts = patches.div_ceil(blk.positions(&main));
+        let main_cts = patches.div_ceil(main.groups);
         if main_cts > MAX_INPUT_CTS {
             return Err(SpotError::Protocol(format!(
                 "layer needs {main_cts} patch ciphertexts, over the limit of {MAX_INPUT_CTS}"
@@ -329,36 +288,20 @@ impl Packing {
         })
     }
 
-    /// Unpacks class `ci`'s rows (ciphertext-major, group-minor; one
-    /// party's decoded results or masks, consumed in place) into
-    /// per-piece share tensors.
-    fn class_share(&self, ci: usize, rows: &mut [Vec<u64>], t: u64) -> Vec<Tensor> {
-        let (blk, layout) = (&self.blk, self.classes[ci].walk.layout());
+    /// Gathers class `ci`'s rows (ciphertext-major, group-minor; one
+    /// party's decoded results or masks) into per-piece share tensors:
+    /// piece `p` sits at position `p mod G` of ciphertext `p / G`, and
+    /// each result row holds the output channels of its group's map.
+    fn class_share(&self, ci: usize, rows: &[Vec<u64>], t: u64) -> Vec<Tensor> {
+        let walk = &self.classes[ci].walk;
+        let (layout, groups) = (walk.layout(), walk.groups());
         let (class, pieces) = &self.probe.classes[ci];
-        let per_group = blk.channels_per_group();
-        let c_out = self.shape.c_out;
-        let unpack = if blk.split {
-            unpack_pieces_split
-        } else {
-            unpack_pieces
-        };
-        let mut class_out = vec![Tensor::zeros(c_out, class.h, class.w); pieces.len()];
-        for g in 0..blk.out_groups {
-            let slots: Vec<Vec<u64>> = (rows.iter_mut().skip(g).step_by(blk.out_groups))
-                .map(std::mem::take)
-                .collect();
-            let unpacked = unpack(layout, &slots, pieces.len(), per_group, t);
-            // With C_o ≥ C_i group g holds channels g·C_i..; with folding
-            // the one group holds all of them.
-            let first = g * per_group;
-            for (out, piece) in class_out.iter_mut().zip(&unpacked) {
-                for local in 0..per_group.min(c_out.saturating_sub(first)) {
-                    for y in 0..class.h {
-                        for x in 0..class.w {
-                            *out.at_mut(first + local, y, x) = piece.at(local, y, x);
-                        }
-                    }
-                }
+        let mut class_out = vec![Tensor::zeros(self.shape.c_out, class.h, class.w); pieces.len()];
+        for (r, row) in rows.iter().enumerate() {
+            let (ct, group) = (r / groups.len(), &groups[r % groups.len()]);
+            let at_ct = class_out.iter_mut().skip(ct * layout.groups);
+            for (position, out) in at_ct.take(layout.groups).enumerate() {
+                layout.gather(&group.out_ch, position, 1, row, |v| from_field(v, t), out);
             }
         }
         class_out
@@ -387,20 +330,21 @@ impl ConvScheme for Packing {
         let decomps: Vec<Decomposition> = (images.iter())
             .map(|img| decompose(img, self.patch.0, self.patch.1, self.shape.k_h, self.mode))
             .collect();
-        let pack = if self.blk.split {
-            pack_pieces_split
-        } else {
-            pack_pieces
-        };
         for (ci, class) in self.classes.iter().enumerate() {
-            // Per image, the class's ciphertext rows; the batch capacity
-            // guarantees a single one each when images share slots.
-            let mut packed: Vec<Vec<Vec<u64>>> = (decomps.iter())
-                .map(|d| pack(class.walk.layout(), &d.classes[ci].1, t))
-                .collect();
+            let (layout, map) = (class.walk.layout(), class.walk.in_map());
             for ct in 0..class.cts {
-                let rows: Vec<Vec<u64>> = (packed.iter_mut())
-                    .map(|image| std::mem::take(&mut image[ct]))
+                // Per image, this ciphertext's pieces, one a position;
+                // the batch capacity guarantees a single ciphertext per
+                // class when images share slots.
+                let rows: Vec<Vec<u64>> = (decomps.iter())
+                    .map(|d| {
+                        let mut slots = vec![0u64; 2 * layout.lane_size];
+                        let pieces = d.classes[ci].1.iter().skip(ct * layout.groups);
+                        for (position, piece) in pieces.take(layout.groups).enumerate() {
+                            layout.scatter(map, position, &piece.data, t, &mut slots);
+                        }
+                        slots
+                    })
                     .collect();
                 emit(class.images.pack_images(&rows))?;
             }
@@ -428,12 +372,12 @@ impl ConvScheme for Packing {
     /// Both parties center: the signed piece assembly (add patch and
     /// corner shares, subtract strip shares) works on centered values,
     /// so `center` changes nothing here.
-    fn share(&self, mut rows: Vec<Vec<u64>>, t: u64, _center: bool) -> Tensor {
+    fn share(&self, rows: Vec<Vec<u64>>, t: u64, _center: bool) -> Tensor {
         let shape = &self.shape;
         let mut pieces = Vec::new();
-        let mut rest = rows.as_mut_slice();
+        let mut rest = rows.as_slice();
         for (ci, class) in self.classes.iter().enumerate() {
-            let (class_rows, tail) = rest.split_at_mut(class.cts * self.blk.out_groups);
+            let (class_rows, tail) = rest.split_at(class.cts * self.blk.out_groups);
             pieces.extend(self.class_share(ci, class_rows, t));
             rest = tail;
         }
@@ -550,7 +494,6 @@ mod tests {
     fn blocking_cases() {
         // C_o >= C_i: split lanes, diagonals over per-lane blocks
         let b = blocking(4, 16);
-        assert!(b.split);
         assert_eq!(b.lane_blocks, 2);
         assert_eq!(b.out_groups, 4);
         assert_eq!(b.diagonals, 2);
@@ -566,10 +509,17 @@ mod tests {
         assert_eq!(b.out_groups, 1);
         assert_eq!(b.diagonals, 4);
         assert!(b.fold_steps.is_empty());
-        // single-channel input stays lane-contained
+        // single-channel input: padded to two channels, split like the
+        // rest with lane 1 empty
         let b = blocking(1, 4);
-        assert!(!b.split);
-        assert_eq!(b.lane_blocks, 1);
+        assert_eq!((b.ci_pad, b.lane_blocks, b.out_groups), (2, 1, 2));
+        assert_eq!(
+            spot_in_maps(&b, 1),
+            [
+                vec![vec![Some(0)], vec![None]],
+                vec![vec![None], vec![Some(0)]]
+            ]
+        );
     }
 
     #[test]

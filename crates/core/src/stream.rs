@@ -44,10 +44,9 @@
 //! under `AllInputs` it is the whole upload, on every worker; under
 //! either, the keys the client is still generating when a rotation
 //! wants them — measured, not assigned.
-//! [`StreamStats::stall_row`] converts a run into the
-//! [`spot_pipeline::report::StallRow`] rendered by
-//! [`spot_pipeline::report::stall_table`]. When `spot_trace` is enabled
-//! the same intervals appear as spans (`stage #i`, `conv #j`, `idle`,
+//! [`stall_table`] renders runs' [`StreamStats`] side by side. When
+//! `spot_trace` is enabled the same intervals appear as spans
+//! (`stage #i`, `conv #j`, `idle`,
 //! `wait key`, `out #j` on the workers and the caller, `blocked
 //! (channel full)` on the `server-ingest` thread), which is what the
 //! `stream_timeline` binary and the `--trace` flags export.
@@ -56,7 +55,7 @@ use crate::error::SpotError;
 use crate::executor::Executor;
 use crossbeam::thread;
 use spot_pipeline::plan::OutputDependency;
-use spot_pipeline::report::StallRow;
+use spot_pipeline::report::{secs, Table};
 use spot_trace::{count, gauge, metrics, Cat, Counter};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -295,24 +294,49 @@ impl StreamStats {
             0.0
         }
     }
+}
 
-    /// Converts to the report row rendered by
-    /// [`spot_pipeline::report::stall_table`].
-    pub fn stall_row(&self, scheme: &str) -> StallRow {
-        StallRow {
-            scheme: scheme.to_string(),
-            wall_s: self.wall_s,
-            client_s: self.client_s,
-            client_blocked_s: self.client_blocked_s,
-            server_busy_s: self.server_busy_s,
-            server_idle_s: self.server_idle_s,
-            key_wait_s: self.key_wait_s,
-            input_cts: self.input_items,
-            output_cts: self.output_items,
-            channel_capacity: self.channel_capacity,
-            server_threads: self.server_threads,
-        }
+/// Renders measured stall accounting, one `(label, stats)` row each
+/// (the measured counterpart of the simulator's Table I/II stall
+/// columns). The two server columns are thread-seconds summed across
+/// workers; on a single-thread server they are wall-clock too, which
+/// is how the paper-style stall comparison is read.
+pub fn stall_table(title: impl Into<String>, rows: &[(&str, &StreamStats)]) -> String {
+    let mut table = Table::new(
+        title,
+        &[
+            "scheme",
+            "wall",
+            "client",
+            "client blocked",
+            "server busy",
+            "server idle",
+            "of it: keys",
+            "in cts",
+            "out cts",
+            "chan cap",
+            "threads",
+        ],
+    );
+    for (label, s) in rows {
+        table.row(&[
+            label.to_string(),
+            secs(s.wall_s),
+            secs(s.client_s),
+            secs(s.client_blocked_s),
+            secs(s.server_busy_s),
+            secs(s.server_idle_s),
+            secs(s.key_wait_s),
+            s.input_items.to_string(),
+            s.output_items.to_string(),
+            match s.channel_capacity {
+                usize::MAX => "-".to_string(),
+                bound => bound.to_string(),
+            },
+            s.server_threads.to_string(),
+        ]);
     }
+    table.render()
 }
 
 // ---------------------------------------------------------------------

@@ -1305,7 +1305,7 @@ fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
                 _ => None,
             })
             .collect();
-        assert_eq!(blobs.len(), sent.input_cts);
+        assert_eq!(blobs.len(), sent);
         blobs
     };
     let (first, second) = (upload(), upload());

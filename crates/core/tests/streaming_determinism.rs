@@ -273,7 +273,7 @@ fn key_stream_matches_phased_at_every_read_ahead_pacing_and_link() {
                 let served = served.expect("serve_conv_with");
                 let (sent, share) = (sent.expect("upload"), share.expect("absorb"));
                 let mut counts = served.counts;
-                counts.encrypt += sent.input_cts as u64;
+                counts.encrypt += sent as u64;
                 counts.decrypt += share.output_cts as u64;
                 (share.share, served.server_share, counts)
             })

@@ -303,7 +303,7 @@ fn run_case(
     assert_eq!(absorbed.shares.len(), batch);
     assert_eq!(server_shares.len(), batch);
     let mut counts = served.counts;
-    counts.encrypt += sent.input_cts as u64;
+    counts.encrypt += sent as u64;
     counts.decrypt += absorbed.output_cts as u64;
     let counts = [
         counts.rotate,

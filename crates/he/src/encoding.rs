@@ -136,187 +136,6 @@ impl BatchEncoder {
     }
 }
 
-/// Cross-image SIMD-slot batching: interleaves several images' packed
-/// slot vectors into the free position capacity of one ciphertext.
-///
-/// The lane packings upstream (see `spot-core`'s `LaneLayout`) shape
-/// each lane as `blocks × groups × piece_slots`, and a single image
-/// only ever occupies the first few *positions* — a position being one
-/// `(lane, group)` piece slot range (`lane_major`, the SPOT
-/// whole-piece packing) or one group index across **both** lanes and
-/// all channel blocks (`!lane_major`, the channel-wise and SPOT
-/// channel-split packings). Because the convolution kernel plaintexts
-/// write every group position identically, each position computes a
-/// fully independent convolution: spare positions are free capacity.
-///
-/// `BatchLayout` assigns image `b` the position range
-/// `[b·stride, (b+1)·stride)` where `stride` is the number of
-/// positions one image occupies, giving `capacity()` images per
-/// ciphertext with the server-side HE operation count **unchanged** —
-/// rotations and key-switches amortize to `1/B` per image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchLayout {
-    /// Slots per lane (`N/2`).
-    pub lane_size: usize,
-    /// Channel blocks per lane.
-    pub blocks: usize,
-    /// Piece positions (groups) per block.
-    pub groups: usize,
-    /// Slots per piece position (power of two).
-    pub piece_slots: usize,
-    /// Positions one image occupies (its piece count; 1 for
-    /// channel-wise packing).
-    pub stride: usize,
-    /// Position model: `true` = positions enumerate `(lane, group)`
-    /// pairs lane-major (`2·groups` positions, SPOT whole-piece
-    /// packing); `false` = a position is one group index spanning both
-    /// lanes and all blocks (`groups` positions, channel-wise and SPOT
-    /// channel-split packing).
-    pub lane_major: bool,
-}
-
-impl BatchLayout {
-    /// Builds a batch layout over a `blocks × groups × piece_slots`
-    /// lane structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block structure does not exactly fill the lane or
-    /// an image does not fit (`stride > positions`).
-    pub fn new(
-        lane_size: usize,
-        blocks: usize,
-        groups: usize,
-        piece_slots: usize,
-        stride: usize,
-        lane_major: bool,
-    ) -> Self {
-        assert_eq!(
-            blocks * groups * piece_slots,
-            lane_size,
-            "block structure must exactly fill the lane"
-        );
-        let layout = Self {
-            lane_size,
-            blocks,
-            groups,
-            piece_slots,
-            stride,
-            lane_major,
-        };
-        assert!(
-            stride >= 1 && stride <= layout.positions(),
-            "image stride {} exceeds {} positions",
-            stride,
-            layout.positions()
-        );
-        layout
-    }
-
-    /// Total piece positions per ciphertext.
-    pub fn positions(&self) -> usize {
-        if self.lane_major {
-            2 * self.groups
-        } else {
-            self.groups
-        }
-    }
-
-    /// Images one ciphertext can carry (`≥ 1`).
-    pub fn capacity(&self) -> usize {
-        (self.positions() / self.stride).max(1)
-    }
-
-    /// Copies one position's slots (all blocks, and both lanes in the
-    /// `!lane_major` model) from `src` position `src_pos` to `dst`
-    /// position `dst_pos`. Both vectors are full `2·lane_size` slot
-    /// rows.
-    pub fn copy_position(&self, dst: &mut [u64], src: &[u64], dst_pos: usize, src_pos: usize) {
-        debug_assert!(dst_pos < self.positions() && src_pos < self.positions());
-        debug_assert!(dst.len() == 2 * self.lane_size && src.len() == 2 * self.lane_size);
-        let r = self.lane_size;
-        let ps = self.piece_slots;
-        let gstride = self.groups * ps;
-        if self.lane_major {
-            let (ld, gd) = (dst_pos / self.groups, dst_pos % self.groups);
-            let (ls, gs) = (src_pos / self.groups, src_pos % self.groups);
-            for b in 0..self.blocks {
-                let doff = ld * r + b * gstride + gd * ps;
-                let soff = ls * r + b * gstride + gs * ps;
-                dst[doff..doff + ps].copy_from_slice(&src[soff..soff + ps]);
-            }
-        } else {
-            for lane in 0..2 {
-                for b in 0..self.blocks {
-                    let doff = lane * r + b * gstride + dst_pos * ps;
-                    let soff = lane * r + b * gstride + src_pos * ps;
-                    dst[doff..doff + ps].copy_from_slice(&src[soff..soff + ps]);
-                }
-            }
-        }
-    }
-
-    /// Packs up to `capacity()` images' single-image slot rows (each as
-    /// produced by the B=1 packing, occupying positions `0..stride`)
-    /// into one shared slot row: image `b` lands at positions
-    /// `b·stride ..`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `capacity()` images are given.
-    pub fn pack_images(&self, images: &[Vec<u64>]) -> Vec<u64> {
-        assert!(
-            images.len() <= self.capacity(),
-            "{} images exceed batch capacity {}",
-            images.len(),
-            self.capacity()
-        );
-        let mut out = vec![0u64; 2 * self.lane_size];
-        for (b, img) in images.iter().enumerate() {
-            for p in 0..self.stride {
-                self.copy_position(&mut out, img, b * self.stride + p, p);
-            }
-        }
-        out
-    }
-
-    /// Extracts image `b`'s slots from a shared slot row back into
-    /// single-image form (positions `0..stride`; all other slots zero),
-    /// the exact inverse of [`Self::pack_images`] for that image.
-    pub fn unpack_image(&self, shared: &[u64], b: usize) -> Vec<u64> {
-        assert!(b < self.capacity(), "image {b} out of batch range");
-        let mut out = vec![0u64; 2 * self.lane_size];
-        for p in 0..self.stride {
-            self.copy_position(&mut out, shared, p, b * self.stride + p);
-        }
-        out
-    }
-
-    /// Splits per-image share masks into one shared mask row: image
-    /// `b`'s full-ring mask `masks[b]` contributes exactly its
-    /// positions-`0..stride` slots, scattered to positions
-    /// `b·stride ..`. Subtracting the result from a batched ciphertext
-    /// therefore masks each image's slots with that image's own
-    /// independently drawn randomness — masks stay independent per
-    /// client even though the ciphertext is shared. Slots covered by no
-    /// image stay zero (they hold no image data by construction).
-    pub fn scatter_masks(&self, masks: &[Vec<u64>]) -> Vec<u64> {
-        assert!(
-            masks.len() <= self.capacity(),
-            "{} masks exceed batch capacity {}",
-            masks.len(),
-            self.capacity()
-        );
-        let mut out = vec![0u64; 2 * self.lane_size];
-        for (b, m) in masks.iter().enumerate() {
-            for p in 0..self.stride {
-                self.copy_position(&mut out, m, b * self.stride + p, p);
-            }
-        }
-        out
-    }
-}
-
 /// Returns the Galois element implementing a row rotation by `steps`
 /// (positive = rotate left) for degree `n`.
 ///
@@ -475,74 +294,5 @@ mod tests {
         let (ctx, enc) = setup();
         let t = ctx.params().plain_modulus();
         let _ = enc.encode(&[t]);
-    }
-
-    fn image_row(bl: &BatchLayout, seed: u64) -> Vec<u64> {
-        // A single-image row: nonzero data only in positions 0..stride.
-        let mut row = vec![0u64; 2 * bl.lane_size];
-        let src: Vec<u64> = (0..2 * bl.lane_size as u64)
-            .map(|i| i * 31 + seed)
-            .collect();
-        for p in 0..bl.stride {
-            bl.copy_position(&mut row, &src, p, p);
-        }
-        row
-    }
-
-    #[test]
-    fn batch_pack_unpack_roundtrip_both_models() {
-        for lane_major in [false, true] {
-            let bl = BatchLayout::new(256, 2, 8, 16, 2, lane_major);
-            assert_eq!(bl.positions(), if lane_major { 16 } else { 8 });
-            assert_eq!(bl.capacity(), bl.positions() / 2);
-            let images: Vec<Vec<u64>> = (0..bl.capacity() as u64)
-                .map(|b| image_row(&bl, 1000 * (b + 1)))
-                .collect();
-            let shared = bl.pack_images(&images);
-            for (b, img) in images.iter().enumerate() {
-                assert_eq!(
-                    &bl.unpack_image(&shared, b),
-                    img,
-                    "lane_major={lane_major} b={b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_positions_are_disjoint() {
-        let bl = BatchLayout::new(256, 4, 4, 16, 1, false);
-        // Packing one image must not touch any other image's positions.
-        let img = image_row(&bl, 7);
-        let shared = bl.pack_images(&[vec![0u64; 512], img.clone()]);
-        assert_eq!(bl.unpack_image(&shared, 0), vec![0u64; 512]);
-        assert_eq!(bl.unpack_image(&shared, 1), img);
-    }
-
-    #[test]
-    fn scatter_masks_places_each_images_randomness() {
-        let bl = BatchLayout::new(256, 2, 8, 16, 2, true);
-        let masks: Vec<Vec<u64>> = (0..3u64)
-            .map(|b| (0..512).map(|i| i as u64 * 3 + 100 * b).collect())
-            .collect();
-        let shared = bl.scatter_masks(&masks);
-        for (b, m) in masks.iter().enumerate() {
-            // Image b's slots hold exactly mask b's position-0..stride
-            // slots, independent of every other image's mask.
-            let mut single = vec![0u64; 512];
-            for p in 0..bl.stride {
-                bl.copy_position(&mut single, m, p, p);
-            }
-            assert_eq!(bl.unpack_image(&shared, b), single, "mask {b}");
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn batch_overflow_rejected() {
-        let bl = BatchLayout::new(256, 2, 4, 32, 2, false);
-        assert_eq!(bl.capacity(), 2);
-        let imgs: Vec<Vec<u64>> = (0..3).map(|_| vec![0u64; 512]).collect();
-        let _ = bl.pack_images(&imgs);
     }
 }

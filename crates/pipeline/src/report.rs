@@ -59,88 +59,6 @@ impl Table {
     }
 }
 
-/// One scheme's measured pipeline timing, as produced by the server's
-/// conv driver in `spot-core::stream` (this crate only renders it —
-/// core depends on pipeline, not the reverse).
-///
-/// All `*_s` fields are wall-clock seconds except the two server
-/// fields, which are **thread-seconds** summed across workers (on a
-/// single-thread server the two notions coincide, which is how the
-/// paper-style stall comparison is read).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StallRow {
-    /// Scheme name (`SPOT`, `Channel-wise`, `Cheetah`).
-    pub scheme: String,
-    /// End-to-end wall-clock time of the layer's rounds.
-    pub wall_s: f64,
-    /// Upload-side active time: the client thread's when the in-process
-    /// harness measured it, else the server ingest thread's wait on the
-    /// transport.
-    pub client_s: f64,
-    /// Upload-side back-pressure: the client blocked on its bounded
-    /// link (in-process), else the ingest thread blocked on the
-    /// server's read-ahead queue.
-    pub client_blocked_s: f64,
-    /// Server thread-seconds spent staging inputs and convolving.
-    pub server_busy_s: f64,
-    /// Server thread-seconds blocked waiting for a runnable job or for
-    /// a rotation key while the upload was open — the paper's "linear
-    /// computation stall".
-    pub server_idle_s: f64,
-    /// The part of `server_idle_s` spent waiting for a rotation key;
-    /// the rest is the wait for ciphertexts.
-    pub key_wait_s: f64,
-    /// Input ciphertexts streamed client → server.
-    pub input_cts: usize,
-    /// Output ciphertexts returned server → client.
-    pub output_cts: usize,
-    /// The server's read-ahead bound (`usize::MAX` = unbounded).
-    pub channel_capacity: usize,
-    /// Server worker threads.
-    pub server_threads: usize,
-}
-
-/// Renders measured stall accounting for a set of schemes as a table
-/// (the measured counterpart of the simulator's Table I/II stall
-/// columns).
-pub fn stall_table(title: impl Into<String>, rows: &[StallRow]) -> String {
-    let mut t = Table::new(
-        title,
-        &[
-            "scheme",
-            "wall",
-            "client",
-            "client blocked",
-            "server busy",
-            "server idle",
-            "of it: keys",
-            "in cts",
-            "out cts",
-            "chan cap",
-            "threads",
-        ],
-    );
-    for r in rows {
-        t.row(&[
-            r.scheme.clone(),
-            secs(r.wall_s),
-            secs(r.client_s),
-            secs(r.client_blocked_s),
-            secs(r.server_busy_s),
-            secs(r.server_idle_s),
-            secs(r.key_wait_s),
-            r.input_cts.to_string(),
-            r.output_cts.to_string(),
-            match r.channel_capacity {
-                usize::MAX => "-".to_string(),
-                bound => bound.to_string(),
-            },
-            r.server_threads.to_string(),
-        ]);
-    }
-    t.render()
-}
-
 /// One direction of a session's wire traffic: real framed byte and
 /// message counts from a transport, the wall-clock the transfer
 /// actually took (zero when it was not measured separately), and what

@@ -272,14 +272,14 @@ fn spot_works_at_n8192() {
     assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
 }
 
-#[test]
-fn single_channel_input_lane_contained_path() {
-    // C_i = 1 exercises the non-split packing branch.
+/// SPOT over a single-channel input: the channels split across the
+/// lanes like any other layer's, with lane 1 empty.
+fn single_channel_spot(size: usize, c_out: usize, seed: u64) {
     let ctx = ctx();
-    let mut rng = StdRng::seed_from_u64(88);
+    let mut rng = StdRng::seed_from_u64(seed);
     let keygen = KeyGenerator::new(&ctx, &mut rng);
-    let input = Tensor::random(1, 8, 8, 6, 15);
-    let kernel = Kernel::random(4, 1, 3, 3, 4, 16);
+    let input = Tensor::random(1, size, size, 6, seed + 1);
+    let kernel = Kernel::random(c_out, 1, 3, 3, 4, seed + 2);
     let sp = spot_conv(
         &ctx,
         &keygen,
@@ -290,4 +290,25 @@ fn single_channel_input_lane_contained_path() {
         &mut rng,
     );
     assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
+}
+
+#[test]
+fn single_channel_input_lane_contained_path() {
+    single_channel_spot(8, 4, 88);
+}
+
+/// 169 patches: more than the 128 positions of one ciphertext, so the
+/// main class spills into a second. A lane-major position model put
+/// the spill-over pieces in lane 1, which the channel maps leave empty
+/// for one channel, and those pieces convolved to zero.
+#[test]
+fn single_channel_input_with_more_patches_than_a_ciphertext_holds() {
+    single_channel_spot(40, 2, 89);
+}
+
+/// One output channel folds, and every class past the first ciphertext's
+/// positions still reconstructs.
+#[test]
+fn single_channel_input_to_a_single_channel() {
+    single_channel_spot(64, 1, 90);
 }
