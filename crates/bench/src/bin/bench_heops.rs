@@ -45,7 +45,15 @@
 //! `dot_lifted9` is a 3×3 kernel's tap sum as one
 //! inner product (`Evaluator::dot_lifted`) and `mult_add9` the same sum
 //! as nine `multiply_lifted` and eight `add_inplace`; their ratio is
-//! held under 0.7.
+//! held under 0.7. `mod_switch` is the switch every result takes down
+//! to its level's first two primes, mask folded in, **per polynomial**
+//! (a result's time / 2): at N4096 one inverse and two forward row
+//! transforms plus four row passes, so `ratios` relates it to one
+//! forward row transform (≈ 4 at N4096, where `bench_check` fails above
+//! 8, which the coefficient-domain switch it replaced, at ≈ 20, would;
+//! ≈ 7–9 at N8192, where three primes go). The client's
+//! `decrypt_result` is `decrypt` of such a result, under the row prefix
+//! of the key.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,13 +75,24 @@ use std::time::Instant;
 /// leak into the samples; the median is robust to scheduler spikes on
 /// shared hardware).
 fn time_us(reps: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+    time_us_on(reps, || (), |()| f())
+}
+
+/// [`time_us`] of `f` on a fresh `setup()` each call, the setup
+/// untimed: for an operation that consumes its input.
+fn time_us_on<T>(
+    reps: usize,
+    mut setup: impl FnMut() -> T,
+    mut f: impl FnMut(T),
+) -> (f64, f64, f64) {
     for _ in 0..(reps / 10).clamp(1, 5) {
-        f();
+        f(setup());
     }
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
+        let input = setup();
         let start = Instant::now();
-        f();
+        f(input);
         samples.push(start.elapsed().as_secs_f64() * 1e6);
     }
     let mean = samples.iter().sum::<f64>() / reps as f64;
@@ -217,6 +236,19 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
                 std::hint::black_box(evaluator.dot_lifted(&terms));
             }),
         );
+
+        // The switch every result takes before it leaves the server,
+        // its mask folded in, per polynomial (a result has two).
+        let switch = ctx.result_switch().expect("more than two primes");
+        let mask = encoder.encode(&values);
+        let (mean, median, min) = time_us_on(
+            reps,
+            || ct.clone(),
+            |ct| {
+                std::hint::black_box(switch.switch_masked(ct, &mask));
+            },
+        );
+        push("mod_switch", reps, (mean / 2.0, median / 2.0, min / 2.0));
 
         if level.supports_rotation() {
             let rot_reps = reps / 10;
@@ -497,6 +529,19 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(S
                 std::hint::black_box(decryptor.decrypt(&ct));
             }),
         );
+        // What the client decrypts of a result: the masked result at
+        // the level's first two primes, under the row prefix of its key.
+        let rctx = ctx.result_context();
+        let result = evaluator.mask_result(ct.clone(), &plain);
+        let result_decryptor = Decryptor::new(rctx, keygen.secret_key().restricted_to(rctx));
+        push(
+            "decrypt_result",
+            reps,
+            1,
+            time_us(reps, || {
+                std::hint::black_box(result_decryptor.decrypt(&result));
+            }),
+        );
     }
     byte_ratios
 }
@@ -571,11 +616,13 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     // nine-term tap sum as one inner product against term by term
     // (ceiling 0.7); a 3×3 kernel's eight taps composed from four keys
     // against rotated to from one hoist with eight (three hoists for
-    // one; ceiling 2.0); a rotation key's wire bytes against its k digit
-    // polynomials alone (1.0003 while the a_i travel as a seed, 2.0 if
-    // they travel themselves; ceiling 1.1); and an uploaded
-    // ciphertext's bytes against the full form's (0.5004 while c1
-    // travels as a seed, 1.0 if it travels itself; ceiling 0.51).
+    // one; ceiling 2.0); a polynomial's modulus switch against one
+    // forward row transform (ceiling 8 at N4096); a rotation key's wire
+    // bytes against its k digit polynomials alone (1.0003 while the a_i
+    // travel as a seed, 2.0 if they travel themselves; ceiling 1.1); and
+    // an uploaded ciphertext's bytes against the full form's (0.5004
+    // while c1 travels as a seed, 1.0 if it travels itself; ceiling
+    // 0.51).
     let min_us = |op: &str, level: &str| {
         entries
             .iter()
@@ -602,6 +649,12 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
         let ratio = min_us("taps3x3_composed", level)? / min_us("rotate_hoisted8", level)?;
         Some(format!(
             "    \"taps3x3_composed_per_rotate_hoisted8/{level}\": {ratio:.3}"
+        ))
+    }));
+    lines.extend(levels.iter().filter_map(|level| {
+        let ratio = min_us("mod_switch", level)? / min_us("ntt_forward", level)?;
+        Some(format!(
+            "    \"mod_switch_per_ntt_forward/{level}\": {ratio:.3}"
         ))
     }));
     lines.extend((byte_ratios.iter()).map(|(name, ratio)| format!("    \"{name}\": {ratio:.4}")));

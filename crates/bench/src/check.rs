@@ -334,12 +334,22 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
 /// `seeded_ct_bytes_per_ct_bytes` is an uploaded ciphertext over the
 /// full form of the same encryption: 0.5004 while `c1` travels as a
 /// 32-byte seed, 1.0 if the upload ever carries it again.
+/// `mod_switch_per_ntt_forward` is one polynomial of a result switched
+/// down to two primes, mask folded in, over one forward row transform,
+/// gated at `N = 4096`, the level results are served at: three
+/// transforms and four row passes read 3.5–4.3 healthy under either
+/// table; the coefficient-domain switch it replaced (every row back and
+/// forth, scalar arithmetic per coefficient) reads about 20. `N = 8192`
+/// is reported beside it, not gated: three primes go there, five
+/// transforms and fourteen row passes a polynomial, which read 6.6 under
+/// `avx512ifma` and up to 8.6 under `avx2+scalar`.
 pub const CEILINGS: &[(&str, f64)] = &[
     ("ratios/rotate_hoisted8_per_8_rotate/", 0.45),
     ("ratios/dot_lifted9_per_mult_add9/", 0.7),
     ("ratios/taps3x3_composed_per_rotate_hoisted8/", 2.0),
     ("ratios/galois_key_bytes_per_digit_poly/", 1.1),
     ("ratios/seeded_ct_bytes_per_ct_bytes/", 0.51),
+    ("ratios/mod_switch_per_ntt_forward/N4096", 8.0),
 ];
 
 /// Every metric of `current` above its [`CEILINGS`] entry, reported
@@ -594,6 +604,20 @@ mod tests {
         for healthy in [1.73, 1.76] {
             assert!(over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, healthy])).is_empty());
         }
+        let switching = |ratio: f64| {
+            parse_baseline(&format!(
+                r#"{{"ratios": {{"mod_switch_per_ntt_forward/N4096": {ratio}}}}}"#
+            ))
+            .unwrap()
+        };
+        assert!(over_ceiling(&switching(4.2)).is_empty());
+        // The coefficient-domain switch: every row back and forth.
+        let unfolded = over_ceiling(&switching(20.0));
+        assert_eq!(unfolded.len(), 1);
+        assert_eq!(
+            (unfolded[0].metric.as_str(), unfolded[0].baseline),
+            ("ratios/mod_switch_per_ntt_forward/N4096", 8.0)
+        );
         let hoist_per_tap = over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, 2.39]));
         assert_eq!(hoist_per_tap.len(), 1);
         assert_eq!(

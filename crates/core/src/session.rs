@@ -923,8 +923,12 @@ impl<'a> ClientConv<'a> {
         transport: &dyn Transport,
         expected: usize,
     ) -> Result<Vec<Vec<u64>>, SpotError> {
-        let decryptor = Decryptor::new(&self.ctx, self.keygen.secret_key().clone());
-        let codec = RowCodec::new(&self.ctx, self.plan.facts());
+        // Results arrive switched down to the first primes of the level
+        // (`Context::result_context`): read and decrypt them there, under
+        // the same rows of the secret key.
+        let rctx = self.ctx.result_context();
+        let decryptor = Decryptor::new(rctx, self.keygen.secret_key().restricted_to(rctx));
+        let codec = RowCodec::new(rctx, self.plan.facts());
         let mut decoded: Vec<Option<Vec<u64>>> = vec![None; expected];
         // An eagerly-pacing client never consumed the server's setup
         // acknowledgement during the upload; it is the first downlink
@@ -949,7 +953,7 @@ impl<'a> ClientConv<'a> {
             if slot.is_some() {
                 return Err(SpotError::Protocol(format!("duplicate result seq {seq}")));
             }
-            let ct = Ciphertext::try_from_bytes(&self.ctx, &blob)?;
+            let ct = Ciphertext::try_from_bytes(rctx, &blob)?;
             *slot = Some(codec.decode(&decryptor.decrypt(&ct)));
         }
         // `expected` receives each filled a slot that was empty, of
@@ -1436,7 +1440,9 @@ fn serve_rounds<R: Rng>(
                     Some(layout) if width > 1 => &layout.pack_images(&rows),
                     _ => &rows[0],
                 };
-                let masked = evaluator.sub_plain(&ct, &codec.encode(mask));
+                // Masked and switched down to the primes results travel
+                // at, in one pass (`Evaluator::mask_result`).
+                let masked = evaluator.mask_result(ct, &codec.encode(mask));
                 transport.send(&WireMessage::MaskedResult {
                     seq: seq_out,
                     blob: masked.to_bytes(),

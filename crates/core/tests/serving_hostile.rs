@@ -17,8 +17,10 @@ use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
 use spot_he::ciphertext::Ciphertext;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
+use spot_he::modswitch::ModSwitch;
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
+use spot_he::poly::{Poly, PolyForm};
+use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes, SerialError};
 use spot_proto::transport::{MemTransport, TcpTransport, TransportStats};
 use spot_proto::{error_code, ConvSetup, ProtoError, Transport, WireMessage};
 use spot_tensor::models::ConvShape;
@@ -1674,5 +1676,119 @@ fn short_server_shares_are_a_typed_error_at_the_client() {
             "client said {detail:?}"
         ),
         other => panic!("expected the typed share refusal, got {other:?}"),
+    }
+}
+
+/// Results travel at the level's first two primes. A server whose
+/// `MaskedResult` carries another modulus — the unswitched three-prime
+/// form a version-5 server sent, or a result switched on down to one
+/// prime — ends the client in the typed header error, never in a share.
+#[test]
+fn a_result_at_the_wrong_modulus_is_a_typed_error_at_the_client() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let rctx = Arc::clone(ctx.result_context());
+    assert_eq!(rctx.moduli_count(), 2);
+    let one_prime = ModSwitch::new(&rctx, 1);
+    let three_primes = Ciphertext::from_parts(
+        Poly::zero(&ctx, PolyForm::Ntt),
+        Poly::zero(&ctx, PolyForm::Ntt),
+    )
+    .to_bytes();
+    // What the server sends in place of its result, by name.
+    let wrong = |name: &str, blob: &[u8]| match name {
+        "three primes" => three_primes.clone(),
+        _ => {
+            let ct = Ciphertext::try_from_bytes(&rctx, blob).expect("the server's result");
+            one_prime.switch(ct).to_bytes()
+        }
+    };
+    let conv = Op::Conv {
+        kernel: Kernel::random(3, 2, 3, 3, 1, 450),
+        stride: 1,
+    };
+    let cnn = TinyCnn::from_ops(vec![conv, Op::Relu, Op::Reveal]);
+    for name in ["three primes", "one prime"] {
+        let server = SpotServer::new(
+            ModelContext::new("one-conv", Arc::clone(&ctx), cnn.clone()),
+            ServingConfig::default(),
+        );
+        let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(451));
+        let input = Tensor::random(2, 8, 8, 5, 452);
+        let (ct, st) = MemTransport::pair();
+        let downlink = Tamper::new(&st, |_, msg| match msg {
+            WireMessage::MaskedResult { seq, blob } => {
+                Uplink::Replace(vec![WireMessage::MaskedResult {
+                    seq: *seq,
+                    blob: wrong(name, blob),
+                }])
+            }
+            _ => Uplink::Pass,
+        });
+        let client = within_deadline(name, || {
+            std::thread::scope(|s| {
+                s.spawn(|| server.serve_connection(&downlink));
+                let _hang_up = HangUp(&ct);
+                run_client_batch(
+                    &ctx,
+                    &kg,
+                    &ct,
+                    std::slice::from_ref(&input),
+                    &cnn,
+                    SchemeKind::Spot,
+                    (4, 4),
+                    PatchMode::Tweaked,
+                    &mut StdRng::seed_from_u64(453),
+                )
+            })
+        });
+        match client {
+            Err(SpotError::Serial(SerialError::HeaderMismatch)) => {}
+            other => panic!("{name}: expected the typed header refusal, got {other:?}"),
+        }
+    }
+}
+
+/// A result frame from a version-5 server is refused by its version
+/// byte before its blob is looked at.
+#[test]
+fn a_version_5_result_frame_is_refused_by_its_version_byte() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(454));
+    let input = Tensor::random(2, 8, 8, 5, 455);
+    let kernel = Kernel::random(3, 2, 3, 3, 1, 456);
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
+        &input,
+        &kernel,
+        1,
+        (4, 4),
+        PatchMode::Tweaked,
+    );
+    let conv = ClientConv::new(&ctx, &kg, spec).expect("client plan");
+    let unswitched = Ciphertext::from_parts(
+        Poly::zero(&ctx, PolyForm::Ntt),
+        Poly::zero(&ctx, PolyForm::Ntt),
+    );
+    let mut frame = WireMessage::MaskedResult {
+        seq: 0,
+        blob: unswitched.to_bytes(),
+    }
+    .encode_frame();
+    frame[0] = 5;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let client = within_deadline("version-5 result frame", || {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut raw, _) = listener.accept().expect("accept");
+                raw.write_all(&frame).expect("write the old frame");
+            });
+            let ct = TcpTransport::connect(addr.to_string()).expect("connect");
+            conv.absorb_all(&ct)
+        })
+    });
+    match client {
+        Err(SpotError::Proto(ProtoError::BadVersion(5))) => {}
+        other => panic!("expected the version refusal, got {other:?}"),
     }
 }

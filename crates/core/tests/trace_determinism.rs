@@ -129,6 +129,14 @@ fn run_session(
         "{:?}: serve_conv's counts differ from the run's trace counters",
         spec.scheme
     );
+    // Every result leaves the server switched down to two primes, and
+    // nothing else switches: one `mod_switch` per output ciphertext.
+    assert_eq!(
+        (counters.get(Counter::ModSwitch), share.output_cts),
+        (served.output_cts as u64, served.output_cts),
+        "{:?}: one modulus switch per result sent",
+        spec.scheme
+    );
     let events = spot_trace::take_events();
     spot_trace::disable();
     TraceRun {

@@ -26,9 +26,22 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
-//! Last re-record, `WIRE_VERSION` 5 (kernel taps compose from row and
-//! column moves; a tap outside its piece class is not rotated to),
-//! field by field, in the seven rotating cases: `uplink` and
+//! Last re-record, `WIRE_VERSION` 6 (every result is switched down to
+//! the level's first two primes after masking, the mask folded into the
+//! switch), field by field, in all nine cases: `downlink` and
+//! `downlink_shape` by the result size (a `MaskedResult` blob loses the
+//! rows of every prime past the second: 37,888 B at N4096, three
+//! primes' rows in the N8192 case) and the version byte;
+//! `uplink` and `uplink_shape` by the version byte only — with the
+//! constant put back to 5 both equal the previous values in all nine
+//! cases, and `downlink` and `downlink_shape` are the only fields that
+//! differ. No share, count or output constant moved: the client still
+//! decrypts `m − r` and the server keeps `r`, and the mask is still the
+//! one addition it counts as.
+//!
+//! The re-record before it, `WIRE_VERSION` 5 (kernel taps compose from
+//! row and column moves; a tap outside its piece class is not rotated
+//! to), field by field, in the seven rotating cases: `uplink` and
 //! `uplink_shape` by the shorter key schedule (3×3 over 4×4 pieces:
 //! four tap keys where there were eight, and a seam class adds none);
 //! `downlink` through the client's rng draw order (fewer keys drawn
@@ -42,9 +55,8 @@
 //! `decrypt` where they were, and not at all under channel-wise
 //! packing, whose one piece class has no dead tap. The two Cheetah
 //! cases moved by the version byte only. No share and no output
-//! constant moved. (The re-record before it, `WIRE_VERSION` 4, made
-//! every giant step rotate by one key and sent input ciphertexts as
-//! `c0` and a 32-byte seed.)
+//! constant moved. (`WIRE_VERSION` 4 made every giant step rotate by
+//! one key and sent input ciphertexts as `c0` and a 32-byte seed.)
 //!
 //! The constants must not be edited by a change that claims to leave
 //! the wire format, rng draw order or share values alone.
@@ -367,8 +379,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x63ce_6f15_9516_acb3, 0xf38d_c6f9_fe11_797d),
-            (0x3764_3dc4_2dbf_ad47, 0xe8b2_1b79_7d5e_1494),
+            (0x8978_fc87_c477_c62c, 0xb9e4_4af6_46bd_fc1e),
+            (0x8a8c_51f0_6567_e8cc, 0x3937_8678_832f_8bc7),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -382,8 +394,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x23e1_c952_7f4f_f5dc, 0xf38d_c6f9_fe11_797d),
-            (0xedf8_0722_3ebb_3c54, 0xe8b2_1b79_7d5e_1494),
+            (0x26c8_91cc_cd0b_296f, 0xb9e4_4af6_46bd_fc1e),
+            (0x9bed_f756_9c7c_2239, 0x3937_8678_832f_8bc7),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -400,8 +412,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x3990_1005_0ac6_8daa, 0x5061_8e32_8076_2cd6),
-            (0x4a07_8836_6715_255e, 0x927f_dca8_4316_3dac),
+            (0xf446_01d6_0c0d_9dd2, 0xd7d1_2f39_df00_d63e),
+            (0xb598_e355_466c_6076, 0x7901_d477_c3d3_a4d7),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -415,8 +427,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x119f_e62a_6081_83b6, 0x5293_f006_cb73_c1cc),
-            (0x8afe_d09a_ff7b_9e2b, 0xd5ae_79ba_1699_b99c),
+            (0x6d6e_1402_86f2_5801, 0xad00_0f8a_d629_1f57),
+            (0xaf5f_2492_dda6_ac44, 0x690d_77e2_1694_4f37),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -433,8 +445,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x170a_6e38_8eb6_2b7d, 0x63d1_07bb_0412_0670),
-            (0xbf1d_9f71_1fee_1766, 0xd5ae_79ba_1699_b99c),
+            (0x1550_80d6_83c8_82e5, 0x0664_821a_eaf1_3b14),
+            (0xb1d7_6bd4_1fbb_ab92, 0x690d_77e2_1694_4f37),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x3ce7_01fc_7b2e_f8d5,
         ),
@@ -448,8 +460,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xba82_5d7f_02e4_364b, 0x63d1_07bb_0412_0670),
-            (0xe6ea_3d9c_1267_ae97, 0xd5ae_79ba_1699_b99c),
+            (0xbee7_2701_e794_58c3, 0x0664_821a_eaf1_3b14),
+            (0x6198_9b30_9029_f1fb, 0x690d_77e2_1694_4f37),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -466,8 +478,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0x398b_07a0_66ba_83d3, 0x68eb_b8d4_351f_33e5),
-            (0x3ba3_f680_53ea_abba, 0xc775_600d_6295_a99c),
+            (0xe601_c27c_b711_5883, 0x334a_4e2a_04d7_52e9),
+            (0xf314_e78c_47de_8d89, 0x71c5_197f_98b3_d317),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -487,8 +499,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0x0ce5_637a_dfae_b6bb, 0x6ab7_81c4_deb3_ab92),
-        (0x6ca8_fd38_94c9_01ae, 0xd2b9_af8a_af00_8923),
+        (0xe41a_41c4_662c_2b30, 0xba71_2b48_1a3b_7701),
+        (0x6c4f_feaf_23ce_b0d8, 0xec15_ade0_c1c6_ceaf),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xae67_89d6_ac35_cd21,
     );
@@ -522,8 +534,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0xc652_bb0e_71f8_a906, 0xb64c_12b0_b409_a090),
-        downlink: (0x8b06_0ecd_5fbf_c7c4, 0x7569_cff9_a41f_3e82),
+        uplink: (0x410e_29b4_40d4_050f, 0x110b_7839_4157_affb),
+        downlink: (0xf52c_6d8d_b9e6_e1fa, 0x131a_a2f3_9b66_e766),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0x8433_41f6_8525_1727,
     };

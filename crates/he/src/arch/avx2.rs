@@ -322,6 +322,24 @@ avx2_kernel!(
     reduce_v,
     (m: &Modulus, dst: &mut [u64], src: &[u64])
 );
+avx2_kernel!(
+    add_scalar,
+    add_scalar_impl,
+    add_scalar_v,
+    (m: &Modulus, row: &mut [u64], c: u64)
+);
+avx2_kernel!(
+    sub_mul_scalar,
+    sub_mul_scalar_impl,
+    sub_mul_scalar_v,
+    (m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
+);
+avx2_kernel!(
+    mul_add_scalar,
+    mul_add_scalar_impl,
+    mul_add_scalar_v,
+    (m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
+);
 
 /// The AVX2 kernel table (install only after runtime detection). The
 /// two inner products keep the scalar `u128` bodies: AVX2 has no
@@ -336,6 +354,9 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    add_scalar,
+    sub_mul_scalar,
+    mul_add_scalar,
     dot_rows: crate::lazy::dot_rows,
     key_switch_row: crate::lazy::key_switch_row,
 };
@@ -358,6 +379,9 @@ pub static TUNED: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce: super::scalar::reduce,
+    add_scalar,
+    sub_mul_scalar,
+    mul_add_scalar,
     dot_rows: crate::lazy::dot_rows,
     key_switch_row: crate::lazy::key_switch_row,
 };

@@ -253,6 +253,17 @@ ifma_kernel!(
     mul_scalar_v,
     (m, dst: &mut [u64], scalar_val: u64, shoup: u64)
 );
+ifma_kernel!(add_scalar, add_scalar_v, (m, row: &mut [u64], c: u64));
+ifma_kernel!(
+    sub_mul_scalar,
+    sub_mul_scalar_v,
+    (m, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
+);
+ifma_kernel!(
+    mul_add_scalar,
+    mul_add_scalar_v,
+    (m, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
+);
 
 /// `dst[i] = dst[i]·src[i] mod p` over the common length: the product's
 /// two 52-bit halves, reduced once.
@@ -540,6 +551,9 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    add_scalar,
+    sub_mul_scalar,
+    mul_add_scalar,
     dot_rows,
     key_switch_row,
 };

@@ -2,7 +2,8 @@
 //!
 //! The inner loops of the crate that a vector unit can run — the
 //! forward/inverse NTT butterflies, the pointwise polynomial ops, the
-//! key-switch digit lift, and the two widest server loops, the
+//! key-switch digit lift, the modulus switch's row steps, and the two
+//! widest server loops, the
 //! key-switch digit sum and the convolution tap sum — are routed
 //! through a single [`Kernels`] table of function pointers selected
 //! **once** at startup. The two inner products' scalar bodies are
@@ -70,6 +71,17 @@ pub type BinFn = fn(&Modulus, &mut [u64], &[u64]);
 pub type MulScalarFn = fn(&Modulus, &mut [u64], u64, u64);
 /// Element-wise Barrett reduction `dst[i] = src[i] mod p`.
 pub type ReduceFn = fn(&Modulus, &mut [u64], &[u64]);
+/// Element-wise `row[i] = (row[i] mod p + c) mod p` for `row[i] < 4p`
+/// and `c < p`.
+pub type AddScalarFn = fn(&Modulus, &mut [u64], u64);
+/// Element-wise `dst[i] = (dst[i] − (src[i] mod p))·w mod p` for
+/// `dst[i] < p`, `src[i] < 4p`, with `w`'s Shoup constant precomputed by
+/// the caller.
+pub type SubMulScalarFn = fn(&Modulus, &mut [u64], &[u64], u64, u64);
+/// Element-wise `dst[i] = (dst[i] + (src[i] mod p)·w) mod p` for
+/// `dst[i] < p`, `src[i] < 4p`, with `w`'s Shoup constant precomputed by
+/// the caller.
+pub type MulAddScalarFn = fn(&Modulus, &mut [u64], &[u64], u64, u64);
 /// One prime row of a convolution's tap sum, `(modulus, terms, out0,
 /// out1)`; the scalar body is [`crate::lazy::dot_rows`].
 pub type DotRowsFn = fn(&Modulus, &[TermRows<'_>], &mut [u64], &mut [u64]);
@@ -109,6 +121,15 @@ pub struct Kernels {
     /// Barrett reduction of a residue row into a smaller modulus (the
     /// key-switch digit lift).
     pub reduce: ReduceFn,
+    /// Addition of a constant to a lazily reduced row (the modulus
+    /// switch's centring offsets).
+    pub add_scalar: AddScalarFn,
+    /// Subtraction of a lazily reduced row, then multiplication by a
+    /// constant (the modulus switch's divide step).
+    pub sub_mul_scalar: SubMulScalarFn,
+    /// Addition of a lazily reduced row times a constant (the modulus
+    /// switch's weighted correction sums).
+    pub mul_add_scalar: MulAddScalarFn,
     /// The tap sum `Σ_t ct_t ⊙ w_t` of one prime row.
     pub dot_rows: DotRowsFn,
     /// The key-switch digit sum of one prime row, read through the

@@ -251,6 +251,24 @@ neon_kernel!(
     reduce_v,
     (m: &Modulus, dst: &mut [u64], src: &[u64])
 );
+neon_kernel!(
+    add_scalar,
+    add_scalar_impl,
+    add_scalar_v,
+    (m: &Modulus, row: &mut [u64], c: u64)
+);
+neon_kernel!(
+    sub_mul_scalar,
+    sub_mul_scalar_impl,
+    sub_mul_scalar_v,
+    (m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
+);
+neon_kernel!(
+    mul_add_scalar,
+    mul_add_scalar_impl,
+    mul_add_scalar_v,
+    (m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
+);
 
 /// The NEON kernel table (install only after runtime detection).
 pub static KERNELS: Kernels = Kernels {
@@ -263,6 +281,9 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    add_scalar,
+    sub_mul_scalar,
+    mul_add_scalar,
     dot_rows: crate::lazy::dot_rows,
     key_switch_row: crate::lazy::key_switch_row,
 };

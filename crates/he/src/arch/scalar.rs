@@ -140,6 +140,27 @@ pub(crate) fn reduce(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     }
 }
 
+pub(crate) fn add_scalar(m: &Modulus, row: &mut [u64], c: u64) {
+    let (p, two_p) = (m.value(), 2 * m.value());
+    for x in row.iter_mut() {
+        *x = m.add(reduce_4p(p, two_p, *x), c);
+    }
+}
+
+pub(crate) fn sub_mul_scalar(m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64) {
+    let (p, two_p) = (m.value(), 2 * m.value());
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = m.mul_shoup(m.sub(*d, reduce_4p(p, two_p, s)), w, ws);
+    }
+}
+
+pub(crate) fn mul_add_scalar(m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64) {
+    let (p, two_p) = (m.value(), 2 * m.value());
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = m.add(*d, m.mul_shoup(reduce_4p(p, two_p, s), w, ws));
+    }
+}
+
 /// The scalar kernel table.
 pub static KERNELS: Kernels = Kernels {
     name: "scalar",
@@ -151,6 +172,9 @@ pub static KERNELS: Kernels = Kernels {
     pointwise_sub,
     mul_scalar,
     reduce,
+    add_scalar,
+    sub_mul_scalar,
+    mul_add_scalar,
     dot_rows: crate::lazy::dot_rows,
     key_switch_row: crate::lazy::key_switch_row,
 };

@@ -566,3 +566,82 @@ pub(crate) fn reduce_v<T: V64Wide>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     }
     scalar::reduce(m, rest, &src[split..]);
 }
+
+#[inline(always)]
+pub(crate) fn add_scalar_v<T: V64>(m: &Modulus, row: &mut [u64], c: u64) {
+    let p_v = T::splat(m.value());
+    let two_p_v = T::splat(2 * m.value());
+    let c_v = T::splat(c);
+    let split = row.len() - row.len() % T::LANES;
+    let (main, rest) = row.split_at_mut(split);
+    for chunk in main.chunks_exact_mut(T::LANES) {
+        // SAFETY: chunks_exact guarantees LANES u64s.
+        unsafe {
+            // [0, 4p) -> [0, p), then + c < 2p -> [0, p).
+            T::load(chunk.as_ptr())
+                .cond_sub(two_p_v)
+                .cond_sub(p_v)
+                .add(c_v)
+                .cond_sub(p_v)
+                .store(chunk.as_mut_ptr());
+        }
+    }
+    scalar::add_scalar(m, rest, c);
+}
+
+#[inline(always)]
+pub(crate) fn sub_mul_scalar_v<T: V64>(m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64) {
+    let p_v = T::splat(m.value());
+    let two_p_v = T::splat(2 * m.value());
+    let w_v = T::splat(w);
+    let ws_v = T::splat(ws);
+    let split = dst.len() - dst.len() % T::LANES;
+    let (main, rest) = dst.split_at_mut(split);
+    for (dc, sc) in main
+        .chunks_exact_mut(T::LANES)
+        .zip(src.chunks_exact(T::LANES))
+    {
+        // SAFETY: chunks_exact guarantees both chunks hold LANES u64s.
+        unsafe {
+            // s -> [0, p); d + p - s ∈ (0, 2p), inside every backend's
+            // lazy Shoup window.
+            let s = T::load(sc.as_ptr()).cond_sub(two_p_v).cond_sub(p_v);
+            T::load(dc.as_ptr())
+                .add(p_v)
+                .sub(s)
+                .mul_shoup_lazy(w_v, ws_v, p_v)
+                .cond_sub(p_v)
+                .store(dc.as_mut_ptr());
+        }
+    }
+    scalar::sub_mul_scalar(m, rest, &src[split..], w, ws);
+}
+
+#[inline(always)]
+pub(crate) fn mul_add_scalar_v<T: V64>(m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64) {
+    let p_v = T::splat(m.value());
+    let two_p_v = T::splat(2 * m.value());
+    let w_v = T::splat(w);
+    let ws_v = T::splat(ws);
+    let split = dst.len() - dst.len() % T::LANES;
+    let (main, rest) = dst.split_at_mut(split);
+    for (dc, sc) in main
+        .chunks_exact_mut(T::LANES)
+        .zip(src.chunks_exact(T::LANES))
+    {
+        // SAFETY: chunks_exact guarantees both chunks hold LANES u64s.
+        unsafe {
+            // s -> [0, p), s·w -> [0, p); d + s·w < 2p -> [0, p).
+            let sw = T::load(sc.as_ptr())
+                .cond_sub(two_p_v)
+                .cond_sub(p_v)
+                .mul_shoup_lazy(w_v, ws_v, p_v)
+                .cond_sub(p_v);
+            T::load(dc.as_ptr())
+                .add(sw)
+                .cond_sub(p_v)
+                .store(dc.as_mut_ptr());
+        }
+    }
+    scalar::mul_add_scalar(m, rest, &src[split..], w, ws);
+}

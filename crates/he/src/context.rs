@@ -6,10 +6,11 @@
 //! form, and the key-switching gadget values.
 
 use crate::bigint::BigUint;
+use crate::modswitch::{ModSwitch, RESULT_PRIMES};
 use crate::modulus::Modulus;
 use crate::ntt::NttTables;
 use crate::params::EncryptionParams;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Precomputed context for a parameter set. Create once and share via
 /// [`Arc`].
@@ -39,6 +40,9 @@ pub struct Context {
     gadget: Vec<Vec<u64>>,
     /// Slot index map for batching (see encoding module).
     slot_index_map: Vec<usize>,
+    /// The switch down to the primes a result travels at, built on
+    /// first use; `None` inside at [`RESULT_PRIMES`] primes or fewer.
+    result_switch: OnceLock<Option<ModSwitch>>,
 }
 
 fn bit_reverse(x: usize, bits: u32) -> usize {
@@ -157,6 +161,7 @@ impl Context {
             rns_scale,
             gadget,
             slot_index_map,
+            result_switch: OnceLock::new(),
         })
     }
 
@@ -237,6 +242,26 @@ impl Context {
     /// coefficient-NTT position `slot_index_map[i]`.
     pub fn slot_index_map(&self) -> &[usize] {
         &self.slot_index_map
+    }
+
+    /// The switch every result takes before it leaves the server: down
+    /// to this level's first [`RESULT_PRIMES`] primes. Built once, on
+    /// first use, and shared by every session on this context; `None` at
+    /// a level with no more primes than that, whose results travel as
+    /// they are.
+    pub fn result_switch(&self) -> Option<&ModSwitch> {
+        self.result_switch
+            .get_or_init(|| {
+                (self.moduli_count() > RESULT_PRIMES).then(|| ModSwitch::new(self, RESULT_PRIMES))
+            })
+            .as_ref()
+    }
+
+    /// The context a result travels, is read and is decrypted in: the
+    /// target of [`Context::result_switch`], or this context where there
+    /// is none.
+    pub fn result_context(self: &Arc<Self>) -> &Arc<Context> {
+        self.result_switch().map_or(self, ModSwitch::target_context)
     }
 
     /// Reconstructs the centered big-integer value of one coefficient from

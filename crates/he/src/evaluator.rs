@@ -175,6 +175,23 @@ impl Evaluator {
         out
     }
 
+    /// What the client is sent for a result: `ct − mask`, at the primes
+    /// results travel at ([`Context::result_context`]). Above those the
+    /// mask rides the modulus switch ([`ModSwitch::switch_masked`]) and
+    /// costs no transform; either way it is the one addition it counts
+    /// as.
+    ///
+    /// [`ModSwitch::switch_masked`]: crate::modswitch::ModSwitch::switch_masked
+    pub fn mask_result(&self, ct: Ciphertext, mask: &Plaintext) -> Ciphertext {
+        match self.ctx.result_switch() {
+            Some(switch) => {
+                self.tally(Counter::AddOps, 1);
+                switch.switch_masked(ct, mask)
+            }
+            None => self.sub_plain(&ct, mask),
+        }
+    }
+
     /// Multiplies a ciphertext by an encoded plaintext (SIMD slot-wise).
     ///
     /// For repeated use of the same plaintext, pre-lift it with

@@ -75,9 +75,34 @@ pub(crate) fn expand_seed(ctx: &Arc<Context>, seed: &KeySeed, polys: usize) -> V
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     pub(crate) s: Poly,
-    /// Coefficient-form copy, needed to re-embed the key in another
-    /// context.
-    pub(crate) s_coeff: Poly,
+}
+
+impl SecretKey {
+    /// The same secret in `target`, whose primes are the first
+    /// `target.moduli_count()` of this key's: the key's first NTT rows as
+    /// they are (same primes, same transform tables) — what decrypts a
+    /// ciphertext switched down to those primes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target`'s degree differs or its primes are not a
+    /// prefix of the key's.
+    pub fn restricted_to(&self, target: &Arc<Context>) -> SecretKey {
+        let own = self.s.context();
+        let keep = target.moduli_count();
+        assert_eq!(target.degree(), own.degree(), "degree mismatch");
+        assert_eq!(
+            target.params().coeff_moduli(),
+            &own.params().coeff_moduli()[..keep],
+            "target primes are not a prefix of the key's"
+        );
+        let len = keep * own.degree();
+        let mut rows = pool::take(len);
+        rows.copy_from_slice(&self.s.raw()[..len]);
+        SecretKey {
+            s: Poly::from_residues(target, rows, PolyForm::Ntt),
+        }
+    }
 }
 
 /// The public key `(b, a)` with `b = -(a·s + e)`, stored in NTT form.
@@ -172,51 +197,17 @@ pub struct KeyGenerator {
 impl KeyGenerator {
     /// Generates a fresh secret key.
     pub fn new<R: Rng>(ctx: &Arc<Context>, rng: &mut R) -> Self {
-        let s_coeff = sample_ternary(ctx, rng);
-        let mut s = s_coeff.clone();
+        let mut s = sample_ternary(ctx, rng);
         s.to_ntt();
         Self {
             ctx: Arc::clone(ctx),
-            sk: SecretKey { s, s_coeff },
+            sk: SecretKey { s },
         }
     }
 
     /// The secret key.
     pub fn secret_key(&self) -> &SecretKey {
         &self.sk
-    }
-
-    /// Re-embeds this generator's (ternary) secret polynomial into
-    /// another context — used after modulus switching, where the same
-    /// secret must decrypt under a reduced coefficient modulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target degree differs.
-    pub fn secret_key_for(&self, target: &Arc<Context>) -> SecretKey {
-        assert_eq!(target.degree(), self.ctx.degree(), "degree mismatch");
-        // recover signed ternary coefficients from the first modulus
-        let m0 = self.ctx.moduli()[0];
-        let signed: Vec<i64> = self
-            .sk
-            .s_coeff
-            .residues(0)
-            .iter()
-            .map(|&r| {
-                if r == 0 {
-                    0
-                } else if r == 1 {
-                    1
-                } else {
-                    debug_assert_eq!(r, m0.value() - 1);
-                    -1
-                }
-            })
-            .collect();
-        let s_coeff = Poly::from_signed_coeffs(target, &signed);
-        let mut s = s_coeff.clone();
-        s.to_ntt();
-        SecretKey { s, s_coeff }
     }
 
     /// Generates the public key.

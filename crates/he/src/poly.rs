@@ -129,6 +129,12 @@ impl Poly {
         &self.data
     }
 
+    /// The residue storage, taken out of the polynomial (a pooled buffer:
+    /// hand it back with [`pool::recycle`] or to another polynomial).
+    pub(crate) fn into_residues(mut self) -> Vec<u64> {
+        std::mem::take(&mut self.data)
+    }
+
     /// Converts to NTT form in place (no-op if already NTT).
     pub fn to_ntt(&mut self) {
         if self.form == PolyForm::Ntt {

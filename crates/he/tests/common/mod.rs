@@ -5,6 +5,7 @@
 pub mod bit_oracle;
 pub mod coeff_galois;
 pub mod eager_oracle;
+pub mod modswitch_oracle;
 
 /// The rotation steps a 3×3 convolution issues over any lane layout:
 /// tap steps `dy·w + dx` for every piece width, and block steps at

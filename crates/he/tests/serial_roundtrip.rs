@@ -19,7 +19,6 @@ use spot_he::encoding::{rotate_slots_reference, BatchEncoder};
 use spot_he::encryptor::{Decryptor, Encryptor, SymmetricEncryptor};
 use spot_he::evaluator::Evaluator;
 use spot_he::keys::KeyGenerator;
-use spot_he::modswitch::ModSwitch;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_he::serial::{
     galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
@@ -98,13 +97,14 @@ proptest! {
 
     #[test]
     fn modswitched_ciphertext_roundtrips_in_target_context(seed in 0u64..1_000_000) {
-        // N8192 carries ≥ 2 RNS primes, so one switch is always legal.
+        // N8192's five primes go down to the two a result travels at.
         let src = ctx(ParamLevel::N8192);
         let ct = encrypt_random(src, seed);
-        let sw = ModSwitch::new(src);
-        let small = sw.switch(&ct);
+        let sw = src.result_switch().expect("more than two primes");
+        let small = sw.switch(ct);
         let bytes = small.to_bytes();
         let tgt = sw.target_context();
+        prop_assert_eq!(bytes.len(), tgt.params().ciphertext_bytes());
         let back = Ciphertext::try_from_bytes(tgt, &bytes)
             .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
         prop_assert_eq!(back.to_bytes(), bytes);

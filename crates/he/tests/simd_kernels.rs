@@ -12,7 +12,9 @@
 //! - a 62-bit prime (4p just under 2^64 — the tightest lazy window),
 //!   which the IFMA entries hand to the AVX2 / scalar ones;
 //! - boundary coefficients 0 / 1 / p-1 sprinkled into random rows;
-//! - `reduce` fed raw u64 values up to `u64::MAX` (incl. 2p-1, 4p-1);
+//! - `reduce` fed raw u64 values up to `u64::MAX` (incl. 2p-1, 4p-1),
+//!   and the modulus switch's `add_scalar` / `sub_mul_scalar` /
+//!   `mul_add_scalar` rows lazy up to 4p-1;
 //! - lengths that are not a multiple of the vector width (remainder
 //!   loops and masked chunks);
 //! - the two inner products at and past the IFMA table's fold points,
@@ -124,6 +126,28 @@ proptest! {
             (scalar.pointwise_sub)(&m, &mut sub_ref, &b);
             let mut smul_ref = a.clone();
             (scalar.mul_scalar)(&m, &mut smul_ref, s, ss);
+            // The modulus switch's row steps read lazily reduced rows:
+            // `a` lifted by 0..=3 multiples of p, 4p - 1 included.
+            let lazy: Vec<u64> = (a.iter().enumerate())
+                .map(|(i, &v)| if i == n / 2 { 4 * p - 1 } else { v + (i as u64 % 4) * p })
+                .collect();
+            let mut adds_ref = lazy.clone();
+            (scalar.add_scalar)(&m, &mut adds_ref, s);
+            for (i, &x) in adds_ref.iter().enumerate() {
+                prop_assert_eq!(x, (lazy[i] % p + s) % p, "scalar add_scalar wrong at p={}", p);
+            }
+            let mut muladd_ref = b.clone();
+            (scalar.mul_add_scalar)(&m, &mut muladd_ref, &lazy, s, ss);
+            for (i, &x) in muladd_ref.iter().enumerate() {
+                let want = (b[i] as u128 + (lazy[i] % p) as u128 * s as u128) % p as u128;
+                prop_assert_eq!(x, want as u64, "scalar mul_add_scalar wrong at p={}", p);
+            }
+            let mut submul_ref = b.clone();
+            (scalar.sub_mul_scalar)(&m, &mut submul_ref, &lazy, s, ss);
+            for (i, &x) in submul_ref.iter().enumerate() {
+                let diff = (b[i] + p - lazy[i] % p) % p;
+                prop_assert_eq!(x, m.mul(diff, s), "scalar sub_mul_scalar wrong at p={}", p);
+            }
 
             for k in backends() {
                 let mut mul = a.clone();
@@ -138,6 +162,15 @@ proptest! {
                 let mut smul = a.clone();
                 (k.mul_scalar)(&m, &mut smul, s, ss);
                 prop_assert_eq!(&smul, &smul_ref, "mul_scalar {} at p={}", k.name, p);
+                let mut adds = lazy.clone();
+                (k.add_scalar)(&m, &mut adds, s);
+                prop_assert_eq!(&adds, &adds_ref, "add_scalar {} at p={}", k.name, p);
+                let mut submul = b.clone();
+                (k.sub_mul_scalar)(&m, &mut submul, &lazy, s, ss);
+                prop_assert_eq!(&submul, &submul_ref, "sub_mul_scalar {} at p={}", k.name, p);
+                let mut muladd = b.clone();
+                (k.mul_add_scalar)(&m, &mut muladd, &lazy, s, ss);
+                prop_assert_eq!(&muladd, &muladd_ref, "mul_add_scalar {} at p={}", k.name, p);
             }
         }
     }

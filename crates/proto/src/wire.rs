@@ -26,8 +26,11 @@ use std::io::Read;
 /// full form), and a layer's schedule holds one giant-step key where it
 /// held one per giant step. Version 5: a layer's schedule holds the row
 /// and column moves its live kernel taps compose from (3×3: four keys)
-/// where it held one key per tap (eight).
-pub const WIRE_VERSION: u8 = 5;
+/// where it held one key per tap (eight). Version 6: a `MaskedResult`
+/// blob is the full form of a ciphertext at the level's first two
+/// primes, `q_0·q_1` (the server switches every result down after
+/// masking; a level of one or two primes sends it as it is).
+pub const WIRE_VERSION: u8 = 6;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
@@ -171,7 +174,7 @@ pub enum WireMessage {
         blob: Vec<u8>,
     },
     /// A masked result ciphertext (server → client): the client's
-    /// additive share, still encrypted.
+    /// additive share, still encrypted, at the level's first two primes.
     MaskedResult {
         /// Result sequence number within the layer.
         seq: u32,

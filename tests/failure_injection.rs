@@ -113,10 +113,10 @@ fn modswitch_of_tampered_ciphertext_stays_garbage() {
     let values = vec![7u64; 32];
     let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
     let tampered = tamper(&ct, 40..41, 0x55);
-    let switcher = ModSwitch::new(&ctx);
-    let small = switcher.switch(&tampered);
+    let switcher = ModSwitch::new(&ctx, 2);
+    let small = switcher.switch(tampered);
     let dst = switcher.target_context();
-    let dec = Decryptor::new(dst, kg.secret_key_for(dst));
+    let dec = Decryptor::new(dst, kg.secret_key().restricted_to(dst));
     let decoded = BatchEncoder::new(dst).decode(&dec.decrypt(&small));
     assert_ne!(&decoded[..32], &values[..]);
 }
