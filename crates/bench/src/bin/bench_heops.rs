@@ -53,7 +53,14 @@
 //! 8, which the coefficient-domain switch it replaced, at ≈ 20, would;
 //! ≈ 7–9 at N8192, where three primes go). The client's
 //! `decrypt_result` is `decrypt` of such a result, under the row prefix
-//! of the key.
+//! of the key. At N4096, `ct_from_sparse_bytes64` and
+//! `decrypt_result_sparse64` are the same result as a coefficient-packed
+//! layer sends it — `c1` and `c0` at 64 positions — read back and
+//! decrypted at those positions only, the two decryptions timed
+//! alternately; `ratios` relates the latter to `decrypt_result` (≈ 0.26
+//! under `avx512ifma`, ≈ 0.6 under `avx2+scalar`, whose inverse
+//! transform is no faster than scalar; `bench_check` fails above 0.75,
+//! which rounding every coefficient again would).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,6 +102,30 @@ fn time_us_on<T>(
         f(input);
         samples.push(start.elapsed().as_secs_f64() * 1e6);
     }
+    summarize(samples)
+}
+
+/// [`time_us`] of `f` and of `g`, their calls alternated, so a spell of
+/// slow machine falls on both sides of their ratio alike.
+fn time_pair_us(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> [(f64, f64, f64); 2] {
+    for _ in 0..(reps / 10).clamp(1, 5) {
+        f();
+        g();
+    }
+    let mut samples = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    for _ in 0..reps {
+        for (side, call) in samples.iter_mut().zip([&mut f as &mut dyn FnMut(), &mut g]) {
+            let start = Instant::now();
+            call();
+            side.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    samples.map(summarize)
+}
+
+/// `(mean, median, min)` of timing samples in µs.
+fn summarize(mut samples: Vec<f64>) -> (f64, f64, f64) {
+    let reps = samples.len();
     let mean = samples.iter().sum::<f64>() / reps as f64;
     let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
@@ -534,14 +565,38 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(S
         let rctx = ctx.result_context();
         let result = evaluator.mask_result(ct.clone(), &plain);
         let result_decryptor = Decryptor::new(rctx, keygen.secret_key().restricted_to(rctx));
+        let decrypt_result = || {
+            std::hint::black_box(result_decryptor.decrypt(&result));
+        };
+        if level != ParamLevel::N4096 {
+            push("decrypt_result", reps, 1, time_us(reps, decrypt_result));
+            continue;
+        }
+        // A coefficient-packed result as it travels: `c1` whole and `c0`
+        // at 64 positions (TinyCnn conv1's 8×8 output pixels under
+        // Cheetah), read back and decrypted there only.
+        let positions: Vec<usize> = (0..8)
+            .flat_map(|y| (0..8).map(move |x| (y + 1) * 10 + x + 1))
+            .collect();
+        let sparse = evaluator.mask_result_sparse(ct.clone(), &plain, &positions);
+        let sparse_blob = sparse.to_bytes();
         push(
-            "decrypt_result",
+            "ct_from_sparse_bytes64",
             reps,
             1,
             time_us(reps, || {
-                std::hint::black_box(result_decryptor.decrypt(&result));
+                std::hint::black_box(
+                    SparseCiphertext::try_from_bytes(rctx, &sparse_blob, &positions)
+                        .expect("own result"),
+                );
             }),
         );
+        // Alternated, since `bench_check` gates their ratio.
+        let [whole, sparse] = time_pair_us(reps, decrypt_result, || {
+            std::hint::black_box(result_decryptor.decrypt_sparse(&sparse));
+        });
+        push("decrypt_result", reps, 1, whole);
+        push("decrypt_result_sparse64", reps, 1, sparse);
     }
     byte_ratios
 }
@@ -617,7 +672,9 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     // (ceiling 0.7); a 3×3 kernel's eight taps composed from four keys
     // against rotated to from one hoist with eight (three hoists for
     // one; ceiling 2.0); a polynomial's modulus switch against one
-    // forward row transform (ceiling 8 at N4096); a rotation key's wire
+    // forward row transform (ceiling 8 at N4096); a sparse result's
+    // decryption at 64 positions against a whole result's (ceiling 0.75
+    // at N4096); a rotation key's wire
     // bytes against its k digit polynomials alone (1.0003 while the a_i
     // travel as a seed, 2.0 if they travel themselves; ceiling 1.1); and
     // an uploaded ciphertext's bytes against the full form's (0.5004
@@ -655,6 +712,12 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
         let ratio = min_us("mod_switch", level)? / min_us("ntt_forward", level)?;
         Some(format!(
             "    \"mod_switch_per_ntt_forward/{level}\": {ratio:.3}"
+        ))
+    }));
+    lines.extend(levels.iter().filter_map(|level| {
+        let ratio = min_us("decrypt_result_sparse64", level)? / min_us("decrypt_result", level)?;
+        Some(format!(
+            "    \"decrypt_result_sparse64_per_decrypt_result/{level}\": {ratio:.3}"
         ))
     }));
     lines.extend((byte_ratios.iter()).map(|(name, ratio)| format!("    \"{name}\": {ratio:.4}")));

@@ -49,7 +49,9 @@ fn main() {
     println!("{}", table.render());
     println!(
         "Paper's shape: SPOT holds up to 2x more in-memory values than\n\
-         CrypTFlow2/Cheetah; Cheetah's inputs pack densely but extraction\n\
-         (one value per LWE ct) wrecks its combined utilization."
+         CrypTFlow2/Cheetah. Cheetah's inputs pack densely and each result\n\
+         travels as c1 plus its useful coefficients of c0, but a result\n\
+         carries one output channel, so its utilization falls with the\n\
+         output map's size."
     );
 }

@@ -37,7 +37,6 @@ pub fn plan_batched(shape: &ConvShape, scheme: SchemeKind, batch: usize) -> Batc
     plan.output_cts *= batch;
     plan.relu_elements *= batch;
     plan.assembly_elements *= batch as u64;
-    plan.client_extra_s *= batch as f64;
     BatchPlan { batch, plan }
 }
 

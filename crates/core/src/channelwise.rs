@@ -303,8 +303,6 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
         input_ops,
         finalize_ops: finalize,
         dependency: OutputDependency::AllInputs,
-        extra_downstream_bytes: 0,
-        client_extra_s: 0.0,
         assembly_elements: 0,
         relu_elements: if with_relu {
             shape.output_elements()
@@ -312,6 +310,7 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
             0
         },
         ciphertext_bytes: params.ciphertext_bytes(),
+        result_bytes: params.result_params().ciphertext_bytes(),
         useful_input_slots: (geo.channels_per_ct * shape.width * shape.height / fragments)
             .min(level.degree()),
         useful_output_slots: (geo.channels_per_ct * shape.out_width() * shape.out_height()

@@ -7,20 +7,26 @@
 //! (the negacyclic product's coefficient at the right index accumulates
 //! the full weighted sum). The price:
 //!
-//! * only a sparse subset of output coefficients is useful, so the
-//!   server must *extract* each useful coefficient (as an LWE
-//!   ciphertext), inflating downstream traffic and processing — the
-//!   paper's explanation for why Cheetah's advantage collapses on tiny
-//!   clients (Table II);
+//! * only a sparse subset of output coefficients is useful — one per
+//!   output pixel of the result's channel ([`Packing`]'s
+//!   `result_positions`), 64 of 4,096 on TinyCnn's first layer — yet a
+//!   whole result would still cost the client its downlink and its
+//!   decryption: the paper's explanation for why Cheetah's advantage
+//!   collapses on tiny clients (Table II);
 //! * output values still depend on **all** input ciphertexts (partial
 //!   products summed across channel chunks), so the linear computation
 //!   stall remains.
 //!
 //! The functional path really computes convolutions through the
 //! coefficient encoding on our BFV ciphertexts and is tested against the
-//! plaintext reference; extraction is modelled by its traffic/compute
-//! cost (per DESIGN.md §3 the masked RLWE ciphertext stands in for the
-//! extracted LWE batch in the functional path).
+//! plaintext reference. What it sends back is what [`plan`] prices: each
+//! masked result as `c1` and `c0` at the useful positions alone
+//! (`spot_he::ciphertext::SparseCiphertext`, 37,456 B for 64 positions
+//! at N4096 where a whole two-prime result is 73,744), decrypted by the
+//! client at those positions only. Decrypting coefficient `i` needs
+//! `c0[i]` and all of `c1`, so this trims the output without an LWE
+//! extraction: no extraction key, no LWE ciphertexts, and no cost the
+//! wire does not run.
 //!
 //! [`Packing`] is this scheme's side of the session driver's interface
 //! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
@@ -37,11 +43,6 @@ use spot_tensor::fixed::to_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 
-/// Bytes per extracted output element (an LWE ciphertext after modulus
-/// switching and seed compression, amortized) — drives the downstream
-/// blow-up the paper attributes to Cheetah.
-pub const LWE_BYTES_PER_ELEMENT: u64 = 16;
-
 /// Geometry of the coefficient packing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheetahGeometry {
@@ -51,7 +52,7 @@ pub struct CheetahGeometry {
     pub channels_per_ct: usize,
     /// Number of input ciphertexts.
     pub input_cts: usize,
-    /// Number of output (RLWE) ciphertexts before extraction.
+    /// Number of result ciphertexts.
     pub output_cts: usize,
 }
 
@@ -89,6 +90,10 @@ pub(crate) struct Packing {
     geo: CheetahGeometry,
     degree: usize,
     facts: PlanFacts,
+    /// Where output pixel `(y, x)` lands in every result, at
+    /// `y·out_w + x`: the coefficients the share reads and the wire
+    /// carries.
+    positions: Vec<usize>,
 }
 
 impl Packing {
@@ -101,10 +106,21 @@ impl Packing {
                 "feature map does not fit the ring at {level}"
             )));
         }
+        // The useful products land one chunk in, at the halo-padded
+        // position of each output pixel's kernel centre.
+        let wp = shape.width + shape.k_w - 1;
+        let base = (geo.channels_per_ct - 1) * geo.channel_coeffs;
+        let (ph, pw, s) = ((shape.k_h - 1) / 2, (shape.k_w - 1) / 2, shape.stride);
+        let positions = (0..shape.out_height())
+            .flat_map(|y| {
+                (0..shape.out_width()).map(move |x| base + (y * s + ph) * wp + (x * s + pw))
+            })
+            .collect();
         Ok(Self {
             shape: *shape,
             geo,
             degree: level.degree(),
+            positions,
             facts: PlanFacts {
                 dependency: OutputDependency::AllInputs,
                 input_cts: geo.input_cts,
@@ -141,6 +157,10 @@ impl ConvScheme for Packing {
 
     fn batch_layout(&self, _result: usize) -> Option<BatchLayout> {
         None
+    }
+
+    fn result_positions(&self) -> Option<&[usize]> {
+        Some(&self.positions)
     }
 
     fn pack(
@@ -199,18 +219,10 @@ impl ConvScheme for Packing {
     }
 
     fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
-        let (shape, wp) = (&self.shape, self.padded_width());
-        let base = (self.geo.channels_per_ct - 1) * self.geo.channel_coeffs;
-        let (ph, pw) = ((shape.k_h - 1) / 2, (shape.k_w - 1) / 2);
-        Tensor::from_fn(
-            shape.c_out,
-            shape.out_height(),
-            shape.out_width(),
-            |o, y, x| {
-                let v = rows[o][base + (y * shape.stride + ph) * wp + (x * shape.stride + pw)];
-                lift(v, t, center)
-            },
-        )
+        let (shape, out_w) = (&self.shape, self.shape.out_width());
+        Tensor::from_fn(shape.c_out, shape.out_height(), out_w, |o, y, x| {
+            lift(rows[o][self.positions[y * out_w + x]], t, center)
+        })
     }
 }
 
@@ -229,48 +241,46 @@ pub fn minimum_level(shape: &ConvShape) -> ParamLevel {
     ParamLevel::N16384
 }
 
-/// Builds the Cheetah execution plan for the simulator.
+/// Builds the Cheetah execution plan for the simulator: one ring
+/// product per output channel per input ciphertext, the chunk sums and
+/// one masking per result, and every result priced as the wire sends
+/// it, sparse at its `out_h·out_w` useful coefficients.
 pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
     let geo = geometry(shape, level);
-    let out_elements = shape.output_elements() as u64;
     let input_ops = OpCounts {
-        // one ring product per output channel per input ciphertext
         mult_plain: (shape.c_out * geo.input_cts) as u64,
         ..OpCounts::default()
     };
     let finalize = OpCounts {
-        // chunk accumulation + masking + extraction work (charged as
-        // cheap add-equivalents, one per 8 output elements)
-        add: (geo.input_cts.saturating_sub(1) as u64) * shape.c_out as u64
-            + shape.c_out as u64
-            + out_elements / 8,
+        // chunk accumulation + masking
+        add: (geo.input_cts.saturating_sub(1) as u64) * shape.c_out as u64 + shape.c_out as u64,
         ..OpCounts::default()
     };
+    // A fragmented map (planning only) spreads a channel's outputs over
+    // its fragments' results.
+    let useful = shape
+        .output_elements()
+        .div_ceil(geo.output_cts)
+        .min(level.degree());
     let params = spot_he::params::EncryptionParams::new(level);
     ConvPlan {
         scheme: "Cheetah (coefficient)",
         level,
         input_cts: geo.input_cts,
-        // extracted LWE batches repacked: downstream dominated by
-        // extra_downstream_bytes; keep RLWE count modest
-        output_cts: geo.output_cts.min(geo.input_cts.max(1) * 4).max(1),
+        output_cts: geo.output_cts,
         input_ops,
         finalize_ops: finalize,
         dependency: OutputDependency::AllInputs,
-        extra_downstream_bytes: out_elements * LWE_BYTES_PER_ELEMENT,
-        // client-side LWE decryption/processing per extracted element
-        client_extra_s: out_elements as f64 * 1.2e-6,
-        assembly_elements: out_elements,
+        assembly_elements: shape.output_elements() as u64,
         relu_elements: if with_relu {
             shape.output_elements()
         } else {
             0
         },
         ciphertext_bytes: params.ciphertext_bytes(),
+        result_bytes: params.result_params().sparse_ciphertext_bytes(useful),
         useful_input_slots: (geo.channels_per_ct * shape.width * shape.height).min(level.degree()),
-        // extraction leaves one useful value per LWE ciphertext — the
-        // memory-utilization penalty of Fig. 11
-        useful_output_slots: 1,
+        useful_output_slots: useful,
     }
 }
 
@@ -373,11 +383,51 @@ mod tests {
     }
 
     #[test]
-    fn plan_has_dependency_and_extraction_cost() {
+    fn plan_has_dependency_and_sparse_results() {
         let shape = ConvShape::new(28, 28, 128, 128, 3, 1);
         let p = plan(&shape, ParamLevel::N4096, true);
         assert_eq!(p.dependency, OutputDependency::AllInputs);
-        assert!(p.extra_downstream_bytes > 1_000_000);
         assert_eq!(p.input_ops.rotate, 0);
+        // One result per output channel, each `c1` (36,864 B at the two
+        // result primes) plus 784 useful coefficients at 36 bits a prime.
+        assert_eq!(p.output_cts, 128);
+        assert_eq!(p.result_bytes, 16 + 36_864 + 2 * (784 * 36 / 8));
+        assert_eq!(p.downstream_bytes(), 128 * p.result_bytes as u64);
+    }
+
+    #[test]
+    fn result_positions_are_the_coefficients_the_share_reads() {
+        // Strided, halo-padded 5x5 kernel over a 9x7 map: every position
+        // is its pixel's kernel centre, one chunk in.
+        let shape = ConvShape::new(7, 9, 3, 2, 5, 2);
+        let packing = Packing::new(&shape, ParamLevel::N4096).unwrap();
+        let (wp, base) = (
+            7 + 4,
+            (packing.geo.channels_per_ct - 1) * packing.geo.channel_coeffs,
+        );
+        let positions = packing.result_positions().unwrap();
+        assert_eq!(positions.len(), shape.out_height() * shape.out_width());
+        assert_eq!(positions[0], base + 2 * wp + 2);
+        let last = base + ((shape.out_height() - 1) * 2 + 2) * wp + (shape.out_width() - 1) * 2 + 2;
+        assert_eq!(positions[positions.len() - 1], last);
+        // Read back through the share: position k holds pixel k.
+        let rows: Vec<Vec<u64>> = (0..shape.c_out)
+            .map(|o| {
+                let mut row = vec![0u64; 4096];
+                for (k, &p) in positions.iter().enumerate() {
+                    row[p] = (100 * o + k) as u64;
+                }
+                row
+            })
+            .collect();
+        let share = packing.share(rows, 1 << 20, false);
+        for o in 0..shape.c_out {
+            for y in 0..shape.out_height() {
+                for x in 0..shape.out_width() {
+                    let k = y * shape.out_width() + x;
+                    assert_eq!(share.at(o, y, x), (100 * o + k) as i64);
+                }
+            }
+        }
     }
 }

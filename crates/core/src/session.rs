@@ -72,7 +72,7 @@ use crate::spot;
 use crate::stream::{end_wait, run_stream, Round, StreamConfig, StreamStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spot_he::ciphertext::Ciphertext;
+use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
 use spot_he::encoding::{BatchEncoder, Plaintext};
 use spot_he::encryptor::{Decryptor, SymmetricEncryptor};
@@ -422,6 +422,15 @@ pub(crate) trait ConvScheme: Send + Sync {
     /// slots and a batch is one round per image.
     fn batch_layout(&self, result: usize) -> Option<BatchLayout>;
 
+    /// The coefficients of a result that [`ConvScheme::share`] reads,
+    /// or `None` where it reads whole slot rows. A coefficient-packed
+    /// result travels as `c1` and `c0` at these positions alone
+    /// ([`SparseCiphertext`]) and is decrypted there only; both parties
+    /// derive them from the [`LayerSpec`], so no position is sent.
+    fn result_positions(&self) -> Option<&[usize]> {
+        None
+    }
+
     /// *Pack*: one round's images into plaintext rows, handed to `emit`
     /// in upload order (lazily, so the tiny client holds one at a time).
     fn pack(
@@ -734,6 +743,13 @@ impl<'a> ClientConv<'a> {
         self.plan.facts().batch_capacity
     }
 
+    /// The coefficients of each result this layer's client decrypts and
+    /// the wire carries of `c0` (coefficient packing), or `None` where a
+    /// result comes whole.
+    pub fn result_positions(&self) -> Option<&[usize]> {
+        self.plan.result_positions()
+    }
+
     /// The `GaloisKeys` frames this layer's next upload carries, as
     /// `(input, element)` in send order: each rotation key the
     /// connection's server does not hold yet, with the input ciphertext
@@ -953,8 +969,22 @@ impl<'a> ClientConv<'a> {
             if slot.is_some() {
                 return Err(SpotError::Protocol(format!("duplicate result seq {seq}")));
             }
-            let ct = Ciphertext::try_from_bytes(rctx, &blob)?;
-            *slot = Some(codec.decode(&decryptor.decrypt(&ct)));
+            *slot = Some(match self.plan.result_positions() {
+                // Decrypted at the positions the share reads, which is
+                // all it reads of the row.
+                Some(positions) => {
+                    let ct = SparseCiphertext::try_from_bytes(rctx, &blob, positions)?;
+                    let mut row = vec![0u64; rctx.degree()];
+                    for (&pos, value) in positions.iter().zip(decryptor.decrypt_sparse(&ct)) {
+                        row[pos] = value;
+                    }
+                    row
+                }
+                None => {
+                    let ct = Ciphertext::try_from_bytes(rctx, &blob)?;
+                    codec.decode(&decryptor.decrypt(&ct))
+                }
+            });
         }
         // `expected` receives each filled a slot that was empty, of
         // `expected` slots: none is left empty.
@@ -1441,12 +1471,17 @@ fn serve_rounds<R: Rng>(
                     _ => &rows[0],
                 };
                 // Masked and switched down to the primes results travel
-                // at, in one pass (`Evaluator::mask_result`).
-                let masked = evaluator.mask_result(ct, &codec.encode(mask));
-                transport.send(&WireMessage::MaskedResult {
-                    seq: seq_out,
-                    blob: masked.to_bytes(),
-                })?;
+                // at, in one pass (`Evaluator::mask_result`); a
+                // coefficient-packed result keeps `c0` at the positions
+                // its share reads only.
+                let mask = codec.encode(mask);
+                let blob = match plan.result_positions() {
+                    Some(positions) => evaluator
+                        .mask_result_sparse(ct, &mask, positions)
+                        .to_bytes(),
+                    None => evaluator.mask_result(ct, &mask).to_bytes(),
+                };
+                transport.send(&WireMessage::MaskedResult { seq: seq_out, blob })?;
                 seq_out += 1;
                 result += 1;
                 for (img, row) in images.clone().zip(rows) {

@@ -445,8 +445,6 @@ pub(crate) fn try_plan(
         input_ops,
         finalize_ops: OpCounts::default(),
         dependency: OutputDependency::PerInput,
-        extra_downstream_bytes: 0,
-        client_extra_s: 0.0,
         assembly_elements: assembly,
         relu_elements: if with_relu {
             shape.output_elements()
@@ -454,6 +452,7 @@ pub(crate) fn try_plan(
             0
         },
         ciphertext_bytes: params.ciphertext_bytes(),
+        result_bytes: params.result_params().ciphertext_bytes(),
         useful_input_slots: useful_slots,
         useful_output_slots: useful_slots,
     })

@@ -18,7 +18,7 @@ use spot_core::patching::PatchMode;
 use spot_core::session::{
     serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
-use spot_he::ciphertext::Ciphertext;
+use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
 use spot_he::encryptor::Decryptor;
 use spot_he::keys::KeyGenerator;
@@ -61,6 +61,17 @@ const CONV2_BITS: u32 = 15;
 const LAYER_N4096_BITS: u32 = 13;
 const LAYER_CHANNELWISE_N8192_BITS: u32 = 46;
 
+/// Bits the TinyCnn convolutions keep under Cheetah, read at the
+/// coefficients the client decrypts of each sparse result, at
+/// `N = 4096`'s two result primes: 32 for conv1 and 32 for conv2. A
+/// coefficient-packed result is one ring product per input ciphertext
+/// plus the mask — no rotation, so none of the key-switch error that
+/// leaves the slot-packed results 19 and 15 — and what is left is the
+/// fresh encryption error times the `c_in·k²` weights each useful
+/// coefficient sums (18 and 36 terms of `|w| < t/2`).
+const CHEETAH_CONV1_BITS: u32 = 32;
+const CHEETAH_CONV2_BITS: u32 = 32;
+
 /// The client's endpoint, keeping every result ciphertext it is sent.
 struct KeepResults {
     inner: MemTransport,
@@ -89,16 +100,55 @@ impl Transport for KeepResults {
     }
 }
 
+/// One conv session's results as the client received them.
+struct Session {
+    ctx: Arc<Context>,
+    keygen: KeyGenerator,
+    blobs: Vec<Vec<u8>>,
+    /// The coefficients a coefficient-packed result carries and the
+    /// client decrypts; `None` for whole (slot-packed) results.
+    positions: Option<Vec<usize>>,
+}
+
+impl Session {
+    /// The whole results, as the client reads them — in the result
+    /// context, at the level's first two primes.
+    fn results(&self) -> Vec<Ciphertext> {
+        assert!(self.positions.is_none(), "whole results");
+        let rctx = self.ctx.result_context();
+        (self.blobs.iter())
+            .map(|blob| Ciphertext::try_from_bytes(rctx, blob).expect("server's result ciphertext"))
+            .collect()
+    }
+
+    /// The smallest noise budget over the results, read where the
+    /// client reads them: the whole ciphertext, or a sparse result at
+    /// its positions (`Decryptor::noise_budget_sparse`).
+    fn min_budget(&self) -> u32 {
+        let Some(positions) = &self.positions else {
+            return min_budget(&self.keygen, &self.results());
+        };
+        let rctx = self.ctx.result_context();
+        let decryptor = Decryptor::new(rctx, self.keygen.secret_key().restricted_to(rctx));
+        (self.blobs.iter())
+            .map(|blob| {
+                let ct = SparseCiphertext::try_from_bytes(rctx, blob, positions)
+                    .expect("server's sparse result");
+                decryptor.noise_budget_sparse(&ct)
+            })
+            .min()
+            .expect("at least one result ciphertext")
+    }
+}
+
 /// Runs one conv session, checks that the shares reconstruct, and
-/// returns the result ciphertexts as the client reads them — in the
-/// result context, at the level's first two primes — with the context
-/// and the client's keys.
+/// returns the results the client received.
 fn session_results(
     level: ParamLevel,
     scheme: SchemeKind,
     input: &Tensor,
     kernel: &Kernel,
-) -> (Arc<Context>, KeyGenerator, Vec<Ciphertext>) {
+) -> Session {
     let ctx = Context::new(EncryptionParams::new(level));
     let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(1));
     let spec = LayerSpec::for_layer(scheme, input, kernel, 1, (4, 4), PatchMode::Tweaked);
@@ -127,13 +177,15 @@ fn session_results(
     let output = absorbed.shares[0].add(&served.server_share).map(centered);
     assert_eq!(output, conv2d(input, kernel, 1), "{scheme:?} at {level}");
 
-    let results = client.results.into_inner().unwrap();
-    assert_eq!(results.len(), absorbed.output_cts);
-    let rctx = ctx.result_context();
-    let results = (results.iter())
-        .map(|blob| Ciphertext::try_from_bytes(rctx, blob).expect("server's result ciphertext"))
-        .collect();
-    (ctx, keygen, results)
+    let blobs = client.results.into_inner().unwrap();
+    assert_eq!(blobs.len(), absorbed.output_cts);
+    let positions = conv.result_positions().map(<[usize]>::to_vec);
+    Session {
+        ctx,
+        keygen,
+        blobs,
+        positions,
+    }
 }
 
 /// The smallest noise budget over `results`, decrypted in their own
@@ -157,13 +209,13 @@ fn assert_headroom(
     k: &Kernel,
     recorded: u32,
 ) {
-    let (ctx, keygen, results) = session_results(level, scheme, x, k);
+    let session = session_results(level, scheme, x, k);
     assert_eq!(
-        results[0].context().moduli_count(),
-        ctx.moduli_count().min(RESULT_PRIMES),
+        session.ctx.result_context().moduli_count(),
+        session.ctx.moduli_count().min(RESULT_PRIMES),
         "{name}: results travel at the level's first two primes"
     );
-    let bits = min_budget(&keygen, &results);
+    let bits = session.min_budget();
     assert!(
         bits >= recorded.max(MARGIN_BITS),
         "{name}: {bits} bits of noise budget left at {level}, want the {recorded} it had \
@@ -196,6 +248,35 @@ fn tinycnn_convs_under_spot() {
         &mid,
         conv2,
         CONV2_BITS,
+    );
+}
+
+/// `tinycnn_cheetah`: both convolutions under coefficient packing, the
+/// second on the activations the first produces, each read at the
+/// coefficients of the sparse results the client decrypts.
+#[test]
+fn tinycnn_convs_under_cheetah() {
+    let cnn = TinyCnn::new(7);
+    let [conv1, conv2] = cnn.kernels().collect::<Vec<_>>()[..] else {
+        panic!("TinyCnn has two convolutions");
+    };
+    let input = Tensor::random(2, 8, 8, 5, 11);
+    assert_headroom(
+        "cheetah conv1",
+        ParamLevel::N4096,
+        SchemeKind::Cheetah,
+        &input,
+        conv1,
+        CHEETAH_CONV1_BITS,
+    );
+    let mid = maxpool2(&relu(&conv2d(&input, conv1, 1)));
+    assert_headroom(
+        "cheetah conv2",
+        ParamLevel::N4096,
+        SchemeKind::Cheetah,
+        &mid,
+        conv2,
+        CHEETAH_CONV2_BITS,
     );
 }
 
@@ -249,11 +330,12 @@ fn paper_shaped_layer_under_spot_and_channelwise() {
 fn one_prime_results_would_fall_under_the_margin() {
     let input = Tensor::random(32, 16, 16, 4, 12);
     let kernel = Kernel::random(32, 32, 3, 3, 3, 7);
-    let (ctx, keygen, results) =
-        session_results(ParamLevel::N4096, SchemeKind::Spot, &input, &kernel);
-    let one = ModSwitch::new(ctx.result_context(), 1);
-    let switched: Vec<Ciphertext> = results.into_iter().map(|ct| one.switch(ct)).collect();
-    let bits = min_budget(&keygen, &switched);
+    let session = session_results(ParamLevel::N4096, SchemeKind::Spot, &input, &kernel);
+    let one = ModSwitch::new(session.ctx.result_context(), 1);
+    let switched: Vec<Ciphertext> = (session.results().into_iter())
+        .map(|ct| one.switch(ct))
+        .collect();
+    let bits = min_budget(&session.keygen, &switched);
     assert!(
         bits < MARGIN_BITS,
         "one prime leaves {bits} bits, which would make it the result rule"

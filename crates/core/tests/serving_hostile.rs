@@ -14,7 +14,7 @@ use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
 use spot_core::session::{ClientConv, LayerSpec, SchemeKind, UploadPacing, MAX_CACHED_SPECS};
 use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
-use spot_he::ciphertext::Ciphertext;
+use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::modswitch::ModSwitch;
@@ -1789,6 +1789,134 @@ fn a_version_5_result_frame_is_refused_by_its_version_byte() {
     });
     match client {
         Err(SpotError::Proto(ProtoError::BadVersion(5))) => {}
+        other => panic!("expected the version refusal, got {other:?}"),
+    }
+}
+
+/// The zero ciphertext at the level's two result primes.
+fn zero_result(ctx: &Arc<Context>) -> Ciphertext {
+    let rctx = ctx.result_context();
+    Ciphertext::from_parts(
+        Poly::zero(rctx, PolyForm::Ntt),
+        Poly::zero(rctx, PolyForm::Ntt),
+    )
+}
+
+/// [`zero_result`] in the sparse form, carrying `c0` at `positions`
+/// coefficients.
+fn sparse_zero_result(ctx: &Arc<Context>, positions: usize) -> Vec<u8> {
+    let all: Vec<usize> = (0..positions).collect();
+    SparseCiphertext::from_full(&zero_result(ctx), &all).to_bytes()
+}
+
+/// A result in the other layer kind's form, or sparse for one output
+/// pixel fewer than the layer has, ends the client in the typed length
+/// refusal, never in a share: a Cheetah client reads `c0` at exactly
+/// its 64 positions (8×8 outputs), a SPOT client a whole ciphertext.
+#[test]
+fn a_result_in_the_wrong_form_is_a_length_error_at_the_client() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let conv = Op::Conv {
+        kernel: Kernel::random(3, 2, 3, 3, 1, 460),
+        stride: 1,
+    };
+    let cnn = TinyCnn::from_ops(vec![conv, Op::Relu, Op::Reveal]);
+    let cases = [
+        (
+            "one position short",
+            SchemeKind::Cheetah,
+            sparse_zero_result(&ctx, 63),
+        ),
+        (
+            "full form to Cheetah",
+            SchemeKind::Cheetah,
+            zero_result(&ctx).to_bytes(),
+        ),
+        (
+            "sparse form to SPOT",
+            SchemeKind::Spot,
+            sparse_zero_result(&ctx, 64),
+        ),
+    ];
+    for (name, scheme, blob) in cases {
+        let server = SpotServer::new(
+            ModelContext::new("one-conv", Arc::clone(&ctx), cnn.clone()),
+            ServingConfig::default(),
+        );
+        let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(461));
+        let input = Tensor::random(2, 8, 8, 5, 462);
+        let (ct, st) = MemTransport::pair();
+        let downlink = Tamper::new(&st, |_, msg| match msg {
+            WireMessage::MaskedResult { seq, .. } => {
+                Uplink::Replace(vec![WireMessage::MaskedResult {
+                    seq: *seq,
+                    blob: blob.clone(),
+                }])
+            }
+            _ => Uplink::Pass,
+        });
+        let client = within_deadline(name, || {
+            std::thread::scope(|s| {
+                s.spawn(|| server.serve_connection(&downlink));
+                let _hang_up = HangUp(&ct);
+                run_client_batch(
+                    &ctx,
+                    &kg,
+                    &ct,
+                    std::slice::from_ref(&input),
+                    &cnn,
+                    scheme,
+                    (4, 4),
+                    PatchMode::Tweaked,
+                    &mut StdRng::seed_from_u64(463),
+                )
+            })
+        });
+        match client {
+            Err(SpotError::Serial(SerialError::LengthMismatch)) => {}
+            other => panic!("{name}: expected the typed length refusal, got {other:?}"),
+        }
+    }
+}
+
+/// A Cheetah result frame from a version-6 server — a whole two-prime
+/// ciphertext where version 7 sends the sparse form — is refused by its
+/// version byte before its blob is looked at.
+#[test]
+fn a_version_6_result_frame_is_refused_by_its_version_byte() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(464));
+    let input = Tensor::random(2, 8, 8, 5, 465);
+    let kernel = Kernel::random(3, 2, 3, 3, 1, 466);
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Cheetah,
+        &input,
+        &kernel,
+        1,
+        (4, 4),
+        PatchMode::Tweaked,
+    );
+    let conv = ClientConv::new(&ctx, &kg, spec).expect("client plan");
+    let mut frame = WireMessage::MaskedResult {
+        seq: 0,
+        blob: zero_result(&ctx).to_bytes(),
+    }
+    .encode_frame();
+    frame[0] = 6;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let client = within_deadline("version-6 result frame", || {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (mut raw, _) = listener.accept().expect("accept");
+                raw.write_all(&frame).expect("write the old frame");
+            });
+            let ct = TcpTransport::connect(addr.to_string()).expect("connect");
+            conv.absorb_all(&ct)
+        })
+    });
+    match client {
+        Err(SpotError::Proto(ProtoError::BadVersion(6))) => {}
         other => panic!("expected the version refusal, got {other:?}"),
     }
 }

@@ -13,8 +13,8 @@
 //! connection through `run_client_batch`/`run_server`. Every case also
 //! holds the analytic model the paper's tables come from
 //! (`spot::plan` / `channelwise::plan` / `cheetah::plan`) to the counts
-//! that ran (`assert_model_is_what_ran`), a check on live code, not a
-//! constant.
+//! that ran and the result bytes that came down
+//! (`assert_model_is_what_ran`), a check on live code, not a constant.
 //!
 //! A change to how the server computes a result ciphertext (a different
 //! but equally valid encryption of the same plaintext) may move
@@ -26,9 +26,22 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
-//! Last re-record, `WIRE_VERSION` 6 (every result is switched down to
-//! the level's first two primes after masking, the mask folded into the
-//! switch), field by field, in all nine cases: `downlink` and
+//! Last re-record, `WIRE_VERSION` 7 (a coefficient-packed result
+//! travels sparse: `c1` whole and `c0` at only the coefficients its
+//! share reads), field by field: in the two Cheetah cases `downlink` and
+//! `downlink_shape` by the result shape (a `MaskedResult` blob is
+//! 16 + 36,864 + 2·⌈36·64/8⌉ = 37,456 B for the 8×8 layer's 64 output
+//! pixels where it was 73,744) and the version byte; every other digest
+//! by the version byte only — with the constant put back to 6, all four
+//! frame digests of the seven slot-packed cases and `uplink` and
+//! `uplink_shape` of the two Cheetah cases equal the previous values.
+//! No share, count or output constant moved: the client decrypts the
+//! same `m − r` at the positions its share reads, and the server's
+//! masks are drawn as before, `N` values a result.
+//!
+//! The re-record before it, `WIRE_VERSION` 6 (every result is switched
+//! down to the level's first two primes after masking, the mask folded
+//! into the switch), field by field, in all nine cases: `downlink` and
 //! `downlink_shape` by the result size (a `MaskedResult` blob loses the
 //! rows of every prime past the second: 37,888 B at N4096, three
 //! primes' rows in the N8192 case) and the version byte;
@@ -39,7 +52,7 @@
 //! decrypts `m − r` and the server keeps `r`, and the mask is still the
 //! one addition it counts as.
 //!
-//! The re-record before it, `WIRE_VERSION` 5 (kernel taps compose from
+//! The one before that, `WIRE_VERSION` 5 (kernel taps compose from
 //! row and column moves; a tap outside its piece class is not rotated
 //! to), field by field, in the seven rotating cases: `uplink` and
 //! `uplink_shape` by the shorter key schedule (3×3 over 4×4 pieces:
@@ -82,6 +95,7 @@ use spot_proto::wire::FRAME_HEADER_BYTES;
 use spot_proto::{ProtoError, WireMessage};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -109,6 +123,8 @@ struct Recorder {
     up: Mutex<(u64, u64)>,
     /// The same pair over the received frames.
     down: Mutex<(u64, u64)>,
+    /// Bytes of the `MaskedResult` blobs received.
+    result_bytes: AtomicU64,
 }
 
 impl Recorder {
@@ -117,6 +133,7 @@ impl Recorder {
             inner,
             up: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
             down: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
+            result_bytes: AtomicU64::new(0),
         }
     }
 }
@@ -137,6 +154,10 @@ impl Transport for Recorder {
     fn recv(&self) -> Result<WireMessage, ProtoError> {
         let msg = self.inner.recv()?;
         record(&self.down, &msg);
+        if let WireMessage::MaskedResult { blob, .. } = &msg {
+            self.result_bytes
+                .fetch_add(blob.len() as u64, Ordering::Relaxed);
+        }
         Ok(msg)
     }
 
@@ -228,26 +249,24 @@ fn model(spec: &LayerSpec, shape: &ConvShape, level: ParamLevel) -> ConvPlan {
 }
 
 /// Holds the model of `shapes` to what the server ran over `rounds`
-/// rounds of each: the same rotations, and the same plaintext
-/// multiplications and additions but for two known gaps. First,
-/// `zeroed` kernel plaintexts the weights zero out: the model knows the
-/// geometry only, so it multiplies by each and sums it into its giant
-/// step. Second, Cheetah's modelled LWE extraction, `out_elements / 8`
-/// additions a round that the functional path does not run.
+/// rounds of each: the same rotations, the same downlink result bytes
+/// as the client received in `MaskedResult` blobs, and the same
+/// plaintext multiplications and additions but for `zeroed` kernel
+/// plaintexts the weights zero out: the model knows the geometry only,
+/// so it multiplies by each and sums it into its giant step.
 fn assert_model_is_what_ran(
     spec: &LayerSpec,
     shapes: &[ConvShape],
     level: ParamLevel,
     rounds: u64,
-    ran: OpCounts,
+    (ran, result_bytes): (OpCounts, u64),
     zeroed: u64,
 ) {
-    let (mut predicted, mut extraction) = (OpCounts::default(), 0);
+    let (mut predicted, mut downlink) = (OpCounts::default(), 0);
     for shape in shapes {
-        predicted.merge(&model(spec, shape, level).total_server_ops().times(rounds));
-        if spec.scheme == SchemeKind::Cheetah {
-            extraction += rounds * shape.output_elements() as u64 / 8;
-        }
+        let plan = model(spec, shape, level);
+        predicted.merge(&plan.total_server_ops().times(rounds));
+        downlink += rounds * plan.downstream_bytes();
     }
     let case = format!("{:?} {level:?} x{rounds}", spec.scheme);
     assert_eq!(predicted.rotate, ran.rotate, "{case}: rotations");
@@ -256,11 +275,8 @@ fn assert_model_is_what_ran(
         ran.mult_plain + zeroed,
         "{case}: plaintext multiplications"
     );
-    assert_eq!(
-        predicted.add,
-        ran.add + zeroed + extraction,
-        "{case}: additions"
-    );
+    assert_eq!(predicted.add, ran.add + zeroed, "{case}: additions");
+    assert_eq!(downlink, result_bytes, "{case}: result bytes");
 }
 
 /// One run of `layer`'s first `batch` images; `zeroed` is the count of
@@ -308,7 +324,15 @@ fn run_case(
     };
     let absorbed = conv.absorb_batch(&client, batch).expect("absorb");
     let rounds = (served.input_cts / conv.input_cts()) as u64;
-    assert_model_is_what_ran(spec, &[spec.shape], level, rounds, served.counts, zeroed);
+    let received = client.result_bytes.load(Ordering::Relaxed);
+    assert_model_is_what_ran(
+        spec,
+        &[spec.shape],
+        level,
+        rounds,
+        (served.counts, received),
+        zeroed,
+    );
 
     let mut server_shares = vec![served.server_share];
     server_shares.extend(served.extra_shares);
@@ -379,8 +403,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x8978_fc87_c477_c62c, 0xb9e4_4af6_46bd_fc1e),
-            (0x8a8c_51f0_6567_e8cc, 0x3937_8678_832f_8bc7),
+            (0x08c9_761a_372e_4409, 0x0516_2aae_50bf_7f0f),
+            (0x5119_ace7_f6b9_b1b9, 0x9e2a_2cc3_b662_c0f2),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -394,8 +418,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x26c8_91cc_cd0b_296f, 0xb9e4_4af6_46bd_fc1e),
-            (0x9bed_f756_9c7c_2239, 0x3937_8678_832f_8bc7),
+            (0x651b_5f82_65c7_8466, 0x0516_2aae_50bf_7f0f),
+            (0x62a9_d1b2_6172_c588, 0x9e2a_2cc3_b662_c0f2),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -412,8 +436,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xf446_01d6_0c0d_9dd2, 0xd7d1_2f39_df00_d63e),
-            (0xb598_e355_466c_6076, 0x7901_d477_c3d3_a4d7),
+            (0x9f72_463e_e657_47fa, 0x4183_2e16_49e7_23c6),
+            (0x420b_224d_9d18_0b83, 0x6851_0ff4_cd4d_f746),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -427,8 +451,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x6d6e_1402_86f2_5801, 0xad00_0f8a_d629_1f57),
-            (0xaf5f_2492_dda6_ac44, 0x690d_77e2_1694_4f37),
+            (0x8b4f_7cfa_502a_0534, 0x73f9_c3ac_3f23_5592),
+            (0x490f_eecf_668d_883f, 0xfa10_bc92_1091_5b7e),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -445,8 +469,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x1550_80d6_83c8_82e5, 0x0664_821a_eaf1_3b14),
-            (0xb1d7_6bd4_1fbb_ab92, 0x690d_77e2_1694_4f37),
+            (0xc7be_9f36_23a9_8449, 0xe44d_c111_dcfa_3c30),
+            (0x6e71_010e_a2c4_b247, 0xfbda_4e2b_b8d4_403e),
             &[(0xa8ac_8bba_a0e7_3e87, 0x6818_fbf9_3881_2ec9)],
             0x3ce7_01fc_7b2e_f8d5,
         ),
@@ -460,8 +484,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xbee7_2701_e794_58c3, 0x0664_821a_eaf1_3b14),
-            (0x6198_9b30_9029_f1fb, 0x690d_77e2_1694_4f37),
+            (0x4324_320e_48fc_cd63, 0xe44d_c111_dcfa_3c30),
+            (0xf832_56e2_830a_d53a, 0xfbda_4e2b_b8d4_403e),
             &[
                 (0x4ad0_1fb6_12a9_c9dd, 0x9957_eb61_f0a3_d4ef),
                 (0x3f36_8fe0_b681_9edf, 0x55c0_450b_d769_9361),
@@ -478,8 +502,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0xe601_c27c_b711_5883, 0x334a_4e2a_04d7_52e9),
-            (0xf314_e78c_47de_8d89, 0x71c5_197f_98b3_d317),
+            (0x1b23_5729_8534_050f, 0x2bf5_0edc_d051_5a95),
+            (0x2534_1089_2fe4_f1f4, 0xd78a_ca52_1db5_537e),
             &[
                 (0xcf55_8f48_0b67_ef8a, 0xcb35_bc14_b223_9a38),
                 (0x6747_87a8_ed0a_8a10, 0xb0d0_4728_5a1d_b466),
@@ -499,8 +523,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0xe41a_41c4_662c_2b30, 0xba71_2b48_1a3b_7701),
-        (0x6c4f_feaf_23ce_b0d8, 0xec15_ade0_c1c6_ceaf),
+        (0x2989_6f94_cc3f_fbd9, 0x635c_450f_9cdd_7000),
+        (0x2488_0632_c4a9_b304, 0x63a5_464c_d306_134f),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xae67_89d6_ac35_cd21,
     );
@@ -534,8 +558,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0x410e_29b4_40d4_050f, 0x110b_7839_4157_affb),
-        downlink: (0xf52c_6d8d_b9e6_e1fa, 0x131a_a2f3_9b66_e766),
+        uplink: (0x7758_6cd3_7910_9cb4, 0x9224_da26_d1d3_1c56),
+        downlink: (0x5a4d_a68d_605c_dfee, 0xd00e_bc2b_8817_e28e),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0x8433_41f6_8525_1727,
     };
@@ -578,7 +602,15 @@ fn tinycnn_spot_two_layers() {
         // TinyCnn(7)'s weights zero out three kernel plaintexts: the
         // model's 100 plaintext multiplications are 97 that ran.
         let shapes = [spec.shape, ConvShape::new(4, 4, 4, 4, 3, 1)];
-        assert_model_is_what_ran(&spec, &shapes, ParamLevel::N4096, 1, report.counts, 3);
+        let received = client.result_bytes.load(Ordering::Relaxed);
+        assert_model_is_what_ran(
+            &spec,
+            &shapes,
+            ParamLevel::N4096,
+            1,
+            (report.counts, received),
+            3,
+        );
         let counts = [
             report.counts.rotate,
             report.counts.mult_plain,

@@ -89,6 +89,94 @@ impl SeededCiphertext {
     }
 }
 
+/// A result read at a few coefficients only, in the form a
+/// coefficient-packed layer's results travel in: `c1` whole, in NTT
+/// form, and `c0` in coefficient form at `positions` alone. Coefficient
+/// `i` of the phase `c0 + c1·s` needs `c0[i]` and all of `c1`, so the
+/// positions decrypt exactly as they would from the whole ciphertext
+/// ([`Decryptor::decrypt_sparse`](crate::encryptor::Decryptor::decrypt_sparse)).
+/// Made by
+/// [`Evaluator::mask_result_sparse`](crate::evaluator::Evaluator::mask_result_sparse),
+/// read back by [`SparseCiphertext::try_from_bytes`].
+#[derive(Debug, Clone)]
+pub struct SparseCiphertext {
+    /// `c0`'s residues at the positions, one row of `positions.len()` a
+    /// modulus.
+    pub(crate) c0: Vec<u64>,
+    pub(crate) c1: Poly,
+    pub(crate) positions: Vec<usize>,
+}
+
+impl SparseCiphertext {
+    /// `ct` with `c0` cut down to `positions` (one inverse transform of
+    /// `c0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is not below the degree.
+    pub fn from_full(ct: &Ciphertext, positions: &[usize]) -> Self {
+        let mut c0 = ct.c0.clone();
+        c0.to_coeff();
+        Self::gather(&c0, ct.c1.clone(), positions)
+    }
+
+    /// `c0` (in coefficient form) at `positions`, beside `c1`.
+    pub(crate) fn gather(c0: &Poly, c1: Poly, positions: &[usize]) -> Self {
+        use crate::poly::PolyForm;
+        assert_eq!(c0.form(), PolyForm::Coeff, "c0 is read in coefficient form");
+        assert_eq!(c1.form(), PolyForm::Ntt, "c1 must be in NTT form");
+        let rows = c0.context().moduli_count();
+        let c0 = (0..rows)
+            .flat_map(|i| positions.iter().map(move |&p| c0.residues(i)[p]))
+            .collect();
+        Self {
+            c0,
+            c1,
+            positions: positions.to_vec(),
+        }
+    }
+
+    /// The coefficient indices `c0` is carried at, in blob order.
+    pub fn positions(&self) -> &[usize] {
+        &self.positions
+    }
+
+    /// `c0`'s residues modulo the `i`-th prime at the positions.
+    pub fn c0_residues(&self, i: usize) -> &[u64] {
+        let p = self.positions.len();
+        &self.c0[i * p..(i + 1) * p]
+    }
+
+    /// The second component polynomial, whole.
+    pub fn c1(&self) -> &Poly {
+        &self.c1
+    }
+
+    /// The context this ciphertext belongs to.
+    pub fn context(&self) -> &Arc<Context> {
+        self.c1.context()
+    }
+
+    /// Serializes to
+    /// [`EncryptionParams::sparse_ciphertext_bytes`](crate::params::EncryptionParams::sparse_ciphertext_bytes)
+    /// bytes: [`Ciphertext::to_bytes`]'s header, `c1` packed as there,
+    /// then per modulus `c0`'s residues at the positions, in position
+    /// order, packed at that modulus's width, the section padded to a
+    /// whole byte. The positions themselves are not written: both
+    /// parties derive them from the layer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let ctx = self.context();
+        let mut out =
+            Vec::with_capacity(ctx.params().sparse_ciphertext_bytes(self.positions.len()));
+        write_header(&mut out, ctx);
+        write_poly(&mut out, &self.c1);
+        for (i, m) in ctx.moduli().iter().enumerate() {
+            write_packed(&mut out, self.c0_residues(i), residue_bits(m));
+        }
+        out
+    }
+}
+
 /// Appends the 16-byte ciphertext header: degree, then modulus count.
 fn write_header(out: &mut Vec<u8>, ctx: &Context) {
     out.extend_from_slice(&(ctx.degree() as u64).to_le_bytes());
@@ -104,12 +192,15 @@ pub(crate) fn residue_bits(m: &Modulus) -> usize {
 /// [`residue_bits`] bits each, the section padded to a whole byte.
 pub(crate) fn write_poly(out: &mut Vec<u8>, poly: &Poly) {
     for (i, m) in poly.context().moduli().iter().enumerate() {
-        let bits = residue_bits(m);
-        let residues = poly.residues(i);
-        let start = out.len();
-        out.resize(start + (residues.len() * bits).div_ceil(8), 0);
-        pack_bits_into(residues, bits, &mut out[start..]);
+        write_packed(out, poly.residues(i), residue_bits(m));
     }
+}
+
+/// Appends one byte-padded section: `values` at `bits` bits each.
+fn write_packed(out: &mut Vec<u8>, values: &[u64], bits: usize) {
+    let start = out.len();
+    out.resize(start + (values.len() * bits).div_ceil(8), 0);
+    pack_bits_into(values, bits, &mut out[start..]);
 }
 
 fn low_mask(bits: usize) -> u64 {

@@ -10,7 +10,7 @@
 //! correctness tests of the convolution schemes rely on that.
 
 use crate::bigint::BigUint;
-use crate::ciphertext::{Ciphertext, SeededCiphertext};
+use crate::ciphertext::{Ciphertext, SeededCiphertext, SparseCiphertext};
 use crate::context::Context;
 use crate::encoding::Plaintext;
 use crate::keys::{expand_seed, sample_error, sample_ternary, KeySeed, PublicKey, SecretKey};
@@ -133,6 +133,42 @@ impl Decryptor {
         self.round_phase(&self.phase(ct))
     }
 
+    /// Decrypts a sparse result at its positions only: the plaintext
+    /// coefficients there, in position order — exactly what
+    /// [`Decryptor::decrypt`] of the whole ciphertext gives at them.
+    /// `c1·s` is formed and transformed back whole, but only the
+    /// positions are added to `c0` and rounded. One decryption.
+    pub fn decrypt_sparse(&self, ct: &SparseCiphertext) -> Vec<u64> {
+        spot_trace::count(spot_trace::Counter::Decrypt, 1);
+        let phase = self.sparse_phase(ct);
+        let p = ct.positions().len();
+        let mut residues = vec![0u64; self.ctx.moduli_count()];
+        (0..p)
+            .map(|o| {
+                for (r, row) in residues.iter_mut().zip(phase.chunks_exact(p)) {
+                    *r = row[o];
+                }
+                self.round(&residues)
+            })
+            .collect()
+    }
+
+    /// The phase `c0 + c1·s` at a sparse result's positions: one row of
+    /// `positions.len()` residues a modulus, each reduced.
+    fn sparse_phase(&self, ct: &SparseCiphertext) -> Vec<u64> {
+        let mut acc = ct.c1.clone();
+        acc.mul_assign_ntt(&self.sk.s);
+        acc.to_coeff();
+        let moduli = self.ctx.moduli().iter().enumerate();
+        moduli
+            .flat_map(|(i, m)| {
+                let row = acc.residues(i);
+                (ct.positions().iter().zip(ct.c0_residues(i)))
+                    .map(move |(&pos, &c0)| m.add(row[pos], c0))
+            })
+            .collect()
+    }
+
     /// Maps every phase coefficient `x` to `⌈t·x/q⌋ mod t`.
     fn round_phase(&self, phase: &Poly) -> Plaintext {
         let ctx = &self.ctx;
@@ -145,30 +181,45 @@ impl Decryptor {
             for (r, row) in residues.iter_mut().zip(&rows) {
                 *r = row[j];
             }
-            *coeff = round_scaled_rns(ctx, &residues)
-                .unwrap_or_else(|| round_scaled_exact(ctx, &residues));
+            *coeff = self.round(&residues);
         }
         Plaintext::from_coeffs(coeffs)
+    }
+
+    /// `⌈t·x/q⌋ mod t` of one phase coefficient, from its residues.
+    fn round(&self, residues: &[u64]) -> u64 {
+        round_scaled_rns(&self.ctx, residues)
+            .unwrap_or_else(|| round_scaled_exact(&self.ctx, residues))
     }
 
     /// The invariant noise budget in bits, SEAL-style: the number of bits
     /// of headroom before noise would corrupt decryption. Returns 0 when
     /// the ciphertext is no longer decryptable.
-    #[allow(clippy::needless_range_loop)]
     pub fn noise_budget(&self, ct: &Ciphertext) -> u32 {
-        let ctx = &self.ctx;
-        let n = ctx.degree();
-        let k = ctx.moduli_count();
-        let t = ctx.params().plain_modulus();
         let phase = self.phase(ct);
+        let k = self.ctx.moduli_count();
+        self.budget_of(
+            (0..self.ctx.degree()).map(|j| (0..k).map(|i| phase.residues(i)[j]).collect()),
+        )
+    }
+
+    /// [`Decryptor::noise_budget`] of a sparse result, over the
+    /// coefficients it carries: the headroom of every value the client
+    /// reads from it.
+    pub fn noise_budget_sparse(&self, ct: &SparseCiphertext) -> u32 {
+        let phase = self.sparse_phase(ct);
+        let p = ct.positions().len();
+        self.budget_of((0..p).map(|o| phase.chunks_exact(p).map(|row| row[o]).collect()))
+    }
+
+    /// `log2(q / (2·max|noise|))` over phase coefficients given by their
+    /// residues, with `noise = centred(t·phase mod q)`.
+    fn budget_of(&self, coefficients: impl Iterator<Item = Vec<u64>>) -> u32 {
+        let ctx = &self.ctx;
+        let t = ctx.params().plain_modulus();
         let q = ctx.q_big();
-        // noise = centered(t * phase mod q); budget = log2(q / (2*max|noise|)).
         let mut max_noise = BigUint::zero();
-        let mut residues = vec![0u64; k];
-        for j in 0..n {
-            for i in 0..k {
-                residues[i] = phase.residues(i)[j];
-            }
+        for residues in coefficients {
             let (mag, _) = ctx.crt_lift_centered(&residues);
             let scaled = mag.mul_u64(t);
             let (_, mut r) = scaled.div_rem(q);

@@ -5,7 +5,7 @@
 //! [`Evaluator::counts`]): the count a report prints is the count that
 //! instance executed.
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, SparseCiphertext};
 use crate::context::Context;
 use crate::encoding::{galois_elt_column_swap, galois_elt_from_step, Plaintext};
 use crate::keys::GaloisKeys;
@@ -189,6 +189,29 @@ impl Evaluator {
                 switch.switch_masked(ct, mask)
             }
             None => self.sub_plain(&ct, mask),
+        }
+    }
+
+    /// [`Evaluator::mask_result`] in the form a coefficient-packed
+    /// result is sent in: `c1` whole and `c0` at `positions` only
+    /// ([`SparseCiphertext`]). Above the result primes `c0` leaves the
+    /// switch in coefficient form at no extra transform
+    /// ([`ModSwitch::switch_masked_sparse`]); at them it takes one
+    /// inverse transform.
+    ///
+    /// [`ModSwitch::switch_masked_sparse`]: crate::modswitch::ModSwitch::switch_masked_sparse
+    pub fn mask_result_sparse(
+        &self,
+        ct: Ciphertext,
+        mask: &Plaintext,
+        positions: &[usize],
+    ) -> SparseCiphertext {
+        match self.ctx.result_switch() {
+            Some(switch) => {
+                self.tally(Counter::AddOps, 1);
+                switch.switch_masked_sparse(ct, mask, positions)
+            }
+            None => SparseCiphertext::from_full(&self.sub_plain(&ct, mask), positions),
         }
     }
 

@@ -51,7 +51,7 @@ pub mod serial;
 
 /// Convenient re-exports of the main API types.
 pub mod prelude {
-    pub use crate::ciphertext::{Ciphertext, SeededCiphertext};
+    pub use crate::ciphertext::{Ciphertext, SeededCiphertext, SparseCiphertext};
     pub use crate::context::Context;
     pub use crate::encoding::{BatchEncoder, Plaintext};
     pub use crate::encryptor::{Decryptor, Encryptor, SymmetricEncryptor};

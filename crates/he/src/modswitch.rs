@@ -31,7 +31,7 @@
 //! At N4096 that is one inverse and two forward row transforms a
 //! polynomial, where switching in coefficient form took five.
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, SparseCiphertext};
 use crate::context::Context;
 use crate::encoding::Plaintext;
 use crate::modulus::Modulus;
@@ -178,7 +178,8 @@ impl ModSwitch {
     ///
     /// Panics if `ct` is not at the source context's primes.
     pub fn switch(&self, ct: Ciphertext) -> Ciphertext {
-        self.switch_with(ct, None)
+        let (c0, c1) = self.switch_with(ct, None, PolyForm::Ntt);
+        Ciphertext::from_parts(c0, c1)
     }
 
     /// [`ModSwitch::switch`] and then `sub_plain(mask)` in the target, in
@@ -190,10 +191,37 @@ impl ModSwitch {
     /// Panics if `ct` is not at the source context's primes or `mask`
     /// has a coefficient count other than the degree.
     pub fn switch_masked(&self, ct: Ciphertext, mask: &Plaintext) -> Ciphertext {
-        self.switch_with(ct, Some(mask))
+        let (c0, c1) = self.switch_with(ct, Some(mask), PolyForm::Ntt);
+        Ciphertext::from_parts(c0, c1)
     }
 
-    fn switch_with(&self, ct: Ciphertext, mask: Option<&Plaintext>) -> Ciphertext {
+    /// [`ModSwitch::switch_masked`], sent sparse: `c1` whole and `c0` at
+    /// `positions` only. `c0` comes out of the switch in coefficient
+    /// form at no extra transform — each kept row is transformed once
+    /// either way, here `c_j` back instead of its correction sum forward.
+    ///
+    /// # Panics
+    ///
+    /// As [`ModSwitch::switch_masked`], or if a position is not below
+    /// the degree.
+    pub fn switch_masked_sparse(
+        &self,
+        ct: Ciphertext,
+        mask: &Plaintext,
+        positions: &[usize],
+    ) -> SparseCiphertext {
+        let (c0, c1) = self.switch_with(ct, Some(mask), PolyForm::Coeff);
+        SparseCiphertext::gather(&c0, c1, positions)
+    }
+
+    /// The switched `(c0, c1)`, `c0` in form `c0_form` and `c1` in NTT
+    /// form.
+    fn switch_with(
+        &self,
+        ct: Ciphertext,
+        mask: Option<&Plaintext>,
+        c0_form: PolyForm,
+    ) -> (Poly, Poly) {
         spot_trace::count(spot_trace::Counter::ModSwitch, 1);
         let src = Arc::clone(ct.context());
         assert_eq!(src.moduli_count(), self.from, "ciphertext at another level");
@@ -217,23 +245,24 @@ impl ModSwitch {
             shifted
         });
         let Ciphertext { c0, c1 } = ct;
-        let c0 = self.switch_poly(&src, c0, &mut scratch, mask.as_deref());
-        let c1 = self.switch_poly(&src, c1, &mut scratch, None);
+        let c0 = self.switch_poly(&src, c0, &mut scratch, mask.as_deref(), c0_form);
+        let c1 = self.switch_poly(&src, c1, &mut scratch, None, PolyForm::Ntt);
         pool::recycle(scratch);
         if let Some(shifted) = mask {
             pool::recycle(shifted);
         }
-        Ciphertext::from_parts(c0, c1)
+        (c0, c1)
     }
 
-    /// One polynomial down to the target, `mask` (shifted as
-    /// [`ModSwitch::switch_with`] leaves it) folded in.
+    /// One polynomial down to the target, in form `out`, `mask` (shifted
+    /// as [`ModSwitch::switch_with`] leaves it) folded in.
     fn switch_poly(
         &self,
         src: &Context,
         poly: Poly,
         scratch: &mut [u64],
         mask: Option<&[u64]>,
+        out: PolyForm,
     ) -> Poly {
         assert_eq!(poly.form(), PolyForm::Ntt, "ciphertexts are in NTT form");
         let kernels = crate::arch::kernels();
@@ -282,13 +311,19 @@ impl ModSwitch {
                 let value = lifted(m, src.plain_modulus().value(), shifted, scratch);
                 (kernels.mul_add_scalar)(m, sum, value, w, m.shoup(w));
             }
-            src.ntt_tables()[j].forward(sum);
+            // One transform a kept row either way: the sum forward to
+            // meet `c_j` in NTT form, or `c_j` back to meet the sum.
+            let row = &mut rows[j * n..(j + 1) * n];
+            match out {
+                PolyForm::Ntt => src.ntt_tables()[j].forward(sum),
+                PolyForm::Coeff => src.ntt_tables()[j].inverse(row),
+            }
             // (sum − c_j)·(−(Πq)^{-1}) = (c_j − sum)·(Πq)^{-1}.
             let (w, ws) = self.scale[j];
-            (kernels.sub_mul_scalar)(m, sum, &rows[j * n..(j + 1) * n], w, ws);
+            (kernels.sub_mul_scalar)(m, sum, row, w, ws);
         }
         pool::recycle(rows);
-        Poly::from_residues(&self.dst, sums, PolyForm::Ntt)
+        Poly::from_residues(&self.dst, sums, out)
     }
 }
 

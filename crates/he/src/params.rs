@@ -200,6 +200,31 @@ impl EncryptionParams {
         16 + self.poly_bytes() + 32
     }
 
+    /// The parameters results travel at: the first
+    /// [`RESULT_PRIMES`](crate::modswitch::RESULT_PRIMES) primes, or all
+    /// of them at a level with fewer: the parameters of
+    /// [`Context::result_context`](crate::context::Context::result_context).
+    pub fn result_params(&self) -> Self {
+        let keep = self.coeff_moduli.len().min(crate::modswitch::RESULT_PRIMES);
+        Self {
+            coeff_moduli: self.coeff_moduli[..keep].to_vec(),
+            ..self.clone()
+        }
+    }
+
+    /// Serialized size of one sparse result carrying `positions`
+    /// coefficients of `c0`
+    /// ([`SparseCiphertext`](crate::ciphertext::SparseCiphertext)): the
+    /// 16-byte header, `c1` packed whole, then per modulus the
+    /// `positions` residues of `c0` at that modulus's width, the section
+    /// padded to a whole byte.
+    pub fn sparse_ciphertext_bytes(&self, positions: usize) -> usize {
+        let c0: usize = (self.coeff_moduli.iter())
+            .map(|&q| (positions * (64 - q.leading_zeros() as usize)).div_ceil(8))
+            .sum();
+        16 + self.poly_bytes() + c0
+    }
+
     /// Serialized size of one Galois key inside a key blob: element
     /// (8 B), digit count (4 B), the 32-byte seed of its uniform
     /// polynomials, and one packed `b_i` per RNS prime. A blob of `n`

@@ -1,6 +1,7 @@
 //! Validated (non-panicking) serialization for HE objects that travel
-//! on the wire: ciphertexts (a result's full form, an upload's seeded
-//! form), public keys, and Galois rotation keys.
+//! on the wire: ciphertexts (a result's full form, a coefficient-packed
+//! result's sparse form, an upload's seeded form), public keys, and
+//! Galois rotation keys.
 //!
 //! The byte layouts reuse [`Ciphertext::to_bytes`]'s bit-packing (each
 //! RNS modulus's residues packed at that modulus's width), and every
@@ -13,7 +14,7 @@
 //! encoding is deterministic (the in-memory store is a `HashMap` with
 //! nondeterministic iteration order).
 
-use crate::ciphertext::{residue_bits, unpack_bits_max, write_poly, Ciphertext};
+use crate::ciphertext::{residue_bits, unpack_bits_max, write_poly, Ciphertext, SparseCiphertext};
 use crate::context::Context;
 use crate::keys::{expand_seed, GaloisKeys, KeySeed, KeySwitchKey, PublicKey};
 use crate::poly::{Poly, PolyForm};
@@ -119,6 +120,51 @@ impl Ciphertext {
         // Any seed is valid: its expansion is in range by construction.
         let c1 = expand_seed(ctx, seed, 1).swap_remove(0);
         Ok(Self::from_parts(c0, c1))
+    }
+}
+
+impl SparseCiphertext {
+    /// Deserializes a sparse result carrying `c0` at `positions`, the
+    /// bytes of [`SparseCiphertext::to_bytes`]: the same header, a length
+    /// that is exact for `positions.len()` (so a full-form result, or a
+    /// sparse one for other positions, is a `LengthMismatch`), and every
+    /// residue range-checked as [`Ciphertext::try_from_bytes`] checks it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a position is not below the degree (the positions are
+    /// the reader's own, not the peer's).
+    pub fn try_from_bytes(
+        ctx: &Arc<Context>,
+        bytes: &[u8],
+        positions: &[usize],
+    ) -> Result<Self, SerialError> {
+        let n = ctx.degree();
+        assert!(positions.iter().all(|&p| p < n), "positions below {n}");
+        check_header(ctx, bytes)?;
+        if bytes.len() != ctx.params().sparse_ciphertext_bytes(positions.len()) {
+            return Err(SerialError::LengthMismatch);
+        }
+        let mut off = 16usize;
+        let c1 = read_poly(ctx, bytes, &mut off)?;
+        let p = positions.len();
+        let mut c0 = vec![0u64; ctx.moduli_count() * p];
+        for (row, m) in c0.chunks_exact_mut(p.max(1)).zip(ctx.moduli()) {
+            let bits = residue_bits(m);
+            let section = (p * bits).div_ceil(8);
+            let src = bytes
+                .get(off..off + section)
+                .ok_or(SerialError::Truncated)?;
+            if unpack_bits_max(src, bits, row) >= m.value() {
+                return Err(SerialError::ResidueOutOfRange);
+            }
+            off += section;
+        }
+        Ok(Self {
+            c0,
+            c1,
+            positions: positions.to_vec(),
+        })
     }
 }
 

@@ -5,7 +5,10 @@
 //! the validated readers for the same malformed input: truncation at
 //! every section boundary, trailing bytes, a wrong header, and an
 //! unreduced residue in the first or last slot of each modulus section.
-//! The uploaded (seeded) ciphertext form is one of the blob kinds.
+//! The uploaded (seeded) ciphertext form is one of the blob kinds. The
+//! sparse result form is bit-flip fuzzed: whatever the flips and
+//! however the length is cut or grown, its reader answers with a
+//! ciphertext, `ResidueOutOfRange` or a length error, and never panics.
 //!
 //! Public-key and Galois-key blobs are compared against the oracle in
 //! `serial.rs`'s unit tests, which can see the key polynomials.
@@ -16,7 +19,9 @@ use common::bit_oracle;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spot_he::ciphertext::{pack_bits, pack_bits_into, unpack_bits, unpack_bits_into, Ciphertext};
+use spot_he::ciphertext::{
+    pack_bits, pack_bits_into, unpack_bits, unpack_bits_into, Ciphertext, SparseCiphertext,
+};
 use spot_he::context::Context;
 use spot_he::encoding::BatchEncoder;
 use spot_he::encryptor::{Encryptor, SymmetricEncryptor};
@@ -395,6 +400,56 @@ fn unreduced_residue_in_first_or_last_slot_gives_the_same_error() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// A masked result at N4096's two result primes, sent sparse at the 64
+/// positions of an 8×8 Cheetah layer's output pixels (3×3 kernel).
+fn sparse_blob() -> &'static (Arc<Context>, Vec<usize>, Vec<u8>) {
+    static BLOB: std::sync::OnceLock<(Arc<Context>, Vec<usize>, Vec<u8>)> =
+        std::sync::OnceLock::new();
+    BLOB.get_or_init(|| {
+        let ctx = ctx(ParamLevel::N4096);
+        let mut rng = StdRng::seed_from_u64(78);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let plain = BatchEncoder::new(&ctx).encode(&[1, 2, 3, 4, 5]);
+        let ct = Encryptor::new(&ctx, kg.public_key(&mut rng)).encrypt(&plain, &mut rng);
+        let positions: Vec<usize> = (0..8)
+            .flat_map(|y| (0..8).map(move |x| (y + 1) * 10 + x + 1))
+            .collect();
+        let evaluator = spot_he::evaluator::Evaluator::new(&ctx);
+        let blob = evaluator
+            .mask_result_sparse(ct, &plain, &positions)
+            .to_bytes();
+        (Arc::clone(ctx.result_context()), positions, blob)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bit_flipped_sparse_results_end_in_a_ciphertext_or_a_typed_error(
+        flips in proptest::collection::vec((16usize..37_456, 0u8..8), 1..8),
+        resize in -9isize..=9,
+        keep_length in 0u8..4,
+    ) {
+        // Three cases in four keep the length, so the flips reach the
+        // residue check.
+        let resize = if keep_length > 0 { 0 } else { resize };
+        let (rctx, positions, good) = sparse_blob();
+        prop_assert_eq!(good.len(), 37_456);
+        let mut bad = good.clone();
+        for (byte, bit) in flips {
+            bad[byte] ^= 1 << bit;
+        }
+        bad.resize((bad.len() as isize + resize) as usize, 0xFF);
+        match SparseCiphertext::try_from_bytes(rctx, &bad, positions) {
+            Ok(ct) => prop_assert_eq!(ct.to_bytes(), bad),
+            Err(SerialError::ResidueOutOfRange) => prop_assert_eq!(resize, 0),
+            Err(SerialError::LengthMismatch) => prop_assert_ne!(resize, 0),
+            Err(other) => prop_assert!(false, "{other:?}"),
         }
     }
 }

@@ -6,9 +6,12 @@
 //! server's operation counts are read off the conv engine's walks
 //! (`spot_core::heconv::ConvWalk::ops`, the value the engine executes):
 //! exact, except for kernel plaintexts the weights zero out, which the
-//! model still counts. Cheetah's come from its coefficient packing, plus
-//! a modelled extraction cost the functional path does not run. So the
-//! simulated timeline is priced by what the implementation does.
+//! model still counts. Cheetah's come from its coefficient packing. Every
+//! result is priced at the bytes the wire carries for it
+//! ([`ConvPlan::result_bytes`]): the two-prime full form for a
+//! slot-packed result, `c1` plus the useful coefficients of `c0` for a
+//! coefficient-packed one. So the simulated timeline is priced by what
+//! the implementation does.
 
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
@@ -45,19 +48,17 @@ pub struct ConvPlan {
     pub finalize_ops: OpCounts,
     /// Output dependency structure.
     pub dependency: OutputDependency,
-    /// Extra downstream bytes beyond `output_cts` full ciphertexts
-    /// (e.g. Cheetah's extracted LWE coefficient ciphertexts).
-    pub extra_downstream_bytes: u64,
     /// Client-side share-assembly additions after decryption (overlap
     /// tweaking arithmetic), total element operations.
     pub assembly_elements: u64,
-    /// Extra client-side CPU seconds (reference core) beyond standard
-    /// decryption — e.g. Cheetah's per-coefficient LWE processing.
-    pub client_extra_s: f64,
     /// ReLU elements computed after this convolution (0 = none).
     pub relu_elements: usize,
     /// Serialized bytes of one ciphertext at `level`.
     pub ciphertext_bytes: usize,
+    /// Serialized bytes of one result as the wire carries it: at the
+    /// level's result primes, whole for a slot-packed result, `c1` and
+    /// the useful coefficients of `c0` for a coefficient-packed one.
+    pub result_bytes: usize,
     /// SIMD slots actually carrying feature-map values per input
     /// ciphertext (for the memory-utilization figure).
     pub useful_input_slots: usize,
@@ -81,7 +82,7 @@ impl ConvPlan {
 
     /// Downstream communication bytes (server → client).
     pub fn downstream_bytes(&self) -> u64 {
-        (self.output_cts * self.ciphertext_bytes) as u64 + self.extra_downstream_bytes
+        (self.output_cts * self.result_bytes) as u64
     }
 
     /// Useful feature-map entries per megabyte of one input ciphertext:
@@ -100,9 +101,7 @@ impl ConvPlan {
         let server = ops.add as f64 * c.add
             + ops.mult_plain as f64 * c.mult_plain
             + ops.rotate as f64 * c.rotate;
-        let client = self.input_cts as f64 * c.encrypt
-            + self.output_cts as f64 * c.decrypt
-            + self.client_extra_s;
+        let client = self.input_cts as f64 * c.encrypt + self.output_cts as f64 * c.decrypt;
         let comm = (self.upstream_bytes() + self.downstream_bytes()) as f64 / 12.5e6;
         server + client + comm
     }
@@ -133,11 +132,10 @@ mod tests {
                 decrypt: 0,
             },
             dependency: OutputDependency::AllInputs,
-            extra_downstream_bytes: 100,
             assembly_elements: 0,
-            client_extra_s: 0.0,
             relu_elements: 1000,
             ciphertext_bytes: 131_697,
+            result_bytes: 87_800,
             useful_input_slots: 4096,
             useful_output_slots: 2048,
         }
@@ -151,7 +149,7 @@ mod tests {
         assert_eq!(t.mult_plain, 80);
         assert_eq!(t.rotate, 20);
         assert_eq!(p.upstream_bytes(), 4 * 131_697);
-        assert_eq!(p.downstream_bytes(), 2 * 131_697 + 100);
+        assert_eq!(p.downstream_bytes(), 2 * 87_800);
     }
 
     #[test]

@@ -290,12 +290,7 @@ pub fn simulate_conv(plan: &ConvPlan, cfg: &SimConfig) -> SimResult {
 
     let capacity = cfg.client.ciphertext_capacity(plan.ciphertext_bytes);
 
-    let down_bytes_per_ct = if plan.output_cts > 0 {
-        plan.ciphertext_bytes as u64 + plan.extra_downstream_bytes / plan.output_cts as u64
-    } else {
-        0
-    };
-    let down_t = cfg.link.transfer_time(down_bytes_per_ct as usize);
+    let down_t = cfg.link.transfer_time(plan.result_bytes);
     let dec_one = dec_t + asm_total / plan.output_cts.max(1) as f64;
 
     // Build the job graph.
@@ -427,11 +422,6 @@ pub fn simulate_conv(plan: &ConvPlan, cfg: &SimConfig) -> SimResult {
     let mut engine = Engine::new(jobs, cfg.client.threads, cfg.server.threads, capacity);
     let mut makespan = engine.run();
 
-    // Extra client-side processing (e.g. Cheetah LWE handling).
-    if plan.client_extra_s > 0.0 {
-        makespan += cfg.client.scale(plan.client_extra_s);
-    }
-
     // Trailing ReLU on the shared output (starts after the last share
     // piece is decrypted).
     let mut relu_s = 0.0;
@@ -560,11 +550,10 @@ mod tests {
                 OpCounts::default()
             },
             dependency: dep,
-            extra_downstream_bytes: 0,
             assembly_elements: 0,
-            client_extra_s: 0.0,
             relu_elements: 10_000,
             ciphertext_bytes: 394_865,
+            result_bytes: 394_865,
             useful_input_slots: 8192,
             useful_output_slots: 8192,
         }
@@ -662,6 +651,7 @@ mod tests {
         let mut small = mk_plan(OutputDependency::PerInput, 8);
         small.level = ParamLevel::N4096;
         small.ciphertext_bytes = 131_697;
+        small.result_bytes = 131_697;
         let big = mk_plan(OutputDependency::PerInput, 8);
         let ts = simulate_conv(&small, &cfg).timing;
         let tb = simulate_conv(&big, &cfg).timing;

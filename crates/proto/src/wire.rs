@@ -29,8 +29,13 @@ use std::io::Read;
 /// where it held one key per tap (eight). Version 6: a `MaskedResult`
 /// blob is the full form of a ciphertext at the level's first two
 /// primes, `q_0·q_1` (the server switches every result down after
-/// masking; a level of one or two primes sends it as it is).
-pub const WIRE_VERSION: u8 = 6;
+/// masking; a level of one or two primes sends it as it is). Version 7:
+/// a coefficient-packed layer's `MaskedResult` blob is the sparse form
+/// of its result — the same header, `c1` whole, then `c0` at only the
+/// coefficients its share reads, which both parties derive from the
+/// layer (`spot_he::ciphertext::SparseCiphertext`); a slot-packed
+/// layer's stays the full form.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
