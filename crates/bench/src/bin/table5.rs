@@ -36,11 +36,12 @@ fn main() {
     let cw = run(SchemeKind::Channelwise);
     let sp = run(SchemeKind::Spot);
 
-    let geo = channelwise::geometry(
+    let blk = channelwise::blocking(
         &spot_tensor::models::ConvShape::new(16, 16, 16, 32, 3, 1),
         ParamLevel::N4096,
     );
-    let cf_formula = cryptflow2_formula(geo.input_cts as u64, geo.channels_per_ct as u64, 32, 3, 3);
+    let per_ct = blk.channels_per_ct() as u64;
+    let cf_formula = cryptflow2_formula(blk.in_groups as u64, per_ct, 32, 3, 3);
     let sp_formula = spot_formula(sp.input_cts as u64, 16, 32, 3, 3);
 
     let mut table = Table::new(

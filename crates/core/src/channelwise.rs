@@ -8,71 +8,51 @@
 //! across input ciphertexts — the cross-ciphertext dependency that
 //! causes the linear computation stall on tiny clients.
 //!
-//! [`Packing`] is this scheme's side of the session driver's interface
-//! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
+//! The packing itself is the one tiled packing ([`crate::tile`]) with
+//! the whole map as the tile's one piece and the channels split into
+//! groups; this module supplies CrypTFlow2's alignment rule
+//! ([`blocking`]) and the plan.
 
 use crate::error::SpotError;
-use crate::heconv::{ConvRequest, ConvWalk, GroupSpec};
-use crate::layout::{next_pow2, BatchLayout, ChannelMap, LaneLayout};
-use crate::session::{first_uses, lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
-use spot_he::ciphertext::Ciphertext;
+use crate::layout::next_pow2;
+use crate::tile::{Blocking, Cut, Packing};
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
 use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
-use std::sync::Arc;
 
-/// Geometry of a channel-wise packing for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelwiseGeometry {
-    /// Slots per channel block (power of two ≥ `H·W`).
-    pub channel_slots: usize,
-    /// Channel blocks per lane.
-    pub blocks_per_lane: usize,
-    /// Channels per ciphertext (both lanes).
-    pub channels_per_ct: usize,
-    /// Number of input ciphertexts.
-    pub input_cts: usize,
-    /// Number of output ciphertexts.
-    pub output_cts: usize,
-    /// Whether both lanes carry (distinct) channels.
-    pub both_lanes: bool,
-}
-
-/// Computes the packing geometry for a layer shape at a parameter level.
-///
-/// # Panics
-///
-/// Panics if one channel does not fit a lane (`HW_pad > N/2`); large
-/// feature maps must be handled by the planner's fragment model.
-pub fn geometry(shape: &ConvShape, level: ParamLevel) -> ChannelwiseGeometry {
+/// CrypTFlow2's alignment rule for `shape` at `level`: channel `c`
+/// occupies one power-of-two block of `HW` slots, `min(lane / HW,
+/// C_i/2)` blocks a lane, over both lanes (one lane for a
+/// single-channel input), and the channels split into as many groups
+/// of that size as they fill. The output-rotation algorithm takes the
+/// diagonals one block at a time (no BSGS, no folds), with outputs in
+/// groups of the same size.
+pub fn blocking(shape: &ConvShape, level: ParamLevel) -> Blocking {
     let lane = level.degree() / 2;
     let s = next_pow2(shape.width * shape.height);
-    assert!(
-        s <= lane,
-        "channel of {}x{} does not fit a lane of {} slots",
-        shape.height,
-        shape.width,
-        lane
-    );
     let ci_pad = next_pow2(shape.c_in);
-    let co_pad = next_pow2(shape.c_out);
-    let max_per_lane = lane / s;
-    let blocks = max_per_lane.min(ci_pad.div_ceil(2)).max(1);
-    let both_lanes = ci_pad >= 2;
-    let channels_per_ct = if both_lanes { 2 * blocks } else { 1 };
-    let input_cts = ci_pad.div_ceil(channels_per_ct);
-    let output_cts = co_pad.div_ceil(channels_per_ct);
-    ChannelwiseGeometry {
-        channel_slots: s,
-        blocks_per_lane: blocks,
-        channels_per_ct,
-        input_cts,
-        output_cts,
-        both_lanes,
+    let lane_blocks = (lane / s).min(ci_pad.div_ceil(2)).max(1);
+    let lanes = if ci_pad >= 2 { 2 } else { 1 };
+    let per_ct = lanes * lane_blocks;
+    Blocking {
+        lanes,
+        lane_blocks,
+        in_groups: ci_pad.div_ceil(per_ct),
+        out_groups: next_pow2(shape.c_out).div_ceil(per_ct),
+        out_period: per_ct,
+        diagonals: lane_blocks,
+        fold_steps: Vec::new(),
+        bsgs: false,
     }
+}
+
+/// The layer planned under channel-wise packing: the whole map, its
+/// channels in groups; a channel must fit one lane.
+pub(crate) fn packing(shape: &ConvShape, level: ParamLevel) -> Result<Packing, SpotError> {
+    Packing::new(shape, level, blocking(shape, level), Cut::Whole)
 }
 
 /// Result of a functional secure convolution: additive shares of the
@@ -104,168 +84,8 @@ impl SecureConvResult {
     }
 }
 
-/// Channel placement for ciphertext `ct` of a tensor with `channels`
-/// channels: `map[lane][block]` is the channel packed there, if any.
-/// Input and output ciphertexts follow the same rule.
-fn channel_map(geo: &ChannelwiseGeometry, ct: usize, channels: usize) -> ChannelMap {
-    let mut map = vec![vec![None; geo.blocks_per_lane]; 2];
-    for (lane, row) in map.iter_mut().enumerate() {
-        if lane == 1 && !geo.both_lanes {
-            break;
-        }
-        for (b, slot) in row.iter_mut().enumerate() {
-            let ch = ct * geo.channels_per_ct + lane * geo.blocks_per_lane + b;
-            if ch < channels {
-                *slot = Some(ch);
-            }
-        }
-    }
-    map
-}
-
-/// One layer planned under channel-wise packing.
-pub(crate) struct Packing {
-    shape: ConvShape,
-    geo: ChannelwiseGeometry,
-    /// One image occupies piece position 0 across both lanes and every
-    /// channel block, so every further position can carry another
-    /// queued image: the masked kernel plaintexts already confine each
-    /// position's convolution to its own region.
-    images: BatchLayout,
-    /// What the engine does to each input ciphertext, in upload order.
-    pub(crate) walks: Vec<ConvWalk>,
-    facts: PlanFacts,
-}
-
-impl Packing {
-    /// Plans `shape` at `level`; a channel must fit one lane.
-    pub(crate) fn new(shape: &ConvShape, level: ParamLevel) -> Result<Self, SpotError> {
-        let lane = level.degree() / 2;
-        LaneLayout::try_new(lane, 1, shape.height, shape.width)?;
-        let geo = geometry(shape, level);
-        let layout = LaneLayout::new(lane, geo.blocks_per_lane, shape.height, shape.width);
-        let groups: Arc<[GroupSpec]> = (0..geo.output_cts)
-            .map(|k| GroupSpec {
-                out_ch: channel_map(&geo, k, shape.c_out),
-            })
-            .collect();
-        // Input ciphertext `j` and, with channels in both lanes, its
-        // column-swapped twin; CrypTFlow2's published output-rotation
-        // algorithm takes the diagonals one block at a time (no BSGS),
-        // which the engine's Horner walk takes by one key.
-        let walks: Vec<ConvWalk> = (0..geo.input_cts)
-            .map(|j| {
-                let map = channel_map(&geo, j, shape.c_in);
-                let swapped = geo.both_lanes.then(|| vec![map[1].clone(), map[0].clone()]);
-                let in_maps = std::iter::once(map).chain(swapped).collect();
-                let diagonals = geo.blocks_per_lane;
-                let k = (shape.k_h, shape.k_w);
-                let groups = Arc::clone(&groups);
-                ConvWalk::new(layout, in_maps, groups, diagonals, Vec::new(), k, false)
-            })
-            .collect();
-        let images = BatchLayout::new(layout, 1);
-        Ok(Self {
-            shape: *shape,
-            geo,
-            images,
-            facts: PlanFacts {
-                dependency: OutputDependency::AllInputs,
-                input_cts: geo.input_cts,
-                output_cts: geo.output_cts,
-                jobs: geo.input_cts,
-                galois_elements: first_uses(walks.iter().enumerate()),
-                batch_capacity: images.capacity().min(MAX_BATCH),
-                coeff_packed: false,
-            },
-            walks,
-        })
-    }
-}
-
-impl ConvScheme for Packing {
-    fn facts(&self) -> &PlanFacts {
-        &self.facts
-    }
-
-    fn batch_layout(&self, _result: usize) -> Option<BatchLayout> {
-        Some(self.images)
-    }
-
-    fn pack(
-        &self,
-        images: &[Tensor],
-        t: u64,
-        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
-    ) -> Result<(), SpotError> {
-        let layout = &self.images.layout;
-        for walk in &self.walks {
-            let rows: Vec<Vec<u64>> = (images.iter())
-                .map(|img| {
-                    let mut slots = vec![0u64; 2 * layout.lane_size];
-                    layout.scatter(walk.in_map(), 0, img, t, &mut slots);
-                    slots
-                })
-                .collect();
-            emit(self.images.pack_images(&rows))?;
-        }
-        Ok(())
-    }
-
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, SpotError> {
-        kit.engine.conv_one_ct(
-            &inputs[job],
-            &ConvRequest {
-                walk: &self.walks[job],
-                kernel: kit.kernel,
-                cache_tag: job,
-            },
-        )
-    }
-
-    /// Every output ciphertext needs every input's partial product:
-    /// accumulate in input order, as a serial run would, and release
-    /// the sums after the last input.
-    fn collect(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        outs: Vec<Ciphertext>,
-        acc: &mut Vec<Ciphertext>,
-    ) -> Vec<Ciphertext> {
-        if acc.is_empty() {
-            *acc = outs;
-        } else {
-            for (sum, partial) in acc.iter_mut().zip(&outs) {
-                kit.engine.evaluator().add_inplace(sum, partial);
-            }
-        }
-        if job + 1 == self.facts.jobs {
-            std::mem::take(acc)
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
-        let (shape, layout) = (&self.shape, &self.images.layout);
-        let mut share = Tensor::zeros(shape.c_out, shape.out_height(), shape.out_width());
-        // Every input's walk produces the same output groups.
-        for (row, group) in rows.iter().zip(self.walks[0].groups()) {
-            let read = |v| lift(v, t, center);
-            layout.gather(&group.out_ch, 0, shape.stride, row, read, &mut share);
-        }
-        share
-    }
-}
-
 /// Builds the execution plan for the simulator from the layer's
-/// [`Packing`]: the server's work is one walk per input ciphertext,
+/// packing: the server's work is one walk per input ciphertext,
 /// then the cross-ciphertext sums and one masking subtraction per
 /// result once every input is in. A feature map larger than a lane is
 /// planned as fragments — bands of whole rows, each one channel of its
@@ -283,13 +103,9 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
         height: shape.height.div_ceil(fragments),
         ..*shape
     };
-    let packing = Packing::new(&band, level)
+    let packing = packing(&band, level)
         .unwrap_or_else(|e| panic!("channel-wise packing cannot plan {shape} at {level}: {e}"));
-    let (geo, facts) = (&packing.geo, &packing.facts);
-    let mut input_ops = OpCounts::default();
-    for walk in &packing.walks {
-        input_ops.merge(&walk.ops());
-    }
+    let (per_ct, facts) = (packing.blk.channels_per_ct(), &packing.facts);
     let finalize = OpCounts {
         add: ((facts.input_cts as u64 - 1) * facts.output_cts as u64) + facts.output_cts as u64,
         ..OpCounts::default()
@@ -300,7 +116,7 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
         level,
         input_cts: facts.input_cts,
         output_cts: facts.output_cts,
-        input_ops,
+        input_ops: packing.walk_ops(),
         finalize_ops: finalize,
         dependency: OutputDependency::AllInputs,
         assembly_elements: 0,
@@ -311,10 +127,8 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
         },
         ciphertext_bytes: params.ciphertext_bytes(),
         result_bytes: params.result_params().ciphertext_bytes(),
-        useful_input_slots: (geo.channels_per_ct * shape.width * shape.height / fragments)
-            .min(level.degree()),
-        useful_output_slots: (geo.channels_per_ct * shape.out_width() * shape.out_height()
-            / fragments)
+        useful_input_slots: (per_ct * shape.width * shape.height / fragments).min(level.degree()),
+        useful_output_slots: (per_ct * shape.out_width() * shape.out_height() / fragments)
             .min(level.degree()),
     }
 }
@@ -375,21 +189,34 @@ mod tests {
     fn geometry_small_map() {
         // 16x16 map (256 slots), lane 2048 at N4096: 8 channels per lane
         let shape = ConvShape::new(16, 16, 16, 16, 3, 1);
-        let geo = geometry(&shape, ParamLevel::N4096);
-        assert_eq!(geo.channel_slots, 256);
-        assert_eq!(geo.blocks_per_lane, 8);
-        assert_eq!(geo.channels_per_ct, 16);
-        assert_eq!(geo.input_cts, 1);
-        assert_eq!(geo.output_cts, 1);
+        let packing = packing(&shape, ParamLevel::N4096).expect("plans");
+        assert_eq!(packing.classes[0].images.layout.piece_slots, 256);
+        assert_eq!(packing.blk.lane_blocks, 8);
+        assert_eq!(packing.blk.channels_per_ct(), 16);
+        assert_eq!(packing.facts.input_cts, 1);
+        assert_eq!(packing.facts.output_cts, 1);
     }
 
     #[test]
     fn geometry_many_channels() {
         let shape = ConvShape::new(16, 16, 64, 32, 3, 1);
-        let geo = geometry(&shape, ParamLevel::N4096);
-        assert_eq!(geo.channels_per_ct, 16);
-        assert_eq!(geo.input_cts, 4);
-        assert_eq!(geo.output_cts, 2);
+        let packing = packing(&shape, ParamLevel::N4096).expect("plans");
+        assert_eq!(packing.blk.channels_per_ct(), 16);
+        assert_eq!(packing.facts.input_cts, 4);
+        assert_eq!(packing.facts.output_cts, 2);
+    }
+
+    /// A single-channel input fills one lane only, one channel group
+    /// and one output channel a ciphertext.
+    #[test]
+    fn geometry_single_channel() {
+        let shape = ConvShape::new(8, 8, 1, 4, 3, 1);
+        let packing = packing(&shape, ParamLevel::N4096).expect("plans");
+        assert_eq!((packing.blk.lanes, packing.blk.lane_blocks), (1, 1));
+        assert_eq!(packing.facts.input_cts, 1);
+        assert_eq!(packing.facts.output_cts, 4);
+        let groups = packing.walks[0].groups();
+        assert_eq!(groups[3].out_ch, [vec![Some(3)], vec![None]]);
     }
 
     #[test]

@@ -85,10 +85,9 @@ mod tests {
         // rotation count is slightly *below* the formula because the
         // two-lane layout shares each alignment rotation across lanes.
         let shape = ConvShape::new(16, 16, 32, 32, 3, 1);
-        let geo = channelwise::geometry(&shape, ParamLevel::N4096);
-        let packing = channelwise::Packing::new(&shape, ParamLevel::N4096).expect("plans");
+        let packing = channelwise::packing(&shape, ParamLevel::N4096).expect("plans");
         let per_ct = packing.walks[0].ops();
-        let f = cryptflow2_formula(1, geo.channels_per_ct as u64, 32, 3, 3);
+        let f = cryptflow2_formula(1, packing.blk.channels_per_ct() as u64, 32, 3, 3);
         assert_eq!(per_ct.mult_plain, f.simd_mult);
         assert_eq!(per_ct.add, f.add);
         assert!(per_ct.rotate <= f.perm, "{} > {}", per_ct.rotate, f.perm);

@@ -1,8 +1,9 @@
 //! The generic lane-MIMO homomorphic convolution engine.
 //!
 //! Both the channel-wise baseline (CrypTFlow2-style SISO/MIMO, Sec. III-A
-//! of the paper) and SPOT's structure-patching convolution reduce to the
-//! same primitive: given one packed ciphertext whose lanes hold channel
+//! of the paper) and SPOT's structure-patching convolution pack through
+//! the one tiled packing ([`crate::tile`]) and reduce to the same
+//! primitive: given one packed ciphertext whose lanes hold channel
 //! blocks in a [`LaneLayout`], compute for each *output group* the sum
 //! over kernel taps and block diagonals
 //!
@@ -28,13 +29,16 @@
 //! `dy·W` followed by the column move `dx`, so a `k_h × k_w` kernel
 //! asks for `(k_h − 1) + (k_w − 1)` tap keys, and a tap that cannot pair
 //! two pixels of the layout's pieces is not taken at all. The engine also
-//! handles the cross-lane products channel-wise packing needs (one
-//! column-swap per input ciphertext) and the block-folding used when
-//! `C_o < C_i` (Fig. 7 (b)).
+//! handles the cross-lane products of a tile whose channels span both
+//! lanes (one column-swap per input ciphertext) and the block-folding
+//! used when `C_o < C_i` (Fig. 7 (b)). Which of these a walk takes, and
+//! whether its diagonals go baby-step/giant-step or one block at a time,
+//! is the scheme's alignment rule ([`crate::tile::Blocking`]).
 //!
 //! What the engine does to one input ciphertext is computed once, as a
-//! value: the [`ConvWalk`] of a SPOT piece class or of a channel-wise
-//! input ciphertext. It has three readers and no copies. The engine
+//! value: the [`ConvWalk`] of a tile's piece class and channel group
+//! (for SPOT, a piece class; for channel-wise packing, an input
+//! ciphertext's channel group). It has three readers and no copies. The engine
 //! runs it ([`HeConvEngine::conv_one_ct`]); the key schedule reads the
 //! Galois elements it rotates by ([`ConvWalk::elements`]), in the
 //! order it first uses them; the cost model reads the operations it
@@ -80,8 +84,8 @@ pub struct ConvRequest<'a> {
     /// The convolution kernel.
     pub kernel: &'a Kernel,
     /// Discriminates kernel-plaintext cache entries when one engine
-    /// serves several distinct walks — channel-wise packing uses the
-    /// input-ciphertext index here, SPOT the piece-class index.
+    /// serves several distinct walks — the tiled packing uses the
+    /// walk's index, one per (piece class, channel group).
     /// Requests with equal tags must be otherwise identical.
     pub cache_tag: usize,
 }
@@ -296,8 +300,10 @@ struct Term {
 /// by: the client scatters an input with `ConvWalk::in_map` and both
 /// parties gather a result with its group's output map, through the one
 /// scatter and gather of [`crate::layout`], which owns the slot format.
-/// Every SPOT walk holds the channel-split layout (lane 1 empty for a
-/// single-channel input) and its lane-swapped twin.
+/// A walk whose channels span both lanes holds the channel-split layout
+/// and its lane-swapped twin (SPOT's always do, lane 1 empty for a
+/// single-channel input); channel-wise packing's single-channel walk
+/// holds lane 0 alone.
 ///
 /// In order: the column swap (when the input has a lane-swapped second
 /// version); the baby steps `1..B` of each version; at each (version,
@@ -379,11 +385,6 @@ impl ConvWalk {
             met,
             folds,
         }
-    }
-
-    /// The lane layout the walk's input is packed with.
-    pub(crate) fn layout(&self) -> &LaneLayout {
-        &self.layout
     }
 
     /// Where the walk's input holds its channels: the map a client
@@ -1059,14 +1060,14 @@ mod tests {
     fn an_empty_giant_step_still_moves_the_sum_of_the_later_ones() {
         use crate::patching::PatchMode;
         use crate::session::{run_phased, LayerSpec, SchemeKind};
-        use crate::spot::{blocking, spot_group_specs, spot_in_maps};
+        use crate::spot::blocking;
         use rand::SeedableRng;
         use spot_he::prelude::*;
         use spot_tensor::conv::conv2d;
         use spot_tensor::tensor::Tensor;
 
         let blk = blocking(8, 8);
-        let (in_maps, groups) = (spot_in_maps(&blk, 8), spot_group_specs(&blk, 8));
+        let (in_maps, groups) = (blk.in_maps(0, 8), blk.group_specs(8));
         assert_eq!(
             bsgs_split(blk.diagonals, groups.len(), in_maps.len(), 9),
             (1, 4)

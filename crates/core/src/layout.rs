@@ -22,13 +22,16 @@
 //! removed by zeros in the kernel plaintexts.
 //!
 //! A piece position spans both lanes and every block: a [`ChannelMap`]
-//! says which channel sits in each `(lane, block)` of it. SPOT splits a
-//! patch's channels across the two lanes (lane 1 empty for a
-//! single-channel input) and fills the positions with pieces;
-//! channel-wise packing puts its channels at position 0. Both write a
-//! tensor into slots with the one `LaneLayout::scatter` and read one
-//! back with the one `LaneLayout::gather`; [`BatchLayout`] then
-//! interleaves a batch's images, or its masks, over the free positions.
+//! says which channel sits in each `(lane, block)` of it. The one tiled
+//! packing ([`crate::tile`]) fills the positions with a tile's pieces
+//! and the blocks with one of its channel groups: SPOT's pieces are
+//! patches, all channels split across the two lanes (lane 1 empty for a
+//! single-channel input); channel-wise packing's one piece is the whole
+//! map, at position 0, one channel group a ciphertext (lane 0 alone for
+//! a single-channel input). It writes a tensor into slots with the one
+//! `LaneLayout::scatter` and reads one back with the one
+//! `LaneLayout::gather`; [`BatchLayout`] then interleaves a batch's
+//! images, or its masks, over the free positions.
 
 use crate::error::SpotError;
 use spot_tensor::fixed::to_field;

@@ -7,6 +7,9 @@
 //!   baseline (SISO/MIMO rotation-based convolution).
 //! * [`patching`] + [`spot`] — SPOT's structure patching pipeline with
 //!   patch overlap tweaking.
+//! * [`tile`] — the one slot packing both of those run: a ciphertext
+//!   carries a tile of pieces × a channel group, and each scheme supplies
+//!   its alignment rule.
 //! * [`cheetah`] — the Cheetah coefficient-encoding baseline.
 //! * [`select`] — patch-size / parameter-level selection (Table VI).
 //! * [`complexity`] — the Table V operation-count formulas.
@@ -33,4 +36,5 @@ pub mod serving;
 pub mod session;
 pub mod spot;
 pub mod stream;
+pub mod tile;
 pub mod twoparty;

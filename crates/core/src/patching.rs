@@ -161,6 +161,19 @@ pub fn decompose(input: &Tensor, ph: usize, pw: usize, k: usize, mode: PatchMode
     }
 }
 
+/// The whole of `input` as one piece, for a `k×k` kernel: the tile of
+/// channel-wise packing. Selecting every output from the one patch that
+/// covers every window, [`assemble`] returns it unchanged.
+pub(crate) fn whole(input: &Tensor, k: usize) -> Decomposition {
+    let (h, w) = (input.height(), input.width());
+    Decomposition {
+        mode: PatchMode::Vanilla,
+        k,
+        grid: (1, 1),
+        classes: vec![(PieceClass { h, w }, vec![crop_piece(input, 0, 0, h, w, 1)])],
+    }
+}
+
 /// Assembles per-piece convolution outputs into the full result.
 ///
 /// `piece_outputs` must be in the same order as the decomposition's

@@ -160,15 +160,11 @@ impl SchemeKind {
     /// Plans and validates `spec` under this scheme's packing — the one
     /// place the session layer dispatches on the scheme.
     fn plan(self, spec: &LayerSpec, level: ParamLevel) -> Result<Box<dyn ConvScheme>, SpotError> {
+        let shape = &spec.shape;
         Ok(match self {
-            SchemeKind::Channelwise => Box::new(channelwise::Packing::new(&spec.shape, level)?),
-            SchemeKind::Cheetah => Box::new(cheetah::Packing::new(&spec.shape, level)?),
-            SchemeKind::Spot => Box::new(spot::Packing::new(
-                &spec.shape,
-                level,
-                spec.patch,
-                spec.mode,
-            )?),
+            SchemeKind::Channelwise => Box::new(channelwise::packing(shape, level)?),
+            SchemeKind::Cheetah => Box::new(cheetah::Packing::new(shape, level)?),
+            SchemeKind::Spot => Box::new(spot::packing(shape, level, spec.patch, spec.mode)?),
         })
     }
 }
@@ -404,9 +400,12 @@ pub(crate) struct ServerKit<'a> {
     pub engine: HeConvEngine<'a>,
 }
 
-/// One packing scheme as the session driver sees it. Three impls:
-/// [`channelwise::Packing`], [`cheetah::Packing`], [`spot::Packing`];
-/// each constructor is the scheme's *plan + validate* step.
+/// One packing scheme as the session driver sees it. Two impls: the
+/// tiled slot packing of SPOT and channel-wise packing
+/// ([`crate::tile::Packing`], one type, the scheme's alignment rule and
+/// tile its parameters) and Cheetah's coefficient packing
+/// ([`cheetah::Packing`]); each constructor is the scheme's *plan +
+/// validate* step.
 pub(crate) trait ConvScheme: Send + Sync {
     /// Counts, keys, capacity and dependency class of the planned layer.
     fn facts(&self) -> &PlanFacts;
@@ -454,8 +453,8 @@ pub(crate) trait ConvScheme: Send + Sync {
 
     /// Folds job `job`'s outputs into the round's result stream: called
     /// in job order on one thread, returns the result ciphertexts that
-    /// are now final. Channel-wise packing accumulates across jobs in
-    /// `acc` and releases everything after the last one.
+    /// are now final. The tiled packing sums a piece ciphertext's
+    /// channel groups in `acc` and releases them after the last one.
     fn collect(
         &self,
         _kit: &ServerKit<'_>,
@@ -1009,8 +1008,8 @@ pub const MAX_CACHED_SPECS: usize = 8;
 
 /// Per-model NTT-domain kernel caches, shared across every serving
 /// session of that model: one [`KernelCache`] per [`LayerSpec`] — the
-/// request's `cache_tag` keeps a layer's input ciphertexts (channel-wise)
-/// or piece classes (SPOT) apart inside it; Cheetah's stays empty — for
+/// request's `cache_tag` keeps a layer's walks (one per piece class and
+/// channel group of its tile) apart inside it; Cheetah's stays empty — for
 /// the [`MAX_CACHED_SPECS`] most recently served specs. Cache contents
 /// depend only on the layer geometry and the model's kernel weights — no
 /// client key material — which is what makes cross-session sharing safe.
@@ -1770,6 +1769,47 @@ mod tests {
         assert!(store.wait(27).is_ok());
         never(5, UPLOAD_OVER);
         drop(next_layer);
+    }
+
+    /// N2048 has no rotation keys. A SIMD layer whose walks rotate is
+    /// refused when it is planned, on either side of the wire, where
+    /// it used to plan and then panic in the client's key generation;
+    /// a layer that rotates by nothing, and Cheetah, still plan there.
+    #[test]
+    fn a_layer_that_rotates_is_refused_at_a_level_without_rotations() {
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N2048));
+        let mut rng = StdRng::seed_from_u64(3);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let spec = |scheme, shape| LayerSpec {
+            scheme,
+            shape,
+            patch: (4, 4),
+            mode: PatchMode::Tweaked,
+        };
+        let layer = ConvShape::new(8, 8, 2, 4, 3, 1);
+        for scheme in [SchemeKind::Spot, SchemeKind::Channelwise] {
+            let refused = ClientConv::new(&ctx, &keygen, spec(scheme, layer)).err();
+            assert!(
+                matches!(&refused, Some(SpotError::Protocol(why)) if why.contains("does not support rotations")),
+                "{scheme:?}: {refused:?}"
+            );
+            let input = Tensor::random(2, 8, 8, 4, 1);
+            let kernel = Kernel::random(4, 2, 3, 3, 3, 2);
+            let backend = ExecBackend::Phased(Executor::serial());
+            let run = run_in_process(
+                &ctx,
+                &keygen,
+                spec(scheme, layer),
+                &[input],
+                &kernel,
+                &backend,
+                &mut rng,
+            );
+            assert!(matches!(run, Err(SpotError::Protocol(_))), "{scheme:?}");
+        }
+        let pointwise = spec(SchemeKind::Channelwise, ConvShape::new(8, 8, 1, 1, 1, 1));
+        assert!(ClientConv::new(&ctx, &keygen, pointwise).is_ok());
+        assert!(ClientConv::new(&ctx, &keygen, spec(SchemeKind::Cheetah, layer)).is_ok());
     }
 
     /// A key travels behind the input that makes the first job using it

@@ -206,6 +206,11 @@ fn deep_channel_folding_co_much_less_than_ci() {
     let input = Tensor::random(16, 4, 4, 5, 11);
     let kernel = Kernel::random(2, 16, 3, 3, 3, 12);
     let expected = conv2d(&input, &kernel, 1);
+    // Channel-wise packing holds all sixteen channels in one ciphertext
+    // and returns the two outputs in one result, without folding.
+    let scheme = SchemeKind::Channelwise;
+    let cw = baseline(&ctx, &keygen, scheme, &input, &kernel, 1, &mut rng);
+    assert_eq!(cw.reconstruct(), expected);
     let sp = spot_conv(
         &ctx,
         &keygen,
@@ -272,14 +277,18 @@ fn spot_works_at_n8192() {
     assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
 }
 
-/// SPOT over a single-channel input: the channels split across the
-/// lanes like any other layer's, with lane 1 empty.
-fn single_channel_spot(size: usize, c_out: usize, seed: u64) {
+/// A single-channel input, under SPOT and under channel-wise packing.
+/// SPOT splits the channels across the lanes like any other layer's,
+/// with lane 1 empty. Channel-wise packing keeps the one channel in lane
+/// 0 alone, one output channel a result, at the smallest level where a
+/// channel fits a lane.
+fn single_channel(size: usize, c_out: usize, seed: u64) {
     let ctx = ctx();
     let mut rng = StdRng::seed_from_u64(seed);
     let keygen = KeyGenerator::new(&ctx, &mut rng);
     let input = Tensor::random(1, size, size, 6, seed + 1);
     let kernel = Kernel::random(c_out, 1, 3, 3, 4, seed + 2);
+    let expected = conv2d(&input, &kernel, 1);
     let sp = spot_conv(
         &ctx,
         &keygen,
@@ -289,12 +298,27 @@ fn single_channel_spot(size: usize, c_out: usize, seed: u64) {
         ((4, 4), PatchMode::Tweaked),
         &mut rng,
     );
-    assert_eq!(sp.reconstruct(), conv2d(&input, &kernel, 1));
+    assert_eq!(sp.reconstruct(), expected);
+
+    let level = if size * size <= 2048 {
+        ParamLevel::N4096
+    } else {
+        ParamLevel::N8192
+    };
+    let ctx = spot::he::context::Context::new(EncryptionParams::new(level));
+    let keygen = KeyGenerator::new(&ctx, &mut rng);
+    let scheme = SchemeKind::Channelwise;
+    let cw = baseline(&ctx, &keygen, scheme, &input, &kernel, 1, &mut rng);
+    assert_eq!(cw.reconstruct(), expected);
+    assert_eq!(
+        (cw.input_cts, cw.output_cts),
+        (1, c_out.next_power_of_two())
+    );
 }
 
 #[test]
 fn single_channel_input_lane_contained_path() {
-    single_channel_spot(8, 4, 88);
+    single_channel(8, 4, 88);
 }
 
 /// 169 patches: more than the 128 positions of one ciphertext, so the
@@ -303,12 +327,12 @@ fn single_channel_input_lane_contained_path() {
 /// for one channel, and those pieces convolved to zero.
 #[test]
 fn single_channel_input_with_more_patches_than_a_ciphertext_holds() {
-    single_channel_spot(40, 2, 89);
+    single_channel(40, 2, 89);
 }
 
 /// One output channel folds, and every class past the first ciphertext's
 /// positions still reconstructs.
 #[test]
 fn single_channel_input_to_a_single_channel() {
-    single_channel_spot(64, 1, 90);
+    single_channel(64, 1, 90);
 }
