@@ -15,7 +15,9 @@
 //!   element contributes to every affected output position exactly once,
 //!   so the assembled result equals the monolithic convolution while the
 //!   patches stay small enough for the smallest rotation-capable HE
-//!   parameters.
+//!   parameters. The auxiliary pieces cost ciphertexts of their own only
+//!   where they do not fit in the positions the patches leave free
+//!   ([`crate::tile`]).
 //!
 //! [`assemble`] performs the client-side share assembly and is the
 //! reference the HE pipeline is tested against.
@@ -43,7 +45,11 @@ pub fn overlap_for(mode: PatchMode, k: usize) -> usize {
     }
 }
 
-/// A size class of pieces (all pieces in one ciphertext share dimensions).
+/// A size class of pieces: the patches, or one kind of seam piece. Its
+/// pieces fill ciphertexts of their own, or — a seam class whose pieces
+/// all fit in the positions the patches leave free in their last
+/// ciphertext — ride there, each at the top-left of a patch-sized frame
+/// ([`crate::tile`]), so one ciphertext may hold pieces of several.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PieceClass {
     /// Piece height.

@@ -88,6 +88,7 @@ use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -352,7 +353,8 @@ pub(crate) struct PlanFacts {
     /// first uses them ([`first_uses`]) — what the key-stream schedule
     /// is made from (empty = the client sends no rotation keys).
     pub galois_elements: Vec<(usize, usize)>,
-    /// Most images one session can carry.
+    /// Most images one round can carry: a wider batch runs in rounds
+    /// of this many ([`ConvScheme::round_width`]).
     pub batch_capacity: usize,
     /// Plaintexts are raw coefficient vectors, not SIMD slot rows.
     pub coeff_packed: bool,
@@ -410,8 +412,9 @@ pub(crate) trait ConvScheme: Send + Sync {
     /// Counts, keys, capacity and dependency class of the planned layer.
     fn facts(&self) -> &PlanFacts;
 
-    /// Wire class of a round's `j`-th input ciphertext: class 0 rides
-    /// in `PackedCt`, SPOT's seam classes in `AuxCt`.
+    /// Wire class of a round's `j`-th input ciphertext: class 0 goes
+    /// in `PackedCt` (with any seam class riding in it), SPOT's other
+    /// seam classes in `AuxCt`.
     fn input_class(&self, _j: usize) -> usize {
         0
     }
@@ -471,10 +474,12 @@ pub(crate) trait ConvScheme: Send + Sync {
     /// `(-t/2, t/2]`); the server feeds its masks as drawn.
     fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor;
 
-    /// How many of a batch's images share one round's ciphertexts.
+    /// How many of a batch's images share one round's ciphertexts: as
+    /// many as the layer's capacity admits, the last round taking what
+    /// is left.
     fn round_width(&self, batch: usize) -> usize {
         match self.batch_layout(0) {
-            Some(_) => batch,
+            Some(_) => batch.min(self.facts().batch_capacity),
             None => 1,
         }
     }
@@ -521,15 +526,16 @@ impl RowCodec {
     }
 }
 
-/// Validates a batch width against the plan; returns the round width.
+/// Validates a batch width; returns the round width. A batch wider
+/// than the layer's capacity runs in rounds, so only an empty batch and
+/// one the hello's batch field cannot carry are refused.
 fn check_batch(plan: &dyn ConvScheme, batch: usize) -> Result<usize, SpotError> {
-    let cap = plan.facts().batch_capacity;
     if batch == 0 {
         return Err(SpotError::Protocol("empty input batch".into()));
     }
-    if batch > cap {
+    if batch > MAX_BATCH {
         return Err(SpotError::Protocol(format!(
-            "batch of {batch} images exceeds layer capacity {cap}"
+            "batch of {batch} images exceeds the hello's limit of {MAX_BATCH}"
         )));
     }
     Ok(plan.round_width(batch))
@@ -639,6 +645,15 @@ fn key_schedule(facts: &PlanFacts, held: impl Fn(usize) -> bool) -> VecDeque<(us
         .collect()
 }
 
+/// The images of each round of a `batch` run `width` at a time, the
+/// last round taking what is left. `width` is a `round_width`, so at
+/// least 1.
+fn rounds(batch: usize, width: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..batch)
+        .step_by(width)
+        .map(move |first| first..(first + width).min(batch))
+}
+
 fn draw_mask<R: Rng>(rng: &mut R, degree: usize, t: u64) -> Vec<u64> {
     (0..degree).map(|_| rng.gen_range(0..t)).collect()
 }
@@ -735,9 +750,10 @@ impl<'a> ClientConv<'a> {
         self.plan.facts().input_cts
     }
 
-    /// How many queued images this layer can coalesce into one upload:
-    /// the spare SIMD-slot positions of the layer's packing (Cheetah
-    /// batches as sequential images bounded only by the wire field).
+    /// How many queued images this layer can coalesce into one round's
+    /// upload: the spare SIMD-slot positions of the layer's packing
+    /// (Cheetah batches as sequential images bounded only by the wire
+    /// field). A wider batch runs in rounds of this many.
     pub fn batch_capacity(&self) -> usize {
         self.plan.facts().batch_capacity
     }
@@ -782,10 +798,11 @@ impl<'a> ClientConv<'a> {
     /// after the hello is held until the server's setup acknowledgement
     /// arrives on the downlink.
     ///
-    /// The slot-packed schemes interleave every image's packing into
-    /// the same ciphertexts, so the upload — and the server's rotations
-    /// and key-switches — stay those of a single image; one image is
-    /// the identity layout.
+    /// The slot-packed schemes interleave up to the layer's batch
+    /// capacity of images into the same ciphertexts, so the upload — and
+    /// the server's rotations and key-switches — stay those of a single
+    /// image per round; a wider batch runs in rounds of that many, the
+    /// last taking what is left. One image is the identity layout.
     ///
     /// Returns the input ciphertexts sent, one encryption each.
     pub fn send_batch<R: Rng>(
@@ -895,7 +912,7 @@ impl<'a> ClientConv<'a> {
     ) -> Result<ClientBatchShare, SpotError> {
         let width = check_batch(&*self.plan, batch)?;
         let per_round = self.plan.facts().output_cts;
-        let expected = batch / width * per_round;
+        let expected = batch.div_ceil(width) * per_round;
         let _span = spot_trace::span_owned(Cat::Session, || {
             format!("absorb_all {}", self.spec.scheme.name())
         })
@@ -904,8 +921,8 @@ impl<'a> ClientConv<'a> {
         let mut decoded = self.receive_decoded(transport, expected)?;
         let t = self.ctx.params().plain_modulus();
         let mut shares = Vec::with_capacity(batch);
-        for round in decoded.chunks_mut(per_round) {
-            for b in 0..width {
+        for (round, images) in decoded.chunks_mut(per_round).zip(rounds(batch, width)) {
+            for b in 0..images.len() {
                 // A lone image's rows are already in single-image form;
                 // otherwise demultiplex its slot positions.
                 let rows = if width == 1 {
@@ -1428,7 +1445,6 @@ fn serve_rounds<R: Rng>(
     let (n, t) = (ctx.degree(), ctx.params().plain_modulus());
     let codec = RowCodec::new(ctx, facts);
     let width = plan.round_width(batch);
-    let rounds = batch / width;
     // B=1 bit-identity, case 1: a lone image's masks come straight
     // from the session rng, the canonical mask-only draw order. A wider
     // batch first splits one rng per image off it (a fixed `batch`
@@ -1446,8 +1462,7 @@ fn serve_rounds<R: Rng>(
     let mut stream = StreamStats::default();
     let mut seq_out = 0u32;
 
-    for round in 0..rounds {
-        let images = round * width..(round + 1) * width;
+    for (round, images) in rounds(batch, width).enumerate() {
         let mut acc = Vec::new();
         let mut result = 0usize;
         // Consumer, on this thread in job order: every result that is
@@ -1518,8 +1533,8 @@ fn serve_rounds<R: Rng>(
         // The engine was built for this layer and the driver has joined
         // its workers: the tally is the layer's, and it is final.
         counts: evaluator.counts(),
-        input_cts: rounds * facts.input_cts,
-        output_cts: rounds * facts.output_cts,
+        input_cts: batch.div_ceil(width) * facts.input_cts,
+        output_cts: batch.div_ceil(width) * facts.output_cts,
         stream: Some(stream),
     })
 }

@@ -75,8 +75,9 @@ pub(crate) fn packing(
 
 /// Builds the SPOT execution plan for the simulator: the plan of the
 /// layer's packing, the one the wire runs. The server's work is its
-/// piece classes' walks, each taken once per ciphertext of the class,
-/// and one masking subtraction per result.
+/// ciphertext classes' walks, each taken once per ciphertext of the
+/// class (a seam class riding in the patches' last ciphertext runs no
+/// walk of its own), and one masking subtraction per result.
 ///
 /// # Panics
 ///

@@ -13,7 +13,7 @@
 //!   ([`crate::patching`]) and keeps all of a piece's channels in one
 //!   group, so every ciphertext yields final results on its own.
 //!
-//! `Packing` builds one walk per (piece class, channel group), packs
+//! `Packing` builds one walk per (ciphertext class, channel group), packs
 //! class by class, then piece ciphertext, then channel group, and its
 //! `collect` sums a result's partials
 //! over the channel groups of its own piece ciphertext: a single group
@@ -21,10 +21,18 @@
 //! What each scheme still supplies is its alignment rule, a [`Blocking`]
 //! (`spot::blocking`, `channelwise::blocking`), because the rule is what
 //! the paper compares.
+//!
+//! A seam class whose pieces all fit in the positions the main patches
+//! leave free in their last ciphertext *rides* there instead of taking
+//! ciphertexts of its own (the overlap tweak's auxiliary ciphertexts,
+//! paid only where the patches leave no room). A riding piece sits at
+//! the top-left of a patch-sized frame: the zeros around it are its
+//! "same" padding, because the patches' kernel plaintexts already mask
+//! every tap to the frame, so the main walk convolves it unchanged.
 
 use crate::error::SpotError;
 use crate::heconv::{ConvRequest, ConvWalk, GroupSpec};
-use crate::layout::{BatchLayout, ChannelMap, LaneLayout};
+use crate::layout::{BatchLayout, ChannelMap, LaneLayout, Piece};
 use crate::patching::{
     assemble, decompose, grid_len, overlap_for, whole, Decomposition, PatchMode,
 };
@@ -150,10 +158,15 @@ impl Cut {
 /// them is allocated. Seam classes never outnumber the main class.
 const MAX_INPUT_CTS: usize = 4096;
 
-/// One piece class of a planned layer.
+/// One ciphertext class of a planned layer: a piece class with its own
+/// ciphertexts and walks, and the seam classes riding in them.
 pub(crate) struct ClassPlan {
     /// Piece ciphertexts the class's pieces fill.
     pub(crate) cts: usize,
+    /// The decomposition's piece classes whose pieces fill those
+    /// ciphertexts, in position order: the class itself, then any seam
+    /// class riding in its last ciphertext.
+    pub(crate) members: Vec<usize>,
     /// How a batch's images interleave in one class ciphertext: an
     /// image's pieces occupy the first `pieces` positions, so spare
     /// positions carry further images with the rotation and key-switch
@@ -174,10 +187,10 @@ pub(crate) struct Packing {
     /// channel-less probe decomposition serves (and holds no pixels).
     pub(crate) probe: Decomposition,
     pub(crate) classes: Vec<ClassPlan>,
-    /// One walk per (class, channel group), class-major: the walk index
-    /// is also the job's kernel-cache tag.
+    /// One walk per (ciphertext class, channel group), class-major: the
+    /// walk index is also the job's kernel-cache tag.
     pub(crate) walks: Vec<ConvWalk>,
-    /// Class of each piece ciphertext, in upload order.
+    /// Ciphertext class of each piece ciphertext, in upload order.
     piece_class: Vec<usize>,
     pub(crate) facts: PlanFacts,
 }
@@ -218,9 +231,24 @@ impl Packing {
         let probe = cut.decompose(&Tensor::zeros(0, shape.height, shape.width), shape.k_h);
         let groups: Arc<[GroupSpec]> = blk.group_specs(shape.c_out).into();
         let k = (shape.k_h, shape.k_w);
-        let mut classes = Vec::new();
+        let held = |members: &[usize]| -> usize {
+            members.iter().map(|&m| probe.classes[m].1.len()).sum()
+        };
+        let mut classes: Vec<ClassPlan> = Vec::new();
         let mut walks = Vec::new();
-        for (class, pieces) in &probe.classes {
+        for (m, (class, pieces)) in probe.classes.iter().enumerate() {
+            // A seam class rides in the main class's last ciphertext when
+            // all of its pieces fit in the positions still free there:
+            // no ciphertext is added and the main walk is unchanged.
+            if let Some(main) = classes.first_mut() {
+                let layout = main.images.layout;
+                if held(&main.members) + pieces.len() <= main.cts * layout.groups {
+                    main.members.push(m);
+                    let stride = held(&main.members).min(layout.groups);
+                    main.images = BatchLayout::new(layout, stride);
+                    continue;
+                }
+            }
             let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
             walks
                 .extend((0..blk.in_groups).map(|group| {
@@ -228,6 +256,7 @@ impl Packing {
                 }));
             classes.push(ClassPlan {
                 cts: pieces.len().div_ceil(layout.groups),
+                members: vec![m],
                 images: BatchLayout::new(layout, pieces.len().clamp(1, layout.groups)),
             });
         }
@@ -300,16 +329,27 @@ impl Packing {
         self.piece_class[job / groups] * groups + job % groups
     }
 
+    /// The pieces of `d` that fill class `ci`'s ciphertexts, in
+    /// position order: its members' pieces one after the other.
+    fn class_pieces<'a>(
+        &'a self,
+        ci: usize,
+        d: &'a Decomposition,
+    ) -> impl Iterator<Item = &'a Piece> {
+        (self.classes[ci].members.iter()).flat_map(move |&m| &d.classes[m].1)
+    }
+
     /// Gathers class `ci`'s rows (piece-ciphertext-major, group-minor;
     /// one party's decoded results or masks) into per-piece share
-    /// tensors: piece `p` sits at position `p mod G` of piece
-    /// ciphertext `p / G`, and each result row holds the output
-    /// channels of its group's map.
+    /// tensors, each of its own piece class's dimensions: piece `p`
+    /// sits at position `p mod G` of piece ciphertext `p / G`, and each
+    /// result row holds the output channels of its group's map.
     fn class_share(&self, ci: usize, rows: &[Vec<u64>], read: impl Fn(u64) -> i64) -> Vec<Tensor> {
         let layout = &self.classes[ci].images.layout;
         let groups = self.walks[ci * self.blk.in_groups].groups();
-        let (class, pieces) = &self.probe.classes[ci];
-        let mut class_out = vec![Tensor::zeros(self.shape.c_out, class.h, class.w); pieces.len()];
+        let mut class_out: Vec<Tensor> = (self.class_pieces(ci, &self.probe))
+            .map(|p| Tensor::zeros(self.shape.c_out, p.data.height(), p.data.width()))
+            .collect();
         for (r, row) in rows.iter().enumerate() {
             let (ct, group) = (r / groups.len(), &groups[r % groups.len()]);
             let at_ct = class_out.iter_mut().skip(ct * layout.groups);
@@ -326,8 +366,11 @@ impl ConvScheme for Packing {
         &self.facts
     }
 
+    /// The decomposition class of the input's ciphertext class: a
+    /// seam class keeps its number on the wire whether or not another
+    /// rides with it.
     fn input_class(&self, j: usize) -> usize {
-        self.piece_class[j / self.blk.in_groups]
+        self.classes[self.piece_class[j / self.blk.in_groups]].members[0]
     }
 
     fn batch_layout(&self, result: usize) -> Option<BatchLayout> {
@@ -348,13 +391,14 @@ impl ConvScheme for Packing {
             let layout = &class.images.layout;
             for ct in 0..class.cts {
                 for walk in walks {
-                    // Per image, this ciphertext's pieces, one a position;
-                    // the batch capacity guarantees a single piece
-                    // ciphertext per class when images share slots.
+                    // Per image, this ciphertext's pieces, one a position,
+                    // a riding piece at the top-left of its frame; the
+                    // batch capacity guarantees a single piece ciphertext
+                    // per class when images share slots.
                     let rows: Vec<Vec<u64>> = (decomps.iter())
                         .map(|d| {
                             let mut slots = vec![0u64; 2 * layout.lane_size];
-                            let pieces = d.classes[ci].1.iter().skip(ct * layout.groups);
+                            let pieces = self.class_pieces(ci, d).skip(ct * layout.groups);
                             for (position, piece) in pieces.take(layout.groups).enumerate() {
                                 layout.scatter(walk.in_map(), position, &piece.data, t, &mut slots);
                             }
@@ -415,26 +459,115 @@ impl ConvScheme for Packing {
         }
     }
 
-    /// Gathers every class's pieces, assembles them and takes the
-    /// stride. SPOT's signed piece assembly (add patch and corner
-    /// shares, subtract strip shares) works on centred values, so there
-    /// both parties centre; the whole map's one piece is read as asked.
+    /// Gathers every class's pieces, puts them back in decomposition
+    /// order (a riding class's from its host's rows), assembles them
+    /// and takes the stride. SPOT's signed piece assembly (add patch and
+    /// corner shares, subtract strip shares) works on centred values, so
+    /// there both parties centre; the whole map's one piece is read as
+    /// asked.
     fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
         let shape = &self.shape;
         let center = center || self.cut != Cut::Whole;
-        let mut pieces = Vec::new();
+        let mut by_class = vec![Vec::new(); self.probe.classes.len()];
         let mut rest = rows.as_slice();
         for (ci, class) in self.classes.iter().enumerate() {
             let (class_rows, tail) = rest.split_at(class.cts * self.blk.out_groups);
-            pieces.extend(self.class_share(ci, class_rows, |v| lift(v, t, center)));
+            let mut pieces = self
+                .class_share(ci, class_rows, |v| lift(v, t, center))
+                .into_iter();
+            for &m in &class.members {
+                by_class[m] = pieces
+                    .by_ref()
+                    .take(self.probe.classes[m].1.len())
+                    .collect();
+            }
             rest = tail;
         }
-        let full = assemble(&self.probe, &pieces, shape.height, shape.width);
+        let full = assemble(&self.probe, &by_class.concat(), shape.height, shape.width);
         Tensor::from_fn(
             shape.c_out,
             shape.out_height(),
             shape.out_width(),
             |c, y, x| full.at(c, y * shape.stride, x * shape.stride),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::patching::PatchMode;
+    use crate::spot;
+
+    /// `(members, cts)` of every ciphertext class of a 4×4-patched layer.
+    fn ciphertext_classes(shape: ConvShape, mode: PatchMode) -> Vec<(Vec<usize>, usize)> {
+        let packing = spot::packing(&shape, ParamLevel::N4096, (4, 4), mode).expect("plans");
+        (packing.classes.iter())
+            .map(|class| (class.members.clone(), class.cts))
+            .collect()
+    }
+
+    /// A seam class rides in the patches' last ciphertext exactly when
+    /// all of its pieces fit in the positions still free there, in
+    /// decomposition order; a layer whose seams do not fit plans as it
+    /// did.
+    #[test]
+    fn seam_classes_ride_where_their_pieces_fit() {
+        // 9 patches of 128 positions: the 6 + 6 strips and 4 corners
+        // ride, where each class had a ciphertext of its own.
+        let tiny = ConvShape::new(8, 8, 2, 4, 3, 1);
+        assert_eq!(
+            ciphertext_classes(tiny, PatchMode::Tweaked),
+            [(vec![0, 1, 2, 3], 1)]
+        );
+        // 16 patches of 32 positions: the 12 vertical strips fill 12 of
+        // the 16 free ones; neither the 12 horizontal strips nor the 9
+        // corners fit in the 4 left. Four ciphertexts become three.
+        let wide = ConvShape::new(12, 12, 8, 8, 3, 1);
+        assert_eq!(
+            ciphertext_classes(wide, PatchMode::Tweaked),
+            [(vec![0, 1], 1), (vec![2], 1), (vec![3], 1)]
+        );
+        // A wide map: 18 patches of 32 positions leave 14 free, too few
+        // for the 15 vertical strips but enough for the 12 horizontal
+        // ones, which ride ahead of the strips' own ciphertext.
+        let flat = ConvShape {
+            width: 19,
+            ..ConvShape::new(8, 8, 8, 8, 3, 1)
+        };
+        assert_eq!(
+            ciphertext_classes(flat, PatchMode::Tweaked),
+            [(vec![0, 2], 1), (vec![1], 1), (vec![3], 1)]
+        );
+        // 25 patches over four ciphertexts of 8 leave 7 free; every seam
+        // class has at least 16 pieces.
+        let deep = ConvShape::new(16, 16, 32, 32, 3, 1);
+        assert_eq!(
+            ciphertext_classes(deep, PatchMode::Tweaked),
+            [(vec![0], 4), (vec![1], 1), (vec![2], 1), (vec![3], 1)]
+        );
+        // Vanilla patching has no seams.
+        assert_eq!(ciphertext_classes(tiny, PatchMode::Vanilla), [(vec![0], 1)]);
+    }
+
+    /// A riding class costs its host's capacity, not a ciphertext: an
+    /// image of TinyCnn's conv1 takes 25 of the 128 positions, its
+    /// upload one seam-free wire class, and its walk is the patches'.
+    #[test]
+    fn riders_share_the_host_walk_and_batch_layout() {
+        let shape = ConvShape::new(8, 8, 2, 4, 3, 1);
+        let packing =
+            spot::packing(&shape, ParamLevel::N4096, (4, 4), PatchMode::Tweaked).expect("plans");
+        assert_eq!(packing.walks.len(), 1);
+        assert_eq!(packing.classes[0].images.stride, 9 + 6 + 6 + 4);
+        assert_eq!(packing.facts.batch_capacity, 128 / 25);
+        assert_eq!((packing.facts.input_cts, packing.facts.output_cts), (1, 2));
+        assert_eq!(packing.input_class(0), 0);
+        // The 12x12 layer's horizontal strips keep their wire class.
+        let wide = ConvShape::new(12, 12, 8, 8, 3, 1);
+        let packing =
+            spot::packing(&wide, ParamLevel::N4096, (4, 4), PatchMode::Tweaked).expect("plans");
+        let classes: Vec<usize> = (0..3).map(|j| packing.input_class(j)).collect();
+        assert_eq!(classes, [0, 2, 3]);
     }
 }

@@ -9,10 +9,13 @@ use common::{key_streams, tcp_pair, within_deadline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::error::SpotError;
+use spot_core::executor::Executor;
 use spot_core::inference::{Op, TinyCnn};
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
-use spot_core::session::{ClientConv, LayerSpec, SchemeKind, UploadPacing, MAX_CACHED_SPECS};
+use spot_core::session::{
+    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing, MAX_CACHED_SPECS,
+};
 use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
 use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
@@ -939,7 +942,11 @@ fn assert_each_refused_and_contained(
 fn key_stream_rule_violations_are_refused_and_contained() {
     let (ctx, cnn) = test_stack();
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(400));
-    let input = Tensor::random(2, 8, 8, 5, 401);
+    // At 24×24 only conv1's vertical strips ride beside its 64 patches,
+    // so its upload is three ciphertexts and a frame follows its keys
+    // (at 8×8 every seam piece rides and its one ciphertext's keys end
+    // the upload, like conv2's).
+    let input = Tensor::random(2, 24, 24, 5, 401);
     // conv1 streams several keys behind its first ciphertext; conv2
     // adds one, which conv1 does not rotate by.
     let [conv1_keys, conv2_keys] = &key_streams(&ctx, &kg, &cnn, &input)[..] else {
@@ -1087,7 +1094,10 @@ fn keys_behind_a_later_piece_class_travel_behind_its_ciphertext_or_are_refused()
         Op::Reveal,
     ]);
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(441));
-    let input = Tensor::random(2, 8, 8, 5, 442);
+    // At 28×28 the 72 strips do not fit beside the 81 patches in 128
+    // positions, so they keep a ciphertext of their own (at 8×8 they
+    // ride, and their keys are the patches').
+    let input = Tensor::random(2, 28, 28, 5, 442);
     let stream = key_streams(&ctx, &kg, &cnn, &input).remove(0);
     let &(strips, _) = stream.last().expect("a rotating layer");
     let behind_strips = stream.iter().filter(|&&(at, _)| at == strips).count();
@@ -1279,17 +1289,19 @@ fn a_hello_for_another_input_than_the_shares_have_reached_is_refused_and_contain
 /// Every encryption draws its own seed: the same image uploaded twice by
 /// one client differs in every ciphertext's seed and in its `c0`, and no
 /// seed occurs twice anywhere in the two uploads. (Two ciphertexts over
-/// one `a` would give away the difference of their plaintexts.)
+/// one `a` would give away the difference of their plaintexts.) The
+/// layer is the benchmark's 16×16 32 → 32, whose seam classes do not
+/// ride: seven ciphertexts over four piece classes.
 #[test]
 fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
-    let (ctx, cnn) = test_stack();
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let mut rng = StdRng::seed_from_u64(450);
     let kg = KeyGenerator::new(&ctx, &mut rng);
-    let input = Tensor::random(2, 8, 8, 5, 451);
+    let input = Tensor::random(32, 16, 16, 5, 451);
     let spec = LayerSpec::for_layer(
         SchemeKind::Spot,
         &input,
-        cnn.kernels().next().expect("conv1"),
+        &Kernel::random(32, 32, 3, 3, 3, 452),
         1,
         (4, 4),
         PatchMode::Tweaked,
@@ -1311,7 +1323,7 @@ fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
         blobs
     };
     let (first, second) = (upload(), upload());
-    assert_eq!(first.len(), 4, "conv1's four piece classes");
+    assert_eq!(first.len(), 7, "4 + 1 + 1 + 1 piece ciphertexts");
     let body = ctx.params().seeded_ciphertext_bytes() - 32;
     for (a, b) in first.iter().zip(&second) {
         assert_eq!((a.len(), b.len()), (body + 32, body + 32));
@@ -1323,7 +1335,7 @@ fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
         .collect();
     seeds.sort_unstable();
     seeds.dedup();
-    assert_eq!(seeds.len(), 8, "a seed was drawn twice");
+    assert_eq!(seeds.len(), 14, "a seed was drawn twice");
 }
 
 /// A model whose second convolution rotates only by elements the first
@@ -1401,7 +1413,9 @@ fn a_second_connection_never_sees_the_first_ones_keys() {
         ServingConfig::default(),
     );
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(420));
-    let input = Tensor::random(2, 8, 8, 5, 421);
+    // conv1 uploads three ciphertexts at 24×24, so a keyless upload
+    // shows at the second (at 8×8 it would end in silence).
+    let input = Tensor::random(2, 24, 24, 5, 421);
     let want = cnn.forward_plain(&input);
 
     let first = within_deadline("first connection", || {
@@ -1917,6 +1931,51 @@ fn a_version_6_result_frame_is_refused_by_its_version_byte() {
     });
     match client {
         Err(SpotError::Proto(ProtoError::BadVersion(6))) => {}
+        other => panic!("expected the version refusal, got {other:?}"),
+    }
+}
+
+/// A version-7 client's hello for TinyCnn's conv1 — the same
+/// `ConvSetup`, for which it would upload four input ciphertexts where
+/// version 8 rides the seam pieces in the patches' one — is refused by
+/// its version byte before the server plans the layer.
+#[test]
+fn a_version_7_hello_is_refused_by_its_version_byte() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let input = Tensor::random(2, 8, 8, 5, 467);
+    let kernel = Kernel::random(4, 2, 3, 3, 1, 468);
+    let spec = LayerSpec::for_layer(
+        SchemeKind::Spot,
+        &input,
+        &kernel,
+        1,
+        (4, 4),
+        PatchMode::Tweaked,
+    );
+    let mut frame = WireMessage::Setup(spec.to_setup(ParamLevel::N4096)).encode_frame();
+    frame[0] = 7;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let served = within_deadline("version-7 hello", || {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut raw = TcpStream::connect(addr).expect("connect");
+                raw.write_all(&frame).expect("write the old hello");
+            });
+            let (stream, _) = listener.accept().expect("accept");
+            let st = TcpTransport::from_stream(stream).expect("server end");
+            let backend = ExecBackend::Phased(Executor::serial());
+            serve_conv(
+                &ctx,
+                &st,
+                &kernel,
+                &backend,
+                &mut StdRng::seed_from_u64(469),
+            )
+        })
+    });
+    match served {
+        Err(SpotError::Proto(ProtoError::BadVersion(7))) => {}
         other => panic!("expected the version refusal, got {other:?}"),
     }
 }

@@ -34,8 +34,12 @@ use std::io::Read;
 /// of its result — the same header, `c1` whole, then `c0` at only the
 /// coefficients its share reads, which both parties derive from the
 /// layer (`spot_he::ciphertext::SparseCiphertext`); a slot-packed
-/// layer's stays the full form.
-pub const WIRE_VERSION: u8 = 7;
+/// layer's stays the full form. Version 8: no frame format changes,
+/// the frame *count* does — a SPOT layer's seam classes whose pieces
+/// fit in the free positions of the patches' last ciphertext ride
+/// there, so the same `ConvSetup` means fewer `AuxCt` uploads and
+/// fewer `MaskedResult`s.
+pub const WIRE_VERSION: u8 = 8;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;

@@ -125,9 +125,16 @@ fn pins() -> Vec<Pin> {
         },
         Pin {
             what: "SPOT, folding (c_out < c_in)",
+            // Re-recorded when seam classes began riding in the patches'
+            // last ciphertext: 9 patches and 16 seam pieces take 25 of
+            // its 32 positions, so four ciphertexts (batch capacity 3)
+            // became one (capacity 1), and the seam walks' 17 rotations
+            // and 28 plaintext multiplications went with their
+            // ciphertexts, as did 31 additions (3 of them the masks of
+            // results no longer sent). The key schedule did not move.
             spec: tweaked(ConvShape::new(8, 8, 8, 2, 3, 1)),
-            input_cts: 4,
-            batch_capacity: 3,
+            input_cts: 1,
+            batch_capacity: 1,
             key_schedule: &[
                 (0, 8191),
                 (0, 2225),
@@ -137,7 +144,7 @@ fn pins() -> Vec<Pin> {
                 (0, 2049),
                 (0, 4097),
             ],
-            server_ops: (36, 64, 68),
+            server_ops: (19, 36, 37),
         },
         Pin {
             what: "SPOT, 40x40 single-channel input",

@@ -11,6 +11,7 @@ use spot::core::channelwise::SecureConvResult;
 use spot::core::executor::Executor;
 use spot::core::patching::PatchMode;
 use spot::core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
+use spot::core::stream::StreamConfig;
 use spot::he::prelude::*;
 use spot::tensor::{conv2d, Kernel, Tensor};
 use std::sync::Arc;
@@ -164,6 +165,57 @@ fn spot_vanilla_and_tweaked_agree() {
         t.input_cts,
         v.input_cts
     );
+}
+
+/// A seam class rides in the patches' last ciphertext where all its
+/// pieces fit in the positions still free there: every class on 8×8
+/// 2 → 4, the vertical strips alone on 12×12 8 → 8, the horizontal
+/// strips alone on 8×19 8 → 8 (so the client puts its pieces back in
+/// decomposition order), none on 16×16 32 → 32, and vanilla patching
+/// has no seams. Every share still
+/// reconstructs exactly, for one image and for a batch wider than the
+/// layer's capacity, which runs in rounds (the last one partial), phased
+/// and streamed.
+#[test]
+fn riding_seam_classes_reconstruct_exactly() {
+    let ctx = ctx();
+    let mut rng = StdRng::seed_from_u64(90);
+    let keygen = KeyGenerator::new(&ctx, &mut rng);
+    let tweaked = ((4, 4), PatchMode::Tweaked);
+    let vanilla = ((4, 4), PatchMode::Vanilla);
+    // (c_in, c_out, (h, w), patching, batch, rounds, input cts a round)
+    let cases = [
+        (2, 4, (8, 8), tweaked, 1, 1, 1),
+        // 25 of 128 positions an image: capacity 5, rounds of 5 and 1.
+        (2, 4, (8, 8), tweaked, 6, 2, 1),
+        (8, 8, (12, 12), tweaked, 1, 1, 3),
+        // 28 of 32 positions: capacity 1, where the parent refused 2.
+        (8, 8, (12, 12), tweaked, 2, 2, 3),
+        (8, 8, (8, 19), tweaked, 1, 1, 3),
+        (32, 32, (16, 16), tweaked, 1, 1, 7),
+        (2, 4, (8, 8), vanilla, 1, 1, 1),
+    ];
+    let backends = [
+        ExecBackend::Phased(Executor::serial()),
+        ExecBackend::Streaming(StreamConfig::new(Executor::new(2), 2)),
+    ];
+    for (seed, &(ci, co, (h, w), (patch, mode), batch, rounds, per_round)) in (100..).zip(&cases) {
+        let inputs: Vec<Tensor> = (0..batch as u64)
+            .map(|b| Tensor::random(ci, h, w, 6, seed + 10 * b))
+            .collect();
+        let kernel = Kernel::random(co, ci, 3, 3, 4, seed);
+        let spec = LayerSpec::for_layer(SchemeKind::Spot, &inputs[0], &kernel, 1, patch, mode);
+        for backend in &backends {
+            let case = format!("{ci}->{co} on {h}x{w} {mode:?}, batch {batch}, {backend:?}");
+            let out = run_in_process(&ctx, &keygen, spec, &inputs, &kernel, backend, &mut rng)
+                .expect(&case);
+            assert_eq!(out.results.len(), batch, "{case}");
+            for (input, res) in inputs.iter().zip(&out.results) {
+                assert_eq!(res.reconstruct(), conv2d(input, &kernel, 1), "{case}");
+                assert_eq!(res.input_cts, rounds * per_round, "{case}");
+            }
+        }
+    }
 }
 
 #[test]
