@@ -602,7 +602,9 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(S
 }
 
 fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    spot_trace::json::escape_into(&mut out, s);
+    out
 }
 
 fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)]) {

@@ -46,7 +46,9 @@ use spot_bench::{arg_value, scheme_arg};
 use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer, TenantGateway};
+use spot_core::serving::{
+    ModelContext, Reply, ServingConfig, SessionReport, SpotServer, TenantGateway,
+};
 use spot_core::session::SchemeKind;
 use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
@@ -262,6 +264,15 @@ fn direct_client(
     result
 }
 
+/// Waits for a gateway request's result (the dispatcher answers every
+/// request it takes).
+fn answer(reply: &Reply) -> Result<Tensor, SpotError> {
+    reply
+        .recv()
+        .0
+        .expect("the dispatcher answers every request")
+}
+
 /// One tenant-routed client: requests queue in the tenant's gateway
 /// and coalesce with its siblings' into shared SIMD-slot batches.
 fn tenant_client(
@@ -278,13 +289,13 @@ fn tenant_client(
             let want = cnn.forward_plain(&input);
             let t0 = Instant::now();
             match gateway.submit(input) {
-                Ok(slot) => pending.push((t0, want, slot)),
+                Ok(reply) => pending.push((t0, want, reply)),
                 Err(e) => result.absorb(&want, Err(e), t0.elapsed()),
             }
             std::thread::sleep(scenario.interval);
         }
-        for (t0, want, slot) in pending {
-            let got = slot.wait();
+        for (t0, want, reply) in pending {
+            let got = answer(&reply);
             result.absorb(&want, got, t0.elapsed());
         }
     } else {
@@ -292,7 +303,7 @@ fn tenant_client(
             let input = client_input(scenario.seed, client, request);
             let want = cnn.forward_plain(&input);
             let t0 = Instant::now();
-            let got = gateway.submit(input).and_then(|slot| slot.wait());
+            let got = gateway.submit(input).and_then(|reply| answer(&reply));
             result.absorb(&want, got, t0.elapsed());
         }
     }
@@ -366,7 +377,7 @@ fn run_scenario(
                 gw.close();
             }
             for d in dispatchers {
-                d.join().expect("dispatcher").expect("dispatch loop");
+                d.join().expect("dispatcher");
             }
             results
         })

@@ -14,8 +14,10 @@
 //! * `GET /sessions` — JSON: in-flight session ids with elapsed time,
 //!   plus the monotonic served/rejected/failed totals.
 //! * `GET /pipeline` — JSON: per-session stall summaries for the most
-//!   recent sessions ([`SpotServer::pipeline_recent`]): worker
-//!   busy/idle thread-seconds, ingest backpressure, and their ratio
+//!   recent sessions ([`SpotServer::pipeline_recent`]): every field of
+//!   the session's [`crate::stream::StreamStats`] — worker busy/idle
+//!   thread-seconds, of the idle the wait for rotation keys
+//!   (`key_wait_s`), ingest backpressure — and the busy share
 //!   `server_busy_share`.
 //!
 //! ## Robustness model
@@ -27,7 +29,7 @@
 //! with a 2-second timeout, cap the request at 4 KiB, answer exactly
 //! one request, and close (`Connection: close`; HTTP/1.0 semantics).
 
-use crate::serving::SpotServer;
+use crate::serving::{PipelineSummary, SpotServer};
 use spot_trace::metrics::{self, MetricsSnapshot, ValueSnapshot};
 use spot_trace::{log_debug, log_warn};
 use std::io::{Read, Write};
@@ -218,7 +220,11 @@ fn respond(path: &str, server: &SpotServer) -> (&'static str, &'static str, Stri
             }
         }
         "/sessions" => ("200 OK", "application/json", sessions_json(server)),
-        "/pipeline" => ("200 OK", "application/json", pipeline_json(server)),
+        "/pipeline" => (
+            "200 OK",
+            "application/json",
+            pipeline_json(&server.pipeline_recent()),
+        ),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     }
 }
@@ -258,24 +264,33 @@ fn sessions_json(server: &SpotServer) -> String {
     )
 }
 
-fn pipeline_json(server: &SpotServer) -> String {
-    let sessions = server
-        .pipeline_recent()
-        .into_iter()
+fn pipeline_json(summaries: &[PipelineSummary]) -> String {
+    let sessions = summaries
+        .iter()
         .map(|p| {
+            let s = &p.stream;
+            let capacity = match s.channel_capacity {
+                usize::MAX => "null".to_string(), // unbounded read-ahead
+                bound => bound.to_string(),
+            };
             format!(
-                "{{\"id\": {}, \"wall_ms\": {:.3}, \"input_items\": {}, \"output_items\": {}, \
-                 \"server_threads\": {}, \"server_busy_s\": {:.6}, \"server_idle_s\": {:.6}, \
-                 \"client_blocked_s\": {:.6}, \"server_busy_share\": {:.4}}}",
+                "{{\"id\": {}, \"wall_ms\": {:.3}, \"wall_s\": {:.6}, \"client_s\": {:.6}, \
+                 \"client_blocked_s\": {:.6}, \"server_busy_s\": {:.6}, \"server_idle_s\": {:.6}, \
+                 \"key_wait_s\": {:.6}, \"input_items\": {}, \"output_items\": {}, \
+                 \"channel_capacity\": {capacity}, \"server_threads\": {}, \
+                 \"server_busy_share\": {:.4}}}",
                 p.id,
                 p.wall_ms,
-                p.input_items,
-                p.output_items,
-                p.server_threads,
-                p.server_busy_s,
-                p.server_idle_s,
-                p.client_blocked_s,
-                p.server_busy_share,
+                s.wall_s,
+                s.client_s,
+                s.client_blocked_s,
+                s.server_busy_s,
+                s.server_idle_s,
+                s.key_wait_s,
+                s.input_items,
+                s.output_items,
+                s.server_threads,
+                s.server_busy_share(),
             )
         })
         .collect::<Vec<_>>()
@@ -286,6 +301,43 @@ fn pipeline_json(server: &SpotServer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamStats;
+    use spot_trace::json::{parse, Value};
+
+    #[test]
+    fn pipeline_view_reports_every_stream_field() {
+        let summary = |channel_capacity| PipelineSummary {
+            id: 3,
+            wall_ms: 12.5,
+            stream: StreamStats {
+                server_busy_s: 3.0,
+                server_idle_s: 1.0,
+                key_wait_s: 0.25,
+                input_items: 4,
+                channel_capacity,
+                ..StreamStats::default()
+            },
+        };
+        let doc = parse(&pipeline_json(&[summary(2), summary(usize::MAX)])).unwrap();
+        let sessions = doc.get("pipeline").and_then(Value::as_array).unwrap();
+        let num = |i: usize, key: &str| sessions[i].get(key).and_then(Value::as_f64);
+        for key in [
+            "wall_s",
+            "client_s",
+            "client_blocked_s",
+            "output_items",
+            "server_threads",
+        ] {
+            assert_eq!(num(0, key), Some(0.0), "{key}");
+        }
+        assert_eq!(num(0, "key_wait_s"), Some(0.25));
+        assert_eq!(num(0, "server_idle_s"), Some(1.0));
+        assert_eq!(num(0, "input_items"), Some(4.0));
+        assert_eq!(num(0, "server_busy_share"), Some(0.75));
+        assert_eq!(num(0, "channel_capacity"), Some(2.0));
+        // An unbounded read-ahead has no number.
+        assert_eq!(sessions[1].get("channel_capacity"), Some(&Value::Null));
+    }
 
     #[test]
     fn request_line_parsing() {

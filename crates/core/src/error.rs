@@ -27,8 +27,6 @@ pub enum SpotError {
     },
     /// A lock was poisoned by a panic on another thread.
     Poisoned(&'static str),
-    /// A queue or channel was disconnected while traffic was expected.
-    Disconnected(&'static str),
 }
 
 impl fmt::Display for SpotError {
@@ -41,7 +39,6 @@ impl fmt::Display for SpotError {
                 write!(f, "rejected by server (code {code}): {detail}")
             }
             SpotError::Poisoned(what) => write!(f, "poisoned lock: {what}"),
-            SpotError::Disconnected(what) => write!(f, "disconnected: {what}"),
         }
     }
 }

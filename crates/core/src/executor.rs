@@ -10,7 +10,6 @@
 //! thread count.
 
 use crossbeam::thread;
-use spot_pipeline::device::DeviceProfile;
 
 /// A fixed-width pool of scoped worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +39,6 @@ impl Executor {
     /// The single-worker executor: jobs run one at a time, in order.
     pub fn serial() -> Self {
         Self { threads: 1 }
-    }
-
-    /// An executor sized for a simulated device profile's core count.
-    pub fn for_device(profile: &DeviceProfile) -> Self {
-        Self::new(profile.threads)
     }
 
     /// The worker count.
@@ -115,11 +109,5 @@ mod tests {
     fn thread_count_clamps_to_one() {
         assert_eq!(Executor::new(0).threads(), 1);
         assert_eq!(Executor::serial().threads(), 1);
-    }
-
-    #[test]
-    fn for_device_uses_profile_threads() {
-        let profile = DeviceProfile::server_epyc();
-        assert_eq!(Executor::for_device(&profile).threads(), profile.threads);
     }
 }

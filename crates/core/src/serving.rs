@@ -30,29 +30,28 @@
 //! * [`TenantGateway`] — cross-session batching. Ciphertexts under
 //!   different secret keys cannot share SIMD slots, so coalescing
 //!   happens where the key is shared: logical clients of one tenant
-//!   submit through a gateway whose [`BatchAssembler`] packs queued
-//!   inferences into shared-slot batches before opening one upstream
-//!   session per batch.
+//!   submit through a gateway whose request [`Queue`] releases queued
+//!   inferences as shared-slot batches (`Queue::recv_batch`) before
+//!   opening one upstream session per batch.
 
 use crate::error::SpotError;
 use crate::executor::Executor;
 use crate::inference::TinyCnn;
 use crate::patching::PatchMode;
 use crate::session::{ExecBackend, SchemeKind, ServeOptions, SharedKernelCaches};
-use crate::stream::{BatchAssembler, StreamConfig};
+use crate::stream::{StreamConfig, StreamStats};
 use crate::twoparty::{run_client_batch, run_server_with, ServerReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
-use spot_pipeline::device::DeviceProfile;
 use spot_proto::transport::TransportStats;
-use spot_proto::{error_code, Transport, WireMessage};
+use spot_proto::{error_code, Queue, Transport, WireMessage};
 use spot_tensor::tensor::Tensor;
 use spot_trace::{log_info, log_warn, metrics, Cat, CounterSnapshot, SessionCounters};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -226,23 +225,6 @@ impl Default for ServingConfig {
     }
 }
 
-impl ServingConfig {
-    /// Derives the admission budget from a device profile: the batch
-    /// cap is the number of `ciphertext_bytes`-sized objects the
-    /// profile's remaining memory can hold per session, and the
-    /// streaming queue depth is bounded the same way. Thread asks
-    /// follow the profile's core count.
-    pub fn for_device(profile: &DeviceProfile, ciphertext_bytes: usize) -> Self {
-        let budget = profile.ciphertext_capacity(ciphertext_bytes);
-        Self {
-            max_batch: Some(budget.min(u8::MAX as usize)),
-            threads_per_session: profile.threads,
-            channel_capacity: budget.clamp(1, 8),
-            ..Self::default()
-        }
-    }
-}
-
 /// Monotonic serving totals ([`SpotServer::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServingStats {
@@ -313,51 +295,29 @@ pub struct SessionReport {
     pub wall: Duration,
 }
 
-/// One session's stall summary, kept in a bounded
-/// ring on the server for the admin `/pipeline` view. Derived entirely
-/// from the server's own [`crate::stream::StreamStats`] — no client
-/// trace required — so it is available live, per session, the moment
-/// the session finishes.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One session's stall summary, kept in a bounded ring on the server
+/// for the admin `/pipeline` view: the server's own
+/// [`StreamStats`] of the session — no client trace required — so it
+/// is available live, per session, the moment the session finishes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSummary {
     /// Session id (accept order).
     pub id: u64,
     /// End-to-end session wall time, milliseconds.
     pub wall_ms: f64,
-    /// Input ciphertexts ingested.
-    pub input_items: usize,
-    /// Job results masked and returned.
-    pub output_items: usize,
-    /// Worker threads the session ran with.
-    pub server_threads: usize,
-    /// Worker thread-seconds computing.
-    pub server_busy_s: f64,
-    /// Worker thread-seconds blocked waiting for a runnable job or for
-    /// a rotation key while an upload was open — the paper's "linear
-    /// computation stall".
-    pub server_idle_s: f64,
-    /// Ingest back-pressure: the server was the bottleneck.
-    pub client_blocked_s: f64,
-    /// [`crate::stream::StreamStats::server_busy_share`] of the session.
-    pub server_busy_share: f64,
+    /// The session's driver accounting, summed over its layers.
+    pub stream: StreamStats,
 }
 
 impl PipelineSummary {
     fn from_report(id: u64, wall: Duration, report: &ServerReport) -> Option<Self> {
-        let s = &report.stream;
-        if s.input_items == 0 {
+        if report.stream.input_items == 0 {
             return None; // no conv layer ran: nothing to attribute
         }
         Some(Self {
             id,
             wall_ms: wall.as_secs_f64() * 1e3,
-            input_items: s.input_items,
-            output_items: s.output_items,
-            server_threads: s.server_threads,
-            server_busy_s: s.server_busy_s,
-            server_idle_s: s.server_idle_s,
-            client_blocked_s: s.client_blocked_s,
-            server_busy_share: s.server_busy_share(),
+            stream: report.stream.clone(),
         })
     }
 }
@@ -448,7 +408,7 @@ impl SpotServer {
     /// one stream driver, `streaming` only bounds its read-ahead.
     pub fn pipeline_recent(&self) -> Vec<PipelineSummary> {
         let ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
-        ring.iter().copied().collect()
+        ring.iter().cloned().collect()
     }
 
     /// Monotonic serving totals so far.
@@ -562,15 +522,14 @@ impl SpotServer {
         self.metrics.session_wall_ns.observe(wall.as_nanos() as u64);
         if let Ok(report) = &result {
             if let Some(summary) = PipelineSummary::from_report(id, wall, report) {
-                self.metrics
-                    .server_busy_share_ppm
-                    .observe((report.stream.server_busy_share() * 1e6) as u64);
-                self.metrics
-                    .overlap_server_idle_ns
-                    .observe((summary.server_idle_s * 1e9) as u64);
-                self.metrics
-                    .overlap_client_blocked_ns
-                    .observe((summary.client_blocked_s * 1e9) as u64);
+                let s = &summary.stream;
+                let m = &self.metrics;
+                m.server_busy_share_ppm
+                    .observe((s.server_busy_share() * 1e6) as u64);
+                m.overlap_server_idle_ns
+                    .observe((s.server_idle_s * 1e9) as u64);
+                m.overlap_client_blocked_ns
+                    .observe((s.client_blocked_s * 1e9) as u64);
                 let mut ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
                 if ring.len() == PIPELINE_RING {
                     ring.pop_front();
@@ -649,31 +608,18 @@ pub fn session_seed(base: u64, session_id: u64) -> u64 {
 // Cross-session batching: the tenant gateway
 // ---------------------------------------------------------------------
 
-/// One queued inference's result cell: filled by the gateway
-/// dispatcher, awaited by the submitting logical client.
-#[derive(Debug, Default)]
-pub struct RequestSlot {
-    cell: Mutex<Option<Result<Tensor, SpotError>>>,
-    done: Condvar,
-}
+/// Where a queued inference's result arrives: a one-slot [`Queue`] the
+/// gateway dispatcher sends exactly one result into, and the
+/// submitting logical client `recv`s.
+pub type Reply = Arc<Queue<Result<Tensor, SpotError>>>;
 
-impl RequestSlot {
-    fn complete(&self, result: Result<Tensor, SpotError>) {
-        let mut cell = self.cell.lock().unwrap_or_else(|p| p.into_inner());
-        *cell = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Blocks until the inference this slot tracks has finished.
-    pub fn wait(&self) -> Result<Tensor, SpotError> {
-        let mut cell = self.cell.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(result) = cell.take() {
-                return result;
-            }
-            cell = self.done.wait(cell).unwrap_or_else(|p| p.into_inner());
-        }
-    }
+/// One queued inference: its input, when it arrived, and where its
+/// result goes.
+#[derive(Debug)]
+struct Request {
+    input: Tensor,
+    arrived: Instant,
+    reply: Reply,
 }
 
 /// Coalesces queued inferences from many logical clients of one
@@ -682,49 +628,55 @@ impl RequestSlot {
 /// SIMD-slot sharing requires one secret key per ciphertext, so
 /// *cross-client* batching is only sound where clients share a key —
 /// a tenant gateway (an app backend fanning in its users' requests).
-/// Requests [`TenantGateway::submit`]ted here queue in a
-/// [`BatchAssembler`] (full batch releases immediately, a partial one
-/// at the latency cap) and a dispatcher thread drives each batch
-/// through one upstream session, demuxing per-image results back to
-/// the [`RequestSlot`]s in submission order.
+/// Requests [`TenantGateway::submit`]ted here queue in one [`Queue`];
+/// a dispatcher thread takes a batch as soon as `capacity` requests
+/// are queued, or whatever is queued once the oldest request has
+/// waited `latency_cap` (a lone request never starves waiting for
+/// company), drives it through one upstream session, and answers each
+/// request's [`Reply`] in submission order.
 #[derive(Debug)]
 pub struct TenantGateway {
-    asm: BatchAssembler<(Tensor, Arc<RequestSlot>)>,
+    requests: Queue<Request>,
+    capacity: usize,
+    latency_cap: Duration,
 }
 
 impl TenantGateway {
-    /// A gateway batching up to `capacity` requests, holding a partial
-    /// batch at most `latency_cap` past its oldest request.
+    /// A gateway batching up to `capacity` requests (at least 1,
+    /// typically [`crate::session::ClientConv::batch_capacity`]),
+    /// holding a partial batch at most `latency_cap` past its oldest
+    /// request.
     pub fn new(capacity: usize, latency_cap: Duration) -> Self {
         Self {
-            asm: BatchAssembler::new(capacity, latency_cap),
+            requests: Queue::unbounded(),
+            capacity,
+            latency_cap,
         }
     }
 
-    /// Queues one inference; the returned slot resolves when its batch
-    /// has been served.
-    pub fn submit(&self, input: Tensor) -> Result<Arc<RequestSlot>, SpotError> {
-        let slot = Arc::new(RequestSlot::default());
-        self.asm.submit((input, Arc::clone(&slot)))?;
-        Ok(slot)
-    }
-
-    /// Requests queued but not yet dispatched.
-    pub fn queued(&self) -> usize {
-        self.asm.queued()
+    /// Queues one inference; its [`Reply`] receives the result once
+    /// its batch has been served. Fails once the gateway is closed.
+    pub fn submit(&self, input: Tensor) -> Result<Reply, SpotError> {
+        let reply = Arc::new(Queue::bounded(1));
+        self.requests.send(Request {
+            input,
+            arrived: Instant::now(),
+            reply: Arc::clone(&reply),
+        })?;
+        Ok(reply)
     }
 
     /// Stops accepting requests; the dispatcher drains what's queued
     /// and returns.
     pub fn close(&self) {
-        self.asm.close();
+        self.requests.close();
     }
 
     /// The gateway's dispatcher loop: drains batches until the gateway
     /// is closed, opening one upstream connection per batch via
     /// `connect` and running the tenant's client session over it.
     /// Returns the number of batches dispatched. A failed batch fails
-    /// only its own slots; later batches still run.
+    /// only its own requests; later batches still run.
     #[allow(clippy::too_many_arguments)]
     pub fn run_dispatcher<F>(
         &self,
@@ -736,14 +688,16 @@ impl TenantGateway {
         mode: PatchMode,
         mut connect: F,
         rng: &mut StdRng,
-    ) -> Result<usize, SpotError>
+    ) -> usize
     where
         F: FnMut() -> Result<Box<dyn Transport>, SpotError>,
     {
         let mut batches = 0usize;
-        while let Some(batch) = self.asm.next_batch()? {
+        let due = |r: &Request| r.arrived + self.latency_cap;
+        while let Some(batch) = self.requests.recv_batch(self.capacity, due) {
             batches += 1;
-            let (inputs, slots): (Vec<Tensor>, Vec<Arc<RequestSlot>>) = batch.into_iter().unzip();
+            let (inputs, replies): (Vec<Tensor>, Vec<Reply>) =
+                batch.into_iter().map(|r| (r.input, r.reply)).unzip();
             let outcome = connect().and_then(|transport| {
                 run_client_batch(
                     ctx,
@@ -757,20 +711,22 @@ impl TenantGateway {
                     rng,
                 )
             });
+            // Each reply holds one result and gets exactly one, so
+            // these sends neither block nor fail.
             match outcome {
                 Ok(outputs) => {
-                    for (slot, out) in slots.iter().zip(outputs) {
-                        slot.complete(Ok(out));
+                    for (reply, out) in replies.iter().zip(outputs) {
+                        let _ = reply.send(Ok(out));
                     }
                 }
                 Err(e) => {
-                    for slot in &slots {
-                        slot.complete(Err(e.clone()));
+                    for reply in &replies {
+                        let _ = reply.send(Err(e.clone()));
                     }
                 }
             }
         }
-        Ok(batches)
+        batches
     }
 }
 
@@ -806,21 +762,10 @@ mod tests {
     }
 
     #[test]
-    fn request_slot_resolves_across_threads() {
-        let slot = Arc::new(RequestSlot::default());
-        let s = Arc::clone(&slot);
-        let t = std::thread::spawn(move || s.wait());
-        std::thread::sleep(Duration::from_millis(10));
-        slot.complete(Ok(Tensor::from_vec(1, 1, 1, vec![7])));
-        let got = t.join().unwrap().unwrap();
-        assert_eq!(got.data(), &[7]);
-    }
-
-    #[test]
     fn pipeline_summary_attributes_stall() {
         let mut report = ServerReport {
             counts: Default::default(),
-            stream: crate::stream::StreamStats::default(),
+            stream: StreamStats::default(),
             input_cts: 4,
             output_cts: 4,
             batch: 1,
@@ -835,18 +780,9 @@ mod tests {
         report.stream.client_blocked_s = 0.25;
         let s = PipelineSummary::from_report(7, Duration::from_millis(5), &report).unwrap();
         assert_eq!(s.id, 7);
-        assert_eq!(s.input_items, 4);
-        assert!((s.server_busy_share - 0.75).abs() < 1e-12);
-        assert!((s.client_blocked_s - 0.25).abs() < 1e-12);
+        assert_eq!(s.stream.input_items, 4);
+        assert!((s.stream.server_busy_share() - 0.75).abs() < 1e-12);
+        assert!((s.stream.client_blocked_s - 0.25).abs() < 1e-12);
         assert!((s.wall_ms - 5.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn device_profile_budget_feeds_admission() {
-        let profile = DeviceProfile::iot_k27();
-        let cfg = ServingConfig::for_device(&profile, 1 << 20);
-        let budget = profile.ciphertext_capacity(1 << 20);
-        assert_eq!(cfg.max_batch, Some(budget.min(255)));
-        assert!(cfg.channel_capacity >= 1);
     }
 }

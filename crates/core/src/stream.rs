@@ -7,10 +7,10 @@
 //! [`spot_pipeline::plan::OutputDependency`] says it in one enum and
 //! [`run_stream`] executes it in one body: **a job waits for the inputs
 //! it reads**. An ingest thread — the uplink's only reader — pushes the
-//! round's upload frames through a [`BoundedQueue`], and behind each
-//! input it runs the round's *side step* for that input (the session's
-//! rotation-key frames: a key travels behind the input that makes the
-//! first job using it runnable, [`Round::runnable_with`]); the
+//! round's upload frames through a bounded [`spot_proto::Queue`], and
+//! behind each input it runs the round's *side step* for that input (the
+//! session's rotation-key frames: a key travels behind the input that
+//! makes the first job using it runnable, [`Round::runnable_with`]); the
 //! [`Executor::run_workers`] pool stages (deserialises) each input as it
 //! arrives and runs a job as soon as its inputs are staged; results are
 //! consumed in job order on the calling thread, where the mask rng
@@ -19,8 +19,9 @@
 //! The queue bound ([`StreamConfig::channel_capacity`]) is only the
 //! server's read-ahead. The bound that models the tiny client's
 //! ciphertext memory lives where the client is — on the link
-//! (`MemTransport::pair_with_capacity`, the socket buffer) — because the
-//! client is on the far side of the transport.
+//! (`MemTransport::pair_with_capacity`, the same [`spot_proto::Queue`];
+//! the socket buffer) — because the client is on the far side of the
+//! transport.
 //!
 //! ## Determinism
 //!
@@ -35,7 +36,7 @@
 //! One definition for both dependency classes:
 //! [`StreamStats::server_idle_s`] is the worker thread-seconds spent
 //! blocked waiting for a runnable job *or for a rotation key* while the
-//! upload is open: time inside [`BoundedQueue::recv`], which this
+//! upload is open: time inside the ingest queue's `recv`, which this
 //! driver measures, plus time inside the connection's key store's
 //! `wait`, which a job's `work` spends and the session layer moves from
 //! busy to idle (`session.rs::serve_rounds`, the one place) and reports
@@ -56,10 +57,11 @@ use crate::executor::Executor;
 use crossbeam::thread;
 use spot_pipeline::plan::OutputDependency;
 use spot_pipeline::report::{secs, Table};
+use spot_proto::Queue;
 use spot_trace::{count, gauge, metrics, Cat, Counter};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 // Live-registry histograms for the driver, registered once per
@@ -75,130 +77,34 @@ fn stream_conv_hist() -> &'static metrics::Histogram {
     H.get_or_init(|| metrics::global().histogram("spot_stream_conv_ns", &[]))
 }
 
-// ---------------------------------------------------------------------
-// Bounded MPMC queue
-// ---------------------------------------------------------------------
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
+/// Queues `item` on one of the driver's queues and records the
+/// hand-off (the queue itself counts nothing); returns the time the
+/// send blocked on backpressure.
+fn push<T>(q: &Queue<T>, item: T) -> Result<Duration, SpotError> {
+    let blocked = q.send(item)?;
+    count(Counter::QueuePushed, 1);
+    count(Counter::QueueBlockedNs, blocked.as_nanos() as u64);
+    if spot_trace::enabled() {
+        gauge(Cat::Stream, "queue_depth", q.depth() as u64);
+    }
+    if metrics::enabled() {
+        stream_queue_blocked_hist().observe(blocked.as_nanos() as u64);
+    }
+    Ok(blocked)
 }
 
-/// A blocking bounded MPMC queue with close semantics and blocked-time
-/// measurement (the vendored `crossbeam` stand-in provides only scoped
-/// threads, so the channel layer is built here).
-///
-/// [`BoundedQueue::send`] blocks while the queue is full — the
-/// backpressure that keeps the ingest thread at most `capacity` frames
-/// ahead of the workers. [`BoundedQueue::recv`] blocks
-/// while the queue is empty and open, and returns `None` once it is
-/// closed and drained. Both return the time they spent blocked so the
-/// runtime can attribute stall to the right side.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    can_send: Condvar,
-    can_recv: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (clamped to ≥ 1).
-    pub fn bounded(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            can_send: Condvar::new(),
-            can_recv: Condvar::new(),
-            capacity: capacity.max(1),
+/// Takes the next item of one of the driver's queues (`None` once it
+/// is closed and drained) and records the hand-off; also returns the
+/// time the receive blocked.
+fn pop<T>(q: &Queue<T>) -> (Option<T>, Duration) {
+    let (item, waited) = q.recv();
+    if item.is_some() {
+        count(Counter::QueuePopped, 1);
+        if spot_trace::enabled() {
+            gauge(Cat::Stream, "queue_depth", q.depth() as u64);
         }
     }
-
-    /// A queue with no capacity bound (used for the return channel:
-    /// workers must never block on the consumer).
-    pub fn unbounded() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Sends an item, blocking while the queue is full; returns the
-    /// time spent blocked. Sending on a closed queue or through a
-    /// poisoned lock returns an error instead of panicking.
-    pub fn send(&self, item: T) -> Result<Duration, SpotError> {
-        let mut blocked = Duration::ZERO;
-        let mut st = self
-            .state
-            .lock()
-            .map_err(|_| SpotError::Poisoned("stream queue"))?;
-        while st.items.len() >= self.capacity && !st.closed {
-            let t0 = Instant::now();
-            st = self
-                .can_send
-                .wait(st)
-                .map_err(|_| SpotError::Poisoned("stream queue"))?;
-            blocked += t0.elapsed();
-        }
-        if st.closed {
-            return Err(SpotError::Disconnected("send on closed stream queue"));
-        }
-        st.items.push_back(item);
-        let depth = st.items.len() as u64;
-        drop(st);
-        self.can_recv.notify_one();
-        count(Counter::QueuePushed, 1);
-        count(Counter::QueueBlockedNs, blocked.as_nanos() as u64);
-        gauge(Cat::Stream, "queue_depth", depth);
-        if metrics::enabled() {
-            stream_queue_blocked_hist().observe(blocked.as_nanos() as u64);
-        }
-        Ok(blocked)
-    }
-
-    /// Receives an item, blocking while the queue is empty and open;
-    /// returns `None` once closed and drained, plus the time spent
-    /// blocked.
-    pub fn recv(&self) -> Result<(Option<T>, Duration), SpotError> {
-        let mut blocked = Duration::ZERO;
-        let mut st = self
-            .state
-            .lock()
-            .map_err(|_| SpotError::Poisoned("stream queue"))?;
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                let depth = st.items.len() as u64;
-                drop(st);
-                self.can_send.notify_one();
-                count(Counter::QueuePopped, 1);
-                gauge(Cat::Stream, "queue_depth", depth);
-                return Ok((Some(item), blocked));
-            }
-            if st.closed {
-                return Ok((None, blocked));
-            }
-            let t0 = Instant::now();
-            st = self
-                .can_recv
-                .wait(st)
-                .map_err(|_| SpotError::Poisoned("stream queue"))?;
-            blocked += t0.elapsed();
-        }
-    }
-
-    /// Closes the queue: senders get an error, receivers drain then get
-    /// `None`. Idempotent; a poisoned lock is ignored (the panic that
-    /// poisoned it is already propagating).
-    pub fn close(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.closed = true;
-        }
-        self.can_send.notify_all();
-        self.can_recv.notify_all();
-    }
+    (item, waited)
 }
 
 // ---------------------------------------------------------------------
@@ -370,7 +276,7 @@ impl Round {
 
 /// Closes a queue when dropped, so a thread that fails or unwinds still
 /// releases every thread blocked on that queue.
-struct CloseOnDrop<'q, T>(&'q BoundedQueue<T>);
+struct CloseOnDrop<'q, T>(&'q Queue<T>);
 
 impl<T> Drop for CloseOnDrop<'_, T> {
     fn drop(&mut self) {
@@ -449,8 +355,9 @@ where
     R: Send,
 {
     let t0 = Instant::now();
-    let in_q: BoundedQueue<(usize, F)> = BoundedQueue::bounded(config.channel_capacity);
-    let out_q: BoundedQueue<(usize, R)> = BoundedQueue::unbounded();
+    let in_q: Queue<(usize, F)> = Queue::bounded(config.channel_capacity);
+    // Unbounded: workers never block on the consumer.
+    let out_q: Queue<(usize, R)> = Queue::unbounded();
     let workers = config.executor.threads().min(round.jobs.max(1));
     // `AllInputs` only: the inputs staged so far, then the whole round.
     let staging: Mutex<Vec<Option<T>>> = Mutex::new((0..round.inputs).map(|_| None).collect());
@@ -466,11 +373,11 @@ where
             if metrics::enabled() {
                 stream_conv_hist().observe((*busy - before).as_nanos() as u64);
             }
-            out_q.send((j, r)).map(drop)
+            push(&out_q, (j, r)).map(drop)
         };
         loop {
             let idle_span = spot_trace::span(Cat::Stream, "idle");
-            let (msg, waited) = in_q.recv()?;
+            let (msg, waited) = pop(&in_q);
             end_wait(idle_span, waited);
             *idle += waited;
             let Some((i, frame)) = msg else { break };
@@ -528,7 +435,7 @@ where
             let result = (0..round.inputs).try_for_each(|i| {
                 let frame = ingest(i)?;
                 let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
-                let waited = in_q.send((i, frame))?;
+                let waited = push(in_q, (i, frame))?;
                 end_wait(wait_span, waited);
                 blocked += waited;
                 side(i)
@@ -565,15 +472,7 @@ where
         let mut pending: BTreeMap<usize, R> = BTreeMap::new();
         let mut next = 0usize;
         let mut consume_err: Option<SpotError> = None;
-        loop {
-            let (j, r) = match out_q.recv() {
-                Ok((Some(result), _)) => result,
-                Ok((None, _)) => break,
-                Err(e) => {
-                    consume_err.get_or_insert(e);
-                    break;
-                }
-            };
+        while let (Some((j, r)), _) = pop(out_q) {
             if consume_err.is_some() {
                 continue;
             }
@@ -622,197 +521,15 @@ where
     })
 }
 
-// ---------------------------------------------------------------------
-// Cross-image batch assembler
-// ---------------------------------------------------------------------
-
-struct AssemblerState<T> {
-    /// Queued items with their arrival times (front = oldest).
-    items: VecDeque<(Instant, T)>,
-    closed: bool,
-}
-
-/// Coalesces queued inference requests into batches for the cross-image
-/// SIMD-slot batching path ([`crate::session::ClientConv::send_batch`]).
-///
-/// Submitters enqueue items as they arrive; the dispatch loop calls
-/// [`BatchAssembler::next_batch`], which returns as soon as `capacity`
-/// items are queued — or once the **oldest** queued item has waited
-/// `latency_cap`, whatever is queued by then. A lone request is
-/// therefore never starved waiting for company: its worst-case queueing
-/// delay is the latency cap, and under load batches fill instantly.
-pub struct BatchAssembler<T> {
-    state: Mutex<AssemblerState<T>>,
-    nonempty: Condvar,
-    capacity: usize,
-    latency_cap: Duration,
-}
-
-impl<T> std::fmt::Debug for BatchAssembler<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchAssembler")
-            .field("capacity", &self.capacity)
-            .field("latency_cap", &self.latency_cap)
-            .field("queued", &self.queued())
-            .finish()
-    }
-}
-
-impl<T> BatchAssembler<T> {
-    /// An assembler forming batches of at most `capacity` items
-    /// (clamped to ≥ 1, typically [`ClientConv::batch_capacity`]),
-    /// releasing partial batches after `latency_cap`.
-    ///
-    /// [`ClientConv::batch_capacity`]: crate::session::ClientConv::batch_capacity
-    pub fn new(capacity: usize, latency_cap: Duration) -> Self {
-        Self {
-            state: Mutex::new(AssemblerState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            nonempty: Condvar::new(),
-            capacity: capacity.max(1),
-            latency_cap,
-        }
-    }
-
-    /// The batch-width bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The partial-batch release deadline.
-    pub fn latency_cap(&self) -> Duration {
-        self.latency_cap
-    }
-
-    /// Enqueues one item. Fails once the assembler is closed.
-    pub fn submit(&self, item: T) -> Result<(), SpotError> {
-        let mut st = self
-            .state
-            .lock()
-            .map_err(|_| SpotError::Poisoned("batch assembler"))?;
-        if st.closed {
-            return Err(SpotError::Disconnected("submit on closed batch assembler"));
-        }
-        st.items.push_back((Instant::now(), item));
-        let depth = st.items.len() as u64;
-        drop(st);
-        self.nonempty.notify_all();
-        gauge(Cat::Stream, "batch_queue_depth", depth);
-        Ok(())
-    }
-
-    /// Queued items not yet taken into a batch.
-    pub fn queued(&self) -> usize {
-        self.state.lock().map(|st| st.items.len()).unwrap_or(0)
-    }
-
-    /// Closes the assembler: submitters get an error; `next_batch`
-    /// drains what is queued, then returns `None`. Idempotent.
-    pub fn close(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.closed = true;
-        }
-        self.nonempty.notify_all();
-    }
-
-    /// Blocks for the next batch, in submission order: returns up to
-    /// `capacity` items as soon as they are queued, a partial batch
-    /// once the oldest queued item has waited `latency_cap` (or the
-    /// assembler closes), and `None` once closed and drained.
-    pub fn next_batch(&self) -> Result<Option<Vec<T>>, SpotError> {
-        let mut st = self
-            .state
-            .lock()
-            .map_err(|_| SpotError::Poisoned("batch assembler"))?;
-        loop {
-            if st.items.len() >= self.capacity || (st.closed && !st.items.is_empty()) {
-                return Ok(Some(Self::drain(&mut st, self.capacity)));
-            }
-            if st.closed {
-                return Ok(None);
-            }
-            match st.items.front() {
-                Some(&(arrived, _)) => {
-                    let deadline = arrived + self.latency_cap;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Ok(Some(Self::drain(&mut st, self.capacity)));
-                    }
-                    st = self
-                        .nonempty
-                        .wait_timeout(st, deadline - now)
-                        .map_err(|_| SpotError::Poisoned("batch assembler"))?
-                        .0;
-                }
-                None => {
-                    st = self
-                        .nonempty
-                        .wait(st)
-                        .map_err(|_| SpotError::Poisoned("batch assembler"))?;
-                }
-            }
-        }
-    }
-
-    fn drain(st: &mut AssemblerState<T>, capacity: usize) -> Vec<T> {
-        let take = st.items.len().min(capacity);
-        let batch: Vec<T> = st.items.drain(..take).map(|(_, item)| item).collect();
-        count(Counter::QueuePopped, batch.len() as u64);
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Condvar;
 
     fn cfg(threads: usize, cap: usize) -> StreamConfig {
         StreamConfig::new(Executor::new(threads), cap)
-    }
-
-    #[test]
-    fn queue_fifo_and_close() {
-        let q: BoundedQueue<u32> = BoundedQueue::bounded(4);
-        q.send(1).unwrap();
-        q.send(2).unwrap();
-        assert_eq!(q.recv().unwrap().0, Some(1));
-        q.close();
-        assert_eq!(q.recv().unwrap().0, Some(2));
-        assert_eq!(q.recv().unwrap().0, None);
-    }
-
-    #[test]
-    fn send_on_closed_queue_errors_instead_of_panicking() {
-        let q: BoundedQueue<u32> = BoundedQueue::bounded(4);
-        q.close();
-        assert!(matches!(q.send(1), Err(SpotError::Disconnected(_))));
-    }
-
-    #[test]
-    fn queue_backpressure_blocks_sender() {
-        let q: BoundedQueue<u32> = BoundedQueue::bounded(1);
-        let released = AtomicBool::new(false);
-        thread::scope(|s| {
-            let q = &q;
-            let released = &released;
-            s.spawn(move |_| {
-                q.send(1).unwrap(); // fills the queue
-                let waited = q.send(2).unwrap(); // must block until recv
-                assert!(released.load(Ordering::SeqCst), "send returned before recv");
-                assert!(waited > Duration::ZERO);
-                q.close();
-            });
-            std::thread::sleep(Duration::from_millis(30));
-            released.store(true, Ordering::SeqCst);
-            assert_eq!(q.recv().unwrap().0, Some(1));
-            assert_eq!(q.recv().unwrap().0, Some(2));
-            assert_eq!(q.recv().unwrap().0, None);
-        })
-        .unwrap();
     }
 
     const CLASSES: [OutputDependency; 2] =
@@ -1152,68 +869,5 @@ mod tests {
     #[test]
     fn config_clamps_capacity_to_one() {
         assert_eq!(StreamConfig::new(Executor::serial(), 0).channel_capacity, 1);
-    }
-
-    #[test]
-    fn assembler_full_batch_released_immediately() {
-        // A long latency cap must not delay a full batch.
-        let asm: BatchAssembler<u32> = BatchAssembler::new(2, Duration::from_secs(60));
-        for v in 0..5 {
-            asm.submit(v).unwrap();
-        }
-        let t0 = Instant::now();
-        assert_eq!(asm.next_batch().unwrap(), Some(vec![0, 1]));
-        assert_eq!(asm.next_batch().unwrap(), Some(vec![2, 3]));
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        assert_eq!(asm.queued(), 1);
-        asm.close();
-        assert_eq!(asm.next_batch().unwrap(), Some(vec![4]));
-        assert_eq!(asm.next_batch().unwrap(), None);
-    }
-
-    #[test]
-    fn assembler_latency_cap_releases_lone_item() {
-        let asm: BatchAssembler<u32> = BatchAssembler::new(8, Duration::from_millis(30));
-        asm.submit(7).unwrap();
-        let t0 = Instant::now();
-        assert_eq!(asm.next_batch().unwrap(), Some(vec![7]));
-        let waited = t0.elapsed();
-        assert!(
-            waited >= Duration::from_millis(25),
-            "partial batch released after {waited:?}, before the cap"
-        );
-    }
-
-    #[test]
-    fn assembler_submit_after_close_errors() {
-        let asm: BatchAssembler<u32> = BatchAssembler::new(4, Duration::ZERO);
-        asm.close();
-        assert!(matches!(asm.submit(1), Err(SpotError::Disconnected(_))));
-        assert_eq!(asm.next_batch().unwrap(), None);
-    }
-
-    #[test]
-    fn assembler_preserves_submission_order_across_threads() {
-        let asm: BatchAssembler<u32> = BatchAssembler::new(3, Duration::from_millis(10));
-        let collected = Mutex::new(Vec::new());
-        thread::scope(|s| {
-            let asm = &asm;
-            let collected = &collected;
-            s.spawn(move |_| {
-                for v in 0..20u32 {
-                    asm.submit(v).unwrap();
-                    if v % 7 == 0 {
-                        std::thread::sleep(Duration::from_millis(3));
-                    }
-                }
-                asm.close();
-            });
-            while let Some(batch) = asm.next_batch().unwrap() {
-                assert!(!batch.is_empty() && batch.len() <= 3);
-                collected.lock().unwrap().extend(batch);
-            }
-        })
-        .unwrap();
-        assert_eq!(collected.into_inner().unwrap(), (0..20).collect::<Vec<_>>());
     }
 }

@@ -10,7 +10,7 @@
 //!    rotation schedule unchanged), so each image pays `1/B` of it.
 //! 3. **Transport independence** — the same seeds produce the same
 //!    shares over `MemTransport` and framed TCP.
-//! 4. **Assembler integration** — a [`BatchAssembler`]-coalesced queue
+//! 4. **Queue assembly** — a batch released by `Queue::recv_batch`
 //!    runs through the batched session and every image reconstructs to
 //!    the true convolution.
 
@@ -21,16 +21,16 @@ use spot_core::patching::PatchMode;
 use spot_core::session::{
     run_in_process, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
-use spot_core::stream::BatchAssembler;
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, TcpTransport};
+use spot_proto::Queue;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The low-occupancy test layer (2×8×8 → 4 channels) every scheme can
 /// batch at least 3 wide on N4096.
@@ -227,17 +227,18 @@ fn batched_shares_identical_over_tcp() {
     assert_eq!(tcp_ss, mem_ss);
 }
 
-/// Queue → assembler → batched session: every coalesced image
+/// Queue → batch → batched session: every coalesced image
 /// reconstructs to the true convolution and demuxes in submission
 /// order.
 #[test]
 fn assembler_coalesced_batch_reconstructs_per_image() {
-    let asm = BatchAssembler::new(4, Duration::from_millis(50));
+    let queue = Queue::unbounded();
     for input in test_inputs(3) {
-        asm.submit(input).expect("submit");
+        queue.send(input).expect("send");
     }
-    asm.close();
-    let batch = asm.next_batch().expect("drain").expect("one batch");
+    queue.close();
+    let due = Instant::now() + Duration::from_millis(50);
+    let batch = queue.recv_batch(4, |_| due).expect("one batch");
     assert_eq!(batch.len(), 3);
 
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -260,5 +261,5 @@ fn assembler_coalesced_batch_reconstructs_per_image() {
         let want = spot_tensor::conv::conv2d(&batch[i], &kernel, 1);
         assert_eq!(res.reconstruct(), want, "image {i}");
     }
-    assert!(asm.next_batch().expect("closed").is_none());
+    assert!(queue.recv_batch(4, |_| due).is_none());
 }

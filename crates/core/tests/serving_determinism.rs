@@ -361,7 +361,7 @@ fn tenant_gateway_coalesces_across_clients() {
             (input, want)
         })
         .collect();
-    let slots: Vec<_> = requests
+    let replies: Vec<_> = requests
         .iter()
         .map(|(input, _)| gateway.submit(input.clone()).expect("submit"))
         .collect();
@@ -390,15 +390,12 @@ fn tenant_gateway_coalesces_across_clients() {
                 &mut drng,
             )
         });
-        dispatcher
-            .join()
-            .expect("dispatcher")
-            .expect("dispatch loop")
+        dispatcher.join().expect("dispatcher")
     });
 
     assert_eq!(batches, 2, "6 requests at cap 3 should form 2 batches");
-    for (i, ((_, want), slot)) in requests.iter().zip(&slots).enumerate() {
-        let got = slot.wait().expect("request result");
+    for (i, ((_, want), reply)) in requests.iter().zip(&replies).enumerate() {
+        let got = reply.recv().0.expect("one reply").expect("request result");
         assert_eq!(got, *want, "request {i} diverges from plaintext forward");
     }
     let stats = server.stats();
@@ -578,8 +575,10 @@ fn phased_and_streamed_sessions_each_leave_one_pipeline_summary() {
         assert_eq!(ring.len(), 1, "streaming: {streaming}");
         assert_eq!(ring[0].id, report.id);
         assert_eq!(
-            ring[0].input_items, served.input_cts,
+            ring[0].stream.input_items, served.input_cts,
             "streaming: {streaming}"
         );
+        // The ring keeps the session's whole accounting, key wait included.
+        assert_eq!(ring[0].stream, served.stream, "streaming: {streaming}");
     }
 }

@@ -9,12 +9,12 @@
 
 use crate::channel::TrafficStats;
 use crate::error::ProtoError;
+use crate::queue::Queue;
 use crate::wire::{read_frame, WireMessage};
 use spot_trace::{count, Cat, Counter, Span};
-use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Traffic and stall accounting for one endpoint of a transport.
@@ -129,85 +129,14 @@ fn recv_over(link: &impl Link, tally: &Tally) -> Result<WireMessage, ProtoError>
 // In-process transport
 // ---------------------------------------------------------------------
 
-#[derive(Debug)]
-struct PipeState {
-    frames: VecDeque<Vec<u8>>,
-    closed: bool,
-}
-
-/// One direction of the in-memory pipe: a bounded FIFO of serialized
-/// frames with condvar-based blocking semantics.
-#[derive(Debug)]
-struct Pipe {
-    state: Mutex<PipeState>,
-    capacity: usize,
-    can_send: Condvar,
-    can_recv: Condvar,
-}
-
-impl Pipe {
-    fn new(capacity: Option<usize>) -> Self {
-        Self {
-            state: Mutex::new(PipeState {
-                frames: VecDeque::new(),
-                closed: false,
-            }),
-            capacity: capacity.map_or(usize::MAX, |c| c.max(1)),
-            can_send: Condvar::new(),
-            can_recv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> Result<MutexGuard<'_, PipeState>, ProtoError> {
-        self.state.lock().map_err(|_| ProtoError::Poisoned)
-    }
-
-    fn push(&self, frame: Vec<u8>) -> Result<Duration, ProtoError> {
-        let mut st = self.lock()?;
-        let mut blocked = Duration::ZERO;
-        while st.frames.len() >= self.capacity && !st.closed {
-            let t0 = Instant::now();
-            st = self.can_send.wait(st).map_err(|_| ProtoError::Poisoned)?;
-            blocked += t0.elapsed();
-        }
-        if st.closed {
-            return Err(ProtoError::Disconnected);
-        }
-        st.frames.push_back(frame);
-        self.can_recv.notify_one();
-        Ok(blocked)
-    }
-
-    fn pop(&self) -> Result<Vec<u8>, ProtoError> {
-        let mut st = self.lock()?;
-        loop {
-            if let Some(frame) = st.frames.pop_front() {
-                self.can_send.notify_one();
-                return Ok(frame);
-            }
-            if st.closed {
-                return Err(ProtoError::Closed);
-            }
-            st = self.can_recv.wait(st).map_err(|_| ProtoError::Poisoned)?;
-        }
-    }
-
-    fn close(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.closed = true;
-        }
-        self.can_recv.notify_all();
-        self.can_send.notify_all();
-    }
-}
-
 /// In-process [`Transport`]: both parties run in one process and
-/// exchange serialized frames through a pair of FIFO pipes, preserving
-/// the byte/message accounting a real socket would see.
+/// exchange serialized frames through a pair of [`Queue`]s, one per
+/// direction, preserving the byte/message accounting a real socket
+/// would see.
 #[derive(Debug)]
 pub struct MemTransport {
-    tx: Arc<Pipe>,
-    rx: Arc<Pipe>,
+    tx: Arc<Queue<Vec<u8>>>,
+    rx: Arc<Queue<Vec<u8>>>,
     tally: Tally,
 }
 
@@ -226,8 +155,9 @@ impl MemTransport {
         uplink: Option<usize>,
         downlink: Option<usize>,
     ) -> (MemTransport, MemTransport) {
-        let up = Arc::new(Pipe::new(uplink));
-        let down = Arc::new(Pipe::new(downlink));
+        let queue =
+            |bound: Option<usize>| Arc::new(bound.map_or_else(Queue::unbounded, Queue::bounded));
+        let (up, down) = (queue(uplink), queue(downlink));
         let client = MemTransport {
             tx: Arc::clone(&up),
             rx: Arc::clone(&down),
@@ -242,15 +172,15 @@ impl MemTransport {
     }
 }
 
-/// The bounded pipes: a frame is moved, never copied, and only a full
-/// queue counts as blocked.
+/// The queues: a frame is moved, never copied, only a full queue
+/// counts as blocked, and a closed, drained one is the peer's EOF.
 impl Link for MemTransport {
     fn put(&self, frame: Vec<u8>) -> Result<Duration, ProtoError> {
-        self.tx.push(frame)
+        self.tx.send(frame)
     }
 
     fn take(&self) -> Result<Vec<u8>, ProtoError> {
-        self.rx.pop()
+        self.rx.recv().0.ok_or(ProtoError::Closed)
     }
 }
 
@@ -367,6 +297,7 @@ mod tests {
     use crate::wire::tests::samples;
     use spot_trace::{metrics, SessionCounters};
     use std::net::TcpListener;
+    use std::sync::MutexGuard;
 
     // The process totals a scrape renders are process-wide, so the
     // tests of this module that move frames take turns.
@@ -507,7 +438,7 @@ mod tests {
         let (client, server) = MemTransport::pair();
         let mut frame = sample(2).encode_frame();
         frame.push(0);
-        client.tx.push(frame).unwrap();
+        client.tx.send(frame).unwrap();
         assert_eq!(
             server.recv(),
             Err(ProtoError::Malformed("trailing bytes in frame".into()))

@@ -11,25 +11,9 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [Perfetto]: https://ui.perfetto.dev
 
+use crate::json::escape_into;
 use crate::{Event, Phase};
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal (quotes not included).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 pub(crate) fn push_us(out: &mut String, ns: u64) {
     // Microseconds with nanosecond precision, printed without float

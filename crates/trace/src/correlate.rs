@@ -31,8 +31,9 @@
 //! upload and the non-linear rounds, where one party waits by
 //! construction, so the `overall` figure sits below the per-layer ones.
 
-use crate::chrome::{escape_into, push_event, push_us};
+use crate::chrome::{push_event, push_us};
 use crate::clocksync::{self, ClockEstimate};
+use crate::json::escape_into;
 use crate::{Cat, Event, Name, Phase};
 use std::collections::HashMap;
 use std::fmt::Write as _;

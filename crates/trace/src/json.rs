@@ -1,4 +1,4 @@
-//! Minimal JSON reader and validator.
+//! Minimal JSON reader and validator, and the one string escaper.
 //!
 //! One recursive-descent walk of RFC 8259 JSON, so the exporters can
 //! assert they emit well-formed output, and the readers that consume
@@ -6,6 +6,9 @@
 //! parse them, without pulling a serde stack into the workspace.
 //! [`parse`] builds a [`Value`] DOM; [`validate`] is `parse` with the
 //! DOM dropped — it runs once per export, not on any hot path.
+//! [`escape_into`] is the writing side every exporter shares.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects keep insertion order (a `Vec` of
 /// pairs): trace files are small-keyed and read once, so a map would
@@ -56,6 +59,24 @@ impl Value {
         match self {
             Value::Array(items) => Some(items),
             _ => None,
+        }
+    }
+}
+
+/// Appends `s` escaped for a JSON string literal (quotes not included):
+/// the workspace's one escaper, for every exporter that writes JSON.
+pub fn escape_into(out: &mut String, s: &str) {
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
 }
@@ -281,7 +302,26 @@ fn number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::validate;
+    use super::{escape_into, parse, validate, Value};
+
+    #[test]
+    fn escaped_strings_round_trip_through_parse() {
+        for s in [
+            "plain",
+            "say \"hi\"",
+            "back\\slash\\",
+            "two\nlines",
+            "tab\there",
+            "bell \u{1} and \u{1f}",
+            "\"\\\n\t\u{1}",
+            "é ünïcode ✓",
+        ] {
+            let mut doc = String::from('"');
+            escape_into(&mut doc, s);
+            doc.push('"');
+            assert_eq!(parse(&doc), Ok(Value::String(s.to_string())), "{doc}");
+        }
+    }
 
     #[test]
     fn accepts_valid_documents() {
