@@ -45,7 +45,13 @@
 //! `dot_lifted9` is a 3×3 kernel's tap sum as one
 //! inner product (`Evaluator::dot_lifted`) and `mult_add9` the same sum
 //! as nine `multiply_lifted` and eight `add_inplace`; their ratio is
-//! held under 0.7. `mod_switch` is the switch every result takes down
+//! held under 0.7. At N4096, `dot_steps16x18` is the sixteen giant
+//! steps of eighteen terms a 32 → 32 SPOT layer sums per input
+//! ciphertext, over eighteen tap positions and 288 distinct plaintexts,
+//! in one `Evaluator::dot_lifted_steps` sweep, and `dot_lifted18x16`
+//! the same sums as sixteen `dot_lifted` calls, the two timed
+//! alternately; their ratio is held under 1.2 (≈ 0.7 under
+//! `avx512ifma`, ≈ 1.0 under `avx2+scalar`). `mod_switch` is the switch every result takes down
 //! to its level's first two primes, mask folded in, **per polynomial**
 //! (a result's time / 2): at N4096 one inverse and two forward row
 //! transforms plus four row passes, so `ratios` relates it to one
@@ -267,6 +273,43 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
                 std::hint::black_box(evaluator.dot_lifted(&terms));
             }),
         );
+
+        // A paper-shaped layer's giant steps over one input ciphertext
+        // (SPOT at 32 → 32): sixteen steps of eighteen terms over the
+        // same eighteen tap positions, 288 distinct plaintexts, as one
+        // sweep and as one inner product a step, timed alternately.
+        // At the served level only: the plaintexts alone are 28 MB.
+        if level == ParamLevel::N4096 {
+            let positions: Vec<Ciphertext> = (0..18)
+                .map(|_| encryptor.encrypt(&encoder.encode(&values), &mut rng))
+                .collect();
+            let weights: Vec<spot_he::poly::Poly> = (0..288u64)
+                .map(|k| {
+                    let weights: Vec<u64> = values.iter().map(|v| (v + k) % 97).collect();
+                    encoder.encode(&weights).lift(&ctx)
+                })
+                .collect();
+            let operands: Vec<&Ciphertext> = positions.iter().collect();
+            let steps: Vec<Vec<(usize, &spot_he::poly::Poly)>> = (weights.chunks(18))
+                .map(|step| step.iter().enumerate().collect())
+                .collect();
+            let stepwise: Vec<Vec<(&Ciphertext, &spot_he::poly::Poly)>> = (steps.iter())
+                .map(|step| step.iter().map(|&(x, w)| (operands[x], w)).collect())
+                .collect();
+            let [swept, one_by_one] = time_pair_us(
+                reps / 5,
+                || {
+                    std::hint::black_box(evaluator.dot_lifted_steps(&operands, &steps));
+                },
+                || {
+                    for terms in &stepwise {
+                        std::hint::black_box(evaluator.dot_lifted(terms));
+                    }
+                },
+            );
+            push("dot_steps16x18", reps / 5, swept);
+            push("dot_lifted18x16", reps / 5, one_by_one);
+        }
 
         // The switch every result takes before it leaves the server,
         // its mask folded in, per polynomial (a result has two).
@@ -676,7 +719,8 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     // one; ceiling 2.0); a polynomial's modulus switch against one
     // forward row transform (ceiling 8 at N4096); a sparse result's
     // decryption at 64 positions against a whole result's (ceiling 0.75
-    // at N4096); a rotation key's wire
+    // at N4096); a paper-shaped layer's giant steps in one sweep
+    // against one inner product a step (ceiling 1.2); a rotation key's wire
     // bytes against its k digit polynomials alone (1.0003 while the a_i
     // travel as a seed, 2.0 if they travel themselves; ceiling 1.1); and
     // an uploaded ciphertext's bytes against the full form's (0.5004
@@ -702,6 +746,12 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
         let ratio = min_us("dot_lifted9", level)? / min_us("mult_add9", level)?;
         Some(format!(
             "    \"dot_lifted9_per_mult_add9/{level}\": {ratio:.3}"
+        ))
+    }));
+    lines.extend(levels.iter().filter_map(|level| {
+        let ratio = min_us("dot_steps16x18", level)? / min_us("dot_lifted18x16", level)?;
+        Some(format!(
+            "    \"dot_steps16x18_per_16_dot_lifted18/{level}\": {ratio:.3}"
         ))
     }));
     lines.extend(levels.iter().filter_map(|level| {

@@ -27,6 +27,8 @@ pub enum SpotError {
     },
     /// A lock was poisoned by a panic on another thread.
     Poisoned(&'static str),
+    /// A thread the session ran beside its own panicked.
+    Panicked(&'static str),
 }
 
 impl fmt::Display for SpotError {
@@ -39,6 +41,7 @@ impl fmt::Display for SpotError {
                 write!(f, "rejected by server (code {code}): {detail}")
             }
             SpotError::Poisoned(what) => write!(f, "poisoned lock: {what}"),
+            SpotError::Panicked(what) => write!(f, "{what} thread panicked"),
         }
     }
 }

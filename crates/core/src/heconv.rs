@@ -24,7 +24,15 @@
 //! ```
 //!
 //! so every giant step is a rotation by the same `B` blocks and the
-//! client makes one key for all of them. A tap `(dy, dx)` of pieces
+//! client makes one key for all of them. Every `S_j` reads the same
+//! tap positions, so the engine sums a group's steps in one pass
+//! ([`Evaluator::dot_lifted_steps`]): one tiled sweep reads each tile of
+//! the positions once while every step's kernel plaintexts stream past
+//! it, and the Horner walk then consumes the sums, last step first. A
+//! pass holds at most as many step sums as the walk holds tap
+//! positions, a rule of the walk's shape and not a setting: a walk with
+//! more giant steps than positions (a 1×1 kernel, say) takes several
+//! passes. A tap `(dy, dx)` of pieces
 //! `W` wide is likewise not a rotation of its own: it is the row move
 //! `dy·W` followed by the column move `dx`, so a `k_h × k_w` kernel
 //! asks for `(k_h − 1) + (k_w − 1)` tap keys, and a tap that cannot pair
@@ -309,7 +317,8 @@ struct Term {
 /// version); the baby steps `1..B` of each version; at each (version,
 /// baby step) position the row moves and then the column moves its
 /// live taps compose from; and per output group the Horner walk over
-/// the giant steps, last first, then the folds. Each giant step is one
+/// the giant steps, last first, in passes (`ConvWalk::passes`), then
+/// the folds. Each giant step is one
 /// inner product over its terms that are non-zero by geometry: every
 /// live tap of each (version, diagonal) that pairs some input channel
 /// with some output channel of the group. A term the *weights* zero
@@ -421,6 +430,32 @@ impl ConvWalk {
                     tap,
                 })
             })
+    }
+
+    /// The tap positions the engine holds for one input ciphertext:
+    /// every live tap of every (version, baby step).
+    fn positions(&self) -> usize {
+        self.in_maps.len() * self.baby * self.taps.len()
+    }
+
+    /// The index of `term`'s operand among the walk's tap positions,
+    /// which the engine lists version by version, then baby step by
+    /// baby step, then tap by tap.
+    fn position(&self, term: Term) -> usize {
+        (term.version * self.baby + term.diagonal % self.baby) * self.taps.len() + term.tap
+    }
+
+    /// The giant steps whose sums the engine computes together, one
+    /// pass of [`Evaluator::dot_lifted_steps`] each, in the Horner
+    /// walk's order: the last steps first. A pass holds at most as many
+    /// step sums as the walk holds tap positions ([`ConvWalk::positions`]),
+    /// so its sums never take more memory than the positions they are
+    /// summed from.
+    fn passes(&self) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let (giants, window) = (self.giants, self.positions());
+        (0..giants.div_ceil(window))
+            .rev()
+            .map(move |p| p * window..((p + 1) * window).min(giants))
     }
 
     /// The Galois elements the walk rotates by, each once, in the order
@@ -690,44 +725,57 @@ impl<'k> HeConvEngine<'k> {
             }
             stepped.push(steps);
         }
-        let operand = |term: Term| {
-            let (vi, b) = (term.version, term.diagonal % baby);
-            let position = if b == 0 {
-                versions[vi]
-            } else {
-                &stepped[vi][b - 1]
-            };
-            tapped[vi * baby + b][term.tap].as_ref().unwrap_or(position)
-        };
+        // Every position in one list, in `ConvWalk::position`'s order.
+        let positions: Vec<&Ciphertext> = (tapped.iter().enumerate())
+            .flat_map(|(at, taps)| {
+                let (vi, b) = (at / baby, at % baby);
+                let position = if b == 0 {
+                    versions[vi]
+                } else {
+                    &stepped[vi][b - 1]
+                };
+                taps.iter().map(move |tap| tap.as_ref().unwrap_or(position))
+            })
+            .collect();
 
         // The giant steps are a Horner walk, last step first:
-        // `acc ← dot_j + rot(acc, B)` with `B` = `baby` blocks. A block
+        // `acc ← S_j + rot(acc, B)` with `B` = `baby` blocks. A block
         // rotation is linear in its step and cyclic over the lane, so
-        // step `j`'s inner product ends up moved by `j·B`, as if rotated
-        // there at once; the rotations, their hoists and their noise
-        // terms number the same, and one key serves them all.
+        // step `j`'s inner product `S_j` ends up moved by `j·B`, as if
+        // rotated there at once; the rotations, their hoists and their
+        // noise terms number the same, and one key serves them all. The
+        // sums `S_j` of a pass's steps come first, in one sweep over the
+        // positions ([`Evaluator::dot_lifted_steps`]), and the walk then
+        // consumes them.
         let mut outputs = Vec::with_capacity(walk.groups.len());
         for gi in 0..walk.groups.len() {
             let mut acc_total: Option<Ciphertext> = None;
-            for j in (0..walk.giants).rev() {
-                // Every term of this giant step the weights leave is
-                // one term of a single inner product.
-                let terms: Vec<(&Ciphertext, Arc<Poly>)> = (walk.terms(gi, j))
-                    .filter_map(|term| Some((operand(term), self.lifted_kernel(req, gi, term)?)))
+            for pass in walk.passes() {
+                // Every term of a giant step the weights leave is one
+                // term of that step's inner product.
+                let steps: Vec<Vec<(usize, Arc<Poly>)>> = (pass.rev())
+                    .map(|j| {
+                        (walk.terms(gi, j))
+                            .filter_map(|term| {
+                                Some((walk.position(term), self.lifted_kernel(req, gi, term)?))
+                            })
+                            .collect()
+                    })
                     .collect();
-                // What the later steps have summed moves one step on,
-                // whether or not this step has anything to add to it.
-                let moved = (acc_total.take())
-                    .map(|acc| self.rotate(&ev.hoist(&acc), block(baby)))
-                    .transpose()?;
-                let acc_j = (!terms.is_empty()).then(|| ev.dot_lifted(&terms));
-                acc_total = match (moved, acc_j) {
-                    (Some(mut acc), Some(acc_j)) => {
-                        ev.add_inplace(&mut acc, &acc_j);
-                        Some(acc)
-                    }
-                    (moved, acc_j) => moved.or(acc_j),
-                };
+                for sum in ev.dot_lifted_steps(&positions, &steps) {
+                    // What the later steps have summed moves one step
+                    // on, whether or not this step adds anything to it.
+                    let moved = (acc_total.take())
+                        .map(|acc| self.rotate(&ev.hoist(&acc), block(baby)))
+                        .transpose()?;
+                    acc_total = match (moved, sum) {
+                        (Some(mut acc), Some(sum)) => {
+                            ev.add_inplace(&mut acc, &sum);
+                            Some(acc)
+                        }
+                        (moved, sum) => moved.or(sum),
+                    };
+                }
             }
             let mut out = acc_total.unwrap_or_else(|| {
                 // All-zero kernel for this group: a zero ciphertext is a
@@ -881,6 +929,14 @@ mod tests {
         assert_eq!(seen.get(Counter::MultPlain), counts.mult_plain);
         assert_eq!(seen.get(Counter::AddOps), counts.add);
         assert_eq!(walk.ops(), counts, "{c_in} → {c_out}: the walk is what ran");
+        // The passes cover the giant steps once, last steps first, and
+        // none holds more step sums than there are tap positions.
+        let passes: Vec<std::ops::Range<usize>> = walk.passes().collect();
+        assert!(passes
+            .iter()
+            .all(|p| !p.is_empty() && p.len() <= walk.positions()));
+        let steps: Vec<usize> = passes.iter().flat_map(|p| p.clone().rev()).collect();
+        assert_eq!(steps, (0..walk.giants).rev().collect::<Vec<usize>>());
 
         assert_eq!(outputs.len(), walk.groups.len());
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -960,6 +1016,27 @@ mod tests {
             ops_and_output_digest(32, 32),
             ((1 + 16 + 15, 2 * 3 + 15, 288, 287), 0xb0dfb2b2e1b3c991)
         );
+    }
+
+    /// A 1×1 kernel holds as few tap positions as it has (version, baby
+    /// step) pairs, fewer than its giant steps, so its step sums take
+    /// several passes. Pinned on the engine that summed one giant step
+    /// at a time (`dot_lifted` per step, interleaved with the Horner
+    /// rotations): the passes move no count and no decrypted slot.
+    #[test]
+    fn giant_steps_past_the_tap_positions_split_into_passes() {
+        for ((c_in, c_out), passes, pinned) in [
+            ((32, 32), 2, ((10, 11, 32, 31), 0x7144_4f6d_87d7_e674)),
+            ((8, 8), 2, ((4, 5, 8, 7), 0x8f18_a54c_5792_0339)),
+        ] {
+            let blk = crate::spot::blocking(c_in, c_out);
+            let layout = LaneLayout::new(2048, blk.lane_blocks, 4, 4);
+            let walk = blk.walk(layout, (c_in, c_out), (1, 1));
+            assert!(walk.giants > walk.positions(), "{c_in} → {c_out}");
+            assert_eq!(walk.passes().count(), passes, "{c_in} → {c_out}");
+            let (ops, digest, _) = engine_run((c_in, c_out), (4, 4), (1, 1));
+            assert_eq!((ops, digest), pinned, "{c_in} → {c_out}");
+        }
     }
 
     /// The taps' share of the key schedule: the row moves, then the

@@ -928,15 +928,19 @@ impl<'a> ClientConv<'a> {
                 let rows = if width == 1 {
                     round.iter_mut().map(std::mem::take).collect()
                 } else {
+                    // `width > 1` is `round_width` saying the scheme
+                    // lays images out in shared slots, which a scheme
+                    // that does so does in every result.
                     (round.iter().enumerate())
                         .map(|(r, row)| {
-                            // `width > 1` is `round_width` saying the
-                            // scheme lays images out in shared slots,
-                            // which it then does in every result.
-                            let layout = self.plan.batch_layout(r).expect("images share slots");
-                            layout.unpack_image(row, b)
+                            let layout = self.plan.batch_layout(r).ok_or_else(|| {
+                                SpotError::Protocol(format!(
+                                    "result {r} of a {width}-image round has no batch layout"
+                                ))
+                            })?;
+                            Ok(layout.unpack_image(row, b))
                         })
-                        .collect()
+                        .collect::<Result<_, SpotError>>()?
                 };
                 shares.push(self.plan.share(rows, t, true));
             }
@@ -1004,10 +1008,8 @@ impl<'a> ClientConv<'a> {
         }
         // `expected` receives each filled a slot that was empty, of
         // `expected` slots: none is left empty.
-        Ok(decoded
-            .into_iter()
-            .map(|d| d.expect("all sequence numbers seen"))
-            .collect())
+        (decoded.into_iter().collect::<Option<Vec<Vec<u64>>>>())
+            .ok_or_else(|| SpotError::Protocol("a result sequence number never arrived".into()))
     }
 }
 
@@ -1526,9 +1528,12 @@ fn serve_rounds<R: Rng>(
     stream.server_idle_s += stream.key_wait_s;
 
     let mut shares = masks.into_iter().map(|rows| plan.share(rows, t, false));
+    // `masks` has one entry per image, and the caller's `check_batch`
+    // refused an empty batch.
+    let server_share =
+        (shares.next()).ok_or_else(|| SpotError::Protocol("empty input batch".into()))?;
     Ok(ServerConvSummary {
-        // `masks` has one entry per image and `check_batch` refused 0.
-        server_share: shares.next().expect("batch >= 1"),
+        server_share,
         extra_shares: shares.collect(),
         // The engine was built for this layer and the driver has joined
         // its workers: the tally is the layer's, and it is final.

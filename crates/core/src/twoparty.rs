@@ -121,6 +121,8 @@ fn decode_share(blob: &[u8], t: u64, (c, h, w): Dims) -> Result<Vec<u64>, SpotEr
     }
     blob.chunks_exact(8)
         .map(|c| {
+            // `chunks_exact(8)` yields 8-byte chunks only, so the
+            // conversion to `[u8; 8]` cannot fail.
             let v = u64::from_le_bytes(c.try_into().expect("chunk of 8 bytes"));
             if v < t {
                 Ok(v)
@@ -281,7 +283,9 @@ fn client_conv_batch<R: Rng + Send>(
             sent
         });
         let share = conv.absorb_batch(transport, inputs.len());
-        let sent = uploader.join().expect("upload thread panicked");
+        // The panic itself has already been reported by the hook; the
+        // session ends in a typed error like any other failed upload.
+        let sent = (uploader.join()).unwrap_or(Err(SpotError::Panicked("uploader")));
         (sent, share)
     });
     let (sent, share) = match scope_result {

@@ -19,7 +19,7 @@
 //!   `lo52(x·w) + lo52(q·(2^52 − p))`: three multiply-adds and a mask.
 //!   The lazy value may differ from the 64-bit estimate's by `p`; the
 //!   butterflies' `[0, 4p)` / `[0, 2p)` windows hold for both.
-//! * **Inner products** (the tap sum [`dot_rows`] and the key-switch
+//! * **Inner products** (the tap sums [`dot_steps`] and the key-switch
 //!   digit sum [`key_switch_row`]). Each product of two residues is
 //!   split into its low and high 52-bit halves, and the halves are
 //!   summed in two u64 lanes. The sums fold through one vector
@@ -40,7 +40,7 @@
 
 use super::vec::{self, V64};
 use super::{avx2, Kernels};
-use crate::lazy::{self, DigitRows, TermRows};
+use crate::lazy::{self, DigitRows, OperandRows, StepOut, StepTerm};
 use crate::modulus::Modulus;
 use std::arch::x86_64::*;
 
@@ -423,51 +423,80 @@ unsafe fn gather(row: &[u64], idx: __m256i, k: __mmask8) -> __m512i {
     }
 }
 
-/// [`lazy::dot_rows`] on the 52-bit multiply-adds: per chunk of 8
-/// coefficients, both outputs' split sums stay in registers across
-/// every term.
-fn dot_rows(m: &Modulus, terms: &[TermRows<'_>], out0: &mut [u64], out1: &mut [u64]) {
+/// Coefficients per tile of [`dot_steps`]: the operands' two rows of a
+/// tile (8 KiB each) stay in L1/L2 while every step's plaintexts stream
+/// past them.
+const TILE: usize = 512;
+
+/// How far ahead of its use, in coefficients, [`dot_steps`] prefetches a
+/// plaintext row: sixteen cache lines.
+const PREFETCH: usize = 128;
+
+/// [`lazy::dot_steps`] on the 52-bit multiply-adds: tile by tile, step
+/// by step, per chunk of 8 coefficients, both outputs' split sums stay
+/// in registers across every term of the step, and each term's
+/// plaintext is prefetched [`PREFETCH`] coefficients ahead.
+fn dot_steps(
+    m: &Modulus,
+    operands: &[OperandRows<'_>],
+    steps: &[&[StepTerm<'_>]],
+    outs: &mut [StepOut<'_>],
+) {
     if m.value() >= P_LIMIT {
-        return lazy::dot_rows(m, terms, out0, out1);
+        return lazy::dot_steps(m, operands, steps, outs);
     }
-    let n = out0.len();
-    assert!(!terms.is_empty() && out1.len() == n);
-    assert!(terms
-        .iter()
-        .all(|(x0, x1, w)| x0.len() == n && x1.len() == n && w.len() == n));
+    lazy::check_steps(operands, steps, outs);
     // SAFETY: this table is only installed after `detected()` returned
-    // true, and every row is `n` long (asserted above).
-    unsafe { dot_rows_impl(m, terms, out0, out1) }
+    // true, and every row is the outputs' length and every term's
+    // operand index in range (checked above).
+    unsafe { dot_steps_impl(m, operands, steps, outs) }
 }
 
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn dot_rows_impl(m: &Modulus, terms: &[TermRows<'_>], out0: &mut [u64], out1: &mut [u64]) {
+fn dot_steps_impl(
+    m: &Modulus,
+    operands: &[OperandRows<'_>],
+    steps: &[&[StepTerm<'_>]],
+    outs: &mut [StepOut<'_>],
+) {
     let f = Fold::new(m);
     let fold = fold_every(m.value());
-    let n = out0.len();
+    let n = outs.first().map_or(0, |(o0, _)| o0.len());
     let zero = _mm512_setzero_si512();
-    for i in (0..n).step_by(8) {
-        let k = lanes(i, n);
-        let (mut h0, mut l0, mut h1, mut l1) = (zero, zero, zero, zero);
-        for (c, block) in terms.chunks(fold).enumerate() {
-            if c > 0 {
-                (h0, l0) = (zero, reduce_split(h0, l0, &f));
-                (h1, l1) = (zero, reduce_split(h1, l1, &f));
+    for start in (0..n).step_by(TILE) {
+        let end = (start + TILE).min(n);
+        for (terms, (out0, out1)) in steps.iter().zip(outs.iter_mut()) {
+            for i in (start..end).step_by(8) {
+                let k = lanes(i, n);
+                let (mut h0, mut l0, mut h1, mut l1) = (zero, zero, zero, zero);
+                for (c, block) in terms.chunks(fold).enumerate() {
+                    if c > 0 {
+                        (h0, l0) = (zero, reduce_split(h0, l0, &f));
+                        (h1, l1) = (zero, reduce_split(h1, l1, &f));
+                    }
+                    for &(x, w) in block {
+                        let (x0, x1) = operands[x];
+                        // A prefetch is a hint that never faults, so its
+                        // address may run past the row.
+                        _mm_prefetch::<_MM_HINT_T0>(
+                            w.as_ptr().wrapping_add(i + PREFETCH) as *const i8
+                        );
+                        // SAFETY: i < n, every row is n long, and k
+                        // masks the lanes past n.
+                        let (x0, x1, w) =
+                            unsafe { (chunk(x0, i, k), chunk(x1, i, k), chunk(w, i, k)) };
+                        l0 = _mm512_madd52lo_epu64(l0, x0, w);
+                        h0 = _mm512_madd52hi_epu64(h0, x0, w);
+                        l1 = _mm512_madd52lo_epu64(l1, x1, w);
+                        h1 = _mm512_madd52hi_epu64(h1, x1, w);
+                    }
+                }
+                // SAFETY: as for the loads.
+                unsafe {
+                    store_chunk(out0, i, k, reduce_split(h0, l0, &f));
+                    store_chunk(out1, i, k, reduce_split(h1, l1, &f));
+                }
             }
-            for &(x0, x1, w) in block {
-                // SAFETY: i < n, every row is n long, and k masks the
-                // lanes past n.
-                let (x0, x1, w) = unsafe { (chunk(x0, i, k), chunk(x1, i, k), chunk(w, i, k)) };
-                l0 = _mm512_madd52lo_epu64(l0, x0, w);
-                h0 = _mm512_madd52hi_epu64(h0, x0, w);
-                l1 = _mm512_madd52lo_epu64(l1, x1, w);
-                h1 = _mm512_madd52hi_epu64(h1, x1, w);
-            }
-        }
-        // SAFETY: as for the loads.
-        unsafe {
-            store_chunk(out0, i, k, reduce_split(h0, l0, &f));
-            store_chunk(out1, i, k, reduce_split(h1, l1, &f));
         }
     }
 }
@@ -554,6 +583,6 @@ pub static KERNELS: Kernels = Kernels {
     add_scalar,
     sub_mul_scalar,
     mul_add_scalar,
-    dot_rows,
+    dot_steps,
     key_switch_row,
 };

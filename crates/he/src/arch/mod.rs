@@ -42,7 +42,7 @@
 //! product and the digit lift). See DESIGN.md §11 for the safety
 //! argument and the recipe for adding a new ISA.
 
-use crate::lazy::{DigitRows, TermRows};
+use crate::lazy::{DigitRows, OperandRows, StepOut, StepTerm};
 use crate::modulus::Modulus;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -82,9 +82,11 @@ pub type SubMulScalarFn = fn(&Modulus, &mut [u64], &[u64], u64, u64);
 /// `dst[i] < p`, `src[i] < 4p`, with `w`'s Shoup constant precomputed by
 /// the caller.
 pub type MulAddScalarFn = fn(&Modulus, &mut [u64], &[u64], u64, u64);
-/// One prime row of a convolution's tap sum, `(modulus, terms, out0,
-/// out1)`; the scalar body is [`crate::lazy::dot_rows`].
-pub type DotRowsFn = fn(&Modulus, &[TermRows<'_>], &mut [u64], &mut [u64]);
+/// One prime row of every giant step's tap sum of a convolution,
+/// `(modulus, operands, steps, outs)`: step `s` sums its terms
+/// `(operand, plaintext row)` into `outs[s]`. The scalar body is
+/// [`crate::lazy::dot_steps`]; a single inner product is one step.
+pub type DotStepsFn = fn(&Modulus, &[OperandRows<'_>], &[&[StepTerm<'_>]], &mut [StepOut<'_>]);
 /// One prime row of a key switch under a Galois gather, `(modulus,
 /// table, c0, digits, out0, out1)`; the scalar body is
 /// [`crate::lazy::key_switch_row`].
@@ -130,8 +132,9 @@ pub struct Kernels {
     /// Addition of a lazily reduced row times a constant (the modulus
     /// switch's weighted correction sums).
     pub mul_add_scalar: MulAddScalarFn,
-    /// The tap sum `Σ_t ct_t ⊙ w_t` of one prime row.
-    pub dot_rows: DotRowsFn,
+    /// The tap sums `Σ_t ct_t ⊙ w_t` of any number of steps over one
+    /// set of operands, on one prime row, in one sweep.
+    pub dot_steps: DotStepsFn,
     /// The key-switch digit sum of one prime row, read through the
     /// Galois table.
     pub key_switch_row: KeySwitchRowFn,

@@ -284,6 +284,6 @@ pub static KERNELS: Kernels = Kernels {
     add_scalar,
     sub_mul_scalar,
     mul_add_scalar,
-    dot_rows: crate::lazy::dot_rows,
+    dot_steps: crate::lazy::dot_steps,
     key_switch_row: crate::lazy::key_switch_row,
 };

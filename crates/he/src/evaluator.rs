@@ -9,6 +9,7 @@ use crate::ciphertext::{Ciphertext, SparseCiphertext};
 use crate::context::Context;
 use crate::encoding::{galois_elt_column_swap, galois_elt_from_step, Plaintext};
 use crate::keys::GaloisKeys;
+use crate::lazy::{OperandRows, StepOut, StepTerm};
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use spot_trace::{count, Counter};
@@ -236,12 +237,10 @@ impl Evaluator {
 
     /// The inner product `Σ ct_i ⊙ lifted_i` of ciphertexts with
     /// pre-lifted (NTT-form) plaintexts, held by reference or behind an
-    /// `Arc` — what a convolution sums over its taps. Bit-identical to multiplying every term and adding the
-    /// products, and counted like it (`n` plaintext multiplications,
-    /// `n − 1` additions), but every output coefficient is accumulated
-    /// unreduced and reduced once (the dispatched `dot_rows` kernel,
-    /// [`crate::lazy::dot_rows`] in scalar) and no product ciphertext is ever
-    /// materialised.
+    /// `Arc`: the one-step [`Evaluator::dot_lifted_steps`].
+    /// Bit-identical to multiplying every term and adding the products,
+    /// and counted like it (`n` plaintext multiplications, `n − 1`
+    /// additions).
     ///
     /// # Panics
     ///
@@ -249,28 +248,68 @@ impl Evaluator {
     /// term belongs to another context.
     pub fn dot_lifted<P: Borrow<Poly>>(&self, terms: &[(&Ciphertext, P)]) -> Ciphertext {
         assert!(!terms.is_empty(), "an inner product needs a term");
-        let mut out = self.empty_ciphertext();
-        for (ct, lifted) in terms {
-            let lifted = lifted.borrow();
+        let operands: Vec<&Ciphertext> = terms.iter().map(|&(ct, _)| ct).collect();
+        let step: Vec<(usize, &Poly)> = (terms.iter().enumerate())
+            .map(|(x, (_, lifted))| (x, lifted.borrow()))
+            .collect();
+        let sums = self.dot_lifted_steps(&operands, &[step]);
+        (sums.into_iter().next().flatten()).expect("a step with terms has a sum")
+    }
+
+    /// Every step's inner product over one set of operands:
+    /// `S_s = Σ operands[x] ⊙ lifted` over the terms `(x, lifted)` of
+    /// step `s` — what a convolution's giant steps sum over the input's
+    /// tap positions. `None` for a step with no terms. Bit-identical to
+    /// one [`Evaluator::dot_lifted`] per step that has terms, and
+    /// counted like them, but every prime row of every step is summed in
+    /// one sweep (the dispatched `dot_steps` kernel,
+    /// [`crate::lazy::dot_steps`] in scalar): each output coefficient is
+    /// accumulated unreduced and reduced once, the operands are read
+    /// from cache by every step after the first, and no product
+    /// ciphertext is ever materialised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term names a missing operand, a plaintext is not in
+    /// NTT form, or an operand or a plaintext belongs to another
+    /// context.
+    pub fn dot_lifted_steps<P: Borrow<Poly>>(
+        &self,
+        operands: &[&Ciphertext],
+        steps: &[Vec<(usize, P)>],
+    ) -> Vec<Option<Ciphertext>> {
+        let mut sums: Vec<Option<Ciphertext>> = (steps.iter())
+            .map(|terms| (!terms.is_empty()).then(|| self.empty_ciphertext()))
+            .collect();
+        let Some(out) = sums.iter().flatten().next() else {
+            return sums;
+        };
+        for (x, lifted) in steps.iter().flatten() {
+            let (ct, lifted) = (operands[*x], lifted.borrow());
             assert_eq!(lifted.form(), PolyForm::Ntt, "plaintext must be lifted");
             for poly in [&ct.c0, &ct.c1, &out.c0] {
                 poly.assert_compatible(lifted);
             }
         }
-        self.tally(Counter::MultPlain, terms.len() as u64);
-        self.tally(Counter::AddOps, terms.len() as u64 - 1);
-        let dot_rows = crate::arch::kernels().dot_rows;
-        let mut rows = Vec::with_capacity(terms.len());
-        for (j, m) in self.ctx.moduli().iter().enumerate() {
-            rows.clear();
-            rows.extend(
-                terms
-                    .iter()
-                    .map(|(ct, w)| (ct.c0.residues(j), ct.c1.residues(j), w.borrow().residues(j))),
-            );
-            dot_rows(m, &rows, out.c0.residues_mut(j), out.c1.residues_mut(j));
+        for terms in steps.iter().filter(|terms| !terms.is_empty()) {
+            self.tally(Counter::MultPlain, terms.len() as u64);
+            self.tally(Counter::AddOps, terms.len() as u64 - 1);
         }
-        out
+        let dot_steps = crate::arch::kernels().dot_steps;
+        for (j, m) in self.ctx.moduli().iter().enumerate() {
+            let rows: Vec<OperandRows<'_>> = (operands.iter())
+                .map(|ct| (ct.c0.residues(j), ct.c1.residues(j)))
+                .collect();
+            let terms: Vec<Vec<StepTerm<'_>>> = (steps.iter().filter(|terms| !terms.is_empty()))
+                .map(|step| (step.iter().map(|(x, w)| (*x, w.borrow().residues(j)))).collect())
+                .collect();
+            let terms: Vec<&[StepTerm<'_>]> = terms.iter().map(Vec::as_slice).collect();
+            let mut outs: Vec<StepOut<'_>> = (sums.iter_mut().flatten())
+                .map(|sum| (sum.c0.residues_mut(j), sum.c1.residues_mut(j)))
+                .collect();
+            dot_steps(m, &rows, &terms, &mut outs);
+        }
+        sums
     }
 
     /// An NTT-form ciphertext of unspecified residues, for a caller

@@ -9,7 +9,7 @@
 //! the one reduction at the end yields the same canonical residue as a
 //! reduction after every term.
 //!
-//! [`dot_rows`] and [`key_switch_row`] are the scalar bodies of the
+//! [`dot_steps`] and [`key_switch_row`] are the scalar bodies of the
 //! [`crate::arch`] table's two inner-product entries, and the
 //! reference every other body is tested against. The `scalar`, `avx2`,
 //! `avx2+scalar` and `neon` tables run them as they are (AVX2 and NEON
@@ -111,61 +111,104 @@ fn key_switch_body<'a, D: AsRef<[DigitRows<'a>]>>(
     }
 }
 
-/// One term of a ciphertext–plaintext inner product on one prime row:
-/// the ciphertext's `c0` and `c1` rows and the plaintext row both are
+/// One operand of a tap sum on one prime row: a ciphertext's `c0` and
+/// `c1` rows.
+pub type OperandRows<'a> = (&'a [u64], &'a [u64]);
+
+/// One term of a step's tap sum: the index of the operand it
+/// multiplies and the plaintext row both of the operand's rows are
 /// multiplied by.
-pub type TermRows<'a> = (&'a [u64], &'a [u64], &'a [u64]);
+pub type StepTerm<'a> = (usize, &'a [u64]);
 
-/// Coefficients per block of [`dot_rows`]: the `u128` accumulator
-/// block (8 KiB) stays in L1 while every term streams by, and the
-/// plaintext blocks read for `c0` are still in cache when `c1` wants
-/// them.
-const CHUNK: usize = 512;
+/// One step's output rows, `(out0, out1)`.
+pub type StepOut<'a> = (&'a mut [u64], &'a mut [u64]);
 
-/// One prime row of `Σ_t ct_t ⊙ w_t`:
-/// `out0[i] = Σ_t c0_t[i]·w_t[i]`, `out1[i] = Σ_t c1_t[i]·w_t[i]`,
-/// block by block of 512 coefficients, each sum accumulated
-/// unreduced and folded through [`Modulus::reduce_u128`] every
-/// [`max_terms`] terms, so any number of terms is exact.
+/// Coefficients per tile of [`dot_steps`]: the `u128` accumulator
+/// tile (8 KiB) stays in L1 while every term streams by, and the
+/// operands' tiles stay in cache while every step reads them.
+const TILE: usize = 512;
+
+/// The row length of a [`dot_steps`] call, after checking its shape:
+/// every operand and plaintext row and every output is that long, every
+/// term names an operand, and there is one output pair per step.
 ///
 /// # Panics
 ///
-/// Panics if `terms` is empty or a row is not `out0.len()` long.
-pub fn dot_rows(m: &Modulus, terms: &[TermRows<'_>], out0: &mut [u64], out1: &mut [u64]) {
-    let n = out0.len();
-    assert!(!terms.is_empty() && out1.len() == n);
-    assert!(terms
+/// Panics if any of those does not hold.
+pub(crate) fn check_steps(
+    operands: &[OperandRows<'_>],
+    steps: &[&[StepTerm<'_>]],
+    outs: &[StepOut<'_>],
+) -> usize {
+    assert_eq!(steps.len(), outs.len(), "one output pair per step");
+    let n = (outs.first().map(|(o0, _)| o0.len()))
+        .or(operands.first().map(|(x0, _)| x0.len()))
+        .unwrap_or(0);
+    assert!(outs.iter().all(|(o0, o1)| o0.len() == n && o1.len() == n));
+    assert!(operands
         .iter()
-        .all(|(x0, x1, w)| x0.len() == n && x1.len() == n && w.len() == n));
+        .all(|(x0, x1)| x0.len() == n && x1.len() == n));
+    assert!(
+        (steps.iter().copied().flatten()).all(|&(x, w)| x < operands.len() && w.len() == n),
+        "a term names a missing operand or a short plaintext row"
+    );
+    n
+}
+
+/// One prime row of every step's tap sum in one sweep: for each step
+/// `s` with terms `(x, w)`,
+/// `outs[s].0[i] = Σ c0_x[i]·w[i]`, `outs[s].1[i] = Σ c1_x[i]·w[i]`,
+/// zero for a step with no terms. The sweep goes tile by tile of 512
+/// coefficients and, within a tile, step by step, so the operands'
+/// tiles are read from cache by every step after the first; each sum
+/// is accumulated unreduced and folded through
+/// [`Modulus::reduce_u128`] every [`max_terms`] terms, so any number of
+/// terms is exact. A single inner product is the one-step call.
+///
+/// # Panics
+///
+/// Panics if there is not one output pair per step, a term names a
+/// missing operand, or a row is not as long as the others.
+pub fn dot_steps(
+    m: &Modulus,
+    operands: &[OperandRows<'_>],
+    steps: &[&[StepTerm<'_>]],
+    outs: &mut [StepOut<'_>],
+) {
+    let n = check_steps(operands, steps, outs);
     let fold_every = max_terms(m);
-    let mut acc = [0u128; CHUNK];
-    for (block, (o0, o1)) in out0
-        .chunks_mut(CHUNK)
-        .zip(out1.chunks_mut(CHUNK))
-        .enumerate()
-    {
-        let at = block * CHUNK..block * CHUNK + o0.len();
-        let halves = terms
-            .iter()
-            .map(|&(x0, _, w)| (&x0[at.clone()], &w[at.clone()]));
-        dot_block(m, fold_every, halves, &mut acc, o0);
-        let halves = terms
-            .iter()
-            .map(|&(_, x1, w)| (&x1[at.clone()], &w[at.clone()]));
-        dot_block(m, fold_every, halves, &mut acc, o1);
+    let mut acc = [0u128; TILE];
+    for start in (0..n).step_by(TILE) {
+        let at = start..(start + TILE).min(n);
+        for (terms, (out0, out1)) in steps.iter().zip(outs.iter_mut()) {
+            let (o0, o1) = (&mut out0[at.clone()], &mut out1[at.clone()]);
+            if terms.is_empty() {
+                o0.fill(0);
+                o1.fill(0);
+                continue;
+            }
+            let halves = terms
+                .iter()
+                .map(|&(x, w)| (&operands[x].0[at.clone()], &w[at.clone()]));
+            dot_tile(m, fold_every, halves, &mut acc, o0);
+            let halves = terms
+                .iter()
+                .map(|&(x, w)| (&operands[x].1[at.clone()], &w[at.clone()]));
+            dot_tile(m, fold_every, halves, &mut acc, o1);
+        }
     }
 }
 
-/// `out[i] = Σ_t x_t[i]·w_t[i] mod q` over one block. The first term
+/// `out[i] = Σ_t x_t[i]·w_t[i] mod q` over one tile. The first term
 /// starts the sums (no zeroing pass) and the last one's products join
 /// them on their way through the reduction, so a single term is a
 /// plain pointwise multiply that never touches `acc`.
 #[inline(always)]
-fn dot_block<'a>(
+fn dot_tile<'a>(
     m: &Modulus,
     fold_every: usize,
     terms: impl ExactSizeIterator<Item = (&'a [u64], &'a [u64])>,
-    acc: &mut [u128; CHUNK],
+    acc: &mut [u128; TILE],
     out: &mut [u64],
 ) {
     let acc = &mut acc[..out.len()];

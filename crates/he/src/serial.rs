@@ -224,8 +224,7 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
     let mut off = 4usize;
     let mut keys = HashMap::with_capacity(count);
     for _ in 0..count {
-        let elt_bytes = bytes.get(off..off + 8).ok_or(SerialError::Truncated)?;
-        let elt = u64::from_le_bytes(elt_bytes.try_into().expect("8-byte slice")) as usize;
+        let elt = read_u64(bytes, off)? as usize;
         off += 8;
         // The element indexes the automorphism table built below.
         if elt % 2 != 1 || elt >= 2 * ctx.degree() {
@@ -266,6 +265,13 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
 fn read_u32(bytes: &[u8], off: usize) -> Result<u32, SerialError> {
     let s = bytes.get(off..off + 4).ok_or(SerialError::Truncated)?;
     Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+}
+
+fn read_u64(bytes: &[u8], off: usize) -> Result<u64, SerialError> {
+    let s = bytes.get(off..off + 8).ok_or(SerialError::Truncated)?;
+    Ok(u64::from_le_bytes([
+        s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
+    ]))
 }
 
 /// The bit-at-a-time codec this module's layout was defined by, shared

@@ -9,8 +9,9 @@
 //! * over random hoists and real keys at every rotation-capable level
 //!   (3 / 5 / 9 digits), over every Galois element a 3×3 convolution
 //!   asks for, and with every residue at `q − 1`, the largest sum;
-//! * for 1..=40 terms of a tap sum, and for the one-term
-//!   `multiply_lifted`;
+//! * for 1..=40 terms of a tap sum, for the one-term
+//!   `multiply_lifted`, and for several steps' tap sums in one
+//!   `dot_lifted_steps` sweep, at 61-bit primes too;
 //! * past the overflow bound: at 61-bit primes a `u128` holds about 64
 //!   products, and 300 terms still come out exact;
 //! * the bound itself against a big-integer computation.
@@ -178,6 +179,45 @@ fn dot_lifted_equals_the_fold_of_products_for_1_to_40_terms() {
             let want = fold_of_products(&evaluator, &terms[..count]);
             assert_same_bits(&got, &want, &format!("{what}, {count} terms"));
         }
+    }
+}
+
+/// Several giant steps' sums in one sweep are one `dot_lifted` per step
+/// that has terms, bit for bit and in the tally, and nothing for a step
+/// without: over shared, repeated and unused operands, and past the
+/// overflow bound at 61-bit primes.
+#[test]
+fn dot_lifted_steps_is_one_dot_lifted_per_step_with_terms() {
+    for (ctx, long) in [
+        (Context::new(EncryptionParams::new(ParamLevel::N4096)), 40),
+        (ctx_61_bit(2), 150),
+    ] {
+        let mut rng = StdRng::seed_from_u64(67);
+        let cts: Vec<Ciphertext> = (0..6).map(|_| random_ct(&ctx, &mut rng)).collect();
+        let weights: Vec<Poly> = (0..12).map(|_| random_poly(&ctx, &mut rng)).collect();
+        let operands: Vec<&Ciphertext> = cts.iter().collect();
+        let steps: Vec<Vec<(usize, &Poly)>> = vec![
+            vec![(0, &weights[0]), (1, &weights[1]), (1, &weights[2])],
+            vec![],
+            vec![(5, &weights[3])],
+            (0..long).map(|t| (t % 4, &weights[4 + t % 8])).collect(),
+            vec![],
+        ];
+        let (swept, stepwise) = (Evaluator::new(&ctx), Evaluator::new(&ctx));
+        let sums = swept.dot_lifted_steps(&operands, &steps);
+        assert_eq!(sums.len(), steps.len());
+        for (s, (sum, terms)) in sums.iter().zip(&steps).enumerate() {
+            let terms: Vec<(&Ciphertext, &Poly)> =
+                terms.iter().map(|&(x, w)| (&cts[x], w)).collect();
+            match sum {
+                None => assert!(terms.is_empty(), "step {s} has terms but no sum"),
+                Some(sum) => {
+                    assert_same_bits(sum, &stepwise.dot_lifted(&terms), &format!("step {s}"))
+                }
+            }
+        }
+        assert_eq!(swept.counts(), stepwise.counts());
+        assert_eq!(swept.counts().mult_plain, 3 + 1 + long as u64);
     }
 }
 

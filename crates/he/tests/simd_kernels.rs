@@ -19,11 +19,15 @@
 //!   loops and masked chunks);
 //! - the two inner products at and past the IFMA table's fold points,
 //!   at N16384's 49-bit primes with 9 digits, and at N2048's 54-bit
-//!   prime, which falls back to the scalar bodies.
+//!   prime, which falls back to the scalar bodies;
+//! - the multi-step tap sum over rows that end inside a tile, with
+//!   empty steps, steps over different operand subsets and repeated
+//!   operands, and a convolution's sixteen giant steps of eighteen terms,
+//!   every step also held to a term-by-term oracle.
 
 use proptest::prelude::*;
 use spot_he::arch::{self, Kernels};
-use spot_he::lazy::{DigitRows, TermRows};
+use spot_he::lazy::{DigitRows, OperandRows, StepTerm};
 use spot_he::modulus::Modulus;
 use spot_he::ntt::{galois_ntt_table, NttTables};
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -229,9 +233,11 @@ proptest! {
             let mut pool: Vec<Vec<u64>> = (0..5).map(|r| row(p, n, seed + r)).collect();
             pool.push(vec![p - 1; n]);
             let table: Vec<u32> = (0..n).map(|i| ((7 * i + seed as usize) % n) as u32).collect();
+            let operands = pool_operands(&pool);
             for &count in counts {
-                check_dot_rows(&m, &pool_terms(&pool, count))?;
-                check_dot_rows(&m, &pool_terms(&pool[5..], count))?;
+                check_dot_steps(&m, &operands, &[pool_step(&pool, count, 0)])?;
+                check_dot_steps(&m, &pool_operands(&pool[5..]), &[pool_step(&pool[5..], count, 0)])?;
+                check_dot_steps(&m, &operands, &mixed_steps(&pool, count))?;
                 check_key_switch_row(&m, &table, &pool, count)?;
                 check_key_switch_row(&m, &table, &pool[5..], count)?;
             }
@@ -251,13 +257,21 @@ fn tap_sums_fold_their_low_halves_every_4095_terms() {
     ] {
         let m = Modulus::new(p);
         let pool: Vec<Vec<u64>> = (0..5).map(|r| row(p, 11, r)).collect();
+        let operands = pool_operands(&pool);
         for count in [4094, 4095, 4096, 8190, 8191, 12_000] {
-            check_dot_rows(&m, &pool_terms(&pool, count)).unwrap();
+            check_dot_steps(&m, &operands, &[pool_step(&pool, count, 0)]).unwrap();
         }
+        // Steps on either side of the fold point in one sweep.
+        let steps: Vec<Vec<StepTerm<'_>>> = [4095, 1, 4096, 0, 8191]
+            .iter()
+            .enumerate()
+            .map(|(s, &count)| pool_step(&pool, count, s))
+            .collect();
+        check_dot_steps(&m, &operands, &steps).unwrap();
         let (x, w) = low_half_all_ones(p);
         let (xs, ws) = (vec![x; 9], vec![w; 9]);
         for count in [4095, 4096, 8190, 8191, 8192, 12_285, 12_286] {
-            check_dot_rows(&m, &vec![(&xs[..], &xs[..], &ws[..]); count]).unwrap();
+            check_dot_steps(&m, &[(&xs[..], &xs[..])], &[vec![(0, &ws[..]); count]]).unwrap();
         }
     }
 }
@@ -304,40 +318,130 @@ fn pick(pool: &[Vec<u64>], t: usize, shift: usize) -> &[u64] {
     &pool[(t + shift) % pool.len()]
 }
 
-/// `count` tap-sum terms cycling through `pool`.
-fn pool_terms(pool: &[Vec<u64>], count: usize) -> Vec<TermRows<'_>> {
-    (0..count)
-        .map(|t| (pick(pool, t, 0), pick(pool, t, 1), pick(pool, t, 2)))
+/// `pool`'s rows as tap-sum operands: operand `i` is rows `i` and
+/// `i + 1`, cycling.
+fn pool_operands(pool: &[Vec<u64>]) -> Vec<OperandRows<'_>> {
+    (0..pool.len())
+        .map(|i| (pick(pool, i, 0), pick(pool, i, 1)))
         .collect()
 }
 
-/// A tap sum on every backend, against the scalar body.
-fn check_dot_rows(m: &Modulus, terms: &[TermRows<'_>]) -> TestCaseResult {
-    let (n, count) = (terms[0].0.len(), terms.len());
-    let (mut want0, mut want1) = (vec![0u64; n], vec![0u64; n]);
-    (arch::scalar_kernels().dot_rows)(m, terms, &mut want0, &mut want1);
+/// A step of `count` terms over [`pool_operands`], cycling through the
+/// operands from `first`, each times the row two on from its operand's.
+fn pool_step(pool: &[Vec<u64>], count: usize, first: usize) -> Vec<StepTerm<'_>> {
+    (0..count)
+        .map(|t| ((t + first) % pool.len(), pick(pool, t + first, 2)))
+        .collect()
+}
+
+/// Steps of about `count` terms that share [`pool_operands`] unevenly:
+/// all of them from two starts, none, every other one, and one operand
+/// over and over.
+fn mixed_steps(pool: &[Vec<u64>], count: usize) -> Vec<Vec<StepTerm<'_>>> {
+    let every_other = (0..count).map(|t| ((2 * t) % pool.len(), pick(pool, t, 3)));
+    let repeated = (0..count).map(|t| (1, pick(pool, t, 0)));
+    vec![
+        pool_step(pool, count, 0),
+        Vec::new(),
+        pool_step(pool, count + 1, 3),
+        every_other.collect(),
+        repeated.collect(),
+    ]
+}
+
+/// A multi-step tap sum on every backend, against the scalar body, and
+/// the scalar body against every step summed term by term. The outputs
+/// start out as garbage, so a coefficient or an empty step a kernel does
+/// not write shows.
+fn check_dot_steps(
+    m: &Modulus,
+    operands: &[OperandRows<'_>],
+    steps: &[Vec<StepTerm<'_>>],
+) -> TestCaseResult {
+    let n = operands[0].0.len();
+    let p = m.value();
+    let steps: Vec<&[StepTerm<'_>]> = steps.iter().map(Vec::as_slice).collect();
+    let run = |k: &Kernels| {
+        let mut rows = vec![(vec![u64::MAX; n], vec![u64::MAX; n]); steps.len()];
+        let mut outs: Vec<_> = (rows.iter_mut())
+            .map(|(o0, o1)| (&mut o0[..], &mut o1[..]))
+            .collect();
+        (k.dot_steps)(m, operands, &steps, &mut outs);
+        rows
+    };
+    let want = run(arch::scalar_kernels());
+    for (s, (terms, (want0, want1))) in steps.iter().zip(&want).enumerate() {
+        // The sum over `c0` (`half` 0) or `c1` (`half` 1).
+        let oracle = |half: usize| -> Vec<u64> {
+            (0..n)
+                .map(|i| {
+                    (terms.iter()).fold(0u64, |acc, &(x, w)| {
+                        let (x0, x1) = operands[x];
+                        let x = if half == 0 { x0 } else { x1 };
+                        let product = x[i] as u128 * w[i] as u128;
+                        m.add(acc, (product % p as u128) as u64)
+                    })
+                })
+                .collect()
+        };
+        prop_assert_eq!(want0, &oracle(0), "scalar step {} c0 at p={}", s, p);
+        prop_assert_eq!(want1, &oracle(1), "scalar step {} c1 at p={}", s, p);
+    }
     for k in backends() {
-        let (mut got0, mut got1) = (vec![0u64; n], vec![0u64; n]);
-        (k.dot_rows)(m, terms, &mut got0, &mut got1);
-        let p = m.value();
-        prop_assert_eq!(
-            &got0,
-            &want0,
-            "dot_rows {} c0, {} terms at p={}",
-            k.name,
-            count,
-            p
-        );
-        prop_assert_eq!(
-            &got1,
-            &want1,
-            "dot_rows {} c1, {} terms at p={}",
-            k.name,
-            count,
-            p
-        );
+        let got = run(k);
+        for (s, (got, want)) in got.iter().zip(&want).enumerate() {
+            let terms = steps[s].len();
+            prop_assert_eq!(
+                &got.0,
+                &want.0,
+                "dot_steps {} step {} c0, {} terms, n={} at p={}",
+                k.name,
+                s,
+                terms,
+                n,
+                p
+            );
+            prop_assert_eq!(
+                &got.1,
+                &want.1,
+                "dot_steps {} step {} c1, {} terms, n={} at p={}",
+                k.name,
+                s,
+                terms,
+                n,
+                p
+            );
+        }
     }
     Ok(())
+}
+
+/// The tiled sweep over rows a tile does not divide, and over the shape
+/// a paper-sized layer sums: sixteen giant steps of eighteen terms over
+/// eighteen tap positions (two versions × nine taps), 288 distinct
+/// plaintexts, at a full N4096 row and at rows that end inside a tile.
+#[test]
+fn multi_step_tap_sums_are_bit_identical_over_ragged_tiles() {
+    for (p, lengths) in [
+        (
+            level_moduli(ParamLevel::N4096)[0],
+            &[4096usize, 1061, 513][..],
+        ),
+        (level_moduli(ParamLevel::N16384)[8], &[700, 512]),
+        (level_moduli(ParamLevel::N2048)[0], &[1061]),
+    ] {
+        let m = Modulus::new(p);
+        for &n in lengths {
+            let positions: Vec<Vec<u64>> = (0..19).map(|r| row(p, n, r)).collect();
+            let weights: Vec<Vec<u64>> = (0..288).map(|r| row(p, n, 100 + r)).collect();
+            let operands = pool_operands(&positions[..18]);
+            let steps: Vec<Vec<StepTerm<'_>>> = (0..16)
+                .map(|j| (0..18).map(|t| (t, &weights[18 * j + t][..])).collect())
+                .collect();
+            check_dot_steps(&m, &operands, &steps).unwrap();
+            check_dot_steps(&m, &pool_operands(&positions), &mixed_steps(&positions, 18)).unwrap();
+        }
+    }
 }
 
 /// A key switch of `count` digits drawn from `pool` through `table` on
