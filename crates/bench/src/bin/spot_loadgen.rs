@@ -1,18 +1,21 @@
 //! Load generator for the multi-tenant serving layer: simulates many
-//! concurrent clients (optionally grouped into tenants whose requests
-//! coalesce through a [`TenantGateway`]) against either an in-process
-//! [`SpotServer`] (`--mem`) or a running `spot-server` over TCP
-//! (`--connect ADDR`), and reports p50/p99 latency, throughput, and
-//! the serving layer's kernel-cache and admission counters.
+//! concurrent clients, each with its own key pair and a fresh session
+//! per request, against either an in-process [`SpotServer`] (`--mem`)
+//! or a running `spot-server` over TCP (`--connect ADDR`), and reports
+//! p50/p99 latency, throughput, and the serving layer's kernel-cache
+//! and admission counters.
 //!
 //! ```text
 //! spot-loadgen (--mem | --connect ADDR)
-//!              [--clients N] [--requests R] [--tenants T] [--batch-cap B]
-//!              [--latency-cap-ms MS] [--mode closed|open] [--interval-ms MS]
-//!              [--concurrency C] [--scheme spot|channelwise|cheetah]
-//!              [--seed S] [--max-sessions N] [--sweep 1,8,64] [--json PATH]
+//!              [--clients N] [--requests R] [--concurrency C]
+//!              [--scheme spot|channelwise|cheetah] [--seed S]
+//!              [--max-sessions N] [--sweep 1,8,64] [--json PATH]
 //!              [--scrape ADDR] [--trace out.json]
 //! ```
+//!
+//! Any other argument is refused with the usage line and exit code 2,
+//! so a mistyped or retired flag never runs a scenario nobody asked
+//! for.
 //!
 //! Latency percentiles (p50/p99/p99.9) come from the streaming
 //! [`metrics::Histogram`] — fixed footprint however many requests a
@@ -25,9 +28,8 @@
 //! Every client verifies each reconstructed output against the
 //! plaintext forward pass and prints `client I: output vs plain:
 //! MATCH` (the serving-smoke CI job greps these), plus an `admission
-//! rejects: N` total. Closed-loop clients wait for each result before
-//! the next request; open-loop clients (tenant mode only) submit at a
-//! fixed inter-arrival and wait at the end. `--sweep` (mem mode)
+//! rejects: N` total. Clients are closed-loop: each waits for its
+//! result before the next request. `--sweep` (mem mode)
 //! replays the scenario at several client counts against the **same**
 //! server, demonstrating that kernel-cache builds happen once per
 //! model, not per connection.
@@ -36,7 +38,6 @@
 //! error; admission rejects are reported but do not fail the run, so
 //! capacity probing (`--max-sessions` below `--clients`) is usable.
 //!
-//! [`TenantGateway`]: spot_core::serving::TenantGateway
 //! [`SpotServer`]: spot_core::serving::SpotServer
 
 use rand::rngs::StdRng;
@@ -46,47 +47,50 @@ use spot_bench::{arg_value, scheme_arg};
 use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::serving::{
-    ModelContext, Reply, ServingConfig, SessionReport, SpotServer, TenantGateway,
-};
+use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
 use spot_core::session::SchemeKind;
 use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, TcpTransport};
-use spot_proto::{error_code, Transport};
+use spot_proto::{error_code, Queue, Transport};
 use spot_tensor::tensor::Tensor;
 use spot_trace::{log_warn, metrics, Counter};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Counting semaphore bounding in-flight connections client-side.
-struct Gate {
-    free: Mutex<usize>,
-    cv: Condvar,
-}
+const USAGE: &str = "usage: spot-loadgen (--mem | --connect ADDR) [--clients N] [--requests R] \
+     [--concurrency C] [--scheme spot|channelwise|cheetah] [--seed S] [--max-sessions N] \
+     [--sweep 1,8,64] [--json PATH] [--scrape ADDR] [--trace out.json]";
 
-impl Gate {
-    fn new(slots: usize) -> Arc<Self> {
-        Arc::new(Self {
-            free: Mutex::new(slots),
-            cv: Condvar::new(),
-        })
-    }
+/// Every flag of [`USAGE`] that takes a value; `--mem` is the one that
+/// does not.
+const VALUED_FLAGS: [&str; 11] = [
+    "--connect",
+    "--clients",
+    "--requests",
+    "--concurrency",
+    "--scheme",
+    "--seed",
+    "--max-sessions",
+    "--sweep",
+    "--json",
+    "--scrape",
+    "--trace",
+];
 
-    fn acquire(&self) {
-        let mut free = self.free.lock().expect("gate lock");
-        while *free == 0 {
-            free = self.cv.wait(free).expect("gate wait");
+/// The first argument [`USAGE`] does not name, or a valued flag with
+/// nothing after it.
+fn unknown_arg(args: &[String]) -> Option<&str> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let known = arg == "--mem" || VALUED_FLAGS.contains(&arg.as_str()) && rest.next().is_some();
+        if !known {
+            return Some(arg);
         }
-        *free -= 1;
     }
-
-    fn release(&self) {
-        *self.free.lock().expect("gate lock") += 1;
-        self.cv.notify_one();
-    }
+    None
 }
 
 /// Where client sessions go: an in-process server (each connection is
@@ -184,11 +188,6 @@ impl ClientResult {
 struct Scenario {
     clients: usize,
     requests: usize,
-    tenants: usize,
-    batch_cap: usize,
-    latency_cap: Duration,
-    open_loop: bool,
-    interval: Duration,
     scheme: SchemeKind,
     seed: u64,
     concurrency: usize,
@@ -224,14 +223,14 @@ fn client_input(seed: u64, client: usize, request: usize) -> Tensor {
     )
 }
 
-/// One closed-loop client hitting the upstream directly (no tenant
-/// gateway): a fresh session per request, its own key pair throughout.
-#[allow(clippy::too_many_arguments)]
+/// One closed-loop client: a fresh session per request, its own key
+/// pair throughout. `gate` bounds the connections in flight across
+/// clients: a send takes a slot, a receive frees one.
 fn direct_client(
     ctx: &Arc<Context>,
     cnn: &TinyCnn,
     upstream: &Upstream,
-    gate: &Gate,
+    gate: &Queue<()>,
     scenario: &Scenario,
     client: usize,
 ) -> ClientResult {
@@ -241,7 +240,7 @@ fn direct_client(
     for request in 0..scenario.requests {
         let input = client_input(scenario.seed, client, request);
         let want = cnn.forward_plain(&input);
-        gate.acquire();
+        gate.send(()).expect("the gate is never closed");
         let t0 = Instant::now();
         let got = upstream.connect().and_then(|transport| {
             run_client_batch(
@@ -258,54 +257,8 @@ fn direct_client(
             .map(|mut outs| outs.remove(0))
         });
         let latency = t0.elapsed();
-        gate.release();
+        gate.recv();
         result.absorb(&want, got, latency);
-    }
-    result
-}
-
-/// Waits for a gateway request's result (the dispatcher answers every
-/// request it takes).
-fn answer(reply: &Reply) -> Result<Tensor, SpotError> {
-    reply
-        .recv()
-        .0
-        .expect("the dispatcher answers every request")
-}
-
-/// One tenant-routed client: requests queue in the tenant's gateway
-/// and coalesce with its siblings' into shared SIMD-slot batches.
-fn tenant_client(
-    cnn: &TinyCnn,
-    gateway: &TenantGateway,
-    scenario: &Scenario,
-    client: usize,
-) -> ClientResult {
-    let mut result = ClientResult::default();
-    if scenario.open_loop {
-        let mut pending = Vec::new();
-        for request in 0..scenario.requests {
-            let input = client_input(scenario.seed, client, request);
-            let want = cnn.forward_plain(&input);
-            let t0 = Instant::now();
-            match gateway.submit(input) {
-                Ok(reply) => pending.push((t0, want, reply)),
-                Err(e) => result.absorb(&want, Err(e), t0.elapsed()),
-            }
-            std::thread::sleep(scenario.interval);
-        }
-        for (t0, want, reply) in pending {
-            let got = answer(&reply);
-            result.absorb(&want, got, t0.elapsed());
-        }
-    } else {
-        for request in 0..scenario.requests {
-            let input = client_input(scenario.seed, client, request);
-            let want = cnn.forward_plain(&input);
-            let t0 = Instant::now();
-            let got = gateway.submit(input).and_then(|reply| answer(&reply));
-            result.absorb(&want, got, t0.elapsed());
-        }
     }
     result
 }
@@ -316,72 +269,24 @@ fn run_scenario(
     upstream: &Upstream,
     scenario: &Scenario,
 ) -> ScenarioResult {
-    let gate = Gate::new(if scenario.concurrency == 0 {
+    let gate = Queue::bounded(if scenario.concurrency == 0 {
         scenario.clients.max(1)
     } else {
         scenario.concurrency
     });
     let t0 = Instant::now();
-    let per_client: Vec<ClientResult> = if scenario.tenants == 0 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..scenario.clients)
-                .map(|client| {
-                    let gate = Arc::clone(&gate);
-                    s.spawn(move || direct_client(ctx, cnn, upstream, &gate, scenario, client))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client"))
-                .collect()
-        })
-    } else {
-        // Tenant mode: clients are dealt round-robin into gateways;
-        // one dispatcher per tenant drives coalesced batches upstream.
-        let gateways: Vec<Arc<TenantGateway>> = (0..scenario.tenants)
-            .map(|_| Arc::new(TenantGateway::new(scenario.batch_cap, scenario.latency_cap)))
+    let per_client: Vec<ClientResult> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..scenario.clients)
+            .map(|client| {
+                let gate = &gate;
+                s.spawn(move || direct_client(ctx, cnn, upstream, gate, scenario, client))
+            })
             .collect();
-        std::thread::scope(|s| {
-            let dispatchers: Vec<_> = gateways
-                .iter()
-                .enumerate()
-                .map(|(t, gw)| {
-                    let gw = Arc::clone(gw);
-                    s.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(7000 + t as u64);
-                        let kg = KeyGenerator::new(ctx, &mut rng);
-                        gw.run_dispatcher(
-                            ctx,
-                            &kg,
-                            cnn,
-                            scenario.scheme,
-                            (4, 4),
-                            PatchMode::Tweaked,
-                            || upstream.connect(),
-                            &mut rng,
-                        )
-                    })
-                })
-                .collect();
-            let clients: Vec<_> = (0..scenario.clients)
-                .map(|client| {
-                    let gw = Arc::clone(&gateways[client % scenario.tenants]);
-                    s.spawn(move || tenant_client(cnn, &gw, scenario, client))
-                })
-                .collect();
-            let results = clients
-                .into_iter()
-                .map(|h| h.join().expect("client"))
-                .collect();
-            for gw in &gateways {
-                gw.close();
-            }
-            for d in dispatchers {
-                d.join().expect("dispatcher");
-            }
-            results
-        })
-    };
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
+    });
     let wall_s = t0.elapsed().as_secs_f64();
 
     let reports = upstream.drain_reports();
@@ -519,7 +424,12 @@ fn scrape_and_crosscheck(addr: &str, r: &ScenarioResult) {
          client-observed mean {:.3}s",
         r.mean_s
     );
-    if server_mean_s > 0.0 && r.mean_s > 0.0 && server_mean_s > r.mean_s {
+    if wall_count == 0.0 {
+        println!(
+            "spot-loadgen: scrape cross-check EMPTY — the scrape holds no \
+             spot_session_wall_ns samples to compare"
+        );
+    } else if server_mean_s > r.mean_s {
         println!(
             "spot-loadgen: scrape cross-check SUSPECT — server-side session wall \
              exceeds client-observed latency"
@@ -531,6 +441,10 @@ fn scrape_and_crosscheck(addr: &str, r: &ScenarioResult) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    if let Some(arg) = unknown_arg(&args) {
+        eprintln!("spot-loadgen: unknown or incomplete argument {arg:?}\n{USAGE}");
+        std::process::exit(2);
+    }
     let mem = args.iter().any(|a| a == "--mem");
     let addr = arg_value(&args, "--connect");
     assert!(
@@ -543,27 +457,6 @@ fn main() {
     let requests: usize = arg_value(&args, "--requests")
         .map(|v| v.parse().expect("--requests takes a number"))
         .unwrap_or(1);
-    let tenants: usize = arg_value(&args, "--tenants")
-        .map(|v| v.parse().expect("--tenants takes a number"))
-        .unwrap_or(0);
-    let batch_cap: usize = arg_value(&args, "--batch-cap")
-        .map(|v| v.parse().expect("--batch-cap takes a number"))
-        .unwrap_or(3);
-    let latency_cap_ms: u64 = arg_value(&args, "--latency-cap-ms")
-        .map(|v| v.parse().expect("--latency-cap-ms takes a number"))
-        .unwrap_or(50);
-    let open_loop = match arg_value(&args, "--mode").as_deref().unwrap_or("closed") {
-        "closed" => false,
-        "open" => true,
-        other => panic!("unknown mode {other:?} (use closed|open)"),
-    };
-    assert!(
-        !open_loop || tenants > 0,
-        "--mode open requires --tenants (open-loop submission goes through a gateway)"
-    );
-    let interval_ms: u64 = arg_value(&args, "--interval-ms")
-        .map(|v| v.parse().expect("--interval-ms takes a number"))
-        .unwrap_or(10);
     let concurrency: usize = arg_value(&args, "--concurrency")
         .map(|v| v.parse().expect("--concurrency takes a number"))
         .unwrap_or(0);
@@ -625,19 +518,12 @@ fn main() {
         let scenario = Scenario {
             clients: n,
             requests,
-            tenants,
-            batch_cap,
-            latency_cap: Duration::from_millis(latency_cap_ms),
-            open_loop,
-            interval: Duration::from_millis(interval_ms),
             scheme,
             seed,
             concurrency,
         };
         println!(
-            "spot-loadgen: scenario clients={n} requests={requests} tenants={tenants} \
-             mode={} ({})",
-            if open_loop { "open" } else { "closed" },
+            "spot-loadgen: scenario clients={n} requests={requests} ({})",
             if mem { "mem" } else { "tcp" }
         );
         let result = run_scenario(&ctx, &cnn, &upstream, &scenario);
@@ -652,8 +538,7 @@ fn main() {
         let body: Vec<String> = results.iter().map(scenario_json).collect();
         let json = format!(
             "{{\n  \"bench\": \"serving\",\n  \"params\": \"N4096\",\n  \"scheme\": \
-             \"{scheme:?}\",\n  \"tenants\": {tenants},\n  \"batch_cap\": {batch_cap},\n  \
-             \"scenarios\": [\n    {}\n  ]\n}}\n",
+             \"{scheme:?}\",\n  \"scenarios\": [\n    {}\n  ]\n}}\n",
             body.join(",\n    ")
         );
         std::fs::write(&path, json).expect("write json");
@@ -669,5 +554,40 @@ fn main() {
         .any(|r| r.mismatched > 0 || r.errors > 0 || r.matched == 0);
     if bad {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        std::iter::once("spot-loadgen")
+            .chain(line.split_whitespace())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn the_usage_line_names_exactly_the_flags_accepted() {
+        let mut named: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        named.sort_unstable();
+        let mut accepted = VALUED_FLAGS.to_vec();
+        accepted.push("--mem");
+        accepted.sort_unstable();
+        assert_eq!(named, accepted);
+    }
+
+    #[test]
+    fn unknown_and_incomplete_arguments_are_refused() {
+        let all = "--mem --connect a:1 --clients 2 --requests 1 --concurrency 1 --scheme spot \
+                   --seed 3 --max-sessions 4 --sweep 1,8 --json j --scrape s:2 --trace t";
+        assert_eq!(unknown_arg(&args(all)), None);
+        assert_eq!(unknown_arg(&args("--mem --mode open")), Some("--mode"));
+        assert_eq!(unknown_arg(&args("--mem 4")), Some("4"));
+        assert_eq!(unknown_arg(&args("--mem --clients")), Some("--clients"));
     }
 }

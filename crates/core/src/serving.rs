@@ -27,27 +27,23 @@
 //!   the typed [`WireMessage::Error`] frame so the client learns *why*
 //!   instead of seeing a dead socket. A failing session never touches
 //!   its neighbours.
-//! * [`TenantGateway`] — cross-session batching. Ciphertexts under
-//!   different secret keys cannot share SIMD slots, so coalescing
-//!   happens where the key is shared: logical clients of one tenant
-//!   submit through a gateway whose request [`Queue`] releases queued
-//!   inferences as shared-slot batches (`Queue::recv_batch`) before
-//!   opening one upstream session per batch.
+//!
+//! Every session is one tiny client with its own secret key, so no two
+//! clients' ciphertexts ever share SIMD slots: batching is a client's
+//! own (`ClientConv::batch_capacity` images under its key), never the
+//! server's.
 
 use crate::error::SpotError;
 use crate::executor::Executor;
 use crate::inference::TinyCnn;
-use crate::patching::PatchMode;
-use crate::session::{ExecBackend, SchemeKind, ServeOptions, SharedKernelCaches};
+use crate::session::{ExecBackend, ServeOptions, SharedKernelCaches};
 use crate::stream::{StreamConfig, StreamStats};
-use crate::twoparty::{run_client_batch, run_server_with, ServerReport};
+use crate::twoparty::{run_server_with, ServerReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_he::context::Context;
-use spot_he::keys::KeyGenerator;
 use spot_proto::transport::TransportStats;
-use spot_proto::{error_code, Queue, Transport, WireMessage};
-use spot_tensor::tensor::Tensor;
+use spot_proto::{error_code, Transport, WireMessage};
 use spot_trace::{log_info, log_warn, metrics, Cat, CounterSnapshot, SessionCounters};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -602,132 +598,6 @@ pub fn session_seed(base: u64, session_id: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-// ---------------------------------------------------------------------
-// Cross-session batching: the tenant gateway
-// ---------------------------------------------------------------------
-
-/// Where a queued inference's result arrives: a one-slot [`Queue`] the
-/// gateway dispatcher sends exactly one result into, and the
-/// submitting logical client `recv`s.
-pub type Reply = Arc<Queue<Result<Tensor, SpotError>>>;
-
-/// One queued inference: its input, when it arrived, and where its
-/// result goes.
-#[derive(Debug)]
-struct Request {
-    input: Tensor,
-    arrived: Instant,
-    reply: Reply,
-}
-
-/// Coalesces queued inferences from many logical clients of one
-/// tenant into shared SIMD-slot batches.
-///
-/// SIMD-slot sharing requires one secret key per ciphertext, so
-/// *cross-client* batching is only sound where clients share a key —
-/// a tenant gateway (an app backend fanning in its users' requests).
-/// Requests [`TenantGateway::submit`]ted here queue in one [`Queue`];
-/// a dispatcher thread takes a batch as soon as `capacity` requests
-/// are queued, or whatever is queued once the oldest request has
-/// waited `latency_cap` (a lone request never starves waiting for
-/// company), drives it through one upstream session, and answers each
-/// request's [`Reply`] in submission order.
-#[derive(Debug)]
-pub struct TenantGateway {
-    requests: Queue<Request>,
-    capacity: usize,
-    latency_cap: Duration,
-}
-
-impl TenantGateway {
-    /// A gateway batching up to `capacity` requests (at least 1,
-    /// typically [`crate::session::ClientConv::batch_capacity`]),
-    /// holding a partial batch at most `latency_cap` past its oldest
-    /// request.
-    pub fn new(capacity: usize, latency_cap: Duration) -> Self {
-        Self {
-            requests: Queue::unbounded(),
-            capacity,
-            latency_cap,
-        }
-    }
-
-    /// Queues one inference; its [`Reply`] receives the result once
-    /// its batch has been served. Fails once the gateway is closed.
-    pub fn submit(&self, input: Tensor) -> Result<Reply, SpotError> {
-        let reply = Arc::new(Queue::bounded(1));
-        self.requests.send(Request {
-            input,
-            arrived: Instant::now(),
-            reply: Arc::clone(&reply),
-        })?;
-        Ok(reply)
-    }
-
-    /// Stops accepting requests; the dispatcher drains what's queued
-    /// and returns.
-    pub fn close(&self) {
-        self.requests.close();
-    }
-
-    /// The gateway's dispatcher loop: drains batches until the gateway
-    /// is closed, opening one upstream connection per batch via
-    /// `connect` and running the tenant's client session over it.
-    /// Returns the number of batches dispatched. A failed batch fails
-    /// only its own requests; later batches still run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_dispatcher<F>(
-        &self,
-        ctx: &Arc<Context>,
-        keygen: &KeyGenerator,
-        cnn: &TinyCnn,
-        scheme: SchemeKind,
-        patch: (usize, usize),
-        mode: PatchMode,
-        mut connect: F,
-        rng: &mut StdRng,
-    ) -> usize
-    where
-        F: FnMut() -> Result<Box<dyn Transport>, SpotError>,
-    {
-        let mut batches = 0usize;
-        let due = |r: &Request| r.arrived + self.latency_cap;
-        while let Some(batch) = self.requests.recv_batch(self.capacity, due) {
-            batches += 1;
-            let (inputs, replies): (Vec<Tensor>, Vec<Reply>) =
-                batch.into_iter().map(|r| (r.input, r.reply)).unzip();
-            let outcome = connect().and_then(|transport| {
-                run_client_batch(
-                    ctx,
-                    keygen,
-                    transport.as_ref(),
-                    &inputs,
-                    cnn,
-                    scheme,
-                    patch,
-                    mode,
-                    rng,
-                )
-            });
-            // Each reply holds one result and gets exactly one, so
-            // these sends neither block nor fail.
-            match outcome {
-                Ok(outputs) => {
-                    for (reply, out) in replies.iter().zip(outputs) {
-                        let _ = reply.send(Ok(out));
-                    }
-                }
-                Err(e) => {
-                    for reply in &replies {
-                        let _ = reply.send(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        batches
-    }
 }
 
 #[cfg(test)]

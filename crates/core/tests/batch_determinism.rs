@@ -3,34 +3,29 @@
 //! 1. **Per-image bit-identity** — a batched session's client and
 //!    server shares for image `b` are bit-identical to an unbatched
 //!    run of that image whose server rng is seeded with the batch's
-//!    per-image seed, for all three schemes, ragged batch widths and
-//!    both ring sizes.
+//!    per-image seed, and reconstructs to the true convolution, for
+//!    all three schemes, ragged batch widths and both ring sizes.
 //! 2. **Amortization** — the whole batch performs exactly the
 //!    rotation count of a single image (slot batching leaves the
 //!    rotation schedule unchanged), so each image pays `1/B` of it.
 //! 3. **Transport independence** — the same seeds produce the same
 //!    shares over `MemTransport` and framed TCP.
-//! 4. **Queue assembly** — a batch released by `Queue::recv_batch`
-//!    runs through the batched session and every image reconstructs to
-//!    the true convolution.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process, serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_proto::transport::{MemTransport, TcpTransport};
-use spot_proto::Queue;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The low-occupancy test layer (2×8×8 → 4 channels) every scheme can
 /// batch at least 3 wide on N4096.
@@ -120,17 +115,17 @@ fn assert_batched_matches_unbatched(scheme: SchemeKind, level: ParamLevel, batch
     let kernel = test_kernel();
     let spec = test_spec(scheme);
     let t = ctx.params().plain_modulus();
-    let want = spot_tensor::conv::conv2d(&inputs[0], &kernel, 1);
 
     let server_seed = 3100;
     let (cs, ss, counts) = run_batched(&ctx, &kg, &inputs, spec, &kernel, server_seed);
     assert_eq!(cs.len(), batch);
     assert_eq!(ss.len(), batch);
     let tag = format!("{scheme:?} {level:?} batch={batch}");
-    assert_eq!(reconstruct(&cs[0], &ss[0], t), want, "{tag}");
 
     let seeds = batch_seeds(server_seed, batch);
     for b in 0..batch {
+        let want = spot_tensor::conv::conv2d(&inputs[b], &kernel, 1);
+        assert_eq!(reconstruct(&cs[b], &ss[b], t), want, "{tag}: image {b}");
         let (rcs, rss, rcounts) = run_batched(&ctx, &kg, &inputs[b..=b], spec, &kernel, seeds[b]);
         assert_eq!(cs[b], rcs[0], "{tag}: client share image {b}");
         assert_eq!(ss[b], rss[0], "{tag}: server share image {b}");
@@ -225,41 +220,4 @@ fn batched_shares_identical_over_tcp() {
 
     assert_eq!(shares.shares, mem_cs);
     assert_eq!(tcp_ss, mem_ss);
-}
-
-/// Queue → batch → batched session: every coalesced image
-/// reconstructs to the true convolution and demuxes in submission
-/// order.
-#[test]
-fn assembler_coalesced_batch_reconstructs_per_image() {
-    let queue = Queue::unbounded();
-    for input in test_inputs(3) {
-        queue.send(input).expect("send");
-    }
-    queue.close();
-    let due = Instant::now() + Duration::from_millis(50);
-    let batch = queue.recv_batch(4, |_| due).expect("one batch");
-    assert_eq!(batch.len(), 3);
-
-    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-    let mut rng = StdRng::seed_from_u64(12);
-    let kg = KeyGenerator::new(&ctx, &mut rng);
-    let kernel = test_kernel();
-    let results = run_in_process(
-        &ctx,
-        &kg,
-        test_spec(SchemeKind::Spot),
-        &batch,
-        &kernel,
-        &ExecBackend::Phased(Executor::serial()),
-        &mut rng,
-    )
-    .expect("batched session")
-    .results;
-    assert_eq!(results.len(), 3);
-    for (i, res) in results.iter().enumerate() {
-        let want = spot_tensor::conv::conv2d(&batch[i], &kernel, 1);
-        assert_eq!(res.reconstruct(), want, "image {i}");
-    }
-    assert!(queue.recv_batch(4, |_| due).is_none());
 }

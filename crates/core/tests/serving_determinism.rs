@@ -10,15 +10,11 @@
 //!    full-pipeline sessions through a [`SpotServer`], the summed
 //!    `KernelCacheBuild` counter equals a solo session's builds and
 //!    every later session hits.
-//! 3. **Cross-session coalescing** — requests from distinct logical
-//!    clients of one tenant ride shared SIMD-slot batches: 6 queued
-//!    requests at batch cap 3 cost exactly 2 upstream sessions and
-//!    still reconstruct to the plaintext forward pass.
-//! 4. **Batch width is invisible in a connection's keys** — a two-layer
+//! 3. **Batch width is invisible in a connection's keys** — a two-layer
 //!    connection uploads bit-identical rotation-key frames (the first
 //!    layer's keys, then the one the second layer adds) at B=1 and B=2,
 //!    and every image gets the output it gets alone.
-//! 5. **Every session is on the `/pipeline` view** — phased or
+//! 4. **Every session is on the `/pipeline` view** — phased or
 //!    streamed, a session runs the one stream driver and leaves one
 //!    summary of what it ingested.
 
@@ -29,7 +25,7 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::serving::{session_seed, ModelContext, ServingConfig, SpotServer, TenantGateway};
+use spot_core::serving::{session_seed, ModelContext, ServingConfig, SpotServer};
 use spot_core::session::{
     serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions,
     SharedKernelCaches, UploadPacing,
@@ -44,7 +40,6 @@ use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Counter;
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 const SESSIONS: usize = 8;
 
@@ -339,68 +334,6 @@ fn spot_server_builds_kernel_caches_once_per_model() {
         (stats.served, stats.failed, stats.rejected),
         (SESSIONS, 0, 0)
     );
-}
-
-/// Six single-request clients of one tenant at batch cap 3 coalesce
-/// into exactly two upstream sessions, and every request still
-/// reconstructs to the plaintext forward pass.
-#[test]
-fn tenant_gateway_coalesces_across_clients() {
-    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-    let cnn = TinyCnn::new(7);
-    let model = ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone());
-    let server = SpotServer::new(model, ServingConfig::default());
-
-    let gateway = TenantGateway::new(3, Duration::from_millis(5));
-    // Queue all six requests *before* the dispatcher starts, so the
-    // batch split (3 + 3 -> 2 sessions) is deterministic.
-    let requests: Vec<(Tensor, Tensor)> = (0..6u64)
-        .map(|i| {
-            let input = Tensor::random(2, 8, 8, 5, 900 + i);
-            let want = cnn.forward_plain(&input);
-            (input, want)
-        })
-        .collect();
-    let replies: Vec<_> = requests
-        .iter()
-        .map(|(input, _)| gateway.submit(input.clone()).expect("submit"))
-        .collect();
-    gateway.close();
-
-    let mut rng = StdRng::seed_from_u64(7000);
-    let kg = KeyGenerator::new(&ctx, &mut rng);
-    let batches = std::thread::scope(|s| {
-        let dispatcher = s.spawn(|| {
-            let mut drng = StdRng::seed_from_u64(7001);
-            gateway.run_dispatcher(
-                &ctx,
-                &kg,
-                &cnn,
-                SchemeKind::Spot,
-                (4, 4),
-                PatchMode::Tweaked,
-                || {
-                    let (ct, st) = MemTransport::pair();
-                    let server = &server;
-                    s.spawn(move || {
-                        server.serve_connection(&st);
-                    });
-                    Ok(Box::new(ct) as Box<dyn spot_proto::Transport>)
-                },
-                &mut drng,
-            )
-        });
-        dispatcher.join().expect("dispatcher")
-    });
-
-    assert_eq!(batches, 2, "6 requests at cap 3 should form 2 batches");
-    for (i, ((_, want), reply)) in requests.iter().zip(&replies).enumerate() {
-        let got = reply.recv().0.expect("one reply").expect("request result");
-        assert_eq!(got, *want, "request {i} diverges from plaintext forward");
-    }
-    let stats = server.stats();
-    assert_eq!(stats.served, 2, "coalescing should cost 2 sessions, not 6");
-    assert_eq!((stats.failed, stats.rejected), (0, 0));
 }
 
 /// Runs one full-pipeline client against `server` over a fresh

@@ -14,9 +14,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_core::executor::Executor;
-use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::serving::{ModelContext, ServingConfig, SpotServer, TenantGateway};
 use spot_core::session::{
     serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
 };
@@ -31,7 +29,6 @@ use spot_trace::{Counter, CounterSnapshot, Event, Phase};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -191,18 +188,30 @@ fn trace_deterministic_across_threads_and_transports() {
         SchemeKind::Channelwise,
         SchemeKind::Cheetah,
     ] {
-        let base = run_mem(scheme, 1);
+        let runs = [
+            ("mem/1t", run_mem(scheme, 1)),
+            ("mem/8t", run_mem(scheme, 8)),
+            ("tcp/1t", run_tcp(scheme, 1)),
+            ("tcp/8t", run_tcp(scheme, 8)),
+        ];
+        let base = &runs[0].1;
         let base_spans = span_multiset(&base.events);
         let base_counts = deterministic_counters(&base.counters);
         assert!(
             !base_spans.is_empty(),
             "{scheme:?}: traced run recorded no spans"
         );
-        for (tag, run) in [
-            ("mem/8t", run_mem(scheme, 8)),
-            ("tcp/1t", run_tcp(scheme, 1)),
-            ("tcp/8t", run_tcp(scheme, 8)),
-        ] {
+        for (tag, run) in &runs {
+            // Every conv-driver queue hand-off is pushed once and
+            // popped once, and the driver ran.
+            let (pushed, popped) = (
+                run.counters.get(Counter::QueuePushed),
+                run.counters.get(Counter::QueuePopped),
+            );
+            assert!(
+                pushed > 0 && pushed == popped,
+                "{scheme:?} {tag}: queue_pushed {pushed} vs queue_popped {popped}"
+            );
             assert_eq!(
                 base.client_share, run.client_share,
                 "{scheme:?} {tag}: tracing perturbed the computed share"
@@ -258,64 +267,4 @@ fn chrome_export_is_valid_json_and_spans_nest() {
     assert!(spans.keys().any(|k| k == "session/serve_conv spot"));
     assert!(spans.keys().any(|k| k == "session/send_all spot"));
     assert!(spans.keys().any(|k| k.starts_with("stream/conv #")));
-}
-
-/// A tenant gateway's request queue is not one of the conv driver's
-/// queues: across one gateway run against an in-process server, every
-/// recorded queue hand-off is the driver's, pushed once and popped
-/// once, so the process counters read `queue_pushed == queue_popped`.
-#[test]
-fn gateway_run_pushes_every_queue_item_it_pops() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-    let cnn = TinyCnn::new(7);
-    let model = ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn.clone());
-    let server = SpotServer::new(model, ServingConfig::default());
-    let gateway = TenantGateway::new(3, Duration::from_millis(5));
-    let inputs: Vec<Tensor> = (0..3u64)
-        .map(|i| Tensor::random(2, 8, 8, 5, 900 + i))
-        .collect();
-
-    spot_trace::reset();
-    spot_trace::enable();
-    let baseline = spot_trace::counters();
-    let replies: Vec<_> = inputs
-        .iter()
-        .map(|input| gateway.submit(input.clone()).expect("submit"))
-        .collect();
-    gateway.close();
-    let mut rng = StdRng::seed_from_u64(7000);
-    let kg = KeyGenerator::new(&ctx, &mut rng);
-    let batches = std::thread::scope(|s| {
-        gateway.run_dispatcher(
-            &ctx,
-            &kg,
-            &cnn,
-            SchemeKind::Spot,
-            (4, 4),
-            PatchMode::Tweaked,
-            || {
-                let (ct, st) = MemTransport::pair();
-                let server = &server;
-                s.spawn(move || server.serve_connection(&st));
-                Ok(Box::new(ct) as Box<dyn Transport>)
-            },
-            &mut rng,
-        )
-    });
-    let counters = spot_trace::counters().delta(&baseline);
-    spot_trace::disable();
-    spot_trace::take_events();
-
-    assert_eq!(batches, 1);
-    for (input, reply) in inputs.iter().zip(&replies) {
-        let got = reply.recv().0.expect("one reply per request");
-        assert_eq!(got.expect("request result"), cnn.forward_plain(input));
-    }
-    let (pushed, popped) = (
-        counters.get(Counter::QueuePushed),
-        counters.get(Counter::QueuePopped),
-    );
-    assert!(pushed > 0, "the served session ran no conv driver");
-    assert_eq!(pushed, popped, "queue_pushed vs queue_popped");
 }

@@ -6,7 +6,7 @@
 //! both move serialized frames, so accounting reflects real wire bytes.
 //! [`queue`] is the one blocking FIFO of the workspace: the in-process
 //! transport's two directions run on it, and so do `spot-core`'s conv
-//! driver and tenant gateway.
+//! driver's queues.
 //! [`channel`] holds the link model that turns those bytes into
 //! transfer time, and [`cost`] prices the OT-based non-linear protocols
 //! of CrypTFlow2's SCI module (Millionaire / DReLU, max) for the

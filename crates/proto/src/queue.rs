@@ -3,9 +3,8 @@
 //! The tiny client's memory bound (§III: the client blocks once `k`
 //! ciphertexts are in flight) and the server's read-ahead are the same
 //! mechanism, so they are one type: [`Queue`] carries both directions
-//! of [`crate::MemTransport`], `spot-core`'s conv driver's ingest and
-//! result queues, and the tenant gateway's request queue and reply
-//! cells. Its rules are written once:
+//! of [`crate::MemTransport`] and `spot-core`'s conv driver's ingest
+//! and result queues. Its rules are written once:
 //!
 //! * [`Queue::send`] blocks while `capacity` items are queued and
 //!   returns the time it blocked; after [`Queue::close`] it fails with
@@ -13,8 +12,9 @@
 //! * [`Queue::recv`] blocks while the queue is empty and open, returns
 //!   `None` once it is closed and drained, and reports the time it
 //!   blocked.
-//! * [`Queue::recv_batch`] releases up to `max` items as soon as `max`
-//!   are queued, the queue closes, or the front item is due.
+//! * [`Queue::close`] is the one call that wakes every waiter: blocked
+//!   senders fail and blocked receivers drain, then get `None`. The
+//!   conv driver's hang-up path rests on it.
 //!
 //! A push wakes one receiver and a pop one sender, and the clock is
 //! read only while a call actually waits, so an uncontended hand-off
@@ -112,37 +112,6 @@ impl<T> Queue<T> {
         }
     }
 
-    /// Takes up to `max` (≥ 1) front items in order, blocking until
-    /// `max` are queued, the queue is closed, or the instant
-    /// `due(front)` has passed, whichever comes first; `None` once the
-    /// queue is closed and drained.
-    pub fn recv_batch(&self, max: usize, due: impl Fn(&T) -> Instant) -> Option<Vec<T>> {
-        let max = max.max(1);
-        let mut st = self.lock();
-        loop {
-            let left = match st.items.front() {
-                None if st.closed => return None,
-                None => None,
-                Some(_) if st.items.len() >= max || st.closed => Some(Duration::ZERO),
-                Some(front) => Some(due(front).saturating_duration_since(Instant::now())),
-            };
-            st = match left {
-                Some(Duration::ZERO) => {
-                    let take = st.items.len().min(max);
-                    let batch = st.items.drain(..take).collect();
-                    drop(st);
-                    self.can_send.notify_all();
-                    return Some(batch);
-                }
-                Some(left) => {
-                    let woken = self.can_recv.wait_timeout(st, left);
-                    woken.unwrap_or_else(|p| p.into_inner()).0
-                }
-                None => self.can_recv.wait(st).unwrap_or_else(|p| p.into_inner()),
-            };
-        }
-    }
-
     /// Closes the queue: later sends fail, receivers drain what is
     /// queued and then get `None`. Idempotent.
     pub fn close(&self) {
@@ -156,11 +125,6 @@ impl<T> Queue<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Never due: only a full batch or a close releases one.
-    fn never(_: &u32) -> Instant {
-        Instant::now() + Duration::from_secs(3600)
-    }
 
     #[test]
     fn fifo_and_close() {
@@ -178,7 +142,7 @@ mod tests {
         let q: Queue<u32> = Queue::bounded(4);
         q.close();
         assert_eq!(q.send(1), Err(ProtoError::Disconnected));
-        assert_eq!(q.recv_batch(4, never), None);
+        assert_eq!(q.recv().0, None);
     }
 
     #[test]
@@ -202,74 +166,37 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_released_immediately() {
-        // A front item that is far from due must not delay a full batch.
-        let q: Queue<u32> = Queue::unbounded();
-        for v in 0..5 {
-            q.send(v).unwrap();
+    fn close_releases_every_blocked_waiter() {
+        use std::sync::{mpsc, Arc};
+        let full: Arc<Queue<u32>> = Arc::new(Queue::bounded(1));
+        full.send(0).unwrap();
+        let empty: Arc<Queue<u32>> = Arc::new(Queue::bounded(1));
+        let (sent, sends) = mpsc::channel();
+        let (received, receives) = mpsc::channel();
+        let sender = Arc::clone(&full);
+        std::thread::spawn(move || sent.send(sender.send(1)));
+        for _ in 0..2 {
+            let (receiver, received) = (Arc::clone(&empty), received.clone());
+            std::thread::spawn(move || received.send(receiver.recv().0));
         }
-        let t0 = Instant::now();
-        assert_eq!(q.recv_batch(2, never), Some(vec![0, 1]));
-        assert_eq!(q.recv_batch(2, never), Some(vec![2, 3]));
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        assert_eq!(q.depth(), 1);
-        q.close();
-        assert_eq!(q.recv_batch(2, never), Some(vec![4]));
-        assert_eq!(q.recv_batch(2, never), None);
-    }
-
-    #[test]
-    fn due_front_releases_a_lone_item() {
-        let q: Queue<(Instant, u32)> = Queue::unbounded();
-        q.send((Instant::now(), 7)).unwrap();
-        let t0 = Instant::now();
-        let due = |&(arrived, _): &(Instant, u32)| arrived + Duration::from_millis(30);
-        let batch = q.recv_batch(8, due).unwrap();
-        assert_eq!(batch.iter().map(|&(_, v)| v).collect::<Vec<_>>(), [7]);
-        let waited = t0.elapsed();
-        assert!(
-            waited >= Duration::from_millis(25),
-            "partial batch released after {waited:?}, before it was due"
-        );
-    }
-
-    #[test]
-    fn batches_preserve_send_order_across_threads() {
-        let q: Queue<(Instant, u32)> = Queue::unbounded();
-        let due = |&(arrived, _): &(Instant, u32)| arrived + Duration::from_millis(10);
-        let mut collected = Vec::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for v in 0..20u32 {
-                    q.send((Instant::now(), v)).unwrap();
-                    if v % 7 == 0 {
-                        std::thread::sleep(Duration::from_millis(3));
-                    }
-                }
-                q.close();
-            });
-            while let Some(batch) = q.recv_batch(3, due) {
-                assert!(!batch.is_empty() && batch.len() <= 3);
-                collected.extend(batch.into_iter().map(|(_, v)| v));
-            }
-        });
-        assert_eq!(collected, (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn a_batch_frees_room_for_every_blocked_sender() {
-        let q: Queue<u32> = Queue::bounded(2);
-        std::thread::scope(|s| {
-            for v in 0..4 {
-                let q = &q;
-                s.spawn(move || q.send(v).unwrap());
-            }
-            let mut got = Vec::new();
-            while got.len() < 4 {
-                got.extend(q.recv_batch(2, never).unwrap());
-            }
-            got.sort_unstable();
-            assert_eq!(got, [0, 1, 2, 3]);
-        });
+        // Let all three reach their wait before the closes.
+        std::thread::sleep(Duration::from_millis(50));
+        full.close();
+        empty.close();
+        // A waiter that close does not wake stays blocked: fail, not hang.
+        let deadline = Duration::from_secs(10);
+        let send = sends
+            .recv_timeout(deadline)
+            .expect("close wakes the sender");
+        assert_eq!(send, Err(ProtoError::Disconnected));
+        for _ in 0..2 {
+            let got = receives
+                .recv_timeout(deadline)
+                .expect("close wakes every receiver");
+            assert_eq!(got, None);
+        }
+        // The item queued before the close still drains.
+        assert_eq!(full.recv().0, Some(0));
+        assert_eq!(full.recv().0, None);
     }
 }

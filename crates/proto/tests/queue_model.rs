@@ -1,36 +1,26 @@
-//! Property test for `spot_proto::Queue`: random send / recv / close /
-//! `recv_batch` sequences, checked step by step against a `VecDeque`
-//! model. A send on a full open queue or a receive on an empty open one
-//! runs on a second thread and is released by the opposite call; a
-//! batch that is neither full nor due is skipped.
+//! Property test for `spot_proto::Queue`: random send / recv / close
+//! sequences, checked step by step against a `VecDeque` model. A send
+//! on a full open queue or a receive on an empty open one runs on a
+//! second thread and is released by the opposite call.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use spot_proto::{ProtoError, Queue};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Send(u32),
     Recv,
     Close,
-    /// Up to `max` items; the front item is already due or never due.
-    RecvBatch {
-        max: usize,
-        due_now: bool,
-    },
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..4, 0u32..1000, 1usize..6, 0u8..2).prop_map(|(kind, v, max, due)| match kind {
+    (0u8..3, 0u32..1000).prop_map(|(kind, v)| match kind {
         0 => Op::Send(v),
         1 => Op::Recv,
-        2 => Op::Close,
-        _ => Op::RecvBatch {
-            max,
-            due_now: due == 1,
-        },
+        _ => Op::Close,
     })
 }
 
@@ -61,25 +51,6 @@ proptest! {
                 Op::Close => {
                     q.close();
                     closed = true;
-                }
-                Op::RecvBatch { max, due_now } => {
-                    let ready = model.len() >= max || closed || due_now;
-                    if model.is_empty() && !closed || !model.is_empty() && !ready {
-                        continue;
-                    }
-                    let due = |_: &u32| match due_now {
-                        true => Instant::now(),
-                        false => Instant::now() + Duration::from_secs(3600),
-                    };
-                    let got = q.recv_batch(max, due);
-                    if model.is_empty() {
-                        prop_assert_eq!(got, None);
-                    } else {
-                        let batch = got.expect("a ready batch is released");
-                        prop_assert!(!batch.is_empty() && batch.len() <= max);
-                        let take = model.len().min(max);
-                        prop_assert_eq!(batch, model.drain(..take).collect::<Vec<_>>());
-                    }
                 }
                 // Full and open: the send blocks until a receive makes
                 // room, and meanwhile nothing beyond capacity is queued.
@@ -115,7 +86,6 @@ proptest! {
             prop_assert_eq!(q.recv().0, Some(v));
         }
         prop_assert_eq!(q.recv().0, None);
-        prop_assert_eq!(q.recv_batch(3, |_| Instant::now()), None);
         prop_assert_eq!(q.send(1), Err(ProtoError::Disconnected));
     }
 }
