@@ -14,7 +14,7 @@
 //! [`spot_bench::check`]). `--warn-only` reports but exits 0, for
 //! noisy 1-core CI runners where absolute timings swing. The one thing
 //! it does not soften is a same-run ratio above its fixed ceiling
-//! ([`spot_bench::check::CEILINGS`]): that is the same on any runner.
+//! ([`spot_bench::check::RATIOS`]): that is the same on any runner.
 //!
 //! Exit codes: `0` clean (or `--warn-only`), `1` regression(s) found
 //! or a ceiling exceeded, `2` usage or I/O error.

@@ -30,46 +30,40 @@
 //! are **per key** (blob time / keys in the blob). `encrypt_seeded`,
 //! `ct_seeded_bytes` and `ct_from_seeded_bytes` are the upload's own
 //! form — a symmetric encryption, written as `c0` and the seed of `c1`,
-//! read back by expanding the seed — beside the full-form rows, and
-//! `ratios` holds its length over the full form's (0.5004; `bench_check`
-//! fails above 0.51). `ks_decompose` is
-//! the step-independent part of a rotation (`Evaluator::hoist`) and
-//! `rotate_hoisted8` eight rotations sharing one; `ratios` relates the
-//! latter to eight stand-alone `rotate`s, and `bench_check` fails when
-//! it exceeds 0.45. `taps3x3_composed` is the same eight tap positions
-//! the way the conv engine reaches them with four keys — two row moves
-//! and two column moves from the input's hoist, then each moved row
-//! hoisted and moved twice more: three hoists and eight hoisted
-//! rotations — and its ratio to `rotate_hoisted8` (≈ 1.6; ceiling 2.0)
-//! is what four fewer keys cost the server per position.
-//! `dot_lifted9` is a 3×3 kernel's tap sum as one
-//! inner product (`Evaluator::dot_lifted`) and `mult_add9` the same sum
-//! as nine `multiply_lifted` and eight `add_inplace`; their ratio is
-//! held under 0.7. At N4096, `dot_steps16x18` is the sixteen giant
-//! steps of eighteen terms a 32 → 32 SPOT layer sums per input
-//! ciphertext, over eighteen tap positions and 288 distinct plaintexts,
-//! in one `Evaluator::dot_lifted_steps` sweep, and `dot_lifted18x16`
-//! the same sums as sixteen `dot_lifted` calls, the two timed
-//! alternately; their ratio is held under 1.2 (≈ 0.7 under
-//! `avx512ifma`, ≈ 1.0 under `avx2+scalar`). `mod_switch` is the switch every result takes down
-//! to its level's first two primes, mask folded in, **per polynomial**
-//! (a result's time / 2): at N4096 one inverse and two forward row
-//! transforms plus four row passes, so `ratios` relates it to one
-//! forward row transform (≈ 4 at N4096, where `bench_check` fails above
-//! 8, which the coefficient-domain switch it replaced, at ≈ 20, would;
-//! ≈ 7–9 at N8192, where three primes go). The client's
+//! read back by expanding the seed — beside the full-form rows.
+//! `ks_decompose` is the step-independent part of a rotation
+//! (`Evaluator::hoist`) and `rotate_hoisted8` eight rotations sharing
+//! one; `taps3x3_composed` is the same eight tap positions the way the
+//! conv engine reaches them with four keys — two row moves and two
+//! column moves from the input's hoist, then each moved row hoisted and
+//! moved twice more: three hoists and eight hoisted rotations.
+//! `dot_lifted9` is a 3×3 kernel's tap sum as one inner product
+//! (`Evaluator::dot_lifted`) and `mult_add9` the same sum as nine
+//! `multiply_lifted` and eight `add_inplace`. At N4096,
+//! `dot_steps16x18` is the sixteen giant steps of eighteen terms a
+//! 32 → 32 SPOT layer sums per input ciphertext, over eighteen tap
+//! positions and 288 distinct plaintexts, in one
+//! `Evaluator::dot_lifted_steps` sweep, and `dot_lifted18x16` the same
+//! sums as sixteen `dot_lifted` calls. `mod_switch` is the switch every
+//! result takes down to its level's first two primes, mask folded in,
+//! **per polynomial** (a result's time / 2). The client's
 //! `decrypt_result` is `decrypt` of such a result, under the row prefix
 //! of the key. At N4096, `ct_from_sparse_bytes64` and
 //! `decrypt_result_sparse64` are the same result as a coefficient-packed
 //! layer sends it — `c1` and `c0` at 64 positions — read back and
-//! decrypted at those positions only, the two decryptions timed
-//! alternately; `ratios` relates the latter to `decrypt_result` (≈ 0.26
-//! under `avx512ifma`, ≈ 0.6 under `avx2+scalar`, whose inverse
-//! transform is no faster than scalar; `bench_check` fails above 0.75,
-//! which rounding every coefficient again would).
+//! decrypted at those positions only. The pairs `dot_steps16x18` /
+//! `dot_lifted18x16` and `decrypt_result` / `decrypt_result_sparse64`
+//! are timed alternately, so a spell of slow machine falls on both sides
+//! of their ratio alike.
+//!
+//! `ratios` holds every row of [`spot_bench::check::RATIOS`], which
+//! names the two measurements each divides, and `bench_check` holds
+//! them to that table's ceilings.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot_bench::check::{Quantity, RATIOS};
+use spot_bench::timing::{time_pair_us, time_us, time_us_on};
 use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
@@ -81,67 +75,6 @@ use spot_he::prelude::*;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::Tensor;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// `(mean_us, median_us, min_us)` over `reps` timed calls after a
-/// short warm-up pass (untimed, so cold caches and lazy init never
-/// leak into the samples; the median is robust to scheduler spikes on
-/// shared hardware).
-fn time_us(reps: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
-    time_us_on(reps, || (), |()| f())
-}
-
-/// [`time_us`] of `f` on a fresh `setup()` each call, the setup
-/// untimed: for an operation that consumes its input.
-fn time_us_on<T>(
-    reps: usize,
-    mut setup: impl FnMut() -> T,
-    mut f: impl FnMut(T),
-) -> (f64, f64, f64) {
-    for _ in 0..(reps / 10).clamp(1, 5) {
-        f(setup());
-    }
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let input = setup();
-        let start = Instant::now();
-        f(input);
-        samples.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    summarize(samples)
-}
-
-/// [`time_us`] of `f` and of `g`, their calls alternated, so a spell of
-/// slow machine falls on both sides of their ratio alike.
-fn time_pair_us(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> [(f64, f64, f64); 2] {
-    for _ in 0..(reps / 10).clamp(1, 5) {
-        f();
-        g();
-    }
-    let mut samples = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
-    for _ in 0..reps {
-        for (side, call) in samples.iter_mut().zip([&mut f as &mut dyn FnMut(), &mut g]) {
-            let start = Instant::now();
-            call();
-            side.push(start.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    samples.map(summarize)
-}
-
-/// `(mean, median, min)` of timing samples in µs.
-fn summarize(mut samples: Vec<f64>) -> (f64, f64, f64) {
-    let reps = samples.len();
-    let mean = samples.iter().sum::<f64>() / reps as f64;
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let median = if reps % 2 == 1 {
-        samples[reps / 2]
-    } else {
-        (samples[reps / 2 - 1] + samples[reps / 2]) / 2.0
-    };
-    (mean, median, min)
-}
 
 struct Entry {
     op: &'static str,
@@ -151,6 +84,27 @@ struct Entry {
     mean_us: f64,
     median_us: f64,
     min_us: f64,
+}
+
+impl Entry {
+    /// `reps` calls timed as `(mean, median, min)` µs, each call
+    /// standing for `per` of `op`.
+    fn new(
+        (op, level, kernel): (&'static str, &'static str, &'static str),
+        reps: usize,
+        (mean, median, min): (f64, f64, f64),
+        per: f64,
+    ) -> Self {
+        Entry {
+            op,
+            level,
+            kernel,
+            reps,
+            mean_us: mean / per,
+            median_us: median / per,
+            min_us: min / per,
+        }
+    }
 }
 
 /// All measurements for one kernel backend (must already be forced).
@@ -169,17 +123,8 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
         let p = m.value();
         let coeffs: Vec<u64> = (0..n as u64).map(|i| (i * 0x9e37_79b9 + 17) % p).collect();
 
-        let mut push = |op, reps, (mean_us, median_us, min_us)| {
-            entries.push(Entry {
-                op,
-                level: level_name,
-                kernel,
-                reps,
-                mean_us,
-                median_us,
-                min_us,
-            })
-        };
+        let mut push =
+            |op, reps, timed| entries.push(Entry::new((op, level_name, kernel), reps, timed, 1.0));
 
         let mut a = coeffs.clone();
         push(
@@ -406,18 +351,15 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
     };
     conv(); // warm the kernel cache
     let reps = 10;
-    let (mean_us, median_us, min_us) = time_us(reps, || {
+    let timed = time_us(reps, || {
         std::hint::black_box(conv());
     });
-    entries.push(Entry {
-        op: "conv_one_ct",
-        level: "N4096",
-        kernel,
+    entries.push(Entry::new(
+        ("conv_one_ct", "N4096", kernel),
         reps,
-        mean_us,
-        median_us,
-        min_us,
-    });
+        timed,
+        1.0,
+    ));
 }
 
 /// Cross-image batching throughput: one full in-process SPOT conv
@@ -449,22 +391,14 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
             PatchMode::Tweaked,
         );
         let reps = 5;
-        let (mean_us, median_us, min_us) = time_us(reps, || {
+        let timed = time_us(reps, || {
             let mut r = StdRng::seed_from_u64(11);
             std::hint::black_box(
                 run_in_process(&ctx, &keygen, spec, &inputs, &kernel_t, &backend, &mut r)
                     .expect("batched conv session"),
             );
         });
-        entries.push(Entry {
-            op,
-            level: "N4096",
-            kernel,
-            reps,
-            mean_us: mean_us / b as f64,
-            median_us: median_us / b as f64,
-            min_us: min_us / b as f64,
-        });
+        entries.push(Entry::new((op, "N4096", kernel), reps, timed, b as f64));
     }
 }
 
@@ -474,12 +408,16 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
 /// dispatched kernel (its NTTs), so one pass under the production
 /// dispatch is the whole story.
 ///
-/// Returns the byte-count ratios, per level: a serialised one-key blob
-/// over its `k` packed digit polynomials (what a rotation key costs on
-/// the wire against the half of it no seed can replace), and an
-/// uploaded ciphertext over the full form of the same encryption.
-fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(String, f64)> {
-    let mut byte_ratios = Vec::new();
+/// Returns the serialised lengths [`RATIOS`] divides, as
+/// `(name, level, bytes)`: a one-key blob (`galois_key`) and its `k`
+/// packed digit polynomials (`digit_polys`, the half of a rotation key
+/// no seed can replace), and an uploaded ciphertext (`seeded_ct`) and
+/// the full form of the same encryption (`ct`).
+fn measure_client_side(
+    kernel: &'static str,
+    entries: &mut Vec<Entry>,
+) -> Vec<(&'static str, &'static str, f64)> {
+    let mut byte_counts = Vec::new();
     for (level, level_name, reps) in [
         (ParamLevel::N4096, "N4096", 100usize),
         (ParamLevel::N8192, "N8192", 50),
@@ -500,32 +438,31 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(S
         let uploader = SymmetricEncryptor::new(&ctx, keygen.secret_key().clone());
         let seeded = uploader.encrypt(&plain, &mut rng);
         let seeded_blob = seeded.to_bytes();
-        byte_ratios.push((
-            format!("seeded_ct_bytes_per_ct_bytes/{level_name}"),
-            seeded_blob.len() as f64 / ct_blob.len() as f64,
-        ));
         let keys = 4usize;
         let elements = evaluator.galois_elements(&[1, 2, 3, 4], false);
         let gk = keygen.galois_keys(&elements, &mut rng);
         assert_eq!(gk.len(), keys);
         let gk_blob = galois_keys_to_bytes(&gk);
         let one_key = galois_keys_to_bytes(&keygen.galois_keys(&elements[..1], &mut rng));
-        let digit_polys = ctx.moduli_count() * ctx.params().poly_bytes();
-        byte_ratios.push((
-            format!("galois_key_bytes_per_digit_poly/{level_name}"),
-            one_key.len() as f64 / digit_polys as f64,
-        ));
+        for (name, bytes) in [
+            ("seeded_ct", seeded_blob.len()),
+            ("ct", ct_blob.len()),
+            ("galois_key", one_key.len()),
+            (
+                "digit_polys",
+                ctx.moduli_count() * ctx.params().poly_bytes(),
+            ),
+        ] {
+            byte_counts.push((name, level_name, bytes as f64));
+        }
 
-        let mut push = |op, reps, per: usize, (mean_us, median_us, min_us): (f64, f64, f64)| {
-            entries.push(Entry {
-                op,
-                level: level_name,
-                kernel,
+        let mut push = |op, reps, per: usize, timed| {
+            entries.push(Entry::new(
+                (op, level_name, kernel),
                 reps,
-                mean_us: mean_us / per as f64,
-                median_us: median_us / per as f64,
-                min_us: min_us / per as f64,
-            })
+                timed,
+                per as f64,
+            ))
         };
         push(
             "ct_to_bytes",
@@ -641,7 +578,7 @@ fn measure_client_side(kernel: &'static str, entries: &mut Vec<Entry>) -> Vec<(S
         push("decrypt_result", reps, 1, whole);
         push("decrypt_result_sparse64", reps, 1, sparse);
     }
-    byte_ratios
+    byte_counts
 }
 
 fn json_escape(s: &str) -> String {
@@ -650,8 +587,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)]) {
-    let avail: Vec<&str> = arch::available().iter().map(|k| k.name).collect();
+fn emit_json(dispatched: &str, entries: &[Entry], byte_counts: &[(&str, &str, f64)]) {
+    let avail: Vec<String> = (arch::available().iter())
+        .map(|k| format!("\"{}\"", k.name))
+        .collect();
     println!("{{");
     println!("  \"schema\": \"spot-bench-heops/v1\",");
     println!(
@@ -665,14 +604,7 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     );
     println!("  \"host\": {{");
     println!("    \"arch\": \"{}\",", json_escape(std::env::consts::ARCH));
-    println!(
-        "    \"available_kernels\": [{}],",
-        avail
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    println!("    \"available_kernels\": [{}],", avail.join(", "));
     println!("    \"dispatched\": \"{}\"", json_escape(dispatched));
     println!("  }},");
     println!("  \"entries\": [");
@@ -692,91 +624,41 @@ fn emit_json(dispatched: &str, entries: &[Entry], byte_ratios: &[(String, f64)])
     }
     println!("  ],");
     // Scalar-vs-dispatched ratios (scalar min / simd min), per op+level.
-    let mut lines = Vec::new();
-    for e in entries.iter().filter(|e| e.kernel != "scalar") {
-        if let Some(s) = entries
-            .iter()
-            .find(|s| s.kernel == "scalar" && s.op == e.op && s.level == e.level)
-        {
-            lines.push(format!(
-                "    \"{}/{}\": {:.2}",
-                e.op,
-                e.level,
-                s.min_us / e.min_us
-            ));
-        }
-    }
+    let lines: Vec<String> = (entries.iter().filter(|e| e.kernel != "scalar"))
+        .filter_map(|e| {
+            let s = (entries.iter())
+                .find(|s| s.kernel == "scalar" && s.op == e.op && s.level == e.level)?;
+            let speedup = s.min_us / e.min_us;
+            Some(format!("    \"{}/{}\": {speedup:.2}", e.op, e.level))
+        })
+        .collect();
     println!("  \"speedup_scalar_over\": \"min_us ratios: scalar / dispatched\",");
     println!("  \"speedups\": {{");
     println!("{}", lines.join(",\n"));
     println!("  }},");
-    // The numbers `bench_check` holds to fixed ceilings. Eight rotations
-    // from one hoist against eight rotations that each decompose for
-    // themselves, same run, dispatched kernels (ceiling 0.45); a
-    // nine-term tap sum as one inner product against term by term
-    // (ceiling 0.7); a 3×3 kernel's eight taps composed from four keys
-    // against rotated to from one hoist with eight (three hoists for
-    // one; ceiling 2.0); a polynomial's modulus switch against one
-    // forward row transform (ceiling 8 at N4096); a sparse result's
-    // decryption at 64 positions against a whole result's (ceiling 0.75
-    // at N4096); a paper-shaped layer's giant steps in one sweep
-    // against one inner product a step (ceiling 1.2); a rotation key's wire
-    // bytes against its k digit polynomials alone (1.0003 while the a_i
-    // travel as a seed, 2.0 if they travel themselves; ceiling 1.1); and
-    // an uploaded ciphertext's bytes against the full form's (0.5004
-    // while c1 travels as a seed, 1.0 if it travels itself; ceiling
-    // 0.51).
-    let min_us = |op: &str, level: &str| {
-        entries
-            .iter()
+    let measured = |side, level: &str| match side {
+        Quantity::MinUs(op, times) => (entries.iter())
             .find(|e| e.kernel == dispatched && e.op == op && e.level == level)
-            .map(|e| e.min_us)
+            .map(|e| times * e.min_us),
+        Quantity::Bytes(name) => (byte_counts.iter())
+            .find(|&&(n, l, _)| n == name && l == level)
+            .map(|&(_, _, bytes)| bytes),
     };
-    let levels = ["N4096", "N8192"];
-    let mut lines: Vec<String> = levels
-        .iter()
-        .filter_map(|level| {
-            let ratio = min_us("rotate_hoisted8", level)? / (8.0 * min_us("rotate", level)?);
-            Some(format!(
-                "    \"rotate_hoisted8_per_8_rotate/{level}\": {ratio:.3}"
-            ))
+    let lines: Vec<String> = (RATIOS.iter())
+        .flat_map(|row| row.levels.iter().map(move |level| (row, level)))
+        .filter_map(|(row, level)| {
+            let value = row.format(row.value(level, measured)?);
+            Some(format!("    \"{}/{level}\": {value}", row.name))
         })
         .collect();
-    lines.extend(levels.iter().filter_map(|level| {
-        let ratio = min_us("dot_lifted9", level)? / min_us("mult_add9", level)?;
-        Some(format!(
-            "    \"dot_lifted9_per_mult_add9/{level}\": {ratio:.3}"
-        ))
-    }));
-    lines.extend(levels.iter().filter_map(|level| {
-        let ratio = min_us("dot_steps16x18", level)? / min_us("dot_lifted18x16", level)?;
-        Some(format!(
-            "    \"dot_steps16x18_per_16_dot_lifted18/{level}\": {ratio:.3}"
-        ))
-    }));
-    lines.extend(levels.iter().filter_map(|level| {
-        let ratio = min_us("taps3x3_composed", level)? / min_us("rotate_hoisted8", level)?;
-        Some(format!(
-            "    \"taps3x3_composed_per_rotate_hoisted8/{level}\": {ratio:.3}"
-        ))
-    }));
-    lines.extend(levels.iter().filter_map(|level| {
-        let ratio = min_us("mod_switch", level)? / min_us("ntt_forward", level)?;
-        Some(format!(
-            "    \"mod_switch_per_ntt_forward/{level}\": {ratio:.3}"
-        ))
-    }));
-    lines.extend(levels.iter().filter_map(|level| {
-        let ratio = min_us("decrypt_result_sparse64", level)? / min_us("decrypt_result", level)?;
-        Some(format!(
-            "    \"decrypt_result_sparse64_per_decrypt_result/{level}\": {ratio:.3}"
-        ))
-    }));
-    lines.extend((byte_ratios.iter()).map(|(name, ratio)| format!("    \"{name}\": {ratio:.4}")));
+    let bytes = RATIOS
+        .iter()
+        .filter(|row| matches!(row.of, Quantity::Bytes(_)));
+    let bytes: Vec<&str> = bytes.map(|row| row.name).collect();
     println!(
         "  \"ratios_of\": \"min_us ratios within this run, dispatched kernels; \
-         serialised byte counts for galois_key_bytes_per_digit_poly and \
-         seeded_ct_bytes_per_ct_bytes\","
+         serialised byte counts for {}\",",
+        bytes.join(" and ")
     );
     println!("  \"ratios\": {{");
     println!("{}", lines.join(",\n"));
@@ -815,10 +697,10 @@ fn main() {
     // Batching amortization is a protocol property, not a kernel one:
     // measure it once under the production dispatch.
     measure_batched(dispatched, &mut entries);
-    let byte_ratios = measure_client_side(dispatched, &mut entries);
+    let byte_counts = measure_client_side(dispatched, &mut entries);
 
     if json {
-        emit_json(dispatched, &entries, &byte_ratios);
+        emit_json(dispatched, &entries, &byte_counts);
     } else {
         emit_table(&entries);
     }

@@ -3,10 +3,7 @@
 //! and checks the reconstructed output against both the plaintext
 //! forward pass and an in-process `MemTransport` reference run.
 //!
-//! ```text
-//! spot-client [--connect 127.0.0.1:7341] [--scheme spot|channelwise|cheetah]
-//!             [--batch N] [--seed S] [--link lan|wlan] [--trace out.json]
-//! ```
+//! The flags are `USAGE`'s; any other argument exits 2 and prints it.
 //!
 //! Prints `output vs plain: MATCH` / `output vs reference: MATCH` on
 //! success (the loopback e2e CI job greps for these); with `--batch N`
@@ -16,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spot_bench::{arg_value, scheme_arg};
+use spot_bench::{arg_value, refuse_unknown_args, scheme_arg};
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
@@ -31,6 +28,10 @@ use spot_proto::transport::{MemTransport, TcpTransport, Transport, TransportStat
 use spot_tensor::tensor::Tensor;
 use std::sync::Arc;
 use std::time::Duration;
+
+const USAGE: &str = "usage: spot-client [--connect 127.0.0.1:7341] \
+     [--scheme spot|channelwise|cheetah] [--batch N] [--seed S] [--link lan|wlan] \
+     [--trace out.json]";
 
 fn connect_with_retry(addr: &str) -> TcpTransport {
     for _ in 0..100 {
@@ -88,6 +89,7 @@ fn mem_reference(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    refuse_unknown_args(&args, USAGE);
     let addr = arg_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:7341".into());
     let scheme = scheme_arg(&args);
     let seed: u64 = arg_value(&args, "--seed")

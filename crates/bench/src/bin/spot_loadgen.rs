@@ -43,7 +43,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_bench::check::{http_get, parse_prometheus};
-use spot_bench::{arg_value, scheme_arg};
+use spot_bench::{arg_value, refuse_unknown_args, scheme_arg};
 use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
@@ -63,35 +63,6 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "usage: spot-loadgen (--mem | --connect ADDR) [--clients N] [--requests R] \
      [--concurrency C] [--scheme spot|channelwise|cheetah] [--seed S] [--max-sessions N] \
      [--sweep 1,8,64] [--json PATH] [--scrape ADDR] [--trace out.json]";
-
-/// Every flag of [`USAGE`] that takes a value; `--mem` is the one that
-/// does not.
-const VALUED_FLAGS: [&str; 11] = [
-    "--connect",
-    "--clients",
-    "--requests",
-    "--concurrency",
-    "--scheme",
-    "--seed",
-    "--max-sessions",
-    "--sweep",
-    "--json",
-    "--scrape",
-    "--trace",
-];
-
-/// The first argument [`USAGE`] does not name, or a valued flag with
-/// nothing after it.
-fn unknown_arg(args: &[String]) -> Option<&str> {
-    let mut rest = args.iter().skip(1);
-    while let Some(arg) = rest.next() {
-        let known = arg == "--mem" || VALUED_FLAGS.contains(&arg.as_str()) && rest.next().is_some();
-        if !known {
-            return Some(arg);
-        }
-    }
-    None
-}
 
 /// Where client sessions go: an in-process server (each connection is
 /// a fresh `MemTransport` pair served on its own thread) or a TCP
@@ -441,10 +412,7 @@ fn scrape_and_crosscheck(addr: &str, r: &ScenarioResult) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if let Some(arg) = unknown_arg(&args) {
-        eprintln!("spot-loadgen: unknown or incomplete argument {arg:?}\n{USAGE}");
-        std::process::exit(2);
-    }
+    refuse_unknown_args(&args, USAGE);
     let mem = args.iter().any(|a| a == "--mem");
     let addr = arg_value(&args, "--connect");
     assert!(
@@ -554,40 +522,5 @@ fn main() {
         .any(|r| r.mismatched > 0 || r.errors > 0 || r.matched == 0);
     if bad {
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(line: &str) -> Vec<String> {
-        std::iter::once("spot-loadgen")
-            .chain(line.split_whitespace())
-            .map(String::from)
-            .collect()
-    }
-
-    #[test]
-    fn the_usage_line_names_exactly_the_flags_accepted() {
-        let mut named: Vec<&str> = USAGE
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .filter(|w| w.starts_with("--"))
-            .collect();
-        named.sort_unstable();
-        let mut accepted = VALUED_FLAGS.to_vec();
-        accepted.push("--mem");
-        accepted.sort_unstable();
-        assert_eq!(named, accepted);
-    }
-
-    #[test]
-    fn unknown_and_incomplete_arguments_are_refused() {
-        let all = "--mem --connect a:1 --clients 2 --requests 1 --concurrency 1 --scheme spot \
-                   --seed 3 --max-sessions 4 --sweep 1,8 --json j --scrape s:2 --trace t";
-        assert_eq!(unknown_arg(&args(all)), None);
-        assert_eq!(unknown_arg(&args("--mem --mode open")), Some("--mode"));
-        assert_eq!(unknown_arg(&args("--mem 4")), Some("4"));
-        assert_eq!(unknown_arg(&args("--mem --clients")), Some("--clients"));
     }
 }

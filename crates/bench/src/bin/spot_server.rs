@@ -18,19 +18,13 @@
 //! `/healthz`, `/sessions`. Diagnostics go through the `SPOT_LOG`
 //! leveled logger (`SPOT_LOG=debug` for per-session detail).
 //!
-//! ```text
-//! spot-server [--listen 127.0.0.1:7341] [--backend streaming|phased]
-//!             [--threads N] [--capacity N] [--seed S] [--trace out.json]
-//!             [--once] [--max-sessions N] [--max-batch N] [--pool N]
-//!             [--serve N] [--read-timeout-ms MS] [--admin ADDR]
-//!             [--linger-ms MS]
-//! ```
+//! The flags are `USAGE`'s; any other argument exits 2 and prints it.
 //!
 //! [`ModelContext`]: spot_core::serving::ModelContext
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spot_bench::arg_value;
+use spot_bench::{arg_value, refuse_unknown_args};
 use spot_core::admin::AdminServer;
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
@@ -48,8 +42,14 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
+const USAGE: &str = "usage: spot-server [--listen 127.0.0.1:7341] [--backend streaming|phased] \
+     [--threads N] [--capacity N] [--seed S] [--trace out.json] [--once] [--max-sessions N] \
+     [--max-batch N] [--pool N] [--serve N] [--read-timeout-ms MS] [--admin ADDR] \
+     [--linger-ms MS]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    refuse_unknown_args(&args, USAGE);
     let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7341".into());
     let backend_name = arg_value(&args, "--backend").unwrap_or_else(|| "streaming".into());
     let threads: usize = arg_value(&args, "--threads")

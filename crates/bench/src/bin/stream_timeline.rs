@@ -1,9 +1,10 @@
 //! Measured pipeline timeline: runs each scheme through the server's
 //! conv driver (`spot-core::stream`) on a scaled-down Table-I-class
 //! layer with a single-thread server and a 2-ciphertext client budget,
-//! then dumps the measured stall table, a Gantt-style span trace per
-//! scheme (from the `spot-trace` layer), and the spot-he buffer pool's
-//! steady-state allocation counters.
+//! then dumps the measured stall table, each scheme's whole in-process
+//! session time under the phased and the streamed harness, a
+//! Gantt-style span trace per scheme (from the `spot-trace` layer), and
+//! the spot-he buffer pool's steady-state allocation counters.
 //!
 //! ```text
 //! stream-timeline [--trace out.json]
@@ -26,6 +27,7 @@ use spot_he::prelude::*;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::{Cat, Event, Phase};
 use std::sync::Arc;
+use std::time::Instant;
 
 const MAX_EVENTS: usize = 48;
 
@@ -95,11 +97,7 @@ fn dump_gantt(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let trace_path = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let trace_path = spot_bench::arg_value(&args, "--trace");
     let trace_baseline = spot_bench::traceio::trace_begin();
 
     let ctx = spot_he::context::Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -116,25 +114,24 @@ fn main() {
     println!("server = 1 thread, client ciphertext budget (channel capacity) = 2\n");
 
     let mut timelines = Vec::new();
+    let mut session_s = Vec::new();
     let mut all_events: Vec<Event> = Vec::new();
     for scheme in SchemeKind::ALL {
-        let _ = spot_trace::take_events(); // clear any setup noise
-        let mut rng = StdRng::seed_from_u64(7000);
         let spec = LayerSpec::for_layer(scheme, &input, &kernel, 1, (4, 4), PatchMode::Tweaked);
-        let stats = run_in_process(
-            &ctx,
-            &keygen,
-            spec,
-            std::slice::from_ref(&input),
-            &kernel,
-            &ExecBackend::Streaming(cfg),
-            &mut rng,
-        )
-        .expect("in-process session")
-        .stream
-        .expect("every backend reports stats");
+        let session = |backend: &ExecBackend| {
+            let mut rng = StdRng::seed_from_u64(7000);
+            let start = Instant::now();
+            let inputs = std::slice::from_ref(&input);
+            let outcome = run_in_process(&ctx, &keygen, spec, inputs, &kernel, backend, &mut rng)
+                .expect("in-process session");
+            (outcome.stream, start.elapsed().as_secs_f64())
+        };
+        let (_, phased_s) = session(&ExecBackend::Phased(Executor::serial()));
+        let _ = spot_trace::take_events(); // clear the phased run and any setup noise
+        let (stats, streamed_s) = session(&ExecBackend::Streaming(cfg));
         let events = spot_trace::take_events();
         all_events.extend(events.iter().cloned());
+        session_s.push((scheme, phased_s, streamed_s));
         timelines.push((scheme, stats, events));
     }
     let threads = spot_trace::thread_names();
@@ -145,8 +142,13 @@ fn main() {
         "{}",
         stall_table("Measured stall accounting (single-thread server)", &rows)
     );
+    println!("== Whole in-process session, client and server (one run each) ==");
+    println!("{:<12}{:>10}{:>10}", "scheme", "phased", "streamed");
+    for (scheme, phased_s, streamed_s) in &session_s {
+        println!("{:<12}{phased_s:>9.3}s{streamed_s:>9.3}s", scheme.label());
+    }
     println!(
-        "A job waits for the inputs it reads: SPOT's read one ciphertext\n\
+        "\nA job waits for the inputs it reads: SPOT's read one ciphertext\n\
          each, so the server is busy during the upload; the all-input\n\
          schemes' read every one, so each worker waits until the last\n\
          lands (\"server idle\" = worker time blocked waiting for a\n\

@@ -2,10 +2,7 @@
 //! `spot-client` and a `spot-server` run into one Perfetto-loadable
 //! timeline and prints the per-layer overlap attribution.
 //!
-//! ```text
-//! trace_merge --client client.json --server server.json
-//!             --out merged.json [--json report.json]
-//! ```
+//! The flags are `USAGE`'s; any other argument exits 2 and prints it.
 //!
 //! The merged timeline puts client lanes under pid 1 and server lanes
 //! under pid 2, aligns the server clock using the clock-sync estimate
@@ -15,17 +12,19 @@
 //! CI smoke job greps; `--json` writes the `spot-bench-pipeline/v1`
 //! report consumed by `bench_check` against `BENCH_pipeline.json`.
 
-use spot_bench::arg_value;
 use spot_bench::traceio::{read_trace, write_trace_json};
+use spot_bench::{arg_value, refuse_unknown_args};
 use std::path::Path;
+
+const USAGE: &str = "usage: trace_merge --client CLIENT.json --server SERVER.json \
+     --out MERGED.json [--json REPORT.json]";
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let usage = "usage: trace_merge --client CLIENT.json --server SERVER.json \
-                 --out MERGED.json [--json REPORT.json]";
-    let client_path = arg_value(&args, "--client").unwrap_or_else(|| panic!("{usage}"));
-    let server_path = arg_value(&args, "--server").unwrap_or_else(|| panic!("{usage}"));
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| panic!("{usage}"));
+    refuse_unknown_args(&args, USAGE);
+    let client_path = arg_value(&args, "--client").unwrap_or_else(|| panic!("{USAGE}"));
+    let server_path = arg_value(&args, "--server").unwrap_or_else(|| panic!("{USAGE}"));
+    let out_path = arg_value(&args, "--out").unwrap_or_else(|| panic!("{USAGE}"));
     let json_path = arg_value(&args, "--json");
 
     let client = read_trace(Path::new(&client_path)).expect("client trace");

@@ -6,20 +6,18 @@
 //! paper's SEAL measurements; the simulator's embedded reference table
 //! keeps deterministic output for the other tables.
 
+use crate::timing::time_us;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_he::prelude::*;
 use spot_pipeline::device::{HeCostTable, OpCosts};
-use std::time::Instant;
 
-fn time<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    // one warmup
-    let _ = f();
-    let start = Instant::now();
-    for _ in 0..reps {
+/// Mean seconds per call of `f` (see [`time_us`]).
+fn mean_s<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let (mean_us, _, _) = time_us(reps, || {
         std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() / reps as f64
+    });
+    mean_us / 1e6
 }
 
 /// Measures one parameter level. `reps` trades accuracy for runtime.
@@ -41,13 +39,13 @@ pub fn calibrate_level(level: ParamLevel, reps: usize) -> OpCosts {
     let ct = encryptor.encrypt(&pt, &mut rng);
     let ct2 = encryptor.encrypt(&pt, &mut rng);
 
-    let encrypt = time(reps, || encryptor.encrypt(&pt, &mut rng));
-    let decrypt = time(reps.min(4), || decryptor.decrypt(&ct));
-    let mult_plain = time(reps, || evaluator.multiply_lifted(&ct, &lifted));
-    let add = time(reps, || evaluator.add(&ct, &ct2));
+    let encrypt = mean_s(reps, || encryptor.encrypt(&pt, &mut rng));
+    let decrypt = mean_s(reps.min(4), || decryptor.decrypt(&ct));
+    let mult_plain = mean_s(reps, || evaluator.multiply_lifted(&ct, &lifted));
+    let add = mean_s(reps, || evaluator.add(&ct, &ct2));
     let rotate = if level.supports_rotation() {
         let gk = keygen.galois_keys(&evaluator.galois_elements(&[1], false), &mut rng);
-        time(reps, || evaluator.rotate_rows(&ct, 1, &gk))
+        mean_s(reps, || evaluator.rotate_rows(&ct, 1, &gk))
     } else {
         f64::INFINITY
     };

@@ -306,88 +306,148 @@ pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> Che
     report
 }
 
-/// Same-run ratios held to a fixed ceiling: `(path prefix, ceiling)`.
-/// Both sides of such a ratio come from one process on one machine, so
-/// it holds still where absolute times do not, and it is gated against
-/// the ceiling itself, not against a baseline that could drift upward
-/// a tolerance at a time. `rotate_hoisted8_per_8_rotate` is eight
-/// rotations from one key-switch decomposition over eight that each
-/// redo it: about 0.35 at `N = 4096` now that a rotation from a hoist
-/// is one pass of inner products and the decomposition is what is left,
-/// and 1.0 if the sharing is lost. `dot_lifted9_per_mult_add9` is a
-/// nine-term tap sum as one inner product over nine plaintext
-/// multiplies and eight additions: about 0.4, and 1.0 if the sum goes
-/// back to reducing (and materialising) every term.
-/// `taps3x3_composed_per_rotate_hoisted8` is a 3×3 kernel's eight tap
-/// positions composed from four keys (three hoists, eight hoisted
-/// rotations) over the same eight from one hoist and eight keys: the
-/// server-side price of the four keys the client no longer makes. If
-/// every tap paid a hoist of its own it would be eight stand-alone
-/// rotations over eight from one hoist, the inverse of
-/// `rotate_hoisted8_per_8_rotate`. Five runs a table at `N` = 4096 and
-/// 8192 on an AVX-512 IFMA Xeon read 1.33–1.73 healthy and 2.39–2.96
-/// failing under `avx512ifma`, 1.52–1.76 and 2.83–3.22 under
-/// `avx2+scalar`; the ceiling sits between the worst of each.
-/// `galois_key_bytes_per_digit_poly` is a serialised rotation key over
-/// its `k` packed `b_i` alone: 1.0003 while the `a_i` travel as a
-/// 32-byte seed, 2.0 if they ever travel themselves again.
-/// `seeded_ct_bytes_per_ct_bytes` is an uploaded ciphertext over the
-/// full form of the same encryption: 0.5004 while `c1` travels as a
-/// 32-byte seed, 1.0 if the upload ever carries it again.
-/// `mod_switch_per_ntt_forward` is one polynomial of a result switched
-/// down to two primes, mask folded in, over one forward row transform,
-/// gated at `N = 4096`, the level results are served at: three
-/// transforms and four row passes read 3.5–4.3 healthy under either
-/// table; the coefficient-domain switch it replaced (every row back and
-/// forth, scalar arithmetic per coefficient) reads about 20. `N = 8192`
-/// is reported beside it, not gated: three primes go there, five
-/// transforms and fourteen row passes a polynomial, which read 6.6 under
-/// `avx512ifma` and up to 8.6 under `avx2+scalar`.
-/// `decrypt_result_sparse64_per_decrypt_result` is a sparse result's
-/// decryption at 64 positions over a whole result's, both at `N = 4096`'s
-/// two result primes, timed alternately: `c1·s` and its two inverse row
-/// transforms are paid either way, and only the rounding of the other
-/// 4,032 coefficients is saved. Ten runs on an AVX-512 IFMA Xeon read
-/// 0.24–0.28 under `avx512ifma` and 0.57–0.62 under `avx2+scalar`, whose
-/// inverse transform is no faster than scalar; rounding every
-/// coefficient again reads 1.0 or more under either.
-/// `dot_steps16x18_per_16_dot_lifted18` is a paper-shaped layer's
-/// sixteen giant steps of eighteen terms each summed in one tiled
-/// sweep over the tap positions over the same sums as sixteen
-/// `dot_lifted` calls, at `N = 4096`, timed alternately: the one-pass
-/// kernel must never cost more than the calls it replaced. On an
-/// AVX-512 IFMA Xeon, ten runs read 0.63–0.82 under `avx512ifma`, whose
-/// tap sum is memory-bound and gains from reading each tile of the
-/// positions once, and nineteen read 0.95–1.13 under `avx2+scalar`,
-/// whose `u128` body is compute-bound and gains nothing; a sweep whose
-/// tiles are one 8-coefficient chunk, every step's plaintexts streamed
-/// at once, read 1.41–1.49 there.
-pub const CEILINGS: &[(&str, f64)] = &[
-    ("ratios/rotate_hoisted8_per_8_rotate/", 0.45),
-    ("ratios/dot_lifted9_per_mult_add9/", 0.7),
-    ("ratios/taps3x3_composed_per_rotate_hoisted8/", 2.0),
-    ("ratios/galois_key_bytes_per_digit_poly/", 1.1),
-    ("ratios/seeded_ct_bytes_per_ct_bytes/", 0.51),
-    ("ratios/mod_switch_per_ntt_forward/N4096", 8.0),
-    (
-        "ratios/decrypt_result_sparse64_per_decrypt_result/N4096",
-        0.75,
-    ),
-    ("ratios/dot_steps16x18_per_16_dot_lifted18/", 1.2),
+/// One side of a [`Ratio`]: what `bench_heops` measured at a level.
+#[derive(Debug, Clone, Copy)]
+pub enum Quantity {
+    /// The dispatched kernel table's `min_us` of an `entries` row
+    /// (its `op`), times how many calls of it the other side stands for.
+    MinUs(&'static str, f64),
+    /// A serialised length in bytes.
+    Bytes(&'static str),
+}
+
+/// A same-run ratio `bench_heops --json` reports under `ratios` as
+/// `{name}/{level}` and `bench_check` holds to a fixed ceiling. Both
+/// sides come from one process on one machine, so it holds still where
+/// absolute times do not, and it is gated against the ceiling itself,
+/// not against a baseline that could drift upward a tolerance at a time.
+pub struct Ratio {
+    /// The name before `/{level}`.
+    pub name: &'static str,
+    /// The numerator.
+    pub of: Quantity,
+    /// The denominator.
+    pub per: Quantity,
+    /// The levels it is reported at.
+    pub levels: &'static [&'static str],
+    /// The value above which `bench_check` fails.
+    pub ceiling: f64,
+    /// The one level the ceiling applies to, or `None` for every level.
+    pub gated_at: Option<&'static str>,
+    /// The worst values measured on healthy code, which pass.
+    pub healthy: &'static [f64],
+    /// A value of the code the ceiling rules out, which fails.
+    pub failing: f64,
+}
+
+impl Ratio {
+    /// The ratio at `level` of what `read` measured of its two sides.
+    pub fn value(&self, level: &str, read: impl Fn(Quantity, &str) -> Option<f64>) -> Option<f64> {
+        Some(read(self.of, level)? / read(self.per, level)?)
+    }
+
+    /// `value` as `BENCH_heops.json` prints it: a byte ratio to four
+    /// decimals, a timing ratio to three.
+    pub fn format(&self, value: f64) -> String {
+        let decimals = 3 + matches!(self.of, Quantity::Bytes(_)) as usize;
+        format!("{value:.decimals$}")
+    }
+}
+
+use Quantity::{Bytes, MinUs};
+const BOTH: &[&str] = &["N4096", "N8192"];
+const SERVED: &[&str] = &["N4096"];
+
+/// Every gated ratio, one row each: adding one is a row here and the
+/// measurements its sides name.
+#[rustfmt::skip]
+pub const RATIOS: &[Ratio] = &[
+    // Eight rotations from one key-switch decomposition over eight that
+    // each redo it: 0.35 under `avx2+scalar` and 0.38 under `avx512ifma`
+    // now that a rotation from a hoist is one pass of inner products and
+    // the decomposition is what is left; 0.49 when it was two passes,
+    // the value the gate was introduced at; 1.0 if the sharing is lost.
+    Ratio { name: "rotate_hoisted8_per_8_rotate",
+        of: MinUs("rotate_hoisted8", 1.0), per: MinUs("rotate", 8.0),
+        levels: BOTH, ceiling: 0.45, gated_at: None, healthy: &[0.35, 0.38], failing: 0.49 },
+    // A 3×3 kernel's tap sum as one inner product over nine plaintext
+    // multiplies and eight additions: 0.45 / 0.59 under `avx2+scalar` /
+    // `avx512ifma`; 0.97 when the sum reduces (and materialises) every
+    // term.
+    Ratio { name: "dot_lifted9_per_mult_add9",
+        of: MinUs("dot_lifted9", 1.0), per: MinUs("mult_add9", 1.0),
+        levels: BOTH, ceiling: 0.7, gated_at: None, healthy: &[0.45, 0.59], failing: 0.97 },
+    // A paper-shaped layer's sixteen giant steps of eighteen terms (SPOT
+    // at 32 → 32) summed in one tiled sweep over the tap positions over
+    // the same sums as sixteen `dot_lifted` calls, timed alternately, at
+    // the served level only. Ten runs on an AVX-512 IFMA Xeon read
+    // 0.63–0.82 under `avx512ifma`, whose memory-bound tap sum gains
+    // from reading each tile of the positions once; nineteen read
+    // 0.95–1.13 under `avx2+scalar`, whose compute-bound `u128` body
+    // gains nothing. Tiles of one 8-coefficient chunk, every step's
+    // plaintexts streamed at once, read 1.41–1.49 there.
+    Ratio { name: "dot_steps16x18_per_16_dot_lifted18",
+        of: MinUs("dot_steps16x18", 1.0), per: MinUs("dot_lifted18x16", 1.0),
+        levels: SERVED, ceiling: 1.2, gated_at: None, healthy: &[0.82, 1.13], failing: 1.41 },
+    // A 3×3 kernel's eight tap positions composed from four keys (three
+    // hoists, eight hoisted rotations) over the same eight from one
+    // hoist and eight keys: the server-side price of the four keys the
+    // client no longer makes. Five runs a table at both levels on an
+    // AVX-512 IFMA Xeon read 1.33–1.73 healthy under `avx512ifma` and
+    // 1.52–1.76 under `avx2+scalar`; taps that each pay a hoist read
+    // 2.39–2.96 and 2.83–3.22.
+    Ratio { name: "taps3x3_composed_per_rotate_hoisted8",
+        of: MinUs("taps3x3_composed", 1.0), per: MinUs("rotate_hoisted8", 1.0),
+        levels: BOTH, ceiling: 2.0, gated_at: None, healthy: &[1.73, 1.76], failing: 2.39 },
+    // One polynomial of a result switched down to two primes, mask
+    // folded in, over one forward row transform. Gated at the level
+    // results are served at, where three transforms and four row passes
+    // read 3.5–4.43 under either table and the coefficient-domain switch
+    // (every row back and forth, scalar arithmetic per coefficient)
+    // about 20. At N8192 three primes go, five transforms and fourteen
+    // row passes a polynomial: 6.6 under `avx512ifma`, up to 8.6 under
+    // `avx2+scalar`, reported and not gated.
+    Ratio { name: "mod_switch_per_ntt_forward",
+        of: MinUs("mod_switch", 1.0), per: MinUs("ntt_forward", 1.0),
+        levels: BOTH, ceiling: 8.0, gated_at: Some("N4096"), healthy: &[4.43], failing: 20.0 },
+    // A sparse result's decryption at 64 positions over a whole
+    // result's, both at N4096's two result primes, timed alternately:
+    // `c1·s` and its two inverse row transforms are paid either way,
+    // only the rounding of the other 4,032 coefficients is saved. Ten
+    // runs on an AVX-512 IFMA Xeon read 0.24–0.28 under `avx512ifma` and
+    // 0.57–0.62 under `avx2+scalar`, whose inverse transform is no
+    // faster than scalar; rounding every coefficient again reads 1.0 or
+    // more under either.
+    Ratio { name: "decrypt_result_sparse64_per_decrypt_result",
+        of: MinUs("decrypt_result_sparse64", 1.0), per: MinUs("decrypt_result", 1.0),
+        levels: SERVED, ceiling: 0.75, gated_at: None, healthy: &[0.28, 0.62], failing: 1.05 },
+    // A serialised one-key blob over its `k` packed `b_i` alone: 1.0003
+    // while the `a_i` travel as a 32-byte seed, 2.0 if they travel
+    // themselves again.
+    Ratio { name: "galois_key_bytes_per_digit_poly",
+        of: Bytes("galois_key"), per: Bytes("digit_polys"),
+        levels: BOTH, ceiling: 1.1, gated_at: None, healthy: &[1.0003], failing: 2.0 },
+    // An uploaded ciphertext over the full form of the same encryption:
+    // 0.5004 while `c1` travels as a 32-byte seed, 1.0 if it travels
+    // itself again.
+    Ratio { name: "seeded_ct_bytes_per_ct_bytes",
+        of: Bytes("seeded_ct"), per: Bytes("ct"),
+        levels: BOTH, ceiling: 0.51, gated_at: None, healthy: &[0.5004], failing: 1.0 },
 ];
 
-/// Every metric of `current` above its [`CEILINGS`] entry, reported
-/// with the ceiling in the baseline position.
+/// Every `ratios/{name}/{level}` metric of `current` above its
+/// [`RATIOS`] row's ceiling, reported with the ceiling in the baseline
+/// position.
 pub fn over_ceiling(current: &MetricMap) -> Vec<Regression> {
     let over = current.iter().filter_map(|(path, &value)| {
-        let &(_, ceiling) = CEILINGS
-            .iter()
-            .find(|(prefix, _)| path.starts_with(prefix))?;
-        (value > ceiling).then(|| Regression {
+        let (name, level) = path.strip_prefix("ratios/")?.split_once('/')?;
+        let row = RATIOS.iter().find(|row| row.name == name)?;
+        let gated = row.gated_at.is_none_or(|at| at == level);
+        (gated && value > row.ceiling).then(|| Regression {
             metric: path.clone(),
-            baseline: ceiling,
+            baseline: row.ceiling,
             current: value,
-            ratio: value / ceiling,
+            ratio: value / row.ceiling,
         })
     });
     over.collect()
@@ -580,122 +640,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ceilings_gate_the_current_side_alone() {
-        let run_composing = |[hoisting, tap_sum, key_bytes, ct_bytes, composed]: [f64; 5]| {
-            parse_baseline(&format!(
-                r#"{{"ratios": {{"rotate_hoisted8_per_8_rotate/N4096": {hoisting},
-                     "rotate_hoisted8_per_8_rotate/N8192": 0.31,
-                     "dot_lifted9_per_mult_add9/N4096": {tap_sum},
-                     "taps3x3_composed_per_rotate_hoisted8/N4096": {composed},
-                     "galois_key_bytes_per_digit_poly/N4096": {key_bytes},
-                     "seeded_ct_bytes_per_ct_bytes/N4096": {ct_bytes}}},
-                   "speedups": {{"rotate/N4096": 1.8}}}}"#
-            ))
-            .unwrap()
-        };
-        let run_uploading = |hoisting, tap_sum, key_bytes, ct_bytes| {
-            run_composing([hoisting, tap_sum, key_bytes, ct_bytes, 1.5])
-        };
-        let run_with =
-            |hoisting, tap_sum, key_bytes| run_uploading(hoisting, tap_sum, key_bytes, 0.5004);
-        let run = |hoisting: f64| run_with(hoisting, 0.41, 1.0003);
-        assert!(over_ceiling(&run(0.35)).is_empty());
-        // Rotation keys that carry their a_i again are twice the size.
-        let unseeded = over_ceiling(&run_with(0.35, 0.41, 2.0));
-        assert_eq!(unseeded.len(), 1);
-        assert_eq!(
-            (unseeded[0].metric.as_str(), unseeded[0].baseline),
-            ("ratios/galois_key_bytes_per_digit_poly/N4096", 1.1)
-        );
-        // An upload that carries its c1 again is the full form's size.
-        let whole = over_ceiling(&run_uploading(0.35, 0.41, 1.0003, 1.0));
-        assert_eq!(whole.len(), 1);
-        assert_eq!(
-            (whole[0].metric.as_str(), whole[0].baseline),
-            ("ratios/seeded_ct_bytes_per_ct_bytes/N4096", 0.51)
-        );
-        // A tap sum that multiplies and adds term by term again.
-        let eager = over_ceiling(&run_with(0.35, 0.97, 1.0003));
-        assert_eq!(eager.len(), 1);
-        assert_eq!(
-            (eager[0].metric.as_str(), eager[0].baseline),
-            ("ratios/dot_lifted9_per_mult_add9/N4096", 0.7)
-        );
-        // Composed taps at their worst measured healthy values on either
-        // kernel table pass; taps that pay one hoist each, not one a
-        // moved row, fail at their best measured value.
-        for healthy in [1.73, 1.76] {
-            assert!(over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, healthy])).is_empty());
-        }
-        let switching = |ratio: f64| {
-            parse_baseline(&format!(
-                r#"{{"ratios": {{"mod_switch_per_ntt_forward/N4096": {ratio}}}}}"#
-            ))
-            .unwrap()
-        };
-        assert!(over_ceiling(&switching(4.2)).is_empty());
-        // The coefficient-domain switch: every row back and forth.
-        let unfolded = over_ceiling(&switching(20.0));
-        assert_eq!(unfolded.len(), 1);
-        assert_eq!(
-            (unfolded[0].metric.as_str(), unfolded[0].baseline),
-            ("ratios/mod_switch_per_ntt_forward/N4096", 8.0)
-        );
-        let sparse = |ratio: f64| {
-            parse_baseline(&format!(
-                r#"{{"ratios": {{"decrypt_result_sparse64_per_decrypt_result/N4096": {ratio}}}}}"#
-            ))
-            .unwrap()
-        };
-        for healthy in [0.28, 0.62] {
-            assert!(over_ceiling(&sparse(healthy)).is_empty());
-        }
-        // A sparse decryption that rounds every coefficient again.
-        let rounding_all = over_ceiling(&sparse(1.05));
-        assert_eq!(rounding_all.len(), 1);
-        assert_eq!(
-            (rounding_all[0].metric.as_str(), rounding_all[0].baseline),
-            (
-                "ratios/decrypt_result_sparse64_per_decrypt_result/N4096",
-                0.75
-            )
-        );
-        let sweeping = |ratio: f64| {
-            parse_baseline(&format!(
-                r#"{{"ratios": {{"dot_steps16x18_per_16_dot_lifted18/N4096": {ratio}}}}}"#
-            ))
-            .unwrap()
-        };
-        for healthy in [0.82, 1.13] {
-            assert!(over_ceiling(&sweeping(healthy)).is_empty());
-        }
-        // A sweep that streams every step's plaintexts at once.
-        let untiled = over_ceiling(&sweeping(1.41));
-        assert_eq!(untiled.len(), 1);
-        assert_eq!(
-            (untiled[0].metric.as_str(), untiled[0].baseline),
-            ("ratios/dot_steps16x18_per_16_dot_lifted18/N4096", 1.2)
-        );
-        let hoist_per_tap = over_ceiling(&run_composing([0.35, 0.41, 1.0003, 0.5004, 2.39]));
-        assert_eq!(hoist_per_tap.len(), 1);
-        assert_eq!(
-            (hoist_per_tap[0].metric.as_str(), hoist_per_tap[0].baseline),
-            ("ratios/taps3x3_composed_per_rotate_hoisted8/N4096", 2.0)
-        );
-        // The ratio the hoisting gate was introduced at is over it now.
-        assert_eq!(over_ceiling(&run(0.49)).len(), 1);
-        let over = over_ceiling(&run(0.97));
-        assert_eq!(over.len(), 1);
-        assert_eq!(over[0].metric, "ratios/rotate_hoisted8_per_8_rotate/N4096");
-        assert_eq!((over[0].baseline, over[0].current), (0.45, 0.97));
-        // Not a relative metric: a baseline that already sat high does
-        // not make a high current value acceptable, and the diff skips it.
-        assert_eq!(
-            classify("ratios/rotate_hoisted8_per_8_rotate/N4096"),
-            Direction::Neutral
-        );
-        assert!(compare(&run(0.97), &run(0.97), 0.25).regressions.is_empty());
+    /// A committed baseline's text; a missing file fails the test.
+    fn committed(path: &str) -> String {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
     }
 
     #[test]
@@ -705,11 +652,65 @@ mod tests {
             "../../BENCH_serving.json",
             "../../BENCH_pipeline.json",
         ] {
-            let Ok(content) = std::fs::read_to_string(path) else {
-                continue; // moved baselines are not this test's concern
-            };
-            let map = parse_baseline(&content).expect("baseline parses");
+            let map = parse_baseline(&committed(path)).expect("baseline parses");
             assert!(!map.is_empty(), "{path} flattened to nothing");
+        }
+    }
+
+    #[test]
+    fn every_ratio_recomputes_and_trips_its_ceiling_alone() {
+        let doc = json::parse(&committed("../../BENCH_heops.json")).expect("parse");
+        let dispatched = (doc.get("host").and_then(|host| host.get("dispatched")))
+            .and_then(Value::as_str)
+            .expect("host.dispatched");
+        let run = flatten_json(&doc);
+        let min_us = |op: &str, level: &str| format!("entries/{op}/{level}/{dispatched}/min_us");
+        let measured = |side, level: &str| match side {
+            MinUs(op, times) => run.get(&min_us(op, level)).map(|us| times * us),
+            Bytes(_) => None,
+        };
+        assert!(over_ceiling(&run).is_empty());
+        for row in RATIOS {
+            for level in row.levels {
+                let path = format!("ratios/{}/{level}", row.name);
+                let value = *run
+                    .get(&path)
+                    .unwrap_or_else(|| panic!("{path} not committed"));
+                if let Some(recomputed) = row.value(level, measured) {
+                    assert_eq!(row.format(recomputed), row.format(value), "{path}");
+                }
+            }
+            let with = |path: &str, value: f64| {
+                let mut changed = run.clone();
+                changed.insert(path.to_string(), value);
+                over_ceiling(&changed)
+            };
+            let path = format!(
+                "ratios/{}/{}",
+                row.name,
+                row.gated_at.unwrap_or(row.levels[0])
+            );
+            for &healthy in row.healthy {
+                assert!(with(&path, healthy).is_empty(), "{path} = {healthy}");
+            }
+            let over = with(&path, row.failing);
+            assert_eq!(over.len(), 1, "{path} = {}: {over:?}", row.failing);
+            assert_eq!(
+                (over[0].metric.as_str(), over[0].baseline),
+                (path.as_str(), row.ceiling)
+            );
+            // A ceiling set at one level leaves the others reported only.
+            for level in row
+                .levels
+                .iter()
+                .filter(|&&l| row.gated_at.is_some_and(|at| at != l))
+            {
+                let ungated = format!("ratios/{}/{level}", row.name);
+                assert!(with(&ungated, row.failing).is_empty(), "{ungated}");
+            }
+            // Not a relative metric: a baseline that already sat high
+            // does not make a high current value acceptable.
+            assert_eq!(classify(&path), Direction::Neutral);
         }
     }
 }

@@ -12,6 +12,7 @@
 
 pub mod calibrate;
 pub mod check;
+pub mod timing;
 pub mod traceio;
 pub mod workloads;
 
@@ -31,6 +32,46 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The flags `usage` names, each with whether it takes a value: a flag
+/// followed by a placeholder (`--clients N`) does, one closed by `]` or
+/// `)` or followed by `|` or another flag (`[--once]`, `(--mem | ..`)
+/// does not.
+fn usage_flags(usage: &str) -> Vec<(&str, bool)> {
+    let words: Vec<&str> = usage.split_whitespace().chain(["|"]).collect();
+    let flags = words.windows(2).filter_map(|pair| {
+        let open = pair[0].trim_start_matches(['[', '(']);
+        let flag = open.trim_end_matches([']', ')']);
+        let valued = flag == open && !pair[1].starts_with(['[', '(', '|', '-']);
+        flag.starts_with("--").then_some((flag, valued))
+    });
+    flags.collect()
+}
+
+/// The first argument after the program name that `usage` does not
+/// name, or a flag that takes a value with nothing after it.
+fn unknown_arg<'a>(args: &'a [String], usage: &str) -> Option<&'a str> {
+    let flags = usage_flags(usage);
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let known = (flags.iter().find(|(flag, _)| flag == arg))
+            .is_some_and(|&(_, valued)| !valued || rest.next().is_some());
+        if !known {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// Exits with status 2 and `usage` on stderr when `args` holds an
+/// argument `usage` does not name: a binary's usage line is the one
+/// definition of its flags.
+pub fn refuse_unknown_args(args: &[String], usage: &str) {
+    if let Some(arg) = unknown_arg(args, usage) {
+        eprintln!("unknown or incomplete argument {arg:?}\n{usage}");
+        std::process::exit(2);
+    }
+}
+
 /// `--scheme spot|channelwise|cheetah` (default `spot`).
 ///
 /// # Panics
@@ -42,4 +83,54 @@ pub fn scheme_arg(args: &[String]) -> SchemeKind {
         .into_iter()
         .find(|s| s.name() == name)
         .unwrap_or_else(|| panic!("unknown scheme {name:?} (use spot|channelwise|cheetah)"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const USAGE: &str = "usage: spot-loadgen (--mem | --connect ADDR) [--clients N] \
+         [--scheme spot|channelwise|cheetah] [--sweep 1,8,64] [--once] [--trace out.json]";
+
+    fn args(line: &str) -> Vec<String> {
+        std::iter::once("spot-loadgen")
+            .chain(line.split_whitespace())
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn the_usage_line_names_each_flag_and_whether_it_takes_a_value() {
+        assert_eq!(
+            usage_flags(USAGE),
+            [
+                ("--mem", false),
+                ("--connect", true),
+                ("--clients", true),
+                ("--scheme", true),
+                ("--sweep", true),
+                ("--once", false),
+                ("--trace", true),
+            ]
+        );
+    }
+
+    #[test]
+    fn unknown_and_incomplete_arguments_are_refused() {
+        let all = "--mem --connect a:1 --clients 2 --scheme spot --sweep 1,8 --once --trace t";
+        assert_eq!(unknown_arg(&args(all), USAGE), None);
+        assert_eq!(
+            unknown_arg(&args("--mem --mode open"), USAGE),
+            Some("--mode")
+        );
+        assert_eq!(unknown_arg(&args("--mem 4"), USAGE), Some("4"));
+        assert_eq!(
+            unknown_arg(&args("--mem --clients"), USAGE),
+            Some("--clients")
+        );
+        assert_eq!(
+            unknown_arg(&args("--once --thread 4"), USAGE),
+            Some("--thread")
+        );
+    }
 }

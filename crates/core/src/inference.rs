@@ -4,12 +4,11 @@
 
 use crate::executor::Executor;
 use crate::patching::PatchMode;
-use crate::session::SchemeKind;
+use crate::session::{ExecBackend, SchemeKind};
 use crate::stream::StreamStats;
 use crate::twoparty::{run_client_batch, run_server};
 use crate::{channelwise, cheetah, select, spot};
 
-pub use crate::session::ExecBackend;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::context::Context;

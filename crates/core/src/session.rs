@@ -1559,7 +1559,7 @@ pub struct InProcessOutcome {
     /// at their single-image values).
     pub results: Vec<SecureConvResult>,
     /// The server's stall accounting (see [`ServerConvSummary::stream`]).
-    pub stream: Option<StreamStats>,
+    pub stream: StreamStats,
     /// Client → server traffic (framed wire bytes).
     pub uplink: TrafficStats,
     /// Server → client traffic (framed wire bytes).
@@ -1667,7 +1667,7 @@ pub fn run_in_process<R: Rng>(
                 modulus: ctx.params().plain_modulus(),
             })
             .collect(),
-        stream: server.stream,
+        stream: server.stream.unwrap_or_default(),
         uplink: tstats.sent,
         downlink: tstats.received,
     })

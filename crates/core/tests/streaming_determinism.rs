@@ -20,11 +20,10 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use spot_core::channelwise::SecureConvResult;
 use spot_core::executor::Executor;
-use spot_core::inference::ExecBackend;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    run_in_process, serve_conv_on, serve_conv_with, ClientConv, ConnectionKeys, LayerSpec,
-    ModelLayer, SchemeKind, ServeOptions, UploadPacing,
+    run_in_process, serve_conv_on, serve_conv_with, ClientConv, ConnectionKeys, ExecBackend,
+    LayerSpec, ModelLayer, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::{StreamConfig, StreamStats};
 use spot_he::context::Context;
@@ -58,7 +57,7 @@ fn run_conv(
     scheme: SchemeKind,
     backend: &ExecBackend,
     rng: &mut StdRng,
-) -> (Vec<SecureConvResult>, Option<StreamStats>) {
+) -> (Vec<SecureConvResult>, StreamStats) {
     let _shared = MACHINE.read().unwrap_or_else(PoisonError::into_inner);
     let spec = LayerSpec::for_layer(scheme, &inputs[0], kernel, 1, (4, 4), PatchMode::Tweaked);
     let outcome = run_in_process(ctx, keygen, spec, inputs, kernel, backend, rng)
@@ -86,7 +85,6 @@ fn assert_streaming_matches_phased(scheme: SchemeKind, threads: usize, channel_c
         &mut rng_a,
     );
     // Same driver, unbounded read-ahead.
-    let phased_stats = phased_stats.expect("every backend reports stats");
     assert_eq!(phased_stats.channel_capacity, usize::MAX);
 
     let mut rng_b = StdRng::seed_from_u64(4242);
@@ -100,7 +98,6 @@ fn assert_streaming_matches_phased(scheme: SchemeKind, threads: usize, channel_c
         &ExecBackend::Streaming(cfg),
         &mut rng_b,
     );
-    let stats = stats.expect("every backend reports stats");
     let (phased, streamed) = (&phased[0], &streamed[0]);
 
     let tag = format!(
@@ -150,7 +147,7 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
     let kernel = Kernel::random(4, 2, 3, 3, 4, 18);
 
     let mut rng_a = StdRng::seed_from_u64(4242);
-    let (phased, phased_stats) = run_conv(
+    let (phased, _) = run_conv(
         &ctx,
         &keygen,
         &inputs,
@@ -159,11 +156,10 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
         &ExecBackend::Phased(Executor::new(threads)),
         &mut rng_a,
     );
-    phased_stats.expect("every backend reports stats");
 
     let mut rng_b = StdRng::seed_from_u64(4242);
     let cfg = StreamConfig::new(Executor::new(threads), channel_capacity);
-    let (streamed, stats) = run_conv(
+    let (streamed, _) = run_conv(
         &ctx,
         &keygen,
         &inputs,
@@ -172,7 +168,6 @@ fn assert_batched_streaming_matches_phased(threads: usize, channel_capacity: usi
         &ExecBackend::Streaming(cfg),
         &mut rng_b,
     );
-    stats.expect("every backend reports stats");
 
     let tag = format!("batched threads={threads} cap={channel_capacity}");
     assert_eq!(phased.len(), inputs.len(), "{tag}");

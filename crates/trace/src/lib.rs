@@ -14,8 +14,8 @@
 //! Tracing is **off by default** and the disabled path is a single
 //! relaxed atomic load plus a branch — a few nanoseconds, no allocation,
 //! no `Instant::now()` — so instrumentation sites can stay compiled into
-//! release builds (verified by the `trace_overhead` bench in
-//! `spot-bench`). When enabled, events are recorded into thread-local
+//! release builds (`cargo run --release -p spot-bench --bin
+//! trace_overhead` prints the ns per call of each site). When enabled, events are recorded into thread-local
 //! buffers that flush into a global sink when full and when the thread
 //! exits; the global lock is taken only at flush, never per event.
 //!

@@ -23,7 +23,7 @@
 //! * Recording through [`Histogram::observe`] and
 //!   [`Histogram::start_timer`] is gated on the registry switch with the
 //!   same disabled-path budget as the trace counters: one relaxed load
-//!   and a branch (measured by the `trace_overhead` bench).
+//!   and a branch (measured by spot-bench's `trace_overhead` bin).
 //!   [`Histogram::record`] bypasses the switch for callers that own
 //!   their histogram outright (e.g. a load generator's latency series).
 //! * [`MetricsSnapshot::delta`] has exact semantics: counters and
