@@ -8,7 +8,10 @@
 //! Galois keys travel as a seed plus their `b_i`: the reader must
 //! rebuild the generator's exact `(b_i, a_i)` pairs, rotate with them,
 //! and expand a given seed to the same polynomials on every build
-//! ([`SEED_EXPANSION_FNV`]).
+//! ([`SEED_EXPANSION_FNV`]). `keys::expand_seed` must equal the
+//! `StdRng` loop that defines it for any seed, the all-zero one
+//! included, at every level, and a key's whole blob is pinned at N8192
+//! and N16384 ([`KEY_BLOB_FNV`]).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -283,4 +286,105 @@ fn seed_expansion_is_pinned() {
         }
     }
     assert_eq!(h, SEED_EXPANSION_FNV, "got {h:#018x}");
+}
+
+/// `SEED_EXPANSION_FNV`'s hash, over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a-64 over the one-key blobs of the elements `3`, `2N − 1` and
+/// that of step −8, made in that order from one `StdRng` seeded with
+/// 39 after the secret key. `wire_golden.rs` never reaches these two
+/// levels, and the serializer's oracle test stops at N8192; a key
+/// generator or wire codec that moves a byte of a key there moves this.
+const KEY_BLOB_FNV: [(ParamLevel, u64); 2] = [
+    (ParamLevel::N8192, 0x38b0_88b5_7ede_61d7),
+    (ParamLevel::N16384, 0xb957_32be_b026_7aa3),
+];
+
+#[test]
+fn one_key_blobs_are_pinned_at_n8192_and_n16384() {
+    for (level, want) in KEY_BLOB_FNV {
+        let ctx = Context::new(EncryptionParams::new(level));
+        let n = ctx.degree();
+        let mut rng = StdRng::seed_from_u64(39);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let mut blobs = Vec::new();
+        for g in [3, 2 * n - 1, spot_he::encoding::galois_elt_from_step(-8, n)] {
+            let blob = galois_keys_to_bytes(&kg.galois_keys(&[g], &mut rng));
+            assert_eq!(blob.len(), 4 + ctx.params().galois_key_bytes());
+            blobs.extend_from_slice(&blob);
+        }
+        let h = fnv1a(&blobs);
+        assert_eq!(h, want, "{level}: got {h:#018x}");
+    }
+}
+
+/// What `keys::expand_seed` must produce: the `StdRng` stream on the
+/// seed, `gen_range(0..q_i)` per residue, in polynomial, prime row,
+/// coefficient order.
+fn stdrng_expansion(ctx: &Context, seed: &[u8; 32], polys: usize) -> Vec<u64> {
+    use rand::Rng;
+    let mut prg = StdRng::from_seed(*seed);
+    let mut out = Vec::with_capacity(polys * ctx.moduli_count() * ctx.degree());
+    for _ in 0..polys {
+        for m in ctx.moduli() {
+            out.extend((0..ctx.degree()).map(|_| prg.gen_range(0..m.value())));
+        }
+    }
+    out
+}
+
+fn assert_expansion_is_the_stdrng_stream(level: ParamLevel, seed: &[u8; 32], polys: usize) {
+    let ctx = Context::new(EncryptionParams::new(level));
+    let got: Vec<u64> = spot_he::keys::expand_seed(&ctx, seed, polys)
+        .iter()
+        .flat_map(|poly| poly.raw().iter().copied())
+        .collect();
+    assert!(
+        got == stdrng_expansion(&ctx, seed, polys),
+        "{level}, {polys} polys, seed {seed:?}"
+    );
+}
+
+/// The all-zero seed (which the generator replaces by the state
+/// `[1, 2, 3, 4]`) at every level, for every polynomial count a key
+/// or an upload asks for.
+#[test]
+fn the_all_zero_seed_expands_to_the_stdrng_stream() {
+    for level in ParamLevel::ALL {
+        let k = level.coeff_modulus_bits().len();
+        for polys in 1..=k {
+            assert_expansion_is_the_stdrng_stream(level, &[0; 32], polys);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any seed, some of whose 64-bit words are zero, at any level and
+    /// for `1..=k` polynomials.
+    #[test]
+    fn seed_expansion_is_the_stdrng_stream(
+        level in 0usize..4,
+        polys in 1usize..=9,
+        words in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+        zeroed in 0u8..16,
+    ) {
+        let level = ParamLevel::ALL[level];
+        let polys = polys.min(level.coeff_modulus_bits().len());
+        let mut seed = [0u8; 32];
+        let words = [words.0, words.1, words.2, words.3];
+        for (i, word) in words.iter().enumerate() {
+            let word = if zeroed >> i & 1 == 1 { 0 } else { *word };
+            seed[8 * i..8 * i + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        assert_expansion_is_the_stdrng_stream(level, &seed, polys);
+    }
 }
