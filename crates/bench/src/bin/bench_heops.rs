@@ -51,19 +51,26 @@
 //! of the key. At N4096, `ct_from_sparse_bytes64` and
 //! `decrypt_result_sparse64` are the same result as a coefficient-packed
 //! layer sends it — `c1` and `c0` at 64 positions — read back and
-//! decrypted at those positions only. The pairs `dot_steps16x18` /
-//! `dot_lifted18x16` and `decrypt_result` / `decrypt_result_sparse64`
-//! are timed alternately, so a spell of slow machine falls on both sides
-//! of their ratio alike.
+//! decrypted at those positions only. `seed_expand3` is one key's `k`
+//! uniform polynomials expanded from their seed (`keys::expand_seed`,
+//! the dispatched row body) and `seed_expand3_stdrng` the `StdRng` loop
+//! that defines them; `galois_key_bytes` is one key written from seed
+//! to wire bytes (`KeyGenerator::galois_key_blob`, what a session
+//! sends), per key. The groups `mult_add9` / `dot_lifted9`,
+//! `dot_steps16x18` / `dot_lifted18x16`,
+//! `decrypt_result` / `decrypt_result_sparse64`, `seed_expand3` /
+//! `seed_expand3_stdrng` and `rotate` / `rotate_hoisted8` /
+//! `taps3x3_composed` are timed alternately, so a spell of slow machine
+//! falls on every side of their ratios alike.
 //!
 //! `ratios` holds every row of [`spot_bench::check::RATIOS`], which
 //! names the two measurements each divides, and `bench_check` holds
 //! them to that table's ceilings.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use spot_bench::check::{Quantity, RATIOS};
-use spot_bench::timing::{time_pair_us, time_us, time_us_on};
+use spot_bench::timing::{time_alternately_us, time_us, time_us_on};
 use spot_core::executor::Executor;
 use spot_core::heconv::{ConvRequest, HeConvEngine, KernelCache};
 use spot_core::layout::LaneLayout;
@@ -71,6 +78,7 @@ use spot_core::patching::PatchMode;
 use spot_core::session::{run_in_process, ExecBackend, LayerSpec, SchemeKind};
 use spot_core::spot::blocking;
 use spot_he::arch;
+use spot_he::keys::{expand_seed, KeySeed};
 use spot_he::prelude::*;
 use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use spot_tensor::tensor::Tensor;
@@ -186,7 +194,8 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
         let ct = encryptor.encrypt(&encoder.encode(&values), &mut rng);
 
         // A 3×3 kernel's tap sum over nine operands, term by term
-        // through the single-op API and as one inner product.
+        // through the single-op API and as one inner product, timed
+        // alternately.
         let operands: Vec<(Ciphertext, spot_he::poly::Poly)> = (0..9u64)
             .map(|tap| {
                 let weights: Vec<u64> = values.iter().map(|v| (v + tap) % 97).collect();
@@ -196,28 +205,27 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
                 )
             })
             .collect();
-        push(
-            "mult_add9",
-            reps,
-            time_us(reps, || {
-                let mut terms = operands.iter();
-                let (first, lifted) = terms.next().expect("nine operands");
-                let mut acc = evaluator.multiply_lifted(first, lifted);
-                for (ct, lifted) in terms {
-                    evaluator.add_inplace(&mut acc, &evaluator.multiply_lifted(ct, lifted));
-                }
-                std::hint::black_box(acc);
-            }),
-        );
         let terms: Vec<(&Ciphertext, &spot_he::poly::Poly)> =
             operands.iter().map(|(ct, lifted)| (ct, lifted)).collect();
-        push(
-            "dot_lifted9",
+        let [term_by_term, lazy] = time_alternately_us(
             reps,
-            time_us(reps, || {
-                std::hint::black_box(evaluator.dot_lifted(&terms));
-            }),
+            [
+                &mut || {
+                    let mut terms = operands.iter();
+                    let (first, lifted) = terms.next().expect("nine operands");
+                    let mut acc = evaluator.multiply_lifted(first, lifted);
+                    for (ct, lifted) in terms {
+                        evaluator.add_inplace(&mut acc, &evaluator.multiply_lifted(ct, lifted));
+                    }
+                    std::hint::black_box(acc);
+                },
+                &mut || {
+                    std::hint::black_box(evaluator.dot_lifted(&terms));
+                },
+            ],
         );
+        push("mult_add9", reps, term_by_term);
+        push("dot_lifted9", reps, lazy);
 
         // A paper-shaped layer's giant steps over one input ciphertext
         // (SPOT at 32 → 32): sixteen steps of eighteen terms over the
@@ -241,20 +249,48 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
             let stepwise: Vec<Vec<(&Ciphertext, &spot_he::poly::Poly)>> = (steps.iter())
                 .map(|step| step.iter().map(|&(x, w)| (operands[x], w)).collect())
                 .collect();
-            let [swept, one_by_one] = time_pair_us(
+            let [swept, one_by_one] = time_alternately_us(
                 reps / 5,
-                || {
-                    std::hint::black_box(evaluator.dot_lifted_steps(&operands, &steps));
-                },
-                || {
-                    for terms in &stepwise {
-                        std::hint::black_box(evaluator.dot_lifted(terms));
-                    }
-                },
+                [
+                    &mut || {
+                        std::hint::black_box(evaluator.dot_lifted_steps(&operands, &steps));
+                    },
+                    &mut || {
+                        for terms in &stepwise {
+                            std::hint::black_box(evaluator.dot_lifted(terms));
+                        }
+                    },
+                ],
             );
             push("dot_steps16x18", reps / 5, swept);
             push("dot_lifted18x16", reps / 5, one_by_one);
         }
+
+        // One key's `k` uniform polynomials from its seed, and the
+        // `StdRng` loop that defines them, timed alternately.
+        let seed: KeySeed = std::array::from_fn(|i| i as u8);
+        let k = ctx.moduli_count();
+        let mut residues = vec![0u64; k * k * n];
+        let [lanes, stdrng] = time_alternately_us(
+            reps,
+            [
+                &mut || {
+                    std::hint::black_box(expand_seed(&ctx, &seed, k));
+                },
+                &mut || {
+                    let mut prg = StdRng::from_seed(seed);
+                    for (row, m) in residues
+                        .chunks_exact_mut(n)
+                        .zip(ctx.moduli().iter().cycle())
+                    {
+                        row.fill_with(|| prg.gen_range(0..m.value()));
+                    }
+                    std::hint::black_box(&residues);
+                },
+            ],
+        );
+        push("seed_expand3", reps, lanes);
+        push("seed_expand3_stdrng", reps, stdrng);
 
         // The switch every result takes before it leaves the server,
         // its mask folded in, per polynomial (a result has two).
@@ -275,50 +311,48 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
             // with a key of its own as in a convolution.
             let elements = evaluator.galois_elements(&[1, 2, 3, 4, 5, 6, 7, 8], false);
             let gk = keygen.galois_keys(&elements, &mut rng);
-            push(
-                "rotate",
+            // One rotation; eight sharing one key-switch decomposition;
+            // and the same eight tap positions from four of the keys —
+            // rows and the centre row's columns from the input's hoist,
+            // the other columns from one hoist per moved row. Timed
+            // alternately: `bench_check` gates two ratios among them.
+            let (rows, cols) = (&elements[..2], &elements[2..4]);
+            let [single, hoisted8, composed] = time_alternately_us(
                 rot_reps,
-                time_us(rot_reps, || {
-                    std::hint::black_box(evaluator.rotate_rows(&ct, 1, &gk));
-                }),
+                [
+                    &mut || {
+                        std::hint::black_box(evaluator.rotate_rows(&ct, 1, &gk));
+                    },
+                    &mut || {
+                        let hoisted = evaluator.hoist(&ct);
+                        for &g in &elements {
+                            std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
+                        }
+                    },
+                    &mut || {
+                        let hoisted = evaluator.hoist(&ct);
+                        for &g in cols {
+                            std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
+                        }
+                        for &row in rows {
+                            let moved =
+                                evaluator.hoist(&evaluator.rotate_hoisted(&hoisted, row, &gk));
+                            for &g in cols {
+                                std::hint::black_box(evaluator.rotate_hoisted(&moved, g, &gk));
+                            }
+                        }
+                    },
+                ],
             );
-            // The part of a rotation that does not depend on the step …
+            push("rotate", rot_reps, single);
+            push("rotate_hoisted8", rot_reps, hoisted8);
+            push("taps3x3_composed", rot_reps, composed);
+            // The part of a rotation that does not depend on the step.
             push(
                 "ks_decompose",
                 rot_reps,
                 time_us(rot_reps, || {
                     std::hint::black_box(evaluator.hoist(&ct));
-                }),
-            );
-            // … and eight rotations sharing one of it.
-            push(
-                "rotate_hoisted8",
-                rot_reps,
-                time_us(rot_reps, || {
-                    let hoisted = evaluator.hoist(&ct);
-                    for &g in &elements {
-                        std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
-                    }
-                }),
-            );
-            // The same eight positions from four of the keys: rows and
-            // the centre row's columns from the input's hoist, the other
-            // columns from one hoist per moved row.
-            let (rows, cols) = (&elements[..2], &elements[2..4]);
-            push(
-                "taps3x3_composed",
-                rot_reps,
-                time_us(rot_reps, || {
-                    let hoisted = evaluator.hoist(&ct);
-                    for &g in cols {
-                        std::hint::black_box(evaluator.rotate_hoisted(&hoisted, g, &gk));
-                    }
-                    for &row in rows {
-                        let moved = evaluator.hoist(&evaluator.rotate_hoisted(&hoisted, row, &gk));
-                        for &g in cols {
-                            std::hint::black_box(evaluator.rotate_hoisted(&moved, g, &gk));
-                        }
-                    }
                 }),
             );
         }
@@ -517,6 +551,16 @@ fn measure_client_side(
             }),
         );
         push(
+            "galois_key_bytes",
+            reps / 2,
+            keys,
+            time_us(reps / 2, || {
+                for &g in &elements {
+                    std::hint::black_box(keygen.galois_key_blob(g, &mut rng));
+                }
+            }),
+        );
+        push(
             "galois_serialize",
             reps / 2,
             keys,
@@ -545,7 +589,7 @@ fn measure_client_side(
         let rctx = ctx.result_context();
         let result = evaluator.mask_result(ct.clone(), &plain);
         let result_decryptor = Decryptor::new(rctx, keygen.secret_key().restricted_to(rctx));
-        let decrypt_result = || {
+        let mut decrypt_result = || {
             std::hint::black_box(result_decryptor.decrypt(&result));
         };
         if level != ParamLevel::N4096 {
@@ -572,9 +616,12 @@ fn measure_client_side(
             }),
         );
         // Alternated, since `bench_check` gates their ratio.
-        let [whole, sparse] = time_pair_us(reps, decrypt_result, || {
-            std::hint::black_box(result_decryptor.decrypt_sparse(&sparse));
-        });
+        let [whole, sparse] = time_alternately_us(
+            reps,
+            [&mut decrypt_result, &mut || {
+                std::hint::black_box(result_decryptor.decrypt_sparse(&sparse));
+            }],
+        );
         push("decrypt_result", reps, 1, whole);
         push("decrypt_result_sparse64", reps, 1, sparse);
     }

@@ -363,20 +363,24 @@ const SERVED: &[&str] = &["N4096"];
 #[rustfmt::skip]
 pub const RATIOS: &[Ratio] = &[
     // Eight rotations from one key-switch decomposition over eight that
-    // each redo it: 0.35 under `avx2+scalar` and 0.38 under `avx512ifma`
-    // now that a rotation from a hoist is one pass of inner products and
-    // the decomposition is what is left; 0.49 when it was two passes,
-    // the value the gate was introduced at; 1.0 if the sharing is lost.
+    // each redo it, the two timed alternately (with
+    // `taps3x3_composed`): ten runs at both levels on an AVX-512 IFMA
+    // Xeon read 0.32–0.38 under `avx512ifma` and 0.30–0.40 under
+    // `avx2+scalar`; timed apart, the same code read up to 0.49, 2 runs
+    // in 10 over the ceiling. 0.49 is also what a hoisted rotation of
+    // two passes read, the value the gate was introduced at; 1.0 if the
+    // sharing is lost.
     Ratio { name: "rotate_hoisted8_per_8_rotate",
         of: MinUs("rotate_hoisted8", 1.0), per: MinUs("rotate", 8.0),
-        levels: BOTH, ceiling: 0.45, gated_at: None, healthy: &[0.35, 0.38], failing: 0.49 },
+        levels: BOTH, ceiling: 0.45, gated_at: None, healthy: &[0.38, 0.40], failing: 0.49 },
     // A 3×3 kernel's tap sum as one inner product over nine plaintext
-    // multiplies and eight additions: 0.45 / 0.59 under `avx2+scalar` /
-    // `avx512ifma`; 0.97 when the sum reduces (and materialises) every
-    // term.
+    // multiplies and eight additions, timed alternately: ten runs at
+    // both levels read 0.38–0.55 under `avx512ifma` and 0.39–0.50
+    // under `avx2+scalar` (timed apart, up to 0.74 under `avx512ifma`);
+    // 0.97 when the sum reduces (and materialises) every term.
     Ratio { name: "dot_lifted9_per_mult_add9",
         of: MinUs("dot_lifted9", 1.0), per: MinUs("mult_add9", 1.0),
-        levels: BOTH, ceiling: 0.7, gated_at: None, healthy: &[0.45, 0.59], failing: 0.97 },
+        levels: BOTH, ceiling: 0.7, gated_at: None, healthy: &[0.50, 0.55], failing: 0.97 },
     // A paper-shaped layer's sixteen giant steps of eighteen terms (SPOT
     // at 32 → 32) summed in one tiled sweep over the tap positions over
     // the same sums as sixteen `dot_lifted` calls, timed alternately, at
@@ -392,13 +396,13 @@ pub const RATIOS: &[Ratio] = &[
     // A 3×3 kernel's eight tap positions composed from four keys (three
     // hoists, eight hoisted rotations) over the same eight from one
     // hoist and eight keys: the server-side price of the four keys the
-    // client no longer makes. Five runs a table at both levels on an
-    // AVX-512 IFMA Xeon read 1.33–1.73 healthy under `avx512ifma` and
-    // 1.52–1.76 under `avx2+scalar`; taps that each pay a hoist read
-    // 2.39–2.96 and 2.83–3.22.
+    // client no longer makes. Timed alternately, ten runs at both levels
+    // on an AVX-512 IFMA Xeon read 1.49–1.74 under `avx512ifma` and
+    // 1.42–1.86 under `avx2+scalar` (timed apart, 0.88–2.39); taps that
+    // each pay a hoist read 2.39–2.96 and 2.83–3.22.
     Ratio { name: "taps3x3_composed_per_rotate_hoisted8",
         of: MinUs("taps3x3_composed", 1.0), per: MinUs("rotate_hoisted8", 1.0),
-        levels: BOTH, ceiling: 2.0, gated_at: None, healthy: &[1.73, 1.76], failing: 2.39 },
+        levels: BOTH, ceiling: 2.0, gated_at: None, healthy: &[1.74, 1.86], failing: 2.39 },
     // One polynomial of a result switched down to two primes, mask
     // folded in, over one forward row transform. Gated at the level
     // results are served at, where three transforms and four row passes
@@ -421,6 +425,15 @@ pub const RATIOS: &[Ratio] = &[
     Ratio { name: "decrypt_result_sparse64_per_decrypt_result",
         of: MinUs("decrypt_result_sparse64", 1.0), per: MinUs("decrypt_result", 1.0),
         levels: SERVED, ceiling: 0.75, gated_at: None, healthy: &[0.28, 0.62], failing: 1.05 },
+    // One key's `k` uniform polynomials from their seed through the
+    // dispatched row body over the `StdRng` loop they must equal, timed
+    // alternately: ten runs at both levels on an AVX-512 IFMA Xeon read
+    // 0.47–0.52 under `avx512ifma` (eight lanes) and 0.73–0.83 under
+    // `avx2+scalar` (four); the one stream, the scalar body, read
+    // 0.93–1.07.
+    Ratio { name: "seed_expand3_per_stdrng_loop",
+        of: MinUs("seed_expand3", 1.0), per: MinUs("seed_expand3_stdrng", 1.0),
+        levels: BOTH, ceiling: 0.9, gated_at: None, healthy: &[0.52, 0.83], failing: 0.93 },
     // A serialised one-key blob over its `k` packed `b_i` alone: 1.0003
     // while the `a_i` travel as a 32-byte seed, 2.0 if they travel
     // themselves again.

@@ -32,16 +32,18 @@ pub fn time_us_on<T>(
     summarize(samples)
 }
 
-/// [`time_us`] of `f` and of `g`, their calls alternated, so a spell of
-/// slow machine falls on both sides of their ratio alike.
-pub fn time_pair_us(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> [(f64, f64, f64); 2] {
+/// [`time_us`] of each of `calls`, alternated call by call, so a spell
+/// of slow machine falls on every side of their ratios alike.
+pub fn time_alternately_us<const K: usize>(
+    reps: usize,
+    mut calls: [&mut dyn FnMut(); K],
+) -> [(f64, f64, f64); K] {
     for _ in 0..(reps / 10).clamp(1, 5) {
-        f();
-        g();
+        calls.iter_mut().for_each(|call| call());
     }
-    let mut samples = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    let mut samples: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(reps));
     for _ in 0..reps {
-        for (side, call) in samples.iter_mut().zip([&mut f as &mut dyn FnMut(), &mut g]) {
+        for (side, call) in samples.iter_mut().zip(calls.iter_mut()) {
             let start = Instant::now();
             call();
             side.push(start.elapsed().as_secs_f64() * 1e6);

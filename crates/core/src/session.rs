@@ -79,7 +79,7 @@ use spot_he::encryptor::{Decryptor, SymmetricEncryptor};
 use spot_he::evaluator::OpCounts;
 use spot_he::keys::{GaloisKeys, KeyGenerator};
 use spot_he::params::ParamLevel;
-use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
+use spot_he::serial::galois_keys_from_bytes;
 use spot_pipeline::plan::OutputDependency;
 use spot_proto::channel::TrafficStats;
 use spot_proto::{ConvSetup, MemTransport, Transport, WireMessage};
@@ -878,8 +878,8 @@ impl<'a> ClientConv<'a> {
                 // The keys behind this input, each made as it is sent,
                 // so the server rotates by one while the next is made.
                 while let Some(&(_, g)) = keys.front().filter(|&&(at, _)| at == seq as usize) {
-                    let key = self.keygen.galois_keys(&[g], rng);
-                    transport.send(&WireMessage::GaloisKeys(galois_keys_to_bytes(&key)))?;
+                    let key = self.keygen.galois_key_blob(g, rng);
+                    transport.send(&WireMessage::GaloisKeys(key))?;
                     uploaded.insert(g);
                     keys.pop_front();
                 }
@@ -1695,6 +1695,7 @@ pub(crate) fn run_phased<R: Rng>(
 mod tests {
     use super::*;
     use spot_he::params::EncryptionParams;
+    use spot_he::serial::galois_keys_to_bytes;
     use std::sync::mpsc;
 
     /// The store through its one writer: `wait` returns a key that was

@@ -18,6 +18,7 @@
 use super::vec::{self, V64Wide, V64};
 use super::Kernels;
 use crate::modulus::Modulus;
+use crate::prg::{self, Jump, LaneStates, State, LANES};
 use std::arch::x86_64::*;
 
 /// Four u64 lanes in one AVX2 register.
@@ -341,6 +342,95 @@ avx2_kernel!(
     (m: &Modulus, dst: &mut [u64], src: &[u64], w: u64, ws: u64)
 );
 
+/// Each lane rotated left by `L` bits (`R = 64 − L`).
+#[inline(always)]
+fn rol<const L: i32, const R: i32>(x: __m256i) -> __m256i {
+    // SAFETY: AVX2 checked at dispatch time.
+    unsafe { _mm256_or_si256(_mm256_slli_epi64::<L>(x), _mm256_srli_epi64::<R>(x)) }
+}
+
+/// [`crate::prg::expand_row`] by [`LANES`] generators, four to a
+/// register and the eight in two rounds: each step draws four lanes at
+/// once, `gen_range`'s high word comes from four 32×32-bit products,
+/// and every four steps a 4×4 transpose stores each lane's four draws
+/// as one vector into its chunk. Rows whose chunks are not a multiple
+/// of four long take the scalar body.
+fn expand_row(state: &mut State, jump: &Jump, q: u64, row: &mut [u64]) {
+    if !row.len().is_multiple_of(4 * LANES) {
+        return prg::expand_row(state, jump, q, row);
+    }
+    let mut lanes = prg::lane_starts(state, jump, row.len());
+    // SAFETY: this kernel table is only installed after
+    // `is_x86_feature_detected!("avx2")` returned true; the row length
+    // is checked above.
+    unsafe { expand_lanes(&mut lanes, q, row) };
+    // The last lane stopped where the row ends.
+    *state = lanes[LANES - 1];
+}
+
+#[target_feature(enable = "avx2")]
+fn expand_lanes(lanes: &mut LaneStates, q: u64, row: &mut [u64]) {
+    // The stores below rely on it.
+    assert!(row.len().is_multiple_of(4 * LANES), "whole vectors a chunk");
+    let c = row.len() / LANES;
+    let (q_lo, q_hi) = (W::splat(q).0, W::splat(q >> 32).0);
+    let low32 = W::splat(u32::MAX as u64).0;
+    for (quad, chunks) in lanes.chunks_exact_mut(4).zip(row.chunks_exact_mut(4 * c)) {
+        let word = |w: usize| {
+            let [a, b, d, e] = [0, 1, 2, 3].map(|l| quad[l][w] as i64);
+            _mm256_setr_epi64x(a, b, d, e)
+        };
+        let (mut s0, mut s1, mut s2, mut s3) = (word(0), word(1), word(2), word(3));
+        for i in (0..c).step_by(4) {
+            // Draw k of the four lanes, for k = 0..4.
+            let [d0, d1, d2, d3]: [__m256i; 4] = std::array::from_fn(|_| {
+                let result = _mm256_add_epi64(rol::<23, 41>(_mm256_add_epi64(s0, s3)), s0);
+                let t = _mm256_slli_epi64::<17>(s1);
+                s2 = _mm256_xor_si256(s2, s0);
+                s3 = _mm256_xor_si256(s3, s1);
+                s1 = _mm256_xor_si256(s1, s2);
+                s0 = _mm256_xor_si256(s0, s3);
+                s2 = _mm256_xor_si256(s2, t);
+                s3 = rol::<45, 19>(s3);
+                // The high words of `result·q`: neither sum carries out
+                // of 64 bits, a 32×32-bit product plus a 32-bit word.
+                let result_hi = _mm256_srli_epi64::<32>(result);
+                let ll = _mm256_mul_epu32(result, q_lo);
+                let lh = _mm256_mul_epu32(result, q_hi);
+                let hl = _mm256_mul_epu32(result_hi, q_lo);
+                let hh = _mm256_mul_epu32(result_hi, q_hi);
+                let mid = _mm256_add_epi64(hl, _mm256_srli_epi64::<32>(ll));
+                let mid2 = _mm256_add_epi64(lh, _mm256_and_si256(mid, low32));
+                _mm256_add_epi64(
+                    _mm256_add_epi64(hh, _mm256_srli_epi64::<32>(mid)),
+                    _mm256_srli_epi64::<32>(mid2),
+                )
+            });
+            let (t0, t1) = (_mm256_unpacklo_epi64(d0, d1), _mm256_unpackhi_epi64(d0, d1));
+            let (t2, t3) = (_mm256_unpacklo_epi64(d2, d3), _mm256_unpackhi_epi64(d2, d3));
+            let columns = [
+                _mm256_permute2x128_si256::<0x20>(t0, t2),
+                _mm256_permute2x128_si256::<0x20>(t1, t3),
+                _mm256_permute2x128_si256::<0x31>(t0, t2),
+                _mm256_permute2x128_si256::<0x31>(t1, t3),
+            ];
+            for (l, column) in columns.into_iter().enumerate() {
+                // SAFETY: l·c + i + 4 ≤ (l + 1)·c ≤ chunks.len(), as c
+                // is a multiple of 4 and i < c.
+                unsafe { W(column).store(chunks.as_mut_ptr().add(l * c + i)) }
+            }
+        }
+        let mut words = [[0u64; 4]; 4];
+        for (w, s) in words.iter_mut().zip([s0, s1, s2, s3]) {
+            // SAFETY: 4 writable u64s.
+            unsafe { W(s).store(w.as_mut_ptr()) }
+        }
+        for (l, state) in quad.iter_mut().enumerate() {
+            *state = [words[0][l], words[1][l], words[2][l], words[3][l]];
+        }
+    }
+}
+
 /// The AVX2 kernel table (install only after runtime detection). The
 /// two inner products keep the scalar `u128` bodies: AVX2 has no
 /// 64×64→128 multiply.
@@ -359,6 +449,7 @@ pub static KERNELS: Kernels = Kernels {
     mul_add_scalar,
     dot_steps: crate::lazy::dot_steps,
     key_switch_row: crate::lazy::key_switch_row,
+    expand_row,
 };
 
 /// Per-op tuned table: AVX2 where the vector path wins, scalar where
@@ -384,4 +475,5 @@ pub static TUNED: Kernels = Kernels {
     mul_add_scalar,
     dot_steps: crate::lazy::dot_steps,
     key_switch_row: crate::lazy::key_switch_row,
+    expand_row,
 };

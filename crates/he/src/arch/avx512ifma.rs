@@ -25,6 +25,12 @@
 //!   summed in two u64 lanes. The sums fold through one vector
 //!   reduction ([`reduce_split`]) before either can overflow
 //!   ([`fold_every`]), and each output coefficient takes one more.
+//! * **The seed expansion** ([`expand_row`]) keeps the eight lane
+//!   generators' states in four registers, one xoshiro256++ word per
+//!   register, draws eight steps, takes each draw's `gen_range` high
+//!   word from four 32×32-bit products (AVX-512F alone, any 64-bit
+//!   `q`), and transposes the 8×8 block so each lane's eight draws
+//!   store as one vector into its chunk of the row.
 //! * **The pointwise product and the digit lift** are the one-term
 //!   cases of that reduction: a product's two halves, or a full 64-bit
 //!   value read as `(x >> 52)·2^52 + (x mod 2^52)`. The lane type has
@@ -42,6 +48,7 @@ use super::vec::{self, V64};
 use super::{avx2, Kernels};
 use crate::lazy::{self, DigitRows, OperandRows, StepOut, StepTerm};
 use crate::modulus::Modulus;
+use crate::prg::{self, Jump, LaneStates, State, LANES};
 use std::arch::x86_64::*;
 
 /// Every entry runs this table's kernel below this modulus and falls
@@ -569,6 +576,121 @@ fn key_switch_row_impl(
     }
 }
 
+/// [`crate::prg::expand_row`] by [`LANES`] generators in the eight
+/// 64-bit lanes of a register. Rows whose chunks are not a multiple of
+/// eight long take the scalar body.
+fn expand_row(state: &mut State, jump: &Jump, q: u64, row: &mut [u64]) {
+    if !row.len().is_multiple_of(8 * LANES) {
+        return prg::expand_row(state, jump, q, row);
+    }
+    let mut lanes = prg::lane_starts(state, jump, row.len());
+    // SAFETY: this table is only installed after `detected()` returned
+    // true; the row length is checked above.
+    unsafe { expand_lanes(&mut lanes, q, row) };
+    // The last lane stopped where the row ends.
+    *state = lanes[LANES - 1];
+}
+
+/// The high words of `x·q`, lane by lane, from 32×32-bit products:
+/// `q_lo`, `q_hi` hold `q`'s two halves in each lane's low half.
+#[inline(always)]
+fn mul_hi(x: __m512i, q_lo: __m512i, q_hi: __m512i) -> __m512i {
+    // SAFETY: AVX-512F checked at dispatch time.
+    unsafe {
+        let x_hi = _mm512_srli_epi64::<32>(x);
+        let ll = _mm512_mul_epu32(x, q_lo);
+        let lh = _mm512_mul_epu32(x, q_hi);
+        let hl = _mm512_mul_epu32(x_hi, q_lo);
+        let hh = _mm512_mul_epu32(x_hi, q_hi);
+        // Neither sum can carry out of 64 bits: a 32×32-bit product
+        // plus a 32-bit word.
+        let mid = _mm512_add_epi64(hl, _mm512_srli_epi64::<32>(ll));
+        let mid2 = _mm512_add_epi64(
+            lh,
+            _mm512_and_si512(mid, _mm512_set1_epi64(u32::MAX as i64)),
+        );
+        _mm512_add_epi64(
+            _mm512_add_epi64(hh, _mm512_srli_epi64::<32>(mid)),
+            _mm512_srli_epi64::<32>(mid2),
+        )
+    }
+}
+
+#[target_feature(enable = "avx512f")]
+fn expand_lanes(lanes: &mut LaneStates, q: u64, row: &mut [u64]) {
+    // The stores below rely on it.
+    assert!(row.len().is_multiple_of(8 * LANES), "whole vectors a chunk");
+    let c = row.len() / LANES;
+    let word = |w: usize| {
+        let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes.map(|s| s[w] as i64);
+        _mm512_setr_epi64(l0, l1, l2, l3, l4, l5, l6, l7)
+    };
+    let (mut s0, mut s1, mut s2, mut s3) = (word(0), word(1), word(2), word(3));
+    let q_lo = _mm512_set1_epi64(q as i64);
+    let q_hi = _mm512_set1_epi64((q >> 32) as i64);
+    let idx = |i: [i64; 8]| _mm512_setr_epi64(i[0], i[1], i[2], i[3], i[4], i[5], i[6], i[7]);
+    let (quad_lo, quad_hi) = (
+        idx([0, 1, 8, 9, 4, 5, 12, 13]),
+        idx([2, 3, 10, 11, 6, 7, 14, 15]),
+    );
+    let (half_lo, half_hi) = (
+        idx([0, 1, 2, 3, 8, 9, 10, 11]),
+        idx([4, 5, 6, 7, 12, 13, 14, 15]),
+    );
+    for i in (0..c).step_by(8) {
+        // Draw k of every lane, for k = 0..8.
+        let draws: [__m512i; 8] = std::array::from_fn(|_| {
+            let result = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+            let t = _mm512_slli_epi64::<17>(s1);
+            s2 = _mm512_xor_si512(s2, s0);
+            s3 = _mm512_xor_si512(s3, s1);
+            s1 = _mm512_xor_si512(s1, s2);
+            s0 = _mm512_xor_si512(s0, s3);
+            s2 = _mm512_xor_si512(s2, t);
+            s3 = _mm512_rol_epi64::<45>(s3);
+            mul_hi(result, q_lo, q_hi)
+        });
+        // Transpose: pairs, then quads, then halves, so column l holds
+        // lane l's draws k = 0..8.
+        let pair = |k: usize| {
+            (
+                _mm512_unpacklo_epi64(draws[k], draws[k + 1]),
+                _mm512_unpackhi_epi64(draws[k], draws[k + 1]),
+            )
+        };
+        let [(p0, p1), (p2, p3), (p4, p5), (p6, p7)] = [0, 2, 4, 6].map(pair);
+        let quad = |a, b| {
+            (
+                _mm512_permutex2var_epi64(a, quad_lo, b),
+                _mm512_permutex2var_epi64(a, quad_hi, b),
+            )
+        };
+        let ((u0, u2), (u1, u3)) = (quad(p0, p2), quad(p1, p3));
+        let ((u4, u6), (u5, u7)) = (quad(p4, p6), quad(p5, p7));
+        let half = |a, b| {
+            (
+                _mm512_permutex2var_epi64(a, half_lo, b),
+                _mm512_permutex2var_epi64(a, half_hi, b),
+            )
+        };
+        let ((c0, c4), (c1, c5)) = (half(u0, u4), half(u1, u5));
+        let ((c2, c6), (c3, c7)) = (half(u2, u6), half(u3, u7));
+        for (l, column) in [c0, c1, c2, c3, c4, c5, c6, c7].into_iter().enumerate() {
+            // SAFETY: l·c + i + 8 ≤ (l + 1)·c ≤ row.len(), as c is a
+            // multiple of 8 and i < c.
+            unsafe { _mm512_storeu_epi64(row.as_mut_ptr().add(l * c + i) as *mut i64, column) }
+        }
+    }
+    let mut words = [[0u64; 8]; 4];
+    for (w, s) in words.iter_mut().zip([s0, s1, s2, s3]) {
+        // SAFETY: 8 writable u64s.
+        unsafe { _mm512_storeu_epi64(w.as_mut_ptr() as *mut i64, s) }
+    }
+    for (l, state) in lanes.iter_mut().enumerate() {
+        *state = [words[0][l], words[1][l], words[2][l], words[3][l]];
+    }
+}
+
 /// The IFMA kernel table (install only after [`detected`]).
 pub static KERNELS: Kernels = Kernels {
     name: "avx512ifma",
@@ -585,4 +707,5 @@ pub static KERNELS: Kernels = Kernels {
     mul_add_scalar,
     dot_steps,
     key_switch_row,
+    expand_row,
 };

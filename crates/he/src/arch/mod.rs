@@ -2,8 +2,8 @@
 //!
 //! The inner loops of the crate that a vector unit can run — the
 //! forward/inverse NTT butterflies, the pointwise polynomial ops, the
-//! key-switch digit lift, the modulus switch's row steps, and the two
-//! widest server loops, the
+//! key-switch digit lift, the modulus switch's row steps, the seed
+//! expansion's generators, and the two widest server loops, the
 //! key-switch digit sum and the convolution tap sum — are routed
 //! through a single [`Kernels`] table of function pointers selected
 //! **once** at startup. The two inner products' scalar bodies are
@@ -44,6 +44,7 @@
 
 use crate::lazy::{DigitRows, OperandRows, StepOut, StepTerm};
 use crate::modulus::Modulus;
+use crate::prg::{Jump, State};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Once;
@@ -92,6 +93,13 @@ pub type DotStepsFn = fn(&Modulus, &[OperandRows<'_>], &[&[StepTerm<'_>]], &mut 
 /// [`crate::lazy::key_switch_row`].
 pub type KeySwitchRowFn = fn(&Modulus, &[u32], &[u64], &[DigitRows<'_>], &mut [u64], &mut [u64]);
 
+/// One prime row of a seed's stream, `(state, jump, q, row)`: the next
+/// `row.len()` draws from `state`, each below `q`, and `state` left
+/// where they end; `jump` is `row.len() / LANES` draws, for bodies that
+/// run the row's chunks side by side. The scalar body is
+/// [`crate::prg::expand_row`].
+pub type ExpandRowFn = fn(&mut State, &Jump, u64, &mut [u64]);
+
 /// A complete set of hot-loop kernels for one backend.
 ///
 /// All kernels take inputs already reduced into the range the scalar
@@ -138,6 +146,9 @@ pub struct Kernels {
     /// The key-switch digit sum of one prime row, read through the
     /// Galois table.
     pub key_switch_row: KeySwitchRowFn,
+    /// One prime row of a seed's uniform polynomials, its chunks drawn
+    /// by up to [`crate::prg::LANES`] generators at once.
+    pub expand_row: ExpandRowFn,
 }
 
 static ACTIVE: AtomicPtr<Kernels> = AtomicPtr::new(ptr::null_mut());

@@ -177,4 +177,5 @@ pub static KERNELS: Kernels = Kernels {
     mul_add_scalar,
     dot_steps: crate::lazy::dot_steps,
     key_switch_row: crate::lazy::key_switch_row,
+    expand_row: crate::prg::expand_row,
 };

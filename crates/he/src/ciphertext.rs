@@ -197,7 +197,7 @@ pub(crate) fn write_poly(out: &mut Vec<u8>, poly: &Poly) {
 }
 
 /// Appends one byte-padded section: `values` at `bits` bits each.
-fn write_packed(out: &mut Vec<u8>, values: &[u64], bits: usize) {
+pub(crate) fn write_packed(out: &mut Vec<u8>, values: &[u64], bits: usize) {
     let start = out.len();
     out.resize(start + (values.len() * bits).div_ceil(8), 0);
     pack_bits_into(values, bits, &mut out[start..]);
@@ -225,34 +225,15 @@ pub fn pack_bits(values: &[u64], bits: usize) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics if `bits > 64` or `out` has the wrong length.
+/// Panics if `bits` is not in `1..=64` or `out` has the wrong length.
 pub fn pack_bits_into(values: &[u64], bits: usize, out: &mut [u8]) {
-    let mask = low_mask(bits);
+    assert!((1..=64).contains(&bits), "1 to 64 bits per value");
     assert_eq!(
         out.len(),
         (values.len() * bits).div_ceil(8),
         "packed buffer size"
     );
-    // `fill < 64` bits are pending in `acc` between values; one more
-    // value brings at most 127, so a u128 never overflows.
-    let mut acc = 0u128;
-    let mut fill = 0usize;
-    let mut pos = 0usize;
-    for &v in values {
-        acc |= ((v & mask) as u128) << fill;
-        fill += bits;
-        if fill >= 64 {
-            out[pos..pos + 8].copy_from_slice(&(acc as u64).to_le_bytes());
-            pos += 8;
-            acc >>= 64;
-            fill -= 64;
-        }
-    }
-    // The last, partial word: up to 8 bytes when 57..=63 bits pend.
-    let tail = &mut out[pos..];
-    let tail_len = tail.len();
-    debug_assert_eq!(tail_len, fill.div_ceil(8));
-    tail.copy_from_slice(&(acc as u64).to_le_bytes()[..tail_len]);
+    PACK[bits - 1](values, out);
 }
 
 /// Unpacks `count` values of `bits` bits each from a byte stream.
@@ -267,7 +248,8 @@ pub fn unpack_bits(bytes: &[u8], bits: usize, count: usize) -> Vec<u64> {
 ///
 /// # Panics
 ///
-/// Panics if `bits > 64` or `bytes` is shorter than the packed values.
+/// Panics if `bits` is not in `1..=64` or `bytes` is shorter than the
+/// packed values.
 pub fn unpack_bits_into(bytes: &[u8], bits: usize, out: &mut [u64]) {
     unpack_bits_max(bytes, bits, out);
 }
@@ -275,38 +257,109 @@ pub fn unpack_bits_into(bytes: &[u8], bits: usize, out: &mut [u64]) {
 /// [`unpack_bits_into`] that also returns the largest value unpacked
 /// (0 for none), so a validating reader gets its range check from the
 /// same pass.
-pub(crate) fn unpack_bits_max(bytes: &[u8], bits: usize, out: &mut [u64]) -> u64 {
-    let mask = low_mask(bits);
-    assert!(
-        bytes.len() >= (out.len() * bits).div_ceil(8),
-        "packed input too short"
-    );
-    // Refill 64 bits whenever fewer than `bits` are pending, so `acc`
-    // holds under 128. The last word may be partial; its missing bytes
-    // read as zero and lie past every bit the loop consumes.
-    let mut acc = 0u128;
-    let mut fill = 0usize;
-    let mut words = bytes.chunks(8);
-    let mut max = 0u64;
-    for slot in out.iter_mut() {
-        if fill < bits {
-            let chunk = words.next().expect("length checked above");
-            let word = <[u8; 8]>::try_from(chunk).unwrap_or_else(|_| {
-                let mut padded = [0u8; 8];
-                padded[..chunk.len()].copy_from_slice(chunk);
-                padded
-            });
-            acc |= (u64::from_le_bytes(word) as u128) << fill;
-            fill += 64;
+///
+/// # Panics
+///
+/// As [`unpack_bits_into`].
+pub fn unpack_bits_max(bytes: &[u8], bits: usize, out: &mut [u64]) -> u64 {
+    assert!((1..=64).contains(&bits), "1 to 64 bits per value");
+    let len = (out.len() * bits).div_ceil(8);
+    assert!(bytes.len() >= len, "packed input too short");
+    UNPACK[bits - 1](&bytes[..len], out)
+}
+
+// Eight values of `B` bits are exactly `B` bytes, so the codec moves
+// them a group at a time through at most eight 64-bit words, every
+// shift a constant of the width; a trailing partial group goes through
+// the same code, zero-padded. `PACK` and `UNPACK` hold the code of each
+// width `B` at `B − 1`.
+
+/// Packs the eight values of `group` at `B` bits into `out`: all `B`
+/// bytes of a whole group, or the leading bytes of a padded last one.
+#[inline(always)]
+fn pack8<const B: usize>(group: &[u64; 8], out: &mut [u8]) {
+    let mask = low_mask(B);
+    let mut words = [0u64; 8];
+    for (k, &v) in group.iter().enumerate() {
+        let (v, at) = (v & mask, k * B);
+        let (w, shift) = (at / 64, at % 64);
+        words[w] |= v << shift;
+        if shift + B > 64 {
+            words[w + 1] |= v >> (64 - shift);
         }
-        let v = acc as u64 & mask;
-        acc >>= bits;
-        fill -= bits;
-        max = max.max(v);
-        *slot = v;
     }
+    let mut bytes = [0u8; 64];
+    for (b, w) in bytes.chunks_exact_mut(8).zip(words) {
+        b.copy_from_slice(&w.to_le_bytes());
+    }
+    out.copy_from_slice(&bytes[..out.len()]);
+}
+
+/// Unpacks the `out.len() ≤ 8` values of `B` bits that lead `packed`
+/// (at most one group's bytes), raising `max` to the largest.
+#[inline(always)]
+fn unpack8<const B: usize>(packed: &[u8], out: &mut [u64], max: &mut u64) {
+    let mask = low_mask(B);
+    let mut bytes = [0u8; 64];
+    bytes[..packed.len()].copy_from_slice(packed);
+    let mut words = [0u64; 8];
+    for (w, b) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+        *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+    }
+    for (k, slot) in out.iter_mut().enumerate() {
+        let at = k * B;
+        let (w, shift) = (at / 64, at % 64);
+        let mut v = words[w] >> shift;
+        if shift + B > 64 {
+            v |= words[w + 1] << (64 - shift);
+        }
+        *slot = v & mask;
+        *max = (*max).max(*slot);
+    }
+}
+
+/// [`pack_bits_into`] at `B` bits, `out` of the exact length.
+fn pack_width<const B: usize>(values: &[u64], out: &mut [u8]) {
+    let groups = values.chunks_exact(8);
+    let tail = groups.remainder();
+    let (whole, last) = out.split_at_mut(values.len() / 8 * B);
+    for (group, dst) in groups.zip(whole.chunks_exact_mut(B)) {
+        pack8::<B>(group.try_into().expect("a group of 8"), dst);
+    }
+    if !tail.is_empty() {
+        let mut group = [0u64; 8];
+        group[..tail.len()].copy_from_slice(tail);
+        pack8::<B>(&group, last);
+    }
+}
+
+/// [`unpack_bits_max`] at `B` bits, `bytes` of the exact length.
+fn unpack_width<const B: usize>(bytes: &[u8], out: &mut [u64]) -> u64 {
+    let mut max = 0;
+    let whole = out.len() / 8 * B;
+    let mut groups = out.chunks_exact_mut(8);
+    for (group, packed) in (&mut groups).zip(bytes.chunks_exact(B)) {
+        unpack8::<B>(packed, group, &mut max);
+    }
+    // The last byte's bits past the tail's values are not read.
+    unpack8::<B>(&bytes[whole..], groups.into_remainder(), &mut max);
     max
 }
+
+macro_rules! width_tables {
+    ($($b:literal)*) => {
+        /// [`pack_width`] of every width `B`, at `B − 1`.
+        const PACK: [fn(&[u64], &mut [u8]); 64] = [$(pack_width::<$b>),*];
+        /// [`unpack_width`] of every width `B`, at `B − 1`.
+        const UNPACK: [fn(&[u8], &mut [u64]) -> u64; 64] = [$(unpack_width::<$b>),*];
+    };
+}
+
+width_tables!(
+    1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+    33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62
+    63 64
+);
 
 #[cfg(test)]
 mod tests {

@@ -46,6 +46,7 @@ pub mod ntt;
 pub mod params;
 pub mod poly;
 pub mod pool;
+pub mod prg;
 pub mod primes;
 pub mod serial;
 

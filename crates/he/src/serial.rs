@@ -202,14 +202,25 @@ pub fn galois_keys_to_bytes(gk: &GaloisKeys) -> Vec<u8> {
     out.extend_from_slice(&(elements.len() as u32).to_le_bytes());
     for elt in elements {
         let ksk = &gk.keys[&elt];
-        out.extend_from_slice(&(elt as u64).to_le_bytes());
-        out.extend_from_slice(&(ksk.pairs.len() as u32).to_le_bytes());
-        out.extend_from_slice(&ksk.seed);
+        write_galois_entry_header(&mut out, elt, ksk.pairs.len(), &ksk.seed);
         for (b, _) in &ksk.pairs {
             write_poly(&mut out, b);
         }
     }
     out
+}
+
+/// Appends the head of one Galois key entry: its element, its digit
+/// count and its seed, the packed `b_i` to follow.
+pub(crate) fn write_galois_entry_header(
+    out: &mut Vec<u8>,
+    elt: usize,
+    digits: usize,
+    seed: &KeySeed,
+) {
+    out.extend_from_slice(&(elt as u64).to_le_bytes());
+    out.extend_from_slice(&(digits as u32).to_le_bytes());
+    out.extend_from_slice(seed);
 }
 
 /// Deserializes Galois keys produced by [`galois_keys_to_bytes`].

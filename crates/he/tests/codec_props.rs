@@ -9,6 +9,9 @@
 //! sparse result form is bit-flip fuzzed: whatever the flips and
 //! however the length is cut or grown, its reader answers with a
 //! ciphertext, `ResidueOutOfRange` or a length error, and never panics.
+//! A Galois key and an uploaded ciphertext are fuzzed the same way:
+//! their readers answer with a typed error or with a value that writes
+//! back to exactly the bytes read.
 //!
 //! Public-key and Galois-key blobs are compared against the oracle in
 //! `serial.rs`'s unit tests, which can see the key polynomials.
@@ -20,12 +23,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::{
-    pack_bits, pack_bits_into, unpack_bits, unpack_bits_into, Ciphertext, SparseCiphertext,
+    pack_bits, pack_bits_into, unpack_bits, unpack_bits_into, unpack_bits_max, Ciphertext,
+    SparseCiphertext,
 };
 use spot_he::context::Context;
 use spot_he::encoding::BatchEncoder;
 use spot_he::encryptor::{Encryptor, SymmetricEncryptor};
-use spot_he::keys::KeyGenerator;
+use spot_he::keys::{expand_seed, KeyGenerator};
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_he::serial::{
     galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
@@ -67,6 +71,15 @@ fn assert_codec_matches_oracle(bits: usize, len: usize, seed: u64) {
     let mut dirty = vec![u64::MAX; len];
     unpack_bits_into(&want, bits, &mut dirty);
     assert_eq!(dirty, masked, "unpack_into {tag}");
+
+    // The range check's maximum is the oracle's, and bytes past the
+    // packed values (a longer buffer) are never read into a value.
+    let mut longer = want.clone();
+    longer.extend_from_slice(&[0xFF; 9]);
+    let mut dirty = vec![u64::MAX; len];
+    let max = unpack_bits_max(&longer, bits, &mut dirty);
+    assert_eq!(dirty, masked, "unpack_max {tag}");
+    assert_eq!(max, masked.iter().copied().max().unwrap_or(0), "max {tag}");
 }
 
 /// Every width against every short length (all phases of value against
@@ -447,6 +460,89 @@ proptest! {
         bad.resize((bad.len() as isize + resize) as usize, 0xFF);
         match SparseCiphertext::try_from_bytes(rctx, &bad, positions) {
             Ok(ct) => prop_assert_eq!(ct.to_bytes(), bad),
+            Err(SerialError::ResidueOutOfRange) => prop_assert_eq!(resize, 0),
+            Err(SerialError::LengthMismatch) => prop_assert_ne!(resize, 0),
+            Err(other) => prop_assert!(false, "{other:?}"),
+        }
+    }
+}
+
+/// One N4096 key's blob and one uploaded ciphertext's, made once.
+fn key_and_upload() -> &'static (Arc<Context>, Vec<u8>, Vec<u8>) {
+    static BLOBS: std::sync::OnceLock<(Arc<Context>, Vec<u8>, Vec<u8>)> =
+        std::sync::OnceLock::new();
+    BLOBS.get_or_init(|| {
+        let ctx = ctx(ParamLevel::N4096);
+        let mut rng = StdRng::seed_from_u64(79);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let key = kg.galois_key_blob(2 * ctx.degree() - 1, &mut rng);
+        let plain = BatchEncoder::new(&ctx).encode(&[1, 2, 3, 4, 5]);
+        let upload = SymmetricEncryptor::new(&ctx, kg.secret_key().clone())
+            .encrypt(&plain, &mut rng)
+            .to_bytes();
+        (ctx, key, upload)
+    })
+}
+
+/// Flips bits of `good` at `flips` (offsets taken modulo the length),
+/// then cuts or grows it by `resize` bytes of `0xFF`.
+fn flipped(good: &[u8], flips: &[(usize, u8)], resize: isize) -> Vec<u8> {
+    let mut bad = good.to_vec();
+    for &(byte, bit) in flips {
+        let at = byte % bad.len();
+        bad[at] ^= 1 << bit;
+    }
+    bad.resize((bad.len() as isize + resize) as usize, 0xFF);
+    bad
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Flips anywhere in a one-key blob — count, element, digit count,
+    /// seed or residues — and a cut or grown tail: the reader returns a
+    /// typed error, or keys that serialise back to the same bytes (a
+    /// flipped seed is a different key, and a valid one).
+    #[test]
+    fn bit_flipped_galois_keys_end_in_keys_or_a_typed_error(
+        flips in proptest::collection::vec((0usize..200_000, 0u8..8), 1..8),
+        low in proptest::collection::vec((0usize..48, 0u8..8), 0..2),
+        resize in -9isize..=9,
+        keep_length in 0u8..4,
+    ) {
+        let resize = if keep_length > 0 { 0 } else { resize };
+        let (ctx, good, _) = key_and_upload();
+        let bad = flipped(good, &[flips, low].concat(), resize);
+        match galois_keys_from_bytes(ctx, &bad) {
+            Ok(keys) => prop_assert!(galois_keys_to_bytes(&keys) == bad),
+            Err(SerialError::Truncated | SerialError::LengthMismatch)
+            | Err(SerialError::ResidueOutOfRange)
+            | Err(SerialError::Malformed(_)) => {}
+            Err(other) => prop_assert!(false, "{other:?}"),
+        }
+    }
+
+    /// The same for an uploaded ciphertext: a value read back is the
+    /// blob's `c0` beside the expansion of the blob's seed.
+    #[test]
+    fn bit_flipped_uploads_end_in_a_ciphertext_or_a_typed_error(
+        flips in proptest::collection::vec((0usize..60_000, 0u8..8), 1..8),
+        resize in -9isize..=9,
+        keep_length in 0u8..4,
+    ) {
+        let resize = if keep_length > 0 { 0 } else { resize };
+        let (ctx, _, good) = key_and_upload();
+        let bad = flipped(good, &flips, resize);
+        match Ciphertext::try_from_seeded_bytes(ctx, &bad) {
+            Ok(ct) => {
+                prop_assert_eq!(bad.len(), good.len());
+                let c0_end = 16 + ctx.params().poly_bytes();
+                prop_assert!(ct.to_bytes()[..c0_end] == bad[..c0_end]);
+                let seed: [u8; 32] = bad[c0_end..].try_into().expect("32 seed bytes");
+                prop_assert!(ct.c1().raw() == expand_seed(ctx, &seed, 1)[0].raw());
+            }
+            // The header is checked before the length.
+            Err(SerialError::HeaderMismatch) => {}
             Err(SerialError::ResidueOutOfRange) => prop_assert_eq!(resize, 0),
             Err(SerialError::LengthMismatch) => prop_assert_ne!(resize, 0),
             Err(other) => prop_assert!(false, "{other:?}"),

@@ -23,7 +23,9 @@
 //! - the multi-step tap sum over rows that end inside a tile, with
 //!   empty steps, steps over different operand subsets and repeated
 //!   operands, and a convolution's sixteen giant steps of eighteen terms,
-//!   every step also held to a term-by-term oracle.
+//!   every step also held to a term-by-term oracle;
+//! - the seed expansion's row bodies, draws and end states, at bounds
+//!   up to `u64::MAX` and lane chunks off the vector widths.
 
 use proptest::prelude::*;
 use spot_he::arch::{self, Kernels};
@@ -503,4 +505,47 @@ fn vector_backend_is_exercised_where_expected() {
     }
     #[cfg(target_arch = "aarch64")]
     assert!(names.contains(&"neon"), "aarch64 always has NEON");
+}
+
+/// The seed expansion's row bodies: every table's draws and end state
+/// equal the scalar body's, from random states and the all-zero one,
+/// at bounds of every width the wire uses and past it (the draw's high
+/// word is taken for any 64-bit bound), for rows whose lane chunks are
+/// and are not a multiple of either vector width — those take the
+/// scalar body inside the vector entries.
+#[test]
+fn seed_rows_are_bit_identical_across_backends() {
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+    use spot_he::prg::{self, Jump, State, LANES};
+    let mut rng = StdRng::seed_from_u64(43);
+    let bounds = [
+        2,
+        97,
+        (1 << 36) - 5,
+        ntt_primes(49, 16384, 1)[0],
+        1 << 54,
+        u64::MAX,
+    ];
+    for chunk in [1, 3, 4, 8, 12, 40, 64, 512, 2048] {
+        let jump = Jump::new(chunk);
+        for (b, &q) in bounds.iter().enumerate() {
+            let start: State = if b == 0 {
+                [0; 4]
+            } else {
+                [0; 4].map(|_| rng.next_u64())
+            };
+            let mut want_state = start;
+            let mut want = vec![0u64; chunk * LANES];
+            prg::expand_row(&mut want_state, &jump, q, &mut want);
+            assert!(want.iter().all(|&v| v < q));
+            for k in backends() {
+                let mut state = start;
+                let mut got = vec![u64::MAX; chunk * LANES];
+                (k.expand_row)(&mut state, &jump, q, &mut got);
+                assert!(got == want, "{} draws, chunk {chunk}, q {q}", k.name);
+                assert_eq!(state, want_state, "{} end state, chunk {chunk}", k.name);
+            }
+        }
+    }
 }
