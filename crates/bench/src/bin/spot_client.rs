@@ -1,7 +1,8 @@
 //! Data-owner client for the two-process TinyCnn demo: connects to a
 //! running `spot-server`, drives the full secure inference over TCP,
 //! and checks the reconstructed output against both the plaintext
-//! forward pass and an in-process `MemTransport` reference run.
+//! forward pass and an in-process reference run of the same batch
+//! ([`TinyCnn::forward_secure_with`]).
 //!
 //! The flags are `USAGE`'s; any other argument exits 2 and prints it.
 //!
@@ -13,79 +14,22 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spot_bench::{arg_value, refuse_unknown_args, scheme_arg};
+use spot_bench::{arg_value, connect_with_retry, link_arg, refuse_unknown_args, scheme_arg};
 use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
-use spot_core::session::{ExecBackend, SchemeKind};
-use spot_core::twoparty::{run_client_batch, run_server};
+use spot_core::session::ExecBackend;
+use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_pipeline::report::{transfer_table, TransferRow};
-use spot_proto::channel::LinkModel;
-use spot_proto::transport::{MemTransport, TcpTransport, Transport, TransportStats};
+use spot_proto::transport::{Transport, TransportStats};
 use spot_tensor::tensor::Tensor;
-use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "usage: spot-client [--connect 127.0.0.1:7341] \
      [--scheme spot|channelwise|cheetah] [--batch N] [--seed S] [--link lan|wlan] \
      [--trace out.json]";
-
-fn connect_with_retry(addr: &str) -> TcpTransport {
-    for _ in 0..100 {
-        match TcpTransport::connect(addr) {
-            Ok(t) => return t,
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
-    panic!("could not connect to spot-server at {addr}");
-}
-
-/// Runs the same client logic against an in-process server over a
-/// `MemTransport` pair, returning the per-image outputs and the
-/// client-side transport accounting.
-fn mem_reference(
-    ctx: &Arc<Context>,
-    cnn: &TinyCnn,
-    inputs: &[Tensor],
-    scheme: SchemeKind,
-    seed: u64,
-) -> (Vec<Tensor>, TransportStats) {
-    let (ct, st) = MemTransport::pair();
-    let ctx_s = Arc::clone(ctx);
-    let cnn_s = cnn.clone();
-    let server = std::thread::spawn(move || {
-        let mut rng = StdRng::seed_from_u64(1312);
-        run_server(
-            &ctx_s,
-            &st,
-            &cnn_s,
-            &ExecBackend::Phased(Executor::serial()),
-            &mut rng,
-        )
-    });
-    let mut rng = StdRng::seed_from_u64(seed);
-    let kg = KeyGenerator::new(ctx, &mut rng);
-    let out = run_client_batch(
-        ctx,
-        &kg,
-        &ct,
-        inputs,
-        cnn,
-        scheme,
-        (4, 4),
-        PatchMode::Tweaked,
-        &mut rng,
-    )
-    .expect("reference client run");
-    server
-        .join()
-        .expect("reference server thread")
-        .expect("reference server run");
-    (out, ct.stats())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -99,10 +43,7 @@ fn main() {
         .map(|v| v.parse().expect("--batch takes a number"))
         .unwrap_or(1);
     assert!(batch >= 1, "--batch must be at least 1");
-    let link = match arg_value(&args, "--link").as_deref().unwrap_or("lan") {
-        "wlan" => LinkModel::wlan(),
-        _ => LinkModel::lan(),
-    };
+    let link = link_arg(&args);
     let trace_path = arg_value(&args, "--trace");
     let trace_baseline = trace_path
         .as_ref()
@@ -115,17 +56,25 @@ fn main() {
         .collect();
     let want: Vec<Tensor> = inputs.iter().map(|i| cnn.forward_plain(i)).collect();
 
+    let mut rng = StdRng::seed_from_u64(seed);
+    let kg = KeyGenerator::new(&ctx, &mut rng);
     println!("spot-client: in-process MemTransport reference run...");
-    let (ref_out, ref_stats) = mem_reference(&ctx, &cnn, &inputs, scheme, seed);
+    let (ref_out, ref_stats, _) = cnn.forward_secure_with(
+        &ctx,
+        &kg,
+        &inputs,
+        scheme,
+        &ExecBackend::Phased(Executor::serial()),
+        &mut StdRng::seed_from_u64(seed),
+    );
     // Drop the reference run's events so the exported trace covers only
     // the TCP session — the half the cross-party merge consumes.
     let trace_baseline = trace_baseline.map(|_| spot_bench::traceio::trace_restart());
 
     println!("spot-client: connecting to {addr} (scheme {scheme:?}, batch {batch})");
-    let transport = connect_with_retry(&addr);
+    let transport = connect_with_retry(&addr)
+        .unwrap_or_else(|e| panic!("could not connect to spot-server at {addr}: {e}"));
     let t0 = std::time::Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let kg = KeyGenerator::new(&ctx, &mut rng);
     let out = run_client_batch(
         &ctx,
         &kg,

@@ -43,7 +43,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_bench::check::{http_get, parse_prometheus};
-use spot_bench::{arg_value, refuse_unknown_args, scheme_arg};
+use spot_bench::{arg_value, connect_with_retry, refuse_unknown_args, scheme_arg};
 use spot_core::error::SpotError;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
@@ -53,7 +53,7 @@ use spot_core::twoparty::run_client_batch;
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_proto::transport::{MemTransport, TcpTransport};
+use spot_proto::transport::MemTransport;
 use spot_proto::{error_code, Queue, Transport};
 use spot_tensor::tensor::Tensor;
 use spot_trace::{log_warn, metrics, Counter};
@@ -96,19 +96,7 @@ impl Upstream {
                 handles.lock().expect("handle lock").push(handle);
                 Ok(Box::new(client_end))
             }
-            Upstream::Tcp { addr } => {
-                let mut last = None;
-                for _ in 0..100 {
-                    match TcpTransport::connect(addr) {
-                        Ok(t) => return Ok(Box::new(t)),
-                        Err(e) => {
-                            last = Some(e);
-                            std::thread::sleep(Duration::from_millis(100));
-                        }
-                    }
-                }
-                Err(SpotError::Proto(last.expect("at least one attempt")))
-            }
+            Upstream::Tcp { addr } => Ok(Box::new(connect_with_retry(addr)?)),
         }
     }
 

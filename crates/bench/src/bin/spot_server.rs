@@ -1,17 +1,19 @@
 //! Model-owner server for the TinyCnn demo.
 //!
-//! By default this is a **multi-tenant server**: an accept loop admits
-//! up to `--max-sessions` concurrent TCP sessions, each served on its
-//! own thread through a shared [`spot_core::serving::SpotServer`] — one
-//! [`ModelContext`] (HE context, weights, NTT-domain kernel caches
-//! built once per model) and one bounded worker pool multiplexed
-//! across every connection. Connections past the cap, or `Setup`
-//! batches past `--max-batch`, are refused with a typed wire error.
+//! An accept loop admits up to `--max-sessions` concurrent TCP
+//! sessions, each served on its own thread through a shared
+//! [`spot_core::serving::SpotServer`] — one [`ModelContext`] (HE
+//! context, weights, NTT-domain kernel caches built once per model) and
+//! one bounded worker pool multiplexed across every connection.
+//! Connections past the cap, or `Setup` batches past `--max-batch`, are
+//! refused with a typed wire error. Every session bounds the server's
+//! read-ahead at `--capacity` frames.
 //!
-//! `--once` keeps the original single-connection demo: accept one
-//! client, run the session on the main thread, print the stall/traffic
-//! report, and exit (the loopback CI jobs and `results/tcp_demo.txt`
-//! rely on this exact behavior).
+//! `--serve N` ends the run after N connections (0, the default, serves
+//! until killed). On exit the server prints one report summed over its
+//! sessions: the stall table, the wire traffic and, for batched
+//! sessions, the amortized HE work per image. The loop joins finished
+//! session threads before each accept.
 //!
 //! `--admin <addr>` starts the live observability endpoint
 //! ([`spot_core::admin`]): `GET /metrics` (Prometheus text),
@@ -22,36 +24,118 @@
 //!
 //! [`ModelContext`]: spot_core::serving::ModelContext
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use spot_bench::{arg_value, refuse_unknown_args};
 use spot_core::admin::AdminServer;
-use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
-use spot_core::serving::{ModelContext, ServingConfig, SpotServer};
-use spot_core::session::ExecBackend;
-use spot_core::stream::{stall_table, StreamConfig};
-use spot_core::twoparty::run_server;
+use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
+use spot_core::stream::{stall_table, StreamStats};
 use spot_he::context::Context;
 use spot_he::params::{EncryptionParams, ParamLevel};
 use spot_pipeline::report::{transfer_table, TransferRow};
-use spot_proto::channel::LinkModel;
-use spot_proto::transport::{TcpTransport, Transport};
+use spot_proto::channel::{LinkModel, TrafficStats};
+use spot_proto::cost::amortized_per_image;
+use spot_proto::transport::{TcpTransport, TransportStats};
 use spot_trace::{log_error, log_info, log_warn, Counter};
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-const USAGE: &str = "usage: spot-server [--listen 127.0.0.1:7341] [--backend streaming|phased] \
-     [--threads N] [--capacity N] [--seed S] [--trace out.json] [--once] [--max-sessions N] \
-     [--max-batch N] [--pool N] [--serve N] [--read-timeout-ms MS] [--admin ADDR] \
-     [--linger-ms MS]";
+const USAGE: &str = "usage: spot-server [--listen 127.0.0.1:7341] [--threads N] [--capacity N] \
+     [--seed S] [--trace out.json] [--max-sessions N] [--max-batch N] [--pool N] [--serve N] \
+     [--read-timeout-ms MS] [--admin ADDR] [--linger-ms MS]";
+
+/// What the exit report sums over the sessions that ran.
+#[derive(Default)]
+struct Totals {
+    stream: StreamStats,
+    traffic: TransportStats,
+    /// Images of the batched sessions, and the rotations, key switches
+    /// and plain mults their counter sinks saw.
+    batched_images: u64,
+    batched_work: [u64; 3],
+}
+
+impl Totals {
+    fn join(&mut self, session: JoinHandle<Option<SessionReport>>) {
+        let Ok(Some(report)) = session.join() else {
+            return;
+        };
+        let Ok(run) = &report.result else { return };
+        self.stream.accumulate(&run.stream);
+        let (t, r) = (&mut self.traffic, &report.traffic);
+        t.sent.bytes += r.sent.bytes;
+        t.sent.messages += r.sent.messages;
+        t.received.bytes += r.received.bytes;
+        t.received.messages += r.received.messages;
+        t.send_blocked += r.send_blocked;
+        if run.batch > 1 {
+            self.batched_images += run.batch as u64;
+            let work = [Counter::Rotate, Counter::KeySwitch, Counter::MultPlain];
+            for (sum, c) in self.batched_work.iter_mut().zip(work) {
+                *sum += report.counters.get(c);
+            }
+        }
+    }
+
+    fn print(&self) {
+        let images = self.batched_images as usize;
+        if images > 0 {
+            // A batch runs the rotation/key-switch schedule once for all
+            // its images, so each image pays 1/batch of it.
+            let [rotations, key_switches, mults] =
+                self.batched_work.map(|n| amortized_per_image(n, images));
+            println!(
+                "spot-server: {images} batched images — amortized {:.1} rotations/image, \
+                 {:.1} key switches/image, {:.1} plain mults/image",
+                rotations, key_switches, mults
+            );
+        }
+        if self.stream.input_items > 0 {
+            println!(
+                "{}",
+                stall_table(
+                    "Measured stall accounting (every session, both conv layers)",
+                    &[("TinyCnn server", &self.stream)]
+                )
+            );
+        }
+        let link = LinkModel::lan();
+        let row = |direction: &str, t: TrafficStats, blocked: Duration| TransferRow {
+            direction: direction.into(),
+            bytes: t.bytes,
+            messages: t.messages,
+            measured_s: 0.0,
+            send_blocked_s: blocked.as_secs_f64(),
+            modeled_s: link.transfer_time(t.bytes as usize),
+        };
+        let t = &self.traffic;
+        println!(
+            "{}",
+            transfer_table(
+                "Server-side wire traffic, every session (measured vs LAN model)",
+                &[
+                    row("client -> server", t.received, Duration::ZERO),
+                    row("server -> client", t.sent, t.send_blocked),
+                ]
+            )
+        );
+    }
+}
+
+/// Joins the session threads that have finished into `totals`.
+fn join_finished(sessions: &mut Vec<JoinHandle<Option<SessionReport>>>, totals: &mut Totals) {
+    let (done, running): (Vec<_>, _) = std::mem::take(sessions)
+        .into_iter()
+        .partition(|h| h.is_finished());
+    *sessions = running;
+    done.into_iter().for_each(|h| totals.join(h));
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     refuse_unknown_args(&args, USAGE);
     let listen = arg_value(&args, "--listen").unwrap_or_else(|| "127.0.0.1:7341".into());
-    let backend_name = arg_value(&args, "--backend").unwrap_or_else(|| "streaming".into());
     let threads: usize = arg_value(&args, "--threads")
         .map(|v| v.parse().expect("--threads takes a number"))
         .unwrap_or(2);
@@ -65,26 +149,6 @@ fn main() {
     let trace_baseline = trace_path
         .as_ref()
         .map(|_| spot_bench::traceio::trace_begin());
-
-    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
-    let cnn = TinyCnn::new(7);
-    let listener = TcpListener::bind(&listen).expect("bind listen address");
-
-    if args.iter().any(|a| a == "--once") {
-        serve_once(
-            &listener,
-            &ctx,
-            &cnn,
-            &backend_name,
-            threads,
-            capacity,
-            seed,
-            trace_path.as_deref(),
-            trace_baseline.as_ref(),
-        );
-        return;
-    }
-
     let max_sessions: usize = arg_value(&args, "--max-sessions")
         .map(|v| v.parse().expect("--max-sessions takes a number"))
         .unwrap_or(16);
@@ -103,21 +167,18 @@ fn main() {
         .map(|v| v.parse().expect("--linger-ms takes a number"))
         .unwrap_or(0);
 
-    let streaming = match backend_name.as_str() {
-        "phased" => false,
-        "streaming" => true,
-        other => panic!("unknown backend {other:?} (use streaming|phased)"),
-    };
+    let listener = TcpListener::bind(&listen).expect("bind listen address");
     let config = ServingConfig {
         max_sessions,
         max_batch,
         threads_per_session: threads,
         pool_workers,
-        streaming,
+        streaming: true,
         channel_capacity: capacity,
         base_seed: seed,
     };
-    let model = ModelContext::new("tinycnn-7", ctx, cnn);
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+    let model = ModelContext::new("tinycnn-7", ctx, TinyCnn::new(7));
     let server = Arc::new(SpotServer::new(model, config));
 
     let admin = admin_addr.map(|addr| {
@@ -127,14 +188,16 @@ fn main() {
     });
 
     println!(
-        "spot-server: listening on {} (serving mode, backend {backend_name}, max {max_sessions} \
-         sessions, {pool_workers} pool workers)",
+        "spot-server: listening on {} (max {max_sessions} sessions, {pool_workers} pool workers, \
+         read-ahead {capacity})",
         listener.local_addr().expect("local addr")
     );
 
-    let mut handles = Vec::new();
+    let mut sessions = Vec::new();
+    let mut totals = Totals::default();
     let mut accepted = 0usize;
     while serve_limit == 0 || accepted < serve_limit {
+        join_finished(&mut sessions, &mut totals);
         let (stream, peer) = match listener.accept() {
             Ok(conn) => conn,
             Err(e) => {
@@ -144,12 +207,12 @@ fn main() {
         };
         accepted += 1;
         let server = Arc::clone(&server);
-        handles.push(std::thread::spawn(move || {
+        sessions.push(std::thread::spawn(move || {
             let transport = match TcpTransport::from_stream(stream) {
                 Ok(t) => t,
                 Err(e) => {
                     log_warn!("server", "rejecting {peer}: {e}");
-                    return;
+                    return None;
                 }
             };
             if let Some(ms) = read_timeout_ms {
@@ -173,11 +236,10 @@ fn main() {
                 }
                 Err(e) => log_warn!("server", "session {} ({peer}) failed: {e}", report.id),
             }
+            Some(report)
         }));
     }
-    for h in handles {
-        let _ = h.join();
-    }
+    sessions.into_iter().for_each(|h| totals.join(h));
     let stats = server.stats();
     println!(
         "spot-server: served {} sessions ({} failed, {} rejected), {} shared kernel cache entries",
@@ -186,6 +248,7 @@ fn main() {
         stats.rejected,
         server.model().caches().total_entries()
     );
+    totals.print();
     // Keep the process (and admin endpoint) alive briefly so a smoke
     // test can take a final /metrics scrape of the completed totals.
     if linger_ms > 0 {
@@ -195,104 +258,6 @@ fn main() {
         handle.shutdown();
     }
     if let (Some(path), Some(baseline)) = (&trace_path, &trace_baseline) {
-        spot_bench::traceio::trace_finish(std::path::Path::new(path), baseline);
-    }
-}
-
-/// The original single-client demo path (`--once`): accept exactly one
-/// connection, serve it on the main thread, print the full report.
-#[allow(clippy::too_many_arguments)]
-fn serve_once(
-    listener: &TcpListener,
-    ctx: &Arc<Context>,
-    cnn: &TinyCnn,
-    backend_name: &str,
-    threads: usize,
-    capacity: usize,
-    seed: u64,
-    trace_path: Option<&str>,
-    trace_baseline: Option<&spot_trace::CounterSnapshot>,
-) {
-    let backend = match backend_name {
-        "phased" => ExecBackend::Phased(Executor::new(threads)),
-        "streaming" => ExecBackend::Streaming(StreamConfig::new(Executor::new(threads), capacity)),
-        other => panic!("unknown backend {other:?} (use streaming|phased)"),
-    };
-    println!(
-        "spot-server: listening on {} (backend {backend_name}, {threads} threads)",
-        listener.local_addr().expect("local addr")
-    );
-    let (stream, peer) = listener.accept().expect("accept client");
-    println!("spot-server: client connected from {peer}");
-    let transport = TcpTransport::from_stream(stream).expect("wrap stream");
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let report = run_server(ctx, &transport, cnn, &backend, &mut rng).expect("server session");
-
-    println!(
-        "spot-server: done — {} input cts, {} output cts, {} rotations, {} plain mults",
-        report.input_cts, report.output_cts, report.counts.rotate, report.counts.mult_plain
-    );
-    if report.batch > 1 {
-        // Batched sessions run the rotation/key-switch schedule once for
-        // the whole batch, so each image pays 1/batch of it.
-        println!(
-            "spot-server: batch {} — amortized {:.1} rotations/image, {:.1} plain mults/image",
-            report.batch,
-            spot_proto::cost::amortized_per_image(report.counts.rotate, report.batch),
-            spot_proto::cost::amortized_per_image(report.counts.mult_plain, report.batch),
-        );
-        if let Some(baseline) = trace_baseline {
-            let delta = spot_trace::counters().delta(baseline);
-            println!(
-                "spot-server: traced {:.1} key switches/image, {:.1} rotations/image",
-                spot_proto::cost::amortized_per_image(
-                    delta.get(spot_trace::Counter::KeySwitch),
-                    report.batch
-                ),
-                spot_proto::cost::amortized_per_image(
-                    delta.get(spot_trace::Counter::Rotate),
-                    report.batch
-                ),
-            );
-        }
-    }
-    if report.stream.input_items > 0 {
-        println!(
-            "{}",
-            stall_table(
-                "Measured stall accounting (both conv layers)",
-                &[("TinyCnn server", &report.stream)]
-            )
-        );
-    }
-    let stats = transport.stats();
-    let link = LinkModel::lan();
-    println!(
-        "{}",
-        transfer_table(
-            "Server-side wire traffic (measured vs LAN model)",
-            &[
-                TransferRow {
-                    direction: "client -> server".into(),
-                    bytes: stats.received.bytes,
-                    messages: stats.received.messages,
-                    measured_s: 0.0,
-                    send_blocked_s: 0.0,
-                    modeled_s: link.transfer_time(stats.received.bytes as usize),
-                },
-                TransferRow {
-                    direction: "server -> client".into(),
-                    bytes: stats.sent.bytes,
-                    messages: stats.sent.messages,
-                    measured_s: 0.0,
-                    send_blocked_s: stats.send_blocked.as_secs_f64(),
-                    modeled_s: link.transfer_time(stats.sent.bytes as usize),
-                },
-            ]
-        )
-    );
-    if let (Some(path), Some(baseline)) = (trace_path, trace_baseline) {
         spot_bench::traceio::trace_finish(std::path::Path::new(path), baseline);
     }
 }

@@ -25,7 +25,7 @@ use spot_core::stream::{stall_table, StreamConfig, StreamStats};
 use spot_he::pool;
 use spot_he::prelude::*;
 use spot_tensor::tensor::{Kernel, Tensor};
-use spot_trace::{Cat, Event, Phase};
+use spot_trace::{Cat, Counter, Event, Phase, SessionCounters};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -194,33 +194,40 @@ fn main() {
     let prev_cap = pool::capacity();
     pool::set_capacity(512);
     pool::clear();
-    pool::reset_stats();
+    // The pool's counts of one convolution: fresh (misses), reused
+    // (hits), recycled and dropped buffers.
     let conv = || {
+        let sink = SessionCounters::new(0);
+        let prev = spot_trace::set_session_counters(Some(Arc::clone(&sink)));
         engine
             .conv_one_ct(&ct, &req)
-            .expect("the key set is complete")
+            .expect("the key set is complete");
+        spot_trace::set_session_counters(prev);
+        let counts = sink.snapshot();
+        let pool = [
+            Counter::PoolMiss,
+            Counter::PoolHit,
+            Counter::PoolRecycled,
+            Counter::PoolDropped,
+        ];
+        pool.map(|c| counts.get(c))
     };
-    conv();
-    let cold = pool::stats();
-    pool::reset_stats();
-    conv();
-    let warm = pool::stats();
-    for (tag, s) in [("cold", &cold), ("warm", &warm)] {
+    let (cold, warm) = (conv(), conv());
+    let reuse =
+        |[fresh, reused, ..]: [u64; 4]| 100.0 * reused as f64 / (fresh + reused).max(1) as f64;
+    for (tag, s @ [fresh, reused, recycled, dropped]) in [("cold", cold), ("warm", warm)] {
         println!(
-            "{tag}: fresh {:>6}  reused {:>6}  recycled {:>6}  dropped {:>6}  (reuse {:.1}%)",
-            s.fresh,
-            s.reused,
-            s.recycled,
-            s.dropped,
-            100.0 * s.reused as f64 / s.takes().max(1) as f64
+            "{tag}: fresh {fresh:>6}  reused {reused:>6}  recycled {recycled:>6}  \
+             dropped {dropped:>6}  (reuse {:.1}%)",
+            reuse(s)
         );
     }
     pool::set_capacity(prev_cap);
     println!(
         "\nSteady state: the warm run's fresh allocations drop {:.0}x\n\
          while its buffer reuse covers {:.1}% of takes.",
-        cold.fresh as f64 / (warm.fresh.max(1)) as f64,
-        100.0 * warm.reused as f64 / warm.takes().max(1) as f64
+        cold[0] as f64 / warm[0].max(1) as f64,
+        reuse(warm)
     );
 
     if let Some(path) = &trace_path {

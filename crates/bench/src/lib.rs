@@ -17,6 +17,8 @@ pub mod traceio;
 pub mod workloads;
 
 use spot_core::session::SchemeKind;
+use spot_proto::{LinkModel, ProtoError, TcpTransport};
+use std::time::Duration;
 
 pub use calibrate::calibrate_he_costs;
 pub use workloads::{
@@ -85,6 +87,33 @@ pub fn scheme_arg(args: &[String]) -> SchemeKind {
         .unwrap_or_else(|| panic!("unknown scheme {name:?} (use spot|channelwise|cheetah)"))
 }
 
+/// `--link lan|wlan` (default `lan`): the link model a client's
+/// transfer table prices its bytes with.
+///
+/// # Panics
+///
+/// Panics on any other value.
+pub fn link_arg(args: &[String]) -> LinkModel {
+    match arg_value(args, "--link").as_deref().unwrap_or("lan") {
+        "lan" => LinkModel::lan(),
+        "wlan" => LinkModel::wlan(),
+        other => panic!("unknown link {other:?} (use lan|wlan)"),
+    }
+}
+
+/// Connects to a `spot-server` at `addr`, retrying every 100 ms for
+/// up to 10 s while it comes up; the last error if it never does.
+pub fn connect_with_retry(addr: &str) -> Result<TcpTransport, ProtoError> {
+    let mut tries = 0;
+    loop {
+        match TcpTransport::connect(addr) {
+            Err(_) if tries < 99 => tries += 1,
+            done => return done,
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,5 +161,18 @@ mod tests {
             unknown_arg(&args("--once --thread 4"), USAGE),
             Some("--thread")
         );
+    }
+
+    #[test]
+    fn the_link_defaults_to_lan_and_names_wlan() {
+        assert_eq!(link_arg(&args("")), LinkModel::lan());
+        assert_eq!(link_arg(&args("--link lan")), LinkModel::lan());
+        assert_eq!(link_arg(&args("--link wlan")), LinkModel::wlan());
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown link \"wlna\"")]
+    fn a_misspelt_link_is_refused() {
+        link_arg(&args("--link wlna"));
     }
 }

@@ -322,14 +322,16 @@ impl TinyCnn {
         rng: &mut R,
     ) -> (Tensor, TransportStats) {
         let backend = ExecBackend::Phased(Executor::serial());
-        let (out, traffic, _) = self.forward_secure_with(ctx, keygen, input, scheme, &backend, rng);
-        (out, traffic)
+        let inputs = std::slice::from_ref(input);
+        let (mut out, traffic, _) =
+            self.forward_secure_with(ctx, keygen, inputs, scheme, &backend, rng);
+        (out.remove(0), traffic)
     }
 
-    /// [`TinyCnn::forward_secure`] with an explicit server backend; also
-    /// returns the server's stall accounting over both convolutions.
-    /// Output and traffic are bit-identical across backends for the
-    /// same rng seed.
+    /// [`TinyCnn::forward_secure`] over a batch of images, which ride
+    /// shared ciphertexts, with an explicit server backend; also returns
+    /// the server's stall accounting over both convolutions. Outputs and
+    /// traffic are bit-identical across backends for the same rng seed.
     ///
     /// # Panics
     ///
@@ -338,11 +340,11 @@ impl TinyCnn {
         &self,
         ctx: &Arc<Context>,
         keygen: &KeyGenerator,
-        input: &Tensor,
+        inputs: &[Tensor],
         scheme: SchemeKind,
         backend: &ExecBackend,
         rng: &mut R,
-    ) -> (Tensor, TransportStats, StreamStats) {
+    ) -> (Vec<Tensor>, TransportStats, StreamStats) {
         let (client_end, server_end) = MemTransport::pair();
         let mut server_rng = StdRng::seed_from_u64(rng.gen());
         let (outputs, report) = std::thread::scope(|s| {
@@ -357,7 +359,7 @@ impl TinyCnn {
                 ctx,
                 keygen,
                 &client_end,
-                std::slice::from_ref(input),
+                inputs,
                 self,
                 scheme,
                 (4, 4),
@@ -368,8 +370,8 @@ impl TinyCnn {
             (outputs, server.join().expect("server thread panicked"))
         });
         let report = report.expect("in-process two-party server");
-        let mut outputs = outputs.expect("in-process two-party client");
-        (outputs.remove(0), client_end.stats(), report.stream)
+        let outputs = outputs.expect("in-process two-party client");
+        (outputs, client_end.stats(), report.stream)
     }
 }
 
@@ -447,13 +449,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let cnn = TinyCnn::new(7);
-        let input = Tensor::random(2, 8, 8, 5, 9);
+        let inputs = [
+            Tensor::random(2, 8, 8, 5, 9),
+            Tensor::random(2, 8, 8, 5, 10),
+        ];
+        let want: Vec<Tensor> = inputs.iter().map(|x| cnn.forward_plain(x)).collect();
         for scheme in SchemeKind::ALL {
             let mut rng_a = StdRng::seed_from_u64(77);
             let (phased, traffic_a, _) = cnn.forward_secure_with(
                 &ctx,
                 &kg,
-                &input,
+                &inputs,
                 scheme,
                 &ExecBackend::Phased(Executor::serial()),
                 &mut rng_a,
@@ -463,12 +469,13 @@ mod tests {
             let (streamed, traffic_b, stats) = cnn.forward_secure_with(
                 &ctx,
                 &kg,
-                &input,
+                &inputs,
                 scheme,
                 &ExecBackend::Streaming(cfg),
                 &mut rng_b,
             );
             assert_eq!(phased, streamed, "scheme {}", scheme.label());
+            assert_eq!(streamed, want, "scheme {}", scheme.label());
             assert_eq!(
                 (traffic_a.sent, traffic_a.received),
                 (traffic_b.sent, traffic_b.received)

@@ -29,33 +29,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
-/// Allocation counters for one thread's pool (observable from benches:
-/// a steady-state hot loop should show `fresh` flat while `reused`
-/// grows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Buffers the thread's own free list could not serve: allocated,
-    /// or inherited from a thread that has exited.
-    pub fresh: u64,
-    /// Buffers served from the free list.
-    pub reused: u64,
-    /// Buffers returned to the free list.
-    pub recycled: u64,
-    /// Buffers dropped because the free list was at capacity.
-    pub dropped: u64,
-}
-
-impl PoolStats {
-    /// Total `take` calls served.
-    pub fn takes(&self) -> u64 {
-        self.fresh + self.reused
-    }
-}
-
 struct Pool {
     free: HashMap<usize, Vec<Vec<u64>>>,
     cap_per_len: usize,
-    stats: PoolStats,
 }
 
 impl Pool {
@@ -65,7 +41,6 @@ impl Pool {
         Self {
             free: HashMap::new(),
             cap_per_len: Self::DEFAULT_CAP,
-            stats: PoolStats::default(),
         }
     }
 }
@@ -100,12 +75,10 @@ pub fn take(len: usize) -> Vec<u64> {
         let mut p = p.borrow_mut();
         match p.free.get_mut(&len).and_then(Vec::pop) {
             Some(buf) => {
-                p.stats.reused += 1;
                 spot_trace::count(spot_trace::Counter::PoolHit, 1);
                 buf
             }
             None => {
-                p.stats.fresh += 1;
                 spot_trace::count(spot_trace::Counter::PoolMiss, 1);
                 let inherited = RESERVE.lock().ok().and_then(|mut r| r.get_mut(&len)?.pop());
                 inherited.unwrap_or_else(|| vec![0u64; len])
@@ -136,10 +109,8 @@ pub fn recycle(buf: Vec<u64>) {
         let list = p.free.entry(buf.len()).or_default();
         if list.len() < cap {
             list.push(buf);
-            p.stats.recycled += 1;
             spot_trace::count(spot_trace::Counter::PoolRecycled, 1);
         } else {
-            p.stats.dropped += 1;
             spot_trace::count(spot_trace::Counter::PoolDropped, 1);
         }
     });
@@ -167,16 +138,6 @@ pub fn held() -> usize {
     POOL.with(|p| p.borrow().free.values().map(Vec::len).sum())
 }
 
-/// The current thread's allocation counters.
-pub fn stats() -> PoolStats {
-    POOL.with(|p| p.borrow().stats)
-}
-
-/// Resets the current thread's counters (free lists are kept).
-pub fn reset_stats() {
-    POOL.with(|p| p.borrow_mut().stats = PoolStats::default());
-}
-
 /// Frees every retained buffer on the current thread.
 pub fn clear() {
     POOL.with(|p| p.borrow_mut().free.clear());
@@ -185,20 +146,38 @@ pub fn clear() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spot_trace::{Counter, SessionCounters};
+
+    /// Runs `f` on this thread under a fresh session counter sink;
+    /// returns its value and the pool's hits, misses, recycled and
+    /// dropped buffers.
+    fn pool_counts<T>(f: impl FnOnce() -> T) -> (T, [u64; 4]) {
+        let sink = SessionCounters::new(0);
+        let prev = spot_trace::set_session_counters(Some(sink.clone()));
+        let value = f();
+        spot_trace::set_session_counters(prev);
+        let snap = sink.snapshot();
+        let pool = [
+            Counter::PoolHit,
+            Counter::PoolMiss,
+            Counter::PoolRecycled,
+            Counter::PoolDropped,
+        ];
+        (value, pool.map(|c| snap.get(c)))
+    }
 
     #[test]
     fn take_recycle_reuses() {
         clear();
-        reset_stats();
-        let a = take(1024);
-        let ptr = a.as_ptr();
-        recycle(a);
-        let b = take(1024);
-        assert_eq!(b.as_ptr(), ptr, "recycled buffer must be reused");
-        let s = stats();
-        assert_eq!(s.fresh, 1);
-        assert_eq!(s.reused, 1);
-        assert_eq!(s.recycled, 1);
+        let (b, counts) = pool_counts(|| {
+            let a = take(1024);
+            let ptr = a.as_ptr();
+            recycle(a);
+            let b = take(1024);
+            assert_eq!(b.as_ptr(), ptr, "recycled buffer must be reused");
+            b
+        });
+        assert_eq!(counts, [1, 1, 1, 0]);
         recycle(b);
     }
 
@@ -215,15 +194,14 @@ mod tests {
     #[test]
     fn capacity_bounds_retention() {
         clear();
-        reset_stats();
         set_capacity(2);
-        for _ in 0..4 {
-            recycle(vec![0u64; 256]);
-        }
+        let ((), counts) = pool_counts(|| {
+            for _ in 0..4 {
+                recycle(vec![0u64; 256]);
+            }
+        });
         assert_eq!(held(), 2);
-        let s = stats();
-        assert_eq!(s.recycled, 2);
-        assert_eq!(s.dropped, 2);
+        assert_eq!(counts, [0, 0, 2, 2]);
         set_capacity(Pool::DEFAULT_CAP);
         clear();
     }
@@ -241,8 +219,8 @@ mod tests {
         .join()
         .unwrap();
         let inherited = std::thread::spawn(move || {
-            let buf = take(len);
-            assert_eq!(stats().fresh, 1, "not from this thread's own list");
+            let (buf, counts) = pool_counts(|| take(len));
+            assert_eq!(counts[1], 1, "not from this thread's own list");
             (buf.as_ptr() as usize, buf.len())
         })
         .join()

@@ -1,7 +1,7 @@
 //! Validated (non-panicking) serialization for HE objects that travel
 //! on the wire: ciphertexts (a result's full form, a coefficient-packed
-//! result's sparse form, an upload's seeded form), public keys, and
-//! Galois rotation keys.
+//! result's sparse form, an upload's seeded form) and Galois rotation
+//! keys.
 //!
 //! The byte layouts reuse [`Ciphertext::to_bytes`]'s bit-packing (each
 //! RNS modulus's residues packed at that modulus's width), and every
@@ -16,7 +16,7 @@
 
 use crate::ciphertext::{residue_bits, unpack_bits_max, write_poly, Ciphertext, SparseCiphertext};
 use crate::context::Context;
-use crate::keys::{expand_seed, GaloisKeys, KeySeed, KeySwitchKey, PublicKey};
+use crate::keys::{expand_seed, GaloisKeys, KeySeed, KeySwitchKey};
 use crate::poly::{Poly, PolyForm};
 use crate::pool;
 use std::collections::HashMap;
@@ -168,25 +168,6 @@ impl SparseCiphertext {
     }
 }
 
-/// Serializes a public key: packed `b` then `a`.
-pub fn public_key_to_bytes(pk: &PublicKey) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 * pk.b.context().params().poly_bytes());
-    write_poly(&mut out, &pk.b);
-    write_poly(&mut out, &pk.a);
-    out
-}
-
-/// Deserializes a public key produced by [`public_key_to_bytes`].
-pub fn public_key_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<PublicKey, SerialError> {
-    if bytes.len() != 2 * ctx.params().poly_bytes() {
-        return Err(SerialError::LengthMismatch);
-    }
-    let mut off = 0usize;
-    let b = read_poly(ctx, bytes, &mut off)?;
-    let a = read_poly(ctx, bytes, &mut off)?;
-    Ok(PublicKey { b, a })
-}
-
 /// Serializes Galois keys deterministically: `[count u32]` then, per
 /// entry **sorted by Galois element**, `[elt u64][digit_count u32]
 /// [seed 32 B]` followed by the packed `b_i` of each key-switch digit.
@@ -307,21 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn public_key_roundtrip_encrypts() {
-        let ctx = ctx();
-        let mut rng = StdRng::seed_from_u64(3);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let pk = kg.public_key(&mut rng);
-        let bytes = public_key_to_bytes(&pk);
-        let pk2 = public_key_from_bytes(&ctx, &bytes).unwrap();
-        let encoder = BatchEncoder::new(&ctx);
-        let enc = Encryptor::new(&ctx, pk2);
-        let dec = Decryptor::new(&ctx, kg.secret_key().clone());
-        let ct = enc.encrypt(&encoder.encode(&[5, 6, 7]), &mut rng);
-        assert_eq!(&encoder.decode(&dec.decrypt(&ct))[..3], &[5, 6, 7]);
-    }
-
-    #[test]
     fn galois_keys_roundtrip_is_deterministic_and_rotates() {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(4);
@@ -371,9 +337,6 @@ mod tests {
             let ctx = Context::new(EncryptionParams::new(level));
             let mut rng = StdRng::seed_from_u64(6);
             let kg = KeyGenerator::new(&ctx, &mut rng);
-            let pk = kg.public_key(&mut rng);
-            assert_eq!(public_key_to_bytes(&pk), oracle_polys(&[&pk.b, &pk.a]));
-
             // Inserted out of order: entries are written sorted.
             let elts = [2 * ctx.degree() - 1, 3, 9];
             let gk = kg.galois_keys(&elts, &mut rng);
@@ -422,7 +385,6 @@ mod tests {
             Err(SerialError::ResidueOutOfRange)
         ));
         // garbage keys never panic
-        assert!(public_key_from_bytes(&ctx, &[1, 2, 3]).is_err());
         assert!(galois_keys_from_bytes(&ctx, &[0xFF; 64]).is_err());
         assert!(galois_keys_from_bytes(&ctx, &[]).is_err());
     }

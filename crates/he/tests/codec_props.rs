@@ -13,8 +13,8 @@
 //! their readers answer with a typed error or with a value that writes
 //! back to exactly the bytes read.
 //!
-//! Public-key and Galois-key blobs are compared against the oracle in
-//! `serial.rs`'s unit tests, which can see the key polynomials.
+//! Galois-key blobs are compared against the oracle in `serial.rs`'s
+//! unit tests, which can see the key polynomials.
 
 mod common;
 
@@ -31,10 +31,7 @@ use spot_he::encoding::BatchEncoder;
 use spot_he::encryptor::{Encryptor, SymmetricEncryptor};
 use spot_he::keys::{expand_seed, KeyGenerator};
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_he::serial::{
-    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
-    SerialError,
-};
+use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes, SerialError};
 use std::sync::Arc;
 
 const LEVELS: [ParamLevel; 2] = [ParamLevel::N4096, ParamLevel::N8192];
@@ -175,13 +172,6 @@ fn oracle_seeded_ciphertext(ctx: &Context, bytes: &[u8]) -> Result<(), SerialErr
 /// What a seeded object keeps of its uniform polynomials.
 const SEED_BYTES: usize = 32;
 
-fn oracle_public_key(ctx: &Context, bytes: &[u8]) -> Result<(), SerialError> {
-    if bytes.len() != 2 * ctx.params().poly_bytes() {
-        return Err(SerialError::LengthMismatch);
-    }
-    oracle_read_polys(ctx, bytes, 0, 2).map(|_| ())
-}
-
 /// Element, digit count and seed in front of a Galois key's `b_i`.
 const GALOIS_ENTRY_HEADER: usize = 8 + 4 + SEED_BYTES;
 
@@ -229,9 +219,8 @@ impl Blob {
 fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
     let mut rng = StdRng::seed_from_u64(77);
     let kg = KeyGenerator::new(ctx, &mut rng);
-    let pk = kg.public_key(&mut rng);
     let plain = BatchEncoder::new(ctx).encode(&[1, 2, 3, 4, 5]);
-    let ct = Encryptor::new(ctx, pk.clone()).encrypt(&plain, &mut rng);
+    let ct = Encryptor::new(ctx, kg.public_key(&mut rng)).encrypt(&plain, &mut rng);
     let uploaded = SymmetricEncryptor::new(ctx, kg.secret_key().clone()).encrypt(&plain, &mut rng);
     // Two entries where the bit-loop oracle can afford it, so an entry
     // boundary lies inside the blob.
@@ -256,13 +245,6 @@ fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
             real: |ctx, b| Ciphertext::try_from_seeded_bytes(ctx, b).map(|_| ()),
             oracle: oracle_seeded_ciphertext,
             sections: sections(ctx, 16, 1),
-        },
-        Blob {
-            name: "public key",
-            good: public_key_to_bytes(&pk),
-            real: |ctx, b| public_key_from_bytes(ctx, b).map(|_| ()),
-            oracle: oracle_public_key,
-            sections: sections(ctx, 0, 2),
         },
         Blob {
             name: "galois keys",

@@ -23,9 +23,7 @@ use spot_he::encryptor::{Decryptor, Encryptor, SymmetricEncryptor};
 use spot_he::evaluator::Evaluator;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
-use spot_he::serial::{
-    galois_keys_from_bytes, galois_keys_to_bytes, public_key_from_bytes, public_key_to_bytes,
-};
+use spot_he::serial::{galois_keys_from_bytes, galois_keys_to_bytes};
 use std::sync::{Arc, OnceLock};
 
 fn ctx(level: ParamLevel) -> &'static Arc<Context> {
@@ -124,12 +122,6 @@ proptest! {
         let ctx = ctx(level_of(level));
         let mut rng = StdRng::seed_from_u64(seed);
         let kg = KeyGenerator::new(ctx, &mut rng);
-        let pk = kg.public_key(&mut rng);
-        let pk_bytes = public_key_to_bytes(&pk);
-        let pk2 = public_key_from_bytes(ctx, &pk_bytes)
-            .map_err(|e| TestCaseError::fail(format!("pk decode: {e}")))?;
-        prop_assert_eq!(public_key_to_bytes(&pk2), pk_bytes);
-
         // Any set of odd residues below 2N, in any order.
         let mut elements: Vec<usize> = odd_halves.iter().map(|h| 2 * h + 1).collect();
         elements.sort_unstable();
@@ -173,7 +165,6 @@ proptest! {
     fn garbage_bytes_rejected_without_panic(blob in collection::vec(0u8..=255, 0..4096)) {
         let c4 = ctx(ParamLevel::N4096);
         let _ = Ciphertext::try_from_bytes(c4, &blob);
-        let _ = public_key_from_bytes(c4, &blob);
         let _ = galois_keys_from_bytes(c4, &blob);
         // Reaching here without a panic is the property; decoding
         // arbitrary bytes must fail closed.
