@@ -2,13 +2,10 @@
 //! tolerance and exit nonzero when a metric moved the wrong way.
 //!
 //! ```text
-//! bench_check --baseline BENCH_heops.json --current fresh.json [--tolerance 0.25]
-//! bench_check --baseline metrics.prom --scrape 127.0.0.1:9100 [--warn-only]
+//! bench_check --baseline BENCH_heops.json --current fresh.json [--tolerance 0.25] [--warn-only]
 //! ```
 //!
-//! `--baseline` and `--current` take `BENCH_*.json` files or saved
-//! Prometheus text (auto-detected); `--scrape ADDR` fetches the current
-//! side live from a running `spot-server --admin` endpoint. Tolerance
+//! `--baseline` and `--current` take `BENCH_*.json` files. Tolerance
 //! is a fraction (default `0.25` = 25%); direction is inferred per
 //! metric (time-like regress up, throughput-like regress down — see
 //! [`spot_bench::check`]). `--warn-only` reports but exits 0, for
@@ -17,13 +14,15 @@
 //! ([`spot_bench::check::RATIOS`]): that is the same on any runner.
 //!
 //! Exit codes: `0` clean (or `--warn-only`), `1` regression(s) found
-//! or a ceiling exceeded, `2` usage or I/O error.
+//! or a ceiling exceeded, `2` usage or I/O error. The flags are
+//! `USAGE`'s; any other argument exits 2 and prints it.
 
-use spot_bench::arg_value;
-use spot_bench::check::{
-    compare, http_get, over_ceiling, parse_baseline, parse_prometheus, MetricMap,
-};
+use spot_bench::check::{compare, over_ceiling, parse_baseline, MetricMap};
+use spot_bench::{arg_value, refuse_unknown_args};
 use std::process::ExitCode;
+
+const USAGE: &str =
+    "usage: bench_check --baseline PATH --current PATH [--tolerance F] [--warn-only]";
 
 fn load_file(path: &str) -> Result<MetricMap, String> {
     let content = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -32,40 +31,23 @@ fn load_file(path: &str) -> Result<MetricMap, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    refuse_unknown_args(&args, USAGE);
     let tolerance: f64 = arg_value(&args, "--tolerance")
         .map(|v| v.parse().expect("--tolerance takes a fraction, e.g. 0.25"))
         .unwrap_or(0.25);
     let warn_only = args.iter().any(|a| a == "--warn-only");
 
-    let Some(baseline_path) = arg_value(&args, "--baseline") else {
-        eprintln!("bench_check: --baseline PATH is required");
+    let (Some(baseline_path), Some(current_path)) = (
+        arg_value(&args, "--baseline"),
+        arg_value(&args, "--current"),
+    ) else {
+        eprintln!("bench_check: --baseline and --current are required\n{USAGE}");
         return ExitCode::from(2);
     };
-    let baseline = match load_file(&baseline_path) {
-        Ok(map) => map,
-        Err(e) => {
+    let (baseline, current) = match (load_file(&baseline_path), load_file(&current_path)) {
+        (Ok(baseline), Ok(current)) => (baseline, current),
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("bench_check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let current = match (arg_value(&args, "--current"), arg_value(&args, "--scrape")) {
-        (Some(path), None) => match load_file(&path) {
-            Ok(map) => map,
-            Err(e) => {
-                eprintln!("bench_check: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        (None, Some(addr)) => match http_get(&addr, "/metrics") {
-            Ok(body) => parse_prometheus(&body),
-            Err(e) => {
-                eprintln!("bench_check: scrape {addr} failed: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        _ => {
-            eprintln!("bench_check: pick exactly one of --current PATH or --scrape ADDR");
             return ExitCode::from(2);
         }
     };

@@ -11,21 +11,21 @@
 //!
 //! `--serve N` ends the run after N connections (0, the default, serves
 //! until killed). On exit the server prints one report summed over its
-//! sessions: the stall table, the wire traffic and, for batched
-//! sessions, the amortized HE work per image. The loop joins finished
-//! session threads before each accept.
+//! sessions: the stall table of the sessions that finished, the wire
+//! traffic of every connection (failed and refused ones moved bytes
+//! too) and, for batched sessions, the amortized HE work per image. The
+//! loop joins finished session threads before each accept.
 //!
-//! `--admin <addr>` starts the live observability endpoint
-//! ([`spot_core::admin`]): `GET /metrics` (Prometheus text),
-//! `/healthz`, `/sessions`. Diagnostics go through the `SPOT_LOG`
-//! leveled logger (`SPOT_LOG=debug` for per-session detail).
+//! Each session that finishes logs one `done` line with its own stall:
+//! the workers' busy share, their idle seconds and, of those, the wait
+//! for rotation keys. Diagnostics go through the `SPOT_LOG` leveled
+//! logger (`SPOT_LOG=debug` for per-session detail).
 //!
 //! The flags are `USAGE`'s; any other argument exits 2 and prints it.
 //!
 //! [`ModelContext`]: spot_core::serving::ModelContext
 
 use spot_bench::{arg_value, refuse_unknown_args};
-use spot_core::admin::AdminServer;
 use spot_core::inference::TinyCnn;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
 use spot_core::stream::{stall_table, StreamStats};
@@ -43,7 +43,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: spot-server [--listen 127.0.0.1:7341] [--threads N] [--capacity N] \
      [--seed S] [--trace out.json] [--max-sessions N] [--max-batch N] [--pool N] [--serve N] \
-     [--read-timeout-ms MS] [--admin ADDR] [--linger-ms MS]";
+     [--read-timeout-ms MS]";
 
 /// What the exit report sums over the sessions that ran.
 #[derive(Default)]
@@ -61,14 +61,14 @@ impl Totals {
         let Ok(Some(report)) = session.join() else {
             return;
         };
-        let Ok(run) = &report.result else { return };
-        self.stream.accumulate(&run.stream);
         let (t, r) = (&mut self.traffic, &report.traffic);
         t.sent.bytes += r.sent.bytes;
         t.sent.messages += r.sent.messages;
         t.received.bytes += r.received.bytes;
         t.received.messages += r.received.messages;
         t.send_blocked += r.send_blocked;
+        let Ok(run) = &report.result else { return };
+        self.stream.accumulate(&run.stream);
         if run.batch > 1 {
             self.batched_images += run.batch as u64;
             let work = [Counter::Rotate, Counter::KeySwitch, Counter::MultPlain];
@@ -162,10 +162,6 @@ fn main() {
         .unwrap_or(0);
     let read_timeout_ms: Option<u64> = arg_value(&args, "--read-timeout-ms")
         .map(|v| v.parse().expect("--read-timeout-ms takes a number"));
-    let admin_addr = arg_value(&args, "--admin");
-    let linger_ms: u64 = arg_value(&args, "--linger-ms")
-        .map(|v| v.parse().expect("--linger-ms takes a number"))
-        .unwrap_or(0);
 
     let listener = TcpListener::bind(&listen).expect("bind listen address");
     let config = ServingConfig {
@@ -180,12 +176,6 @@ fn main() {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let model = ModelContext::new("tinycnn-7", ctx, TinyCnn::new(7));
     let server = Arc::new(SpotServer::new(model, config));
-
-    let admin = admin_addr.map(|addr| {
-        let handle = AdminServer::bind(&addr, Arc::clone(&server)).expect("bind admin address");
-        log_info!("server", "admin endpoint on http://{}", handle.addr());
-        handle
-    });
 
     println!(
         "spot-server: listening on {} (max {max_sessions} sessions, {pool_workers} pool workers, \
@@ -223,13 +213,17 @@ fn main() {
                 Ok(r) => log_info!(
                     "server",
                     "session {} ({peer}) done — batch {}, {} rotations, \
-                     kernel cache {} builds / {} hits, {:.3}s",
+                     kernel cache {} builds / {} hits, {:.3}s, server_busy_share {:.3}, \
+                     server_idle_s {:.6}, key_wait_s {:.6}",
                     report.id,
                     r.batch,
                     r.counts.rotate,
                     report.counters.get(Counter::KernelCacheBuild),
                     report.counters.get(Counter::KernelCacheHit),
-                    report.wall.as_secs_f64()
+                    report.wall.as_secs_f64(),
+                    r.stream.server_busy_share(),
+                    r.stream.server_idle_s,
+                    r.stream.key_wait_s
                 ),
                 Err(e) if report.id == u64::MAX => {
                     log_warn!("server", "refused {peer}: {e}")
@@ -249,14 +243,6 @@ fn main() {
         server.model().caches().total_entries()
     );
     totals.print();
-    // Keep the process (and admin endpoint) alive briefly so a smoke
-    // test can take a final /metrics scrape of the completed totals.
-    if linger_ms > 0 {
-        std::thread::sleep(Duration::from_millis(linger_ms));
-    }
-    if let Some(handle) = admin {
-        handle.shutdown();
-    }
     if let (Some(path), Some(baseline)) = (&trace_path, &trace_baseline) {
         spot_bench::traceio::trace_finish(std::path::Path::new(path), baseline);
     }

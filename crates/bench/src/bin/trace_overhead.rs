@@ -1,12 +1,9 @@
 //! Cost of one `spot-trace` instrumentation site, in ns per call.
 //!
-//! The disabled path (tracing and metrics off, the default) must stay
-//! in the low-single-nanosecond range — one relaxed atomic load and a
-//! branch — because every HE op, pool take and wire frame crosses it;
-//! with the registry off, `Histogram::observe` and
-//! `Histogram::start_timer` are the same load and branch, and the timer
-//! does not touch `Instant::now`. The enabled paths are printed for
-//! reference. Absolute nanoseconds depend on the machine, so nothing
+//! The disabled path (tracing off, the default) must stay in the
+//! low-single-nanosecond range — one relaxed atomic load and a branch —
+//! because every HE op, pool take and wire frame crosses it. The
+//! enabled paths are printed for reference. Absolute nanoseconds depend on the machine, so nothing
 //! here is gated.
 //!
 //! ```text
@@ -14,7 +11,7 @@
 //! ```
 
 use spot_bench::timing::time_us;
-use spot_trace::{count, metrics, span, Cat, Counter};
+use spot_trace::{count, span, Cat, Counter};
 use std::hint::black_box;
 
 /// Calls of a site per timed sample.
@@ -33,9 +30,7 @@ fn probe(name: &str, mut site: impl FnMut()) {
 
 fn main() {
     println!("{:<30} {:>8} {:>8}", "site (ns per call)", "min", "median");
-    // Both switches off: either one turns `count`'s process total on.
     spot_trace::disable();
-    metrics::disable();
     spot_trace::reset();
     probe("trace/disabled/span", || {
         black_box(&span(Cat::He, black_box("bench")));
@@ -51,23 +46,6 @@ fn main() {
     probe("trace/disabled/instant", || {
         spot_trace::instant(Cat::He, black_box("bench"))
     });
-
-    for (enabled, histogram) in [(false, "bench_disabled_ns"), (true, "bench_enabled_ns")] {
-        if enabled {
-            metrics::enable();
-        }
-        let hist = metrics::global().histogram(histogram, &[]);
-        let state = if enabled { "enabled" } else { "disabled" };
-        probe(&format!("metrics/{state}/observe"), || {
-            hist.observe(black_box(42))
-        });
-        probe(&format!("metrics/{state}/start_timer"), || {
-            black_box(&hist.start_timer());
-        });
-        assert_eq!(hist.count() > 0, enabled, "{histogram} recorded");
-    }
-    metrics::disable();
-    metrics::global().reset();
 
     spot_trace::enable();
     probe("trace/enabled/span", || {

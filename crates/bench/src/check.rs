@@ -1,21 +1,17 @@
-//! Perf-regression gate machinery behind the `bench_check` binary and
-//! `spot-loadgen --scrape`: parse the numbers we already emit
-//! (`BENCH_*.json` baselines via [`spot_trace::json`], Prometheus
-//! `/metrics` scrapes), flatten
-//! them into `metric path -> value` maps, and diff two maps under a
-//! tolerance.
+//! Perf-regression gate machinery behind the `bench_check` binary:
+//! parse the `BENCH_*.json` documents we already emit (via
+//! [`spot_trace::json`]), flatten them into `metric path -> value`
+//! maps, and diff two maps under a tolerance.
 //!
 //! ## Flattening
 //!
 //! A JSON document flattens by joining object keys with `/`
-//! (`latency_s.p99` in scenario 0 of `BENCH_serving.json` becomes
-//! `scenarios/clients=16/latency_s/p99`). An array element that is an
-//! object is keyed by its **string-valued fields** (and a `clients`
-//! count, the one numeric identity our schemas use) so entry order
-//! never matters: a heops row becomes
+//! (`overall.spot_overlap_efficiency` in `BENCH_pipeline.json` becomes
+//! `overall/spot_overlap_efficiency`). An array element that is an
+//! object is keyed by its **string-valued fields** so entry order never
+//! matters: a heops row becomes
 //! `entries/ntt_forward/N4096/avx2+scalar/mean_us`. Elements with no
-//! identity fall back to their index. A Prometheus scrape flattens to
-//! `name{labels}` keys verbatim.
+//! identity fall back to their index.
 //!
 //! ## Direction
 //!
@@ -31,9 +27,6 @@
 use spot_trace::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Flattening to metric maps
@@ -43,22 +36,10 @@ use std::time::Duration;
 pub type MetricMap = BTreeMap<String, f64>;
 
 /// The identity key for an object array element: its string-valued
-/// fields (plus `clients`, the one numeric identity our schemas use),
-/// joined with `/` — or `None` when it has no such fields.
+/// fields joined with `/` — or `None` when it has no such fields.
 fn element_identity(members: &[(String, Value)]) -> Option<String> {
-    let mut parts = Vec::new();
-    for (k, v) in members {
-        match v {
-            Value::String(s) => parts.push(s.clone()),
-            Value::Number(n) if k == "clients" => parts.push(format!("clients={n}")),
-            _ => {}
-        }
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join("/"))
-    }
+    let parts: Vec<&str> = members.iter().filter_map(|(_, v)| v.as_str()).collect();
+    (!parts.is_empty()).then(|| parts.join("/"))
 }
 
 fn flatten_into(prefix: &str, value: &Value, out: &mut MetricMap) {
@@ -101,88 +82,9 @@ pub fn flatten_json(doc: &Value) -> MetricMap {
     out
 }
 
-/// Parses Prometheus text exposition into a metric map keyed
-/// `name{labels}` exactly as exposed (comment lines skipped).
-pub fn parse_prometheus(text: &str) -> MetricMap {
-    let mut out = MetricMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // `name{labels} value` or `name value`; labels may hold spaces
-        // inside quotes, so split at the last space.
-        let Some(split) = line.rfind(' ') else {
-            continue;
-        };
-        let (series, value) = line.split_at(split);
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.insert(series.trim().to_string(), v);
-        }
-    }
-    // Histogram internals (`_sum`/`_count`/`_bucket`) are cumulative
-    // volume, not a perf signal — a longer run always has more of them.
-    // The comparable quantity is the mean sample, so derive a
-    // `<base>_mean{labels}` series wherever a sum/count pair exists.
-    let means: Vec<(String, f64)> = out
-        .iter()
-        .filter_map(|(key, &sum)| {
-            let (name, labels) = key.split_once('{').unwrap_or((key, ""));
-            let base = name.strip_suffix("_sum")?;
-            let count_key = if labels.is_empty() {
-                format!("{base}_count")
-            } else {
-                format!("{base}_count{{{labels}")
-            };
-            let count = *out.get(&count_key)?;
-            (count > 0.0).then(|| {
-                let mean_key = if labels.is_empty() {
-                    format!("{base}_mean")
-                } else {
-                    format!("{base}_mean{{{labels}")
-                };
-                (mean_key, sum / count)
-            })
-        })
-        .collect();
-    out.extend(means);
-    out
-}
-
-/// Parses either of the formats a baseline file can hold: a
-/// `BENCH_*.json` document or saved Prometheus text.
+/// Parses a `BENCH_*.json` baseline into a metric map.
 pub fn parse_baseline(content: &str) -> Result<MetricMap, String> {
-    if content.trim_start().starts_with('{') {
-        Ok(flatten_json(&json::parse(content)?))
-    } else {
-        let map = parse_prometheus(content);
-        if map.is_empty() {
-            return Err("baseline is neither JSON nor Prometheus text".into());
-        }
-        Ok(map)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Scraping
-// ---------------------------------------------------------------------
-
-/// Issues `GET path` against `addr` (a `host:port` admin endpoint) and
-/// returns the response body.
-pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    match response.split_once("\r\n\r\n") {
-        Some((head, body)) if head.starts_with("HTTP/1.0 200") => Ok(body.to_string()),
-        Some((head, _)) => Err(std::io::Error::other(format!(
-            "GET {path}: {}",
-            head.lines().next().unwrap_or("no status line")
-        ))),
-        None => Err(std::io::Error::other("malformed HTTP response")),
-    }
+    Ok(flatten_json(&json::parse(content)?))
 }
 
 // ---------------------------------------------------------------------
@@ -205,16 +107,6 @@ pub enum Direction {
 pub fn classify(path: &str) -> Direction {
     let lower = path.to_ascii_lowercase();
     let has = |needles: &[&str]| needles.iter().any(|n| lower.contains(n));
-    // Cumulative histogram components scale with run length, not
-    // performance; the derived `_mean` series carries the signal.
-    let series_name = lower.split('{').next().unwrap_or(&lower);
-    if series_name.ends_with("_sum")
-        || series_name.ends_with("_count")
-        || series_name.ends_with("_bucket")
-        || series_name.ends_with("_total")
-    {
-        return Direction::Neutral;
-    }
     if has(&[
         "speedup",
         "throughput",
@@ -274,7 +166,7 @@ pub struct CheckReport {
 /// Diffs `current` against `baseline`: every shared, direction-bearing
 /// metric whose worse-direction change exceeds `tolerance`
 /// (e.g. `0.25` = 25%) is reported. Metrics only present on one side
-/// are ignored — baselines age, scrapes carry extra series.
+/// are ignored — baselines age, fresh runs carry extra rows.
 pub fn compare(baseline: &MetricMap, current: &MetricMap, tolerance: f64) -> CheckReport {
     let mut report = CheckReport::default();
     for (path, &base) in baseline {
@@ -541,20 +433,9 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_parses_to_series_map() {
-        let text = "# TYPE spot_sessions_served counter\n\
-                    spot_sessions_served 16\n\
-                    spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"1023\"} 3\n\
-                    spot_conv_serve_ns_sum{scheme=\"spot\"} 2800\n";
-        let map = parse_prometheus(text);
-        assert_eq!(map["spot_sessions_served"], 16.0);
-        assert_eq!(
-            map["spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"1023\"}"],
-            3.0
-        );
-        assert_eq!(map["spot_conv_serve_ns_sum{scheme=\"spot\"}"], 2800.0);
-        assert!(parse_baseline(text).is_ok());
-        assert!(parse_baseline("not a baseline").is_err());
+    fn a_baseline_is_json() {
+        assert!(parse_baseline(BENCH_FIXTURE).is_ok());
+        assert!(parse_baseline("spot_sessions_served 16").is_err());
     }
 
     #[test]
@@ -563,14 +444,8 @@ mod tests {
             classify("entries/rotate/N4096/scalar/mean_us"),
             Direction::LowerIsBetter
         );
-        assert_eq!(
-            classify("scenarios/clients=16/latency_s/p99"),
-            Direction::LowerIsBetter
-        );
-        assert_eq!(
-            classify("scenarios/clients=16/throughput_rps"),
-            Direction::HigherIsBetter
-        );
+        assert_eq!(classify("batch/latency_s/p99"), Direction::LowerIsBetter);
+        assert_eq!(classify("batch/throughput_rps"), Direction::HigherIsBetter);
         assert_eq!(
             classify("speedups/ntt_forward_N4096"),
             Direction::HigherIsBetter
@@ -579,7 +454,7 @@ mod tests {
             classify("entries/rotate/N4096/scalar/reps"),
             Direction::Neutral
         );
-        assert_eq!(classify("scenarios/clients=16/matched"), Direction::Neutral);
+        assert_eq!(classify("batch/matched"), Direction::Neutral);
         // Overlap efficiency regresses when it falls; the idle/blocked
         // nanosecond components regress when they grow.
         assert_eq!(
@@ -594,63 +469,6 @@ mod tests {
             classify("pipeline/0/server_busy_share"),
             Direction::HigherIsBetter
         );
-        assert_eq!(
-            classify("spot_server_busy_share_ppm_mean"),
-            Direction::HigherIsBetter
-        );
-        assert_eq!(
-            classify("spot_overlap_server_idle_ns_mean"),
-            Direction::LowerIsBetter
-        );
-        // Cumulative histogram internals scale with run length, never a
-        // regression by themselves; the derived mean carries the signal.
-        assert_eq!(
-            classify("spot_conv_serve_ns_count{scheme=\"spot\"}"),
-            Direction::Neutral
-        );
-        assert_eq!(
-            classify("spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"1023\"}"),
-            Direction::Neutral
-        );
-        assert_eq!(classify("spot_session_wall_ns_sum"), Direction::Neutral);
-        assert_eq!(
-            classify("spot_conv_serve_ns_mean{scheme=\"spot\"}"),
-            Direction::LowerIsBetter
-        );
-    }
-
-    #[test]
-    fn scraped_histograms_compare_by_mean_not_volume() {
-        // Same mean latency but twice the samples (a longer run): no
-        // regression. Double the mean at equal volume: flagged.
-        let earlier = parse_prometheus(
-            "spot_conv_serve_ns_sum{scheme=\"spot\"} 1000\n\
-             spot_conv_serve_ns_count{scheme=\"spot\"} 10\n\
-             spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"+Inf\"} 10\n",
-        );
-        assert_eq!(earlier["spot_conv_serve_ns_mean{scheme=\"spot\"}"], 100.0);
-        let longer = parse_prometheus(
-            "spot_conv_serve_ns_sum{scheme=\"spot\"} 2000\n\
-             spot_conv_serve_ns_count{scheme=\"spot\"} 20\n\
-             spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"+Inf\"} 20\n",
-        );
-        let report = compare(&earlier, &longer, 0.25);
-        assert!(
-            report.regressions.is_empty(),
-            "got {:?}",
-            report.regressions
-        );
-        let slower = parse_prometheus(
-            "spot_conv_serve_ns_sum{scheme=\"spot\"} 2000\n\
-             spot_conv_serve_ns_count{scheme=\"spot\"} 10\n\
-             spot_conv_serve_ns_bucket{scheme=\"spot\",le=\"+Inf\"} 10\n",
-        );
-        let report = compare(&earlier, &slower, 0.25);
-        assert_eq!(report.regressions.len(), 1);
-        assert_eq!(
-            report.regressions[0].metric,
-            "spot_conv_serve_ns_mean{scheme=\"spot\"}"
-        );
     }
 
     /// A committed baseline's text; a missing file fails the test.
@@ -660,11 +478,7 @@ mod tests {
 
     #[test]
     fn committed_baselines_parse() {
-        for path in [
-            "../../BENCH_heops.json",
-            "../../BENCH_serving.json",
-            "../../BENCH_pipeline.json",
-        ] {
+        for path in ["../../BENCH_heops.json", "../../BENCH_pipeline.json"] {
             let map = parse_baseline(&committed(path)).expect("baseline parses");
             assert!(!map.is_empty(), "{path} flattened to nothing");
         }

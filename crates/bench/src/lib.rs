@@ -35,9 +35,8 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 }
 
 /// The flags `usage` names, each with whether it takes a value: a flag
-/// followed by a placeholder (`--clients N`) does, one closed by `]` or
-/// `)` or followed by `|` or another flag (`[--once]`, `(--mem | ..`)
-/// does not.
+/// followed by a placeholder (`--serve N`) does, one closed by `]` or
+/// `)` or followed by `|` or another flag (`[--warn-only]`) does not.
 fn usage_flags(usage: &str) -> Vec<(&str, bool)> {
     let words: Vec<&str> = usage.split_whitespace().chain(["|"]).collect();
     let flags = words.windows(2).filter_map(|pair| {
@@ -118,11 +117,12 @@ pub fn connect_with_retry(addr: &str) -> Result<TcpTransport, ProtoError> {
 mod tests {
     use super::*;
 
-    const USAGE: &str = "usage: spot-loadgen (--mem | --connect ADDR) [--clients N] \
-         [--scheme spot|channelwise|cheetah] [--sweep 1,8,64] [--once] [--trace out.json]";
+    const USAGE: &str = "usage: spot-server [--listen 127.0.0.1:7341] [--threads N] \
+         [--capacity N] [--seed S] [--trace out.json] [--max-sessions N] [--max-batch N] \
+         [--pool N] [--serve N] [--read-timeout-ms MS]";
 
     fn args(line: &str) -> Vec<String> {
-        std::iter::once("spot-loadgen")
+        std::iter::once("spot-server")
             .chain(line.split_whitespace())
             .map(String::from)
             .collect()
@@ -130,37 +130,54 @@ mod tests {
 
     #[test]
     fn the_usage_line_names_each_flag_and_whether_it_takes_a_value() {
+        let valued = [
+            "--listen",
+            "--threads",
+            "--capacity",
+            "--seed",
+            "--trace",
+            "--max-sessions",
+            "--max-batch",
+            "--pool",
+            "--serve",
+            "--read-timeout-ms",
+        ];
+        assert_eq!(usage_flags(USAGE), valued.map(|flag| (flag, true)));
+        let check =
+            "usage: bench_check --baseline PATH --current PATH [--tolerance F] [--warn-only]";
         assert_eq!(
-            usage_flags(USAGE),
+            usage_flags(check),
             [
-                ("--mem", false),
-                ("--connect", true),
-                ("--clients", true),
-                ("--scheme", true),
-                ("--sweep", true),
-                ("--once", false),
-                ("--trace", true),
+                ("--baseline", true),
+                ("--current", true),
+                ("--tolerance", true),
+                ("--warn-only", false),
             ]
         );
     }
 
     #[test]
     fn unknown_and_incomplete_arguments_are_refused() {
-        let all = "--mem --connect a:1 --clients 2 --scheme spot --sweep 1,8 --once --trace t";
+        let all = "--listen a:1 --threads 2 --capacity 2 --seed 1 --trace t --max-sessions 4 \
+                   --max-batch 2 --pool 1 --serve 1 --read-timeout-ms 50";
         assert_eq!(unknown_arg(&args(all), USAGE), None);
         assert_eq!(
-            unknown_arg(&args("--mem --mode open"), USAGE),
+            unknown_arg(&args("--serve 1 --mode open"), USAGE),
             Some("--mode")
         );
-        assert_eq!(unknown_arg(&args("--mem 4"), USAGE), Some("4"));
+        assert_eq!(unknown_arg(&args("--serve 1 4"), USAGE), Some("4"));
         assert_eq!(
-            unknown_arg(&args("--mem --clients"), USAGE),
-            Some("--clients")
+            unknown_arg(&args("--serve 1 --threads"), USAGE),
+            Some("--threads")
         );
         assert_eq!(
-            unknown_arg(&args("--once --thread 4"), USAGE),
+            unknown_arg(&args("--serve 1 --thread 4"), USAGE),
             Some("--thread")
         );
+        for retired in ["--admin 127.0.0.1:9345", "--linger-ms 20000"] {
+            let flag = retired.split_whitespace().next();
+            assert_eq!(unknown_arg(&args(retired), USAGE), flag);
+        }
     }
 
     #[test]

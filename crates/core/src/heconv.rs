@@ -137,8 +137,8 @@ impl KernelCache {
     /// Looks up `key`, building and inserting it on a miss. The build
     /// runs under the write lock (double-checked after acquiring it),
     /// so concurrent sessions racing on a cold entry build it exactly
-    /// once — the property the per-model cache-miss counter in
-    /// `BENCH_serving.json` certifies.
+    /// once — the property `serving_determinism.rs`
+    /// (`spot_server_builds_kernel_caches_once_per_model`) asserts.
     fn get_or_build(
         &self,
         key: KernelKey,

@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admin;
 pub mod batch;
 pub mod channelwise;
 pub mod cheetah;

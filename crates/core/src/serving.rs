@@ -37,15 +37,14 @@ use crate::error::SpotError;
 use crate::executor::Executor;
 use crate::inference::TinyCnn;
 use crate::session::{ExecBackend, ServeOptions, SharedKernelCaches};
-use crate::stream::{StreamConfig, StreamStats};
+use crate::stream::StreamConfig;
 use crate::twoparty::{run_server_with, ServerReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot_he::context::Context;
 use spot_proto::transport::TransportStats;
 use spot_proto::{error_code, Transport, WireMessage};
-use spot_trace::{log_info, log_warn, metrics, Cat, CounterSnapshot, SessionCounters};
-use std::collections::BTreeMap;
+use spot_trace::{log_info, log_warn, Cat, CounterSnapshot, SessionCounters};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -115,7 +114,6 @@ impl ModelContext {
 #[derive(Debug)]
 pub struct WorkerPool {
     available: Mutex<usize>,
-    total: usize,
 }
 
 impl WorkerPool {
@@ -124,13 +122,7 @@ impl WorkerPool {
     pub fn new(total: usize) -> Arc<Self> {
         Arc::new(Self {
             available: Mutex::new(total),
-            total,
         })
-    }
-
-    /// Total extra slots the pool was built with.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// Extra slots currently unclaimed.
@@ -239,35 +231,6 @@ struct StatsCells {
     failed: AtomicUsize,
 }
 
-/// The server's live-registry histograms, registered once at
-/// construction so every series exists (at zero) from the first
-/// `/metrics` scrape, before any session has run. Session totals are
-/// not here: a scrape reads them from [`SpotServer::stats`] and
-/// [`SpotServer::active_sessions`], the cells `/sessions` reads.
-#[derive(Debug)]
-struct ServerMetrics {
-    session_wall_ns: Arc<metrics::Histogram>,
-    // The server's own view of each session's stall, from its
-    // StreamStats: worker busy / (busy + idle) in parts-per-million
-    // (registry values are integers), idle/blocked in
-    // thread-nanoseconds.
-    server_busy_share_ppm: Arc<metrics::Histogram>,
-    overlap_server_idle_ns: Arc<metrics::Histogram>,
-    overlap_client_blocked_ns: Arc<metrics::Histogram>,
-}
-
-impl ServerMetrics {
-    fn new() -> Self {
-        let reg = metrics::global();
-        Self {
-            session_wall_ns: reg.histogram("spot_session_wall_ns", &[]),
-            server_busy_share_ppm: reg.histogram("spot_server_busy_share_ppm", &[]),
-            overlap_server_idle_ns: reg.histogram("spot_overlap_server_idle_ns", &[]),
-            overlap_client_blocked_ns: reg.histogram("spot_overlap_client_blocked_ns", &[]),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // The server
 // ---------------------------------------------------------------------
@@ -291,36 +254,6 @@ pub struct SessionReport {
     pub wall: Duration,
 }
 
-/// One session's stall summary, kept in a bounded ring on the server
-/// for the admin `/pipeline` view: the server's own
-/// [`StreamStats`] of the session — no client trace required — so it
-/// is available live, per session, the moment the session finishes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineSummary {
-    /// Session id (accept order).
-    pub id: u64,
-    /// End-to-end session wall time, milliseconds.
-    pub wall_ms: f64,
-    /// The session's driver accounting, summed over its layers.
-    pub stream: StreamStats,
-}
-
-impl PipelineSummary {
-    fn from_report(id: u64, wall: Duration, report: &ServerReport) -> Option<Self> {
-        if report.stream.input_items == 0 {
-            return None; // no conv layer ran: nothing to attribute
-        }
-        Some(Self {
-            id,
-            wall_ms: wall.as_secs_f64() * 1e3,
-            stream: report.stream.clone(),
-        })
-    }
-}
-
-/// Ring capacity for [`SpotServer::pipeline_recent`].
-const PIPELINE_RING: usize = 32;
-
 /// A concurrent inference server for one [`ModelContext`].
 ///
 /// [`SpotServer::serve_connection`] is designed to be called from one
@@ -334,13 +267,6 @@ pub struct SpotServer {
     active: AtomicUsize,
     next_id: AtomicU64,
     stats: StatsCells,
-    metrics: ServerMetrics,
-    // Admitted, still-running sessions: id -> admission instant. Feeds
-    // the admin endpoint's `/sessions` view.
-    in_flight: Mutex<BTreeMap<u64, Instant>>,
-    // Last PIPELINE_RING sessions' overlap summaries, newest
-    // last. Feeds the admin endpoint's `/pipeline` view.
-    pipeline: Mutex<std::collections::VecDeque<PipelineSummary>>,
 }
 
 impl SpotServer {
@@ -353,9 +279,6 @@ impl SpotServer {
             active: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             stats: StatsCells::default(),
-            metrics: ServerMetrics::new(),
-            in_flight: Mutex::new(BTreeMap::new()),
-            pipeline: Mutex::new(std::collections::VecDeque::new()),
         }
     }
 
@@ -372,39 +295,6 @@ impl SpotServer {
     /// Sessions currently admitted and running.
     pub fn active_sessions(&self) -> usize {
         self.active.load(Ordering::Acquire)
-    }
-
-    /// The shared worker pool (admin introspection).
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// Whether the server would currently degrade new work: sessions at
-    /// the admission cap (the next connection is refused), or a
-    /// non-empty worker pool fully claimed (new sessions run serial).
-    /// This is the `/healthz` "overloaded" predicate.
-    pub fn overloaded(&self) -> bool {
-        self.active_sessions() >= self.config.max_sessions
-            || (self.pool.total() > 0 && self.pool.available() == 0)
-    }
-
-    /// `(id, time since admission)` for every in-flight session, in id
-    /// order (the admin endpoint's `/sessions` view).
-    pub fn session_info(&self) -> Vec<(u64, Duration)> {
-        let in_flight = self.in_flight.lock().unwrap_or_else(|p| p.into_inner());
-        in_flight
-            .iter()
-            .map(|(&id, t0)| (id, t0.elapsed()))
-            .collect()
-    }
-
-    /// The overlap summaries of the most recent sessions that ran a
-    /// convolution (oldest first, at most 32) — the admin `/pipeline`
-    /// view. Phased sessions are recorded too: every session runs the
-    /// one stream driver, `streaming` only bounds its read-ahead.
-    pub fn pipeline_recent(&self) -> Vec<PipelineSummary> {
-        let ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
-        ring.iter().cloned().collect()
     }
 
     /// Monotonic serving totals so far.
@@ -464,7 +354,7 @@ impl SpotServer {
         }
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
         let seed = session_seed(self.config.base_seed, id);
-        let admitted = Admitted::new(self, id, t0);
+        let admitted = Admitted(self);
 
         // Attribute every counter this thread (and its pool workers)
         // touches to this session.
@@ -515,24 +405,6 @@ impl SpotServer {
         drop(admitted);
         let counters = sink.snapshot();
         let wall = t0.elapsed();
-        self.metrics.session_wall_ns.observe(wall.as_nanos() as u64);
-        if let Ok(report) = &result {
-            if let Some(summary) = PipelineSummary::from_report(id, wall, report) {
-                let s = &summary.stream;
-                let m = &self.metrics;
-                m.server_busy_share_ppm
-                    .observe((s.server_busy_share() * 1e6) as u64);
-                m.overlap_server_idle_ns
-                    .observe((s.server_idle_s * 1e9) as u64);
-                m.overlap_client_blocked_ns
-                    .observe((s.client_blocked_s * 1e9) as u64);
-                let mut ring = self.pipeline.lock().unwrap_or_else(|p| p.into_inner());
-                if ring.len() == PIPELINE_RING {
-                    ring.pop_front();
-                }
-                ring.push_back(summary);
-            }
-        }
         SessionReport {
             id,
             seed,
@@ -544,39 +416,17 @@ impl SpotServer {
     }
 }
 
-/// An admitted session's claim on the server: its admission slot and
-/// its `/sessions` entry, released together on drop. A session thread
-/// that unwinds therefore frees its slot (and is counted as failed)
-/// instead of eating it forever.
-struct Admitted<'a> {
-    server: &'a SpotServer,
-    id: u64,
-}
-
-impl<'a> Admitted<'a> {
-    /// Registers session `id`; the caller has already reserved the
-    /// admission slot in `server.active`.
-    fn new(server: &'a SpotServer, id: u64, since: Instant) -> Self {
-        server
-            .in_flight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, since);
-        Self { server, id }
-    }
-}
+/// An admitted session's admission slot, released on drop. A session
+/// thread that unwinds therefore frees its slot (and is counted as
+/// failed) instead of eating it forever.
+struct Admitted<'a>(&'a SpotServer);
 
 impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        let server = self.server;
+        let server = self.0;
         if std::thread::panicking() {
             server.stats.failed.fetch_add(1, Ordering::Relaxed);
         }
-        server
-            .in_flight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&self.id);
         server.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -629,30 +479,5 @@ mod tests {
             (0..64).map(|i| session_seed(1312, i)).collect();
         assert_eq!(seeds.len(), 64, "session seeds collide");
         assert_ne!(session_seed(1312, 1), session_seed(99, 1));
-    }
-
-    #[test]
-    fn pipeline_summary_attributes_stall() {
-        let mut report = ServerReport {
-            counts: Default::default(),
-            stream: StreamStats::default(),
-            input_cts: 4,
-            output_cts: 4,
-            batch: 1,
-        };
-        // No conv layer ran: nothing to attribute.
-        assert!(PipelineSummary::from_report(0, Duration::from_millis(5), &report).is_none());
-        report.stream.input_items = 4;
-        report.stream.output_items = 4;
-        report.stream.server_threads = 2;
-        report.stream.server_busy_s = 3.0;
-        report.stream.server_idle_s = 1.0;
-        report.stream.client_blocked_s = 0.25;
-        let s = PipelineSummary::from_report(7, Duration::from_millis(5), &report).unwrap();
-        assert_eq!(s.id, 7);
-        assert_eq!(s.stream.input_items, 4);
-        assert!((s.stream.server_busy_share() - 0.75).abs() < 1e-12);
-        assert!((s.stream.client_blocked_s - 0.25).abs() < 1e-12);
-        assert!((s.wall_ms - 5.0).abs() < 0.5);
     }
 }

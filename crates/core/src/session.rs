@@ -1415,18 +1415,8 @@ pub fn serve_conv_on<R: Rng>(
         kernel,
         engine: HeConvEngine::new(ctx, keys, cache),
     };
-    // Live-registry serve latency, labeled by scheme. The Instant is
-    // only taken when metrics are on, and only successful serves are
-    // recorded — error paths would pollute the latency series.
-    let serve_start = spot_trace::metrics::enabled().then(Instant::now);
     let config = backend.split().0;
-    let result = serve_rounds(transport, &*plan, &kit, &config, upload, batch, rng);
-    if let (Some(t0), Ok(_)) = (serve_start, &result) {
-        spot_trace::metrics::global()
-            .histogram("spot_conv_serve_ns", &[("scheme", spec.scheme.name())])
-            .record(t0.elapsed().as_nanos() as u64);
-    }
-    result
+    serve_rounds(transport, &*plan, &kit, &config, upload, batch, rng)
 }
 
 /// The server driver proper, after the handshake: per round, ingest the

@@ -58,24 +58,11 @@ use crossbeam::thread;
 use spot_pipeline::plan::OutputDependency;
 use spot_pipeline::report::{secs, Table};
 use spot_proto::Queue;
-use spot_trace::{count, gauge, metrics, Cat, Counter};
+use spot_trace::{count, gauge, Cat, Counter};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-// Live-registry histograms for the driver, registered once per
-// process: ingest time blocked on queue backpressure (the server was
-// the bottleneck) and per-job conv wall time across all workers.
-fn stream_queue_blocked_hist() -> &'static metrics::Histogram {
-    static H: OnceLock<std::sync::Arc<metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| metrics::global().histogram("spot_stream_queue_blocked_ns", &[]))
-}
-
-fn stream_conv_hist() -> &'static metrics::Histogram {
-    static H: OnceLock<std::sync::Arc<metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| metrics::global().histogram("spot_stream_conv_ns", &[]))
-}
 
 /// Queues `item` on one of the driver's queues and records the
 /// hand-off (the queue itself counts nothing); returns the time the
@@ -86,9 +73,6 @@ fn push<T>(q: &Queue<T>, item: T) -> Result<Duration, SpotError> {
     count(Counter::QueueBlockedNs, blocked.as_nanos() as u64);
     if spot_trace::enabled() {
         gauge(Cat::Stream, "queue_depth", q.depth() as u64);
-    }
-    if metrics::enabled() {
-        stream_queue_blocked_hist().observe(blocked.as_nanos() as u64);
     }
     Ok(blocked)
 }
@@ -368,11 +352,7 @@ where
     // waiting for is in hand, which is also what wakes the others.
     let serve = |idle: &mut Duration, busy: &mut Duration| -> Result<(), SpotError> {
         let run_job = |busy: &mut Duration, j: usize, inputs: &[T]| {
-            let before = *busy;
             let r = busy_step(busy, || format!("conv #{j}"), || work(j, inputs))?;
-            if metrics::enabled() {
-                stream_conv_hist().observe((*busy - before).as_nanos() as u64);
-            }
             push(&out_q, (j, r)).map(drop)
         };
         loop {

@@ -56,10 +56,10 @@ use spot_proto::transport::Transport;
 use spot_proto::wire::WireMessage;
 use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::tensor::Tensor;
-use spot_trace::{clocksync, metrics, Cat};
+use spot_trace::{clocksync, Cat};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// `OtRound` op code for ReLU on shares.
 pub const OP_RELU: u8 = 1;
@@ -458,19 +458,6 @@ fn reshare<R: Rng>(values: &[i64], t: u64, rng: &mut R) -> (Vec<u64>, Vec<u64>) 
     (server, client)
 }
 
-/// Live-registry latency of one full nonlinear round (recv share →
-/// compute → reshare → send), a series per op code.
-fn round_hist(code: u8) -> &'static metrics::Histogram {
-    static H: [OnceLock<Arc<metrics::Histogram>>; 3] = [const { OnceLock::new() }; 3];
-    const NAMES: [&str; 3] = [
-        "spot_relu_round_ns",
-        "spot_maxpool_round_ns",
-        "spot_avgpool_round_ns",
-    ];
-    let at = usize::from(code - OP_RELU);
-    H[at].get_or_init(|| metrics::global().histogram(NAMES[at], &[]))
-}
-
 /// One interactive op from the server's side: reconstruct the `dims`
 /// activation from the client's share and `server_share`, apply the
 /// op, reshare. A pooling payload leads with the dims, which must be
@@ -487,7 +474,6 @@ fn server_round<R: Rng>(
 ) -> Result<(Dims, Vec<u64>), SpotError> {
     let (code, name, out) = round_kind(op, dims);
     let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
-    let _timer = round_hist(code).start_timer();
     let blob = recv_round(transport, code, round)?;
     let body = match op {
         Op::Relu => &blob[..],

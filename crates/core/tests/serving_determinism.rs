@@ -14,9 +14,9 @@
 //!    connection uploads bit-identical rotation-key frames (the first
 //!    layer's keys, then the one the second layer adds) at B=1 and B=2,
 //!    and every image gets the output it gets alone.
-//! 4. **Every session is on the `/pipeline` view** — phased or
-//!    streamed, a session runs the one stream driver and leaves one
-//!    summary of what it ingested.
+//! 4. **Every session reports its stall** — phased or streamed, a
+//!    session runs the one stream driver and its report holds what it
+//!    ingested and how long its workers waited, key wait included.
 
 mod common;
 
@@ -478,12 +478,12 @@ fn two_layer_keys_and_outputs_are_batch_width_invariant() {
 }
 
 /// `streaming` only bounds the read-ahead: a phased TinyCnn session runs
-/// the same stream driver as a streamed one, so each leaves exactly one
-/// [`spot_core::serving::PipelineSummary`] in the server's ring, whose
-/// `input_items` are the input ciphertexts the session's two
-/// convolutions ingested.
+/// the same stream driver as a streamed one, so each reports its stall
+/// in its [`spot_core::twoparty::ServerReport`]: `input_items` are the
+/// input ciphertexts the session's two convolutions ingested, and the
+/// wait for rotation keys is part of the workers' idle time.
 #[test]
-fn phased_and_streamed_sessions_each_leave_one_pipeline_summary() {
+fn phased_and_streamed_sessions_each_report_their_stall() {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let cnn = TinyCnn::new(7);
     for streaming in [false, true] {
@@ -504,14 +504,17 @@ fn phased_and_streamed_sessions_each_leave_one_pipeline_summary() {
             session.join().expect("session thread")
         });
         let served = report.result.expect("session result");
-        let ring = server.pipeline_recent();
-        assert_eq!(ring.len(), 1, "streaming: {streaming}");
-        assert_eq!(ring[0].id, report.id);
+        let stream = &served.stream;
         assert_eq!(
-            ring[0].stream.input_items, served.input_cts,
+            stream.input_items, served.input_cts,
             "streaming: {streaming}"
         );
-        // The ring keeps the session's whole accounting, key wait included.
-        assert_eq!(ring[0].stream, served.stream, "streaming: {streaming}");
+        assert!(stream.server_busy_s > 0.0, "streaming: {streaming}");
+        assert!(
+            (0.0..=stream.server_idle_s).contains(&stream.key_wait_s),
+            "streaming: {streaming}: key wait {} of idle {}",
+            stream.key_wait_s,
+            stream.server_idle_s
+        );
     }
 }

@@ -30,8 +30,8 @@ pub struct TransportStats {
 
 /// One endpoint's frame tally, and the only place a frame is recorded:
 /// [`Tally::sent`] and [`Tally::received`] each feed the typed trace
-/// counters (process totals, which a `/metrics` scrape renders, and the
-/// session sink) and this endpoint's [`TransportStats`] from the one
+/// counters (process totals while tracing is on, and the session sink)
+/// and this endpoint's [`TransportStats`] from the one
 /// byte count they are given.
 #[derive(Debug, Default)]
 struct Tally(Mutex<TransportStats>);
@@ -295,11 +295,11 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::wire::tests::samples;
-    use spot_trace::{metrics, SessionCounters};
+    use spot_trace::SessionCounters;
     use std::net::TcpListener;
     use std::sync::MutexGuard;
 
-    // The process totals a scrape renders are process-wide, so the
+    // The typed counters' process totals are process-wide, so the
     // tests of this module that move frames take turns.
     static FRAMES: Mutex<()> = Mutex::new(());
 
@@ -323,7 +323,7 @@ mod tests {
 
     /// The four frame counts of each of the three views a frame is
     /// seen in — the endpoints' stats, the session sink, and the
-    /// process totals a `/metrics` scrape renders — as (tx bytes, tx
+    /// process totals counted while tracing is on — as (tx bytes, tx
     /// frames, rx bytes, rx frames).
     fn three_views(
         sender: &dyn Transport,
@@ -337,19 +337,18 @@ mod tests {
             Counter::RxBytes,
             Counter::RxFrames,
         ];
-        let typed = sink.snapshot();
-        let scrape = metrics::scrape();
+        let (session, process) = (sink.snapshot(), spot_trace::counters());
         [
             [sent.bytes, sent.messages, received.bytes, received.messages],
-            frame_counters.map(|c| typed.get(c)),
-            frame_counters.map(|c| scrape.counter("spot_server_ops", &[("op", c.name())])),
+            frame_counters.map(|c| session.get(c)),
+            frame_counters.map(|c| process.get(c)),
         ]
     }
 
     fn every_view_counts_the_moved_bytes(client: &dyn Transport, server: &dyn Transport) {
         let sink = SessionCounters::new(1);
         let outer = spot_trace::set_session_counters(Some(Arc::clone(&sink)));
-        metrics::enable();
+        spot_trace::enable();
         for (i, msg) in samples().into_iter().enumerate() {
             // Alternate directions, so each endpoint both sends and
             // receives.
@@ -369,7 +368,7 @@ mod tests {
                 assert_eq!(delta, [bytes, 1, bytes, 1], "view {view} of {msg:?}");
             }
         }
-        metrics::disable();
+        spot_trace::disable();
         spot_trace::set_session_counters(outer);
         // Nothing but those frames was ever counted on either end.
         let (c, s) = (client.stats(), server.stats());

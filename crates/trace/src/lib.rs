@@ -38,11 +38,10 @@ pub mod clocksync;
 pub mod correlate;
 pub mod json;
 pub mod log;
-pub mod metrics;
 pub mod summary;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -50,42 +49,25 @@ use std::time::Instant;
 // Global switch and clock
 // ---------------------------------------------------------------------
 
-// Both recording switches in one word, so [`count`] asks "is tracing or
-// the metrics registry on" with one relaxed load.
-static SWITCHES: AtomicU8 = AtomicU8::new(0);
-const TRACING: u8 = 1;
-pub(crate) const REGISTRY: u8 = 2;
-
-#[inline(always)]
-pub(crate) fn switch_on(bit: u8) -> bool {
-    SWITCHES.load(Ordering::Relaxed) & bit != 0
-}
-
-pub(crate) fn set_switch(bit: u8, on: bool) {
-    if on {
-        SWITCHES.fetch_or(bit, Ordering::SeqCst);
-    } else {
-        SWITCHES.fetch_and(!bit, Ordering::SeqCst);
-    }
-}
+static TRACING: AtomicBool = AtomicBool::new(false);
 
 /// Whether tracing is currently on. This is the disabled-path hot
 /// check: one relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    switch_on(TRACING)
+    TRACING.load(Ordering::Relaxed)
 }
 
 /// Turns tracing on (idempotent). The first call fixes the trace
 /// origin; all timestamps are nanoseconds since that instant.
 pub fn enable() {
     origin();
-    set_switch(TRACING, true);
+    TRACING.store(true, Ordering::SeqCst);
 }
 
 /// Turns tracing off. Already-buffered events are kept until drained.
 pub fn disable() {
-    set_switch(TRACING, false);
+    TRACING.store(false, Ordering::SeqCst);
 }
 
 fn origin() -> Instant {
@@ -565,10 +547,9 @@ pub fn gauge(cat: Cat, name: &'static str, value: u64) {
 // ---------------------------------------------------------------------
 
 /// The process-wide typed counters. Monotonic relaxed atomics, counted
-/// while tracing or the [`metrics`] registry is on; snapshot with
-/// [`counters`] and attribute per layer/session via
-/// [`CounterSnapshot::delta`]. A `/metrics` scrape renders the totals
-/// as `spot_server_ops{op="<name>"}` ([`metrics::scrape`]).
+/// while tracing is on; snapshot with [`counters`] and attribute per
+/// layer/session via [`CounterSnapshot::delta`] or a
+/// [`SessionCounters`] sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
@@ -767,13 +748,13 @@ fn count_session(c: Counter, n: u64) {
     });
 }
 
-/// Adds `n` to a counter: to the process total while tracing or the
-/// metrics registry is on, and to the calling thread's session sink.
-/// Disabled path: two relaxed atomic loads and branches (the switch
-/// word and the sticky session-tracking flag).
+/// Adds `n` to a counter: to the process total while tracing is on,
+/// and to the calling thread's session sink. Disabled path: two relaxed
+/// atomic loads and branches (the tracing switch and the sticky
+/// session-tracking flag).
 #[inline(always)]
 pub fn count(c: Counter, n: u64) {
-    if SWITCHES.load(Ordering::Relaxed) != 0 {
+    if enabled() {
         COUNTERS[c as usize].fetch_add(n, Ordering::Relaxed);
     }
     if SESSION_TRACKING.load(Ordering::Relaxed) {
@@ -842,7 +823,6 @@ mod tests {
     fn disabled_records_nothing() {
         let _g = guard();
         disable();
-        metrics::disable();
         reset();
         {
             let _s = span(Cat::He, "noop");

@@ -16,8 +16,9 @@
 //! lives in the macros, before `format_args!`).
 //!
 //! Zero dependencies, no timestamps, no global state beyond the cached
-//! level: a server that wants richer telemetry has [`crate::metrics`];
-//! this is for the human tail of `stderr`.
+//! level: a server that wants richer telemetry has the trace and its
+//! per-session counters ([`crate::SessionCounters`]); this is for the
+//! human tail of `stderr`.
 
 use std::fmt;
 use std::io::Write as _;
