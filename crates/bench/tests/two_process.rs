@@ -119,6 +119,19 @@ fn assert_lines(log: &str, lines: &[String]) {
     }
 }
 
+/// Holds the server log to one line per session event: exactly one
+/// line names each of `sessions`, and `failed` of them say so.
+fn assert_one_line_per_session(log: &str, sessions: usize, failed: usize) {
+    for id in 0..sessions {
+        let naming = log
+            .lines()
+            .filter(|l| l.contains(&format!("session {id} ")));
+        assert_eq!(naming.count(), 1, "session {id} in:\n{log}");
+    }
+    let failures = log.lines().filter(|l| l.contains("failed"));
+    assert_eq!(failures.count(), failed, "failed lines in:\n{log}");
+}
+
 /// The (bytes, frames) of the `client -> server` and `server -> client`
 /// rows of the transfer table titled `title` in `log`.
 fn traffic(log: &str, title: &str) -> [(u64, u64); 2] {
@@ -167,7 +180,8 @@ fn one_server_serves_a_plain_and_a_batched_client_and_sums_them() {
         assert_lines(log, &["traffic vs reference: MATCH".into()]);
     }
 
-    let (report, _) = server.finish();
+    let (report, log) = server.finish();
+    assert_one_line_per_session(&log, 2, 0);
     let want = [
         "served 2 sessions (0 failed, 0 rejected)",
         "2 batched images — amortized",
@@ -248,7 +262,8 @@ fn a_failed_session_is_counted_in_the_server_traffic() {
     raw.read_to_end(&mut answer).expect("read to EOF");
     assert!(!answer.is_empty(), "the server sent no error frame");
 
-    let (report, _) = server.finish();
+    let (report, log) = server.finish();
+    assert_one_line_per_session(&log, 1, 1);
     assert_lines(
         &report,
         &["served 0 sessions (1 failed, 0 rejected)".into()],

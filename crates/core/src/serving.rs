@@ -44,7 +44,7 @@ use rand::SeedableRng;
 use spot_he::context::Context;
 use spot_proto::transport::TransportStats;
 use spot_proto::{error_code, Transport, WireMessage};
-use spot_trace::{log_info, log_warn, Cat, CounterSnapshot, SessionCounters};
+use spot_trace::{Cat, CounterSnapshot, SessionCounters};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -324,7 +324,6 @@ impl SpotServer {
             if cur >= self.config.max_sessions {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 let detail = format!("at capacity ({} sessions)", self.config.max_sessions);
-                log_warn!("serving", "rejecting connection: {detail}");
                 let _ = transport.send(&WireMessage::Error {
                     code: error_code::SERVER_FULL,
                     detail: detail.clone(),
@@ -389,7 +388,6 @@ impl SpotServer {
         match &result {
             Ok(_) => {
                 self.stats.served.fetch_add(1, Ordering::Relaxed);
-                log_info!("serving", "session {id} done");
             }
             Err(e) => {
                 // Tell the client why before hanging up (best effort —
@@ -398,7 +396,6 @@ impl SpotServer {
                 let _ = transport.send(&WireMessage::Error { code, detail });
                 transport.close_tx();
                 self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                log_warn!("serving", "session {id} failed: {e}");
             }
         }
         spot_trace::set_session_counters(prev_sink);

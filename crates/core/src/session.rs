@@ -17,21 +17,27 @@
 //! the transport lives; the client records what it has uploaded next to
 //! the secret key that made them ([`ClientConv::next_layer`] carries
 //! the record forward). And they are part of the upload *stream*, not a
-//! phase in front of it. Both parties derive the same **key-stream
-//! rule** from the plan alone (`key_schedule`): the layer's schedule is
-//! the planned elements the connection does not hold yet, in the order
-//! the conv engine first uses them ([`PlanFacts::galois_elements`]);
-//! each travels in a `GaloisKeys` frame of its own, made immediately
-//! before it is sent; and a frame sits right behind the input that makes
-//! the first job using its key runnable ([`Round::runnable_with`]: the
+//! phase in front of it.
+//!
+//! The order of a layer's frames is one value, its [`Schedule`]: what
+//! each direction carries, frame by frame, made from the plan, the keys
+//! the connection holds and the batch's rounds. The client sends by
+//! walking it, the server's ingest checks every uplink frame against
+//! its next entry and the client's absorber every downlink frame, and
+//! any other frame is one typed error (`Frame::open`). Its keys follow
+//! the **key-stream rule**: the planned elements the connection does not
+//! hold yet, in the order the conv engine first uses them
+//! ([`PlanFacts::galois_elements`]), each in a `GaloisKeys` frame of its
+//! own, made immediately before it is sent, right behind the input that
+//! makes the first job using it runnable (`Schedule::new`: the
 //! first input ciphertext of the first piece class that rotates by it
 //! under a per-input scheme, the round's last input under an all-inputs
-//! one), ahead of the inputs after that one. So a job starts on its
-//! ciphertext, each of its rotations waits only for its own key
-//! ([`ConnectionKeys`]'s blocking `wait`), the client generates key
-//! `k + 1` while the server rotates by key `k`, and nobody waits for a
-//! key before a job needs it. A one-layer call ([`ClientConv::new`],
-//! [`serve_conv_with`]) is a connection of one layer.
+//! one). So a job starts on its ciphertext, each of its rotations waits
+//! only for its own key ([`ConnectionKeys`]'s blocking `wait`), the
+//! client generates key `k + 1` while the server rotates by key `k`,
+//! and nobody waits for a key before a job needs it. A one-layer call
+//! ([`ClientConv::new`], [`serve_conv_with`]) is a connection of one
+//! layer.
 //!
 //! There is one upload body, one absorb body and one server driver. The
 //! batch width is a parameter of each (one image is the identity
@@ -87,8 +93,9 @@ use spot_tensor::fixed::from_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
 use spot_trace::Cat;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -377,17 +384,6 @@ pub(crate) fn first_uses<'w>(
     uses
 }
 
-impl PlanFacts {
-    /// One round of the layer as the stream driver sees it.
-    fn round(&self) -> Round {
-        Round {
-            dependency: self.dependency,
-            inputs: self.input_cts,
-            jobs: self.jobs,
-        }
-    }
-}
-
 /// What the server hands a scheme's [`ConvScheme::convolve`]: the
 /// model's kernel and the layer's one conv engine, built from this
 /// connection's keys. Every HE operation of the layer — the scheme's,
@@ -574,25 +570,8 @@ impl ExecBackend {
 }
 
 // ---------------------------------------------------------------------
-// Small helpers
+// The frame schedule
 // ---------------------------------------------------------------------
-
-fn msg_name(msg: &WireMessage) -> &'static str {
-    match msg {
-        WireMessage::Setup(_) => "Setup",
-        WireMessage::PublicKey(_) => "PublicKey",
-        WireMessage::GaloisKeys(_) => "GaloisKeys",
-        WireMessage::PackedCt { .. } => "PackedCt",
-        WireMessage::AuxCt { .. } => "AuxCt",
-        WireMessage::MaskedResult { .. } => "MaskedResult",
-        WireMessage::OtRound { .. } => "OtRound",
-        WireMessage::ShareReveal { .. } => "ShareReveal",
-        WireMessage::LayerBarrier { .. } => "LayerBarrier",
-        WireMessage::Teardown => "Teardown",
-        WireMessage::Error { .. } => "Error",
-        WireMessage::ClockProbe { .. } => "ClockProbe",
-    }
-}
 
 pub(crate) fn unexpected(got: &WireMessage, want: &str) -> SpotError {
     // A typed server rejection surfaces as itself rather than as a
@@ -604,45 +583,114 @@ pub(crate) fn unexpected(got: &WireMessage, want: &str) -> SpotError {
             detail: detail.clone(),
         };
     }
-    SpotError::Protocol(format!("expected {want}, got {}", msg_name(got)))
+    SpotError::Protocol(format!("expected {want}, got {}", got.name()))
 }
 
-/// Receives the serialized input ciphertext with session-wide sequence
-/// number `seq`, validating class and sequence number but deferring
-/// deserialization to the caller — the driver's workers decode on the
-/// pool so the ingest thread goes straight back to the socket.
-fn recv_input_blob(
-    transport: &dyn Transport,
-    seq: usize,
-    want_class: usize,
-) -> Result<Vec<u8>, SpotError> {
-    let msg = transport.recv()?;
-    let (class, got, blob) = match msg {
-        WireMessage::PackedCt { seq, blob } => (0usize, seq, blob),
-        WireMessage::AuxCt { class, seq, blob } => (class as usize, seq, blob),
-        other => return Err(unexpected(&other, "PackedCt/AuxCt")),
-    };
-    if class != want_class || got as usize != seq {
-        return Err(SpotError::Protocol(format!(
-            "input ciphertext out of order: got class {class} seq {got}, want class {want_class} seq {seq}"
-        )));
+/// One frame of a layer's exchange, as its [`Schedule`] lists it, with
+/// the header fields the wire carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// The client's `Setup` hello.
+    Hello,
+    /// The server's `LayerBarrier`: the hello is planned and admitted.
+    Barrier,
+    /// Input ciphertext `seq`, counted across the layer's rounds.
+    Input {
+        /// Sequence number.
+        seq: u32,
+        /// Piece class: 0 travels as a `PackedCt`, a seam class that
+        /// does not ride as an `AuxCt`.
+        class: u16,
+    },
+    /// The rotation key for one Galois element, alone in its frame.
+    Key(usize),
+    /// Masked result `seq`.
+    Result(u32),
+}
+
+impl Frame {
+    /// This frame around its payload. Every barrier is layer 0, and the
+    /// hello's spec is not the schedule's: `send_batch` writes it.
+    pub fn message(self, blob: Vec<u8>) -> WireMessage {
+        match self {
+            Frame::Hello => WireMessage::Setup(ConvSetup::default()),
+            Frame::Barrier => WireMessage::LayerBarrier { layer: 0 },
+            Frame::Input { seq, class: 0 } => WireMessage::PackedCt { seq, blob },
+            Frame::Input { seq, class } => WireMessage::AuxCt { class, seq, blob },
+            Frame::Key(_) => WireMessage::GaloisKeys(blob),
+            Frame::Result(seq) => WireMessage::MaskedResult { seq, blob },
+        }
     }
-    Ok(blob)
+
+    /// The payload of `msg` if it is this frame — the same message with
+    /// the same class and sequence number, a barrier of layer 0; which
+    /// key a key frame holds is its reader's to check — or else the one
+    /// error for a frame the schedule does not put here.
+    pub(crate) fn open(self, msg: WireMessage) -> Result<Vec<u8>, SpotError> {
+        let want = self.message(Vec::new());
+        if (msg.name(), msg.causal_tag()) == (want.name(), want.causal_tag()) {
+            return Ok(match msg {
+                WireMessage::PackedCt { blob, .. }
+                | WireMessage::AuxCt { blob, .. }
+                | WireMessage::MaskedResult { blob, .. }
+                | WireMessage::GaloisKeys(blob) => blob,
+                _ => Vec::new(),
+            });
+        }
+        // Where an input is due, any input kind stands.
+        let kind = match self {
+            Frame::Input { .. } => "PackedCt/AuxCt",
+            _ => want.name(),
+        };
+        Err(match unexpected(&msg, kind) {
+            SpotError::Protocol(why) => SpotError::Protocol(format!("{why} in place of {self:?}")),
+            rejected => rejected,
+        })
+    }
 }
 
-/// The key-stream schedule both parties derive, as `(input, element)`:
-/// of the Galois elements a layer's plan needs, in first-use order,
-/// those the connection does not hold yet, each with the input of the
-/// layer's first round it travels behind — the one that makes the first
-/// job using it runnable. The layer's upload carries exactly one
-/// `GaloisKeys` frame for each, in this order (which is also input
-/// order), and none when there are none.
-fn key_schedule(facts: &PlanFacts, held: impl Fn(usize) -> bool) -> VecDeque<(usize, usize)> {
-    let round = facts.round();
-    (facts.galois_elements.iter())
-        .filter(|&&(_, g)| !held(g))
-        .map(|&(job, g)| (round.runnable_with(job), g))
-        .collect()
+/// The frames of one layer, in the order each direction carries them:
+/// the one statement of that order, which `WIRE_VERSION` covers. Both
+/// parties make it from what they both know — the plan, the rotation
+/// keys the connection holds, the batch's rounds — so it is never sent.
+/// The pacing ([`UploadPacing`]) moves no frame: it decides only which
+/// of the client's two readers, the uploader or the absorber, takes the
+/// barrier.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    /// Client → server: the hello, then each input, and right behind
+    /// each the keys of the jobs it makes runnable, in first-use order.
+    pub uplink: Vec<Frame>,
+    /// Server → client: the barrier, then each result.
+    pub downlink: Vec<Frame>,
+}
+
+impl Schedule {
+    /// The schedule of `rounds` rounds of `plan` on a connection that
+    /// holds the keys of the elements `held` admits. A key travels
+    /// behind the input whose arrival makes the first job using it
+    /// runnable: that job's own under [`OutputDependency::PerInput`],
+    /// the round's last under [`OutputDependency::AllInputs`]. Only the
+    /// first round carries keys; the rounds after it find them held.
+    fn new(plan: &dyn ConvScheme, held: impl Fn(usize) -> bool, rounds: usize) -> Self {
+        let facts = plan.facts();
+        let per_input = facts.dependency == OutputDependency::PerInput;
+        let mut keys = (facts.galois_elements.iter())
+            .filter(|&&(_, g)| !held(g))
+            .map(|&(job, g)| (if per_input { job } else { facts.input_cts - 1 }, g))
+            .peekable();
+        let mut uplink = vec![Frame::Hello];
+        for at in 0..rounds * facts.input_cts {
+            let (seq, class) = (at as u32, plan.input_class(at % facts.input_cts) as u16);
+            uplink.push(Frame::Input { seq, class });
+            while let Some((_, g)) = keys.next_if(|&(behind, _)| behind == at) {
+                uplink.push(Frame::Key(g));
+            }
+        }
+        let mut downlink = vec![Frame::Barrier];
+        downlink.extend((0..(rounds * facts.output_cts) as u32).map(Frame::Result));
+        Self { uplink, downlink }
+    }
 }
 
 /// The images of each round of a `batch` run `width` at a time, the
@@ -716,6 +764,9 @@ pub struct ClientConv<'a> {
     /// server already holds. Kept beside the generator borrow so the
     /// record can never be consulted for another secret key.
     uploaded: Mutex<HashSet<usize>>,
+    /// Whether the uploader took the barrier ([`UploadPacing::AwaitAck`])
+    /// ahead of the absorber, which then expects only the results.
+    acked: AtomicBool,
     spec: LayerSpec,
     plan: Box<dyn ConvScheme>,
 }
@@ -733,6 +784,7 @@ impl<'a> ClientConv<'a> {
             ctx: Arc::clone(ctx),
             keygen,
             uploaded: Mutex::default(),
+            acked: AtomicBool::new(false),
             spec,
             plan,
         })
@@ -765,14 +817,13 @@ impl<'a> ClientConv<'a> {
         self.plan.result_positions()
     }
 
-    /// The `GaloisKeys` frames this layer's next upload carries, as
-    /// `(input, element)` in send order: each rotation key the
-    /// connection's server does not hold yet, with the input ciphertext
-    /// it travels behind.
-    pub fn key_schedule(&self) -> Result<Vec<(usize, usize)>, SpotError> {
-        let uploaded =
-            (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded-key record"))?;
-        Ok(key_schedule(self.plan.facts(), |g| uploaded.contains(&g)).into())
+    /// The frames this layer's next exchange of `batch` images carries:
+    /// its keys are the rotation keys the connection's server does not
+    /// hold yet.
+    pub fn schedule(&self, batch: usize) -> Result<Schedule, SpotError> {
+        let rounds = batch.div_ceil(check_batch(&*self.plan, batch)?);
+        let held = (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded keys"))?;
+        Ok(Schedule::new(&*self.plan, |g| held.contains(&g), rounds))
     }
 
     /// [`ClientConv::send_batch`] for one image.
@@ -786,12 +837,11 @@ impl<'a> ClientConv<'a> {
         self.send_batch(transport, std::slice::from_ref(input), pacing, rng)
     }
 
-    /// Upload phase, in stream order: the layer hello, then the input
-    /// ciphertexts, each followed by one `GaloisKeys` frame per rotation
-    /// key scheduled behind it that the connection's server does not
-    /// hold yet (`key_schedule`) — each made immediately before it is
-    /// sent, in the order the server will first use them. The rng is
-    /// drawn in the same order: the canonical client rng sequence.
+    /// Upload phase: walks the uplink of the layer's [`Schedule`] — the
+    /// hello, then the input ciphertexts, each followed by the rotation
+    /// keys scheduled behind it, each made immediately before it is
+    /// sent. The rng is drawn in the same order: the canonical client
+    /// rng sequence.
     /// Inputs are encrypted under the secret key and travel in the
     /// seeded form ([`SymmetricEncryptor`]); the client makes no public
     /// key. With [`UploadPacing::AwaitAck`] everything
@@ -843,51 +893,46 @@ impl<'a> ClientConv<'a> {
                 )));
             }
         }
-        let facts = self.plan.facts();
         let mut setup = self.spec.to_setup(self.ctx.params().level());
         if batch > 1 {
             setup.batch = batch as u8;
         }
         setup.trace = trace_id;
+        let mut held = (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded keys"))?;
+        let schedule = Schedule::new(&*self.plan, |g| held.contains(&g), batch.div_ceil(width));
+        // Behind the hello, which carries the spec rather than a blob.
+        let mut frames = schedule.uplink.into_iter().skip(1).peekable();
         transport.send(&WireMessage::Setup(setup))?;
-        let encryptor = SymmetricEncryptor::new(&self.ctx, self.keygen.secret_key().clone());
         if pacing == UploadPacing::AwaitAck {
-            let msg = transport.recv()?;
-            let WireMessage::LayerBarrier { .. } = msg else {
-                return Err(unexpected(&msg, "LayerBarrier"));
-            };
+            schedule.downlink[0].open(transport.recv()?)?;
+            self.acked.store(true, Ordering::SeqCst);
         }
+        let encryptor = SymmetricEncryptor::new(&self.ctx, self.keygen.secret_key().clone());
         let t = self.ctx.params().plain_modulus();
-        let codec = RowCodec::new(&self.ctx, facts);
-        let mut uploaded =
-            (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded-key record"))?;
-        let mut keys = key_schedule(facts, |g| uploaded.contains(&g));
-        let mut seq = 0u32;
+        let codec = RowCodec::new(&self.ctx, self.plan.facts());
+        let mut sent = 0;
         for round in inputs.chunks(width) {
             self.plan.pack(round, t, &mut |row| {
-                let blob = encryptor.encrypt(&codec.encode(&row), rng).to_bytes();
-                let msg = match self.plan.input_class(seq as usize % facts.input_cts) {
-                    0 => WireMessage::PackedCt { seq, blob },
-                    class => WireMessage::AuxCt {
-                        class: class as u16,
-                        seq,
-                        blob,
-                    },
+                let Some(input) = frames.next() else {
+                    return Err(SpotError::Protocol(
+                        "packed an input past the schedule".into(),
+                    ));
                 };
-                transport.send(&msg)?;
+                let blob = encryptor.encrypt(&codec.encode(&row), rng).to_bytes();
+                transport.send(&input.message(blob))?;
                 // The keys behind this input, each made as it is sent,
                 // so the server rotates by one while the next is made.
-                while let Some(&(_, g)) = keys.front().filter(|&&(at, _)| at == seq as usize) {
-                    let key = self.keygen.galois_key_blob(g, rng);
-                    transport.send(&WireMessage::GaloisKeys(key))?;
-                    uploaded.insert(g);
-                    keys.pop_front();
+                while let Some(key @ Frame::Key(g)) =
+                    frames.next_if(|frame| matches!(frame, Frame::Key(_)))
+                {
+                    transport.send(&key.message(self.keygen.galois_key_blob(g, rng)))?;
+                    held.insert(g);
                 }
-                seq += 1;
+                sent += 1;
                 Ok(())
             })?;
         }
-        Ok(seq as usize)
+        Ok(sent)
     }
 
     /// [`ClientConv::absorb_batch`] for one image.
@@ -918,7 +963,13 @@ impl<'a> ClientConv<'a> {
         })
         .arg("output_cts", expected as u64)
         .arg("batch", batch as u64);
-        let mut decoded = self.receive_decoded(transport, expected)?;
+        // The downlink is the same whatever keys the connection holds.
+        let schedule = Schedule::new(&*self.plan, |_| true, batch.div_ceil(width));
+        // Under `AwaitAck` the uploader has taken the barrier.
+        if !self.acked.swap(false, Ordering::SeqCst) {
+            schedule.downlink[0].open(transport.recv()?)?;
+        }
+        let mut decoded = self.receive_decoded(transport, &schedule.downlink[1..])?;
         let t = self.ctx.params().plain_modulus();
         let mut shares = Vec::with_capacity(batch);
         for (round, images) in decoded.chunks_mut(per_round).zip(rounds(batch, width)) {
@@ -951,13 +1002,13 @@ impl<'a> ClientConv<'a> {
         })
     }
 
-    /// Receives `expected` masked results (any order, validated by
-    /// sequence number), decrypts and decodes each into its slot/coeff
-    /// values. Returns the rows in sequence order.
+    /// Receives the result `frames`, each checked against the wire, and
+    /// decrypts and decodes each into its slot/coeff values. Returns the
+    /// rows in result order.
     fn receive_decoded(
         &self,
         transport: &dyn Transport,
-        expected: usize,
+        frames: &[Frame],
     ) -> Result<Vec<Vec<u64>>, SpotError> {
         // Results arrive switched down to the first primes of the level
         // (`Context::result_context`): read and decrypt them there, under
@@ -965,31 +1016,10 @@ impl<'a> ClientConv<'a> {
         let rctx = self.ctx.result_context();
         let decryptor = Decryptor::new(rctx, self.keygen.secret_key().restricted_to(rctx));
         let codec = RowCodec::new(rctx, self.plan.facts());
-        let mut decoded: Vec<Option<Vec<u64>>> = vec![None; expected];
-        // An eagerly-pacing client never consumed the server's setup
-        // acknowledgement during the upload; it is the first downlink
-        // message, ahead of the masked results.
-        let mut first = Some(transport.recv()?);
-        if matches!(first, Some(WireMessage::LayerBarrier { .. })) {
-            first = None;
-        }
-        for _ in 0..expected {
-            let msg = match first.take() {
-                Some(m) => m,
-                None => transport.recv()?,
-            };
-            let WireMessage::MaskedResult { seq, blob } = msg else {
-                return Err(unexpected(&msg, "MaskedResult"));
-            };
-            let slot = decoded.get_mut(seq as usize).ok_or_else(|| {
-                SpotError::Protocol(format!(
-                    "result seq {seq} out of range (expected {expected} results)"
-                ))
-            })?;
-            if slot.is_some() {
-                return Err(SpotError::Protocol(format!("duplicate result seq {seq}")));
-            }
-            *slot = Some(match self.plan.result_positions() {
+        let mut decoded = Vec::with_capacity(frames.len());
+        for &frame in frames {
+            let blob = frame.open(transport.recv()?)?;
+            decoded.push(match self.plan.result_positions() {
                 // Decrypted at the positions the share reads, which is
                 // all it reads of the row.
                 Some(positions) => {
@@ -1006,10 +1036,7 @@ impl<'a> ClientConv<'a> {
                 }
             });
         }
-        // `expected` receives each filled a slot that was empty, of
-        // `expected` slots: none is left empty.
-        (decoded.into_iter().collect::<Option<Vec<Vec<u64>>>>())
-            .ok_or_else(|| SpotError::Protocol("a result sequence number never arrived".into()))
+        Ok(decoded)
     }
 }
 
@@ -1079,8 +1106,8 @@ impl SharedKernelCaches {
 /// for a one-layer connection) and is never shared between connections,
 /// so it only ever holds keys of one secret key. Its size is bounded by
 /// the union of the served layers' planned element sets: the one writer,
-/// a layer's [`KeyUpload`], admits a key only as the next element of
-/// that layer's schedule.
+/// a layer's `Uplink`, admits a key only as the key frame its
+/// [`Schedule`] puts next.
 #[derive(Debug)]
 pub struct ConnectionKeys {
     state: Mutex<KeyState>,
@@ -1153,46 +1180,56 @@ impl RotationKeys for ConnectionKeys {
     }
 }
 
-/// One layer's key stream on the server: the schedule of elements still
-/// to arrive, and the right to put them on the connection's store. The
-/// store is open from [`KeyUpload::open`] until the last scheduled key
-/// is in or this is dropped, on whatever path — read to the end,
-/// refused, or never reached — so a worker waiting for a key always
-/// gets it or an error.
-struct KeyUpload<'a> {
+/// The server's reader of one layer's uplink behind the hello: it takes
+/// every frame as the next entry of the layer's [`Schedule`]
+/// ([`Frame::open`]) and puts each key into the connection's store as
+/// it lands. The store is open from [`Uplink::open`] until the last
+/// scheduled key is in or this is dropped, on whatever path — read to
+/// the end, refused, or never reached — so a worker waiting for a key
+/// always gets it or an error.
+struct Uplink<'a> {
     keys: &'a ConnectionKeys,
-    schedule: VecDeque<(usize, usize)>,
+    /// The frames still to come, in order.
+    frames: std::iter::Peekable<std::slice::Iter<'a, Frame>>,
 }
 
-impl<'a> KeyUpload<'a> {
-    /// Opens `keys` for the planned elements of `facts` it lacks.
-    fn open(keys: &'a ConnectionKeys, facts: &PlanFacts) -> Result<Self, SpotError> {
-        let mut state = keys.lock()?;
-        let schedule = key_schedule(facts, |g| state.held.contains_key(&g));
+impl<'a> Uplink<'a> {
+    /// The reader of `schedule`'s uplink behind the hello, with `keys`
+    /// open for its key frames if it has any.
+    fn open(keys: &'a ConnectionKeys, schedule: &'a Schedule) -> Result<Self, SpotError> {
+        let frames = schedule.uplink[1..].iter().peekable();
         // Nothing missing, no frames, nothing to wait for: a client
         // that sends one anyway fails the input read in its place.
-        if !schedule.is_empty() {
-            state.ended = None;
+        if (frames.clone()).any(|frame| matches!(frame, Frame::Key(_))) {
+            keys.lock()?.ended = None;
         }
-        drop(state);
-        Ok(Self { keys, schedule })
+        Ok(Self { keys, frames })
     }
 
-    /// Reads the key frames scheduled behind `input` off the uplink,
-    /// each into the store as it arrives: exactly one frame per
-    /// scheduled element, carrying exactly that element's key, in
-    /// schedule order.
-    fn read_behind(
+    /// Reads the next round of `inputs` inputs and the keys behind them
+    /// off `transport`, each frame the schedule's next entry. An input
+    /// goes to `queue` still serialized — `run_stream`'s workers decode
+    /// on the pool, so this thread goes straight back to the socket — and a
+    /// key into the store as it lands: exactly one key, of exactly the
+    /// scheduled element. A read that fails ends the key upload with its
+    /// error.
+    fn round(
         &mut self,
-        input: usize,
-        ctx: &Arc<Context>,
         transport: &dyn Transport,
+        ctx: &Arc<Context>,
+        inputs: usize,
+        queue: &mut dyn FnMut(Vec<u8>) -> Result<(), SpotError>,
     ) -> Result<(), SpotError> {
-        let mut read_next = || {
-            while let Some(&(_, want)) = self.schedule.front().filter(|&&(at, _)| at == input) {
-                let msg = transport.recv()?;
-                let WireMessage::GaloisKeys(blob) = msg else {
-                    return Err(unexpected(&msg, "GaloisKeys"));
+        let mut left = inputs;
+        let mut read = || {
+            while let Some(&frame) =
+                (self.frames).next_if(|frame| left > 0 || matches!(frame, Frame::Key(_)))
+            {
+                let blob = frame.open(transport.recv()?)?;
+                let Frame::Key(want) = frame else {
+                    left -= 1;
+                    queue(blob)?;
+                    continue;
                 };
                 let key = galois_keys_from_bytes(ctx, &blob)?;
                 if key.len() != 1 || !key.contains(want) {
@@ -1205,24 +1242,26 @@ impl<'a> KeyUpload<'a> {
                 }
                 self.keys.lock()?.held.insert(want, Arc::new(key));
                 self.keys.changed.notify_all();
-                self.schedule.pop_front();
+                // With the last key in, a wait for any other can only
+                // fail: it fails at once.
+                if !(self.frames.clone()).any(|frame| matches!(frame, Frame::Key(_))) {
+                    self.keys.end(UPLOAD_OVER);
+                }
             }
             Ok(())
         };
-        let result = read_next();
-        match &result {
-            Err(e) => self.keys.end(e.to_string()),
-            Ok(()) if self.schedule.is_empty() => self.keys.end(UPLOAD_OVER),
-            Ok(()) => {}
+        let read = read();
+        if let Err(e) = &read {
+            self.keys.end(e.to_string());
         }
-        result
+        read
     }
 }
 
 /// Why a key cannot arrive once its layer's schedule has been served.
 const UPLOAD_OVER: &str = "the layer's key upload is over";
 
-impl Drop for KeyUpload<'_> {
+impl Drop for Uplink<'_> {
     fn drop(&mut self) {
         self.keys.end(UPLOAD_OVER);
     }
@@ -1383,9 +1422,8 @@ pub fn serve_conv_on<R: Rng>(
         )));
     }
     let plan = spec.scheme.plan(&spec, level)?;
-    let facts = plan.facts();
     let batch = (setup.batch as usize).max(1);
-    check_batch(&*plan, batch)?;
+    let rounds = batch.div_ceil(check_batch(&*plan, batch)?);
     if let Some(max) = opts.max_batch {
         if batch > max {
             return Err(SpotError::Rejected {
@@ -1402,8 +1440,12 @@ pub fn serve_conv_on<R: Rng>(
     // and rotation keys until this arrives, so the whole upload lands
     // inside the server's measured stall window. It says nothing about
     // keys: those are checked one by one as the stream delivers them.
-    transport.send(&WireMessage::LayerBarrier { layer: 0 })?;
-    let upload = KeyUpload::open(keys, facts)?;
+    // A poisoned store counts as empty: opening it for the keys that
+    // then puts in the schedule reports the poisoning.
+    let held = |g| keys.lock().is_ok_and(|state| state.held.contains_key(&g));
+    let schedule = Schedule::new(&*plan, held, rounds);
+    transport.send(&schedule.downlink[0].message(Vec::new()))?;
+    let uplink = Uplink::open(keys, &schedule)?;
     // With `opts.shared` the cache is the model's for this spec, so
     // every session multiplies against the same lifted plaintexts.
     let cache = match opts.shared {
@@ -1416,20 +1458,20 @@ pub fn serve_conv_on<R: Rng>(
         engine: HeConvEngine::new(ctx, keys, cache),
     };
     let config = backend.split().0;
-    serve_rounds(transport, &*plan, &kit, &config, upload, batch, rng)
+    serve_rounds(transport, &*plan, &kit, &config, uplink, batch, rng)
 }
 
 /// The server driver proper, after the handshake: per round, ingest the
-/// upload — the first round's carries the layer's key frames, `upload`,
-/// each behind the input that makes the first job using it runnable —
-/// run each job once the inputs it reads have arrived, and mask-and-send
-/// every result in result order.
+/// upload through `uplink` — the first round's carries the layer's key
+/// frames, each behind the input that makes the first job using it
+/// runnable — run each job once the inputs it reads have arrived, and
+/// mask-and-send every result in result order.
 fn serve_rounds<R: Rng>(
     transport: &dyn Transport,
     plan: &dyn ConvScheme,
     kit: &ServerKit<'_>,
     config: &StreamConfig,
-    mut upload: KeyUpload<'_>,
+    mut uplink: Uplink<'_>,
     batch: usize,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
@@ -1452,11 +1494,10 @@ fn serve_rounds<R: Rng>(
     let evaluator = kit.engine.evaluator();
     let mut masks: Vec<Vec<Vec<u64>>> = vec![Vec::new(); batch];
     let mut stream = StreamStats::default();
-    let mut seq_out = 0u32;
+    let mut seq_out = 0;
 
-    for (round, images) in rounds(batch, width).enumerate() {
+    for images in rounds(batch, width) {
         let mut acc = Vec::new();
-        let mut result = 0usize;
         // Consumer, on this thread in job order: every result that is
         // final gets one fresh mask per image, goes back masked, and
         // leaves the masks behind as the server's rows.
@@ -1472,7 +1513,7 @@ fn serve_rounds<R: Rng>(
                 // its full-width vector. `pack_images(&[r])` would
                 // zero every position past the image's stride, changing
                 // the downlink bytes and leaving those slots unmasked.
-                let mask = match plan.batch_layout(result) {
+                let mask = match plan.batch_layout(seq_out as usize % facts.output_cts) {
                     Some(layout) if width > 1 => &layout.pack_images(&rows),
                     _ => &rows[0],
                 };
@@ -1487,9 +1528,8 @@ fn serve_rounds<R: Rng>(
                         .to_bytes(),
                     None => evaluator.mask_result(ct, &mask).to_bytes(),
                 };
-                transport.send(&WireMessage::MaskedResult { seq: seq_out, blob })?;
+                transport.send(&Frame::Result(seq_out).message(blob))?;
                 seq_out += 1;
-                result += 1;
                 for (img, row) in images.clone().zip(rows) {
                     masks[img].push(row);
                 }
@@ -1502,9 +1542,12 @@ fn serve_rounds<R: Rng>(
         // transport.
         let stats = run_stream(
             config,
-            facts.round(),
-            |j| recv_input_blob(transport, round * facts.input_cts + j, plan.input_class(j)),
-            |j| upload.read_behind(round * facts.input_cts + j, ctx, transport),
+            Round {
+                dependency: facts.dependency,
+                inputs: facts.input_cts,
+                jobs: facts.jobs,
+            },
+            |queue| uplink.round(transport, ctx, facts.input_cts, queue),
             |_, blob: Vec<u8>| Ok(Ciphertext::try_from_seeded_bytes(ctx, &blob)?),
             |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
             emit,
@@ -1688,6 +1731,45 @@ mod tests {
     use spot_he::serial::galois_keys_to_bytes;
     use std::sync::mpsc;
 
+    /// TinyCnn's conv1 (2 -> 4 channels on 8x8) under SPOT: one input
+    /// ciphertext, and five keys behind it.
+    fn conv1() -> LayerSpec {
+        LayerSpec {
+            scheme: SchemeKind::Spot,
+            shape: ConvShape::new(8, 8, 2, 4, 3, 1),
+            patch: (4, 4),
+            mode: PatchMode::Tweaked,
+        }
+    }
+
+    /// The schedule of one conv1 round on a connection whose server
+    /// holds what `store` holds.
+    fn conv1_schedule(store: &ConnectionKeys) -> Schedule {
+        let plan = (SchemeKind::Spot.plan(&conv1(), ParamLevel::N4096)).expect("plan");
+        let state = store.lock().expect("store");
+        Schedule::new(&*plan, |g| state.held.contains_key(&g), 1)
+    }
+
+    /// The key frames of `schedule`'s uplink as `(input, element)`: the
+    /// input each travels behind, in send order.
+    fn keys(schedule: &Schedule) -> Vec<(usize, usize)> {
+        let mut behind = 0;
+        (schedule.uplink.iter())
+            .filter_map(|&frame| match frame {
+                Frame::Input { seq, .. } => {
+                    behind = seq as usize;
+                    None
+                }
+                Frame::Key(g) => Some((behind, g)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn input_frame(seq: u32) -> WireMessage {
+        WireMessage::PackedCt { seq, blob: vec![] }
+    }
+
     /// The store through its one writer: `wait` returns a key that was
     /// put there before the call, one that arrives during it, and — as
     /// the typed error, with the reason — one that never does; ending
@@ -1706,24 +1788,18 @@ mod tests {
             Err(SpotError::Protocol(detail)) => assert!(detail.contains(why), "{detail}"),
             other => panic!("element {g}: expected the typed error, got {other:?}"),
         };
-        never(3, "no key upload is open");
+        let fresh = conv1_schedule(&store);
+        let g: Vec<usize> = keys(&fresh).into_iter().map(|(_, g)| g).collect();
+        assert_eq!(keys(&fresh), g.iter().map(|&g| (0, g)).collect::<Vec<_>>());
+        assert_eq!(g.len(), 5);
+        never(g[0], "no key upload is open");
 
-        // A one-input layer that rotates by `elements`, in that order.
-        let layer = |elements: &[usize]| PlanFacts {
-            dependency: OutputDependency::PerInput,
-            input_cts: 1,
-            output_cts: 1,
-            jobs: 1,
-            galois_elements: elements.iter().map(|&g| (0, g)).collect(),
-            batch_capacity: 1,
-            coeff_packed: false,
-        };
-        let mut upload = KeyUpload::open(&store, &layer(&[3, 9, 27])).expect("open");
-        assert_eq!(upload.schedule, [(0, 3), (0, 9), (0, 27)]);
-        client_end.send(&frame(3)).expect("send");
+        let mut upload = Uplink::open(&store, &fresh).expect("open");
+        client_end.send(&input_frame(0)).expect("send");
+        client_end.send(&frame(g[0])).expect("send");
         let (about_to_wait, waiting) = mpsc::channel();
         std::thread::scope(|s| {
-            let waiters: Vec<_> = [3usize, 9, 27, 27]
+            let waiters: Vec<_> = [g[0], g[3], g[4], g[4]]
                 .into_iter()
                 .map(|g| {
                     let about_to_wait = about_to_wait.clone();
@@ -1737,11 +1813,14 @@ mod tests {
             for _ in &waiters {
                 waiting.recv().expect("waiter started");
             }
-            // Key 9 arrives with its waiter started; the uplink closes
-            // where key 27 should be, with two threads waiting for it.
-            client_end.send(&frame(9)).expect("send");
+            // Keys 1 to 3 arrive with the waiters started; the uplink
+            // closes where key 4 should be, with two threads waiting
+            // for it.
+            for &g in &g[1..4] {
+                client_end.send(&frame(g)).expect("send");
+            }
             client_end.close_tx();
-            let read = upload.read_behind(0, &ctx, &server_end);
+            let read = upload.round(&server_end, &ctx, 1, &mut |_| Ok(()));
             assert!(matches!(read, Err(SpotError::Proto(_))), "{read:?}");
             let ended: Vec<_> = waiters
                 .into_iter()
@@ -1757,29 +1836,95 @@ mod tests {
             }
         });
 
-        let (keys, waited) = store.wait(9).expect("held");
-        assert!(keys.contains(9) && keys.len() == 1);
+        let (key, waited) = store.wait(g[3]).expect("held");
+        assert!(key.contains(g[3]) && key.len() == 1);
         assert_eq!(waited, Duration::ZERO);
-        never(27, "connection closed by peer");
-        let next_layer = KeyUpload::open(&store, &layer(&[9, 27, 3])).expect("open");
+        never(g[4], "connection closed by peer");
+        let next_layer = conv1_schedule(&store);
         assert_eq!(
-            next_layer.schedule,
-            [(0, 27)],
+            keys(&next_layer),
+            [(0, g[4])],
             "what the connection holds stays"
         );
-        drop(next_layer);
-        never(27, UPLOAD_OVER);
+        drop(Uplink::open(&store, &next_layer).expect("open"));
+        never(g[4], UPLOAD_OVER);
 
         // With its last scheduled key in, the upload is over though its
-        // guard still lives: a key nobody scheduled is an error at
+        // reader still lives: a key nobody scheduled is an error at
         // once, not a wait for the layer to end.
         let (client_end, server_end) = MemTransport::pair();
-        let mut next_layer = KeyUpload::open(&store, &layer(&[27])).expect("open");
-        client_end.send(&frame(27)).expect("send");
-        next_layer.read_behind(0, &ctx, &server_end).expect("read");
-        assert!(store.wait(27).is_ok());
+        let mut upload = Uplink::open(&store, &next_layer).expect("open");
+        client_end.send(&input_frame(0)).expect("send");
+        client_end.send(&frame(g[4])).expect("send");
+        upload
+            .round(&server_end, &ctx, 1, &mut |_| Ok(()))
+            .expect("round");
+        assert!(store.wait(g[4]).is_ok());
         never(5, UPLOAD_OVER);
-        drop(next_layer);
+        drop(upload);
+    }
+
+    /// The server's reader takes each uplink frame as the next entry of
+    /// the schedule: an input where a key is due and a key where an
+    /// input is due are each the one typed error, which also ends the
+    /// key upload for the workers waiting on it.
+    #[test]
+    fn a_frame_the_schedule_does_not_put_next_is_refused() {
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(2));
+        let key = galois_keys_to_bytes(&keygen.galois_keys(&[3], &mut StdRng::seed_from_u64(3)));
+        let cases: [(&[WireMessage], &str); 2] = [
+            (
+                &[input_frame(0), input_frame(1)],
+                "expected GaloisKeys, got PackedCt in place of Key(",
+            ),
+            (
+                &[WireMessage::GaloisKeys(key)],
+                "expected PackedCt/AuxCt, got GaloisKeys in place of Input { seq: 0, class: 0 }",
+            ),
+        ];
+        for (frames, why) in cases {
+            let (client_end, server_end) = MemTransport::pair();
+            let store = ConnectionKeys::default();
+            let schedule = conv1_schedule(&store);
+            let mut upload = Uplink::open(&store, &schedule).expect("open");
+            for frame in frames {
+                client_end.send(frame).expect("send");
+            }
+            match upload.round(&server_end, &ctx, 1, &mut |_| Ok(())) {
+                Err(SpotError::Protocol(detail)) => assert!(detail.contains(why), "{detail}"),
+                other => panic!("expected the typed error naming {why:?}, got {other:?}"),
+            }
+            let (_, g) = keys(&schedule)[0];
+            match store.wait(g) {
+                Err(SpotError::Protocol(detail)) => assert!(detail.contains(why), "{detail}"),
+                other => panic!("a waiter for {g} must learn why, got {other:?}"),
+            }
+        }
+    }
+
+    /// Under `AwaitAck` the uploader takes the barrier, so the absorber
+    /// expects results only: a second barrier is refused, not skipped.
+    #[test]
+    fn a_second_barrier_on_an_acked_downlink_is_refused() {
+        let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
+        let mut rng = StdRng::seed_from_u64(4);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let client = ClientConv::new(&ctx, &keygen, conv1()).expect("plan");
+        let (client_end, server_end) = MemTransport::pair();
+        for _ in 0..2 {
+            (server_end.send(&WireMessage::LayerBarrier { layer: 0 })).expect("send");
+        }
+        server_end.close_tx();
+        let input = Tensor::random(2, 8, 8, 5, 5);
+        (client.send_all(&client_end, &input, UploadPacing::AwaitAck, &mut rng)).expect("upload");
+        match client.absorb_all(&client_end) {
+            Err(SpotError::Protocol(detail)) => assert!(
+                detail.contains("expected MaskedResult, got LayerBarrier"),
+                "{detail}"
+            ),
+            other => panic!("expected the typed error, got {other:?}"),
+        }
     }
 
     /// N2048 has no rotation keys. A SIMD layer whose walks rotate is
@@ -1847,6 +1992,9 @@ mod tests {
         let planned = |facts: &PlanFacts| -> Vec<usize> {
             facts.galois_elements.iter().map(|&(_, g)| g).collect()
         };
+        let key_schedule = |plan: &dyn ConvScheme, held: &dyn Fn(usize) -> bool| {
+            keys(&Schedule::new(plan, held, 1))
+        };
 
         // Four piece classes of 7, 2, 2 and 1 ciphertexts. A seam piece
         // is a 4x4 patch with rows or columns missing, so under a square
@@ -1854,12 +2002,12 @@ mod tests {
         // every key travels behind the first ciphertext.
         let spot = plan(SchemeKind::Spot, 3);
         assert_eq!(spot.facts().input_cts, 7 + 2 + 2 + 1);
-        let fresh = key_schedule(spot.facts(), |_| false);
+        let fresh = key_schedule(&*spot, &|_| false);
         let elements = planned(spot.facts());
         let behind_first: Vec<_> = elements.iter().map(|&g| (0, g)).collect();
         assert_eq!(fresh, behind_first, "first-use order");
         let held = elements[1];
-        let later = key_schedule(spot.facts(), |g| g == held);
+        let later = key_schedule(&*spot, &|g| g == held);
         assert_eq!(later.len(), elements.len() - 1);
         assert!(later.iter().all(|&(_, g)| g != held));
 
@@ -1869,7 +2017,7 @@ mod tests {
         // ciphertext, the eighth of the upload, and behind every key of
         // the patches'.
         let tall = plan(SchemeKind::Spot, 1);
-        let fresh = Vec::from(key_schedule(tall.facts(), |_| false));
+        let fresh = key_schedule(&*tall, &|_| false);
         let elt = |step: i64| galois_elt_from_step(step, 4096);
         let (first, strips) = fresh.split_at(fresh.len() - 2);
         assert!(first.iter().all(|&(input, _)| input == 0), "{fresh:?}");
@@ -1878,27 +2026,35 @@ mod tests {
 
         let channelwise = plan(SchemeKind::Channelwise, 3);
         assert_eq!(channelwise.facts().input_cts, 4);
-        let fresh = key_schedule(channelwise.facts(), |_| false);
+        let fresh = key_schedule(&*channelwise, &|_| false);
         let behind_last: Vec<_> = (planned(channelwise.facts()).iter())
             .map(|&g| (3, g))
             .collect();
         assert_eq!(fresh, behind_last);
 
         let cheetah = plan(SchemeKind::Cheetah, 3);
-        assert!(key_schedule(cheetah.facts(), |_| false).is_empty());
+        assert!(key_schedule(&*cheetah, &|_| false).is_empty());
 
         // TinyCnn's conv1 (2 -> 4 channels on 8x8): one ciphertext per
         // class, and one block a lane, so one diagonal and no giant
-        // step: the column swap and the four moves.
-        let conv1 = LayerSpec {
-            shape: ConvShape::new(8, 8, 2, 4, 3, 1),
-            ..spec(SchemeKind::Spot, 3)
-        };
-        let conv1 = SchemeKind::Spot
-            .plan(&conv1, ParamLevel::N4096)
-            .expect("plan");
-        let fresh = key_schedule(conv1.facts(), |_| false);
-        assert_eq!(fresh.len(), 1 + 4);
-        assert!(fresh.iter().all(|&(input, _)| input == 0), "{fresh:?}");
+        // step: the column swap and the four moves, behind the first
+        // round's input; the second round's finds them held.
+        let small = (SchemeKind::Spot.plan(&conv1(), ParamLevel::N4096)).expect("plan");
+        let two = Schedule::new(&*small, |_| false, 2);
+        let key_frames: Vec<Frame> = (keys(&two).into_iter())
+            .map(|(_, g)| Frame::Key(g))
+            .collect();
+        assert_eq!(key_frames.len(), 1 + 4);
+        let input = |seq| Frame::Input { seq, class: 0 };
+        assert_eq!(
+            two.uplink,
+            [&[Frame::Hello, input(0)], &key_frames[..], &[input(1)]].concat()
+        );
+        let results = (0..2 * small.facts().output_cts as u32).map(Frame::Result);
+        assert!(two
+            .downlink
+            .iter()
+            .copied()
+            .eq(std::iter::once(Frame::Barrier).chain(results)));
     }
 }

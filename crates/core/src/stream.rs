@@ -6,11 +6,11 @@
 //! difference is the "linear computation stall".
 //! [`spot_pipeline::plan::OutputDependency`] says it in one enum and
 //! [`run_stream`] executes it in one body: **a job waits for the inputs
-//! it reads**. An ingest thread — the uplink's only reader — pushes the
-//! round's upload frames through a bounded [`spot_proto::Queue`], and
-//! behind each input it runs the round's *side step* for that input (the
-//! session's rotation-key frames: a key travels behind the input that
-//! makes the first job using it runnable, [`Round::runnable_with`]); the
+//! it reads**. An ingest thread — the uplink's only reader — reads the
+//! round's frames in order, queueing each input through a bounded
+//! [`spot_proto::Queue`] and taking what travels behind it before the
+//! next (the session's rotation-key frames: a key travels behind the
+//! input that makes the first job using it runnable); the
 //! [`Executor::run_workers`] pool stages (deserialises) each input as it
 //! arrives and runs a job as soon as its inputs are staged; results are
 //! consumed in job order on the calling thread, where the mask rng
@@ -245,19 +245,6 @@ pub struct Round {
     pub jobs: usize,
 }
 
-impl Round {
-    /// The input whose arrival makes `job` runnable — its own under
-    /// [`OutputDependency::PerInput`], the round's last under
-    /// [`OutputDependency::AllInputs`]: behind it travels whatever else
-    /// the job waits for, on both ends of the link.
-    pub fn runnable_with(&self, job: usize) -> usize {
-        match self.dependency {
-            OutputDependency::PerInput => job,
-            OutputDependency::AllInputs => self.inputs.saturating_sub(1),
-        }
-    }
-}
-
 /// Closes a queue when dropped, so a thread that fails or unwinds still
 /// releases every thread blocked on that queue.
 struct CloseOnDrop<'q, T>(&'q Queue<T>);
@@ -291,14 +278,17 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 ///
 /// Three roles, the same for every scheme and backend:
 ///
-/// * an **ingest thread** calls `ingest(i)` for each input in order (a
-///   transport receive) and pushes the raw frame through a queue bounded
-///   by [`StreamConfig::channel_capacity`], the server's read-ahead.
-///   With input `i` queued it runs `side(i)` — whatever else arrives on
-///   the same link behind that input, for the jobs it made runnable
-///   ([`Round::runnable_with`]) — before it reads input `i + 1`, so the
-///   link has one reader, a job is runnable before its `side` starts,
-///   and what a running job waits for is never behind a full queue;
+/// * an **ingest thread** runs `ingest(queue)` once: it reads the round
+///   off the link in order and hands each input's raw frame to `queue`,
+///   which numbers it and pushes it through a queue bounded by
+///   [`StreamConfig::channel_capacity`], the server's read-ahead. What
+///   arrives behind input `i`, for the jobs it made runnable (its own
+///   job under `PerInput`, every job behind the last input under
+///   `AllInputs`), `ingest` reads before input `i + 1`, so the link has
+///   one reader, a job is runnable before what travels behind its input
+///   is read, and what a running job waits for is never behind a full
+///   queue. An `ingest` that queues other than the round's inputs fails
+///   the round;
 /// * the [`Executor::run_workers`] **pool** takes frames as they arrive,
 ///   *stages* each (`stage(i, frame)`, the deserialisation) and runs job
 ///   `j` (`work(j, inputs)`) as soon as the inputs it reads are staged:
@@ -312,23 +302,21 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 /// The stall has one definition for both classes:
 /// [`StreamStats::server_idle_s`] is the worker thread-seconds spent
 /// blocked waiting for a runnable job while the upload is open. (What a
-/// job's `work` spends blocked on something `side` delivers is stall
+/// job's `work` spends blocked on something `ingest` delivers is stall
 /// too; the caller knows how much and moves it, see the module doc.)
 ///
 /// `stage` and `work` must be pure, so the composition is bit-identical
 /// for any worker count and queue bound. An error from any of the five
 /// closures ends the round: every thread is released and joined, and
 /// the call returns the error of the step that failed first in the
-/// chain stage/work → consume → ingest/side. A `work` that blocks on
-/// what `side(i)` delivers must be released by that call on every path;
-/// it goes uncalled only when `ingest(i)` or an earlier step failed, and
-/// then no job it serves is runnable. A panic on a worker propagates to
-/// the caller the same way.
+/// chain stage/work → consume → ingest. A `work` that blocks on what
+/// `ingest` reads behind its input must be released by `ingest` on every
+/// path out, an error included. A panic on a worker propagates to the
+/// caller the same way.
 pub fn run_stream<F, T, R>(
     config: &StreamConfig,
     round: Round,
-    mut ingest: impl FnMut(usize) -> Result<F, SpotError> + Send,
-    mut side: impl FnMut(usize) -> Result<(), SpotError> + Send,
+    ingest: impl FnOnce(&mut dyn FnMut(F) -> Result<(), SpotError>) -> Result<(), SpotError> + Send,
     stage: impl Fn(usize, F) -> Result<T, SpotError> + Sync,
     work: impl Fn(usize, &[T]) -> Result<R, SpotError> + Sync,
     mut consume: impl FnMut(usize, R) -> Result<(), SpotError>,
@@ -411,15 +399,17 @@ where
             }
             spot_trace::set_thread_label("server-ingest");
             let closer = CloseOnDrop(in_q);
-            let mut blocked = Duration::ZERO;
-            let result = (0..round.inputs).try_for_each(|i| {
-                let frame = ingest(i)?;
+            let (mut blocked, mut inputs) = (Duration::ZERO, 0..round.inputs);
+            let short = || SpotError::Protocol("the upload is not the round's inputs".into());
+            let result = ingest(&mut |frame| {
+                let i = inputs.next().ok_or_else(short)?;
                 let wait_span = spot_trace::span(Cat::Stream, "blocked (channel full)");
                 let waited = push(in_q, (i, frame))?;
                 end_wait(wait_span, waited);
                 blocked += waited;
-                side(i)
+                Ok(())
             });
+            let result = result.and_then(|()| inputs.next().map_or(Ok(()), |_| Err(short())));
             // After a full upload the worker holding the last input
             // closes the queue; the ingest thread only does on failure.
             if result.is_ok() && round.inputs > 0 {
@@ -548,9 +538,8 @@ mod tests {
                     let stats = run_stream(
                         &cfg(threads, cap),
                         round(dependency, 50, jobs),
-                        |i| Ok(i as u64),
-                        |_| Ok(()),
-                        |i, v: u64| Ok((i as u64) * 100 + v),
+                        |queue| (0..50).try_for_each(queue),
+                        |i, v: usize| Ok((i as u64) * 100 + v as u64),
                         |j, inputs: &[u64]| {
                             assert!(ran.lock().unwrap().insert(j), "{tag}: job {j} ran twice");
                             spin_unevenly(j as u64);
@@ -588,8 +577,7 @@ mod tests {
                 let stats = run_stream(
                     &cfg(8, 2),
                     round(dependency, n, n),
-                    |_| Ok(41u32),
-                    |_| Ok(()),
+                    |queue| (0..n).try_for_each(|_| queue(41u32)),
                     |_, v| Ok(v),
                     |_, inputs: &[u32]| Ok(inputs[0] + 1),
                     |j, r| {
@@ -617,13 +605,14 @@ mod tests {
         run_stream(
             &cfg(2, 1),
             round(OutputDependency::PerInput, 4, 4),
-            move |i| {
-                if i > 0 {
-                    assert_eq!(done_rx.recv().unwrap(), i - 1);
-                }
-                Ok(i)
+            move |queue| {
+                (0..4).try_for_each(|i| {
+                    if i > 0 {
+                        assert_eq!(done_rx.recv().unwrap(), i - 1);
+                    }
+                    queue(i)
+                })
             },
-            |_| Ok(()),
             |_, v| Ok(v),
             |j, inputs: &[usize]| {
                 assert_eq!(inputs, [j]);
@@ -641,12 +630,12 @@ mod tests {
     }
 
     #[test]
-    fn side_step_runs_behind_each_input_and_the_jobs_it_made_runnable_may_wait_for_it() {
-        // One worker, one queue slot: every job blocks until the side
-        // step of the input that made it runnable has run — `side(j)`
-        // per input, `side(3)` for the whole all-inputs round — with
-        // later inputs still to come. It completes because that step
-        // comes before the next input is even read.
+    fn a_job_may_wait_for_what_the_ingest_reads_behind_its_input() {
+        // One worker, one queue slot: every job blocks until what
+        // travels behind the input that made it runnable has been read
+        // — `behind j` per input, `behind 3` for the whole all-inputs
+        // round — with later inputs still to come. It completes because
+        // that read comes before the next input is even read.
         for dependency in CLASSES {
             let round = round(dependency, 4, 4);
             let order = Mutex::new(Vec::new());
@@ -654,20 +643,23 @@ mod tests {
             let stats = run_stream(
                 &cfg(1, 1),
                 round,
-                |i| {
-                    order.lock().unwrap().push(format!("in{i}"));
-                    Ok(i)
-                },
-                |i| {
-                    order.lock().unwrap().push(format!("side{i}"));
-                    *delivered.0.lock().unwrap() = i + 1;
-                    delivered.1.notify_all();
-                    Ok(())
+                |queue| {
+                    (0..4).try_for_each(|i| {
+                        order.lock().unwrap().push(format!("in{i}"));
+                        queue(i)?;
+                        order.lock().unwrap().push(format!("behind{i}"));
+                        *delivered.0.lock().unwrap() = i + 1;
+                        delivered.1.notify_all();
+                        Ok(())
+                    })
                 },
                 |_, v| Ok(v),
                 |j, _: &[usize]| {
                     let sides = delivered.0.lock().unwrap();
-                    let needed = round.runnable_with(j) + 1;
+                    let needed = match dependency {
+                        OutputDependency::PerInput => j + 1,
+                        OutputDependency::AllInputs => round.inputs,
+                    };
                     drop(delivered.1.wait_while(sides, |ran| *ran < needed).unwrap());
                     Ok(j)
                 },
@@ -676,7 +668,7 @@ mod tests {
             .unwrap();
             assert_eq!(
                 order.into_inner().unwrap().join(" "),
-                "in0 side0 in1 side1 in2 side2 in3 side3",
+                "in0 behind0 in1 behind1 in2 behind2 in3 behind3",
                 "{dependency:?}"
             );
             assert_eq!(stats.output_items, 4);
@@ -690,14 +682,15 @@ mod tests {
         let stats = run_stream(
             &cfg(4, 2),
             round(OutputDependency::AllInputs, 6, 3),
-            |i| {
-                std::thread::sleep(Duration::from_millis(5));
-                if i == 5 {
-                    last_handed_over.store(true, Ordering::SeqCst);
-                }
-                Ok(i as u64)
+            |queue| {
+                (0..6).try_for_each(|i| {
+                    std::thread::sleep(Duration::from_millis(5));
+                    if i == 5 {
+                        last_handed_over.store(true, Ordering::SeqCst);
+                    }
+                    queue(i as u64)
+                })
             },
-            |_| Ok(()),
             |_, v| Ok(v),
             |j, inputs: &[u64]| {
                 assert!(
@@ -741,11 +734,12 @@ mod tests {
             run_stream(
                 &cfg(1, 2),
                 round(dependency, 8, 8),
-                |i| {
-                    std::thread::sleep(Duration::from_millis(4));
-                    Ok(i)
+                |queue| {
+                    (0..8).try_for_each(|i| {
+                        std::thread::sleep(Duration::from_millis(4));
+                        queue(i)
+                    })
                 },
-                |_| Ok(()),
                 |_, v| Ok(v),
                 |j, _: &[usize]| spin(j),
                 |_, _| Ok(()),
@@ -764,7 +758,7 @@ mod tests {
     fn an_error_from_any_step_ends_the_round_with_that_error() {
         // Step 0 = ingest, 1 = stage, 2 = work, 3 = consume; each fails
         // on its second item, with more inputs still to come and a full
-        // queue behind it. Step 4 = the side step.
+        // queue behind it. Step 4 = the ingest, behind that item.
         let fail = |step: usize, at: usize, i: usize| match step == at && i == 1 {
             true => Err(SpotError::Protocol(format!("step {at} gave up"))),
             false => Ok(()),
@@ -775,8 +769,13 @@ mod tests {
                     let err = run_stream(
                         &cfg(threads, 1),
                         round(dependency, 6, 6),
-                        |i| fail(step, 0, i).map(|()| i),
-                        |i| fail(step, 4, i),
+                        |queue| {
+                            (0..6).try_for_each(|i| {
+                                fail(step, 0, i)?;
+                                queue(i)?;
+                                fail(step, 4, i)
+                            })
+                        },
                         |i, v| fail(step, 1, i).map(|()| v),
                         |j, _: &[usize]| fail(step, 2, j).map(|()| j),
                         |j, _| fail(step, 3, j),
@@ -794,12 +793,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_ingest_that_queues_other_than_the_rounds_inputs_fails() {
+        for dependency in CLASSES {
+            for queued in [5, 3] {
+                let err = run_stream(
+                    &cfg(2, 8),
+                    round(dependency, 4, 4),
+                    |queue| (0..queued).try_for_each(queue),
+                    |_, v| Ok(v),
+                    |j, _: &[usize]| Ok(j),
+                    |_, _| Ok(()),
+                )
+                .unwrap_err();
+                let why = "the upload is not the round's inputs";
+                assert!(
+                    matches!(&err, SpotError::Protocol(w) if w == why),
+                    "{err:?}"
+                );
+            }
+        }
+    }
+
     fn panic_in_job_three(dependency: OutputDependency) {
         let _ = run_stream(
             &cfg(4, 2),
             round(dependency, 8, 8),
-            Ok,
-            |_| Ok(()),
+            |queue| (0..8).try_for_each(queue),
             |_, v| Ok(v),
             |j, _: &[usize]| {
                 if j == 3 {

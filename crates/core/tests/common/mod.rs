@@ -4,7 +4,7 @@
 
 use spot_core::inference::{Op, TinyCnn};
 use spot_core::patching::PatchMode;
-use spot_core::session::{ClientConv, LayerSpec, SchemeKind};
+use spot_core::session::{ClientConv, Frame, LayerSpec, SchemeKind};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_proto::transport::TcpTransport;
@@ -73,8 +73,18 @@ pub fn key_streams(
                 PatchMode::Tweaked,
             );
             let layer = ClientConv::new(ctx, kg, spec).expect("client plan");
-            let fresh = layer.key_schedule().expect("key schedule");
-            streams.push(fresh.into_iter().filter(|&(_, g)| held.insert(g)).collect());
+            // Each key frame with the input it travels behind.
+            let mut behind = 0;
+            let schedule = layer.schedule(1).expect("schedule");
+            let fresh = schedule.uplink.into_iter().filter_map(|frame| match frame {
+                Frame::Input { seq, .. } => {
+                    behind = seq as usize;
+                    None
+                }
+                Frame::Key(g) => held.insert(g).then_some((behind, g)),
+                _ => None,
+            });
+            streams.push(fresh.collect());
         }
         x = op.apply(x);
     }

@@ -94,7 +94,7 @@ use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv, ClientConv, ExecBackend, Frame, LayerSpec, SchemeKind, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_core::twoparty::{run_client_batch, run_server};
@@ -109,6 +109,7 @@ use spot_proto::wire::FRAME_HEADER_BYTES;
 use spot_proto::{ProtoError, WireMessage};
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::{Kernel, Tensor};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -129,34 +130,61 @@ fn tensor_digest(t: &Tensor) -> u64 {
     t.data().iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
 }
 
+/// What one direction of the client's endpoint has moved.
+struct Direction {
+    /// `(frame bytes, frame headers)` digests.
+    digests: (u64, u64),
+    /// Each frame's message kind.
+    kinds: Vec<&'static str>,
+}
+
 /// The client's endpoint with every frame it sends or receives folded
-/// into a running digest, in the order the session code moved it.
+/// into a running digest and its kind noted, in the order the session
+/// code moved it.
 struct Recorder {
     inner: MemTransport,
-    /// `(frame bytes, frame headers)` digests of the sent frames.
-    up: Mutex<(u64, u64)>,
-    /// The same pair over the received frames.
-    down: Mutex<(u64, u64)>,
+    up: Mutex<Direction>,
+    down: Mutex<Direction>,
     /// Bytes of the `MaskedResult` blobs received.
     result_bytes: AtomicU64,
 }
 
 impl Recorder {
     fn new(inner: MemTransport) -> Self {
+        let direction = || {
+            Mutex::new(Direction {
+                digests: (FNV_OFFSET, FNV_OFFSET),
+                kinds: Vec::new(),
+            })
+        };
         Self {
             inner,
-            up: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
-            down: Mutex::new((FNV_OFFSET, FNV_OFFSET)),
+            up: direction(),
+            down: direction(),
             result_bytes: AtomicU64::new(0),
         }
     }
 }
 
-/// Folds one frame into a direction's `(bytes, headers)` digests.
-fn record(digests: &Mutex<(u64, u64)>, msg: &WireMessage) {
+/// Folds one frame into a direction's `(bytes, headers)` digests and
+/// notes its kind.
+fn record(direction: &Mutex<Direction>, msg: &WireMessage) {
     let frame = msg.encode_frame();
-    let mut d = digests.lock().unwrap();
-    *d = (fnv1a(d.0, &frame), fnv1a(d.1, &frame[..FRAME_HEADER_BYTES]));
+    let mut d = direction.lock().unwrap();
+    let (bytes, headers) = d.digests;
+    d.digests = (
+        fnv1a(bytes, &frame),
+        fnv1a(headers, &frame[..FRAME_HEADER_BYTES]),
+    );
+    d.kinds.push(msg.name());
+}
+
+/// The kinds of `frames`, as a transcript lists them.
+fn walked(frames: &[Frame]) -> Vec<&'static str> {
+    frames
+        .iter()
+        .map(|frame| frame.message(Vec::new()).name())
+        .collect()
 }
 
 impl Transport for Recorder {
@@ -306,6 +334,7 @@ fn run_case(
     let keygen = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(9000));
     let inputs = &inputs[..batch];
     let conv = ClientConv::new(&ctx, &keygen, *spec).expect("client plan");
+    let schedule = conv.schedule(batch).expect("schedule");
     let mut crng = StdRng::seed_from_u64(777);
     let mut srng = StdRng::seed_from_u64(3100);
 
@@ -364,8 +393,14 @@ fn run_case(
     ]
     .iter()
     .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
-    let (uplink, uplink_shape) = *client.up.lock().unwrap();
-    let (downlink, downlink_shape) = *client.down.lock().unwrap();
+    let (up, down) = (client.up.lock().unwrap(), client.down.lock().unwrap());
+    assert_eq!(up.kinds, walked(&schedule.uplink), "uplink as scheduled");
+    assert_eq!(
+        down.kinds,
+        walked(&schedule.downlink),
+        "downlink as scheduled"
+    );
+    let ((uplink, uplink_shape), (downlink, downlink_shape)) = (up.digests, down.digests);
     Golden {
         uplink,
         uplink_shape,
@@ -551,6 +586,22 @@ fn spot_spilling_class() {
     }
 }
 
+/// The runs of `kinds` that open with a `first` and go on while a kind
+/// is one of `rest`: each convolution's frames in one direction of a
+/// connection.
+fn runs(kinds: &[&'static str], first: &str, rest: &[&str]) -> Vec<Vec<&'static str>> {
+    let opens = kinds.iter().enumerate().filter(|&(_, &kind)| kind == first);
+    opens
+        .map(|(at, _)| {
+            let len = kinds[at + 1..]
+                .iter()
+                .take_while(|kind| rest.contains(kind))
+                .count();
+            kinds[at..=at + len].to_vec()
+        })
+        .collect()
+}
+
 /// What the two-layer TinyCnn connection pins: both directions' bytes
 /// and shapes, the revealed output, and the server's counts merged over
 /// both convolutions.
@@ -577,6 +628,27 @@ fn tinycnn_spot_two_layers() {
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xe67d_1259_3fb9_c3e7,
     };
+    // What the client walks for each convolution: conv1 at 8x8, 2 -> 4
+    // channels; max-pooled, conv2 at 4x4, 4 -> 4, whose schedule lacks
+    // the keys conv1 uploaded.
+    let mut held = HashSet::new();
+    let layers: Vec<_> = [(8, 2), (4, 4)]
+        .map(|(hw, c_in)| {
+            let spec = LayerSpec {
+                scheme: SchemeKind::Spot,
+                shape: ConvShape::new(hw, hw, c_in, 4, 3, 1),
+                patch: (4, 4),
+                mode: PatchMode::Tweaked,
+            };
+            let conv = ClientConv::new(&ctx, &keygen, spec).expect("client plan");
+            let mut schedule = conv.schedule(1).expect("schedule");
+            (schedule.uplink).retain(|&frame| match frame {
+                Frame::Key(g) => held.insert(g),
+                _ => true,
+            });
+            schedule
+        })
+        .into();
     for (name, backend) in [
         ("phased", ExecBackend::Phased(Executor::serial())),
         (
@@ -634,9 +706,23 @@ fn tinycnn_spot_two_layers() {
         ]
         .iter()
         .fold(FNV_OFFSET, |h, v| fnv1a(h, &v.to_le_bytes()));
+        let (up, down) = (client.up.lock().unwrap(), client.down.lock().unwrap());
+        let conv_up = runs(&up.kinds, "Setup", &["PackedCt", "AuxCt", "GaloisKeys"]);
+        let conv_down = runs(&down.kinds, "LayerBarrier", &["MaskedResult"]);
+        assert_eq!(
+            conv_up,
+            layers.iter().map(|s| walked(&s.uplink)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            conv_down,
+            layers
+                .iter()
+                .map(|s| walked(&s.downlink))
+                .collect::<Vec<_>>()
+        );
         let got = TinyCnnGolden {
-            uplink: *client.up.lock().unwrap(),
-            downlink: *client.down.lock().unwrap(),
+            uplink: up.digests,
+            downlink: down.digests,
             output: tensor_digest(&outputs[0]),
             counts,
         };

@@ -52,7 +52,7 @@ pub const MAX_FRAME: usize = 1 << 28;
 /// Flat integer fields only, so the protocol crate needs no knowledge
 /// of `spot-core` types; the receiving session layer re-derives its
 /// typed configuration from these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConvSetup {
     /// Scheme discriminant (0 = channel-wise, 1 = Cheetah, 2 = SPOT).
     pub scheme: u8,
@@ -250,21 +250,28 @@ pub mod error_code {
 }
 
 impl WireMessage {
-    fn tag(&self) -> u8 {
+    /// The variant's wire tag, and its name as error messages and test
+    /// transcripts spell a frame.
+    fn kind(&self) -> (u8, &'static str) {
         match self {
-            WireMessage::Setup(_) => 0,
-            WireMessage::PublicKey(_) => 1,
-            WireMessage::GaloisKeys(_) => 2,
-            WireMessage::PackedCt { .. } => 3,
-            WireMessage::AuxCt { .. } => 4,
-            WireMessage::MaskedResult { .. } => 5,
-            WireMessage::OtRound { .. } => 6,
-            WireMessage::ShareReveal { .. } => 7,
-            WireMessage::LayerBarrier { .. } => 8,
-            WireMessage::Teardown => 9,
-            WireMessage::Error { .. } => 10,
-            WireMessage::ClockProbe { .. } => 11,
+            WireMessage::Setup(_) => (0, "Setup"),
+            WireMessage::PublicKey(_) => (1, "PublicKey"),
+            WireMessage::GaloisKeys(_) => (2, "GaloisKeys"),
+            WireMessage::PackedCt { .. } => (3, "PackedCt"),
+            WireMessage::AuxCt { .. } => (4, "AuxCt"),
+            WireMessage::MaskedResult { .. } => (5, "MaskedResult"),
+            WireMessage::OtRound { .. } => (6, "OtRound"),
+            WireMessage::ShareReveal { .. } => (7, "ShareReveal"),
+            WireMessage::LayerBarrier { .. } => (8, "LayerBarrier"),
+            WireMessage::Teardown => (9, "Teardown"),
+            WireMessage::Error { .. } => (10, "Error"),
+            WireMessage::ClockProbe { .. } => (11, "ClockProbe"),
         }
+    }
+
+    /// The variant's name.
+    pub fn name(&self) -> &'static str {
+        self.kind().1
     }
 
     /// Compact causal tag for trace flow arrows: identifies *which*
@@ -403,7 +410,7 @@ impl WireMessage {
         let len = self.payload_len();
         let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + len);
         out.push(WIRE_VERSION);
-        out.push(self.tag());
+        out.push(self.kind().0);
         out.extend_from_slice(&(len as u32).to_le_bytes());
         self.write_payload(&mut out);
         debug_assert_eq!(out.len(), FRAME_HEADER_BYTES + len);

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot::core::channelwise;
 use spot::core::patching::PatchMode;
-use spot::core::session::{ClientConv, LayerSpec, SchemeKind};
+use spot::core::session::{ClientConv, Frame, LayerSpec, Schedule, SchemeKind};
 use spot::core::spot as spot_scheme;
 use spot::he::prelude::*;
 use spot::tensor::models::ConvShape;
@@ -177,6 +177,22 @@ fn pins() -> Vec<Pin> {
     ]
 }
 
+/// The key frames of `schedule`'s uplink as `(input, element)`: the
+/// input each travels behind, in send order.
+fn key_entries(schedule: &Schedule) -> Vec<(usize, usize)> {
+    let mut behind = 0;
+    (schedule.uplink.iter())
+        .filter_map(|&frame| match frame {
+            Frame::Input { seq, .. } => {
+                behind = seq as usize;
+                None
+            }
+            Frame::Key(g) => Some((behind, g)),
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn both_simd_packings_plan_what_they_planned() {
     let level = ParamLevel::N4096;
@@ -192,7 +208,7 @@ fn both_simd_packings_plan_what_they_planned() {
             pin.batch_capacity,
             "{what}: batch capacity"
         );
-        let keys = client.key_schedule().expect("key record");
+        let keys = key_entries(&client.schedule(1).expect("key record"));
         assert_eq!(keys, pin.key_schedule, "{what}: key schedule");
         let plan = match spec.scheme {
             SchemeKind::Spot => spot_scheme::plan(&spec.shape, level, spec.patch, spec.mode, false),
