@@ -29,8 +29,9 @@
 //! ciphertext and per Galois key outside the HE math; the Galois rows
 //! are **per key** (blob time / keys in the blob). `encrypt_seeded`,
 //! `ct_seeded_bytes` and `ct_from_seeded_bytes` are the upload's own
-//! form — a symmetric encryption, written as `c0` and the seed of `c1`,
-//! read back by expanding the seed — beside the full-form rows.
+//! form — a symmetric encryption at the level's two result primes,
+//! written as `c0` and the seed of `c1`, read back by expanding the seed
+//! and lifted to the full modulus — beside the full-form rows.
 //! `ks_decompose` is the step-independent part of a rotation
 //! (`Evaluator::hoist`) and `rotate_hoisted8` eight rotations sharing
 //! one; `taps3x3_composed` is the same eight tap positions the way the
@@ -446,7 +447,7 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
 /// `(name, level, bytes)`: a one-key blob (`galois_key`) and its `k`
 /// packed digit polynomials (`digit_polys`, the half of a rotation key
 /// no seed can replace), and an uploaded ciphertext (`seeded_ct`) and
-/// the full form of the same encryption (`ct`).
+/// a full-form ciphertext of the level (`ct`).
 fn measure_client_side(
     kernel: &'static str,
     entries: &mut Vec<Entry>,
@@ -469,7 +470,13 @@ fn measure_client_side(
         let plain = encoder.encode(&values);
         let ct = encryptor.encrypt(&plain, &mut rng);
         let ct_blob = ct.to_bytes();
-        let uploader = SymmetricEncryptor::new(&ctx, keygen.secret_key().clone());
+        // An upload: encrypted at the result primes, read back there and
+        // lifted to the full modulus, as a session does.
+        let rctx = ctx.result_context();
+        let uploader = SymmetricEncryptor::new(rctx, keygen.secret_key().restricted_to(rctx));
+        let switch = ctx
+            .result_switch()
+            .expect("a result switch at N4096 and N8192");
         let seeded = uploader.encrypt(&plain, &mut rng);
         let seeded_blob = seeded.to_bytes();
         let keys = 4usize;
@@ -537,9 +544,8 @@ fn measure_client_side(
             reps,
             1,
             time_us(reps, || {
-                std::hint::black_box(
-                    Ciphertext::try_from_seeded_bytes(&ctx, &seeded_blob).expect("own upload"),
-                );
+                let read = Ciphertext::try_from_seeded_bytes(rctx, &seeded_blob);
+                std::hint::black_box(switch.lift(&ctx, read.expect("own upload")));
             }),
         );
         push(

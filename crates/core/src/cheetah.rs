@@ -8,7 +8,7 @@
 //! the full weighted sum). The price:
 //!
 //! * only a sparse subset of output coefficients is useful — one per
-//!   output pixel of the result's channel ([`Packing`]'s
+//!   output pixel of the result's channel (`Packing`'s
 //!   `result_positions`), 64 of 4,096 on TinyCnn's first layer — yet a
 //!   whole result would still cost the client its downlink and its
 //!   decryption: the paper's explanation for why Cheetah's advantage
@@ -28,8 +28,8 @@
 //! extraction: no extraction key, no LWE ciphertexts, and no cost the
 //! wire does not run.
 //!
-//! [`Packing`] is this scheme's side of the session driver's interface
-//! ([`crate::session::ConvScheme`]): plan, pack, convolve, share.
+//! `Packing` is this scheme's side of the session driver's interface
+//! (`session::ConvScheme`): plan, pack, convolve, share.
 
 use crate::error::SpotError;
 use crate::layout::BatchLayout;

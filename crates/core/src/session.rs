@@ -27,7 +27,7 @@
 //! any other frame is one typed error (`Frame::open`). Its keys follow
 //! the **key-stream rule**: the planned elements the connection does not
 //! hold yet, in the order the conv engine first uses them
-//! ([`PlanFacts::galois_elements`]), each in a `GaloisKeys` frame of its
+//! (`PlanFacts::galois_elements`), each in a `GaloisKeys` frame of its
 //! own, made immediately before it is sent, right behind the input that
 //! makes the first job using it runnable (`Schedule::new`: the
 //! first input ciphertext of the first piece class that rotates by it
@@ -43,7 +43,7 @@
 //! batch width is a parameter of each (one image is the identity
 //! layout, so the single-image methods are adapters), and everything
 //! that knows a scheme's packing format lives in that scheme's file
-//! behind [`ConvScheme`]. The driver reads as the paper does: per round,
+//! behind `ConvScheme`. The driver reads as the paper does: per round,
 //! [`run_stream`] ingests the upload and runs each job as soon as the
 //! inputs it reads have arrived — which inputs those are is the scheme's
 //! [`OutputDependency`], passed as data — and the results are masked
@@ -843,8 +843,9 @@ impl<'a> ClientConv<'a> {
     /// sent. The rng is drawn in the same order: the canonical client
     /// rng sequence.
     /// Inputs are encrypted under the secret key and travel in the
-    /// seeded form ([`SymmetricEncryptor`]); the client makes no public
-    /// key. With [`UploadPacing::AwaitAck`] everything
+    /// seeded form ([`SymmetricEncryptor`]), at the primes results
+    /// travel at ([`Context::result_context`]); the client makes no
+    /// public key. With [`UploadPacing::AwaitAck`] everything
     /// after the hello is held until the server's setup acknowledgement
     /// arrives on the downlink.
     ///
@@ -907,7 +908,10 @@ impl<'a> ClientConv<'a> {
             schedule.downlink[0].open(transport.recv()?)?;
             self.acked.store(true, Ordering::SeqCst);
         }
-        let encryptor = SymmetricEncryptor::new(&self.ctx, self.keygen.secret_key().clone());
+        // At the primes results travel at, under the key rows that
+        // decrypt them; the server lifts each input back (`read_upload`).
+        let rctx = self.ctx.result_context();
+        let encryptor = SymmetricEncryptor::new(rctx, self.keygen.secret_key().restricted_to(rctx));
         let t = self.ctx.params().plain_modulus();
         let codec = RowCodec::new(&self.ctx, self.plan.facts());
         let mut sent = 0;
@@ -1461,6 +1465,20 @@ pub fn serve_conv_on<R: Rng>(
     serve_rounds(transport, &*plan, &kit, &config, uplink, batch, rng)
 }
 
+/// An input ciphertext as it travels — seeded, at the primes results
+/// travel at ([`Context::result_context`]) — read and lifted to the full
+/// modulus the engine works at ([`ModSwitch::lift`]). A level with no
+/// result switch uploads at its full modulus already.
+///
+/// [`ModSwitch::lift`]: spot_he::modswitch::ModSwitch::lift
+fn read_upload(ctx: &Arc<Context>, blob: &[u8]) -> Result<Ciphertext, SpotError> {
+    let ct = Ciphertext::try_from_seeded_bytes(ctx.result_context(), blob)?;
+    Ok(match ctx.result_switch() {
+        Some(switch) => switch.lift(ctx, ct),
+        None => ct,
+    })
+}
+
 /// The server driver proper, after the handshake: per round, ingest the
 /// upload through `uplink` — the first round's carries the layer's key
 /// frames, each behind the input that makes the first job using it
@@ -1537,9 +1555,9 @@ fn serve_rounds<R: Rng>(
             Ok::<(), SpotError>(())
         };
         // Deserialization — of the seeded form, the only one an input
-        // travels in, so with it the expansion of `c1` — happens on the
-        // worker pool so the ingest thread goes straight back to the
-        // transport.
+        // travels in, so with it the expansion of `c1`, and the lift to
+        // the full modulus — happens on the worker pool so the ingest
+        // thread goes straight back to the transport.
         let stats = run_stream(
             config,
             Round {
@@ -1548,7 +1566,7 @@ fn serve_rounds<R: Rng>(
                 jobs: facts.jobs,
             },
             |queue| uplink.round(transport, ctx, facts.input_cts, queue),
-            |_, blob: Vec<u8>| Ok(Ciphertext::try_from_seeded_bytes(ctx, &blob)?),
+            |_, blob: Vec<u8>| read_upload(ctx, &blob),
             |j, inputs: &[Ciphertext]| plan.convolve(kit, j, inputs),
             emit,
         )?;
@@ -1580,6 +1598,32 @@ fn serve_rounds<R: Rng>(
 // ---------------------------------------------------------------------
 // In-process combinator
 // ---------------------------------------------------------------------
+
+/// Closes a transport's sending side when dropped — when an uploader
+/// returns or unwinds — unless [`HangUp::keep_open`] was called first:
+/// a peer waiting for the next frame of an uploader that failed or
+/// panicked reads `Closed` instead of waiting forever.
+pub(crate) struct HangUp<'a>(Option<&'a dyn Transport>);
+
+impl<'a> HangUp<'a> {
+    pub(crate) fn new(transport: &'a dyn Transport) -> Self {
+        Self(Some(transport))
+    }
+
+    /// Leaves the transport open: the upload succeeded and the
+    /// connection goes on.
+    pub(crate) fn keep_open(mut self) {
+        self.0 = None;
+    }
+}
+
+impl Drop for HangUp<'_> {
+    fn drop(&mut self) {
+        if let Some(transport) = self.0 {
+            transport.close_tx();
+        }
+    }
+}
 
 /// Result of an in-process client/server run: per-image functional
 /// results plus per-direction traffic measured from the real serialized
@@ -1646,11 +1690,13 @@ pub fn run_in_process<R: Rng>(
                 let uploader = s.spawn(move |_| {
                     spot_trace::set_thread_label("client");
                     let t0 = Instant::now();
+                    // Always close, on an unwind too: a server stuck in
+                    // recv after a client failure sees Closed instead of
+                    // blocking forever.
+                    let hang_up = HangUp::new(ct_ref);
                     let r =
                         client_ref.send_batch(ct_ref, inputs, UploadPacing::AwaitAck, &mut crng);
-                    // Always close: a server stuck in recv after a client
-                    // failure sees Closed instead of blocking forever.
-                    ct_ref.close_tx();
+                    drop(hang_up);
                     spot_trace::flush_thread();
                     (r, t0.elapsed())
                 });

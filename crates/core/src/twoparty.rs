@@ -14,7 +14,7 @@
 //! ops behind a convolution, up to and including the `Reveal` that ends
 //! its stage, run *image-major*: all of image `b`'s rounds and its
 //! reveal before image `b + 1`. `Relu`, `MaxPool2` and `AvgPool` are
-//! one `OtRound` request/reply each, numbered by [`round_of`]; `Reveal`
+//! one `OtRound` request/reply each, numbered by `round_of`; `Reveal`
 //! is one `ShareReveal` from the server. `Add { from }` is local: each
 //! party adds its own share of `ops[from]`'s output, which it kept when
 //! that op ran (only outputs an `Add` names are kept). Past a `Reveal`
@@ -44,8 +44,8 @@ use crate::error::SpotError;
 use crate::inference::{Op, TinyCnn};
 use crate::patching::PatchMode;
 use crate::session::{
-    serve_conv_on, unexpected, ClientConv, ConnectionKeys, ExecBackend, LayerSpec, ModelLayer,
-    SchemeKind, ServeOptions, UploadPacing,
+    serve_conv_on, unexpected, ClientConv, ConnectionKeys, ExecBackend, HangUp, LayerSpec,
+    ModelLayer, SchemeKind, ServeOptions, UploadPacing,
 };
 use crate::stream::StreamStats;
 use rand::Rng;
@@ -278,7 +278,14 @@ fn client_conv_batch<R: Rng + Send>(
             // Eager pacing: TCP's own flow control paces a real link,
             // and the concurrent absorber below must own every recv.
             spot_trace::set_thread_label("uploader");
+            // An upload that fails or unwinds hangs up, so the server
+            // waiting for its next input, and then the absorber
+            // waiting for the server, both end.
+            let hang_up = HangUp::new(transport);
             let sent = conv.send_batch(transport, inputs, UploadPacing::Eager, rng);
+            if sent.is_ok() {
+                hang_up.keep_open();
+            }
             spot_trace::flush_thread();
             sent
         });

@@ -19,6 +19,8 @@ use spot_core::session::{
 use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
 use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
+use spot_he::encoding::BatchEncoder;
+use spot_he::encryptor::SymmetricEncryptor;
 use spot_he::keys::KeyGenerator;
 use spot_he::modswitch::ModSwitch;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -32,7 +34,7 @@ use spot_trace::Counter;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn test_stack() -> (Arc<Context>, TinyCnn) {
@@ -1048,21 +1050,25 @@ fn a_withheld_last_key_on_an_open_connection_ends_at_the_read_deadline() {
 }
 
 /// An input ciphertext travels in one form, `c0` and the seed of `c1`,
-/// at one length. A client that still speaks the version-3 form (the
-/// same encryption written out whole, 111,632 B at N4096) or whose blob
-/// is a byte long or short is refused by the decoder's length check
-/// before a polynomial is read — not served on a `c1` made of whatever
-/// follows `c0` — and contained like any other: typed refusal at both
-/// ends within the deadline, the slot freed, no session thread unwound
-/// (the harness joins it), the neighbour's outputs and wire bytes those
-/// of a solo run.
+/// at one length, at the level's two result primes. A client that still
+/// speaks the version-3 form (the same encryption written out whole,
+/// 73,744 B at the two primes) or whose blob is a byte long or short is
+/// refused by the decoder's length check before a polynomial is read —
+/// not served on a `c1` made of whatever follows `c0` — and one that
+/// still speaks the version-8 form (a seeded encryption at all three of
+/// N4096's primes, 55,856 B) by its header's prime count. Each is
+/// contained like any other: typed refusal at both ends within the
+/// deadline, the slot freed, no session thread unwound (the harness
+/// joins it), the neighbour's outputs and wire bytes those of a solo
+/// run.
 #[test]
 fn input_ciphertexts_of_another_form_or_length_are_refused_and_contained() {
     let (ctx, cnn) = test_stack();
     let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(440));
     let input = Tensor::random(2, 8, 8, 5, 441);
     const WRONG_LENGTH: &str = "HE deserialization error: payload length mismatch";
-    let seeded = ctx.params().seeded_ciphertext_bytes();
+    const WRONG_HEADER: &str = "HE deserialization error: header does not match context";
+    let seeded = ctx.result_context().params().seeded_ciphertext_bytes();
     let ctx = &ctx;
     // Rewrites the blob of layer `at`'s first input ciphertext.
     let reshape = |at: usize, with: fn(&Arc<Context>, &[u8]) -> Vec<u8>| -> Rewrite<'_> {
@@ -1077,15 +1083,33 @@ fn input_ciphertexts_of_another_form_or_length_are_refused_and_contained() {
             _ => Uplink::Pass,
         })
     };
-    let hostile: [(&str, &str, Rewrite<'_>); 3] = [
+    let hostile: [(&str, &str, Rewrite<'_>); 4] = [
         (
             "conv1's first input ciphertext travels in the full form",
             WRONG_LENGTH,
             reshape(1, |ctx, blob| {
-                let whole = Ciphertext::try_from_seeded_bytes(ctx, blob).expect("honest upload");
+                let rctx = ctx.result_context();
+                let whole = Ciphertext::try_from_seeded_bytes(rctx, blob).expect("honest upload");
                 let full = whole.to_bytes();
-                assert_eq!(full.len(), ctx.params().ciphertext_bytes());
+                assert_eq!(full.len(), rctx.params().ciphertext_bytes());
                 full
+            }),
+        ),
+        (
+            "conv1's first input ciphertext is seeded at all three primes, as version 8 sent it",
+            WRONG_HEADER,
+            reshape(1, |ctx, _| {
+                let kg = KeyGenerator::new(ctx, &mut StdRng::seed_from_u64(442));
+                let zero = BatchEncoder::new(ctx).encode(&[]);
+                let encryptor = SymmetricEncryptor::new(ctx, kg.secret_key().clone());
+                let old = encryptor.encrypt(&zero, &mut StdRng::seed_from_u64(443));
+                let blob = old.to_bytes();
+                assert_eq!(blob.len(), ctx.params().seeded_ciphertext_bytes());
+                assert_eq!(
+                    Ciphertext::try_from_seeded_bytes(ctx.result_context(), &blob).err(),
+                    Some(SerialError::HeaderMismatch)
+                );
+                blob
             }),
         ),
         (
@@ -1100,6 +1124,50 @@ fn input_ciphertexts_of_another_form_or_length_are_refused_and_contained() {
         ),
     ];
     assert_each_refused_and_contained(ctx, &cnn, &kg, &input, mem_link, &hostile);
+}
+
+/// An uploader that unwinds hangs up its uplink on the way out: the
+/// server, waiting for an input that never comes, ends in a typed error
+/// and frees its slot; the absorber, waiting for the server, ends; and
+/// the client reports the uploader's panic as a typed error. The
+/// connection runs on a thread of its own, waited for with a deadline,
+/// so a connection that never ends fails this test instead of aborting
+/// the test binary.
+#[test]
+fn a_panicking_uploader_hangs_up_and_both_ends_stop() {
+    const DEADLINE: Duration = Duration::from_secs(60);
+    let (ctx, cnn) = test_stack();
+    let server = Arc::new(SpotServer::new(
+        ModelContext::new("tinycnn-7", Arc::clone(&ctx), cnn),
+        ServingConfig::default(),
+    ));
+    let (done, ended) = mpsc::channel();
+    let serving = Arc::clone(&server);
+    std::thread::spawn(move || {
+        let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(470));
+        let input = Tensor::random(2, 8, 8, 5, 471);
+        let rewrite = |layer: usize, msg: &WireMessage| match msg {
+            WireMessage::PackedCt { seq: 0, .. } if layer == 1 => {
+                panic!("the uploader dies on conv1's first input ciphertext")
+            }
+            _ => Uplink::Pass,
+        };
+        let ending = tampered_connection(&serving, mem_link(), &kg, &input, 472, rewrite);
+        let _ = done.send((ending.client, ending.session.result));
+    });
+    let (client, session) = (ended.recv_timeout(DEADLINE))
+        .unwrap_or_else(|_| panic!("the connection is still open after {DEADLINE:?}"));
+    match client {
+        Err(SpotError::Panicked("uploader")) => {}
+        other => panic!("expected the uploader's panic as a typed error, got {other:?}"),
+    }
+    match session {
+        Err(SpotError::Proto(ProtoError::Closed)) => {}
+        other => panic!("expected the server to read the hang-up, got {other:?}"),
+    }
+    let totals = server.stats();
+    assert_eq!((totals.served, totals.failed, totals.rejected), (0, 1, 0));
+    assert_eq!(server.active_sessions(), 0);
 }
 
 /// A client whose layer `at` hello is an honest one changed by `with`
@@ -1185,7 +1253,7 @@ fn every_uploaded_ciphertext_has_a_seed_of_its_own() {
     };
     let (first, second) = (upload(), upload());
     assert_eq!(first.len(), 7, "4 + 1 + 1 + 1 piece ciphertexts");
-    let body = ctx.params().seeded_ciphertext_bytes() - 32;
+    let body = ctx.result_context().params().seeded_ciphertext_bytes() - 32;
     for (a, b) in first.iter().zip(&second) {
         assert_eq!((a.len(), b.len()), (body + 32, body + 32));
         assert_eq!(a[..16], b[..16], "same header");
@@ -1802,6 +1870,19 @@ fn a_version_6_result_frame_is_refused_by_its_version_byte() {
 /// its version byte before the server plans the layer.
 #[test]
 fn a_version_7_hello_is_refused_by_its_version_byte() {
+    assert_old_hello_refused(7);
+}
+
+/// ... and so is a version-8 client's, which would upload every input at
+/// all three of N4096's primes where version 9 sends two.
+#[test]
+fn a_version_8_hello_is_refused_by_its_version_byte() {
+    assert_old_hello_refused(8);
+}
+
+/// The hello for TinyCnn's conv1 sent with version byte `version` is
+/// refused by it, with a typed error, before the server plans the layer.
+fn assert_old_hello_refused(version: u8) {
     let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
     let input = Tensor::random(2, 8, 8, 5, 467);
     let kernel = Kernel::random(4, 2, 3, 3, 1, 468);
@@ -1814,10 +1895,10 @@ fn a_version_7_hello_is_refused_by_its_version_byte() {
         PatchMode::Tweaked,
     );
     let mut frame = WireMessage::Setup(spec.to_setup(ParamLevel::N4096)).encode_frame();
-    frame[0] = 7;
+    frame[0] = version;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let served = within_deadline("version-7 hello", || {
+    let served = within_deadline(&format!("version-{version} hello"), || {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut raw = TcpStream::connect(addr).expect("connect");
@@ -1836,7 +1917,7 @@ fn a_version_7_hello_is_refused_by_its_version_byte() {
         })
     });
     match served {
-        Err(SpotError::Proto(ProtoError::BadVersion(7))) => {}
-        other => panic!("expected the version refusal, got {other:?}"),
+        Err(SpotError::Proto(ProtoError::BadVersion(v))) if v == version => {}
+        other => panic!("expected the version-{version} refusal, got {other:?}"),
     }
 }

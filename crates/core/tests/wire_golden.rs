@@ -26,7 +26,24 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
-//! Last re-record, `WIRE_VERSION` 8 (a seam class whose pieces fit in
+//! Last re-record, `WIRE_VERSION` 9 (every input ciphertext is
+//! encrypted at the level's first two primes, with rounded scaling, and
+//! the server lifts it back to the full modulus), field by field, in all
+//! nine cases: `uplink` and `uplink_shape` by the input size (a
+//! `PackedCt` / `AuxCt` blob loses `c0`'s rows past the second prime:
+//! 36,912 B where it was 55,856 at N4096, 88,112 where it was 223,280
+//! at N8192) and the version byte; `downlink` by the results, which are
+//! other encryptions of the same values (the inputs carry other noise,
+//! and the mask folded into the result switch is scaled by `⌈q'·r/t⌋`
+//! where it was `⌊q'/t⌋·r`) and the version byte; `downlink_shape` by
+//! the version byte only. With
+//! the constant put back to 8, `downlink_shape`, every share, every
+//! count and TinyCnn's `output` equal the previous values in all nine
+//! cases: the client draws its seed and then one error polynomial per
+//! input as before, so its rng order and its keys did not move, and the
+//! client still decrypts `m − r`.
+//!
+//! The re-record before, `WIRE_VERSION` 8 (a seam class whose pieces fit in
 //! the free positions of the patches' last ciphertext rides there),
 //! field by field: in the four SPOT cases on the 8×8 2 → 4 layer
 //! (`spot_b1`, `spot_b2`, `spot_b2_n8192`, `tinycnn_spot_two_layers`,
@@ -40,7 +57,7 @@
 //! cases the four frame digests by the version byte only — with the
 //! constant put back to 7, all five pass with the previous digests.
 //!
-//! The re-record before, `WIRE_VERSION` 7 (a coefficient-packed result
+//! The one before, `WIRE_VERSION` 7 (a coefficient-packed result
 //! travels sparse: `c1` whole and `c0` at only the coefficients its
 //! share reads), field by field: in the two Cheetah cases `downlink` and
 //! `downlink_shape` by the result shape (a `MaskedResult` blob is
@@ -452,8 +469,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xa9c9_f206_b4fa_2b62, 0xe5b0_158a_8920_eb68),
-            (0x2efe_1389_dd72_21e6, 0xeaf0_4ca8_973e_915d),
+            (0xe76b_cf98_53b9_7c56, 0x1723_920d_1aa4_d8cf),
+            (0x2ddf_dd21_c9bb_01e3, 0xea78_615b_d426_d090),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -467,8 +484,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xe6f0_3773_b61c_fc29, 0xe5b0_158a_8920_eb68),
-            (0x7894_e462_9545_2d23, 0xeaf0_4ca8_973e_915d),
+            (0x12e3_12d9_ae5f_1fb3, 0x1723_920d_1aa4_d8cf),
+            (0x6da1_7c2e_4199_2ef2, 0xea78_615b_d426_d090),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -485,8 +502,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xa556_9a48_46da_fac2, 0x2f9e_38d7_8096_e13e),
-            (0x5cd5_49b8_5c78_9a08, 0xc1ef_cf48_d677_7cf9),
+            (0x26fd_4ecc_6d87_cc2d, 0x9463_1f3d_15ce_77b8),
+            (0x9cd3_e13d_32ff_3b84, 0x7b15_0f30_1b4e_87a0),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -500,8 +517,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xccc0_7a3f_02ed_3f77, 0x3ec0_6ff0_34a0_f355),
-            (0xcc15_2ccb_5bbb_d28c, 0x75a7_600e_fed1_c399),
+            (0x444c_ffc3_2310_f2f9, 0xf3bb_7c6b_46a8_0584),
+            (0xc83e_3538_cfd4_8610, 0x2fb0_be65_617e_91a0),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -518,8 +535,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x8dd4_91e0_4b8c_6479, 0xe5b0_158a_8920_eb68),
-            (0x4db3_849b_d26d_4fce, 0xeaf0_4ca8_973e_915d),
+            (0xc5c4_cc71_59ec_7aee, 0x1723_920d_1aa4_d8cf),
+            (0x7eaf_0e35_8d04_d625, 0xea78_615b_d426_d090),
             &[(0x4f49_0f2e_c254_7cb6, 0x9054_b00c_c888_c8c3)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -533,8 +550,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0xf8b0_39f3_589c_18d7, 0xe5b0_158a_8920_eb68),
-            (0xd4f0_f2f2_2a16_9657, 0xeaf0_4ca8_973e_915d),
+            (0x25a1_c3b2_aace_a6df, 0x1723_920d_1aa4_d8cf),
+            (0xe168_9a97_436a_7b7f, 0xea78_615b_d426_d090),
             &[
                 (0x35d0_8d41_1ea7_c5d7, 0xf1ab_ebdd_f2fc_8d11),
                 (0x4817_2fdc_bff3_c313, 0x328a_88e3_87f3_b66f),
@@ -551,8 +568,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0x0673_4d6b_c296_d761, 0xc6e1_48b3_c14a_e210),
-            (0xeea9_5d51_d136_92f1, 0x64e9_7965_b4c0_8535),
+            (0xe3bb_580d_41a0_fab4, 0x33fe_9d92_244e_ff67),
+            (0xe2c6_220d_8fe7_8a7f, 0x9da6_74bd_0c4f_7828),
             &[
                 (0x825a_5b7a_b273_207d, 0x77c1_f8d7_6510_5cf9),
                 (0x6d6a_74ca_c4e5_4f54, 0x0fa9_7995_eb7b_de83),
@@ -572,8 +589,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0xd435_9b7e_05a9_1d36, 0x2679_fbb8_ce42_17ef),
-        (0x3d5f_56ca_9153_29c0, 0xc6e8_7bfb_8310_67e7),
+        (0xedd2_d5ca_1d1b_068e, 0x26ce_70ff_e119_3f1c),
+        (0x5994_7cd4_95d9_14e0, 0xb407_3729_dc64_05c7),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xae67_89d6_ac35_cd21,
     );
@@ -623,8 +640,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0xa7fe_bdca_4985_91ad, 0x123a_6a88_4d2d_29d5),
-        downlink: (0xf75c_674a_3eb8_ead0, 0x166c_512c_503c_27ba),
+        uplink: (0xe175_53ba_b6cd_154c, 0xfdc1_9d5c_2a37_33d1),
+        downlink: (0xba74_417f_0959_28cf, 0xd249_43da_2d5d_7a2e),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xe67d_1259_3fb9_c3e7,
     };

@@ -36,7 +36,7 @@
 //! which kernel the HE spans ran on.
 //!
 //! Vector kernels are written once, generically over the minimal
-//! [`vec::V64`] lane trait; per-ISA `unsafe` is confined to the ~12
+//! `vec::V64` lane trait; per-ISA `unsafe` is confined to the ~12
 //! primitive lane ops in `avx2.rs` / `neon.rs` / `avx512ifma.rs`, plus
 //! the IFMA table's own kernels (the two inner products, the pointwise
 //! product and the digit lift). See DESIGN.md §11 for the safety

@@ -27,6 +27,8 @@ pub struct Context {
     q_half: BigUint,
     /// Δ = floor(q/t) as residues mod each q_i.
     delta_mod_qi: Vec<u64>,
+    /// q mod t, the part of q·m/t that Δ·m leaves out.
+    q_mod_t: u64,
     /// CRT: punctured products q_i_hat = q / q_i (bigint).
     punctured: Vec<BigUint>,
     /// [(q/q_i)^{-1}]_{q_i}.
@@ -76,6 +78,7 @@ impl Context {
 
         // delta = floor(q / t)
         let (delta, _) = q_big.div_rem(&BigUint::from_u64(params.plain_modulus()));
+        let q_mod_t = q_big.rem_u64(params.plain_modulus());
         let delta_mod_qi: Vec<u64> = params
             .coeff_moduli()
             .iter()
@@ -156,6 +159,7 @@ impl Context {
             q_big,
             q_half,
             delta_mod_qi,
+            q_mod_t,
             punctured,
             punctured_inv,
             rns_scale,
@@ -213,6 +217,11 @@ impl Context {
     /// `Δ = ⌊q/t⌋ mod q_i` for each modulus.
     pub fn delta_mod_qi(&self) -> &[u64] {
         &self.delta_mod_qi
+    }
+
+    /// `q mod t`: `q·m/t = Δ·m + (q mod t)·m/t`.
+    pub(crate) fn q_mod_t(&self) -> u64 {
+        self.q_mod_t
     }
 
     /// CRT punctured products `q / q_i`.

@@ -72,12 +72,57 @@ impl Plaintext {
         p
     }
 
-    /// Lifts the plaintext scaled by `Δ = ⌊q/t⌋` (used when adding a
-    /// plaintext directly to a ciphertext), in NTT form.
+    /// Lifts the plaintext scaled by `q/t` and rounded, `⌈q·m/t⌋` (what
+    /// an encryption carries, and what adding a plaintext to a
+    /// ciphertext adds), in NTT form: `Δ·m` with `Δ = ⌊q/t⌋`, plus the
+    /// rounding term `⌈(q mod t)·m/t⌋`, added in coefficient form before
+    /// the one forward transform. The rounding is what lets an
+    /// encryption at a prefix `q'` of the primes be multiplied up to `q`
+    /// ([`ModSwitch::lift`]) with the error it had: `⌊q'/t⌋·m` is off by
+    /// up to `t/2`, which the dropped primes' product would multiply.
+    ///
+    /// [`ModSwitch::lift`]: crate::modswitch::ModSwitch::lift
     pub fn lift_scaled(&self, ctx: &Arc<Context>) -> Poly {
-        let mut p = self.lift(ctx);
-        p.mul_scalar_per_modulus(ctx.delta_mod_qi());
+        let n = ctx.degree();
+        let rounding = self.scaling_rounding(ctx);
+        // Every element is written below, so a dirty buffer is fine.
+        let mut rows = pool::take(ctx.moduli_count() * n);
+        let kernels = crate::arch::kernels();
+        let moduli = ctx.moduli().iter().zip(ctx.delta_mod_qi());
+        for (row, (q, &delta)) in rows.chunks_exact_mut(n).zip(moduli) {
+            // The term and `m` are below `t`, so below each `q_i`.
+            row.copy_from_slice(&rounding);
+            (kernels.mul_add_scalar)(q, row, &self.coeffs, delta, q.shoup(delta));
+        }
+        pool::recycle(rounding);
+        let mut p = Poly::from_residues(ctx, rows, crate::poly::PolyForm::Coeff);
+        p.to_ntt();
         p
+    }
+
+    /// The rounding term of [`Plaintext::lift_scaled`] at `ctx`'s
+    /// modulus, `⌈(q mod t)·m/t⌋` a coefficient, each below `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coefficient count is not `ctx`'s degree.
+    pub(crate) fn scaling_rounding(&self, ctx: &Context) -> Vec<u64> {
+        let t = ctx.params().plain_modulus();
+        assert_eq!(
+            self.coeffs.len(),
+            ctx.degree(),
+            "plaintext coefficient count"
+        );
+        // `⌈x/t⌋ = ⌊(x + ⌊t/2⌋)/t⌋` (no ties, `t` is odd) for `x < t²`,
+        // as a product with `⌈2^64/t⌉`: off by less than `x/2^64`, which
+        // is below `1/t`, the least distance to the next integer.
+        let (rho, half) = (ctx.q_mod_t(), t / 2);
+        let inv = (1u128 << 64).div_ceil(t as u128);
+        let mut rounding = pool::take(ctx.degree());
+        for (r, &m) in rounding.iter_mut().zip(&self.coeffs) {
+            *r = (((rho * m + half) as u128 * inv) >> 64) as u64;
+        }
+        rounding
     }
 }
 

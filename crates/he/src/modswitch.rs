@@ -25,11 +25,21 @@
 //! one pointwise subtract-and-scale against the row as it came in. The
 //! centring needs no branch: a dropped row carries `⌊q/2⌋` from its
 //! inverse transform on, and the offsets come back out of each sum as
-//! one constant. A mask rides the sum for free: adding
-//! `(Πq·Δ' mod q_j)·r` to it yields the switched ciphertext minus `Δ'·r`,
-//! which is `sub_plain(r)` in the target, with no transform of its own.
+//! one constant. A mask rides the sum for free: adding `Πq mod q_j`
+//! times its scaled form `⌈q'·r/t⌋ = Δ'·r + ⌈(q' mod t)·r/t⌋` to it
+//! yields the switched ciphertext minus `⌈q'·r/t⌋`, which is
+//! `sub_plain(r)` in the target, with no transform of its own.
 //! At N4096 that is one inverse and two forward row transforms a
 //! polynomial, where switching in coefficient form took five.
+//!
+//! Every upload comes the other way ([`ModSwitch::lift`]): the client
+//! encrypts at the same primes, and the server multiplies each
+//! ciphertext by the dropped primes' product `P`, which is
+//! `P mod q_j` on each kept row and zero on each dropped one, so the
+//! lift costs one scalar pass a kept row and no transform. A fresh
+//! encryption `⌈q'·m/t⌋ + e` at `q'` becomes `⌈q·m/t⌋ + e'` at
+//! `q = P·q'` with `|e'| ≤ P·(|e| + 1/2) + 1/2`: the same noise against
+//! the modulus, so the upload keeps the headroom it had at `q'`.
 
 use crate::ciphertext::{Ciphertext, SparseCiphertext};
 use crate::context::Context;
@@ -70,11 +80,16 @@ pub struct ModSwitch {
     unoffset: Vec<u64>,
     /// Per kept prime `j`: `(Πq)·Δ' mod q_j` over the dropped primes,
     /// with `Δ' = ⌊q'/t⌋` the target's scale: adding it times `r` to the
-    /// sum subtracts `Δ'·r` from the result.
+    /// sum subtracts `Δ'·r` from the result (and [`ModSwitch::lift`]'s
+    /// factor times `r`'s rounding term subtracts the rest of `⌈q'·r/t⌋`).
     mask_weight: Vec<u64>,
     /// Per kept prime `j`: `−(Πq)^{-1} mod q_j`, with its Shoup constant:
     /// `(sum − c_j)` times it is the output row.
     scale: Vec<(u64, u64)>,
+    /// Per kept prime `j`: `Πq mod q_j` over the dropped primes, with its
+    /// Shoup constant: the lift's factor, and the weight of a mask's
+    /// rounding term in the sum.
+    lift: Vec<(u64, u64)>,
 }
 
 impl ModSwitch {
@@ -153,6 +168,9 @@ impl ModSwitch {
                 (w, m.shoup(w))
             })
             .collect();
+        let lift = (kept.iter().zip(&all))
+            .map(|(m, &prod)| (prod, m.shoup(prod)))
+            .collect();
         Self {
             dst,
             from,
@@ -162,6 +180,7 @@ impl ModSwitch {
             unoffset,
             mask_weight,
             scale,
+            lift,
         }
     }
 
@@ -214,6 +233,48 @@ impl ModSwitch {
         SparseCiphertext::gather(&c0, c1, positions)
     }
 
+    /// A fresh encryption at [`ModSwitch::target_context`] multiplied up
+    /// to `src`, the context the switch goes down from: every kept row
+    /// times the dropped primes' product, every dropped row zero. It
+    /// decrypts under the full secret key to the plaintext it decrypted
+    /// to at the target, if it was encrypted with rounded scaling
+    /// ([`Plaintext::lift_scaled`]); the module doc has the noise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not at the switch's source primes or `ct` not
+    /// at its target's.
+    pub fn lift(&self, src: &Arc<Context>, ct: Ciphertext) -> Ciphertext {
+        let keep = self.dst.moduli_count();
+        assert_eq!(src.moduli_count(), self.from, "lift to another level");
+        assert_eq!(
+            &src.params().coeff_moduli()[..keep],
+            self.dst.params().coeff_moduli(),
+            "the switch's target primes are not a prefix of the source's"
+        );
+        assert_eq!(
+            ct.context().params().coeff_moduli(),
+            self.dst.params().coeff_moduli(),
+            "ciphertext not at the switch's target primes"
+        );
+        let n = src.degree();
+        let kernels = crate::arch::kernels();
+        let lift_poly = |poly: Poly| {
+            assert_eq!(poly.form(), PolyForm::Ntt, "ciphertexts are in NTT form");
+            let mut rows = pool::take(self.from * n);
+            let (kept, dropped) = rows.split_at_mut(keep * n);
+            kept.copy_from_slice(poly.raw());
+            let moduli = src.moduli().iter().zip(&self.lift);
+            for (row, (m, &(w, ws))) in kept.chunks_exact_mut(n).zip(moduli) {
+                (kernels.mul_scalar)(m, row, w, ws);
+            }
+            dropped.fill(0);
+            Poly::from_residues(src, rows, PolyForm::Ntt)
+        };
+        let Ciphertext { c0, c1 } = ct;
+        Ciphertext::from_parts(lift_poly(c0), lift_poly(c1))
+    }
+
     /// The switched `(c0, c1)`, `c0` in form `c0_form` and `c1` in NTT
     /// form.
     fn switch_with(
@@ -234,34 +295,29 @@ impl ModSwitch {
         // A row of corrections or of the scaled mask: every element is
         // written before it is read, so a dirty buffer is fine.
         let mut scratch = pool::take(n);
-        // The mask, centred and offset as the rows are: `(r + ⌊t/2⌋) mod
-        // t`, in `[0, t)`; the offset comes back out with the constant.
-        let mask = mask.map(|mask| {
-            let t = src.plain_modulus();
-            assert_eq!(mask.coeffs().len(), n, "mask coefficient count");
-            let mut shifted = pool::take(n);
-            shifted.copy_from_slice(mask.coeffs());
-            (crate::arch::kernels().add_scalar)(t, &mut shifted, t.value() / 2);
-            shifted
-        });
+        // The mask's coefficients and its rounding term at the target.
+        let mask = mask.map(|mask| (mask.coeffs(), mask.scaling_rounding(&self.dst)));
         let Ciphertext { c0, c1 } = ct;
-        let c0 = self.switch_poly(&src, c0, &mut scratch, mask.as_deref(), c0_form);
+        let folded = mask
+            .as_ref()
+            .map(|(coeffs, rounding)| (*coeffs, &rounding[..]));
+        let c0 = self.switch_poly(&src, c0, &mut scratch, folded, c0_form);
         let c1 = self.switch_poly(&src, c1, &mut scratch, None, PolyForm::Ntt);
         pool::recycle(scratch);
-        if let Some(shifted) = mask {
-            pool::recycle(shifted);
+        if let Some((_, rounding)) = mask {
+            pool::recycle(rounding);
         }
         (c0, c1)
     }
 
-    /// One polynomial down to the target, in form `out`, `mask` (shifted
-    /// as [`ModSwitch::switch_with`] leaves it) folded in.
+    /// One polynomial down to the target, in form `out`, `mask` (its
+    /// coefficients and their rounding term) folded in.
     fn switch_poly(
         &self,
         src: &Context,
         poly: Poly,
         scratch: &mut [u64],
-        mask: Option<&[u64]>,
+        mask: Option<(&[u64], &[u64])>,
         out: PolyForm,
     ) -> Poly {
         assert_eq!(poly.form(), PolyForm::Ntt, "ciphertexts are in NTT form");
@@ -274,7 +330,6 @@ impl ModSwitch {
             src.ntt_tables()[i].inverse(row);
             (kernels.add_scalar)(&moduli[i], row, offset);
         }
-        let half_t = src.plain_modulus().value() / 2;
         // Each kept row's sum of corrections, in coefficient form. Every
         // row is written by the first step, so a dirty buffer is fine.
         let mut sums = pool::take(keep * n);
@@ -291,13 +346,9 @@ impl ModSwitch {
             }
             for (j, (sum, m)) in sums.chunks_exact_mut(n).zip(moduli).enumerate() {
                 if s == 0 {
-                    // Weight 1; the offsets (and the mask's) come out here.
-                    let mut constant = self.unoffset[j];
-                    if mask.is_some() {
-                        constant = m.sub(constant, m.mul(self.mask_weight[j], m.reduce(half_t)));
-                    }
+                    // Weight 1; the offsets come out here.
                     sum.copy_from_slice(lifted(m, bound, last, scratch));
-                    (kernels.add_scalar)(m, sum, constant);
+                    (kernels.add_scalar)(m, sum, self.unoffset[j]);
                 } else {
                     let w = self.weights[s][j];
                     let value = lifted(m, bound, last, scratch);
@@ -306,10 +357,12 @@ impl ModSwitch {
             }
         }
         for (j, (sum, m)) in sums.chunks_exact_mut(n).zip(moduli).enumerate() {
-            if let Some(shifted) = mask {
+            if let Some((coeffs, rounding)) = mask {
+                // Both below `t`, which every prime exceeds.
                 let w = self.mask_weight[j];
-                let value = lifted(m, src.plain_modulus().value(), shifted, scratch);
-                (kernels.mul_add_scalar)(m, sum, value, w, m.shoup(w));
+                (kernels.mul_add_scalar)(m, sum, coeffs, w, m.shoup(w));
+                let (w, ws) = self.lift[j];
+                (kernels.mul_add_scalar)(m, sum, rounding, w, ws);
             }
             // One transform a kept row either way: the sum forward to
             // meet `c_j` in NTT form, or `c_j` back to meet the sum.

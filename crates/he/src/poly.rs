@@ -235,19 +235,6 @@ impl Poly {
         self.form = form;
     }
 
-    /// Multiplies every residue of modulus `i` by `scalar_i` (a per-modulus
-    /// scalar, e.g. `Δ mod q_i`).
-    pub fn mul_scalar_per_modulus(&mut self, scalars: &[u64]) {
-        let ctx = Arc::clone(&self.ctx);
-        assert_eq!(scalars.len(), ctx.moduli_count());
-        let n = ctx.degree();
-        let kernels = crate::arch::kernels();
-        for (i, m) in ctx.moduli().iter().enumerate() {
-            let s = m.reduce(scalars[i]);
-            (kernels.mul_scalar)(m, &mut self.data[i * n..(i + 1) * n], s, m.shoup(s));
-        }
-    }
-
     /// Applies a Galois automorphism to an NTT-form polynomial as the
     /// index permutation `table` (see [`crate::ntt::galois_ntt_table`]):
     /// every residue row becomes `out[i] = in[table[i]]`.

@@ -10,7 +10,12 @@
 //!   `sub_plain` in the target, the mask's own centring boundary
 //!   (`⌊t/2⌋`, `⌊t/2⌋ + 1`) among its coefficients;
 //! * the switch a context builds for its results is this one, down to
-//!   [`RESULT_PRIMES`].
+//!   [`RESULT_PRIMES`];
+//! * its inverse on an upload: a seeded encryption at the result primes,
+//!   read back and lifted, decrypts at the full modulus to the plaintext
+//!   with the noise budget of the encryption error alone, at every level
+//!   with more; at N2048, which has no result switch, the upload is the plain
+//!   seeded encryption at its one prime.
 
 mod common;
 
@@ -108,6 +113,63 @@ proptest! {
         let got = switch.switch_masked(ct, &mask);
         prop_assert!(same(&got, &want), "{}", LEVELS[level]);
     }
+
+    #[test]
+    fn an_upload_at_the_result_primes_lifts_to_its_plaintext(
+        level in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (ctx, _) = fixture(level);
+        let (rctx, switch) = (ctx.result_context(), ctx.result_switch().expect("three primes or more"));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kg = KeyGenerator::new(ctx, &mut rng);
+        let small_key = kg.secret_key().restricted_to(rctx);
+        let t = ctx.params().plain_modulus();
+        let values: Vec<u64> = (0..ctx.degree())
+            .map(|_| edgy(&mut rng, t, &[0, 1, t / 2, t / 2 + 1, t - 1]))
+            .collect();
+        let encoder = BatchEncoder::new(ctx);
+        let encryptor = SymmetricEncryptor::new(rctx, small_key.clone());
+        let upload = encryptor.encrypt(&encoder.encode(&values), &mut rng).to_bytes();
+        prop_assert_eq!(upload.len(), rctx.params().seeded_ciphertext_bytes());
+        let sent = Ciphertext::try_from_seeded_bytes(rctx, &upload).expect("own upload");
+        let lifted = switch.lift(ctx, sent);
+        prop_assert_eq!(lifted.context().params(), ctx.params());
+        let decryptor = Decryptor::new(ctx, kg.secret_key().clone());
+        prop_assert_eq!(encoder.decode(&decryptor.decrypt(&lifted)), values);
+        // The headroom of the encryption error alone, an encryption of
+        // zero at the two primes: scaling by `⌊q'/t⌋` would leave an error
+        // of up to `t/2` on top, some twenty bits of the budget.
+        let zero = encryptor.encrypt(&encoder.encode(&[]), &mut rng).to_bytes();
+        let zero = Ciphertext::try_from_seeded_bytes(rctx, &zero).expect("own upload");
+        let fresh = Decryptor::new(rctx, small_key).noise_budget(&zero);
+        let budget = decryptor.noise_budget(&lifted);
+        prop_assert!(
+            budget + 1 >= fresh,
+            "{}: {} bits after the lift, {} in a fresh encryption at two primes",
+            LEVELS[level],
+            budget,
+            fresh
+        );
+    }
+}
+
+#[test]
+fn at_one_prime_the_upload_is_the_plain_seeded_encryption() {
+    let ctx = Context::new(EncryptionParams::new(ParamLevel::N2048));
+    assert!(ctx.result_switch().is_none());
+    let rctx = ctx.result_context();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(5));
+    let plain = BatchEncoder::new(&ctx).encode(&[1, 2, 3]);
+    let upload = SymmetricEncryptor::new(rctx, kg.secret_key().restricted_to(rctx))
+        .encrypt(&plain, &mut StdRng::seed_from_u64(6));
+    let plain_seeded = SymmetricEncryptor::new(&ctx, kg.secret_key().clone())
+        .encrypt(&plain, &mut StdRng::seed_from_u64(6));
+    assert_eq!(upload.to_bytes(), plain_seeded.to_bytes());
+    assert_eq!(
+        upload.to_bytes().len(),
+        ctx.params().seeded_ciphertext_bytes()
+    );
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! 7413 server. We replace the testbed with calibrated cost tables: the
 //! per-operation costs of our own BFV implementation at each parameter
 //! level (either the embedded reference values below, aligned with the
-//! paper's Table IV, or measured live via [`HeCostTable::calibrate`]),
-//! scaled by per-device CPU factors derived from the paper's own
-//! cross-device measurements.
+//! paper's Table IV, or measured live by `spot_bench`'s
+//! `calibrate_he_costs`), scaled by per-device CPU factors derived from
+//! the paper's own cross-device measurements.
 
 use spot_he::params::ParamLevel;
 use spot_proto::channel::LinkModel;

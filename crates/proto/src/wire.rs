@@ -38,8 +38,11 @@ use std::io::Read;
 /// the frame *count* does — a SPOT layer's seam classes whose pieces
 /// fit in the free positions of the patches' last ciphertext ride
 /// there, so the same `ConvSetup` means fewer `AuxCt` uploads and
-/// fewer `MaskedResult`s.
-pub const WIRE_VERSION: u8 = 8;
+/// fewer `MaskedResult`s. Version 9: the blob of a `PackedCt` /
+/// `AuxCt` is the seeded form at the level's first two primes, as
+/// results travel (a level of one or two primes sends it as it is);
+/// the server lifts each input back to the full modulus.
+pub const WIRE_VERSION: u8 = 9;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
