@@ -52,12 +52,13 @@
 //! of the key. At N4096, `ct_from_sparse_bytes64` and
 //! `decrypt_result_sparse64` are the same result as a coefficient-packed
 //! layer sends it — `c1` and `c0` at 64 positions — read back and
-//! decrypted at those positions only. `seed_expand3` is one key's `k`
-//! uniform polynomials expanded from their seed (`keys::expand_seed`,
-//! the dispatched row body) and `seed_expand3_stdrng` the `StdRng` loop
-//! that defines them; `galois_key_bytes` is one key written from seed
-//! to wire bytes (`KeyGenerator::galois_key_blob`, what a session
-//! sends), per key. The groups `mult_add9` / `dot_lifted9`,
+//! decrypted at those positions only. `seed_expand3` is `k` uniform
+//! polynomials expanded from one seed (`keys::expand_seed`, the
+//! dispatched row body; a key expands `k − 1`, an upload one) and
+//! `seed_expand3_stdrng` the `StdRng` loop that defines them;
+//! `galois_key_bytes` is one key written from seed to wire bytes
+//! (`KeyGenerator::galois_key_blob`, what a session sends), per key.
+//! The groups `mult_add9` / `dot_lifted9`,
 //! `dot_steps16x18` / `dot_lifted18x16`,
 //! `decrypt_result` / `decrypt_result_sparse64`, `seed_expand3` /
 //! `seed_expand3_stdrng` and `rotate` / `rotate_hoisted8` /
@@ -267,8 +268,8 @@ fn measure_kernel(kernel: &'static str, entries: &mut Vec<Entry>) {
             push("dot_lifted18x16", reps / 5, one_by_one);
         }
 
-        // One key's `k` uniform polynomials from its seed, and the
-        // `StdRng` loop that defines them, timed alternately.
+        // `k` uniform polynomials from one seed, and the `StdRng` loop
+        // that defines them, timed alternately.
         let seed: KeySeed = std::array::from_fn(|i| i as u8);
         let k = ctx.moduli_count();
         let mut residues = vec![0u64; k * k * n];
@@ -444,7 +445,7 @@ fn measure_batched(kernel: &'static str, entries: &mut Vec<Entry>) {
 /// dispatch is the whole story.
 ///
 /// Returns the serialised lengths [`RATIOS`] divides, as
-/// `(name, level, bytes)`: a one-key blob (`galois_key`) and its `k`
+/// `(name, level, bytes)`: a one-key blob (`galois_key`) and its `k − 1`
 /// packed digit polynomials (`digit_polys`, the half of a rotation key
 /// no seed can replace), and an uploaded ciphertext (`seeded_ct`) and
 /// a full-form ciphertext of the level (`ct`).
@@ -491,7 +492,7 @@ fn measure_client_side(
             ("galois_key", one_key.len()),
             (
                 "digit_polys",
-                ctx.moduli_count() * ctx.params().poly_bytes(),
+                ctx.params().key_switch_digits() * ctx.params().poly_bytes(),
             ),
         ] {
             byte_counts.push((name, level_name, bytes as f64));

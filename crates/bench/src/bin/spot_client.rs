@@ -44,7 +44,7 @@ fn main() {
         .unwrap_or(1);
     assert!(batch >= 1, "--batch must be at least 1");
     let link = link_arg(&args);
-    let trace_path = arg_value(&args, "--trace");
+    let trace_path = spot_bench::traceio::output_path_arg(&args, "--trace", USAGE);
     let trace_baseline = trace_path
         .as_ref()
         .map(|_| spot_bench::traceio::trace_begin());
@@ -168,7 +168,7 @@ fn main() {
         );
     }
     if let (Some(path), Some(baseline)) = (&trace_path, &trace_baseline) {
-        spot_bench::traceio::trace_finish(std::path::Path::new(path), baseline);
+        spot_bench::traceio::trace_finish(path, baseline);
     }
     if !(plain_ok && ref_ok && traffic_ok) {
         std::process::exit(1);

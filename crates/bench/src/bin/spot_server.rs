@@ -145,7 +145,7 @@ fn main() {
     let seed: u64 = arg_value(&args, "--seed")
         .map(|v| v.parse().expect("--seed takes a number"))
         .unwrap_or(1312);
-    let trace_path = arg_value(&args, "--trace");
+    let trace_path = spot_bench::traceio::output_path_arg(&args, "--trace", USAGE);
     let trace_baseline = trace_path
         .as_ref()
         .map(|_| spot_bench::traceio::trace_begin());
@@ -244,6 +244,6 @@ fn main() {
     );
     totals.print();
     if let (Some(path), Some(baseline)) = (&trace_path, &trace_baseline) {
-        spot_bench::traceio::trace_finish(std::path::Path::new(path), baseline);
+        spot_bench::traceio::trace_finish(path, baseline);
     }
 }

@@ -11,7 +11,9 @@
 //! ```
 //!
 //! With `--trace` the full run (all three schemes) is also exported as
-//! Chrome-trace JSON loadable in Perfetto / `chrome://tracing`.
+//! Chrome-trace JSON loadable in Perfetto / `chrome://tracing`. A trace
+//! path that cannot be written exits 2 with the usage line before the
+//! run.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,9 +97,11 @@ fn dump_gantt(
     println!();
 }
 
+const USAGE: &str = "usage: stream-timeline [--trace out.json]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let trace_path = spot_bench::arg_value(&args, "--trace");
+    let trace_path = spot_bench::traceio::output_path_arg(&args, "--trace", USAGE);
     let trace_baseline = spot_bench::traceio::trace_begin();
 
     let ctx = spot_he::context::Context::new(EncryptionParams::new(ParamLevel::N4096));
@@ -236,9 +240,13 @@ fn main() {
         let pool_events = spot_trace::take_events();
         all_events.extend(pool_events);
         let json = spot_trace::chrome::chrome_trace_json_with_threads(&all_events, &threads);
-        spot_bench::traceio::write_trace_json(std::path::Path::new(path), &json);
+        spot_bench::traceio::write_trace_json(path, &json);
         let delta = spot_trace::counters().delta(&trace_baseline);
-        println!("trace: {} events, JSON OK -> {path}", all_events.len());
+        println!(
+            "trace: {} events, JSON OK -> {}",
+            all_events.len(),
+            path.display()
+        );
         println!("{}", spot_trace::summary::text_summary(&all_events, &delta));
     }
 }

@@ -8,7 +8,28 @@
 use spot_trace::correlate::PartyTrace;
 use spot_trace::CounterSnapshot;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// The output file `flag` names on the command line, if any, opened for
+/// writing at startup so that a path that cannot be written is refused
+/// before the run instead of after it: exits with status 2 and `usage`
+/// on stderr when the file cannot be opened. A file that is there is
+/// not truncated — [`write_trace_json`] replaces it at the end — so a
+/// run that fails keeps the previous output, and an output path that is
+/// also an input is read before it is written.
+pub fn output_path_arg(args: &[String], flag: &str, usage: &str) -> Option<PathBuf> {
+    let path = PathBuf::from(crate::arg_value(args, flag)?);
+    let open = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&path);
+    if let Err(e) = open {
+        eprintln!("cannot create {flag} file {}: {e}\n{usage}", path.display());
+        std::process::exit(2);
+    }
+    Some(path)
+}
 
 /// Enables tracing — including wire-propagated trace context, so a
 /// traced client stamps its `Setup` frames with trace ids and runs the
@@ -31,7 +52,9 @@ pub fn trace_restart() -> CounterSnapshot {
 /// Validates `json` and writes it to `path`.
 ///
 /// Panics if the export fails JSON validation or the file cannot be
-/// written — a trace the user asked for must not vanish silently.
+/// written — a trace the user asked for must not vanish silently. The
+/// binaries take `path` from [`output_path_arg`], so an unwritable path
+/// has already been refused at startup.
 pub fn write_trace_json(path: &Path, json: &str) {
     if let Err(e) = spot_trace::json::validate(json) {
         panic!("trace export produced invalid JSON: {e}");

@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 const SERVER: &str = env!("CARGO_BIN_EXE_spot-server");
 const CLIENT: &str = env!("CARGO_BIN_EXE_spot-client");
 const CHECK: &str = env!("CARGO_BIN_EXE_bench_check");
+const TIMELINE: &str = env!("CARGO_BIN_EXE_stream_timeline");
+const MERGE: &str = env!("CARGO_BIN_EXE_trace_merge");
 
 /// Kills the server if the test fails before it exits on its own.
 struct Server(Child);
@@ -272,6 +274,113 @@ fn a_failed_session_is_counted_in_the_server_traffic() {
     assert_eq!((sent, frames), (answer.len() as u64, 1), "{report}");
 }
 
+/// Runs `bin` with `flags` to its exit, which must come within 30 s:
+/// its exit code and its stderr.
+fn exit_of(bin: &str, flags: &[&str]) -> (Option<i32>, String) {
+    // A server that takes the flags would wait for a client: give it a
+    // free port and a deadline instead of hanging the test.
+    let mut child = Server(
+        Command::new(bin)
+            .args(flags)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("start the binary"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        match child.0.try_wait().expect("poll the binary") {
+            Some(status) => break status,
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            None => panic!("{bin} {flags:?} is still running"),
+        }
+    };
+    let mut stderr = String::new();
+    let mut pipe = child.0.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    (status.code(), stderr)
+}
+
+/// An output path in a directory that does not exist is refused at
+/// startup, with the usage line and exit 2, by every binary that
+/// writes a trace: before a server listens, before a client connects
+/// (nothing listens at its address) and before a merge reads its
+/// inputs (which do not exist either).
+#[test]
+fn an_unwritable_trace_path_exits_2_at_startup() {
+    let missing = std::env::temp_dir().join(format!("spot-no-such-dir-{}", std::process::id()));
+    assert!(!missing.exists());
+    let out = missing.join("trace.json");
+    let out = out.to_str().expect("utf-8 temp path");
+    // Each run's flags, the unwritable path to follow the last.
+    let merge = ["--client", "c.json", "--server", "s.json", "--out"];
+    let runs: [(&str, &str, &[&str]); 5] = [
+        (
+            SERVER,
+            "spot-server",
+            &["--listen", "127.0.0.1:0", "--serve", "1", "--trace"],
+        ),
+        (
+            CLIENT,
+            "spot-client",
+            &["--connect", "127.0.0.1:9", "--trace"],
+        ),
+        (TIMELINE, "stream-timeline", &["--trace"]),
+        (MERGE, "trace_merge", &merge),
+        (
+            MERGE,
+            "trace_merge",
+            &[&merge[..], &["/dev/null", "--json"]].concat(),
+        ),
+    ];
+    for (bin, name, flags) in runs {
+        let flags = [flags, &[out]].concat();
+        let (code, stderr) = exit_of(bin, &flags);
+        assert_eq!(code, Some(2), "{name} {flags:?}: {stderr}");
+        assert!(stderr.contains(out), "{name} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {name}")),
+            "{name} {flags:?}: {stderr}"
+        );
+    }
+    assert!(!missing.exists());
+}
+
+/// An output path is opened at startup but not emptied: a merge whose
+/// output is one of its inputs reads that input before writing it, and
+/// a merge that fails leaves the output it names as it was.
+#[test]
+fn a_trace_output_is_not_emptied_before_the_run() {
+    let dir = std::env::temp_dir().join(format!("spot-merge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("make the scratch directory");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let (client, server, out) = (path("client.json"), path("server.json"), path("out.json"));
+    for trace in [&client, &server] {
+        std::fs::write(trace, "[]").expect("write an empty trace");
+    }
+    let merge = |client: &str, out: &str| {
+        exit_of(
+            MERGE,
+            &["--client", client, "--server", &server, "--out", out],
+        )
+    };
+    let (code, stderr) = merge(&client, &client);
+    assert_eq!(code, Some(0), "output = input: {stderr}");
+    let merged = std::fs::read_to_string(&client).expect("read the merged trace");
+    assert!(merged.starts_with('['), "{merged}");
+
+    std::fs::write(&out, "previous").expect("write a previous output");
+    let (code, stderr) = merge(&path("missing.json"), &out);
+    assert_ne!(code, Some(0), "a missing input: {stderr}");
+    assert_eq!(std::fs::read_to_string(&out).expect("read it"), "previous");
+    std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
+}
+
 #[test]
 fn retired_and_unknown_flags_exit_2_with_the_usage_line() {
     let refused = [
@@ -292,28 +401,8 @@ fn retired_and_unknown_flags_exit_2_with_the_usage_line() {
         (CHECK, &["--baseline", "x.json", "--scrape", "127.0.0.1:9"]),
     ];
     for (bin, flags) in refused {
-        // A server that takes the flags would wait for a client: give
-        // it a free port and a deadline instead of hanging the test.
-        let mut child = Server(
-            Command::new(bin)
-                .args(flags)
-                .stdout(Stdio::null())
-                .stderr(Stdio::piped())
-                .spawn()
-                .expect("start the binary"),
-        );
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let status = loop {
-            match child.0.try_wait().expect("poll the binary") {
-                Some(status) => break status,
-                None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-                None => panic!("{bin} {flags:?} is still running"),
-            }
-        };
-        let mut stderr = String::new();
-        let mut pipe = child.0.stderr.take().expect("piped stderr");
-        pipe.read_to_string(&mut stderr).expect("read stderr");
-        assert_eq!(status.code(), Some(2), "{flags:?}: {stderr}");
+        let (code, stderr) = exit_of(bin, flags);
+        assert_eq!(code, Some(2), "{flags:?}: {stderr}");
         let name = if bin == CHECK {
             "bench_check"
         } else {

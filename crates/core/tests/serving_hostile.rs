@@ -937,6 +937,37 @@ fn key_stream_rule_violations_are_refused_and_contained() {
     );
 }
 
+/// A client that still writes rotation keys in the version-9 form, a
+/// `b_i` per prime where the key switch takes one per prime but the
+/// last (three at N4096, not two), is refused by the key reader from
+/// the entry's digit count, before a polynomial is read; the count and
+/// the one wanted are named at both ends. The session ends alone, its
+/// slot comes back, and the neighbour is served as if alone.
+#[test]
+fn a_rotation_key_with_a_digit_per_prime_is_refused_and_contained() {
+    let (ctx, cnn) = test_stack();
+    let kg = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(450));
+    let input = Tensor::random(2, 8, 8, 5, 451);
+    let (k, poly_bytes) = (ctx.moduli_count(), ctx.params().poly_bytes());
+    let why = format!("key-switch digit count {k}, expected {}", k - 1);
+    let hostile: [(&str, &str, Rewrite<'_>); 1] = [(
+        "conv1's first key carries a b_i for every prime",
+        &why,
+        Box::new(|layer, msg| match msg {
+            WireMessage::GaloisKeys(blob) if layer == 1 => {
+                // [count u32][element u64][digits u32][seed][b_i …]: one
+                // more digit, and a zero b_i (in range) for it.
+                let mut old_form = blob.clone();
+                old_form[12..16].copy_from_slice(&(k as u32).to_le_bytes());
+                old_form.resize(blob.len() + poly_bytes, 0);
+                Uplink::Replace(vec![WireMessage::GaloisKeys(old_form)])
+            }
+            _ => Uplink::Pass,
+        }),
+    )];
+    assert_each_refused_and_contained(&ctx, &cnn, &kg, &input, mem_link, &hostile);
+}
+
 /// A key travels behind the first ciphertext of the first piece class
 /// that rotates by it. Under a square kernel that is the layer's first
 /// ciphertext for every key (a seam piece is a patch with rows or

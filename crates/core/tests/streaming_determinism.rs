@@ -489,7 +489,7 @@ fn stream_with_tiny_client(
 /// ciphertexts alone, and the ordering is asserted on the stall as
 /// reported. On the first one the tiny client also makes the keys
 /// (8 under SPOT, 6 under channel-wise packing, each costing it about
-/// three of its encryptions: `k` = 3 error polynomials against one), the
+/// two of its encryptions: `k − 1` = 2 error polynomials against one), the
 /// worker waits for the first six of either — the five input-side ones
 /// (the column swap and the four moves the taps compose from), then the
 /// one giant step — and that wait is by far the larger part of both

@@ -26,7 +26,23 @@
 //! bump moves all four frame digests of every case (each hashes the
 //! header's version byte) and no share, count or output digest.
 //!
-//! Last re-record, `WIRE_VERSION` 9 (every input ciphertext is
+//! Last re-record, `WIRE_VERSION` 10 (a rotation key carries one `b_i`
+//! per prime of the level but the last: the server's hoist rounds `c1`
+//! to a multiple of the last prime, so no key switch uses that digit),
+//! field by field: in the seven rotating cases `uplink` and
+//! `uplink_shape` by the key size (a `GaloisKeys` blob is one
+//! polynomial shorter: 111,664 B where it was 167,472 at N4096) and
+//! the version byte; `downlink` by the client's rng order (a key draws
+//! `k − 1` error polynomials where it drew `k`, so every later seed
+//! and error moves), by the rotations (the hoist's rounding makes them
+//! other encryptions of the same slots) and the version byte;
+//! `downlink_shape` by the version byte only. In the two Cheetah
+//! cases, which send no key, the four frame digests by the version
+//! byte only. With the constant put back to 9, `downlink_shape`, every
+//! share, every count and TinyCnn's `output` equal the previous values
+//! in all nine cases, and both Cheetah cases pass whole.
+//!
+//! The re-record before, `WIRE_VERSION` 9 (every input ciphertext is
 //! encrypted at the level's first two primes, with rounded scaling, and
 //! the server lifts it back to the full modulus), field by field, in all
 //! nine cases: `uplink` and `uplink_shape` by the input size (a
@@ -43,7 +59,7 @@
 //! input as before, so its rng order and its keys did not move, and the
 //! client still decrypts `m − r`.
 //!
-//! The re-record before, `WIRE_VERSION` 8 (a seam class whose pieces fit in
+//! The one before, `WIRE_VERSION` 8 (a seam class whose pieces fit in
 //! the free positions of the patches' last ciphertext rides there),
 //! field by field: in the four SPOT cases on the 8×8 2 → 4 layer
 //! (`spot_b1`, `spot_b2`, `spot_b2_n8192`, `tinycnn_spot_two_layers`,
@@ -57,7 +73,7 @@
 //! cases the four frame digests by the version byte only — with the
 //! constant put back to 7, all five pass with the previous digests.
 //!
-//! The one before, `WIRE_VERSION` 7 (a coefficient-packed result
+//! The one before that, `WIRE_VERSION` 7 (a coefficient-packed result
 //! travels sparse: `c1` whole and `c0` at only the coefficients its
 //! share reads), field by field: in the two Cheetah cases `downlink` and
 //! `downlink_shape` by the result shape (a `MaskedResult` blob is
@@ -83,7 +99,7 @@
 //! decrypts `m − r` and the server keeps `r`, and the mask is still the
 //! one addition it counts as.
 //!
-//! The one before that, `WIRE_VERSION` 5 (kernel taps compose from
+//! Before that, `WIRE_VERSION` 5 (kernel taps compose from
 //! row and column moves; a tap outside its piece class is not rotated
 //! to), field by field, in the seven rotating cases: `uplink` and
 //! `uplink_shape` by the shorter key schedule (3×3 over 4×4 pieces:
@@ -469,8 +485,8 @@ fn channelwise_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xe76b_cf98_53b9_7c56, 0x1723_920d_1aa4_d8cf),
-            (0x2ddf_dd21_c9bb_01e3, 0xea78_615b_d426_d090),
+            (0x3a4f_2eec_2d78_6bf6, 0xb9c8_2351_50ca_9e69),
+            (0x8518_0054_f109_7cc1, 0x244f_817b_a755_fd63),
             &[(0xb24b_6176_e081_60ff, 0x26b9_3c04_ad1a_3cc0)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -484,8 +500,8 @@ fn channelwise_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x12e3_12d9_ae5f_1fb3, 0x1723_920d_1aa4_d8cf),
-            (0x6da1_7c2e_4199_2ef2, 0xea78_615b_d426_d090),
+            (0xea42_e05f_69cf_86ff, 0xb9c8_2351_50ca_9e69),
+            (0x72fd_8631_61af_6752, 0x244f_817b_a755_fd63),
             &[
                 (0x9774_a05c_b93e_3f04, 0xfc81_aa53_39c2_51cf),
                 (0x8550_ef1c_6324_3cff, 0xb67c_1298_5b99_c82b),
@@ -502,8 +518,8 @@ fn cheetah_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0x26fd_4ecc_6d87_cc2d, 0x9463_1f3d_15ce_77b8),
-            (0x9cd3_e13d_32ff_3b84, 0x7b15_0f30_1b4e_87a0),
+            (0x43ed_a28b_360f_7b85, 0x4826_cb9e_60ff_cd40),
+            (0x7abf_ad2d_2a52_8a63, 0xb8ab_dbac_83ff_0133),
             &[(0xcd8a_2359_a2b1_297e, 0xb1a5_3572_0ce0_a2f5)],
             0xfb29_4575_1bf2_c300,
         ),
@@ -517,8 +533,8 @@ fn cheetah_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x444c_ffc3_2310_f2f9, 0xf3bb_7c6b_46a8_0584),
-            (0xc83e_3538_cfd4_8610, 0x2fb0_be65_617e_91a0),
+            (0x54e7_1142_7e9c_67f2, 0x7499_d3cc_bf63_0bf3),
+            (0x80e0_f355_ac4c_63b7, 0x034c_7077_ef2d_d6eb),
             &[
                 (0x001d_9de3_4620_5685, 0xb222_48ba_a6b5_4951),
                 (0x1272_2543_b9a3_f80d, 0x048d_5848_e443_7ab2),
@@ -535,8 +551,8 @@ fn spot_b1() {
         ParamLevel::N4096,
         1,
         golden(
-            (0xc5c4_cc71_59ec_7aee, 0x1723_920d_1aa4_d8cf),
-            (0x7eaf_0e35_8d04_d625, 0xea78_615b_d426_d090),
+            (0xf608_ffa7_0edf_6958, 0xb9c8_2351_50ca_9e69),
+            (0xaaaf_55e9_2909_011e, 0x244f_817b_a755_fd63),
             &[(0x4f49_0f2e_c254_7cb6, 0x9054_b00c_c888_c8c3)],
             0xc809_69bb_8c84_fbb7,
         ),
@@ -550,8 +566,8 @@ fn spot_b2() {
         ParamLevel::N4096,
         2,
         golden(
-            (0x25a1_c3b2_aace_a6df, 0x1723_920d_1aa4_d8cf),
-            (0xe168_9a97_436a_7b7f, 0xea78_615b_d426_d090),
+            (0x392f_cb43_413a_b07d, 0xb9c8_2351_50ca_9e69),
+            (0xdd8c_47d5_8052_5911, 0x244f_817b_a755_fd63),
             &[
                 (0x35d0_8d41_1ea7_c5d7, 0xf1ab_ebdd_f2fc_8d11),
                 (0x4817_2fdc_bff3_c313, 0x328a_88e3_87f3_b66f),
@@ -568,8 +584,8 @@ fn spot_b2_n8192() {
         ParamLevel::N8192,
         2,
         golden(
-            (0xe3bb_580d_41a0_fab4, 0x33fe_9d92_244e_ff67),
-            (0xe2c6_220d_8fe7_8a7f, 0x9da6_74bd_0c4f_7828),
+            (0x9f42_3d03_eb28_f677, 0xeed4_d27c_eb45_f594),
+            (0x39ef_03e1_1e97_d743, 0x0ca2_8de6_e01d_a71b),
             &[
                 (0x825a_5b7a_b273_207d, 0x77c1_f8d7_6510_5cf9),
                 (0x6d6a_74ca_c4e5_4f54, 0x0fa9_7995_eb7b_de83),
@@ -589,8 +605,8 @@ fn spot_spilling_class() {
     let conv = ClientConv::new(&ctx, &keygen, layer.0).expect("client plan");
     assert_eq!((conv.input_cts(), conv.batch_capacity()), (5, 1));
     let want = golden(
-        (0xedd2_d5ca_1d1b_068e, 0x26ce_70ff_e119_3f1c),
-        (0x5994_7cd4_95d9_14e0, 0xb407_3729_dc64_05c7),
+        (0x42dd_7ae7_d751_f5b0, 0x7380_7dfd_9eda_4066),
+        (0xc41b_335a_8f9c_f07f, 0x64e3_cc70_ad5c_46ff),
         &[(0x494e_5522_1c3a_3341, 0xde04_8b25_e3c4_e308)],
         0xae67_89d6_ac35_cd21,
     );
@@ -640,8 +656,8 @@ fn tinycnn_spot_two_layers() {
     let cnn = TinyCnn::new(7);
     let input = Tensor::random(2, 8, 8, 5, 40);
     let want = TinyCnnGolden {
-        uplink: (0xe175_53ba_b6cd_154c, 0xfdc1_9d5c_2a37_33d1),
-        downlink: (0xba74_417f_0959_28cf, 0xd249_43da_2d5d_7a2e),
+        uplink: (0x442a_eee9_383d_833c, 0x23c4_d454_6575_8639),
+        downlink: (0x1175_a7f7_e5ee_c016, 0x60ae_cbc7_f822_ec6e),
         output: 0xe2d8_2316_5c69_bbf5,
         counts: 0xe67d_1259_3fb9_c3e7,
     };

@@ -56,8 +56,9 @@ impl OpCounts {
 }
 
 /// A ciphertext decomposed for rotation by [`Evaluator::hoist`]: `c0`
-/// and the `k` RNS digits of `c1`, all in NTT form. Roughly `(k+1)/2`
-/// ciphertexts of memory; it decrypts to nothing by itself.
+/// and the `k − 1` RNS digits of `c1` rounded to a multiple of the last
+/// prime, all in NTT form. Roughly `k/2` ciphertexts of memory; it
+/// decrypts to nothing by itself.
 #[derive(Debug, Clone)]
 pub struct HoistedCiphertext {
     c0: Poly,
@@ -71,12 +72,12 @@ impl HoistedCiphertext {
     /// # Panics
     ///
     /// Panics if a polynomial is not in NTT form or there is not one
-    /// digit per RNS prime.
+    /// digit per RNS prime but the last.
     pub fn from_parts(c0: Poly, digits: Vec<Poly>) -> Self {
         assert_eq!(
             digits.len(),
-            c0.context().moduli_count(),
-            "one digit per prime"
+            c0.context().params().key_switch_digits(),
+            "one digit per prime but the last"
         );
         for poly in digits.iter().chain([&c0]) {
             assert_eq!(poly.form(), PolyForm::Ntt, "hoisted parts are in NTT form");
@@ -89,7 +90,8 @@ impl HoistedCiphertext {
         &self.c0
     }
 
-    /// The RNS digits of the second component, one per prime.
+    /// The RNS digits of the second component, one per prime but the
+    /// last.
     pub fn digits(&self) -> &[Poly] {
         &self.digits
     }
@@ -323,34 +325,44 @@ impl Evaluator {
         }
     }
 
-    /// Decomposes `a` for rotation: `c0` as it is and `c1` as its `k`
-    /// RNS digits (digit `i` is `c1 mod q_i`, lifted to every modulus),
-    /// each in NTT form. This is all the transform work of a key switch
-    /// — one inverse polynomial NTT and `k − 1` forward row NTTs per
-    /// digit — and none of it depends on the Galois element, so any
+    /// Decomposes `a` for rotation: `c0` as it is and `c1` as its
+    /// `k − 1` RNS digits (digit `i` is `c1 mod q_i`, lifted to every
+    /// modulus), each in NTT form. This is all the transform work of a
+    /// key switch — one inverse polynomial NTT and `k` forward row NTTs
+    /// per digit — and none of it depends on the Galois element, so any
     /// number of [`Evaluator::rotate_hoisted`] calls can share one
     /// decomposition.
+    ///
+    /// There is no digit for the last prime `q_{k−1}`: `c1` is first
+    /// rounded to a multiple of it, `c1 − δ` with `δ` the centred
+    /// residue `[c1]_{q_{k−1}}` (`round_to_last_prime`), and the CRT
+    /// decomposition of a value that is zero modulo a prime has no
+    /// digit there. What the rounding adds to the rotation's noise,
+    /// `δ·s(X^g)` with `|δ| ≤ q_{k−1}/2` and `s` ternary, is below the
+    /// `d·e` term of the digit it removes (`|d| < q_{k−1}`, `e` of
+    /// σ = 2). On a lifted upload ([`ModSwitch::lift`]), which is zero
+    /// modulo `q_{k−1}` already, `δ = 0` and the rounding changes
+    /// nothing.
+    ///
+    /// [`ModSwitch::lift`]: crate::modswitch::ModSwitch::lift
     pub fn hoist(&self, a: &Ciphertext) -> HoistedCiphertext {
         count(Counter::KsDecompose, 1);
         let ctx = &self.ctx;
         let (k, n) = (ctx.moduli_count(), ctx.degree());
+        let last = ctx.params().key_switch_digits();
         let reduce = crate::arch::kernels().reduce;
         assert_eq!(a.c1.form(), PolyForm::Ntt, "ciphertexts are in NTT form");
         let mut c1 = a.c1.clone();
         c1.to_coeff();
-        let digits = (0..k)
+        let mut c1 = c1.into_residues();
+        round_to_last_prime(ctx, &mut c1);
+        let digits = (0..last)
             .map(|i| {
                 let q_i = ctx.moduli()[i].value();
-                let src = c1.residues(i);
+                let src = &c1[i * n..(i + 1) * n];
                 // Every row is written below, so a dirty buffer is fine.
                 let mut data = pool::take(k * n);
                 for (j, (dst, m)) in data.chunks_exact_mut(n).zip(ctx.moduli()).enumerate() {
-                    if j == i {
-                        // The digit *is* c1 mod q_i: under its own prime
-                        // its NTT row is the one c1 came in with.
-                        dst.copy_from_slice(a.c1.residues(i));
-                        continue;
-                    }
                     if q_i <= m.value() {
                         // Residues mod q_i are already reduced mod the
                         // (equal or larger) target modulus.
@@ -360,11 +372,11 @@ impl Evaluator {
                     }
                     ctx.ntt_tables()[j].forward(dst);
                 }
-                // One polynomial transform, whichever rows it skipped.
                 count(Counter::NttFwd, 1);
                 Poly::from_residues(ctx, data, PolyForm::Ntt)
             })
             .collect();
+        pool::recycle(c1);
         HoistedCiphertext {
             c0: a.c0.clone(),
             digits,
@@ -472,6 +484,29 @@ impl Evaluator {
         elts.dedup();
         elts
     }
+}
+
+/// `c1 − δ` over the coefficient-form rows `c1` of a `k`-prime
+/// ciphertext, where `δ` is `c1 mod q_{k−1}` centred into
+/// `(−q_{k−1}/2, q_{k−1}/2]`: every other row gets `δ` reduced into its
+/// prime taken off, and the last row, which `c1 − δ` is zero modulo,
+/// becomes zero. With `h = ⌊q_{k−1}/2⌋` and
+/// `y = (c1 + h) mod q_{k−1}`, `δ = y − h` exactly (`q_{k−1}` is odd).
+fn round_to_last_prime(ctx: &Context, c1: &mut [u64]) {
+    let n = ctx.degree();
+    let kernels = crate::arch::kernels();
+    let (rest, last_row) = c1.split_at_mut(c1.len() - n);
+    let (last, others) = ctx.moduli().split_last().expect("a level has a prime");
+    let half = last.value() / 2;
+    (kernels.add_scalar)(last, last_row, half);
+    let mut y = pool::take(n);
+    for (row, m) in rest.chunks_exact_mut(n).zip(others) {
+        (kernels.reduce)(m, &mut y, last_row);
+        (kernels.pointwise_sub)(m, row, &y);
+        (kernels.add_scalar)(m, row, m.reduce(half));
+    }
+    last_row.fill(0);
+    pool::recycle(y);
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Key material: secret key, public key, and Galois (rotation) keys.
 //!
 //! The secret key is a uniform ternary polynomial. Galois keys are
-//! RNS-decomposition key-switching keys (one digit per coefficient prime,
-//! GHS style): digit `i` encrypts `g_i · s(X^g)` under `s`, where
-//! `g_i = (q/q_i)·[(q/q_i)^{-1}]_{q_i}` is the CRT gadget.
+//! RNS-decomposition key-switching keys (GHS style, one digit per
+//! coefficient prime but the last): digit `i` encrypts `g_i · s(X^g)`
+//! under `s`, where `g_i = (q/q_i)·[(q/q_i)^{-1}]_{q_i}` is the CRT
+//! gadget. The last prime needs no digit because the hoist rounds `c1`
+//! to a multiple of it first ([`crate::evaluator::Evaluator::hoist`]).
 //!
 //! The uniform half `a_i` of every key-switch pair is the output of a
 //! PRG on a 32-byte [`KeySeed`] (`expand_seed`): a key is written from
@@ -77,7 +79,7 @@ pub type KeySeed = [u8; 32];
 
 /// The first `polys` uniform polynomials of `seed`'s stream, NTT form:
 /// `sample_uniform` over `StdRng::from_seed(seed)`, one after the
-/// other — the `k` digits `a_0..a_{k-1}` of a key-switching key, the one
+/// other — the `k − 1` digits `a_0..a_{k-2}` of a key-switching key, the one
 /// `c1` of a seeded ciphertext. Whoever makes a seeded object and
 /// whoever reads it both call this, so its output for a given seed is
 /// part of the wire format; `prg::SeedRows` draws it a prime row at a
@@ -138,8 +140,8 @@ pub struct PublicKey {
 }
 
 /// The key-switching key of one Galois element `g`: for each RNS digit
-/// `i`, a pair `(b_i, a_i)` with `b_i = -(a_i·s + e_i) + g_i·s(X^g)`,
-/// all in NTT form.
+/// `i` (one per prime but the last), a pair `(b_i, a_i)` with
+/// `b_i = -(a_i·s + e_i) + g_i·s(X^g)`, all in NTT form.
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     pub(crate) pairs: Vec<(Poly, Poly)>,
@@ -158,13 +160,14 @@ impl KeySwitchKey {
     ///
     /// # Panics
     ///
-    /// Panics if `b` does not hold one polynomial per RNS digit, or `g`
-    /// is not an odd element of `[1, 2N)`.
+    /// Panics if `b` does not hold one polynomial per key-switch digit,
+    /// or `g` is not an odd element of `[1, 2N)`.
     pub(crate) fn from_seeded(ctx: &Arc<Context>, g: usize, seed: KeySeed, b: Vec<Poly>) -> Self {
-        assert_eq!(b.len(), ctx.moduli_count(), "one b_i per RNS digit");
+        let digits = ctx.params().key_switch_digits();
+        assert_eq!(b.len(), digits, "one b_i per key-switch digit");
         Self {
             pairs: (b.into_iter())
-                .zip(expand_seed(ctx, &seed, ctx.moduli_count()))
+                .zip(expand_seed(ctx, &seed, digits))
                 .collect(),
             seed,
             ntt_table: galois_ntt_table(g, ctx.degree()),
@@ -190,7 +193,7 @@ impl GaloisKeys {
     }
 
     /// The key-switch pairs `(b_i, a_i)` held for `galois_elt`, one per
-    /// RNS digit, in NTT form.
+    /// key-switch digit, in NTT form.
     pub fn pairs(&self, galois_elt: usize) -> Option<&[(Poly, Poly)]> {
         self.keys.get(&galois_elt).map(|ksk| ksk.pairs.as_slice())
     }
@@ -270,7 +273,7 @@ impl KeyGenerator {
     /// The key of Galois element `g` as the wire carries it: the bytes
     /// [`galois_keys_to_bytes`](crate::serial::galois_keys_to_bytes)
     /// writes for a set of that one key. `rng` yields the key's 32-byte
-    /// seed and then its `k` error polynomials.
+    /// seed and then its `k − 1` error polynomials, one per digit.
     ///
     /// The blob is written one prime row at a time, and no polynomial
     /// of the key is ever whole: per digit `i` the error `e_i` is
@@ -293,18 +296,18 @@ impl KeyGenerator {
             "parameter level {} does not support rotations",
             ctx.params().level()
         );
-        let (n, k) = (ctx.degree(), ctx.moduli_count());
+        let (n, digits) = (ctx.degree(), ctx.params().key_switch_digits());
         let mut seed = KeySeed::default();
         rng.fill_bytes(&mut seed);
         let mut out = Vec::with_capacity(4 + ctx.params().galois_key_bytes());
         out.extend_from_slice(&1u32.to_le_bytes());
-        write_galois_entry_header(&mut out, g, k, &seed);
+        write_galois_entry_header(&mut out, g, digits, &seed);
         let table = galois_ntt_table(g, n);
         let kernels = crate::arch::kernels();
         let mut rows = SeedRows::new(&seed, n);
         // Every element of the three is written before it is read.
         let (mut a, mut e, mut shifted) = (pool::take(n), pool::take(n), pool::take(n));
-        for i in 0..k {
+        for i in 0..digits {
             // `8 − e_i`'s coefficients are residues modulo every prime:
             // row j of `−e_i` is a copy with 8 taken off modulo q_j.
             shifted.fill_with(|| (8 - cbd(rng)) as u64);
@@ -401,8 +404,9 @@ mod tests {
         let gk = kg.galois_keys(&[3, 9], &mut rng);
         for g in [3, 9] {
             let ksk = &gk.keys[&g];
-            let expanded = expand_seed(&ctx, &ksk.seed, ctx.moduli_count());
-            assert_eq!(ksk.pairs.len(), ctx.moduli_count());
+            let digits = ctx.params().key_switch_digits();
+            let expanded = expand_seed(&ctx, &ksk.seed, digits);
+            assert_eq!(ksk.pairs.len(), digits);
             for ((_, a_i), want) in ksk.pairs.iter().zip(&expanded) {
                 assert_eq!(a_i.raw(), want.raw(), "element {g}");
             }

@@ -44,8 +44,9 @@ pub type DigitRows<'a> = (&'a [u64], &'a [u64], &'a [u64]);
 /// The automorphism is the gather index, so no permuted copy of any
 /// row is ever made, and both sums of a coefficient stay in registers
 /// across the digit loop: the body is monomorphised over the digit
-/// counts of the shipped levels (3 / 5 / 9) and runs on the slice for
-/// any other.
+/// counts of the shipped levels (2 / 4 / 8: one per prime but the
+/// last, [`crate::params::EncryptionParams::key_switch_digits`]) and
+/// runs on the slice for any other.
 ///
 /// # Panics
 ///
@@ -71,9 +72,9 @@ pub fn key_switch_row(
         m.value()
     );
     match digits.len() {
-        3 => key_switch_body(m, table, c0, rows::<3>(digits), out0, out1),
-        5 => key_switch_body(m, table, c0, rows::<5>(digits), out0, out1),
-        9 => key_switch_body(m, table, c0, rows::<9>(digits), out0, out1),
+        2 => key_switch_body(m, table, c0, rows::<2>(digits), out0, out1),
+        4 => key_switch_body(m, table, c0, rows::<4>(digits), out0, out1),
+        8 => key_switch_body(m, table, c0, rows::<8>(digits), out0, out1),
         _ => key_switch_body(m, table, c0, digits, out0, out1),
     }
 }

@@ -225,12 +225,21 @@ impl EncryptionParams {
         16 + self.poly_bytes() + c0
     }
 
+    /// The RNS digits of a key switch at this level: one per prime but
+    /// the last. The hoist rounds `c1` to a multiple of the last prime
+    /// ([`Evaluator::hoist`](crate::evaluator::Evaluator::hoist)), so
+    /// its digit is always zero and no key carries it.
+    pub fn key_switch_digits(&self) -> usize {
+        self.coeff_moduli.len() - 1
+    }
+
     /// Serialized size of one Galois key inside a key blob: element
     /// (8 B), digit count (4 B), the 32-byte seed of its uniform
-    /// polynomials, and one packed `b_i` per RNS prime. A blob of `n`
-    /// keys is `4 + n · galois_key_bytes()` long.
+    /// polynomials, and one packed `b_i` per key-switch digit
+    /// ([`Self::key_switch_digits`]). A blob of `n` keys is
+    /// `4 + n · galois_key_bytes()` long.
     pub fn galois_key_bytes(&self) -> usize {
-        8 + 4 + 32 + self.coeff_moduli.len() * self.poly_bytes()
+        8 + 4 + 32 + self.key_switch_digits() * self.poly_bytes()
     }
 }
 

@@ -226,10 +226,13 @@ pub fn galois_keys_from_bytes(ctx: &Arc<Context>, bytes: &[u8]) -> Result<Galois
         }
         let digits = read_u32(bytes, off)? as usize;
         off += 4;
-        // One pair per RNS digit: the key switch pairs them one to one.
-        if digits != ctx.moduli_count() {
+        // One pair per key-switch digit: the key switch pairs them one
+        // to one, so a key with a pair per prime is refused here, not
+        // misread.
+        let want = ctx.params().key_switch_digits();
+        if digits != want {
             return Err(SerialError::Malformed(format!(
-                "bad key-switch digit count {digits}"
+                "key-switch digit count {digits}, expected {want}"
             )));
         }
         let seed: KeySeed = *bytes
@@ -392,7 +395,7 @@ mod tests {
     #[test]
     fn galois_entry_that_no_rotation_could_use_is_malformed() {
         // The element indexes an N-entry automorphism table and the
-        // pairs are matched one to one with the k digits: a peer must
+        // pairs are matched one to one with the k − 1 digits: a peer must
         // not get an entry past the reader that breaks either.
         let ctx = Context::new(EncryptionParams::new(ParamLevel::N4096));
         let mut rng = StdRng::seed_from_u64(5);
@@ -410,9 +413,11 @@ mod tests {
             bad[4..12].copy_from_slice(&elt.to_le_bytes());
             assert!(malformed(&bad), "element {elt}");
         }
-        let mut bad = good.clone();
-        bad[12..16].copy_from_slice(&(ctx.moduli_count() as u32 - 1).to_le_bytes());
-        assert!(malformed(&bad), "short digit count");
+        for digits in [ctx.moduli_count(), ctx.moduli_count() - 2] {
+            let mut bad = good.clone();
+            bad[12..16].copy_from_slice(&(digits as u32).to_le_bytes());
+            assert!(malformed(&bad), "digit count {digits}");
+        }
         assert!(galois_keys_from_bytes(&ctx, &good).is_ok());
     }
 }

@@ -11,7 +11,9 @@
 //! ciphertext, `ResidueOutOfRange` or a length error, and never panics.
 //! A Galois key and an uploaded ciphertext are fuzzed the same way:
 //! their readers answer with a typed error or with a value that writes
-//! back to exactly the bytes read.
+//! back to exactly the bytes read. A key entry's digit count is fuzzed
+//! on its own: any count but the level's `k − 1` (a key of the form
+//! before the hoist's rounding has `k`) is `Malformed`, naming both.
 //!
 //! Galois-key blobs are compared against the oracle in `serial.rs`'s
 //! unit tests, which can see the key polynomials.
@@ -229,7 +231,10 @@ fn blobs(ctx: &Arc<Context>) -> Vec<Blob> {
     let gk = kg.galois_keys(&elements[..entries], &mut rng);
     let entry = ctx.params().galois_key_bytes();
     let gk_sections = (0..entries)
-        .flat_map(|e| sections(ctx, 4 + e * entry + GALOIS_ENTRY_HEADER, ctx.moduli_count()))
+        .flat_map(|e| {
+            let digits = ctx.params().key_switch_digits();
+            sections(ctx, 4 + e * entry + GALOIS_ENTRY_HEADER, digits)
+        })
         .collect();
     vec![
         Blob {
@@ -529,5 +534,56 @@ proptest! {
             Err(SerialError::LengthMismatch) => prop_assert_ne!(resize, 0),
             Err(other) => prop_assert!(false, "{other:?}"),
         }
+    }
+}
+
+/// One key entry at `level` claiming `digits` digits, with a body of
+/// exactly that many zero `b_i` (in range at every prime), so only the
+/// count can be wrong.
+fn key_with_digit_count(ctx: &Context, digits: usize) -> Vec<u8> {
+    let mut blob = 1u32.to_le_bytes().to_vec();
+    blob.extend_from_slice(&3u64.to_le_bytes());
+    blob.extend_from_slice(&(digits as u32).to_le_bytes());
+    blob.extend_from_slice(&[7; SEED_BYTES]);
+    blob.resize(blob.len() + digits * ctx.params().poly_bytes(), 0);
+    blob
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any digit count but `k − 1`, whole or with a body too short for
+    /// it, is refused before a `b_i` is read, with both counts named;
+    /// `k − 1` reads back to the same bytes.
+    #[test]
+    fn a_galois_key_of_another_digit_count_is_malformed(
+        level in 0usize..2,
+        digits in 0usize..12,
+        huge in (1u32 << 16)..=u32::MAX,
+    ) {
+        let ctx = ctx(LEVELS[level]);
+        let want = ctx.params().key_switch_digits();
+        prop_assert_eq!(want, ctx.moduli_count() - 1);
+        let blob = key_with_digit_count(&ctx, digits);
+        match galois_keys_from_bytes(&ctx, &blob) {
+            Ok(keys) => {
+                prop_assert_eq!(digits, want);
+                prop_assert!(galois_keys_to_bytes(&keys) == blob);
+            }
+            Err(SerialError::Malformed(msg)) => {
+                prop_assert_ne!(digits, want);
+                let named = format!("key-switch digit count {digits}, expected {want}");
+                prop_assert_eq!(msg, named);
+            }
+            Err(other) => prop_assert!(false, "{other:?}"),
+        }
+        // A count no body could follow is refused from the count alone.
+        let mut short = key_with_digit_count(&ctx, 0);
+        short[12..16].copy_from_slice(&huge.to_le_bytes());
+        let named = format!("key-switch digit count {huge}, expected {want}");
+        prop_assert_eq!(
+            galois_keys_from_bytes(&ctx, &short).err(),
+            Some(SerialError::Malformed(named))
+        );
     }
 }

@@ -18,7 +18,13 @@
 //! * `n` rotations from one hoist are bit-identical to `n` independent
 //!   `rotate_rows` calls;
 //! * every kernel backend produces the same bits;
-//! * the noise budget stays within one bit of the oracle's.
+//! * the noise budget stays within one bit of the oracle's;
+//! * a ciphertext whose `c1` is full (a rotation's output, so the
+//!   hoist's rounding to a multiple of the last prime is not a no-op)
+//!   rotates through a key of `k − 1` digits to the slot reference, at
+//!   N4096, N8192 and N16384, with headroom at most one bit below a
+//!   lifted upload's rotation (whose `c1` is a multiple of that prime
+//!   already).
 
 mod common;
 
@@ -260,8 +266,30 @@ fn every_kernel_backend_rotates_to_the_same_bits() {
     arch::force(dispatched).expect("restore the startup dispatch");
 }
 
+/// `c1 − δ` for a coefficient-form `c1`, one coefficient at a time in
+/// signed arithmetic: `δ` is the coefficient's residue modulo the last
+/// prime, centred, and every row loses it.
+fn round_to_last_prime(c1: &Poly) -> Poly {
+    let ctx = c1.context();
+    let k = ctx.moduli_count();
+    let q_last = ctx.moduli()[k - 1].value() as i128;
+    let mut data = c1.raw().to_vec();
+    let n = ctx.degree();
+    for c in 0..n {
+        let x = c1.residues(k - 1)[c] as i128;
+        let delta = if x > q_last / 2 { x - q_last } else { x };
+        for (j, m) in ctx.moduli().iter().enumerate() {
+            let q = m.value() as i128;
+            data[j * n + c] = (data[j * n + c] as i128 - delta).rem_euclid(q) as u64;
+        }
+    }
+    Poly::from_residues(ctx, data, PolyForm::Coeff)
+}
+
 /// The path `rotate_hoisted` replaced: automorphism on coefficients
-/// first, then the digit decomposition of the rotated `c1`.
+/// first, then the digit decomposition of the rotated `c1`, rounded to
+/// a multiple of the last prime (the rounding commutes with the
+/// automorphism, which only permutes and negates coefficients).
 fn rotate_in_coefficient_form(s: &Setup, g: usize) -> Ciphertext {
     let (ctx, n) = (&s.ctx, s.ctx.degree());
     let rotated = |p: &Poly| {
@@ -272,7 +300,8 @@ fn rotate_in_coefficient_form(s: &Setup, g: usize) -> Ciphertext {
     let mut acc0 = rotated(s.ct.c0());
     acc0.to_ntt();
     let mut acc1 = Poly::zero(ctx, PolyForm::Ntt);
-    let c1 = rotated(s.ct.c1());
+    let c1 = round_to_last_prime(&rotated(s.ct.c1()));
+    assert!(c1.residues(ctx.moduli_count() - 1).iter().all(|&r| r == 0));
     let pairs = s.keys.pairs(g).expect("key present");
     for (i, (b_i, a_i)) in pairs.iter().enumerate() {
         let mut data = vec![0u64; ctx.moduli_count() * n];
@@ -315,6 +344,86 @@ fn noise_budget_is_within_one_bit_of_the_coefficient_path() {
             assert!(
                 got.abs_diff(want) <= 1 && got > 0,
                 "{level} step {step}: hoisted {got} bits, oracle {want} bits (fresh {fresh})"
+            );
+        }
+    }
+}
+
+const ALL_LEVELS: [ParamLevel; 3] = [ParamLevel::N4096, ParamLevel::N8192, ParamLevel::N16384];
+
+/// Each level's context, its keys (secret, and two rotation keys of
+/// `k − 1` digits) and the client's encryptor at the result primes,
+/// built once per binary.
+struct Fixture {
+    ctx: Arc<Context>,
+    encoder: BatchEncoder,
+    decryptor: Decryptor,
+    uploader: SymmetricEncryptor,
+    keys: GaloisKeys,
+}
+
+/// The steps [`a_full_c1_rotates_through_k_minus_1_digits`] rotates by.
+const FULL_STEPS: [i64; 2] = [1, -16];
+
+fn fixture(level: usize) -> &'static Fixture {
+    static FIXTURES: [std::sync::OnceLock<Fixture>; 3] = [
+        std::sync::OnceLock::new(),
+        std::sync::OnceLock::new(),
+        std::sync::OnceLock::new(),
+    ];
+    FIXTURES[level].get_or_init(|| {
+        let ctx = ctx(ALL_LEVELS[level]);
+        let mut rng = StdRng::seed_from_u64(31);
+        let keygen = KeyGenerator::new(&ctx, &mut rng);
+        let elements = Evaluator::new(&ctx).galois_elements(&FULL_STEPS, false);
+        let rctx = ctx.result_context();
+        Fixture {
+            encoder: BatchEncoder::new(&ctx),
+            decryptor: Decryptor::new(&ctx, keygen.secret_key().clone()),
+            uploader: SymmetricEncryptor::new(rctx, keygen.secret_key().restricted_to(rctx)),
+            keys: keygen.galois_keys(&elements, &mut rng),
+            ctx,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// An upload at the result primes, lifted, has a `c1` that is zero
+    /// modulo the last prime; its rotation's is not, so rotating that
+    /// rotation exercises the rounding. A digit dropped without it
+    /// loses `d_{k−1}·g_{k−1}·s(X^g)` and decrypts to garbage.
+    #[test]
+    fn a_full_c1_rotates_through_k_minus_1_digits(seed in 0u64..u64::MAX, first in 0usize..2) {
+        for (level, name) in ALL_LEVELS.iter().enumerate() {
+            let f = fixture(level);
+            let (k, evaluator) = (f.ctx.moduli_count(), Evaluator::new(&f.ctx));
+            for g in f.keys.elements() {
+                prop_assert_eq!(f.keys.pairs(g).expect("held").len(), k - 1);
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = f.ctx.params().plain_modulus();
+            let values: Vec<u64> = (0..f.ctx.degree()).map(|_| rng.gen_range(0..t)).collect();
+            let rctx = f.ctx.result_context();
+            let sent = f.uploader.encrypt(&f.encoder.encode(&values), &mut rng).to_bytes();
+            let sent = Ciphertext::try_from_seeded_bytes(rctx, &sent).expect("own upload");
+            let upload = (f.ctx.result_switch().expect("three primes or more")).lift(&f.ctx, sent);
+            let (a, b) = (FULL_STEPS[first], FULL_STEPS[1 - first]);
+            let last_row = |ct: &Ciphertext| ct.c1().residues(k - 1).iter().any(|&r| r != 0);
+            prop_assert!(!last_row(&upload), "{name}");
+            let once = evaluator.rotate_rows(&upload, a, &f.keys);
+            prop_assert!(last_row(&once), "{name}: a rotation's c1 is full");
+            let twice = evaluator.rotate_rows(&once, b, &f.keys);
+            let want = rotate_slots_reference(&rotate_slots_reference(&values, a), b);
+            prop_assert_eq!(f.encoder.decode(&f.decryptor.decrypt(&twice)), want, "{}", name);
+            let (got, upload) = (
+                f.decryptor.noise_budget(&twice),
+                f.decryptor.noise_budget(&once),
+            );
+            prop_assert!(
+                got + 1 >= upload,
+                "{name}: full c1 {got} bits, lifted upload's rotation {upload} bits"
             );
         }
     }

@@ -7,8 +7,9 @@
 //! canonical multiply and add per term:
 //!
 //! * over random hoists and real keys at every rotation-capable level
-//!   (3 / 5 / 9 digits), over every Galois element a 3×3 convolution
-//!   asks for, and with every residue at `q − 1`, the largest sum;
+//!   (2 / 4 / 8 digits: one per prime but the last), over every Galois
+//!   element a 3×3 convolution asks for, and with every residue at
+//!   `q − 1`, the largest sum;
 //! * for 1..=40 terms of a tap sum, for the one-term
 //!   `multiply_lifted`, and for several steps' tap sums in one
 //!   `dot_lifted_steps` sweep, at 61-bit primes too;
@@ -69,7 +70,9 @@ fn random_ct(ctx: &Arc<Context>, rng: &mut StdRng) -> Ciphertext {
 }
 
 fn largest_hoist(ctx: &Arc<Context>) -> HoistedCiphertext {
-    let digits = (0..ctx.moduli_count()).map(|_| largest_poly(ctx)).collect();
+    let digits = (0..ctx.params().key_switch_digits())
+        .map(|_| largest_poly(ctx))
+        .collect();
     HoistedCiphertext::from_parts(largest_poly(ctx), digits)
 }
 
@@ -113,7 +116,7 @@ fn rotations_equal_the_eager_key_switch_at_every_level() {
                 "uniform digits",
                 HoistedCiphertext::from_parts(
                     random_poly(&ctx, &mut rng),
-                    (0..ctx.moduli_count())
+                    (0..ctx.params().key_switch_digits())
                         .map(|_| random_poly(&ctx, &mut rng))
                         .collect(),
                 ),
@@ -280,8 +283,9 @@ fn tap_sum_folds_its_accumulators_past_the_overflow_bound() {
 #[test]
 fn key_switch_is_exact_at_the_largest_sum_a_u128_must_hold() {
     // Through the evaluator: all-(q − 1) digits against real keys whose
-    // residues are uniform below 2^61.
-    for k in [2usize, 3] {
+    // residues are uniform below 2^61, at the shipped digit counts
+    // (k − 1 of k primes) and one.
+    for k in [2usize, 3, 5, 9] {
         let ctx = ctx_61_bit(k);
         let mut rng = StdRng::seed_from_u64(61);
         let keygen = KeyGenerator::new(&ctx, &mut rng);
@@ -290,15 +294,16 @@ fn key_switch_is_exact_at_the_largest_sum_a_u128_must_hold() {
         assert_rotation_matches_oracle(&ctx, &largest_hoist(&ctx), g, &keys, "61-bit, all q-1");
     }
     // On the row kernel: all-(q − 1) digits against all-(q − 1) keys,
-    // from the monomorphised digit counts up to the last count the
-    // bound admits. c0 + k·(q − 1)² ≡ k − 1 and k·(q − 1)² ≡ k.
+    // from the monomorphised digit counts (2 / 4 / 8) and their
+    // neighbours up to the last count the bound admits.
+    // c0 + k·(q − 1)² ≡ k − 1 and k·(q − 1)² ≡ k.
     let q = ntt_primes(61, 4096, 1)[0];
     let m = Modulus::new(q);
     let n = 64;
     let table: Vec<u32> = (0..n as u32).rev().collect();
     let row = vec![q - 1; n];
     let most = lazy::max_terms(&m) - 1;
-    for k in [1usize, 3, 4, 5, 9, most] {
+    for k in [1usize, 2, 3, 4, 5, 8, 9, most] {
         let digits = vec![(&row[..], &row[..], &row[..]); k];
         let (mut out0, mut out1) = (vec![0u64; n], vec![0u64; n]);
         lazy::key_switch_row(&m, &table, &row, &digits, &mut out0, &mut out1);

@@ -41,8 +41,12 @@ use std::io::Read;
 /// fewer `MaskedResult`s. Version 9: the blob of a `PackedCt` /
 /// `AuxCt` is the seeded form at the level's first two primes, as
 /// results travel (a level of one or two primes sends it as it is);
-/// the server lifts each input back to the full modulus.
-pub const WIRE_VERSION: u8 = 9;
+/// the server lifts each input back to the full modulus. Version 10:
+/// a `GaloisKeys` entry carries one `b_i` per prime of the level but
+/// the last (the server's hoist rounds `c1` to a multiple of the last
+/// prime, so no key switch uses that digit); an entry with one per
+/// prime is refused.
+pub const WIRE_VERSION: u8 = 10;
 
 /// Frame header size: version byte, tag byte, length u32.
 pub const FRAME_HEADER_BYTES: usize = 6;
