@@ -2,8 +2,9 @@
 //! `spot-client` and a `spot-server` run into one Perfetto-loadable
 //! timeline and prints the per-layer overlap attribution.
 //!
-//! The flags are `USAGE`'s; any other argument, or an output path that
-//! cannot be written, exits 2 and prints it.
+//! The flags are `USAGE`'s; any other argument, a missing `--client`,
+//! `--server` or `--out`, or an output path that cannot be written,
+//! exits 2 and prints it.
 //!
 //! The merged timeline puts client lanes under pid 1 and server lanes
 //! under pid 2, aligns the server clock using the clock-sync estimate
@@ -20,12 +21,21 @@ use std::path::Path;
 const USAGE: &str = "usage: trace_merge --client CLIENT.json --server SERVER.json \
      --out MERGED.json [--json REPORT.json]";
 
+/// A required flag is missing: the usage line, and exit 2.
+fn usage_exit() -> ! {
+    eprintln!("trace_merge: --client, --server and --out are required\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     refuse_unknown_args(&args, USAGE);
-    let client_path = arg_value(&args, "--client").unwrap_or_else(|| panic!("{USAGE}"));
-    let server_path = arg_value(&args, "--server").unwrap_or_else(|| panic!("{USAGE}"));
-    let out_path = output_path_arg(&args, "--out", USAGE).unwrap_or_else(|| panic!("{USAGE}"));
+    let (Some(client_path), Some(server_path)) =
+        (arg_value(&args, "--client"), arg_value(&args, "--server"))
+    else {
+        usage_exit();
+    };
+    let out_path = output_path_arg(&args, "--out", USAGE).unwrap_or_else(|| usage_exit());
     let json_path = output_path_arg(&args, "--json", USAGE);
 
     let client = read_trace(Path::new(&client_path)).expect("client trace");

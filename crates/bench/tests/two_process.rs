@@ -381,6 +381,28 @@ fn a_trace_output_is_not_emptied_before_the_run() {
     std::fs::remove_dir_all(&dir).expect("remove the scratch directory");
 }
 
+/// A merge missing any one of its three required flags prints the
+/// usage line and exits 2, as every other flag error does, instead of
+/// panicking.
+#[test]
+fn a_merge_without_a_required_flag_exits_2_with_the_usage_line() {
+    let flags = [
+        ["--client", "c.json"],
+        ["--server", "s.json"],
+        ["--out", "/dev/null"],
+    ];
+    for dropped in 0..flags.len() {
+        let kept: Vec<&str> = (flags.iter().enumerate())
+            .filter(|&(i, _)| i != dropped)
+            .flat_map(|(_, pair)| *pair)
+            .collect();
+        let (code, stderr) = exit_of(MERGE, &kept);
+        assert_eq!(code, Some(2), "{kept:?}: {stderr}");
+        assert!(stderr.contains("usage: trace_merge"), "{kept:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{kept:?}: {stderr}");
+    }
+}
+
 #[test]
 fn retired_and_unknown_flags_exit_2_with_the_usage_line() {
     let refused = [

@@ -2,11 +2,10 @@
 //! simulator, and [`TinyCnn`], the small network the two-party protocol
 //! ([`crate::twoparty`]) and the serving layer run.
 
-use crate::executor::Executor;
 use crate::patching::PatchMode;
-use crate::session::{ExecBackend, SchemeKind};
+use crate::session::{ExecBackend, SchemeKind, ServeOptions};
 use crate::stream::StreamStats;
-use crate::twoparty::{run_client_batch, run_server};
+use crate::twoparty::{run_client_batch, run_server_with};
 use crate::{channelwise, cheetah, select, spot};
 
 use rand::rngs::StdRng;
@@ -67,25 +66,6 @@ pub fn plan_conv(shape: &ConvShape, scheme: SchemeKind, with_relu: bool) -> Conv
                     p
                 }
             }
-        }
-    }
-}
-
-/// Builds a conv plan pinned to a specific level (for parameter sweeps);
-/// `None` where SPOT has no patch, or no packing the wire would accept,
-/// at that level.
-pub fn plan_conv_at_level(
-    shape: &ConvShape,
-    scheme: SchemeKind,
-    level: ParamLevel,
-    with_relu: bool,
-) -> Option<ConvPlan> {
-    match scheme {
-        SchemeKind::Channelwise => Some(channelwise::plan(shape, level, with_relu)),
-        SchemeKind::Cheetah => Some(cheetah::plan(shape, level, with_relu)),
-        SchemeKind::Spot => {
-            let choice = select::select_patch(shape, level, PatchMode::Tweaked)?;
-            spot::try_plan(shape, level, choice.patch, PatchMode::Tweaked, with_relu).ok()
         }
     }
 }
@@ -304,34 +284,19 @@ impl TinyCnn {
         x
     }
 
-    /// Secure forward pass: both halves of the two-party protocol
+    /// Secure forward pass over a batch of images, which ride shared
+    /// ciphertexts: both halves of the two-party protocol
     /// ([`crate::twoparty`]) in this process over a [`MemTransport`]
-    /// pair, with 4×4 tweaked patches under SPOT. The server runs on a
-    /// scoped thread, its rng seeded by the first draw from `rng`; the
-    /// client runs on the calling thread and draws the rest.
+    /// pair, with 4×4 tweaked patches under SPOT and the server on
+    /// `backend`. The server runs on a scoped thread, its rng seeded by
+    /// the first draw from `rng`; the client runs on the calling thread
+    /// and draws the rest. Outputs and traffic are bit-identical across
+    /// backends for the same rng seed.
     ///
-    /// Returns the output as revealed to the client and the client
-    /// end's traffic over the whole connection: keys, ciphertexts and
-    /// non-linear rounds.
-    pub fn forward_secure<R: Rng + Send>(
-        &self,
-        ctx: &Arc<Context>,
-        keygen: &KeyGenerator,
-        input: &Tensor,
-        scheme: SchemeKind,
-        rng: &mut R,
-    ) -> (Tensor, TransportStats) {
-        let backend = ExecBackend::Phased(Executor::serial());
-        let inputs = std::slice::from_ref(input);
-        let (mut out, traffic, _) =
-            self.forward_secure_with(ctx, keygen, inputs, scheme, &backend, rng);
-        (out.remove(0), traffic)
-    }
-
-    /// [`TinyCnn::forward_secure`] over a batch of images, which ride
-    /// shared ciphertexts, with an explicit server backend; also returns
-    /// the server's stall accounting over both convolutions. Outputs and
-    /// traffic are bit-identical across backends for the same rng seed.
+    /// Returns the outputs as revealed to the client, the client end's
+    /// traffic over the whole connection (keys, ciphertexts and
+    /// non-linear rounds) and the server's stall accounting over every
+    /// convolution.
     ///
     /// # Panics
     ///
@@ -349,7 +314,9 @@ impl TinyCnn {
         let mut server_rng = StdRng::seed_from_u64(rng.gen());
         let (outputs, report) = std::thread::scope(|s| {
             let server = s.spawn(|| {
-                let report = run_server(ctx, &server_end, self, backend, &mut server_rng);
+                let opts = ServeOptions::default();
+                let report =
+                    run_server_with(ctx, &server_end, self, backend, opts, &mut server_rng);
                 // Each party hangs up however its run ended, so a
                 // failure on one side ends the other's wait.
                 server_end.close_tx();
@@ -378,6 +345,7 @@ impl TinyCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
     use crate::stream::StreamConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -436,9 +404,17 @@ mod tests {
         let cnn = TinyCnn::new(7);
         let input = Tensor::random(2, 8, 8, 5, 9);
         let want = cnn.forward_plain(&input);
+        let backend = ExecBackend::Phased(Executor::serial());
         for scheme in SchemeKind::ALL {
-            let (got, traffic) = cnn.forward_secure(&ctx, &kg, &input, scheme, &mut rng);
-            assert_eq!(got, want, "scheme {}", scheme.label());
+            let inputs = std::slice::from_ref(&input);
+            let (got, traffic, _) =
+                cnn.forward_secure_with(&ctx, &kg, inputs, scheme, &backend, &mut rng);
+            assert_eq!(
+                got,
+                std::slice::from_ref(&want),
+                "scheme {}",
+                scheme.label()
+            );
             assert!(traffic.sent.bytes > 0 && traffic.received.bytes > 0);
         }
     }

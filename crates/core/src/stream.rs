@@ -11,8 +11,8 @@
 //! [`spot_proto::Queue`] and taking what travels behind it before the
 //! next (the session's rotation-key frames: a key travels behind the
 //! input that makes the first job using it runnable); the
-//! [`Executor::run_workers`] pool stages (deserialises) each input as it
-//! arrives and runs a job as soon as its inputs are staged; results are
+//! [`Executor`]'s worker threads stage (deserialise) each input as it
+//! arrives and run a job as soon as its inputs are staged; results are
 //! consumed in job order on the calling thread, where the mask rng
 //! lives.
 //!
@@ -58,10 +58,10 @@ use crossbeam::thread;
 use spot_pipeline::plan::OutputDependency;
 use spot_pipeline::report::{secs, Table};
 use spot_proto::Queue;
-use spot_trace::{count, gauge, Cat, Counter};
+use spot_trace::{count, gauge, Cat, Counter, SessionCounters};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Queues `item` on one of the driver's queues and records the
@@ -264,6 +264,24 @@ pub(crate) fn end_wait(span: spot_trace::Span, waited: Duration) {
     }
 }
 
+/// Spawns `f` on a thread of `scope` labelled `label` whose wire and HE
+/// counters go to `session`, the sink of the thread running the round.
+fn spawn_counted<'scope, X: Send + 'scope>(
+    scope: &thread::Scope<'scope, '_>,
+    session: &Option<Arc<SessionCounters>>,
+    label: String,
+    f: impl FnOnce() -> X + Send + 'scope,
+) -> thread::ScopedJoinHandle<'scope, X> {
+    let session = session.clone();
+    scope.spawn(move |_| {
+        if session.is_some() {
+            spot_trace::set_session_counters(session);
+        }
+        spot_trace::set_thread_label(label);
+        f()
+    })
+}
+
 /// Runs `f` as one traced, timed step of worker compute.
 fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOnce() -> X) -> X {
     let _span = spot_trace::span_owned(Cat::Stream, name);
@@ -289,7 +307,7 @@ fn busy_step<X>(busy: &mut Duration, name: impl FnOnce() -> String, f: impl FnOn
 ///   is read, and what a running job waits for is never behind a full
 ///   queue. An `ingest` that queues other than the round's inputs fails
 ///   the round;
-/// * the [`Executor::run_workers`] **pool** takes frames as they arrive,
+/// * the [`Executor`]'s **worker threads** take frames as they arrive,
 ///   *stages* each (`stage(i, frame)`, the deserialisation) and runs job
 ///   `j` (`work(j, inputs)`) as soon as the inputs it reads are staged:
 ///   `[input j]` the moment that input lands under
@@ -386,18 +404,14 @@ where
         Ok(())
     };
 
-    // Ingest and pool run on fresh scoped threads: hand them the session
-    // counter sink so their wire/HE ops stay attributed.
+    // Every thread of the round is spawned in this one scope, each by
+    // `spawn_counted`: their wire and HE ops stay attributed to the
+    // calling thread's session.
     let session = spot_trace::session_counters();
     let scope_result = thread::scope(|s| {
         let (in_q, out_q, serve) = (&in_q, &out_q, &serve);
 
-        let ingest_session = session.clone();
-        let ingest_handle = s.spawn(move |_| {
-            if let Some(sink) = ingest_session {
-                spot_trace::set_session_counters(Some(sink));
-            }
-            spot_trace::set_thread_label("server-ingest");
+        let ingest_handle = spawn_counted(s, &session, "server-ingest".into(), move || {
             let closer = CloseOnDrop(in_q);
             let (mut blocked, mut inputs) = (Duration::ZERO, 0..round.inputs);
             let short = || SpotError::Protocol("the upload is not the round's inputs".into());
@@ -419,22 +433,24 @@ where
             result.map(|()| (blocked, Instant::now()))
         });
 
-        let pool_handle = s.spawn(move |_| {
-            if let Some(sink) = session {
-                spot_trace::set_session_counters(Some(sink));
-            }
-            // However the pool ends, no more results will appear.
-            let _done = CloseOnDrop(out_q);
-            config.executor.run_workers(workers, |w| {
-                spot_trace::set_thread_label(format!("server-{w}"));
-                // A worker that fails or panics ends the round.
-                let _release = CloseOnDrop(in_q);
-                let (mut idle, mut busy) = (Duration::ZERO, Duration::ZERO);
-                let result = serve(&mut idle, &mut busy);
-                spot_trace::flush_thread();
-                result.map(|()| (idle, busy))
+        // However the workers end, no more results appear once the last
+        // one has: each holds the closer, and the last to let go closes.
+        let done = Arc::new(CloseOnDrop(out_q));
+        let worker_handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let done = Arc::clone(&done);
+                spawn_counted(s, &session, format!("server-{w}"), move || {
+                    let _done = done;
+                    // A worker that fails or panics ends the round.
+                    let _release = CloseOnDrop(in_q);
+                    let (mut idle, mut busy) = (Duration::ZERO, Duration::ZERO);
+                    let result = serve(&mut idle, &mut busy);
+                    spot_trace::flush_thread();
+                    result.map(|()| (idle, busy))
+                })
             })
-        });
+            .collect();
+        drop(done);
 
         // Overlapped assembly on the caller's thread, in job order. A
         // consume failure ends the round but keeps draining, so the
@@ -457,15 +473,20 @@ where
                 next += 1;
             }
         }
-        (ingest_handle.join(), pool_handle.join(), consume_err, next)
+        let per_worker: Vec<_> = worker_handles.into_iter().map(|h| h.join()).collect();
+        (ingest_handle.join(), per_worker, consume_err, next)
     });
 
     let (ingested, per_worker, consume_err, consumed) = match scope_result {
         Ok(v) => v,
         Err(payload) => std::panic::resume_unwind(payload),
     };
+    // A worker's panic propagates once every thread has joined.
+    let per_worker: Vec<_> = (per_worker.into_iter())
+        .collect::<thread::Result<_>>()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     let (mut idle, mut busy) = (Duration::ZERO, Duration::ZERO);
-    for worker in per_worker.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
+    for worker in per_worker {
         let (i, b) = worker?;
         idle += i;
         busy += b;

@@ -7,9 +7,11 @@
 //! **One program, two walkers.** The network is a [`TinyCnn`]'s list of
 //! [`Op`]s, and each party is one loop over it
 //! ([`run_client_batch`], [`run_server_with`]). A `Conv` runs under HE
-//! for the whole batch at once ([`ClientConv`] against
-//! [`serve_conv_on`]) and leaves the parties holding additive shares;
-//! every convolution of a connection shares its rotation keys, so a
+//! for the whole batch at once
+//! ([`ClientConv`](crate::session::ClientConv) against
+//! [`serve_conv_on`](crate::session::serve_conv_on)) and leaves the
+//! parties holding additive shares; every convolution of a connection
+//! shares its rotation keys, so a
 //! later one uploads only the Galois elements no earlier one did. The
 //! ops behind a convolution, up to and including the `Reveal` that ends
 //! its stage, run *image-major*: all of image `b`'s rounds and its
@@ -37,29 +39,28 @@
 //! mid-network `ShareReveal` reconstructs the activation at the client,
 //! which re-encrypts it as the next layer's input; in the real protocol
 //! the client re-encrypts its share and the server adds its own — the
-//! arithmetic is identical. [`TinyCnn::forward_secure`] is these two
-//! halves in one process.
+//! arithmetic is identical. [`TinyCnn::forward_secure_with`] is these
+//! two halves in one process.
+//!
+//! The client walker is `client.rs`, the server walker `server.rs`; this
+//! file is what both run: the round codec, the share reader and
+//! `walk_image`. The client file uses nothing of either server file, of
+//! the conv driver, of the worker pool or of the serving layer.
 
 use crate::error::SpotError;
 use crate::inference::{Op, TinyCnn};
-use crate::patching::PatchMode;
-use crate::session::{
-    serve_conv_on, unexpected, ClientConv, ConnectionKeys, ExecBackend, HangUp, LayerSpec,
-    ModelLayer, SchemeKind, ServeOptions, UploadPacing,
-};
-use crate::stream::StreamStats;
-use rand::Rng;
-use spot_he::context::Context;
-use spot_he::evaluator::OpCounts;
-use spot_he::keys::KeyGenerator;
+use crate::session::spec::unexpected;
 use spot_proto::transport::Transport;
 use spot_proto::wire::WireMessage;
 use spot_tensor::fixed::{from_field, to_field};
 use spot_tensor::tensor::Tensor;
-use spot_trace::{clocksync, Cat};
-use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
+
+mod client;
+mod server;
+
+pub use client::run_client_batch;
+pub use server::{run_server_with, ServerReport};
 
 /// `OtRound` op code for ReLU on shares.
 pub const OP_RELU: u8 = 1;
@@ -219,409 +220,24 @@ fn walk_image(
     Ok(())
 }
 
-/// One interactive op from the client's side: send this party's share
-/// of a `dims` activation (a pooling payload leads with the dims),
-/// receive its share of the result and the dims that has.
-fn client_round(
-    transport: &dyn Transport,
-    op: &Op,
-    round: u16,
-    dims: Dims,
-    share: &[u64],
-    t: u64,
-) -> Result<(Dims, Vec<u64>), SpotError> {
-    let (code, name, out) = round_kind(op, dims);
-    let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
-    let mut payload = match op {
-        Op::Relu => Vec::new(),
-        _ => dims_prefix(dims),
-    };
-    payload.extend_from_slice(&encode_share(share));
-    transport.send(&WireMessage::OtRound {
-        op: code,
-        round,
-        blob: payload,
-    })?;
-    let blob = recv_round(transport, code, round)?;
-    Ok((out, decode_share(&blob, t, out)?))
-}
-
-/// Receives the server's `ShareReveal` of a `dims` activation and
-/// reconstructs the centered values from the two additive shares.
-fn client_reveal(
-    transport: &dyn Transport,
-    dims: Dims,
-    client_share: &[u64],
-    t: u64,
-) -> Result<Vec<i64>, SpotError> {
-    let msg = transport.recv()?;
-    let WireMessage::ShareReveal { blob } = msg else {
-        return Err(unexpected(&msg, "ShareReveal"));
-    };
-    let server_share = decode_share(&blob, t, dims)?;
-    Ok(reconstruct(client_share, &server_share, t))
-}
-
-/// One secure convolution session from the client's side carrying a
-/// whole batch of images, uploading and absorbing concurrently so a
-/// socket transport never deadlocks on full buffers in both
-/// directions. A one-image batch produces byte-identical traffic to
-/// the original single-image session.
-fn client_conv_batch<R: Rng + Send>(
-    conv: &ClientConv<'_>,
-    transport: &dyn Transport,
-    inputs: &[Tensor],
-    rng: &mut R,
-) -> Result<Vec<Tensor>, SpotError> {
-    let scope_result = crossbeam::thread::scope(|s| {
-        let uploader = s.spawn(move |_| {
-            // Eager pacing: TCP's own flow control paces a real link,
-            // and the concurrent absorber below must own every recv.
-            spot_trace::set_thread_label("uploader");
-            // An upload that fails or unwinds hangs up, so the server
-            // waiting for its next input, and then the absorber
-            // waiting for the server, both end.
-            let hang_up = HangUp::new(transport);
-            let sent = conv.send_batch(transport, inputs, UploadPacing::Eager, rng);
-            if sent.is_ok() {
-                hang_up.keep_open();
-            }
-            spot_trace::flush_thread();
-            sent
-        });
-        let share = conv.absorb_batch(transport, inputs.len());
-        // The panic itself has already been reported by the hook; the
-        // session ends in a typed error like any other failed upload.
-        let sent = (uploader.join()).unwrap_or(Err(SpotError::Panicked("uploader")));
-        (sent, share)
-    });
-    let (sent, share) = match scope_result {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    };
-    sent?;
-    Ok(share?.shares)
-}
-
-/// Client half of the two-party protocol over a *batch* of queued
-/// inputs: the client walker of the module doc. Every convolution is
-/// one batched HE session (shared ciphertexts, so rotations and
-/// key-switches amortize across the batch), while the ops behind it
-/// run per image. `arch` provides the program and its layer *shapes*
-/// only — the kernel weights it carries are never read, they live with
-/// the server.
-///
-/// Returns the reconstructed network output per image, in submission
-/// order.
-#[allow(clippy::too_many_arguments)]
-pub fn run_client_batch<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    transport: &dyn Transport,
-    inputs: &[Tensor],
-    arch: &TinyCnn,
-    scheme: SchemeKind,
-    patch: (usize, usize),
-    mode: PatchMode,
-    rng: &mut R,
-) -> Result<Vec<Tensor>, SpotError> {
-    match run_client_batch_inner(
-        ctx, keygen, transport, inputs, arch, scheme, patch, mode, rng,
-    ) {
-        // A transport failure mid-upload can mean the server refused
-        // the session and hung up before we got to read the typed
-        // error frame — drain the receive side so the caller sees the
-        // refusal, not just a broken pipe.
-        Err(SpotError::Proto(e)) => Err(surface_rejection(transport, SpotError::Proto(e))),
-        other => other,
-    }
-}
-
-/// Drains up to a few pending frames looking for a typed
-/// [`WireMessage::Error`]; returns it as [`SpotError::Rejected`], or
-/// the original failure if the server never sent one.
-fn surface_rejection(transport: &dyn Transport, fallback: SpotError) -> SpotError {
-    for _ in 0..8 {
-        match transport.recv() {
-            Ok(WireMessage::Error { code, detail }) => {
-                return SpotError::Rejected { code, detail };
-            }
-            Ok(_) => continue,
-            Err(_) => break,
-        }
-    }
-    fallback
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_client_batch_inner<R: Rng + Send>(
-    ctx: &Arc<Context>,
-    keygen: &KeyGenerator,
-    transport: &dyn Transport,
-    inputs: &[Tensor],
-    arch: &TinyCnn,
-    scheme: SchemeKind,
-    patch: (usize, usize),
-    mode: PatchMode,
-    rng: &mut R,
-) -> Result<Vec<Tensor>, SpotError> {
-    if inputs.is_empty() {
-        return Err(SpotError::Protocol("empty input batch".into()));
-    }
-    let batch = inputs.len();
-    let t = ctx.params().plain_modulus();
-
-    // What the client holds in the clear: its inputs, then what each
-    // stage's reveals reconstruct.
-    let mut held = Cow::Borrowed(inputs);
-    let mut conv: Option<ClientConv<'_>> = None;
-    let mut kept = Kept::new();
-    for (at, kernel, stride, tail) in arch.stages() {
-        let spec = LayerSpec::for_layer(scheme, &held[0], kernel, stride, patch, mode);
-        let layer = match conv.take() {
-            None => ClientConv::new(ctx, keygen, spec)?,
-            Some(earlier) => earlier.next_layer(spec)?,
-        };
-        let shares = client_conv_batch(&layer, transport, &held, rng)?;
-        conv = Some(layer);
-        let mut revealed = Vec::with_capacity(batch);
-        for (b, share) in shares.iter().enumerate() {
-            let step = |i, op: &Op, dims: Dims, mine: &[u64]| {
-                if !matches!(op, Op::Reveal) {
-                    let round = round_of(arch.ops(), i, batch, b);
-                    return client_round(transport, op, round, dims, mine, t);
-                }
-                let values = client_reveal(transport, dims, mine, t)?;
-                let value = values.iter().map(|&v| to_field(v, t)).collect();
-                revealed.push(Tensor::from_vec(dims.0, dims.1, dims.2, values));
-                Ok((dims, value))
-            };
-            let share = conv_share(share, t);
-            walk_image(arch, (at, tail), b, share, t, &mut kept, step)?;
-        }
-        held = Cow::Owned(revealed);
-    }
-
-    // Clock-alignment handshake, only when wire trace context is on
-    // (it adds frames, so the plain byte stream stays untouched) and
-    // best-effort: any failure just leaves the trace without an
-    // estimate. Runs right before Teardown, when both pipes are idle.
-    if spot_trace::wire_context_enabled() {
-        let est = clocksync::run_probe(clocksync::PROBE_ROUNDS, |seq| {
-            transport
-                .send(&WireMessage::ClockProbe {
-                    seq,
-                    t_rx_ns: 0,
-                    t_tx_ns: 0,
-                })
-                .ok()?;
-            match transport.recv() {
-                Ok(WireMessage::ClockProbe {
-                    seq: echoed,
-                    t_rx_ns,
-                    t_tx_ns,
-                }) if echoed == seq => Some((t_rx_ns, t_tx_ns)),
-                _ => None,
-            }
-        });
-        if let Some(est) = est {
-            clocksync::record(&est);
-        }
-    }
-
-    transport.send(&WireMessage::Teardown)?;
-    transport.close_tx();
-    Ok(held.into_owned())
-}
-
-/// Server-side outcome of a two-party run.
-#[derive(Debug, Clone)]
-pub struct ServerReport {
-    /// HE operation counts over every convolution layer (totals for the
-    /// whole batch; divide by [`batch`](Self::batch) for per-image
-    /// amortized figures).
-    pub counts: OpCounts,
-    /// Stall accounting accumulated over every convolution layer.
-    pub stream: StreamStats,
-    /// Input ciphertexts received across all conv layers.
-    pub input_cts: usize,
-    /// Masked result ciphertexts sent across all conv layers.
-    pub output_cts: usize,
-    /// Images carried by the batched convolution sessions (1 for a
-    /// classic single-image run).
-    pub batch: usize,
-}
-
-/// Re-shares `values` (signed, centered) with fresh randomness: the
-/// server keeps the drawn share and returns the client's half.
-fn reshare<R: Rng>(values: &[i64], t: u64, rng: &mut R) -> (Vec<u64>, Vec<u64>) {
-    let mut server = Vec::with_capacity(values.len());
-    let mut client = Vec::with_capacity(values.len());
-    for &y in values {
-        let s = rng.gen_range(0..t);
-        server.push(s);
-        client.push((to_field(y, t) + t - s) % t);
-    }
-    (server, client)
-}
-
-/// One interactive op from the server's side: reconstruct the `dims`
-/// activation from the client's share and `server_share`, apply the
-/// op, reshare. A pooling payload leads with the dims, which must be
-/// the server's. Returns the result's dims and the server's fresh
-/// share of it.
-fn server_round<R: Rng>(
-    transport: &dyn Transport,
-    op: &Op,
-    round: u16,
-    dims: Dims,
-    server_share: &[u64],
-    t: u64,
-    rng: &mut R,
-) -> Result<(Dims, Vec<u64>), SpotError> {
-    let (code, name, out) = round_kind(op, dims);
-    let _span = spot_trace::span(Cat::Session, name).arg("round", round as u64);
-    let blob = recv_round(transport, code, round)?;
-    let body = match op {
-        Op::Relu => &blob[..],
-        _ => blob.strip_prefix(&dims_prefix(dims)[..]).ok_or_else(|| {
-            SpotError::Protocol(format!(
-                "{name} payload does not lead with the layer's dims {dims:?}"
-            ))
-        })?,
-    };
-    let client_share = decode_share(body, t, dims)?;
-    let values = reconstruct(&client_share, server_share, t);
-    let y = op.apply(Tensor::from_vec(dims.0, dims.1, dims.2, values));
-    let (srv, cli) = reshare(y.data(), t, rng);
-    transport.send(&WireMessage::OtRound {
-        op: code,
-        round,
-        blob: encode_share(&cli),
-    })?;
-    Ok((out, srv))
-}
-
-/// Server half of the two-party protocol: the server walker of the
-/// module doc. Serves every convolution session, evaluates the
-/// non-linear rounds on reconstructed values (see the module-level
-/// demo-simplification note), and reveals its share where the program
-/// says so.
-///
-/// The batch width is learned from the client's first `Setup` (the
-/// session layer returns one server share per batched image).
-pub fn run_server<R: Rng>(
-    ctx: &Arc<Context>,
-    transport: &dyn Transport,
-    cnn: &TinyCnn,
-    backend: &ExecBackend,
-    rng: &mut R,
-) -> Result<ServerReport, SpotError> {
-    run_server_with(ctx, transport, cnn, backend, ServeOptions::default(), rng)
-}
-
-/// [`run_server`] with serving-layer options ([`ServeOptions`]): shared
-/// per-model kernel caches and the per-session batch budget, applied to
-/// every convolution layer.
-pub fn run_server_with<R: Rng>(
-    ctx: &Arc<Context>,
-    transport: &dyn Transport,
-    cnn: &TinyCnn,
-    backend: &ExecBackend,
-    opts: ServeOptions<'_>,
-    rng: &mut R,
-) -> Result<ServerReport, SpotError> {
-    let t = ctx.params().plain_modulus();
-    let mut report = ServerReport {
-        counts: OpCounts::default(),
-        stream: StreamStats::default(),
-        input_cts: 0,
-        output_cts: 0,
-        batch: 1,
-    };
-    // The client's rotation keys, for every convolution.
-    let keys = ConnectionKeys::default();
-    // The `h × w` the server's shares have reached: the next
-    // convolution's input, whatever its hello says.
-    let mut reached = None;
-    // The batch width arrives with the client's first Setup and holds
-    // for the connection.
-    let mut batch = None;
-    let mut kept = Kept::new();
-    for (at, kernel, stride, tail) in cnn.stages() {
-        let layer = ModelLayer {
-            kernel,
-            stride: Some(stride),
-            input: reached,
-        };
-        let summary = serve_conv_on(ctx, transport, layer, backend, opts, &keys, rng)?;
-        report.counts.merge(&summary.counts);
-        if let Some(s) = &summary.stream {
-            report.stream.accumulate(s);
-        }
-        report.input_cts += summary.input_cts;
-        report.output_cts += summary.output_cts;
-        let mut shares = vec![summary.server_share];
-        shares.extend(summary.extra_shares);
-        let batch = *batch.get_or_insert(shares.len());
-        if shares.len() != batch {
-            return Err(SpotError::Protocol(format!(
-                "layer batch {} does not match the connection's batch {batch}",
-                shares.len()
-            )));
-        }
-        report.batch = batch;
-        for (b, share) in shares.iter().enumerate() {
-            let step = |i, op: &Op, dims: Dims, mine: &[u64]| {
-                if !matches!(op, Op::Reveal) {
-                    let round = round_of(cnn.ops(), i, batch, b);
-                    return server_round(transport, op, round, dims, mine, t, rng);
-                }
-                transport.send(&WireMessage::ShareReveal {
-                    blob: encode_share(mine),
-                })?;
-                spot_trace::instant(Cat::Session, "share reveal");
-                reached = Some((dims.1, dims.2));
-                Ok((dims, vec![0; mine.len()]))
-            };
-            let share = conv_share(share, t);
-            walk_image(cnn, (at, tail), b, share, t, &mut kept, step)?;
-        }
-    }
-
-    // Orderly teardown; a tracing client interleaves clock-alignment
-    // probes first, which we echo back stamped on this process's trace
-    // clock (receive time first, transmit time as late as possible).
-    loop {
-        let msg = transport.recv()?;
-        match msg {
-            WireMessage::Teardown => break,
-            WireMessage::ClockProbe { seq, .. } => {
-                let t_rx_ns = spot_trace::trace_now_ns();
-                transport.send(&WireMessage::ClockProbe {
-                    seq,
-                    t_rx_ns,
-                    t_tx_ns: spot_trace::trace_now_ns(),
-                })?;
-            }
-            _ => return Err(SpotError::Protocol("expected Teardown".into())),
-        }
-    }
-    transport.close_tx();
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::client::client_round;
+    use super::server::{reshare, server_round};
     use super::*;
     use crate::executor::Executor;
+    use crate::patching::PatchMode;
+    use crate::session::{ExecBackend, SchemeKind, ServeOptions};
     use crate::stream::StreamConfig;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spot_he::context::Context;
+    use spot_he::keys::KeyGenerator;
     use spot_he::params::{EncryptionParams, ParamLevel};
     use spot_proto::transport::MemTransport;
     use spot_tensor::tensor::Kernel;
+    use std::sync::Arc;
 
     /// `cnn` on a batch of `batch` 2×8×8 images, both walkers over a
     /// `MemTransport` pair: what the client reconstructs, and what the
@@ -642,7 +258,8 @@ mod tests {
         let cnn_s = cnn.clone();
         let server = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(1312);
-            run_server(&ctx_s, &st, &cnn_s, &backend, &mut rng)
+            let opts = ServeOptions::default();
+            run_server_with(&ctx_s, &st, &cnn_s, &backend, opts, &mut rng)
         });
         let mut rng = StdRng::seed_from_u64(99);
         let kg = KeyGenerator::new(&ctx, &mut rng);

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -74,7 +74,15 @@ fn run_batched(
         .expect("upload");
     let mut srng = StdRng::seed_from_u64(server_seed);
     let backend = ExecBackend::Phased(Executor::serial());
-    let summary = serve_conv(ctx, &st, kernel, &backend, &mut srng).expect("serve");
+    let summary = serve_conv_with(
+        ctx,
+        &st,
+        kernel,
+        &backend,
+        ServeOptions::default(),
+        &mut srng,
+    )
+    .expect("serve");
     let shares = conv.absorb_batch(&ct, inputs.len()).expect("absorb");
     let mut server_shares = vec![summary.server_share];
     server_shares.extend(summary.extra_shares);
@@ -197,7 +205,15 @@ fn batched_shares_identical_over_tcp() {
         let transport = TcpTransport::from_stream(stream).expect("wrap stream");
         let mut rng = StdRng::seed_from_u64(555);
         let backend = ExecBackend::Phased(Executor::serial());
-        serve_conv(&ctx_s, &transport, &kernel_s, &backend, &mut rng).expect("serve over tcp")
+        serve_conv_with(
+            &ctx_s,
+            &transport,
+            &kernel_s,
+            &backend,
+            ServeOptions::default(),
+            &mut rng,
+        )
+        .expect("serve over tcp")
     });
 
     let transport = TcpTransport::connect(addr.to_string()).expect("connect");

@@ -16,7 +16,7 @@ use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
@@ -177,8 +177,15 @@ fn session_results(
     )
     .expect("upload");
     let exec = ExecBackend::Phased(Executor::serial());
-    let served =
-        serve_conv(&ctx, &st, kernel, &exec, &mut StdRng::seed_from_u64(3)).expect("serve");
+    let served = serve_conv_with(
+        &ctx,
+        &st,
+        kernel,
+        &exec,
+        ServeOptions::default(),
+        &mut StdRng::seed_from_u64(3),
+    )
+    .expect("serve");
     let absorbed = conv.absorb_batch(&client, 1).expect("absorb");
 
     let t = ctx.params().plain_modulus() as i64;

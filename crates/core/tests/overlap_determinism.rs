@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -96,7 +96,15 @@ fn run_traced(scheme: SchemeKind, threads: usize, tcp: bool) -> MergedRun {
             share
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(&ctx, server_t.as_ref(), &kernel, &backend, &mut srng).expect("serve_conv");
+        serve_conv_with(
+            &ctx,
+            server_t.as_ref(),
+            &kernel,
+            &backend,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     let events = spot_trace::take_events();
@@ -145,7 +153,15 @@ fn run_untraced(scheme: SchemeKind, threads: usize) -> Tensor {
             conv.absorb_all(client_t.as_ref()).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        serve_conv(&ctx, server_t.as_ref(), &kernel, &backend, &mut srng).expect("serve_conv");
+        serve_conv_with(
+            &ctx,
+            server_t.as_ref(),
+            &kernel,
+            &backend,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         client.join().expect("client thread")
     });
     share.share

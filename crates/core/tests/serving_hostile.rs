@@ -14,7 +14,8 @@ use spot_core::inference::{Op, TinyCnn};
 use spot_core::patching::PatchMode;
 use spot_core::serving::{ModelContext, ServingConfig, SessionReport, SpotServer};
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing, MAX_CACHED_SPECS,
+    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
+    MAX_CACHED_SPECS,
 };
 use spot_core::twoparty::{run_client_batch, OP_MAXPOOL, OP_RELU};
 use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
@@ -1938,11 +1939,12 @@ fn assert_old_hello_refused(version: u8) {
             let (stream, _) = listener.accept().expect("accept");
             let st = TcpTransport::from_stream(stream).expect("server end");
             let backend = ExecBackend::Phased(Executor::serial());
-            serve_conv(
+            serve_conv_with(
                 &ctx,
                 &st,
                 &kernel,
                 &backend,
+                ServeOptions::default(),
                 &mut StdRng::seed_from_u64(469),
             )
         })

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use spot_core::executor::Executor;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
 use spot_he::context::Context;
@@ -109,7 +109,15 @@ fn run_session(
             share
         });
         let mut srng = StdRng::seed_from_u64(1312);
-        let served = serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
+        let served = serve_conv_with(
+            ctx,
+            server_t,
+            kernel,
+            backend,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         (client.join().expect("client thread"), served)
     });
     let counters = spot_trace::counters().delta(&baseline);

@@ -17,10 +17,10 @@ use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv_with, ClientConv, ExecBackend, LayerSpec, SchemeKind, ServeOptions, UploadPacing,
 };
 use spot_core::stream::StreamConfig;
-use spot_core::twoparty::{run_client_batch, run_server};
+use spot_core::twoparty::{run_client_batch, run_server_with};
 use spot_he::context::Context;
 use spot_he::keys::KeyGenerator;
 use spot_he::params::{EncryptionParams, ParamLevel};
@@ -66,7 +66,15 @@ fn run_session(
             conv.absorb_all(client_t).expect("absorb_all")
         });
         let mut srng = StdRng::seed_from_u64(SERVER_SEED);
-        let summary = serve_conv(ctx, server_t, kernel, backend, &mut srng).expect("serve_conv");
+        let summary = serve_conv_with(
+            ctx,
+            server_t,
+            kernel,
+            backend,
+            ServeOptions::default(),
+            &mut srng,
+        )
+        .expect("serve_conv");
         (client.join().expect("client thread"), summary)
     });
     let stats = client_t.stats();
@@ -273,7 +281,15 @@ fn run_connection(
     let (outputs, report) = std::thread::scope(|s| {
         let server = s.spawn(|| {
             let mut srng = StdRng::seed_from_u64(SERVER_SEED);
-            run_server(ctx, server_t, cnn, backend, &mut srng).expect("run_server")
+            run_server_with(
+                ctx,
+                server_t,
+                cnn,
+                backend,
+                ServeOptions::default(),
+                &mut srng,
+            )
+            .expect("run_server")
         });
         let outputs = run_client_batch(
             ctx,

@@ -10,7 +10,7 @@
 //! each direction's *shape* (each frame's header: kind and byte
 //! length), each image's client and server share, and the merged
 //! operation counts. One case drives the whole two-layer TinyCnn
-//! connection through `run_client_batch`/`run_server`. Every case also
+//! connection through `run_client_batch`/`run_server_with`. Every case also
 //! holds the analytic model the paper's tables come from
 //! (`spot::plan` / `channelwise::plan` / `cheetah::plan`) to the counts
 //! that ran and the result bytes that came down
@@ -127,10 +127,11 @@ use spot_core::executor::Executor;
 use spot_core::inference::TinyCnn;
 use spot_core::patching::PatchMode;
 use spot_core::session::{
-    serve_conv, ClientConv, ExecBackend, Frame, LayerSpec, SchemeKind, UploadPacing,
+    serve_conv_with, ClientConv, ExecBackend, Frame, LayerSpec, SchemeKind, ServeOptions,
+    UploadPacing,
 };
 use spot_core::stream::StreamConfig;
-use spot_core::twoparty::{run_client_batch, run_server};
+use spot_core::twoparty::{run_client_batch, run_server_with};
 use spot_core::{channelwise, cheetah, spot};
 use spot_he::context::Context;
 use spot_he::evaluator::OpCounts;
@@ -379,7 +380,9 @@ fn run_case(
                 .send_batch(&client, inputs, UploadPacing::Eager, &mut crng)
                 .expect("upload");
             let exec = ExecBackend::Phased(Executor::serial());
-            let served = serve_conv(&ctx, &st, kernel, &exec, &mut srng).expect("serve");
+            let served =
+                serve_conv_with(&ctx, &st, kernel, &exec, ServeOptions::default(), &mut srng)
+                    .expect("serve");
             (client, sent, served)
         }
         Backend::Streaming => {
@@ -392,7 +395,8 @@ fn run_case(
                     client.close_tx();
                     sent
                 });
-                let served = serve_conv(&ctx, &st, kernel, &exec, &mut srng);
+                let served =
+                    serve_conv_with(&ctx, &st, kernel, &exec, ServeOptions::default(), &mut srng);
                 (uploader.join().expect("upload thread"), served)
             });
             (client, sent.expect("upload"), served.expect("serve"))
@@ -694,7 +698,14 @@ fn tinycnn_spot_two_layers() {
         let (outputs, report) = std::thread::scope(|s| {
             let server = s.spawn(|| {
                 let mut srng = StdRng::seed_from_u64(3100);
-                run_server(&ctx, &st, &cnn, &backend, &mut srng)
+                run_server_with(
+                    &ctx,
+                    &st,
+                    &cnn,
+                    &backend,
+                    ServeOptions::default(),
+                    &mut srng,
+                )
             });
             let outputs = run_client_batch(
                 &ctx,

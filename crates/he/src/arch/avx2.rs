@@ -3,8 +3,9 @@
 //! x86_64 has no 64×64→128 vector multiply below AVX-512, so the
 //! `mul_lo`/`mul_hi` primitives are composed from `vpmuludq` 32×32→64
 //! partial products (the standard schoolbook split). Everything else is
-//! native 64-bit lane arithmetic; unsigned comparisons use the
-//! sign-bit-flip trick over the signed `vpcmpgtq`.
+//! native 64-bit lane arithmetic. The schoolbook products lose to scalar
+//! Barrett where a kernel needs full 64×64 products, so the table keeps
+//! the scalar `pointwise_mul` and `reduce`.
 //!
 //! The kernel bodies live in [`super::vec`]; this module only
 //! implements the lane primitives and the `#[target_feature(enable =
@@ -24,13 +25,6 @@ use std::arch::x86_64::*;
 /// Four u64 lanes in one AVX2 register.
 #[derive(Copy, Clone)]
 struct W(__m256i);
-
-#[inline(always)]
-fn sign() -> __m256i {
-    // SAFETY: AVX2 is available whenever this backend runs (checked at
-    // dispatch time before the table is installed).
-    unsafe { _mm256_set1_epi64x(i64::MIN) }
-}
 
 /// Zero-cost optimization barrier: emits no instructions but hides the
 /// value's producer from LLVM. Without it, the combiner recognizes the
@@ -56,16 +50,6 @@ unsafe fn opaque(v: __m256i) -> __m256i {
         );
     }
     v
-}
-
-/// All-ones mask per lane where `a < b` (unsigned).
-#[inline(always)]
-fn lt_u64(a: __m256i, b: __m256i) -> __m256i {
-    // SAFETY: AVX2 checked at dispatch time.
-    unsafe {
-        let s = sign();
-        _mm256_cmpgt_epi64(_mm256_xor_si256(b, s), _mm256_xor_si256(a, s))
-    }
 }
 
 impl V64 for W {
@@ -217,53 +201,6 @@ impl V64Wide for W {
             ))
         }
     }
-
-    #[inline(always)]
-    fn mul_wide(self, o: Self) -> (Self, Self) {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            // Shares the four 32×32 partial products between both halves.
-            let a_hi = _mm256_srli_epi64(self.0, 32);
-            let b_hi = _mm256_srli_epi64(o.0, 32);
-            let ll = _mm256_mul_epu32(self.0, o.0);
-            let lh = _mm256_mul_epu32(self.0, b_hi);
-            let hl = _mm256_mul_epu32(a_hi, o.0);
-            let hh = _mm256_mul_epu32(a_hi, b_hi);
-            let m32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-            let mid = _mm256_add_epi64(
-                _mm256_add_epi64(_mm256_srli_epi64(ll, 32), _mm256_and_si256(lh, m32)),
-                _mm256_and_si256(hl, m32),
-            );
-            let hi = _mm256_add_epi64(
-                _mm256_add_epi64(hh, _mm256_srli_epi64(lh, 32)),
-                _mm256_add_epi64(_mm256_srli_epi64(hl, 32), _mm256_srli_epi64(mid, 32)),
-            );
-            let cross = _mm256_add_epi64(lh, hl);
-            let lo = _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32));
-            (W(hi), W(lo))
-        }
-    }
-
-    #[inline(always)]
-    fn add_nonzero_bit(self, o: Self) -> Self {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            let zero_mask = _mm256_cmpeq_epi64(o.0, _mm256_setzero_si256());
-            let bit = _mm256_andnot_si256(zero_mask, _mm256_set1_epi64x(1));
-            W(_mm256_add_epi64(self.0, bit))
-        }
-    }
-
-    #[inline(always)]
-    fn add_with_carry(self, o: Self) -> (Self, Self) {
-        // SAFETY: AVX2 checked at dispatch time.
-        unsafe {
-            let sum = _mm256_add_epi64(self.0, o.0);
-            // Unsigned overflow iff sum < either addend.
-            let carry = _mm256_srli_epi64(lt_u64(sum, self.0), 63);
-            (W(sum), W(carry))
-        }
-    }
 }
 
 macro_rules! avx2_kernel {
@@ -294,12 +231,6 @@ avx2_kernel!(
      inv_degree_shoup: u64, a: &mut [u64])
 );
 avx2_kernel!(
-    pointwise_mul,
-    pointwise_mul_impl,
-    pointwise_mul_v,
-    (m: &Modulus, dst: &mut [u64], src: &[u64])
-);
-avx2_kernel!(
     pointwise_add,
     pointwise_add_impl,
     pointwise_add_v,
@@ -316,12 +247,6 @@ avx2_kernel!(
     mul_scalar_impl,
     mul_scalar_v,
     (m: &Modulus, dst: &mut [u64], scalar_val: u64, shoup: u64)
-);
-avx2_kernel!(
-    reduce,
-    reduce_impl,
-    reduce_v,
-    (m: &Modulus, dst: &mut [u64], src: &[u64])
 );
 avx2_kernel!(
     add_scalar,
@@ -431,36 +356,16 @@ fn expand_lanes(lanes: &mut LaneStates, q: u64, row: &mut [u64]) {
     }
 }
 
-/// The AVX2 kernel table (install only after runtime detection). The
-/// two inner products keep the scalar `u128` bodies: AVX2 has no
-/// 64×64→128 multiply.
+/// The AVX2 kernel table (install only after runtime detection): AVX2
+/// where the vector path wins, scalar where the measured baseline
+/// (`BENCH_heops.json`) shows it behind. Plain Barrett with the native
+/// 64-bit `mul` beats the vpmuludq schoolbook on `pointwise_mul` and the
+/// key-switch digit lift (~0.7× under AVX2), so those two entries are
+/// the scalar kernels; the two inner products keep the scalar `u128`
+/// bodies, as AVX2 has no 64×64→128 multiply. Selected by `auto`
+/// dispatch on CPUs without AVX-512 IFMA, and the table the IFMA entries
+/// fall through to above their prime bound.
 pub static KERNELS: Kernels = Kernels {
-    name: "avx2",
-    dispatch_event: "simd_dispatch=avx2",
-    ntt_forward,
-    ntt_inverse,
-    pointwise_mul,
-    pointwise_add,
-    pointwise_sub,
-    mul_scalar,
-    reduce,
-    add_scalar,
-    sub_mul_scalar,
-    mul_add_scalar,
-    dot_steps: crate::lazy::dot_steps,
-    key_switch_row: crate::lazy::key_switch_row,
-    expand_row,
-};
-
-/// Per-op tuned table: AVX2 where the vector path wins, scalar where
-/// the measured baseline (`BENCH_heops.json`) shows it behind. Plain
-/// Barrett with the native 64-bit `mul` beats the vpmuludq schoolbook
-/// on `pointwise_mul` and the key-switch digit lift (~0.7× under
-/// AVX2), so those two entries keep the scalar kernels. Selected by
-/// `auto` dispatch on CPUs without AVX-512 IFMA, and the table the IFMA
-/// entries fall through to above their prime bound; `SPOT_SIMD=avx2`
-/// still forces the uniform vector table for A/B measurement.
-pub static TUNED: Kernels = Kernels {
     name: "avx2+scalar",
     dispatch_event: "simd_dispatch=avx2+scalar",
     ntt_forward,

@@ -52,7 +52,7 @@ use crate::prg::{self, Jump, LaneStates, State, LANES};
 use std::arch::x86_64::*;
 
 /// Every entry runs this table's kernel below this modulus and falls
-/// through to [`avx2::TUNED`]'s entry at or above it. (The add and the
+/// through to [`avx2::KERNELS`]'s entry at or above it. (The add and the
 /// subtract, which multiply nothing, keep the one rule.)
 const P_LIMIT: u64 = 1 << 50;
 
@@ -233,7 +233,7 @@ macro_rules! ifma_kernel {
                 vec::$generic::<W>($m $(, $arg)*)
             }
             if $m.value() >= P_LIMIT {
-                return (avx2::TUNED.$name)($m $(, $arg)*);
+                return (avx2::KERNELS.$name)($m $(, $arg)*);
             }
             // SAFETY: this table is only installed after `detected()`
             // returned true.
@@ -276,7 +276,7 @@ ifma_kernel!(
 /// two 52-bit halves, reduced once.
 fn pointwise_mul(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     if m.value() >= P_LIMIT {
-        return (avx2::TUNED.pointwise_mul)(m, dst, src);
+        return (avx2::KERNELS.pointwise_mul)(m, dst, src);
     }
     // SAFETY: this table is only installed after `detected()` returned
     // true.
@@ -307,7 +307,7 @@ fn pointwise_mul_impl(m: &Modulus, dst: &mut [u64], src: &[u64]) {
 /// `src[i]`: its bits from 52 up are the high half of a split sum.
 fn reduce(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     if m.value() >= P_LIMIT {
-        return (avx2::TUNED.reduce)(m, dst, src);
+        return (avx2::KERNELS.reduce)(m, dst, src);
     }
     // SAFETY: this table is only installed after `detected()` returned
     // true.

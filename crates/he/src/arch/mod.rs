@@ -11,20 +11,21 @@
 //! multiplier (`avx512ifma`) replaces them.
 //!
 //! * CPU features are detected at runtime (`AVX2` and `AVX-512 IFMA` on
-//!   x86_64, `NEON` on aarch64); dispatch granularity is **per op**:
-//!   `auto` installs the fastest kernel for each table entry, not one
-//!   uniform backend. On IFMA hosts that is the `avx512ifma` table,
-//!   whose 52-bit multiply-adds run every entry at primes below 2^50
-//!   and fall through to `avx2+scalar`'s entry above. On AVX2 hosts
-//!   without IFMA it is the mixed `avx2+scalar` table — the measured
-//!   baseline shows scalar Barrett ahead on `pointwise_mul` and the
-//!   key-switch digit lift (~0.7× under AVX2), so those entries keep
-//!   the scalar kernels while the NTTs and the add/sub loops vectorize.
+//!   x86_64, `NEON` on aarch64), and there is one table per ISA, each
+//!   holding the fastest kernel measured for every entry: `auto`
+//!   installs the last table [`available`] lists. On IFMA hosts that is
+//!   the `avx512ifma` table, whose 52-bit multiply-adds run every entry
+//!   at primes below 2^50 and fall through to `avx2+scalar`'s entry
+//!   above. On AVX2 hosts without IFMA it is the `avx2+scalar` table:
+//!   the measured baseline shows scalar Barrett ahead on
+//!   `pointwise_mul` and the key-switch digit lift (~0.7× under AVX2),
+//!   so those entries keep the scalar kernels while the NTTs and the
+//!   add/sub loops vectorize.
 //! * The `SPOT_SIMD` environment variable overrides detection:
 //!   `off`/`scalar` force the scalar kernels, `auto` (or unset) picks
-//!   the tuned per-op table, and a backend name (`avx2`, `neon`,
-//!   `avx2+scalar`, `avx512ifma`) forces that table — falling back to
-//!   scalar with a warning if the CPU does not support it.
+//!   the best table, and a backend name (`avx2+scalar`, `neon`,
+//!   `avx512ifma`) forces that table — falling back to scalar with a
+//!   warning if the CPU does not support it.
 //! * Every backend is bit-identical to the scalar path: all kernels
 //!   produce canonical `[0, p)` residues at their boundaries, so the
 //!   choice of backend can never change any ciphertext, share, or
@@ -108,7 +109,7 @@ pub type ExpandRowFn = fn(&mut State, &Jump, u64, &mut [u64]);
 /// backends interchangeable bit-for-bit.
 #[derive(Debug)]
 pub struct Kernels {
-    /// Stable backend name (`"scalar"`, `"avx2"`, `"avx2+scalar"`,
+    /// Stable backend name (`"scalar"`, `"avx2+scalar"`,
     /// `"avx512ifma"`, `"neon"`).
     pub name: &'static str,
     /// The trace instant event that records this table as the dispatch
@@ -177,37 +178,16 @@ pub fn available() -> Vec<&'static Kernels> {
     v
 }
 
-/// The fastest backend the current CPU supports.
+/// The fastest backend the current CPU supports: the one `auto`
+/// dispatch installs.
 pub fn best_available() -> &'static Kernels {
     available().last().expect("scalar backend always present")
-}
-
-/// The table `auto` dispatch installs: the fastest uniform backend with
-/// per-op substitutions wherever the measured baseline
-/// (`BENCH_heops.json`) shows a different kernel ahead. On x86_64 with
-/// AVX-512 IFMA that is the `avx512ifma` table, which is ahead on every
-/// entry; with AVX2 alone it is the mixed `avx2+scalar` table (scalar
-/// Barrett wins on `pointwise_mul` and the key-switch digit lift);
-/// elsewhere no op-level loss has been measured and the uniform best
-/// table is returned.
-pub fn tuned_best() -> &'static Kernels {
-    #[cfg(target_arch = "x86_64")]
-    if avx512ifma::detected() {
-        return &avx512ifma::KERNELS;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return &avx2::TUNED;
-    }
-    best_available()
 }
 
 fn choose(requested: &str) -> (&'static Kernels, bool) {
     match requested {
         "off" | "scalar" => (&scalar::KERNELS, true),
-        "" | "auto" => (tuned_best(), true),
-        #[cfg(target_arch = "x86_64")]
-        "avx2+scalar" if std::arch::is_x86_feature_detected!("avx2") => (&avx2::TUNED, true),
+        "" | "auto" => (best_available(), true),
         name => match available().into_iter().find(|k| k.name == name) {
             Some(k) => (k, true),
             None => (&scalar::KERNELS, false),
@@ -316,8 +296,8 @@ mod tests {
     fn choose_honours_off_and_auto() {
         assert_eq!(choose("off").0.name, "scalar");
         assert_eq!(choose("scalar").0.name, "scalar");
-        assert_eq!(choose("auto").0.name, tuned_best().name);
-        assert_eq!(choose("").0.name, tuned_best().name);
+        assert_eq!(choose("auto").0.name, best_available().name);
+        assert_eq!(choose("").0.name, best_available().name);
         let (k, honoured) = choose("riscv-vector");
         assert_eq!(k.name, "scalar");
         assert!(!honoured);
@@ -325,9 +305,7 @@ mod tests {
 
     #[test]
     fn every_table_traces_its_own_name() {
-        let mut tables = available();
-        tables.push(tuned_best());
-        for k in tables {
+        for k in available() {
             assert_eq!(k.dispatch_event, format!("simd_dispatch={}", k.name));
         }
     }
@@ -341,6 +319,7 @@ mod tests {
         let (t, honoured) = choose("avx2+scalar");
         assert!(honoured);
         assert_eq!(t.name, "avx2+scalar");
+        assert!(choose("avx2").0.name == "scalar" && !choose("avx2").1);
         // `auto` takes the IFMA table wherever the CPU has it, and
         // exactly the mixed AVX2 table everywhere else.
         let auto = if avx512ifma::detected() {
@@ -348,15 +327,14 @@ mod tests {
         } else {
             "avx2+scalar"
         };
-        assert_eq!(tuned_best().name, auto);
-        // The two measured-loss entries fall back to scalar; the NTTs
-        // keep the vector kernels.
+        assert_eq!(best_available().name, auto);
+        // The two measured-loss entries keep the scalar kernels; the
+        // NTTs are the vector kernels.
         assert_eq!(
             t.pointwise_mul as usize,
             scalar::KERNELS.pointwise_mul as usize
         );
         assert_eq!(t.reduce as usize, scalar::KERNELS.reduce as usize);
         assert_ne!(t.ntt_forward as usize, scalar::KERNELS.ntt_forward as usize);
-        assert_eq!(t.ntt_forward as usize, avx2::KERNELS.ntt_forward as usize);
     }
 }

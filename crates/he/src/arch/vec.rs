@@ -21,16 +21,18 @@
 //!   into one x and one y register; only a row shorter than two
 //!   registers takes the scalar butterfly helpers — same math, same
 //!   lazy windows.
-//! * **Pointwise products** have no precomputed per-element Shoup
-//!   constant, so the scalar path's 128-bit Barrett would need four
-//!   high products per element. Instead the vector path lifts one
-//!   operand into Montgomery form with a single Shoup multiply by
-//!   `2^64 mod p` (a per-modulus constant) and reduces the wide product
-//!   with one Montgomery REDC. The result is the canonical `[0, p)`
-//!   residue, hence bit-identical to scalar Barrett.
-//! * **Digit reduction** (`x mod p` for full-range `x`) vectorizes the
-//!   scalar Barrett quotient exactly (same `q`, same conditional
-//!   subtraction), so even the pre-reduction values match.
+//! * **Pointwise products** (NEON only: AVX2's table keeps the scalar
+//!   kernel, which measures ahead there) have no precomputed
+//!   per-element Shoup constant, so the scalar path's 128-bit Barrett
+//!   would need four high products per element. Instead the vector path
+//!   lifts one operand into Montgomery form with a single Shoup multiply
+//!   by `2^64 mod p` (a per-modulus constant) and reduces the wide
+//!   product with one Montgomery REDC. The result is the canonical
+//!   `[0, p)` residue, hence bit-identical to scalar Barrett.
+//! * **Digit reduction** (`x mod p` for full-range `x`; NEON only, like
+//!   the pointwise product) vectorizes the scalar Barrett quotient
+//!   exactly (same `q`, same conditional subtraction), so even the
+//!   pre-reduction values match.
 //!
 //! Bounds used below (all enforced by `Modulus::new`): `p < 2^62`, so
 //! `4p < 2^64` and every `u + 2p - v` stays inside u64. The IFMA
@@ -134,9 +136,11 @@ pub(crate) trait V64: Copy {
 }
 
 /// 64×64-bit lane products, composed from 32×32 partial products on
-/// every backend that has them: what the Montgomery pointwise product
-/// and the Barrett digit lift need beyond [`V64`]. The IFMA backend
-/// multiplies on its 52-bit unit instead and does not implement them.
+/// every backend that has them: what the Shoup multiply needs beyond
+/// [`V64`], and on NEON the Montgomery pointwise product and the
+/// Barrett digit lift (AVX2's table runs those two as scalar kernels).
+/// The IFMA backend multiplies on its 52-bit unit instead and does not
+/// implement them.
 pub(crate) trait V64Wide: V64 {
     /// Lane-wise low 64 bits of the 128-bit product.
     fn mul_lo(self, o: Self) -> Self;
@@ -144,13 +148,16 @@ pub(crate) trait V64Wide: V64 {
     fn mul_hi(self, o: Self) -> Self;
     /// Lane-wise full product as `(high, low)`. Backends may override
     /// to share the 32-bit partial products of both halves.
+    #[cfg(target_arch = "aarch64")]
     #[inline(always)]
     fn mul_wide(self, o: Self) -> (Self, Self) {
         (self.mul_hi(o), self.mul_lo(o))
     }
     /// Lane-wise `self + (o != 0 ? 1 : 0)` (the REDC low-half carry).
+    #[cfg(target_arch = "aarch64")]
     fn add_nonzero_bit(self, o: Self) -> Self;
     /// Lane-wise `(self + o mod 2^64, carry ∈ {0, 1})`.
+    #[cfg(target_arch = "aarch64")]
     fn add_with_carry(self, o: Self) -> (Self, Self);
 }
 
@@ -166,6 +173,7 @@ pub(crate) fn mul_shoup_lazy_wide<T: V64Wide>(x: T, w: T, ws: T, p: T) -> T {
 /// `a * b mod p` as the canonical `[0, p)` residue, for `a` arbitrary
 /// and `b < p`. Lifts `a` by `2^64 mod p` (Shoup), REDCs the wide
 /// product back down, and fully reduces.
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 fn mont_mul_v<T: V64Wide>(a: T, b: T, p: T, rp: T, rps: T, neg_inv: T) -> T {
     let am = mul_shoup_lazy_wide(a, rp, rps, p); // [0, 2p), ≡ a·2^64 (mod p)
@@ -449,6 +457,7 @@ pub(crate) fn ntt_inverse_v<T: V64>(
     }
 }
 
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 pub(crate) fn pointwise_mul_v<T: V64Wide>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     let (neg_inv, rp, rps) = m.montgomery();
@@ -539,6 +548,7 @@ pub(crate) fn mul_scalar_v<T: V64>(m: &Modulus, dst: &mut [u64], scalar_val: u64
     scalar::mul_scalar(m, rest, scalar_val, shoup);
 }
 
+#[cfg(target_arch = "aarch64")]
 #[inline(always)]
 pub(crate) fn reduce_v<T: V64Wide>(m: &Modulus, dst: &mut [u64], src: &[u64]) {
     let (bhi, blo) = m.barrett();

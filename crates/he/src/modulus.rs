@@ -75,6 +75,7 @@ impl Modulus {
 
     /// The Barrett constant `floor(2^128 / value)` as (high, low) limbs.
     #[inline(always)]
+    #[cfg(target_arch = "aarch64")]
     pub(crate) fn barrett(&self) -> (u64, u64) {
         (self.barrett_hi, self.barrett_lo)
     }
@@ -82,6 +83,7 @@ impl Modulus {
     /// Montgomery constants `(-value^{-1} mod 2^64, 2^64 mod value,
     /// shoup(2^64 mod value))`. Only meaningful for odd moduli.
     #[inline(always)]
+    #[cfg(target_arch = "aarch64")]
     pub(crate) fn montgomery(&self) -> (u64, u64, u64) {
         (self.mont_neg_inv, self.mont_r, self.mont_r_shoup)
     }

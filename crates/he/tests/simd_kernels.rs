@@ -495,7 +495,10 @@ fn vector_backend_is_exercised_where_expected() {
     assert!(names.contains(&"scalar"));
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
-        assert!(names.contains(&"avx2"), "avx2 detected but not listed");
+        assert!(
+            names.contains(&"avx2+scalar"),
+            "avx2 detected but avx2+scalar not listed"
+        );
     }
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma") {

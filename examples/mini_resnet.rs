@@ -15,8 +15,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot::core::executor::Executor;
 use spot::core::inference::{Op, TinyCnn};
-use spot::core::session::SchemeKind;
+use spot::core::session::{ExecBackend, SchemeKind};
 use spot::he::prelude::*;
 use spot::tensor::{Kernel, Tensor};
 
@@ -54,8 +55,12 @@ fn main() {
     let expected = net.forward_plain(&image);
     println!("plaintext logits: {:?}", expected.data());
 
+    let backend = ExecBackend::Phased(Executor::serial());
     for scheme in SchemeKind::ALL {
-        let (logits, traffic) = net.forward_secure(&ctx, &kg, &image, scheme, &mut rng);
+        let images = std::slice::from_ref(&image);
+        let (mut logits, traffic, _) =
+            net.forward_secure_with(&ctx, &kg, images, scheme, &backend, &mut rng);
+        let logits = logits.remove(0);
         println!(
             "{:>12} logits: {:?}  ({} B up in {} frames, {} B down in {})",
             scheme.label(),

@@ -12,8 +12,9 @@
 //! Run with: `cargo run --release --example secure_cnn_inference`
 
 use rand::SeedableRng;
+use spot::core::executor::Executor;
 use spot::core::inference::TinyCnn;
-use spot::core::session::SchemeKind;
+use spot::core::session::{ExecBackend, SchemeKind};
 use spot::he::prelude::*;
 use spot::tensor::Tensor;
 
@@ -33,8 +34,12 @@ fn main() {
         expected.width()
     );
 
+    let backend = ExecBackend::Phased(Executor::serial());
     for scheme in SchemeKind::ALL {
-        let (output, traffic) = cnn.forward_secure(&ctx, &keygen, &image, scheme, &mut rng);
+        let images = std::slice::from_ref(&image);
+        let (mut output, traffic, _) =
+            cnn.forward_secure_with(&ctx, &keygen, images, scheme, &backend, &mut rng);
+        let output = output.remove(0);
         assert_eq!(output, expected, "{} output mismatch", scheme.label());
         println!(
             "{:<11} OK — secure output matches plaintext; {:>8} bytes up in {:>2} frames, {:>8} bytes down in {:>2}",

@@ -4,9 +4,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spot::core::executor::Executor;
 use spot::core::inference::{plan_conv, plan_network, TinyCnn};
 use spot::core::memory_util::in_memory_values_per_mb;
-use spot::core::session::SchemeKind;
+use spot::core::session::{ExecBackend, SchemeKind};
 use spot::he::prelude::*;
 use spot::pipeline::device::DeviceProfile;
 use spot::pipeline::sim::{simulate_conv, SimConfig};
@@ -21,9 +22,12 @@ fn tiny_cnn_secure_inference_matches_plaintext() {
     let cnn = TinyCnn::new(3);
     let image = Tensor::random(2, 8, 8, 6, 4);
     let expected = cnn.forward_plain(&image);
+    let backend = ExecBackend::Phased(Executor::serial());
     for scheme in SchemeKind::ALL {
-        let (out, traffic) = cnn.forward_secure(&ctx, &keygen, &image, scheme, &mut rng);
-        assert_eq!(out, expected, "{}", scheme.label());
+        let images = std::slice::from_ref(&image);
+        let (out, traffic, _) =
+            cnn.forward_secure_with(&ctx, &keygen, images, scheme, &backend, &mut rng);
+        assert_eq!(out, std::slice::from_ref(&expected), "{}", scheme.label());
         // the two parties must actually exchange frames, both ways
         assert!(traffic.sent.bytes > 10_000 && traffic.received.bytes > 10_000);
     }
