@@ -431,7 +431,8 @@ fn hostile_hello(server: &SpotServer, setup: ConvSetup) -> (SessionReport, WireM
 
 /// A 48-byte SPOT hello whose patch is not larger than the overlap, or
 /// does not fit a lane, or whose plan would need an absurd number of
-/// ciphertexts, is refused
+/// ciphertexts, and a Cheetah hello whose halo-padded plane exceeds the
+/// ring, are refused
 /// with a typed error frame from its dimensions alone — no panic on the
 /// session thread, nothing allocated from the claimed size, and the
 /// admission slot is free again afterwards.
@@ -451,6 +452,12 @@ fn hostile_spot_hello_gets_a_typed_error_and_frees_its_slot() {
         patch,
         mode: PatchMode::Tweaked,
     };
+    let cheetah = |shape| LayerSpec {
+        scheme: SchemeKind::Cheetah,
+        shape,
+        patch: (0, 0),
+        mode: PatchMode::Vanilla,
+    };
     let hellos = [
         // patch ≤ overlap_for(Tweaked, 3) = 1
         spec(8, (1, 1)),
@@ -459,6 +466,13 @@ fn hostile_spot_hello_gets_a_typed_error_and_frees_its_slot() {
         // a 64x64 piece is 4096 slots, over a 2048-slot lane however
         // its channels split
         spec(64, (64, 64)),
+        // 66x66 = 4356 halo-padded coefficients against 4096
+        cheetah(ConvShape::new(64, 64, 2, 4, 3, 1)),
+        // a one-row map: (1 + 4) x (1000 + 4) = 5020 coefficients
+        cheetah(ConvShape::new(1000, 1, 2, 4, 5, 1)),
+        // a 7x7 kernel over 60x60 at stride 2: 66x66 again, the
+        // stride does not shrink the plane the input is packed in
+        cheetah(ConvShape::new(60, 60, 3, 2, 7, 2)),
     ];
     for (i, hello) in hellos.iter().enumerate() {
         let (report, reply) = hostile_hello(&server, hello.to_setup(ParamLevel::N4096));

@@ -1,12 +1,14 @@
-//! The plans of both SIMD packings, pinned: for each layer in the
+//! The plans of all three packings, pinned: for each layer in the
 //! table, the client's input ciphertexts, batch capacity and
-//! rotation-key schedule, and the cost model's total server operations,
-//! against the values the two schemes planned before they shared one
-//! packing. A refactor of the packings may move none of them.
+//! rotation-key schedule, the cost model's total server operations, and
+//! for Cheetah the result coefficients the client decrypts, against the
+//! values each scheme planned before the three shared one packing. A
+//! refactor of the packings may move none of them.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spot::core::channelwise;
+use spot::core::cheetah;
 use spot::core::patching::PatchMode;
 use spot::core::session::{ClientConv, Frame, LayerSpec, Schedule, SchemeKind};
 use spot::core::spot as spot_scheme;
@@ -23,11 +25,24 @@ struct Pin {
     key_schedule: &'static [(usize, usize)],
     /// `(rotate, mult_plain, add)` of `total_server_ops()`.
     server_ops: (u64, u64, u64),
+    /// `(count, first, last)` of the result coefficients a
+    /// coefficient-packed result is decrypted at; `None` where results
+    /// come whole.
+    result_positions: Option<(usize, usize, usize)>,
 }
 
 fn channelwise(shape: ConvShape) -> LayerSpec {
     LayerSpec {
         scheme: SchemeKind::Channelwise,
+        shape,
+        patch: (0, 0),
+        mode: PatchMode::Vanilla,
+    }
+}
+
+fn cheetah(shape: ConvShape) -> LayerSpec {
+    LayerSpec {
+        scheme: SchemeKind::Cheetah,
         shape,
         patch: (0, 0),
         mode: PatchMode::Vanilla,
@@ -53,6 +68,7 @@ fn pins() -> Vec<Pin> {
             batch_capacity: 32,
             key_schedule: &[(0, 2657), (0, 6561), (0, 2731), (0, 3)],
             server_ops: (8, 36, 36),
+            result_positions: None,
         },
         Pin {
             what: "channel-wise, c_out below the channels per ciphertext",
@@ -68,6 +84,7 @@ fn pins() -> Vec<Pin> {
                 (0, 5121),
             ],
             server_ops: (24, 144, 144),
+            result_positions: None,
         },
         Pin {
             what: "channel-wise, two channel groups",
@@ -83,6 +100,7 @@ fn pins() -> Vec<Pin> {
                 (1, 5121),
             ],
             server_ops: (62, 576, 576),
+            result_positions: None,
         },
         Pin {
             what: "channel-wise, stride 2",
@@ -98,6 +116,7 @@ fn pins() -> Vec<Pin> {
                 (0, 4097),
             ],
             server_ops: (18, 36, 36),
+            result_positions: None,
         },
         Pin {
             what: "channel-wise, a 1x1 kernel",
@@ -106,6 +125,7 @@ fn pins() -> Vec<Pin> {
             batch_capacity: 32,
             key_schedule: &[(0, 8191), (0, 2049)],
             server_ops: (7, 16, 16),
+            result_positions: None,
         },
         Pin {
             what: "SPOT, a main class spilling over two ciphertexts",
@@ -122,6 +142,7 @@ fn pins() -> Vec<Pin> {
                 (0, 4097),
             ],
             server_ops: (65, 200, 205),
+            result_positions: None,
         },
         Pin {
             what: "SPOT, folding (c_out < c_in)",
@@ -145,6 +166,7 @@ fn pins() -> Vec<Pin> {
                 (0, 4097),
             ],
             server_ops: (19, 36, 37),
+            result_positions: None,
         },
         Pin {
             what: "SPOT, 40x40 single-channel input",
@@ -153,6 +175,7 @@ fn pins() -> Vec<Pin> {
             batch_capacity: 1,
             key_schedule: &[(0, 8191), (0, 2225), (0, 81), (0, 2731), (0, 3)],
             server_ops: (45, 50, 50),
+            result_positions: None,
         },
         Pin {
             what: "SPOT, vanilla patching",
@@ -165,6 +188,7 @@ fn pins() -> Vec<Pin> {
             batch_capacity: 7,
             key_schedule: &[(0, 8191), (0, 6203), (0, 243), (0, 2731), (0, 3)],
             server_ops: (17, 36, 36),
+            result_positions: None,
         },
         Pin {
             what: "SPOT, the benchmark's 16x16 32->32 layer",
@@ -173,6 +197,43 @@ fn pins() -> Vec<Pin> {
             batch_capacity: 1,
             key_schedule: &[(0, 8191), (0, 2225), (0, 81), (0, 2731), (0, 3), (0, 6657)],
             server_ops: (184, 1376, 1376),
+            result_positions: None,
+        },
+        Pin {
+            what: "Cheetah, TinyCnn's conv1",
+            spec: cheetah(ConvShape::new(8, 8, 2, 4, 3, 1)),
+            input_cts: 1,
+            batch_capacity: 255,
+            key_schedule: &[],
+            server_ops: (0, 4, 4),
+            result_positions: Some((64, 111, 188)),
+        },
+        Pin {
+            what: "Cheetah, three channel chunks",
+            spec: cheetah(ConvShape::new(16, 16, 16, 2, 3, 1)),
+            input_cts: 3,
+            batch_capacity: 255,
+            key_schedule: &[],
+            server_ops: (0, 6, 6),
+            result_positions: Some((256, 1639, 1924)),
+        },
+        Pin {
+            what: "Cheetah, a 1x1 kernel at stride 2",
+            spec: cheetah(ConvShape::new(8, 8, 4, 4, 1, 2)),
+            input_cts: 1,
+            batch_capacity: 255,
+            key_schedule: &[],
+            server_ops: (0, 4, 4),
+            result_positions: Some((16, 192, 246)),
+        },
+        Pin {
+            what: "Cheetah, a 5x5 kernel at stride 2 over a 9x7 map",
+            spec: cheetah(ConvShape::new(7, 9, 3, 2, 5, 2)),
+            input_cts: 1,
+            batch_capacity: 255,
+            key_schedule: &[],
+            server_ops: (0, 2, 2),
+            result_positions: Some((20, 310, 404)),
         },
     ]
 }
@@ -210,10 +271,14 @@ fn both_simd_packings_plan_what_they_planned() {
         );
         let keys = key_entries(&client.schedule(1).expect("key record"));
         assert_eq!(keys, pin.key_schedule, "{what}: key schedule");
+        let positions = (client.result_positions()).map(|p| (p.len(), p[0], p[p.len() - 1]));
+        assert_eq!(positions, pin.result_positions, "{what}: result positions");
         let plan = match spec.scheme {
             SchemeKind::Spot => spot_scheme::plan(&spec.shape, level, spec.patch, spec.mode, false),
-            _ => channelwise::plan(&spec.shape, level, false),
+            SchemeKind::Cheetah => cheetah::plan(&spec.shape, level, false),
+            SchemeKind::Channelwise => channelwise::plan(&spec.shape, level, false),
         };
+
         let ops = plan.total_server_ops();
         assert_eq!(
             (ops.rotate, ops.mult_plain, ops.add),
