@@ -15,7 +15,7 @@
 
 use crate::error::SpotError;
 use crate::layout::next_pow2;
-use crate::tile::{Blocking, Cut, Packing};
+use crate::tile::{Blocking, Cut, Fill, Packing};
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
@@ -52,7 +52,8 @@ pub fn blocking(shape: &ConvShape, level: ParamLevel) -> Blocking {
 /// The layer planned under channel-wise packing: the whole map, its
 /// channels in groups; a channel must fit one lane.
 pub(crate) fn packing(shape: &ConvShape, level: ParamLevel) -> Result<Packing, SpotError> {
-    Packing::new(shape, level, blocking(shape, level), Cut::Whole)
+    let fill = Fill::Slots(blocking(shape, level));
+    Packing::new(shape, level, fill, Cut::Whole)
 }
 
 /// Result of a functional secure convolution: additive shares of the
@@ -105,7 +106,7 @@ pub fn plan(shape: &ConvShape, level: ParamLevel, with_relu: bool) -> ConvPlan {
     };
     let packing = packing(&band, level)
         .unwrap_or_else(|e| panic!("channel-wise packing cannot plan {shape} at {level}: {e}"));
-    let (per_ct, facts) = (packing.blk.channels_per_ct(), &packing.facts);
+    let (per_ct, facts) = (blocking(&band, level).channels_per_ct(), &packing.facts);
     let finalize = OpCounts {
         add: ((facts.input_cts as u64 - 1) * facts.output_cts as u64) + facts.output_cts as u64,
         ..OpCounts::default()
@@ -190,9 +191,11 @@ mod tests {
         // 16x16 map (256 slots), lane 2048 at N4096: 8 channels per lane
         let shape = ConvShape::new(16, 16, 16, 16, 3, 1);
         let packing = packing(&shape, ParamLevel::N4096).expect("plans");
-        assert_eq!(packing.classes[0].images.layout.piece_slots, 256);
-        assert_eq!(packing.blk.lane_blocks, 8);
-        assert_eq!(packing.blk.channels_per_ct(), 16);
+        let images = packing.classes[0].images.expect("slots");
+        assert_eq!(images.layout.piece_slots, 256);
+        let blk = blocking(&shape, ParamLevel::N4096);
+        assert_eq!(blk.lane_blocks, 8);
+        assert_eq!(blk.channels_per_ct(), 16);
         assert_eq!(packing.facts.input_cts, 1);
         assert_eq!(packing.facts.output_cts, 1);
     }
@@ -201,7 +204,7 @@ mod tests {
     fn geometry_many_channels() {
         let shape = ConvShape::new(16, 16, 64, 32, 3, 1);
         let packing = packing(&shape, ParamLevel::N4096).expect("plans");
-        assert_eq!(packing.blk.channels_per_ct(), 16);
+        assert_eq!(blocking(&shape, ParamLevel::N4096).channels_per_ct(), 16);
         assert_eq!(packing.facts.input_cts, 4);
         assert_eq!(packing.facts.output_cts, 2);
     }
@@ -212,7 +215,8 @@ mod tests {
     fn geometry_single_channel() {
         let shape = ConvShape::new(8, 8, 1, 4, 3, 1);
         let packing = packing(&shape, ParamLevel::N4096).expect("plans");
-        assert_eq!((packing.blk.lanes, packing.blk.lane_blocks), (1, 1));
+        let blk = blocking(&shape, ParamLevel::N4096);
+        assert_eq!((blk.lanes, blk.lane_blocks), (1, 1));
         assert_eq!(packing.facts.input_cts, 1);
         assert_eq!(packing.facts.output_cts, 4);
         let groups = packing.walks[0].groups();

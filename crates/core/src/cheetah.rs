@@ -8,7 +8,7 @@
 //! the full weighted sum). The price:
 //!
 //! * only a sparse subset of output coefficients is useful — one per
-//!   output pixel of the result's channel (`Packing`'s
+//!   output pixel of the result's channel (the packing's
 //!   `result_positions`), 64 of 4,096 on TinyCnn's first layer — yet a
 //!   whole result would still cost the client its downlink and its
 //!   decryption: the paper's explanation for why Cheetah's advantage
@@ -28,26 +28,27 @@
 //! extraction: no extraction key, no LWE ciphertexts, and no cost the
 //! wire does not run.
 //!
-//! `Packing` is this scheme's side of the session driver's interface
-//! (`session::ConvScheme`): plan, pack, convolve, share.
+//! The layer runs on the one packing of all three schemes, two fills
+//! ([`crate::tile`]): Cheetah is the whole map as one piece
+//! (`Cut::Whole`, as under channel-wise packing) under the coefficient
+//! fill, and this module supplies its rule, [`geometry`]: the one rule
+//! that both the layer's packing and the cost model ([`plan`]) read.
 
 use crate::error::SpotError;
-use crate::layout::BatchLayout;
-use crate::session::{lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
-use spot_he::ciphertext::Ciphertext;
-use spot_he::encoding::Plaintext;
+use crate::tile::{Cut, Fill, Packing};
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
-use spot_tensor::fixed::to_field;
 use spot_tensor::models::ConvShape;
-use spot_tensor::tensor::Tensor;
+use std::ops::Range;
 
 /// Geometry of the coefficient packing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheetahGeometry {
     /// Padded channel stride in coefficients (`(H+k_h-1)·(W+k_w-1)`).
     pub channel_coeffs: usize,
+    /// Row width of the halo-padded plane (`W+k_w-1`).
+    pub padded_width: usize,
     /// Input channels per ciphertext.
     pub channels_per_ct: usize,
     /// Number of input ciphertexts.
@@ -56,12 +57,15 @@ pub struct CheetahGeometry {
     pub output_cts: usize,
 }
 
-/// Computes the packing geometry.
+/// Computes the packing geometry: the one rule that the coefficient
+/// fill of `packing` and the cost model of [`plan`] both read.
 ///
 /// The functional encoding places chunk channels ascending and kernels
 /// descending, so the useful products land at channel offset
 /// `(chunk-1)·channel_coeffs` and the total degree stays below `N` when
-/// `(2·chunk-1)·channel_coeffs ≤ N`.
+/// `(2·chunk-1)·channel_coeffs ≤ N`. A halo-padded plane larger than
+/// the ring is priced as fragments for the tables (planning only); the
+/// packing refuses it.
 pub fn geometry(shape: &ConvShape, level: ParamLevel) -> CheetahGeometry {
     let n = level.degree();
     let hp = shape.height + shape.k_h - 1;
@@ -78,152 +82,34 @@ pub fn geometry(shape: &ConvShape, level: ParamLevel) -> CheetahGeometry {
     };
     CheetahGeometry {
         channel_coeffs: s_ch,
+        padded_width: wp,
         channels_per_ct,
         input_cts,
         output_cts,
     }
 }
 
-/// One layer planned under coefficient packing.
-pub(crate) struct Packing {
-    shape: ConvShape,
-    geo: CheetahGeometry,
-    degree: usize,
-    facts: PlanFacts,
-    /// Where output pixel `(y, x)` lands in every result, at
-    /// `y·out_w + x`: the coefficients the share reads and the wire
-    /// carries.
-    positions: Vec<usize>,
-}
-
-impl Packing {
-    /// Plans `shape` at `level`; the feature map plus kernel halo must
-    /// fit the ring.
-    pub(crate) fn new(shape: &ConvShape, level: ParamLevel) -> Result<Self, SpotError> {
-        let geo = geometry(shape, level);
-        if geo.channel_coeffs > level.degree() {
-            return Err(SpotError::Protocol(format!(
-                "feature map does not fit the ring at {level}"
-            )));
-        }
-        // The useful products land one chunk in, at the halo-padded
-        // position of each output pixel's kernel centre.
-        let wp = shape.width + shape.k_w - 1;
-        let base = (geo.channels_per_ct - 1) * geo.channel_coeffs;
-        let (ph, pw, s) = ((shape.k_h - 1) / 2, (shape.k_w - 1) / 2, shape.stride);
-        let positions = (0..shape.out_height())
-            .flat_map(|y| {
-                (0..shape.out_width()).map(move |x| base + (y * s + ph) * wp + (x * s + pw))
-            })
-            .collect();
-        Ok(Self {
-            shape: *shape,
-            geo,
-            degree: level.degree(),
-            positions,
-            facts: PlanFacts {
-                dependency: OutputDependency::AllInputs,
-                input_cts: geo.input_cts,
-                output_cts: shape.c_out,
-                // One output channel's ring product summed over every
-                // chunk.
-                jobs: shape.c_out,
-                galois_elements: Vec::new(),
-                // Coefficient packing shares no slots: a batch is its
-                // images in sequence over one session (keys and setup
-                // amortize), bounded only by the wire field.
-                batch_capacity: MAX_BATCH,
-                coeff_packed: true,
-            },
-        })
+impl CheetahGeometry {
+    /// The input channels chunk `chunk` of a `c_in`-channel map carries.
+    pub(crate) fn chunk(&self, chunk: usize, c_in: usize) -> Range<usize> {
+        let per_ct = self.channels_per_ct;
+        chunk * per_ct..((chunk + 1) * per_ct).min(c_in)
     }
 
-    /// Row width of the halo-padded feature map.
-    fn padded_width(&self) -> usize {
-        self.shape.width + self.shape.k_w - 1
-    }
-
-    /// The input channels chunk `chunk` carries.
-    fn chunk_channels(&self, chunk: usize) -> std::ops::Range<usize> {
-        let per_ct = self.geo.channels_per_ct;
-        chunk * per_ct..((chunk + 1) * per_ct).min(self.shape.c_in)
+    /// The coefficient of position `(y, x)` of a chunk's `local`-th
+    /// channel plane: planes ascend at the channel stride, rows at the
+    /// padded width.
+    pub(crate) fn at(&self, local: usize, y: usize, x: usize) -> usize {
+        local * self.channel_coeffs + y * self.padded_width + x
     }
 }
 
-impl ConvScheme for Packing {
-    fn facts(&self) -> &PlanFacts {
-        &self.facts
-    }
-
-    fn batch_layout(&self, _result: usize) -> Option<BatchLayout> {
-        None
-    }
-
-    fn result_positions(&self) -> Option<&[usize]> {
-        Some(&self.positions)
-    }
-
-    fn pack(
-        &self,
-        images: &[Tensor],
-        t: u64,
-        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
-    ) -> Result<(), SpotError> {
-        let (shape, wp) = (&self.shape, self.padded_width());
-        for img in images {
-            for chunk in 0..self.geo.input_cts {
-                let mut coeffs = vec![0u64; self.degree];
-                for (local, c) in self.chunk_channels(chunk).enumerate() {
-                    for y in 0..shape.height {
-                        for x in 0..shape.width {
-                            coeffs[local * self.geo.channel_coeffs + y * wp + x] =
-                                to_field(img.at(c, y, x), t);
-                        }
-                    }
-                }
-                emit(coeffs)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, SpotError> {
-        let (shape, wp, s_ch) = (&self.shape, self.padded_width(), self.geo.channel_coeffs);
-        let t = kit.ctx.params().plain_modulus();
-        let evaluator = kit.engine.evaluator();
-        let mut acc: Option<Ciphertext> = None;
-        for (chunk, input) in inputs.iter().enumerate() {
-            let mut wcoeffs = vec![0u64; self.degree];
-            for (local, c) in self.chunk_channels(chunk).enumerate() {
-                for u in 0..shape.k_h {
-                    for v in 0..shape.k_w {
-                        let idx = (self.geo.channels_per_ct - 1 - local) * s_ch
-                            + (shape.k_h - 1 - u) * wp
-                            + (shape.k_w - 1 - v);
-                        wcoeffs[idx] = to_field(kit.kernel.at(job, c, u, v), t);
-                    }
-                }
-            }
-            let prod = evaluator.multiply_plain(input, &Plaintext::from_coeffs(wcoeffs));
-            match &mut acc {
-                None => acc = Some(prod),
-                Some(a) => evaluator.add_inplace(a, &prod),
-            }
-        }
-        Ok(vec![acc.expect("at least one chunk")])
-    }
-
-    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
-        let (shape, out_w) = (&self.shape, self.shape.out_width());
-        Tensor::from_fn(shape.c_out, shape.out_height(), out_w, |o, y, x| {
-            lift(rows[o][self.positions[y * out_w + x]], t, center)
-        })
-    }
+/// The layer planned under coefficient packing: the whole map, one
+/// piece, its channels in chunks of [`CheetahGeometry::channels_per_ct`]
+/// under the coefficient fill; the halo-padded plane must fit the ring.
+pub(crate) fn packing(shape: &ConvShape, level: ParamLevel) -> Result<Packing, SpotError> {
+    let fill = Fill::Coeffs(geometry(shape, level));
+    Packing::new(shape, level, fill, Cut::Whole)
 }
 
 /// The smallest level Cheetah can use for a shape (the feature map plus
@@ -296,7 +182,7 @@ mod tests {
     use spot_he::keys::KeyGenerator;
     use spot_he::params::EncryptionParams;
     use spot_tensor::conv::conv2d;
-    use spot_tensor::tensor::Kernel;
+    use spot_tensor::tensor::{Kernel, Tensor};
     use std::sync::Arc;
 
     fn ctx4096() -> Arc<Context> {
@@ -400,11 +286,9 @@ mod tests {
         // Strided, halo-padded 5x5 kernel over a 9x7 map: every position
         // is its pixel's kernel centre, one chunk in.
         let shape = ConvShape::new(7, 9, 3, 2, 5, 2);
-        let packing = Packing::new(&shape, ParamLevel::N4096).unwrap();
-        let (wp, base) = (
-            7 + 4,
-            (packing.geo.channels_per_ct - 1) * packing.geo.channel_coeffs,
-        );
+        let packing = packing(&shape, ParamLevel::N4096).unwrap();
+        let geo = geometry(&shape, ParamLevel::N4096);
+        let (wp, base) = (7 + 4, (geo.channels_per_ct - 1) * geo.channel_coeffs);
         let positions = packing.result_positions().unwrap();
         assert_eq!(positions.len(), shape.out_height() * shape.out_width());
         assert_eq!(positions[0], base + 2 * wp + 2);

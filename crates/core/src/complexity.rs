@@ -87,7 +87,8 @@ mod tests {
         let shape = ConvShape::new(16, 16, 32, 32, 3, 1);
         let packing = channelwise::packing(&shape, ParamLevel::N4096).expect("plans");
         let per_ct = packing.walks[0].ops();
-        let f = cryptflow2_formula(1, packing.blk.channels_per_ct() as u64, 32, 3, 3);
+        let per_ct_channels = channelwise::blocking(&shape, ParamLevel::N4096).channels_per_ct();
+        let f = cryptflow2_formula(1, per_ct_channels as u64, 32, 3, 3);
         assert_eq!(per_ct.mult_plain, f.simd_mult);
         assert_eq!(per_ct.add, f.add);
         assert!(per_ct.rotate <= f.perm, "{} > {}", per_ct.rotate, f.perm);

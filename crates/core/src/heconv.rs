@@ -408,6 +408,11 @@ impl ConvWalk {
         &self.groups
     }
 
+    /// The lane layout of the ciphertexts the walk runs on.
+    pub(crate) fn layout(&self) -> &LaneLayout {
+        &self.layout
+    }
+
     /// Which (baby step, version) pairs of group `gi`'s giant step `j`
     /// pair a channel, baby step major.
     fn step_met(&self, gi: usize, j: usize) -> &[bool] {

@@ -3,8 +3,9 @@
 //! decrypts the masked results into its additive shares. It uses nothing
 //! of the server's half, of the conv driver or of the worker pool.
 
-use super::spec::{check_batch, rounds, ConvScheme, Frame, LayerSpec, RowCodec, Schedule};
+use super::spec::{check_batch, rounds, Frame, LayerSpec, RowCodec, Schedule};
 use crate::error::SpotError;
+use crate::tile::Packing;
 use rand::Rng;
 use spot_he::ciphertext::{Ciphertext, SparseCiphertext};
 use spot_he::context::Context;
@@ -75,7 +76,7 @@ pub struct ClientConv<'a> {
     /// ahead of the absorber, which then expects only the results.
     acked: AtomicBool,
     spec: LayerSpec,
-    plan: Box<dyn ConvScheme>,
+    plan: Packing,
 }
 
 impl<'a> ClientConv<'a> {
@@ -106,7 +107,7 @@ impl<'a> ClientConv<'a> {
 
     /// Number of input ciphertexts one image's upload sends.
     pub fn input_cts(&self) -> usize {
-        self.plan.facts().input_cts
+        self.plan.facts.input_cts
     }
 
     /// How many queued images this layer can coalesce into one round's
@@ -114,7 +115,7 @@ impl<'a> ClientConv<'a> {
     /// (Cheetah batches as sequential images bounded only by the wire
     /// field). A wider batch runs in rounds of this many.
     pub fn batch_capacity(&self) -> usize {
-        self.plan.facts().batch_capacity
+        self.plan.facts.batch_capacity
     }
 
     /// The coefficients of each result this layer's client decrypts and
@@ -128,9 +129,9 @@ impl<'a> ClientConv<'a> {
     /// its keys are the rotation keys the connection's server does not
     /// hold yet.
     pub fn schedule(&self, batch: usize) -> Result<Schedule, SpotError> {
-        let rounds = batch.div_ceil(check_batch(&*self.plan, batch)?);
+        let rounds = batch.div_ceil(check_batch(&self.plan, batch)?);
         let held = (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded keys"))?;
-        Ok(Schedule::new(&*self.plan, |g| held.contains(&g), rounds))
+        Ok(Schedule::new(&self.plan, |g| held.contains(&g), rounds))
     }
 
     /// [`ClientConv::send_batch`] for one image.
@@ -171,7 +172,7 @@ impl<'a> ClientConv<'a> {
         rng: &mut R,
     ) -> Result<usize, SpotError> {
         let batch = inputs.len();
-        let width = check_batch(&*self.plan, batch)?;
+        let width = check_batch(&self.plan, batch)?;
         // When wire trace context is on, the hello carries a trace id
         // that the server echoes into its serve span — the merge tool
         // pairs the two layer spans by this value.
@@ -207,7 +208,7 @@ impl<'a> ClientConv<'a> {
         }
         setup.trace = trace_id;
         let mut held = (self.uploaded.lock()).map_err(|_| SpotError::Poisoned("uploaded keys"))?;
-        let schedule = Schedule::new(&*self.plan, |g| held.contains(&g), batch.div_ceil(width));
+        let schedule = Schedule::new(&self.plan, |g| held.contains(&g), batch.div_ceil(width));
         // Behind the hello, which carries the spec rather than a blob.
         let mut frames = schedule.uplink.into_iter().skip(1).peekable();
         transport.send(&WireMessage::Setup(setup))?;
@@ -220,7 +221,7 @@ impl<'a> ClientConv<'a> {
         let rctx = self.ctx.result_context();
         let encryptor = SymmetricEncryptor::new(rctx, self.keygen.secret_key().restricted_to(rctx));
         let t = self.ctx.params().plain_modulus();
-        let codec = RowCodec::new(&self.ctx, self.plan.facts());
+        let codec = RowCodec::new(&self.ctx, &self.plan);
         let mut sent = 0;
         for round in inputs.chunks(width) {
             self.plan.pack(round, t, &mut |row| {
@@ -266,8 +267,8 @@ impl<'a> ClientConv<'a> {
         transport: &dyn Transport,
         batch: usize,
     ) -> Result<ClientBatchShare, SpotError> {
-        let width = check_batch(&*self.plan, batch)?;
-        let per_round = self.plan.facts().output_cts;
+        let width = check_batch(&self.plan, batch)?;
+        let per_round = self.plan.facts.output_cts;
         let expected = batch.div_ceil(width) * per_round;
         let _span = spot_trace::span_owned(Cat::Session, || {
             format!("absorb_all {}", self.spec.scheme.name())
@@ -275,7 +276,7 @@ impl<'a> ClientConv<'a> {
         .arg("output_cts", expected as u64)
         .arg("batch", batch as u64);
         // The downlink is the same whatever keys the connection holds.
-        let schedule = Schedule::new(&*self.plan, |_| true, batch.div_ceil(width));
+        let schedule = Schedule::new(&self.plan, |_| true, batch.div_ceil(width));
         // Under `AwaitAck` the uploader has taken the barrier.
         if !self.acked.swap(false, Ordering::SeqCst) {
             schedule.downlink[0].open(transport.recv()?)?;
@@ -326,7 +327,7 @@ impl<'a> ClientConv<'a> {
         // the same rows of the secret key.
         let rctx = self.ctx.result_context();
         let decryptor = Decryptor::new(rctx, self.keygen.secret_key().restricted_to(rctx));
-        let codec = RowCodec::new(rctx, self.plan.facts());
+        let codec = RowCodec::new(rctx, &self.plan);
         let mut decoded = Vec::with_capacity(frames.len());
         for &frame in frames {
             let blob = frame.open(transport.recv()?)?;

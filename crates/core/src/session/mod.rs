@@ -15,8 +15,9 @@
 //! Each half is a file of its own, and so is what they agree on:
 //!
 //! * `spec.rs` — what both parties derive alike from the hello: the
-//!   [`LayerSpec`] and its wire codec, the scheme's plan (`ConvScheme`,
-//!   `PlanFacts`), the row codec and the frame [`Schedule`];
+//!   [`LayerSpec`] and its wire codec, the scheme's plan (one
+//!   `tile::Packing` and its `PlanFacts`), the row codec and
+//!   the frame [`Schedule`];
 //! * `client.rs` — the client's half ([`ClientConv`], [`UploadPacing`]);
 //! * `server.rs` — the server's half ([`serve_conv_with`],
 //!   [`serve_conv_on`], [`ConnectionKeys`], [`SharedKernelCaches`]) and
@@ -58,8 +59,9 @@
 //! There is one upload body, one absorb body and one server driver. The
 //! batch width is a parameter of each (one image is the identity
 //! layout, so the single-image methods are adapters), and everything
-//! that knows a scheme's packing format lives in that scheme's file
-//! behind `ConvScheme`. The driver reads as the paper does: per round,
+//! that knows a packing format lives in the one packing of all three
+//! schemes ([`crate::tile`]: a scheme is its cut and its fill, SIMD
+//! slots or coefficients). The driver reads as the paper does: per round,
 //! [`run_stream`](crate::stream::run_stream) ingests the upload and runs
 //! each job as soon as the inputs it reads have arrived — which inputs
 //! those are is the scheme's
@@ -96,7 +98,7 @@ pub use server::{
     serve_conv_on, serve_conv_with, ConnectionKeys, ExecBackend, ModelLayer, ServeOptions,
     ServerConvSummary, SharedKernelCaches, MAX_CACHED_SPECS,
 };
-pub(crate) use spec::{first_uses, lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+pub(crate) use spec::{first_uses, lift, PlanFacts, ServerKit, MAX_BATCH};
 pub use spec::{Frame, LayerSpec, Schedule, SchemeKind};
 
 #[cfg(test)]

@@ -5,12 +5,13 @@
 //! point, [`serve_conv_with`], takes it.
 
 use super::spec::{
-    check_batch, rounds, unexpected, ConvScheme, Frame, LayerSpec, RowCodec, Schedule, ServerKit,
+    check_batch, rounds, unexpected, Frame, LayerSpec, RowCodec, Schedule, ServerKit,
 };
 use crate::error::SpotError;
 use crate::executor::Executor;
 use crate::heconv::{HeConvEngine, KernelCache, RotationKeys};
 use crate::stream::{end_wait, run_stream, Round, StreamConfig, StreamStats};
+use crate::tile::Packing;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spot_he::ciphertext::Ciphertext;
@@ -418,7 +419,7 @@ pub fn serve_conv_on<R: Rng>(
     }
     let plan = spec.scheme.plan(&spec, level)?;
     let batch = (setup.batch as usize).max(1);
-    let rounds = batch.div_ceil(check_batch(&*plan, batch)?);
+    let rounds = batch.div_ceil(check_batch(&plan, batch)?);
     if let Some(max) = opts.max_batch {
         if batch > max {
             return Err(SpotError::Rejected {
@@ -438,7 +439,7 @@ pub fn serve_conv_on<R: Rng>(
     // A poisoned store counts as empty: opening it for the keys that
     // then puts in the schedule reports the poisoning.
     let held = |g| keys.lock().is_ok_and(|state| state.held.contains_key(&g));
-    let schedule = Schedule::new(&*plan, held, rounds);
+    let schedule = Schedule::new(&plan, held, rounds);
     transport.send(&schedule.downlink[0].message(Vec::new()))?;
     let uplink = Uplink::open(keys, &schedule)?;
     // With `opts.shared` the cache is the model's for this spec, so
@@ -453,7 +454,7 @@ pub fn serve_conv_on<R: Rng>(
         engine: HeConvEngine::new(ctx, keys, cache),
     };
     let config = backend.split().0;
-    serve_rounds(transport, &*plan, &kit, &config, uplink, batch, rng)
+    serve_rounds(transport, &plan, &kit, &config, uplink, batch, rng)
 }
 
 /// An input ciphertext as it travels — seeded, at the primes results
@@ -477,16 +478,16 @@ fn read_upload(ctx: &Arc<Context>, blob: &[u8]) -> Result<Ciphertext, SpotError>
 /// mask-and-send every result in result order.
 fn serve_rounds<R: Rng>(
     transport: &dyn Transport,
-    plan: &dyn ConvScheme,
+    plan: &Packing,
     kit: &ServerKit<'_>,
     config: &StreamConfig,
     mut uplink: Uplink<'_>,
     batch: usize,
     rng: &mut R,
 ) -> Result<ServerConvSummary, SpotError> {
-    let (facts, ctx) = (plan.facts(), kit.ctx);
+    let (facts, ctx) = (&plan.facts, kit.ctx);
     let (n, t) = (ctx.degree(), ctx.params().plain_modulus());
-    let codec = RowCodec::new(ctx, facts);
+    let codec = RowCodec::new(ctx, plan);
     let width = plan.round_width(batch);
     // B=1 bit-identity, case 1: a lone image's masks come straight
     // from the session rng, the canonical mask-only draw order. A wider
@@ -602,7 +603,7 @@ mod tests {
     fn conv1_schedule(store: &ConnectionKeys) -> Schedule {
         let plan = (SchemeKind::Spot.plan(&conv1(), ParamLevel::N4096)).expect("plan");
         let state = store.lock().expect("store");
-        Schedule::new(&*plan, |g| state.held.contains_key(&g), 1)
+        Schedule::new(&plan, |g| state.held.contains_key(&g), 1)
     }
 
     fn input_frame(seq: u32) -> WireMessage {

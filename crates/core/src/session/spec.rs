@@ -1,16 +1,17 @@
 //! What both parties of a layer agree on without sending it: the
-//! [`LayerSpec`] and its wire hello, the scheme's plan behind
-//! `ConvScheme`, the rows ↔ plaintexts codec, and the frame [`Schedule`]
-//! both walk. Each party derives all of it from the hello alone.
+//! [`LayerSpec`] and its wire hello, the scheme's plan (the one packing
+//! of all three schemes, [`crate::tile::Packing`], filled as SIMD slots
+//! or as coefficients), the rows ↔ plaintexts codec, and the frame
+//! [`Schedule`] both walk. Each party derives all of it from the hello
+//! alone.
 
 use crate::channelwise;
 use crate::cheetah;
 use crate::error::SpotError;
 use crate::heconv::{ConvWalk, HeConvEngine};
-use crate::layout::BatchLayout;
 use crate::patching::PatchMode;
 use crate::spot;
-use spot_he::ciphertext::Ciphertext;
+use crate::tile::Packing;
 use spot_he::context::Context;
 use spot_he::encoding::{BatchEncoder, Plaintext};
 use spot_he::params::ParamLevel;
@@ -88,19 +89,16 @@ impl SchemeKind {
         self == SchemeKind::Spot
     }
 
-    /// Plans and validates `spec` under this scheme's packing — the one
-    /// place the session layer dispatches on the scheme.
-    pub(super) fn plan(
-        self,
-        spec: &LayerSpec,
-        level: ParamLevel,
-    ) -> Result<Box<dyn ConvScheme>, SpotError> {
+    /// Plans and validates `spec` under this scheme's cut and fill of
+    /// the one packing — the one place the session layer dispatches on
+    /// the scheme.
+    pub(super) fn plan(self, spec: &LayerSpec, level: ParamLevel) -> Result<Packing, SpotError> {
         let shape = &spec.shape;
-        Ok(match self {
-            SchemeKind::Channelwise => Box::new(channelwise::packing(shape, level)?),
-            SchemeKind::Cheetah => Box::new(cheetah::Packing::new(shape, level)?),
-            SchemeKind::Spot => Box::new(spot::packing(shape, level, spec.patch, spec.mode)?),
-        })
+        match self {
+            SchemeKind::Channelwise => channelwise::packing(shape, level),
+            SchemeKind::Cheetah => cheetah::packing(shape, level),
+            SchemeKind::Spot => spot::packing(shape, level, spec.patch, spec.mode),
+        }
     }
 }
 
@@ -270,7 +268,7 @@ pub(crate) const MAX_BATCH: usize = u8::MAX as usize;
 /// The facts both parties derive identically from the [`LayerSpec`]
 /// alone. Counts are per *round*: the ciphertexts one set of
 /// slot-sharing images uploads and gets back (see
-/// [`ConvScheme::round_width`]).
+/// [`Packing::round_width`]).
 pub(crate) struct PlanFacts {
     /// Whether a result needs one input ciphertext or all of them —
     /// the paper's whole distinction, and what picks the stream driver.
@@ -288,10 +286,8 @@ pub(crate) struct PlanFacts {
     /// is made from (empty = the client sends no rotation keys).
     pub galois_elements: Vec<(usize, usize)>,
     /// Most images one round can carry: a wider batch runs in rounds
-    /// of this many ([`ConvScheme::round_width`]).
+    /// of this many ([`Packing::round_width`]).
     pub batch_capacity: usize,
-    /// Plaintexts are raw coefficient vectors, not SIMD slot rows.
-    pub coeff_packed: bool,
 }
 
 /// `(first job, element)` for every Galois element the jobs' walks
@@ -311,7 +307,7 @@ pub(crate) fn first_uses<'w>(
     uses
 }
 
-/// What the server hands a scheme's [`ConvScheme::convolve`]: the
+/// What the server hands the packing's [`Packing::convolve`]: the
 /// model's kernel and the layer's one conv engine, built from this
 /// connection's keys. Every HE operation of the layer — the scheme's,
 /// the cross-job sums, the masking — goes through the engine's
@@ -325,89 +321,6 @@ pub(crate) struct ServerKit<'a> {
     pub engine: HeConvEngine<'a>,
 }
 
-/// One packing scheme as the session driver sees it. Two impls: the
-/// tiled slot packing of SPOT and channel-wise packing
-/// ([`crate::tile::Packing`], one type, the scheme's alignment rule and
-/// tile its parameters) and Cheetah's coefficient packing
-/// ([`cheetah::Packing`]); each constructor is the scheme's *plan +
-/// validate* step.
-pub(crate) trait ConvScheme: Send + Sync {
-    /// Counts, keys, capacity and dependency class of the planned layer.
-    fn facts(&self) -> &PlanFacts;
-
-    /// Wire class of a round's `j`-th input ciphertext: class 0 goes
-    /// in `PackedCt` (with any seam class riding in it), SPOT's other
-    /// seam classes in `AuxCt`.
-    fn input_class(&self, _j: usize) -> usize {
-        0
-    }
-
-    /// The slot layout that interleaves a batch's images inside result
-    /// ciphertext `result` of a round, or `None` when images share no
-    /// slots and a batch is one round per image.
-    fn batch_layout(&self, result: usize) -> Option<BatchLayout>;
-
-    /// The coefficients of a result that [`ConvScheme::share`] reads,
-    /// or `None` where it reads whole slot rows. A coefficient-packed
-    /// result travels as `c1` and `c0` at these positions alone
-    /// ([`SparseCiphertext`]) and is decrypted there only; both parties
-    /// derive them from the [`LayerSpec`], so no position is sent.
-    fn result_positions(&self) -> Option<&[usize]> {
-        None
-    }
-
-    /// *Pack*: one round's images into plaintext rows, handed to `emit`
-    /// in upload order (lazily, so the tiny client holds one at a time).
-    fn pack(
-        &self,
-        images: &[Tensor],
-        t: u64,
-        emit: &mut dyn FnMut(Vec<u64>) -> Result<(), SpotError>,
-    ) -> Result<(), SpotError>;
-
-    /// *Convolve*: work item `job` over the ciphertexts it depends on —
-    /// `[ct_job]` under [`OutputDependency::PerInput`], the round's
-    /// whole upload under [`OutputDependency::AllInputs`]. Pure: runs
-    /// on pool workers in any order. Fails only on a rotation key that
-    /// can no longer arrive.
-    fn convolve(
-        &self,
-        kit: &ServerKit<'_>,
-        job: usize,
-        inputs: &[Ciphertext],
-    ) -> Result<Vec<Ciphertext>, SpotError>;
-
-    /// Folds job `job`'s outputs into the round's result stream: called
-    /// in job order on one thread, returns the result ciphertexts that
-    /// are now final. The tiled packing sums a piece ciphertext's
-    /// channel groups in `acc` and releases them after the last one.
-    fn collect(
-        &self,
-        _kit: &ServerKit<'_>,
-        _job: usize,
-        outs: Vec<Ciphertext>,
-        _acc: &mut Vec<Ciphertext>,
-    ) -> Vec<Ciphertext> {
-        outs
-    }
-
-    /// *Rows → share*: one image's share tensor from its rows in result
-    /// order — the same gather for both parties. The client feeds its
-    /// decrypted rows with `center` set (values lifted to
-    /// `(-t/2, t/2]`); the server feeds its masks as drawn.
-    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor;
-
-    /// How many of a batch's images share one round's ciphertexts: as
-    /// many as the layer's capacity admits, the last round taking what
-    /// is left.
-    fn round_width(&self, batch: usize) -> usize {
-        match self.batch_layout(0) {
-            Some(_) => batch.min(self.facts().batch_capacity),
-            None => 1,
-        }
-    }
-}
-
 /// Reads a `Z_t` value as a signed share: centered into `(-t/2, t/2]`
 /// for the client's decrypted rows, as drawn for the server's masks.
 pub(crate) fn lift(v: u64, t: u64, center: bool) -> i64 {
@@ -418,33 +331,31 @@ pub(crate) fn lift(v: u64, t: u64, center: bool) -> i64 {
     }
 }
 
-/// Rows ↔ plaintexts under the planned scheme's encoding.
+/// Rows ↔ plaintexts under the planned packing's fill: SIMD slots
+/// through the batch encoder, or raw coefficients where results are read
+/// at coefficient positions.
 pub(super) struct RowCodec {
-    encoder: BatchEncoder,
-    coeff_packed: bool,
+    slots: Option<BatchEncoder>,
 }
 
 impl RowCodec {
-    pub(super) fn new(ctx: &Arc<Context>, facts: &PlanFacts) -> Self {
+    pub(super) fn new(ctx: &Arc<Context>, plan: &Packing) -> Self {
         Self {
-            encoder: BatchEncoder::new(ctx),
-            coeff_packed: facts.coeff_packed,
+            slots: (plan.result_positions().is_none()).then(|| BatchEncoder::new(ctx)),
         }
     }
 
     pub(super) fn encode(&self, row: &[u64]) -> Plaintext {
-        if self.coeff_packed {
-            Plaintext::from_coeffs(row.to_vec())
-        } else {
-            self.encoder.encode(row)
+        match &self.slots {
+            Some(encoder) => encoder.encode(row),
+            None => Plaintext::from_coeffs(row.to_vec()),
         }
     }
 
     pub(super) fn decode(&self, plain: &Plaintext) -> Vec<u64> {
-        if self.coeff_packed {
-            plain.coeffs().to_vec()
-        } else {
-            self.encoder.decode(plain)
+        match &self.slots {
+            Some(encoder) => encoder.decode(plain),
+            None => plain.coeffs().to_vec(),
         }
     }
 }
@@ -452,7 +363,7 @@ impl RowCodec {
 /// Validates a batch width; returns the round width. A batch wider
 /// than the layer's capacity runs in rounds, so only an empty batch and
 /// one the hello's batch field cannot carry are refused.
-pub(super) fn check_batch(plan: &dyn ConvScheme, batch: usize) -> Result<usize, SpotError> {
+pub(super) fn check_batch(plan: &Packing, batch: usize) -> Result<usize, SpotError> {
     if batch == 0 {
         return Err(SpotError::Protocol("empty input batch".into()));
     }
@@ -567,8 +478,8 @@ impl Schedule {
     /// runnable: that job's own under [`OutputDependency::PerInput`],
     /// the round's last under [`OutputDependency::AllInputs`]. Only the
     /// first round carries keys; the rounds after it find them held.
-    pub(super) fn new(plan: &dyn ConvScheme, held: impl Fn(usize) -> bool, rounds: usize) -> Self {
-        let facts = plan.facts();
+    pub(super) fn new(plan: &Packing, held: impl Fn(usize) -> bool, rounds: usize) -> Self {
+        let facts = &plan.facts;
         let per_input = facts.dependency == OutputDependency::PerInput;
         let mut keys = (facts.galois_elements.iter())
             .filter(|&&(_, g)| !held(g))
@@ -652,22 +563,21 @@ pub(crate) mod tests {
         let planned = |facts: &PlanFacts| -> Vec<usize> {
             facts.galois_elements.iter().map(|&(_, g)| g).collect()
         };
-        let key_schedule = |plan: &dyn ConvScheme, held: &dyn Fn(usize) -> bool| {
-            keys(&Schedule::new(plan, held, 1))
-        };
+        let key_schedule =
+            |plan: &Packing, held: &dyn Fn(usize) -> bool| keys(&Schedule::new(plan, held, 1));
 
         // Four piece classes of 7, 2, 2 and 1 ciphertexts. A seam piece
         // is a 4x4 patch with rows or columns missing, so under a square
         // kernel its live taps move by steps the patches move by too:
         // every key travels behind the first ciphertext.
         let spot = plan(SchemeKind::Spot, 3);
-        assert_eq!(spot.facts().input_cts, 7 + 2 + 2 + 1);
-        let fresh = key_schedule(&*spot, &|_| false);
-        let elements = planned(spot.facts());
+        assert_eq!(spot.facts.input_cts, 7 + 2 + 2 + 1);
+        let fresh = key_schedule(&spot, &|_| false);
+        let elements = planned(&spot.facts);
         let behind_first: Vec<_> = elements.iter().map(|&g| (0, g)).collect();
         assert_eq!(fresh, behind_first, "first-use order");
         let held = elements[1];
-        let later = key_schedule(&*spot, &|g| g == held);
+        let later = key_schedule(&spot, &|g| g == held);
         assert_eq!(later.len(), elements.len() - 1);
         assert!(later.iter().all(|&(_, g)| g != held));
 
@@ -677,7 +587,7 @@ pub(crate) mod tests {
         // ciphertext, the eighth of the upload, and behind every key of
         // the patches'.
         let tall = plan(SchemeKind::Spot, 1);
-        let fresh = key_schedule(&*tall, &|_| false);
+        let fresh = key_schedule(&tall, &|_| false);
         let elt = |step: i64| galois_elt_from_step(step, 4096);
         let (first, strips) = fresh.split_at(fresh.len() - 2);
         assert!(first.iter().all(|&(input, _)| input == 0), "{fresh:?}");
@@ -685,22 +595,22 @@ pub(crate) mod tests {
         assert_eq!(strips, [(7, elt(-1)), (7, elt(1))]);
 
         let channelwise = plan(SchemeKind::Channelwise, 3);
-        assert_eq!(channelwise.facts().input_cts, 4);
-        let fresh = key_schedule(&*channelwise, &|_| false);
-        let behind_last: Vec<_> = (planned(channelwise.facts()).iter())
+        assert_eq!(channelwise.facts.input_cts, 4);
+        let fresh = key_schedule(&channelwise, &|_| false);
+        let behind_last: Vec<_> = (planned(&channelwise.facts).iter())
             .map(|&g| (3, g))
             .collect();
         assert_eq!(fresh, behind_last);
 
         let cheetah = plan(SchemeKind::Cheetah, 3);
-        assert!(key_schedule(&*cheetah, &|_| false).is_empty());
+        assert!(key_schedule(&cheetah, &|_| false).is_empty());
 
         // TinyCnn's conv1 (2 -> 4 channels on 8x8): one ciphertext per
         // class, and one block a lane, so one diagonal and no giant
         // step: the column swap and the four moves, behind the first
         // round's input; the second round's finds them held.
         let small = (SchemeKind::Spot.plan(&conv1(), ParamLevel::N4096)).expect("plan");
-        let two = Schedule::new(&*small, |_| false, 2);
+        let two = Schedule::new(&small, |_| false, 2);
         let key_frames: Vec<Frame> = (keys(&two).into_iter())
             .map(|(_, g)| Frame::Key(g))
             .collect();
@@ -710,7 +620,7 @@ pub(crate) mod tests {
             two.uplink,
             [&[Frame::Hello, input(0)], &key_frames[..], &[input(1)]].concat()
         );
-        let results = (0..2 * small.facts().output_cts as u32).map(Frame::Result);
+        let results = (0..2 * small.facts.output_cts as u32).map(Frame::Result);
         assert!(two
             .downlink
             .iter()

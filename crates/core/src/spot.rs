@@ -24,7 +24,7 @@
 use crate::error::SpotError;
 use crate::layout::next_pow2;
 use crate::patching::PatchMode;
-use crate::tile::{Blocking, Cut, Packing};
+use crate::tile::{Blocking, Cut, Fill, Packing};
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::{ConvPlan, OutputDependency};
@@ -69,8 +69,8 @@ pub(crate) fn packing(
     patch: (usize, usize),
     mode: PatchMode,
 ) -> Result<Packing, SpotError> {
-    let blk = blocking(shape.c_in, shape.c_out);
-    Packing::new(shape, level, blk, Cut::Patches(patch, mode))
+    let fill = Fill::Slots(blocking(shape.c_in, shape.c_out));
+    Packing::new(shape, level, fill, Cut::Patches(patch, mode))
 }
 
 /// Builds the SPOT execution plan for the simulator: the plan of the
@@ -278,7 +278,10 @@ mod tests {
         assert_eq!(planned.probe.classes[0].1.len(), 9);
         let facts = &planned.facts;
         assert!(facts.input_cts >= 1);
-        assert_eq!(facts.output_cts, facts.input_cts * planned.blk.out_groups);
+        assert_eq!(
+            facts.output_cts,
+            facts.input_cts * blocking(4, 4).out_groups
+        );
     }
 
     /// Table VI's patch for the paper's 56×56×64 layer at N4096: the
@@ -293,7 +296,7 @@ mod tests {
         let choice = crate::select::select_patch(&shape, level, PatchMode::Tweaked);
         assert_eq!(choice.map(|c| c.patch), Some((8, 8)));
         let planned = packing(&shape, level, (8, 8), PatchMode::Tweaked).expect("fits");
-        assert_eq!(planned.classes[0].images.layout.groups, 1);
+        assert_eq!(planned.classes[0].images.map(|i| i.layout.groups), Some(1));
         // 8 × 8 patches, one a ciphertext; 56 strips of 8×1 and of 1×8,
         // eight a ciphertext; 49 single pixels in one.
         let cts: Vec<usize> = planned.classes.iter().map(|class| class.cts).collect();

@@ -1,25 +1,40 @@
-//! The one packing of both SIMD schemes: a ciphertext carries a *tile*,
-//! some pieces of the feature map times one group of its channels.
+//! The one packing of all three schemes, two fills: a ciphertext
+//! carries a *tile*, some pieces of the feature map times one group of
+//! its channels, filled as SIMD slots or as polynomial coefficients.
 //!
-//! The paper's Sec. III contrasts two ways of filling a ciphertext, and
-//! they differ only in the tile:
+//! The paper's Sec. III contrasts three ways of filling a ciphertext,
+//! and they differ only in the tile and its fill:
 //!
 //! * **Channel-wise packing** (CrypTFlow2/GAZELLE) cuts the map as one
 //!   whole piece and splits its channels into groups of `⌊S'/HW⌋`, one
-//!   ciphertext each. Every output channel needs every input channel, so
-//!   a result waits for all of a piece's channel groups: the
-//!   cross-ciphertext stall of the tiny client.
+//!   ciphertext each, filled as slots. Every output channel needs every
+//!   input channel, so a result waits for all of a piece's channel
+//!   groups: the cross-ciphertext stall of the tiny client.
+//! * **Cheetah** (Huang et al.) cuts the map as one whole piece too and
+//!   splits its channels into chunks, filled as coefficients: a chunk's
+//!   channels ascending at the halo-padded channel stride, each kernel
+//!   descending, so one ring product convolves the chunk with no
+//!   rotation. A result still needs every chunk: the same stall.
 //! * **SPOT** cuts the map into patches and seam pieces
 //!   ([`crate::patching`]) and keeps all of a piece's channels in one
-//!   group, so every ciphertext yields final results on its own.
+//!   group, filled as slots, so every ciphertext yields final results
+//!   on its own.
 //!
-//! `Packing` builds one walk per (ciphertext class, channel group), packs
-//! class by class, then piece ciphertext, then channel group, and its
-//! `collect` sums a result's partials
-//! over the channel groups of its own piece ciphertext: a single group
+//! `Packing` reads the grid once for all three: the ciphertext classes,
+//! the facts, the stride and the assembly. It branches on the `Fill`
+//! only where the encodings differ: the row fill in `pack`, `convolve`,
+//! `collect`, the one-result read in `share`, the result positions and
+//! the batch layout. Under slots it builds one walk per (ciphertext
+//! class, channel group), packs class by class, then piece ciphertext,
+//! then channel group, and its `collect` sums a result's partials over
+//! the channel groups of its own piece ciphertext: a single group
 //! passes straight through, the whole-map tile waits for every input.
-//! What each scheme still supplies is its alignment rule, a [`Blocking`]
-//! (`spot::blocking`, `channelwise::blocking`), because the rule is what
+//! Under coefficients a job is one result, which sums its output
+//! channel's ring products over the chunks itself, and `collect` passes
+//! it straight through, so each result is masked and sent while the
+//! next is computed. What each scheme still supplies is its rule — a
+//! [`Blocking`] (`spot::blocking`, `channelwise::blocking`) or Cheetah's
+//! [`CheetahGeometry`] (`cheetah::geometry`) — because the rule is what
 //! the paper compares.
 //!
 //! A seam class whose pieces all fit in the positions the main patches
@@ -30,17 +45,20 @@
 //! "same" padding, because the patches' kernel plaintexts already mask
 //! every tap to the frame, so the main walk convolves it unchanged.
 
+use crate::cheetah::CheetahGeometry;
 use crate::error::SpotError;
 use crate::heconv::{ConvRequest, ConvWalk, GroupSpec};
 use crate::layout::{BatchLayout, ChannelMap, LaneLayout, Piece};
 use crate::patching::{
     assemble, decompose, grid_len, overlap_for, whole, Decomposition, PatchMode,
 };
-use crate::session::{first_uses, lift, ConvScheme, PlanFacts, ServerKit, MAX_BATCH};
+use crate::session::{first_uses, lift, PlanFacts, ServerKit, MAX_BATCH};
 use spot_he::ciphertext::Ciphertext;
+use spot_he::encoding::Plaintext;
 use spot_he::evaluator::OpCounts;
 use spot_he::params::ParamLevel;
 use spot_pipeline::plan::OutputDependency;
+use spot_tensor::fixed::to_field;
 use spot_tensor::models::ConvShape;
 use spot_tensor::tensor::Tensor;
 use std::sync::Arc;
@@ -152,6 +170,36 @@ impl Cut {
     }
 }
 
+/// How a tile's piece ciphertext × channel group is filled: the one
+/// place the encodings differ.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// SIMD slots, aligned by the scheme's blocking: SPOT and
+    /// channel-wise packing.
+    Slots(Blocking),
+    /// Polynomial coefficients (Cheetah): the group's channels
+    /// ascending at the halo-padded channel stride, each kernel
+    /// descending, so one ring product convolves every channel of the
+    /// group and rotates nothing.
+    Coeffs(CheetahGeometry),
+}
+
+impl Fill {
+    /// The slot layout pieces of `h × w` fill in a ring of degree `n`,
+    /// or `None` under the coefficient fill, one piece a ciphertext; or
+    /// the typed refusal of pieces that do not fit, from the dimensions
+    /// alone.
+    fn layout(&self, n: usize, (h, w): (usize, usize)) -> Result<Option<LaneLayout>, SpotError> {
+        match self {
+            Fill::Slots(blk) => LaneLayout::try_new(n / 2, blk.lane_blocks, h, w).map(Some),
+            Fill::Coeffs(geo) if geo.channel_coeffs > n => Err(SpotError::Protocol(format!(
+                "feature map does not fit the ring at D={n}"
+            ))),
+            Fill::Coeffs(_) => Ok(None),
+        }
+    }
+}
+
 /// Most ciphertexts the main piece class of a served layer may need.
 /// The paper's largest layers stay near a thousand; a hello asking for
 /// more is refused from its dimensions alone, before anything sized by
@@ -174,38 +222,57 @@ pub(crate) struct ClassPlan {
     /// every position's convolution to its own piece). When the class
     /// spills over several piece ciphertexts each is fully occupied by
     /// the single image, so the stride clamps to every position:
-    /// capacity 1, pack/unpack the identity.
-    pub(crate) images: BatchLayout,
+    /// capacity 1, pack/unpack the identity. `None` under the
+    /// coefficient fill, which shares no slots: a batch is its images in
+    /// sequence.
+    pub(crate) images: Option<BatchLayout>,
 }
 
-/// One layer planned under a tile.
+impl ClassPlan {
+    /// Pieces one of the class's ciphertexts holds.
+    fn positions(&self) -> usize {
+        self.images.map_or(1, |images| images.layout.groups)
+    }
+}
+
+/// One layer planned under a tile and its fill.
 pub(crate) struct Packing {
     shape: ConvShape,
     cut: Cut,
-    pub(crate) blk: Blocking,
+    fill: Fill,
+    /// The ring degree: the length of every row.
+    degree: usize,
+    /// Channel groups an input splits into, one ciphertext each.
+    in_groups: usize,
+    /// Result ciphertexts per piece ciphertext.
+    out_groups: usize,
     /// The piece structure: it depends only on spatial dims, so a
     /// channel-less probe decomposition serves (and holds no pixels).
     pub(crate) probe: Decomposition,
     pub(crate) classes: Vec<ClassPlan>,
     /// One walk per (ciphertext class, channel group), class-major: the
-    /// walk index is also the job's kernel-cache tag.
+    /// walk index is also the job's kernel-cache tag. None under the
+    /// coefficient fill.
     pub(crate) walks: Vec<ConvWalk>,
     /// Ciphertext class of each piece ciphertext, in upload order.
     piece_class: Vec<usize>,
+    /// Under the coefficient fill, where output pixel `(y, x)` lands in
+    /// every result, at `y·out_w + x`: the coefficients the share reads
+    /// and the wire carries.
+    positions: Option<Vec<usize>>,
     pub(crate) facts: PlanFacts,
 }
 
 impl Packing {
-    /// Plans `shape` at `level` under `blk`, cut by `cut`. The spec may
-    /// come straight off the wire: everything is validated from the
-    /// dimensions before the decomposition is built.
+    /// Plans `shape` at `level` filled by `fill`, cut by `cut`. The
+    /// spec may come straight off the wire: everything is validated from
+    /// the dimensions before the decomposition is built.
     pub(crate) fn new(
         shape: &ConvShape,
         level: ParamLevel,
-        blk: Blocking,
+        fill: Fill,
         cut: Cut,
     ) -> Result<Self, SpotError> {
-        let lane = level.degree() / 2;
         let (main, patches) = match cut {
             Cut::Whole => ((shape.height, shape.width), 1),
             Cut::Patches(patch, mode) => {
@@ -220,57 +287,76 @@ impl Packing {
                 (patch, rows * grid_len(shape.width, patch.1, overlap))
             }
         };
+        let (in_groups, out_groups) = match &fill {
+            Fill::Slots(blk) => (blk.in_groups, blk.out_groups),
+            Fill::Coeffs(geo) => (geo.input_cts, geo.output_cts),
+        };
         // Every seam piece is no larger than a main patch.
-        let layout = LaneLayout::try_new(lane, blk.lane_blocks, main.0, main.1)?;
-        let main_cts = patches.div_ceil(layout.groups) * blk.in_groups;
+        let n = level.degree();
+        let main_cts = patches.div_ceil(fill.layout(n, main)?.map_or(1, |l| l.groups)) * in_groups;
         if main_cts > MAX_INPUT_CTS {
             return Err(SpotError::Protocol(format!(
                 "layer needs {main_cts} ciphertexts for its main pieces, over the limit of {MAX_INPUT_CTS}"
             )));
         }
         let probe = cut.decompose(&Tensor::zeros(0, shape.height, shape.width), shape.k_h);
-        let groups: Arc<[GroupSpec]> = blk.group_specs(shape.c_out).into();
-        let k = (shape.k_h, shape.k_w);
         let held = |members: &[usize]| -> usize {
             members.iter().map(|&m| probe.classes[m].1.len()).sum()
         };
         let mut classes: Vec<ClassPlan> = Vec::new();
-        let mut walks = Vec::new();
         for (m, (class, pieces)) in probe.classes.iter().enumerate() {
             // A seam class rides in the main class's last ciphertext when
             // all of its pieces fit in the positions still free there:
             // no ciphertext is added and the main walk is unchanged.
-            if let Some(main) = classes.first_mut() {
-                let layout = main.images.layout;
+            if let Some((Some(host), main)) = classes.first_mut().map(|c| (c.images, c)) {
+                let layout = host.layout;
                 if held(&main.members) + pieces.len() <= main.cts * layout.groups {
                     main.members.push(m);
                     let stride = held(&main.members).min(layout.groups);
-                    main.images = BatchLayout::new(layout, stride);
+                    main.images = Some(BatchLayout::new(layout, stride));
                     continue;
                 }
             }
-            let layout = LaneLayout::new(lane, blk.lane_blocks, class.h, class.w);
-            walks
-                .extend((0..blk.in_groups).map(|group| {
-                    blk.group_walk(layout, group, shape.c_in, Arc::clone(&groups), k)
-                }));
+            let layout = fill.layout(n, (class.h, class.w))?;
+            let positions = layout.map_or(1, |layout| layout.groups);
             classes.push(ClassPlan {
-                cts: pieces.len().div_ceil(layout.groups),
+                cts: pieces.len().div_ceil(positions),
                 members: vec![m],
-                images: BatchLayout::new(layout, pieces.len().clamp(1, layout.groups)),
+                images: layout.map(|l| BatchLayout::new(l, pieces.len().clamp(1, positions))),
             });
         }
-        let piece_class: Vec<usize> = (classes.iter().enumerate())
-            .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
-            .collect();
+        let piece_cts = classes.iter().map(|class| class.cts).sum::<usize>();
+        // One job per channel group of a piece ciphertext, whose partials
+        // `collect` sums; under coefficients one per result, which sums
+        // its chunks' ring products itself.
+        let (walks, positions, jobs) = match &fill {
+            Fill::Slots(blk) => {
+                let groups: Arc<[GroupSpec]> = blk.group_specs(shape.c_out).into();
+                let (c_in, k) = (shape.c_in, (shape.k_h, shape.k_w));
+                let layouts = classes
+                    .iter()
+                    .filter_map(|class| class.images.map(|i| i.layout));
+                let walks = (layouts.flat_map(|layout| (0..in_groups).map(move |g| (layout, g))))
+                    .map(|(layout, g)| blk.group_walk(layout, g, c_in, Arc::clone(&groups), k))
+                    .collect();
+                (walks, None, piece_cts * in_groups)
+            }
+            Fill::Coeffs(geo) => {
+                let s = shape.stride;
+                let positions = (pixels(shape.out_height(), shape.out_width()))
+                    .map(|(y, x)| result_coeff(geo, shape, y * s, x * s))
+                    .collect();
+                (Vec::new(), Some(positions), piece_cts * out_groups)
+            }
+        };
         // Jobs run class by class, piece ciphertext by piece ciphertext,
         // in upload order: a walk's first job is its channel group's
         // job in its class's first piece ciphertext, and that is also
         // the order the walks' keys are first asked for.
         let first_jobs = classes.iter().scan(0, |next, class| {
             let first = *next;
-            *next += class.cts * blk.in_groups;
-            Some((0..blk.in_groups).map(move |group| first + group))
+            *next += class.cts * in_groups;
+            Some((0..in_groups).map(move |group| first + group))
         });
         let galois_elements = first_uses(first_jobs.flatten().zip(&walks));
         if !galois_elements.is_empty() && !level.supports_rotation() {
@@ -280,10 +366,11 @@ impl Packing {
         }
         // A class spilling over one piece ciphertext has no spare
         // positions to scatter another image into; otherwise the
-        // tightest class bounds the batch.
+        // tightest class bounds the batch, and images that share no
+        // slots only the wire field.
         let batch_capacity = if classes.iter().all(|class| class.cts == 1) {
             (classes.iter())
-                .map(|class| class.images.capacity())
+                .map(|class| class.images.map_or(MAX_BATCH, |images| images.capacity()))
                 .fold(MAX_BATCH, usize::min)
         } else {
             1
@@ -294,20 +381,25 @@ impl Packing {
                     Cut::Whole => OutputDependency::AllInputs,
                     Cut::Patches(..) => OutputDependency::PerInput,
                 },
-                input_cts: piece_class.len() * blk.in_groups,
-                output_cts: piece_class.len() * blk.out_groups,
-                jobs: piece_class.len() * blk.in_groups,
+                input_cts: piece_cts * in_groups,
+                output_cts: piece_cts * out_groups,
+                jobs,
                 galois_elements,
                 batch_capacity,
-                coeff_packed: false,
             },
+            piece_class: (classes.iter().enumerate())
+                .flat_map(|(ci, class)| std::iter::repeat_n(ci, class.cts))
+                .collect(),
             shape: *shape,
             cut,
-            blk,
+            fill,
+            degree: n,
+            in_groups,
+            out_groups,
             probe,
             classes,
             walks,
-            piece_class,
+            positions,
         })
     }
 
@@ -316,7 +408,7 @@ impl Packing {
     pub(crate) fn walk_ops(&self) -> OpCounts {
         let mut ops = OpCounts::default();
         for (w, walk) in self.walks.iter().enumerate() {
-            let class = &self.classes[w / self.blk.in_groups];
+            let class = &self.classes[w / self.in_groups];
             ops.merge(&walk.ops().times(class.cts as u64));
         }
         ops
@@ -325,8 +417,7 @@ impl Packing {
     /// The walk job `job` runs: its piece ciphertext's class, its
     /// channel group.
     fn walk_of(&self, job: usize) -> usize {
-        let groups = self.blk.in_groups;
-        self.piece_class[job / groups] * groups + job % groups
+        self.piece_class[job / self.in_groups] * self.in_groups + job % self.in_groups
     }
 
     /// The pieces of `d` that fill class `ci`'s ciphertexts, in
@@ -342,42 +433,77 @@ impl Packing {
     /// Gathers class `ci`'s rows (piece-ciphertext-major, group-minor;
     /// one party's decoded results or masks) into per-piece share
     /// tensors, each of its own piece class's dimensions: piece `p`
-    /// sits at position `p mod G` of piece ciphertext `p / G`, and each
-    /// result row holds the output channels of its group's map.
+    /// sits at position `p mod G` of piece ciphertext `p / G`. A slot
+    /// result holds the output channels of its group's map; a
+    /// coefficient result holds output channel `group`, each pixel at
+    /// its kernel centre.
     fn class_share(&self, ci: usize, rows: &[Vec<u64>], read: impl Fn(u64) -> i64) -> Vec<Tensor> {
-        let layout = &self.classes[ci].images.layout;
-        let groups = self.walks[ci * self.blk.in_groups].groups();
+        let positions = self.classes[ci].positions();
         let mut class_out: Vec<Tensor> = (self.class_pieces(ci, &self.probe))
             .map(|p| Tensor::zeros(self.shape.c_out, p.data.height(), p.data.width()))
             .collect();
         for (r, row) in rows.iter().enumerate() {
-            let (ct, group) = (r / groups.len(), &groups[r % groups.len()]);
-            let at_ct = class_out.iter_mut().skip(ct * layout.groups);
-            for (position, out) in at_ct.take(layout.groups).enumerate() {
-                layout.gather(&group.out_ch, position, 1, row, &read, out);
+            let (ct, group) = (r / self.out_groups, r % self.out_groups);
+            let at_ct = class_out.iter_mut().skip(ct * positions);
+            for (position, out) in at_ct.take(positions).enumerate() {
+                match &self.fill {
+                    Fill::Slots(_) => {
+                        let walk = &self.walks[ci * self.in_groups];
+                        let map = &walk.groups()[group].out_ch;
+                        walk.layout().gather(map, position, 1, row, &read, out);
+                    }
+                    Fill::Coeffs(geo) => {
+                        for (y, x) in pixels(out.height(), out.width()) {
+                            *out.at_mut(group, y, x) =
+                                read(row[result_coeff(geo, &self.shape, y, x)]);
+                        }
+                    }
+                }
             }
         }
         class_out
     }
-}
 
-impl ConvScheme for Packing {
-    fn facts(&self) -> &PlanFacts {
-        &self.facts
+    /// Wire class of a round's `j`-th input ciphertext: class 0 goes
+    /// in `PackedCt` (with any seam class riding in it), SPOT's other
+    /// seam classes in `AuxCt`. A seam class keeps its number on the
+    /// wire whether or not another rides with it.
+    pub(crate) fn input_class(&self, j: usize) -> usize {
+        self.classes[self.piece_class[j / self.in_groups]].members[0]
     }
 
-    /// The decomposition class of the input's ciphertext class: a
-    /// seam class keeps its number on the wire whether or not another
-    /// rides with it.
-    fn input_class(&self, j: usize) -> usize {
-        self.classes[self.piece_class[j / self.blk.in_groups]].members[0]
+    /// The slot layout that interleaves a batch's images inside result
+    /// ciphertext `result` of a round, or `None` when images share no
+    /// slots and a batch is one round per image.
+    pub(crate) fn batch_layout(&self, result: usize) -> Option<BatchLayout> {
+        self.classes[self.piece_class[result / self.out_groups]].images
     }
 
-    fn batch_layout(&self, result: usize) -> Option<BatchLayout> {
-        Some(self.classes[self.piece_class[result / self.blk.out_groups]].images)
+    /// The coefficients of a result that [`Packing::share`] reads, or
+    /// `None` where it reads whole slot rows. A coefficient-filled
+    /// result travels as `c1` and `c0` at these positions alone
+    /// ([`SparseCiphertext`](spot_he::ciphertext::SparseCiphertext)) and
+    /// is decrypted there only; both parties derive them from the
+    /// [`LayerSpec`](crate::session::LayerSpec), so no position is sent.
+    pub(crate) fn result_positions(&self) -> Option<&[usize]> {
+        self.positions.as_deref()
     }
 
-    fn pack(
+    /// How many of a batch's images share one round's ciphertexts: as
+    /// many as the layer's capacity admits, the last round taking what
+    /// is left.
+    pub(crate) fn round_width(&self, batch: usize) -> usize {
+        match self.batch_layout(0) {
+            Some(_) => batch.min(self.facts.batch_capacity),
+            None => 1,
+        }
+    }
+
+    /// *Pack*: one round's images into plaintext rows, handed to `emit`
+    /// in upload order (lazily, so the tiny client holds one at a time):
+    /// class by class, piece ciphertext by piece ciphertext, channel
+    /// group by channel group.
+    pub(crate) fn pack(
         &self,
         images: &[Tensor],
         t: u64,
@@ -386,65 +512,114 @@ impl ConvScheme for Packing {
         let decomps: Vec<Decomposition> = (images.iter())
             .map(|img| self.cut.decompose(img, self.shape.k_h))
             .collect();
-        let per_class = self.walks.chunks(self.blk.in_groups);
-        for (ci, (class, walks)) in self.classes.iter().zip(per_class).enumerate() {
-            let layout = &class.images.layout;
+        for (ci, class) in self.classes.iter().enumerate() {
             for ct in 0..class.cts {
-                for walk in walks {
-                    // Per image, this ciphertext's pieces, one a position,
-                    // a riding piece at the top-left of its frame; the
-                    // batch capacity guarantees a single piece ciphertext
-                    // per class when images share slots.
-                    let rows: Vec<Vec<u64>> = (decomps.iter())
-                        .map(|d| {
-                            let mut slots = vec![0u64; 2 * layout.lane_size];
-                            let pieces = self.class_pieces(ci, d).skip(ct * layout.groups);
-                            for (position, piece) in pieces.take(layout.groups).enumerate() {
-                                layout.scatter(walk.in_map(), position, &piece.data, t, &mut slots);
-                            }
-                            slots
-                        })
+                for group in 0..self.in_groups {
+                    let mut rows: Vec<Vec<u64>> = (decomps.iter())
+                        .map(|d| self.fill_row(ci, ct, group, d, t))
                         .collect();
-                    emit(class.images.pack_images(&rows))?;
+                    emit(match class.images {
+                        Some(images) => images.pack_images(&rows),
+                        None => rows.swap_remove(0),
+                    })?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Job `job` reads its own input, the only one it is handed under
-    /// [`OutputDependency::PerInput`].
-    fn convolve(
+    /// Channel group `group` of piece ciphertext `ct` of class `ci`, for
+    /// one image's decomposition `d`: the ciphertext's pieces, one a
+    /// position, a riding piece at the top-left of its frame. The batch
+    /// capacity guarantees a single piece ciphertext per class when
+    /// images share slots.
+    fn fill_row(&self, ci: usize, ct: usize, group: usize, d: &Decomposition, t: u64) -> Vec<u64> {
+        let positions = self.classes[ci].positions();
+        let pieces = self.class_pieces(ci, d).skip(ct * positions);
+        let mut row = vec![0u64; self.degree];
+        for (position, piece) in pieces.take(positions).enumerate() {
+            let data = &piece.data;
+            match &self.fill {
+                Fill::Slots(_) => {
+                    let walk = &self.walks[ci * self.in_groups + group];
+                    (walk.layout()).scatter(walk.in_map(), position, data, t, &mut row);
+                }
+                Fill::Coeffs(geo) => {
+                    for (local, c) in geo.chunk(group, self.shape.c_in).enumerate() {
+                        for (y, x) in pixels(data.height(), data.width()) {
+                            row[geo.at(local, y, x)] = to_field(data.at(c, y, x), t);
+                        }
+                    }
+                }
+            }
+        }
+        row
+    }
+
+    /// *Convolve*: work item `job` over the ciphertexts it depends on —
+    /// `[ct_job]` under [`OutputDependency::PerInput`], the round's
+    /// whole upload under [`OutputDependency::AllInputs`]. Pure: runs on
+    /// pool workers in any order. Fails only on a rotation key that can
+    /// no longer arrive. A slot job walks its channel group's input; a
+    /// coefficient job is result `job`, the sum of its output channel's
+    /// ring products over every chunk, its kernel plaintexts uncached.
+    pub(crate) fn convolve(
         &self,
         kit: &ServerKit<'_>,
         job: usize,
         inputs: &[Ciphertext],
     ) -> Result<Vec<Ciphertext>, SpotError> {
-        let input = match self.facts.dependency {
-            OutputDependency::PerInput => &inputs[0],
-            OutputDependency::AllInputs => &inputs[job],
+        let Fill::Coeffs(geo) = &self.fill else {
+            let input = match self.facts.dependency {
+                OutputDependency::PerInput => &inputs[0],
+                OutputDependency::AllInputs => &inputs[job],
+            };
+            let walk = self.walk_of(job);
+            let req = ConvRequest {
+                walk: &self.walks[walk],
+                kernel: kit.kernel,
+                cache_tag: walk,
+            };
+            return kit.engine.conv_one_ct(input, &req);
         };
-        let walk = self.walk_of(job);
-        let req = ConvRequest {
-            walk: &self.walks[walk],
-            kernel: kit.kernel,
-            cache_tag: walk,
-        };
-        kit.engine.conv_one_ct(input, &req)
+        let (shape, t) = (&self.shape, kit.ctx.params().plain_modulus());
+        let evaluator = kit.engine.evaluator();
+        let products = inputs.iter().enumerate().map(|(chunk, input)| {
+            let mut kernel = vec![0u64; self.degree];
+            for (local, c) in geo.chunk(chunk, shape.c_in).enumerate() {
+                let descending = geo.channels_per_ct - 1 - local;
+                for (u, v) in pixels(shape.k_h, shape.k_w) {
+                    let at = geo.at(descending, shape.k_h - 1 - u, shape.k_w - 1 - v);
+                    kernel[at] = to_field(kit.kernel.at(job, c, u, v), t);
+                }
+            }
+            evaluator.multiply_plain(input, &Plaintext::from_coeffs(kernel))
+        });
+        let sum = products.reduce(|mut sum, product| {
+            evaluator.add_inplace(&mut sum, &product);
+            sum
+        });
+        Ok(vec![sum.expect("at least one chunk")])
     }
 
-    /// A piece ciphertext's results are the sums of its channel groups'
-    /// partials: accumulate them in job order, as a serial run would,
-    /// and release the sums after the last group. A single group passes
-    /// straight through.
-    fn collect(
+    /// Folds job `job`'s outputs into the round's result stream: called
+    /// in job order on one thread, returns the result ciphertexts that
+    /// are now final. A piece ciphertext's slot results are the sums of
+    /// its channel groups' partials: accumulate them in `acc` in job
+    /// order, as a serial run would, and release the sums after the last
+    /// group; a single group passes straight through, as does every
+    /// coefficient result, final as `convolve` returns it.
+    pub(crate) fn collect(
         &self,
         kit: &ServerKit<'_>,
         job: usize,
         outs: Vec<Ciphertext>,
         acc: &mut Vec<Ciphertext>,
     ) -> Vec<Ciphertext> {
-        let group = job % self.blk.in_groups;
+        if let Fill::Coeffs(_) = self.fill {
+            return outs;
+        }
+        let group = job % self.in_groups;
         if group == 0 {
             *acc = outs;
         } else {
@@ -452,26 +627,29 @@ impl ConvScheme for Packing {
                 kit.engine.evaluator().add_inplace(sum, partial);
             }
         }
-        if group + 1 == self.blk.in_groups {
+        if group + 1 == self.in_groups {
             std::mem::take(acc)
         } else {
             Vec::new()
         }
     }
 
-    /// Gathers every class's pieces, puts them back in decomposition
-    /// order (a riding class's from its host's rows), assembles them
-    /// and takes the stride. SPOT's signed piece assembly (add patch and
-    /// corner shares, subtract strip shares) works on centred values, so
-    /// there both parties centre; the whole map's one piece is read as
-    /// asked.
-    fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
+    /// *Rows → share*: one image's share tensor from its rows in result
+    /// order — the same gather for both parties. The client feeds its
+    /// decrypted rows with `center` set (values lifted to `(-t/2,
+    /// t/2]`); the server feeds its masks as drawn. Gathers every
+    /// class's pieces, puts them back in decomposition order (a riding
+    /// class's from its host's rows), assembles them and takes the
+    /// stride. SPOT's signed piece assembly (add patch and corner
+    /// shares, subtract strip shares) works on centred values, so there
+    /// both parties centre; the whole map's one piece is read as asked.
+    pub(crate) fn share(&self, rows: Vec<Vec<u64>>, t: u64, center: bool) -> Tensor {
         let shape = &self.shape;
         let center = center || self.cut != Cut::Whole;
         let mut by_class = vec![Vec::new(); self.probe.classes.len()];
         let mut rest = rows.as_slice();
         for (ci, class) in self.classes.iter().enumerate() {
-            let (class_rows, tail) = rest.split_at(class.cts * self.blk.out_groups);
+            let (class_rows, tail) = rest.split_at(class.cts * self.out_groups);
             let mut pieces = self
                 .class_share(ci, class_rows, |v| lift(v, t, center))
                 .into_iter();
@@ -491,6 +669,22 @@ impl ConvScheme for Packing {
             |c, y, x| full.at(c, y * shape.stride, x * shape.stride),
         )
     }
+}
+
+/// The coefficient where pixel `(y, x)` of a stride-1 output lands in a
+/// coefficient-filled result: its kernel centre in the halo-padded
+/// plane, one chunk in.
+fn result_coeff(geo: &CheetahGeometry, shape: &ConvShape, y: usize, x: usize) -> usize {
+    geo.at(
+        geo.channels_per_ct - 1,
+        y + (shape.k_h - 1) / 2,
+        x + (shape.k_w - 1) / 2,
+    )
+}
+
+/// The `(y, x)` of an `h × w` grid, row-major.
+fn pixels(h: usize, w: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..h).flat_map(move |y| (0..w).map(move |x| (y, x)))
 }
 
 #[cfg(test)]
@@ -559,7 +753,10 @@ mod tests {
         let packing =
             spot::packing(&shape, ParamLevel::N4096, (4, 4), PatchMode::Tweaked).expect("plans");
         assert_eq!(packing.walks.len(), 1);
-        assert_eq!(packing.classes[0].images.stride, 9 + 6 + 6 + 4);
+        assert_eq!(
+            packing.classes[0].images.map(|i| i.stride),
+            Some(9 + 6 + 6 + 4)
+        );
         assert_eq!(packing.facts.batch_capacity, 128 / 25);
         assert_eq!((packing.facts.input_cts, packing.facts.output_cts), (1, 2));
         assert_eq!(packing.input_class(0), 0);

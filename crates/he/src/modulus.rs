@@ -21,12 +21,10 @@ pub struct Modulus {
     /// floor(2^128 / value), stored as (high, low) 64-bit limbs.
     barrett_hi: u64,
     barrett_lo: u64,
-    /// `-value^{-1} mod 2^64` (value is an odd prime), for Montgomery REDC.
-    mont_neg_inv: u64,
-    /// `2^64 mod value`, with its Shoup constant: multiplying by this
-    /// lifts an operand into Montgomery form in one Shoup multiply.
-    mont_r: u64,
-    mont_r_shoup: u64,
+    /// The Montgomery constants only the NEON kernels read
+    /// ([`montgomery_constants`]).
+    #[cfg(target_arch = "aarch64")]
+    montgomery: (u64, u64, u64),
 }
 
 impl Modulus {
@@ -38,33 +36,18 @@ impl Modulus {
     pub fn new(value: u64) -> Self {
         assert!(value > 1, "modulus must be > 1");
         assert!(value < (1u64 << 62), "modulus must be < 2^62");
-        // Compute floor(2^128 / value) via 128-bit long division in two steps.
-        let hi = (u128::MAX / value as u128) as u64;
-        // remainder of 2^128 - 1 division trick: compute precisely.
-        // 2^128 / v = floor(((2^128 - 1) - (v - 1)) / v) + adjustment; easier:
-        // q = (2^128 - 1) / v; r = (2^128 - 1) % v; if r == v - 1 { q + 1 } else { q }
+        // floor(2^128 / value) from 2^128 - 1 = q·value + r: one more
+        // than q exactly when value divides 2^128, that is r = value - 1.
         let q = u128::MAX / value as u128;
         let r = u128::MAX % value as u128;
         let q = if r == value as u128 - 1 { q + 1 } else { q };
-        let _ = hi;
-        // Montgomery constants. Newton iteration doubles the number of
-        // correct low bits per step: value*x ≡ 1 (mod 2) for odd value,
-        // so six steps reach 2^64.
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(value.wrapping_mul(inv)));
-        }
-        let mont_r = ((1u128 << 64) % value as u128) as u64;
-        let mut out = Self {
+        Self {
             value,
             barrett_hi: (q >> 64) as u64,
             barrett_lo: q as u64,
-            mont_neg_inv: inv.wrapping_neg(),
-            mont_r,
-            mont_r_shoup: 0,
-        };
-        out.mont_r_shoup = out.shoup(mont_r);
-        out
+            #[cfg(target_arch = "aarch64")]
+            montgomery: montgomery_constants(value),
+        }
     }
 
     /// The modulus value.
@@ -85,7 +68,7 @@ impl Modulus {
     #[inline(always)]
     #[cfg(target_arch = "aarch64")]
     pub(crate) fn montgomery(&self) -> (u64, u64, u64) {
-        (self.mont_neg_inv, self.mont_r, self.mont_r_shoup)
+        self.montgomery
     }
 
     /// Reduces a 64-bit value (already < 2^62 * anything) modulo the modulus.
@@ -212,6 +195,26 @@ impl Modulus {
         x.wrapping_mul(operand)
             .wrapping_sub(q.wrapping_mul(self.value))
     }
+}
+
+/// `(-value^{-1} mod 2^64, 2^64 mod value, shoup(2^64 mod value))`:
+/// the inverse for Montgomery REDC (meaningful for odd `value`), and
+/// `2^64 mod value` with its Shoup constant, which lifts an operand into
+/// Montgomery form in one Shoup multiply. Newton iteration doubles the
+/// number of correct low bits of the inverse per step: `value·x ≡ 1
+/// (mod 2)` for odd `value`, so six steps reach `2^64`.
+#[cfg(target_arch = "aarch64")]
+fn montgomery_constants(value: u64) -> (u64, u64, u64) {
+    let mut inv: u64 = 1;
+    for _ in 0..6 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(value.wrapping_mul(inv)));
+    }
+    let r = ((1u128 << 64) % value as u128) as u64;
+    (
+        inv.wrapping_neg(),
+        r,
+        (((r as u128) << 64) / value as u128) as u64,
+    )
 }
 
 #[cfg(test)]
