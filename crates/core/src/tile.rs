@@ -172,7 +172,6 @@ impl Cut {
 
 /// How a tile's piece ciphertext × channel group is filled: the one
 /// place the encodings differ.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Fill {
     /// SIMD slots, aligned by the scheme's blocking: SPOT and
     /// channel-wise packing.

@@ -432,7 +432,7 @@ fn hostile_hello(server: &SpotServer, setup: ConvSetup) -> (SessionReport, WireM
 /// A 48-byte SPOT hello whose patch is not larger than the overlap, or
 /// does not fit a lane, or whose plan would need an absurd number of
 /// ciphertexts, and a Cheetah hello whose halo-padded plane exceeds the
-/// ring, are refused
+/// ring or that needs as many ciphertexts, are refused
 /// with a typed error frame from its dimensions alone — no panic on the
 /// session thread, nothing allocated from the claimed size, and the
 /// admission slot is free again afterwards.
@@ -473,6 +473,9 @@ fn hostile_spot_hello_gets_a_typed_error_and_frees_its_slot() {
         // a 7x7 kernel over 60x60 at stride 2: 66x66 again, the
         // stride does not shrink the plane the input is packed in
         cheetah(ConvShape::new(60, 60, 3, 2, 7, 2)),
+        // a 47x47 padded plane holds one channel a ciphertext: 16,384
+        // input ciphertexts, over the limit every packing shares
+        cheetah(ConvShape::new(45, 45, 1 << 14, 4, 3, 1)),
     ];
     for (i, hello) in hellos.iter().enumerate() {
         let (report, reply) = hostile_hello(&server, hello.to_setup(ParamLevel::N4096));
