@@ -250,8 +250,8 @@ pub(crate) struct Packing {
     pub(crate) probe: Decomposition,
     pub(crate) classes: Vec<ClassPlan>,
     /// One walk per (ciphertext class, channel group), class-major: the
-    /// walk index is also the job's kernel-cache tag. None under the
-    /// coefficient fill.
+    /// walk index is also the job's kernel-cache tag. Empty under the
+    /// coefficient fill, which walks nothing.
     pub(crate) walks: Vec<ConvWalk>,
     /// Ciphertext class of each piece ciphertext, in upload order.
     piece_class: Vec<usize>,
